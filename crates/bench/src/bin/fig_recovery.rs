@@ -21,7 +21,14 @@
 //!   bounded by `(n−1) · 4·log₂(buckets)`, against bulk's
 //!   2 messages per peer but `O(store)` bytes;
 //! * walk messages, bytes and entries all grow monotonically with `k`:
-//!   the protocol spends in proportion to what actually diverged.
+//!   the protocol spends in proportion to what actually diverged;
+//! * every walk finishes within `log₂(buckets) + 2` sequential round trips
+//!   (`rounds`): a recovery walk issues a whole tree level at once, so
+//!   recovery *time* does not grow with divergence the way its traffic
+//!   does. `serve_us` is the virtual time from restart to the node serving
+//!   again (a read quorum of walks finished); the `previous` block keeps
+//!   the same two figures measured with the stop-and-wait walker (one
+//!   32-node batch in flight per walk) this replaced.
 //!
 //! Everything runs on the virtual clock with seeded RNGs, so
 //! `BENCH_recovery.json` is byte-reproducible; `--smoke` runs the
@@ -38,11 +45,29 @@ const KEYS: u32 = 100_000;
 const BUCKETS: usize = 1024;
 const SIM_SEED: u64 = 9;
 
+const CRASH_AT: u64 = 1_000;
+const RESTART_AT: u64 = 2_000;
+
+/// `(stale, sync_msgs, rounds, serve_us)` of the Merkle rows with the
+/// stop-and-wait walker, measured at the parent of the commit that
+/// pipelined the walk (this binary, this seed, the same round counter
+/// added to that commit's walker).
+const PREVIOUS: [(u32, u64, u64, f64); 3] = [
+    (1, 92, 12, 130.840),
+    (1_000, 504, 63, 666.211),
+    (50_000, 552, 69, 740.553),
+];
+
 /// Sync-meter deltas for one crash/restart recovery.
 struct Recovery {
     msgs: u64,
     bytes: u64,
     entries: u64,
+    /// Most sequential round trips any of the rebooted node's walks took
+    /// (0 on the bulk path, which runs no walk).
+    rounds: u64,
+    /// Virtual time from restart until the node serves again.
+    serve_us: f64,
 }
 
 /// Preload an `N`-node cluster with `KEYS` keys, make the last node `stale`
@@ -71,16 +96,21 @@ fn recover(threshold: usize, stale: u32) -> Recovery {
         }
     }
     let mut sim = Sim::new(SimConfig::new(SIM_SEED), nodes);
-    sim.crash_at(1_000, ProcessId(N - 1));
-    sim.restart_at(2_000, ProcessId(N - 1));
-    assert!(
-        sim.run_until_quiet(600_000_000_000),
-        "recovery quiesces (threshold {threshold}, stale {stale})"
-    );
-    assert!(
-        !sim.node(N - 1).is_recovering(),
-        "rebooted node finished catch-up"
-    );
+    sim.crash_at(CRASH_AT, ProcessId(N - 1));
+    sim.restart_at(RESTART_AT, ProcessId(N - 1));
+    sim.run_until(RESTART_AT);
+    assert!(sim.node(N - 1).is_recovering(), "rebooted node catches up");
+    let mut served_at = None;
+    while sim.step() {
+        if served_at.is_none() && !sim.node(N - 1).is_recovering() {
+            served_at = Some(sim.now());
+        }
+        assert!(
+            sim.now() < 600_000_000_000,
+            "recovery quiesces (threshold {threshold}, stale {stale})"
+        );
+    }
+    let served_at = served_at.expect("rebooted node finished catch-up");
     for k in 0..stale {
         assert_eq!(
             sim.node(N - 1).local_entry(&k).map(|(_, v)| *v),
@@ -93,6 +123,8 @@ fn recover(threshold: usize, stale: u32) -> Recovery {
         msgs: m.recovery_msgs,
         bytes: m.recovery_bytes,
         entries: m.sync_entries_sent,
+        rounds: sim.node(N - 1).max_walk_rounds(),
+        serve_us: (served_at - RESTART_AT) as f64 / 1e3,
     }
 }
 
@@ -100,30 +132,62 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
     let bulk = recover(usize::MAX, 1);
-    let stalenesses = [1u32, 1_000, 50_000];
+    let stalenesses = PREVIOUS.map(|(stale, ..)| stale);
     let walks: Vec<Recovery> = stalenesses.iter().map(|&k| recover(0, k)).collect();
 
     let mut table = Table::new(
         "F8 — recovery cost vs divergence (n = 5, 100k-key store, 1024 buckets)",
-        &["mode", "stale keys", "sync msgs", "sync bytes", "entries"],
+        &[
+            "mode",
+            "stale keys",
+            "sync msgs",
+            "sync bytes",
+            "entries",
+            "rounds",
+            "serve us",
+        ],
     );
-    table.row(vec![
-        "bulk".into(),
-        "1".into(),
-        bulk.msgs.to_string(),
-        bulk.bytes.to_string(),
-        bulk.entries.to_string(),
-    ]);
+    let cells = |mode: &str, stale: u32, r: &Recovery| {
+        vec![
+            mode.to_string(),
+            stale.to_string(),
+            r.msgs.to_string(),
+            r.bytes.to_string(),
+            r.entries.to_string(),
+            r.rounds.to_string(),
+            format!("{:.3}", r.serve_us),
+        ]
+    };
+    table.row(cells("bulk", 1, &bulk));
     for (k, w) in stalenesses.iter().zip(&walks) {
-        table.row(vec![
-            "merkle".into(),
-            k.to_string(),
-            w.msgs.to_string(),
-            w.bytes.to_string(),
-            w.entries.to_string(),
-        ]);
+        table.row(cells("merkle", *k, w));
     }
     table.print();
+
+    let mut before = Table::new(
+        "F8 — the same walks, stop-and-wait (previous) vs one round trip per level",
+        &[
+            "stale keys",
+            "msgs before",
+            "msgs now",
+            "rounds before",
+            "rounds now",
+            "serve us before",
+            "serve us now",
+        ],
+    );
+    for ((k, msgs, rounds, serve_us), w) in PREVIOUS.iter().zip(&walks) {
+        before.row(vec![
+            k.to_string(),
+            msgs.to_string(),
+            w.msgs.to_string(),
+            rounds.to_string(),
+            w.rounds.to_string(),
+            format!("{serve_us:.3}"),
+            format!("{:.3}", w.serve_us),
+        ]);
+    }
+    before.print();
 
     // Gate 1: at one stale key the walk must move ≥ 99 % fewer bytes.
     let reduction = 100.0 * (1.0 - walks[0].bytes as f64 / bulk.bytes as f64);
@@ -150,6 +214,16 @@ fn main() {
             "walk cost must grow monotonically with staleness"
         );
     }
+    // Gate 4: a walk is the digest handshake plus one round trip per tree
+    // level (log2(buckets) + 1 levels), however wide the divergence.
+    let round_bound = log2_buckets + 2;
+    for (k, w) in stalenesses.iter().zip(&walks) {
+        assert!(
+            w.rounds <= round_bound,
+            "walk at {k} stale keys must finish within {round_bound} round trips; took {}",
+            w.rounds
+        );
+    }
 
     let mut json = String::new();
     json.push_str("{\n  \"experiment\": \"F8_recovery\",\n");
@@ -160,8 +234,8 @@ fn main() {
     let row = |mode: &str, stale: u32, r: &Recovery| {
         format!(
             "    {{\"mode\": \"{mode}\", \"stale\": {stale}, \"sync_msgs\": {}, \
-             \"sync_bytes\": {}, \"entries\": {}}}",
-            r.msgs, r.bytes, r.entries
+             \"sync_bytes\": {}, \"entries\": {}, \"rounds\": {}, \"serve_us\": {:.3}}}",
+            r.msgs, r.bytes, r.entries, r.rounds, r.serve_us
         )
     };
     json.push_str(&row("bulk", 1, &bulk));
@@ -170,11 +244,24 @@ fn main() {
         json.push_str(&row("merkle", *k, w));
     }
     json.push_str("\n  ],\n");
+    json.push_str("  \"previous\": {\"walker\": \"stop-and-wait\", \"rows\": [\n");
+    let previous: Vec<String> = PREVIOUS
+        .iter()
+        .map(|(k, msgs, rounds, serve_us)| {
+            format!(
+                "    {{\"mode\": \"merkle\", \"stale\": {k}, \"sync_msgs\": {msgs}, \
+                 \"rounds\": {rounds}, \"serve_us\": {serve_us:.3}}}"
+            )
+        })
+        .collect();
+    json.push_str(&previous.join(",\n"));
+    json.push_str("\n  ]},\n");
     json.push_str(&format!(
         "  \"byte_reduction_pct_at_1_stale\": {reduction:.2},\n"
     ));
     json.push_str(&format!(
-        "  \"msg_bound_at_1_stale\": {msg_bound}, \"monotone_in_staleness\": true\n}}\n"
+        "  \"msg_bound_at_1_stale\": {msg_bound}, \"round_bound\": {round_bound}, \
+         \"monotone_in_staleness\": true\n}}\n"
     ));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
     std::fs::write(path, &json).expect("write BENCH_recovery.json");

@@ -56,7 +56,10 @@
 //!   and [`KvMsg::SyncEntries`] ships only the entries of divergent leaf
 //!   buckets. Traffic is proportional to *drift*, not store size — a
 //!   1-key-stale replica of a 100k-key store exchanges O(log buckets)
-//!   messages. A walk that finds equal roots counts the peer toward the
+//!   messages. Time depends on neither: a recovery walk issues all
+//!   batches of a tree level at once, so catch-up takes at most
+//!   `log2(buckets) + 2` round trips however many keys diverged.
+//!   A walk that finds equal roots counts the peer toward the
 //!   recovery read quorum immediately. Safety is the same max-merge
 //!   argument as bulk: digest equality over `(key, tag)` certifies entry
 //!   equality (see DESIGN.md §15 for the collision caveat), and everything
@@ -75,7 +78,7 @@ use abd_core::procset::ProcSet;
 use abd_core::quorum::{fast_read_allowed, Majority, QuorumSystem};
 use abd_core::retransmit::BackoffPolicy;
 use abd_core::types::{Consistency, Nanos, OpId, ProcessId, ReadMode, Tag};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -334,9 +337,12 @@ impl KvConfig {
     }
 }
 
-/// Upper bound on tree node ids per [`KvMsg::SyncDiffReq`] batch — the
-/// walk's rate limit: one bounded request in flight per walk, so a sweep
-/// can never flood a peer however wide the divergence.
+/// Upper bound on tree node ids per [`KvMsg::SyncDiffReq`] batch. A
+/// background sweep keeps one batch in flight (its rate limit: however
+/// wide the divergence, a sweep asks a peer for at most this many nodes at
+/// a time); a recovery walk issues a whole tree level at once, so it has at
+/// most `sync_buckets / MAX_DIFF_NODES` batches in flight — the leaf level,
+/// the widest.
 const MAX_DIFF_NODES: usize = 32;
 
 /// Timer key of the background anti-entropy sweep. Phase uids start at 1
@@ -400,24 +406,19 @@ struct RelayRound {
     done: bool,
 }
 
-/// The request a sync walk is currently waiting on (echoed back by the
-/// peer, which makes duplicate replies detectable).
-#[derive(Clone, Debug)]
-enum WalkReq {
-    /// Waiting for the peer's root digest ([`KvMsg::SyncDigestAck`]).
-    Root,
-    /// Waiting for the expansion of this node-id batch
-    /// ([`KvMsg::SyncEntries`] at the walk's current step).
-    Nodes(Vec<u32>),
-}
-
 /// One walker-side Merkle sync walk against a single peer. The walker
-/// drives: it holds the frontier of mismatching tree nodes and issues one
-/// bounded [`KvMsg::SyncDiffReq`] batch at a time; the peer answers
-/// statelessly. `step` makes the exchange robust to duplicated and
-/// reordered deliveries — a reply is consumed only if it echoes the
-/// current step, so every internal node is expanded exactly once and the
-/// frontier never double-enqueues a child.
+/// drives: it holds the frontier of mismatching tree nodes and issues it in
+/// [`KvMsg::SyncDiffReq`] batches of at most [`MAX_DIFF_NODES`] ids, each
+/// under its own step; the peer answers statelessly. A *recovery* walk
+/// issues every batch of its frontier at once and the next tree level when
+/// the level's replies are all in, so it costs one round trip per level
+/// however wide the divergence; a background sweep issues one batch at a
+/// time. A reply is consumed only if its step is still in flight, and a
+/// step is never reused, so under duplicated, reordered and retransmitted
+/// deliveries every internal node is expanded exactly once and the
+/// frontier never double-enqueues a child. Replies may arrive in any
+/// order: all they do is `adopt` (a monotone max-merge) and grow the
+/// frontier.
 #[derive(Clone, Debug)]
 struct SyncWalk {
     /// The peer being walked.
@@ -426,12 +427,18 @@ struct SyncWalk {
     /// completion counts `peer` toward the recovery read quorum); `false`
     /// for background anti-entropy sweeps.
     recovery: bool,
-    /// Batches issued so far; echoed by replies.
-    step: u64,
-    /// What we are waiting for.
-    req: WalkReq,
-    /// Mismatching tree nodes not yet expanded.
+    /// Step of the next batch; `0` until the peer's root digest arrives
+    /// (the walk is waiting for [`KvMsg::SyncDigestAck`]).
+    next_step: u64,
+    /// Batches issued and not yet answered, by step. Ordered, so that a
+    /// retransmission re-issues them in a deterministic order.
+    in_flight: BTreeMap<u64, Vec<u32>>,
+    /// Mismatching tree nodes not yet requested.
     frontier: VecDeque<u32>,
+    /// Request waves issued so far (the digest handshake, then one per
+    /// [`KvNode::advance_walk`] that sent anything): the walk's sequential
+    /// round trips.
+    rounds: u64,
 }
 
 /// One node of the replicated key-value store.
@@ -481,6 +488,7 @@ pub struct KvNode<K, V> {
     walks: HashMap<u64, SyncWalk>,
     /// Round-robin cursor of the anti-entropy sweep.
     sweep_next: usize,
+    max_walk_rounds: u64,
     recovery_msgs: u64,
     recovery_bytes: u64,
     sync_entries_sent: u64,
@@ -524,6 +532,7 @@ where
             buckets,
             walks: HashMap::new(),
             sweep_next: 0,
+            max_walk_rounds: 0,
             recovery_msgs: 0,
             recovery_bytes: 0,
             sync_entries_sent: 0,
@@ -584,6 +593,14 @@ where
     /// The node's current Merkle root over its `(key → tag)` map.
     pub fn sync_root(&self) -> u64 {
         self.tree.root()
+    }
+
+    /// The most sequential round trips (request waves: the digest
+    /// handshake, then one per tree level for a recovery walk or one per
+    /// batch for a background sweep) any finished sync walk on this node
+    /// has needed.
+    pub fn max_walk_rounds(&self) -> u64 {
+        self.max_walk_rounds
     }
 
     /// Walker-side sync walks currently in progress on this node.
@@ -743,38 +760,47 @@ where
             SyncWalk {
                 peer,
                 recovery,
-                step: 0,
-                req: WalkReq::Root,
+                next_step: 0,
+                in_flight: BTreeMap::new(),
                 frontier: VecDeque::new(),
+                rounds: 1,
             },
         );
         self.send_sync(peer, KvMsg::SyncDigest { uid }, fx);
         self.arm_timer(uid, fx);
     }
 
-    /// Issues walk `uid`'s next [`KvMsg::SyncDiffReq`] batch, or finishes
-    /// the walk when the frontier is empty.
+    /// Drives walk `uid` once its outstanding batches are all answered:
+    /// issues the next wave of [`KvMsg::SyncDiffReq`] batches, or finishes
+    /// the walk when the frontier is empty. A recovery walk's wave is its
+    /// whole frontier — one tree level, since the previous level's replies
+    /// are all in; a background sweep's wave is a single batch.
     fn advance_walk(&mut self, uid: u64, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
         let Some(walk) = self.walks.get_mut(&uid) else {
             return;
         };
-        let take = walk.frontier.len().min(MAX_DIFF_NODES);
-        if take == 0 {
+        if !walk.in_flight.is_empty() {
+            return;
+        }
+        if walk.frontier.is_empty() {
             self.finish_walk(uid, fx);
             return;
         }
-        let batch: Vec<u32> = walk.frontier.drain(..take).collect();
-        walk.req = WalkReq::Nodes(batch.clone());
-        let (peer, step) = (walk.peer, walk.step);
-        self.send_sync(
-            peer,
-            KvMsg::SyncDiffReq {
-                uid,
-                step,
-                nodes: batch,
-            },
-            fx,
-        );
+        let window = if walk.recovery { usize::MAX } else { 1 };
+        let peer = walk.peer;
+        let mut wave = Vec::new();
+        while wave.len() < window && !walk.frontier.is_empty() {
+            let take = walk.frontier.len().min(MAX_DIFF_NODES);
+            let nodes: Vec<u32> = walk.frontier.drain(..take).collect();
+            let step = walk.next_step;
+            walk.next_step += 1;
+            walk.in_flight.insert(step, nodes.clone());
+            wave.push(KvMsg::SyncDiffReq { uid, step, nodes });
+        }
+        walk.rounds += 1;
+        for msg in wave {
+            self.send_sync(peer, msg, fx);
+        }
         self.arm_timer(uid, fx);
     }
 
@@ -786,6 +812,7 @@ where
             return;
         };
         self.disarm_timer(uid, fx);
+        self.max_walk_rounds = self.max_walk_rounds.max(walk.rounds);
         if !walk.recovery {
             return;
         }
@@ -1446,7 +1473,7 @@ where
                 };
                 // Only the opening request is answered by an ack; once the
                 // walk has descended, duplicates of the ack are stale.
-                if walk.peer != from || !matches!(walk.req, WalkReq::Root) {
+                if walk.peer != from || walk.next_step != 0 {
                     return;
                 }
                 if root == self.tree.root() {
@@ -1462,13 +1489,14 @@ where
                 children,
                 entries,
             } => {
-                let fresh = match self.walks.get(&uid) {
-                    Some(w) => {
-                        w.peer == from && w.step == step && matches!(w.req, WalkReq::Nodes(_))
-                    }
-                    None => false,
-                };
-                if !fresh {
+                // Consume the reply only if its batch is still outstanding:
+                // a duplicate, or the answer to a batch a retransmission
+                // already got answered, finds its step gone.
+                let outstanding = self
+                    .walks
+                    .get_mut(&uid)
+                    .is_some_and(|w| w.peer == from && w.in_flight.remove(&step).is_some());
+                if !outstanding {
                     return;
                 }
                 // Adopt the divergent leaf entries first (monotone, so a
@@ -1483,7 +1511,6 @@ where
                     .map(|(id, _)| id)
                     .collect();
                 if let Some(walk) = self.walks.get_mut(&uid) {
-                    walk.step += 1;
                     walk.frontier.extend(next);
                 }
                 self.advance_walk(uid, fx);
@@ -1561,28 +1588,28 @@ where
             self.on_sweep(fx);
             return;
         }
-        if self.walks.contains_key(&uid) {
-            // Re-issue the walk's outstanding request; the step echo makes
-            // the eventual duplicate replies harmless.
-            let resend = self.walks.get(&uid).map(|w| {
-                (
-                    w.peer,
-                    match &w.req {
-                        WalkReq::Root => KvMsg::SyncDigest { uid },
-                        WalkReq::Nodes(nodes) => KvMsg::SyncDiffReq {
-                            uid,
-                            step: w.step,
-                            nodes: nodes.clone(),
-                        },
-                    },
-                )
-            });
-            if let Some((peer, msg)) = resend {
-                self.retransmissions += 1;
+        if let Some(walk) = self.walks.get(&uid) {
+            // Re-issue every outstanding request, each batch under its own
+            // step; the eventual duplicate replies find their step consumed.
+            let peer = walk.peer;
+            let resend: Vec<KvMsg<K, V>> = if walk.next_step == 0 {
+                vec![KvMsg::SyncDigest { uid }]
+            } else {
+                walk.in_flight
+                    .iter()
+                    .map(|(&step, nodes)| KvMsg::SyncDiffReq {
+                        uid,
+                        step,
+                        nodes: nodes.clone(),
+                    })
+                    .collect()
+            };
+            self.retransmissions += resend.len() as u64;
+            for msg in resend {
                 self.send_sync(peer, msg, fx);
-                *self.rtx_attempts.entry(uid).or_insert(0) += 1;
-                self.arm_timer(uid, fx);
             }
+            *self.rtx_attempts.entry(uid).or_insert(0) += 1;
+            self.arm_timer(uid, fx);
             return;
         }
         if let Some(ph) = self.recovering.as_ref() {
@@ -1786,6 +1813,29 @@ mod tests {
             while let Some((from, to, m)) = self.queue.pop_front() {
                 if !self.alive[to.index()] {
                     continue;
+                }
+                let mut fx = Effects::new();
+                self.nodes[to.index()].on_message(from, m, &mut fx);
+                self.absorb(to, fx);
+            }
+        }
+
+        /// [`Net::run`] over an adversarial link: every delivery is picked
+        /// at random (xorshift on `seed`) from all messages in flight, and
+        /// one in four is delivered again later.
+        fn run_chaotic(&mut self, seed: u64) {
+            let mut x = seed | 1;
+            while !self.queue.is_empty() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pick = (x >> 8) as usize % self.queue.len();
+                let (from, to, m) = self.queue.remove(pick).expect("index in range");
+                if !self.alive[to.index()] {
+                    continue;
+                }
+                if x.is_multiple_of(4) {
+                    self.queue.push_back((from, to, m.clone()));
                 }
                 let mut fx = Effects::new();
                 self.nodes[to.index()].on_message(from, m, &mut fx);
@@ -2323,6 +2373,243 @@ mod tests {
             &mut fx,
         );
         assert!(matches!(fx.sends[0].1, KvMsg::SyncDiffReq { step: 1, .. }));
+    }
+
+    /// A walker (node 0) and a peer (node 1) of an `n = 2` cluster holding
+    /// the same 2 000 keys, the peer with a newer tag on every one: all 256
+    /// buckets diverge, so the tree's levels need 1, 1, 1, 1, 1, 1, 2, 4
+    /// and 8 batches.
+    fn wide_divergence_pair() -> (KvNode<u32, u64>, KvNode<u32, u64>) {
+        let node = |i: usize| {
+            let mut node: KvNode<u32, u64> = KvNode::new(
+                KvConfig::new(2, ProcessId(i))
+                    .with_sync_threshold(0)
+                    .with_sync_buckets(256)
+                    .with_retransmit(1_000_000),
+            );
+            for k in 0..2_000u32 {
+                node.preload(k, Tag::new(1, ProcessId(0)), 1);
+            }
+            node
+        };
+        let (walker, mut peer) = (node(0), node(1));
+        for k in 0..2_000u32 {
+            peer.preload(k, Tag::new(2, ProcessId(1)), 2);
+        }
+        (walker, peer)
+    }
+
+    /// The peer's (stateless) answer to one walk request.
+    fn answer(peer: &mut KvNode<u32, u64>, req: &KvMsg<u32, u64>) -> KvMsg<u32, u64> {
+        let mut fx = Effects::new();
+        peer.on_message(ProcessId(0), req.clone(), &mut fx);
+        assert_eq!(fx.sends.len(), 1, "one reply per request");
+        fx.sends.pop().unwrap().1
+    }
+
+    /// Hands `msg` from the peer to the walker; returns what the walker sent.
+    fn deliver(walker: &mut KvNode<u32, u64>, msg: KvMsg<u32, u64>) -> Vec<KvMsg<u32, u64>> {
+        let mut fx = Effects::new();
+        walker.on_message(ProcessId(1), msg, &mut fx);
+        fx.sends.into_iter().map(|(_, m)| m).collect()
+    }
+
+    /// Opens the walk by hand-feeding the digest handshake; returns the walk
+    /// uid and the first wave of requests.
+    fn open_walk(
+        walker: &mut KvNode<u32, u64>,
+        peer: &mut KvNode<u32, u64>,
+        opening: Vec<(ProcessId, KvMsg<u32, u64>)>,
+    ) -> (u64, Vec<KvMsg<u32, u64>>) {
+        assert_eq!(opening.len(), 1);
+        let uid = match opening[0].1 {
+            KvMsg::SyncDigest { uid } => uid,
+            ref other => panic!("expected SyncDigest, got {other:?}"),
+        };
+        let ack = answer(peer, &opening[0].1);
+        (uid, deliver(walker, ack))
+    }
+
+    /// Asserts `wave` is all `SyncDiffReq`s with fresh steps over tree nodes
+    /// never requested before, and records both.
+    fn check_wave(
+        wave: &[KvMsg<u32, u64>],
+        steps: &mut std::collections::HashSet<u64>,
+        expanded: &mut std::collections::HashSet<u32>,
+    ) {
+        for req in wave {
+            let KvMsg::SyncDiffReq { step, nodes, .. } = req else {
+                panic!("expected SyncDiffReq, got {req:?}");
+            };
+            assert!(nodes.len() <= MAX_DIFF_NODES);
+            assert!(steps.insert(*step), "step {step} reused");
+            for id in nodes {
+                assert!(expanded.insert(*id), "tree node {id} requested twice");
+            }
+        }
+    }
+
+    #[test]
+    fn recovery_walk_issues_a_level_at_once_under_duplicated_reordered_and_lost_replies() {
+        let (mut walker, mut peer) = wide_divergence_pair();
+        let mut fx = Effects::new();
+        walker.on_restart(&mut fx);
+        assert!(walker.is_recovering());
+        let (uid, mut wave) = open_walk(&mut walker, &mut peer, fx.sends);
+        let (mut steps, mut expanded) = Default::default();
+        let mut wave_sizes = Vec::new();
+        while !wave.is_empty() {
+            wave_sizes.push(wave.len());
+            check_wave(&wave, &mut steps, &mut expanded);
+            // The peer answers every batch; the replies come back in
+            // reverse order, each one twice, and the last one is lost.
+            let mut replies: Vec<_> = wave.iter().map(|req| answer(&mut peer, req)).collect();
+            replies.reverse();
+            let lost_req = wave.first().unwrap().clone();
+            let lost = replies.pop().unwrap();
+            for reply in replies {
+                let sent = deliver(&mut walker, reply.clone());
+                assert!(sent.is_empty(), "the next level waits for the whole level");
+                assert!(deliver(&mut walker, reply).is_empty(), "duplicate reply");
+            }
+            // The retransmission timer re-issues exactly the batch still
+            // outstanding, under its own step.
+            let mut fx = Effects::new();
+            walker.on_timer(TimerKey(uid), &mut fx);
+            let resent: Vec<_> = fx.sends.into_iter().map(|(_, m)| m).collect();
+            assert_eq!(resent, vec![lost_req]);
+            // Its answer completes the level and releases the next one; the
+            // reply believed lost then straggles in and changes nothing.
+            let again = answer(&mut peer, &resent[0]);
+            wave = deliver(&mut walker, again);
+            assert!(deliver(&mut walker, lost).is_empty(), "straggler reply");
+        }
+        assert_eq!(wave_sizes, vec![1, 1, 1, 1, 1, 1, 2, 4, 8]);
+        assert_eq!(expanded.len(), 2 * 256 - 1, "every tree node, once");
+        assert_eq!(walker.walks_in_flight(), 0);
+        assert!(!walker.is_recovering());
+        assert_eq!(walker.sync_root(), peer.sync_root());
+        assert_eq!(walker.max_walk_rounds(), 1 + 9);
+        assert_eq!(walker.retransmissions(), 9);
+    }
+
+    #[test]
+    fn lost_requests_of_a_level_are_all_retransmitted() {
+        let (mut walker, mut peer) = wide_divergence_pair();
+        let mut fx = Effects::new();
+        walker.on_restart(&mut fx);
+        let (uid, mut wave) = open_walk(&mut walker, &mut peer, fx.sends);
+        // Answer level by level until eight batches are in flight.
+        while wave.len() < 8 {
+            let replies: Vec<_> = wave.iter().map(|req| answer(&mut peer, req)).collect();
+            wave = replies
+                .into_iter()
+                .flat_map(|r| deliver(&mut walker, r))
+                .collect();
+        }
+        // Three of the eight are answered; the other five requests are lost.
+        for req in &wave[..3] {
+            let reply = answer(&mut peer, req);
+            assert!(deliver(&mut walker, reply).is_empty());
+        }
+        let mut fx = Effects::new();
+        walker.on_timer(TimerKey(uid), &mut fx);
+        let resent: Vec<_> = fx.sends.into_iter().map(|(_, m)| m).collect();
+        assert_eq!(
+            resent,
+            wave[3..].to_vec(),
+            "each under its own step, in order"
+        );
+        assert_eq!(fx.timers.len(), 1, "and the timer is re-armed");
+        for req in &resent {
+            let reply = answer(&mut peer, req);
+            assert!(
+                deliver(&mut walker, reply).is_empty(),
+                "leaves: nothing below"
+            );
+        }
+        assert!(!walker.is_recovering());
+        assert_eq!(walker.walks_in_flight(), 0);
+        assert_eq!(walker.sync_root(), peer.sync_root());
+    }
+
+    #[test]
+    fn background_sweep_keeps_one_batch_in_flight() {
+        let (mut walker, mut peer) = wide_divergence_pair();
+        let mut fx = Effects::new();
+        walker.start_walk(ProcessId(1), false, &mut fx);
+        let (uid, mut wave) = open_walk(&mut walker, &mut peer, fx.sends);
+        let (mut steps, mut expanded) = Default::default();
+        let mut batches = 0;
+        while !wave.is_empty() {
+            assert_eq!(wave.len(), 1, "a sweep never has two requests in flight");
+            check_wave(&wave, &mut steps, &mut expanded);
+            batches += 1;
+            // A retransmission re-issues that one request, nothing more.
+            let mut fx = Effects::new();
+            walker.on_timer(TimerKey(uid), &mut fx);
+            assert_eq!(fx.sends.len(), 1);
+            assert_eq!(fx.sends[0].1, wave[0]);
+            let reply = answer(&mut peer, &wave[0]);
+            wave = deliver(&mut walker, reply.clone());
+            assert!(deliver(&mut walker, reply).is_empty(), "duplicate reply");
+        }
+        // The 63 nodes above level 6 go out as the frontier grows (1, 2, 4,
+        // 8, 16, 32), the other 448 in full batches of 32.
+        assert_eq!(batches, 6 + 14);
+        assert_eq!(expanded.len(), 2 * 256 - 1);
+        assert_eq!(walker.max_walk_rounds(), 1 + batches);
+        assert_eq!(walker.sync_root(), peer.sync_root());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 24,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Whatever the rebooted node missed (`missed`), whatever it alone
+        /// holds from a write it never finished (`ahead`), and in whatever
+        /// order and multiplicity the replies of its in-flight batches
+        /// arrive, the pipelined walk leaves the store the bulk snapshot
+        /// transfer leaves.
+        #[test]
+        fn pipelined_walk_leaves_the_store_bulk_sync_leaves(
+            missed in proptest::collection::hash_set(0u32..1_500, 0..1_200),
+            ahead in proptest::collection::hash_set(0u32..1_500, 0..40),
+            order in proptest::prelude::any::<u64>(),
+        ) {
+            let recovered = |threshold: usize, chaotic: bool| {
+                let mut net: Net<u32, u64> = Net::with(3, |cfg| {
+                    cfg.with_sync_threshold(threshold).with_sync_buckets(256)
+                });
+                for node in &mut net.nodes {
+                    for k in 0..1_500u32 {
+                        node.preload(k, Tag::new(1, ProcessId(0)), 1);
+                    }
+                }
+                for node in net.nodes.iter_mut().take(2) {
+                    for &k in &missed {
+                        node.preload(k, Tag::new(2, ProcessId(1)), 2);
+                    }
+                }
+                for &k in &ahead {
+                    net.nodes[2].preload(k, Tag::new(3, ProcessId(2)), 3);
+                }
+                net.restart(2);
+                if chaotic {
+                    net.run_chaotic(order);
+                } else {
+                    net.run();
+                }
+                assert!(!net.nodes[2].is_recovering());
+                assert_eq!(net.nodes[2].walks_in_flight(), 0);
+                (0..1_500u32)
+                    .map(|k| net.nodes[2].local_entry(&k).map(|(t, v)| (t, *v)))
+                    .collect::<Vec<_>>()
+            };
+            proptest::prop_assert_eq!(recovered(0, true), recovered(usize::MAX, false));
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Each protocol node runs on its own OS thread, receiving network messages
 //! and client commands over crossbeam channels and keeping its own timer
-//! wheel (serviced via `select!` timeouts). The protocol state machines are
+//! wheel (due timers fire at the top of every loop iteration; the `select!`
+//! timeout only bounds the wait). The protocol state machines are
 //! the *same objects* the deterministic simulator drives — this crate is
 //! the demonstration that the sans-io core runs on a real concurrent
 //! transport, and it is what the wall-clock criterion benchmarks measure.
@@ -311,6 +312,33 @@ fn node_main<P: Protocol>(
     );
 
     loop {
+        // Fire due timers before looking at the channels: `select!` serves
+        // a ready receive arm ahead of `default`, so while messages keep
+        // arriving a due (retransmission) timer would never fire from there.
+        if !crashed && !timers.is_empty() {
+            let now = clock.now();
+            let due: Vec<TimerKey> = timers
+                .iter()
+                .filter(|(_, &d)| d <= now)
+                .map(|(&k, _)| k)
+                .collect();
+            for key in due {
+                timers.remove(&key);
+                let mut fx = Effects::new();
+                node.on_timer(key, &mut fx);
+                apply_effects(
+                    me,
+                    &mut node,
+                    fx,
+                    &net_txs,
+                    &delay_tx,
+                    &clock,
+                    &mut timers,
+                    &mut waiting,
+                );
+            }
+        }
+
         // Next timer deadline, if any. Waits are capped so the loop re-reads
         // the clock often enough even when it is a hand-advanced test clock.
         let next_deadline = timers.values().min().copied();
@@ -360,20 +388,8 @@ fn node_main<P: Protocol>(
                 }
                 Ok(Cmd::Shutdown) | Err(_) => return,
             },
-            default(timeout) => {
-                if crashed {
-                    continue;
-                }
-                let now = clock.now();
-                let due: Vec<TimerKey> =
-                    timers.iter().filter(|(_, &d)| d <= now).map(|(&k, _)| k).collect();
-                for key in due {
-                    timers.remove(&key);
-                    let mut fx = Effects::new();
-                    node.on_timer(key, &mut fx);
-                    apply_effects(me, &mut node, fx, &net_txs, &delay_tx, &clock, &mut timers, &mut waiting);
-                }
-            }
+            // Woken for a timer (or the cap): the top of the loop fires it.
+            default(timeout) => {}
         }
     }
 }
@@ -680,6 +696,70 @@ mod tests {
         for k in 0..10 {
             assert_eq!(c.invoke(RegisterOp::Write(k)), RegisterResp::WriteOk);
         }
+    }
+
+    /// A node that always has a message to itself in flight, on a clock
+    /// that moves 100 µs per handled message.
+    struct Flood {
+        clock: Arc<crate::clock::ManualClock>,
+        handled: u64,
+        /// Messages handled when the timer fired (`u64::MAX` = not yet).
+        fired_after: Arc<AtomicU64>,
+    }
+
+    const FLOOD_CAP: u64 = 10_000;
+
+    impl Protocol for Flood {
+        type Msg = ();
+        type Op = ();
+        type Resp = ();
+
+        fn id(&self) -> ProcessId {
+            ProcessId(0)
+        }
+
+        fn on_start(&mut self, fx: &mut Effects<(), ()>) {
+            fx.send(ProcessId(0), ());
+            fx.set_timer(TimerKey(1), 1_000_000);
+        }
+
+        fn on_invoke(&mut self, _: OpId, _: (), _: &mut Effects<(), ()>) {}
+
+        fn on_message(&mut self, _: ProcessId, _: (), fx: &mut Effects<(), ()>) {
+            self.handled += 1;
+            self.clock.advance(100_000);
+            let fired = self.fired_after.load(Ordering::SeqCst) != u64::MAX;
+            if !fired && self.handled < FLOOD_CAP {
+                fx.send(ProcessId(0), ());
+            }
+        }
+
+        fn on_timer(&mut self, _: TimerKey, _: &mut Effects<(), ()>) {
+            self.fired_after.store(self.handled, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn due_timer_fires_while_the_mailbox_never_drains() {
+        let clock = Arc::new(crate::clock::ManualClock::new());
+        let fired_after = Arc::new(AtomicU64::new(u64::MAX));
+        let node = Flood {
+            clock: Arc::clone(&clock),
+            handled: 0,
+            fired_after: Arc::clone(&fired_after),
+        };
+        let (net_tx, net_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = unbounded();
+        // Served once the flood stops (the receive arms are polled in order).
+        cmd_tx.send(Cmd::Shutdown).unwrap();
+        node_main(node, net_rx, cmd_rx, vec![net_tx], None, clock);
+        // The 1 ms timer is due after 10 messages of 100 µs each; the loop
+        // must notice on its next iteration, not when the mailbox is empty.
+        let fired_after = fired_after.load(Ordering::SeqCst);
+        assert!(
+            fired_after <= 11,
+            "1 ms timer fired after {fired_after} handled messages"
+        );
     }
 
     #[test]

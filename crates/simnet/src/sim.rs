@@ -19,13 +19,30 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// Folds one 64-bit word into an FNV-1a digest, byte by byte.
+/// `FNV_PRIME_POW[k]` = `FNV_PRIME^k` (wrapping).
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// Folds one 64-bit word into an FNV-1a digest: the same value as folding
+/// its eight little-endian bytes one at a time. XOR with a zero byte is the
+/// identity, so the word's zero high bytes (most of every word folded here:
+/// small ids, tags, times) collapse into one multiply by a power of the
+/// prime.
+#[inline]
 fn fnv_fold(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
+    let low = 8 - word.leading_zeros() as usize / 8;
+    for b in &word.to_le_bytes()[..low] {
+        h ^= u64::from(*b);
         h = h.wrapping_mul(FNV_PRIME);
     }
-    h
+    h.wrapping_mul(FNV_PRIME_POW[8 - low])
 }
 
 /// Why a delivery was discarded instead of handed to the target protocol.
@@ -816,23 +833,11 @@ where
         } else {
             1
         };
-        for _ in 0..copies {
-            let mut delay = self.cfg.latency.sample(&mut self.rng);
-            // Gray failure: a sick endpoint slows the link in both
-            // directions (the worse endpoint dominates).
-            let gray = self.gray[from.index()].max(self.gray[to.index()]);
-            if gray > 1 {
-                delay = delay.saturating_mul(u64::from(gray));
-            }
-            let mut at = self.now + delay;
-            if self.cfg.fifo {
-                let floor = self
-                    .fifo_floor
-                    .entry((from.index(), to.index()))
-                    .or_insert(0);
-                at = at.max(*floor);
-                *floor = at;
-            }
+        // Only a duplicate needs its own copy: the last (usually only)
+        // delivery takes the message itself — sync replies carry whole
+        // entry vectors.
+        for _ in 1..copies {
+            let at = self.delivery_time(from, to);
             self.push(
                 at,
                 to,
@@ -842,6 +847,29 @@ where
                 },
             );
         }
+        let at = self.delivery_time(from, to);
+        self.push(at, to, EventKind::Deliver { from, msg });
+    }
+
+    /// Draws one delivery's latency and returns its arrival time.
+    fn delivery_time(&mut self, from: ProcessId, to: ProcessId) -> Nanos {
+        let mut delay = self.cfg.latency.sample(&mut self.rng);
+        // Gray failure: a sick endpoint slows the link in both
+        // directions (the worse endpoint dominates).
+        let gray = self.gray[from.index()].max(self.gray[to.index()]);
+        if gray > 1 {
+            delay = delay.saturating_mul(u64::from(gray));
+        }
+        let mut at = self.now + delay;
+        if self.cfg.fifo {
+            let floor = self
+                .fifo_floor
+                .entry((from.index(), to.index()))
+                .or_insert(0);
+            at = at.max(*floor);
+            *floor = at;
+        }
+        at
     }
 }
 
@@ -889,6 +917,24 @@ mod tests {
     use crate::config::LatencyModel;
     use abd_core::msg::{RegisterOp, RegisterResp};
     use abd_core::swmr::{SwmrConfig, SwmrNode};
+
+    #[test]
+    fn fnv_fold_equals_the_byte_by_byte_fold() {
+        let bytewise = |mut h: u64, word: u64| {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            }
+            h
+        };
+        // Every count of zero high bytes, and zero bytes below a set one.
+        let mut words = vec![0, u64::MAX, 0x0100_0000_0000_0000, 0x00ff_0000_0000_0100];
+        words.extend((0..64).map(|s| 1u64 << s));
+        words.extend((0..64).map(|s| 0x9e37_79b9_7f4a_7c15u64 >> s));
+        for (i, &w) in words.iter().enumerate() {
+            let h = FNV_OFFSET.wrapping_add(i as u64);
+            assert_eq!(fnv_fold(h, w), bytewise(h, w), "word {w:#x}");
+        }
+    }
 
     fn swmr_cluster(n: usize, seed: u64) -> Sim<SwmrNode<u64>> {
         let nodes = (0..n)

@@ -19,7 +19,7 @@ use abd_core::byzantine::{ByzConfig, ByzNode};
 use abd_core::msg::RegisterOp;
 use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
-use abd_core::types::{Consistency, ProcessId, ReadMode};
+use abd_core::types::{Consistency, ProcessId, ReadMode, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_repro::lincheck::{is_atomic_swmr, RegAction};
 use abd_repro::simnet::nemesis::liveness_bound;
@@ -485,6 +485,36 @@ fn kv_per_key_histories(
     histories
 }
 
+/// Asserts every per-key history of `sim` linearizable.
+fn assert_kv_linearizable(sim: &Sim<KvNode<u32, u64>>, under: &str) {
+    for (key, h) in kv_per_key_histories(sim) {
+        assert_ne!(
+            abd_repro::lincheck::check_linearizable_with_limit(&h, 2_000_000),
+            abd_repro::lincheck::CheckResult::NotLinearizable,
+            "key {key}: non-linearizable history under {under}\n{h}"
+        );
+    }
+}
+
+/// One six-op script per node: a contended put/get mix over the 4 keys
+/// from `first_key`, with globally unique written values.
+fn kv_contended_scripts(first_key: u32) -> Vec<Vec<KvOp<u32, u64>>> {
+    (0..N)
+        .map(|c| {
+            (0..6u64)
+                .map(|k| {
+                    let key = first_key + ((c as u64 + k) % 4) as u32;
+                    if (c as u64 + k).is_multiple_of(2) {
+                        KvOp::Put(key, c as u64 * 1_000 + k + 1)
+                    } else {
+                        KvOp::Get(key)
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// One anti-entropy-vs-crash-wave campaign: every node runs the Merkle
 /// sync path (`sync_threshold 0`) with a fast background sweep, while the
 /// nemesis planner's crash waves reboot every node and its partitions
@@ -505,33 +535,13 @@ fn kv_anti_entropy_campaign(sim_seed: u64, nemesis_seed: u64) -> u64 {
     let mut sim = Sim::new(SimConfig::new(sim_seed), nodes);
     let sched = NemesisConfig::new(nemesis_seed, N).plan();
     sched.apply(&mut sim);
-    // Contended workload over 4 keys with globally unique written values.
-    let scripts: Vec<Vec<KvOp<u32, u64>>> = (0..N)
-        .map(|c| {
-            (0..6u64)
-                .map(|k| {
-                    let key = ((c as u64 + k) % 4) as u32;
-                    if (c as u64 + k).is_multiple_of(2) {
-                        KvOp::Put(key, c as u64 * 1_000 + k + 1)
-                    } else {
-                        KvOp::Get(key)
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    let scripts = kv_contended_scripts(0);
     let deadline = sched.heal_at() + liveness_bound(&backoff(), THINK, 10);
     assert!(
         run_campaign(&mut sim, &sched, scripts, THINK, deadline),
         "anti-entropy campaign: operations must complete"
     );
-    for (key, h) in kv_per_key_histories(&sim) {
-        assert_ne!(
-            abd_repro::lincheck::check_linearizable_with_limit(&h, 2_000_000),
-            abd_repro::lincheck::CheckResult::NotLinearizable,
-            "key {key}: non-linearizable history under anti-entropy\n{h}"
-        );
-    }
+    assert_kv_linearizable(&sim, "anti-entropy");
     let sync_msgs: u64 = (0..N).map(|i| sim.node(i).recovery_msgs()).sum();
     assert!(sync_msgs > 0, "Merkle sync must actually run");
     sim.trace_digest()
@@ -548,6 +558,84 @@ fn anti_entropy_campaign_races_crash_waves_and_stays_linearizable() {
         assert_eq!(
             d,
             kv_anti_entropy_campaign(sim_seed, nemesis_seed),
+            "seeds ({sim_seed},{nemesis_seed}): same-seed runs must replay bit-identically"
+        );
+    }
+}
+
+/// One wide-divergence recovery campaign: 2 000 preloaded keys over 256
+/// buckets, every node alone holding a newer tag on its own fifth of them
+/// (writes that reached one replica), so each reboot's walks find nearly
+/// every bucket divergent and run up to eight batches per level in flight —
+/// over links that lose and duplicate messages, under the planner's crash
+/// waves and partitions. Returns the trace digest after asserting per-key
+/// linearizability of the client workload (on keys outside the preload) and
+/// that every walk finished within one round trip per tree level.
+fn kv_pipelined_recovery_campaign(sim_seed: u64, nemesis_seed: u64) -> u64 {
+    const KEYS: u32 = 2_000;
+    const BUCKETS: usize = 256;
+    let nodes: Vec<KvNode<u32, u64>> = (0..N)
+        .map(|i| {
+            let mut node = KvNode::new(
+                KvConfig::new(N, ProcessId(i))
+                    .with_retransmit(BACKOFF_BASE)
+                    .with_sync_threshold(0)
+                    .with_sync_buckets(BUCKETS),
+            );
+            for k in 0..KEYS {
+                node.preload(k, Tag::new(1, ProcessId(0)), 1);
+                if k as usize % N == i {
+                    node.preload(k, Tag::new(2, ProcessId(i)), 2);
+                }
+            }
+            node
+        })
+        .collect();
+    let cfg = SimConfig::new(sim_seed)
+        .with_loss(0.05)
+        .with_duplication(0.05);
+    let mut sim = Sim::new(cfg, nodes);
+    let sched = NemesisConfig::new(nemesis_seed, N).plan();
+    sched.apply(&mut sim);
+    // The clients work on fresh keys, past the preload.
+    let scripts = kv_contended_scripts(KEYS);
+    // A reboot prepends a catch-up of up to ten round trips, not one phase.
+    let deadline = sched.heal_at() + liveness_bound(&backoff(), THINK, 40);
+    assert!(
+        run_campaign(&mut sim, &sched, scripts, THINK, deadline),
+        "pipelined recovery campaign: operations must complete"
+    );
+    assert!(
+        sim.run_until_quiet(deadline + liveness_bound(&backoff(), THINK, 40)),
+        "walks still running after the quorum was reached must finish too"
+    );
+    assert_kv_linearizable(&sim, "pipelined recovery");
+    let round_bound = u64::from(BUCKETS.trailing_zeros()) + 2;
+    let mut widest = 0;
+    for i in 0..N {
+        let node = sim.node(i);
+        assert_eq!(node.walks_in_flight(), 0, "node {i}: every walk finished");
+        assert!(!node.is_recovering(), "node {i} serves again");
+        assert!(
+            node.max_walk_rounds() <= round_bound,
+            "node {i}: a walk took {} round trips, bound {round_bound}",
+            node.max_walk_rounds()
+        );
+        widest = widest.max(node.max_walk_rounds());
+    }
+    // A full descent — which stop-and-wait batches could not fit in the
+    // bound: levels of 64, 128 and 256 nodes alone are 14 batches.
+    assert_eq!(widest, round_bound, "some walk descended to the leaves");
+    sim.trace_digest()
+}
+
+#[test]
+fn merkle_recovery_pipelined_campaign_survives_loss_duplication_and_crash_waves() {
+    for (sim_seed, nemesis_seed) in [(21u64, 111u64), (22, 222), (23, 333)] {
+        let d = kv_pipelined_recovery_campaign(sim_seed, nemesis_seed);
+        assert_eq!(
+            d,
+            kv_pipelined_recovery_campaign(sim_seed, nemesis_seed),
             "seeds ({sim_seed},{nemesis_seed}): same-seed runs must replay bit-identically"
         );
     }

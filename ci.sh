@@ -19,7 +19,7 @@ grep -q '"schema_version": 2' target/lint/findings.json \
   || { echo "findings.json lost its schema_version field"; exit 1; }
 grep -q '"count": 0' target/lint/findings.json \
   || { echo "unsuppressed lint findings — see target/lint/findings.json"; exit 1; }
-for g in swmr mwmr bounded-swmr byzantine; do
+for g in register bounded-swmr byzantine; do
   diff -u "crates/lint/goldens/$g.dot" "target/lint/$g.dot" \
     || { echo "extracted phase graph '$g' drifted from the committed golden"; exit 1; }
 done

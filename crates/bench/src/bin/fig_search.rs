@@ -7,8 +7,8 @@
 //!
 //! * `guided` — [`guided_search`]: corpus + mutation operators over fault
 //!   schedules, steered by protocol-state coverage novelty;
-//! * `blind` — [`blind_search`]: one fresh planner schedule per seed, the
-//!   pre-existing `explore::sweep` shape.
+//! * `blind` — [`blind_search`]: one fresh planner schedule per seed, a
+//!   plain seed sweep.
 //!
 //! The fitness metric is **mean schedules-to-detect** (campaigns run until
 //! the oracle first trips), censored at the budget when a trial never

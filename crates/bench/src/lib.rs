@@ -146,8 +146,6 @@ pub mod clusters {
         AtomicMwmr,
         /// Atomic multi-writer ABD with the one-round read fast path.
         FastMwmr,
-        /// Atomic multi-writer ABD with relay (1.5-round) reads.
-        RelayMwmr,
         /// Regular multi-writer baseline (no write-back).
         RegularMwmr,
     }
@@ -163,7 +161,6 @@ pub mod clusters {
                 Variant::ReadOneSwmr => "read-one/write-majority (SWMR)",
                 Variant::AtomicMwmr => "ABD atomic (MWMR)",
                 Variant::FastMwmr => "ABD atomic, fast reads (MWMR)",
-                Variant::RelayMwmr => "ABD atomic, relay reads (MWMR)",
                 Variant::RegularMwmr => "regular, no write-back (MWMR)",
             }
         }
@@ -235,7 +232,6 @@ pub mod clusters {
                 let mut cfg = match variant {
                     Variant::AtomicMwmr => abd_core::presets::atomic_mwmr(n, ProcessId(i)),
                     Variant::FastMwmr => abd_core::presets::fast_mwmr(n, ProcessId(i)),
-                    Variant::RelayMwmr => abd_core::presets::relay_mwmr(n, ProcessId(i)),
                     Variant::RegularMwmr => abd_core::presets::regular_mwmr(n, ProcessId(i)),
                     _ => panic!("{variant:?} is not a MWMR variant"),
                 };

@@ -132,7 +132,7 @@ impl<V> Pending<V> {
 }
 
 /// Post-restart catch-up query phase (stable-storage model; see
-/// [`crate::swmr`] module docs).
+/// [`crate::register`] module docs).
 #[derive(Clone, Debug)]
 struct Recovery<V> {
     ph: PhaseTracker,
@@ -572,7 +572,7 @@ impl<V: Clone + std::fmt::Debug + Send + 'static> Protocol for BoundedSwmrNode<V
     fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
         // Stable storage: the stored pair, the uid counter and the anomaly
         // counters survive; in-flight operation state does not (see the
-        // crate::swmr module docs for the soundness argument).
+        // crate::register module docs for the soundness argument).
         self.pending = None;
         self.queue.clear();
         self.rtx.reset();

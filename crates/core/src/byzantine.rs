@@ -145,7 +145,7 @@ enum Pending<V> {
 /// Post-restart catch-up query phase. Recovery collects *votes* and picks
 /// the masked choice, exactly like a read's query round — catching up from
 /// raw max-label replies would let `b` liars poison the rebooted replica
-/// (stable-storage model; see [`crate::swmr`] module docs).
+/// (stable-storage model; see [`crate::register`] module docs).
 #[derive(Clone, Debug)]
 struct Recovery<V> {
     ph: PhaseTracker,
@@ -608,7 +608,7 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
     fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
         // Stable storage: the replica pair, the writer's sequence counter
         // and the uid counter survive; in-flight operation state does not
-        // (see the crate::swmr module docs for the soundness argument).
+        // (see the crate::register module docs for the soundness argument).
         // Liars restart too — their recovery is harmless noise since they
         // answer from the lie strategy, not from adopted state.
         self.pending = None;

@@ -57,8 +57,9 @@
 //! | replicated `(label, value)` pairs | [`replica::Replica`] |
 //! | "wait for a majority" | [`phase::PhaseTracker`] + [`quorum::QuorumSystem`] |
 //! | write / query / write-back messages | [`msg::RegisterMsg`] |
-//! | single-writer emulation | [`swmr::SwmrNode`] |
-//! | multi-writer extension | [`mwmr::MwmrNode`] |
+//! | the emulation's state machine | [`register::RegisterNode`] |
+//! | single-writer emulation | [`swmr::SwmrNode`] (the engine at integer labels) |
+//! | multi-writer extension | [`mwmr::MwmrNode`] (the engine at `(seq, writer)` tags) |
 //! | bounded timestamps | [`bounded`] |
 
 #![forbid(unsafe_code)]
@@ -77,6 +78,7 @@ pub mod phase;
 pub mod presets;
 pub mod procset;
 pub mod quorum;
+pub mod register;
 pub mod replica;
 pub mod retransmit;
 pub mod swmr;
@@ -92,6 +94,7 @@ pub use msg::{RegisterMsg, RegisterOp, RegisterResp};
 pub use mwmr::{MwmrConfig, MwmrNode};
 pub use procset::ProcSet;
 pub use quorum::{Grid, Majority, QuorumSystem, Threshold, Weighted};
+pub use register::{Label, RegisterConfig, RegisterNode};
 pub use retransmit::{BackoffPolicy, Retransmitter};
 pub use swmr::{SwmrConfig, SwmrNode};
 pub use types::{Nanos, OpId, ProcessId, ReadMode, RegisterError, SeqNo, Tag};

@@ -11,182 +11,43 @@
 //!   `(max_seq + 1, writer_id)` to a write quorum. Both reads and writes
 //!   are therefore two round trips, `4(n−1)` messages with majorities.
 //!
-//! Reads are identical to the single-writer protocol, write-back included
-//! — and so are the optional read modes
-//! ([`read_mode`](MwmrConfig::read_mode)):
-//! [`ReadMode::FastUnanimous`](crate::types::ReadMode) elides the
-//! write-back when the query quorum was unanimous about the maximum tag and
-//! itself forms a write quorum, completing in `2(n−1)` messages (see
-//! [`fast_read_allowed`](crate::quorum::fast_read_allowed)), and
-//! [`ReadMode::Relay`](crate::types::ReadMode) runs the server-to-server
-//! relay read of the SWMR protocol verbatim with tags as labels — 1.5
-//! rounds for *every* read at `n² − 1` messages (see [`crate::swmr`]'s
-//! "Relay reads" section for the protocol and its safety argument; tag
-//! comparison is the only difference). Writes always keep both phases:
-//! their query round is what orders concurrent writers.
+//! Reads are identical to the single-writer protocol, write-back included.
+//!
+//! This module is the multi-writer *instantiation* of the register engine:
+//! the [`Tag`] label policy, and the configuration under which every node
+//! may write. The state machine itself — shared, line for line, with
+//! [`crate::swmr`] — lives in [`crate::register`].
 
-// The declared phase graph (see the `phase-graph` lint rule). Both reads
-// and writes query first: `WriteQuery -> WriteUpdate` and `ReadQuery ->
-// ReadWriteBack` keep the two-phase order, and the two kinds never cross.
-// `Invoke -> *` short-circuits are the instant-quorum paths.
-// `Invoke -> RelayRead -> Done` is the relay read mode: the reader parks
-// in a single RelayRead phase and completes on a write quorum of direct
-// server replies.
-// abd-lint: phase-spec(mwmr):
-//   Invoke -> WriteQuery, Invoke -> ReadQuery, Invoke -> WriteUpdate,
-//   Invoke -> ReadWriteBack, Invoke -> Done,
-//   Invoke -> RelayRead, RelayRead -> Done,
-//   WriteQuery -> WriteUpdate, WriteQuery -> Done,
-//   ReadQuery -> ReadWriteBack, ReadQuery -> Done,
-//   WriteUpdate -> Done, ReadWriteBack -> Done,
-//   Restart -> Recovery, Recovery -> Idle
+use crate::msg::RegisterMsg;
+use crate::register::{Label, RegisterConfig, RegisterNode};
+use crate::types::{ProcessId, Tag};
 
-use crate::context::{Effects, Protocol, ReadPathStats, TimerKey};
-use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
-use crate::phase::{PhaseTracker, RelayCensus, TagCensus};
-use crate::procset::ProcSet;
-use crate::quorum::{fast_read_allowed, Majority, QuorumSystem};
-use crate::replica::Replica;
-use crate::retransmit::{BackoffPolicy, Retransmitter};
-use crate::types::{Consistency, Nanos, OpId, ProcessId, ReadMode, Tag};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+/// Any node may issue labels, so a write first asks a read quorum for the
+/// largest tag in use and then outbids it, with its own id as tie-break.
+impl Label for Tag {
+    const WRITE_QUERIES: bool = true;
+
+    fn initial() -> Self {
+        Tag::initial()
+    }
+
+    fn next(self, me: ProcessId) -> Self {
+        Tag::next(self, me)
+    }
+}
 
 /// Wire message of the MWMR protocol.
 pub type MwmrMsg<V> = RegisterMsg<Tag, V>;
 
 /// Configuration of one MWMR node.
-#[derive(Clone, Debug)]
-pub struct MwmrConfig {
-    /// Cluster size.
-    pub n: usize,
-    /// This node's id.
-    pub me: ProcessId,
-    /// Quorum system consulted by all phases.
-    ///
-    /// Must satisfy read/write *and* write/write intersection
-    /// ([`QuorumSystem::validate`] with `multi_writer = true`).
-    pub quorum: Arc<dyn QuorumSystem>,
-    /// Whether reads perform the write-back phase (`true` = atomic,
-    /// `false` = regular baseline).
-    pub read_write_back: bool,
-    /// How reads complete: the two-round baseline, the unanimity fast path
-    /// (see [`fast_read_allowed`]), or server-to-server relay.
-    /// [`ReadMode::TwoRound`] by default.
-    pub read_mode: ReadMode,
-    /// Retransmission policy for unfinished phases (`None` = reliable
-    /// links, no retransmission).
-    pub retransmit: Option<BackoffPolicy>,
-}
+pub type MwmrConfig = RegisterConfig<Tag>;
 
 impl MwmrConfig {
-    /// Majority quorums, write-back on, no retransmission.
+    /// Majority quorums, write-back on, no retransmission; every node is
+    /// its own writer.
     pub fn new(n: usize, me: ProcessId) -> Self {
-        MwmrConfig {
-            n,
-            me,
-            quorum: Arc::new(Majority::new(n)),
-            read_write_back: true,
-            read_mode: ReadMode::TwoRound,
-            retransmit: None,
-        }
+        Self::base(n, me, me)
     }
-
-    /// Replaces the quorum system.
-    pub fn with_quorum(mut self, q: Arc<dyn QuorumSystem>) -> Self {
-        self.quorum = q;
-        self
-    }
-
-    /// Enables or disables the read write-back phase.
-    pub fn with_read_write_back(mut self, yes: bool) -> Self {
-        self.read_write_back = yes;
-        self
-    }
-
-    /// Selects how reads complete (see [`ReadMode`]).
-    pub fn with_read_mode(mut self, mode: ReadMode) -> Self {
-        self.read_mode = mode;
-        self
-    }
-
-    /// Enables adaptive retransmission for lossy links (exponential
-    /// backoff from `every`, capped, jittered; see [`BackoffPolicy::new`]).
-    pub fn with_retransmit(mut self, every: Nanos) -> Self {
-        self.retransmit = Some(BackoffPolicy::new(every));
-        self
-    }
-
-    /// Sets an explicit retransmission policy.
-    pub fn with_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.retransmit = Some(policy);
-        self
-    }
-}
-
-#[derive(Clone, Debug)]
-enum Pending<V> {
-    /// Writer discovering the current maximum tag.
-    WriteQuery {
-        op: OpId,
-        ph: PhaseTracker,
-        best: Tag,
-        value: V,
-    },
-    /// Writer propagating its new `(tag, value)`.
-    WriteUpdate {
-        op: OpId,
-        ph: PhaseTracker,
-        tag: Tag,
-        value: V,
-    },
-    /// Reader collecting `(tag, value)` replies; the census tracks the max
-    /// tag and whether the responders were unanimous about it (fast path).
-    /// `cons` is the read's requested tier: `Regular` completes without the
-    /// write-back, `Atomic` runs the full second phase.
-    ReadQuery {
-        op: OpId,
-        ph: PhaseTracker,
-        census: TagCensus<Tag, V>,
-        cons: Consistency,
-    },
-    /// Reader writing back the value it is about to return.
-    ReadWriteBack {
-        op: OpId,
-        ph: PhaseTracker,
-        tag: Tag,
-        value: V,
-    },
-    /// Relay-mode reader collecting direct server replies; completes on a
-    /// write quorum of them, returning the census's minimum pair. The
-    /// tracker starts empty: even this node's own reply only counts once
-    /// its server-side round completes.
-    RelayRead {
-        op: OpId,
-        ph: PhaseTracker,
-        census: RelayCensus<Tag, V>,
-    },
-}
-
-impl<V> Pending<V> {
-    fn phase(&self) -> &PhaseTracker {
-        match self {
-            Pending::WriteQuery { ph, .. }
-            | Pending::WriteUpdate { ph, .. }
-            | Pending::ReadQuery { ph, .. }
-            | Pending::ReadWriteBack { ph, .. }
-            | Pending::RelayRead { ph, .. } => ph,
-        }
-    }
-}
-
-/// Post-restart catch-up query phase (see [`crate::swmr`] module docs for
-/// the stable-storage model it completes).
-#[derive(Clone, Debug)]
-struct Recovery<V> {
-    ph: PhaseTracker,
-    best_tag: Tag,
-    best_value: V,
 }
 
 /// One processor of the MWMR emulation. Every processor may read and write.
@@ -206,765 +67,15 @@ struct Recovery<V> {
 /// node.on_invoke(OpId(1), RegisterOp::Read, &mut fx);
 /// assert_eq!(fx.responses[1].1, RegisterResp::ReadOk("hi".to_string()));
 /// ```
-#[derive(Clone, Debug)]
-pub struct MwmrNode<V> {
-    cfg: MwmrConfig,
-    replica: Replica<Tag, V>,
-    next_uid: u64,
-    pending: Option<Pending<V>>,
-    queue: VecDeque<(OpId, RegisterOp<V>)>,
-    rtx: Retransmitter,
-    recovering: Option<Recovery<V>>,
-    /// Server-side relay rounds in progress, keyed by `(reader, uid)` —
-    /// see [`crate::swmr`]. Volatile, cleared on restart.
-    relays: BTreeMap<(ProcessId, u64), PhaseTracker>,
-    /// Highest relay round uid completed here per reader. Volatile.
-    relay_done: BTreeMap<ProcessId, u64>,
-    fast_reads: u64,
-    write_backs: u64,
-    relay_reads: u64,
-    sc_reads: u64,
-    regular_reads: u64,
-}
-
-impl<V: Clone + std::fmt::Debug + Send + 'static> MwmrNode<V> {
-    /// Creates a node holding `initial` under [`Tag::initial`].
-    pub fn new(cfg: MwmrConfig, initial: V) -> Self {
-        assert!(cfg.me.index() < cfg.n, "node id out of range");
-        assert_eq!(
-            cfg.quorum.n(),
-            cfg.n,
-            "quorum system sized for a different cluster"
-        );
-        let rtx = Retransmitter::new(cfg.retransmit, cfg.me);
-        MwmrNode {
-            cfg,
-            replica: Replica::new(Tag::initial(), initial),
-            next_uid: 0,
-            pending: None,
-            queue: VecDeque::new(),
-            rtx,
-            recovering: None,
-            relays: BTreeMap::new(),
-            relay_done: BTreeMap::new(),
-            fast_reads: 0,
-            write_backs: 0,
-            relay_reads: 0,
-            sc_reads: 0,
-            regular_reads: 0,
-        }
-    }
-
-    /// This node's replica state `(tag, value)`.
-    pub fn replica_state(&self) -> (Tag, V) {
-        self.replica.snapshot()
-    }
-
-    /// Whether an operation is currently in flight on this node.
-    pub fn is_busy(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Whether the node is catching up after a restart.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering.is_some()
-    }
-
-    /// Messages this node has retransmitted over its lifetime.
-    pub fn retransmissions(&self) -> u64 {
-        self.rtx.retransmissions()
-    }
-
-    /// The node's configuration.
-    pub fn config(&self) -> &MwmrConfig {
-        &self.cfg
-    }
-
-    /// Reads issued here that completed on the one-round fast path.
-    pub fn fast_reads(&self) -> u64 {
-        self.fast_reads
-    }
-
-    /// Reads issued here that executed the write-back phase.
-    pub fn write_backs(&self) -> u64 {
-        self.write_backs
-    }
-
-    /// Reads issued here that completed via server-to-server relay.
-    pub fn relay_reads(&self) -> u64 {
-        self.relay_reads
-    }
-
-    /// Reads issued here that completed at `Consistency::Sequential`
-    /// (served locally, zero network rounds).
-    pub fn sc_reads(&self) -> u64 {
-        self.sc_reads
-    }
-
-    /// Reads issued here that completed at `Consistency::Regular` (query
-    /// round only, write-back elided).
-    pub fn regular_reads(&self) -> u64 {
-        self.regular_reads
-    }
-
-    fn fresh_uid(&mut self) -> u64 {
-        self.next_uid += 1;
-        self.next_uid
-    }
-
-    fn others(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        (0..self.cfg.n)
-            .map(ProcessId)
-            .filter(move |&p| p != self.cfg.me)
-    }
-
-    fn broadcast(&self, msg: MwmrMsg<V>, fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>) {
-        for p in self.others() {
-            fx.send(p, msg.clone());
-        }
-    }
-
-    fn arm_timer(&mut self, uid: u64, fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>) {
-        self.rtx.arm(uid, fx);
-    }
-
-    fn disarm_timer(&mut self, uid: u64, fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>) {
-        self.rtx.disarm(uid, fx);
-    }
-
-    /// Completes the post-restart catch-up: adopt the freshest pair a read
-    /// quorum reported, then serve anything queued while recovering.
-    fn finish_recovery(
-        &mut self,
-        tag: Tag,
-        value: V,
-        fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        self.recovering = None;
-        self.replica.adopt(tag, value);
-        if self.pending.is_none() {
-            if let Some((next_op, next_input)) = self.queue.pop_front() {
-                self.begin(next_op, next_input, fx);
-            }
-        }
-    }
-
-    fn finish(
-        &mut self,
-        op: OpId,
-        resp: RegisterResp<V>,
-        fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        self.pending = None;
-        fx.respond(op, resp);
-        if let Some((next_op, next_input)) = self.queue.pop_front() {
-            self.begin(next_op, next_input, fx);
-        }
-    }
-
-    fn begin(
-        &mut self,
-        op: OpId,
-        input: RegisterOp<V>,
-        fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        debug_assert!(self.pending.is_none());
-        match input {
-            RegisterOp::Write(v) => {
-                let uid = self.fresh_uid();
-                let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-                let best = self.replica.label();
-                if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                    self.enter_write_update(op, best, v, fx);
-                    return;
-                }
-                self.pending = Some(Pending::WriteQuery {
-                    op,
-                    ph,
-                    best,
-                    value: v,
-                });
-                self.broadcast(RegisterMsg::Query { uid }, fx);
-                self.arm_timer(uid, fx);
-            }
-            RegisterOp::Read => self.begin_read(op, Consistency::Atomic, fx),
-            RegisterOp::ReadAt(cons) => self.begin_read(op, cons, fx),
-        }
-    }
-
-    fn begin_read(
-        &mut self,
-        op: OpId,
-        cons: Consistency,
-        fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        if cons == Consistency::Sequential {
-            // SC-ABD: serve the local replica with no network round — safe
-            // for the same reasons as the SWMR protocol (replica tags only
-            // ever advance; see DESIGN.md's consistency-tier section).
-            self.sc_reads += 1;
-            let (_, value) = self.replica.snapshot();
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        if cons == Consistency::Atomic && self.cfg.read_mode == ReadMode::Relay {
-            self.begin_relay_read(op, fx);
-            return;
-        }
-        // Regular reads ignore `read_mode`: the relay round replaces the
-        // write-back, which a regular read skips anyway.
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        let (tag, value) = self.replica.snapshot();
-        let census = TagCensus::new(tag, value);
-        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-            self.complete_read_query(op, ph.responders(), census, cons, fx);
-            return;
-        }
-        self.pending = Some(Pending::ReadQuery {
-            op,
-            ph,
-            census,
-            cons,
-        });
-        self.broadcast(RegisterMsg::Query { uid }, fx);
-        self.arm_timer(uid, fx);
-    }
-
-    /// The read's query phase holds a read quorum: a `Regular`-tier read
-    /// completes here with the census maximum; an atomic read takes the
-    /// one-round fast path if the responders were unanimous and form a
-    /// write quorum, the two-phase slow path otherwise.
-    fn complete_read_query(
-        &mut self,
-        op: OpId,
-        responders: &ProcSet,
-        census: TagCensus<Tag, V>,
-        cons: Consistency,
-        fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        if cons == Consistency::Regular {
-            self.regular_reads += 1;
-            let (tag, value) = census.into_best();
-            // Adopt locally even though the write-back is skipped, so a
-            // later Sequential read on this node cannot regress below a
-            // value this node has already returned.
-            self.replica.adopt(tag, value.clone());
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        if self.cfg.read_mode == ReadMode::FastUnanimous
-            && self.cfg.read_write_back
-            && fast_read_allowed(self.cfg.quorum.as_ref(), responders, census.unanimous())
-        {
-            self.fast_reads += 1;
-            let (_, value) = census.into_best();
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        let (tag, value) = census.into_best();
-        self.enter_read_write_back(op, tag, value, fx);
-    }
-
-    /// Second phase of a write: stamp the value with a tag strictly larger
-    /// than every tag seen in the query phase and propagate it.
-    fn enter_write_update(
-        &mut self,
-        op: OpId,
-        max_seen: Tag,
-        v: V,
-        fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        let tag = max_seen.next(self.cfg.me);
-        self.replica.adopt(tag, v.clone());
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if self.cfg.quorum.is_write_quorum(ph.responders()) {
-            self.finish(op, RegisterResp::WriteOk, fx);
-            return;
-        }
-        self.pending = Some(Pending::WriteUpdate {
-            op,
-            ph,
-            tag,
-            value: v.clone(),
-        });
-        self.broadcast(
-            RegisterMsg::Update {
-                uid,
-                label: tag,
-                value: v,
-            },
-            fx,
-        );
-        self.arm_timer(uid, fx);
-    }
-
-    /// Second phase of a read (or immediate completion for the regular
-    /// baseline).
-    fn enter_read_write_back(
-        &mut self,
-        op: OpId,
-        tag: Tag,
-        value: V,
-        fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        if !self.cfg.read_write_back {
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        self.write_backs += 1;
-        self.replica.adopt(tag, value.clone());
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if self.cfg.quorum.is_write_quorum(ph.responders()) {
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        self.pending = Some(Pending::ReadWriteBack {
-            op,
-            ph,
-            tag,
-            value: value.clone(),
-        });
-        self.broadcast(
-            RegisterMsg::Update {
-                uid,
-                label: tag,
-                value,
-            },
-            fx,
-        );
-        self.arm_timer(uid, fx);
-    }
-
-    /// Opens a relay read — identical to the SWMR version (see
-    /// [`crate::swmr`]), with tags as labels.
-    fn begin_relay_read(&mut self, op: OpId, fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>) {
-        let uid = self.fresh_uid();
-        self.pending = Some(Pending::RelayRead {
-            op,
-            ph: PhaseTracker::new_empty(uid, self.cfg.n),
-            census: RelayCensus::new(),
-        });
-        let (label, value) = self.replica.snapshot();
-        self.broadcast(RegisterMsg::RelayQuery { uid, label, value }, fx);
-        self.arm_timer(uid, fx);
-        self.relay_observe(self.cfg.me, uid, self.cfg.me, fx);
-    }
-
-    /// Whether relay round `(reader, uid)` has already completed here.
-    fn relay_round_done(&self, reader: ProcessId, uid: u64) -> bool {
-        self.relay_done
-            .get(&reader)
-            .is_some_and(|&done| done >= uid)
-    }
-
-    /// Sends this server's forward for round `(reader, uid)` to `targets`.
-    fn relay_fwd_to(
-        &self,
-        targets: &[ProcessId],
-        reader: ProcessId,
-        uid: u64,
-        echo: bool,
-        fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        let (label, value) = self.replica.snapshot();
-        for &p in targets {
-            fx.send(
-                p,
-                RegisterMsg::RelayFwd {
-                    uid,
-                    reader,
-                    label,
-                    value: value.clone(),
-                    echo,
-                },
-            );
-        }
-    }
-
-    /// Records `from`'s forward in server round `(reader, uid)`, creating
-    /// the round (and broadcasting our own forward) on first contact; once
-    /// the forwards cover a read quorum, the done floor advances and our
-    /// replica snapshot goes to the reader as its direct reply.
-    fn relay_observe(
-        &mut self,
-        reader: ProcessId,
-        uid: u64,
-        from: ProcessId,
-        fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        let (n, me) = (self.cfg.n, self.cfg.me);
-        let created = !self.relays.contains_key(&(reader, uid));
-        if created {
-            // Readers are sequential and uids increase: contact for round
-            // `uid` means earlier rounds from this reader are abandoned.
-            self.relays.retain(|&(r, u), _| r != reader || u >= uid);
-            self.relays
-                .insert((reader, uid), PhaseTracker::new(uid, n, me));
-        }
-        let complete = match self.relays.get_mut(&(reader, uid)) {
-            Some(ph) => {
-                ph.record(from, uid);
-                self.cfg.quorum.is_read_quorum(ph.responders())
-            }
-            None => false,
-        };
-        if !complete {
-            if created && reader != me {
-                let targets: Vec<ProcessId> = self.others().collect();
-                self.relay_fwd_to(&targets, reader, uid, false, fx);
-            }
-            return;
-        }
-        // The tracker stays behind (pruned when the reader's next round
-        // arrives) so stragglers are told apart from true duplicates.
-        let floor = self.relay_done.entry(reader).or_insert(0);
-        *floor = (*floor).max(uid);
-        let (label, value) = self.replica.snapshot();
-        if reader == me {
-            self.relay_reply_in(me, uid, label, value, fx);
-        } else {
-            fx.send(reader, RegisterMsg::RelayReply { uid, label, value });
-        }
-    }
-
-    /// Reader-side processing of one direct server reply; completes the
-    /// read on a write quorum of replies with the census's minimum pair —
-    /// see [`crate::swmr`] for why the minimum is the safe choice.
-    fn relay_reply_in(
-        &mut self,
-        from: ProcessId,
-        uid: u64,
-        label: Tag,
-        value: V,
-        fx: &mut Effects<MwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        let Some(Pending::RelayRead { ph, census, .. }) = self.pending.as_mut() else {
-            return;
-        };
-        if !ph.record(from, uid) {
-            return;
-        }
-        census.observe(label, value);
-        if !self.cfg.quorum.is_write_quorum(ph.responders()) {
-            return;
-        }
-        if let Some(Pending::RelayRead { op, census, .. }) = self.pending.take() {
-            self.disarm_timer(uid, fx);
-            self.relay_reads += 1;
-            let (label, value) = match census.into_min() {
-                Some(best) => best,
-                // Unreachable — a write quorum is never empty — but total.
-                None => self.replica.snapshot(),
-            };
-            self.replica.adopt(label, value.clone());
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-        }
-    }
-
-    fn phase_message(&self) -> Option<MwmrMsg<V>> {
-        match self.pending.as_ref()? {
-            Pending::WriteQuery { ph, .. } | Pending::ReadQuery { ph, .. } => {
-                Some(RegisterMsg::Query { uid: ph.uid() })
-            }
-            Pending::WriteUpdate { ph, tag, value, .. }
-            | Pending::ReadWriteBack { ph, tag, value, .. } => Some(RegisterMsg::Update {
-                uid: ph.uid(),
-                label: *tag,
-                value: value.clone(),
-            }),
-            Pending::RelayRead { ph, .. } => {
-                // Retransmit the query with the *current* snapshot —
-                // monotone above the original.
-                let (label, value) = self.replica.snapshot();
-                Some(RegisterMsg::RelayQuery {
-                    uid: ph.uid(),
-                    label,
-                    value,
-                })
-            }
-        }
-    }
-}
-
-impl<V: Clone + std::fmt::Debug + Send + 'static> Protocol for MwmrNode<V> {
-    type Msg = MwmrMsg<V>;
-    type Op = RegisterOp<V>;
-    type Resp = RegisterResp<V>;
-
-    fn id(&self) -> ProcessId {
-        self.cfg.me
-    }
-
-    fn on_invoke(
-        &mut self,
-        op: OpId,
-        input: RegisterOp<V>,
-        fx: &mut Effects<Self::Msg, Self::Resp>,
-    ) {
-        if self.pending.is_some() || self.recovering.is_some() {
-            self.queue.push_back((op, input));
-        } else {
-            self.begin(op, input, fx);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: MwmrMsg<V>,
-        fx: &mut Effects<Self::Msg, Self::Resp>,
-    ) {
-        match msg {
-            // ---- replica role ----
-            RegisterMsg::Query { uid } => {
-                let (label, value) = self.replica.snapshot();
-                fx.send(from, RegisterMsg::QueryReply { uid, label, value });
-            }
-            RegisterMsg::Update { uid, label, value } => {
-                self.replica.adopt(label, value);
-                fx.send(from, RegisterMsg::UpdateAck { uid });
-            }
-            // ---- client role ----
-            RegisterMsg::QueryReply { uid, label, value } => {
-                if let Some(rec) = self.recovering.as_mut() {
-                    if !rec.ph.record(from, uid) {
-                        return;
-                    }
-                    if label > rec.best_tag {
-                        rec.best_tag = label;
-                        rec.best_value = value;
-                    }
-                    if self.cfg.quorum.is_read_quorum(rec.ph.responders()) {
-                        if let Some(rec) = self.recovering.take() {
-                            self.disarm_timer(uid, fx);
-                            self.finish_recovery(rec.best_tag, rec.best_value, fx);
-                        }
-                    }
-                    return;
-                }
-                // Completion takes the pending op inside its own arm (the
-                // same shape as the SWMR protocol) so each query kind
-                // advances only along its own phase edge.
-                match self.pending.as_mut() {
-                    Some(Pending::WriteQuery { ph, best, .. }) => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        if label > *best {
-                            *best = label;
-                        }
-                        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            if let Some(Pending::WriteQuery {
-                                op, best, value: v, ..
-                            }) = self.pending.take()
-                            {
-                                self.disarm_timer(uid, fx);
-                                self.enter_write_update(op, best, v, fx);
-                            }
-                        }
-                    }
-                    Some(Pending::ReadQuery { ph, census, .. }) => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        census.observe(label, value);
-                        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            if let Some(Pending::ReadQuery {
-                                op,
-                                ph,
-                                census,
-                                cons,
-                            }) = self.pending.take()
-                            {
-                                self.disarm_timer(uid, fx);
-                                self.complete_read_query(op, ph.responders(), census, cons, fx);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // ---- relay read: server and reader roles ----
-            RegisterMsg::RelayQuery { uid, label, value } => {
-                self.replica.adopt(label, value);
-                if self.relay_round_done(from, uid) {
-                    // Reader retransmission after our round completed: both
-                    // our forward and our reply may have been lost.
-                    self.relay_fwd_to(&[from], from, uid, true, fx);
-                    let (label, value) = self.replica.snapshot();
-                    fx.send(from, RegisterMsg::RelayReply { uid, label, value });
-                    return;
-                }
-                let repeat = self
-                    .relays
-                    .get(&(from, uid))
-                    .is_some_and(|ph| ph.responders().contains(from));
-                if repeat {
-                    // Duplicate query while still gathering: re-send our
-                    // forward to unheard peers and the stuck reader.
-                    let mut targets = Vec::new();
-                    if let Some(ph) = self.relays.get(&(from, uid)) {
-                        targets = ph.missing();
-                    }
-                    targets.push(from);
-                    self.relay_fwd_to(&targets, from, uid, false, fx);
-                    return;
-                }
-                self.relay_observe(from, uid, from, fx);
-            }
-            RegisterMsg::RelayFwd {
-                uid,
-                reader,
-                label,
-                value,
-                echo,
-            } => {
-                self.replica.adopt(label, value);
-                let repeat = self
-                    .relays
-                    .get(&(reader, uid))
-                    .is_some_and(|ph| ph.responders().contains(from));
-                if repeat {
-                    if !echo {
-                        // Echo our snapshot so the stuck sender's tracker
-                        // can count us; echoes are never answered.
-                        self.relay_fwd_to(&[from], reader, uid, true, fx);
-                    }
-                    return;
-                }
-                if self.relay_round_done(reader, uid) {
-                    // Straggler for a completed round: record it silently.
-                    if let Some(ph) = self.relays.get_mut(&(reader, uid)) {
-                        ph.record(from, uid);
-                    }
-                    return;
-                }
-                self.relay_observe(reader, uid, from, fx);
-            }
-            RegisterMsg::RelayReply { uid, label, value } => {
-                self.replica.adopt(label, value.clone());
-                self.relay_reply_in(from, uid, label, value, fx);
-            }
-            RegisterMsg::UpdateAck { uid } => {
-                let done = match self.pending.as_mut() {
-                    Some(Pending::WriteUpdate { op, ph, .. }) => {
-                        if ph.record(from, uid) && self.cfg.quorum.is_write_quorum(ph.responders())
-                        {
-                            Some((*op, RegisterResp::WriteOk))
-                        } else {
-                            None
-                        }
-                    }
-                    Some(Pending::ReadWriteBack { op, ph, value, .. }) => {
-                        if ph.record(from, uid) && self.cfg.quorum.is_write_quorum(ph.responders())
-                        {
-                            Some((*op, RegisterResp::ReadOk(value.clone())))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some((op, resp)) = done {
-                    self.disarm_timer(uid, fx);
-                    self.finish(op, resp, fx);
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, key: TimerKey, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        if let Some(rec) = self.recovering.as_ref() {
-            if rec.ph.uid() != key.0 {
-                return;
-            }
-            let (uid, missing) = (rec.ph.uid(), rec.ph.missing());
-            self.rtx
-                .fire(key.0, &missing, RegisterMsg::Query { uid }, fx);
-            return;
-        }
-        let Some(pending) = self.pending.as_ref() else {
-            return;
-        };
-        if pending.phase().uid() != key.0 {
-            return;
-        }
-        let mut missing = pending.phase().missing();
-        if matches!(pending, Pending::RelayRead { .. }) {
-            // A relay reader can be stuck on replies *or* on forwards for
-            // its own server round; re-query both sets. The empty-seeded
-            // reply tracker lists `me` as missing — never send to self.
-            if let Some(rph) = self.relays.get(&(self.cfg.me, key.0)) {
-                for p in rph.missing() {
-                    if !missing.contains(&p) {
-                        missing.push(p);
-                    }
-                }
-                missing.sort();
-            }
-            missing.retain(|&p| p != self.cfg.me);
-        }
-        if let Some(msg) = self.phase_message() {
-            self.rtx.fire(key.0, &missing, msg, fx);
-        }
-    }
-
-    fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        // Volatile state is wiped; the replica pair and uid counter model
-        // stable storage (see crate::swmr module docs). A writer needs no
-        // extra sequence catch-up here: every write starts with its own
-        // query phase and picks a tag above everything a read quorum knows.
-        self.pending = None;
-        self.queue.clear();
-        self.rtx.reset();
-        // Relay bookkeeping is volatile too (see crate::swmr::on_restart).
-        self.relays.clear();
-        self.relay_done.clear();
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        let (best_tag, best_value) = self.replica.snapshot();
-        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-            return; // Single-node cluster: nothing to catch up from.
-        }
-        self.recovering = Some(Recovery {
-            ph,
-            best_tag,
-            best_value,
-        });
-        self.broadcast(RegisterMsg::Query { uid }, fx);
-        self.arm_timer(uid, fx);
-    }
-}
-
-impl<V: Clone + std::fmt::Debug + Send + 'static> ReadPathStats for MwmrNode<V> {
-    fn fast_reads(&self) -> u64 {
-        self.fast_reads
-    }
-
-    fn write_backs(&self) -> u64 {
-        self.write_backs
-    }
-
-    fn relay_reads(&self) -> u64 {
-        self.relay_reads
-    }
-
-    fn sc_reads(&self) -> u64 {
-        self.sc_reads
-    }
-
-    fn regular_reads(&self) -> u64 {
-        self.regular_reads
-    }
-}
+pub type MwmrNode<V> = RegisterNode<Tag, V>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::{Effects, Protocol, ReadPathStats};
+    use crate::msg::{RegisterOp, RegisterResp};
     use crate::testutil::MiniNet;
+    use crate::types::{Consistency, OpId, ReadMode};
 
     fn cluster(n: usize) -> MiniNet<MwmrNode<u32>> {
         let nodes = (0..n)

@@ -10,7 +10,6 @@
 //! | [`relay_swmr`] / [`relay_mwmr`] | majority | replaced by server relay | atomic, 1.5-round reads *even contended* |
 //! | [`regular_swmr`] / [`regular_mwmr`] | majority | no | regular (baseline) |
 //! | [`read_one_swmr`] | `R=1, W=majority` | no | *not even regular* |
-//! | [`dynamo_style_mwmr`] | `R`/`W` thresholds | yes | atomic iff `R+W>N`, `2W>N` |
 
 use crate::mwmr::MwmrConfig;
 use crate::quorum::{Majority, Threshold};
@@ -34,7 +33,7 @@ pub fn fast_swmr(n: usize, me: ProcessId, writer: ProcessId) -> SwmrConfig {
 /// The single-writer protocol with relay reads: servers forward tags among
 /// themselves and reply to the reader directly, so *every* read — even
 /// under write contention — completes in 1.5 message delays (at `n² − 1`
-/// messages per read). Still atomic; see the `swmr` module docs.
+/// messages per read). Still atomic; see the `register` module docs.
 pub fn relay_swmr(n: usize, me: ProcessId, writer: ProcessId) -> SwmrConfig {
     SwmrConfig::new(n, me, writer).with_read_mode(ReadMode::Relay)
 }
@@ -79,14 +78,6 @@ pub fn regular_mwmr(n: usize, me: ProcessId) -> MwmrConfig {
     MwmrConfig::new(n, me).with_read_write_back(false)
 }
 
-/// Dynamo-style `R`/`W` threshold configuration. Atomic exactly when
-/// `r + w > n` and `2w > n` — call
-/// [`QuorumSystem::validate`](crate::quorum::QuorumSystem::validate) to
-/// check before trusting it.
-pub fn dynamo_style_mwmr(n: usize, me: ProcessId, r: usize, w: usize) -> MwmrConfig {
-    MwmrConfig::new(n, me).with_quorum(Arc::new(Threshold::new(n, r, w)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,10 +89,6 @@ mod tests {
             .validate(false)
             .is_ok());
         assert!(atomic_mwmr(5, ProcessId(1)).quorum.validate(true).is_ok());
-        assert!(dynamo_style_mwmr(5, ProcessId(0), 3, 3)
-            .quorum
-            .validate(true)
-            .is_ok());
     }
 
     #[test]

@@ -549,47 +549,6 @@ where
         self.retransmissions
     }
 
-    /// `Get`s issued here that completed on the one-round fast path.
-    pub fn fast_reads(&self) -> u64 {
-        self.fast_reads
-    }
-
-    /// `Get`s issued here that executed the write-back phase.
-    pub fn write_backs(&self) -> u64 {
-        self.write_backs
-    }
-
-    /// `Get`s issued here that completed via server-to-server relay.
-    pub fn relay_reads(&self) -> u64 {
-        self.relay_reads
-    }
-
-    /// Sequential-tier `Get`s served straight from the local replica.
-    pub fn sc_reads(&self) -> u64 {
-        self.sc_reads
-    }
-
-    /// Regular-tier `Get`s that ran the query round but skipped the
-    /// write-back.
-    pub fn regular_reads(&self) -> u64 {
-        self.regular_reads
-    }
-
-    /// Sync-protocol messages (bulk and Merkle walk) this node has sent.
-    pub fn recovery_msgs(&self) -> u64 {
-        self.recovery_msgs
-    }
-
-    /// Estimated payload bytes of the sync messages this node has sent.
-    pub fn recovery_bytes(&self) -> u64 {
-        self.recovery_bytes
-    }
-
-    /// `(key, tag, value)` entries this node has shipped in sync replies.
-    pub fn sync_entries_sent(&self) -> u64 {
-        self.sync_entries_sent
-    }
-
     /// The node's current Merkle root over its `(key → tag)` map.
     pub fn sync_root(&self) -> u64 {
         self.tree.root()

@@ -4,9 +4,9 @@
 //! a comment directive near the top:
 //!
 //! ```text
-//! // abd-lint: phase-spec(swmr):
-//! //   Invoke -> Query, Invoke -> Write,
-//! //   Query -> WriteBack, Query -> Done
+//! // abd-lint: phase-spec(register):
+//! //   Invoke -> ReadQuery, Invoke -> WriteUpdate,
+//! //   ReadQuery -> ReadWriteBack, ReadQuery -> Done
 //! ```
 //!
 //! The spec is a comma-separated edge list `A -> B`; it may continue over
@@ -37,8 +37,7 @@ pub struct PhaseSpec {
 /// Protocol files that **must** declare a spec, and the name each must use.
 /// Rule 9 reports a missing or misnamed declaration in these files.
 pub const REQUIRED_SPECS: &[(&str, &str)] = &[
-    ("crates/core/src/swmr.rs", "swmr"),
-    ("crates/core/src/mwmr.rs", "mwmr"),
+    ("crates/core/src/register.rs", "register"),
     ("crates/core/src/bounded/swmr.rs", "bounded-swmr"),
     ("crates/core/src/byzantine.rs", "byzantine"),
 ];

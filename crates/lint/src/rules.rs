@@ -797,16 +797,16 @@ mod tests {
 
     #[test]
     fn ad_hoc_unanimity_call_flagged_helper_args_allowed() {
-        // (swmr.rs is a REQUIRED_SPECS file, so count only rule-6 findings.)
+        // (register.rs is a REQUIRED_SPECS file, so count only rule-6 findings.)
         let bad = "fn f(&self) -> bool { self.census.unanimous() && true }\n";
         assert_eq!(
-            rule_count("crates/core/src/swmr.rs", bad, "fast-path-helper"),
+            rule_count("crates/core/src/register.rs", bad, "fast-path-helper"),
             1
         );
         let good =
             "fn f(&self) -> bool { fast_read_allowed(self.q.as_ref(), r, census.unanimous()) }\n";
         assert_eq!(
-            rule_count("crates/core/src/swmr.rs", good, "fast-path-helper"),
+            rule_count("crates/core/src/register.rs", good, "fast-path-helper"),
             0
         );
         // Only *calls* decide anything: the definition site and bare
@@ -818,7 +818,7 @@ mod tests {
         // So is test code.
         let in_test = "#[cfg(test)]\nmod tests { fn t(c: &C) { assert!(c.unanimous()); } }\n";
         assert_eq!(
-            rule_count("crates/core/src/swmr.rs", in_test, "fast-path-helper"),
+            rule_count("crates/core/src/register.rs", in_test, "fast-path-helper"),
             0
         );
         // Out-of-scope crates are untouched.
@@ -868,7 +868,7 @@ mod tests {
         // doc-comment example is not a call site.
         let src = "/// Call `census.unanimous()` to test agreement.\n/// ```\n/// let ok = c.unanimous();\n/// ```\nfn f() {}\n";
         assert_eq!(
-            rule_count("crates/core/src/swmr.rs", src, "fast-path-helper"),
+            rule_count("crates/core/src/register.rs", src, "fast-path-helper"),
             0
         );
     }
@@ -925,9 +925,9 @@ mod tests {
     #[test]
     fn required_files_must_declare_a_spec() {
         let src = "fn on_invoke(&mut self) {}\n";
-        let f = check("crates/core/src/swmr.rs", src);
+        let f = check("crates/core/src/register.rs", src);
         assert_eq!(f.iter().filter(|f| f.rule == "phase-graph").count(), 1);
-        assert!(f[0].message.contains("phase-spec(swmr)"));
+        assert!(f[0].message.contains("phase-spec(register)"));
     }
 
     #[test]

@@ -20,8 +20,8 @@ fn load(rel: &str) -> SourceFile {
 }
 
 #[test]
-fn swmr_handlers_parse_with_bodies() {
-    let file = load("crates/core/src/swmr.rs");
+fn register_handlers_parse_with_bodies() {
+    let file = load("crates/core/src/register.rs");
     let ast = Ast::parse(&file);
     let fns = ast.all_fns();
     for handler in ["on_invoke", "on_message", "on_timer", "on_restart"] {
@@ -66,8 +66,8 @@ fn register_msg_enum_variants_are_complete() {
 }
 
 #[test]
-fn swmr_phase_graph_extraction_matches_golden_edges() {
-    let file = load("crates/core/src/swmr.rs");
+fn register_phase_graph_extraction_matches_golden_edges() {
+    let file = load("crates/core/src/register.rs");
     let ast = Ast::parse(&file);
     let include = |off: usize| !file.in_test_code(off);
     let walk = PhaseWalk::extract(&file.clean, &ast, &include);
@@ -76,25 +76,28 @@ fn swmr_phase_graph_extraction_matches_golden_edges() {
         .keys()
         .map(|(a, b)| format!("{a} -> {b}"))
         .collect();
-    // Must match the `phase-spec(swmr)` header in the file itself — rule 9
+    // Must match the `phase-spec(register)` header in the file itself — rule 9
     // diffs the two, so this golden pins the extraction side.
     assert_eq!(
         edges,
         vec![
-            "Idle -> Write",
+            "Idle -> WriteUpdate",
             "Invoke -> Done",
-            "Invoke -> Query",
+            "Invoke -> ReadQuery",
+            "Invoke -> ReadWriteBack",
             "Invoke -> RelayRead",
-            "Invoke -> Write",
-            "Invoke -> WriteBack",
-            "Query -> Done",
-            "Query -> WriteBack",
+            "Invoke -> WriteQuery",
+            "Invoke -> WriteUpdate",
+            "ReadQuery -> Done",
+            "ReadQuery -> ReadWriteBack",
+            "ReadWriteBack -> Done",
             "Recovery -> Idle",
             "RelayRead -> Done",
             "Restart -> Recovery",
-            "Restart -> Write",
-            "Write -> Done",
-            "WriteBack -> Done",
+            "Restart -> WriteUpdate",
+            "WriteQuery -> Done",
+            "WriteQuery -> WriteUpdate",
+            "WriteUpdate -> Done",
         ]
     );
 }

@@ -39,7 +39,6 @@
 
 pub mod config;
 pub mod coverage;
-pub mod explore;
 pub mod harness;
 pub mod metrics;
 pub mod nemesis;
@@ -52,7 +51,6 @@ pub mod workload;
 
 pub use config::{LatencyModel, SimConfig};
 pub use coverage::{Cell, CoverageCollector, CoverageMap, CoverageSample};
-pub use explore::{sweep, SeedOutcome, SweepFailure, SweepReport};
 pub use metrics::Metrics;
 pub use nemesis::{run_campaign, NemesisConfig, NemesisSchedule, PlannedFault};
 pub use planted::{MutantKind, MutantSwmr, PlantedSwmr};

@@ -83,17 +83,11 @@ impl ProtocolSpec {
     /// handlers — the `phase-spec(<name>)` declaration in the protocol
     /// source, rendered by `abd-lint --dot-dir` as `<name>.dot`.
     ///
-    /// Wrappers map to the protocol they wrap: batching reorders effects
-    /// and the planted mutant filters them, but neither changes which
-    /// phase structure the inner node walks.
+    /// Every spec runs the one register engine (`abd_core::register`), bare
+    /// or wrapped: batching reorders effects and the planted mutants filter
+    /// them, but neither changes which phase structure the inner node walks.
     pub fn phase_graph(&self) -> &'static str {
-        match self {
-            ProtocolSpec::Swmr { .. }
-            | ProtocolSpec::BatchedSwmr { .. }
-            | ProtocolSpec::PlantedSwmr { .. }
-            | ProtocolSpec::MutantSwmr { .. } => "swmr",
-            ProtocolSpec::Mwmr { .. } => "mwmr",
-        }
+        "register"
     }
 
     /// The read path the campaign's clients walk, where the spec makes it

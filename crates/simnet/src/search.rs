@@ -2,7 +2,7 @@
 //! schedules that hunts protocol failures.
 //!
 //! The nemesis planner ([`crate::nemesis`]) draws one campaign per seed;
-//! a seed sweep ([`crate::explore`]) is therefore *blind* — every campaign
+//! a seed sweep is therefore *blind* — every campaign
 //! is an independent sample, and a defect that only fires under a rare
 //! fault shape waits for the sweep to stumble onto it. The search here is
 //! the fuzzing alternative: keep a **corpus** of schedules, derive

@@ -16,6 +16,7 @@
 
 use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
 use abd_core::byzantine::{ByzConfig, ByzNode};
+use abd_core::context::ReadPathStats;
 use abd_core::msg::RegisterOp;
 use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};

@@ -39,10 +39,11 @@ cargo test -q --test nemesis tier_
 echo "==> oracle self-test gate (each tier's checker convicts its planted violation, weaker tiers acquit)"
 cargo test -q --test consistency_tiers oracle_selftest_
 
-echo "==> recovery nemesis smoke (bulk golden trace pinned + anti-entropy sweep races crash waves + pipelined wide-divergence walks under loss and duplication)"
+echo "==> recovery nemesis smoke (bulk golden trace pinned + anti-entropy sweep races crash waves + pipelined wide-divergence walks under loss and duplication + restarted nodes serving during catch-up, and the amnesiac store that campaign must convict)"
 cargo test -q --test nemesis kv_bulk_recovery
 cargo test -q --test nemesis anti_entropy
 cargo test -q --test nemesis merkle_recovery_pipelined_
+cargo test -q --test nemesis kv_serves_during_catch_up_
 
 echo "==> cargo build --release"
 cargo build --release --workspace
@@ -69,7 +70,7 @@ cargo run -q --release -p abd-bench --bin fig_search -- --smoke
 git diff --exit-code -- BENCH_search.json \
   || { echo "BENCH_search.json drifted from the checked-in artifact"; exit 1; }
 
-echo "==> recovery bench smoke (Merkle-vs-bulk byte/message gates + one round trip per tree level, regenerates BENCH_recovery.json)"
+echo "==> recovery bench smoke (Merkle-vs-bulk byte/message gates + one round trip per tree level + first get within two round trips of the reboot, regenerates BENCH_recovery.json)"
 cargo run -q --release -p abd-bench --bin fig_recovery -- --smoke
 git diff --exit-code -- BENCH_recovery.json \
   || { echo "BENCH_recovery.json drifted from the checked-in artifact"; exit 1; }

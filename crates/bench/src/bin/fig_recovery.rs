@@ -25,10 +25,18 @@
 //! * every walk finishes within `log₂(buckets) + 2` sequential round trips
 //!   (`rounds`): a recovery walk issues a whole tree level at once, so
 //!   recovery *time* does not grow with divergence the way its traffic
-//!   does. `serve_us` is the virtual time from restart to the node serving
-//!   again (a read quorum of walks finished); the `previous` block keeps
-//!   the same two figures measured with the stop-and-wait walker (one
-//!   32-node batch in flight per walk) this replaced.
+//!   does. `caught_up_us` is the virtual time from restart to the read-quorum
+//!   catch-up being complete (a read quorum of walks finished); the
+//!   `previous` block keeps the same two figures measured with the
+//!   stop-and-wait walker (one 32-node batch in flight per walk) this
+//!   replaced;
+//! * the rebooted node **serves while it catches up**: a `Get` of the
+//!   newest stale key invoked on it at the restart instant returns the new
+//!   value within two round trips at the configured link latency
+//!   (`first_get_us`, measured in a second run of the same scenario so the
+//!   catch-up rows stay event-for-event what they were), on every row. The
+//!   `previous` block keeps what that `Get` cost while invocations queued
+//!   behind the catch-up.
 //!
 //! Everything runs on the virtual clock with seeded RNGs, so
 //! `BENCH_recovery.json` is byte-reproducible; `--smoke` runs the
@@ -37,8 +45,8 @@
 
 use abd_bench::Table;
 use abd_core::types::{ProcessId, Tag};
-use abd_kv::{KvConfig, KvNode};
-use abd_simnet::{Sim, SimConfig};
+use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
+use abd_simnet::{LatencyModel, Sim, SimConfig};
 
 const N: usize = 5;
 const KEYS: u32 = 100_000;
@@ -48,7 +56,7 @@ const SIM_SEED: u64 = 9;
 const CRASH_AT: u64 = 1_000;
 const RESTART_AT: u64 = 2_000;
 
-/// `(stale, sync_msgs, rounds, serve_us)` of the Merkle rows with the
+/// `(stale, sync_msgs, rounds, caught_up_us)` of the Merkle rows with the
 /// stop-and-wait walker, measured at the parent of the commit that
 /// pipelined the walk (this binary, this seed, the same round counter
 /// added to that commit's walker).
@@ -58,6 +66,12 @@ const PREVIOUS: [(u32, u64, u64, f64); 3] = [
     (50_000, 552, 69, 740.553),
 ];
 
+/// `first_get_us` of the four rows (bulk, then the Merkle rows) while
+/// invocations queued until the catch-up finished, measured at the parent
+/// of the commit that removed that gate (this binary, this seed): the
+/// row's `caught_up_us` of that run, then one `Get`.
+const PREVIOUS_FIRST_GET_US: [f64; 4] = [28.914, 150.023, 185.025, 174.743];
+
 /// Sync-meter deltas for one crash/restart recovery.
 struct Recovery {
     msgs: u64,
@@ -66,15 +80,24 @@ struct Recovery {
     /// Most sequential round trips any of the rebooted node's walks took
     /// (0 on the bulk path, which runs no walk).
     rounds: u64,
-    /// Virtual time from restart until the node serves again.
-    serve_us: f64,
+    /// Virtual time from restart until the read-quorum catch-up is
+    /// complete.
+    caught_up_us: f64,
+    /// Latency of a `Get` of the newest stale key invoked on the rebooted
+    /// node at the restart instant (second run, same scenario).
+    first_get_us: f64,
 }
 
-/// Preload an `N`-node cluster with `KEYS` keys, make the last node `stale`
-/// keys behind its peers, reboot it, and read the sync meters once the
-/// cluster quiesces. `threshold` selects the path: `usize::MAX` forces
-/// bulk, `0` forces the Merkle walk.
-fn recover(threshold: usize, stale: u32) -> Recovery {
+/// The value the survivors hold for stale key `k`.
+fn newer(k: u32) -> u64 {
+    1_000_000 + u64::from(k)
+}
+
+/// An `N`-node cluster preloaded with `KEYS` keys, the last node `stale`
+/// keys behind its peers and scheduled to crash and reboot. `threshold`
+/// selects the recovery path: `usize::MAX` forces bulk, `0` forces the
+/// Merkle walk.
+fn cluster(threshold: usize, stale: u32) -> Sim<KvNode<u32, u64>> {
     let mut nodes: Vec<KvNode<u32, u64>> = (0..N)
         .map(|i| {
             KvNode::new(
@@ -92,29 +115,55 @@ fn recover(threshold: usize, stale: u32) -> Recovery {
     // The survivors adopt `stale` newer writes the rebooted node misses.
     for node in nodes.iter_mut().take(N - 1) {
         for k in 0..stale {
-            node.preload(k, Tag::new(2, ProcessId(1)), 1_000_000 + u64::from(k));
+            node.preload(k, Tag::new(2, ProcessId(1)), newer(k));
         }
     }
     let mut sim = Sim::new(SimConfig::new(SIM_SEED), nodes);
     sim.crash_at(CRASH_AT, ProcessId(N - 1));
     sim.restart_at(RESTART_AT, ProcessId(N - 1));
+    sim
+}
+
+/// Latency of a `Get` of the newest stale key invoked on the rebooted node
+/// the instant it restarts; the `Get` must return the survivors' value.
+fn first_get_us(threshold: usize, stale: u32) -> f64 {
+    let mut sim = cluster(threshold, stale);
+    let key = stale - 1;
+    sim.invoke_at(RESTART_AT, ProcessId(N - 1), KvOp::Get(key));
+    assert!(
+        sim.run_until_ops_complete(600_000_000_000),
+        "first get completes (threshold {threshold}, stale {stale})"
+    );
+    let get = &sim.completed()[0];
+    assert_eq!(
+        get.resp,
+        KvResp::GetOk(Some(newer(key))),
+        "first get returns the newest value (threshold {threshold}, stale {stale})"
+    );
+    get.latency() as f64 / 1e3
+}
+
+/// Reboot the stale node of [`cluster`] and read the sync meters once the
+/// cluster quiesces.
+fn recover(threshold: usize, stale: u32) -> Recovery {
+    let mut sim = cluster(threshold, stale);
     sim.run_until(RESTART_AT);
     assert!(sim.node(N - 1).is_recovering(), "rebooted node catches up");
-    let mut served_at = None;
+    let mut caught_up_at = None;
     while sim.step() {
-        if served_at.is_none() && !sim.node(N - 1).is_recovering() {
-            served_at = Some(sim.now());
+        if caught_up_at.is_none() && !sim.node(N - 1).is_recovering() {
+            caught_up_at = Some(sim.now());
         }
         assert!(
             sim.now() < 600_000_000_000,
             "recovery quiesces (threshold {threshold}, stale {stale})"
         );
     }
-    let served_at = served_at.expect("rebooted node finished catch-up");
+    let caught_up_at = caught_up_at.expect("rebooted node finished catch-up");
     for k in 0..stale {
         assert_eq!(
             sim.node(N - 1).local_entry(&k).map(|(_, v)| *v),
-            Some(1_000_000 + u64::from(k)),
+            Some(newer(k)),
             "stale key {k} repaired (threshold {threshold})"
         );
     }
@@ -124,7 +173,8 @@ fn recover(threshold: usize, stale: u32) -> Recovery {
         bytes: m.recovery_bytes,
         entries: m.sync_entries_sent,
         rounds: sim.node(N - 1).max_walk_rounds(),
-        serve_us: (served_at - RESTART_AT) as f64 / 1e3,
+        caught_up_us: (caught_up_at - RESTART_AT) as f64 / 1e3,
+        first_get_us: first_get_us(threshold, stale),
     }
 }
 
@@ -134,6 +184,14 @@ fn main() {
     let bulk = recover(usize::MAX, 1);
     let stalenesses = PREVIOUS.map(|(stale, ..)| stale);
     let walks: Vec<Recovery> = stalenesses.iter().map(|&k| recover(0, k)).collect();
+    // Every row as `(mode, stale keys, measurements)`: bulk, then the walks.
+    let rows = || {
+        let merkle = stalenesses
+            .iter()
+            .zip(&walks)
+            .map(|(&k, w)| ("merkle", k, w));
+        std::iter::once(("bulk", 1, &bulk)).chain(merkle)
+    };
 
     let mut table = Table::new(
         "F8 — recovery cost vs divergence (n = 5, 100k-key store, 1024 buckets)",
@@ -144,7 +202,8 @@ fn main() {
             "sync bytes",
             "entries",
             "rounds",
-            "serve us",
+            "caught up us",
+            "first get us",
         ],
     );
     let cells = |mode: &str, stale: u32, r: &Recovery| {
@@ -155,12 +214,12 @@ fn main() {
             r.bytes.to_string(),
             r.entries.to_string(),
             r.rounds.to_string(),
-            format!("{:.3}", r.serve_us),
+            format!("{:.3}", r.caught_up_us),
+            format!("{:.3}", r.first_get_us),
         ]
     };
-    table.row(cells("bulk", 1, &bulk));
-    for (k, w) in stalenesses.iter().zip(&walks) {
-        table.row(cells("merkle", *k, w));
+    for (mode, k, r) in rows() {
+        table.row(cells(mode, k, r));
     }
     table.print();
 
@@ -172,22 +231,36 @@ fn main() {
             "msgs now",
             "rounds before",
             "rounds now",
-            "serve us before",
-            "serve us now",
+            "caught up us before",
+            "caught up us now",
         ],
     );
-    for ((k, msgs, rounds, serve_us), w) in PREVIOUS.iter().zip(&walks) {
+    for ((k, msgs, rounds, caught_up_us), w) in PREVIOUS.iter().zip(&walks) {
         before.row(vec![
             k.to_string(),
             msgs.to_string(),
             w.msgs.to_string(),
             rounds.to_string(),
             w.rounds.to_string(),
-            format!("{serve_us:.3}"),
-            format!("{:.3}", w.serve_us),
+            format!("{caught_up_us:.3}"),
+            format!("{:.3}", w.caught_up_us),
         ]);
     }
     before.print();
+
+    let mut gate = Table::new(
+        "F8 — first get on the rebooted node: queued behind the catch-up (previous) vs served at once",
+        &["mode", "stale keys", "first get us before", "first get us now"],
+    );
+    for ((mode, k, r), before) in rows().zip(PREVIOUS_FIRST_GET_US) {
+        gate.row(vec![
+            mode.to_string(),
+            k.to_string(),
+            format!("{before:.3}"),
+            format!("{:.3}", r.first_get_us),
+        ]);
+    }
+    gate.print();
 
     // Gate 1: at one stale key the walk must move ≥ 99 % fewer bytes.
     let reduction = 100.0 * (1.0 - walks[0].bytes as f64 / bulk.bytes as f64);
@@ -225,6 +298,21 @@ fn main() {
         );
     }
 
+    // Gate 5: the rebooted node serves while it catches up — its first get
+    // costs a query round and a write-back, never the catch-up.
+    let LatencyModel::Uniform { hi: hop_max, .. } = SimConfig::new(SIM_SEED).latency else {
+        panic!("F8 runs on the default uniform links");
+    };
+    let first_get_bound = 4.0 * hop_max as f64 / 1e3;
+    for (_, k, r) in rows() {
+        assert!(
+            r.first_get_us <= first_get_bound,
+            "first get at {k} stale keys must finish within two round trips \
+             ({first_get_bound} us); took {} us",
+            r.first_get_us
+        );
+    }
+
     let mut json = String::new();
     json.push_str("{\n  \"experiment\": \"F8_recovery\",\n");
     json.push_str(&format!(
@@ -234,34 +322,39 @@ fn main() {
     let row = |mode: &str, stale: u32, r: &Recovery| {
         format!(
             "    {{\"mode\": \"{mode}\", \"stale\": {stale}, \"sync_msgs\": {}, \
-             \"sync_bytes\": {}, \"entries\": {}, \"rounds\": {}, \"serve_us\": {:.3}}}",
-            r.msgs, r.bytes, r.entries, r.rounds, r.serve_us
+             \"sync_bytes\": {}, \"entries\": {}, \"rounds\": {}, \"caught_up_us\": {:.3}, \
+             \"first_get_us\": {:.3}}}",
+            r.msgs, r.bytes, r.entries, r.rounds, r.caught_up_us, r.first_get_us
         )
     };
-    json.push_str(&row("bulk", 1, &bulk));
-    for (k, w) in stalenesses.iter().zip(&walks) {
-        json.push_str(",\n");
-        json.push_str(&row("merkle", *k, w));
-    }
+    let measured: Vec<String> = rows().map(|(mode, k, r)| row(mode, k, r)).collect();
+    json.push_str(&measured.join(",\n"));
     json.push_str("\n  ],\n");
     json.push_str("  \"previous\": {\"walker\": \"stop-and-wait\", \"rows\": [\n");
     let previous: Vec<String> = PREVIOUS
         .iter()
-        .map(|(k, msgs, rounds, serve_us)| {
+        .map(|(k, msgs, rounds, caught_up_us)| {
             format!(
                 "    {{\"mode\": \"merkle\", \"stale\": {k}, \"sync_msgs\": {msgs}, \
-                 \"rounds\": {rounds}, \"serve_us\": {serve_us:.3}}}"
+                 \"rounds\": {rounds}, \"caught_up_us\": {caught_up_us:.3}}}"
             )
         })
         .collect();
     json.push_str(&previous.join(",\n"));
-    json.push_str("\n  ]},\n");
+    json.push_str("\n  ],\n");
+    json.push_str("  \"invocations\": \"queued until caught up\", \"first_get_us\": [");
+    let gated: Vec<String> = PREVIOUS_FIRST_GET_US
+        .iter()
+        .map(|us| format!("{us:.3}"))
+        .collect();
+    json.push_str(&gated.join(", "));
+    json.push_str("]},\n");
     json.push_str(&format!(
         "  \"byte_reduction_pct_at_1_stale\": {reduction:.2},\n"
     ));
     json.push_str(&format!(
         "  \"msg_bound_at_1_stale\": {msg_bound}, \"round_bound\": {round_bound}, \
-         \"monotone_in_staleness\": true\n}}\n"
+         \"first_get_bound_us\": {first_get_bound:.3}, \"monotone_in_staleness\": true\n}}\n"
     ));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
     std::fs::write(path, &json).expect("write BENCH_recovery.json");

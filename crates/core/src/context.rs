@@ -178,8 +178,9 @@ pub trait Protocol {
     /// armed timer; in-flight operations were lost with the crash (their
     /// clients see them as aborted). Implementations must drop volatile
     /// per-operation state and may emit messages to catch their replica up
-    /// (the protocols in this crate run their own query phase against a
-    /// read quorum before serving new invocations). State modelling stable
+    /// (the register protocols run a query phase against a read quorum
+    /// before serving new invocations; the key-value store serves at once
+    /// and catches up alongside). State modelling stable
     /// storage — the replica's `(label, value)` pair, the writer's sequence
     /// number, the phase-uid counter — survives; see the crate docs for why
     /// full amnesia would forfeit atomicity.

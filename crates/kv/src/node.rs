@@ -36,10 +36,15 @@
 //!
 //! A restarted node keeps its store (stable storage, like the register
 //! replicas — see the `abd-core` SWMR module docs for why amnesia would
-//! break atomicity) but catches up from a read quorum before serving
-//! clients, so it rejoins with every key at least as fresh as the latest
-//! completed write. Invocations arriving meanwhile queue and run when the
-//! transfer finishes. Two transfer mechanisms exist, selected by store
+//! break atomicity) and serves clients at once: every operation already
+//! gets its freshness from a quorum, never from the local replica being
+//! current, and whatever this node acknowledged before the crash is still
+//! in its store (persist-before-ack). Alongside, it catches up from a read
+//! quorum in the background, so it soon holds every key at least as fresh
+//! as the latest completed write — which keeps `Sequential` reads from
+//! lagging by the downtime and lets the replica carry quorums for others.
+//! Foreground operations race the transfer freely: both only ever `adopt`,
+//! a monotone max-merge. Two transfer mechanisms exist, selected by store
 //! size at restart ([`KvConfig::with_sync_threshold`]):
 //!
 //! * **bulk** (small stores) — broadcast [`KvMsg::SyncPull`] and max-merge
@@ -60,7 +65,7 @@
 //!   batches of a tree level at once, so catch-up takes at most
 //!   `log2(buckets) + 2` round trips however many keys diverged.
 //!   A walk that finds equal roots counts the peer toward the
-//!   recovery read quorum immediately. Safety is the same max-merge
+//!   catch-up read quorum immediately. Safety is the same max-merge
 //!   argument as bulk: digest equality over `(key, tag)` certifies entry
 //!   equality (see DESIGN.md §15 for the collision caveat), and everything
 //!   adopted goes through the usual monotone [`KvNode::adopt`].
@@ -469,10 +474,10 @@ pub struct KvNode<K, V> {
     /// phase backs off independently; cleared when its phase completes).
     rtx_attempts: HashMap<u64, u32>,
     retransmissions: u64,
-    /// Post-restart bulk state transfer in progress; invocations queue
-    /// until it completes.
+    /// Post-restart catch-up still short of a read quorum (bulk replies or
+    /// finished walks). Serving does not wait for it; it only holds the
+    /// anti-entropy sweep off and times the bulk pull's retransmission.
     recovering: Option<PhaseTracker>,
-    queue: VecDeque<(OpId, KvOp<K, V>)>,
     /// Server-side relay rounds, keyed by `(reader, uid)`. Volatile —
     /// cleared on restart; completed rounds are pruned when the same reader
     /// opens a strictly newer round.
@@ -526,7 +531,6 @@ where
             rtx_attempts: HashMap::new(),
             retransmissions: 0,
             recovering: None,
-            queue: VecDeque::new(),
             relays: HashMap::new(),
             tree,
             buckets,
@@ -567,15 +571,10 @@ where
         self.walks.len()
     }
 
-    /// Whether the node is running its post-restart state transfer
-    /// (invocations queue until it completes).
+    /// Whether the node's post-restart catch-up is still short of a read
+    /// quorum. The node serves regardless.
     pub fn is_recovering(&self) -> bool {
         self.recovering.is_some()
-    }
-
-    /// Invocations queued behind an in-progress recovery.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// The node's local `(tag, value)` for `key`, if present.
@@ -764,8 +763,7 @@ where
     }
 
     /// Tears down walk `uid`; a finished *recovery* walk counts its peer
-    /// toward the catch-up read quorum and, on quorum, ends recovery and
-    /// replays the queued invocations.
+    /// toward the catch-up read quorum and, on quorum, ends the catch-up.
     fn finish_walk(&mut self, uid: u64, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
         let Some(walk) = self.walks.remove(&uid) else {
             return;
@@ -775,18 +773,11 @@ where
         if !walk.recovery {
             return;
         }
-        let done = match self.recovering.as_mut() {
-            Some(ph) => {
-                let rid = ph.uid();
-                ph.record(walk.peer, rid);
-                self.cfg.quorum.is_read_quorum(ph.responders())
-            }
-            None => false,
-        };
-        if done {
-            self.recovering = None;
-            while let Some((op, input)) = self.queue.pop_front() {
-                self.begin(op, input, fx);
+        if let Some(ph) = self.recovering.as_mut() {
+            let rid = ph.uid();
+            ph.record(walk.peer, rid);
+            if self.cfg.quorum.is_read_quorum(ph.responders()) {
+                self.recovering = None;
             }
         }
     }
@@ -799,7 +790,7 @@ where
     }
 
     /// One anti-entropy sweep firing: walk the next peer round-robin.
-    /// Skipped while recovering (recovery already walks every peer); a
+    /// Skipped while catching up (that already walks every peer); a
     /// still-running background walk against the chosen peer is dropped
     /// first — its adoptions so far are kept, and the fresh walk restarts
     /// the comparison from the current trees.
@@ -1009,42 +1000,6 @@ where
         self.arm_timer(uid, fx);
     }
 
-    /// Starts one invocation (the body of [`Protocol::on_invoke`] once the
-    /// node is past any post-restart recovery).
-    fn begin(&mut self, op: OpId, input: KvOp<K, V>, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
-        match input {
-            KvOp::Get(key) => self.begin_get(op, key, Consistency::Atomic, fx),
-            KvOp::GetAt(key, cons) => self.begin_get(op, key, cons, fx),
-            KvOp::Put(key, value) => {
-                let uid = self.fresh_uid();
-                let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-                let best = self.snapshot(&key).0;
-                if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                    self.enter_put_update(op, key, best, value, fx);
-                    return;
-                }
-                self.broadcast(
-                    KvMsg::Query {
-                        uid,
-                        key: key.clone(),
-                    },
-                    fx,
-                );
-                self.pending.insert(
-                    uid,
-                    Pending::PutQuery {
-                        op,
-                        key,
-                        ph,
-                        best,
-                        value,
-                    },
-                );
-                self.arm_timer(uid, fx);
-            }
-        }
-    }
-
     /// Opens a relay `Get`: broadcast our snapshot for `key` as the round's
     /// query (it doubles as our server-role forward) and join our own
     /// server round. Single-node clusters complete in place.
@@ -1247,13 +1202,40 @@ where
     }
 
     fn on_invoke(&mut self, op: OpId, input: KvOp<K, V>, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        if self.recovering.is_some() {
-            // Serving before the catch-up quorum completes could return
-            // values staler than what this node acknowledged pre-crash.
-            self.queue.push_back((op, input));
-            return;
+        // No gate on a running catch-up: a quorum phase never relies on the
+        // local replica being current, and the store still holds whatever
+        // this node acknowledged before it crashed.
+        match input {
+            KvOp::Get(key) => self.begin_get(op, key, Consistency::Atomic, fx),
+            KvOp::GetAt(key, cons) => self.begin_get(op, key, cons, fx),
+            KvOp::Put(key, value) => {
+                let uid = self.fresh_uid();
+                let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
+                let best = self.snapshot(&key).0;
+                if self.cfg.quorum.is_read_quorum(ph.responders()) {
+                    self.enter_put_update(op, key, best, value, fx);
+                    return;
+                }
+                self.broadcast(
+                    KvMsg::Query {
+                        uid,
+                        key: key.clone(),
+                    },
+                    fx,
+                );
+                self.pending.insert(
+                    uid,
+                    Pending::PutQuery {
+                        op,
+                        key,
+                        ph,
+                        best,
+                        value,
+                    },
+                );
+                self.arm_timer(uid, fx);
+            }
         }
-        self.begin(op, input, fx);
     }
 
     fn on_message(
@@ -1381,9 +1363,6 @@ where
                 if done {
                     self.recovering = None;
                     self.disarm_timer(uid, fx);
-                    while let Some((op, input)) = self.queue.pop_front() {
-                        self.begin(op, input, fx);
-                    }
                 }
             }
             // ---- Merkle sync walk: peer role (stateless) ----
@@ -1571,10 +1550,7 @@ where
             self.arm_timer(uid, fx);
             return;
         }
-        if let Some(ph) = self.recovering.as_ref() {
-            if ph.uid() != uid {
-                return;
-            }
+        if let Some(ph) = self.recovering.as_ref().filter(|ph| ph.uid() == uid) {
             let targets = ph.missing();
             self.retransmissions += targets.len() as u64;
             for p in targets {
@@ -1624,12 +1600,11 @@ where
 
     fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
         // In-flight operations died with the crash; the store is stable
-        // storage and survives, but may be stale. Catch up from a read
-        // quorum before serving anything. The digest tree and bucket index
-        // persist with the store they summarize.
+        // storage and survives, but may be stale. Start catching up from a
+        // read quorum; serving resumes right away. The digest tree and
+        // bucket index persist with the store they summarize.
         self.pending.clear();
         self.rtx_attempts.clear();
-        self.queue.clear();
         // Relay bookkeeping is volatile too: a post-restart reply still
         // carries the persisted store, which is all the safety argument
         // needs (see the abd-core SWMR module docs). Walks are plain
@@ -1655,7 +1630,7 @@ where
             self.arm_timer(uid, fx);
         } else {
             // Merkle walk, one per peer. Each finished walk records its
-            // peer in `recovering`; serving resumes at a read quorum, and
+            // peer in `recovering`; the catch-up ends at a read quorum, and
             // the remaining walks keep running as plain anti-entropy.
             for i in 0..self.cfg.n {
                 let p = ProcessId(i);
@@ -1800,6 +1775,22 @@ mod tests {
                 self.nodes[to.index()].on_message(from, m, &mut fx);
                 self.absorb(to, fx);
             }
+        }
+
+        /// [`Net::run`] with every sync-protocol message held back in
+        /// flight: foreground phases progress, the catch-up does not.
+        fn run_foreground(&mut self) {
+            let mut held = std::collections::VecDeque::new();
+            while let Some((from, to, m)) = self.queue.pop_front() {
+                if KvNode::<K, V>::sync_msg_bytes(&m) > 0 {
+                    held.push_back((from, to, m));
+                } else if self.alive[to.index()] {
+                    let mut fx = Effects::new();
+                    self.nodes[to.index()].on_message(from, m, &mut fx);
+                    self.absorb(to, fx);
+                }
+            }
+            self.queue = held;
         }
 
         fn take(&mut self) -> Vec<(OpId, KvResp<V>)> {
@@ -2092,28 +2083,35 @@ mod tests {
     }
 
     #[test]
-    fn restart_catches_up_before_serving() {
+    fn restart_serves_at_once_and_catches_up_alongside() {
         let mut net: Net<&str, u32> = Net::new(3);
         net.invoke(0, KvOp::Put("a", 1));
         net.run();
-        // Node 2 crashes and misses a put.
+        // Node 2 crashes and misses two puts.
         net.alive[2] = false;
         net.invoke(0, KvOp::Put("b", 2));
+        net.invoke(0, KvOp::Put("c", 3));
         net.run();
         net.take();
         assert!(net.nodes[2].local_entry(&"b").is_none());
-        // On restart it pulls a read quorum's state before serving.
+        // On restart it pulls a read quorum's state...
         net.restart(2);
         assert!(net.nodes[2].is_recovering());
-        // Invocations issued mid-recovery queue rather than run stale.
+        // ...but an invocation starts its query round at once, and the
+        // quorum answers it while the pull is still in flight.
         net.invoke(2, KvOp::Get("b"));
-        assert_eq!(net.nodes[2].queue_len(), 1);
-        assert!(net.take().is_empty());
+        assert_eq!(net.nodes[2].in_flight(), 1);
+        net.run_foreground();
+        assert_eq!(net.take(), vec![(OpId(3), KvResp::GetOk(Some(2)))]);
+        assert!(net.nodes[2].is_recovering());
+        assert!(
+            net.nodes[2].local_entry(&"c").is_none(),
+            "not caught up yet"
+        );
         net.run();
         assert!(!net.nodes[2].is_recovering());
-        assert_eq!(*net.nodes[2].local_entry(&"b").unwrap().1, 2);
-        // The queued get drained and sees the caught-up state.
-        assert_eq!(net.take().pop().unwrap().1, KvResp::GetOk(Some(2)));
+        assert_eq!(*net.nodes[2].local_entry(&"c").unwrap().1, 3);
+        assert!(net.take().is_empty(), "the get answered exactly once");
     }
 
     #[test]
@@ -2155,7 +2153,7 @@ mod tests {
     }
 
     #[test]
-    fn merkle_restart_catches_up_before_serving_and_replays_once() {
+    fn merkle_restart_serves_during_the_walk_and_answers_once() {
         let mut net = merkle_net(3);
         for k in 0..20u32 {
             net.invoke(0, KvOp::Put(k, 1));
@@ -2170,17 +2168,22 @@ mod tests {
         net.restart(2);
         assert!(net.nodes[2].is_recovering());
         assert_eq!(net.nodes[2].walks_in_flight(), 2);
-        // Mid-recovery invocations queue, then replay exactly once.
+        // A get invoked mid-walk runs its own quorum rounds and returns the
+        // overwrite before either walk has heard from its peer.
         net.invoke(2, KvOp::Get(7));
-        assert_eq!(net.nodes[2].queue_len(), 1);
-        assert!(net.take().is_empty());
+        net.run_foreground();
+        assert_eq!(net.take(), vec![(OpId(21), KvResp::GetOk(Some(2)))]);
+        assert!(net.nodes[2].is_recovering());
+        assert_eq!(net.nodes[2].walks_in_flight(), 2);
+        // Its write-back already repaired the one stale key, so the walks
+        // find equal roots and move nothing.
         net.run();
         assert!(!net.nodes[2].is_recovering());
         assert_eq!(net.nodes[2].walks_in_flight(), 0);
-        assert_eq!(*net.nodes[2].local_entry(&7).unwrap().1, 2);
-        let r = net.take();
-        assert_eq!(r, vec![(OpId(21), KvResp::GetOk(Some(2)))]);
         assert_eq!(net.nodes[2].sync_root(), net.nodes[0].sync_root());
+        let shipped: u64 = (0..3).map(|i| net.nodes[i].sync_entries_sent()).sum();
+        assert_eq!(shipped, 0);
+        assert!(net.take().is_empty(), "the get answered exactly once");
     }
 
     #[test]
@@ -2622,7 +2625,7 @@ mod tests {
     }
 
     #[test]
-    fn mid_recovery_invocations_replay_exactly_once_per_duplicate_state() {
+    fn catch_up_replies_never_restart_or_replay_a_foreground_get() {
         let mut node: KvNode<u32, u64> = KvNode::new(KvConfig::new(3, ProcessId(0)));
         let mut fx = Effects::new();
         node.on_restart(&mut fx);
@@ -2630,75 +2633,40 @@ mod tests {
             Some((_, KvMsg::SyncPull { uid })) => *uid,
             other => panic!("expected SyncPull, got {other:?}"),
         };
+        // The get broadcasts its query round straight away.
         let mut fx = Effects::new();
         node.on_invoke(OpId(1), KvOp::Get(5), &mut fx);
-        assert_eq!(node.queue_len(), 1);
-        // First quorum-completing SyncState drains the queue...
-        let mut fx = Effects::new();
-        node.on_message(
-            ProcessId(1),
-            KvMsg::SyncState {
-                uid,
-                entries: vec![(5, Tag::new(1, ProcessId(1)), 42)],
-            },
-            &mut fx,
-        );
-        node.on_message(
-            ProcessId(2),
-            KvMsg::SyncState {
-                uid,
-                entries: vec![],
-            },
-            &mut fx,
-        );
-        assert_eq!(node.queue_len(), 0);
-        let query_uids: Vec<u64> = fx
-            .sends
-            .iter()
-            .filter_map(|(_, m)| match m {
-                KvMsg::Query { uid, .. } => Some(*uid),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            query_uids.len(),
-            2,
-            "the drained get broadcast one query round"
-        );
-        let quid = query_uids[0];
+        let quid = match fx.sends.as_slice() {
+            [(_, KvMsg::Query { uid, .. }), (_, KvMsg::Query { .. })] => *uid,
+            other => panic!("expected one query round, got {other:?}"),
+        };
         assert_eq!(node.in_flight(), 1);
-        // ...and a duplicated straggler SyncState must not replay it.
+        // The catch-up completing under it, and a duplicated straggler
+        // afterwards, adopt entries and nothing else.
         let mut fx = Effects::new();
-        node.on_message(
-            ProcessId(2),
-            KvMsg::SyncState {
-                uid,
-                entries: vec![],
-            },
-            &mut fx,
-        );
-        assert!(fx.is_empty(), "duplicate state replays nothing");
+        let state = |from: usize, entries| (ProcessId(from), KvMsg::SyncState { uid, entries });
+        for (from, msg) in [
+            state(1, vec![(5, Tag::new(1, ProcessId(1)), 42)]),
+            state(2, vec![]),
+            state(2, vec![]),
+        ] {
+            node.on_message(from, msg, &mut fx);
+        }
+        assert!(!node.is_recovering());
+        assert!(fx.sends.is_empty() && fx.responses.is_empty());
         assert_eq!(node.in_flight(), 1, "still exactly one instance of the get");
-        // Completing the query round responds exactly once.
-        node.on_message(
-            ProcessId(1),
-            KvMsg::QueryReply {
-                uid: quid,
-                tag: Tag::new(1, ProcessId(1)),
-                value: Some(42),
-            },
-            &mut fx,
-        );
-        node.on_message(
-            ProcessId(2),
-            KvMsg::QueryReply {
-                uid: quid,
-                tag: Tag::new(1, ProcessId(1)),
-                value: Some(42),
-            },
-            &mut fx,
-        );
-        // The atomic get write-backs what it read; ack the round.
+        // Completing the query round, then the write-back, responds once.
+        for from in [1, 2] {
+            node.on_message(
+                ProcessId(from),
+                KvMsg::QueryReply {
+                    uid: quid,
+                    tag: Tag::new(1, ProcessId(1)),
+                    value: Some(42),
+                },
+                &mut fx,
+            );
+        }
         let wb_uid = match fx
             .sends
             .iter()
@@ -2709,12 +2677,96 @@ mod tests {
         };
         node.on_message(ProcessId(1), KvMsg::UpdateAck { uid: wb_uid }, &mut fx);
         node.on_message(ProcessId(2), KvMsg::UpdateAck { uid: wb_uid }, &mut fx);
-        let gets: Vec<_> = fx
-            .responses
-            .iter()
-            .filter(|(op, _)| *op == OpId(1))
-            .collect();
-        assert_eq!(gets.len(), 1, "queued get responded exactly once");
+        assert_eq!(fx.responses, vec![(OpId(1), KvResp::GetOk(Some(42)))]);
+    }
+
+    /// `n = 3`, the Merkle walk forced: every node holds `keys` keys, and
+    /// nodes 0 and 1 — a write quorum — hold a newer put on each of them
+    /// that node 2 slept through.
+    fn net_with_node_2_behind(keys: u32, cfg_fn: impl Fn(KvConfig) -> KvConfig) -> Net<u32, u64> {
+        let mut net: Net<u32, u64> = Net::with(3, |cfg| {
+            cfg_fn(cfg.with_sync_threshold(0).with_sync_buckets(64))
+        });
+        for (i, node) in net.nodes.iter_mut().enumerate() {
+            for k in 0..keys {
+                node.preload(k, Tag::new(1, ProcessId(0)), 1);
+                if i < 2 {
+                    node.preload(k, Tag::new(2, ProcessId(1)), 2);
+                }
+            }
+        }
+        net
+    }
+
+    #[test]
+    fn get_at_the_restart_instant_is_answered_before_the_walk_in_every_mode_and_tier() {
+        for mode in [ReadMode::TwoRound, ReadMode::FastUnanimous, ReadMode::Relay] {
+            for tier in [
+                Consistency::Atomic,
+                Consistency::Sequential,
+                Consistency::Regular,
+            ] {
+                let mut net = net_with_node_2_behind(256, |cfg| cfg.with_read_mode(mode));
+                net.restart(2);
+                let op = net.invoke(2, KvOp::GetAt(200, tier));
+                net.run_foreground();
+                // A sequential get serves the replica as it stood at the
+                // crash (never older); the quorum tiers see the latest put.
+                let want = if tier == Consistency::Sequential {
+                    1
+                } else {
+                    2
+                };
+                assert_eq!(
+                    net.take(),
+                    vec![(op, KvResp::GetOk(Some(want)))],
+                    "{mode:?}/{tier:?}"
+                );
+                assert!(net.nodes[2].is_recovering(), "{mode:?}/{tier:?}");
+                assert_eq!(net.nodes[2].walks_in_flight(), 2, "{mode:?}/{tier:?}");
+                // The walk still converges afterwards.
+                net.run();
+                assert!(!net.nodes[2].is_recovering());
+                assert_eq!(net.nodes[2].walks_in_flight(), 0);
+                for k in 0..256u32 {
+                    assert_eq!(
+                        net.nodes[2].local_entry(&k),
+                        net.nodes[0].local_entry(&k),
+                        "{mode:?}/{tier:?} key {k}"
+                    );
+                }
+                assert!(net.take().is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn put_during_catch_up_retransmits_its_lost_query_round() {
+        let mut net = net_with_node_2_behind(100, |cfg| cfg.with_retransmit(1_000_000));
+        net.restart(2);
+        let op = net.invoke(2, KvOp::Put(7, 3));
+        // Every first copy of the put's query is lost.
+        let mut lost = Vec::new();
+        net.queue.retain(|(_, _, m)| match m {
+            KvMsg::Query { uid, .. } => {
+                lost.push(*uid);
+                false
+            }
+            _ => true,
+        });
+        assert_eq!(lost.len(), 2);
+        net.run_foreground();
+        assert!(net.take().is_empty());
+        // Its timer fires while the catch-up is still running: the round
+        // must go out again (the timer belongs to the put, not the walk).
+        let mut fx = Effects::new();
+        net.nodes[2].on_timer(TimerKey(lost[0]), &mut fx);
+        assert_eq!(fx.sends.len(), 2, "query round retransmitted");
+        net.absorb(ProcessId(2), fx);
+        net.run_foreground();
+        assert_eq!(net.take(), vec![(op, KvResp::PutOk)]);
+        assert!(net.nodes[2].is_recovering());
+        assert_eq!(net.nodes[2].retransmissions(), 2);
     }
 
     #[test]

@@ -241,6 +241,41 @@ mod tests {
     }
 
     #[test]
+    fn restarted_node_answers_its_first_get_while_its_walk_is_still_running() {
+        use abd_core::types::Tag;
+        // One millisecond per hop: a get is two round trips (~4.5 ms), the
+        // reboot's walk over 256 all-divergent buckets ten (>= 20 ms).
+        const HOP: u64 = 1_000_000;
+        let nodes: Vec<KvNode<u32, u64>> = (0..3)
+            .map(|i| {
+                let cfg = KvConfig::new(3, ProcessId(i))
+                    .with_sync_threshold(0)
+                    .with_sync_buckets(256);
+                let mut node = KvNode::new(cfg);
+                for k in 0..2_000u32 {
+                    node.preload(k, Tag::new(1, ProcessId(0)), 1);
+                    // Node 2 is 2 000 keys behind the other two.
+                    if i < 2 {
+                        node.preload(k, Tag::new(2, ProcessId(1)), 2);
+                    }
+                }
+                node
+            })
+            .collect();
+        let cluster = Cluster::spawn(nodes, Jitter::Uniform { lo: HOP, hi: HOP });
+        cluster.crash(2);
+        KvStoreClient::new(cluster.client(0)).put(7, 3);
+        cluster.restart(2);
+        let (got, start, end) = cluster.client(2).invoke_timed(KvOp::Get(7));
+        assert_eq!(got, KvResp::GetOk(Some(3)), "the last acknowledged put");
+        assert!(
+            end - start < 15 * HOP,
+            "the get waited for the catch-up: {} us",
+            (end - start) / 1_000
+        );
+    }
+
+    #[test]
     fn timeout_probe_on_healthy_cluster() {
         let cluster = spawn_kv_cluster::<String, u64>(3, Jitter::None);
         let kv = KvStoreClient::new(cluster.client(0));

@@ -298,12 +298,13 @@ fn node_main<P: Protocol>(
     let mut timers: HashMap<TimerKey, Nanos> = HashMap::new();
     let mut crashed = false;
 
+    // The one effects buffer every callback fills and `apply_effects`
+    // drains; its capacity is reused from event to event.
     let mut fx: Effects<P::Msg, P::Resp> = Effects::new();
     node.on_start(&mut fx);
-    apply_effects(
+    apply_effects::<P>(
         me,
-        &mut node,
-        fx,
+        &mut fx,
         &net_txs,
         &delay_tx,
         &clock,
@@ -324,12 +325,10 @@ fn node_main<P: Protocol>(
                 .collect();
             for key in due {
                 timers.remove(&key);
-                let mut fx = Effects::new();
                 node.on_timer(key, &mut fx);
-                apply_effects(
+                apply_effects::<P>(
                     me,
-                    &mut node,
-                    fx,
+                    &mut fx,
                     &net_txs,
                     &delay_tx,
                     &clock,
@@ -352,9 +351,8 @@ fn node_main<P: Protocol>(
         crossbeam::channel::select! {
             recv(net_rx) -> msg => match msg {
                 Ok((from, m)) if !crashed => {
-                    let mut fx = Effects::new();
                     node.on_message(from, m, &mut fx);
-                    apply_effects(me, &mut node, fx, &net_txs, &delay_tx, &clock, &mut timers, &mut waiting);
+                    apply_effects::<P>(me, &mut fx, &net_txs, &delay_tx, &clock, &mut timers, &mut waiting);
                 }
                 Ok(_) => {} // crashed: drop silently
                 Err(_) => return,
@@ -365,9 +363,8 @@ fn node_main<P: Protocol>(
                         continue; // client will time out
                     }
                     waiting.insert(op, reply);
-                    let mut fx = Effects::new();
                     node.on_invoke(op, input, &mut fx);
-                    apply_effects(me, &mut node, fx, &net_txs, &delay_tx, &clock, &mut timers, &mut waiting);
+                    apply_effects::<P>(me, &mut fx, &net_txs, &delay_tx, &clock, &mut timers, &mut waiting);
                 }
                 Ok(Cmd::Crash) => {
                     crashed = true;
@@ -381,9 +378,8 @@ fn node_main<P: Protocol>(
                     if crashed {
                         crashed = false;
                         timers.clear();
-                        let mut fx = Effects::new();
                         node.on_restart(&mut fx);
-                        apply_effects(me, &mut node, fx, &net_txs, &delay_tx, &clock, &mut timers, &mut waiting);
+                        apply_effects::<P>(me, &mut fx, &net_txs, &delay_tx, &clock, &mut timers, &mut waiting);
                     }
                 }
                 Ok(Cmd::Shutdown) | Err(_) => return,
@@ -394,22 +390,19 @@ fn node_main<P: Protocol>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Carries out and empties `fx`, the effects one callback recorded.
+/// Protocols only emit effects from callbacks, so one pass is enough —
+/// sends never produce local follow-ups.
 fn apply_effects<P: Protocol>(
     me: ProcessId,
-    node: &mut P,
-    fx: Effects<P::Msg, P::Resp>,
+    fx: &mut Effects<P::Msg, P::Resp>,
     net_txs: &[Sender<(ProcessId, P::Msg)>],
     delay_tx: &Option<Sender<(ProcessId, ProcessId, P::Msg)>>,
     clock: &Arc<dyn Clock>,
     timers: &mut HashMap<TimerKey, Nanos>,
     waiting: &mut HashMap<OpId, Sender<P::Resp>>,
 ) {
-    // Effects can cascade (e.g. finishing an op starts the next queued
-    // one), but protocols only emit effects from callbacks, so one level is
-    // enough — sends never produce local follow-ups.
-    let _ = node;
-    for (to, msg) in fx.sends {
+    for (to, msg) in fx.sends.drain(..) {
         if to == me {
             // Self-sends loop back through the node's own channel.
             let _ = net_txs[me.index()].send((me, msg));
@@ -424,7 +417,7 @@ fn apply_effects<P: Protocol>(
             }
         }
     }
-    for cmd in fx.timers {
+    for cmd in fx.timers.drain(..) {
         match cmd {
             TimerCmd::Set { key, after } => {
                 timers.insert(key, clock.now() + after);
@@ -434,7 +427,7 @@ fn apply_effects<P: Protocol>(
             }
         }
     }
-    for (op, resp) in fx.responses {
+    for (op, resp) in fx.responses.drain(..) {
         if let Some(reply) = waiting.remove(&op) {
             let _ = reply.send(resp);
         }

@@ -34,6 +34,11 @@
 //!   Merkle walk) before the campaign ended: how far the schedule let that
 //!   replica diverge before recovery repaired it. Bucket 0 — a reboot that
 //!   needed no entries at all — is itself a distinct feature.
+//! - **Served-during-catch-up** — log₂ bucket of the operations that
+//!   completed on a restarted node while sync replies for its catch-up
+//!   were still arriving: how much the schedule made a replica serve
+//!   before it was current, the path a restarted key-value node's safety
+//!   argument (persist-before-ack) has to carry.
 //! - **Trace-digest buckets** — 64 buckets of the execution digest, a crude
 //!   but free tiebreaker that distinguishes schedules whose feature sets
 //!   coincide.
@@ -266,6 +271,13 @@ pub enum Cell {
     /// toward partial-staleness schedules the Merkle walk must diff
     /// precisely.
     SyncDivergence(u8),
+    /// log₂ bucket of the operations that completed on a restarted node
+    /// before a later sync reply (`SyncState`, `SyncDigestAck`,
+    /// `SyncEntries`) reached it in the same incarnation — the node served
+    /// them while its catch-up was still running. Absent when there were
+    /// none. (With the background anti-entropy sweep enabled its replies
+    /// count as well, so there the cell over-approximates.)
+    ServedDuringCatchUp(u8),
     /// Trace digest modulo 64 — distinguishes executions whose feature
     /// cells coincide.
     DigestBucket(u8),
@@ -290,6 +302,7 @@ impl fmt::Display for Cell {
             Cell::TierRead(tier) => write!(f, "tier-read/{tier}"),
             Cell::RetransmissionExhaustion(b) => write!(f, "retransmission-exhaustion/2^{b}"),
             Cell::SyncDivergence(b) => write!(f, "sync-divergence/2^{b}"),
+            Cell::ServedDuringCatchUp(b) => write!(f, "served-during-catch-up/2^{b}"),
             Cell::DigestBucket(b) => write!(f, "digest-bucket/{b}"),
         }
     }
@@ -399,6 +412,11 @@ pub struct CoverageCollector {
     /// reset on crash and restart so the count measures one reboot's
     /// divergence, not a lifetime total.
     sync_entries_recv: Vec<u64>,
+    /// Per node: operations completed since the most recent restart that no
+    /// sync reply has followed yet.
+    served_unconfirmed: Vec<u64>,
+    /// Operations completed on a restarted node that a sync reply did follow.
+    served_catching_up: u64,
     cells: BTreeSet<Cell>,
 }
 
@@ -414,6 +432,8 @@ impl CoverageCollector {
             read_in_flight: vec![None; n],
             restarted_at: vec![None; n],
             sync_entries_recv: vec![0; n],
+            served_unconfirmed: vec![0; n],
+            served_catching_up: 0,
             cells: BTreeSet::new(),
         }
     }
@@ -455,6 +475,10 @@ impl CoverageCollector {
                             MsgKind::QueryReply if self.recovering[t] > 0 => {
                                 self.recovering[t] -= 1;
                             }
+                            MsgKind::SyncState | MsgKind::SyncDigestAck | MsgKind::SyncEntries => {
+                                self.served_catching_up +=
+                                    std::mem::take(&mut self.served_unconfirmed[t]);
+                            }
                             MsgKind::UpdateAck => {
                                 if let Some((_, _, saw_ack, _)) = self.read_in_flight[t].as_mut() {
                                     *saw_ack = true;
@@ -475,6 +499,9 @@ impl CoverageCollector {
                 self.read_in_flight[t] = input.read_tier().map(|tier| (*op, tier, false, false));
             }
             TapKind::Complete { op } => {
+                if self.restarted_at[t].is_some() {
+                    self.served_unconfirmed[t] += 1;
+                }
                 if let Some((read_op, tier, saw_ack, saw_relay)) = self.read_in_flight[t] {
                     if read_op == *op {
                         self.cells.insert(Cell::TierRead(tier));
@@ -496,6 +523,7 @@ impl CoverageCollector {
                 self.read_in_flight[t] = None;
                 self.restarted_at[t] = None;
                 self.sync_entries_recv[t] = 0;
+                self.served_unconfirmed[t] = 0;
             }
             TapKind::Restart => {
                 self.recovering[t] = self.catchup_replies;
@@ -520,6 +548,11 @@ impl CoverageCollector {
                 self.cells
                     .insert(Cell::SyncDivergence(log2_bucket(self.sync_entries_recv[t])));
             }
+        }
+        if self.served_catching_up > 0 {
+            self.cells.insert(Cell::ServedDuringCatchUp(log2_bucket(
+                self.served_catching_up,
+            )));
         }
         self.cells.insert(digest_bucket(trace_digest));
         CoverageSample { cells: self.cells }
@@ -965,5 +998,54 @@ mod tests {
             RegisterMsg::UpdateAck { uid: 2 },
         ]);
         assert_eq!(batch.classify(), MsgKind::Batch);
+    }
+    #[test]
+    fn served_during_catch_up_counts_completions_a_sync_reply_follows() {
+        fn ev<'a>(
+            at: u64,
+            kind: TapKind<'a, KvMsg<u32, u64>, KvOp<u32, u64>>,
+        ) -> TapEvent<'a, KvMsg<u32, u64>, KvOp<u32, u64>> {
+            TapEvent {
+                at,
+                target: ProcessId(1),
+                partition_active: false,
+                kind,
+            }
+        }
+        let reply = KvMsg::SyncDigestAck { uid: 3, root: 0 };
+        let sync_reply = |at| {
+            ev(
+                at,
+                TapKind::Deliver {
+                    from: ProcessId(0),
+                    msg: &reply,
+                    dropped: None,
+                },
+            )
+        };
+        let mut c = CoverageCollector::new(3, ProcessId(0));
+        // Before any restart a completion is ordinary service.
+        c.observe(&ev(1, TapKind::Complete { op: OpId(0) }));
+        c.observe(&sync_reply(2));
+        c.observe(&ev(3, TapKind::Crash));
+        c.observe(&ev(4, TapKind::Restart));
+        // Two completions, then a sync reply: both were served mid-catch-up.
+        c.observe(&ev(5, TapKind::Complete { op: OpId(1) }));
+        c.observe(&ev(6, TapKind::Complete { op: OpId(2) }));
+        c.observe(&sync_reply(7));
+        // A third that no sync reply follows is not counted.
+        c.observe(&ev(8, TapKind::Complete { op: OpId(3) }));
+        let sample = c.finish(&Metrics::default(), 0);
+        assert!(
+            sample.contains(&Cell::ServedDuringCatchUp(2)),
+            "2 -> bucket 2"
+        );
+        assert_eq!(
+            sample
+                .cells()
+                .filter(|c| matches!(c, Cell::ServedDuringCatchUp(_)))
+                .count(),
+            1
+        );
     }
 }

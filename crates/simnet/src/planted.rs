@@ -34,13 +34,21 @@
 //! rule 9 reports the undeclared `Query -> Done` edge and the two lost
 //! write-back edges.
 
+//!
+//! [`AmnesiacKv`] is the key-value store's counterpart: a [`KvNode`] whose
+//! store does not survive a reboot. It deletes the one assumption a
+//! restarted node's serving-at-once rests on (persist-before-ack), so the
+//! campaign that exercises that path must convict it.
+
 use abd_core::context::{Effects, Protocol, TimerKey};
 use abd_core::msg::{RegisterMsg, RegisterOp, RegisterResp};
 use abd_core::quorum::majority_threshold;
 use abd_core::swmr::{SwmrMsg, SwmrNode};
 use abd_core::types::{OpId, ProcessId, SeqNo};
+use abd_kv::{KvMsg, KvNode, KvOp, KvResp};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::Hash;
 
 /// A [`SwmrNode`] whose every `N`th read skips its write-back phase.
 ///
@@ -603,6 +611,64 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for Mutan
     }
 }
 
+/// A [`KvNode`] without stable storage: every reboot comes back with an
+/// empty store (a fresh node under the same configuration), then restarts
+/// the way the real node does — serving at once, catching up alongside.
+///
+/// The real node may serve before its catch-up finishes only because what
+/// it acknowledged before the crash is still in its store; forgetting it
+/// shrinks every write quorum this replica was counted in, and a later read
+/// quorum can miss a completed write. **Test configurations only.**
+#[derive(Clone, Debug)]
+pub struct AmnesiacKv<K, V>(KvNode<K, V>);
+
+impl<K, V> AmnesiacKv<K, V> {
+    /// Wraps `inner`; its current store is kept until the first reboot.
+    pub fn new(inner: KvNode<K, V>) -> Self {
+        AmnesiacKv(inner)
+    }
+}
+
+impl<K, V> Protocol for AmnesiacKv<K, V>
+where
+    K: Clone + Eq + Hash + fmt::Debug + Send + 'static,
+    V: Clone + fmt::Debug + Send + 'static,
+{
+    type Msg = KvMsg<K, V>;
+    type Op = KvOp<K, V>;
+    type Resp = KvResp<V>;
+
+    fn id(&self) -> ProcessId {
+        self.0.id()
+    }
+
+    fn on_start(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
+        self.0.on_start(fx);
+    }
+
+    fn on_invoke(&mut self, op: OpId, input: Self::Op, fx: &mut Effects<Self::Msg, Self::Resp>) {
+        self.0.on_invoke(op, input, fx);
+    }
+
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: Self::Msg,
+        fx: &mut Effects<Self::Msg, Self::Resp>,
+    ) {
+        self.0.on_message(from, msg, fx);
+    }
+
+    fn on_timer(&mut self, key: TimerKey, fx: &mut Effects<Self::Msg, Self::Resp>) {
+        self.0.on_timer(key, fx);
+    }
+
+    fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
+        self.0 = KvNode::new(self.0.config().clone());
+        self.0.on_restart(fx);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1063,5 +1129,35 @@ mod tests {
             "shadow must clear on a fresh update: {:?}",
             fx.sends
         );
+    }
+    #[test]
+    fn amnesiac_kv_forgets_its_store_on_reboot_only() {
+        use abd_core::types::Tag;
+        use abd_kv::KvConfig;
+        let mut inner: KvNode<u32, u64> = KvNode::new(KvConfig::new(3, ProcessId(0)));
+        inner.preload(7, Tag::new(4, ProcessId(1)), 70);
+        let mut node = AmnesiacKv::new(inner);
+        let ask = |node: &mut AmnesiacKv<u32, u64>| {
+            let mut fx = Effects::new();
+            node.on_message(ProcessId(1), KvMsg::Query { uid: 9, key: 7 }, &mut fx);
+            fx.sends.pop().expect("query answered").1
+        };
+        assert!(matches!(
+            ask(&mut node),
+            KvMsg::QueryReply {
+                value: Some(70),
+                ..
+            }
+        ));
+        let mut fx = Effects::new();
+        node.on_restart(&mut fx);
+        assert!(
+            matches!(fx.sends[0].1, KvMsg::SyncPull { .. }),
+            "restarts the way the real node does"
+        );
+        assert!(matches!(
+            ask(&mut node),
+            KvMsg::QueryReply { value: None, .. }
+        ));
     }
 }

@@ -22,7 +22,7 @@
 use crate::config::{LatencyModel, SimConfig};
 use crate::coverage::{Classify, ClassifyOp, CoverageCollector, CoverageSample};
 use crate::nemesis::{run_campaign, NemesisSchedule, PlannedFault};
-use crate::planted::{MutantKind, MutantSwmr, PlantedSwmr};
+use crate::planted::{AmnesiacKv, MutantKind, MutantSwmr, PlantedSwmr};
 use crate::sim::Sim;
 use crate::workload::history_from_sim;
 use abd_core::batch::Batched;
@@ -31,8 +31,9 @@ use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
 use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
-use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode};
-use abd_lincheck::history::History;
+use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode, Tag};
+use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
+use abd_lincheck::history::{History, RegAction};
 use abd_lincheck::oracle::{
     AtomicSwmrOracle, HistoryOracle, LinearizableOracle, RegularOracle, SequentialConsistencyOracle,
 };
@@ -76,6 +77,28 @@ pub enum ProtocolSpec {
         /// Trigger rate for the counted mutants (see [`MutantSwmr::new`]).
         every: u64,
     },
+    /// Key-value nodes ([`KvNode`]), one register per key. Script position
+    /// `j` of client `c` is one operation on hot key
+    /// `preload + (c + j) % hot` — `Write(v)` a `Put`, a read a `Get` at the
+    /// same tier — and the oracle judges every hot key's history on its
+    /// own. Below the hot keys sit `preload` cold ones on which every node
+    /// alone is ahead on its own `1/n`th (writes that reached one replica),
+    /// so each reboot's Merkle walks (always taken, over `buckets` leaf
+    /// buckets) find the whole tree divergent and run for their full depth
+    /// while the restarted node serves.
+    Kv {
+        /// Read path: two-round, fast-unanimous, or relay.
+        read_mode: ReadMode,
+        /// Contended keys the scripts address.
+        hot: u32,
+        /// Cold, widely divergent keys preloaded on every node.
+        preload: u32,
+        /// Leaf buckets of the Merkle sync tree (power of two).
+        buckets: u32,
+        /// Whether the nodes lose their store on reboot ([`AmnesiacKv`]) —
+        /// test fixtures only.
+        amnesiac: bool,
+    },
 }
 
 impl ProtocolSpec {
@@ -86,6 +109,8 @@ impl ProtocolSpec {
     /// Every spec runs the one register engine (`abd_core::register`), bare
     /// or wrapped: batching reorders effects and the planted mutants filter
     /// them, but neither changes which phase structure the inner node walks.
+    /// (`Kv` walks the same graph per key; its handlers carry no phase spec
+    /// of their own.)
     pub fn phase_graph(&self) -> &'static str {
         "register"
     }
@@ -97,7 +122,8 @@ impl ProtocolSpec {
         match *self {
             ProtocolSpec::Swmr { read_mode, .. }
             | ProtocolSpec::Mwmr { read_mode }
-            | ProtocolSpec::BatchedSwmr { read_mode, .. } => read_mode,
+            | ProtocolSpec::BatchedSwmr { read_mode, .. }
+            | ProtocolSpec::Kv { read_mode, .. } => read_mode,
             ProtocolSpec::PlantedSwmr { .. } | ProtocolSpec::MutantSwmr { .. } => {
                 ReadMode::TwoRound
             }
@@ -175,8 +201,10 @@ pub struct ReplayOutcome {
     pub completed: bool,
     /// `None` if the run passed its oracle.
     pub failure: Option<Failure>,
-    /// The recorded operation history (completed + pending writes).
-    pub history: History<u64>,
+    /// The recorded operation histories (completed + pending writes), one
+    /// per register: a single one for the register protocols, one per hot
+    /// key in key order for [`ProtocolSpec::Kv`].
+    pub histories: Vec<History<u64>>,
 }
 
 /// A self-contained, replayable record of one campaign execution.
@@ -215,13 +243,13 @@ impl Repro {
     /// Replays the artifact once (twice for [`OracleSpec::DigestDivergence`])
     /// and applies its oracle.
     pub fn run(&self) -> ReplayOutcome {
-        let (digest, completed, history) = self.run_once();
-        let failure = self.judge(digest, completed, &history);
+        let (digest, completed, histories) = self.run_once();
+        let failure = self.judge(digest, completed, &histories);
         ReplayOutcome {
             digest,
             completed,
             failure,
-            history,
+            histories,
         }
     }
 
@@ -230,41 +258,49 @@ impl Repro {
     /// the replay stays bit-identical to an untapped one.
     pub fn run_with_coverage(&self) -> (ReplayOutcome, CoverageSample) {
         let mut cov = CoverageSample::default();
-        let (digest, completed, history) = self.run_once_cov(Some(&mut cov));
-        let failure = self.judge(digest, completed, &history);
+        let (digest, completed, histories) = self.run_once_cov(Some(&mut cov));
+        let failure = self.judge(digest, completed, &histories);
         (
             ReplayOutcome {
                 digest,
                 completed,
                 failure,
-                history,
+                histories,
             },
             cov,
         )
     }
 
-    /// Applies this artifact's oracle to one finished run.
-    fn judge(&self, digest: u64, completed: bool, history: &History<u64>) -> Option<Failure> {
+    /// Applies this artifact's oracle to one finished run: a history
+    /// oracle judges each register's history on its own, and the first
+    /// violation is the failure (named by its key when there are several
+    /// registers).
+    fn judge(&self, digest: u64, completed: bool, histories: &[History<u64>]) -> Option<Failure> {
         if !completed {
             return Some(Failure::Liveness);
         }
-        match self.oracle {
-            OracleSpec::AtomicSwmr => AtomicSwmrOracle.violation(history).map(Failure::Violation),
-            OracleSpec::Linearizable => LinearizableOracle::default()
-                .violation(history)
-                .map(Failure::Violation),
-            OracleSpec::Sequential => SequentialConsistencyOracle::default()
-                .violation(history)
-                .map(Failure::Violation),
-            OracleSpec::RegularSwmr => RegularOracle.violation(history).map(Failure::Violation),
+        let oracle: &dyn HistoryOracle<u64> = match self.oracle {
+            OracleSpec::AtomicSwmr => &AtomicSwmrOracle,
+            OracleSpec::Linearizable => &LinearizableOracle::default(),
+            OracleSpec::Sequential => &SequentialConsistencyOracle::default(),
+            OracleSpec::RegularSwmr => &RegularOracle,
             OracleSpec::DigestDivergence => {
                 let (second, _, _) = self.run_once();
-                (second != digest).then_some(Failure::Divergence {
+                return (second != digest).then_some(Failure::Divergence {
                     first: digest,
                     second,
-                })
+                });
             }
-        }
+        };
+        histories.iter().enumerate().find_map(|(i, h)| {
+            let reason = oracle.violation(h)?;
+            Some(Failure::Violation(match self.protocol {
+                ProtocolSpec::Kv { preload, .. } => {
+                    format!("key {}: {reason}", preload as usize + i)
+                }
+                _ => reason,
+            }))
+        })
     }
 
     /// Runs the campaign, emitting the artifact to [`Repro::default_dir`]
@@ -329,13 +365,16 @@ impl Repro {
 
     /// One deterministic execution: build nodes, apply the schedule, drive
     /// the scripts, extract (digest, completed, history).
-    fn run_once(&self) -> (u64, bool, History<u64>) {
+    fn run_once(&self) -> (u64, bool, Vec<History<u64>>) {
         self.run_once_cov(None)
     }
 
     /// [`run_once`](Repro::run_once) with an optional coverage slot filled
     /// through the simulator tap.
-    fn run_once_cov(&self, coverage: Option<&mut CoverageSample>) -> (u64, bool, History<u64>) {
+    fn run_once_cov(
+        &self,
+        coverage: Option<&mut CoverageSample>,
+    ) -> (u64, bool, Vec<History<u64>>) {
         match self.protocol {
             ProtocolSpec::Swmr {
                 read_mode,
@@ -394,18 +433,95 @@ impl Repro {
                     .collect(),
                 coverage,
             ),
+            ProtocolSpec::Kv {
+                read_mode,
+                hot,
+                preload,
+                buckets,
+                amnesiac,
+            } => {
+                let nodes = (0..self.n).map(|i| {
+                    let mut cfg = KvConfig::new(self.n, ProcessId(i))
+                        .with_read_mode(read_mode)
+                        .with_sync_threshold(0)
+                        .with_sync_buckets(buckets as usize);
+                    if let Some(base) = self.backoff_base {
+                        cfg = cfg.with_backoff(BackoffPolicy::new(base));
+                    }
+                    let mut node = KvNode::new(cfg);
+                    for k in 0..preload {
+                        node.preload(k, Tag::new(1, ProcessId(0)), 1);
+                        if k as usize % self.n == i {
+                            node.preload(k, Tag::new(2, ProcessId(i)), 2);
+                        }
+                    }
+                    node
+                });
+                let scripts = self
+                    .scripts
+                    .iter()
+                    .enumerate()
+                    .map(|(c, script)| {
+                        script
+                            .iter()
+                            .enumerate()
+                            .map(|(j, op)| {
+                                let key = preload + (c + j) as u32 % hot;
+                                match *op {
+                                    RegisterOp::Write(v) => KvOp::Put(key, v),
+                                    RegisterOp::Read => KvOp::Get(key),
+                                    RegisterOp::ReadAt(tier) => KvOp::GetAt(key, tier),
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                if amnesiac {
+                    let nodes = nodes.map(AmnesiacKv::new).collect();
+                    self.drive_with(nodes, scripts, kv_histories(preload, hot), coverage)
+                } else {
+                    self.drive_with(
+                        nodes.collect(),
+                        scripts,
+                        kv_histories(preload, hot),
+                        coverage,
+                    )
+                }
+            }
         }
     }
 
+    /// [`Repro::drive_with`] for the register protocols, whose scripts run
+    /// as written and whose history is the one register's.
     fn drive<P>(
         &self,
         nodes: Vec<P>,
         coverage: Option<&mut CoverageSample>,
-    ) -> (u64, bool, History<u64>)
+    ) -> (u64, bool, Vec<History<u64>>)
     where
         P: Protocol<Op = RegisterOp<u64>, Resp = RegisterResp<u64>>,
         P::Msg: Classify,
-        P::Op: ClassifyOp,
+    {
+        self.drive_with(
+            nodes,
+            self.scripts.clone(),
+            |sim| vec![history_from_sim(0, sim)],
+            coverage,
+        )
+    }
+
+    fn drive_with<P>(
+        &self,
+        nodes: Vec<P>,
+        scripts: Vec<Vec<P::Op>>,
+        histories: impl Fn(&Sim<P>) -> Vec<History<u64>>,
+        coverage: Option<&mut CoverageSample>,
+    ) -> (u64, bool, Vec<History<u64>>)
+    where
+        P: Protocol,
+        P::Msg: Classify,
+        P::Op: ClassifyOp + Clone,
+        P::Resp: Clone,
     {
         let mut sim = Sim::new(self.sim.clone(), nodes);
         let collector = coverage.is_some().then(|| {
@@ -419,18 +535,45 @@ impl Repro {
             sim.set_tap(Box::new(move |ev| c2.borrow_mut().observe(&ev)));
         }
         self.schedule.apply(&mut sim);
-        let completed = run_campaign(
-            &mut sim,
-            &self.schedule,
-            self.scripts.clone(),
-            self.think,
-            self.deadline,
-        );
-        let history = history_from_sim(0, &sim);
+        let completed = run_campaign(&mut sim, &self.schedule, scripts, self.think, self.deadline);
         if let (Some(slot), Some(c)) = (coverage, collector) {
             *slot = c.borrow().clone().finish(sim.metrics(), sim.trace_digest());
         }
-        (sim.trace_digest(), completed, history)
+        (sim.trace_digest(), completed, histories(&sim))
+    }
+}
+
+/// Extracts the per-key register histories of a [`ProtocolSpec::Kv`] run, hot keys
+/// `preload..preload + hot` in order: completed operations plus the `Put`s
+/// that may still take effect (a `Get` of an unwritten key reads the
+/// initial value 0; no script writes 0).
+fn kv_histories<P>(preload: u32, hot: u32) -> impl Fn(&Sim<P>) -> Vec<History<u64>>
+where
+    P: Protocol<Op = KvOp<u32, u64>, Resp = KvResp<u64>>,
+{
+    move |sim| {
+        let mut histories = vec![History::new(0); hot as usize];
+        for rec in sim.completed() {
+            let (key, action) = match (&rec.input, &rec.resp) {
+                (KvOp::Put(k, v), KvResp::PutOk) => (*k, RegAction::Write(*v)),
+                (KvOp::Get(k) | KvOp::GetAt(k, _), KvResp::GetOk(v)) => {
+                    (*k, RegAction::Read(v.unwrap_or(0)))
+                }
+                _ => continue,
+            };
+            histories[(key - preload) as usize].push(
+                rec.client.index(),
+                action,
+                rec.invoked_at,
+                rec.completed_at,
+            );
+        }
+        for (_, client, input, at) in sim.pending_details() {
+            if let KvOp::Put(k, v) = input {
+                histories[(k - preload) as usize].push_pending_write(client.index(), v, at);
+            }
+        }
+        histories
     }
 }
 
@@ -524,6 +667,16 @@ impl Repro {
             ProtocolSpec::MutantSwmr { mutant, every } => {
                 format!("MutantSwmr(mutant: {mutant}, every: {every})")
             }
+            ProtocolSpec::Kv {
+                read_mode,
+                hot,
+                preload,
+                buckets,
+                amnesiac,
+            } => format!(
+                "Kv({}, hot: {hot}, preload: {preload}, buckets: {buckets}, amnesiac: {amnesiac})",
+                mode_field(read_mode)
+            ),
         };
         s.push_str(&format!("    protocol: {proto},\n"));
         s.push_str(&format!("    n: {},\n", self.n));
@@ -1007,6 +1160,13 @@ fn repro_from_val(v: &Val) -> Result<Repro, String> {
                     every: p.field("every")?.as_u64()?,
                 }
             }
+            "Kv" => ProtocolSpec::Kv {
+                read_mode: read_mode_from(p)?,
+                hot: p.field("hot")?.as_u64()? as u32,
+                preload: p.field("preload")?.as_u64()? as u32,
+                buckets: p.field("buckets")?.as_u64()? as u32,
+                amnesiac: p.field("amnesiac")?.as_bool()?,
+            },
             other => Err(format!("unknown protocol `{other}`"))?,
         }
     };
@@ -1282,6 +1442,20 @@ mod tests {
                 mutant: MutantKind::NonMonotonicTag,
                 every: 0,
             },
+            ProtocolSpec::Kv {
+                read_mode: ReadMode::Relay,
+                hot: 8,
+                preload: 2_000,
+                buckets: 256,
+                amnesiac: false,
+            },
+            ProtocolSpec::Kv {
+                read_mode: ReadMode::FastUnanimous,
+                hot: 1,
+                preload: 0,
+                buckets: 16,
+                amnesiac: true,
+            },
         ] {
             let mut r = sample();
             r.protocol = proto;
@@ -1364,6 +1538,57 @@ mod tests {
         // Deterministic extraction too.
         let (_, cov2) = r.run_with_coverage();
         assert_eq!(cov, cov2);
+    }
+
+    #[test]
+    fn kv_scripts_spread_over_the_hot_keys_and_are_judged_per_key() {
+        // No faults, three clients, two hot keys above a 64-key preload:
+        // position j of client c lands on key 64 + (c + j) % 2.
+        let r = Repro {
+            name: "kv-keys".to_string(),
+            protocol: ProtocolSpec::Kv {
+                read_mode: ReadMode::TwoRound,
+                hot: 2,
+                preload: 64,
+                buckets: 16,
+                amnesiac: false,
+            },
+            n: 3,
+            backoff_base: None,
+            sim: SimConfig::new(5),
+            schedule: NemesisSchedule::from_faults(Vec::new(), 0, vec![0; 3], 2),
+            scripts: vec![
+                vec![RegisterOp::Write(10), RegisterOp::Write(11)],
+                vec![
+                    RegisterOp::Write(20),
+                    RegisterOp::ReadAt(Consistency::Sequential),
+                ],
+                vec![RegisterOp::Read],
+            ],
+            think: 0,
+            deadline: 1_000_000_000,
+            oracle: OracleSpec::Linearizable,
+            expected_digest: 0,
+            reason: String::new(),
+        };
+        let out = r.run();
+        assert!(out.completed && out.failure.is_none(), "{:?}", out.failure);
+        let writes = |h: &History<u64>| -> Vec<u64> {
+            let mut w: Vec<u64> = h
+                .ops()
+                .iter()
+                .filter_map(|op| match op.action {
+                    RegAction::Write(v) => Some(v),
+                    RegAction::Read(_) => None,
+                })
+                .collect();
+            w.sort_unstable();
+            w
+        };
+        assert_eq!(out.histories.len(), 2);
+        assert_eq!(writes(&out.histories[0]), vec![10]);
+        assert_eq!(writes(&out.histories[1]), vec![11, 20]);
+        assert_eq!(out.histories[0].ops().len(), 3, "one put, two gets");
     }
 
     #[test]

@@ -245,6 +245,9 @@ where
     /// consulted for scheduling decisions, so installing one cannot perturb
     /// the execution or its digest.
     tap: Option<Tap<P::Msg, P::Op>>,
+    /// The one effects buffer every callback fills and [`Sim::absorb`]
+    /// drains; empty between events, its capacity reused across them.
+    fx: Effects<P::Msg, P::Resp>,
 }
 
 impl<P: Protocol> Sim<P>
@@ -285,6 +288,7 @@ where
             trace_cap: 512,
             queued_invokes: 0,
             tap: None,
+            fx: Effects::new(),
         };
         for i in 0..sim.nodes.len() {
             debug_assert_eq!(
@@ -292,9 +296,7 @@ where
                 ProcessId(i),
                 "node {i} has wrong id"
             );
-            let mut fx = Effects::new();
-            sim.nodes[i].proto.on_start(&mut fx);
-            sim.absorb(ProcessId(i), fx);
+            sim.call(ProcessId(i), |node, fx| node.on_start(fx));
         }
         sim
     }
@@ -592,9 +594,7 @@ where
                     None => {}
                 }
                 self.metrics.delivered += 1;
-                let mut fx = Effects::new();
-                self.nodes[t].proto.on_message(from, msg, &mut fx);
-                self.absorb(ev.target, fx);
+                self.call(ev.target, |node, fx| node.on_message(from, msg, fx));
             }
             EventKind::Timer { key, gen } => {
                 if !self.nodes[t].alive {
@@ -613,10 +613,12 @@ where
                         kind: TapKind::TimerFire,
                     });
                 }
-                let mut fx = Effects::new();
-                self.nodes[t].proto.on_timer(key, &mut fx);
-                self.metrics.retransmissions += fx.sends.len() as u64;
-                self.absorb(ev.target, fx);
+                let mut resent = 0;
+                self.call(ev.target, |node, fx| {
+                    node.on_timer(key, fx);
+                    resent = fx.sends.len();
+                });
+                self.metrics.retransmissions += resent as u64;
             }
             EventKind::Invoke { op, input } => {
                 self.queued_invokes -= 1;
@@ -634,9 +636,7 @@ where
                 }
                 self.invoked
                     .insert(op, (ev.target, input.clone(), self.now));
-                let mut fx = Effects::new();
-                self.nodes[t].proto.on_invoke(op, input, &mut fx);
-                self.absorb(ev.target, fx);
+                self.call(ev.target, |node, fx| node.on_invoke(op, input, fx));
             }
             EventKind::Crash => {
                 if let Some(tap) = self.tap.as_mut() {
@@ -683,9 +683,7 @@ where
                     self.nodes[t].alive = true;
                     self.nodes[t].timers.clear();
                     self.metrics.restarts += 1;
-                    let mut fx = Effects::new();
-                    self.nodes[t].proto.on_restart(&mut fx);
-                    self.absorb(ev.target, fx);
+                    self.call(ev.target, |node, fx| node.on_restart(fx));
                 }
             }
             EventKind::SetLoss { prob } => {
@@ -749,11 +747,22 @@ where
         true
     }
 
-    fn absorb(&mut self, from: ProcessId, fx: Effects<P::Msg, P::Resp>) {
-        for (to, msg) in fx.sends {
+    /// Runs one protocol callback on node `t` against the shared effects
+    /// buffer, then carries its effects out.
+    fn call(&mut self, t: ProcessId, f: impl FnOnce(&mut P, &mut Effects<P::Msg, P::Resp>)) {
+        let mut fx = std::mem::take(&mut self.fx);
+        f(&mut self.nodes[t.index()].proto, &mut fx);
+        self.absorb(t, &mut fx);
+        self.fx = fx;
+    }
+
+    /// Carries out and empties `fx`, the effects one callback on `from`
+    /// recorded.
+    fn absorb(&mut self, from: ProcessId, fx: &mut Effects<P::Msg, P::Resp>) {
+        for (to, msg) in fx.sends.drain(..) {
             self.route(from, to, msg);
         }
-        for cmd in fx.timers {
+        for cmd in fx.timers.drain(..) {
             let slot = &mut self.nodes[from.index()];
             match cmd {
                 TimerCmd::Set { key, after } => {
@@ -768,7 +777,7 @@ where
                 }
             }
         }
-        for (op, resp) in fx.responses {
+        for (op, resp) in fx.responses.drain(..) {
             if let Some((client, input, invoked_at)) = self.invoked.remove(&op) {
                 self.metrics.ops_completed += 1;
                 self.metrics.total_op_latency += self.now - invoked_at;

@@ -26,8 +26,8 @@ use abd_repro::lincheck::{is_atomic_swmr, RegAction};
 use abd_repro::simnet::nemesis::liveness_bound;
 use abd_repro::simnet::workload::{history_from_sim, scripts_at_tier, scripts_mixed_tier};
 use abd_repro::simnet::{
-    run_campaign, NemesisConfig, NemesisSchedule, OracleSpec, PlannedFault, ProtocolSpec, Repro,
-    Sim, SimConfig,
+    run_campaign, shrink, Cell, Failure, NemesisConfig, NemesisSchedule, OracleSpec, PlannedFault,
+    ProtocolSpec, Repro, Sim, SimConfig,
 };
 use std::collections::BTreeSet;
 
@@ -439,11 +439,11 @@ fn kv_bulk_recovery_digest(sim_seed: u64) -> u64 {
 }
 
 #[test]
-fn kv_recovery_campaign_catches_up_before_serving_and_replays() {
+fn kv_recovery_campaign_catches_up_and_replays() {
     // The bulk state-transfer round must bring restarted stores up to date
-    // *before* they serve reads — proven by inspecting the stores directly
-    // inside `kv_bulk_recovery_digest`, not by a quorum read that a fresh
-    // node could answer for them.
+    // — proven by inspecting the stores directly inside
+    // `kv_bulk_recovery_digest`, not by a quorum read that a fresh node
+    // could answer for them.
     assert_eq!(
         kv_bulk_recovery_digest(3),
         kv_bulk_recovery_digest(3),
@@ -616,7 +616,7 @@ fn kv_pipelined_recovery_campaign(sim_seed: u64, nemesis_seed: u64) -> u64 {
     for i in 0..N {
         let node = sim.node(i);
         assert_eq!(node.walks_in_flight(), 0, "node {i}: every walk finished");
-        assert!(!node.is_recovering(), "node {i} serves again");
+        assert!(!node.is_recovering(), "node {i} caught up");
         assert!(
             node.max_walk_rounds() <= round_bound,
             "node {i}: a walk took {} round trips, bound {round_bound}",
@@ -640,6 +640,159 @@ fn merkle_recovery_pipelined_campaign_survives_loss_duplication_and_crash_waves(
             "seeds ({sim_seed},{nemesis_seed}): same-seed runs must replay bit-identically"
         );
     }
+}
+
+/// One serve-during-catch-up campaign as a repro artifact. Every node holds
+/// 2 000 cold keys over 256 buckets and alone is ahead on its own fifth of
+/// them, so each reboot's four walks descend the whole tree — ten round
+/// trips and more over links that lose and duplicate 5 % of all messages —
+/// while the clients, at zero think time, invoke the victim again the
+/// moment it is back: its operations race its catch-up. The scripts spread
+/// one put in three and two gets over `hot` contended keys; with `tiers`
+/// the gets rotate through the three consistency tiers and the oracle is
+/// per-key sequential consistency, otherwise every get is atomic and the
+/// oracle is per-key linearizability.
+fn kv_catch_up_repro(
+    sim_seed: u64,
+    nemesis_seed: u64,
+    read_mode: ReadMode,
+    tiers: bool,
+    amnesiac: bool,
+) -> Repro {
+    const OPS: u64 = 150;
+    let mut nemesis = NemesisConfig::new(nemesis_seed, N).with_window(0, 2_000_000);
+    nemesis.crash_cycles = 8;
+    nemesis.base_loss = 0.05;
+    let sched = nemesis.plan();
+    assert!(sched.respects_min_alive(N));
+    let scripts = (0..N as u64)
+        .map(|c| {
+            (0..OPS)
+                .map(|j| match (j % 3, tiers) {
+                    (0, _) => RegisterOp::Write(c * 1_000_000 + j + 1),
+                    (1, true) => RegisterOp::ReadAt(Consistency::Sequential),
+                    (2, true) if j % 2 == 0 => RegisterOp::ReadAt(Consistency::Regular),
+                    _ => RegisterOp::Read,
+                })
+                .collect()
+        })
+        .collect();
+    // A reboot's walks add up to ten retransmitted round trips to the tail.
+    let deadline = sched.heal_at() + liveness_bound(&backoff(), THINK, 40);
+    Repro {
+        name: format!(
+            "nemesis-kv-catch-up{}{}",
+            if tiers { "-tiers" } else { "" },
+            if amnesiac { "-amnesiac" } else { "" }
+        ),
+        protocol: ProtocolSpec::Kv {
+            read_mode,
+            hot: if tiers { 16 } else { 8 },
+            preload: 2_000,
+            buckets: 256,
+            amnesiac,
+        },
+        n: N,
+        backoff_base: Some(BACKOFF_BASE),
+        sim: SimConfig::new(sim_seed)
+            .with_loss(0.05)
+            .with_duplication(0.05),
+        schedule: sched,
+        scripts,
+        think: 0,
+        deadline,
+        oracle: if tiers {
+            OracleSpec::Sequential
+        } else {
+            OracleSpec::Linearizable
+        },
+        expected_digest: 0,
+        reason: String::new(),
+    }
+}
+
+#[test]
+fn kv_serves_during_catch_up_campaign() {
+    // All three read modes, atomic-only and mixed-tier (no tiers on relay:
+    // a relay read returns a census minimum that may be older than the
+    // reader's own replica, which sequential reads do not compose with —
+    // DESIGN §14). Every campaign must pass its oracle on every key, replay
+    // bit-identically, and actually have served from nodes that were still
+    // catching up: the coverage tap counts the operations a restarted node
+    // completed before a later sync reply reached it.
+    let mut served_while_catching_up = 0u64;
+    for (sim_seed, nemesis_seed) in [(31u64, 131u64), (32, 232), (33, 333)] {
+        for (read_mode, tiers) in [
+            (ReadMode::TwoRound, false),
+            (ReadMode::TwoRound, true),
+            (ReadMode::FastUnanimous, false),
+            (ReadMode::FastUnanimous, true),
+            (ReadMode::Relay, false),
+        ] {
+            let under = format!("seeds ({sim_seed},{nemesis_seed}) {read_mode:?} tiers {tiers}");
+            let repro = kv_catch_up_repro(sim_seed, nemesis_seed, read_mode, tiers, false);
+            let (again, coverage) = repro.run_with_coverage();
+            let out = repro
+                .check_or_emit()
+                .unwrap_or_else(|e| panic!("{under}: {e}"));
+            assert_eq!(out.digest, again.digest, "{under}: replays bit-identically");
+            // A cell of bucket b stands for at least 2^(b-1) operations.
+            served_while_catching_up += coverage
+                .cells()
+                .map(|cell| match cell {
+                    Cell::ServedDuringCatchUp(b) => 1 << (b - 1),
+                    _ => 0,
+                })
+                .sum::<u64>();
+        }
+    }
+    assert!(
+        served_while_catching_up >= 50,
+        "the campaigns must exercise serving during catch-up, not skip it: \
+         only {served_while_catching_up} operations completed on a catching-up node"
+    );
+}
+
+#[test]
+fn kv_serves_during_catch_up_campaign_convicts_a_store_that_forgets() {
+    // The oracle for the assumption that carries safety: the same campaign
+    // over nodes whose store does not survive a reboot must produce a
+    // per-key linearizability violation within a fixed budget of seeds, and
+    // the conviction must survive the whole artifact pipeline.
+    const BUDGET: u64 = 24;
+    let convicted = (0..BUDGET)
+        .map(|seed| kv_catch_up_repro(seed, seed * 31 + 5, ReadMode::TwoRound, false, true))
+        .find(|repro| matches!(repro.run().failure, Some(Failure::Violation(_))))
+        .unwrap_or_else(|| panic!("no seed in 0..{BUDGET} convicts the amnesiac store"));
+    let seed = convicted.sim.seed;
+    let message = convicted
+        .check_or_emit()
+        .expect_err("the conviction repeats");
+    assert!(
+        message.contains("not linearizable") && message.contains("key 20"),
+        "seed {seed} must fail on a hot key's linearizability: {message}"
+    );
+    // check_or_emit -> parse -> shrink -> replay.
+    let path = Repro::default_dir().join(format!("nemesis-kv-catch-up-amnesiac-{seed}.ron"));
+    let emitted = Repro::from_ron(&std::fs::read_to_string(&path).expect("artifact was emitted"))
+        .expect("artifact parses");
+    assert!(message.contains(&emitted.reason));
+    let shrunk = shrink(&emitted).expect("failing artifact must shrink");
+    assert_eq!(shrunk.failure.kind(), "violation");
+    assert!(
+        shrunk
+            .minimal
+            .schedule
+            .faults()
+            .iter()
+            .any(|f| matches!(f, PlannedFault::Crash { .. })),
+        "amnesia needs a reboot to show:\n{}",
+        shrunk.report()
+    );
+    let minimal = Repro::from_ron(&shrunk.minimal.to_ron()).expect("minimal artifact parses");
+    let replay = minimal.run();
+    assert_eq!(replay.digest, minimal.expected_digest);
+    assert!(matches!(replay.failure, Some(Failure::Violation(_))));
 }
 
 #[test]
@@ -812,7 +965,7 @@ fn relay_read_overlapping_writer_crash_pinned_campaign() {
         .check_or_emit()
         .unwrap_or_else(|e| panic!("relay crash seed {sim_seed}: {e}"));
         assert!(
-            out.history
+            out.histories[0]
                 .ops()
                 .iter()
                 .any(|op| matches!(op.action, RegAction::Read(_))

@@ -48,6 +48,11 @@ cargo test -q --test nemesis kv_serves_during_catch_up_
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> lincheck smoke (release: a 40 000-op history decided in one call, convicted with a stale read planted, 64 dangling pending writes; a search gone super-linear again times out)"
+cargo test -q --release -p abd-lincheck --test scale --no-run
+timeout 120 cargo test -q --release -p abd-lincheck --test scale \
+  || { echo "lincheck smoke failed or timed out: the linearizability search is no longer near-linear"; exit 1; }
+
 echo "==> repro shrink gate (known-bad fixture must minimize to the committed golden)"
 cargo run -q --release -p abd-bench --bin abd_repro -- shrink \
   crates/bench/fixtures/planted-campaign.ron -o target/planted-campaign.min.ron

@@ -17,12 +17,17 @@
 use abd_bench::clusters::{mwmr_sim, swmr_sim, Variant};
 use abd_bench::Table;
 use abd_lincheck::{
-    check_linearizable_with_limit, check_regular_swmr, find_new_old_inversions, Anomaly,
+    check_linearizable_counting_states, check_regular_swmr, find_new_old_inversions, Anomaly,
     CheckResult,
 };
 use abd_simnet::workload::{run_workload, WorkloadConfig, WriterMode};
 use abd_simnet::{LatencyModel, SimConfig};
 
+/// Search states the checker may memoize per history before answering
+/// `Unknown`.
+const STATE_LIMIT: usize = 500_000;
+
+#[derive(Default)]
 struct Tally {
     schedules: u64,
     linearizable: u64,
@@ -30,17 +35,13 @@ struct Tally {
     unknown: u64,
     stale_reads: u64,
     inversions: u64,
+    /// Completed operations and memoized states of the history whose check
+    /// came closest to [`STATE_LIMIT`].
+    hardest: (usize, usize),
 }
 
 fn sweep(variant: Variant, n: usize, seeds: u64) -> Tally {
-    let mut tally = Tally {
-        schedules: 0,
-        linearizable: 0,
-        not_linearizable: 0,
-        unknown: 0,
-        stale_reads: 0,
-        inversions: 0,
-    };
+    let mut tally = Tally::default();
     for seed in 0..seeds {
         // Bimodal delays make writes straggle across many fast reads —
         // the window where regular reads can invert and read-one reads go
@@ -68,7 +69,11 @@ fn sweep(variant: Variant, n: usize, seeds: u64) -> Tally {
         };
         let Some(history) = history else { continue };
         tally.schedules += 1;
-        match check_linearizable_with_limit(&history, 500_000) {
+        let (verdict, states) = check_linearizable_counting_states(&history, STATE_LIMIT);
+        if states > tally.hardest.1 {
+            tally.hardest = (history.len(), states);
+        }
+        match verdict {
             CheckResult::Linearizable => tally.linearizable += 1,
             CheckResult::NotLinearizable => tally.not_linearizable += 1,
             CheckResult::Unknown => tally.unknown += 1,
@@ -99,6 +104,7 @@ fn main() {
             "NOT linearizable",
             "stale reads",
             "new/old inversions",
+            "hardest check",
         ],
     );
     for variant in [
@@ -134,10 +140,13 @@ fn main() {
             ),
             tally.stale_reads.to_string(),
             tally.inversions.to_string(),
+            format!("{} states / {} ops", tally.hardest.1, tally.hardest.0),
         ]);
     }
     t.print();
     println!(
-        "\nABD rows are asserted violation-free; the baselines' nonzero columns are the\nanomalies the write-back (and proper quorum intersection) exist to prevent."
+        "\nABD rows are asserted violation-free; the baselines' nonzero columns are the\nanomalies the write-back (and proper quorum intersection) exist to prevent.\n\
+         \"hardest check\" is the history that took the linearizability search the most memoized\n\
+         states (cap: {STATE_LIMIT} per history, past which a verdict is \"unknown\")."
     );
 }

@@ -77,6 +77,7 @@
 //! write-back) to touch them.
 
 use abd_core::context::{Effects, Protocol, ReadPathStats, TimerKey};
+use abd_core::fasthash::FastBuild;
 use abd_core::merkle::{key_hash, MerkleTree};
 use abd_core::phase::{PhaseTracker, RelayCensus, TagCensus};
 use abd_core::procset::ProcSet;
@@ -467,12 +468,15 @@ struct SyncWalk {
 #[derive(Clone, Debug)]
 pub struct KvNode<K, V> {
     cfg: KvConfig,
-    store: HashMap<K, (Tag, V)>,
+    /// Hashed, like every map here, by the unseeded [`FastBuild`]: the keys
+    /// are the workload's own. A deployment whose clients may craft keys
+    /// to collide wants `std`'s seeded default back on this one map.
+    store: HashMap<K, (Tag, V), FastBuild>,
     next_uid: u64,
-    pending: HashMap<u64, Pending<K, V>>,
+    pending: HashMap<u64, Pending<K, V>, FastBuild>,
     /// Per-phase retransmission attempts (operations pipeline here, so each
     /// phase backs off independently; cleared when its phase completes).
-    rtx_attempts: HashMap<u64, u32>,
+    rtx_attempts: HashMap<u64, u32, FastBuild>,
     retransmissions: u64,
     /// Post-restart catch-up still short of a read quorum (bulk replies or
     /// finished walks). Serving does not wait for it; it only holds the
@@ -481,7 +485,7 @@ pub struct KvNode<K, V> {
     /// Server-side relay rounds, keyed by `(reader, uid)`. Volatile —
     /// cleared on restart; completed rounds are pruned when the same reader
     /// opens a strictly newer round.
-    relays: HashMap<(ProcessId, u64), RelayRound>,
+    relays: HashMap<(ProcessId, u64), RelayRound, FastBuild>,
     /// Incremental Merkle digest over `store`'s `(key → tag)` map. Stable
     /// storage, like the store it indexes; mutated only by
     /// [`KvNode::digest_update`].
@@ -490,7 +494,7 @@ pub struct KvNode<K, V> {
     /// leaf-bucket sync request needn't scan the whole store.
     buckets: Vec<Vec<K>>,
     /// In-progress walker-side sync walks, keyed by walk uid.
-    walks: HashMap<u64, SyncWalk>,
+    walks: HashMap<u64, SyncWalk, FastBuild>,
     /// Round-robin cursor of the anti-entropy sweep.
     sweep_next: usize,
     max_walk_rounds: u64,
@@ -525,16 +529,16 @@ where
         let buckets = vec![Vec::new(); cfg.sync_buckets];
         KvNode {
             cfg,
-            store: HashMap::new(),
+            store: HashMap::default(),
             next_uid: 0,
-            pending: HashMap::new(),
-            rtx_attempts: HashMap::new(),
+            pending: HashMap::default(),
+            rtx_attempts: HashMap::default(),
             retransmissions: 0,
             recovering: None,
-            relays: HashMap::new(),
+            relays: HashMap::default(),
             tree,
             buckets,
-            walks: HashMap::new(),
+            walks: HashMap::default(),
             sweep_next: 0,
             max_walk_rounds: 0,
             recovery_msgs: 0,
@@ -1339,9 +1343,12 @@ where
                 }
             }
             KvMsg::SyncPull { uid } => {
-                // HashMap iteration order is fine here: the receiver
-                // max-merges entry by entry (commutative), and the trace
-                // digest hashes event metadata, not payloads.
+                // Entries go out in the map's iteration order, which under
+                // the unseeded `FastBuild` is a function of this store's
+                // insertion history (the same in every run of a seed), and
+                // which nothing depends on anyway: the receiver max-merges
+                // entry by entry (commutative), and the trace digest
+                // hashes event metadata, not payloads.
                 let entries: Vec<(K, Tag, V)> = self
                     .store
                     .iter()

@@ -51,4 +51,7 @@ pub use oracle::{
 };
 pub use regularity::{check_regular_swmr, find_new_old_inversions, is_atomic_swmr, Anomaly};
 pub use sc::{check_sequential, check_sequential_with_limit, ScCheckResult};
-pub use wg::{check_linearizable, check_linearizable_with_limit, CheckResult};
+pub use wg::{
+    check_linearizable, check_linearizable_counting_states, check_linearizable_with_limit,
+    CheckResult,
+};

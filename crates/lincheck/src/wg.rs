@@ -10,11 +10,43 @@
 //! The search memoizes on `(set of linearized operations, current value)`,
 //! the standard Wing–Gong optimization: two interleavings that linearized
 //! the same set and left the register in the same state are
-//! interchangeable. Register histories prune very well in practice; a
-//! configurable state cap turns pathological cases into an explicit
-//! [`CheckResult::Unknown`] instead of an unbounded search.
+//! interchangeable. It walks that state space through the *concurrency
+//! window*. With the completed operations sorted by invocation, let the
+//! *horizon* of a state be the earliest response among those not yet
+//! linearized. Whatever was invoked after the horizon must wait for the
+//! operation that responds there; whatever was invoked by it has already
+//! outlived every operation that could precede it — those responded before
+//! the horizon, so they are linearized. The only operations that can come
+//! next are therefore the unlinearized ones invoked by the horizon: as many
+//! as there are clients plus pending writes, however long the history.
+//!
+//! Three consequences, all exact:
+//!
+//! * **Time** is states × window. No predecessor table is built; the one
+//!   precedence the horizon does not settle — two operations of one client
+//!   whose intervals touch exactly there — is checked inside the window.
+//! * **Branching** is over writes only. A read that can go next and returns
+//!   the current value goes next (moving it to the front of any
+//!   linearization of the rest keeps it one), and a pending write is tried
+//!   only where a read that can go next is waiting for its value (a pending
+//!   write nobody reads right away can be dropped from any linearization).
+//!   A history without concurrent writes is decided in one state per
+//!   operation.
+//! * **Memory** per state is relative to the window: the linearized set is
+//!   a cursor (everything invoked before it) plus the bits of the window
+//!   beyond it, so a state key is a few words at any history length.
+//!
+//! A configurable state cap turns the histories that remain hard — many
+//! concurrent writes — into an explicit [`CheckResult::Unknown`] instead
+//! of an unbounded search.
+
+// The hasher lives in `abd-core`; this crate depends on nothing, so it
+// compiles the same file rather than grow a dependency edge.
+#[path = "../../core/src/fasthash.rs"]
+mod fasthash;
 
 use crate::history::{History, RegAction};
+use fasthash::FastBuild;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
@@ -32,13 +64,10 @@ pub enum CheckResult {
 /// Default cap on distinct memoized states explored.
 pub const DEFAULT_STATE_LIMIT: usize = 2_000_000;
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct StateKey {
-    done: Vec<u64>,
-    value: u32,
-}
-
 struct Op {
+    /// Position in the history, completed operations before pending
+    /// writes: the tie-break of [`precedes`].
+    idx: usize,
     client: usize,
     start: u64,
     end: Option<u64>, // None for pending writes
@@ -50,19 +79,102 @@ struct Op {
 /// `i` was invoked; operations of the *same* (sequential) client are also
 /// ordered when their intervals merely touch (`j.end == i.start`), with the
 /// original history index breaking ties between degenerate equal intervals.
-fn precedes(j: &Op, jdx: usize, i: &Op, idx: usize) -> bool {
+fn precedes(j: &Op, i: &Op) -> bool {
     let Some(jend) = j.end else { return false };
     if jend < i.start {
         return true;
     }
     j.client == i.client
         && jend <= i.start
-        && (j.start < i.start || (j.start == i.start && jdx < idx))
+        && (j.start < i.start || (j.start == i.start && j.idx < i.idx))
 }
 
+#[derive(Clone, Copy)]
 enum Kind {
     Write(u32),
     Read(u32),
+}
+
+/// Bit `k` of a bit vector that leaves its trailing zero words out.
+fn has_bit(words: &[u64], k: usize) -> bool {
+    words
+        .get(k / 64)
+        .is_some_and(|word| word & (1 << (k % 64)) != 0)
+}
+
+fn set_bit(words: &mut Vec<u64>, k: usize) {
+    if words.len() <= k / 64 {
+        words.resize(k / 64 + 1, 0);
+    }
+    words[k / 64] |= 1 << (k % 64);
+}
+
+/// The completed operations linearized so far, by position in invocation
+/// order: everything before word `base`, plus the set bits of `lo` (word
+/// `base`) and `hi` (the words after it). Canonical — `lo` is never full
+/// and `hi` never ends in a zero word — so equal sets compare and hash
+/// equal, and the words kept are the window's, not the history's.
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
+struct Linearized {
+    base: u32,
+    lo: u64,
+    hi: Vec<u64>,
+}
+
+impl Linearized {
+    /// The first position not in the set.
+    fn cursor(&self) -> usize {
+        self.base as usize * 64 + self.lo.trailing_ones() as usize
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        match i.checked_sub(self.base as usize * 64) {
+            None => true,
+            Some(r) if r < 64 => self.lo & (1 << r) != 0,
+            Some(r) => has_bit(&self.hi, r - 64),
+        }
+    }
+
+    /// Adds `i`, which must be at or after the cursor.
+    fn insert(&mut self, i: usize) {
+        match i - self.base as usize * 64 {
+            r if r < 64 => self.lo |= 1 << r,
+            r => set_bit(&mut self.hi, r - 64),
+        }
+        while self.lo == u64::MAX {
+            self.base += 1;
+            self.lo = if self.hi.is_empty() {
+                0
+            } else {
+                self.hi.remove(0)
+            };
+        }
+    }
+}
+
+/// A memoized search state.
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
+struct State {
+    done: Linearized,
+    /// Pending writes that took effect, one bit each in invocation order.
+    used: Vec<u64>,
+    value: u32,
+}
+
+impl State {
+    fn after(&self, i: usize, value: u32) -> State {
+        let mut next = self.clone();
+        next.done.insert(i);
+        next.value = value;
+        next
+    }
+
+    fn after_pending(&self, k: usize, value: u32) -> State {
+        let mut next = self.clone();
+        set_bit(&mut next.used, k);
+        next.value = value;
+        next
+    }
 }
 
 /// Checks linearizability with the default state cap.
@@ -76,122 +188,132 @@ pub fn check_linearizable_with_limit<V: Eq + Hash + Clone>(
     h: &History<V>,
     state_limit: usize,
 ) -> CheckResult {
-    // Intern values as dense indices; index 0 is the initial value.
-    let mut dense: HashMap<V, u32> = HashMap::new();
-    dense.insert(h.initial().clone(), 0);
-    let idx = |v: &V, dense: &mut HashMap<V, u32>| -> u32 {
-        if let Some(&i) = dense.get(v) {
-            i
-        } else {
-            let i = dense.len() as u32;
-            dense.insert(v.clone(), i);
-            i
+    check_linearizable_counting_states(h, state_limit).0
+}
+
+/// [`check_linearizable_with_limit`], also returning how many distinct
+/// states the search memoized — the quantity `state_limit` caps — so a
+/// caller can report how far from its cap a verdict was.
+pub fn check_linearizable_counting_states<V: Eq + Hash + Clone>(
+    h: &History<V>,
+    state_limit: usize,
+) -> (CheckResult, usize) {
+    let (ops, pending) = sorted_ops(h);
+
+    let mut visited: HashSet<State, FastBuild> = HashSet::default();
+    let mut stack = vec![State::default()];
+    visited.insert(State::default());
+    let mut next = Vec::new();
+
+    while let Some(state) = stack.pop() {
+        // Success: every *completed* op linearized (pending may dangle).
+        if state.done.cursor() == ops.len() {
+            return (CheckResult::Linearizable, visited.len());
         }
+        if visited.len() >= state_limit {
+            return (CheckResult::Unknown, visited.len());
+        }
+        successors(&ops, &pending, &state, &mut next);
+        // Depth-first, most promising successor (first in `next`) on top.
+        for s in next.drain(..).rev() {
+            if visited.insert(s.clone()) {
+                stack.push(s);
+            }
+        }
+    }
+    (CheckResult::NotLinearizable, visited.len())
+}
+
+/// The history's completed operations and its pending writes, each sorted
+/// by invocation, with values interned as dense indices (0 is the initial
+/// value).
+fn sorted_ops<V: Eq + Hash>(h: &History<V>) -> (Vec<Op>, Vec<Op>) {
+    let mut dense: HashMap<&V, u32, FastBuild> = HashMap::default();
+    dense.insert(h.initial(), 0);
+    let mut intern = |v| {
+        let fresh = dense.len() as u32;
+        *dense.entry(v).or_insert(fresh)
     };
 
-    let mut ops: Vec<Op> = Vec::with_capacity(h.len() + h.pending_writes().len());
-    for c in h.ops() {
+    let mut ops: Vec<Op> = Vec::with_capacity(h.len());
+    for (idx, c) in h.ops().iter().enumerate() {
         let kind = match &c.action {
-            RegAction::Write(v) => Kind::Write(idx(v, &mut dense)),
-            RegAction::Read(v) => Kind::Read(idx(v, &mut dense)),
+            RegAction::Write(v) => Kind::Write(intern(v)),
+            RegAction::Read(v) => Kind::Read(intern(v)),
         };
         ops.push(Op {
+            idx,
             client: c.client,
             start: c.start,
             end: Some(c.end),
             kind,
         });
     }
-    let completed = ops.len();
-    for (client, v, start) in h.pending_writes() {
-        let kind = Kind::Write(idx(v, &mut dense));
-        ops.push(Op {
+    let mut pending: Vec<Op> = Vec::with_capacity(h.pending_writes().len());
+    for (k, (client, v, start)) in h.pending_writes().iter().enumerate() {
+        pending.push(Op {
+            idx: h.len() + k,
             client: *client,
             start: *start,
             end: None,
-            kind,
+            kind: Kind::Write(intern(v)),
         });
     }
+    ops.sort_by_key(|op| (op.start, op.idx));
+    pending.sort_by_key(|op| (op.start, op.idx));
+    (ops, pending)
+}
 
-    let total = ops.len();
-    if completed == 0 {
-        return CheckResult::Linearizable;
-    }
-
-    // predecessors[i] = ops that must be linearized before i can be.
-    let preds: Vec<Vec<usize>> = (0..total)
-        .map(|i| {
-            (0..total)
-                .filter(|&j| j != i)
-                .filter(|&j| precedes(&ops[j], j, &ops[i], i))
-                .collect()
-        })
-        .collect();
-
-    let words = total.div_ceil(64);
-    let full_completed: Vec<u64> = {
-        let mut w = vec![0u64; words];
-        for (i, word) in w.iter_mut().enumerate() {
-            for b in 0..64 {
-                let id = i * 64 + b;
-                if id < completed {
-                    *word |= 1 << b;
-                }
-            }
+/// Writes into `out` every state one linearized operation away from `s`
+/// that the search has to consider, most promising first. `s` must have a
+/// completed operation left.
+fn successors(ops: &[Op], pending: &[Op], s: &State, out: &mut Vec<State>) {
+    // Scan from the cursor while operations were invoked by the horizon,
+    // the earliest response among the undone ones seen so far; sorted by
+    // invocation, nothing beyond the scan can lower it.
+    let first = s.done.cursor();
+    let mut horizon = u64::MAX;
+    let mut end = first;
+    while end < ops.len() && ops[end].start <= horizon {
+        if let (false, Some(response)) = (s.done.contains(end), ops[end].end) {
+            horizon = horizon.min(response);
         }
-        w
+        end += 1;
+    }
+    let undone = || (first..end).filter(|&i| !s.done.contains(i));
+    // An operation invoked by the horizon has every predecessor done: they
+    // responded before it. The exception is a predecessor by program order
+    // alone, which responds exactly at the horizon, at `op`'s invocation.
+    let can_go = |op: &Op| {
+        op.start <= horizon && !(op.start == horizon && undone().any(|j| precedes(&ops[j], op)))
     };
+    let candidates = || undone().filter(|&i| can_go(&ops[i]));
+    let read_of =
+        |value: u32| candidates().find(|&i| matches!(ops[i].kind, Kind::Read(v) if v == value));
 
-    let mut visited: HashSet<StateKey> = HashSet::new();
-    let mut stack: Vec<StateKey> = vec![StateKey {
-        done: vec![0u64; words],
-        value: 0,
-    }];
-    visited.insert(stack[0].clone());
-
-    let is_done = |done: &[u64], i: usize| done[i / 64] & (1 << (i % 64)) != 0;
-
-    while let Some(state) = stack.pop() {
-        // Success: every *completed* op linearized (pending may dangle).
-        if state
-            .done
-            .iter()
-            .zip(&full_completed)
-            .all(|(d, f)| d & f == *f)
-        {
-            return CheckResult::Linearizable;
-        }
-        if visited.len() >= state_limit {
-            return CheckResult::Unknown;
-        }
-        for i in 0..total {
-            if is_done(&state.done, i) {
-                continue;
-            }
-            if preds[i].iter().any(|&j| !is_done(&state.done, j)) {
-                continue;
-            }
-            let next_value = match ops[i].kind {
-                Kind::Write(v) => v,
-                Kind::Read(v) => {
-                    if v != state.value {
-                        continue;
-                    }
-                    state.value
-                }
-            };
-            let mut done = state.done.clone();
-            done[i / 64] |= 1 << (i % 64);
-            let key = StateKey {
-                done,
-                value: next_value,
-            };
-            if visited.insert(key.clone()) {
-                stack.push(key);
-            }
+    // A read of the current value commutes to the front of any
+    // linearization of what is left: take it, consider nothing else.
+    if let Some(i) = read_of(s.value) {
+        out.push(s.after(i, s.value));
+        return;
+    }
+    for i in candidates() {
+        if let Kind::Write(v) = ops[i].kind {
+            out.push(s.after(i, v));
         }
     }
-    CheckResult::NotLinearizable
+    // A pending write that no read observes before the next write can be
+    // deleted from a linearization, so it is worth taking only where a read
+    // that can go next returns its value and the register does not hold it.
+    for (k, p) in pending.iter().enumerate() {
+        if p.start > horizon {
+            break;
+        }
+        let Kind::Write(v) = p.kind else { continue };
+        if v != s.value && !has_bit(&s.used, k) && can_go(p) && read_of(v).is_some() {
+            out.push(s.after_pending(k, v));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -350,5 +472,138 @@ mod tests {
         h.push(0, Write(2), 20, 30);
         h.push(1, Read(1), 40, 50); // 2 was completed at 30: stale
         assert!(!lin(&h));
+    }
+
+    /// The definition, executed: tries every order of the operations that
+    /// respects [`precedes`], every pending write in or out, with no window
+    /// and no memo.
+    fn brute_force(h: &History<u32>) -> bool {
+        fn go(ops: &[Op], done: &mut [bool], value: u32) -> bool {
+            if ops.iter().zip(&*done).all(|(op, d)| *d || op.end.is_none()) {
+                return true;
+            }
+            for i in 0..ops.len() {
+                let blocked = |j: usize| !done[j] && precedes(&ops[j], &ops[i]);
+                if done[i] || (0..ops.len()).any(blocked) {
+                    continue;
+                }
+                let next = match ops[i].kind {
+                    Kind::Write(v) => v,
+                    Kind::Read(v) if v == value => v,
+                    Kind::Read(_) => continue,
+                };
+                done[i] = true;
+                let found = go(ops, done, next);
+                done[i] = false;
+                if found {
+                    return true;
+                }
+            }
+            false
+        }
+        let (mut ops, pending) = sorted_ops(h);
+        ops.extend(pending);
+        go(&ops, &mut vec![false; ops.len()], 0)
+    }
+
+    /// A history of at most 7 operations by at most 3 clients on a clock of
+    /// 7 ticks, so intervals touch and coincide all the time; values come
+    /// from running a register over random linearization points (0, 1 or 2,
+    /// so writes duplicate each other and the initial value), then most
+    /// histories get one read overwritten. Clients are not kept sequential:
+    /// the checker's contract is `precedes`, whatever the intervals.
+    fn random_history(rng: &mut rand::rngs::SmallRng) -> History<u32> {
+        use rand::Rng;
+        struct Draft {
+            client: usize,
+            start: u64,
+            end: Option<u64>,
+            write: bool,
+            point: Option<u64>, // None: a pending write that never took effect
+            value: u32,
+        }
+        let mut ops: Vec<Draft> = (0..rng.gen_range(1..=7))
+            .map(|_| {
+                let start = rng.gen_range(0..=6u64);
+                let write = rng.gen_bool(0.45);
+                let end = (!(write && rng.gen_bool(0.3)))
+                    .then(|| start + [0, 0, 1, 2, 3][rng.gen_range(0..5usize)]);
+                let point = match end {
+                    Some(end) => Some(rng.gen_range(start..=end)),
+                    None => rng.gen_bool(0.6).then(|| rng.gen_range(start..=8)),
+                };
+                Draft {
+                    client: rng.gen_range(0..3),
+                    start,
+                    end,
+                    write,
+                    point,
+                    value: rng.gen_range(0..=2),
+                }
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..ops.len()).filter(|&i| ops[i].point.is_some()).collect();
+        order.sort_by_key(|&i| (ops[i].point, rng.gen::<u32>()));
+        let mut register = 0;
+        for i in order {
+            if ops[i].write {
+                register = ops[i].value;
+            } else {
+                ops[i].value = register;
+            }
+        }
+        let reads: Vec<usize> = (0..ops.len()).filter(|&i| !ops[i].write).collect();
+        if !reads.is_empty() && rng.gen_bool(0.8) {
+            ops[reads[rng.gen_range(0..reads.len())]].value = rng.gen_range(0..=2);
+        }
+        let mut h = History::new(0);
+        for op in ops {
+            match (op.end, op.write) {
+                (Some(end), true) => h.push(op.client, Write(op.value), op.start, end),
+                (Some(end), false) => h.push(op.client, Read(op.value), op.start, end),
+                (None, _) => h.push_pending_write(op.client, op.value, op.start),
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn agrees_with_brute_force_on_small_histories() {
+        use rand::SeedableRng;
+        const CASES: usize = 6_000;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x16);
+        let (mut yes, mut no, mut touching, mut pending) = (0, 0, 0, 0);
+        for case in 0..CASES {
+            let h = random_history(&mut rng);
+            let truth = if brute_force(&h) {
+                yes += 1;
+                CheckResult::Linearizable
+            } else {
+                no += 1;
+                CheckResult::NotLinearizable
+            };
+            assert_eq!(check_linearizable(&h), truth, "case {case}: {h}");
+            // A capped search may give up, but never guesses.
+            for limit in 1..4 {
+                let capped = check_linearizable_with_limit(&h, limit);
+                assert!(
+                    capped == CheckResult::Unknown || capped == truth,
+                    "case {case}, limit {limit}: {capped:?} on {h}"
+                );
+            }
+            touching += usize::from(h.iter().any(|a| {
+                h.iter()
+                    .any(|b| a.client == b.client && a.end == b.start && a != b)
+            }));
+            pending += usize::from(!h.pending_writes().is_empty());
+        }
+        for (what, count) in [
+            ("linearizable", yes),
+            ("not linearizable", no),
+            ("same-client touching or equal intervals", touching),
+            ("pending writes", pending),
+        ] {
+            assert!(count * 5 >= CASES, "only {count} of {CASES} cases {what}");
+        }
     }
 }

@@ -83,4 +83,8 @@ git diff --exit-code -- BENCH_recovery.json \
 echo "==> benchmark self-test (benchmark/check.sh: two --quick passes, metric names/units vs BENCHMARK.json, exact counts repeat)"
 benchmark/check.sh
 
+echo "==> benchmark/ not dirtied (a PR that claims a gain may not change it, and a build counts)"
+git diff --exit-code -- benchmark/ \
+  || { echo "benchmark/ has unstaged changes. If it is benchmark/Cargo.lock: run.sh builds without --locked, so a new dependency edge between crates/* makes every build rewrite the committed lock file (PR 16 met this with lincheck -> core) — remove the edge, e.g. share the file by #[path], rather than commit the lock"; exit 1; }
+
 echo "ci.sh: all gates green"

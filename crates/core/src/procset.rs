@@ -4,7 +4,9 @@
 //! incoming acknowledgement asks "does the set of responders form a quorum
 //! yet?". [`ProcSet`] is a fixed-capacity bit set sized at construction for
 //! the cluster's `n`, so insertions and membership tests are O(1) and quorum
-//! cardinality checks are a handful of `popcount`s.
+//! cardinality checks are a handful of `popcount`s. Every phase of every
+//! operation starts one, so a set of at most 64 ids — every cluster this
+//! repository runs — keeps its single word inline and never touches the heap.
 
 use crate::types::ProcessId;
 use std::fmt;
@@ -29,17 +31,43 @@ const WORD_BITS: usize = 64;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ProcSet {
-    words: Vec<u64>,
+    words: Words,
     capacity: usize,
+}
+
+/// The bits of a [`ProcSet`], word `i` holding ids `64 i ..= 64 i + 63`.
+/// The variant is a function of the capacity alone, so two sets of equal
+/// capacity compare and hash word for word, as they did over one `Vec`.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Words {
+    /// `capacity <= 64`: the one word, in place.
+    Inline([u64; 1]),
+    /// `capacity > 64`: `capacity.div_ceil(64)` words.
+    Heap(Vec<u64>),
 }
 
 impl ProcSet {
     /// Creates an empty set able to hold ids `0..capacity`.
     pub fn new(capacity: usize) -> Self {
-        let nwords = capacity.div_ceil(WORD_BITS).max(1);
-        ProcSet {
-            words: vec![0; nwords],
-            capacity,
+        let words = if capacity <= WORD_BITS {
+            Words::Inline([0])
+        } else {
+            Words::Heap(vec![0; capacity.div_ceil(WORD_BITS)])
+        };
+        ProcSet { words, capacity }
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => w,
+            Words::Heap(v) => v,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => w,
+            Words::Heap(v) => v,
         }
     }
 
@@ -85,8 +113,9 @@ impl ProcSet {
             self.capacity
         );
         let (w, b) = (p.index() / WORD_BITS, p.index() % WORD_BITS);
-        let newly = self.words[w] & (1 << b) == 0;
-        self.words[w] |= 1 << b;
+        let word = &mut self.words_mut()[w];
+        let newly = *word & (1 << b) == 0;
+        *word |= 1 << b;
         newly
     }
 
@@ -96,8 +125,9 @@ impl ProcSet {
             return false;
         }
         let (w, b) = (p.index() / WORD_BITS, p.index() % WORD_BITS);
-        let present = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
+        let word = &mut self.words_mut()[w];
+        let present = *word & (1 << b) != 0;
+        *word &= !(1 << b);
         present
     }
 
@@ -107,37 +137,37 @@ impl ProcSet {
             return false;
         }
         let (w, b) = (p.index() / WORD_BITS, p.index() % WORD_BITS);
-        self.words[w] & (1 << b) != 0
+        self.words()[w] & (1 << b) != 0
     }
 
     /// Number of ids in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// Removes all ids.
     pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        self.words_mut().iter_mut().for_each(|w| *w = 0);
     }
 
     /// Whether every element of `other` is in `self`.
     pub fn is_superset(&self, other: &ProcSet) -> bool {
-        other.words.iter().enumerate().all(|(i, &w)| {
-            let mine = self.words.get(i).copied().unwrap_or(0);
+        other.words().iter().enumerate().all(|(i, &w)| {
+            let mine = self.words().get(i).copied().unwrap_or(0);
             w & !mine == 0
         })
     }
 
     /// Whether the two sets share at least one id.
     pub fn intersects(&self, other: &ProcSet) -> bool {
-        self.words
+        self.words()
             .iter()
-            .zip(other.words.iter())
+            .zip(other.words())
             .any(|(&a, &b)| a & b != 0)
     }
 
@@ -274,24 +304,76 @@ mod tests {
         assert_eq!(s.len(), 0);
     }
 
+    /// Capacities on both sides of the inline/heap boundary at 64.
+    const CAPACITIES: [usize; 6] = [1, 5, 63, 64, 65, 130];
+
+    #[test]
+    fn no_larger_than_a_vec_and_a_capacity() {
+        use std::mem::size_of;
+        assert!(size_of::<ProcSet>() <= size_of::<Vec<u64>>() + size_of::<usize>());
+    }
+
+    #[test]
+    fn insertion_order_is_invisible_on_both_sides_of_the_inline_boundary() {
+        use std::hash::{Hash, Hasher};
+        let hash = |s: &ProcSet| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        for cap in CAPACITIES {
+            // Every third id, ascending in one set and descending in the
+            // other, with a detour through an id that does not stay.
+            let ids: Vec<ProcessId> = (0..cap).step_by(3).map(ProcessId).collect();
+            let up = ProcSet::from_iter_with_capacity(cap, ids.iter().copied());
+            let mut down = ProcSet::new(cap);
+            down.insert(ProcessId(cap - 1));
+            down.extend(ids.iter().rev().copied());
+            if (cap - 1) % 3 != 0 {
+                down.remove(ProcessId(cap - 1));
+            }
+            assert_eq!(up, down, "capacity {cap}");
+            assert_eq!(hash(&up), hash(&down), "capacity {cap}");
+            assert_eq!(up.complement(), down.complement(), "capacity {cap}");
+            assert_eq!(up.len() + up.complement().len(), cap);
+            assert!(up.is_superset(&down) && down.is_superset(&up));
+            assert_eq!(format!("{up:?}"), format!("{down:?}"));
+
+            let mut more = down.clone();
+            if let Some(&absent) = up.complement().first() {
+                more.insert(absent);
+                assert_ne!(up, more, "capacity {cap}");
+                assert!(more.is_superset(&up) && !up.is_superset(&more));
+            }
+            // Same members, different capacity: different sets, as before.
+            let wider = ProcSet::from_iter_with_capacity(cap + 1, ids.iter().copied());
+            assert_ne!(up, wider, "capacity {cap} vs {}", cap + 1);
+            assert!(wider.is_superset(&up) && up.is_superset(&wider));
+        }
+    }
+
     proptest! {
         #[test]
-        fn matches_btreeset_semantics(ops in proptest::collection::vec((0usize..64, any::<bool>()), 0..200)) {
-            let mut s = ProcSet::new(64);
-            let mut model = std::collections::BTreeSet::new();
-            for (i, ins) in ops {
-                let p = ProcessId(i);
-                if ins {
-                    prop_assert_eq!(s.insert(p), model.insert(p));
-                } else {
-                    prop_assert_eq!(s.remove(p), model.remove(&p));
+        fn matches_btreeset_semantics(ops in proptest::collection::vec((0usize..130, any::<bool>()), 0..200)) {
+            for cap in CAPACITIES {
+                let mut s = ProcSet::new(cap);
+                let mut model = std::collections::BTreeSet::new();
+                for &(i, ins) in &ops {
+                    let p = ProcessId(i % cap);
+                    if ins {
+                        prop_assert_eq!(s.insert(p), model.insert(p));
+                    } else {
+                        prop_assert_eq!(s.remove(p), model.remove(&p));
+                    }
+                    prop_assert_eq!(s.len(), model.len());
+                    prop_assert_eq!(s.contains(p), model.contains(&p));
+                    prop_assert_eq!(s.is_empty(), model.is_empty());
                 }
-                prop_assert_eq!(s.len(), model.len());
-                prop_assert_eq!(s.contains(p), model.contains(&p));
+                let got: Vec<_> = s.iter().collect();
+                let want: Vec<_> = model.iter().copied().collect();
+                prop_assert_eq!(got, want);
+                prop_assert!(!s.contains(ProcessId(cap)), "capacity {}", cap);
             }
-            let got: Vec<_> = s.iter().collect();
-            let want: Vec<_> = model.iter().copied().collect();
-            prop_assert_eq!(got, want);
         }
     }
 }

@@ -33,8 +33,8 @@ const FNV_PRIME_POW: [u64; 9] = {
 /// Folds one 64-bit word into an FNV-1a digest: the same value as folding
 /// its eight little-endian bytes one at a time. XOR with a zero byte is the
 /// identity, so the word's zero high bytes (most of every word folded here:
-/// small ids, tags, times) collapse into one multiply by a power of the
-/// prime.
+/// times, queue sequence numbers, operation ids) collapse into one multiply
+/// by a power of the prime.
 #[inline]
 fn fnv_fold(mut h: u64, word: u64) -> u64 {
     let low = 8 - word.leading_zeros() as usize / 8;
@@ -43,6 +43,34 @@ fn fnv_fold(mut h: u64, word: u64) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h.wrapping_mul(FNV_PRIME_POW[8 - low])
+}
+
+/// [`fnv_fold`] of a word below 256, without its loop: a zero word is the
+/// zero-run multiply `h * P^8` alone, and a word `1..=255` is one loop
+/// iteration `(h ^ b) * P` followed by the zero-run multiply `* P^7` — both
+/// are `(h ^ b) * P^8`. Node ids, kind tags and senders are such words, and
+/// in the loop their data-dependent trip count mispredicts.
+#[inline]
+fn fnv_fold_byte(h: u64, byte: u8) -> u64 {
+    (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME_POW[8])
+}
+
+/// Folds one event's identity into the execution digest: the same value as
+/// [`fnv_fold`] over `at`, `seq`, `target`, `tag`, `extra` in that order.
+/// Time and queue order are wide and take the general fold; the kind tag is
+/// a byte by type; the target and (for a delivery, where it is the sender)
+/// `extra` are bytes in every cluster below 256 nodes, checked per word.
+#[inline]
+fn fold_event(h: u64, at: Nanos, seq: u64, target: u64, tag: u8, extra: u64) -> u64 {
+    let narrow = |h, word: u64| match u8::try_from(word) {
+        Ok(byte) => fnv_fold_byte(h, byte),
+        Err(_) => fnv_fold(h, word),
+    };
+    let h = fnv_fold(h, at);
+    let h = fnv_fold(h, seq);
+    let h = narrow(h, target);
+    let h = fnv_fold_byte(h, tag);
+    narrow(h, extra)
 }
 
 /// Why a delivery was discarded instead of handed to the target protocol.
@@ -521,7 +549,7 @@ where
         // the same seed must process byte-identical event sequences, so
         // equal digests certify a deterministic replay.
         let (tag, extra) = match &ev.kind {
-            EventKind::Deliver { from, .. } => (0u64, from.index() as u64),
+            EventKind::Deliver { from, .. } => (0u8, from.index() as u64),
             EventKind::Timer { key, gen } => (1, key.0.wrapping_add(*gen << 16)),
             EventKind::Invoke { op, .. } => (2, op.0),
             EventKind::Crash => (3, 0),
@@ -536,9 +564,7 @@ where
             EventKind::SetLoss { prob } => (7, prob.to_bits()),
             EventKind::SetGray { factor } => (8, u64::from(*factor)),
         };
-        for word in [ev.at, ev.seq, t as u64, tag, extra] {
-            self.digest = fnv_fold(self.digest, word);
-        }
+        self.digest = fold_event(self.digest, ev.at, ev.seq, t as u64, tag, extra);
         if self.trace.is_some() {
             let desc = match &ev.kind {
                 EventKind::Deliver { from, msg } => {
@@ -725,11 +751,16 @@ where
     /// *live* node. Operations pending on crashed nodes are abandoned: they
     /// can never complete, so they do not count as "waiting".
     pub fn has_waiting_ops(&self) -> bool {
-        self.queued_invokes > 0
-            || self
-                .invoked
+        // `invoked` holds operations of live nodes only: a crash moves its
+        // node's entries to `aborted`, and an invocation on a crashed node
+        // is lost before it is recorded. So there is nothing to filter.
+        debug_assert!(
+            self.invoked
                 .values()
-                .any(|(client, _, _)| self.nodes[client.index()].alive)
+                .all(|(client, _, _)| self.nodes[client.index()].alive),
+            "an operation of a crashed node is still recorded as in flight"
+        );
+        self.queued_invokes > 0 || !self.invoked.is_empty()
     }
 
     /// Runs until every scheduled operation on a live node has completed
@@ -761,6 +792,9 @@ where
     fn absorb(&mut self, from: ProcessId, fx: &mut Effects<P::Msg, P::Resp>) {
         for (to, msg) in fx.sends.drain(..) {
             self.route(from, to, msg);
+        }
+        if fx.timers.is_empty() && fx.responses.is_empty() {
+            return; // most callbacks only send
         }
         for cmd in fx.timers.drain(..) {
             let slot = &mut self.nodes[from.index()];
@@ -927,14 +961,17 @@ mod tests {
     use abd_core::msg::{RegisterOp, RegisterResp};
     use abd_core::swmr::{SwmrConfig, SwmrNode};
 
+    /// The reference every fold here must equal: FNV-1a over the word's
+    /// eight little-endian bytes, one at a time.
+    fn bytewise(mut h: u64, word: u64) -> u64 {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
     #[test]
     fn fnv_fold_equals_the_byte_by_byte_fold() {
-        let bytewise = |mut h: u64, word: u64| {
-            for b in word.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
-            h
-        };
         // Every count of zero high bytes, and zero bytes below a set one.
         let mut words = vec![0, u64::MAX, 0x0100_0000_0000_0000, 0x00ff_0000_0000_0100];
         words.extend((0..64).map(|s| 1u64 << s));
@@ -943,6 +980,60 @@ mod tests {
             let h = FNV_OFFSET.wrapping_add(i as u64);
             assert_eq!(fnv_fold(h, w), bytewise(h, w), "word {w:#x}");
         }
+        // The one-byte path: every byte against 1 000 running digests.
+        let mut rng = SmallRng::seed_from_u64(0xf01d);
+        for _ in 0..1_000 {
+            let h: u64 = rng.gen();
+            for b in 0..=u8::MAX {
+                assert_eq!(
+                    fnv_fold_byte(h, b),
+                    bytewise(h, u64::from(b)),
+                    "byte {b:#x} into {h:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fold_event_equals_five_byte_by_byte_folds() {
+        let mut rng = SmallRng::seed_from_u64(0xe7e27);
+        // Each word narrow and wide, so each side of every `< 256` test and
+        // the general loop at every length are taken: a small cluster's
+        // target and sender, a target past 255, an `Invoke` with `op >= 256`,
+        // a `Timer`'s `key + (gen << 16)`, a `SetPartition`'s group digest.
+        let word = |rng: &mut SmallRng| -> u64 {
+            let bits: u64 = rng.gen();
+            match rng.gen_range(0..4u32) {
+                0 => bits % 256,
+                1 => 256 + bits % 256,
+                2 => bits >> rng.gen_range(0..64u32),
+                _ => [0, 255, 256, u64::MAX][(bits % 4) as usize],
+            }
+        };
+        let (mut narrow, mut wide) = (0, 0);
+        for _ in 0..20_000 {
+            let h: u64 = rng.gen();
+            let (at, seq) = (word(&mut rng), word(&mut rng));
+            let (target, extra) = (word(&mut rng), word(&mut rng));
+            let tag = rng.gen_range(0..=8u8);
+            let want = [at, seq, target, u64::from(tag), extra]
+                .into_iter()
+                .fold(h, bytewise);
+            assert_eq!(
+                fold_event(h, at, seq, target, tag, extra),
+                want,
+                "at {at:#x} seq {seq:#x} target {target:#x} tag {tag} extra {extra:#x}"
+            );
+            if extra < 256 {
+                narrow += 1;
+            } else {
+                wide += 1;
+            }
+        }
+        assert!(
+            narrow > 5_000 && wide > 5_000,
+            "{narrow} narrow, {wide} wide"
+        );
     }
 
     fn swmr_cluster(n: usize, seed: u64) -> Sim<SwmrNode<u64>> {
@@ -1166,12 +1257,44 @@ mod tests {
         assert_eq!(sim.completed()[1].latency(), 4_000);
     }
 
+    /// `has_waiting_ops` as it was before it stopped filtering `invoked` by
+    /// liveness; the two must agree in every state.
+    fn waiting_on_a_live_node<P: Protocol>(sim: &Sim<P>) -> bool
+    where
+        P::Op: Clone,
+    {
+        sim.queued_invokes > 0
+            || sim
+                .invoked
+                .values()
+                .any(|(client, _, _)| sim.nodes[client.index()].alive)
+    }
+
+    /// Steps `sim` to quiescence, checking the two predicates against each
+    /// other around every event. Returns how often the answer was `true`.
+    fn step_comparing_waiting_predicates<P: Protocol>(sim: &mut Sim<P>) -> usize
+    where
+        P::Op: Clone,
+    {
+        let mut waiting = 0;
+        loop {
+            let now = sim.has_waiting_ops();
+            assert_eq!(now, waiting_on_a_live_node(sim));
+            waiting += usize::from(now);
+            if !sim.step() {
+                return waiting;
+            }
+        }
+    }
+
     #[test]
     fn invoke_on_crashed_node_is_lost() {
         let mut sim = swmr_cluster(3, 2);
         sim.crash_at(0, ProcessId(1));
         sim.invoke_at(10, ProcessId(1), RegisterOp::Read);
-        sim.run_until_quiet(1_000_000);
+        let waiting_states = step_comparing_waiting_predicates(&mut sim);
+        assert!(waiting_states > 0, "waiting while the invocation is queued");
+        assert!(!sim.has_waiting_ops(), "not once it is lost");
         assert_eq!(sim.metrics().ops_invoked, 0);
         assert!(sim.completed().is_empty());
     }
@@ -1245,7 +1368,11 @@ mod tests {
         let mut sim = swmr_cluster(5, 9);
         sim.invoke_at(0, ProcessId(0), RegisterOp::Write(3));
         sim.crash_at(1, ProcessId(0)); // mid-flight: no reply can be in yet
-        sim.run_until_quiet(10_000_000);
+        let waiting_states = step_comparing_waiting_predicates(&mut sim);
+        assert!(
+            waiting_states > 1,
+            "waiting while queued and while in flight"
+        );
         assert_eq!(sim.metrics().ops_aborted, 1);
         assert_eq!(sim.metrics().ops_completed, 0);
         assert!(!sim.has_waiting_ops());

@@ -45,6 +45,9 @@ cargo test -q --test nemesis anti_entropy
 cargo test -q --test nemesis merkle_recovery_pipelined_
 cargo test -q --test nemesis kv_serves_during_catch_up_
 
+echo "==> reconfiguration campaign smoke (100 seeds x three read modes: 5 % loss + 5 % duplication, a member's blink crash, a partition laid over the second of three reconfigurations; every operation completes, every key linearizable, double-run digests equal)"
+cargo test -q --test reconfiguration reconfig_campaign_ -- --nocapture
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -538,12 +538,11 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
                     _ => None,
                 };
                 if let Some(op) = done {
-                    let Some(Pending::Query { votes, .. }) = self.pending.take() else {
-                        unreachable!()
-                    };
-                    self.rtx.disarm(uid, fx);
-                    let (label, value) = self.masked_choice(&votes);
-                    self.enter_write_back(op, label, value, fx);
+                    if let Some(Pending::Query { votes, .. }) = self.pending.take() {
+                        self.rtx.disarm(uid, fx);
+                        let (label, value) = self.masked_choice(&votes);
+                        self.enter_write_back(op, label, value, fx);
+                    }
                 }
             }
             RegisterMsg::UpdateAck { uid } => {

@@ -10,6 +10,13 @@
 //! * no lost updates between concurrent writers (tags order them);
 //! * no stale or flip-flopping reads (the get write-back).
 //!
+//! [`reconfig::RcNode`] adds dynamic membership (RAMBO-lite) without adding
+//! a protocol: it is an epoch fence *around* a [`KvNode`], which keeps
+//! running every get and put — under the quorum system of whichever
+//! configuration is in force — while the wrapper seals, migrates and
+//! installs. The three methods it needs of the node are
+//! [`KvNode::entries`], [`KvNode::merge`] and [`KvNode::requorum`].
+//!
 //! The node is a sans-io [`Protocol`](abd_core::context::Protocol) like the
 //! register protocols, so it runs identically under the `abd-simnet`
 //! adversary (where its histories are checked for per-key linearizability)

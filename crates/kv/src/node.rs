@@ -655,6 +655,28 @@ where
         self.adopt(key, tag, value);
     }
 
+    /// Every `(key, tag, value)` this replica stores. Entries come in the
+    /// map's iteration order, which under the unseeded `FastBuild` is a
+    /// function of this store's insertion history (the same in every run of
+    /// a seed), and which nothing depends on anyway: [`KvNode::merge`] is
+    /// commutative, and the trace digest hashes event metadata, not
+    /// payloads.
+    pub fn entries(&self) -> Vec<(K, Tag, V)> {
+        self.store
+            .iter()
+            .map(|(k, (t, v))| (k.clone(), *t, v.clone()))
+            .collect()
+    }
+
+    /// Max-merges `entries` into the replica: per key the larger tag wins.
+    /// Safe on any node at any time as long as every entry is a pair some
+    /// writer really stamped — the store only ever moves up.
+    pub fn merge(&mut self, entries: Vec<(K, Tag, V)>) {
+        for (k, t, v) in entries {
+            self.adopt(k, t, v);
+        }
+    }
+
     /// [`KvNode::adopt`] for snapshot-shaped pairs, where `None` means the
     /// sender has never written the key (nothing to adopt).
     fn adopt_opt(&mut self, key: K, tag: Tag, value: Option<V>) {
@@ -837,7 +859,37 @@ where
         }
     }
 
-    /// Phase 2 of a `Put`: stamp and propagate.
+    /// Phase 1 of a `Put`: learn the largest tag a read quorum holds.
+    fn begin_put(&mut self, op: OpId, key: K, value: V, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
+        let uid = self.fresh_uid();
+        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
+        let best = self.snapshot(&key).0;
+        if self.cfg.quorum.is_read_quorum(ph.responders()) {
+            self.enter_put_update(op, key, best, value, fx);
+            return;
+        }
+        self.broadcast(
+            KvMsg::Query {
+                uid,
+                key: key.clone(),
+            },
+            fx,
+        );
+        self.pending.insert(
+            uid,
+            Pending::PutQuery {
+                op,
+                key,
+                ph,
+                best,
+                value,
+            },
+        );
+        self.arm_timer(uid, fx);
+    }
+
+    /// Phase 2 of a `Put`: stamp — once per operation, so the put is one
+    /// write however often its update round is restarted — and propagate.
     fn enter_put_update(
         &mut self,
         op: OpId,
@@ -847,6 +899,18 @@ where
         fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
     ) {
         let tag = max_seen.next(self.cfg.me);
+        self.propagate_put(op, key, tag, value, fx);
+    }
+
+    /// The update round of a `Put` already stamped `tag`.
+    fn propagate_put(
+        &mut self,
+        op: OpId,
+        key: K,
+        tag: Tag,
+        value: V,
+        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
+    ) {
         self.adopt(key.clone(), tag, value.clone());
         let uid = self.fresh_uid();
         let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
@@ -891,7 +955,6 @@ where
             fx.respond(op, KvResp::GetOk(None));
             return;
         };
-        self.write_backs += 1;
         self.adopt(key.clone(), tag, value.clone());
         let uid = self.fresh_uid();
         let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
@@ -951,8 +1014,10 @@ where
             fx.respond(op, KvResp::GetOk(value));
             return;
         }
-        let (tag, value) = census.into_best();
-        self.enter_get_write_back(op, key, (tag, value), fx);
+        let best = census.into_best();
+        // Counted here, not in the round: `requorum` may run it twice.
+        self.write_backs += u64::from(best.1.is_some());
+        self.enter_get_write_back(op, key, best, fx);
     }
 
     /// Starts one `Get` at tier `cons`. Sequential `Get`s answer from the
@@ -1137,7 +1202,7 @@ where
             op, key, census, ..
         }) = self.pending.remove(&uid)
         else {
-            unreachable!()
+            return;
         };
         self.disarm_timer(uid, fx);
         self.relay_reads += 1;
@@ -1148,6 +1213,59 @@ where
         };
         self.adopt_opt(key, tag, value.clone());
         fx.respond(op, KvResp::GetOk(value));
+    }
+
+    /// Swaps the quorum system under everything in flight and restarts the
+    /// current *round* — not the operation — of each pending phase: fresh
+    /// phase id, responders back to `me`, request re-broadcast, in uid
+    /// order. A query round starts over from this replica's snapshot (it
+    /// has chosen nothing yet); an update or write-back round keeps the tag
+    /// it already chose, so a restarted `Put` is still one write. Replies to
+    /// the old phase ids find no phase and are ignored. Sync walks, the
+    /// catch-up tracker and server-side relay rounds counted responders of
+    /// the old system, carry no client's operation, and are dropped with
+    /// their timers; the periodic sweep goes on.
+    pub fn requorum(
+        &mut self,
+        quorum: Arc<dyn QuorumSystem>,
+        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
+    ) {
+        assert_eq!(
+            quorum.n(),
+            self.cfg.n,
+            "quorum system sized for a different cluster"
+        );
+        self.cfg.quorum = quorum;
+        self.relays.clear();
+        let mut uids: Vec<u64> = self.walks.drain().map(|(uid, _)| uid).collect();
+        uids.extend(self.recovering.take().map(|ph| ph.uid()));
+        uids.extend(self.pending.keys());
+        uids.sort_unstable();
+        for uid in uids {
+            self.disarm_timer(uid, fx);
+            match self.pending.remove(&uid) {
+                Some(Pending::GetQuery { op, key, cons, .. }) => self.begin_get(op, key, cons, fx),
+                Some(Pending::RelayGet { op, key, .. }) => self.begin_relay_get(op, key, fx),
+                Some(Pending::PutQuery { op, key, value, .. }) => {
+                    self.begin_put(op, key, value, fx);
+                }
+                Some(Pending::PutUpdate {
+                    op,
+                    key,
+                    tag,
+                    value,
+                    ..
+                }) => self.propagate_put(op, key, tag, value, fx),
+                Some(Pending::GetWriteBack {
+                    op,
+                    key,
+                    tag,
+                    value,
+                    ..
+                }) => self.enter_get_write_back(op, key, (tag, Some(value)), fx),
+                None => {}
+            }
+        }
     }
 
     fn retransmit_message(&self, p: &Pending<K, V>) -> Option<KvMsg<K, V>> {
@@ -1212,33 +1330,7 @@ where
         match input {
             KvOp::Get(key) => self.begin_get(op, key, Consistency::Atomic, fx),
             KvOp::GetAt(key, cons) => self.begin_get(op, key, cons, fx),
-            KvOp::Put(key, value) => {
-                let uid = self.fresh_uid();
-                let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-                let best = self.snapshot(&key).0;
-                if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                    self.enter_put_update(op, key, best, value, fx);
-                    return;
-                }
-                self.broadcast(
-                    KvMsg::Query {
-                        uid,
-                        key: key.clone(),
-                    },
-                    fx,
-                );
-                self.pending.insert(
-                    uid,
-                    Pending::PutQuery {
-                        op,
-                        key,
-                        ph,
-                        best,
-                        value,
-                    },
-                );
-                self.arm_timer(uid, fx);
-            }
+            KvOp::Put(key, value) => self.begin_put(op, key, value, fx),
         }
     }
 
@@ -1273,19 +1365,17 @@ where
                         }
                         census.observe(tag, value);
                         if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            let Some(Pending::GetQuery {
+                            if let Some(Pending::GetQuery {
                                 op,
                                 key,
                                 ph,
                                 census,
                                 cons,
-                                ..
                             }) = self.pending.remove(&uid)
-                            else {
-                                unreachable!()
-                            };
-                            self.disarm_timer(uid, fx);
-                            self.complete_get_query(op, key, ph.responders(), census, cons, fx);
+                            {
+                                self.disarm_timer(uid, fx);
+                                self.complete_get_query(op, key, ph.responders(), census, cons, fx);
+                            }
                         }
                     }
                     Pending::PutQuery { ph, best, .. } => {
@@ -1296,18 +1386,17 @@ where
                             *best = tag;
                         }
                         if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            let Some(Pending::PutQuery {
+                            if let Some(Pending::PutQuery {
                                 op,
                                 key,
                                 best,
                                 value,
                                 ..
                             }) = self.pending.remove(&uid)
-                            else {
-                                unreachable!()
-                            };
-                            self.disarm_timer(uid, fx);
-                            self.enter_put_update(op, key, best, value, fx);
+                            {
+                                self.disarm_timer(uid, fx);
+                                self.enter_put_update(op, key, best, value, fx);
+                            }
                         }
                     }
                     _ => {}
@@ -1343,17 +1432,7 @@ where
                 }
             }
             KvMsg::SyncPull { uid } => {
-                // Entries go out in the map's iteration order, which under
-                // the unseeded `FastBuild` is a function of this store's
-                // insertion history (the same in every run of a seed), and
-                // which nothing depends on anyway: the receiver max-merges
-                // entry by entry (commutative), and the trace digest
-                // hashes event metadata, not payloads.
-                let entries: Vec<(K, Tag, V)> = self
-                    .store
-                    .iter()
-                    .map(|(k, (t, v))| (k.clone(), *t, v.clone()))
-                    .collect();
+                let entries = self.entries();
                 self.send_sync(from, KvMsg::SyncState { uid, entries }, fx);
             }
             KvMsg::SyncState { uid, entries } => {
@@ -1364,9 +1443,7 @@ where
                     return;
                 }
                 let done = self.cfg.quorum.is_read_quorum(ph.responders());
-                for (k, t, v) in entries {
-                    self.adopt(k, t, v);
-                }
+                self.merge(entries);
                 if done {
                     self.recovering = None;
                     self.disarm_timer(uid, fx);
@@ -1447,9 +1524,7 @@ where
                 // Adopt the divergent leaf entries first (monotone, so a
                 // stale entry is a no-op), then prune children that now
                 // match our tree and descend into the rest.
-                for (k, t, v) in entries {
-                    self.adopt(k, t, v);
-                }
+                self.merge(entries);
                 let next: Vec<u32> = children
                     .into_iter()
                     .filter(|&(id, digest)| self.tree.digest(id) != Some(digest))
@@ -2791,5 +2866,58 @@ mod tests {
         let shipped: u64 = (0..3).map(|i| net.nodes[i].sync_entries_sent()).sum();
         assert_eq!(shipped, 2, "each peer ships its single entry");
         assert!(net.nodes[0].recovery_bytes() > net.nodes[2].recovery_bytes());
+    }
+
+    #[test]
+    fn requorum_restarts_rounds_and_a_stamped_put_keeps_its_tag() {
+        use abd_core::quorum::Weighted;
+        let cfg = KvConfig::new(3, ProcessId(0)).with_retransmit(1_000);
+        let mut node: KvNode<u32, u64> = KvNode::new(cfg);
+        // A put driven into its update round (phase 2), a get still in its
+        // query round (phase 3).
+        let mut fx = Effects::new();
+        node.on_invoke(OpId(0), KvOp::Put(1, 10), &mut fx);
+        let reply = KvMsg::QueryReply {
+            uid: 1,
+            tag: Tag::initial(),
+            value: None,
+        };
+        node.on_message(ProcessId(1), reply, &mut fx);
+        node.on_invoke(OpId(1), KvOp::Get(1), &mut fx);
+        let tag = node.local_entry(&1).expect("stamped and adopted").0;
+        // Node 1 loses its vote. Both rounds go out again, in uid order,
+        // under fresh ids: the update with the tag it had, the query anew.
+        let mut fx = Effects::new();
+        node.requorum(Arc::new(Weighted::new(vec![1, 0, 1], 2, 2)), &mut fx);
+        let to_1 = |fx: &Effects<KvMsg<u32, u64>, KvResp<u64>>| -> Vec<_> {
+            let to_1 = fx.sends.iter().filter(|(to, _)| *to == ProcessId(1));
+            to_1.map(|(_, m)| m.clone()).collect()
+        };
+        let update = KvMsg::Update {
+            uid: 4,
+            key: 1,
+            tag,
+            value: 10,
+        };
+        assert_eq!(to_1(&fx), vec![update, KvMsg::Query { uid: 5, key: 1 }]);
+        assert_eq!(node.in_flight(), 2);
+        // An ack to the old phase id finds no phase; node 1's counts for
+        // nothing; node 2's completes the put — still one write.
+        let mut fx = Effects::new();
+        node.on_message(ProcessId(2), KvMsg::UpdateAck { uid: 2 }, &mut fx);
+        node.on_message(ProcessId(1), KvMsg::UpdateAck { uid: 4 }, &mut fx);
+        assert!(fx.responses.is_empty());
+        node.on_message(ProcessId(2), KvMsg::UpdateAck { uid: 4 }, &mut fx);
+        assert_eq!(fx.responses, vec![(OpId(0), KvResp::PutOk)]);
+        assert_eq!(node.local_entry(&1).map(|(t, _)| t), Some(tag));
+        // A catch-up counted peers of the old system: dropped, timer and all.
+        let mut fx = Effects::new();
+        node.on_restart(&mut fx);
+        assert!(node.is_recovering());
+        let mut fx = Effects::new();
+        node.requorum(Arc::new(Majority::new(3)), &mut fx);
+        assert!(!node.is_recovering());
+        assert!(fx.sends.is_empty(), "the restart dropped the get: {fx:?}");
+        assert_eq!(fx.timers.len(), 1, "the pull's timer is cancelled: {fx:?}");
     }
 }

@@ -7,45 +7,98 @@
 //! member set, the store's state migrates, and the resilience clock
 //! restarts against the new membership.
 //!
-//! ## Protocol
+//! ## One protocol, fenced
 //!
-//! Every node knows a [`Config`] `(epoch, members)`. Client operations are
-//! **epoch-fenced**: queries/updates carry their epoch and replicas ignore
-//! messages from other epochs, so an operation only completes with a
-//! quorum of the configuration it started in (clients restart under the
-//! new configuration otherwise — their retransmission timer notices the
-//! epoch moved).
+//! [`RcNode`] contains no read or write protocol of its own. It is an
+//! **epoch fence around a [`KvNode`]**: the inner node runs every `Get` and
+//! `Put` — read modes, per-phase backoff, Merkle sync and restart included —
+//! under the quorum system of the current [`Config`]
+//! ([`Config::quorums`]: one vote per member, none for anyone else), and
+//! every message it emits travels as [`RcMsg::Op`], stamped with the epoch
+//! it was sent in. The wrapper adds only what reconfiguration needs, and
+//! holds these invariants:
 //!
-//! `Reconfig(new_members)` runs three phases:
+//! * **Epochs do not mix.** An `Op` reaches the inner node only if it
+//!   carries the receiver's own epoch. One from an older epoch is answered
+//!   with where the system is now (see *Stragglers*); on one from a newer
+//!   epoch the receiver asks the sender for the same.
+//! * **A sealed replica is out of its epoch.** Answering a collect *seals* a
+//!   replica for its current epoch: from then until its epoch moves it
+//!   hands the inner node **nothing** — no request, no reply to a round it
+//!   opened itself, no invocation (they park, and start when the epoch
+//!   moves). So no round of the closing epoch can count a sealed replica,
+//!   the replica's own rounds included, and whatever a sealed replica
+//!   acknowledged, it acknowledged before its [`RcMsg::StateReply`].
+//! * **Only members answer requests**; anyone may open rounds as a client
+//!   and hear the replies.
+//! * **Whoever serves an epoch as a member holds that epoch's merged
+//!   state**: it received an [`RcMsg::Install`] (or coordinated it). A
+//!   bare [`RcMsg::Announce`] moves non-members only.
+//! * **When the epoch moves, rounds restart, operations do not**
+//!   ([`KvNode::requorum`]): a put that had already chosen its tag
+//!   propagates *that* tag in the new epoch, so it stays one write.
 //!
-//! 1. **Collect & fence** — `StateRequest` to the old members; answering
-//!    *fences* a replica (it stops serving the old epoch). Once a majority
-//!    of the old configuration has answered, any old-epoch write that ever
-//!    completed is contained in the merged state: a completed write has a
-//!    majority of old-epoch acks, it intersects the fenced majority, and
-//!    the common replica must have acked the write *before* fencing (after
-//!    fencing it refuses old-epoch updates).
-//! 2. **Install** — merged store + new config to the new members; wait for
-//!    a majority of the *new* configuration.
-//! 3. **Announce** — best-effort broadcast of the new config to everyone
-//!    (stragglers also learn it when their fenced retries time out).
+//! ## `Reconfig(new_members)`
 //!
-//! ## Documented simplification
+//! 1. **Collect & seal** — `StateRequest` to the old members; each seals
+//!    itself and replies with its store, which the coordinator max-merges
+//!    into its own (a monotone merge of pairs some writer really stamped is
+//!    safe on any node, member or not). Once a majority of the old
+//!    configuration has answered, every write that ever completed in the
+//!    old epoch is in the coordinator's store: a completed write has a
+//!    majority of old-epoch acks, that majority intersects the sealed one,
+//!    and the common replica acknowledged *before* it was sealed. A query
+//!    round that completed in the old epoch likewise got an answer from a
+//!    replica not yet sealed, so it happened before any operation of the
+//!    new epoch completed.
+//! 2. **Install** — the coordinator's store (a superset of the merge, on the
+//!    first transmission and on every retransmission) and the new config go
+//!    to the new members, the new config alone to the old ones, until a
+//!    majority of each has acknowledged. The first makes the new epoch
+//!    live; the second closes the old one for good: sealed replicas answer
+//!    a collect again, so an administrator who missed all this could
+//!    otherwise seal the same majority again and install a *second*
+//!    successor — now most of them answer with the successor they know.
+//! 3. **Announce** — best-effort broadcast of the new config to everyone.
 //!
-//! Competing concurrent reconfigurations are **not** arbitrated: epochs
-//! are chosen as `current + 1`, so two simultaneous administrators could
-//! fork the configuration. RAMBO orders configurations with consensus
-//! (and the paper lineage suggests exactly disk Paxos for it); here
-//! reconfiguration is assumed externally serialized — one administrator —
-//! which is enforced per node and documented as the scope cut.
+//! ## Stragglers
+//!
+//! Missing the announcement costs a retry, not liveness. Any node that
+//! hears an older epoch — in an `Op`, a `StateRequest`, or an `Announce`
+//! carrying an older config — answers with its own: as an `Install` with
+//! its store when both are members of it, as an `Announce` otherwise. A
+//! node that hears a newer epoch sends its own (older) `Announce` back,
+//! which asks for exactly that; a sealed node with parked invocations asks
+//! everyone on its retry timer. A node announced a config it is a *member*
+//! of asks that config's members, since only an `Install` may make it serve.
+//!
+//! ## Scope cuts
+//!
+//! * Competing concurrent reconfigurations are **not** arbitrated: epochs
+//!   are chosen as `current + 1`, so two simultaneous administrators could
+//!   fork the configuration. RAMBO orders configurations with consensus
+//!   (and the paper lineage suggests exactly disk Paxos for it); here
+//!   reconfiguration is assumed externally serialized — one administrator
+//!   at a time. A coordinator that sees its epoch move under it answers
+//!   `Rejected`.
+//! * A collect whose coordinator dies leaves the majority it sealed sealed
+//!   (invocations on them park) until someone — the restarted administrator
+//!   included — reconfigures that epoch again.
+//! * A straggling member is sent the whole store by every member it asks,
+//!   and the inner node still broadcasts to the whole universe, so a sync
+//!   walk opened against a non-member or a sealed peer retransmits (with
+//!   backoff) until the next epoch drops it.
 
+use crate::node::{KvConfig, KvMsg, KvNode, KvOp, KvResp};
 use abd_core::context::{Effects, Protocol, TimerKey};
 use abd_core::phase::PhaseTracker;
 use abd_core::procset::ProcSet;
-use abd_core::types::{Nanos, OpId, ProcessId, Tag};
-use std::collections::HashMap;
+use abd_core::quorum::{majority_threshold, QuorumSystem, Weighted};
+use abd_core::types::{OpId, ProcessId, Tag};
+use std::cmp::Ordering;
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// A configuration: an epoch number and the member set acting as replicas.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -65,7 +118,7 @@ impl Config {
 
     /// Majority size of this configuration.
     pub fn quorum(&self) -> usize {
-        abd_core::quorum::majority_threshold(self.members.len())
+        majority_threshold(self.members.len())
     }
 
     /// Whether `p` is a member.
@@ -73,76 +126,53 @@ impl Config {
         self.members.contains(&p)
     }
 
-    /// Whether `responders ∩ members` reaches a majority of the members.
-    fn quorum_met(&self, responders: &ProcSet) -> bool {
-        self.members
-            .iter()
-            .filter(|&&m| responders.contains(m))
-            .count()
-            >= self.quorum()
+    /// This configuration's quorum system over the universe `0..n`:
+    /// weighted voting with one vote per member and none for anyone else,
+    /// so a set is a (read or write) quorum exactly when it holds a
+    /// majority of the members.
+    pub fn quorums(&self, n: usize) -> Arc<dyn QuorumSystem> {
+        let mut votes = vec![0; n];
+        for m in &self.members {
+            votes[m.index()] = 1;
+        }
+        let majority = self.quorum() as u64;
+        Arc::new(Weighted::new(votes, majority, majority))
     }
 }
 
 /// Wire messages of the reconfigurable store.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RcMsg<K, V> {
-    /// Epoch-fenced query for `key`.
-    Query {
-        /// Phase id.
-        uid: u64,
-        /// Epoch the issuing operation runs in.
+    /// A message of the inner [`KvNode`], valid in `epoch` only.
+    Op {
+        /// The sender's epoch when it sent this.
         epoch: u64,
-        /// Key being queried.
-        key: K,
+        /// The key-value protocol message.
+        msg: KvMsg<K, V>,
     },
-    /// Reply to [`RcMsg::Query`].
-    QueryReply {
-        /// Phase id copied from the query.
-        uid: u64,
-        /// Replica's tag for the key.
-        tag: Tag,
-        /// Replica's value for the key.
-        value: Option<V>,
-    },
-    /// Epoch-fenced update.
-    Update {
-        /// Phase id.
-        uid: u64,
-        /// Epoch the issuing operation runs in.
-        epoch: u64,
-        /// Key being updated.
-        key: K,
-        /// Tag of the value.
-        tag: Tag,
-        /// The value.
-        value: V,
-    },
-    /// Acknowledge an [`RcMsg::Update`].
-    UpdateAck {
-        /// Phase id copied from the update.
-        uid: u64,
-    },
-    /// Collect-and-fence request for the coordinator's phase 1.
+    /// Collect-and-seal request of the coordinator's phase 1.
     StateRequest {
         /// Phase id.
         uid: u64,
         /// The epoch being closed.
         epoch: u64,
     },
-    /// A replica's entire store (it is now fenced for that epoch).
+    /// A replica's entire store (it is now sealed for that epoch).
     StateReply {
         /// Phase id copied from the request.
         uid: u64,
         /// Full store contents `(key, tag, value)`.
         store: Vec<(K, Tag, V)>,
     },
-    /// Install a new configuration with the merged store.
+    /// Install a configuration. To a member of it, with a store that holds
+    /// everything completed before it; to anyone else, without.
     Install {
-        /// Phase id.
+        /// Phase id (`0`, which no phase has, when a member brings a
+        /// straggler up and nobody waits for the ack).
         uid: u64,
-        /// The new configuration.
+        /// The configuration.
         config: Config,
-        /// Merged store to adopt (by tag).
+        /// Store to max-merge (by tag).
         store: Vec<(K, Tag, V)>,
     },
     /// Acknowledge an [`RcMsg::Install`].
@@ -150,9 +180,10 @@ pub enum RcMsg<K, V> {
         /// Phase id copied from the install.
         uid: u64,
     },
-    /// Best-effort notification of the new configuration.
+    /// The sender's configuration: news to a receiver that is behind, a
+    /// request for news to one that is ahead.
     Announce {
-        /// The new configuration.
+        /// The sender's configuration.
         config: Config,
     },
 }
@@ -189,25 +220,23 @@ pub enum RcResp<V> {
 /// Configuration of one node of the reconfigurable store.
 #[derive(Clone, Debug)]
 pub struct RcNodeConfig {
-    /// Universe size (node ids are `0..n`; configurations choose subsets).
-    pub n: usize,
-    /// This node's id.
-    pub me: ProcessId,
+    /// The inner key-value node's configuration: universe size (node ids
+    /// are `0..n`; configurations choose subsets), this node's id, read
+    /// mode, retransmission policy (the wrapper's own retries follow it
+    /// too), sync parameters. Its quorum system is replaced by that of the
+    /// configuration in force.
+    pub kv: KvConfig,
     /// The initial configuration, shared by all nodes.
     pub initial: Config,
-    /// Retransmission/retry interval (fenced operations retry with it).
-    pub retry: Nanos,
 }
 
 impl RcNodeConfig {
-    /// Creates a node config; the initial configuration defaults to all of
-    /// `0..n`.
+    /// Creates a node config: retransmission from 50 µs, and an initial
+    /// configuration of all of `0..n`.
     pub fn new(n: usize, me: ProcessId) -> Self {
         RcNodeConfig {
-            n,
-            me,
+            kv: KvConfig::new(n, me).with_retransmit(50_000),
             initial: Config::initial((0..n).map(ProcessId).collect()),
-            retry: 50_000,
         }
     }
 
@@ -216,60 +245,50 @@ impl RcNodeConfig {
         self.initial = cfg;
         self
     }
-
-    /// Overrides the retry interval.
-    pub fn with_retry(mut self, retry: Nanos) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
+/// Timer key of the wrapper's one retry timer (coordinator retransmission,
+/// and a sealed node asking for news). Like the inner node's sweep key
+/// (`u64::MAX - 1`) and `Batched`'s flush key (`u64::MAX`) it sits at the
+/// top of the key space, which phase uids, counting up from 1, never reach;
+/// every other key is a timer of the inner node and passes through.
+const FENCE_KEY: TimerKey = TimerKey(u64::MAX - 2);
+
+/// The coordinator's side of a `Reconfig`. There is no merged state to
+/// carry: collected stores are merged straight into the inner node's.
 #[derive(Clone, Debug)]
-enum Pending<K, V> {
-    GetQuery {
-        op: OpId,
-        epoch: u64,
-        key: K,
-        ph: PhaseTracker,
-        best: (Tag, Option<V>),
-    },
-    GetWriteBack {
-        op: OpId,
-        epoch: u64,
-        key: K,
-        ph: PhaseTracker,
-        tag: Tag,
-        value: V,
-    },
-    PutQuery {
-        op: OpId,
-        epoch: u64,
-        key: K,
-        ph: PhaseTracker,
-        best: Tag,
-        value: V,
-    },
-    PutUpdate {
-        op: OpId,
-        epoch: u64,
-        key: K,
-        ph: PhaseTracker,
-        tag: Tag,
-        value: V,
-    },
+enum Phase {
+    /// Sealing a majority of the current epoch's members.
     Collect {
         op: OpId,
-        epoch: u64,
-        new_members: Vec<ProcessId>,
         ph: PhaseTracker,
-        merged: HashMap<K, (Tag, V)>,
+        new_members: Vec<ProcessId>,
     },
+    /// Shipping our store, which now holds the merge, to `config`'s
+    /// members, and `config` alone to the members of `closing`.
     Install {
         op: OpId,
-        new_config: Config,
         ph: PhaseTracker,
+        config: Config,
+        closing: Config,
     },
 }
+
+/// Whether `msg` answers a round its receiver opened — as opposed to asking
+/// the receiver to act as a replica, which only members do.
+fn is_reply<K, V>(msg: &KvMsg<K, V>) -> bool {
+    matches!(
+        msg,
+        KvMsg::QueryReply { .. }
+            | KvMsg::UpdateAck { .. }
+            | KvMsg::SyncState { .. }
+            | KvMsg::SyncDigestAck { .. }
+            | KvMsg::SyncEntries { .. }
+            | KvMsg::RelayReply { .. }
+    )
+}
+
+type Fx<K, V> = Effects<RcMsg<K, V>, RcResp<V>>;
 
 /// One node of the reconfigurable replicated key-value store.
 ///
@@ -289,15 +308,24 @@ enum Pending<K, V> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct RcNode<K, V> {
-    cfg: RcNodeConfig,
+    /// Runs every `Get` and `Put`, and is the store. Stable storage.
+    inner: KvNode<K, V>,
+    /// Stable storage.
     config: Config,
-    store: HashMap<K, (Tag, V)>,
-    /// Highest epoch this replica has been fenced for: it no longer serves
-    /// operations of epochs `<= fenced`.
-    fenced: Option<u64>,
+    /// This replica answered a collect of `config.epoch` and is out of that
+    /// epoch for good. Stable storage: a seal forgotten in a crash would
+    /// let the replica acknowledge a write its `StateReply` never held.
+    sealed: bool,
+    /// Invocations that arrived while sealed; they start when the epoch
+    /// moves. Volatile, like every operation in flight.
+    parked: Vec<(OpId, KvOp<K, V>)>,
+    /// Volatile: a crash aborts the administrator's operation with it.
+    phase: Option<Phase>,
+    /// Coordinator phase ids. Stable, so a late reply to a phase from
+    /// before a crash never matches one from after it.
     next_uid: u64,
-    pending: HashMap<u64, Pending<K, V>>,
-    reconfig_in_flight: bool,
+    /// Firings of [`FENCE_KEY`] since it was last armed afresh.
+    retries: u32,
 }
 
 impl<K, V> RcNode<K, V>
@@ -307,16 +335,15 @@ where
 {
     /// Creates a node with an empty store in the initial configuration.
     pub fn new(cfg: RcNodeConfig) -> Self {
-        assert!(cfg.me.index() < cfg.n, "node id out of range");
-        let config = cfg.initial.clone();
+        let quorum = cfg.initial.quorums(cfg.kv.n);
         RcNode {
-            cfg,
-            config,
-            store: HashMap::new(),
-            fenced: None,
+            inner: KvNode::new(cfg.kv.with_quorum(quorum)),
+            config: cfg.initial,
+            sealed: false,
+            parked: Vec::new(),
+            phase: None,
             next_uid: 0,
-            pending: HashMap::new(),
-            reconfig_in_flight: false,
+            retries: 0,
         }
     }
 
@@ -327,377 +354,248 @@ where
 
     /// This node's local `(tag, value)` for `key`.
     pub fn local_entry(&self, key: &K) -> Option<(Tag, &V)> {
-        self.store.get(key).map(|(t, v)| (*t, v))
+        self.inner.local_entry(key)
     }
 
-    /// Operations currently in flight on this node.
+    /// Operations currently in flight on this node, parked ones and a
+    /// reconfiguration it coordinates included.
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.inner.in_flight() + self.parked.len() + usize::from(self.phase.is_some())
     }
 
-    fn fresh_uid(&mut self) -> u64 {
-        self.next_uid += 1;
-        self.next_uid
+    fn n(&self) -> usize {
+        self.inner.config().n
     }
 
-    fn snapshot(&self, key: &K) -> (Tag, Option<V>) {
-        match self.store.get(key) {
-            Some((t, v)) => (*t, Some(v.clone())),
-            None => (Tag::initial(), None),
+    fn others(&self) -> impl Iterator<Item = ProcessId> {
+        let me = self.id();
+        (0..self.n()).map(ProcessId).filter(move |&p| p != me)
+    }
+
+    fn announce(&self) -> RcMsg<K, V> {
+        RcMsg::Announce {
+            config: self.config.clone(),
         }
     }
 
-    fn adopt(&mut self, key: K, tag: Tag, value: V) {
-        match self.store.get_mut(&key) {
-            Some(entry) => {
-                if tag > entry.0 {
-                    *entry = (tag, value);
-                }
-            }
-            None => {
-                if tag > Tag::initial() {
-                    self.store.insert(key, (tag, value));
-                }
-            }
-        }
-    }
-
-    /// Whether this replica may serve an operation of `epoch`.
-    fn serves(&self, epoch: u64) -> bool {
-        epoch == self.config.epoch
-            && self.config.has(self.cfg.me)
-            && self.fenced.is_none_or(|f| epoch > f)
-    }
-
-    fn send_to_members<'a, I: IntoIterator<Item = &'a ProcessId>>(
-        &self,
-        members: I,
-        msg: RcMsg<K, V>,
-        fx: &mut Effects<RcMsg<K, V>, RcResp<V>>,
-    ) {
-        for &m in members {
-            if m != self.cfg.me {
-                fx.send(m, msg.clone());
-            }
-        }
-    }
-
-    fn begin(&mut self, op: OpId, input: RcOp<K, V>, fx: &mut Effects<RcMsg<K, V>, RcResp<V>>) {
-        match input {
-            RcOp::Get(key) => self.begin_get(op, key, fx),
-            RcOp::Put(key, value) => self.begin_put(op, key, value, fx),
-            RcOp::Reconfig(members) => self.begin_reconfig(op, members, fx),
-        }
-    }
-
-    fn i_am_member(&self) -> bool {
-        self.config.has(self.cfg.me)
-    }
-
-    fn begin_get(&mut self, op: OpId, key: K, fx: &mut Effects<RcMsg<K, V>, RcResp<V>>) {
-        let epoch = self.config.epoch;
-        let uid = self.fresh_uid();
-        // PhaseTracker counts `me` unconditionally, but Config::quorum_met
-        // filters responders to members, so a non-member self never counts
-        // toward a quorum (and a fenced self contributes no reply data).
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        let best = if self.i_am_member() && self.serves(epoch) {
-            self.snapshot(&key)
-        } else {
-            (Tag::initial(), None)
-        };
-        if self.config.quorum_met(ph.responders()) {
-            self.enter_get_write_back(op, epoch, key, best, fx);
-            return;
-        }
-        self.send_to_members(
-            &self.config.members.clone(),
-            RcMsg::Query {
-                uid,
-                epoch,
-                key: key.clone(),
-            },
-            fx,
-        );
-        self.pending.insert(
-            uid,
-            Pending::GetQuery {
-                op,
-                epoch,
-                key,
-                ph,
-                best,
-            },
-        );
-        fx.set_timer(TimerKey(uid), self.cfg.retry);
-    }
-
-    fn begin_put(&mut self, op: OpId, key: K, value: V, fx: &mut Effects<RcMsg<K, V>, RcResp<V>>) {
-        let epoch = self.config.epoch;
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        let best = if self.i_am_member() && self.serves(epoch) {
-            self.snapshot(&key).0
-        } else {
-            Tag::initial()
-        };
-        if self.config.quorum_met(ph.responders()) {
-            self.enter_put_update(op, epoch, key, best, value, fx);
-            return;
-        }
-        self.send_to_members(
-            &self.config.members.clone(),
-            RcMsg::Query {
-                uid,
-                epoch,
-                key: key.clone(),
-            },
-            fx,
-        );
-        self.pending.insert(
-            uid,
-            Pending::PutQuery {
-                op,
-                epoch,
-                key,
-                ph,
-                best,
-                value,
-            },
-        );
-        fx.set_timer(TimerKey(uid), self.cfg.retry);
-    }
-
-    fn begin_reconfig(
+    /// Runs one callback of the inner node and forwards what it emitted:
+    /// messages stamped with the current epoch, timers as they are.
+    fn with_inner(
         &mut self,
-        op: OpId,
-        members: Vec<ProcessId>,
-        fx: &mut Effects<RcMsg<K, V>, RcResp<V>>,
+        fx: &mut Fx<K, V>,
+        f: impl FnOnce(&mut KvNode<K, V>, &mut Effects<KvMsg<K, V>, KvResp<V>>),
     ) {
-        if members.is_empty() || members.iter().any(|m| m.index() >= self.cfg.n) {
+        let mut inner_fx = Effects::new();
+        f(&mut self.inner, &mut inner_fx);
+        let epoch = self.config.epoch;
+        for (to, msg) in inner_fx.sends {
+            fx.send(to, RcMsg::Op { epoch, msg });
+        }
+        fx.timers.extend(inner_fx.timers);
+        for (op, resp) in inner_fx.responses {
+            let resp = match resp {
+                KvResp::GetOk(v) => RcResp::GetOk(v),
+                KvResp::PutOk => RcResp::PutOk,
+            };
+            fx.respond(op, resp);
+        }
+    }
+
+    /// (Re-)arms the wrapper's retry timer under the inner node's
+    /// retransmission policy (none: links are reliable, nothing to retry).
+    fn arm_fence(&self, fx: &mut Fx<K, V>) {
+        if let Some(policy) = self.inner.config().retransmit {
+            let salt = self.id().index() as u64 + 1;
+            fx.set_timer(FENCE_KEY, policy.delay(self.retries, salt));
+        }
+    }
+
+    /// Whether `epoch`, read off a message from `from`, is ours. If not,
+    /// whichever of the two is behind gets to hear about it.
+    fn same_epoch(&self, from: ProcessId, epoch: u64, fx: &mut Fx<K, V>) -> bool {
+        match epoch.cmp(&self.config.epoch) {
+            Ordering::Equal => return true,
+            Ordering::Less => self.bring_up(from, fx),
+            Ordering::Greater => fx.send(from, self.announce()),
+        }
+        false
+    }
+
+    /// Tells `to`, which showed an older epoch, where the system is. A
+    /// fellow member gets the store with it: as a member we hold our
+    /// epoch's merged state, and it may not serve without.
+    fn bring_up(&self, to: ProcessId, fx: &mut Fx<K, V>) {
+        if self.config.has(self.id()) && self.config.has(to) {
+            let (config, store) = (self.config.clone(), self.inner.entries());
+            let uid = 0;
+            fx.send(to, RcMsg::Install { uid, config, store });
+        } else {
+            fx.send(to, self.announce());
+        }
+    }
+
+    /// Enters `config`'s epoch: lifts the seal, fails a coordinator phase
+    /// the move overtook, restarts the inner node's rounds under the new
+    /// quorum system, and starts what was parked. The caller has made sure
+    /// the store holds the new epoch's merged state if we are a member.
+    fn move_to(&mut self, config: Config, fx: &mut Fx<K, V>) {
+        // Any move overtakes a collect; our own install's epoch does not
+        // overtake the install (a member coordinator enters it first).
+        let overtaken = match &self.phase {
+            Some(Phase::Collect { op, .. }) => Some(*op),
+            Some(Phase::Install { op, config: c, .. }) if config.epoch > c.epoch => Some(*op),
+            _ => None,
+        };
+        if let Some(op) = overtaken {
+            self.phase = None;
+            let why = "configuration changed during reconfiguration";
+            fx.respond(op, RcResp::Rejected(why.into()));
+        }
+        self.config = config;
+        self.sealed = false;
+        let quorum = self.config.quorums(self.n());
+        let parked = std::mem::take(&mut self.parked);
+        self.with_inner(fx, |inner, inner_fx| {
+            inner.requorum(quorum, inner_fx);
+            for (op, input) in parked {
+                inner.on_invoke(op, input, inner_fx);
+            }
+        });
+        if self.phase.is_none() {
+            fx.cancel_timer(FENCE_KEY);
+        }
+    }
+
+    fn begin_reconfig(&mut self, op: OpId, new_members: Vec<ProcessId>, fx: &mut Fx<K, V>) {
+        let n = self.n();
+        let mut seen = ProcSet::new(n);
+        let mut valid = |m: &ProcessId| m.index() < n && seen.insert(*m);
+        if new_members.is_empty() || !new_members.iter().all(&mut valid) {
             fx.respond(op, RcResp::Rejected("invalid member set".into()));
             return;
         }
-        if self.reconfig_in_flight {
-            fx.respond(
-                op,
-                RcResp::Rejected("reconfiguration already in flight".into()),
-            );
+        if self.phase.is_some() {
+            let why = "reconfiguration already in flight";
+            fx.respond(op, RcResp::Rejected(why.into()));
             return;
         }
-        self.reconfig_in_flight = true;
-        let epoch = self.config.epoch;
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        let mut merged: HashMap<K, (Tag, V)> = HashMap::new();
-        if self.i_am_member() {
-            // Answer our own StateRequest inline: fence ourselves.
-            self.fenced = Some(self.fenced.map_or(epoch, |f| f.max(epoch)));
-            merged = self.store.clone();
-        }
-        if self.config.quorum_met(ph.responders()) {
-            self.enter_install(op, members, merged, fx);
-            return;
-        }
-        self.send_to_members(
-            &self.config.members.clone(),
-            RcMsg::StateRequest { uid, epoch },
-            fx,
-        );
-        self.pending.insert(
-            uid,
-            Pending::Collect {
-                op,
-                epoch,
-                new_members: members,
-                ph,
-                merged,
-            },
-        );
-        fx.set_timer(TimerKey(uid), self.cfg.retry);
-    }
-
-    fn enter_get_write_back(
-        &mut self,
-        op: OpId,
-        epoch: u64,
-        key: K,
-        best: (Tag, Option<V>),
-        fx: &mut Effects<RcMsg<K, V>, RcResp<V>>,
-    ) {
-        let (tag, value) = best;
-        let Some(value) = value else {
-            fx.respond(op, RcResp::GetOk(None));
-            return;
-        };
-        if self.serves(epoch) {
-            self.adopt(key.clone(), tag, value.clone());
-        }
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if self.config.quorum_met(ph.responders()) {
-            fx.respond(op, RcResp::GetOk(Some(value)));
-            return;
-        }
-        self.send_to_members(
-            &self.config.members.clone(),
-            RcMsg::Update {
-                uid,
-                epoch,
-                key: key.clone(),
-                tag,
-                value: value.clone(),
-            },
-            fx,
-        );
-        self.pending.insert(
-            uid,
-            Pending::GetWriteBack {
-                op,
-                epoch,
-                key,
-                ph,
-                tag,
-                value,
-            },
-        );
-        fx.set_timer(TimerKey(uid), self.cfg.retry);
-    }
-
-    fn enter_put_update(
-        &mut self,
-        op: OpId,
-        epoch: u64,
-        key: K,
-        max_seen: Tag,
-        value: V,
-        fx: &mut Effects<RcMsg<K, V>, RcResp<V>>,
-    ) {
-        let tag = max_seen.next(self.cfg.me);
-        if self.serves(epoch) {
-            self.adopt(key.clone(), tag, value.clone());
-        }
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if self.config.quorum_met(ph.responders()) {
-            fx.respond(op, RcResp::PutOk);
-            return;
-        }
-        self.send_to_members(
-            &self.config.members.clone(),
-            RcMsg::Update {
-                uid,
-                epoch,
-                key: key.clone(),
-                tag,
-                value: value.clone(),
-            },
-            fx,
-        );
-        self.pending.insert(
-            uid,
-            Pending::PutUpdate {
-                op,
-                epoch,
-                key,
-                ph,
-                tag,
-                value,
-            },
-        );
-        fx.set_timer(TimerKey(uid), self.cfg.retry);
-    }
-
-    fn enter_install(
-        &mut self,
-        op: OpId,
-        members: Vec<ProcessId>,
-        merged: HashMap<K, (Tag, V)>,
-        fx: &mut Effects<RcMsg<K, V>, RcResp<V>>,
-    ) {
-        let new_config = Config {
-            epoch: self.config.epoch + 1,
-            members,
-        };
-        let store: Vec<(K, Tag, V)> = merged.into_iter().map(|(k, (t, v))| (k, t, v)).collect();
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if new_config.has(self.cfg.me) {
-            // Install locally.
-            for (k, t, v) in &store {
-                self.adopt(k.clone(), *t, v.clone());
-            }
-            self.config = new_config.clone();
-            self.fenced = None;
-        }
-        if new_config.quorum_met(ph.responders()) {
-            self.finish_reconfig(op, new_config, fx);
-            return;
-        }
-        self.send_to_members(
-            &new_config.members.clone(),
-            RcMsg::Install {
-                uid,
-                config: new_config.clone(),
-                store,
-            },
-            fx,
-        );
-        self.pending
-            .insert(uid, Pending::Install { op, new_config, ph });
-        fx.set_timer(TimerKey(uid), self.cfg.retry);
-    }
-
-    fn finish_reconfig(
-        &mut self,
-        op: OpId,
-        new_config: Config,
-        fx: &mut Effects<RcMsg<K, V>, RcResp<V>>,
-    ) {
-        // Adopt (if we have not already via local install) and announce to
-        // the whole universe, members or not.
-        if new_config.epoch > self.config.epoch {
-            self.config = new_config.clone();
-            self.fenced = None;
-        }
-        for i in 0..self.cfg.n {
-            let p = ProcessId(i);
-            if p != self.cfg.me {
-                fx.send(
-                    p,
-                    RcMsg::Announce {
-                        config: new_config.clone(),
-                    },
-                );
-            }
-        }
-        self.reconfig_in_flight = false;
-        fx.respond(
+        // Our own answer to the collect: seal; our store is the merge so
+        // far. (The tracker seeds `me`; a non-member's vote weighs nothing.)
+        self.sealed |= self.config.has(self.id());
+        self.start_phase(fx, |ph| Phase::Collect {
             op,
-            RcResp::ReconfigOk {
-                epoch: new_config.epoch,
-            },
-        );
+            ph,
+            new_members,
+        });
+        self.collect_progress(fx);
     }
 
-    /// Restart a pending client operation under the current configuration
-    /// (its epoch moved on, or its quorum can no longer answer).
-    fn restart(&mut self, uid: u64, fx: &mut Effects<RcMsg<K, V>, RcResp<V>>) {
-        let Some(pending) = self.pending.remove(&uid) else {
-            return;
+    /// Opens a coordinator phase: fresh id, first transmission, timer.
+    fn start_phase(&mut self, fx: &mut Fx<K, V>, phase: impl FnOnce(PhaseTracker) -> Phase) {
+        self.next_uid += 1;
+        let ph = PhaseTracker::new(self.next_uid, self.n(), self.id());
+        self.phase = Some(phase(ph));
+        self.send_phase(fx);
+        self.retries = 0;
+        self.arm_fence(fx);
+    }
+
+    /// (Re-)sends the coordinator phase's request to everyone it addresses
+    /// who has not answered yet.
+    fn send_phase(&self, fx: &mut Fx<K, V>) {
+        match &self.phase {
+            Some(Phase::Collect { ph, .. }) => {
+                let (uid, epoch) = (ph.uid(), self.config.epoch);
+                let to = ph.missing().into_iter().filter(|&p| self.config.has(p));
+                fx.send_each(to, RcMsg::StateRequest { uid, epoch });
+            }
+            Some(Phase::Install {
+                ph,
+                config,
+                closing,
+                ..
+            }) => {
+                // The store as it is *now*: whoever coordinates and however
+                // often this is resent, it holds at least the merge. Old
+                // members outside the new set only need to hear the config.
+                let install = |store| RcMsg::Install {
+                    uid: ph.uid(),
+                    config: config.clone(),
+                    store,
+                };
+                let (joining, leaving): (Vec<_>, Vec<_>) = ph
+                    .missing()
+                    .into_iter()
+                    .filter(|&p| config.has(p) || closing.has(p))
+                    .partition(|&p| config.has(p));
+                if !joining.is_empty() {
+                    fx.send_each(joining, install(self.inner.entries()));
+                }
+                fx.send_each(leaving, install(Vec::new()));
+            }
+            None => {}
+        }
+    }
+
+    /// Collect → Install, once a majority of the closing epoch is sealed.
+    fn collect_progress(&mut self, fx: &mut Fx<K, V>) {
+        let closing = &self.inner.config().quorum;
+        match self.phase.take() {
+            Some(Phase::Collect {
+                op,
+                ph,
+                new_members,
+            }) if closing.is_read_quorum(ph.responders()) => {
+                let config = Config {
+                    epoch: self.config.epoch + 1,
+                    members: new_members,
+                };
+                let member = config.has(self.id());
+                let (target, closing) = (config.clone(), self.config.clone());
+                self.start_phase(fx, |ph| Phase::Install {
+                    op,
+                    ph,
+                    config,
+                    closing,
+                });
+                if member {
+                    // We hold the merge, so we install here first. (A
+                    // coordinator outside the new set moves when done.)
+                    self.move_to(target, fx);
+                }
+                self.install_progress(fx);
+            }
+            other => self.phase = other,
+        }
+    }
+
+    /// Install → done, once a majority of the new members holds the state
+    /// and a majority of the old ones has left the closed epoch — so that a
+    /// later administrator who missed all this cannot seal a majority of the
+    /// old epoch a second time and give it a second successor.
+    fn install_progress(&mut self, fx: &mut Fx<K, V>) {
+        let n = self.n();
+        let done = |config: &Config, closing: &Config, ph: &PhaseTracker| {
+            config.quorums(n).is_write_quorum(ph.responders())
+                && closing.quorums(n).is_read_quorum(ph.responders())
         };
-        match pending {
-            Pending::GetQuery { op, key, .. } | Pending::GetWriteBack { op, key, .. } => {
-                self.begin_get(op, key, fx);
+        match self.phase.take() {
+            Some(Phase::Install {
+                op,
+                ph,
+                config,
+                closing,
+            }) if done(&config, &closing, &ph) => {
+                let epoch = config.epoch;
+                if epoch > self.config.epoch {
+                    self.move_to(config, fx);
+                } else {
+                    fx.cancel_timer(FENCE_KEY);
+                }
+                fx.send_each(self.others(), self.announce());
+                fx.respond(op, RcResp::ReconfigOk { epoch });
             }
-            Pending::PutQuery { op, key, value, .. }
-            | Pending::PutUpdate { op, key, value, .. } => {
-                self.begin_put(op, key, value, fx);
-            }
-            // Reconfiguration phases retransmit rather than restart.
-            other @ (Pending::Collect { .. } | Pending::Install { .. }) => {
-                let _ = self.pending.insert(uid, other);
-            }
+            other => self.phase = other,
         }
     }
 }
@@ -712,323 +610,110 @@ where
     type Resp = RcResp<V>;
 
     fn id(&self) -> ProcessId {
-        self.cfg.me
+        self.inner.id()
     }
 
-    fn on_invoke(&mut self, op: OpId, input: RcOp<K, V>, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        self.begin(op, input, fx);
+    fn on_start(&mut self, fx: &mut Fx<K, V>) {
+        self.with_inner(fx, |inner, inner_fx| inner.on_start(inner_fx));
     }
 
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: RcMsg<K, V>,
-        fx: &mut Effects<Self::Msg, Self::Resp>,
-    ) {
+    fn on_invoke(&mut self, op: OpId, input: RcOp<K, V>, fx: &mut Fx<K, V>) {
+        let input = match input {
+            RcOp::Reconfig(members) => return self.begin_reconfig(op, members, fx),
+            RcOp::Get(key) => KvOp::Get(key),
+            RcOp::Put(key, value) => KvOp::Put(key, value),
+        };
+        if !self.sealed {
+            self.with_inner(fx, |inner, inner_fx| inner.on_invoke(op, input, inner_fx));
+            return;
+        }
+        if self.parked.is_empty() && self.phase.is_none() {
+            self.retries = 0;
+            self.arm_fence(fx);
+        }
+        self.parked.push((op, input));
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: RcMsg<K, V>, fx: &mut Fx<K, V>) {
+        let member = self.config.has(self.id());
         match msg {
-            // ---- replica role ----
-            RcMsg::Query { uid, epoch, key } => {
-                if self.serves(epoch) {
-                    let (tag, value) = self.snapshot(&key);
-                    fx.send(from, RcMsg::QueryReply { uid, tag, value });
-                }
-                // Fenced or wrong epoch: stay silent; the client's retry
-                // timer will restart the operation under the new config.
-            }
-            RcMsg::Update {
-                uid,
-                epoch,
-                key,
-                tag,
-                value,
-            } => {
-                if self.serves(epoch) {
-                    self.adopt(key, tag, value);
-                    fx.send(from, RcMsg::UpdateAck { uid });
+            RcMsg::Op { epoch, msg } => {
+                let serves = !self.sealed && (member || is_reply(&msg));
+                if self.same_epoch(from, epoch, fx) && serves {
+                    self.with_inner(fx, |inner, inner_fx| inner.on_message(from, msg, inner_fx));
                 }
             }
             RcMsg::StateRequest { uid, epoch } => {
-                if epoch == self.config.epoch && self.config.has(self.cfg.me) {
-                    self.fenced = Some(self.fenced.map_or(epoch, |f| f.max(epoch)));
-                    let store: Vec<(K, Tag, V)> = self
-                        .store
-                        .iter()
-                        .map(|(k, (t, v))| (k.clone(), *t, v.clone()))
-                        .collect();
+                // A sealed replica answers again (the reply may have been
+                // lost, or a new administrator is closing the same epoch).
+                if self.same_epoch(from, epoch, fx) && member {
+                    self.sealed = true;
+                    let store = self.inner.entries();
                     fx.send(from, RcMsg::StateReply { uid, store });
+                }
+            }
+            RcMsg::StateReply { uid, store } => {
+                if let Some(Phase::Collect { ph, .. }) = &mut self.phase {
+                    if ph.record(from, uid) {
+                        self.inner.merge(store);
+                        self.collect_progress(fx);
+                    }
                 }
             }
             RcMsg::Install { uid, config, store } => {
                 if config.epoch > self.config.epoch {
-                    for (k, t, v) in store {
-                        self.adopt(k, t, v);
-                    }
-                    self.config = config;
-                    self.fenced = None;
+                    self.inner.merge(store);
+                    self.move_to(config, fx);
                 }
-                // Idempotent ack (duplicates / stragglers).
+                // Idempotent ack, after the state is in (duplicates,
+                // retransmissions whose first ack was lost).
                 fx.send(from, RcMsg::InstallAck { uid });
             }
-            RcMsg::Announce { config } => {
-                if config.epoch > self.config.epoch {
-                    self.config = config;
-                    self.fenced = None;
-                }
-            }
-            // ---- client role ----
-            RcMsg::QueryReply { uid, tag, value } => {
-                let config = self.config.clone();
-                enum Next<K, V> {
-                    Get(OpId, u64, K, (Tag, Option<V>)),
-                    Put(OpId, u64, K, Tag, V),
-                }
-                let next = match self.pending.get_mut(&uid) {
-                    Some(Pending::GetQuery {
-                        op,
-                        epoch,
-                        key,
-                        ph,
-                        best,
-                    }) => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        if tag > best.0 {
-                            *best = (tag, value);
-                        }
-                        if config.quorum_met(ph.responders()) {
-                            Some(Next::Get(*op, *epoch, key.clone(), best.clone()))
-                        } else {
-                            None
-                        }
-                    }
-                    Some(Pending::PutQuery {
-                        op,
-                        epoch,
-                        key,
-                        ph,
-                        best,
-                        value: v,
-                    }) => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        if tag > *best {
-                            *best = tag;
-                        }
-                        if config.quorum_met(ph.responders()) {
-                            Some(Next::Put(*op, *epoch, key.clone(), *best, v.clone()))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                match next {
-                    Some(Next::Get(op, epoch, key, best)) => {
-                        self.pending.remove(&uid);
-                        fx.cancel_timer(TimerKey(uid));
-                        self.enter_get_write_back(op, epoch, key, best, fx);
-                    }
-                    Some(Next::Put(op, epoch, key, best, v)) => {
-                        self.pending.remove(&uid);
-                        fx.cancel_timer(TimerKey(uid));
-                        self.enter_put_update(op, epoch, key, best, v, fx);
-                    }
-                    None => {}
-                }
-            }
-            RcMsg::UpdateAck { uid } => {
-                let config = self.config.clone();
-                let done = match self.pending.get_mut(&uid) {
-                    Some(Pending::PutUpdate { op, ph, .. }) => {
-                        if ph.record(from, uid) && config.quorum_met(ph.responders()) {
-                            Some((*op, RcResp::PutOk))
-                        } else {
-                            None
-                        }
-                    }
-                    Some(Pending::GetWriteBack { op, ph, value, .. }) => {
-                        if ph.record(from, uid) && config.quorum_met(ph.responders()) {
-                            Some((*op, RcResp::GetOk(Some(value.clone()))))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some((op, resp)) = done {
-                    self.pending.remove(&uid);
-                    fx.cancel_timer(TimerKey(uid));
-                    fx.respond(op, resp);
-                }
-            }
-            RcMsg::StateReply { uid, store } => {
-                let quorum_now = match self.pending.get_mut(&uid) {
-                    Some(Pending::Collect { ph, merged, .. }) => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        for (k, t, v) in store {
-                            match merged.get_mut(&k) {
-                                Some(entry) => {
-                                    if t > entry.0 {
-                                        *entry = (t, v);
-                                    }
-                                }
-                                None => {
-                                    merged.insert(k, (t, v));
-                                }
-                            }
-                        }
-                        let old_cfg = self.config.clone();
-                        old_cfg.quorum_met(ph.responders())
-                    }
-                    _ => return,
-                };
-                if quorum_now {
-                    let Some(Pending::Collect {
-                        op,
-                        new_members,
-                        merged,
-                        ..
-                    }) = self.pending.remove(&uid)
-                    else {
-                        unreachable!()
-                    };
-                    fx.cancel_timer(TimerKey(uid));
-                    self.enter_install(op, new_members, merged, fx);
-                }
-            }
             RcMsg::InstallAck { uid } => {
-                let done = match self.pending.get_mut(&uid) {
-                    Some(Pending::Install { op, new_config, ph }) => {
-                        if ph.record(from, uid) && new_config.quorum_met(ph.responders()) {
-                            Some((*op, new_config.clone()))
-                        } else {
-                            None
-                        }
+                if let Some(Phase::Install { ph, .. }) = &mut self.phase {
+                    if ph.record(from, uid) {
+                        self.install_progress(fx);
                     }
-                    _ => None,
-                };
-                if let Some((op, new_config)) = done {
-                    self.pending.remove(&uid);
-                    fx.cancel_timer(TimerKey(uid));
-                    self.finish_reconfig(op, new_config, fx);
                 }
             }
+            RcMsg::Announce { config } => match config.epoch.cmp(&self.config.epoch) {
+                Ordering::Less => self.bring_up(from, fx),
+                Ordering::Equal => {}
+                Ordering::Greater if !config.has(self.id()) => self.move_to(config, fx),
+                // A member-to-be must not serve the new epoch off a store
+                // that may lack what the old ones completed: ask those who
+                // hold it, and who will answer with an `Install`.
+                Ordering::Greater => {
+                    let me = self.id();
+                    let to = config.members.into_iter().filter(|&m| m != me);
+                    fx.send_each(to, self.announce());
+                }
+            },
         }
     }
 
-    fn on_timer(&mut self, key: TimerKey, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        let uid = key.0;
-        let Some(pending) = self.pending.get(&uid) else {
-            return;
-        };
-        let epoch_moved = match pending {
-            Pending::GetQuery { epoch, .. }
-            | Pending::GetWriteBack { epoch, .. }
-            | Pending::PutQuery { epoch, .. }
-            | Pending::PutUpdate { epoch, .. } => *epoch != self.config.epoch,
-            Pending::Collect { .. } | Pending::Install { .. } => false,
-        };
-        if epoch_moved {
-            // The configuration changed under this operation: restart it.
-            self.restart(uid, fx);
+    fn on_timer(&mut self, key: TimerKey, fx: &mut Fx<K, V>) {
+        if key != FENCE_KEY {
+            self.with_inner(fx, |inner, inner_fx| inner.on_timer(key, inner_fx));
             return;
         }
-        // A reconfiguration phase whose epoch context has been overtaken
-        // (a competing administrator won) aborts cleanly instead of
-        // retrying forever — the unsupported-concurrency case is thereby
-        // *detected*, per the module docs.
-        let overtaken = match self.pending.get(&uid) {
-            Some(Pending::Collect { epoch, .. }) => self.config.epoch != *epoch,
-            Some(Pending::Install { new_config, .. }) => self.config.epoch >= new_config.epoch,
-            _ => false,
-        };
-        if overtaken {
-            let (op_id, was_install_done) = match self.pending.remove(&uid) {
-                Some(Pending::Collect { op, .. }) => (op, false),
-                Some(Pending::Install { op, new_config, .. }) => {
-                    (op, self.config.epoch >= new_config.epoch)
-                }
-                _ => unreachable!(),
-            };
-            self.reconfig_in_flight = false;
-            let _ = was_install_done;
-            fx.respond(
-                op_id,
-                RcResp::Rejected("configuration changed during reconfiguration".into()),
-            );
-            return;
+        let asking = self.sealed && !self.parked.is_empty();
+        if asking {
+            fx.send_each(self.others(), self.announce());
         }
-        // Same epoch: plain retransmission to non-responders.
-        let (targets, msg): (Vec<ProcessId>, RcMsg<K, V>) = match pending {
-            Pending::GetQuery { epoch, key, ph, .. } | Pending::PutQuery { epoch, key, ph, .. } => {
-                (
-                    ph.missing(),
-                    RcMsg::Query {
-                        uid,
-                        epoch: *epoch,
-                        key: key.clone(),
-                    },
-                )
-            }
-            Pending::GetWriteBack {
-                epoch,
-                key,
-                ph,
-                tag,
-                value,
-                ..
-            }
-            | Pending::PutUpdate {
-                epoch,
-                key,
-                ph,
-                tag,
-                value,
-                ..
-            } => (
-                ph.missing(),
-                RcMsg::Update {
-                    uid,
-                    epoch: *epoch,
-                    key: key.clone(),
-                    tag: *tag,
-                    value: value.clone(),
-                },
-            ),
-            Pending::Collect { epoch, ph, .. } => {
-                (ph.missing(), RcMsg::StateRequest { uid, epoch: *epoch })
-            }
-            Pending::Install { new_config, ph, .. } => {
-                // Re-send the full install to stragglers.
-                let store: Vec<(K, Tag, V)> = self
-                    .store
-                    .iter()
-                    .map(|(k, (t, v))| (k.clone(), *t, v.clone()))
-                    .collect();
-                (
-                    ph.missing(),
-                    RcMsg::Install {
-                        uid,
-                        config: new_config.clone(),
-                        store,
-                    },
-                )
-            }
-        };
-        let members: Vec<ProcessId> = match self.pending.get(&uid) {
-            Some(Pending::Install { new_config, .. }) => new_config.members.clone(),
-            _ => self.config.members.clone(),
-        };
-        for p in targets {
-            if members.contains(&p) && p != self.cfg.me {
-                fx.send(p, msg.clone());
-            }
+        self.send_phase(fx);
+        if asking || self.phase.is_some() {
+            self.retries += 1;
+            self.arm_fence(fx);
         }
-        fx.set_timer(TimerKey(uid), self.cfg.retry);
+    }
+
+    fn on_restart(&mut self, fx: &mut Fx<K, V>) {
+        // `config`, the seal, the store and the uid counter are stable
+        // storage; what was in flight died with the crash.
+        self.phase = None;
+        self.parked.clear();
+        self.with_inner(fx, |inner, inner_fx| inner.on_restart(inner_fx));
     }
 }
 
@@ -1036,23 +721,61 @@ where
 mod tests {
     use super::*;
 
-    // The doc example covers the n = 1 fast path; the integration tests in
-    // `tests/reconfiguration.rs` drive multi-node clusters through the
-    // simulator. Here: pure state-machine unit tests.
+    // Pure state-machine tests of the fence, one node at a time. The
+    // hand-driven multi-node schedules (the six defects of the old `RcNode`)
+    // and the simulator campaigns live in `tests/reconfiguration.rs`.
+
+    type Node = RcNode<&'static str, u32>;
+    type Out = Effects<RcMsg<&'static str, u32>, RcResp<u32>>;
+
+    fn ids(v: &[usize]) -> Vec<ProcessId> {
+        v.iter().copied().map(ProcessId).collect()
+    }
+
+    /// Node `me` of a universe of `n`, initial configuration `initial`.
+    fn node(n: usize, me: usize, initial: &[usize]) -> Node {
+        let cfg = RcNodeConfig::new(n, ProcessId(me)).with_initial(Config::initial(ids(initial)));
+        RcNode::new(cfg)
+    }
+
+    fn cfg(epoch: u64, members: &[usize]) -> Config {
+        Config {
+            epoch,
+            members: ids(members),
+        }
+    }
+
+    fn update(epoch: u64, uid: u64, value: u32) -> RcMsg<&'static str, u32> {
+        let msg = KvMsg::Update {
+            uid,
+            key: "k",
+            tag: Tag::new(1, ProcessId(0)),
+            value,
+        };
+        RcMsg::Op { epoch, msg }
+    }
+
+    fn deliver(node: &mut Node, from: usize, msg: RcMsg<&'static str, u32>) -> Out {
+        let mut fx = Effects::new();
+        node.on_message(ProcessId(from), msg, &mut fx);
+        fx
+    }
 
     #[test]
-    fn config_quorum_math() {
-        let c = Config::initial(vec![ProcessId(0), ProcessId(1), ProcessId(2)]);
+    fn config_quorums_count_members_only() {
+        let c = Config::initial(ids(&[0, 1, 2]));
         assert_eq!(c.quorum(), 2);
         assert!(c.has(ProcessId(1)));
         assert!(!c.has(ProcessId(3)));
+        let q = c.quorums(5);
         let mut r = ProcSet::new(5);
         r.insert(ProcessId(0));
-        assert!(!c.quorum_met(&r));
-        r.insert(ProcessId(3)); // not a member: does not count
-        assert!(!c.quorum_met(&r));
+        assert!(!q.is_read_quorum(&r));
+        r.insert(ProcessId(3)); // not a member: no vote
+        assert!(!q.is_read_quorum(&r) && !q.is_write_quorum(&r));
         r.insert(ProcessId(2));
-        assert!(c.quorum_met(&r));
+        assert!(q.is_read_quorum(&r) && q.is_write_quorum(&r));
+        assert!(q.validate(true).is_ok());
     }
 
     #[test]
@@ -1063,26 +786,22 @@ mod tests {
 
     #[test]
     fn rejects_invalid_member_set() {
-        let mut node: RcNode<&str, u32> = RcNode::new(RcNodeConfig::new(3, ProcessId(0)));
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(0), RcOp::Reconfig(vec![]), &mut fx);
-        assert!(matches!(fx.responses[0].1, RcResp::Rejected(_)));
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(1), RcOp::Reconfig(vec![ProcessId(9)]), &mut fx);
-        assert!(matches!(fx.responses[0].1, RcResp::Rejected(_)));
+        let mut node = node(3, 0, &[0, 1, 2]);
+        for (i, bad) in [vec![], ids(&[9]), ids(&[1, 1])].into_iter().enumerate() {
+            let mut fx = Effects::new();
+            node.on_invoke(OpId(i as u64), RcOp::Reconfig(bad), &mut fx);
+            assert!(matches!(fx.responses[0].1, RcResp::Rejected(_)));
+            assert_eq!(node.in_flight(), 0);
+        }
     }
 
     #[test]
     fn rejects_concurrent_local_reconfig() {
-        let mut node: RcNode<&str, u32> = RcNode::new(RcNodeConfig::new(3, ProcessId(0)));
+        let mut node = node(3, 0, &[0, 1, 2]);
         let mut fx = Effects::new();
-        node.on_invoke(
-            OpId(0),
-            RcOp::Reconfig(vec![ProcessId(0), ProcessId(1)]),
-            &mut fx,
-        );
+        node.on_invoke(OpId(0), RcOp::Reconfig(ids(&[0, 1])), &mut fx);
         // First reconfig is collecting; a second must be rejected.
-        node.on_invoke(OpId(1), RcOp::Reconfig(vec![ProcessId(0)]), &mut fx);
+        node.on_invoke(OpId(1), RcOp::Reconfig(ids(&[0])), &mut fx);
         assert!(fx
             .responses
             .iter()
@@ -1090,89 +809,264 @@ mod tests {
     }
 
     #[test]
-    fn fenced_replica_ignores_old_epoch() {
-        let mut node: RcNode<&str, u32> = RcNode::new(RcNodeConfig::new(3, ProcessId(1)));
+    fn a_sealed_replica_hands_its_inner_node_nothing() {
+        let mut node = node(3, 1, &[0, 1, 2]);
+        // A round of its own, opened before the seal.
         let mut fx = Effects::new();
-        // Fence via StateRequest for epoch 0.
-        node.on_message(
-            ProcessId(0),
-            RcMsg::StateRequest { uid: 1, epoch: 0 },
-            &mut fx,
-        );
+        node.on_invoke(OpId(0), RcOp::Get("k"), &mut fx);
+        let RcMsg::Op {
+            msg: KvMsg::Query { uid, .. },
+            ..
+        } = fx.sends[0].1
+        else {
+            panic!("expected a query, got {:?}", fx.sends[0].1)
+        };
+        // Seal via a collect of epoch 0.
+        let fx = deliver(&mut node, 0, RcMsg::StateRequest { uid: 1, epoch: 0 });
         assert!(matches!(fx.sends[0].1, RcMsg::StateReply { .. }));
-        // An old-epoch update is now ignored (no ack, no adoption).
-        let mut fx = Effects::new();
-        node.on_message(
-            ProcessId(0),
-            RcMsg::Update {
-                uid: 2,
-                epoch: 0,
-                key: "k",
-                tag: Tag::new(1, ProcessId(0)),
-                value: 9,
-            },
-            &mut fx,
-        );
-        assert!(fx.is_empty(), "fenced replica must stay silent");
+        // Replica role: an update of the sealed epoch is neither adopted
+        // nor acknowledged.
+        let fx = deliver(&mut node, 0, update(0, 2, 9));
+        assert!(fx.is_empty(), "sealed replica must stay silent");
         assert!(node.local_entry(&"k").is_none());
+        // Client role: the reply that would complete its own round is not
+        // counted either.
+        let msg = KvMsg::QueryReply {
+            uid,
+            tag: Tag::initial(),
+            value: None,
+        };
+        let fx = deliver(&mut node, 0, RcMsg::Op { epoch: 0, msg });
+        assert!(
+            fx.is_empty(),
+            "a sealed replica's own round must not advance"
+        );
+        // Invocations park: nothing goes out but the wrapper's retry timer.
+        let mut fx = Effects::new();
+        node.on_invoke(OpId(1), RcOp::Put("k", 5), &mut fx);
+        assert!(fx.sends.is_empty() && fx.responses.is_empty());
+        assert_eq!(node.in_flight(), 2);
+        // A second collect of the same epoch is answered again.
+        let fx = deliver(&mut node, 2, RcMsg::StateRequest { uid: 7, epoch: 0 });
+        assert!(matches!(fx.sends[0].1, RcMsg::StateReply { uid: 7, .. }));
+        // The epoch moves: both operations start over in it.
+        let install = RcMsg::Install {
+            uid: 3,
+            config: cfg(1, &[0, 1, 2]),
+            store: vec![],
+        };
+        let fx = deliver(&mut node, 0, install);
+        let query = |m: &RcMsg<_, _>| {
+            matches!(
+                m,
+                RcMsg::Op {
+                    epoch: 1,
+                    msg: KvMsg::Query { .. }
+                }
+            )
+        };
+        let queries = fx.sends.iter().filter(|(_, m)| query(m)).count();
+        assert_eq!(queries, 4, "a get and a put, two peers each: {fx:?}");
+        assert_eq!(node.in_flight(), 2);
+    }
+
+    #[test]
+    fn only_members_answer_requests_and_anyone_hears_replies() {
+        let mut outsider = node(4, 3, &[0, 1, 2]);
+        let fx = deliver(&mut outsider, 0, update(0, 2, 9));
+        assert!(fx.is_empty(), "a non-member is no replica");
+        assert!(outsider.local_entry(&"k").is_none());
+        // As a client it opens rounds and counts the members' replies.
+        let mut fx = Effects::new();
+        outsider.on_invoke(OpId(0), RcOp::Get("k"), &mut fx);
+        let RcMsg::Op {
+            msg: KvMsg::Query { uid, .. },
+            ..
+        } = fx.sends[0].1
+        else {
+            panic!("expected a query, got {:?}", fx.sends[0].1)
+        };
+        let reply = |value| {
+            let tag = Tag::new(1, ProcessId(0));
+            let msg = KvMsg::QueryReply { uid, tag, value };
+            RcMsg::Op { epoch: 0, msg }
+        };
+        let fx = deliver(&mut outsider, 0, reply(Some(9)));
+        assert!(
+            fx.responses.is_empty(),
+            "one member of three is no majority"
+        );
+        // Its own vote weighs nothing, the second member's decides; the
+        // value then goes through the write-back like any other.
+        let fx = deliver(&mut outsider, 1, reply(Some(9)));
+        assert!(matches!(
+            fx.sends[0].1,
+            RcMsg::Op {
+                msg: KvMsg::Update { .. },
+                ..
+            }
+        ));
+        // A member answers the same request.
+        let mut member = node(4, 1, &[0, 1, 2]);
+        let fx = deliver(&mut member, 3, update(0, 2, 9));
+        assert_eq!(fx.sends.len(), 1);
+        assert_eq!(member.local_entry(&"k").map(|(_, v)| *v), Some(9));
+    }
+
+    #[test]
+    fn an_older_epoch_is_answered_with_the_current_config() {
+        let mut node = node(4, 1, &[0, 1, 2, 3]);
+        let now = cfg(1, &[0, 1, 2]);
+        let install = RcMsg::Install {
+            uid: 7,
+            config: now.clone(),
+            store: vec![("k", Tag::new(3, ProcessId(0)), 42)],
+        };
+        deliver(&mut node, 0, install);
+        // A fellow member of the current config gets the state with it...
+        let stale = || RcMsg::Announce {
+            config: cfg(0, &[0, 1, 2, 3]),
+        };
+        for msg in [update(0, 9, 1), stale()] {
+            let fx = deliver(&mut node, 2, msg);
+            let [(to, RcMsg::Install { config, store, .. })] = &fx.sends[..] else {
+                panic!("expected one install, got {fx:?}")
+            };
+            assert_eq!((*to, config, store.len()), (ProcessId(2), &now, 1));
+        }
+        // ...a non-member just the config, for a request, a reply, a
+        // collect or an announcement alike; none reaches the store.
+        let ack = RcMsg::Op {
+            epoch: 0,
+            msg: KvMsg::UpdateAck { uid: 1 },
+        };
+        let collect = RcMsg::StateRequest { uid: 1, epoch: 0 };
+        for msg in [update(0, 9, 1), ack, collect, stale()] {
+            let fx = deliver(&mut node, 3, msg);
+            assert_eq!(fx.sends, vec![(ProcessId(3), node.announce())]);
+        }
+        assert_eq!(node.local_entry(&"k").map(|(_, v)| *v), Some(42));
+        // A newer epoch: we are the one behind, and ask.
+        let fx = deliver(&mut node, 3, update(2, 9, 1));
+        assert_eq!(fx.sends, vec![(ProcessId(3), node.announce())]);
+        assert_eq!(node.current_config(), &now);
     }
 
     #[test]
     fn install_adopts_config_and_state() {
-        let mut node: RcNode<&str, u32> = RcNode::new(RcNodeConfig::new(3, ProcessId(2)));
-        let mut fx = Effects::new();
-        let new_cfg = Config {
-            epoch: 1,
-            members: vec![ProcessId(1), ProcessId(2)],
+        let mut node = node(3, 2, &[0, 1, 2]);
+        let new_cfg = cfg(1, &[1, 2]);
+        let install = |store| RcMsg::Install {
+            uid: 7,
+            config: new_cfg.clone(),
+            store,
         };
-        node.on_message(
-            ProcessId(0),
-            RcMsg::Install {
-                uid: 7,
-                config: new_cfg.clone(),
-                store: vec![("k", Tag::new(3, ProcessId(0)), 42)],
-            },
-            &mut fx,
+        let fx = deliver(
+            &mut node,
+            0,
+            install(vec![("k", Tag::new(3, ProcessId(0)), 42)]),
         );
-        assert!(matches!(fx.sends[0].1, RcMsg::InstallAck { uid: 7 }));
+        assert!(matches!(
+            fx.sends.last(),
+            Some((_, RcMsg::InstallAck { uid: 7 }))
+        ));
         assert_eq!(node.current_config(), &new_cfg);
         assert_eq!(node.local_entry(&"k").map(|(_, v)| *v), Some(42));
         // Re-delivery is idempotent.
-        let mut fx = Effects::new();
-        node.on_message(
-            ProcessId(0),
-            RcMsg::Install {
-                uid: 7,
-                config: new_cfg.clone(),
-                store: vec![],
-            },
-            &mut fx,
-        );
+        let fx = deliver(&mut node, 0, install(vec![]));
         assert!(matches!(fx.sends[0].1, RcMsg::InstallAck { uid: 7 }));
         assert_eq!(node.local_entry(&"k").map(|(_, v)| *v), Some(42));
     }
 
     #[test]
-    fn announce_moves_epoch_forward_only() {
-        let mut node: RcNode<&str, u32> = RcNode::new(RcNodeConfig::new(3, ProcessId(0)));
-        let newer = Config {
-            epoch: 2,
-            members: vec![ProcessId(0)],
-        };
-        let older = Config {
-            epoch: 1,
-            members: vec![ProcessId(1)],
-        };
-        let mut fx = Effects::new();
-        node.on_message(
-            ProcessId(1),
-            RcMsg::Announce {
-                config: newer.clone(),
-            },
-            &mut fx,
-        );
-        assert_eq!(node.current_config().epoch, 2);
-        node.on_message(ProcessId(1), RcMsg::Announce { config: older }, &mut fx);
+    fn an_announcement_moves_non_members_only() {
+        let mut node = node(3, 0, &[0, 1, 2]);
+        // Announced a config we are a member of: only an install may make
+        // us serve it, so we ask its members (with our own, older config).
+        let joining = cfg(1, &[0, 1]);
+        let fx = deliver(&mut node, 2, RcMsg::Announce { config: joining });
+        assert_eq!(node.current_config().epoch, 0);
+        assert_eq!(fx.sends, vec![(ProcessId(1), node.announce())]);
+        // Announced one we are outside of: nothing to wait for.
+        let newer = cfg(2, &[1]);
+        let config = newer.clone();
+        deliver(&mut node, 1, RcMsg::Announce { config });
+        assert_eq!(node.current_config(), &newer);
+        // Epochs only move forward.
+        let config = cfg(1, &[1, 2]);
+        deliver(&mut node, 1, RcMsg::Announce { config });
         assert_eq!(node.current_config(), &newer, "older announce ignored");
+    }
+
+    #[test]
+    fn restart_keeps_config_seal_and_store_and_drops_what_was_in_flight() {
+        let mut node = node(3, 1, &[0, 1, 2]);
+        deliver(&mut node, 0, update(0, 2, 9));
+        let mut fx = Effects::new();
+        node.on_invoke(OpId(0), RcOp::Reconfig(ids(&[0, 1])), &mut fx);
+        node.on_invoke(OpId(1), RcOp::Put("k", 5), &mut fx);
+        node.on_invoke(OpId(2), RcOp::Get("k"), &mut fx);
+        assert_eq!(node.in_flight(), 3, "a collect and two parked invocations");
+        let mut fx = Effects::new();
+        node.on_restart(&mut fx);
+        assert_eq!(node.in_flight(), 0);
+        assert_eq!(node.current_config(), &cfg(0, &[0, 1, 2]));
+        assert_eq!(node.local_entry(&"k").map(|(_, v)| *v), Some(9));
+        // The inner node's own restart ran: it pulls state from its peers.
+        let pull = |m: &RcMsg<_, _>| {
+            matches!(
+                m,
+                RcMsg::Op {
+                    epoch: 0,
+                    msg: KvMsg::SyncPull { .. }
+                }
+            )
+        };
+        assert_eq!(fx.sends.iter().filter(|(_, m)| pull(m)).count(), 2);
+        // Still sealed: an update of the closed epoch stays unanswered.
+        assert!(deliver(&mut node, 0, update(0, 3, 11)).is_empty());
+        // And the administrator may try again.
+        let mut fx = Effects::new();
+        node.on_invoke(OpId(3), RcOp::Reconfig(ids(&[0, 1])), &mut fx);
+        assert!(fx.responses.is_empty());
+        assert!(matches!(
+            fx.sends[0].1,
+            RcMsg::StateRequest { epoch: 0, .. }
+        ));
+    }
+
+    #[test]
+    fn wrapper_timer_sits_at_the_top_of_the_key_space_and_inner_timers_pass_through() {
+        use abd_core::context::TimerCmd;
+        assert_eq!(FENCE_KEY, TimerKey(u64::MAX - 2));
+        assert_eq!(abd_core::batch::FLUSH_KEY, TimerKey(u64::MAX));
+        let mut node = node(3, 0, &[0, 1, 2]);
+        let mut fx = Effects::new();
+        node.on_invoke(OpId(0), RcOp::Get("k"), &mut fx);
+        let TimerCmd::Set { key, .. } = fx.timers[0] else {
+            panic!("the inner node armed no timer: {fx:?}")
+        };
+        assert_ne!(key, FENCE_KEY);
+        let mut fx = Effects::new();
+        node.on_timer(key, &mut fx);
+        assert_eq!(fx.sends.len(), 2, "the inner round retransmits: {fx:?}");
+        // The wrapper's timer: armed by a collect, retransmits it.
+        let mut fx = Effects::new();
+        node.on_invoke(OpId(1), RcOp::Reconfig(ids(&[1, 2])), &mut fx);
+        assert!(fx.timers.iter().any(|t| matches!(t,
+            TimerCmd::Set { key, .. } if *key == FENCE_KEY)));
+        let mut fx = Effects::new();
+        node.on_timer(FENCE_KEY, &mut fx);
+        let collects = |fx: &Out| {
+            let is = |m: &RcMsg<_, _>| matches!(m, RcMsg::StateRequest { .. });
+            fx.sends.iter().filter(|(_, m)| is(m)).count()
+        };
+        assert_eq!(collects(&fx), 2);
+        assert_eq!(fx.timers.len(), 1, "re-armed: {fx:?}");
+        // Idle, it neither sends nor re-arms.
+        node.on_restart(&mut Effects::new());
+        let mut fx = Effects::new();
+        node.on_timer(FENCE_KEY, &mut fx);
+        assert!(fx.is_empty());
     }
 }

@@ -18,6 +18,18 @@ pub fn on_message(&mut self, from: ProcessId, msg: Msg, fx: &mut Effects) {
     }
 }
 
+pub fn on_timer(&mut self, key: TimerKey, fx: &mut Effects) {
+    // Taking the phase out is the only step that could "not happen": an
+    // `if let` makes that a no-op where `else { unreachable!() }` made it a
+    // crash. (The word in this comment, or as a plain name, is no macro.)
+    if self.quorum.is_read_quorum(&self.responders) {
+        if let Some(Pending::Query { op, .. }) = self.pending.remove(&key.0) {
+            let unreachable = self.todo;
+            fx.respond(op, unreachable);
+        }
+    }
+}
+
 pub fn thresholds(n: usize) -> usize {
     abd_core::quorum::majority_threshold(n)
 }

@@ -8,6 +8,15 @@ pub fn on_message(&mut self, from: ProcessId, msg: Msg) {
     }
 }
 
+pub fn on_timer(&mut self, key: TimerKey) {
+    // The aborting macros that do not spell `panic`: same crash.
+    match self.pending.remove(&key.0) {
+        Some(Pending::Query { .. }) => unreachable!(),
+        Some(Pending::Update { .. }) => unimplemented!("update retry"),
+        None => todo!(),
+    }
+}
+
 pub fn node_main(rx: Receiver<Msg>) {
     // Outside a flagged call shape: unwrap_or / expect_err are fine.
     let _a = rx.try_recv().unwrap_or_default();

@@ -4,7 +4,7 @@
 //! |----|-----------|
 //! | `hash-collections`   | no `HashMap`/`HashSet` in protocol or simulator code (iteration order would leak nondeterminism into executions) |
 //! | `wall-clock`         | no `Instant`/`SystemTime` in protocol, simulator, runtime or shmem crates — time flows through `abd_core::clock::Clock` |
-//! | `panic-in-handler`   | no `.unwrap()`/`.expect(…)`/`panic!` inside message-path handlers — a malformed or stale message must never take a replica down |
+//! | `panic-in-handler`   | no `.unwrap()`/`.expect(…)`/`panic!`/`unreachable!`/`unimplemented!`/`todo!` inside message-path handlers — a malformed or stale message must never take a replica down |
 //! | `wildcard-msg-match` | the top-level `match` on `msg` in every `on_message` enumerates variants without `_ =>`, so adding a message kind is a compile-time event |
 //! | `raw-quorum-arith`   | no open-coded `/ 2` or `div_ceil(2)` majorities outside `crates/core/src/quorum.rs` — quorum sizes come from the checked constructors |
 //! | `fast-path-helper`   | write-back elision decisions go through `abd_core::quorum::fast_read_allowed` — unanimity alone is not sufficient (the responders must also form a write quorum), so ad-hoc `unanimous()` calls are banned outside the helper call |
@@ -51,7 +51,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "panic-in-handler",
-        summary: "no unwrap/expect/panic! inside protocol message handlers",
+        summary: "no unwrap/expect/panic!/unreachable!/unimplemented!/todo! inside protocol message handlers",
     },
     RuleInfo {
         id: "wildcard-msg-match",
@@ -277,13 +277,15 @@ fn panic_in_handler(file: &SourceFile, ast: &Ast, tk: &Toks, out: &mut Vec<Findi
             }
         }
         for i in body.open..body.close.min(tk.toks.len()) {
-            if tk.t(i) == "panic" && tk.is_ident(i) && tk.t(i + 1) == "!" {
+            let mac = tk.t(i);
+            let aborts = matches!(mac, "panic" | "unreachable" | "unimplemented" | "todo");
+            if aborts && tk.is_ident(i) && tk.t(i + 1) == "!" {
                 out.push(finding(
                     file,
                     "panic-in-handler",
                     tk.off(i),
                     format!(
-                        "`panic!` inside `{name}` turns a protocol-level surprise into a \
+                        "`{mac}!` inside `{name}` turns a protocol-level surprise into a \
                          crash; handle the case or drop the message"
                     ),
                 ));
@@ -739,6 +741,20 @@ mod tests {
         let f = check("crates/core/src/a.rs", src);
         assert_eq!(f.iter().filter(|f| f.rule == "panic-in-handler").count(), 1);
         assert_eq!(f[0].line, 1);
+    }
+
+    #[test]
+    fn every_aborting_macro_in_a_handler_is_flagged() {
+        for mac in ["panic", "unreachable", "unimplemented", "todo"] {
+            let src =
+                format!("fn on_message(&mut self) {{ {mac}!() }}\nfn helper() {{ {mac}!() }}\n");
+            let f = check("crates/kv/src/a.rs", &src);
+            assert_eq!(f.len(), 1, "{mac}: {f:?}");
+            assert_eq!((f[0].rule, f[0].line), ("panic-in-handler", 1));
+        }
+        // The bare identifier is not the macro.
+        let src = "fn on_timer(&mut self) { let unreachable = self.todo; }\n";
+        assert!(check("crates/kv/src/a.rs", src).is_empty());
     }
 
     #[test]

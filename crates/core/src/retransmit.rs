@@ -21,6 +21,7 @@
 
 use crate::context::{Effects, TimerKey};
 use crate::types::{Nanos, ProcessId};
+use std::collections::BTreeMap;
 
 /// SplitMix64 finalizer — a cheap, well-mixed pure hash for jitter.
 fn mix64(mut z: u64) -> u64 {
@@ -143,12 +144,14 @@ impl BackoffPolicy {
 
 /// Per-node retransmission driver shared by every protocol in this crate.
 ///
-/// Protocols keep at most one phase in flight, so one `Retransmitter` per
-/// node suffices: [`arm`](Retransmitter::arm) when a phase starts,
+/// One `Retransmitter` per node drives any number of phases at once, each on
+/// its own backoff ladder: [`arm`](Retransmitter::arm) when a phase starts,
 /// [`disarm`](Retransmitter::disarm) when it completes, and
 /// [`fire`](Retransmitter::fire) from `on_timer` to resend the phase
 /// message to the processors still missing and schedule the next, longer
-/// attempt.
+/// attempt. A caller that resends by its own means (several messages, a
+/// counted send path) uses [`refire`](Retransmitter::refire) for the
+/// bookkeeping alone.
 ///
 /// # Examples
 ///
@@ -170,8 +173,10 @@ pub struct Retransmitter {
     policy: Option<BackoffPolicy>,
     /// Per-node salt so different nodes jitter differently.
     salt: u64,
-    /// Retry attempts of the currently armed phase.
-    attempt: u32,
+    /// Retry attempts so far of each armed phase that has fired at least
+    /// once, by phase uid. Touched only with a policy set — a reliable-link
+    /// run never reaches it — and only by key, never iterated.
+    attempts: BTreeMap<u64, u32>,
     /// Total messages retransmitted over the node's lifetime.
     sent: u64,
 }
@@ -183,7 +188,7 @@ impl Retransmitter {
         Retransmitter {
             policy,
             salt: mix64(me.index() as u64 + 1),
-            attempt: 0,
+            attempts: BTreeMap::new(),
             sent: 0,
         }
     }
@@ -203,18 +208,20 @@ impl Retransmitter {
         self.sent
     }
 
-    /// Starts the retry schedule for a fresh phase `uid`: resets the
-    /// attempt counter and arms the phase timer with the first delay.
+    /// Starts the retry schedule of phase `uid` at the bottom of its
+    /// ladder: arms the phase timer with the first delay. Arming a phase
+    /// again (it made progress and sent a new request) starts it over.
     pub fn arm<M, R>(&mut self, uid: u64, fx: &mut Effects<M, R>) {
-        self.attempt = 0;
         if let Some(p) = self.policy {
+            self.attempts.remove(&uid);
             fx.set_timer(TimerKey(uid), p.delay(0, self.salt ^ uid));
         }
     }
 
-    /// Stops the retry schedule (the phase completed).
+    /// Stops the retry schedule of phase `uid` (the phase completed).
     pub fn disarm<M, R>(&mut self, uid: u64, fx: &mut Effects<M, R>) {
         if self.policy.is_some() {
+            self.attempts.remove(&uid);
             fx.cancel_timer(TimerKey(uid));
         }
     }
@@ -228,21 +235,29 @@ impl Retransmitter {
         msg: M,
         fx: &mut Effects<M, R>,
     ) {
+        if self.policy.is_some() {
+            fx.send_each(missing.iter().copied(), msg);
+            self.refire(uid, missing.len() as u64, fx);
+        }
+    }
+
+    /// The bookkeeping half of [`fire`](Retransmitter::fire), for a caller
+    /// that has just resent `resent` messages of phase `uid` itself: counts
+    /// them and schedules the phase's next, longer attempt.
+    pub fn refire<M, R>(&mut self, uid: u64, resent: u64, fx: &mut Effects<M, R>) {
         let Some(p) = self.policy else {
             return;
         };
-        for &to in missing {
-            fx.send(to, msg.clone());
-        }
-        self.sent += missing.len() as u64;
-        self.attempt = self.attempt.saturating_add(1);
-        fx.set_timer(TimerKey(uid), p.delay(self.attempt, self.salt ^ uid));
+        self.sent += resent;
+        let attempt = self.attempts.entry(uid).or_insert(0);
+        *attempt = attempt.saturating_add(1);
+        fx.set_timer(TimerKey(uid), p.delay(*attempt, self.salt ^ uid));
     }
 
     /// Forgets in-flight retry state (crash recovery wipes volatile state;
     /// lifetime counters survive for metrics).
     pub fn reset(&mut self) {
-        self.attempt = 0;
+        self.attempts.clear();
     }
 }
 
@@ -325,6 +340,46 @@ mod tests {
             })
             .collect();
         assert_eq!(delays, vec![1_000, 2_000, 4_000]);
+    }
+
+    /// The delay of every `Set` for phase `uid`, in order.
+    fn delays_of(fx: &Effects<u8, ()>, uid: u64) -> Vec<Nanos> {
+        fx.timers
+            .iter()
+            .filter_map(|t| match t {
+                crate::context::TimerCmd::Set { key, after } if key.0 == uid => Some(*after),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_armed_phases_back_off_on_independent_ladders() {
+        let policy = BackoffPolicy::new(1_000).with_jitter(false);
+        let mut rtx = Retransmitter::new(Some(policy), ProcessId(0));
+        let mut fx: Effects<u8, ()> = Effects::new();
+        rtx.arm(1, &mut fx);
+        rtx.fire(1, &[ProcessId(1)], 0, &mut fx);
+        rtx.fire(1, &[ProcessId(1)], 0, &mut fx);
+        // A second phase starts at the bottom however far the first has
+        // climbed, and the first keeps climbing from where it was.
+        rtx.arm(2, &mut fx);
+        rtx.refire(2, 3, &mut fx);
+        rtx.fire(1, &[ProcessId(1)], 0, &mut fx);
+        assert_eq!(delays_of(&fx, 1), vec![1_000, 2_000, 4_000, 8_000]);
+        assert_eq!(delays_of(&fx, 2), vec![1_000, 2_000]);
+        assert_eq!(
+            rtx.retransmissions(),
+            3 + 3,
+            "refire counts what it is told"
+        );
+        // Completing one phase leaves the other's ladder alone; a uid armed
+        // again starts over.
+        rtx.disarm(1, &mut fx);
+        rtx.refire(2, 0, &mut fx);
+        rtx.arm(1, &mut fx);
+        assert_eq!(delays_of(&fx, 2).last(), Some(&4_000));
+        assert_eq!(delays_of(&fx, 1).last(), Some(&1_000));
     }
 
     #[test]

@@ -82,7 +82,7 @@ use abd_core::merkle::{key_hash, MerkleTree};
 use abd_core::phase::{PhaseTracker, RelayCensus, TagCensus};
 use abd_core::procset::ProcSet;
 use abd_core::quorum::{fast_read_allowed, Majority, QuorumSystem};
-use abd_core::retransmit::BackoffPolicy;
+use abd_core::retransmit::{BackoffPolicy, Retransmitter};
 use abd_core::types::{Consistency, Nanos, OpId, ProcessId, ReadMode, Tag};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Debug;
@@ -474,10 +474,9 @@ pub struct KvNode<K, V> {
     store: HashMap<K, (Tag, V), FastBuild>,
     next_uid: u64,
     pending: HashMap<u64, Pending<K, V>, FastBuild>,
-    /// Per-phase retransmission attempts (operations pipeline here, so each
-    /// phase backs off independently; cleared when its phase completes).
-    rtx_attempts: HashMap<u64, u32, FastBuild>,
-    retransmissions: u64,
+    /// Retry schedules of every armed phase and walk (operations pipeline
+    /// here, so each backs off independently).
+    rtx: Retransmitter,
     /// Post-restart catch-up still short of a read quorum (bulk replies or
     /// finished walks). Serving does not wait for it; it only holds the
     /// anti-entropy sweep off and times the bulk pull's retransmission.
@@ -527,13 +526,13 @@ where
         );
         let tree = MerkleTree::new(cfg.sync_buckets);
         let buckets = vec![Vec::new(); cfg.sync_buckets];
+        let rtx = Retransmitter::new(cfg.retransmit, cfg.me);
         KvNode {
             cfg,
             store: HashMap::default(),
             next_uid: 0,
             pending: HashMap::default(),
-            rtx_attempts: HashMap::default(),
-            retransmissions: 0,
+            rtx,
             recovering: None,
             relays: HashMap::default(),
             tree,
@@ -554,7 +553,7 @@ where
 
     /// Messages this node has retransmitted over its lifetime.
     pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
+        self.rtx.retransmissions()
     }
 
     /// The node's current Merkle root over its `(key → tag)` map.
@@ -751,7 +750,7 @@ where
             },
         );
         self.send_sync(peer, KvMsg::SyncDigest { uid }, fx);
-        self.arm_timer(uid, fx);
+        self.rtx.arm(uid, fx);
     }
 
     /// Drives walk `uid` once its outstanding batches are all answered:
@@ -785,7 +784,7 @@ where
         for msg in wave {
             self.send_sync(peer, msg, fx);
         }
-        self.arm_timer(uid, fx);
+        self.rtx.arm(uid, fx);
     }
 
     /// Tears down walk `uid`; a finished *recovery* walk counts its peer
@@ -794,7 +793,7 @@ where
         let Some(walk) = self.walks.remove(&uid) else {
             return;
         };
-        self.disarm_timer(uid, fx);
+        self.rtx.disarm(uid, fx);
         self.max_walk_rounds = self.max_walk_rounds.max(walk.rounds);
         if !walk.recovery {
             return;
@@ -839,24 +838,9 @@ where
             .collect();
         for u in stale {
             self.walks.remove(&u);
-            self.disarm_timer(u, fx);
+            self.rtx.disarm(u, fx);
         }
         self.start_walk(peer, false, fx);
-    }
-
-    fn arm_timer(&mut self, uid: u64, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
-        if let Some(policy) = self.cfg.retransmit {
-            let attempt = self.rtx_attempts.get(&uid).copied().unwrap_or(0);
-            let salt = (self.cfg.me.index() as u64 + 1) ^ uid;
-            fx.set_timer(TimerKey(uid), policy.delay(attempt, salt));
-        }
-    }
-
-    fn disarm_timer(&mut self, uid: u64, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
-        if self.cfg.retransmit.is_some() {
-            self.rtx_attempts.remove(&uid);
-            fx.cancel_timer(TimerKey(uid));
-        }
     }
 
     /// Phase 1 of a `Put`: learn the largest tag a read quorum holds.
@@ -885,7 +869,7 @@ where
                 value,
             },
         );
-        self.arm_timer(uid, fx);
+        self.rtx.arm(uid, fx);
     }
 
     /// Phase 2 of a `Put`: stamp — once per operation, so the put is one
@@ -937,7 +921,7 @@ where
             },
             fx,
         );
-        self.arm_timer(uid, fx);
+        self.rtx.arm(uid, fx);
     }
 
     /// Phase 2 of a `Get`: write back what we are about to return (skipped
@@ -981,7 +965,7 @@ where
             },
             fx,
         );
-        self.arm_timer(uid, fx);
+        self.rtx.arm(uid, fx);
     }
 
     /// The `Get`'s query phase holds a read quorum: respond right away on
@@ -1066,7 +1050,7 @@ where
                 cons,
             },
         );
-        self.arm_timer(uid, fx);
+        self.rtx.arm(uid, fx);
     }
 
     /// Opens a relay `Get`: broadcast our snapshot for `key` as the round's
@@ -1093,7 +1077,7 @@ where
             },
             fx,
         );
-        self.arm_timer(uid, fx);
+        self.rtx.arm(uid, fx);
         self.relay_observe(self.cfg.me, uid, key, self.cfg.me, fx);
     }
 
@@ -1204,7 +1188,7 @@ where
         else {
             return;
         };
-        self.disarm_timer(uid, fx);
+        self.rtx.disarm(uid, fx);
         self.relay_reads += 1;
         let (tag, value) = match census.into_min() {
             Some(best) => best,
@@ -1242,7 +1226,7 @@ where
         uids.extend(self.pending.keys());
         uids.sort_unstable();
         for uid in uids {
-            self.disarm_timer(uid, fx);
+            self.rtx.disarm(uid, fx);
             match self.pending.remove(&uid) {
                 Some(Pending::GetQuery { op, key, cons, .. }) => self.begin_get(op, key, cons, fx),
                 Some(Pending::RelayGet { op, key, .. }) => self.begin_relay_get(op, key, fx),
@@ -1373,7 +1357,7 @@ where
                                 cons,
                             }) = self.pending.remove(&uid)
                             {
-                                self.disarm_timer(uid, fx);
+                                self.rtx.disarm(uid, fx);
                                 self.complete_get_query(op, key, ph.responders(), census, cons, fx);
                             }
                         }
@@ -1394,7 +1378,7 @@ where
                                 ..
                             }) = self.pending.remove(&uid)
                             {
-                                self.disarm_timer(uid, fx);
+                                self.rtx.disarm(uid, fx);
                                 self.enter_put_update(op, key, best, value, fx);
                             }
                         }
@@ -1427,7 +1411,7 @@ where
                 };
                 if let Some((op, resp)) = done {
                     self.pending.remove(&uid);
-                    self.disarm_timer(uid, fx);
+                    self.rtx.disarm(uid, fx);
                     fx.respond(op, resp);
                 }
             }
@@ -1446,7 +1430,7 @@ where
                 self.merge(entries);
                 if done {
                     self.recovering = None;
-                    self.disarm_timer(uid, fx);
+                    self.rtx.disarm(uid, fx);
                 }
             }
             // ---- Merkle sync walk: peer role (stateless) ----
@@ -1624,22 +1608,20 @@ where
                     })
                     .collect()
             };
-            self.retransmissions += resend.len() as u64;
+            let resent = resend.len() as u64;
             for msg in resend {
                 self.send_sync(peer, msg, fx);
             }
-            *self.rtx_attempts.entry(uid).or_insert(0) += 1;
-            self.arm_timer(uid, fx);
+            self.rtx.refire(uid, resent, fx);
             return;
         }
         if let Some(ph) = self.recovering.as_ref().filter(|ph| ph.uid() == uid) {
             let targets = ph.missing();
-            self.retransmissions += targets.len() as u64;
+            let resent = targets.len() as u64;
             for p in targets {
                 self.send_sync(p, KvMsg::SyncPull { uid }, fx);
             }
-            *self.rtx_attempts.entry(uid).or_insert(0) += 1;
-            self.arm_timer(uid, fx);
+            self.rtx.refire(uid, resent, fx);
             return;
         }
         let Some(pending) = self.pending.get(&uid) else {
@@ -1667,12 +1649,7 @@ where
             targets.retain(|&p| p != self.cfg.me);
         }
         if let Some(msg) = self.retransmit_message(pending) {
-            self.retransmissions += targets.len() as u64;
-            for p in targets {
-                fx.send(p, msg.clone());
-            }
-            *self.rtx_attempts.entry(uid).or_insert(0) += 1;
-            self.arm_timer(uid, fx);
+            self.rtx.fire(uid, &targets, msg, fx);
         }
     }
 
@@ -1686,7 +1663,7 @@ where
         // read quorum; serving resumes right away. The digest tree and
         // bucket index persist with the store they summarize.
         self.pending.clear();
-        self.rtx_attempts.clear();
+        self.rtx.reset();
         // Relay bookkeeping is volatile too: a post-restart reply still
         // carries the persisted store, which is all the safety argument
         // needs (see the abd-core SWMR module docs). Walks are plain
@@ -1709,7 +1686,7 @@ where
                     self.send_sync(p, KvMsg::SyncPull { uid }, fx);
                 }
             }
-            self.arm_timer(uid, fx);
+            self.rtx.arm(uid, fx);
         } else {
             // Merkle walk, one per peer. Each finished walk records its
             // peer in `recovering`; the catch-up ends at a read quorum, and

@@ -455,13 +455,17 @@ fn kv_recovery_campaign_catches_up_and_replays() {
 fn kv_bulk_recovery_trace_digest_is_pinned() {
     // Default configs sit below `sync_threshold`, so recovery takes the
     // bulk `SyncPull`/`SyncState` path — whose behavior must stay
-    // byte-identical to the pre-Merkle golden trace. Regenerate only for a
+    // byte-identical to the golden trace. Regenerate only for a
     // *deliberate* bulk-path change: run `kv_bulk_recovery_digest(3)` and
-    // update the constant.
+    // update the constant. Moved once since the pre-Merkle golden
+    // (`0x0d93_5289_a11e_0ac6`): `KvNode` gave up its private retry counters
+    // for `abd_core::Retransmitter`, whose jitter salt is `mix64(me + 1) ^
+    // uid` where the store's was `(me + 1) ^ uid` — the same messages, each
+    // retransmission at a differently jittered instant.
     assert_eq!(
         kv_bulk_recovery_digest(3),
-        0x0d93_5289_a11e_0ac6,
-        "bulk recovery diverged from the pre-Merkle golden trace"
+        0x61af_698b_c11c_cea7,
+        "bulk recovery diverged from the golden trace"
     );
 }
 

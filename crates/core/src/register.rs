@@ -327,6 +327,16 @@ impl<L: Label, V: Clone> Pending<L, V> {
     }
 }
 
+/// One server-side relay round: which peers' forwards we have seen for
+/// `(reader, uid)`, and whether we already replied. Completion is tracked
+/// per round, not as a per-reader uid floor: a floor is sound only for a
+/// reader with one round open, the flag for any reader.
+#[derive(Clone, Debug)]
+struct RelayRound {
+    ph: PhaseTracker,
+    done: bool,
+}
+
 /// Post-restart catch-up: a query phase run before serving clients, so the
 /// rejoining replica adopts the latest completed write it missed.
 #[derive(Clone, Debug)]
@@ -354,13 +364,10 @@ pub struct RegisterNode<L, V> {
     /// write's `WriteOk` is issued; a crash in between leaves it for the
     /// post-recovery epilogue to roll forward.
     intent: Option<(OpId, L, V)>,
-    /// Server-side relay rounds in progress, keyed by `(reader, uid)`: the
-    /// tracker records whose forwards (or, for the reader itself, whose
-    /// query) this server has seen. Volatile — cleared on restart.
-    relays: BTreeMap<(ProcessId, u64), PhaseTracker>,
-    /// Highest relay round uid completed here per reader, so duplicate
-    /// queries re-send the reply instead of reopening the round. Volatile.
-    relay_done: BTreeMap<ProcessId, u64>,
+    /// Server-side relay rounds, keyed by `(reader, uid)`. Volatile —
+    /// cleared on restart; completed rounds are pruned when the same reader
+    /// opens a strictly newer round.
+    relays: BTreeMap<(ProcessId, u64), RelayRound>,
     fast_reads: u64,
     write_backs: u64,
     relay_reads: u64,
@@ -391,7 +398,6 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
             recovering: None,
             intent: None,
             relays: BTreeMap::new(),
-            relay_done: BTreeMap::new(),
             fast_reads: 0,
             write_backs: 0,
             relay_reads: 0,
@@ -657,6 +663,8 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
             return;
         }
         let (label, value) = census.into_best();
+        // Counted here, where the write-back is decided, not in the round.
+        self.write_backs += u64::from(self.cfg.read_write_back);
         self.enter_write_back(op, label, value, fx);
     }
 
@@ -667,7 +675,6 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
             self.finish(op, RegisterResp::ReadOk(value), fx);
             return;
         }
-        self.write_backs += 1;
         self.replica.adopt(label, value.clone());
         let ph = self.fresh_phase();
         if self.cfg.quorum.is_write_quorum(ph.responders()) {
@@ -702,13 +709,6 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
         self.relay_observe(self.cfg.me, uid, self.cfg.me, fx);
     }
 
-    /// Whether relay round `(reader, uid)` has already completed here.
-    fn relay_round_done(&self, reader: ProcessId, uid: u64) -> bool {
-        self.relay_done
-            .get(&reader)
-            .is_some_and(|&done| done >= uid)
-    }
-
     /// Sends this server's forward for round `(reader, uid)` to `targets`.
     fn relay_fwd_to(
         &self,
@@ -736,24 +736,30 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
     /// Records `from`'s forward (the reader's query doubles as its forward)
     /// in server round `(reader, uid)`, creating the round — and
     /// broadcasting our own forward — on first contact. Once the round's
-    /// forwards cover a read quorum it is retired: the done floor advances
-    /// and our replica snapshot goes to the reader as its direct reply
-    /// (fed straight into our own pending read when we are the reader).
+    /// forwards cover a read quorum it is marked done and our replica
+    /// snapshot goes to the reader as its direct reply (fed straight into
+    /// our own pending read when we are the reader).
     fn relay_observe(&mut self, reader: ProcessId, uid: u64, from: ProcessId, fx: &mut Fx<L, V>) {
         let (n, me) = (self.cfg.n, self.cfg.me);
         let created = !self.relays.contains_key(&(reader, uid));
         if created {
-            // Contact for round `uid` implies the reader is past any
-            // earlier round: readers are sequential and uids increase, so
-            // stale abandoned rounds for this reader can be dropped.
-            self.relays.retain(|&(r, u), _| r != reader || u >= uid);
+            // GC: a strictly newer round from this reader retires its
+            // *completed* older rounds. In-progress ones stay — a reader
+            // may legitimately keep several rounds open at once.
             self.relays
-                .insert((reader, uid), PhaseTracker::new(uid, n, me));
+                .retain(|&(r, u), round| r != reader || u >= uid || !round.done);
+            self.relays.insert(
+                (reader, uid),
+                RelayRound {
+                    ph: PhaseTracker::new(uid, n, me),
+                    done: false,
+                },
+            );
         }
         let complete = match self.relays.get_mut(&(reader, uid)) {
-            Some(ph) => {
-                ph.record(from, uid);
-                self.cfg.quorum.is_read_quorum(ph.responders())
+            Some(round) => {
+                round.ph.record(from, uid);
+                !round.done && self.cfg.quorum.is_read_quorum(round.ph.responders())
             }
             None => false,
         };
@@ -767,10 +773,11 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
             }
             return;
         }
-        // The tracker stays behind (pruned when the reader's next round
-        // arrives) so stragglers are told apart from true duplicates.
-        let floor = self.relay_done.entry(reader).or_insert(0);
-        *floor = (*floor).max(uid);
+        // The round stays behind, marked done (pruned when the reader's
+        // next round arrives), so stragglers are told apart from duplicates.
+        if let Some(round) = self.relays.get_mut(&(reader, uid)) {
+            round.done = true;
+        }
         let (label, value) = self.replica.snapshot();
         if reader == me {
             self.relay_reply_in(me, uid, label, value, fx);
@@ -897,7 +904,8 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
             // ---- relay read: server and reader roles ----
             RegisterMsg::RelayQuery { uid, label, value } => {
                 self.replica.adopt(label, value);
-                if self.relay_round_done(from, uid) {
+                let round = self.relays.get(&(from, uid));
+                if round.is_some_and(|r| r.done) {
                     // Reader retransmission after our round completed: both
                     // our forward (for the reader's own round) and our
                     // reply may have been lost — re-send the current
@@ -907,18 +915,15 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
                     fx.send(from, RegisterMsg::RelayReply { uid, label, value });
                     return;
                 }
-                let repeat = self
-                    .relays
-                    .get(&(from, uid))
-                    .is_some_and(|ph| ph.responders().contains(from));
+                let repeat = round.is_some_and(|r| r.ph.responders().contains(from));
                 if repeat {
                     // Duplicate query while we are still gathering: our
                     // forwards may have been lost — re-send to the peers we
                     // have not heard from (completed peers echo back) and
                     // to the stuck reader itself.
                     let mut targets = Vec::new();
-                    if let Some(ph) = self.relays.get(&(from, uid)) {
-                        targets = ph.missing();
+                    if let Some(r) = self.relays.get(&(from, uid)) {
+                        targets = r.ph.missing();
                     }
                     targets.push(from);
                     self.relay_fwd_to(&targets, from, uid, false, fx);
@@ -934,10 +939,8 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
                 echo,
             } => {
                 self.replica.adopt(label, value);
-                let repeat = self
-                    .relays
-                    .get(&(reader, uid))
-                    .is_some_and(|ph| ph.responders().contains(from));
+                let round = self.relays.get(&(reader, uid));
+                let repeat = round.is_some_and(|r| r.ph.responders().contains(from));
                 if repeat {
                     if !echo {
                         // A re-sent forward means the sender is stuck and
@@ -948,19 +951,20 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
                     }
                     return;
                 }
-                if self.relay_round_done(reader, uid) {
+                if round.is_some_and(|r| r.done) {
                     // Straggler forward for a round already completed here:
                     // record it so a later duplicate is recognized as such;
                     // nothing to send.
-                    if let Some(ph) = self.relays.get_mut(&(reader, uid)) {
-                        ph.record(from, uid);
+                    if let Some(r) = self.relays.get_mut(&(reader, uid)) {
+                        r.ph.record(from, uid);
                     }
                     return;
                 }
                 self.relay_observe(reader, uid, from, fx);
             }
             RegisterMsg::RelayReply { uid, label, value } => {
-                self.replica.adopt(label, value.clone());
+                // Not adopted on receipt: only the census minimum is, when
+                // the read completes.
                 self.relay_reply_in(from, uid, label, value, fx);
             }
             RegisterMsg::UpdateAck { uid } => {
@@ -1012,8 +1016,8 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
             // A relay reader can be stuck on replies *or* on forwards for
             // its own server round; re-query both sets. The empty-seeded
             // reply tracker lists `me` as missing — never send to self.
-            if let Some(rph) = self.relays.get(&(self.cfg.me, key.0)) {
-                for p in rph.missing() {
+            if let Some(round) = self.relays.get(&(self.cfg.me, key.0)) {
+                for p in round.ph.missing() {
                     if !missing.contains(&p) {
                         missing.push(p);
                     }
@@ -1035,12 +1039,11 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
         self.pending = None;
         self.queue.clear();
         self.rtx.reset();
-        // Relay bookkeeping is volatile too: rounds this server was
-        // gathering and the done floors vanish with the crash. Safe, because
+        // Relay bookkeeping is volatile too: the rounds this server was
+        // gathering or had answered vanish with the crash. Safe, because
         // a post-restart reply still carries the *persisted* replica — the
         // quorum-intersection argument never depended on round state.
         self.relays.clear();
-        self.relay_done.clear();
         let ph = self.fresh_phase();
         let (label, value) = self.replica.snapshot();
         if self.cfg.quorum.is_read_quorum(ph.responders()) {

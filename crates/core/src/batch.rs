@@ -46,7 +46,7 @@
 //! envelopes are such sends, so retransmission counts are not meaningful
 //! for windowed-batching runs.
 
-use crate::context::{Effects, Protocol, ReadPathStats, TimerCmd, TimerKey};
+use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerCmd, TimerKey};
 use crate::types::{Nanos, OpId, ProcessId};
 use std::collections::BTreeMap;
 
@@ -311,24 +311,8 @@ impl<P: Protocol> Protocol for Batched<P> {
 }
 
 impl<P: Protocol + ReadPathStats> ReadPathStats for Batched<P> {
-    fn fast_reads(&self) -> u64 {
-        self.inner.fast_reads()
-    }
-
-    fn write_backs(&self) -> u64 {
-        self.inner.write_backs()
-    }
-
-    fn relay_reads(&self) -> u64 {
-        self.inner.relay_reads()
-    }
-
-    fn sc_reads(&self) -> u64 {
-        self.inner.sc_reads()
-    }
-
-    fn regular_reads(&self) -> u64 {
-        self.inner.regular_reads()
+    fn counters(&self) -> ReadPathCounters {
+        self.inner.counters()
     }
 }
 

@@ -189,48 +189,71 @@ pub trait Protocol {
     }
 }
 
+/// The per-node counters behind [`ReadPathStats`]: how the reads *this node
+/// issued* completed, and what its recovery sync path sent. A counter a
+/// protocol has no path for stays `0`.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct ReadPathCounters {
+    /// Reads that skipped the write-back phase on the one-round fast path.
+    pub fast_reads: u64,
+    /// Reads that executed the write-back phase.
+    pub write_backs: u64,
+    /// Reads that completed via server-to-server relay (`ReadMode::Relay`).
+    pub relay_reads: u64,
+    /// Reads that completed at `Consistency::Sequential` — served from the
+    /// local replica with no network round.
+    pub sc_reads: u64,
+    /// Reads that completed at `Consistency::Regular` — a query round with
+    /// the write-back elided.
+    pub regular_reads: u64,
+    /// Sync-protocol messages (bulk state transfer and Merkle walk) sent.
+    pub recovery_msgs: u64,
+    /// Estimated payload bytes of the sync messages sent.
+    pub recovery_bytes: u64,
+    /// `(key, tag, value)` entries shipped in sync replies.
+    pub sync_entries_sent: u64,
+}
+
 /// Read-path counters exposed by protocols that support fast-path reads.
 ///
-/// Implementors count, per node, how many of the reads *they issued*
-/// completed on the one-round fast path (write-back elided) versus how many
-/// ran the full two-phase protocol. Hosts can sum these across nodes — see
-/// `abd-simnet`'s `Sim::read_path_metrics`.
+/// Implementors hand out one [`ReadPathCounters`] value; a wrapper forwards
+/// it whole, so it cannot forget a field. The accessors read single
+/// counters off it. Hosts can sum these across nodes — see `abd-simnet`'s
+/// `Sim::read_path_metrics`.
 pub trait ReadPathStats {
-    /// Reads issued by this node that skipped the write-back phase.
-    fn fast_reads(&self) -> u64;
-    /// Reads issued by this node that executed the write-back phase.
-    fn write_backs(&self) -> u64;
-    /// Reads issued by this node that completed via server-to-server relay
-    /// (`ReadMode::Relay`); `0` for protocols without a relay path.
+    /// This node's counters.
+    fn counters(&self) -> ReadPathCounters;
+    /// See [`ReadPathCounters::fast_reads`].
+    fn fast_reads(&self) -> u64 {
+        self.counters().fast_reads
+    }
+    /// See [`ReadPathCounters::write_backs`].
+    fn write_backs(&self) -> u64 {
+        self.counters().write_backs
+    }
+    /// See [`ReadPathCounters::relay_reads`].
     fn relay_reads(&self) -> u64 {
-        0
+        self.counters().relay_reads
     }
-    /// Reads issued by this node that completed at
-    /// `Consistency::Sequential` — served from the local replica with no
-    /// network round; `0` for protocols without consistency tiers.
+    /// See [`ReadPathCounters::sc_reads`].
     fn sc_reads(&self) -> u64 {
-        0
+        self.counters().sc_reads
     }
-    /// Reads issued by this node that completed at `Consistency::Regular` —
-    /// a query round with the write-back elided; `0` for protocols without
-    /// consistency tiers.
+    /// See [`ReadPathCounters::regular_reads`].
     fn regular_reads(&self) -> u64 {
-        0
+        self.counters().regular_reads
     }
-    /// Sync-protocol messages (bulk state transfer and Merkle walk) sent
-    /// by this node; `0` for protocols without a recovery sync path.
+    /// See [`ReadPathCounters::recovery_msgs`].
     fn recovery_msgs(&self) -> u64 {
-        0
+        self.counters().recovery_msgs
     }
-    /// Estimated payload bytes of the sync messages sent by this node;
-    /// `0` for protocols without a recovery sync path.
+    /// See [`ReadPathCounters::recovery_bytes`].
     fn recovery_bytes(&self) -> u64 {
-        0
+        self.counters().recovery_bytes
     }
-    /// `(key, tag, value)` entries shipped by this node in sync replies;
-    /// `0` for protocols without a recovery sync path.
+    /// See [`ReadPathCounters::sync_entries_sent`].
     fn sync_entries_sent(&self) -> u64 {
-        0
+        self.counters().sync_entries_sent
     }
 }
 

@@ -89,7 +89,7 @@ pub mod types;
 pub(crate) mod testutil;
 
 pub use batch::{Batched, Envelope};
-pub use context::{Effects, Protocol, ReadPathStats, TimerCmd, TimerKey};
+pub use context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerCmd, TimerKey};
 pub use merkle::{key_hash, MerkleTree};
 pub use msg::{RegisterMsg, RegisterOp, RegisterResp};
 pub use mwmr::{MwmrConfig, MwmrNode};

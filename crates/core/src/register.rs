@@ -124,7 +124,7 @@
 //   Restart -> Recovery, Recovery -> Idle,
 //   Idle -> WriteUpdate, Restart -> WriteUpdate
 
-use crate::context::{Effects, Protocol, ReadPathStats, TimerKey};
+use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
 use crate::phase::{PhaseTracker, RelayCensus, TagCensus};
 use crate::procset::ProcSet;
@@ -1066,24 +1066,15 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
 }
 
 impl<L, V> ReadPathStats for RegisterNode<L, V> {
-    fn fast_reads(&self) -> u64 {
-        self.fast_reads
-    }
-
-    fn write_backs(&self) -> u64 {
-        self.write_backs
-    }
-
-    fn relay_reads(&self) -> u64 {
-        self.relay_reads
-    }
-
-    fn sc_reads(&self) -> u64 {
-        self.sc_reads
-    }
-
-    fn regular_reads(&self) -> u64 {
-        self.regular_reads
+    fn counters(&self) -> ReadPathCounters {
+        ReadPathCounters {
+            fast_reads: self.fast_reads,
+            write_backs: self.write_backs,
+            relay_reads: self.relay_reads,
+            sc_reads: self.sc_reads,
+            regular_reads: self.regular_reads,
+            ..ReadPathCounters::default()
+        }
     }
 }
 

@@ -76,7 +76,7 @@
 //! partition-stranded replicas converge without waiting for a reboot (or a
 //! write-back) to touch them.
 
-use abd_core::context::{Effects, Protocol, ReadPathStats, TimerKey};
+use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use abd_core::fasthash::FastBuild;
 use abd_core::merkle::{key_hash, MerkleTree};
 use abd_core::phase::{PhaseTracker, RelayCensus, TagCensus};
@@ -1701,41 +1701,18 @@ where
     }
 }
 
-impl<K, V> ReadPathStats for KvNode<K, V>
-where
-    K: Clone + Eq + Hash + Debug + Send + 'static,
-    V: Clone + Debug + Send + 'static,
-{
-    fn fast_reads(&self) -> u64 {
-        self.fast_reads
-    }
-
-    fn write_backs(&self) -> u64 {
-        self.write_backs
-    }
-
-    fn relay_reads(&self) -> u64 {
-        self.relay_reads
-    }
-
-    fn sc_reads(&self) -> u64 {
-        self.sc_reads
-    }
-
-    fn regular_reads(&self) -> u64 {
-        self.regular_reads
-    }
-
-    fn recovery_msgs(&self) -> u64 {
-        self.recovery_msgs
-    }
-
-    fn recovery_bytes(&self) -> u64 {
-        self.recovery_bytes
-    }
-
-    fn sync_entries_sent(&self) -> u64 {
-        self.sync_entries_sent
+impl<K, V> ReadPathStats for KvNode<K, V> {
+    fn counters(&self) -> ReadPathCounters {
+        ReadPathCounters {
+            fast_reads: self.fast_reads,
+            write_backs: self.write_backs,
+            relay_reads: self.relay_reads,
+            sc_reads: self.sc_reads,
+            regular_reads: self.regular_reads,
+            recovery_msgs: self.recovery_msgs,
+            recovery_bytes: self.recovery_bytes,
+            sync_entries_sent: self.sync_entries_sent,
+        }
     }
 }
 

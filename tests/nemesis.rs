@@ -390,6 +390,39 @@ fn batched_fast_campaign_stays_atomic_and_replays() {
     assert_eq!(run(32), run(32));
 }
 
+#[test]
+fn batched_forwards_every_counter() {
+    // Four puts, then node 2 reboots and pulls the store from its peers:
+    // two `SyncPull`s out, two `SyncState`s of four entries back. The
+    // envelope layer changes how messages travel, not what a node counts,
+    // so the batched cluster must report the sync counters of the plain one.
+    // It reported `(0, 0, 0)`: the wrapper forwarded five of eight counters.
+    fn sync_counters<P>(wrap: impl Fn(KvNode<u32, u64>) -> P) -> (u64, u64, u64)
+    where
+        P: abd_core::Protocol<Op = KvOp<u32, u64>, Resp = KvResp<u64>> + ReadPathStats,
+    {
+        let nodes = (0..3)
+            .map(|i| wrap(KvNode::new(KvConfig::new(3, ProcessId(i)))))
+            .collect();
+        let mut sim = Sim::new(SimConfig::new(9), nodes);
+        for k in 0..4u32 {
+            sim.invoke(ProcessId(0), KvOp::Put(k, u64::from(k)));
+        }
+        assert!(sim.run_until_quiet(1_000_000));
+        sim.crash_at(sim.now() + 1, ProcessId(2));
+        sim.restart_at(sim.now() + 2, ProcessId(2));
+        assert!(sim.run_until_quiet(2_000_000));
+        let m = sim.read_path_metrics();
+        (m.recovery_msgs, m.recovery_bytes, m.sync_entries_sent)
+    }
+    let plain = sync_counters(|node| node);
+    assert_eq!(plain, (4, 320, 8));
+    assert_eq!(
+        sync_counters(|node| abd_core::batch::Batched::new(node, 0)),
+        plain
+    );
+}
+
 /// The bulk-recovery scenario shared by the behavior test and the pinned
 /// golden digest below: nodes 3 and 4 miss a batch of puts, restart, catch
 /// up via bulk state transfer, then carry a quorum on their own merits.

@@ -358,7 +358,7 @@ const SWEEP_KEY: u64 = u64::MAX - 1;
 
 #[derive(Clone, Debug)]
 enum Pending<K, V> {
-    GetQuery {
+    ReadQuery {
         op: OpId,
         key: K,
         ph: PhaseTracker,
@@ -367,21 +367,21 @@ enum Pending<K, V> {
         /// runs when the query quorum completes).
         cons: Consistency,
     },
-    GetWriteBack {
+    ReadWriteBack {
         op: OpId,
         key: K,
         ph: PhaseTracker,
         tag: Tag,
         value: V,
     },
-    PutQuery {
+    WriteQuery {
         op: OpId,
         key: K,
         ph: PhaseTracker,
         best: Tag,
         value: V,
     },
-    PutUpdate {
+    WriteUpdate {
         op: OpId,
         key: K,
         ph: PhaseTracker,
@@ -392,7 +392,7 @@ enum Pending<K, V> {
     /// write quorum of them with the census's minimum pair. The tracker
     /// starts empty: even this node's own reply only counts once its
     /// server-side round completes.
-    RelayGet {
+    RelayRead {
         op: OpId,
         key: K,
         ph: PhaseTracker,
@@ -861,7 +861,7 @@ where
         );
         self.pending.insert(
             uid,
-            Pending::PutQuery {
+            Pending::WriteQuery {
                 op,
                 key,
                 ph,
@@ -904,7 +904,7 @@ where
         }
         self.pending.insert(
             uid,
-            Pending::PutUpdate {
+            Pending::WriteUpdate {
                 op,
                 key: key.clone(),
                 ph,
@@ -948,7 +948,7 @@ where
         }
         self.pending.insert(
             uid,
-            Pending::GetWriteBack {
+            Pending::ReadWriteBack {
                 op,
                 key: key.clone(),
                 ph,
@@ -1042,7 +1042,7 @@ where
         );
         self.pending.insert(
             uid,
-            Pending::GetQuery {
+            Pending::ReadQuery {
                 op,
                 key,
                 ph,
@@ -1060,7 +1060,7 @@ where
         let uid = self.fresh_uid();
         self.pending.insert(
             uid,
-            Pending::RelayGet {
+            Pending::RelayRead {
                 op,
                 key: key.clone(),
                 ph: PhaseTracker::new_empty(uid, self.cfg.n),
@@ -1172,7 +1172,7 @@ where
         value: Option<V>,
         fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
     ) {
-        let Some(Pending::RelayGet { ph, census, .. }) = self.pending.get_mut(&uid) else {
+        let Some(Pending::RelayRead { ph, census, .. }) = self.pending.get_mut(&uid) else {
             return;
         };
         if !ph.record(from, uid) {
@@ -1182,7 +1182,7 @@ where
         if !self.cfg.quorum.is_write_quorum(ph.responders()) {
             return;
         }
-        let Some(Pending::RelayGet {
+        let Some(Pending::RelayRead {
             op, key, census, ..
         }) = self.pending.remove(&uid)
         else {
@@ -1228,19 +1228,19 @@ where
         for uid in uids {
             self.rtx.disarm(uid, fx);
             match self.pending.remove(&uid) {
-                Some(Pending::GetQuery { op, key, cons, .. }) => self.begin_get(op, key, cons, fx),
-                Some(Pending::RelayGet { op, key, .. }) => self.begin_relay_get(op, key, fx),
-                Some(Pending::PutQuery { op, key, value, .. }) => {
+                Some(Pending::ReadQuery { op, key, cons, .. }) => self.begin_get(op, key, cons, fx),
+                Some(Pending::RelayRead { op, key, .. }) => self.begin_relay_get(op, key, fx),
+                Some(Pending::WriteQuery { op, key, value, .. }) => {
                     self.begin_put(op, key, value, fx);
                 }
-                Some(Pending::PutUpdate {
+                Some(Pending::WriteUpdate {
                     op,
                     key,
                     tag,
                     value,
                     ..
                 }) => self.propagate_put(op, key, tag, value, fx),
-                Some(Pending::GetWriteBack {
+                Some(Pending::ReadWriteBack {
                     op,
                     key,
                     tag,
@@ -1254,20 +1254,20 @@ where
 
     fn retransmit_message(&self, p: &Pending<K, V>) -> Option<KvMsg<K, V>> {
         match p {
-            Pending::GetQuery { key, ph, .. } | Pending::PutQuery { key, ph, .. } => {
+            Pending::ReadQuery { key, ph, .. } | Pending::WriteQuery { key, ph, .. } => {
                 Some(KvMsg::Query {
                     uid: ph.uid(),
                     key: key.clone(),
                 })
             }
-            Pending::GetWriteBack {
+            Pending::ReadWriteBack {
                 key,
                 ph,
                 tag,
                 value,
                 ..
             }
-            | Pending::PutUpdate {
+            | Pending::WriteUpdate {
                 key,
                 ph,
                 tag,
@@ -1279,7 +1279,7 @@ where
                 tag: *tag,
                 value: value.clone(),
             }),
-            Pending::RelayGet { key, ph, .. } => {
+            Pending::RelayRead { key, ph, .. } => {
                 // Retransmit the query with the *current* snapshot —
                 // monotone above the original.
                 let (tag, value) = self.snapshot(key);
@@ -1343,13 +1343,13 @@ where
                     return;
                 };
                 match pending {
-                    Pending::GetQuery { ph, census, .. } => {
+                    Pending::ReadQuery { ph, census, .. } => {
                         if !ph.record(from, uid) {
                             return;
                         }
                         census.observe(tag, value);
                         if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            if let Some(Pending::GetQuery {
+                            if let Some(Pending::ReadQuery {
                                 op,
                                 key,
                                 ph,
@@ -1362,7 +1362,7 @@ where
                             }
                         }
                     }
-                    Pending::PutQuery { ph, best, .. } => {
+                    Pending::WriteQuery { ph, best, .. } => {
                         if !ph.record(from, uid) {
                             return;
                         }
@@ -1370,7 +1370,7 @@ where
                             *best = tag;
                         }
                         if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            if let Some(Pending::PutQuery {
+                            if let Some(Pending::WriteQuery {
                                 op,
                                 key,
                                 best,
@@ -1391,7 +1391,7 @@ where
                     return;
                 };
                 let done = match pending {
-                    Pending::PutUpdate { op, ph, .. } => {
+                    Pending::WriteUpdate { op, ph, .. } => {
                         if ph.record(from, uid) && self.cfg.quorum.is_write_quorum(ph.responders())
                         {
                             Some((*op, KvResp::PutOk))
@@ -1399,7 +1399,7 @@ where
                             None
                         }
                     }
-                    Pending::GetWriteBack { op, ph, value, .. } => {
+                    Pending::ReadWriteBack { op, ph, value, .. } => {
                         if ph.record(from, uid) && self.cfg.quorum.is_write_quorum(ph.responders())
                         {
                             Some((*op, KvResp::GetOk(Some(value.clone()))))
@@ -1628,13 +1628,13 @@ where
             return;
         };
         let mut targets = match pending {
-            Pending::GetQuery { ph, .. }
-            | Pending::PutQuery { ph, .. }
-            | Pending::GetWriteBack { ph, .. }
-            | Pending::PutUpdate { ph, .. }
-            | Pending::RelayGet { ph, .. } => ph.missing(),
+            Pending::ReadQuery { ph, .. }
+            | Pending::WriteQuery { ph, .. }
+            | Pending::ReadWriteBack { ph, .. }
+            | Pending::WriteUpdate { ph, .. }
+            | Pending::RelayRead { ph, .. } => ph.missing(),
         };
-        if matches!(pending, Pending::RelayGet { .. }) {
+        if matches!(pending, Pending::RelayRead { .. }) {
             // A relay reader can be stuck on replies *or* on forwards for
             // its own server round; re-query both sets. The empty-seeded
             // reply tracker lists `me` as missing — never send to self.

@@ -9,15 +9,27 @@
 //! into `abd_core::register::RegisterNode`; the engine must reproduce every
 //! one. A row that moves means a handler reordered, added or dropped an
 //! effect — a finding, not a reason to re-pin.
+//!
+//! The key-value half of the table (`kv_identity_table_is_pinned`) does the
+//! same for `abd_kv::KvNode`: its constants were computed on the
+//! hand-written node (`kv/node.rs` at commit a21b108, its own five-variant
+//! `Pending`, already on `abd_core::Retransmitter`) **before** its operation
+//! path moved onto the engine it now shares with the registers. Operations
+//! pipeline there, so the driver is open-loop — three invocations per node
+//! at a time — and, since nothing feeds a response back into the schedule,
+//! each row also pins a digest of every response and its completion time.
 
-use abd_core::context::{Protocol, ReadPathStats};
+use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
+use abd_core::quorum::{Majority, QuorumSystem, Threshold};
 use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
-use abd_core::types::{Consistency, ProcessId, ReadMode};
+use abd_core::types::{Consistency, OpId, ProcessId, ReadMode};
+use abd_kv::{KvConfig, KvMsg, KvNode, KvOp, KvResp};
 use abd_repro::simnet::nemesis::liveness_bound;
 use abd_repro::simnet::{run_campaign, Metrics, NemesisConfig, Sim, SimConfig};
+use std::sync::Arc;
 
 const N: usize = 5;
 const OPS: u64 = 9;
@@ -167,4 +179,312 @@ fn engine_identity_table_is_pinned() {
     check("mwmr/two-round", mwmr(TwoRound), 0xc7d3a547331e2b2b, 653);
     check("mwmr/fast", mwmr(FastUnanimous), 0x14b7d6ff07469b49, 669);
     check("mwmr/relay", mwmr(Relay), 0x14790903addbfc6e, 795);
+}
+
+// ---- the key-value half ----
+
+const KV_SIM_SEED: u64 = 4321;
+const KV_NEMESIS_SEED: u64 = 97;
+/// Operations per node, invoked three at a time every `BURST_GAP`: the
+/// invocations span the campaign's 4 ms of faults.
+const KV_OPS: u64 = 60;
+const LANES: u64 = 3;
+const BURST_GAP: u64 = 200_000;
+const HOT_KEYS: u64 = 4;
+
+/// Node `c`'s `i`-th operation: two puts (unique values), one atomic, one
+/// regular and one sequential get in every five, walking the hot keys at a
+/// per-node offset so every key sees every kind from every node.
+fn kv_op(c: usize, i: u64) -> KvOp<u32, u64> {
+    let key = ((c as u64 + i) % HOT_KEYS) as u32;
+    match (c as u64 + i) % 5 {
+        0 | 3 => KvOp::Put(key, 1_000 * (c as u64 + 1) + i),
+        1 => KvOp::Get(key),
+        2 => KvOp::GetAt(key, Consistency::Regular),
+        _ => KvOp::GetAt(key, Consistency::Sequential),
+    }
+}
+
+/// What a row pins: the trace digest, `Metrics::sent`, an FNV fold of every
+/// completed operation's id, completion time and response, and the five
+/// read-path counters (fast, write-backs, relay, sequential, regular).
+type KvPins = (u64, u64, u64, [u64; 5]);
+
+/// Runs the open-loop campaign — crash waves covering every node,
+/// partitions, loss bursts over 5 % background loss and 5 % duplication —
+/// to a fixed virtual instant, by which every surviving operation must be
+/// done. `op(c, i)` is node `c`'s `i`-th invocation.
+fn kv_campaign<P>(nodes: Vec<P>, op: impl Fn(usize, u64) -> P::Op) -> (KvPins, Metrics, Sim<P>)
+where
+    P: Protocol<Resp = KvResp<u64>> + ReadPathStats,
+    P::Op: Clone,
+{
+    let cfg = SimConfig::new(KV_SIM_SEED)
+        .with_loss(0.05)
+        .with_duplication(0.05);
+    let mut sim = Sim::new(cfg, nodes);
+    let mut nemesis = NemesisConfig::new(KV_NEMESIS_SEED, N);
+    nemesis.base_loss = 0.05;
+    let sched = nemesis.plan();
+    assert!(sched.respects_min_alive(N));
+    sched.apply(&mut sim);
+    for c in 0..N {
+        let skew = sched.invoker_skew(ProcessId(c));
+        for i in 0..KV_OPS {
+            sim.invoke_at(skew + i / LANES * BURST_GAP, ProcessId(c), op(c, i));
+        }
+    }
+    sim.run_until(sched.heal_at() + liveness_bound(&backoff(), 20_000, 16));
+    assert!(
+        !sim.has_waiting_ops(),
+        "every surviving operation must complete after healing"
+    );
+    let responses = sim
+        .completed()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
+            let resp = match r.resp {
+                KvResp::PutOk => u64::MAX,
+                KvResp::GetOk(None) => 0,
+                KvResp::GetOk(Some(v)) => v,
+            };
+            [r.op.0, r.completed_at, resp]
+                .iter()
+                .fold(h, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
+        });
+    let m = sim.read_path_metrics();
+    let reads = [
+        m.fast_reads,
+        m.write_backs,
+        m.relay_reads,
+        m.sc_reads,
+        m.regular_reads,
+    ];
+    ((sim.trace_digest(), m.sent, responses, reads), m, sim)
+}
+
+fn kv_nodes(cfg: impl Fn(KvConfig) -> KvConfig) -> Vec<KvNode<u32, u64>> {
+    (0..N)
+        .map(|i| KvNode::new(cfg(KvConfig::new(N, ProcessId(i)).with_backoff(backoff()))))
+        .collect()
+}
+
+/// The checks every KV row shares: tiers, retransmission, restarts and the
+/// catch-up all ran, a crash caught operations in flight, and the pins hold.
+fn check_kv(row: &str, pins: KvPins, m: &Metrics, want: KvPins) {
+    assert!(m.sc_reads > 0 && m.regular_reads > 0, "{row}: tiers idle");
+    assert!(m.retransmissions > 0, "{row}: no retransmission fired");
+    assert!(m.restarts > 0, "{row}: no node restarted");
+    assert!(m.recovery_msgs > 0, "{row}: no catch-up ran");
+    assert!(m.ops_aborted > 0, "{row}: no crash caught an operation");
+    assert_eq!(
+        pins, want,
+        "{row}: (trace digest, sent, responses digest, read counters) drifted from the hand-written KvNode"
+    );
+}
+
+/// A [`KvNode`] with one more operation, for the last row: swap the quorum
+/// system under everything in flight ([`KvNode::requorum`]), as `RcNode`
+/// does when its epoch moves — here without the fence, so the row pins the
+/// restart of the rounds and nothing about safety.
+struct Requorum {
+    inner: KvNode<u32, u64>,
+    /// Rounds of each kind in flight over all `requorum` calls, read off
+    /// the node's `Debug` output by the phase names `abd-lint`'s phase-spec
+    /// declares.
+    caught: [usize; 5],
+}
+
+const PHASES: [&str; 5] = [
+    "WriteQuery",
+    "WriteUpdate",
+    "ReadQuery",
+    "ReadWriteBack",
+    "RelayRead",
+];
+
+#[derive(Clone, Debug)]
+enum RqOp {
+    Kv(KvOp<u32, u64>),
+    /// Requorum to the skewed `R = 2, W = 4` system (`true`) or back to
+    /// majorities.
+    Requorum(bool),
+}
+
+impl Protocol for Requorum {
+    type Msg = KvMsg<u32, u64>;
+    type Op = RqOp;
+    type Resp = KvResp<u64>;
+
+    fn id(&self) -> ProcessId {
+        self.inner.id()
+    }
+
+    fn on_start(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
+        self.inner.on_start(fx);
+    }
+
+    fn on_invoke(&mut self, op: OpId, input: RqOp, fx: &mut Effects<Self::Msg, Self::Resp>) {
+        match input {
+            RqOp::Kv(input) => self.inner.on_invoke(op, input, fx),
+            RqOp::Requorum(skewed) => {
+                let state = format!("{:?}", self.inner);
+                for (seen, phase) in self.caught.iter_mut().zip(PHASES) {
+                    *seen += state.matches(phase).count();
+                }
+                let quorum: Arc<dyn QuorumSystem> = if skewed {
+                    Arc::new(Threshold::new(N, 2, 4))
+                } else {
+                    Arc::new(Majority::new(N))
+                };
+                self.inner.requorum(quorum, fx);
+                fx.respond(op, KvResp::PutOk);
+            }
+        }
+    }
+
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: Self::Msg,
+        fx: &mut Effects<Self::Msg, Self::Resp>,
+    ) {
+        self.inner.on_message(from, msg, fx);
+    }
+
+    fn on_timer(&mut self, key: TimerKey, fx: &mut Effects<Self::Msg, Self::Resp>) {
+        self.inner.on_timer(key, fx);
+    }
+
+    fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
+        self.inner.on_restart(fx);
+    }
+}
+
+impl ReadPathStats for Requorum {
+    fn counters(&self) -> ReadPathCounters {
+        self.inner.counters()
+    }
+}
+
+#[test]
+fn kv_identity_table_is_pinned() {
+    use ReadMode::{FastUnanimous, Relay, TwoRound};
+    let (pins, m, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(TwoRound)), kv_op);
+    assert!(m.write_backs > 0, "kv/two-round: atomic read path idle");
+    check_kv(
+        "kv/two-round",
+        pins,
+        &m,
+        (
+            0x6ee1d73be05754fd,
+            3327,
+            0xe33c06b81344e3ce,
+            [0, 40, 0, 48, 43],
+        ),
+    );
+
+    let (pins, m, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(FastUnanimous)), kv_op);
+    assert!(
+        m.fast_reads > 0 && m.write_backs > 0,
+        "kv/fast: a path idle"
+    );
+    check_kv(
+        "kv/fast",
+        pins,
+        &m,
+        (
+            0x7fd8a50ce06f1e2f,
+            3125,
+            0x99add174385cfbfd,
+            [37, 8, 0, 48, 43],
+        ),
+    );
+
+    let (pins, m, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(Relay)), kv_op);
+    assert!(m.relay_reads > 0, "kv/relay: atomic read path idle");
+    check_kv(
+        "kv/relay",
+        pins,
+        &m,
+        (
+            0x010288ca9d299142,
+            3879,
+            0x45c84160fa0f8db4,
+            [0, 0, 44, 48, 44],
+        ),
+    );
+
+    // Merkle walks on every reboot and a sweep every 150 µs: walks draw
+    // their ids from the operations' counter and share their timers.
+    let walking = |c: KvConfig| {
+        c.with_sync_threshold(0)
+            .with_sync_buckets(8)
+            .with_anti_entropy(150_000)
+    };
+    let (pins, m, sim) = kv_campaign(kv_nodes(walking), kv_op);
+    assert!(m.write_backs > 0, "kv/walks+sweep: atomic read path idle");
+    assert!(
+        (0..N).any(|i| sim.node(i).max_walk_rounds() > 1),
+        "kv/walks+sweep: no walk descended"
+    );
+    check_kv(
+        "kv/walks+sweep",
+        pins,
+        &m,
+        (
+            0x99fa67e364198295,
+            5152,
+            0x9d4a6b7379408580,
+            [0, 41, 0, 48, 43],
+        ),
+    );
+
+    // Nodes 0 and 1 read by relay, the rest in two rounds, so that all
+    // five kinds of round exist; every node swaps the quorum system every
+    // fourth burst, alternating the skewed system and majorities.
+    let mixed = (0..N)
+        .map(|i| {
+            let mode = if i < 2 { Relay } else { TwoRound };
+            let cfg = KvConfig::new(N, ProcessId(i))
+                .with_backoff(backoff())
+                .with_read_mode(mode);
+            Requorum {
+                inner: KvNode::new(cfg),
+                caught: [0; 5],
+            }
+        })
+        .collect();
+    let (pins, m, sim) = kv_campaign(mixed, |c, i| {
+        if i % (4 * LANES) == 4 * LANES - 1 {
+            RqOp::Requorum((i / (4 * LANES)).is_multiple_of(2))
+        } else {
+            RqOp::Kv(kv_op(c, i))
+        }
+    });
+    let caught = (0..N).fold([0; 5], |mut sum, i| {
+        for (s, c) in sum.iter_mut().zip(sim.node(i).caught) {
+            *s += c;
+        }
+        sum
+    });
+    assert!(
+        caught.iter().all(|&c| c > 0),
+        "kv/requorum: a kind of round was never in flight at a requorum: {caught:?} of {PHASES:?}"
+    );
+    assert!(
+        m.relay_reads > 0 && m.write_backs > 0,
+        "kv/requorum: a path idle"
+    );
+    check_kv(
+        "kv/requorum",
+        pins,
+        &m,
+        (
+            0x231ba043a05d1d6d,
+            3832,
+            0x1521e982b4ce395a,
+            [0, 23, 18, 43, 44],
+        ),
+    );
 }

@@ -12,7 +12,7 @@
 //!
 //! The key-value half of the table (`kv_identity_table_is_pinned`) does the
 //! same for `abd_kv::KvNode`: its constants were computed on the
-//! hand-written node (`kv/node.rs` at commit a21b108, its own five-variant
+//! hand-written node (`kv/node.rs` at commit 24bccf8, its own five-variant
 //! `Pending`, already on `abd_core::Retransmitter`) **before** its operation
 //! path moved onto the engine it now shares with the registers. Operations
 //! pipeline there, so the driver is open-loop — three invocations per node

@@ -19,9 +19,21 @@ grep -q '"schema_version": 2' target/lint/findings.json \
   || { echo "findings.json lost its schema_version field"; exit 1; }
 grep -q '"count": 0' target/lint/findings.json \
   || { echo "unsuppressed lint findings — see target/lint/findings.json"; exit 1; }
-for g in register bounded-swmr byzantine; do
+for g in engine register bounded-swmr byzantine; do
   diff -u "crates/lint/goldens/$g.dot" "target/lint/$g.dot" \
     || { echo "extracted phase graph '$g' drifted from the committed golden"; exit 1; }
+done
+
+echo "==> one operation path (the quorum-operation engine is the only copy)"
+# `bounded/swmr.rs` and `byzantine.rs` keep a `Pending` of their own: they are
+# different protocols. The register shell and the store may not grow one back.
+defs=$(grep -rl 'fn relay_observe' crates --include='*.rs' | wc -l)
+[ "$defs" -eq 1 ] \
+  || { echo "fn relay_observe is defined in $defs files under crates/; the engine's is the one copy"; exit 1; }
+for f in crates/core/src/register.rs crates/kv/src/node.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'enum Pending|fast_read_allowed\('; then
+    echo "$f holds a piece of the operation path again; it belongs in crates/core/src/engine.rs"; exit 1
+  fi
 done
 
 echo "==> cargo test --workspace"

@@ -71,6 +71,7 @@ pub mod bounded;
 pub mod byzantine;
 pub mod clock;
 pub mod context;
+pub mod engine;
 pub mod fasthash;
 pub mod merkle;
 pub mod msg;

@@ -1,13 +1,20 @@
-//! The register engine: one quorum-phase state machine behind both the
-//! single-writer ([`crate::swmr`]) and the multi-writer ([`crate::mwmr`])
-//! emulation.
+//! The register shell: what a *register* adds to the quorum-operation
+//! engine, behind both the single-writer ([`crate::swmr`]) and the
+//! multi-writer ([`crate::mwmr`]) emulation.
 //!
 //! The paper presents one protocol and notes that multiple writers need
 //! only `(sequence, writer)` labels and a query round in front of the
-//! write. [`RegisterNode<L, V>`] is that one protocol, generic over the
-//! [`Label`] policy that captures exactly those two differences; a
-//! single-writer write is the engine's write with the query phase skipped.
-//! Every node also plays the replica role for the register.
+//! write. That protocol — query a read quorum, take the largest label,
+//! update a write quorum, with its read modes, relay reads, consistency
+//! tiers and retransmission — lives in [`crate::engine`], shared with the
+//! key-value store. [`RegisterNode<L, V>`] is the engine over one
+//! [`Replica`] under the unit key, generic over the [`Label`] policy that
+//! captures exactly those two differences, plus the four things only a
+//! register has: **one operation at a time** (a processor of the paper is a
+//! sequential client, so further invocations wait in a FIFO queue), the
+//! **`NotWriter` check**, the **recovery gate** and the **write-intent
+//! epilogue**. All of that is this file's state; none of it is in the
+//! engine.
 //!
 //! * **Write(v)** — (multi-writer only: broadcast `Query`, wait for a
 //!   *read quorum* of labels, keep the largest;) take the next label, adopt
@@ -21,38 +28,6 @@
 //!   [`read_write_back`](RegisterConfig::read_write_back) to `false` yields
 //!   exactly the regular-register baseline whose violations experiment
 //!   **T5** exhibits.
-//!
-//! With [`ReadMode::FastUnanimous`] selected, a read whose query quorum was
-//! **unanimous** about the maximum label *and* itself forms a write quorum
-//! skips the write-back — it would only re-install a label already held by
-//! a write quorum (see [`fast_read_allowed`]). On the uncontended common
-//! path this halves the read to one round, `2(n−1)` messages; any
-//! disagreement falls back to the two-phase path, so atomicity is
-//! unaffected (experiment **F6**). Writes always keep their phases: the
-//! multi-writer query round is what orders concurrent writers.
-//!
-//! ## Relay reads
-//!
-//! With [`ReadMode::Relay`] the read path changes shape entirely (after
-//! "Oh-RAM! One and a Half Round Atomic Memory",
-//! Hadjistasi–Nicolaou–Schwarzmann): the reader broadcasts `RelayQuery`
-//! carrying its own replica snapshot; every server forwards its snapshot to
-//! every other server (`RelayFwd`, adopting the maxima it sees along the
-//! way); once a server's forwards cover a **read quorum** it sends its
-//! replica directly to the reader (`RelayReply`); the reader completes when
-//! a **write quorum** of servers has replied, returning the value of the
-//! **minimum** reply label — no write-back. Three one-way message delays
-//! (query → forward → reply) instead of four, for every read, contended or
-//! not, at a cost of `n² − 1` messages per read.
-//!
-//! Why the *minimum* is the safe choice: a replier adopts the maximum of a
-//! read quorum of forwards — all sent after the read began — before
-//! replying, so every reply label is ≥ every previously completed write's
-//! label; and unlike the maximum, the minimum is *persisted at every
-//! replier* (a write quorum) before any reply is sent, so a later read's
-//! forward quorums intersect it and can only report labels ≥ it. Returning
-//! the maximum instead would be unsound: that label may sit on a single
-//! server, and a later read could miss it — a new/old inversion.
 //!
 //! The state machine is sans-io (see [`crate::context`]): hosts deliver
 //! messages and timer ticks, and carry out the recorded effects. With a
@@ -100,61 +75,33 @@
 //! the baseline abort semantics (and pinned simulation traces) are
 //! unchanged.
 
-// The declared phase graph, checked by abd-lint's `phase-graph` rule
-// against the graph extracted from the handler bodies below. Both reads and
-// writes query first — `WriteQuery -> WriteUpdate` and `ReadQuery ->
-// ReadWriteBack`, never the reverse, and the two kinds never cross — except
-// that a single-writer write enters `WriteUpdate` straight from `Invoke`.
-// The other `Invoke -> *` edges are the instant-quorum short-circuits
-// (single-node clusters complete in place). `Restart -> Recovery -> Idle`
-// encodes "a restarted node re-enters the catch-up query before serving".
-// `Idle -> WriteUpdate` and `Restart -> WriteUpdate` are the aborted-write
-// epilogue: once catch-up completes (or is unnecessary because the node
-// alone forms a read quorum), a crash-interrupted write resumes as a fresh
-// WriteUpdate phase. `Invoke -> RelayRead -> Done` is the relay read mode:
-// the reader parks in a single RelayRead phase and completes on a write
-// quorum of direct server replies.
+// The shell's share of the declared phase graph (the thirteen edges of a
+// client operation are `crate::engine`'s), checked by abd-lint's
+// `phase-graph` rule against the graph extracted from the handler bodies
+// below. `Invoke -> Done` is the `NotWriter` rejection. `Restart ->
+// Recovery -> Idle` encodes "a restarted node re-enters the catch-up query
+// before serving". `Idle -> WriteUpdate` and `Restart -> WriteUpdate` are
+// the aborted-write epilogue: once catch-up completes (or is unnecessary
+// because the node alone forms a read quorum), a crash-interrupted write
+// resumes as a fresh WriteUpdate round of the engine.
 // abd-lint: phase-spec(register):
-//   Invoke -> WriteQuery, Invoke -> ReadQuery, Invoke -> WriteUpdate,
-//   Invoke -> ReadWriteBack, Invoke -> Done,
-//   Invoke -> RelayRead, RelayRead -> Done,
-//   WriteQuery -> WriteUpdate, WriteQuery -> Done,
-//   ReadQuery -> ReadWriteBack, ReadQuery -> Done,
-//   WriteUpdate -> Done, ReadWriteBack -> Done,
+//   Invoke -> Done,
 //   Restart -> Recovery, Recovery -> Idle,
 //   Idle -> WriteUpdate, Restart -> WriteUpdate
 
 use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
+use crate::engine::{Engine, Msg, Op, Outcome, Pending, Store};
 use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
-use crate::phase::{PhaseTracker, RelayCensus, TagCensus};
-use crate::procset::ProcSet;
-use crate::quorum::{fast_read_allowed, Majority, QuorumSystem};
+use crate::phase::{PhaseTracker, TagCensus};
+use crate::quorum::{Majority, QuorumSystem};
 use crate::replica::Replica;
-use crate::retransmit::{BackoffPolicy, Retransmitter};
+use crate::retransmit::BackoffPolicy;
 use crate::types::{Consistency, Nanos, OpId, ProcessId, ReadMode, RegisterError};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// What distinguishes the register variants: how labels are issued.
-///
-/// Implemented by [`SeqNo`](crate::types::SeqNo) (single writer, see
-/// [`crate::swmr`]) and [`Tag`](crate::types::Tag) (multiple writers, see
-/// [`crate::mwmr`]). The engine is monomorphised over it, so the policy
-/// costs nothing at run time.
-pub trait Label: Copy + Ord + std::fmt::Debug + Send + 'static {
-    /// Whether a write must first learn the largest label in use from a
-    /// read quorum. `false` when the writer's own label is by construction
-    /// the largest (it is the only issuer).
-    const WRITE_QUERIES: bool;
-
-    /// The label of the register's initial value — below every label a
-    /// write produces.
-    fn initial() -> Self;
-
-    /// The label for a write by `me` that saw `self` as the largest label.
-    fn next(self, me: ProcessId) -> Self;
-}
+pub use crate::engine::Label;
 
 /// Effects of a register node.
 type Fx<L, V> = Effects<RegisterMsg<L, V>, RegisterResp<V>>;
@@ -180,8 +127,8 @@ pub struct RegisterConfig<L> {
     /// `false` = regular-register baseline).
     pub read_write_back: bool,
     /// How reads complete: the two-round baseline, the unanimity fast path
-    /// (see [`fast_read_allowed`]), or server-to-server relay. `TwoRound`
-    /// by default: the baseline protocol always pays `2` rounds per read.
+    /// or server-to-server relay (see [`crate::engine`]). `TwoRound` by
+    /// default: the baseline protocol always pays `2` rounds per read.
     /// `FastUnanimous` is only meaningful with
     /// [`read_write_back`](RegisterConfig::read_write_back) on — the
     /// regular baseline has no write-back to elide; `Relay` replaces the
@@ -248,93 +195,61 @@ impl<L> RegisterConfig<L> {
     }
 }
 
-/// In-flight operation state.
-#[derive(Clone, Debug)]
-enum Pending<L, V> {
-    /// Writer discovering the current maximum label (multi-writer only).
-    WriteQuery {
-        op: OpId,
-        ph: PhaseTracker,
-        best: L,
-        value: V,
-    },
-    /// Writer waiting for update acknowledgements.
-    WriteUpdate {
-        op: OpId,
-        ph: PhaseTracker,
-        label: L,
-        value: V,
-    },
-    /// Reader collecting query replies; the census tracks the max label
-    /// *and* whether the responders were unanimous about it (fast path).
-    /// `cons` is the read's requested tier: `Regular` completes without the
-    /// write-back, `Atomic` runs the full second phase.
-    ReadQuery {
-        op: OpId,
-        ph: PhaseTracker,
-        census: TagCensus<L, V>,
-        cons: Consistency,
-    },
-    /// Reader propagating the value it is about to return.
-    ReadWriteBack {
-        op: OpId,
-        ph: PhaseTracker,
-        label: L,
-        value: V,
-    },
-    /// Relay-mode reader collecting direct server replies; completes on a
-    /// write quorum of them, returning the census's minimum pair. The
-    /// tracker starts empty: even this node's own reply only counts once
-    /// its server-side round completes.
-    RelayRead {
-        op: OpId,
-        ph: PhaseTracker,
-        census: RelayCensus<L, V>,
-    },
-}
+/// A register's replica is the engine's store under the unit key, and a
+/// register always has something written: it reads what it stores.
+impl<L: Label, V: Clone> Store<(), L, V, V> for Replica<L, V> {
+    type Msg = RegisterMsg<L, V>;
+    type Resp = RegisterResp<V>;
 
-impl<L: Label, V: Clone> Pending<L, V> {
-    fn phase(&self) -> &PhaseTracker {
-        match self {
-            Pending::WriteQuery { ph, .. }
-            | Pending::WriteUpdate { ph, .. }
-            | Pending::ReadQuery { ph, .. }
-            | Pending::ReadWriteBack { ph, .. }
-            | Pending::RelayRead { ph, .. } => ph,
-        }
+    fn snapshot(&self, _: &()) -> (L, V) {
+        Replica::snapshot(self)
     }
 
-    /// The request this phase (re)transmits to processors that have not
-    /// responded.
-    fn request(&self, replica: &Replica<L, V>) -> RegisterMsg<L, V> {
-        let uid = self.phase().uid();
-        match self {
-            Pending::WriteQuery { .. } | Pending::ReadQuery { .. } => RegisterMsg::Query { uid },
-            Pending::WriteUpdate { label, value, .. }
-            | Pending::ReadWriteBack { label, value, .. } => RegisterMsg::Update {
+    fn adopt(&mut self, _: &(), label: L, value: V) {
+        Replica::adopt(self, label, value);
+    }
+}
+
+/// The register wire format of an engine message: the same shape without
+/// the key.
+impl<L, V> From<Msg<(), L, V, V>> for RegisterMsg<L, V> {
+    fn from(msg: Msg<(), L, V, V>) -> Self {
+        match msg {
+            Msg::Query { uid, .. } => RegisterMsg::Query { uid },
+            Msg::QueryReply { uid, label, value } => RegisterMsg::QueryReply { uid, label, value },
+            Msg::Update {
+                uid, label, value, ..
+            } => RegisterMsg::Update { uid, label, value },
+            Msg::UpdateAck { uid } => RegisterMsg::UpdateAck { uid },
+            Msg::RelayQuery {
+                uid, label, value, ..
+            } => RegisterMsg::RelayQuery { uid, label, value },
+            Msg::RelayFwd {
                 uid,
-                label: *label,
-                value: value.clone(),
+                reader,
+                label,
+                value,
+                echo,
+                ..
+            } => RegisterMsg::RelayFwd {
+                uid,
+                reader,
+                label,
+                value,
+                echo,
             },
-            Pending::RelayRead { .. } => {
-                // Always the *current* snapshot — on a retransmission it is
-                // monotone above the original, so receivers only move
-                // forward.
-                let (label, value) = replica.snapshot();
-                RegisterMsg::RelayQuery { uid, label, value }
-            }
+            Msg::RelayReply { uid, label, value } => RegisterMsg::RelayReply { uid, label, value },
         }
     }
 }
 
-/// One server-side relay round: which peers' forwards we have seen for
-/// `(reader, uid)`, and whether we already replied. Completion is tracked
-/// per round, not as a per-reader uid floor: a floor is sound only for a
-/// reader with one round open, the flag for any reader.
-#[derive(Clone, Debug)]
-struct RelayRound {
-    ph: PhaseTracker,
-    done: bool,
+impl<V> From<Outcome<V>> for RegisterResp<V> {
+    fn from(outcome: Outcome<V>) -> Self {
+        match outcome {
+            Outcome::Read(value) => RegisterResp::ReadOk(value),
+            Outcome::Written => RegisterResp::WriteOk,
+        }
+    }
 }
 
 /// Post-restart catch-up: a query phase run before serving clients, so the
@@ -353,26 +268,18 @@ struct Recovery<L, V> {
 pub struct RegisterNode<L, V> {
     cfg: RegisterConfig<L>,
     replica: Replica<L, V>,
-    next_uid: u64,
-    pending: Option<Pending<L, V>>,
+    /// The operation in flight, the replica role and the relay rounds.
+    engine: Engine<(), L, V, V>,
+    /// Invocations waiting behind the operation in flight or the catch-up.
     queue: VecDeque<(OpId, RegisterOp<V>)>,
-    rtx: Retransmitter,
     recovering: Option<Recovery<L, V>>,
     /// The writer's persisted in-flight write `(op, label, value)` — stable
-    /// storage, like the replica pair. Set when a write goes pending (only
-    /// with [`RegisterConfig::write_epilogue`] on), cleared when that
+    /// storage, like the replica pair. With
+    /// [`RegisterConfig::write_epilogue`] on it mirrors the engine's
+    /// `WriteUpdate` round: set when a write goes pending, cleared when that
     /// write's `WriteOk` is issued; a crash in between leaves it for the
     /// post-recovery epilogue to roll forward.
     intent: Option<(OpId, L, V)>,
-    /// Server-side relay rounds, keyed by `(reader, uid)`. Volatile —
-    /// cleared on restart; completed rounds are pruned when the same reader
-    /// opens a strictly newer round.
-    relays: BTreeMap<(ProcessId, u64), RelayRound>,
-    fast_reads: u64,
-    write_backs: u64,
-    relay_reads: u64,
-    sc_reads: u64,
-    regular_reads: u64,
 }
 
 impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
@@ -380,29 +287,22 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
     /// (under [`Label::initial`], conceptually written before the execution
     /// starts).
     pub fn new(cfg: RegisterConfig<L>, initial: V) -> Self {
-        assert!(cfg.me.index() < cfg.n, "node id out of range");
         assert!(cfg.writer.index() < cfg.n, "writer id out of range");
-        assert_eq!(
-            cfg.quorum.n(),
+        let engine = Engine::new(
             cfg.n,
-            "quorum system sized for a different cluster"
+            cfg.me,
+            cfg.quorum.clone(),
+            cfg.read_mode,
+            cfg.read_write_back,
+            cfg.retransmit,
         );
-        let rtx = Retransmitter::new(cfg.retransmit, cfg.me);
         RegisterNode {
             cfg,
             replica: Replica::new(L::initial(), initial),
-            next_uid: 0,
-            pending: None,
+            engine,
             queue: VecDeque::new(),
-            rtx,
             recovering: None,
             intent: None,
-            relays: BTreeMap::new(),
-            fast_reads: 0,
-            write_backs: 0,
-            relay_reads: 0,
-            sc_reads: 0,
-            regular_reads: 0,
         }
     }
 
@@ -414,7 +314,7 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
 
     /// Whether an operation is currently in flight on this node.
     pub fn is_busy(&self) -> bool {
-        self.pending.is_some()
+        self.engine.in_flight() > 0
     }
 
     /// Whether the node is catching up after a restart (invocations queue
@@ -425,7 +325,7 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
 
     /// Messages this node has retransmitted over its lifetime.
     pub fn retransmissions(&self) -> u64 {
-        self.rtx.retransmissions()
+        self.engine.rtx.retransmissions()
     }
 
     /// Number of invocations waiting behind the in-flight operation.
@@ -438,380 +338,83 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
         &self.cfg
     }
 
-    fn fresh_uid(&mut self) -> u64 {
-        self.next_uid += 1;
-        self.next_uid
+    /// Hands one admitted invocation to the engine — unless it is a write
+    /// on a node that may not write, which is answered here.
+    fn begin(&mut self, op: OpId, input: RegisterOp<V>, fx: &mut Fx<L, V>) {
+        let input = match input {
+            RegisterOp::Write(_) if self.cfg.me != self.cfg.writer => {
+                let (invoked_on, writer) = (self.cfg.me, self.cfg.writer);
+                let err = RegisterError::NotWriter { invoked_on, writer };
+                fx.respond(op, RegisterResp::Err(err));
+                return;
+            }
+            RegisterOp::Write(v) => Op::Write((), v),
+            RegisterOp::Read => Op::Read((), Consistency::Atomic),
+            RegisterOp::ReadAt(cons) => Op::Read((), cons),
+        };
+        self.engine.on_invoke(op, input, &mut self.replica, fx);
     }
 
-    /// A fresh phase in which only this node has responded so far.
-    fn fresh_phase(&mut self) -> PhaseTracker {
-        let uid = self.fresh_uid();
-        PhaseTracker::new(uid, self.cfg.n, self.cfg.me)
-    }
-
-    fn others(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        (0..self.cfg.n)
-            .map(ProcessId)
-            .filter(move |&p| p != self.cfg.me)
-    }
-
-    fn broadcast(&self, msg: RegisterMsg<L, V>, fx: &mut Fx<L, V>) {
-        for p in self.others() {
-            fx.send(p, msg.clone());
+    /// Runs after every step of the engine: while it is idle (the step
+    /// completed the operation in flight, or answered one in place), start
+    /// the next queued invocation; then bring the persisted write intent in
+    /// line with the engine's `WriteUpdate` round. A catch-up suspends both
+    /// — nothing is admitted, and the intent it will roll forward stands.
+    fn settle(&mut self, fx: &mut Fx<L, V>) {
+        if self.recovering.is_some() {
+            return;
         }
-    }
-
-    /// Broadcasts `phase`'s request, arms its retransmission timer and
-    /// parks the operation in it.
-    fn enter(&mut self, phase: Pending<L, V>, fx: &mut Fx<L, V>) {
-        self.broadcast(phase.request(&self.replica), fx);
-        self.rtx.arm(phase.phase().uid(), fx);
-        self.pending = Some(phase);
-    }
-
-    /// Starts the next queued invocation, if the node is idle.
-    fn serve_next(&mut self, fx: &mut Fx<L, V>) {
-        if self.pending.is_none() {
+        while !self.is_busy() && !self.queue.is_empty() {
             if let Some((op, input)) = self.queue.pop_front() {
                 self.begin(op, input, fx);
             }
         }
-    }
-
-    /// Completes the post-restart catch-up: adopt the freshest pair a read
-    /// quorum reported, roll a crash-interrupted write forward (the
-    /// epilogue), then serve anything that queued while recovering.
-    fn finish_recovery(&mut self, label: L, value: V, fx: &mut Fx<L, V>) {
-        self.recovering = None;
-        // The writer's own persisted replica is part of the quorum, so
-        // `label` already covers every label it issued before the crash.
-        self.replica.adopt(label, value);
-        // Nothing can be in flight here: invocations queue while recovering.
-        if let Some((op, label, v)) = self.intent.clone() {
-            self.resume_write(op, label, v, fx);
-        }
-        self.serve_next(fx);
-    }
-
-    /// The aborted-write epilogue: re-issue the crash-interrupted write as
-    /// a fresh phase. The persisted replica adopted `(label, value)` before
-    /// the original broadcast, so re-propagating the pair is idempotent;
-    /// the client's `WriteOk` is issued once a write quorum holds it. The
-    /// intent stays set until then — a second crash rolls forward again.
-    fn resume_write(&mut self, op: OpId, label: L, value: V, fx: &mut Fx<L, V>) {
-        let ph = self.fresh_phase();
-        // Intent is only recorded when the writer alone is *not* a write
-        // quorum (`enter_write_update` completes in place otherwise), so
-        // the resumed phase always has peers to wait for.
-        debug_assert!(!self.cfg.quorum.is_write_quorum(ph.responders()));
-        self.enter(
-            Pending::WriteUpdate {
-                op,
-                ph,
-                label,
-                value,
-            },
-            fx,
-        );
-    }
-
-    fn finish(&mut self, op: OpId, resp: RegisterResp<V>, fx: &mut Fx<L, V>) {
-        self.pending = None;
-        if self.intent.as_ref().is_some_and(|(o, _, _)| *o == op) {
-            self.intent = None;
-        }
-        fx.respond(op, resp);
-        self.serve_next(fx);
-    }
-
-    fn begin(&mut self, op: OpId, input: RegisterOp<V>, fx: &mut Fx<L, V>) {
-        debug_assert!(self.pending.is_none());
-        match input {
-            RegisterOp::Write(v) => self.begin_write(op, v, fx),
-            RegisterOp::Read => self.begin_read(op, Consistency::Atomic, fx),
-            RegisterOp::ReadAt(cons) => self.begin_read(op, cons, fx),
-        }
-    }
-
-    fn begin_write(&mut self, op: OpId, v: V, fx: &mut Fx<L, V>) {
-        if self.cfg.me != self.cfg.writer {
-            fx.respond(
-                op,
-                RegisterResp::Err(RegisterError::NotWriter {
-                    invoked_on: self.cfg.me,
-                    writer: self.cfg.writer,
-                }),
-            );
-            // Not an in-flight op: serve whatever is queued next.
-            self.serve_next(fx);
-            return;
-        }
-        let best = self.replica.label();
-        if !L::WRITE_QUERIES {
-            self.enter_write_update(op, best, v, fx);
-            return;
-        }
-        let ph = self.fresh_phase();
-        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-            self.enter_write_update(op, best, v, fx);
-            return;
-        }
-        self.enter(
-            Pending::WriteQuery {
-                op,
-                ph,
-                best,
-                value: v,
-            },
-            fx,
-        );
-    }
-
-    /// The write proper: stamp the value with a label strictly larger than
-    /// `max_seen` — every label in use — and propagate it.
-    fn enter_write_update(&mut self, op: OpId, max_seen: L, v: V, fx: &mut Fx<L, V>) {
-        let label = max_seen.next(self.cfg.me);
-        self.replica.adopt(label, v.clone());
-        let ph = self.fresh_phase();
-        if self.cfg.quorum.is_write_quorum(ph.responders()) {
-            self.finish(op, RegisterResp::WriteOk, fx);
-            return;
-        }
         if self.cfg.write_epilogue {
-            self.intent = Some((op, label, v.clone()));
-        }
-        self.enter(
-            Pending::WriteUpdate {
-                op,
-                ph,
-                label,
-                value: v,
-            },
-            fx,
-        );
-    }
-
-    fn begin_read(&mut self, op: OpId, cons: Consistency, fx: &mut Fx<L, V>) {
-        if cons == Consistency::Sequential {
-            // SC-ABD: serve the local replica with no network round. The
-            // replica pair is stable storage and `adopt` is monotone (and
-            // recovery only raises the label), so each client's reads
-            // observe a non-decreasing prefix of the write order — see
-            // DESIGN.md's consistency-tier section for the full argument.
-            self.sc_reads += 1;
-            let (_, value) = self.replica.snapshot();
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        if cons == Consistency::Atomic && self.cfg.read_mode == ReadMode::Relay {
-            self.begin_relay_read(op, fx);
-            return;
-        }
-        // Regular reads ignore `read_mode`: the relay round exists to
-        // replace the write-back, which a regular read skips anyway, and
-        // the fast path is an atomic-tier optimization.
-        let ph = self.fresh_phase();
-        let (label, value) = self.replica.snapshot();
-        let census = TagCensus::new(label, value);
-        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-            self.complete_read_query(op, ph.responders(), census, cons, fx);
-            return;
-        }
-        self.enter(
-            Pending::ReadQuery {
-                op,
-                ph,
-                census,
-                cons,
-            },
-            fx,
-        );
-    }
-
-    /// The read's query phase holds a read quorum. A `Regular`-tier read
-    /// completes here with the census maximum (write-back elided by
-    /// definition); an atomic read either takes the one-round fast path
-    /// (unanimous responders that form a write quorum — the max label is
-    /// already durable, so the write-back is redundant) or falls through to
-    /// the two-phase slow path.
-    fn complete_read_query(
-        &mut self,
-        op: OpId,
-        responders: &ProcSet,
-        census: TagCensus<L, V>,
-        cons: Consistency,
-        fx: &mut Fx<L, V>,
-    ) {
-        if cons == Consistency::Regular {
-            self.regular_reads += 1;
-            let (label, value) = census.into_best();
-            // Adopt locally even though the write-back is skipped: keeping
-            // the local replica at least as fresh as any value this node
-            // has returned is what lets Regular and Sequential reads from
-            // the same client compose (DESIGN.md, consistency tiers).
-            self.replica.adopt(label, value.clone());
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        if self.cfg.read_mode == ReadMode::FastUnanimous
-            && self.cfg.read_write_back
-            && fast_read_allowed(self.cfg.quorum.as_ref(), responders, census.unanimous())
-        {
-            self.fast_reads += 1;
-            let (_, value) = census.into_best();
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        let (label, value) = census.into_best();
-        // Counted here, where the write-back is decided, not in the round.
-        self.write_backs += u64::from(self.cfg.read_write_back);
-        self.enter_write_back(op, label, value, fx);
-    }
-
-    /// Second half of a read: either respond immediately (regular baseline)
-    /// or propagate the chosen pair to a write quorum first (atomic ABD).
-    fn enter_write_back(&mut self, op: OpId, label: L, value: V, fx: &mut Fx<L, V>) {
-        if !self.cfg.read_write_back {
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        self.replica.adopt(label, value.clone());
-        let ph = self.fresh_phase();
-        if self.cfg.quorum.is_write_quorum(ph.responders()) {
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        self.enter(
-            Pending::ReadWriteBack {
-                op,
-                ph,
-                label,
-                value,
-            },
-            fx,
-        );
-    }
-
-    /// Opens a relay read: broadcast our replica snapshot as the round's
-    /// query (it doubles as our server-role forward) and join our own
-    /// server round. With a single-node cluster both the round and the read
-    /// complete in place, without messages.
-    fn begin_relay_read(&mut self, op: OpId, fx: &mut Fx<L, V>) {
-        let uid = self.fresh_uid();
-        self.enter(
-            Pending::RelayRead {
-                op,
-                ph: PhaseTracker::new_empty(uid, self.cfg.n),
-                census: RelayCensus::new(),
-            },
-            fx,
-        );
-        self.relay_observe(self.cfg.me, uid, self.cfg.me, fx);
-    }
-
-    /// Sends this server's forward for round `(reader, uid)` to `targets`.
-    fn relay_fwd_to(
-        &self,
-        targets: &[ProcessId],
-        reader: ProcessId,
-        uid: u64,
-        echo: bool,
-        fx: &mut Fx<L, V>,
-    ) {
-        let (label, value) = self.replica.snapshot();
-        for &p in targets {
-            fx.send(
-                p,
-                RegisterMsg::RelayFwd {
-                    uid,
-                    reader,
-                    label,
-                    value: value.clone(),
-                    echo,
-                },
-            );
+            self.intent = self.engine.write_in_flight();
         }
     }
 
-    /// Records `from`'s forward (the reader's query doubles as its forward)
-    /// in server round `(reader, uid)`, creating the round — and
-    /// broadcasting our own forward — on first contact. Once the round's
-    /// forwards cover a read quorum it is marked done and our replica
-    /// snapshot goes to the reader as its direct reply (fed straight into
-    /// our own pending read when we are the reader).
-    fn relay_observe(&mut self, reader: ProcessId, uid: u64, from: ProcessId, fx: &mut Fx<L, V>) {
-        let (n, me) = (self.cfg.n, self.cfg.me);
-        let created = !self.relays.contains_key(&(reader, uid));
-        if created {
-            // GC: a strictly newer round from this reader retires its
-            // *completed* older rounds. In-progress ones stay — a reader
-            // may legitimately keep several rounds open at once.
-            self.relays
-                .retain(|&(r, u), round| r != reader || u >= uid || !round.done);
-            self.relays.insert(
-                (reader, uid),
-                RelayRound {
-                    ph: PhaseTracker::new(uid, n, me),
-                    done: false,
-                },
-            );
-        }
-        let complete = match self.relays.get_mut(&(reader, uid)) {
-            Some(round) => {
-                round.ph.record(from, uid);
-                !round.done && self.cfg.quorum.is_read_quorum(round.ph.responders())
-            }
-            None => false,
-        };
-        if !complete {
-            if created && reader != me {
-                // First contact: forward our snapshot to every other server
-                // (the reader included — its own round needs ours too). The
-                // reader's snapshot already travelled in its query.
-                let targets: Vec<ProcessId> = self.others().collect();
-                self.relay_fwd_to(&targets, reader, uid, false, fx);
-            }
-            return;
-        }
-        // The round stays behind, marked done (pruned when the reader's
-        // next round arrives), so stragglers are told apart from duplicates.
-        if let Some(round) = self.relays.get_mut(&(reader, uid)) {
-            round.done = true;
-        }
-        let (label, value) = self.replica.snapshot();
-        if reader == me {
-            self.relay_reply_in(me, uid, label, value, fx);
-        } else {
-            fx.send(reader, RegisterMsg::RelayReply { uid, label, value });
+    /// The aborted-write epilogue: re-issue the crash-interrupted write, if
+    /// there is one, as a fresh round. The persisted replica adopted
+    /// `(label, value)` before the original broadcast, so re-propagating
+    /// the pair is idempotent; the client's `WriteOk` is issued once a write
+    /// quorum holds it. The intent stays set until then — a second crash
+    /// rolls forward again.
+    fn resume_write(&mut self, fx: &mut Fx<L, V>) {
+        if let Some((op, label, value)) = self.intent.clone() {
+            let phase = Pending::WriteUpdate { label, value };
+            self.engine
+                .restart_round(op, (), phase, &mut self.replica, fx);
         }
     }
 
-    /// Reader-side processing of one direct server reply (our own arrives
-    /// here straight from [`RegisterNode::relay_observe`] when our server
-    /// round completes). Completes the read on a write quorum of replies
-    /// with the census's minimum pair — see the module docs for why the
-    /// minimum.
-    fn relay_reply_in(&mut self, from: ProcessId, uid: u64, label: L, value: V, fx: &mut Fx<L, V>) {
-        let Some(Pending::RelayRead { ph, census, .. }) = self.pending.as_mut() else {
+    /// One reply to the post-restart catch-up query. On a read quorum the
+    /// catch-up completes: adopt the freshest pair reported, roll a
+    /// crash-interrupted write forward (the epilogue), then serve anything
+    /// that queued while recovering.
+    fn recovery_reply(&mut self, from: ProcessId, uid: u64, label: L, value: V, fx: &mut Fx<L, V>) {
+        let Some(rec) = self.recovering.as_mut() else {
             return;
         };
-        if !ph.record(from, uid) {
+        if !rec.ph.record(from, uid) {
             return;
         }
-        census.observe(label, value);
-        if !self.cfg.quorum.is_write_quorum(ph.responders()) {
+        rec.census.observe(label, value);
+        if !self.cfg.quorum.is_read_quorum(rec.ph.responders()) {
             return;
         }
-        if let Some(Pending::RelayRead { op, census, .. }) = self.pending.take() {
-            self.rtx.disarm(uid, fx);
-            self.relay_reads += 1;
-            let (label, value) = match census.into_min() {
-                Some(best) => best,
-                // Unreachable — a write quorum is never empty — but total.
-                None => self.replica.snapshot(),
-            };
-            self.replica.adopt(label, value.clone());
-            self.finish(op, RegisterResp::ReadOk(value), fx);
+        if let Some(rec) = self.recovering.take() {
+            self.engine.rtx.disarm(uid, fx);
+            self.recovering = None;
+            // The writer's own persisted replica is part of the quorum, so
+            // the census maximum already covers every label it issued
+            // before the crash.
+            let (label, value) = rec.census.into_best();
+            self.replica.adopt(label, value);
+            // Nothing can be in flight here: invocations queue while
+            // recovering.
+            self.resume_write(fx);
+            self.settle(fx);
         }
     }
 }
@@ -826,255 +429,98 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
     }
 
     fn on_invoke(&mut self, op: OpId, input: RegisterOp<V>, fx: &mut Fx<L, V>) {
-        if self.pending.is_some() || self.recovering.is_some() {
+        if self.is_busy() || self.recovering.is_some() {
             self.queue.push_back((op, input));
         } else {
             self.begin(op, input, fx);
+            self.settle(fx);
         }
     }
 
     fn on_message(&mut self, from: ProcessId, msg: RegisterMsg<L, V>, fx: &mut Fx<L, V>) {
-        match msg {
-            // ---- replica role ----
-            RegisterMsg::Query { uid } => {
-                let (label, value) = self.replica.snapshot();
-                fx.send(from, RegisterMsg::QueryReply { uid, label, value });
+        let key = ();
+        let msg = match msg {
+            // While catching up nothing is in flight: every query reply is
+            // the catch-up's, or a straggler it ignores.
+            RegisterMsg::QueryReply { uid, label, value } if self.recovering.is_some() => {
+                self.recovery_reply(from, uid, label, value, fx);
+                return;
             }
-            RegisterMsg::Update { uid, label, value } => {
-                self.replica.adopt(label, value);
-                fx.send(from, RegisterMsg::UpdateAck { uid });
-            }
-            // ---- client role ----
-            RegisterMsg::QueryReply { uid, label, value } => {
-                if let Some(rec) = self.recovering.as_mut() {
-                    if !rec.ph.record(from, uid) {
-                        return;
-                    }
-                    rec.census.observe(label, value);
-                    if self.cfg.quorum.is_read_quorum(rec.ph.responders()) {
-                        if let Some(rec) = self.recovering.take() {
-                            self.rtx.disarm(uid, fx);
-                            let (label, value) = rec.census.into_best();
-                            self.finish_recovery(label, value, fx);
-                        }
-                    }
-                    return;
-                }
-                // Completion takes the pending op inside its own arm so
-                // each query kind advances only along its own phase edge.
-                match self.pending.as_mut() {
-                    Some(Pending::WriteQuery { ph, best, .. }) => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        if label > *best {
-                            *best = label;
-                        }
-                        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            if let Some(Pending::WriteQuery {
-                                op, best, value: v, ..
-                            }) = self.pending.take()
-                            {
-                                self.rtx.disarm(uid, fx);
-                                self.enter_write_update(op, best, v, fx);
-                            }
-                        }
-                    }
-                    Some(Pending::ReadQuery { ph, census, .. }) => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        census.observe(label, value);
-                        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            if let Some(Pending::ReadQuery {
-                                op,
-                                ph,
-                                census,
-                                cons,
-                            }) = self.pending.take()
-                            {
-                                self.rtx.disarm(uid, fx);
-                                self.complete_read_query(op, ph.responders(), census, cons, fx);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // ---- relay read: server and reader roles ----
-            RegisterMsg::RelayQuery { uid, label, value } => {
-                self.replica.adopt(label, value);
-                let round = self.relays.get(&(from, uid));
-                if round.is_some_and(|r| r.done) {
-                    // Reader retransmission after our round completed: both
-                    // our forward (for the reader's own round) and our
-                    // reply may have been lost — re-send the current
-                    // snapshot, which is monotone above the originals.
-                    self.relay_fwd_to(&[from], from, uid, true, fx);
-                    let (label, value) = self.replica.snapshot();
-                    fx.send(from, RegisterMsg::RelayReply { uid, label, value });
-                    return;
-                }
-                let repeat = round.is_some_and(|r| r.ph.responders().contains(from));
-                if repeat {
-                    // Duplicate query while we are still gathering: our
-                    // forwards may have been lost — re-send to the peers we
-                    // have not heard from (completed peers echo back) and
-                    // to the stuck reader itself.
-                    let mut targets = Vec::new();
-                    if let Some(r) = self.relays.get(&(from, uid)) {
-                        targets = r.ph.missing();
-                    }
-                    targets.push(from);
-                    self.relay_fwd_to(&targets, from, uid, false, fx);
-                    return;
-                }
-                self.relay_observe(from, uid, from, fx);
-            }
+            RegisterMsg::Query { uid } => Msg::Query { uid, key },
+            RegisterMsg::QueryReply { uid, label, value } => Msg::QueryReply { uid, label, value },
+            RegisterMsg::Update { uid, label, value } => Msg::Update {
+                uid,
+                key,
+                label,
+                value,
+            },
+            RegisterMsg::UpdateAck { uid } => Msg::UpdateAck { uid },
+            RegisterMsg::RelayQuery { uid, label, value } => Msg::RelayQuery {
+                uid,
+                key,
+                label,
+                value,
+            },
             RegisterMsg::RelayFwd {
                 uid,
                 reader,
                 label,
                 value,
                 echo,
-            } => {
-                self.replica.adopt(label, value);
-                let round = self.relays.get(&(reader, uid));
-                let repeat = round.is_some_and(|r| r.ph.responders().contains(from));
-                if repeat {
-                    if !echo {
-                        // A re-sent forward means the sender is stuck and
-                        // may have lost ours — echo our snapshot so its
-                        // tracker can count us. Echoes are never answered,
-                        // so healing can't ping-pong.
-                        self.relay_fwd_to(&[from], reader, uid, true, fx);
-                    }
-                    return;
-                }
-                if round.is_some_and(|r| r.done) {
-                    // Straggler forward for a round already completed here:
-                    // record it so a later duplicate is recognized as such;
-                    // nothing to send.
-                    if let Some(r) = self.relays.get_mut(&(reader, uid)) {
-                        r.ph.record(from, uid);
-                    }
-                    return;
-                }
-                self.relay_observe(reader, uid, from, fx);
-            }
-            RegisterMsg::RelayReply { uid, label, value } => {
-                // Not adopted on receipt: only the census minimum is, when
-                // the read completes.
-                self.relay_reply_in(from, uid, label, value, fx);
-            }
-            RegisterMsg::UpdateAck { uid } => {
-                let done = match self.pending.as_mut() {
-                    Some(Pending::WriteUpdate { op, ph, .. }) => {
-                        if ph.record(from, uid) && self.cfg.quorum.is_write_quorum(ph.responders())
-                        {
-                            Some((*op, RegisterResp::WriteOk))
-                        } else {
-                            None
-                        }
-                    }
-                    Some(Pending::ReadWriteBack { op, ph, value, .. }) => {
-                        if ph.record(from, uid) && self.cfg.quorum.is_write_quorum(ph.responders())
-                        {
-                            Some((*op, RegisterResp::ReadOk(value.clone())))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some((op, resp)) = done {
-                    self.rtx.disarm(uid, fx);
-                    self.finish(op, resp, fx);
-                }
-            }
-        }
+            } => Msg::RelayFwd {
+                uid,
+                reader,
+                key,
+                label,
+                value,
+                echo,
+            },
+            RegisterMsg::RelayReply { uid, label, value } => Msg::RelayReply { uid, label, value },
+        };
+        self.engine.on_message(from, msg, &mut self.replica, fx);
+        self.settle(fx);
     }
 
     fn on_timer(&mut self, key: TimerKey, fx: &mut Fx<L, V>) {
-        if let Some(rec) = self.recovering.as_ref() {
-            if rec.ph.uid() != key.0 {
-                return;
+        match self.recovering.as_ref() {
+            Some(rec) if rec.ph.uid() == key.0 => {
+                let query = RegisterMsg::Query { uid: key.0 };
+                self.engine.rtx.fire(key.0, &rec.ph.missing(), query, fx);
             }
-            let (uid, missing) = (rec.ph.uid(), rec.ph.missing());
-            self.rtx
-                .fire(key.0, &missing, RegisterMsg::Query { uid }, fx);
-            return;
+            Some(_) => {}
+            None => self.engine.on_timer(key, &self.replica, fx),
         }
-        let Some(pending) = self.pending.as_ref() else {
-            return;
-        };
-        if pending.phase().uid() != key.0 {
-            return; // Timer from a phase that already completed.
-        }
-        let mut missing = pending.phase().missing();
-        if matches!(pending, Pending::RelayRead { .. }) {
-            // A relay reader can be stuck on replies *or* on forwards for
-            // its own server round; re-query both sets. The empty-seeded
-            // reply tracker lists `me` as missing — never send to self.
-            if let Some(round) = self.relays.get(&(self.cfg.me, key.0)) {
-                for p in round.ph.missing() {
-                    if !missing.contains(&p) {
-                        missing.push(p);
-                    }
-                }
-                missing.sort();
-            }
-            missing.retain(|&p| p != self.cfg.me);
-        }
-        let msg = pending.request(&self.replica);
-        self.rtx.fire(key.0, &missing, msg, fx);
     }
 
     fn on_restart(&mut self, fx: &mut Fx<L, V>) {
         // Volatile state is gone: the in-flight operation (its client sees
-        // an aborted op), the invocation queue, and any retry schedule. The
-        // replica pair, the write intent and the phase-uid counter model
-        // stable storage and survive — see the module docs for why a fully
-        // amnesiac replica would break atomicity.
-        self.pending = None;
+        // an aborted op), the invocation queue, the relay rounds and any
+        // retry schedule. The replica pair, the write intent and the
+        // phase-uid counter model stable storage and survive — see the
+        // module docs for why a fully amnesiac replica would break
+        // atomicity.
         self.queue.clear();
-        self.rtx.reset();
-        // Relay bookkeeping is volatile too: the rounds this server was
-        // gathering or had answered vanish with the crash. Safe, because
-        // a post-restart reply still carries the *persisted* replica — the
-        // quorum-intersection argument never depended on round state.
-        self.relays.clear();
-        let ph = self.fresh_phase();
-        let (label, value) = self.replica.snapshot();
+        self.engine.on_restart();
+        let uid = self.engine.fresh_uid();
+        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
         if self.cfg.quorum.is_read_quorum(ph.responders()) {
             // Nothing to catch up from — but a crash-interrupted write
             // (possible when this node is a read quorum yet not a write
             // quorum, e.g. an R=1 threshold system) still rolls forward.
-            if let Some((op, label, v)) = self.intent.clone() {
-                self.resume_write(op, label, v, fx);
-            }
+            self.resume_write(fx);
             return;
         }
-        let uid = ph.uid();
-        self.recovering = Some(Recovery {
-            ph,
-            census: TagCensus::new(label, value),
-        });
-        self.broadcast(RegisterMsg::Query { uid }, fx);
-        self.rtx.arm(uid, fx);
+        let (label, value) = self.replica.snapshot();
+        let census = TagCensus::new(label, value);
+        self.recovering = Some(Recovery { ph, census });
+        fx.send_each(self.engine.peers(), RegisterMsg::Query { uid });
+        self.engine.rtx.arm(uid, fx);
     }
 }
 
-impl<L, V> ReadPathStats for RegisterNode<L, V> {
+impl<L: Label, V: Clone> ReadPathStats for RegisterNode<L, V> {
     fn counters(&self) -> ReadPathCounters {
-        ReadPathCounters {
-            fast_reads: self.fast_reads,
-            write_backs: self.write_backs,
-            relay_reads: self.relay_reads,
-            sc_reads: self.sc_reads,
-            regular_reads: self.regular_reads,
-            ..ReadPathCounters::default()
-        }
+        self.engine.counters()
     }
 }
 

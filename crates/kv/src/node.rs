@@ -6,46 +6,42 @@
 //! register. Each node plays replica for every key and client for the
 //! operations invoked on it.
 //!
-//! Differences from the single-register protocol in `abd-core` (both
-//! deliberate, both standard in practice):
+//! The operation path is `abd-core`'s quorum-operation engine
+//! ([`abd_core::engine`]), the same state machine the register protocols
+//! run, instantiated with [`Tag`] labels over a keyed store. What a *store*
+//! adds to it lives here: the keyed replica with its Merkle tree and bucket
+//! index, bulk and walk sync, the anti-entropy sweep, and the [`KvMsg`]
+//! wire format. Two things differ from a register, both carried by types
+//! rather than branches:
 //!
 //! * **keyed state** — the replica holds a map `key → (tag, value)`;
-//!   unknown keys report the initial tag and no value;
-//! * **pipelining** — operations on a node run concurrently (each gets its
-//!   own phase ids) instead of queueing, since operations on independent
-//!   keys do not interact; per-client ordering is preserved by the clients
-//!   themselves, which block on one operation at a time.
+//!   unknown keys report the initial tag and no value, and a `Get` that
+//!   finds the key unwritten has nothing to write back;
+//! * **pipelining** — every invocation is handed to the engine at once
+//!   (each round gets its own phase id) instead of queueing, since
+//!   operations on independent keys do not interact; per-client ordering is
+//!   preserved by the clients themselves, which block on one operation at a
+//!   time.
 //!
-//! A `Get` on a key that has a value performs the read write-back exactly
-//! like the register protocol; a `Get` that finds the key unwritten (the
-//! maximum tag is still the initial tag) skips the write-back — there is
-//! nothing to propagate. With
-//! [`ReadMode::FastUnanimous`](abd_core::types::ReadMode) selected, a `Get`
-//! whose query quorum was *unanimous* about the maximum tag (and forms a
-//! write quorum) also skips it, completing in one round (see
-//! [`fast_read_allowed`](abd_core::quorum::fast_read_allowed)); with
-//! [`ReadMode::Relay`](abd_core::types::ReadMode) every `Get` runs the
-//! server-to-server relay read of the register protocols per key — 1.5
-//! message delays at `n² − 1` messages (see the `abd-core` SWMR module docs
-//! for the protocol and its safety argument). One KV-specific difference:
-//! because operations pipeline here, a reader may have several relay rounds
-//! open at once, so servers track each round's completion individually
-//! instead of keeping a per-reader uid floor.
+//! The read modes ([`ReadMode::FastUnanimous`](abd_core::types::ReadMode),
+//! [`ReadMode::Relay`](abd_core::types::ReadMode)), the consistency tiers
+//! and retransmission are the engine's; see its module docs for the relay
+//! protocol and its safety argument.
 //!
 //! ## Crash recovery
 //!
 //! A restarted node keeps its store (stable storage, like the register
-//! replicas — see the `abd-core` SWMR module docs for why amnesia would
-//! break atomicity) and serves clients at once: every operation already
-//! gets its freshness from a quorum, never from the local replica being
-//! current, and whatever this node acknowledged before the crash is still
-//! in its store (persist-before-ack). Alongside, it catches up from a read
-//! quorum in the background, so it soon holds every key at least as fresh
-//! as the latest completed write — which keeps `Sequential` reads from
-//! lagging by the downtime and lets the replica carry quorums for others.
-//! Foreground operations race the transfer freely: both only ever `adopt`,
-//! a monotone max-merge. Two transfer mechanisms exist, selected by store
-//! size at restart ([`KvConfig::with_sync_threshold`]):
+//! replicas — see the [`abd_core::register`] module docs for why amnesia
+//! would break atomicity) and serves clients at once: every operation
+//! already gets its freshness from a quorum, never from the local replica
+//! being current, and whatever this node acknowledged before the crash is
+//! still in its store (persist-before-ack). Alongside, it catches up from a
+//! read quorum in the background, so it soon holds every key at least as
+//! fresh as the latest completed write — which keeps `Sequential` reads
+//! from lagging by the downtime and lets the replica carry quorums for
+//! others. Foreground operations race the transfer freely: both only ever
+//! `adopt`, a monotone max-merge. Two transfer mechanisms exist, selected
+//! by store size at restart ([`KvConfig::with_sync_threshold`]):
 //!
 //! * **bulk** (small stores) — broadcast [`KvMsg::SyncPull`] and max-merge
 //!   the full [`KvMsg::SyncState`] snapshots of a read quorum. O(keyspace)
@@ -54,8 +50,8 @@
 //!   recovers all keys.
 //! * **Merkle walk** (large stores) — each node maintains an incremental
 //!   [`MerkleTree`] digest over its `(key → tag)` map (updated by the
-//!   single [`KvNode::digest_update`] helper on every adoption; it
-//!   persists with the store). The recovering node runs one walk per peer:
+//!   store's single `digest_update` helper on every adoption; it persists
+//!   with the store). The recovering node runs one walk per peer:
 //!   [`KvMsg::SyncDigest`] fetches the peer's root; on mismatch,
 //!   [`KvMsg::SyncDiffReq`] descends the mismatching subtrees in batches
 //!   and [`KvMsg::SyncEntries`] ships only the entries of divergent leaf
@@ -68,21 +64,24 @@
 //!   catch-up read quorum immediately. Safety is the same max-merge
 //!   argument as bulk: digest equality over `(key, tag)` certifies entry
 //!   equality (see DESIGN.md §15 for the collision caveat), and everything
-//!   adopted goes through the usual monotone [`KvNode::adopt`].
+//!   adopted goes through the store's usual monotone `adopt`.
 //!
 //! The same walk, detached from recovery, runs as a **background
 //! anti-entropy sweep** ([`KvConfig::with_anti_entropy`]): a timer picks
 //! peers round-robin and repairs drift continuously, so gray or
 //! partition-stranded replicas converge without waiting for a reboot (or a
-//! write-back) to touch them.
+//! write-back) to touch them. Catch-ups and walks draw their ids from the
+//! engine's phase-id counter and their retry schedules from its
+//! `Retransmitter`, so they share timers with the operations they run
+//! beside.
 
 use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
+use abd_core::engine::{Engine, Msg, Op, Outcome, Store};
 use abd_core::fasthash::FastBuild;
 use abd_core::merkle::{key_hash, MerkleTree};
-use abd_core::phase::{PhaseTracker, RelayCensus, TagCensus};
-use abd_core::procset::ProcSet;
-use abd_core::quorum::{fast_read_allowed, Majority, QuorumSystem};
-use abd_core::retransmit::{BackoffPolicy, Retransmitter};
+use abd_core::phase::PhaseTracker;
+use abd_core::quorum::{Majority, QuorumSystem};
+use abd_core::retransmit::BackoffPolicy;
 use abd_core::types::{Consistency, Nanos, OpId, ProcessId, ReadMode, Tag};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Debug;
@@ -260,7 +259,8 @@ pub struct KvConfig {
     /// Quorum system (must satisfy multi-writer intersection).
     pub quorum: Arc<dyn QuorumSystem>,
     /// How `Get`s complete: the two-round baseline, the unanimity fast path
-    /// (see [`fast_read_allowed`]), or server-to-server relay.
+    /// (see [`fast_read_allowed`](abd_core::quorum::fast_read_allowed)), or
+    /// server-to-server relay.
     /// [`ReadMode::TwoRound`] by default.
     pub read_mode: ReadMode,
     /// Retransmission policy for unfinished phases (`None` = reliable
@@ -356,62 +356,6 @@ const MAX_DIFF_NODES: usize = 32;
 /// is the convention `Batched`'s flush timer uses).
 const SWEEP_KEY: u64 = u64::MAX - 1;
 
-#[derive(Clone, Debug)]
-enum Pending<K, V> {
-    ReadQuery {
-        op: OpId,
-        key: K,
-        ph: PhaseTracker,
-        census: TagCensus<Tag, Option<V>>,
-        /// Tier the `Get` was invoked at (decides whether the write-back
-        /// runs when the query quorum completes).
-        cons: Consistency,
-    },
-    ReadWriteBack {
-        op: OpId,
-        key: K,
-        ph: PhaseTracker,
-        tag: Tag,
-        value: V,
-    },
-    WriteQuery {
-        op: OpId,
-        key: K,
-        ph: PhaseTracker,
-        best: Tag,
-        value: V,
-    },
-    WriteUpdate {
-        op: OpId,
-        key: K,
-        ph: PhaseTracker,
-        tag: Tag,
-        value: V,
-    },
-    /// Relay-mode `Get` collecting direct server replies; completes on a
-    /// write quorum of them with the census's minimum pair. The tracker
-    /// starts empty: even this node's own reply only counts once its
-    /// server-side round completes.
-    RelayRead {
-        op: OpId,
-        key: K,
-        ph: PhaseTracker,
-        census: RelayCensus<Tag, Option<V>>,
-    },
-}
-
-/// One server-side relay round: which peers' forwards we have seen for
-/// `(reader, uid)`, and whether we already replied. The round's key always
-/// travels in the messages themselves, so it is not stored here. Unlike
-/// the register protocols' per-reader uid floor, completion is tracked per
-/// round — KV operations pipeline, so one reader may have several rounds
-/// open at once and they can complete out of uid order.
-#[derive(Clone, Debug)]
-struct RelayRound {
-    ph: PhaseTracker,
-    done: bool,
-}
-
 /// One walker-side Merkle sync walk against a single peer. The walker
 /// drives: it holds the frontier of mismatching tree nodes and issues it in
 /// [`KvMsg::SyncDiffReq`] batches of at most [`MAX_DIFF_NODES`] ids, each
@@ -447,6 +391,133 @@ struct SyncWalk {
     rounds: u64,
 }
 
+/// Effects of a key-value node.
+type Fx<K, V> = Effects<KvMsg<K, V>, KvResp<V>>;
+
+/// The keyed replica: the engine's store, plus the digests sync prunes by.
+/// Stable storage, all three fields.
+#[derive(Clone, Debug)]
+struct KvStore<K, V> {
+    /// Hashed, like every map here, by the unseeded [`FastBuild`]: the keys
+    /// are the workload's own. A deployment whose clients may craft keys
+    /// to collide wants `std`'s seeded default back on this one map.
+    map: HashMap<K, (Tag, V), FastBuild>,
+    /// Incremental Merkle digest over `map`'s `(key → tag)` pairs; mutated
+    /// only by [`KvStore::digest_update`].
+    tree: MerkleTree,
+    /// Bucket → keys index (insertion order; keys are never removed), so a
+    /// leaf-bucket sync request needn't scan the whole store.
+    buckets: Vec<Vec<K>>,
+}
+
+impl<K: Clone + Eq + Hash, V> KvStore<K, V> {
+    /// The single Merkle-maintenance point: the entry for `key` just moved
+    /// from tag `old` (`None` = fresh insert) to `new`. Updates the bucket
+    /// index and folds the delta into the digest tree. Every
+    /// [`MerkleTree::apply_delta`] call in this crate lives here — the
+    /// `merkle-digest-helper` lint rule flags any other call site, because
+    /// a store mutation that skips this helper silently desynchronizes the
+    /// digests every sync walk prunes by.
+    fn digest_update(&mut self, key: &K, old: Option<Tag>, new: Tag) {
+        let kh = key_hash(key);
+        if old.is_none() {
+            let b = self.tree.bucket_of(kh);
+            self.buckets[b].push(key.clone());
+        }
+        self.tree.apply_delta(kh, old, Some(new));
+    }
+}
+
+impl<K: Clone + Eq + Hash, V: Clone> Store<K, Tag, Option<V>, V> for KvStore<K, V> {
+    type Msg = KvMsg<K, V>;
+    type Resp = KvResp<V>;
+
+    fn snapshot(&self, key: &K) -> (Tag, Option<V>) {
+        match self.map.get(key) {
+            Some((t, v)) => (*t, Some(v.clone())),
+            None => (Tag::initial(), None),
+        }
+    }
+
+    fn adopt(&mut self, key: &K, tag: Tag, value: V) {
+        let old = match self.map.get_mut(key) {
+            Some(entry) if tag > entry.0 => Some(std::mem::replace(entry, (tag, value)).0),
+            None if tag > Tag::initial() => {
+                self.map.insert(key.clone(), (tag, value));
+                None
+            }
+            _ => return,
+        };
+        self.digest_update(key, old, tag);
+    }
+}
+
+/// The store's wire format of an engine message: labels are tags.
+impl<K, V> From<Msg<K, Tag, Option<V>, V>> for KvMsg<K, V> {
+    fn from(msg: Msg<K, Tag, Option<V>, V>) -> Self {
+        match msg {
+            Msg::Query { uid, key } => KvMsg::Query { uid, key },
+            Msg::QueryReply {
+                uid,
+                label: tag,
+                value,
+            } => KvMsg::QueryReply { uid, tag, value },
+            Msg::Update {
+                uid,
+                key,
+                label: tag,
+                value,
+            } => KvMsg::Update {
+                uid,
+                key,
+                tag,
+                value,
+            },
+            Msg::UpdateAck { uid } => KvMsg::UpdateAck { uid },
+            Msg::RelayQuery {
+                uid,
+                key,
+                label: tag,
+                value,
+            } => KvMsg::RelayQuery {
+                uid,
+                key,
+                tag,
+                value,
+            },
+            Msg::RelayFwd {
+                uid,
+                reader,
+                key,
+                label: tag,
+                value,
+                echo,
+            } => KvMsg::RelayFwd {
+                uid,
+                reader,
+                key,
+                tag,
+                value,
+                echo,
+            },
+            Msg::RelayReply {
+                uid,
+                label: tag,
+                value,
+            } => KvMsg::RelayReply { uid, tag, value },
+        }
+    }
+}
+
+impl<V> From<Outcome<Option<V>>> for KvResp<V> {
+    fn from(outcome: Outcome<Option<V>>) -> Self {
+        match outcome {
+            Outcome::Read(value) => KvResp::GetOk(value),
+            Outcome::Written => KvResp::PutOk,
+        }
+    }
+}
+
 /// One node of the replicated key-value store.
 ///
 /// # Examples
@@ -468,30 +539,13 @@ struct SyncWalk {
 #[derive(Clone, Debug)]
 pub struct KvNode<K, V> {
     cfg: KvConfig,
-    /// Hashed, like every map here, by the unseeded [`FastBuild`]: the keys
-    /// are the workload's own. A deployment whose clients may craft keys
-    /// to collide wants `std`'s seeded default back on this one map.
-    store: HashMap<K, (Tag, V), FastBuild>,
-    next_uid: u64,
-    pending: HashMap<u64, Pending<K, V>, FastBuild>,
-    /// Retry schedules of every armed phase and walk (operations pipeline
-    /// here, so each backs off independently).
-    rtx: Retransmitter,
+    store: KvStore<K, V>,
+    /// Every operation in flight, the replica role and the relay rounds.
+    engine: Engine<K, Tag, Option<V>, V>,
     /// Post-restart catch-up still short of a read quorum (bulk replies or
     /// finished walks). Serving does not wait for it; it only holds the
     /// anti-entropy sweep off and times the bulk pull's retransmission.
     recovering: Option<PhaseTracker>,
-    /// Server-side relay rounds, keyed by `(reader, uid)`. Volatile —
-    /// cleared on restart; completed rounds are pruned when the same reader
-    /// opens a strictly newer round.
-    relays: HashMap<(ProcessId, u64), RelayRound, FastBuild>,
-    /// Incremental Merkle digest over `store`'s `(key → tag)` map. Stable
-    /// storage, like the store it indexes; mutated only by
-    /// [`KvNode::digest_update`].
-    tree: MerkleTree,
-    /// Bucket → keys index (insertion order; keys are never removed), so a
-    /// leaf-bucket sync request needn't scan the whole store.
-    buckets: Vec<Vec<K>>,
     /// In-progress walker-side sync walks, keyed by walk uid.
     walks: HashMap<u64, SyncWalk, FastBuild>,
     /// Round-robin cursor of the anti-entropy sweep.
@@ -500,11 +554,6 @@ pub struct KvNode<K, V> {
     recovery_msgs: u64,
     recovery_bytes: u64,
     sync_entries_sent: u64,
-    fast_reads: u64,
-    write_backs: u64,
-    relay_reads: u64,
-    sc_reads: u64,
-    regular_reads: u64,
 }
 
 impl<K, V> KvNode<K, V>
@@ -514,51 +563,40 @@ where
 {
     /// Creates an empty node.
     pub fn new(cfg: KvConfig) -> Self {
-        assert!(cfg.me.index() < cfg.n, "node id out of range");
-        assert_eq!(
-            cfg.quorum.n(),
-            cfg.n,
-            "quorum system sized for a different cluster"
-        );
         assert!(
             cfg.sync_buckets.is_power_of_two(),
             "sync_buckets must be a power of two"
         );
-        let tree = MerkleTree::new(cfg.sync_buckets);
-        let buckets = vec![Vec::new(); cfg.sync_buckets];
-        let rtx = Retransmitter::new(cfg.retransmit, cfg.me);
+        let store = KvStore {
+            map: HashMap::default(),
+            tree: MerkleTree::new(cfg.sync_buckets),
+            buckets: vec![Vec::new(); cfg.sync_buckets],
+        };
+        // A store always writes back what an atomic read returns.
+        let quorum = cfg.quorum.clone();
+        let engine = Engine::new(cfg.n, cfg.me, quorum, cfg.read_mode, true, cfg.retransmit);
         KvNode {
             cfg,
-            store: HashMap::default(),
-            next_uid: 0,
-            pending: HashMap::default(),
-            rtx,
+            store,
+            engine,
             recovering: None,
-            relays: HashMap::default(),
-            tree,
-            buckets,
             walks: HashMap::default(),
             sweep_next: 0,
             max_walk_rounds: 0,
             recovery_msgs: 0,
             recovery_bytes: 0,
             sync_entries_sent: 0,
-            fast_reads: 0,
-            write_backs: 0,
-            relay_reads: 0,
-            sc_reads: 0,
-            regular_reads: 0,
         }
     }
 
     /// Messages this node has retransmitted over its lifetime.
     pub fn retransmissions(&self) -> u64 {
-        self.rtx.retransmissions()
+        self.engine.rtx.retransmissions()
     }
 
     /// The node's current Merkle root over its `(key → tag)` map.
     pub fn sync_root(&self) -> u64 {
-        self.tree.root()
+        self.store.tree.root()
     }
 
     /// The most sequential round trips (request waves: the digest
@@ -582,17 +620,17 @@ where
 
     /// The node's local `(tag, value)` for `key`, if present.
     pub fn local_entry(&self, key: &K) -> Option<(Tag, &V)> {
-        self.store.get(key).map(|(t, v)| (*t, v))
+        self.store.map.get(key).map(|(t, v)| (*t, v))
     }
 
     /// Number of keys stored locally.
     pub fn local_len(&self) -> usize {
-        self.store.len()
+        self.store.map.len()
     }
 
     /// Number of operations currently in flight on this node.
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.engine.in_flight()
     }
 
     /// The node's configuration.
@@ -600,58 +638,12 @@ where
         &self.cfg
     }
 
-    fn fresh_uid(&mut self) -> u64 {
-        self.next_uid += 1;
-        self.next_uid
-    }
-
-    fn snapshot(&self, key: &K) -> (Tag, Option<V>) {
-        match self.store.get(key) {
-            Some((t, v)) => (*t, Some(v.clone())),
-            None => (Tag::initial(), None),
-        }
-    }
-
-    /// The single Merkle-maintenance point: the store's entry for `key`
-    /// just moved from tag `old` (`None` = fresh insert) to `new`. Updates
-    /// the bucket index and folds the delta into the digest tree. Every
-    /// [`MerkleTree::apply_delta`] call in this crate lives here — the
-    /// `merkle-digest-helper` lint rule flags any other call site, because
-    /// a store mutation that skips this helper silently desynchronizes the
-    /// digests every sync walk prunes by.
-    fn digest_update(&mut self, key: &K, old: Option<Tag>, new: Tag) {
-        let kh = key_hash(key);
-        if old.is_none() {
-            let b = self.tree.bucket_of(kh);
-            self.buckets[b].push(key.clone());
-        }
-        self.tree.apply_delta(kh, old, Some(new));
-    }
-
-    fn adopt(&mut self, key: K, tag: Tag, value: V) {
-        match self.store.get_mut(&key) {
-            Some(entry) => {
-                if tag > entry.0 {
-                    let old = entry.0;
-                    *entry = (tag, value);
-                    self.digest_update(&key, Some(old), tag);
-                }
-            }
-            None => {
-                if tag > Tag::initial() {
-                    self.store.insert(key.clone(), (tag, value));
-                    self.digest_update(&key, None, tag);
-                }
-            }
-        }
-    }
-
     /// Installs `(tag, value)` for `key` directly into the replica, as if
     /// adopted from a peer (strictly-greater tags win, the digest tree
     /// stays in sync). Benchmark/test helper for building large preloaded
     /// stores without running a write round per key.
     pub fn preload(&mut self, key: K, tag: Tag, value: V) {
-        self.adopt(key, tag, value);
+        self.store.adopt(&key, tag, value);
     }
 
     /// Every `(key, tag, value)` this replica stores. Entries come in the
@@ -662,6 +654,7 @@ where
     /// payloads.
     pub fn entries(&self) -> Vec<(K, Tag, V)> {
         self.store
+            .map
             .iter()
             .map(|(k, (t, v))| (k.clone(), *t, v.clone()))
             .collect()
@@ -672,24 +665,7 @@ where
     /// writer really stamped — the store only ever moves up.
     pub fn merge(&mut self, entries: Vec<(K, Tag, V)>) {
         for (k, t, v) in entries {
-            self.adopt(k, t, v);
-        }
-    }
-
-    /// [`KvNode::adopt`] for snapshot-shaped pairs, where `None` means the
-    /// sender has never written the key (nothing to adopt).
-    fn adopt_opt(&mut self, key: K, tag: Tag, value: Option<V>) {
-        if let Some(v) = value {
-            self.adopt(key, tag, v);
-        }
-    }
-
-    fn broadcast(&self, msg: KvMsg<K, V>, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
-        for i in 0..self.cfg.n {
-            let p = ProcessId(i);
-            if p != self.cfg.me {
-                fx.send(p, msg.clone());
-            }
+            self.store.adopt(&k, t, v);
         }
     }
 
@@ -716,12 +692,7 @@ where
     /// The single send point of the sync protocol (both transfer modes,
     /// both roles): counts the message, its estimated bytes, and any
     /// entries it ships, then emits it.
-    fn send_sync(
-        &mut self,
-        to: ProcessId,
-        msg: KvMsg<K, V>,
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
+    fn send_sync(&mut self, to: ProcessId, msg: KvMsg<K, V>, fx: &mut Fx<K, V>) {
         self.recovery_msgs += 1;
         self.recovery_bytes += Self::sync_msg_bytes(&msg);
         if let KvMsg::SyncState { entries, .. } | KvMsg::SyncEntries { entries, .. } = &msg {
@@ -731,13 +702,8 @@ where
     }
 
     /// Opens a Merkle sync walk against `peer`.
-    fn start_walk(
-        &mut self,
-        peer: ProcessId,
-        recovery: bool,
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
-        let uid = self.fresh_uid();
+    fn start_walk(&mut self, peer: ProcessId, recovery: bool, fx: &mut Fx<K, V>) {
+        let uid = self.engine.fresh_uid();
         self.walks.insert(
             uid,
             SyncWalk {
@@ -750,7 +716,7 @@ where
             },
         );
         self.send_sync(peer, KvMsg::SyncDigest { uid }, fx);
-        self.rtx.arm(uid, fx);
+        self.engine.rtx.arm(uid, fx);
     }
 
     /// Drives walk `uid` once its outstanding batches are all answered:
@@ -758,7 +724,7 @@ where
     /// the walk when the frontier is empty. A recovery walk's wave is its
     /// whole frontier — one tree level, since the previous level's replies
     /// are all in; a background sweep's wave is a single batch.
-    fn advance_walk(&mut self, uid: u64, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
+    fn advance_walk(&mut self, uid: u64, fx: &mut Fx<K, V>) {
         let Some(walk) = self.walks.get_mut(&uid) else {
             return;
         };
@@ -784,16 +750,17 @@ where
         for msg in wave {
             self.send_sync(peer, msg, fx);
         }
-        self.rtx.arm(uid, fx);
+        // Progress: the walk's retry ladder starts over.
+        self.engine.rtx.arm(uid, fx);
     }
 
     /// Tears down walk `uid`; a finished *recovery* walk counts its peer
     /// toward the catch-up read quorum and, on quorum, ends the catch-up.
-    fn finish_walk(&mut self, uid: u64, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
+    fn finish_walk(&mut self, uid: u64, fx: &mut Fx<K, V>) {
         let Some(walk) = self.walks.remove(&uid) else {
             return;
         };
-        self.rtx.disarm(uid, fx);
+        self.engine.rtx.disarm(uid, fx);
         self.max_walk_rounds = self.max_walk_rounds.max(walk.rounds);
         if !walk.recovery {
             return;
@@ -808,7 +775,7 @@ where
     }
 
     /// (Re-)arms the anti-entropy sweep timer, when enabled.
-    fn arm_sweep(&mut self, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
+    fn arm_sweep(&mut self, fx: &mut Fx<K, V>) {
         if let Some(period) = self.cfg.anti_entropy {
             fx.set_timer(TimerKey(SWEEP_KEY), period);
         }
@@ -819,7 +786,7 @@ where
     /// still-running background walk against the chosen peer is dropped
     /// first — its adoptions so far are kept, and the fresh walk restarts
     /// the comparison from the current trees.
-    fn on_sweep(&mut self, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
+    fn on_sweep(&mut self, fx: &mut Fx<K, V>) {
         self.arm_sweep(fx);
         if self.recovering.is_some() || self.cfg.n == 1 {
             return;
@@ -838,459 +805,24 @@ where
             .collect();
         for u in stale {
             self.walks.remove(&u);
-            self.rtx.disarm(u, fx);
+            self.engine.rtx.disarm(u, fx);
         }
         self.start_walk(peer, false, fx);
     }
 
-    /// Phase 1 of a `Put`: learn the largest tag a read quorum holds.
-    fn begin_put(&mut self, op: OpId, key: K, value: V, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        let best = self.snapshot(&key).0;
-        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-            self.enter_put_update(op, key, best, value, fx);
-            return;
+    /// Swaps the quorum system under everything in flight. The engine
+    /// restarts the current *round* — not the operation — of each pending
+    /// phase ([`Engine::requorum`]): a restarted `Put` is still one write.
+    /// Sync walks and the catch-up tracker counted responders of the old
+    /// system, carry no client's operation, and are dropped with their
+    /// timers; the periodic sweep goes on.
+    pub fn requorum(&mut self, quorum: Arc<dyn QuorumSystem>, fx: &mut Fx<K, V>) {
+        let dropped = self.walks.drain().map(|(uid, _)| uid);
+        for uid in dropped.chain(self.recovering.take().map(|ph| ph.uid())) {
+            self.engine.rtx.disarm(uid, fx);
         }
-        self.broadcast(
-            KvMsg::Query {
-                uid,
-                key: key.clone(),
-            },
-            fx,
-        );
-        self.pending.insert(
-            uid,
-            Pending::WriteQuery {
-                op,
-                key,
-                ph,
-                best,
-                value,
-            },
-        );
-        self.rtx.arm(uid, fx);
-    }
-
-    /// Phase 2 of a `Put`: stamp — once per operation, so the put is one
-    /// write however often its update round is restarted — and propagate.
-    fn enter_put_update(
-        &mut self,
-        op: OpId,
-        key: K,
-        max_seen: Tag,
-        value: V,
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
-        let tag = max_seen.next(self.cfg.me);
-        self.propagate_put(op, key, tag, value, fx);
-    }
-
-    /// The update round of a `Put` already stamped `tag`.
-    fn propagate_put(
-        &mut self,
-        op: OpId,
-        key: K,
-        tag: Tag,
-        value: V,
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
-        self.adopt(key.clone(), tag, value.clone());
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if self.cfg.quorum.is_write_quorum(ph.responders()) {
-            fx.respond(op, KvResp::PutOk);
-            return;
-        }
-        self.pending.insert(
-            uid,
-            Pending::WriteUpdate {
-                op,
-                key: key.clone(),
-                ph,
-                tag,
-                value: value.clone(),
-            },
-        );
-        self.broadcast(
-            KvMsg::Update {
-                uid,
-                key,
-                tag,
-                value,
-            },
-            fx,
-        );
-        self.rtx.arm(uid, fx);
-    }
-
-    /// Phase 2 of a `Get`: write back what we are about to return (skipped
-    /// when the key was never written — the initial tag needs no
-    /// propagation).
-    fn enter_get_write_back(
-        &mut self,
-        op: OpId,
-        key: K,
-        best: (Tag, Option<V>),
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
-        let (tag, value) = best;
-        let Some(value) = value else {
-            fx.respond(op, KvResp::GetOk(None));
-            return;
-        };
-        self.adopt(key.clone(), tag, value.clone());
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if self.cfg.quorum.is_write_quorum(ph.responders()) {
-            fx.respond(op, KvResp::GetOk(Some(value)));
-            return;
-        }
-        self.pending.insert(
-            uid,
-            Pending::ReadWriteBack {
-                op,
-                key: key.clone(),
-                ph,
-                tag,
-                value: value.clone(),
-            },
-        );
-        self.broadcast(
-            KvMsg::Update {
-                uid,
-                key,
-                tag,
-                value,
-            },
-            fx,
-        );
-        self.rtx.arm(uid, fx);
-    }
-
-    /// The `Get`'s query phase holds a read quorum: respond right away on
-    /// the one-round fast path (unanimous responders forming a write
-    /// quorum), else fall through to the write-back.
-    fn complete_get_query(
-        &mut self,
-        op: OpId,
-        key: K,
-        responders: &ProcSet,
-        census: TagCensus<Tag, Option<V>>,
-        cons: Consistency,
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
-        if cons == Consistency::Regular {
-            // Regular tier: return the census maximum without propagating
-            // it. Adopting it locally keeps this replica monotone, so
-            // sequential `Get`s on the same node compose.
-            self.regular_reads += 1;
-            let (tag, value) = census.into_best();
-            self.adopt_opt(key, tag, value.clone());
-            fx.respond(op, KvResp::GetOk(value));
-            return;
-        }
-        if self.cfg.read_mode == ReadMode::FastUnanimous
-            && fast_read_allowed(self.cfg.quorum.as_ref(), responders, census.unanimous())
-        {
-            self.fast_reads += 1;
-            let (_, value) = census.into_best();
-            fx.respond(op, KvResp::GetOk(value));
-            return;
-        }
-        let best = census.into_best();
-        // Counted here, not in the round: `requorum` may run it twice.
-        self.write_backs += u64::from(best.1.is_some());
-        self.enter_get_write_back(op, key, best, fx);
-    }
-
-    /// Starts one `Get` at tier `cons`. Sequential `Get`s answer from the
-    /// local replica in zero rounds; the other tiers run the query round,
-    /// with only atomic `Get`s eligible for the relay path (a weaker tier
-    /// has no write-back for the relay round to replace).
-    fn begin_get(
-        &mut self,
-        op: OpId,
-        key: K,
-        cons: Consistency,
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
-        if cons == Consistency::Sequential {
-            self.sc_reads += 1;
-            let (_, value) = self.snapshot(&key);
-            fx.respond(op, KvResp::GetOk(value));
-            return;
-        }
-        if cons == Consistency::Atomic && self.cfg.read_mode == ReadMode::Relay {
-            self.begin_relay_get(op, key, fx);
-            return;
-        }
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        let (tag, value) = self.snapshot(&key);
-        let census = TagCensus::new(tag, value);
-        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-            self.complete_get_query(op, key, ph.responders(), census, cons, fx);
-            return;
-        }
-        self.broadcast(
-            KvMsg::Query {
-                uid,
-                key: key.clone(),
-            },
-            fx,
-        );
-        self.pending.insert(
-            uid,
-            Pending::ReadQuery {
-                op,
-                key,
-                ph,
-                census,
-                cons,
-            },
-        );
-        self.rtx.arm(uid, fx);
-    }
-
-    /// Opens a relay `Get`: broadcast our snapshot for `key` as the round's
-    /// query (it doubles as our server-role forward) and join our own
-    /// server round. Single-node clusters complete in place.
-    fn begin_relay_get(&mut self, op: OpId, key: K, fx: &mut Effects<KvMsg<K, V>, KvResp<V>>) {
-        let uid = self.fresh_uid();
-        self.pending.insert(
-            uid,
-            Pending::RelayRead {
-                op,
-                key: key.clone(),
-                ph: PhaseTracker::new_empty(uid, self.cfg.n),
-                census: RelayCensus::new(),
-            },
-        );
-        let (tag, value) = self.snapshot(&key);
-        self.broadcast(
-            KvMsg::RelayQuery {
-                uid,
-                key: key.clone(),
-                tag,
-                value,
-            },
-            fx,
-        );
-        self.rtx.arm(uid, fx);
-        self.relay_observe(self.cfg.me, uid, key, self.cfg.me, fx);
-    }
-
-    /// Sends this server's forward for round `(reader, uid)` to `targets`.
-    fn relay_fwd_to(
-        &self,
-        targets: &[ProcessId],
-        reader: ProcessId,
-        uid: u64,
-        key: &K,
-        echo: bool,
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
-        let (tag, value) = self.snapshot(key);
-        for &p in targets {
-            fx.send(
-                p,
-                KvMsg::RelayFwd {
-                    uid,
-                    reader,
-                    key: key.clone(),
-                    tag,
-                    value: value.clone(),
-                    echo,
-                },
-            );
-        }
-    }
-
-    /// Records `from`'s forward in server round `(reader, uid)`, creating
-    /// the round (and broadcasting our own forward) on first contact. Once
-    /// the forwards cover a read quorum the round is marked done and our
-    /// snapshot goes to the reader as its direct reply (fed straight into
-    /// our own pending `Get` when we are the reader).
-    fn relay_observe(
-        &mut self,
-        reader: ProcessId,
-        uid: u64,
-        key: K,
-        from: ProcessId,
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
-        let (n, me) = (self.cfg.n, self.cfg.me);
-        let created = !self.relays.contains_key(&(reader, uid));
-        if created {
-            // GC: a strictly newer round from this reader retires its
-            // *completed* older rounds. In-progress ones stay — pipelined
-            // readers legitimately keep several rounds open at once.
-            self.relays
-                .retain(|&(r, u), round| r != reader || u >= uid || !round.done);
-            self.relays.insert(
-                (reader, uid),
-                RelayRound {
-                    ph: PhaseTracker::new(uid, n, me),
-                    done: false,
-                },
-            );
-        }
-        let complete = match self.relays.get_mut(&(reader, uid)) {
-            Some(round) => {
-                round.ph.record(from, uid);
-                !round.done && self.cfg.quorum.is_read_quorum(round.ph.responders())
-            }
-            None => false,
-        };
-        if !complete {
-            if created && reader != me {
-                let targets: Vec<ProcessId> = (0..n).map(ProcessId).filter(|&p| p != me).collect();
-                self.relay_fwd_to(&targets, reader, uid, &key, false, fx);
-            }
-            return;
-        }
-        if let Some(round) = self.relays.get_mut(&(reader, uid)) {
-            round.done = true;
-        }
-        let (tag, value) = self.snapshot(&key);
-        if reader == me {
-            self.relay_reply_in(me, uid, tag, value, fx);
-        } else {
-            fx.send(reader, KvMsg::RelayReply { uid, tag, value });
-        }
-    }
-
-    /// Reader-side processing of one direct server reply. Completes the
-    /// `Get` on a write quorum of replies with the census's minimum pair —
-    /// see the `abd-core` SWMR module docs for why the minimum is safe.
-    fn relay_reply_in(
-        &mut self,
-        from: ProcessId,
-        uid: u64,
-        tag: Tag,
-        value: Option<V>,
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
-        let Some(Pending::RelayRead { ph, census, .. }) = self.pending.get_mut(&uid) else {
-            return;
-        };
-        if !ph.record(from, uid) {
-            return;
-        }
-        census.observe(tag, value);
-        if !self.cfg.quorum.is_write_quorum(ph.responders()) {
-            return;
-        }
-        let Some(Pending::RelayRead {
-            op, key, census, ..
-        }) = self.pending.remove(&uid)
-        else {
-            return;
-        };
-        self.rtx.disarm(uid, fx);
-        self.relay_reads += 1;
-        let (tag, value) = match census.into_min() {
-            Some(best) => best,
-            // Unreachable — a write quorum is never empty — but total.
-            None => self.snapshot(&key),
-        };
-        self.adopt_opt(key, tag, value.clone());
-        fx.respond(op, KvResp::GetOk(value));
-    }
-
-    /// Swaps the quorum system under everything in flight and restarts the
-    /// current *round* — not the operation — of each pending phase: fresh
-    /// phase id, responders back to `me`, request re-broadcast, in uid
-    /// order. A query round starts over from this replica's snapshot (it
-    /// has chosen nothing yet); an update or write-back round keeps the tag
-    /// it already chose, so a restarted `Put` is still one write. Replies to
-    /// the old phase ids find no phase and are ignored. Sync walks, the
-    /// catch-up tracker and server-side relay rounds counted responders of
-    /// the old system, carry no client's operation, and are dropped with
-    /// their timers; the periodic sweep goes on.
-    pub fn requorum(
-        &mut self,
-        quorum: Arc<dyn QuorumSystem>,
-        fx: &mut Effects<KvMsg<K, V>, KvResp<V>>,
-    ) {
-        assert_eq!(
-            quorum.n(),
-            self.cfg.n,
-            "quorum system sized for a different cluster"
-        );
-        self.cfg.quorum = quorum;
-        self.relays.clear();
-        let mut uids: Vec<u64> = self.walks.drain().map(|(uid, _)| uid).collect();
-        uids.extend(self.recovering.take().map(|ph| ph.uid()));
-        uids.extend(self.pending.keys());
-        uids.sort_unstable();
-        for uid in uids {
-            self.rtx.disarm(uid, fx);
-            match self.pending.remove(&uid) {
-                Some(Pending::ReadQuery { op, key, cons, .. }) => self.begin_get(op, key, cons, fx),
-                Some(Pending::RelayRead { op, key, .. }) => self.begin_relay_get(op, key, fx),
-                Some(Pending::WriteQuery { op, key, value, .. }) => {
-                    self.begin_put(op, key, value, fx);
-                }
-                Some(Pending::WriteUpdate {
-                    op,
-                    key,
-                    tag,
-                    value,
-                    ..
-                }) => self.propagate_put(op, key, tag, value, fx),
-                Some(Pending::ReadWriteBack {
-                    op,
-                    key,
-                    tag,
-                    value,
-                    ..
-                }) => self.enter_get_write_back(op, key, (tag, Some(value)), fx),
-                None => {}
-            }
-        }
-    }
-
-    fn retransmit_message(&self, p: &Pending<K, V>) -> Option<KvMsg<K, V>> {
-        match p {
-            Pending::ReadQuery { key, ph, .. } | Pending::WriteQuery { key, ph, .. } => {
-                Some(KvMsg::Query {
-                    uid: ph.uid(),
-                    key: key.clone(),
-                })
-            }
-            Pending::ReadWriteBack {
-                key,
-                ph,
-                tag,
-                value,
-                ..
-            }
-            | Pending::WriteUpdate {
-                key,
-                ph,
-                tag,
-                value,
-                ..
-            } => Some(KvMsg::Update {
-                uid: ph.uid(),
-                key: key.clone(),
-                tag: *tag,
-                value: value.clone(),
-            }),
-            Pending::RelayRead { key, ph, .. } => {
-                // Retransmit the query with the *current* snapshot —
-                // monotone above the original.
-                let (tag, value) = self.snapshot(key);
-                Some(KvMsg::RelayQuery {
-                    uid: ph.uid(),
-                    key: key.clone(),
-                    tag,
-                    value,
-                })
-            }
-        }
+        self.cfg.quorum = quorum.clone();
+        self.engine.requorum(quorum, &mut self.store, fx);
     }
 }
 
@@ -1307,117 +839,75 @@ where
         self.cfg.me
     }
 
-    fn on_invoke(&mut self, op: OpId, input: KvOp<K, V>, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        // No gate on a running catch-up: a quorum phase never relies on the
-        // local replica being current, and the store still holds whatever
-        // this node acknowledged before it crashed.
-        match input {
-            KvOp::Get(key) => self.begin_get(op, key, Consistency::Atomic, fx),
-            KvOp::GetAt(key, cons) => self.begin_get(op, key, cons, fx),
-            KvOp::Put(key, value) => self.begin_put(op, key, value, fx),
-        }
+    fn on_invoke(&mut self, op: OpId, input: KvOp<K, V>, fx: &mut Fx<K, V>) {
+        // No queue, and no gate on a running catch-up: a quorum phase never
+        // relies on the local replica being current, and the store still
+        // holds whatever this node acknowledged before it crashed.
+        let input = match input {
+            KvOp::Get(key) => Op::Read(key, Consistency::Atomic),
+            KvOp::GetAt(key, cons) => Op::Read(key, cons),
+            KvOp::Put(key, value) => Op::Write(key, value),
+        };
+        self.engine.on_invoke(op, input, &mut self.store, fx);
     }
 
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: KvMsg<K, V>,
-        fx: &mut Effects<Self::Msg, Self::Resp>,
-    ) {
-        match msg {
-            KvMsg::Query { uid, key } => {
-                let (tag, value) = self.snapshot(&key);
-                fx.send(from, KvMsg::QueryReply { uid, tag, value });
-            }
+    fn on_message(&mut self, from: ProcessId, msg: KvMsg<K, V>, fx: &mut Fx<K, V>) {
+        // The operation path is the engine's: put its seven messages in its
+        // terms and hand them over. The sync protocol is answered here.
+        let msg = match msg {
+            KvMsg::Query { uid, key } => Msg::Query { uid, key },
+            KvMsg::QueryReply { uid, tag, value } => Msg::QueryReply {
+                uid,
+                label: tag,
+                value,
+            },
             KvMsg::Update {
                 uid,
                 key,
                 tag,
                 value,
-            } => {
-                self.adopt(key, tag, value);
-                fx.send(from, KvMsg::UpdateAck { uid });
-            }
-            KvMsg::QueryReply { uid, tag, value } => {
-                let Some(pending) = self.pending.get_mut(&uid) else {
-                    return;
-                };
-                match pending {
-                    Pending::ReadQuery { ph, census, .. } => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        census.observe(tag, value);
-                        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            if let Some(Pending::ReadQuery {
-                                op,
-                                key,
-                                ph,
-                                census,
-                                cons,
-                            }) = self.pending.remove(&uid)
-                            {
-                                self.rtx.disarm(uid, fx);
-                                self.complete_get_query(op, key, ph.responders(), census, cons, fx);
-                            }
-                        }
-                    }
-                    Pending::WriteQuery { ph, best, .. } => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        if tag > *best {
-                            *best = tag;
-                        }
-                        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            if let Some(Pending::WriteQuery {
-                                op,
-                                key,
-                                best,
-                                value,
-                                ..
-                            }) = self.pending.remove(&uid)
-                            {
-                                self.rtx.disarm(uid, fx);
-                                self.enter_put_update(op, key, best, value, fx);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            KvMsg::UpdateAck { uid } => {
-                let Some(pending) = self.pending.get_mut(&uid) else {
-                    return;
-                };
-                let done = match pending {
-                    Pending::WriteUpdate { op, ph, .. } => {
-                        if ph.record(from, uid) && self.cfg.quorum.is_write_quorum(ph.responders())
-                        {
-                            Some((*op, KvResp::PutOk))
-                        } else {
-                            None
-                        }
-                    }
-                    Pending::ReadWriteBack { op, ph, value, .. } => {
-                        if ph.record(from, uid) && self.cfg.quorum.is_write_quorum(ph.responders())
-                        {
-                            Some((*op, KvResp::GetOk(Some(value.clone()))))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some((op, resp)) = done {
-                    self.pending.remove(&uid);
-                    self.rtx.disarm(uid, fx);
-                    fx.respond(op, resp);
-                }
-            }
+            } => Msg::Update {
+                uid,
+                key,
+                label: tag,
+                value,
+            },
+            KvMsg::UpdateAck { uid } => Msg::UpdateAck { uid },
+            KvMsg::RelayQuery {
+                uid,
+                key,
+                tag,
+                value,
+            } => Msg::RelayQuery {
+                uid,
+                key,
+                label: tag,
+                value,
+            },
+            KvMsg::RelayFwd {
+                uid,
+                reader,
+                key,
+                tag,
+                value,
+                echo,
+            } => Msg::RelayFwd {
+                uid,
+                reader,
+                key,
+                label: tag,
+                value,
+                echo,
+            },
+            KvMsg::RelayReply { uid, tag, value } => Msg::RelayReply {
+                uid,
+                label: tag,
+                value,
+            },
             KvMsg::SyncPull { uid } => {
                 let entries = self.entries();
                 self.send_sync(from, KvMsg::SyncState { uid, entries }, fx);
+                return;
             }
             KvMsg::SyncState { uid, entries } => {
                 let Some(ph) = self.recovering.as_mut() else {
@@ -1430,13 +920,15 @@ where
                 self.merge(entries);
                 if done {
                     self.recovering = None;
-                    self.rtx.disarm(uid, fx);
+                    self.engine.rtx.disarm(uid, fx);
                 }
+                return;
             }
             // ---- Merkle sync walk: peer role (stateless) ----
             KvMsg::SyncDigest { uid } => {
-                let root = self.tree.root();
+                let root = self.store.tree.root();
                 self.send_sync(from, KvMsg::SyncDigestAck { uid, root }, fx);
+                return;
             }
             KvMsg::SyncDiffReq { uid, step, nodes } => {
                 // Answer from the current tree/store; out-of-range node
@@ -1444,18 +936,19 @@ where
                 // are skipped, never a panic. An empty bucket contributes
                 // no entries — the walker learns that from the reply being
                 // entry-free for that leaf.
+                let KvStore { map, tree, buckets } = &self.store;
                 let mut children = Vec::new();
                 let mut entries = Vec::new();
                 for id in nodes {
-                    if self.tree.digest(id).is_none() {
+                    if tree.digest(id).is_none() {
                         continue;
                     }
-                    if let Some((l, r)) = self.tree.children(id) {
-                        children.push((l, self.tree.digest(l).unwrap_or(0)));
-                        children.push((r, self.tree.digest(r).unwrap_or(0)));
-                    } else if let Some(b) = self.tree.bucket_of_leaf(id) {
-                        for k in &self.buckets[b] {
-                            if let Some((t, v)) = self.store.get(k) {
+                    if let Some((l, r)) = tree.children(id) {
+                        children.push((l, tree.digest(l).unwrap_or(0)));
+                        children.push((r, tree.digest(r).unwrap_or(0)));
+                    } else if let Some(b) = tree.bucket_of_leaf(id) {
+                        for k in &buckets[b] {
+                            if let Some((t, v)) = map.get(k) {
                                 entries.push((k.clone(), *t, v.clone()));
                             }
                         }
@@ -1471,6 +964,7 @@ where
                     },
                     fx,
                 );
+                return;
             }
             // ---- Merkle sync walk: walker role ----
             KvMsg::SyncDigestAck { uid, root } => {
@@ -1482,12 +976,13 @@ where
                 if walk.peer != from || walk.next_step != 0 {
                     return;
                 }
-                if root == self.tree.root() {
+                if root == self.store.tree.root() {
                     self.finish_walk(uid, fx);
                     return;
                 }
                 walk.frontier.push_back(0);
                 self.advance_walk(uid, fx);
+                return;
             }
             KvMsg::SyncEntries {
                 uid,
@@ -1511,82 +1006,20 @@ where
                 self.merge(entries);
                 let next: Vec<u32> = children
                     .into_iter()
-                    .filter(|&(id, digest)| self.tree.digest(id) != Some(digest))
+                    .filter(|&(id, digest)| self.store.tree.digest(id) != Some(digest))
                     .map(|(id, _)| id)
                     .collect();
                 if let Some(walk) = self.walks.get_mut(&uid) {
                     walk.frontier.extend(next);
                 }
                 self.advance_walk(uid, fx);
+                return;
             }
-            // ---- relay read: server and reader roles ----
-            KvMsg::RelayQuery {
-                uid,
-                key,
-                tag,
-                value,
-            } => {
-                self.adopt_opt(key.clone(), tag, value);
-                let round = self.relays.get(&(from, uid));
-                if round.is_some_and(|r| r.done) {
-                    // Reader retransmission after our round completed: both
-                    // our forward and our reply may have been lost.
-                    self.relay_fwd_to(&[from], from, uid, &key, true, fx);
-                    let (tag, value) = self.snapshot(&key);
-                    fx.send(from, KvMsg::RelayReply { uid, tag, value });
-                    return;
-                }
-                let repeat = round.is_some_and(|r| r.ph.responders().contains(from));
-                if repeat {
-                    // Duplicate query while still gathering: re-send our
-                    // forward to unheard peers and the stuck reader.
-                    let mut targets = Vec::new();
-                    if let Some(r) = self.relays.get(&(from, uid)) {
-                        targets = r.ph.missing();
-                    }
-                    targets.push(from);
-                    self.relay_fwd_to(&targets, from, uid, &key, false, fx);
-                    return;
-                }
-                self.relay_observe(from, uid, key, from, fx);
-            }
-            KvMsg::RelayFwd {
-                uid,
-                reader,
-                key,
-                tag,
-                value,
-                echo,
-            } => {
-                self.adopt_opt(key.clone(), tag, value);
-                let round = self.relays.get(&(reader, uid));
-                let repeat = round.is_some_and(|r| r.ph.responders().contains(from));
-                if repeat {
-                    if !echo {
-                        // Echo our snapshot so the stuck sender's tracker
-                        // can count us; echoes are never answered.
-                        self.relay_fwd_to(&[from], reader, uid, &key, true, fx);
-                    }
-                    return;
-                }
-                if round.is_some_and(|r| r.done) {
-                    // Straggler for a completed round: record it silently.
-                    if let Some(r) = self.relays.get_mut(&(reader, uid)) {
-                        r.ph.record(from, uid);
-                    }
-                    return;
-                }
-                self.relay_observe(reader, uid, key, from, fx);
-            }
-            KvMsg::RelayReply { uid, tag, value } => {
-                // The pending entry (if any) knows the key; adopt happens in
-                // relay_reply_in via the census minimum.
-                self.relay_reply_in(from, uid, tag, value, fx);
-            }
-        }
+        };
+        self.engine.on_message(from, msg, &mut self.store, fx);
     }
 
-    fn on_timer(&mut self, key: TimerKey, fx: &mut Effects<Self::Msg, Self::Resp>) {
+    fn on_timer(&mut self, key: TimerKey, fx: &mut Fx<K, V>) {
         let uid = key.0;
         if uid == SWEEP_KEY {
             self.on_sweep(fx);
@@ -1612,7 +1045,7 @@ where
             for msg in resend {
                 self.send_sync(peer, msg, fx);
             }
-            self.rtx.refire(uid, resent, fx);
+            self.engine.rtx.refire(uid, resent, fx);
             return;
         }
         if let Some(ph) = self.recovering.as_ref().filter(|ph| ph.uid() == uid) {
@@ -1621,97 +1054,57 @@ where
             for p in targets {
                 self.send_sync(p, KvMsg::SyncPull { uid }, fx);
             }
-            self.rtx.refire(uid, resent, fx);
+            self.engine.rtx.refire(uid, resent, fx);
             return;
         }
-        let Some(pending) = self.pending.get(&uid) else {
-            return;
-        };
-        let mut targets = match pending {
-            Pending::ReadQuery { ph, .. }
-            | Pending::WriteQuery { ph, .. }
-            | Pending::ReadWriteBack { ph, .. }
-            | Pending::WriteUpdate { ph, .. }
-            | Pending::RelayRead { ph, .. } => ph.missing(),
-        };
-        if matches!(pending, Pending::RelayRead { .. }) {
-            // A relay reader can be stuck on replies *or* on forwards for
-            // its own server round; re-query both sets. The empty-seeded
-            // reply tracker lists `me` as missing — never send to self.
-            if let Some(round) = self.relays.get(&(self.cfg.me, uid)) {
-                for p in round.ph.missing() {
-                    if !targets.contains(&p) {
-                        targets.push(p);
-                    }
-                }
-                targets.sort();
-            }
-            targets.retain(|&p| p != self.cfg.me);
-        }
-        if let Some(msg) = self.retransmit_message(pending) {
-            self.rtx.fire(uid, &targets, msg, fx);
-        }
+        self.engine.on_timer(key, &self.store, fx);
     }
 
-    fn on_start(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
+    fn on_start(&mut self, fx: &mut Fx<K, V>) {
         self.arm_sweep(fx);
     }
 
-    fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        // In-flight operations died with the crash; the store is stable
-        // storage and survives, but may be stale. Start catching up from a
-        // read quorum; serving resumes right away. The digest tree and
-        // bucket index persist with the store they summarize.
-        self.pending.clear();
-        self.rtx.reset();
-        // Relay bookkeeping is volatile too: a post-restart reply still
-        // carries the persisted store, which is all the safety argument
-        // needs (see the abd-core SWMR module docs). Walks are plain
-        // request/reply state, also volatile.
-        self.relays.clear();
+    fn on_restart(&mut self, fx: &mut Fx<K, V>) {
+        // In-flight operations died with the crash, and so did the relay
+        // rounds and the walks (plain request/reply state); the store is
+        // stable storage and survives, but may be stale. Start catching up
+        // from a read quorum; serving resumes right away. The digest tree
+        // and bucket index persist with the store they summarize.
+        self.engine.on_restart();
         self.walks.clear();
         self.arm_sweep(fx);
-        let uid = self.fresh_uid();
+        let uid = self.engine.fresh_uid();
         let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
         if self.cfg.quorum.is_read_quorum(ph.responders()) {
             return;
         }
         self.recovering = Some(ph);
-        if self.store.len() < self.cfg.sync_threshold {
+        let peers = self.engine.peers();
+        if self.store.map.len() < self.cfg.sync_threshold {
             // Bulk fallback: a store this small diverges on essentially
             // everything, so the digest exchange would only add rounds.
-            for i in 0..self.cfg.n {
-                let p = ProcessId(i);
-                if p != self.cfg.me {
-                    self.send_sync(p, KvMsg::SyncPull { uid }, fx);
-                }
+            for p in peers {
+                self.send_sync(p, KvMsg::SyncPull { uid }, fx);
             }
-            self.rtx.arm(uid, fx);
+            self.engine.rtx.arm(uid, fx);
         } else {
             // Merkle walk, one per peer. Each finished walk records its
             // peer in `recovering`; the catch-up ends at a read quorum, and
             // the remaining walks keep running as plain anti-entropy.
-            for i in 0..self.cfg.n {
-                let p = ProcessId(i);
-                if p != self.cfg.me {
-                    self.start_walk(p, true, fx);
-                }
+            for p in peers {
+                self.start_walk(p, true, fx);
             }
         }
     }
 }
 
-impl<K, V> ReadPathStats for KvNode<K, V> {
+impl<K: Clone, V: Clone> ReadPathStats for KvNode<K, V> {
     fn counters(&self) -> ReadPathCounters {
         ReadPathCounters {
-            fast_reads: self.fast_reads,
-            write_backs: self.write_backs,
-            relay_reads: self.relay_reads,
-            sc_reads: self.sc_reads,
-            regular_reads: self.regular_reads,
             recovery_msgs: self.recovery_msgs,
             recovery_bytes: self.recovery_bytes,
             sync_entries_sent: self.sync_entries_sent,
+            ..self.engine.counters()
         }
     }
 }

@@ -37,6 +37,7 @@ pub struct PhaseSpec {
 /// Protocol files that **must** declare a spec, and the name each must use.
 /// Rule 9 reports a missing or misnamed declaration in these files.
 pub const REQUIRED_SPECS: &[(&str, &str)] = &[
+    ("crates/core/src/engine.rs", "engine"),
     ("crates/core/src/register.rs", "register"),
     ("crates/core/src/bounded/swmr.rs", "bounded-swmr"),
     ("crates/core/src/byzantine.rs", "byzantine"),

@@ -20,68 +20,82 @@ fn load(rel: &str) -> SourceFile {
 }
 
 #[test]
-fn register_handlers_parse_with_bodies() {
-    let file = load("crates/core/src/register.rs");
-    let ast = Ast::parse(&file);
-    let fns = ast.all_fns();
-    for handler in ["on_invoke", "on_message", "on_timer", "on_restart"] {
-        let def = fns
-            .iter()
-            .find(|f| f.name == handler)
-            .unwrap_or_else(|| panic!("parser lost fn {handler}"));
-        let body = def
-            .body
-            .as_ref()
-            .unwrap_or_else(|| panic!("parser lost the body of {handler}"));
-        assert!(
-            !body.stmts.is_empty(),
-            "{handler} parsed to an empty body — the rules would see nothing"
-        );
+fn engine_and_register_handlers_parse_with_bodies() {
+    for rel in ["crates/core/src/engine.rs", "crates/core/src/register.rs"] {
+        let file = load(rel);
+        let ast = Ast::parse(&file);
+        let fns = ast.all_fns();
+        for handler in ["on_invoke", "on_message", "on_timer", "on_restart"] {
+            let def = fns
+                .iter()
+                .find(|f| f.name == handler)
+                .unwrap_or_else(|| panic!("{rel}: parser lost fn {handler}"));
+            let body = def
+                .body
+                .as_ref()
+                .unwrap_or_else(|| panic!("{rel}: parser lost the body of {handler}"));
+            assert!(
+                !body.stmts.is_empty(),
+                "{rel}: {handler} parsed to an empty body — the rules would see nothing"
+            );
+        }
     }
 }
 
 #[test]
-fn register_msg_enum_variants_are_complete() {
-    let file = load("crates/core/src/msg.rs");
-    let ast = Ast::parse(&file);
-    let wire = ast
-        .all_enums()
-        .into_iter()
-        .find(|e| e.name == "RegisterMsg")
-        .expect("parser lost enum RegisterMsg");
-    let variants: Vec<&str> = wire.variants.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(
-        variants,
-        vec![
-            "Query",
-            "QueryReply",
-            "Update",
-            "UpdateAck",
-            "RelayQuery",
-            "RelayFwd",
-            "RelayReply"
-        ],
-        "rule 10's coverage check keys on this exact variant list"
-    );
+fn msg_enum_variants_are_complete() {
+    // The engine's vocabulary and the register wire format it is given are
+    // the same seven shapes.
+    for (rel, name) in [
+        ("crates/core/src/engine.rs", "Msg"),
+        ("crates/core/src/msg.rs", "RegisterMsg"),
+    ] {
+        let file = load(rel);
+        let ast = Ast::parse(&file);
+        let wire = ast
+            .all_enums()
+            .into_iter()
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("parser lost enum {name}"));
+        let variants: Vec<&str> = wire.variants.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            variants,
+            vec![
+                "Query",
+                "QueryReply",
+                "Update",
+                "UpdateAck",
+                "RelayQuery",
+                "RelayFwd",
+                "RelayReply"
+            ],
+            "{name}: rule 10's coverage check keys on this exact variant list"
+        );
+    }
 }
 
-#[test]
-fn register_phase_graph_extraction_matches_golden_edges() {
-    let file = load("crates/core/src/register.rs");
+/// The edges the walk extracts from `rel`, as `A -> B` strings in order.
+fn extracted_edges(rel: &str) -> Vec<String> {
+    let file = load(rel);
     let ast = Ast::parse(&file);
     let include = |off: usize| !file.in_test_code(off);
     let walk = PhaseWalk::extract(&file.clean, &ast, &include);
-    let edges: Vec<String> = walk
-        .graph
+    walk.graph
         .keys()
         .map(|(a, b)| format!("{a} -> {b}"))
-        .collect();
-    // Must match the `phase-spec(register)` header in the file itself — rule 9
-    // diffs the two, so this golden pins the extraction side.
+        .collect()
+}
+
+#[test]
+fn engine_and_register_phase_graph_extraction_matches_golden_edges() {
+    // Each list must match the `phase-spec(..)` header in the file itself —
+    // rule 9 diffs the two, so these goldens pin the extraction side. The
+    // thirteen edges of a client operation are the engine's; the register
+    // shell keeps the `NotWriter` rejection, recovery and the epilogue.
+    let engine = extracted_edges("crates/core/src/engine.rs");
     assert_eq!(
-        edges,
+        engine,
         vec![
-            "Idle -> WriteUpdate",
             "Invoke -> Done",
             "Invoke -> ReadQuery",
             "Invoke -> ReadWriteBack",
@@ -91,13 +105,25 @@ fn register_phase_graph_extraction_matches_golden_edges() {
             "ReadQuery -> Done",
             "ReadQuery -> ReadWriteBack",
             "ReadWriteBack -> Done",
-            "Recovery -> Idle",
             "RelayRead -> Done",
-            "Restart -> Recovery",
-            "Restart -> WriteUpdate",
             "WriteQuery -> Done",
             "WriteQuery -> WriteUpdate",
             "WriteUpdate -> Done",
         ]
     );
+    let register = extracted_edges("crates/core/src/register.rs");
+    assert_eq!(
+        register,
+        vec![
+            "Idle -> WriteUpdate",
+            "Invoke -> Done",
+            "Recovery -> Idle",
+            "Restart -> Recovery",
+            "Restart -> WriteUpdate",
+        ]
+    );
+    // Together: the seventeen edges the register file declared when it held
+    // the operation path itself.
+    let union: std::collections::BTreeSet<String> = engine.into_iter().chain(register).collect();
+    assert_eq!(union.len(), 17);
 }

@@ -103,16 +103,17 @@ pub enum ProtocolSpec {
 
 impl ProtocolSpec {
     /// Name of the `abd-lint` phase graph governing this protocol's
-    /// handlers — the `phase-spec(<name>)` declaration in the protocol
+    /// operations — the `phase-spec(<name>)` declaration in the protocol
     /// source, rendered by `abd-lint --dot-dir` as `<name>.dot`.
     ///
-    /// Every spec runs the one register engine (`abd_core::register`), bare
-    /// or wrapped: batching reorders effects and the planted mutants filter
+    /// Every spec runs the one quorum-operation engine
+    /// (`abd_core::engine`), as a register or per key of the store, bare or
+    /// wrapped: batching reorders effects and the planted mutants filter
     /// them, but neither changes which phase structure the inner node walks.
-    /// (`Kv` walks the same graph per key; its handlers carry no phase spec
-    /// of their own.)
+    /// (What a register adds around an operation — recovery, the write
+    /// epilogue — is `register.dot`.)
     pub fn phase_graph(&self) -> &'static str {
-        "register"
+        "engine"
     }
 
     /// The read path the campaign's clients walk, where the spec makes it

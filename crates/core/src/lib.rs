@@ -57,9 +57,10 @@
 //! | replicated `(label, value)` pairs | [`replica::Replica`] |
 //! | "wait for a majority" | [`phase::PhaseTracker`] + [`quorum::QuorumSystem`] |
 //! | write / query / write-back messages | [`msg::RegisterMsg`] |
-//! | the emulation's state machine | [`register::RegisterNode`] |
-//! | single-writer emulation | [`swmr::SwmrNode`] (the engine at integer labels) |
-//! | multi-writer extension | [`mwmr::MwmrNode`] (the engine at `(seq, writer)` tags) |
+//! | the emulation's state machine | [`engine::Engine`] (one operation path for registers and the store) |
+//! | a processor of the emulation | [`register::RegisterNode`] (the engine over one replica, one operation at a time) |
+//! | single-writer emulation | [`swmr::SwmrNode`] (the register at integer labels) |
+//! | multi-writer extension | [`mwmr::MwmrNode`] (the register at `(seq, writer)` tags) |
 //! | bounded timestamps | [`bounded`] |
 
 #![forbid(unsafe_code)]

@@ -13,10 +13,11 @@
 //!
 //! Reads are identical to the single-writer protocol, write-back included.
 //!
-//! This module is the multi-writer *instantiation* of the register engine:
-//! the [`Tag`] label policy, and the configuration under which every node
-//! may write. The state machine itself — shared, line for line, with
-//! [`crate::swmr`] — lives in [`crate::register`].
+//! This module is the multi-writer *instantiation*: the [`Tag`] label
+//! policy, and the configuration under which every node may write. The
+//! state machine itself — shared, line for line, with [`crate::swmr`] and
+//! the key-value store — lives in [`crate::engine`], the register around
+//! it in [`crate::register`].
 
 use crate::msg::RegisterMsg;
 use crate::register::{Label, RegisterConfig, RegisterNode};

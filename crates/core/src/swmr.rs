@@ -20,10 +20,12 @@
 //! read's query quorum intersects it and cannot return an older value (no
 //! "new/old inversion").
 //!
-//! This module is the single-writer *instantiation* of the register engine:
-//! the [`SeqNo`] label policy, and the configuration that designates the
-//! writer. The state machine itself — and the read modes, relay reads,
-//! crash recovery and the aborted-write epilogue — lives, once, in
+//! This module is the single-writer *instantiation*: the [`SeqNo`] label
+//! policy, and the configuration that designates the writer. The state
+//! machine of an operation — with the read modes, relay reads, tiers and
+//! retransmission — lives, once, in [`crate::engine`], shared with the
+//! key-value store; what a register adds around it (one operation at a
+//! time, crash recovery, the aborted-write epilogue) in
 //! [`crate::register`].
 
 use crate::msg::RegisterMsg;

@@ -3,8 +3,10 @@
 //! The downstream artifact the paper's impact statement points to: a
 //! quorum-replicated store where **every key is an independent atomic
 //! multi-writer register**. Gets and puts are the two-phase quorum
-//! operations of the emulation; the store inherits the register's
-//! guarantees per key:
+//! operations of the emulation — literally: [`KvNode`] runs
+//! `abd-core`'s quorum-operation engine ([`abd_core::engine`]), the same
+//! state machine the register protocols run, over a keyed store — and the
+//! store inherits the register's guarantees per key:
 //!
 //! * linearizable gets/puts while any **minority** of replicas has crashed;
 //! * no lost updates between concurrent writers (tags order them);

@@ -1047,9 +1047,10 @@ fn violating_the_majority_envelope_blocks_operations() {
 
 #[test]
 fn flag_off_campaign_trace_digest_is_pinned() {
-    // Golden trace digest of the flag-off (fast_reads = false) fixed-seed
-    // SWMR campaign. The fast-read elision, batching, and repro layers are
-    // all opt-in: with every flag off, the protocol must execute the exact
+    // Golden trace digest of the flag-off (`ReadMode::TwoRound`, no write
+    // epilogue, no batching) fixed-seed SWMR campaign. The fast and relay
+    // read paths, batching, and the repro layers are all opt-in: with every
+    // one of them off, the protocol must execute the exact
     // byte-for-byte event sequence it always has. If a refactor moves this
     // digest, it changed flag-off behavior — that is a finding, not a
     // reason to re-pin (re-derive only for deliberate protocol changes).

@@ -185,8 +185,8 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
 
     /// Reboots crashed node `i`: pending timers die with the old
     /// incarnation, the protocol's `on_restart` runs, and clients may
-    /// invoke on it again. What `on_restart` does is the protocol's: the
-    /// register (`RegisterNode`) catches the replica up from a read quorum before it
+    /// invoke on it again. What `on_restart` does is the protocol's: a
+    /// `RegisterNode` catches the replica up from a read quorum before it
     /// serves (invocations queue meanwhile), while a `KvNode` serves at
     /// once and runs its bulk pull or Merkle walks in the background.
     /// Restarting a live node is a no-op.

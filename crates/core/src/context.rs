@@ -77,14 +77,21 @@ impl<M, R> Effects<M, R> {
         self.sends.push((to, m));
     }
 
-    /// Queues the same message for every processor in `to`, cloning it.
+    /// Queues the same message for every processor in `to`: a clone for
+    /// each but the last, which takes `m` itself.
     pub fn send_each<I: IntoIterator<Item = ProcessId>>(&mut self, to: I, m: M)
     where
         M: Clone,
     {
-        for p in to {
-            self.sends.push((p, m.clone()));
+        let mut to = to.into_iter();
+        let Some(mut next) = to.next() else {
+            return;
+        };
+        for after in to {
+            self.sends.push((next, m.clone()));
+            next = after;
         }
+        self.sends.push((next, m));
     }
 
     /// Arms (or re-arms) timer `key` to fire after `after` nanoseconds.

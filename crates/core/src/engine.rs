@@ -800,10 +800,16 @@ where
                 // Each query kind folds the reply its own way and, below,
                 // advances only along its own phase edge.
                 match &mut round.phase {
-                    Pending::WriteQuery { best, .. } if round.ph.record(from, uid) => {
+                    Pending::WriteQuery { best, .. } => {
+                        if !round.ph.record(from, uid) {
+                            return;
+                        }
                         *best = label.max(*best);
                     }
-                    Pending::ReadQuery { census, .. } if round.ph.record(from, uid) => {
+                    Pending::ReadQuery { census, .. } => {
+                        if !round.ph.record(from, uid) {
+                            return;
+                        }
                         census.observe(label, value);
                     }
                     _ => return,

@@ -1,4 +1,4 @@
-//! Integration: the register engine's event-level identity proof.
+//! Integration: the quorum-operation engine's event-level identity proof.
 //!
 //! One fixed-seed nemesis campaign (crash waves covering every node,
 //! partitions, loss bursts; retransmission on) per register instantiation

@@ -405,6 +405,7 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
         }
         if let Some(rec) = self.recovering.take() {
             self.engine.rtx.disarm(uid, fx);
+            // Redundant after `take`; abd-lint reads `Recovery -> Idle` off it.
             self.recovering = None;
             // The writer's own persisted replica is part of the quorum, so
             // the census maximum already covers every label it issued

@@ -30,8 +30,15 @@ echo "==> one operation path (the quorum-operation engine is the only copy)"
 defs=$(grep -rl 'fn relay_observe' crates --include='*.rs' | wc -l)
 [ "$defs" -eq 1 ] \
   || { echo "fn relay_observe is defined in $defs files under crates/; the engine's is the one copy"; exit 1; }
+# Its seven message shapes are declared once too: `RegisterMsg` is an alias of
+# `engine::Msg` and `KvMsg` nests it under `Op`.
+decls=$(grep -rlE '^\s*RelayFwd \{' crates --include='*.rs' | tr '\n' ' ' || true)
+[ "$decls" = "crates/core/src/engine.rs " ] \
+  || { echo "the RelayFwd shape is declared in: $decls— engine::Msg is the one wire format of the operation path"; exit 1; }
+# A shell that names a relay shape is translating the engine's messages
+# variant by variant again (a `From<Msg<..>>` impl or a re-tagging `match`).
 for f in crates/core/src/register.rs crates/kv/src/node.rs; do
-  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'enum Pending|fast_read_allowed\('; then
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'enum Pending|fast_read_allowed\(|Msg::RelayFwd \{'; then
     echo "$f holds a piece of the operation path again; it belongs in crates/core/src/engine.rs"; exit 1
   fi
 done

@@ -348,6 +348,7 @@ impl<V: Clone + std::fmt::Debug + Send + 'static> BoundedSwmrNode<V> {
                 self.broadcast(
                     RegisterMsg::Update {
                         uid,
+                        key: (),
                         label,
                         value: v,
                     },
@@ -371,7 +372,7 @@ impl<V: Clone + std::fmt::Debug + Send + 'static> BoundedSwmrNode<V> {
                     best_label,
                     best_value,
                 });
-                self.broadcast(RegisterMsg::Query { uid }, fx);
+                self.broadcast(RegisterMsg::Query { uid, key: () }, fx);
                 self.arm_timer(uid, fx);
             }
         }
@@ -397,7 +398,15 @@ impl<V: Clone + std::fmt::Debug + Send + 'static> BoundedSwmrNode<V> {
             label,
             value: value.clone(),
         });
-        self.broadcast(RegisterMsg::Update { uid, label, value }, fx);
+        self.broadcast(
+            RegisterMsg::Update {
+                uid,
+                key: (),
+                label,
+                value,
+            },
+            fx,
+        );
         self.arm_timer(uid, fx);
     }
 
@@ -410,10 +419,14 @@ impl<V: Clone + std::fmt::Debug + Send + 'static> BoundedSwmrNode<V> {
                 ph, label, value, ..
             } => Some(RegisterMsg::Update {
                 uid: ph.uid(),
+                key: (),
                 label: *label,
                 value: value.clone(),
             }),
-            Pending::Query { ph, .. } => Some(RegisterMsg::Query { uid: ph.uid() }),
+            Pending::Query { ph, .. } => Some(RegisterMsg::Query {
+                uid: ph.uid(),
+                key: (),
+            }),
         }
     }
 }
@@ -447,11 +460,13 @@ impl<V: Clone + std::fmt::Debug + Send + 'static> Protocol for BoundedSwmrNode<V
         fx: &mut Effects<Self::Msg, Self::Resp>,
     ) {
         match msg {
-            RegisterMsg::Query { uid } => {
+            RegisterMsg::Query { uid, .. } => {
                 let (label, value) = (self.stored_label, self.stored_value.clone());
                 fx.send(from, RegisterMsg::QueryReply { uid, label, value });
             }
-            RegisterMsg::Update { uid, label, value } => {
+            RegisterMsg::Update {
+                uid, label, value, ..
+            } => {
                 self.adopt(label, value);
                 fx.send(from, RegisterMsg::UpdateAck { uid });
             }
@@ -554,7 +569,7 @@ impl<V: Clone + std::fmt::Debug + Send + 'static> Protocol for BoundedSwmrNode<V
             }
             let (uid, missing) = (rec.ph.uid(), rec.ph.missing());
             self.rtx
-                .fire(key.0, &missing, RegisterMsg::Query { uid }, fx);
+                .fire(key.0, &missing, RegisterMsg::Query { uid, key: () }, fx);
             return;
         }
         let Some(pending) = self.pending.as_ref() else {
@@ -587,7 +602,7 @@ impl<V: Clone + std::fmt::Debug + Send + 'static> Protocol for BoundedSwmrNode<V
             best_label,
             best_value,
         });
-        self.broadcast(RegisterMsg::Query { uid }, fx);
+        self.broadcast(RegisterMsg::Query { uid, key: () }, fx);
         self.arm_timer(uid, fx);
     }
 }
@@ -658,6 +673,7 @@ mod tests {
                 ProcessId(0),
                 RegisterMsg::Update {
                     uid: u64::from(step),
+                    key: (),
                     label: l,
                     value: step,
                 },
@@ -679,6 +695,7 @@ mod tests {
             ProcessId(2),
             RegisterMsg::Update {
                 uid: 99,
+                key: (),
                 label: zombie,
                 value: 777,
             },

@@ -188,6 +188,7 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
     /// Creates a node holding `initial` under label 0.
     pub fn new(cfg: ByzConfig, initial: V) -> Self {
         assert!(cfg.me.index() < cfg.n, "node id out of range");
+        assert!(cfg.writer.index() < cfg.n, "writer id out of range");
         let rtx = Retransmitter::new(cfg.retransmit, cfg.me);
         ByzNode {
             cfg,
@@ -325,6 +326,7 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
                 self.broadcast(
                     RegisterMsg::Update {
                         uid,
+                        key: (),
                         label: seq,
                         value: v,
                     },
@@ -345,7 +347,7 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
                     return;
                 }
                 self.pending = Some(Pending::Query { op, ph, votes });
-                self.broadcast(RegisterMsg::Query { uid }, fx);
+                self.broadcast(RegisterMsg::Query { uid, key: () }, fx);
                 self.arm_timer(uid, fx);
             }
         }
@@ -389,7 +391,15 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
             label,
             value: value.clone(),
         });
-        self.broadcast(RegisterMsg::Update { uid, label, value }, fx);
+        self.broadcast(
+            RegisterMsg::Update {
+                uid,
+                key: (),
+                label,
+                value,
+            },
+            fx,
+        );
         self.arm_timer(uid, fx);
     }
 
@@ -427,14 +437,19 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
         match self.pending.as_ref()? {
             Pending::Write { ph, seq, value, .. } => Some(RegisterMsg::Update {
                 uid: ph.uid(),
+                key: (),
                 label: *seq,
                 value: value.clone(),
             }),
-            Pending::Query { ph, .. } => Some(RegisterMsg::Query { uid: ph.uid() }),
+            Pending::Query { ph, .. } => Some(RegisterMsg::Query {
+                uid: ph.uid(),
+                key: (),
+            }),
             Pending::WriteBack {
                 ph, label, value, ..
             } => Some(RegisterMsg::Update {
                 uid: ph.uid(),
+                key: (),
                 label: *label,
                 value: value.clone(),
             }),
@@ -471,12 +486,14 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
         fx: &mut Effects<Self::Msg, Self::Resp>,
     ) {
         match msg {
-            RegisterMsg::Query { uid } => {
+            RegisterMsg::Query { uid, .. } => {
                 if let Some(reply) = self.replica_reply(uid) {
                     fx.send(from, reply);
                 }
             }
-            RegisterMsg::Update { uid, label, value } => {
+            RegisterMsg::Update {
+                uid, label, value, ..
+            } => {
                 match self.cfg.lie {
                     Some(LieStrategy::Silent) => {} // no ack
                     Some(_) => {
@@ -494,7 +511,6 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
                 }
             }
             RegisterMsg::QueryReply { uid, label, value } => {
-                let b = self.cfg.b;
                 let q = self.cfg.quorum_size();
                 if let Some(rec) = self.recovering.as_mut() {
                     if !rec.ph.record(from, uid) {
@@ -528,7 +544,6 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
                             Some(entry) => entry.2 += 1,
                             None => votes.push((label, value, 1)),
                         }
-                        let _ = b;
                         if ph.responders().len() >= q {
                             Some(*op)
                         } else {
@@ -584,7 +599,7 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
             }
             let (uid, missing) = (rec.ph.uid(), rec.ph.missing());
             self.rtx
-                .fire(key.0, &missing, RegisterMsg::Query { uid }, fx);
+                .fire(key.0, &missing, RegisterMsg::Query { uid, key: () }, fx);
             return;
         }
         let Some(pending) = self.pending.as_ref() else {
@@ -620,7 +635,7 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
             return; // Single-node cluster: nothing to catch up from.
         }
         self.recovering = Some(Recovery { ph, votes });
-        self.broadcast(RegisterMsg::Query { uid }, fx);
+        self.broadcast(RegisterMsg::Query { uid, key: () }, fx);
         self.arm_timer(uid, fx);
     }
 }
@@ -768,6 +783,12 @@ mod tests {
     #[should_panic(expected = "n >= 4b+1")]
     fn undersized_cluster_rejected() {
         ByzConfig::new(4, ProcessId(0), ProcessId(0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "writer id out of range")]
+    fn writer_outside_the_cluster_rejected() {
+        ByzNode::new(ByzConfig::new(5, ProcessId(0), ProcessId(5), 1), 0u32);
     }
 
     #[test]

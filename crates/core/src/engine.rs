@@ -14,9 +14,10 @@
 //! policy. The state is a [`Store`] handed to every call — one
 //! `(label, value)` pair under the unit key for a register
 //! ([`crate::register`]), a keyed map with its Merkle index for the store
-//! (`abd-kv`) — and the same trait names the host's wire format, so the
-//! engine speaks [`Msg`] / [`Outcome`] and the host's messages and
-//! responses convert from them. Which invocations reach
+//! (`abd-kv`). [`Msg`] is the wire format of the operation path: a
+//! register's message type *is* `Msg` under the unit key, the store's
+//! carries it whole beside its sync protocol (the same trait names which),
+//! and a host's responses convert from [`Outcome`]. Which invocations reach
 //! [`Engine::on_invoke`], and when, is the host's business: a register
 //! admits one operation at a time behind a FIFO queue and a recovery gate,
 //! the store admits everything at once.
@@ -130,7 +131,8 @@ pub trait Label: Copy + Ord + std::fmt::Debug + Send + 'static {
 /// speaks. `R` is what a replica reports for a key (it may be "never
 /// written"), `V` what a write stores — see the module docs.
 pub trait Store<K, L, R, V> {
-    /// The host's wire message; every [`Msg`] the engine sends becomes one.
+    /// The host's wire message: [`Msg`] itself, or an enum with a variant
+    /// that holds one.
     type Msg: From<Msg<K, L, R, V>> + Clone;
     /// The host's response type; every [`Outcome`] becomes one.
     type Resp: From<Outcome<R>>;
@@ -147,10 +149,10 @@ pub trait Store<K, L, R, V> {
 /// The effects buffer of the host that owns store `S`.
 type Fx<S, K, L, R, V> = Effects<<S as Store<K, L, R, V>>::Msg, <S as Store<K, L, R, V>>::Resp>;
 
-/// The engine's messages — the seven shapes every instantiation exchanges,
-/// before the host gives them its own wire form. Every phase carries a
-/// node-local unique id `uid`; replies echo it, so stragglers from
-/// completed phases find no round and blind retransmission is safe.
+/// The wire format of the operation path — the seven shapes every
+/// instantiation exchanges, declared once. Every phase carries a node-local
+/// unique id `uid`; replies echo it, so stragglers from completed phases
+/// find no round and blind retransmission is safe.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Msg<K, L, R, V> {
     /// Ask the receiver for its `(label, value)` for `key`.
@@ -224,6 +226,16 @@ pub enum Msg<K, L, R, V> {
         /// The replying server's value for the key at reply time.
         value: R,
     },
+}
+
+impl<K, L, R, V> Msg<K, L, R, V> {
+    /// Whether this is a reply (consumes no replica state at the receiver).
+    pub fn is_reply(&self) -> bool {
+        matches!(
+            self,
+            Msg::QueryReply { .. } | Msg::UpdateAck { .. } | Msg::RelayReply { .. }
+        )
+    }
 }
 
 /// A client operation, as the engine sees it.
@@ -763,11 +775,11 @@ where
     /// queries and updates, the client role advances the round the reply
     /// belongs to — a reply whose round is gone is a straggler and ignored.
     ///
-    /// `#[inline]`: a host has one call site, right behind the `match` that
-    /// puts its wire message in the engine's terms, and only fused do the
-    /// two dispatches become one jump. Without the hint the store kept them
-    /// apart — a message copied and matched twice, 6 % of a simulated
-    /// campaign; `inline(always)` measures the same as the hint.
+    /// `#[inline]`: a host has one call site, its own `on_message`, and the
+    /// message arrives by value — out of line that is a call and a 40- to
+    /// 64-byte move per delivery, ≈ 0.7 ns on every handler call (a
+    /// hand-driven n = 5 put: 271 → 282 ns). Too small for a simulated
+    /// campaign to resolve; the function is too large to be inlined unasked.
     #[inline]
     pub fn on_message<S: Store<K, L, R, V>>(
         &mut self,
@@ -1032,6 +1044,49 @@ mod tests {
                 *self = Cell(label, value);
             }
         }
+    }
+
+    #[test]
+    fn reply_classification() {
+        let q: Msg<(), u64, u8, u8> = Msg::Query { uid: 0, key: () };
+        let qr: Msg<(), u64, u8, u8> = Msg::QueryReply {
+            uid: 0,
+            label: 0,
+            value: 0,
+        };
+        let u: Msg<(), u64, u8, u8> = Msg::Update {
+            uid: 0,
+            key: (),
+            label: 0,
+            value: 0,
+        };
+        let ua: Msg<(), u64, u8, u8> = Msg::UpdateAck { uid: 0 };
+        assert!(!q.is_reply());
+        assert!(qr.is_reply());
+        assert!(!u.is_reply());
+        assert!(ua.is_reply());
+        let rq: Msg<(), u64, u8, u8> = Msg::RelayQuery {
+            uid: 0,
+            key: (),
+            label: 0,
+            value: 0,
+        };
+        let rf: Msg<(), u64, u8, u8> = Msg::RelayFwd {
+            uid: 0,
+            reader: ProcessId(0),
+            key: (),
+            label: 0,
+            value: 0,
+            echo: false,
+        };
+        let rr: Msg<(), u64, u8, u8> = Msg::RelayReply {
+            uid: 0,
+            label: 0,
+            value: 0,
+        };
+        assert!(!rq.is_reply());
+        assert!(!rf.is_reply());
+        assert!(rr.is_reply());
     }
 
     /// What one delivery to the server made it send: `(forwards, echoes,

@@ -56,7 +56,7 @@
 //! |---------------|------|
 //! | replicated `(label, value)` pairs | [`replica::Replica`] |
 //! | "wait for a majority" | [`phase::PhaseTracker`] + [`quorum::QuorumSystem`] |
-//! | write / query / write-back messages | [`msg::RegisterMsg`] |
+//! | write / query / write-back messages | [`engine::Msg`] ([`msg::RegisterMsg`] under the unit key) |
 //! | the emulation's state machine | [`engine::Engine`] (one operation path for registers and the store) |
 //! | a processor of the emulation | [`register::RegisterNode`] (the engine over one replica, one operation at a time) |
 //! | single-writer emulation | [`swmr::SwmrNode`] (the register at integer labels) |

@@ -26,103 +26,21 @@
 //! protocols are idempotent in `uid`, which is what makes blind
 //! retransmission over lossy links safe.
 
-use crate::types::{Consistency, ProcessId, RegisterError};
+use crate::engine::Msg;
+use crate::types::{Consistency, RegisterError};
 
 /// Message exchanged by the register emulation, generic over the label type
-/// `L` and the register value type `V`.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum RegisterMsg<L, V> {
-    /// Ask the receiver for its current `(label, value)` replica state.
-    Query {
-        /// Phase id, echoed in [`RegisterMsg::QueryReply`].
-        uid: u64,
-    },
-    /// Reply to a [`RegisterMsg::Query`] with the replica's current state.
-    QueryReply {
-        /// Phase id copied from the query.
-        uid: u64,
-        /// The replica's current label.
-        label: L,
-        /// The replica's current value.
-        value: V,
-    },
-    /// Ask the receiver to adopt `(label, value)` if newer, and acknowledge.
-    ///
-    /// Used both by writes and by the read's write-back phase — the paper's
-    /// observation that a reader "writes back" what it is about to return.
-    Update {
-        /// Phase id, echoed in [`RegisterMsg::UpdateAck`].
-        uid: u64,
-        /// Label of the propagated value.
-        label: L,
-        /// The propagated value.
-        value: V,
-    },
-    /// Acknowledge an [`RegisterMsg::Update`].
-    UpdateAck {
-        /// Phase id copied from the update.
-        uid: u64,
-    },
-    /// Open a relay-read round: the reader broadcasts its own replica
-    /// snapshot, which also serves as the reader's server-role forward.
-    RelayQuery {
-        /// Relay round id, echoed in forwards and the final reply.
-        uid: u64,
-        /// The reader's current replica label.
-        label: L,
-        /// The reader's current replica value.
-        value: V,
-    },
-    /// Server-to-server forward of a replica snapshot for a relay round.
-    RelayFwd {
-        /// Relay round id copied from the query.
-        uid: u64,
-        /// The reader whose round this forward belongs to.
-        reader: ProcessId,
-        /// The forwarding server's replica label.
-        label: L,
-        /// The forwarding server's replica value.
-        value: V,
-        /// `true` when this forward answers a duplicate (it must never be
-        /// answered itself, which is what keeps loss healing ping-pong-free).
-        echo: bool,
-    },
-    /// A server's direct reply to the reader, sent once its relay round has
-    /// collected forwards from a read quorum.
-    RelayReply {
-        /// Relay round id copied from the query.
-        uid: u64,
-        /// The replying server's replica label at reply time.
-        label: L,
-        /// The replying server's replica value at reply time.
-        value: V,
-    },
-}
+/// `L` and the register value type `V`: the operation path's wire format
+/// ([`Msg`], declared once in [`crate::engine`]) under the unit key. A
+/// register always has something written, so a replica reports what a
+/// write stores.
+pub type RegisterMsg<L, V> = Msg<(), L, V, V>;
 
-impl<L, V> RegisterMsg<L, V> {
-    /// The phase id this message belongs to.
-    pub fn uid(&self) -> u64 {
-        match self {
-            RegisterMsg::Query { uid }
-            | RegisterMsg::QueryReply { uid, .. }
-            | RegisterMsg::Update { uid, .. }
-            | RegisterMsg::UpdateAck { uid }
-            | RegisterMsg::RelayQuery { uid, .. }
-            | RegisterMsg::RelayFwd { uid, .. }
-            | RegisterMsg::RelayReply { uid, .. } => *uid,
-        }
-    }
-
-    /// Whether this is a reply (consumes no replica state at the receiver).
-    pub fn is_reply(&self) -> bool {
-        matches!(
-            self,
-            RegisterMsg::QueryReply { .. }
-                | RegisterMsg::UpdateAck { .. }
-                | RegisterMsg::RelayReply { .. }
-        )
-    }
-}
+// A queued event of a simulated run and a channel payload of the thread
+// runtime hold one message by value, so this size is what the event heap
+// copies per sift and what a backlog weighs (`KvMsg`'s pin is the one
+// `sim-campaign` `peak_rss_mb` rests on).
+const _: () = assert!(std::mem::size_of::<RegisterMsg<u64, u64>>() <= 40);
 
 /// A client operation on the emulated register.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -192,85 +110,6 @@ impl<V> RegisterResp<V> {
 mod tests {
     use super::*;
     use crate::types::{ProcessId, RegisterError};
-
-    #[test]
-    fn uid_is_extracted_from_every_variant() {
-        let msgs: Vec<RegisterMsg<u64, u8>> = vec![
-            RegisterMsg::Query { uid: 1 },
-            RegisterMsg::QueryReply {
-                uid: 2,
-                label: 0,
-                value: 9,
-            },
-            RegisterMsg::Update {
-                uid: 3,
-                label: 1,
-                value: 8,
-            },
-            RegisterMsg::UpdateAck { uid: 4 },
-            RegisterMsg::RelayQuery {
-                uid: 5,
-                label: 2,
-                value: 7,
-            },
-            RegisterMsg::RelayFwd {
-                uid: 6,
-                reader: ProcessId(1),
-                label: 2,
-                value: 7,
-                echo: false,
-            },
-            RegisterMsg::RelayReply {
-                uid: 7,
-                label: 2,
-                value: 7,
-            },
-        ];
-        assert_eq!(
-            msgs.iter().map(RegisterMsg::uid).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 5, 6, 7]
-        );
-    }
-
-    #[test]
-    fn reply_classification() {
-        let q: RegisterMsg<u64, u8> = RegisterMsg::Query { uid: 0 };
-        let qr: RegisterMsg<u64, u8> = RegisterMsg::QueryReply {
-            uid: 0,
-            label: 0,
-            value: 0,
-        };
-        let u: RegisterMsg<u64, u8> = RegisterMsg::Update {
-            uid: 0,
-            label: 0,
-            value: 0,
-        };
-        let ua: RegisterMsg<u64, u8> = RegisterMsg::UpdateAck { uid: 0 };
-        assert!(!q.is_reply());
-        assert!(qr.is_reply());
-        assert!(!u.is_reply());
-        assert!(ua.is_reply());
-        let rq: RegisterMsg<u64, u8> = RegisterMsg::RelayQuery {
-            uid: 0,
-            label: 0,
-            value: 0,
-        };
-        let rf: RegisterMsg<u64, u8> = RegisterMsg::RelayFwd {
-            uid: 0,
-            reader: ProcessId(0),
-            label: 0,
-            value: 0,
-            echo: false,
-        };
-        let rr: RegisterMsg<u64, u8> = RegisterMsg::RelayReply {
-            uid: 0,
-            label: 0,
-            value: 0,
-        };
-        assert!(!rq.is_reply());
-        assert!(!rf.is_reply());
-        assert!(rr.is_reply());
-    }
 
     #[test]
     fn response_accessors() {

@@ -210,39 +210,6 @@ impl<L: Label, V: Clone> Store<(), L, V, V> for Replica<L, V> {
     }
 }
 
-/// The register wire format of an engine message: the same shape without
-/// the key.
-impl<L, V> From<Msg<(), L, V, V>> for RegisterMsg<L, V> {
-    fn from(msg: Msg<(), L, V, V>) -> Self {
-        match msg {
-            Msg::Query { uid, .. } => RegisterMsg::Query { uid },
-            Msg::QueryReply { uid, label, value } => RegisterMsg::QueryReply { uid, label, value },
-            Msg::Update {
-                uid, label, value, ..
-            } => RegisterMsg::Update { uid, label, value },
-            Msg::UpdateAck { uid } => RegisterMsg::UpdateAck { uid },
-            Msg::RelayQuery {
-                uid, label, value, ..
-            } => RegisterMsg::RelayQuery { uid, label, value },
-            Msg::RelayFwd {
-                uid,
-                reader,
-                label,
-                value,
-                echo,
-                ..
-            } => RegisterMsg::RelayFwd {
-                uid,
-                reader,
-                label,
-                value,
-                echo,
-            },
-            Msg::RelayReply { uid, label, value } => RegisterMsg::RelayReply { uid, label, value },
-        }
-    }
-}
-
 impl<V> From<Outcome<V>> for RegisterResp<V> {
     fn from(outcome: Outcome<V>) -> Self {
         match outcome {
@@ -439,45 +406,14 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
     }
 
     fn on_message(&mut self, from: ProcessId, msg: RegisterMsg<L, V>, fx: &mut Fx<L, V>) {
-        let key = ();
-        let msg = match msg {
+        if self.recovering.is_some() {
             // While catching up nothing is in flight: every query reply is
             // the catch-up's, or a straggler it ignores.
-            RegisterMsg::QueryReply { uid, label, value } if self.recovering.is_some() => {
+            if let Msg::QueryReply { uid, label, value } = msg {
                 self.recovery_reply(from, uid, label, value, fx);
                 return;
             }
-            RegisterMsg::Query { uid } => Msg::Query { uid, key },
-            RegisterMsg::QueryReply { uid, label, value } => Msg::QueryReply { uid, label, value },
-            RegisterMsg::Update { uid, label, value } => Msg::Update {
-                uid,
-                key,
-                label,
-                value,
-            },
-            RegisterMsg::UpdateAck { uid } => Msg::UpdateAck { uid },
-            RegisterMsg::RelayQuery { uid, label, value } => Msg::RelayQuery {
-                uid,
-                key,
-                label,
-                value,
-            },
-            RegisterMsg::RelayFwd {
-                uid,
-                reader,
-                label,
-                value,
-                echo,
-            } => Msg::RelayFwd {
-                uid,
-                reader,
-                key,
-                label,
-                value,
-                echo,
-            },
-            RegisterMsg::RelayReply { uid, label, value } => Msg::RelayReply { uid, label, value },
-        };
+        }
         self.engine.on_message(from, msg, &mut self.replica, fx);
         self.settle(fx);
     }
@@ -485,8 +421,9 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
     fn on_timer(&mut self, key: TimerKey, fx: &mut Fx<L, V>) {
         match self.recovering.as_ref() {
             Some(rec) if rec.ph.uid() == key.0 => {
-                let query = RegisterMsg::Query { uid: key.0 };
-                self.engine.rtx.fire(key.0, &rec.ph.missing(), query, fx);
+                let uid = key.0;
+                let query = Msg::Query { uid, key: () };
+                self.engine.rtx.fire(uid, &rec.ph.missing(), query, fx);
             }
             Some(_) => {}
             None => self.engine.on_timer(key, &self.replica, fx),
@@ -514,7 +451,7 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
         let (label, value) = self.replica.snapshot();
         let census = TagCensus::new(label, value);
         self.recovering = Some(Recovery { ph, census });
-        fx.send_each(self.engine.peers(), RegisterMsg::Query { uid });
+        fx.send_each(self.engine.peers(), Msg::Query { uid, key: () });
         self.engine.rtx.arm(uid, fx);
     }
 }

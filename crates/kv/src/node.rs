@@ -10,9 +10,9 @@
 //! ([`abd_core::engine`]), the same state machine the register protocols
 //! run, instantiated with [`Tag`] labels over a keyed store. What a *store*
 //! adds to it lives here: the keyed replica with its Merkle tree and bucket
-//! index, bulk and walk sync, the anti-entropy sweep, and the [`KvMsg`]
-//! wire format. Two things differ from a register, both carried by types
-//! rather than branches:
+//! index, bulk and walk sync and the anti-entropy sweep, whose six messages
+//! travel in [`KvMsg`] beside the engine's own. Two things differ from a
+//! register, both carried by types rather than branches:
 //!
 //! * **keyed state** — the replica holds a map `key → (tag, value)`;
 //!   unknown keys report the initial tag and no value, and a `Get` that
@@ -88,42 +88,13 @@ use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// Wire message of the key-value protocol.
+/// Wire message of the key-value protocol: the operation path's seven
+/// shapes as the engine declares them, and the sync protocol's six.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum KvMsg<K, V> {
-    /// Ask for the receiver's `(tag, value)` for `key`.
-    Query {
-        /// Phase id echoed by the reply.
-        uid: u64,
-        /// Key being queried.
-        key: K,
-    },
-    /// Reply to [`KvMsg::Query`]. `value` is `None` when the key was never
-    /// written on the receiver.
-    QueryReply {
-        /// Phase id copied from the query.
-        uid: u64,
-        /// The replica's tag for the key.
-        tag: Tag,
-        /// The replica's value for the key, if any.
-        value: Option<V>,
-    },
-    /// Ask the receiver to adopt `(tag, value)` for `key` if newer.
-    Update {
-        /// Phase id echoed by the ack.
-        uid: u64,
-        /// Key being updated.
-        key: K,
-        /// Tag of the propagated value.
-        tag: Tag,
-        /// The propagated value.
-        value: V,
-    },
-    /// Acknowledge an [`KvMsg::Update`].
-    UpdateAck {
-        /// Phase id copied from the update.
-        uid: u64,
-    },
+    /// A message of the operation path ([`abd_core::engine::Msg`]): labels
+    /// are [`Tag`]s, and a replica reports `None` for a key never written.
+    Op(Msg<K, Tag, Option<V>, V>),
     /// Post-restart catch-up: ask the receiver for its complete per-key
     /// state.
     SyncPull {
@@ -183,46 +154,14 @@ pub enum KvMsg<K, V> {
         /// receiver max-merges, which is order-insensitive.
         entries: Vec<(K, Tag, V)>,
     },
-    /// Open a relay `Get` round: the reader broadcasts its own replica
-    /// snapshot for `key` (`None` when the key is unwritten locally), which
-    /// also serves as the reader's server-role forward.
-    RelayQuery {
-        /// Relay round id, echoed in forwards and the final reply.
-        uid: u64,
-        /// Key being read.
-        key: K,
-        /// The reader's tag for the key.
-        tag: Tag,
-        /// The reader's value for the key, if any.
-        value: Option<V>,
-    },
-    /// Server-to-server forward of a replica snapshot for a relay round.
-    RelayFwd {
-        /// Relay round id copied from the query.
-        uid: u64,
-        /// The reader whose round this forward belongs to.
-        reader: ProcessId,
-        /// Key being read.
-        key: K,
-        /// The forwarding server's tag for the key.
-        tag: Tag,
-        /// The forwarding server's value for the key, if any.
-        value: Option<V>,
-        /// `true` when this forward answers a duplicate (echoes are never
-        /// answered, which keeps loss healing ping-pong-free).
-        echo: bool,
-    },
-    /// A server's direct reply to the reader, sent once its relay round has
-    /// collected forwards from a read quorum.
-    RelayReply {
-        /// Relay round id copied from the query.
-        uid: u64,
-        /// The replying server's tag for the key at reply time.
-        tag: Tag,
-        /// The replying server's value for the key, if any.
-        value: Option<V>,
-    },
 }
+
+// A queued event of a simulated run and a channel payload of the thread
+// runtime hold one message by value: a larger `KvMsg` is a larger
+// `sim-campaign` `peak_rss_mb` and more bytes copied per sift of the event
+// heap. Nesting the engine's enum under `Op` costs nothing: `SyncEntries`
+// is the widest variant either way.
+const _: () = assert!(std::mem::size_of::<KvMsg<u64, u64>>() <= 72);
 
 /// A client operation on the store.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -452,60 +391,9 @@ impl<K: Clone + Eq + Hash, V: Clone> Store<K, Tag, Option<V>, V> for KvStore<K, 
     }
 }
 
-/// The store's wire format of an engine message: labels are tags.
 impl<K, V> From<Msg<K, Tag, Option<V>, V>> for KvMsg<K, V> {
     fn from(msg: Msg<K, Tag, Option<V>, V>) -> Self {
-        match msg {
-            Msg::Query { uid, key } => KvMsg::Query { uid, key },
-            Msg::QueryReply {
-                uid,
-                label: tag,
-                value,
-            } => KvMsg::QueryReply { uid, tag, value },
-            Msg::Update {
-                uid,
-                key,
-                label: tag,
-                value,
-            } => KvMsg::Update {
-                uid,
-                key,
-                tag,
-                value,
-            },
-            Msg::UpdateAck { uid } => KvMsg::UpdateAck { uid },
-            Msg::RelayQuery {
-                uid,
-                key,
-                label: tag,
-                value,
-            } => KvMsg::RelayQuery {
-                uid,
-                key,
-                tag,
-                value,
-            },
-            Msg::RelayFwd {
-                uid,
-                reader,
-                key,
-                label: tag,
-                value,
-                echo,
-            } => KvMsg::RelayFwd {
-                uid,
-                reader,
-                key,
-                tag,
-                value,
-                echo,
-            },
-            Msg::RelayReply {
-                uid,
-                label: tag,
-                value,
-            } => KvMsg::RelayReply { uid, tag, value },
-        }
+        KvMsg::Op(msg)
     }
 }
 
@@ -852,62 +740,13 @@ where
     }
 
     fn on_message(&mut self, from: ProcessId, msg: KvMsg<K, V>, fx: &mut Fx<K, V>) {
-        // The operation path is the engine's: put its seven messages in its
-        // terms and hand them over. The sync protocol is answered here.
-        let msg = match msg {
-            KvMsg::Query { uid, key } => Msg::Query { uid, key },
-            KvMsg::QueryReply { uid, tag, value } => Msg::QueryReply {
-                uid,
-                label: tag,
-                value,
-            },
-            KvMsg::Update {
-                uid,
-                key,
-                tag,
-                value,
-            } => Msg::Update {
-                uid,
-                key,
-                label: tag,
-                value,
-            },
-            KvMsg::UpdateAck { uid } => Msg::UpdateAck { uid },
-            KvMsg::RelayQuery {
-                uid,
-                key,
-                tag,
-                value,
-            } => Msg::RelayQuery {
-                uid,
-                key,
-                label: tag,
-                value,
-            },
-            KvMsg::RelayFwd {
-                uid,
-                reader,
-                key,
-                tag,
-                value,
-                echo,
-            } => Msg::RelayFwd {
-                uid,
-                reader,
-                key,
-                label: tag,
-                value,
-                echo,
-            },
-            KvMsg::RelayReply { uid, tag, value } => Msg::RelayReply {
-                uid,
-                label: tag,
-                value,
-            },
+        // The operation path is the engine's; the sync protocol is answered
+        // here. This match is all that separates the two.
+        match msg {
+            KvMsg::Op(msg) => self.engine.on_message(from, msg, &mut self.store, fx),
             KvMsg::SyncPull { uid } => {
                 let entries = self.entries();
                 self.send_sync(from, KvMsg::SyncState { uid, entries }, fx);
-                return;
             }
             KvMsg::SyncState { uid, entries } => {
                 let Some(ph) = self.recovering.as_mut() else {
@@ -922,13 +761,11 @@ where
                     self.recovering = None;
                     self.engine.rtx.disarm(uid, fx);
                 }
-                return;
             }
             // ---- Merkle sync walk: peer role (stateless) ----
             KvMsg::SyncDigest { uid } => {
                 let root = self.store.tree.root();
                 self.send_sync(from, KvMsg::SyncDigestAck { uid, root }, fx);
-                return;
             }
             KvMsg::SyncDiffReq { uid, step, nodes } => {
                 // Answer from the current tree/store; out-of-range node
@@ -964,7 +801,6 @@ where
                     },
                     fx,
                 );
-                return;
             }
             // ---- Merkle sync walk: walker role ----
             KvMsg::SyncDigestAck { uid, root } => {
@@ -982,7 +818,6 @@ where
                 }
                 walk.frontier.push_back(0);
                 self.advance_walk(uid, fx);
-                return;
             }
             KvMsg::SyncEntries {
                 uid,
@@ -1013,10 +848,8 @@ where
                     walk.frontier.extend(next);
                 }
                 self.advance_walk(uid, fx);
-                return;
             }
-        };
-        self.engine.on_message(from, msg, &mut self.store, fx);
+        }
     }
 
     fn on_timer(&mut self, key: TimerKey, fx: &mut Fx<K, V>) {
@@ -1549,16 +1382,112 @@ mod tests {
         let mut fx = Effects::new();
         node.on_message(
             ProcessId(1),
-            KvMsg::QueryReply {
+            KvMsg::Op(Msg::QueryReply {
                 uid: 77,
-                tag: Tag::new(5, ProcessId(1)),
+                label: Tag::new(5, ProcessId(1)),
                 value: Some(1),
-            },
+            }),
             &mut fx,
         );
-        node.on_message(ProcessId(1), KvMsg::UpdateAck { uid: 77 }, &mut fx);
+        node.on_message(ProcessId(1), KvMsg::Op(Msg::UpdateAck { uid: 77 }), &mut fx);
         assert!(fx.is_empty());
         assert_eq!(node.local_len(), 0);
+    }
+
+    /// `on_message`'s match is the one place that tells the operation path
+    /// from the sync protocol: an `Op` — a live one or a straggler of a
+    /// finished round — is the engine's and never touches sync state, and
+    /// each of the six sync shapes reaches its own arm.
+    #[test]
+    fn op_messages_reach_the_engine_and_every_sync_shape_its_own_arm() {
+        let cfg = KvConfig::new(3, ProcessId(0)).with_sync_buckets(2);
+        let mut node: KvNode<u32, u64> = KvNode::new(cfg.clone().with_sync_threshold(0));
+        let t = Tag::new(1, ProcessId(0));
+
+        // A put, driven to completion by node 1's replies (uids 1 and 2).
+        let mut fx = Effects::new();
+        node.on_invoke(OpId(0), KvOp::Put(7, 70), &mut fx);
+        let reply = KvMsg::Op(Msg::QueryReply {
+            uid: 1,
+            label: Tag::initial(),
+            value: None,
+        });
+        let update = KvMsg::Op(Msg::Update {
+            uid: 2,
+            key: 7,
+            label: t,
+            value: 70,
+        });
+        let ack = KvMsg::Op(Msg::UpdateAck { uid: 2 });
+        assert_eq!(deliver(&mut node, reply.clone()), vec![update.clone(); 2]);
+        let mut fx = Effects::new();
+        node.on_message(ProcessId(1), ack.clone(), &mut fx);
+        assert_eq!(fx.responses, vec![(OpId(0), KvResp::PutOk)]);
+        // Both replies again: stragglers of finished rounds, dropped by the
+        // engine. The replica role answers as ever.
+        assert!(deliver(&mut node, reply).is_empty());
+        assert!(deliver(&mut node, ack.clone()).is_empty());
+        assert_eq!(deliver(&mut node, update), vec![ack]);
+        assert_eq!((node.in_flight(), node.counters().recovery_msgs), (0, 0));
+
+        // Peer role: the three requests, each answered by its own reply.
+        let entries = vec![(7, t, 70)];
+        let state = KvMsg::SyncState { uid: 9, entries };
+        assert_eq!(deliver(&mut node, KvMsg::SyncPull { uid: 9 }), [state]);
+        let root = node.sync_root();
+        let ack = KvMsg::SyncDigestAck { uid: 9, root };
+        assert_eq!(deliver(&mut node, KvMsg::SyncDigest { uid: 9 }), [ack]);
+        let diff_req = |uid| KvMsg::SyncDiffReq {
+            uid,
+            step: 0,
+            nodes: vec![0],
+        };
+        let sent = deliver(&mut node, diff_req(9));
+        assert!(
+            matches!(&sent[..], [KvMsg::SyncEntries { uid: 9, step: 0, children, entries }]
+                if children.len() == 2 && entries.is_empty()),
+            "{sent:?}"
+        );
+
+        // Walker role: with no walk or catch-up open the three replies are
+        // stragglers and merge nothing …
+        let entries = vec![(8, t, 80)];
+        let walk_reply = |uid| KvMsg::SyncEntries {
+            uid,
+            step: 0,
+            children: vec![],
+            entries: entries.clone(),
+        };
+        let state = |uid| KvMsg::SyncState {
+            uid,
+            entries: entries.clone(),
+        };
+        let root_ack = |uid| KvMsg::SyncDigestAck { uid, root: 1 };
+        for msg in [state(9), walk_reply(9), root_ack(9)] {
+            assert!(deliver(&mut node, msg).is_empty());
+        }
+        assert_eq!((node.local_len(), node.walks_in_flight()), (1, 0));
+        // … a walk in progress descends on a differing root and merges what
+        // its batch brings …
+        let mut fx = Effects::new();
+        node.on_restart(&mut fx);
+        let uid = match fx.sends[0] {
+            (ProcessId(1), KvMsg::SyncDigest { uid }) => uid,
+            ref other => panic!("expected SyncDigest to node 1, got {other:?}"),
+        };
+        assert_eq!(deliver(&mut node, root_ack(uid)), [diff_req(uid)]);
+        assert!(deliver(&mut node, walk_reply(uid)).is_empty());
+        assert_eq!((node.local_len(), node.is_recovering()), (2, false));
+        // … and a bulk catch-up merges a snapshot and counts its sender.
+        let mut node: KvNode<u32, u64> = KvNode::new(cfg);
+        let mut fx = Effects::new();
+        node.on_restart(&mut fx);
+        let uid = match fx.sends[0] {
+            (_, KvMsg::SyncPull { uid }) => uid,
+            ref other => panic!("expected SyncPull, got {other:?}"),
+        };
+        assert!(deliver(&mut node, state(uid)).is_empty());
+        assert_eq!((node.local_len(), node.is_recovering()), (1, false));
     }
 
     // ---- Merkle sync: recovery walk, sweep, and bulk edge cases ----
@@ -2066,7 +1995,7 @@ mod tests {
         let mut fx = Effects::new();
         node.on_invoke(OpId(1), KvOp::Get(5), &mut fx);
         let quid = match fx.sends.as_slice() {
-            [(_, KvMsg::Query { uid, .. }), (_, KvMsg::Query { .. })] => *uid,
+            [(_, KvMsg::Op(Msg::Query { uid, .. })), (_, KvMsg::Op(Msg::Query { .. }))] => *uid,
             other => panic!("expected one query round, got {other:?}"),
         };
         assert_eq!(node.in_flight(), 1);
@@ -2088,24 +2017,32 @@ mod tests {
         for from in [1, 2] {
             node.on_message(
                 ProcessId(from),
-                KvMsg::QueryReply {
+                KvMsg::Op(Msg::QueryReply {
                     uid: quid,
-                    tag: Tag::new(1, ProcessId(1)),
+                    label: Tag::new(1, ProcessId(1)),
                     value: Some(42),
-                },
+                }),
                 &mut fx,
             );
         }
         let wb_uid = match fx
             .sends
             .iter()
-            .find(|(_, m)| matches!(m, KvMsg::Update { .. }))
+            .find(|(_, m)| matches!(m, KvMsg::Op(Msg::Update { .. })))
         {
-            Some((_, KvMsg::Update { uid, .. })) => *uid,
+            Some((_, KvMsg::Op(Msg::Update { uid, .. }))) => *uid,
             other => panic!("expected write-back Update, got {other:?}"),
         };
-        node.on_message(ProcessId(1), KvMsg::UpdateAck { uid: wb_uid }, &mut fx);
-        node.on_message(ProcessId(2), KvMsg::UpdateAck { uid: wb_uid }, &mut fx);
+        node.on_message(
+            ProcessId(1),
+            KvMsg::Op(Msg::UpdateAck { uid: wb_uid }),
+            &mut fx,
+        );
+        node.on_message(
+            ProcessId(2),
+            KvMsg::Op(Msg::UpdateAck { uid: wb_uid }),
+            &mut fx,
+        );
         assert_eq!(fx.responses, vec![(OpId(1), KvResp::GetOk(Some(42)))]);
     }
 
@@ -2177,7 +2114,7 @@ mod tests {
         // Every first copy of the put's query is lost.
         let mut lost = Vec::new();
         net.queue.retain(|(_, _, m)| match m {
-            KvMsg::Query { uid, .. } => {
+            KvMsg::Op(Msg::Query { uid, .. }) => {
                 lost.push(*uid);
                 false
             }
@@ -2224,11 +2161,11 @@ mod tests {
         // query round (phase 3).
         let mut fx = Effects::new();
         node.on_invoke(OpId(0), KvOp::Put(1, 10), &mut fx);
-        let reply = KvMsg::QueryReply {
+        let reply = KvMsg::Op(Msg::QueryReply {
             uid: 1,
-            tag: Tag::initial(),
+            label: Tag::initial(),
             value: None,
-        };
+        });
         node.on_message(ProcessId(1), reply, &mut fx);
         node.on_invoke(OpId(1), KvOp::Get(1), &mut fx);
         let tag = node.local_entry(&1).expect("stamped and adopted").0;
@@ -2240,21 +2177,24 @@ mod tests {
             let to_1 = fx.sends.iter().filter(|(to, _)| *to == ProcessId(1));
             to_1.map(|(_, m)| m.clone()).collect()
         };
-        let update = KvMsg::Update {
+        let update = KvMsg::Op(Msg::Update {
             uid: 4,
             key: 1,
-            tag,
+            label: tag,
             value: 10,
-        };
-        assert_eq!(to_1(&fx), vec![update, KvMsg::Query { uid: 5, key: 1 }]);
+        });
+        assert_eq!(
+            to_1(&fx),
+            vec![update, KvMsg::Op(Msg::Query { uid: 5, key: 1 })]
+        );
         assert_eq!(node.in_flight(), 2);
         // An ack to the old phase id finds no phase; node 1's counts for
         // nothing; node 2's completes the put — still one write.
         let mut fx = Effects::new();
-        node.on_message(ProcessId(2), KvMsg::UpdateAck { uid: 2 }, &mut fx);
-        node.on_message(ProcessId(1), KvMsg::UpdateAck { uid: 4 }, &mut fx);
+        node.on_message(ProcessId(2), KvMsg::Op(Msg::UpdateAck { uid: 2 }), &mut fx);
+        node.on_message(ProcessId(1), KvMsg::Op(Msg::UpdateAck { uid: 4 }), &mut fx);
         assert!(fx.responses.is_empty());
-        node.on_message(ProcessId(2), KvMsg::UpdateAck { uid: 4 }, &mut fx);
+        node.on_message(ProcessId(2), KvMsg::Op(Msg::UpdateAck { uid: 4 }), &mut fx);
         assert_eq!(fx.responses, vec![(OpId(0), KvResp::PutOk)]);
         assert_eq!(node.local_entry(&1).map(|(t, _)| t), Some(tag));
         // A catch-up counted peers of the old system: dropped, timer and all.

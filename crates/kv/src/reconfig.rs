@@ -277,15 +277,11 @@ enum Phase {
 /// Whether `msg` answers a round its receiver opened — as opposed to asking
 /// the receiver to act as a replica, which only members do.
 fn is_reply<K, V>(msg: &KvMsg<K, V>) -> bool {
-    matches!(
-        msg,
-        KvMsg::QueryReply { .. }
-            | KvMsg::UpdateAck { .. }
-            | KvMsg::SyncState { .. }
-            | KvMsg::SyncDigestAck { .. }
-            | KvMsg::SyncEntries { .. }
-            | KvMsg::RelayReply { .. }
-    )
+    match msg {
+        KvMsg::Op(m) => m.is_reply(),
+        KvMsg::SyncState { .. } | KvMsg::SyncDigestAck { .. } | KvMsg::SyncEntries { .. } => true,
+        KvMsg::SyncPull { .. } | KvMsg::SyncDigest { .. } | KvMsg::SyncDiffReq { .. } => false,
+    }
 }
 
 type Fx<K, V> = Effects<RcMsg<K, V>, RcResp<V>>;
@@ -720,6 +716,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abd_core::engine::Msg;
 
     // Pure state-machine tests of the fence, one node at a time. The
     // hand-driven multi-node schedules (the six defects of the old `RcNode`)
@@ -746,12 +743,12 @@ mod tests {
     }
 
     fn update(epoch: u64, uid: u64, value: u32) -> RcMsg<&'static str, u32> {
-        let msg = KvMsg::Update {
+        let msg = KvMsg::Op(Msg::Update {
             uid,
             key: "k",
-            tag: Tag::new(1, ProcessId(0)),
+            label: Tag::new(1, ProcessId(0)),
             value,
-        };
+        });
         RcMsg::Op { epoch, msg }
     }
 
@@ -815,7 +812,7 @@ mod tests {
         let mut fx = Effects::new();
         node.on_invoke(OpId(0), RcOp::Get("k"), &mut fx);
         let RcMsg::Op {
-            msg: KvMsg::Query { uid, .. },
+            msg: KvMsg::Op(Msg::Query { uid, .. }),
             ..
         } = fx.sends[0].1
         else {
@@ -831,11 +828,11 @@ mod tests {
         assert!(node.local_entry(&"k").is_none());
         // Client role: the reply that would complete its own round is not
         // counted either.
-        let msg = KvMsg::QueryReply {
+        let msg = KvMsg::Op(Msg::QueryReply {
             uid,
-            tag: Tag::initial(),
+            label: Tag::initial(),
             value: None,
-        };
+        });
         let fx = deliver(&mut node, 0, RcMsg::Op { epoch: 0, msg });
         assert!(
             fx.is_empty(),
@@ -861,7 +858,7 @@ mod tests {
                 m,
                 RcMsg::Op {
                     epoch: 1,
-                    msg: KvMsg::Query { .. }
+                    msg: KvMsg::Op(Msg::Query { .. })
                 }
             )
         };
@@ -880,7 +877,7 @@ mod tests {
         let mut fx = Effects::new();
         outsider.on_invoke(OpId(0), RcOp::Get("k"), &mut fx);
         let RcMsg::Op {
-            msg: KvMsg::Query { uid, .. },
+            msg: KvMsg::Op(Msg::Query { uid, .. }),
             ..
         } = fx.sends[0].1
         else {
@@ -888,7 +885,11 @@ mod tests {
         };
         let reply = |value| {
             let tag = Tag::new(1, ProcessId(0));
-            let msg = KvMsg::QueryReply { uid, tag, value };
+            let msg = KvMsg::Op(Msg::QueryReply {
+                uid,
+                label: tag,
+                value,
+            });
             RcMsg::Op { epoch: 0, msg }
         };
         let fx = deliver(&mut outsider, 0, reply(Some(9)));
@@ -902,7 +903,7 @@ mod tests {
         assert!(matches!(
             fx.sends[0].1,
             RcMsg::Op {
-                msg: KvMsg::Update { .. },
+                msg: KvMsg::Op(Msg::Update { .. }),
                 ..
             }
         ));
@@ -938,7 +939,7 @@ mod tests {
         // collect or an announcement alike; none reaches the store.
         let ack = RcMsg::Op {
             epoch: 0,
-            msg: KvMsg::UpdateAck { uid: 1 },
+            msg: KvMsg::Op(Msg::UpdateAck { uid: 1 }),
         };
         let collect = RcMsg::StateRequest { uid: 1, epoch: 0 };
         for msg in [update(0, 9, 1), ack, collect, stale()] {

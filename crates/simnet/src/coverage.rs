@@ -50,7 +50,8 @@
 use crate::metrics::Metrics;
 use crate::sim::{DropReason, TapEvent, TapKind};
 use abd_core::batch::Envelope;
-use abd_core::msg::{RegisterMsg, RegisterOp};
+use abd_core::engine::Msg;
+use abd_core::msg::RegisterOp;
 use abd_core::quorum::majority_threshold;
 use abd_core::types::{Consistency, Nanos, OpId, ProcessId};
 use abd_kv::{KvMsg, KvOp};
@@ -128,16 +129,16 @@ pub trait Classify {
     }
 }
 
-impl<L, V> Classify for RegisterMsg<L, V> {
+impl<K, L, R, V> Classify for Msg<K, L, R, V> {
     fn classify(&self) -> MsgKind {
         match self {
-            RegisterMsg::Query { .. } => MsgKind::Query,
-            RegisterMsg::QueryReply { .. } => MsgKind::QueryReply,
-            RegisterMsg::Update { .. } => MsgKind::Update,
-            RegisterMsg::UpdateAck { .. } => MsgKind::UpdateAck,
-            RegisterMsg::RelayQuery { .. } => MsgKind::RelayQuery,
-            RegisterMsg::RelayFwd { .. } => MsgKind::RelayFwd,
-            RegisterMsg::RelayReply { .. } => MsgKind::RelayReply,
+            Msg::Query { .. } => MsgKind::Query,
+            Msg::QueryReply { .. } => MsgKind::QueryReply,
+            Msg::Update { .. } => MsgKind::Update,
+            Msg::UpdateAck { .. } => MsgKind::UpdateAck,
+            Msg::RelayQuery { .. } => MsgKind::RelayQuery,
+            Msg::RelayFwd { .. } => MsgKind::RelayFwd,
+            Msg::RelayReply { .. } => MsgKind::RelayReply,
         }
     }
 }
@@ -161,13 +162,7 @@ impl<M: Classify> Classify for Envelope<M> {
 impl<K, V> Classify for KvMsg<K, V> {
     fn classify(&self) -> MsgKind {
         match self {
-            KvMsg::Query { .. } => MsgKind::Query,
-            KvMsg::QueryReply { .. } => MsgKind::QueryReply,
-            KvMsg::Update { .. } => MsgKind::Update,
-            KvMsg::UpdateAck { .. } => MsgKind::UpdateAck,
-            KvMsg::RelayQuery { .. } => MsgKind::RelayQuery,
-            KvMsg::RelayFwd { .. } => MsgKind::RelayFwd,
-            KvMsg::RelayReply { .. } => MsgKind::RelayReply,
+            KvMsg::Op(m) => m.classify(),
             KvMsg::SyncPull { .. } => MsgKind::SyncPull,
             KvMsg::SyncState { .. } => MsgKind::SyncState,
             KvMsg::SyncDigest { .. } => MsgKind::SyncDigest,
@@ -562,6 +557,7 @@ impl CoverageCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abd_core::msg::RegisterMsg;
 
     fn deliver<'a>(
         at: u64,
@@ -585,9 +581,10 @@ mod tests {
     #[test]
     fn bigrams_track_per_node_delivery_pairs() {
         let mut c = CoverageCollector::new(3, ProcessId(0));
-        let q = RegisterMsg::Query { uid: 1 };
+        let q = RegisterMsg::Query { uid: 1, key: () };
         let u = RegisterMsg::Update {
             uid: 2,
+            key: (),
             label: 1,
             value: 9,
         };
@@ -614,6 +611,7 @@ mod tests {
         let mut c = CoverageCollector::new(3, ProcessId(0));
         let u = RegisterMsg::Update {
             uid: 1,
+            key: (),
             label: 1,
             value: 0,
         };
@@ -749,7 +747,7 @@ mod tests {
             kind: TapKind::Restart,
         };
         c.observe(&restart);
-        let q = RegisterMsg::Query { uid: 9 };
+        let q = RegisterMsg::Query { uid: 9, key: () };
         c.observe(&deliver(5, 2, &q, None, false));
         let s = c.finish(&Metrics::default(), 0);
         assert!(s.contains(&Cell::RecoveryInterleavedQuery));
@@ -781,7 +779,7 @@ mod tests {
             kind: TapKind::Restart,
         };
         c.observe(&restart);
-        let q = RegisterMsg::Query { uid: 9 };
+        let q = RegisterMsg::Query { uid: 9, key: () };
         // 9µs after the restart: 2^13 < 9_000 <= 2^14 → bucket 14.
         c.observe(&deliver(10_000, 2, &q, None, false));
         let s = c.finish(&Metrics::default(), 0);
@@ -822,7 +820,7 @@ mod tests {
     #[test]
     fn map_absorb_counts_only_novel_cells() {
         let mut c = CoverageCollector::new(3, ProcessId(0));
-        let q = RegisterMsg::Query { uid: 1 };
+        let q = RegisterMsg::Query { uid: 1, key: () };
         let r = RegisterMsg::QueryReply {
             uid: 1,
             label: 0,
@@ -991,10 +989,11 @@ mod tests {
 
     #[test]
     fn envelope_classifies_via_inner_or_batch() {
-        let one: Envelope<RegisterMsg<u64, u64>> = Envelope::One(RegisterMsg::Query { uid: 1 });
+        let one: Envelope<RegisterMsg<u64, u64>> =
+            Envelope::One(RegisterMsg::Query { uid: 1, key: () });
         assert_eq!(one.classify(), MsgKind::Query);
         let batch: Envelope<RegisterMsg<u64, u64>> = Envelope::Batch(vec![
-            RegisterMsg::Query { uid: 1 },
+            RegisterMsg::Query { uid: 1, key: () },
             RegisterMsg::UpdateAck { uid: 2 },
         ]);
         assert_eq!(batch.classify(), MsgKind::Batch);

@@ -582,7 +582,7 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for Mutan
         let mut query_uid = None;
         for (to, m) in inner_fx.sends {
             match m {
-                RegisterMsg::Query { uid } => {
+                RegisterMsg::Query { uid, .. } => {
                     query_uid = Some(uid);
                     peers.push(to);
                 }
@@ -672,6 +672,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abd_core::engine::Msg;
     use abd_core::swmr::SwmrConfig;
 
     fn node(i: usize, every: u64) -> PlantedSwmr<u64> {
@@ -679,6 +680,14 @@ mod tests {
             SwmrNode::new(SwmrConfig::new(3, ProcessId(i), ProcessId(0)), 0),
             every,
         )
+    }
+
+    /// The phase id of a request these tests answer by hand.
+    fn uid_of(m: &SwmrMsg<u64>) -> u64 {
+        match m {
+            Msg::Query { uid, .. } | Msg::Update { uid, .. } => *uid,
+            other => panic!("not a query or an update: {other:?}"),
+        }
     }
 
     /// Drives one read on a wrapped reader by hand, replying to its query
@@ -690,7 +699,7 @@ mod tests {
             .sends
             .iter()
             .find_map(|(_, m)| match m {
-                RegisterMsg::Query { uid } => Some(*uid),
+                RegisterMsg::Query { uid, .. } => Some(*uid),
                 _ => None,
             })
             .expect("read starts with a query broadcast");
@@ -719,7 +728,7 @@ mod tests {
             "read 1 keeps its write-back"
         );
         // Finish it so the node is idle again.
-        let uid = sends[0].1.uid();
+        let uid = uid_of(&sends[0].1);
         let mut fx = Effects::new();
         n.on_message(ProcessId(0), RegisterMsg::UpdateAck { uid }, &mut fx);
         assert_eq!(fx.responses.len(), 1);
@@ -727,7 +736,7 @@ mod tests {
         // Second read: write-back suppressed, response immediate.
         let mut fx = Effects::new();
         n.on_invoke(OpId(1), RegisterOp::Read, &mut fx);
-        let uid = fx.sends[0].1.uid();
+        let uid = uid_of(&fx.sends[0].1);
         let mut fx = Effects::new();
         n.on_message(
             ProcessId(0),
@@ -760,7 +769,7 @@ mod tests {
                     .any(|(_, m)| matches!(m, RegisterMsg::Update { .. })),
                 "read {k} keeps its write-back"
             );
-            let uid = sends[0].1.uid();
+            let uid = uid_of(&sends[0].1);
             let mut fx = Effects::new();
             n.on_message(ProcessId(0), RegisterMsg::UpdateAck { uid }, &mut fx);
         }
@@ -775,6 +784,7 @@ mod tests {
             ProcessId(2),
             RegisterMsg::Update {
                 uid: 5,
+                key: (),
                 label: 3,
                 value: 11,
             },
@@ -797,7 +807,7 @@ mod tests {
         // Two completed reads bring the counter to 2.
         for k in 0..2 {
             let sends = drive_read(&mut n, k);
-            let uid = sends[0].1.uid();
+            let uid = uid_of(&sends[0].1);
             let mut fx = Effects::new();
             n.on_message(ProcessId(0), RegisterMsg::UpdateAck { uid }, &mut fx);
         }
@@ -814,7 +824,7 @@ mod tests {
             .sends
             .iter()
             .find_map(|(_, m)| match m {
-                RegisterMsg::Query { uid } => Some(*uid),
+                RegisterMsg::Query { uid, .. } => Some(*uid),
                 _ => None,
             })
             .expect("recovery starts with a query broadcast");
@@ -861,6 +871,7 @@ mod tests {
         let mut n = mutant(1, MutantKind::StaleTagAck, 2);
         let update = |label, value| RegisterMsg::Update {
             uid: label,
+            key: (),
             label,
             value,
         };
@@ -932,6 +943,7 @@ mod tests {
             ProcessId(0),
             RegisterMsg::Update {
                 uid: 1,
+                key: (),
                 label: 4,
                 value: 44,
             },
@@ -950,7 +962,11 @@ mod tests {
         // Until refreshed, the replica answers queries from its initial
         // state even though stable storage still holds label 4.
         let mut fx = Effects::new();
-        n.on_message(ProcessId(2), RegisterMsg::Query { uid: 9 }, &mut fx);
+        n.on_message(
+            ProcessId(2),
+            RegisterMsg::Query { uid: 9, key: () },
+            &mut fx,
+        );
         assert!(
             matches!(
                 fx.sends[..],
@@ -972,13 +988,18 @@ mod tests {
             ProcessId(0),
             RegisterMsg::Update {
                 uid: 2,
+                key: (),
                 label: 5,
                 value: 55,
             },
             &mut fx,
         );
         let mut fx = Effects::new();
-        n.on_message(ProcessId(2), RegisterMsg::Query { uid: 10 }, &mut fx);
+        n.on_message(
+            ProcessId(2),
+            RegisterMsg::Query { uid: 10, key: () },
+            &mut fx,
+        );
         assert!(
             matches!(
                 fx.sends[..],
@@ -1010,7 +1031,7 @@ mod tests {
             .sends
             .iter()
             .find_map(|(_, m)| match m {
-                RegisterMsg::Query { uid } => Some(*uid),
+                RegisterMsg::Query { uid, .. } => Some(*uid),
                 _ => None,
             })
             .expect("read opens with a query");
@@ -1081,7 +1102,12 @@ mod tests {
     #[test]
     fn non_monotonic_tag_serves_reordered_stale_update() {
         let mut n = mutant(1, MutantKind::NonMonotonicTag, 0);
-        let update = |uid, label, value| RegisterMsg::Update { uid, label, value };
+        let update = |uid, label, value| RegisterMsg::Update {
+            uid,
+            key: (),
+            label,
+            value,
+        };
         // In-order updates: honest behavior, no sabotage.
         let mut fx = Effects::new();
         n.on_message(ProcessId(0), update(1, 1, 11), &mut fx);
@@ -1093,7 +1119,11 @@ mod tests {
         n.on_message(ProcessId(0), update(2, 2, 22), &mut fx);
         assert_eq!(n.sabotage_count(), 1);
         let mut fx = Effects::new();
-        n.on_message(ProcessId(2), RegisterMsg::Query { uid: 9 }, &mut fx);
+        n.on_message(
+            ProcessId(2),
+            RegisterMsg::Query { uid: 9, key: () },
+            &mut fx,
+        );
         assert!(
             matches!(
                 fx.sends[..],
@@ -1113,7 +1143,11 @@ mod tests {
         let mut fx = Effects::new();
         n.on_message(ProcessId(0), update(4, 4, 44), &mut fx);
         let mut fx = Effects::new();
-        n.on_message(ProcessId(2), RegisterMsg::Query { uid: 10 }, &mut fx);
+        n.on_message(
+            ProcessId(2),
+            RegisterMsg::Query { uid: 10, key: () },
+            &mut fx,
+        );
         assert!(
             matches!(
                 fx.sends[..],
@@ -1139,15 +1173,19 @@ mod tests {
         let mut node = AmnesiacKv::new(inner);
         let ask = |node: &mut AmnesiacKv<u32, u64>| {
             let mut fx = Effects::new();
-            node.on_message(ProcessId(1), KvMsg::Query { uid: 9, key: 7 }, &mut fx);
+            node.on_message(
+                ProcessId(1),
+                KvMsg::Op(Msg::Query { uid: 9, key: 7 }),
+                &mut fx,
+            );
             fx.sends.pop().expect("query answered").1
         };
         assert!(matches!(
             ask(&mut node),
-            KvMsg::QueryReply {
+            KvMsg::Op(Msg::QueryReply {
                 value: Some(70),
                 ..
-            }
+            })
         ));
         let mut fx = Effects::new();
         node.on_restart(&mut fx);
@@ -1157,7 +1195,7 @@ mod tests {
         );
         assert!(matches!(
             ask(&mut node),
-            KvMsg::QueryReply { value: None, .. }
+            KvMsg::Op(Msg::QueryReply { value: None, .. })
         ));
     }
 }

@@ -162,6 +162,7 @@ fn zombie_beyond_window_is_detected_by_the_protocol() {
             ProcessId(0),
             RegisterMsg::Update {
                 uid: k,
+                key: (),
                 label: l,
                 value: k,
             },
@@ -180,6 +181,7 @@ fn zombie_beyond_window_is_detected_by_the_protocol() {
         ProcessId(2),
         RegisterMsg::Update {
             uid: 99,
+            key: (),
             label: zombie,
             value: 777,
         },

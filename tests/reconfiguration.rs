@@ -7,6 +7,7 @@
 //! this one replaced stay closed.
 
 use abd_core::context::{Effects, Protocol, TimerCmd, TimerKey};
+use abd_core::engine;
 use abd_core::types::{OpId, ProcessId, ReadMode};
 use abd_kv::reconfig::{Config, RcMsg, RcNode, RcNodeConfig, RcOp, RcResp};
 use abd_kv::KvMsg;
@@ -368,7 +369,7 @@ fn is_update(m: &Msg) -> bool {
     matches!(
         m,
         RcMsg::Op {
-            msg: KvMsg::Update { .. },
+            msg: KvMsg::Op(engine::Msg::Update { .. }),
             ..
         }
     )
@@ -378,7 +379,7 @@ fn is_update_ack(m: &Msg) -> bool {
     matches!(
         m,
         RcMsg::Op {
-            msg: KvMsg::UpdateAck { .. },
+            msg: KvMsg::Op(engine::Msg::UpdateAck { .. }),
             ..
         }
     )

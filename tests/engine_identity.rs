@@ -18,6 +18,11 @@
 //! pipeline there, so the driver is open-loop — three invocations per node
 //! at a time — and, since nothing feeds a response back into the schedule,
 //! each row also pins a digest of every response and its completion time.
+//!
+//! The third table (`variant_identity_table_is_pinned`) does it once more
+//! for `ByzNode` and `BoundedSwmrNode`, the last two hand-written copies of
+//! the single-writer machine: trace digest, `sent` and a response digest,
+//! computed at commit c95f798.
 
 use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use abd_core::msg::{RegisterOp, RegisterResp};
@@ -28,7 +33,7 @@ use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::{Consistency, OpId, ProcessId, ReadMode};
 use abd_kv::{KvConfig, KvMsg, KvNode, KvOp, KvResp};
 use abd_repro::simnet::nemesis::liveness_bound;
-use abd_repro::simnet::{run_campaign, Metrics, NemesisConfig, Sim, SimConfig};
+use abd_repro::simnet::{run_campaign, Metrics, NemesisConfig, PlannedFault, Sim, SimConfig};
 use std::sync::Arc;
 
 const N: usize = 5;
@@ -486,5 +491,300 @@ fn kv_identity_table_is_pinned() {
             0x1521e982b4ce395a,
             [0, 23, 18, 43, 44],
         ),
+    );
+}
+
+// ---- the Byzantine and bounded-label half ----
+//
+// `ByzNode` and `BoundedSwmrNode` were two more hand-written copies of the
+// single-writer machine (`byzantine.rs` / `bounded/swmr.rs` at commit
+// c95f798). The constants below were computed on those copies **before**
+// they became instantiations of the register shell over the engine. Plain
+// `Read` / `Write` scripts only: the hand-written nodes served every tier
+// atomically, so a tiered read means something else after the merge.
+
+use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
+use abd_core::byzantine::{ByzConfig, ByzNode, LieStrategy};
+use abd_core::msg::RegisterMsg;
+use abd_repro::lincheck::is_atomic_swmr;
+use abd_repro::simnet::sim::TapKind;
+use abd_repro::simnet::workload::history_from_sim;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// What a variant row pins: the trace digest, `Metrics::sent`, and an FNV
+/// fold of every completed operation's id, completion time and response.
+type VariantPins = (u64, u64, u64);
+
+/// `(operations per client, think time)`. `run_campaign` launches in slices
+/// of four think times, so this is 40 operations 100 µs apart: every client
+/// stays busy past the last crash wave.
+const VARIANT_LOAD: (u64, u64) = (40, 25_000);
+
+/// Client 0 writes, reading every third operation; the liars issue
+/// nothing; everyone else reads.
+fn variant_scripts(n: usize, ops: u64, liars: &[usize]) -> Vec<Vec<RegisterOp<u64>>> {
+    (0..n)
+        .map(|c| {
+            let op = |k| match (c, k % 3) {
+                (0, 0 | 1) => RegisterOp::Write(k + 1),
+                _ => RegisterOp::Read,
+            };
+            let ops = if liars.contains(&c) { 0 } else { ops };
+            (0..ops).map(op).collect()
+        })
+        .collect()
+}
+
+/// What the tap saw of the catch-ups: the first `Query` a node sends after
+/// a reboot is its catch-up's (nothing else is admitted until that
+/// completes), so a reply to it from a liar is a liar answering a recovery.
+#[derive(Default)]
+struct CatchUps {
+    /// Per node: `Some(None)` once rebooted, `Some(Some(uid))` once its
+    /// catch-up query was seen on the wire.
+    open: Vec<Option<Option<u64>>>,
+    liar_replies: u64,
+}
+
+/// One fixed-seed campaign over `nodes` — the file's nemesis (crash waves
+/// covering every node, the writer included unless `spare_writer`,
+/// partitions, loss bursts, a gray node; retransmission on), with at least
+/// `min_alive` nodes up. Every client runs `ops` operations `think` apart,
+/// which is what makes the scripts span all the waves.
+fn variant_campaign<L, P>(
+    nodes: Vec<P>,
+    liars: &[usize],
+    (min_alive, spare_writer): (usize, bool),
+    (ops, think): (u64, u64),
+) -> (VariantPins, Metrics, u64, Sim<P>)
+where
+    L: 'static,
+    P: Protocol<Msg = RegisterMsg<L, u64>, Op = RegisterOp<u64>, Resp = RegisterResp<u64>>,
+{
+    let n = nodes.len();
+    let mut sim = Sim::new(SimConfig::new(SIM_SEED), nodes);
+    let mut nemesis = NemesisConfig::new(NEMESIS_SEED, n).with_min_alive(min_alive);
+    // One victim per wave still has to cover the whole cluster.
+    nemesis.crash_cycles = nemesis.crash_cycles.max(n.div_ceil(n - min_alive));
+    let mut sched = nemesis.plan();
+    assert!(sched.respects_min_alive(n));
+    if spare_writer {
+        let crashes_writer =
+            |f: &PlannedFault| matches!(f, PlannedFault::Crash { node, .. } if node.index() == 0);
+        while let Some(idx) = sched.faults().iter().position(crashes_writer) {
+            sched = sched.without_fault(idx);
+        }
+    }
+    sched.apply(&mut sim);
+    let seen = Rc::new(RefCell::new(CatchUps {
+        open: vec![None; n],
+        liar_replies: 0,
+    }));
+    let (tap, liars_in_tap) = (Rc::clone(&seen), liars.to_vec());
+    sim.set_tap(Box::new(move |ev| {
+        let mut seen = tap.borrow_mut();
+        match ev.kind {
+            TapKind::Restart => seen.open[ev.target.index()] = Some(None),
+            TapKind::Deliver { from, msg, dropped } => match *msg {
+                RegisterMsg::Query { uid, .. } => {
+                    if let Some(slot @ None) = seen.open[from.index()].as_mut() {
+                        *slot = Some(uid);
+                    }
+                }
+                RegisterMsg::QueryReply { uid, .. }
+                    if dropped.is_none()
+                        && liars_in_tap.contains(&from.index())
+                        && seen.open[ev.target.index()] == Some(Some(uid)) =>
+                {
+                    seen.liar_replies += 1;
+                }
+                _ => {}
+            },
+            _ => {}
+        }
+    }));
+    let deadline = sched.heal_at() + liveness_bound(&backoff(), 20_000, ops) + 4 * ops * think;
+    assert!(
+        run_campaign(
+            &mut sim,
+            &sched,
+            variant_scripts(n, ops, liars),
+            think,
+            deadline
+        ),
+        "every surviving operation must complete after healing"
+    );
+    sim.clear_tap();
+    let responses = sim
+        .completed()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
+            let resp = match r.resp {
+                RegisterResp::WriteOk => u64::MAX,
+                RegisterResp::ReadOk(v) => v,
+                RegisterResp::Err(_) => u64::MAX - 1,
+            };
+            [r.op.0, r.completed_at, resp]
+                .iter()
+                .fold(h, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
+        });
+    let m = sim.metrics().clone();
+    let liar_replies = seen.borrow().liar_replies;
+    (
+        (sim.trace_digest(), m.sent, responses),
+        m,
+        liar_replies,
+        sim,
+    )
+}
+
+fn byz_nodes(n: usize, b: usize, liars: &[(usize, LieStrategy)]) -> Vec<ByzNode<u64>> {
+    (0..n)
+        .map(|i| {
+            let mut cfg = ByzConfig::new(n, ProcessId(i), ProcessId(0), b).with_backoff(backoff());
+            if let Some((_, lie)) = liars.iter().find(|(id, _)| *id == i) {
+                cfg = cfg.with_lie(*lie);
+            }
+            ByzNode::new(cfg, 0)
+        })
+        .collect()
+}
+
+/// One Byzantine row: the run restarted nodes, retransmitted, finished
+/// every catch-up — with a liar answering at least one, where the row has
+/// a liar that answers — and reproduces the hand-written node's pins.
+fn check_byz(row: &str, n: usize, b: usize, liars: &[(usize, LieStrategy)], want: VariantPins) {
+    let ids: Vec<usize> = liars.iter().map(|(id, _)| *id).collect();
+    let min_alive = abd_core::quorum::masking_threshold(n, b);
+    let (pins, m, liar_replies, sim) = variant_campaign(
+        byz_nodes(n, b, liars),
+        &ids,
+        (min_alive, b == 0),
+        VARIANT_LOAD,
+    );
+    assert!(m.restarts > 0, "{row}: no node restarted");
+    assert!(m.retransmissions > 0, "{row}: no retransmission fired");
+    assert!(
+        (0..n).all(|i| !sim.node(i).is_recovering()),
+        "{row}: a catch-up never completed"
+    );
+    // Masking quorums mask; the same forger poisons the plain majority.
+    assert_eq!(
+        is_atomic_swmr(&history_from_sim(0, &sim)),
+        b > 0,
+        "{row}: atomicity of the honest clients' history"
+    );
+    let answering = liars.iter().any(|(_, lie)| *lie != LieStrategy::Silent);
+    assert_eq!(
+        liar_replies > 0,
+        answering,
+        "{row}: liars answered {liar_replies} catch-up queries"
+    );
+    assert_eq!(
+        pins, want,
+        "{row}: (trace digest, sent, responses digest) drifted from the hand-written ByzNode"
+    );
+}
+
+fn bounded_nodes(n: usize, modulus: u32) -> Vec<BoundedSwmrNode<u64>> {
+    (0..n)
+        .map(|i| {
+            let cfg = BoundedSwmrConfig::new(n, ProcessId(i), ProcessId(0))
+                .with_space(LabelSpace::new(modulus))
+                .with_backoff(backoff());
+            BoundedSwmrNode::new(cfg, 0)
+        })
+        .collect()
+}
+
+/// One bounded-label row: as above, plus no comparison left the window and
+/// the writer issued exactly `labels` labels.
+fn check_bounded(row: &str, modulus: u32, load: (u64, u64), labels: u64, want: VariantPins) {
+    let (pins, m, _, sim) = variant_campaign(bounded_nodes(N, modulus), &[], (3, false), load);
+    assert!(m.restarts > 0, "{row}: no node restarted");
+    assert!(m.retransmissions > 0, "{row}: no retransmission fired");
+    for i in 0..N {
+        assert!(!sim.node(i).is_recovering(), "{row}: catch-up open on {i}");
+        assert_eq!(sim.node(i).window_violations(), 0, "{row}: node {i}");
+    }
+    assert_eq!(sim.node(0).labels_issued(), labels, "{row}: labels issued");
+    assert!(
+        is_atomic_swmr(&history_from_sim(0, &sim)),
+        "{row}: atomicity"
+    );
+    assert_eq!(
+        pins, want,
+        "{row}: (trace digest, sent, responses digest) drifted from the hand-written BoundedSwmrNode"
+    );
+}
+
+#[test]
+fn variant_identity_table_is_pinned() {
+    use LieStrategy::{ForgeLabel, ReportStale, Silent};
+    check_byz(
+        "byz b=1 n=5/honest",
+        5,
+        1,
+        &[],
+        (0x9e1015e84f793454, 3353, 0x5e3db1d25bc5dd74),
+    );
+    check_byz(
+        "byz b=1 n=5/stale",
+        5,
+        1,
+        &[(1, ReportStale)],
+        (0x7d89fcd4a3d8f9a8, 2598, 0x40e531af5317debd),
+    );
+    // Same pins as the stale row: the digests fold no message content, and
+    // both lies are masked into the same schedule and the same answers.
+    check_byz(
+        "byz b=1 n=5/forger",
+        5,
+        1,
+        &[(1, ForgeLabel)],
+        (0x7d89fcd4a3d8f9a8, 2598, 0x40e531af5317debd),
+    );
+    check_byz(
+        "byz b=1 n=5/silent",
+        5,
+        1,
+        &[(1, Silent)],
+        (0xa65526c9d004a566, 2283, 0x4e58aaa0dc41b342),
+    );
+    check_byz(
+        "byz b=2 n=9/two forgers",
+        9,
+        2,
+        &[(1, ForgeLabel), (2, ForgeLabel)],
+        (0x35cd73e915ef8a68, 9395, 0xcf19377517c2d964),
+    );
+    // The contrast: the same forger against majority quorums and a vouching
+    // threshold of one. The waves spare the writer here: the hand-written
+    // writer re-anchored its counter on whatever its catch-up believed, so
+    // after a reboot under this forger it sat at `u64::MAX - 1` and
+    // overflowed two writes later — no pin can be computed on that.
+    check_byz(
+        "byz b=0 n=5/forger",
+        5,
+        0,
+        &[(1, ForgeLabel)],
+        (0x5f1ef526607dc927, 2664, 0x72d266d217e8d166),
+    );
+    // 36 operations 200 µs apart: the labels lap the 16-cycle, and no
+    // replica sleeps through more than a window (7) of writes.
+    check_bounded(
+        "bounded n=5/mod 16",
+        16,
+        (36, 50_000),
+        24,
+        (0xce30a6ed27adf5e5, 2956, 0x9a35b70703cc2175),
+    );
+    check_bounded(
+        "bounded n=5/mod 64",
+        64,
+        VARIANT_LOAD,
+        27,
+        (0xa48bafc9f476d63f, 3335, 0x657494c7ce129db9),
     );
 }

@@ -105,7 +105,8 @@ impl LabelSpace {
 
 /// A bounded label: one of `modulus` points on the cycle of a
 /// [`LabelSpace`]. Create and compare through the space — raw ordering of
-/// the underlying integer is intentionally not exposed as `Ord`.
+/// the underlying integer is intentionally not exposed as `Ord`, and the
+/// `PartialOrd` below knows equality only.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SerialLabel {
     raw: u32,
@@ -115,6 +116,18 @@ impl SerialLabel {
     /// The raw cycle position (for diagnostics and tests).
     pub fn raw(&self) -> u32 {
         self.raw
+    }
+}
+
+/// Without its [`LabelSpace`] a serial label orders only against itself:
+/// the cycle has no order, the window lends it one. Two different labels
+/// are *incomparable* here, which is all the engine — which compares labels
+/// itself only between the replies of a multi-writer write's query and of a
+/// relay read, and the bounded variant has neither — may learn without the
+/// space.
+impl PartialOrd for SerialLabel {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        (self == other).then_some(std::cmp::Ordering::Equal)
     }
 }
 

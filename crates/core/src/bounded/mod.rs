@@ -16,8 +16,11 @@
 //!   timestamp system* than Israeli–Li's recursive tournament: it supports
 //!   exactly the operations the emulation needs (successor, windowed
 //!   comparison) with labels of `log2(modulus)` bits.
-//! * [`swmr`] — the bounded single-writer emulation: the writer draws labels
-//!   from the cycle, and replicas compare labels through the window. Instead
+//! * [`swmr`] — the bounded single-writer emulation: the register shell
+//!   over the quorum-operation engine ([`crate::register`],
+//!   [`crate::engine`]) at a store that owns the label space — the writer
+//!   draws labels from the cycle, replicas adopt and reads fold through the
+//!   window; no state machine of its own. Instead
 //!   of the paper's handshake machinery, staleness is kept inside the window
 //!   by a **bounded-staleness assumption** on the network (no message is
 //!   delivered after more than `window/2` subsequent writes complete) that

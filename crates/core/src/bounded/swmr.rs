@@ -1,41 +1,45 @@
 //! The bounded-timestamp single-writer emulation.
 //!
-//! Structurally identical to the unbounded protocol in [`crate::swmr`] —
-//! write = update round, read = query round + write-back round — but every
-//! label on the wire and in a replica is a [`SerialLabel`] of
-//! `log2(modulus)` bits instead of a growing integer.
+//! The protocol *is* the unbounded one — [`RegisterNode`] over the
+//! quorum-operation engine ([`crate::engine`]): write = update round, read =
+//! query round + write-back round, the same catch-up, queue, tiers and
+//! retransmission — instantiated at a store whose labels are
+//! [`SerialLabel`]s of `log2(modulus)` bits instead of growing integers.
+//! Bounding the label space changes how labels are issued, compared and
+//! folded, nothing else, and those three are the store's
+//! ([`BoundedReplica`]): the writer's next label is the successor on the
+//! cycle, a pair is adopted when it is newer *through the window*, and a
+//! read quorum folds to its windowed maximum ([`Windowed`]).
 //!
 //! ## Soundness window
 //!
 //! Serial labels compare correctly only when the two labels were issued
-//! within [`LabelSpace::window`] writes of each other. The protocol
-//! therefore *checks* [`LabelSpace::comparable`] before every comparison
-//! and counts failures in
-//! [`window_violations`](BoundedSwmrNode::window_violations) — a nonzero
+//! within [`LabelSpace::window`] writes of each other. Every comparison
+//! therefore *checks* [`LabelSpace::comparable`] first and counts failures
+//! in [`window_violations`](BoundedSwmrNode::window_violations) — a nonzero
 //! count means the network violated the bounded-staleness assumption (a
 //! message survived more than `window` subsequent writes) and the run must
 //! be discarded. The deterministic simulator's bounded-delay mode keeps the
 //! assumption true by construction; experiments report the counter alongside
 //! their results. See [`crate::bounded`] for how this relates to the
 //! paper's fully-asynchronous handshake construction.
-
-// The declared phase graph (see the `phase-graph` lint rule) — the same
-// shape as the unbounded SWMR protocol: bounding the label space changes
-// comparisons, not phase structure.
-// abd-lint: phase-spec(bounded-swmr):
-//   Invoke -> Query, Invoke -> Write, Invoke -> WriteBack, Invoke -> Done,
-//   Query -> WriteBack, Query -> Done,
-//   Write -> Done, WriteBack -> Done,
-//   Restart -> Recovery, Recovery -> Idle
+//!
+//! [`BoundedSwmrConfig`] has no read mode: reads take two rounds. The
+//! unanimity fast path would trust that equal labels mean equal writes,
+//! which a lapped label breaks; relay reads need a total order for their
+//! minimum-of-maxima, which the cycle lacks. The weaker tiers are sound as
+//! they stand: a `Regular` read adopts the windowed maximum, a `Sequential`
+//! read returns a replica only updates and folded reads ever moved
+//! (DESIGN.md §13).
 
 use crate::bounded::label::{LabelSpace, SerialLabel};
-use crate::context::{Effects, Protocol, TimerKey};
-use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
-use crate::phase::PhaseTracker;
+use crate::engine::Store;
+use crate::msg::{RegisterMsg, RegisterResp};
+use crate::phase::Fold;
 use crate::quorum::{Majority, QuorumSystem};
-use crate::retransmit::{BackoffPolicy, Retransmitter};
-use crate::types::{Nanos, OpId, ProcessId, RegisterError};
-use std::collections::VecDeque;
+use crate::register::{RegisterConfig, RegisterNode};
+use crate::retransmit::BackoffPolicy;
+use crate::types::{Nanos, ProcessId};
 use std::sync::Arc;
 
 /// Wire message of the bounded SWMR protocol.
@@ -99,45 +103,73 @@ impl BoundedSwmrConfig {
     }
 }
 
+/// A `(label, value)` pair that moves only forward *through the window*: an
+/// offered pair replaces it when its label is newer within
+/// [`LabelSpace::window`], and an offer whose label is not comparable with
+/// the held one is counted, not guessed at. The replica's stored pair is
+/// one, and so is the [`Fold`] of a read quorum's replies.
 #[derive(Clone, Debug)]
-enum Pending<V> {
-    Write {
-        op: OpId,
-        ph: PhaseTracker,
-        label: SerialLabel,
-        value: V,
-    },
-    Query {
-        op: OpId,
-        ph: PhaseTracker,
-        best_label: SerialLabel,
-        best_value: V,
-    },
-    WriteBack {
-        op: OpId,
-        ph: PhaseTracker,
-        label: SerialLabel,
-        value: V,
-    },
+pub struct Windowed<V> {
+    space: LabelSpace,
+    label: SerialLabel,
+    value: V,
+    /// Offers that fell outside the window.
+    escapes: u64,
 }
 
-impl<V> Pending<V> {
-    fn phase(&self) -> &PhaseTracker {
-        match self {
-            Pending::Write { ph, .. }
-            | Pending::Query { ph, .. }
-            | Pending::WriteBack { ph, .. } => ph,
+impl<V> Fold<SerialLabel, V> for Windowed<V> {
+    fn observe(&mut self, label: SerialLabel, value: V) {
+        if !self.space.comparable(label, self.label) {
+            self.escapes += 1;
+        } else if self.space.newer(label, self.label) {
+            self.label = label;
+            self.value = value;
         }
     }
 }
 
-/// Post-restart catch-up query phase (stable-storage model; see
-/// [`crate::register`] module docs).
+/// The bounded replica — the engine's store: the windowed pair, which also
+/// carries the violation count, and the writer's issue count. All of it
+/// stable storage.
 #[derive(Clone, Debug)]
-struct Recovery<V> {
-    ph: PhaseTracker,
-    best_label: SerialLabel,
-    best_value: V,
+pub struct BoundedReplica<V> {
+    pair: Windowed<V>,
+    labels_issued: u64,
+}
+
+impl<V: Clone> Store<(), SerialLabel, V, V> for BoundedReplica<V> {
+    type Msg = BoundedSwmrMsg<V>;
+    type Resp = RegisterResp<V>;
+    type Fold = Windowed<V>;
+    /// One writer: its own label is the newest there is.
+    const WRITE_QUERIES: bool = false;
+
+    fn snapshot(&self, _: &()) -> (SerialLabel, V) {
+        (self.pair.label, self.pair.value.clone())
+    }
+
+    fn adopt(&mut self, _: &(), label: SerialLabel, value: V) {
+        self.pair.observe(label, value);
+    }
+
+    fn fold(&self, _: &()) -> Windowed<V> {
+        let mut fold = self.pair.clone();
+        fold.escapes = 0;
+        fold
+    }
+
+    /// The windowed maximum; what the fold could not compare is added to
+    /// the persisted count.
+    fn choose(&mut self, fold: Windowed<V>) -> (SerialLabel, V) {
+        self.pair.escapes += fold.escapes;
+        (fold.label, fold.value)
+    }
+
+    /// The successor of the writer's stored label, newer by construction.
+    fn issue(&mut self, _: &(), seen: SerialLabel, _: ProcessId) -> SerialLabel {
+        self.labels_issued += 1;
+        self.pair.space.successor(seen)
+    }
 }
 
 /// One processor of the bounded single-writer emulation.
@@ -158,459 +190,51 @@ struct Recovery<V> {
 /// assert_eq!(fx.responses[1].1, RegisterResp::ReadOk(3));
 /// assert_eq!(node.window_violations(), 0);
 /// ```
-#[derive(Clone, Debug)]
-pub struct BoundedSwmrNode<V> {
-    cfg: BoundedSwmrConfig,
-    stored_label: SerialLabel,
-    stored_value: V,
-    next_uid: u64,
-    pending: Option<Pending<V>>,
-    queue: VecDeque<(OpId, RegisterOp<V>)>,
-    labels_issued: u64,
-    window_violations: u64,
-    rtx: Retransmitter,
-    recovering: Option<Recovery<V>>,
-}
+pub type BoundedSwmrNode<V> = RegisterNode<SerialLabel, V, BoundedReplica<V>, Windowed<V>>;
 
 impl<V: Clone + std::fmt::Debug + Send + 'static> BoundedSwmrNode<V> {
     /// Creates a node holding `initial` under the origin label.
     pub fn new(cfg: BoundedSwmrConfig, initial: V) -> Self {
-        assert!(cfg.me.index() < cfg.n, "node id out of range");
-        assert!(cfg.writer.index() < cfg.n, "writer id out of range");
-        assert_eq!(
-            cfg.quorum.n(),
-            cfg.n,
-            "quorum system sized for a different cluster"
-        );
-        let origin = cfg.space.origin();
-        let rtx = Retransmitter::new(cfg.retransmit, cfg.me);
-        BoundedSwmrNode {
-            cfg,
-            stored_label: origin,
-            stored_value: initial,
-            next_uid: 0,
-            pending: None,
-            queue: VecDeque::new(),
+        let mut base = RegisterConfig::base(cfg.n, cfg.me, cfg.writer).with_quorum(cfg.quorum);
+        base.retransmit = cfg.retransmit;
+        let pair = Windowed {
+            space: cfg.space,
+            label: cfg.space.origin(),
+            value: initial,
+            escapes: 0,
+        };
+        let store = BoundedReplica {
+            pair,
             labels_issued: 0,
-            window_violations: 0,
-            rtx,
-            recovering: None,
-        }
-    }
-
-    /// Current replica state `(label, value)`.
-    pub fn replica_state(&self) -> (SerialLabel, V) {
-        (self.stored_label, self.stored_value.clone())
+        };
+        Self::over(base, store)
     }
 
     /// How many labels the writer has issued (host-side metric; never on
     /// the wire).
     pub fn labels_issued(&self) -> u64 {
-        self.labels_issued
+        self.store().labels_issued
     }
 
     /// How many label comparisons fell outside the soundness window.
     /// Nonzero means the bounded-staleness assumption was violated and the
     /// run's results must be discarded.
     pub fn window_violations(&self) -> u64 {
-        self.window_violations
+        self.store().pair.escapes
     }
 
     /// Bits per label on the wire — constant for the whole execution.
     pub fn label_bits(&self) -> u32 {
-        self.cfg.space.label_bits()
-    }
-
-    /// Whether an operation is in flight.
-    pub fn is_busy(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Whether the node is catching up after a restart.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering.is_some()
-    }
-
-    /// Messages this node has retransmitted over its lifetime.
-    pub fn retransmissions(&self) -> u64 {
-        self.rtx.retransmissions()
-    }
-
-    fn fresh_uid(&mut self) -> u64 {
-        self.next_uid += 1;
-        self.next_uid
-    }
-
-    fn broadcast(
-        &self,
-        msg: BoundedSwmrMsg<V>,
-        fx: &mut Effects<BoundedSwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        for i in 0..self.cfg.n {
-            let p = ProcessId(i);
-            if p != self.cfg.me {
-                fx.send(p, msg.clone());
-            }
-        }
-    }
-
-    fn arm_timer(&mut self, uid: u64, fx: &mut Effects<BoundedSwmrMsg<V>, RegisterResp<V>>) {
-        self.rtx.arm(uid, fx);
-    }
-
-    /// Completes the post-restart catch-up (adopt obeys the comparability
-    /// window, counting violations exactly like any other adoption).
-    fn finish_recovery(
-        &mut self,
-        label: SerialLabel,
-        value: V,
-        fx: &mut Effects<BoundedSwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        self.recovering = None;
-        // The writer needs no extra sequence catch-up: it issues labels as
-        // successors of its stored label, which persisted across the crash
-        // and (being part of the query quorum) dominates all issued labels.
-        self.adopt(label, value);
-        if self.pending.is_none() {
-            if let Some((next_op, next_input)) = self.queue.pop_front() {
-                self.begin(next_op, next_input, fx);
-            }
-        }
-    }
-
-    /// Adopts `(label, value)` if it is newer than the stored pair; counts a
-    /// window violation (and rejects) when the labels are not comparable.
-    fn adopt(&mut self, label: SerialLabel, value: V) {
-        if !self.cfg.space.comparable(label, self.stored_label) {
-            self.window_violations += 1;
-            return;
-        }
-        if self.cfg.space.newer(label, self.stored_label) {
-            self.stored_label = label;
-            self.stored_value = value;
-        }
-    }
-
-    fn finish(
-        &mut self,
-        op: OpId,
-        resp: RegisterResp<V>,
-        fx: &mut Effects<BoundedSwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        self.pending = None;
-        fx.respond(op, resp);
-        if let Some((next_op, next_input)) = self.queue.pop_front() {
-            self.begin(next_op, next_input, fx);
-        }
-    }
-
-    fn begin(
-        &mut self,
-        op: OpId,
-        input: RegisterOp<V>,
-        fx: &mut Effects<BoundedSwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        debug_assert!(self.pending.is_none());
-        match input {
-            RegisterOp::Write(v) => {
-                if self.cfg.me != self.cfg.writer {
-                    fx.respond(
-                        op,
-                        RegisterResp::Err(RegisterError::NotWriter {
-                            invoked_on: self.cfg.me,
-                            writer: self.cfg.writer,
-                        }),
-                    );
-                    if self.pending.is_none() {
-                        if let Some((next_op, next_input)) = self.queue.pop_front() {
-                            self.begin(next_op, next_input, fx);
-                        }
-                    }
-                    return;
-                }
-                let label = self.cfg.space.successor(self.stored_label);
-                self.labels_issued += 1;
-                // abd-lint: allow(tag-monotonicity): `label` is `successor(stored_label)`, strictly newer by construction of the serial label space — there is no incoming value to compare against.
-                self.stored_label = label;
-                self.stored_value = v.clone();
-                let uid = self.fresh_uid();
-                let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-                if self.cfg.quorum.is_write_quorum(ph.responders()) {
-                    self.finish(op, RegisterResp::WriteOk, fx);
-                    return;
-                }
-                self.pending = Some(Pending::Write {
-                    op,
-                    ph,
-                    label,
-                    value: v.clone(),
-                });
-                self.broadcast(
-                    RegisterMsg::Update {
-                        uid,
-                        key: (),
-                        label,
-                        value: v,
-                    },
-                    fx,
-                );
-                self.arm_timer(uid, fx);
-            }
-            // The bounded protocol has no weaker tiers: a `ReadAt` at any
-            // level is served atomically (stronger than requested is safe).
-            RegisterOp::Read | RegisterOp::ReadAt(_) => {
-                let uid = self.fresh_uid();
-                let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-                let (best_label, best_value) = (self.stored_label, self.stored_value.clone());
-                if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                    self.enter_write_back(op, best_label, best_value, fx);
-                    return;
-                }
-                self.pending = Some(Pending::Query {
-                    op,
-                    ph,
-                    best_label,
-                    best_value,
-                });
-                self.broadcast(RegisterMsg::Query { uid, key: () }, fx);
-                self.arm_timer(uid, fx);
-            }
-        }
-    }
-
-    fn enter_write_back(
-        &mut self,
-        op: OpId,
-        label: SerialLabel,
-        value: V,
-        fx: &mut Effects<BoundedSwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        self.adopt(label, value.clone());
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if self.cfg.quorum.is_write_quorum(ph.responders()) {
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        self.pending = Some(Pending::WriteBack {
-            op,
-            ph,
-            label,
-            value: value.clone(),
-        });
-        self.broadcast(
-            RegisterMsg::Update {
-                uid,
-                key: (),
-                label,
-                value,
-            },
-            fx,
-        );
-        self.arm_timer(uid, fx);
-    }
-
-    fn phase_message(&self) -> Option<BoundedSwmrMsg<V>> {
-        match self.pending.as_ref()? {
-            Pending::Write {
-                ph, label, value, ..
-            }
-            | Pending::WriteBack {
-                ph, label, value, ..
-            } => Some(RegisterMsg::Update {
-                uid: ph.uid(),
-                key: (),
-                label: *label,
-                value: value.clone(),
-            }),
-            Pending::Query { ph, .. } => Some(RegisterMsg::Query {
-                uid: ph.uid(),
-                key: (),
-            }),
-        }
-    }
-}
-
-impl<V: Clone + std::fmt::Debug + Send + 'static> Protocol for BoundedSwmrNode<V> {
-    type Msg = BoundedSwmrMsg<V>;
-    type Op = RegisterOp<V>;
-    type Resp = RegisterResp<V>;
-
-    fn id(&self) -> ProcessId {
-        self.cfg.me
-    }
-
-    fn on_invoke(
-        &mut self,
-        op: OpId,
-        input: RegisterOp<V>,
-        fx: &mut Effects<Self::Msg, Self::Resp>,
-    ) {
-        if self.pending.is_some() || self.recovering.is_some() {
-            self.queue.push_back((op, input));
-        } else {
-            self.begin(op, input, fx);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: BoundedSwmrMsg<V>,
-        fx: &mut Effects<Self::Msg, Self::Resp>,
-    ) {
-        match msg {
-            RegisterMsg::Query { uid, .. } => {
-                let (label, value) = (self.stored_label, self.stored_value.clone());
-                fx.send(from, RegisterMsg::QueryReply { uid, label, value });
-            }
-            RegisterMsg::Update {
-                uid, label, value, ..
-            } => {
-                self.adopt(label, value);
-                fx.send(from, RegisterMsg::UpdateAck { uid });
-            }
-            RegisterMsg::QueryReply { uid, label, value } => {
-                let space = self.cfg.space;
-                if let Some(rec) = self.recovering.as_mut() {
-                    if !rec.ph.record(from, uid) {
-                        return;
-                    }
-                    if !space.comparable(label, rec.best_label) {
-                        self.window_violations += 1;
-                    } else if space.newer(label, rec.best_label) {
-                        rec.best_label = label;
-                        rec.best_value = value;
-                    }
-                    let quorum_met = self
-                        .recovering
-                        .as_ref()
-                        .is_some_and(|rec| self.cfg.quorum.is_read_quorum(rec.ph.responders()));
-                    if quorum_met {
-                        if let Some(rec) = self.recovering.take() {
-                            self.rtx.disarm(uid, fx);
-                            self.finish_recovery(rec.best_label, rec.best_value, fx);
-                        }
-                    }
-                    return;
-                }
-                let mut violation = false;
-                let next = match self.pending.as_mut() {
-                    Some(Pending::Query {
-                        op,
-                        ph,
-                        best_label,
-                        best_value,
-                    }) => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        if !space.comparable(label, *best_label) {
-                            violation = true;
-                        } else if space.newer(label, *best_label) {
-                            *best_label = label;
-                            *best_value = value;
-                        }
-                        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-                            Some((*op, *best_label, best_value.clone()))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                if violation {
-                    self.window_violations += 1;
-                }
-                if let Some((op, label, value)) = next {
-                    self.pending = None;
-                    self.rtx.disarm(uid, fx);
-                    self.enter_write_back(op, label, value, fx);
-                }
-            }
-            RegisterMsg::UpdateAck { uid } => {
-                let done = match self.pending.as_mut() {
-                    Some(Pending::Write { op, ph, .. }) => {
-                        if ph.record(from, uid) && self.cfg.quorum.is_write_quorum(ph.responders())
-                        {
-                            Some((*op, RegisterResp::WriteOk))
-                        } else {
-                            None
-                        }
-                    }
-                    Some(Pending::WriteBack { op, ph, value, .. }) => {
-                        if ph.record(from, uid) && self.cfg.quorum.is_write_quorum(ph.responders())
-                        {
-                            Some((*op, RegisterResp::ReadOk(value.clone())))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some((op, resp)) = done {
-                    self.rtx.disarm(uid, fx);
-                    self.finish(op, resp, fx);
-                }
-            }
-            // The bounded protocol has no relay read mode: a relay round
-            // would need the total order on labels the sequential space
-            // deliberately lacks. Ignore strays rather than corrupt state.
-            RegisterMsg::RelayQuery { .. }
-            | RegisterMsg::RelayFwd { .. }
-            | RegisterMsg::RelayReply { .. } => {}
-        }
-    }
-
-    fn on_timer(&mut self, key: TimerKey, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        if let Some(rec) = self.recovering.as_ref() {
-            if rec.ph.uid() != key.0 {
-                return;
-            }
-            let (uid, missing) = (rec.ph.uid(), rec.ph.missing());
-            self.rtx
-                .fire(key.0, &missing, RegisterMsg::Query { uid, key: () }, fx);
-            return;
-        }
-        let Some(pending) = self.pending.as_ref() else {
-            return;
-        };
-        if pending.phase().uid() != key.0 {
-            return;
-        }
-        let missing = pending.phase().missing();
-        if let Some(msg) = self.phase_message() {
-            self.rtx.fire(key.0, &missing, msg, fx);
-        }
-    }
-
-    fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        // Stable storage: the stored pair, the uid counter and the anomaly
-        // counters survive; in-flight operation state does not (see the
-        // crate::register module docs for the soundness argument).
-        self.pending = None;
-        self.queue.clear();
-        self.rtx.reset();
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        let (best_label, best_value) = (self.stored_label, self.stored_value.clone());
-        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-            return; // Single-node cluster: nothing to catch up from.
-        }
-        self.recovering = Some(Recovery {
-            ph,
-            best_label,
-            best_value,
-        });
-        self.broadcast(RegisterMsg::Query { uid, key: () }, fx);
-        self.arm_timer(uid, fx);
+        self.store().pair.space.label_bits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::MiniNet;
+    use crate::context::{Effects, Protocol};
+    use crate::msg::RegisterOp;
+    use crate::testutil::{instant_write_quorum_keeps_draining, MiniNet};
 
     fn cluster(n: usize, modulus: u32) -> MiniNet<BoundedSwmrNode<u32>> {
         let nodes = (0..n)
@@ -760,5 +384,15 @@ mod tests {
         net.invoke(2, RegisterOp::Read);
         net.run_to_quiescence();
         assert_eq!(net.messages_sent(), 2 * 4 + 4 * 4, "read: two rounds");
+    }
+
+    #[test]
+    fn instant_write_quorum_keeps_draining_the_queue() {
+        let net = instant_write_quorum_keeps_draining(|i, quorum| {
+            let cfg = BoundedSwmrConfig::new(3, ProcessId(i), ProcessId(0)).with_quorum(quorum);
+            BoundedSwmrNode::new(cfg, 0u32)
+        });
+        assert!(!net.node(0).is_busy());
+        assert_eq!(net.node(0).labels_issued(), 1);
     }
 }

@@ -18,31 +18,42 @@
 //! * a reader therefore returns the **highest-labelled pair reported
 //!   identically by at least `b + 1` replicas**, write-backs it, done.
 //!
-//! The writer is assumed correct (single-writer model, as in Malkhi–Reiter's
-//! basic construction); replicas may lie arbitrarily. For experiments, a
-//! node can be constructed with a [`LieStrategy`] that corrupts its replica
-//! role — the "Byzantine replica" is the same state machine with its
-//! honesty knob turned off, so the simulator needs no special support.
+//! (Between writes, that is. While a write is in progress its honest
+//! holders vouch for *it*, and a quorum can hold no pair with `b + 1`
+//! vouchers; the fold then falls back to the reader's own pair and the
+//! node counts it — [`ByzNode::unvouched_folds`], DESIGN.md §13.)
 //!
-//! The companion experiment (see `tests/byzantine.rs` and the `fig_quorum`
-//! notes) shows the crash-tolerant majority protocol returning fabricated
-//! values under the same liars that the masking protocol shrugs off.
+//! Masking quorums change thresholds and how replies fold, not the
+//! protocol: a [`ByzNode`] is the register shell ([`RegisterNode`]) over the
+//! quorum-operation engine ([`crate::engine`]) with `q`-of-`n` thresholds
+//! and a store (`Vouched`) whose [`Fold`] counts identical pairs
+//! (`Votes`). The post-restart catch-up folds the same way — catching up
+//! from a raw maximum would let `b` liars poison the rebooted replica.
+//!
+//! The writer is assumed correct (single-writer model, as in Malkhi–Reiter's
+//! basic construction); replicas may lie arbitrarily. For experiments a
+//! node can be given a [`LieStrategy`]: a filter in front of the honest
+//! node that answers `Query` and `Update` itself, so the simulator needs no
+//! special support. `tests/byzantine.rs` and experiment **E1** show plain
+//! majorities returning fabricated values under the liars masked here.
+//!
+//! [`ByzConfig`] has no read mode: reads take two rounds. A unanimous
+//! quorum that may hold `b` liars is not the unanimity the fast path means,
+//! and a relay read adopts forwards unvouched — a node here drops the relay
+//! shapes on arrival. The weaker tiers are sound as they stand: a `Regular`
+//! read adopts the *vouched* pair, a `Sequential` read returns a replica
+//! only updates and vouched reads ever moved (DESIGN.md §13).
 
-// The declared phase graph (see the `phase-graph` lint rule) — masking
-// quorums change thresholds and reply filtering, not phase structure, so
-// the graph matches the crash-tolerant SWMR protocol.
-// abd-lint: phase-spec(byzantine):
-//   Invoke -> Query, Invoke -> Write, Invoke -> WriteBack, Invoke -> Done,
-//   Query -> WriteBack, Query -> Done,
-//   Write -> Done, WriteBack -> Done,
-//   Restart -> Recovery, Recovery -> Idle
-
-use crate::context::{Effects, Protocol, TimerKey};
+use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
+use crate::engine::{Msg, Store};
 use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
-use crate::phase::PhaseTracker;
-use crate::retransmit::{BackoffPolicy, Retransmitter};
-use crate::types::{Nanos, OpId, ProcessId, RegisterError, SeqNo};
-use std::collections::VecDeque;
+use crate::phase::Fold;
+use crate::quorum::{masking_threshold, QuorumSystem, Threshold};
+use crate::register::{RegisterConfig, RegisterNode};
+use crate::replica::Replica;
+use crate::retransmit::BackoffPolicy;
+use crate::types::{Nanos, OpId, ProcessId, SeqNo};
+use std::sync::Arc;
 
 /// Wire message of the Byzantine-tolerant SWMR protocol (same shapes as the
 /// crash-tolerant one).
@@ -116,40 +127,76 @@ impl ByzConfig {
 
     /// Quorum size `⌈(n + 2b + 1) / 2⌉`.
     pub fn quorum_size(&self) -> usize {
-        crate::quorum::masking_threshold(self.n, self.b)
+        masking_threshold(self.n, self.b)
     }
 }
 
+/// The vouching [`Fold`]: identical `(label, value)` pairs with how many
+/// replicas reported each, the folding replica's own pair first.
 #[derive(Clone, Debug)]
-enum Pending<V> {
-    Write {
-        op: OpId,
-        ph: PhaseTracker,
-        seq: SeqNo,
-        value: V,
-    },
-    /// Read query: collect *identical pair* votes, keyed by `(label, value)`.
-    Query {
-        op: OpId,
-        ph: PhaseTracker,
-        votes: Vec<(SeqNo, V, usize)>,
-    },
-    WriteBack {
-        op: OpId,
-        ph: PhaseTracker,
-        label: SeqNo,
-        value: V,
-    },
+struct Votes<V>(Vec<(SeqNo, V, usize)>);
+
+impl<V: Eq> Fold<SeqNo, V> for Votes<V> {
+    fn observe(&mut self, label: SeqNo, value: V) {
+        let same = |vote: &&mut (SeqNo, V, usize)| vote.0 == label && vote.1 == value;
+        match self.0.iter_mut().find(same) {
+            Some(vote) => vote.2 += 1,
+            None => self.0.push((label, value, 1)),
+        }
+    }
 }
 
-/// Post-restart catch-up query phase. Recovery collects *votes* and picks
-/// the masked choice, exactly like a read's query round — catching up from
-/// raw max-label replies would let `b` liars poison the rebooted replica
-/// (stable-storage model; see [`crate::register`] module docs).
+/// The store of a Byzantine-tolerant node: the replica pair, the vouching
+/// threshold its folds settle by, the trusted writer's own label counter —
+/// which nothing a replica reports can move — and the count of folds no
+/// pair survived. All of it stable storage.
 #[derive(Clone, Debug)]
-struct Recovery<V> {
-    ph: PhaseTracker,
-    votes: Vec<(SeqNo, V, usize)>,
+struct Vouched<V> {
+    pair: Replica<SeqNo, V>,
+    b: usize,
+    seq: SeqNo,
+    unvouched: u64,
+}
+
+impl<V: Clone + Eq> Store<(), SeqNo, V, V> for Vouched<V> {
+    type Msg = ByzMsg<V>;
+    type Resp = RegisterResp<V>;
+    type Fold = Votes<V>;
+    /// One trusted writer: its own counter is the largest label there is.
+    const WRITE_QUERIES: bool = false;
+
+    fn snapshot(&self, _: &()) -> (SeqNo, V) {
+        self.pair.snapshot()
+    }
+
+    fn adopt(&mut self, _: &(), label: SeqNo, value: V) {
+        self.pair.adopt(label, value);
+    }
+
+    fn fold(&self, _: &()) -> Votes<V> {
+        let (label, value) = self.pair.snapshot();
+        Votes(vec![(label, value, 1)])
+    }
+
+    /// The highest-labelled pair with at least `b + 1` identical votes. If
+    /// none reaches the threshold — the quorum straddled a write in
+    /// progress, or more than `b` replicas lied — the replica's own pair
+    /// stands in and the fold is counted.
+    fn choose(&mut self, fold: Votes<V>) -> (SeqNo, V) {
+        let vouched = fold.0.into_iter().filter(|(_, _, votes)| *votes > self.b);
+        match vouched.max_by_key(|(label, _, _)| *label) {
+            Some((label, value, _)) => (label, value),
+            None => {
+                self.unvouched += 1;
+                self.pair.snapshot()
+            }
+        }
+    }
+
+    fn issue(&mut self, _: &(), _seen: SeqNo, _: ProcessId) -> SeqNo {
+        self.seq += 1;
+        self.seq
+    }
 }
 
 /// One node of the Byzantine-tolerant single-writer emulation.
@@ -171,299 +218,91 @@ struct Recovery<V> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ByzNode<V> {
-    cfg: ByzConfig,
-    label: SeqNo,
-    value: V,
-    seq: SeqNo,
-    next_uid: u64,
-    pending: Option<Pending<V>>,
-    queue: VecDeque<(OpId, RegisterOp<V>)>,
+    /// The honest node; a liar's client role and catch-up are honest too.
+    inner: RegisterNode<SeqNo, V, Vouched<V>, Votes<V>>,
+    lie: Option<LieStrategy>,
     /// Fabrication counter for the `ForgeLabel` strategy.
     forged: u64,
-    rtx: Retransmitter,
-    recovering: Option<Recovery<V>>,
 }
 
 impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
     /// Creates a node holding `initial` under label 0.
     pub fn new(cfg: ByzConfig, initial: V) -> Self {
-        assert!(cfg.me.index() < cfg.n, "node id out of range");
-        assert!(cfg.writer.index() < cfg.n, "writer id out of range");
-        let rtx = Retransmitter::new(cfg.retransmit, cfg.me);
-        ByzNode {
-            cfg,
-            label: 0,
-            value: initial,
+        let masking = Threshold::new(cfg.n, cfg.quorum_size(), cfg.quorum_size());
+        Self::with_quorum(cfg, Arc::new(masking), initial)
+    }
+
+    fn with_quorum(cfg: ByzConfig, quorum: Arc<dyn QuorumSystem>, initial: V) -> Self {
+        let mut base = RegisterConfig::base(cfg.n, cfg.me, cfg.writer).with_quorum(quorum);
+        base.retransmit = cfg.retransmit;
+        let store = Vouched {
+            pair: Replica::new(0, initial),
+            b: cfg.b,
             seq: 0,
-            next_uid: 0,
-            pending: None,
-            queue: VecDeque::new(),
+            unvouched: 0,
+        };
+        ByzNode {
+            inner: RegisterNode::over(base, store),
+            lie: cfg.lie,
             forged: 0,
-            rtx,
-            recovering: None,
         }
     }
 
     /// Replica state (honest view).
     pub fn replica_state(&self) -> (SeqNo, V) {
-        (self.label, self.value.clone())
+        self.inner.replica_state()
     }
 
     /// Whether this node is configured to lie.
     pub fn is_byzantine(&self) -> bool {
-        self.cfg.lie.is_some()
+        self.lie.is_some()
     }
 
     /// Whether the node is catching up after a restart.
     pub fn is_recovering(&self) -> bool {
-        self.recovering.is_some()
+        self.inner.is_recovering()
     }
 
     /// Messages this node has retransmitted over its lifetime.
     pub fn retransmissions(&self) -> u64 {
-        self.rtx.retransmissions()
+        self.inner.retransmissions()
     }
 
-    fn fresh_uid(&mut self) -> u64 {
-        self.next_uid += 1;
-        self.next_uid
+    /// How many of this node's folds — reads and catch-ups — found no pair
+    /// with `b + 1` vouchers and fell back to its own. With a correct
+    /// writer, at most `b` liars and no write in progress this stays `0`.
+    pub fn unvouched_folds(&self) -> u64 {
+        self.inner.store().unvouched
     }
 
-    fn quorum_met(&self, ph: &PhaseTracker) -> bool {
-        ph.responders().len() >= self.cfg.quorum_size()
-    }
-
-    fn broadcast(&self, msg: ByzMsg<V>, fx: &mut Effects<ByzMsg<V>, RegisterResp<V>>) {
-        for i in 0..self.cfg.n {
-            let p = ProcessId(i);
-            if p != self.cfg.me {
-                fx.send(p, msg.clone());
-            }
-        }
-    }
-
-    fn arm_timer(&mut self, uid: u64, fx: &mut Effects<ByzMsg<V>, RegisterResp<V>>) {
-        self.rtx.arm(uid, fx);
-    }
-
-    /// Completes the post-restart catch-up: adopt the masked choice (never
-    /// a raw max — `b` liars answered too) and, on the writer, re-anchor
-    /// the sequence counter so no label is ever reused.
-    fn finish_recovery(
-        &mut self,
-        votes: &[(SeqNo, V, usize)],
-        fx: &mut Effects<ByzMsg<V>, RegisterResp<V>>,
-    ) {
-        self.recovering = None;
-        let (label, value) = self.masked_choice(votes);
-        if label > self.label {
-            self.label = label;
-            self.value = value;
-        }
-        if self.cfg.me == self.cfg.writer {
-            self.seq = self.seq.max(self.label);
-        }
-        if self.pending.is_none() {
-            if let Some((next_op, next_input)) = self.queue.pop_front() {
-                self.begin(next_op, next_input, fx);
-            }
-        }
-    }
-
-    fn finish(
-        &mut self,
-        op: OpId,
-        resp: RegisterResp<V>,
-        fx: &mut Effects<ByzMsg<V>, RegisterResp<V>>,
-    ) {
-        self.pending = None;
-        fx.respond(op, resp);
-        if let Some((next_op, next_input)) = self.queue.pop_front() {
-            self.begin(next_op, next_input, fx);
-        }
-    }
-
-    fn begin(
-        &mut self,
-        op: OpId,
-        input: RegisterOp<V>,
-        fx: &mut Effects<ByzMsg<V>, RegisterResp<V>>,
-    ) {
-        match input {
-            RegisterOp::Write(v) => {
-                if self.cfg.me != self.cfg.writer {
-                    fx.respond(
-                        op,
-                        RegisterResp::Err(RegisterError::NotWriter {
-                            invoked_on: self.cfg.me,
-                            writer: self.cfg.writer,
-                        }),
-                    );
-                    if self.pending.is_none() {
-                        if let Some((next_op, next_input)) = self.queue.pop_front() {
-                            self.begin(next_op, next_input, fx);
-                        }
-                    }
-                    return;
-                }
-                self.seq += 1;
-                let seq = self.seq;
-                // abd-lint: allow(tag-monotonicity): the single writer mints `seq` by incrementing its own counter on the line above, so the new label is strictly larger by construction.
-                self.label = seq;
-                self.value = v.clone();
-                let uid = self.fresh_uid();
-                let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-                if self.quorum_met(&ph) {
-                    self.finish(op, RegisterResp::WriteOk, fx);
-                    return;
-                }
-                self.pending = Some(Pending::Write {
-                    op,
-                    ph,
-                    seq,
-                    value: v.clone(),
-                });
-                self.broadcast(
-                    RegisterMsg::Update {
-                        uid,
-                        key: (),
-                        label: seq,
-                        value: v,
-                    },
-                    fx,
-                );
-                self.arm_timer(uid, fx);
-            }
-            // The Byzantine protocol has no weaker tiers: a `ReadAt` at any
-            // level is served atomically (stronger than requested is safe).
-            RegisterOp::Read | RegisterOp::ReadAt(_) => {
-                let uid = self.fresh_uid();
-                let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-                // Our own (honest) replica votes for its pair.
-                let votes = vec![(self.label, self.value.clone(), 1usize)];
-                if self.quorum_met(&ph) {
-                    let (label, value) = (self.label, self.value.clone());
-                    self.enter_write_back(op, label, value, fx);
-                    return;
-                }
-                self.pending = Some(Pending::Query { op, ph, votes });
-                self.broadcast(RegisterMsg::Query { uid, key: () }, fx);
-                self.arm_timer(uid, fx);
-            }
-        }
-    }
-
-    /// Highest-labelled pair with at least `b + 1` identical votes. Falls
-    /// back to the highest pair with *any* honest-possible support if no
-    /// pair reaches the threshold — with a correct writer and `q` replies
-    /// this cannot happen (the latest completed write always has `b + 1`
-    /// honest vouchers in the quorum), so the fallback also counts as a
-    /// detected anomaly.
-    fn masked_choice(&self, votes: &[(SeqNo, V, usize)]) -> (SeqNo, V) {
-        votes
-            .iter()
-            .filter(|(_, _, support)| *support > self.cfg.b)
-            .max_by_key(|(label, _, _)| *label)
-            .map(|(l, v, _)| (*l, v.clone()))
-            .unwrap_or_else(|| (self.label, self.value.clone()))
-    }
-
-    fn enter_write_back(
-        &mut self,
-        op: OpId,
-        label: SeqNo,
-        value: V,
-        fx: &mut Effects<ByzMsg<V>, RegisterResp<V>>,
-    ) {
-        if label > self.label {
-            self.label = label;
-            self.value = value.clone();
-        }
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if self.quorum_met(&ph) {
-            self.finish(op, RegisterResp::ReadOk(value), fx);
-            return;
-        }
-        self.pending = Some(Pending::WriteBack {
-            op,
-            ph,
-            label,
-            value: value.clone(),
-        });
-        self.broadcast(
-            RegisterMsg::Update {
-                uid,
-                key: (),
-                label,
-                value,
-            },
-            fx,
-        );
-        self.arm_timer(uid, fx);
-    }
-
-    /// The replica-role reply, honest or lying.
-    fn replica_reply(&mut self, uid: u64) -> Option<ByzMsg<V>> {
-        match self.cfg.lie {
-            None => Some(RegisterMsg::QueryReply {
-                uid,
-                label: self.label,
-                value: self.value.clone(),
-            }),
-            Some(LieStrategy::ReportStale) => {
-                // Report label 0 with whatever we were initialized to —
-                // pretend no write ever happened. (We keep the current
-                // value but label 0: an *inconsistent* fabrication.)
-                Some(RegisterMsg::QueryReply {
-                    uid,
-                    label: 0,
-                    value: self.value.clone(),
-                })
-            }
-            Some(LieStrategy::ForgeLabel) => {
+    /// What a lying replica answers to a query; `None` is silence.
+    fn lie_to_query(&mut self, uid: u64) -> Option<ByzMsg<V>> {
+        let label = match self.lie? {
+            LieStrategy::Silent => return None,
+            // Pretend no write ever happened — under whatever value the
+            // replica holds: an *inconsistent* fabrication.
+            LieStrategy::ReportStale => 0,
+            // Absurdly new, never vouched for, with a bogus payload.
+            LieStrategy::ForgeLabel => {
                 self.forged += 1;
-                Some(RegisterMsg::QueryReply {
-                    uid,
-                    label: u64::MAX - self.forged, // absurdly new, never vouched
-                    value: self.value.clone(),     // bogus payload
-                })
+                u64::MAX - self.forged
             }
-            Some(LieStrategy::Silent) => None,
-        }
-    }
-
-    fn phase_message(&self) -> Option<ByzMsg<V>> {
-        match self.pending.as_ref()? {
-            Pending::Write { ph, seq, value, .. } => Some(RegisterMsg::Update {
-                uid: ph.uid(),
-                key: (),
-                label: *seq,
-                value: value.clone(),
-            }),
-            Pending::Query { ph, .. } => Some(RegisterMsg::Query {
-                uid: ph.uid(),
-                key: (),
-            }),
-            Pending::WriteBack {
-                ph, label, value, ..
-            } => Some(RegisterMsg::Update {
-                uid: ph.uid(),
-                key: (),
-                label: *label,
-                value: value.clone(),
-            }),
-        }
+        };
+        let value = self.inner.replica_state().1;
+        Some(Msg::QueryReply { uid, label, value })
     }
 }
 
+/// The lie filter: a lying node answers `Query` and `Update` itself, from
+/// its strategy; every other event — and every event of an honest node —
+/// is the inner node's.
 impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
     type Msg = ByzMsg<V>;
     type Op = RegisterOp<V>;
     type Resp = RegisterResp<V>;
 
     fn id(&self) -> ProcessId {
-        self.cfg.me
+        self.inner.id()
     }
 
     fn on_invoke(
@@ -472,11 +311,7 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
         input: RegisterOp<V>,
         fx: &mut Effects<Self::Msg, Self::Resp>,
     ) {
-        if self.pending.is_some() || self.recovering.is_some() {
-            self.queue.push_back((op, input));
-        } else {
-            self.begin(op, input, fx);
-        }
+        self.inner.on_invoke(op, input, fx);
     }
 
     fn on_message(
@@ -486,170 +321,55 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
         fx: &mut Effects<Self::Msg, Self::Resp>,
     ) {
         match msg {
-            RegisterMsg::Query { uid, .. } => {
-                if let Some(reply) = self.replica_reply(uid) {
+            // No relay read mode under Byzantine faults: a forward is an
+            // unvouched pair. Ignore strays.
+            Msg::RelayQuery { .. } | Msg::RelayFwd { .. } | Msg::RelayReply { .. } => {}
+            Msg::Query { uid, .. } if self.lie.is_some() => {
+                if let Some(reply) = self.lie_to_query(uid) {
                     fx.send(from, reply);
                 }
             }
-            RegisterMsg::Update {
-                uid, label, value, ..
-            } => {
-                match self.cfg.lie {
-                    Some(LieStrategy::Silent) => {} // no ack
-                    Some(_) => {
-                        // Liars ack but do not faithfully store.
-                        // abd-lint: allow(persist-before-ack): this is the *fault model*, not the protocol — a Byzantine replica acknowledging state it never stored is exactly the behavior masking quorums are sized to tolerate.
-                        fx.send(from, RegisterMsg::UpdateAck { uid });
-                    }
-                    None => {
-                        if label > self.label {
-                            self.label = label;
-                            self.value = value;
-                        }
-                        fx.send(from, RegisterMsg::UpdateAck { uid });
-                    }
+            Msg::Update { uid, .. } if self.lie.is_some() => {
+                if self.lie != Some(LieStrategy::Silent) {
+                    // Liars ack but do not faithfully store.
+                    // abd-lint: allow(persist-before-ack): this is the *fault model*, not the protocol — a Byzantine replica acknowledging state it never stored is exactly the behavior masking quorums are sized to tolerate.
+                    fx.send(from, Msg::UpdateAck { uid });
                 }
             }
-            RegisterMsg::QueryReply { uid, label, value } => {
-                let q = self.cfg.quorum_size();
-                if let Some(rec) = self.recovering.as_mut() {
-                    if !rec.ph.record(from, uid) {
-                        return;
-                    }
-                    match rec
-                        .votes
-                        .iter_mut()
-                        .find(|(l, v, _)| *l == label && *v == value)
-                    {
-                        Some(entry) => entry.2 += 1,
-                        None => rec.votes.push((label, value, 1)),
-                    }
-                    if rec.ph.responders().len() >= q {
-                        if let Some(rec) = self.recovering.take() {
-                            self.rtx.disarm(uid, fx);
-                            self.finish_recovery(&rec.votes, fx);
-                        }
-                    }
-                    return;
-                }
-                let done = match self.pending.as_mut() {
-                    Some(Pending::Query { op, ph, votes }) => {
-                        if !ph.record(from, uid) {
-                            return;
-                        }
-                        match votes
-                            .iter_mut()
-                            .find(|(l, v, _)| *l == label && *v == value)
-                        {
-                            Some(entry) => entry.2 += 1,
-                            None => votes.push((label, value, 1)),
-                        }
-                        if ph.responders().len() >= q {
-                            Some(*op)
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some(op) = done {
-                    if let Some(Pending::Query { votes, .. }) = self.pending.take() {
-                        self.rtx.disarm(uid, fx);
-                        let (label, value) = self.masked_choice(&votes);
-                        self.enter_write_back(op, label, value, fx);
-                    }
-                }
-            }
-            RegisterMsg::UpdateAck { uid } => {
-                let q = self.cfg.quorum_size();
-                let done = match self.pending.as_mut() {
-                    Some(Pending::Write { op, ph, .. }) => {
-                        if ph.record(from, uid) && ph.responders().len() >= q {
-                            Some((*op, RegisterResp::WriteOk))
-                        } else {
-                            None
-                        }
-                    }
-                    Some(Pending::WriteBack { op, ph, value, .. }) => {
-                        if ph.record(from, uid) && ph.responders().len() >= q {
-                            Some((*op, RegisterResp::ReadOk(value.clone())))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some((op, resp)) = done {
-                    self.rtx.disarm(uid, fx);
-                    self.finish(op, resp, fx);
-                }
-            }
-            // No relay read mode under Byzantine faults: a liar's forward
-            // could poison every reply in the round. Ignore strays.
-            RegisterMsg::RelayQuery { .. }
-            | RegisterMsg::RelayFwd { .. }
-            | RegisterMsg::RelayReply { .. } => {}
+            Msg::Query { .. }
+            | Msg::Update { .. }
+            | Msg::QueryReply { .. }
+            | Msg::UpdateAck { .. } => self.inner.on_message(from, msg, fx),
         }
     }
 
     fn on_timer(&mut self, key: TimerKey, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        if let Some(rec) = self.recovering.as_ref() {
-            if rec.ph.uid() != key.0 {
-                return;
-            }
-            let (uid, missing) = (rec.ph.uid(), rec.ph.missing());
-            self.rtx
-                .fire(key.0, &missing, RegisterMsg::Query { uid, key: () }, fx);
-            return;
-        }
-        let Some(pending) = self.pending.as_ref() else {
-            return;
-        };
-        let ph = match pending {
-            Pending::Write { ph, .. }
-            | Pending::Query { ph, .. }
-            | Pending::WriteBack { ph, .. } => ph,
-        };
-        if ph.uid() != key.0 {
-            return;
-        }
-        let missing = ph.missing();
-        if let Some(msg) = self.phase_message() {
-            self.rtx.fire(key.0, &missing, msg, fx);
-        }
+        self.inner.on_timer(key, fx);
     }
 
+    /// Liars restart too — their catch-up is harmless noise, since they
+    /// answer from the lie strategy, not from what they adopted.
     fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        // Stable storage: the replica pair, the writer's sequence counter
-        // and the uid counter survive; in-flight operation state does not
-        // (see the crate::register module docs for the soundness argument).
-        // Liars restart too — their recovery is harmless noise since they
-        // answer from the lie strategy, not from adopted state.
-        self.pending = None;
-        self.queue.clear();
-        self.rtx.reset();
-        let uid = self.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        let votes = vec![(self.label, self.value.clone(), 1usize)];
-        if self.quorum_met(&ph) {
-            return; // Single-node cluster: nothing to catch up from.
-        }
-        self.recovering = Some(Recovery { ph, votes });
-        self.broadcast(RegisterMsg::Query { uid, key: () }, fx);
-        self.arm_timer(uid, fx);
+        self.inner.on_restart(fx);
+    }
+}
+
+impl<V: Clone + Eq> ReadPathStats for ByzNode<V> {
+    fn counters(&self) -> ReadPathCounters {
+        self.inner.counters()
     }
 }
 
 /// Quick sanity map from `b` to the minimum cluster and quorum sizes.
 pub fn masking_parameters(b: usize) -> (usize, usize) {
     let n = 4 * b + 1;
-    (n, crate::quorum::masking_threshold(n, b))
+    (n, masking_threshold(n, b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::MiniNet;
+    use crate::testutil::{instant_write_quorum_keeps_draining, MiniNet};
 
     fn cluster(b: usize, liars: &[(usize, LieStrategy)]) -> MiniNet<ByzNode<u64>> {
         let n = 4 * b + 1;
@@ -832,5 +552,113 @@ mod tests {
             net.take_responses().last().unwrap().1,
             RegisterResp::ReadOk(6)
         );
+    }
+
+    #[test]
+    fn instant_write_quorum_keeps_draining_the_queue() {
+        // Not masking thresholds (those are symmetric): the shell's queue
+        // under the vouching store, with `R = 3, W = 1` handed in directly.
+        instant_write_quorum_keeps_draining(|i, quorum| {
+            let cfg = ByzConfig::new(3, ProcessId(i), ProcessId(0), 0);
+            ByzNode::with_quorum(cfg, quorum, 0u32)
+        });
+    }
+
+    /// The vouching fold on its own: the store of a `b`-tolerant node whose
+    /// pair is `(1, 10)` folds two more distinct pairs.
+    fn fold_three_distinct_pairs(b: usize) -> ((SeqNo, u32), u64) {
+        let mut store = Vouched {
+            pair: Replica::new(1, 10u32),
+            b,
+            seq: 0,
+            unvouched: 0,
+        };
+        let mut fold = store.fold(&());
+        fold.observe(3, 30);
+        fold.observe(2, 20);
+        (store.choose(fold), store.unvouched)
+    }
+
+    #[test]
+    fn unvouched_fold_falls_back_to_the_seed_pair_and_is_counted() {
+        // b = 1: no pair has two vouchers — the seed pair, one anomaly.
+        assert_eq!(fold_three_distinct_pairs(1), ((1, 10), 1));
+        // b = 0: one voucher is enough — the plain maximum, no anomaly.
+        assert_eq!(fold_three_distinct_pairs(0), ((3, 30), 0));
+        // b = 1 with a second voucher for the middle pair: it wins over the
+        // higher, unvouched one.
+        let mut store = Vouched {
+            pair: Replica::new(1, 10u32),
+            b: 1,
+            seq: 0,
+            unvouched: 0,
+        };
+        let mut fold = store.fold(&());
+        for (label, value) in [(3, 30), (2, 20), (2, 20)] {
+            fold.observe(label, value);
+        }
+        assert_eq!((store.choose(fold), store.unvouched), ((2, 20), 0));
+    }
+
+    #[test]
+    fn a_quorum_straddling_a_write_falls_back_and_is_counted() {
+        // What the counter is for. Masking quorums mask liars, not
+        // concurrency: node 4 missed write 1, write 2 has reached node 2
+        // only, and node 4's read quorum is itself, the forger, node 2 (at
+        // label 2) and node 3 (at label 1) — four pairs, one voucher each.
+        // The read falls back to node 4's own pair and returns the initial
+        // value after write 1 completed; `unvouched_folds` is how a run
+        // learns that it happened.
+        let mut net = cluster(1, &[(1, LieStrategy::ForgeLabel)]);
+        net.set_drop_filter(|_, to, m| to == ProcessId(4) && matches!(m, Msg::Update { .. }));
+        net.invoke(0, RegisterOp::Write(1));
+        net.run_to_quiescence();
+        assert_eq!(net.take_responses()[0].1, RegisterResp::WriteOk);
+        net.set_drop_filter(|_, to, m| to >= ProcessId(3) && matches!(m, Msg::Update { .. }));
+        net.invoke(0, RegisterOp::Write(2));
+        net.run_to_quiescence();
+        assert!(net.take_responses().is_empty(), "write 2 is still out");
+        net.set_drop_filter(|from, _, m| {
+            from == ProcessId(0) && matches!(m, Msg::QueryReply { .. })
+        });
+        net.invoke(4, RegisterOp::Read);
+        net.run_to_quiescence();
+        assert_eq!(net.take_responses()[0].1, RegisterResp::ReadOk(0));
+        assert_eq!(net.node(4).unvouched_folds(), 1);
+        assert_eq!(net.node(2).unvouched_folds(), 0);
+    }
+
+    #[test]
+    fn restarted_writer_keeps_its_own_counter_under_a_believed_forgery() {
+        // b = 0 believes the forger, so the writer's catch-up adopts a
+        // label near `u64::MAX`. Its counter is its own: the hand-written
+        // node re-anchored it on the forgery and overflowed two writes
+        // later.
+        let mut net = MiniNet::new(
+            (0..5)
+                .map(|i| {
+                    let cfg = ByzConfig::new(5, ProcessId(i), ProcessId(0), 0);
+                    let cfg = if i == 1 {
+                        cfg.with_lie(LieStrategy::ForgeLabel)
+                    } else {
+                        cfg
+                    };
+                    ByzNode::new(cfg, 0u64)
+                })
+                .collect(),
+        );
+        net.invoke(0, RegisterOp::Write(1));
+        net.run_to_quiescence();
+        net.crash(0);
+        net.restart(0);
+        net.run_to_quiescence();
+        assert!(net.node(0).replica_state().0 > u64::MAX / 2, "poisoned");
+        for v in 2..=4 {
+            net.invoke(0, RegisterOp::Write(v));
+            net.run_to_quiescence();
+        }
+        let acks = net.take_responses();
+        assert_eq!(acks.len(), 4);
+        assert!(acks.iter().all(|(_, r)| *r == RegisterResp::WriteOk));
     }
 }

@@ -10,11 +10,19 @@
 //! [`Retransmitter`] that keeps unfinished rounds alive over lossy links.
 //! Any number of rounds may be in flight, each found by its phase id.
 //!
-//! What the engine does **not** own is the replica state and the admission
-//! policy. The state is a [`Store`] handed to every call — one
-//! `(label, value)` pair under the unit key for a register
+//! What the engine does **not** own is the replica state, the label policy
+//! and the admission policy. The state is a [`Store`] handed to every call
+//! — one `(label, value)` pair under the unit key for a register
 //! ([`crate::register`]), a keyed map with its Merkle index for the store
-//! (`abd-kv`). [`Msg`] is the wire format of the operation path: a
+//! (`abd-kv`). The store also owns everything that depends on *what a label
+//! is*: it issues the label of a write, decides which pair is newer when it
+//! adopts, and chooses how a read quorum's replies fold to one pair
+//! ([`Fold`]) — the maximum label, the highest pair `b + 1` replicas vouch
+//! for identically ([`crate::byzantine`]), or the maximum through a
+//! comparison window ([`crate::bounded`]). The engine itself compares
+//! labels only where the protocol does so between replies — a multi-writer
+//! write's query, a relay read's minimum — which is all the order it asks
+//! of a label type. [`Msg`] is the wire format of the operation path: a
 //! register's message type *is* `Msg` under the unit key, the store's
 //! carries it whole beside its sync protocol (the same trait names which),
 //! and a host's responses convert from [`Outcome`]. Which invocations reach
@@ -99,33 +107,13 @@
 //   WriteUpdate -> Done, ReadWriteBack -> Done
 
 use crate::context::{Effects, ReadPathCounters, TimerKey};
-use crate::phase::{PhaseTracker, RelayCensus, TagCensus};
+use crate::phase::{Fold, PhaseTracker, RelayCensus, TagCensus};
 use crate::procset::ProcSet;
 use crate::quorum::{fast_read_allowed, QuorumSystem};
 use crate::retransmit::{BackoffPolicy, Retransmitter};
 use crate::types::{Consistency, OpId, ProcessId, ReadMode};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// How labels are issued — what distinguishes one writer from many.
-///
-/// Implemented by [`SeqNo`](crate::types::SeqNo) (single writer, see
-/// [`crate::swmr`]) and [`Tag`](crate::types::Tag) (multiple writers, see
-/// [`crate::mwmr`]). The engine is monomorphised over it, so the policy
-/// costs nothing at run time.
-pub trait Label: Copy + Ord + std::fmt::Debug + Send + 'static {
-    /// Whether a write must first learn the largest label in use from a
-    /// read quorum. `false` when the writer's own label is by construction
-    /// the largest (it is the only issuer).
-    const WRITE_QUERIES: bool;
-
-    /// The label of the register's initial value — below every label a
-    /// write produces.
-    fn initial() -> Self;
-
-    /// The label for a write by `me` that saw `self` as the largest label.
-    fn next(self, me: ProcessId) -> Self;
-}
 
 /// The replica state an [`Engine`] works on, and the wire format its host
 /// speaks. `R` is what a replica reports for a key (it may be "never
@@ -136,14 +124,33 @@ pub trait Store<K, L, R, V> {
     type Msg: From<Msg<K, L, R, V>> + Clone;
     /// The host's response type; every [`Outcome`] becomes one.
     type Resp: From<Outcome<R>>;
+    /// How a read quorum's replies fold to one pair.
+    type Fold: Fold<L, R>;
+
+    /// Whether a write must first learn the largest label in use from a
+    /// read quorum. `false` when the writer's own label is by construction
+    /// the largest (it is the only issuer).
+    const WRITE_QUERIES: bool;
 
     /// The replica's current `(label, value)` for `key`.
     fn snapshot(&self, key: &K) -> (L, R);
 
     /// Monotone adoption: `(label, value)` replaces the stored pair for
-    /// `key` exactly when `label` is strictly larger. Persisted before the
-    /// engine acknowledges anything it covers.
+    /// `key` exactly when `label` is strictly newer in the store's order.
+    /// Persisted before the engine acknowledges anything it covers.
     fn adopt(&mut self, key: &K, label: L, value: V);
+
+    /// Starts the fold of a read quorum's replies for `key` from this
+    /// replica's own pair.
+    fn fold(&self, key: &K) -> Self::Fold;
+
+    /// The pair a finished fold settles on — where a fold that met an
+    /// anomaly (no pair vouched for, a label outside the window) counts it.
+    fn choose(&mut self, fold: Self::Fold) -> (L, R);
+
+    /// The label of a write by `me` that saw `seen` as the largest label
+    /// in use for `key`: strictly newer than it.
+    fn issue(&mut self, key: &K, seen: L, me: ProcessId) -> L;
 }
 
 /// The effects buffer of the host that owns store `S`.
@@ -259,7 +266,7 @@ pub enum Outcome<R> {
 /// The phase a client operation's current round is in, with what that
 /// round has gathered or is propagating.
 #[derive(Clone, Debug)]
-pub enum Pending<L, R, V> {
+pub enum Pending<L, R, V, C = TagCensus<L, R>> {
     /// Writer discovering the current maximum label.
     WriteQuery {
         /// Largest label reported so far.
@@ -276,9 +283,10 @@ pub enum Pending<L, R, V> {
     },
     /// Reader collecting query replies.
     ReadQuery {
-        /// Tracks the maximum label *and* whether the responders were
-        /// unanimous about it (the fast path).
-        census: TagCensus<L, R>,
+        /// The store's fold of the replies so far: by default the maximum
+        /// label *and* whether the responders were unanimous about it (the
+        /// fast path).
+        census: C,
         /// The read's tier: `Regular` completes without the write-back,
         /// `Atomic` runs the second phase.
         cons: Consistency,
@@ -302,14 +310,14 @@ pub enum Pending<L, R, V> {
 /// A relay read's tracker starts empty — even this node's own reply only
 /// counts once its server-side round completes.
 #[derive(Clone, Debug)]
-struct Round<K, L, R, V> {
+struct Round<K, L, R, V, C> {
     op: OpId,
     key: K,
     ph: PhaseTracker,
-    phase: Pending<L, R, V>,
+    phase: Pending<L, R, V, C>,
 }
 
-impl<K: Clone, L: Label, R, V: Clone> Round<K, L, R, V> {
+impl<K: Clone, L: Copy, R, V: Clone, C> Round<K, L, R, V, C> {
     /// The request this round (re)transmits to processors that have not
     /// responded.
     fn request<S: Store<K, L, R, V>>(&self, store: &S) -> S::Msg {
@@ -352,8 +360,9 @@ struct RelayRound {
 }
 
 /// The quorum-operation state machine of one node; see the module docs.
+/// `C` is the [`Store::Fold`] of the stores it will be handed.
 #[derive(Clone, Debug)]
-pub struct Engine<K, L, R, V> {
+pub struct Engine<K, L, R, V, C = TagCensus<L, R>> {
     n: usize,
     me: ProcessId,
     quorum: Arc<dyn QuorumSystem>,
@@ -367,7 +376,7 @@ pub struct Engine<K, L, R, V> {
     next_uid: u64,
     /// Rounds in flight, found by a scan for their id: a register has one,
     /// a store a handful, and the vector keeps its capacity.
-    rounds: Vec<Round<K, L, R, V>>,
+    rounds: Vec<Round<K, L, R, V, C>>,
     /// Server-side relay rounds, keyed by `(reader, uid)`. Volatile;
     /// completed rounds are retired when the same reader opens a strictly
     /// newer round.
@@ -413,12 +422,13 @@ fn relay_fwd<K: Clone, L, R, V, S: Store<K, L, R, V>>(
     fx.send_each(targets, fwd.into());
 }
 
-impl<K, L, R, V> Engine<K, L, R, V>
+impl<K, L, R, V, C> Engine<K, L, R, V, C>
 where
     K: Clone,
-    L: Label,
+    L: Copy + PartialOrd,
     R: Clone + From<V> + Into<Option<V>>,
     V: Clone,
+    C: Fold<L, R>,
 {
     /// An idle engine for node `me` of `n`. `read_write_back` is `true`
     /// everywhere but in the regular-register baseline; `retransmit`
@@ -492,7 +502,7 @@ where
     /// parks the operation in it.
     fn enter<S: Store<K, L, R, V>>(
         &mut self,
-        round: Round<K, L, R, V>,
+        round: Round<K, L, R, V, C>,
         store: &S,
         fx: &mut Fx<S, K, L, R, V>,
     ) {
@@ -503,7 +513,7 @@ where
 
     /// Starts a client operation. Admission — queueing, gating, rejecting —
     /// is the caller's; whatever arrives here runs at once.
-    pub fn on_invoke<S: Store<K, L, R, V>>(
+    pub fn on_invoke<S: Store<K, L, R, V, Fold = C>>(
         &mut self,
         op: OpId,
         input: Op<K, V>,
@@ -527,7 +537,7 @@ where
         fx: &mut Fx<S, K, L, R, V>,
     ) {
         let best = store.snapshot(&key).0;
-        if L::WRITE_QUERIES {
+        if S::WRITE_QUERIES {
             let ph = self.fresh_phase();
             if !self.quorum.is_read_quorum(ph.responders()) {
                 let phase = Pending::WriteQuery { best, value };
@@ -535,7 +545,8 @@ where
                 return;
             }
         }
-        self.write_update(op, key, best.next(self.me), value, store, fx);
+        let label = store.issue(&key, best, self.me);
+        self.write_update(op, key, label, value, store, fx);
     }
 
     /// Phase 2 of a write, stamped `label` — strictly above every label in
@@ -567,7 +578,7 @@ where
     /// tiers run the query round, with only atomic reads eligible for the
     /// relay path — a weaker tier has no write-back for it to replace, and
     /// the fast path is an atomic-tier optimization too.
-    fn begin_read<S: Store<K, L, R, V>>(
+    fn begin_read<S: Store<K, L, R, V, Fold = C>>(
         &mut self,
         op: OpId,
         key: K,
@@ -585,8 +596,7 @@ where
             return;
         }
         let ph = self.fresh_phase();
-        let (label, value) = store.snapshot(&key);
-        let census = TagCensus::new(label, value);
+        let census = store.fold(&key);
         if self.quorum.is_read_quorum(ph.responders()) {
             self.complete_read_query(op, key, ph.responders(), census, cons, store, fx);
             return;
@@ -596,18 +606,18 @@ where
     }
 
     /// The read's query phase holds a read quorum. A `Regular`-tier read
-    /// completes here with the census maximum (write-back elided by
-    /// definition); an atomic read either takes the one-round fast path
+    /// completes here with the pair the store's fold settles on (write-back
+    /// elided by definition); an atomic read either takes the one-round fast path
     /// (unanimous responders that form a write quorum — the max label is
     /// already durable, so the write-back is redundant) or writes back what
     /// it is about to return — unless nothing was ever written.
     #[allow(clippy::too_many_arguments)]
-    fn complete_read_query<S: Store<K, L, R, V>>(
+    fn complete_read_query<S: Store<K, L, R, V, Fold = C>>(
         &mut self,
         op: OpId,
         key: K,
         responders: &ProcSet,
-        census: TagCensus<L, R>,
+        census: C,
         cons: Consistency,
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
@@ -615,7 +625,7 @@ where
         let fast = self.read_mode == ReadMode::FastUnanimous
             && self.read_write_back
             && fast_read_allowed(self.quorum.as_ref(), responders, census.unanimous());
-        let (label, value) = census.into_best();
+        let (label, value) = store.choose(census);
         if cons == Consistency::Regular {
             // Adopt locally even though the write-back is skipped: keeping
             // the local replica at least as fresh as any value this node
@@ -781,7 +791,7 @@ where
     /// hand-driven n = 5 put: 271 → 282 ns). Too small for a simulated
     /// campaign to resolve; the function is too large to be inlined unasked.
     #[inline]
-    pub fn on_message<S: Store<K, L, R, V>>(
+    pub fn on_message<S: Store<K, L, R, V, Fold = C>>(
         &mut self,
         from: ProcessId,
         msg: Msg<K, L, R, V>,
@@ -816,7 +826,9 @@ where
                         if !round.ph.record(from, uid) {
                             return;
                         }
-                        *best = label.max(*best);
+                        if label > *best {
+                            *best = label;
+                        }
                     }
                     Pending::ReadQuery { census, .. } => {
                         if !round.ph.record(from, uid) {
@@ -833,7 +845,8 @@ where
                 self.rtx.disarm(uid, fx);
                 match phase {
                     Pending::WriteQuery { best, value } => {
-                        self.write_update(op, key, best.next(self.me), value, store, fx);
+                        let label = store.issue(&key, best, self.me);
+                        self.write_update(op, key, label, value, store, fx);
                     }
                     Pending::ReadQuery { census, cons } => {
                         self.complete_read_query(op, key, ph.responders(), census, cons, store, fx);
@@ -973,11 +986,11 @@ where
     /// from this replica's snapshot (it has chosen nothing yet); an update
     /// or write-back round keeps the label it already chose, so a restarted
     /// write is still one write.
-    pub fn restart_round<S: Store<K, L, R, V>>(
+    pub fn restart_round<S: Store<K, L, R, V, Fold = C>>(
         &mut self,
         op: OpId,
         key: K,
-        phase: Pending<L, R, V>,
+        phase: Pending<L, R, V, C>,
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
     ) {
@@ -1000,7 +1013,7 @@ where
     /// phase ids find no round and are ignored. Server-side relay rounds
     /// counted responders of the old system, carry no client's operation,
     /// and are dropped.
-    pub fn requorum<S: Store<K, L, R, V>>(
+    pub fn requorum<S: Store<K, L, R, V, Fold = C>>(
         &mut self,
         quorum: Arc<dyn QuorumSystem>,
         store: &mut S,
@@ -1034,9 +1047,23 @@ mod tests {
     impl Store<(), u64, u64, u64> for Cell {
         type Msg = Msg<(), u64, u64, u64>;
         type Resp = Outcome<u64>;
+        type Fold = TagCensus<u64, u64>;
+        const WRITE_QUERIES: bool = true;
 
         fn snapshot(&self, _: &()) -> (u64, u64) {
             (self.0, self.1)
+        }
+
+        fn fold(&self, _: &()) -> TagCensus<u64, u64> {
+            TagCensus::new(self.0, self.1)
+        }
+
+        fn choose(&mut self, fold: TagCensus<u64, u64>) -> (u64, u64) {
+            fold.into_best()
+        }
+
+        fn issue(&mut self, _: &(), seen: u64, _: ProcessId) -> u64 {
+            seen + 1
         }
 
         fn adopt(&mut self, _: &(), label: u64, value: u64) {

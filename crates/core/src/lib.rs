@@ -10,7 +10,9 @@
 //! * the **single-writer** protocol of the paper ([`swmr`]) and the
 //!   **multi-writer** extension ([`mwmr`]), both with unbounded timestamps;
 //! * the **bounded-timestamp** variant ([`bounded`]), the part of the
-//!   journal paper devoted to recycling labels from a finite pool;
+//!   journal paper devoted to recycling labels from a finite pool, and
+//!   **Byzantine masking quorums** ([`byzantine`]) — both the same register
+//!   node over a store with its own label order and read fold;
 //! * explicit **quorum systems** ([`quorum`]) generalizing the paper's
 //!   majorities (thresholds, weighted voting, grids);
 //! * the **regular / read-one baselines** ([`presets`]) whose anomalies the
@@ -61,7 +63,9 @@
 //! | a processor of the emulation | [`register::RegisterNode`] (the engine over one replica, one operation at a time) |
 //! | single-writer emulation | [`swmr::SwmrNode`] (the register at integer labels) |
 //! | multi-writer extension | [`mwmr::MwmrNode`] (the register at `(seq, writer)` tags) |
-//! | bounded timestamps | [`bounded`] |
+//! | how a read quorum's replies fold to one pair | [`phase::Fold`], chosen by the [`engine::Store`]: maximum label, `b + 1` vouchers, windowed maximum |
+//! | bounded timestamps | [`bounded`] (the register over a store that owns the label cycle) |
+//! | Byzantine replicas (masking quorums) | [`byzantine`] (the register over a vouching store, behind a lie filter) |
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -27,8 +27,7 @@
 //! The tree has exactly **one** mutating operation,
 //! [`MerkleTree::apply_delta`]. Callers outside this module must route
 //! every call through their single `digest_update` helper so the digest
-//! can never silently diverge from the store it summarizes — enforced by
-//! `abd-lint`'s `merkle-digest-helper` rule.
+//! can never silently diverge from the store it summarizes.
 
 use crate::types::Tag;
 
@@ -246,8 +245,7 @@ impl MerkleTree {
     /// every ancestor up to the root — O(log₂ buckets), no rescans.
     ///
     /// Callers outside `merkle.rs` must wrap this in their one
-    /// `digest_update` helper (the `merkle-digest-helper` lint rule flags
-    /// any other call site): the tree is an index over the store, and an
+    /// `digest_update` helper: the tree is an index over the store, and an
     /// unpaired mutation silently corrupts every digest above the bucket.
     pub fn apply_delta(&mut self, kh: u64, old: Option<Tag>, new: Option<Tag>) {
         let mut delta = 0u64;

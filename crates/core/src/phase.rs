@@ -62,6 +62,26 @@ impl PhaseTracker {
     }
 }
 
+/// How a read quorum's replies fold to one pair: the policy a store chooses
+/// ([`Store::Fold`](crate::engine::Store::Fold)) for the engine's reads and
+/// for its host's catch-up round alike. The store starts a fold from its own
+/// pair and settles the finished one
+/// ([`Store::choose`](crate::engine::Store::choose)); in between the fold is
+/// only fed. Three exist: the maximum label ([`TagCensus`]), the highest
+/// pair enough replicas vouch for ([`crate::byzantine`]) and the maximum
+/// through a comparison window ([`crate::bounded`]).
+pub trait Fold<L, R> {
+    /// Folds in one reply.
+    fn observe(&mut self, label: L, value: R);
+
+    /// Whether every reply agreed on one maximum label — the fast-path
+    /// read's question. Only a fold over honest replies in a total order
+    /// can answer `true`.
+    fn unanimous(&self) -> bool {
+        false
+    }
+}
+
 /// Folds the `(label, value)` replies of a read query phase, tracking both
 /// the maximum label seen **and whether every reply agreed on it**.
 ///
@@ -69,11 +89,8 @@ impl PhaseTracker {
 /// (seeded with the issuer's own replica) reported one identical maximum
 /// label, the value is already as replicated as a completed write-back
 /// would leave it. The final elision decision additionally requires the
-/// responder set to be a write quorum — pass
-/// [`unanimous`](TagCensus::unanimous) to
-/// [`fast_read_allowed`](crate::quorum::fast_read_allowed) rather than
-/// branching on it directly (the `abd-lint` `fast-path-helper` rule
-/// enforces this).
+/// responder set to be a write quorum —
+/// [`fast_read_allowed`](crate::quorum::fast_read_allowed) takes both.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TagCensus<L, V> {
     max_label: L,
@@ -91,9 +108,21 @@ impl<L: Ord, V> TagCensus<L, V> {
         }
     }
 
-    /// Folds in one reply. Any reply that differs from the current maximum
-    /// — above *or* below it — destroys unanimity for good.
-    pub fn observe(&mut self, label: L, value: V) {
+    /// The maximum label observed so far.
+    pub fn max_label(&self) -> &L {
+        &self.max_label
+    }
+
+    /// Consumes the census, yielding the `(max label, value)` pair.
+    pub fn into_best(self) -> (L, V) {
+        (self.max_label, self.value)
+    }
+}
+
+impl<L: Ord, V> Fold<L, V> for TagCensus<L, V> {
+    /// Any reply that differs from the current maximum — above *or* below
+    /// it — destroys unanimity for good.
+    fn observe(&mut self, label: L, value: V) {
         match label.cmp(&self.max_label) {
             std::cmp::Ordering::Greater => {
                 self.unanimous = false;
@@ -105,19 +134,9 @@ impl<L: Ord, V> TagCensus<L, V> {
         }
     }
 
-    /// The maximum label observed so far.
-    pub fn max_label(&self) -> &L {
-        &self.max_label
-    }
-
     /// `true` while every observation matched the running maximum.
-    pub fn unanimous(&self) -> bool {
+    fn unanimous(&self) -> bool {
         self.unanimous
-    }
-
-    /// Consumes the census, yielding the `(max label, value)` pair.
-    pub fn into_best(self) -> (L, V) {
-        (self.max_label, self.value)
     }
 }
 
@@ -136,7 +155,7 @@ pub struct RelayCensus<L, V> {
     min: Option<(L, V)>,
 }
 
-impl<L: Ord, V> RelayCensus<L, V> {
+impl<L: PartialOrd, V> RelayCensus<L, V> {
     /// Starts an empty census (the issuer's replica does not count until
     /// its own relay round completes).
     pub fn new() -> Self {
@@ -158,7 +177,7 @@ impl<L: Ord, V> RelayCensus<L, V> {
     }
 }
 
-impl<L: Ord, V> Default for RelayCensus<L, V> {
+impl<L: PartialOrd, V> Default for RelayCensus<L, V> {
     fn default() -> Self {
         RelayCensus::new()
     }

@@ -94,8 +94,8 @@ pub fn masking_threshold(n: usize, b: usize) -> usize {
 /// systems such as [`Threshold`] with `R < W` a unanimous read quorum may
 /// still be smaller than a write quorum — eliding there would let a later
 /// read quorum miss the tag entirely. This function is the **one place**
-/// where the elision condition lives: the `abd-lint` `fast-path-helper`
-/// rule rejects ad-hoc unanimity checks in protocol handlers.
+/// where the elision condition lives, and the engine's read completion is
+/// its one caller.
 ///
 /// # Examples
 ///

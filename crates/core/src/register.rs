@@ -16,6 +16,15 @@
 //! epilogue**. All of that is this file's state; none of it is in the
 //! engine.
 //!
+//! The shell is generic over its store too. A [`Replica`] orders labels by
+//! `Ord` and folds a read quorum to its maximum; the Byzantine-tolerant
+//! register ([`crate::byzantine`]) and the bounded-label register
+//! ([`crate::bounded`]) are this same node over a store that folds by
+//! vouching, or orders through a window — queue, `NotWriter`, gate and
+//! retransmission are not written again. The catch-up folds its replies
+//! with the store's [`Fold`], as a read's query round does, which is what
+//! keeps a liar (or a lapped label) out of a rebooted replica.
+//!
 //! * **Write(v)** — (multi-writer only: broadcast `Query`, wait for a
 //!   *read quorum* of labels, keep the largest;) take the next label, adopt
 //!   `(label, v)` locally, broadcast `Update(label, v)` and return once a
@@ -92,16 +101,36 @@
 use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use crate::engine::{Engine, Msg, Op, Outcome, Pending, Store};
 use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
-use crate::phase::{PhaseTracker, TagCensus};
+use crate::phase::{Fold, PhaseTracker, TagCensus};
 use crate::quorum::{Majority, QuorumSystem};
 use crate::replica::Replica;
 use crate::retransmit::BackoffPolicy;
 use crate::types::{Consistency, Nanos, OpId, ProcessId, ReadMode, RegisterError};
 use std::collections::VecDeque;
+use std::fmt::Debug;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-pub use crate::engine::Label;
+/// How labels are issued where they are totally ordered and need no context
+/// — what distinguishes one writer from many.
+///
+/// Implemented by [`SeqNo`](crate::types::SeqNo) (single writer, see
+/// [`crate::swmr`]) and [`Tag`](crate::types::Tag) (multiple writers, see
+/// [`crate::mwmr`]); a [`Replica`] of either is the engine's store. The
+/// node is monomorphised over it, so the policy costs nothing at run time.
+pub trait Label: Copy + Ord + Debug + Send + 'static {
+    /// Whether a write must first learn the largest label in use from a
+    /// read quorum. `false` when the writer's own label is by construction
+    /// the largest (it is the only issuer).
+    const WRITE_QUERIES: bool;
+
+    /// The label of the register's initial value — below every label a
+    /// write produces.
+    fn initial() -> Self;
+
+    /// The label for a write by `me` that saw `self` as the largest label.
+    fn next(self, me: ProcessId) -> Self;
+}
 
 /// Effects of a register node.
 type Fx<L, V> = Effects<RegisterMsg<L, V>, RegisterResp<V>>;
@@ -196,10 +225,14 @@ impl<L> RegisterConfig<L> {
 }
 
 /// A register's replica is the engine's store under the unit key, and a
-/// register always has something written: it reads what it stores.
+/// register always has something written: it reads what it stores. Labels
+/// compare by `Ord`, a read quorum folds to its maximum, and [`Label`] says
+/// how the next one is issued.
 impl<L: Label, V: Clone> Store<(), L, V, V> for Replica<L, V> {
     type Msg = RegisterMsg<L, V>;
     type Resp = RegisterResp<V>;
+    type Fold = TagCensus<L, V>;
+    const WRITE_QUERIES: bool = L::WRITE_QUERIES;
 
     fn snapshot(&self, _: &()) -> (L, V) {
         Replica::snapshot(self)
@@ -207,6 +240,19 @@ impl<L: Label, V: Clone> Store<(), L, V, V> for Replica<L, V> {
 
     fn adopt(&mut self, _: &(), label: L, value: V) {
         Replica::adopt(self, label, value);
+    }
+
+    fn fold(&self, _: &()) -> TagCensus<L, V> {
+        let (label, value) = Replica::snapshot(self);
+        TagCensus::new(label, value)
+    }
+
+    fn choose(&mut self, fold: TagCensus<L, V>) -> (L, V) {
+        fold.into_best()
+    }
+
+    fn issue(&mut self, _: &(), seen: L, me: ProcessId) -> L {
+        seen.next(me)
     }
 }
 
@@ -220,26 +266,31 @@ impl<V> From<Outcome<V>> for RegisterResp<V> {
 }
 
 /// Post-restart catch-up: a query phase run before serving clients, so the
-/// rejoining replica adopts the latest completed write it missed.
+/// rejoining replica adopts the latest completed write it missed — folded
+/// by the store's [`Fold`], exactly as a read's query round is.
 #[derive(Clone, Debug)]
-struct Recovery<L, V> {
+struct Recovery<C> {
     ph: PhaseTracker,
-    census: TagCensus<L, V>,
+    census: C,
 }
 
 /// One processor of the emulation: replica role, reader role and — where
 /// [`RegisterConfig::writer`] allows — writer role. Use it through
 /// [`SwmrNode`](crate::swmr::SwmrNode) or
-/// [`MwmrNode`](crate::mwmr::MwmrNode).
+/// [`MwmrNode`](crate::mwmr::MwmrNode), where the store `S` is a
+/// [`Replica`] and its fold `C` the maximum label; the Byzantine-tolerant
+/// ([`crate::byzantine`]) and bounded-label ([`crate::bounded`]) variants
+/// are the same node over a store with another fold and another label
+/// order.
 #[derive(Clone, Debug)]
-pub struct RegisterNode<L, V> {
+pub struct RegisterNode<L, V, S = Replica<L, V>, C = TagCensus<L, V>> {
     cfg: RegisterConfig<L>,
-    replica: Replica<L, V>,
+    store: S,
     /// The operation in flight, the replica role and the relay rounds.
-    engine: Engine<(), L, V, V>,
+    engine: Engine<(), L, V, V, C>,
     /// Invocations waiting behind the operation in flight or the catch-up.
     queue: VecDeque<(OpId, RegisterOp<V>)>,
-    recovering: Option<Recovery<L, V>>,
+    recovering: Option<Recovery<C>>,
     /// The writer's persisted in-flight write `(op, label, value)` — stable
     /// storage, like the replica pair. With
     /// [`RegisterConfig::write_epilogue`] on it mirrors the engine's
@@ -249,11 +300,25 @@ pub struct RegisterNode<L, V> {
     intent: Option<(OpId, L, V)>,
 }
 
-impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
+impl<L: Label, V: Clone + Debug + Send + 'static> RegisterNode<L, V> {
     /// Creates a node holding `initial` as the register's initial value
     /// (under [`Label::initial`], conceptually written before the execution
     /// starts).
     pub fn new(cfg: RegisterConfig<L>, initial: V) -> Self {
+        Self::over(cfg, Replica::new(L::initial(), initial))
+    }
+}
+
+impl<L, V, S, C> RegisterNode<L, V, S, C>
+where
+    L: Copy + PartialOrd + Debug + Send + 'static,
+    V: Clone + Debug + Send + 'static,
+    S: Store<(), L, V, V, Msg = RegisterMsg<L, V>, Resp = RegisterResp<V>, Fold = C>,
+    C: Fold<L, V>,
+{
+    /// A node over `store`, which already holds the register's initial
+    /// value.
+    pub(crate) fn over(cfg: RegisterConfig<L>, store: S) -> Self {
         assert!(cfg.writer.index() < cfg.n, "writer id out of range");
         let engine = Engine::new(
             cfg.n,
@@ -265,7 +330,7 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
         );
         RegisterNode {
             cfg,
-            replica: Replica::new(L::initial(), initial),
+            store,
             engine,
             queue: VecDeque::new(),
             recovering: None,
@@ -276,7 +341,12 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
     /// This node's replica state `(label, value)` — for inspection in tests
     /// and metrics.
     pub fn replica_state(&self) -> (L, V) {
-        self.replica.snapshot()
+        self.store.snapshot(&())
+    }
+
+    /// The replica store, with whatever it counts beside the pair.
+    pub(crate) fn store(&self) -> &S {
+        &self.store
     }
 
     /// Whether an operation is currently in flight on this node.
@@ -319,7 +389,7 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
             RegisterOp::Read => Op::Read((), Consistency::Atomic),
             RegisterOp::ReadAt(cons) => Op::Read((), cons),
         };
-        self.engine.on_invoke(op, input, &mut self.replica, fx);
+        self.engine.on_invoke(op, input, &mut self.store, fx);
     }
 
     /// Runs after every step of the engine: while it is idle (the step
@@ -351,14 +421,14 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
         if let Some((op, label, value)) = self.intent.clone() {
             let phase = Pending::WriteUpdate { label, value };
             self.engine
-                .restart_round(op, (), phase, &mut self.replica, fx);
+                .restart_round(op, (), phase, &mut self.store, fx);
         }
     }
 
     /// One reply to the post-restart catch-up query. On a read quorum the
-    /// catch-up completes: adopt the freshest pair reported, roll a
-    /// crash-interrupted write forward (the epilogue), then serve anything
-    /// that queued while recovering.
+    /// catch-up completes: adopt the pair the store's fold settles on, roll
+    /// a crash-interrupted write forward (the epilogue), then serve
+    /// anything that queued while recovering.
     fn recovery_reply(&mut self, from: ProcessId, uid: u64, label: L, value: V, fx: &mut Fx<L, V>) {
         let Some(rec) = self.recovering.as_mut() else {
             return;
@@ -375,10 +445,10 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
             // Redundant after `take`; abd-lint reads `Recovery -> Idle` off it.
             self.recovering = None;
             // The writer's own persisted replica is part of the quorum, so
-            // the census maximum already covers every label it issued
-            // before the crash.
-            let (label, value) = rec.census.into_best();
-            self.replica.adopt(label, value);
+            // the fold already covers every label it issued before the
+            // crash.
+            let (label, value) = self.store.choose(rec.census);
+            self.store.adopt(&(), label, value);
             // Nothing can be in flight here: invocations queue while
             // recovering.
             self.resume_write(fx);
@@ -387,7 +457,13 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> RegisterNode<L, V> {
     }
 }
 
-impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for RegisterNode<L, V> {
+impl<L, V, S, C> Protocol for RegisterNode<L, V, S, C>
+where
+    L: Copy + PartialOrd + Debug + Send + 'static,
+    V: Clone + Debug + Send + 'static,
+    S: Store<(), L, V, V, Msg = RegisterMsg<L, V>, Resp = RegisterResp<V>, Fold = C>,
+    C: Fold<L, V>,
+{
     type Msg = RegisterMsg<L, V>;
     type Op = RegisterOp<V>;
     type Resp = RegisterResp<V>;
@@ -414,7 +490,7 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
                 return;
             }
         }
-        self.engine.on_message(from, msg, &mut self.replica, fx);
+        self.engine.on_message(from, msg, &mut self.store, fx);
         self.settle(fx);
     }
 
@@ -426,17 +502,16 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
                 self.engine.rtx.fire(uid, &rec.ph.missing(), query, fx);
             }
             Some(_) => {}
-            None => self.engine.on_timer(key, &self.replica, fx),
+            None => self.engine.on_timer(key, &self.store, fx),
         }
     }
 
     fn on_restart(&mut self, fx: &mut Fx<L, V>) {
         // Volatile state is gone: the in-flight operation (its client sees
         // an aborted op), the invocation queue, the relay rounds and any
-        // retry schedule. The replica pair, the write intent and the
-        // phase-uid counter model stable storage and survive — see the
-        // module docs for why a fully amnesiac replica would break
-        // atomicity.
+        // retry schedule. The store, the write intent and the phase-uid
+        // counter model stable storage and survive — see the module docs
+        // for why a fully amnesiac replica would break atomicity.
         self.queue.clear();
         self.engine.on_restart();
         let uid = self.engine.fresh_uid();
@@ -448,15 +523,14 @@ impl<L: Label, V: Clone + std::fmt::Debug + Send + 'static> Protocol for Registe
             self.resume_write(fx);
             return;
         }
-        let (label, value) = self.replica.snapshot();
-        let census = TagCensus::new(label, value);
+        let census = self.store.fold(&());
         self.recovering = Some(Recovery { ph, census });
         fx.send_each(self.engine.peers(), Msg::Query { uid, key: () });
         self.engine.rtx.arm(uid, fx);
     }
 }
 
-impl<L: Label, V: Clone> ReadPathStats for RegisterNode<L, V> {
+impl<L: Copy + PartialOrd, V: Clone, S, C: Fold<L, V>> ReadPathStats for RegisterNode<L, V, S, C> {
     fn counters(&self) -> ReadPathCounters {
         self.engine.counters()
     }
@@ -466,48 +540,28 @@ impl<L: Label, V: Clone> ReadPathStats for RegisterNode<L, V> {
 mod tests {
     use super::*;
     use crate::mwmr::MwmrConfig;
-    use crate::quorum::Threshold;
     use crate::swmr::SwmrConfig;
-    use crate::testutil::MiniNet;
+    use crate::testutil::instant_write_quorum_keeps_draining;
 
-    /// `Read, Write(7), Read` invoked back to back on node 0 of an
-    /// `R = 3, W = 1` cluster: the write's quorum is instant (the writer
-    /// alone), and completing it must still hand the node to the queued
-    /// read. The hand-written single-writer node answered that write
-    /// without popping the queue, stranding the read forever.
-    fn instant_write_quorum_keeps_draining<L: Label>(cfg: impl Fn(usize) -> RegisterConfig<L>) {
-        let nodes = (0..3)
-            .map(|i| {
-                let quorum = Arc::new(Threshold::new(3, 3, 1));
-                RegisterNode::new(cfg(i).with_quorum(quorum), 0u32)
-            })
-            .collect();
-        let mut net = MiniNet::new(nodes);
-        net.invoke(0, RegisterOp::Read);
-        net.invoke(0, RegisterOp::Write(7));
-        net.invoke(0, RegisterOp::Read);
-        net.run_to_quiescence();
-        assert_eq!(
-            net.take_responses(),
-            vec![
-                (OpId(0), RegisterResp::ReadOk(0)),
-                (OpId(1), RegisterResp::WriteOk),
-                (OpId(2), RegisterResp::ReadOk(7)),
-            ]
-        );
+    /// The regression of [`instant_write_quorum_keeps_draining`] on a plain
+    /// register, which also shows its queue and engine idle afterwards.
+    fn keeps_draining<L: Label>(cfg: impl Fn(usize) -> RegisterConfig<L>) {
+        let net = instant_write_quorum_keeps_draining(|i, quorum| {
+            RegisterNode::<L, u32>::new(cfg(i).with_quorum(quorum), 0)
+        });
         assert!(!net.node(0).is_busy());
         assert_eq!(net.node(0).queue_len(), 0);
     }
 
     #[test]
     fn instant_write_quorum_keeps_draining_the_queue_swmr() {
-        instant_write_quorum_keeps_draining(|i| SwmrConfig::new(3, ProcessId(i), ProcessId(0)));
+        keeps_draining(|i| SwmrConfig::new(3, ProcessId(i), ProcessId(0)));
     }
 
     #[test]
     fn instant_write_quorum_keeps_draining_the_queue_mwmr() {
         // Queue mechanics only: W = 1 has no write/write intersection, so
         // this is not a sound multi-writer system.
-        instant_write_quorum_keeps_draining(|i| MwmrConfig::new(3, ProcessId(i)));
+        keeps_draining(|i| MwmrConfig::new(3, ProcessId(i)));
     }
 }

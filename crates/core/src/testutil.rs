@@ -8,8 +8,11 @@
 //! need no dependencies.
 
 use crate::context::{Effects, Protocol, TimerCmd, TimerKey};
+use crate::msg::{RegisterOp, RegisterResp};
+use crate::quorum::{QuorumSystem, Threshold};
 use crate::types::{OpId, ProcessId};
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 type DropFilter<M> = Box<dyn FnMut(ProcessId, ProcessId, &M) -> bool>;
 
@@ -172,4 +175,35 @@ impl<P: Protocol> MiniNet<P> {
         }
         self.responses.extend(fx.responses);
     }
+}
+
+/// `Read, Write(7), Read` invoked back to back on node 0 of an
+/// `R = 3, W = 1` cluster built by `node(i, quorum)`: the write's quorum is
+/// instant (the writer alone), and completing it must still hand the node
+/// to the queued read. The hand-written single-writer node answered that
+/// write without popping the queue, stranding the read forever; every
+/// instantiation of the register shell runs this.
+pub(crate) fn instant_write_quorum_keeps_draining<P>(
+    node: impl Fn(usize, Arc<dyn QuorumSystem>) -> P,
+) -> MiniNet<P>
+where
+    P: Protocol<Op = RegisterOp<u32>, Resp = RegisterResp<u32>>,
+{
+    let nodes = (0..3)
+        .map(|i| node(i, Arc::new(Threshold::new(3, 3, 1))))
+        .collect();
+    let mut net = MiniNet::new(nodes);
+    net.invoke(0, RegisterOp::Read);
+    net.invoke(0, RegisterOp::Write(7));
+    net.invoke(0, RegisterOp::Read);
+    net.run_to_quiescence();
+    assert_eq!(
+        net.take_responses(),
+        vec![
+            (OpId(0), RegisterResp::ReadOk(0)),
+            (OpId(1), RegisterResp::WriteOk),
+            (OpId(2), RegisterResp::ReadOk(7)),
+        ]
+    );
+    net
 }

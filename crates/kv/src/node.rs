@@ -79,7 +79,7 @@ use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, Time
 use abd_core::engine::{Engine, Msg, Op, Outcome, Store};
 use abd_core::fasthash::FastBuild;
 use abd_core::merkle::{key_hash, MerkleTree};
-use abd_core::phase::PhaseTracker;
+use abd_core::phase::{PhaseTracker, TagCensus};
 use abd_core::quorum::{Majority, QuorumSystem};
 use abd_core::retransmit::BackoffPolicy;
 use abd_core::types::{Consistency, Nanos, OpId, ProcessId, ReadMode, Tag};
@@ -353,10 +353,10 @@ impl<K: Clone + Eq + Hash, V> KvStore<K, V> {
     /// The single Merkle-maintenance point: the entry for `key` just moved
     /// from tag `old` (`None` = fresh insert) to `new`. Updates the bucket
     /// index and folds the delta into the digest tree. Every
-    /// [`MerkleTree::apply_delta`] call in this crate lives here — the
-    /// `merkle-digest-helper` lint rule flags any other call site, because
-    /// a store mutation that skips this helper silently desynchronizes the
-    /// digests every sync walk prunes by.
+    /// [`MerkleTree::apply_delta`] call in this crate lives here, reached
+    /// from the store's one mutation ([`Store::adopt`]): a store mutation
+    /// that skipped this helper would silently desynchronize the digests
+    /// every sync walk prunes by.
     fn digest_update(&mut self, key: &K, old: Option<Tag>, new: Tag) {
         let kh = key_hash(key);
         if old.is_none() {
@@ -370,6 +370,9 @@ impl<K: Clone + Eq + Hash, V> KvStore<K, V> {
 impl<K: Clone + Eq + Hash, V: Clone> Store<K, Tag, Option<V>, V> for KvStore<K, V> {
     type Msg = KvMsg<K, V>;
     type Resp = KvResp<V>;
+    type Fold = TagCensus<Tag, Option<V>>;
+    /// Any node may put: a write asks a read quorum for the largest tag.
+    const WRITE_QUERIES: bool = true;
 
     fn snapshot(&self, key: &K) -> (Tag, Option<V>) {
         match self.map.get(key) {
@@ -388,6 +391,19 @@ impl<K: Clone + Eq + Hash, V: Clone> Store<K, Tag, Option<V>, V> for KvStore<K, 
             _ => return,
         };
         self.digest_update(key, old, tag);
+    }
+
+    fn fold(&self, key: &K) -> Self::Fold {
+        let (tag, value) = self.snapshot(key);
+        TagCensus::new(tag, value)
+    }
+
+    fn choose(&mut self, fold: Self::Fold) -> (Tag, Option<V>) {
+        fold.into_best()
+    }
+
+    fn issue(&mut self, _: &K, seen: Tag, me: ProcessId) -> Tag {
+        seen.next(me)
     }
 }
 

@@ -37,7 +37,3 @@ pub fn thresholds(n: usize) -> usize {
 pub fn store() -> BTreeMap<u64, u64> {
     BTreeMap::new()
 }
-
-pub fn may_elide_write_back(&self) -> bool {
-    fast_read_allowed(self.quorum.as_ref(), &self.responders, self.census.unanimous())
-}

@@ -4,11 +4,11 @@
 //!
 //! * **Linear scans** ([`calls_in`], [`ack_events`]) — ordered call sites,
 //!   ack-payload sends and persistent-field writes inside one token range.
-//!   Used by `persist-before-ack` (rule 7) and the call-site port of
-//!   `fast-path-helper` (rule 6).
+//!   Used by `persist-before-ack` (rule 6) and the call-site rules
+//!   (`panic-in-handler`, `raw-quorum-arith`).
 //! * **Guarded assignments** ([`assignments_with_guards`]) — every field
 //!   write paired with the text of the conditions enclosing it. Used by
-//!   `tag-monotonicity` (rule 8).
+//!   `tag-monotonicity` (rule 7).
 //! * **The phase walk** ([`PhaseWalk`]) — a path-sensitive traversal that
 //!   turns `Pending::X` patterns/constructions, `recovering` reads and
 //!   writes, and `fx.respond` calls into a handler→phase transition graph,
@@ -16,7 +16,7 @@
 //!   inline. Calls under a condition that mentions the operation `queue`
 //!   are **not** expanded: draining the queue starts the *next* operation,
 //!   so its phase entries are not transitions of the current one. Used by
-//!   `phase-graph` (rule 9).
+//!   `phase-graph` (rule 8).
 
 use crate::ast::{Arm, ArmBody, Ast, Block, FnDef, Span, Stmt};
 use crate::lex::{text, TokKind, Token};
@@ -230,7 +230,7 @@ pub enum AckEvent {
     Persist(usize),
 }
 
-/// Extracts rule 7's event stream from a token range, in token order.
+/// Extracts rule 6's event stream from a token range, in token order.
 pub fn ack_events(tk: &Toks, lo: usize, hi: usize) -> Vec<AckEvent> {
     let mut out = Vec::new();
     let hi = hi.min(tk.toks.len());
@@ -389,7 +389,7 @@ fn assigns_in_span(tk: &Toks, sp: Span, guards: &[String], out: &mut Vec<Guarded
 }
 
 // ---------------------------------------------------------------------------
-// Phase-graph extraction (rule 9)
+// Phase-graph extraction (rule 8)
 // ---------------------------------------------------------------------------
 
 /// Sources the walk currently attributes control to.

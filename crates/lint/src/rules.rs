@@ -1,4 +1,4 @@
-//! The eleven protocol-invariant rules.
+//! The nine protocol-invariant rules.
 //!
 //! | id | invariant |
 //! |----|-----------|
@@ -7,14 +7,12 @@
 //! | `panic-in-handler`   | no `.unwrap()`/`.expect(…)`/`panic!`/`unreachable!`/`unimplemented!`/`todo!` inside message-path handlers — a malformed or stale message must never take a replica down |
 //! | `wildcard-msg-match` | the top-level `match` on `msg` in every `on_message` enumerates variants without `_ =>`, so adding a message kind is a compile-time event |
 //! | `raw-quorum-arith`   | no open-coded `/ 2` or `div_ceil(2)` majorities outside `crates/core/src/quorum.rs` — quorum sizes come from the checked constructors |
-//! | `fast-path-helper`   | write-back elision decisions go through `abd_core::quorum::fast_read_allowed` — unanimity alone is not sufficient (the responders must also form a write quorum), so ad-hoc `unanimous()` calls are banned outside the helper call |
 //! | `persist-before-ack` | inside a handler, an ack/reply send must not precede the persistent-state write it acknowledges — a crash after the ack would forget acknowledged state (PAPER.md §3: a replica answers only for state it will still hold) |
 //! | `tag-monotonicity`   | stored tag/label fields are only assigned under a comparison (or via `max`/`cmp`) against the incoming value — labels must never move backwards |
 //! | `phase-graph`        | each protocol file declares its handler→phase transition graph (`abd-lint: phase-spec(...)`); the graph extracted from the handler bodies must match it exactly |
 //! | `exhaustive-msg-handling` | the top-level `match msg` in `on_message` covers every variant of the message enum it matches on |
-//! | `merkle-digest-helper` | every Merkle-tree mutation (`apply_delta`) in protocol code goes through the single `digest_update` helper, which also maintains the bucket index — a raw call can desynchronize tree and store, and a desynchronized tree makes the sync walk silently skip divergent keys |
 //!
-//! Rules 1–6 and 11 are line-anchored token/AST checks; rules 7–10 are semantic
+//! Rules 1–5 are line-anchored token/AST checks; rules 6–9 are semantic
 //! checks over flow facts (see [`crate::flow`]). All operate on the
 //! cleaned source view (see [`crate::source`]), so comments and string
 //! literals never trigger them.
@@ -62,11 +60,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no open-coded `/ 2` or `div_ceil(2)` outside crates/core/src/quorum.rs",
     },
     RuleInfo {
-        id: "fast-path-helper",
-        summary: "write-back elision must go through `fast_read_allowed`; \
-                  no ad-hoc `unanimous()` calls outside that call",
-    },
-    RuleInfo {
         id: "persist-before-ack",
         summary: "inside a handler, acks/replies must follow the persistent-state \
                   write they acknowledge",
@@ -86,11 +79,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "the `match msg` in on_message covers every variant of its \
                   message enum",
     },
-    RuleInfo {
-        id: "merkle-digest-helper",
-        summary: "Merkle-tree mutations go through the `digest_update` helper; \
-                  no raw `apply_delta` calls outside it",
-    },
 ];
 
 /// Handler functions whose bodies form the protocol message path.
@@ -105,7 +93,7 @@ pub const HANDLER_FNS: &[&str] = &[
     "delayer_main",
 ];
 
-/// Stored tag/label fields whose assignments rule 8 audits.
+/// Stored tag/label fields whose assignments rule 7 audits.
 pub const TAG_FIELDS: &[&str] = &[
     "tag",
     "label",
@@ -158,8 +146,6 @@ pub fn check_file(file: &SourceFile, ws: &Workspace) -> FileOutcome {
     panic_in_handler(file, &ast, &tk, &mut out);
     wildcard_and_exhaustive(file, &ast, &tk, ws, &mut out);
     raw_quorum_arith(file, &tk, &mut out);
-    fast_path_helper(file, &tk, &mut out);
-    merkle_digest_helper(file, &ast, &tk, &mut out);
     persist_before_ack(file, &ast, &tk, &mut out);
     tag_monotonicity(file, &ast, &tk, &mut out);
     let graph = phase_graph(file, &ast, &mut out);
@@ -362,7 +348,7 @@ fn wildcard_and_exhaustive(
                 }
             }
             if has_wildcard {
-                continue; // dynamically exhaustive; rule 10 would double-report
+                continue; // dynamically exhaustive; rule 9 would double-report
             }
             // Exhaustiveness: collect `Enum::Variant` paths from the arm
             // patterns, resolve the enum (file-local first, then the
@@ -442,89 +428,6 @@ fn raw_quorum_arith(file: &SourceFile, tk: &Toks, out: &mut Vec<Finding>) {
                 format!("`div_ceil(2)`: {MSG}"),
             ));
         }
-    }
-}
-
-/// `fast-path-helper`: the write-back elision condition is easy to get
-/// subtly wrong — unanimity of the query quorum is *not* sufficient on its
-/// own (the responders must also form a write quorum, which majority
-/// systems imply but `R < W` thresholds do not). Any call to `unanimous()`
-/// in protocol code must therefore appear inside the argument list of
-/// `abd_core::quorum::fast_read_allowed(...)`, where both halves of the
-/// condition are enforced together. The definition of `unanimous` and
-/// bare (non-call) mentions are fine — only call sites decide anything.
-fn fast_path_helper(file: &SourceFile, tk: &Toks, out: &mut Vec<Finding>) {
-    if !in_crates(&file.rel, &["core", "kv"]) {
-        return;
-    }
-    let calls = calls_in(tk, 0, tk.toks.len());
-    let helper_spans: Vec<(usize, usize)> = calls
-        .iter()
-        .filter(|c| c.name == "fast_read_allowed")
-        .map(|c| (c.args_open, c.args_close))
-        .collect();
-    for c in &calls {
-        if c.name != "unanimous" || file.in_test_code(tk.off(c.tok)) {
-            continue;
-        }
-        if helper_spans
-            .iter()
-            .any(|&(open, close)| c.tok > open && c.tok < close)
-        {
-            continue;
-        }
-        out.push(finding(
-            file,
-            "fast-path-helper",
-            tk.off(c.tok),
-            "ad-hoc tag-agreement check: unanimity alone does not justify eliding the \
-             write-back (the responders must also form a write quorum); pass it to \
-             `abd_core::quorum::fast_read_allowed(quorum, responders, unanimous)` instead"
-                .to_string(),
-        ));
-    }
-}
-
-/// `merkle-digest-helper`: the Merkle tree is an incrementally-maintained
-/// digest of the store, and the two stay consistent only if every store
-/// mutation and its tree delta happen together. The `digest_update` helper
-/// is the one place that does both (it also maintains the per-bucket key
-/// index the walk serves leaves from). A raw `apply_delta` call anywhere
-/// else in protocol code can desynchronize tree and store, and a
-/// desynchronized tree makes the sync walk prune subtrees that actually
-/// diverge — silently skipping keys a recovering replica needs. The
-/// definition site (`crates/core/src/merkle.rs`, where `apply_delta` is
-/// declared, documented and unit-tested) and test code are exempt.
-fn merkle_digest_helper(file: &SourceFile, ast: &Ast, tk: &Toks, out: &mut Vec<Finding>) {
-    if !in_crates(&file.rel, &["core", "kv"]) || file.rel == "crates/core/src/merkle.rs" {
-        return;
-    }
-    let helper_bodies: Vec<(usize, usize)> = ast
-        .all_fns()
-        .into_iter()
-        .filter(|f| f.name == "digest_update")
-        .filter_map(|f| f.body.as_ref().map(|b| (b.open, b.close)))
-        .collect();
-    for c in calls_in(tk, 0, tk.toks.len()) {
-        if c.name != "apply_delta" || file.in_test_code(tk.off(c.tok)) {
-            continue;
-        }
-        if helper_bodies
-            .iter()
-            .any(|&(open, close)| c.tok > open && c.tok < close)
-        {
-            continue;
-        }
-        out.push(finding(
-            file,
-            "merkle-digest-helper",
-            tk.off(c.tok),
-            "raw Merkle mutation: `apply_delta` outside `digest_update` can \
-             desynchronize the tree from the store (and skips the bucket-index \
-             upkeep), making sync walks prune divergent subtrees; route the \
-             mutation through the node's `digest_update` helper"
-                .to_string(),
-        ));
     }
 }
 
@@ -807,86 +710,10 @@ mod tests {
         assert!(check("crates/core/src/a.rs", src).is_empty());
     }
 
-    fn rule_count(rel: &str, src: &str, rule: &str) -> usize {
-        check(rel, src).iter().filter(|f| f.rule == rule).count()
-    }
-
-    #[test]
-    fn ad_hoc_unanimity_call_flagged_helper_args_allowed() {
-        // (register.rs is a REQUIRED_SPECS file, so count only rule-6 findings.)
-        let bad = "fn f(&self) -> bool { self.census.unanimous() && true }\n";
-        assert_eq!(
-            rule_count("crates/core/src/register.rs", bad, "fast-path-helper"),
-            1
-        );
-        let good =
-            "fn f(&self) -> bool { fast_read_allowed(self.q.as_ref(), r, census.unanimous()) }\n";
-        assert_eq!(
-            rule_count("crates/core/src/register.rs", good, "fast-path-helper"),
-            0
-        );
-        // Only *calls* decide anything: the definition site and bare
-        // mentions (a parameter named `unanimous`) are fine anywhere.
-        let def = "fn unanimous(&self) -> bool { self.n == self.total }\n";
-        assert!(check("crates/core/src/phase.rs", def).is_empty());
-        let param = "fn fast_read_allowed(q: &Q, r: &R, unanimous: bool) -> bool { unanimous && q.is_write_quorum(r) }\n";
-        assert!(check("crates/core/src/quorum.rs", param).is_empty());
-        // So is test code.
-        let in_test = "#[cfg(test)]\nmod tests { fn t(c: &C) { assert!(c.unanimous()); } }\n";
-        assert_eq!(
-            rule_count("crates/core/src/register.rs", in_test, "fast-path-helper"),
-            0
-        );
-        // Out-of-scope crates are untouched.
-        assert!(check("crates/simnet/src/sim.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn unanimity_outside_the_call_parens_still_flagged() {
-        let src =
-            "fn f(&self) -> bool { let u = census.unanimous(); fast_read_allowed(q, r, u) }\n";
-        let f = check("crates/kv/src/node.rs", src);
-        assert_eq!(f.iter().filter(|f| f.rule == "fast-path-helper").count(), 1);
-    }
-
-    #[test]
-    fn raw_apply_delta_flagged_outside_digest_update() {
-        let bad = "fn adopt(&mut self, kh: u64) { self.tree.apply_delta(kh, old, new); }\n";
-        assert_eq!(
-            rule_count("crates/kv/src/node.rs", bad, "merkle-digest-helper"),
-            1
-        );
-        let good = "fn digest_update(&mut self, kh: u64) { self.tree.apply_delta(kh, old, new); }\nfn adopt(&mut self, kh: u64) { self.digest_update(kh); }\n";
-        assert_eq!(
-            rule_count("crates/kv/src/node.rs", good, "merkle-digest-helper"),
-            0
-        );
-        // The definition site, test code, and out-of-scope crates are exempt.
-        assert!(check("crates/core/src/merkle.rs", bad).is_empty());
-        let in_test =
-            "#[cfg(test)]\nmod tests { fn t(tr: &mut T) { tr.apply_delta(1, None, None); } }\n";
-        assert_eq!(
-            rule_count("crates/kv/src/node.rs", in_test, "merkle-digest-helper"),
-            0
-        );
-        assert!(check("crates/simnet/src/sim.rs", bad).is_empty());
-    }
-
     #[test]
     fn comments_and_strings_never_fire() {
         let src = "// quorums are ceil((n+1) / 2)\nfn f() { let s = \"HashMap Instant / 2\"; }\n";
         assert!(check("crates/core/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn doc_comment_unanimous_examples_do_not_fire() {
-        // The rule-6 false positive the AST port fixes: `unanimous()` in a
-        // doc-comment example is not a call site.
-        let src = "/// Call `census.unanimous()` to test agreement.\n/// ```\n/// let ok = c.unanimous();\n/// ```\nfn f() {}\n";
-        assert_eq!(
-            rule_count("crates/core/src/register.rs", src, "fast-path-helper"),
-            0
-        );
     }
 
     #[test]

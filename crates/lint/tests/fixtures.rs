@@ -99,37 +99,6 @@ fn raw_quorum_arith_positive_and_negative() {
 }
 
 #[test]
-fn fast_path_helper_flags_calls_only() {
-    let f = scan("violations");
-    let fp: Vec<&Finding> = f.iter().filter(|f| f.rule == "fast-path-helper").collect();
-    // The two real `census.unanimous()` call sites — but never the bare
-    // binding use, the compliant `fast_read_allowed(...)` call, the
-    // doc-comment examples, or the test module.
-    assert_eq!(fp.len(), 2, "{fp:?}");
-    assert!(fp.iter().all(|f| f.file == "crates/core/src/fastpath.rs"));
-    assert_eq!(
-        fp.iter().map(|f| f.line).collect::<Vec<_>>(),
-        vec![10, 17],
-        "{fp:?}"
-    );
-}
-
-#[test]
-fn merkle_digest_helper_flags_raw_apply_delta_only() {
-    let f = scan("violations");
-    let md: Vec<&Finding> = f
-        .iter()
-        .filter(|f| f.rule == "merkle-digest-helper")
-        .collect();
-    // The raw call in `adopt` — but never the blessed call inside
-    // `digest_update`, the helper call site, the doc prose, or the test
-    // module.
-    assert_eq!(md.len(), 1, "{md:?}");
-    assert_eq!(md[0].file, "crates/kv/src/merkle_raw.rs");
-    assert_eq!(md[0].line, 11, "{md:?}");
-}
-
-#[test]
 fn persist_before_ack_flags_ack_first_arm_only() {
     let f = scan("violations");
     let pa: Vec<&Finding> = f
@@ -167,11 +136,11 @@ fn phase_graph_reports_both_diff_directions_and_missing_specs() {
     // A REQUIRED_SPECS path with no declaration is flagged on line 1.
     let missing: Vec<&&Finding> = pg
         .iter()
-        .filter(|f| f.file == "crates/core/src/byzantine.rs")
+        .filter(|f| f.file == "crates/core/src/register.rs")
         .collect();
     assert_eq!(missing.len(), 1, "{missing:?}");
     assert_eq!(missing[0].line, 1);
-    assert!(missing[0].message.contains("phase-spec(byzantine)"));
+    assert!(missing[0].message.contains("phase-spec(register)"));
 }
 
 #[test]

@@ -79,7 +79,7 @@ fn msg_enum_variants_are_complete() {
         let variants: Vec<&str> = wire.variants.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             variants, expected,
-            "{name}: rule 10's coverage check keys on this exact variant list"
+            "{name}: rule 9's coverage check keys on this exact variant list"
         );
     }
 }
@@ -99,7 +99,7 @@ fn extracted_edges(rel: &str) -> Vec<String> {
 #[test]
 fn engine_and_register_phase_graph_extraction_matches_golden_edges() {
     // Each list must match the `phase-spec(..)` header in the file itself —
-    // rule 9 diffs the two, so these goldens pin the extraction side. The
+    // rule 8 diffs the two, so these goldens pin the extraction side. The
     // thirteen edges of a client operation are the engine's; the register
     // shell keeps the `NotWriter` rejection, recovery and the epilogue.
     let engine = extracted_edges("crates/core/src/engine.rs");

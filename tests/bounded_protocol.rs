@@ -5,8 +5,12 @@
 
 use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
 use abd_core::msg::{RegisterOp, RegisterResp};
-use abd_core::types::ProcessId;
-use abd_repro::lincheck::{check_linearizable_with_limit, CheckResult, History, RegAction};
+use abd_core::types::{Consistency, ProcessId};
+use abd_repro::lincheck::{
+    check_linearizable_with_limit, check_regular_swmr, check_sequential, CheckResult, History,
+    RegAction, ScCheckResult,
+};
+use abd_repro::simnet::harness::run_scripts;
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
 
 fn bounded_cluster(n: usize, modulus: u32, seed: u64) -> Sim<BoundedSwmrNode<u64>> {
@@ -40,7 +44,7 @@ fn history_of(sim: &Sim<BoundedSwmrNode<u64>>) -> History<u64> {
                     r.completed_at,
                 );
             }
-            (RegisterOp::Read, RegisterResp::ReadOk(v)) => {
+            (RegisterOp::Read | RegisterOp::ReadAt(_), RegisterResp::ReadOk(v)) => {
                 h.push(
                     r.client.index(),
                     RegAction::Read(*v),
@@ -67,7 +71,7 @@ fn bounded_histories_are_linearizable_across_seeds() {
             scripts.push(vec![RegisterOp::Read; 10]);
         }
         assert!(
-            abd_repro::simnet::harness::run_scripts(&mut sim, scripts, 500, 1, 120_000_000_000),
+            run_scripts(&mut sim, scripts, 500, 1, 120_000_000_000),
             "seed {seed}"
         );
         let violations: u64 = (0..n).map(|i| sim.node(i).window_violations()).sum();
@@ -189,4 +193,46 @@ fn zombie_beyond_window_is_detected_by_the_protocol() {
     );
     assert_eq!(node.window_violations(), 1);
     assert_eq!(node.replica_state(), before, "zombie must not be adopted");
+}
+
+/// The tiers the hand-written node served atomically now take the engine's
+/// paths — `Regular` adopts the windowed maximum locally, `Sequential`
+/// answers from the replica — while 40 writes lap the 16-label cycle twice
+/// and a half. Each judged by its own checker; no comparison may leave the
+/// window.
+fn tier_across_a_label_wrap(cons: Consistency, judge: impl Fn(&History<u64>, &str)) {
+    for seed in 0..20u64 {
+        let n = 5;
+        let mut sim = bounded_cluster(n, 16, seed);
+        let mut scripts: Vec<Vec<RegisterOp<u64>>> =
+            vec![(1..=40u64).map(RegisterOp::Write).collect()];
+        scripts.resize(n, vec![RegisterOp::ReadAt(cons); 30]);
+        assert!(run_scripts(&mut sim, scripts, 500, 1, 120_000_000_000));
+        assert_eq!(sim.node(0).labels_issued(), 40);
+        for i in 0..n {
+            assert_eq!(sim.node(i).window_violations(), 0, "{cons:?} seed {seed}");
+        }
+        let m = sim.read_path_metrics();
+        assert_eq!(m.sc_reads + m.regular_reads, 120, "{cons:?} seed {seed}");
+        assert_eq!(m.write_backs, 0, "{cons:?} seed {seed}: no read is atomic");
+        judge(&history_of(&sim), &format!("{cons:?} seed {seed}"));
+    }
+}
+
+#[test]
+fn regular_reads_stay_regular_across_a_label_wrap() {
+    tier_across_a_label_wrap(Consistency::Regular, |h, ctx| {
+        assert_eq!(check_regular_swmr(h), vec![], "{ctx}:\n{h}");
+    });
+}
+
+#[test]
+fn sequential_reads_stay_sequentially_consistent_across_a_label_wrap() {
+    tier_across_a_label_wrap(Consistency::Sequential, |h, ctx| {
+        assert_eq!(
+            check_sequential(h),
+            ScCheckResult::Sequential,
+            "{ctx}:\n{h}"
+        );
+    });
 }

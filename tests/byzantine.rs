@@ -2,17 +2,21 @@
 //! simulator's adversary, and the contrast case showing why the
 //! crash-tolerant protocol is not enough once replicas can lie.
 
+use abd_core::batch::Batched;
 use abd_core::byzantine::{ByzConfig, ByzNode, LieStrategy};
+use abd_core::context::Protocol;
 use abd_core::msg::{RegisterOp, RegisterResp};
-use abd_core::types::ProcessId;
+use abd_core::types::{Consistency, ProcessId};
 use abd_repro::lincheck::{
-    check_linearizable_with_limit, is_atomic_swmr, CheckResult, History, RegAction,
+    check_linearizable_with_limit, check_regular_swmr, check_sequential, is_atomic_swmr,
+    CheckResult, History, RegAction, ScCheckResult,
 };
+use abd_repro::simnet::harness::run_scripts;
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
 
-fn byz_cluster(b: usize, liars: &[(usize, LieStrategy)], seed: u64) -> Sim<ByzNode<u64>> {
+fn byz_nodes(b: usize, liars: &[(usize, LieStrategy)]) -> Vec<ByzNode<u64>> {
     let n = 4 * b + 1;
-    let nodes = (0..n)
+    (0..n)
         .map(|i| {
             let mut cfg = ByzConfig::new(n, ProcessId(i), ProcessId(0), b);
             if let Some((_, lie)) = liars.iter().find(|(id, _)| *id == i) {
@@ -20,17 +24,36 @@ fn byz_cluster(b: usize, liars: &[(usize, LieStrategy)], seed: u64) -> Sim<ByzNo
             }
             ByzNode::new(cfg, 0u64)
         })
-        .collect();
-    Sim::new(
-        SimConfig::new(seed).with_latency(LatencyModel::Uniform {
-            lo: 100,
-            hi: 30_000,
-        }),
-        nodes,
-    )
+        .collect()
 }
 
-fn honest_history(sim: &Sim<ByzNode<u64>>, liars: &[usize]) -> History<u64> {
+fn sim_over<P: Protocol>(nodes: Vec<P>, seed: u64) -> Sim<P>
+where
+    P::Op: Clone,
+{
+    let latency = LatencyModel::Uniform {
+        lo: 100,
+        hi: 30_000,
+    };
+    Sim::new(SimConfig::new(seed).with_latency(latency), nodes)
+}
+
+fn byz_cluster(b: usize, liars: &[(usize, LieStrategy)], seed: u64) -> Sim<ByzNode<u64>> {
+    sim_over(byz_nodes(b, liars), seed)
+}
+
+/// With at most `b` liars every fold of an honest node must find a pair
+/// with `b + 1` vouchers; the fallback to the node's own pair is an anomaly.
+fn assert_all_folds_vouched(sim: &Sim<ByzNode<u64>>, liars: &[usize], ctx: &str) {
+    for i in (0..sim.n()).filter(|i| !liars.contains(i)) {
+        assert_eq!(sim.node(i).unvouched_folds(), 0, "{ctx}: node {i}");
+    }
+}
+
+fn honest_history<P>(sim: &Sim<P>, liars: &[usize]) -> History<u64>
+where
+    P: Protocol<Op = RegisterOp<u64>, Resp = RegisterResp<u64>>,
+{
     let mut h = History::new(0);
     for r in sim.completed() {
         if liars.contains(&r.client.index()) {
@@ -45,7 +68,7 @@ fn honest_history(sim: &Sim<ByzNode<u64>>, liars: &[usize]) -> History<u64> {
                     r.completed_at,
                 );
             }
-            (RegisterOp::Read, RegisterResp::ReadOk(v)) => {
+            (RegisterOp::Read | RegisterOp::ReadAt(_), RegisterResp::ReadOk(v)) => {
                 h.push(
                     r.client.index(),
                     RegAction::Read(*v),
@@ -82,9 +105,10 @@ fn masked_reads_stay_linearizable_under_every_lie_strategy() {
                 vec![RegisterOp::Read; 6],
             ];
             assert!(
-                abd_repro::simnet::harness::run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000),
+                run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000),
                 "lie {lie:?} seed {seed}: liveness must hold (q = n - b)"
             );
+            assert_all_folds_vouched(&sim, &[1], &format!("lie {lie:?} seed {seed}"));
             let h = honest_history(&sim, &[1]);
             assert!(is_atomic_swmr(&h), "lie {lie:?} seed {seed}:\n{h}");
             assert_ne!(
@@ -112,9 +136,10 @@ fn b2_masks_two_coordinated_liars() {
             scripts.push(vec![RegisterOp::Read; 4]);
         }
         assert!(
-            abd_repro::simnet::harness::run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000),
+            run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000),
             "seed {seed}"
         );
+        assert_all_folds_vouched(&sim, &[1, 2], &format!("seed {seed}"));
         let h = honest_history(&sim, &[1, 2]);
         assert!(is_atomic_swmr(&h), "seed {seed}:\n{h}");
         assert_ne!(
@@ -180,4 +205,86 @@ fn silent_liar_cannot_stall_liveness_even_with_delays() {
     }
     let last = sim.completed().last().unwrap();
     assert!(matches!(last.resp, RegisterResp::ReadOk(20)));
+}
+
+/// Writer 0 writes eight values, the liar at node 1 issues nothing, nodes
+/// 2–4 read six times each with `read`.
+fn one_liar_scripts(read: RegisterOp<u64>) -> Vec<Vec<RegisterOp<u64>>> {
+    let reads = vec![read; 6];
+    vec![
+        (1..=8u64).map(RegisterOp::Write).collect(),
+        vec![],
+        reads.clone(),
+        reads.clone(),
+        reads,
+    ]
+}
+
+/// The tiers the hand-written node served atomically now take the engine's
+/// paths: one round and a local adoption of the *vouched* pair for
+/// `Regular`, the local replica — which only updates and vouched reads ever
+/// moved — for `Sequential`. Each judged by its own checker, under a forger.
+fn tier_under_a_forger(cons: Consistency, judge: impl Fn(&History<u64>, &str)) {
+    for seed in 0..30u64 {
+        let mut sim = byz_cluster(1, &[(1, LieStrategy::ForgeLabel)], seed);
+        let scripts = one_liar_scripts(RegisterOp::ReadAt(cons));
+        assert!(run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000));
+        assert_all_folds_vouched(&sim, &[1], &format!("{cons:?} seed {seed}"));
+        let m = sim.read_path_metrics();
+        assert_eq!(m.sc_reads + m.regular_reads, 18, "{cons:?} seed {seed}");
+        assert_eq!(m.write_backs, 0, "{cons:?} seed {seed}: no read is atomic");
+        judge(
+            &honest_history(&sim, &[1]),
+            &format!("{cons:?} seed {seed}"),
+        );
+    }
+}
+
+#[test]
+fn regular_reads_stay_regular_under_a_forger() {
+    tier_under_a_forger(Consistency::Regular, |h, ctx| {
+        assert_eq!(check_regular_swmr(h), vec![], "{ctx}:\n{h}");
+    });
+}
+
+#[test]
+fn sequential_reads_stay_sequentially_consistent_under_a_forger() {
+    tier_under_a_forger(Consistency::Sequential, |h, ctx| {
+        assert_eq!(
+            check_sequential(h),
+            ScCheckResult::Sequential,
+            "{ctx}:\n{h}"
+        );
+    });
+}
+
+#[test]
+fn every_atomic_read_is_counted_on_the_write_back_path() {
+    // What `ReadPathStats` gives the variant: the simulator can sum its
+    // counters, and `Batched` accepts it as an inner protocol.
+    let liars = [(1, LieStrategy::ReportStale)];
+    let mut plain = byz_cluster(1, &liars, 5);
+    let batched = byz_nodes(1, &liars)
+        .into_iter()
+        .map(|node| Batched::new(node, 2_000))
+        .collect();
+    let mut batched = sim_over(batched, 5);
+    let scripts = one_liar_scripts(RegisterOp::Read);
+    assert!(run_scripts(
+        &mut plain,
+        scripts.clone(),
+        500,
+        1,
+        600_000_000_000
+    ));
+    assert!(run_scripts(&mut batched, scripts, 500, 1, 600_000_000_000));
+    for m in [plain.read_path_metrics(), batched.read_path_metrics()] {
+        assert_eq!(
+            m.write_backs, 18,
+            "one write-back per completed atomic read"
+        );
+        assert_eq!((m.fast_reads, m.relay_reads), (0, 0));
+        assert_eq!((m.sc_reads, m.regular_reads), (0, 0));
+    }
+    assert!(is_atomic_swmr(&honest_history(&batched, &[1])));
 }

@@ -499,7 +499,8 @@ fn kv_identity_table_is_pinned() {
 // `ByzNode` and `BoundedSwmrNode` were two more hand-written copies of the
 // single-writer machine (`byzantine.rs` / `bounded/swmr.rs` at commit
 // c95f798). The constants below were computed on those copies **before**
-// they became instantiations of the register shell over the engine. Plain
+// they became instantiations of the register shell over the engine (the
+// commit before the merge carries this table, passing on them). Plain
 // `Read` / `Write` scripts only: the hand-written nodes served every tier
 // atomically, so a tiered read means something else after the merge.
 
@@ -668,6 +669,10 @@ fn check_byz(row: &str, n: usize, b: usize, liars: &[(usize, LieStrategy)], want
     assert!(
         (0..n).all(|i| !sim.node(i).is_recovering()),
         "{row}: a catch-up never completed"
+    );
+    assert!(
+        (0..n).all(|i| ids.contains(&i) || sim.node(i).unvouched_folds() == 0),
+        "{row}: an honest node's fold fell back to its own pair"
     );
     // Masking quorums mask; the same forger poisons the plain majority.
     assert_eq!(

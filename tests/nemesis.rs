@@ -282,6 +282,13 @@ fn soak_bounded_and_byzantine_randomized_campaigns() {
             );
             let h = history_from_sim(0, &sim);
             assert!(is_atomic_swmr(&h), "byzantine seed {sim_seed}");
+            for i in 0..N {
+                assert_eq!(
+                    sim.node(i).unvouched_folds(),
+                    0,
+                    "byzantine seed {sim_seed}: node {i} fell back to its own pair"
+                );
+            }
             sim.trace_digest()
         };
         assert_eq!(run_byz(seed), run_byz(seed));

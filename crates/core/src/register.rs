@@ -281,7 +281,9 @@ struct Recovery<C> {
 /// [`Replica`] and its fold `C` the maximum label; the Byzantine-tolerant
 /// ([`crate::byzantine`]) and bounded-label ([`crate::bounded`]) variants
 /// are the same node over a store with another fold and another label
-/// order.
+/// order. `C` is always `S::Fold`; it is a parameter of its own so that the
+/// struct needs no `S: Store` bound, which every type embedding a node
+/// would have to repeat.
 #[derive(Clone, Debug)]
 pub struct RegisterNode<L, V, S = Replica<L, V>, C = TagCensus<L, V>> {
     cfg: RegisterConfig<L>,

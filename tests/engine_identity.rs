@@ -215,6 +215,20 @@ fn kv_op(c: usize, i: u64) -> KvOp<u32, u64> {
 /// read-path counters (fast, write-backs, relay, sequential, regular).
 type KvPins = (u64, u64, u64, [u64; 5]);
 
+/// FNV fold of every completed operation's id, completion time and
+/// response (`word` turns a response into the word folded for it).
+fn response_digest<P: Protocol>(sim: &Sim<P>, word: impl Fn(&P::Resp) -> u64) -> u64
+where
+    P::Op: Clone,
+{
+    sim.completed()
+        .iter()
+        .flat_map(|r| [r.op.0, r.completed_at, word(&r.resp)])
+        .fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 /// Runs the open-loop campaign — crash waves covering every node,
 /// partitions, loss bursts over 5 % background loss and 5 % duplication —
 /// to a fixed virtual instant, by which every surviving operation must be
@@ -244,19 +258,11 @@ where
         !sim.has_waiting_ops(),
         "every surviving operation must complete after healing"
     );
-    let responses = sim
-        .completed()
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
-            let resp = match r.resp {
-                KvResp::PutOk => u64::MAX,
-                KvResp::GetOk(None) => 0,
-                KvResp::GetOk(Some(v)) => v,
-            };
-            [r.op.0, r.completed_at, resp]
-                .iter()
-                .fold(h, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
-        });
+    let responses = response_digest(&sim, |resp| match *resp {
+        KvResp::PutOk => u64::MAX,
+        KvResp::GetOk(None) => 0,
+        KvResp::GetOk(Some(v)) => v,
+    });
     let m = sim.read_path_metrics();
     let reads = [
         m.fast_reads,
@@ -540,7 +546,6 @@ fn variant_scripts(n: usize, ops: u64, liars: &[usize]) -> Vec<Vec<RegisterOp<u6
 /// What the tap saw of the catch-ups: the first `Query` a node sends after
 /// a reboot is its catch-up's (nothing else is admitted until that
 /// completes), so a reply to it from a liar is a liar answering a recovery.
-#[derive(Default)]
 struct CatchUps {
     /// Per node: `Some(None)` once rebooted, `Some(Some(uid))` once its
     /// catch-up query was seen on the wire.
@@ -556,7 +561,8 @@ struct CatchUps {
 fn variant_campaign<L, P>(
     nodes: Vec<P>,
     liars: &[usize],
-    (min_alive, spare_writer): (usize, bool),
+    min_alive: usize,
+    spare_writer: bool,
     (ops, think): (u64, u64),
 ) -> (VariantPins, Metrics, u64, Sim<P>)
 where
@@ -617,19 +623,11 @@ where
         "every surviving operation must complete after healing"
     );
     sim.clear_tap();
-    let responses = sim
-        .completed()
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
-            let resp = match r.resp {
-                RegisterResp::WriteOk => u64::MAX,
-                RegisterResp::ReadOk(v) => v,
-                RegisterResp::Err(_) => u64::MAX - 1,
-            };
-            [r.op.0, r.completed_at, resp]
-                .iter()
-                .fold(h, |h, x| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3))
-        });
+    let responses = response_digest(&sim, |resp| match *resp {
+        RegisterResp::WriteOk => u64::MAX,
+        RegisterResp::ReadOk(v) => v,
+        RegisterResp::Err(_) => u64::MAX - 1,
+    });
     let m = sim.metrics().clone();
     let liar_replies = seen.borrow().liar_replies;
     (
@@ -661,7 +659,8 @@ fn check_byz(row: &str, n: usize, b: usize, liars: &[(usize, LieStrategy)], want
     let (pins, m, liar_replies, sim) = variant_campaign(
         byz_nodes(n, b, liars),
         &ids,
-        (min_alive, b == 0),
+        min_alive,
+        b == 0,
         VARIANT_LOAD,
     );
     assert!(m.restarts > 0, "{row}: no node restarted");
@@ -706,7 +705,7 @@ fn bounded_nodes(n: usize, modulus: u32) -> Vec<BoundedSwmrNode<u64>> {
 /// One bounded-label row: as above, plus no comparison left the window and
 /// the writer issued exactly `labels` labels.
 fn check_bounded(row: &str, modulus: u32, load: (u64, u64), labels: u64, want: VariantPins) {
-    let (pins, m, _, sim) = variant_campaign(bounded_nodes(N, modulus), &[], (3, false), load);
+    let (pins, m, _, sim) = variant_campaign(bounded_nodes(N, modulus), &[], 3, false, load);
     assert!(m.restarts > 0, "{row}: no node restarted");
     assert!(m.retransmissions > 0, "{row}: no retransmission fired");
     for i in 0..N {

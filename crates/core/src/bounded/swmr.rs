@@ -234,7 +234,10 @@ mod tests {
     use super::*;
     use crate::context::{Effects, Protocol};
     use crate::msg::RegisterOp;
-    use crate::testutil::{instant_write_quorum_keeps_draining, MiniNet};
+    use crate::testutil::{
+        instant_write_quorum_keeps_draining, lost_catch_up_is_retransmitted_to_the_missing_only,
+        MiniNet,
+    };
 
     fn cluster(n: usize, modulus: u32) -> MiniNet<BoundedSwmrNode<u32>> {
         let nodes = (0..n)
@@ -394,5 +397,16 @@ mod tests {
         });
         assert!(!net.node(0).is_busy());
         assert_eq!(net.node(0).labels_issued(), 1);
+    }
+
+    #[test]
+    fn lost_catch_up_is_retransmitted_to_the_missing_only_here_too() {
+        let net = lost_catch_up_is_retransmitted_to_the_missing_only(|i| {
+            let cfg = BoundedSwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_retransmit(1_000);
+            BoundedSwmrNode::new(cfg, 0u32)
+        });
+        assert!(!net.node(2).is_recovering());
+        assert_eq!(net.node(2).retransmissions(), 7);
+        assert_eq!(net.node(2).window_violations(), 0);
     }
 }

@@ -369,7 +369,10 @@ pub fn masking_parameters(b: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{instant_write_quorum_keeps_draining, MiniNet};
+    use crate::testutil::{
+        instant_write_quorum_keeps_draining, lost_catch_up_is_retransmitted_to_the_missing_only,
+        MiniNet,
+    };
 
     fn cluster(b: usize, liars: &[(usize, LieStrategy)]) -> MiniNet<ByzNode<u64>> {
         let n = 4 * b + 1;
@@ -562,6 +565,18 @@ mod tests {
             let cfg = ByzConfig::new(3, ProcessId(i), ProcessId(0), 0);
             ByzNode::with_quorum(cfg, quorum, 0u32)
         });
+    }
+
+    #[test]
+    fn lost_catch_up_is_retransmitted_to_the_missing_only_when_honest() {
+        // `b = 1`: the read quorum is four of five, every peer.
+        let net = lost_catch_up_is_retransmitted_to_the_missing_only(|i| {
+            let cfg = ByzConfig::new(5, ProcessId(i), ProcessId(0), 1).with_retransmit(1_000);
+            ByzNode::new(cfg, 0u32)
+        });
+        assert!(!net.node(2).is_recovering());
+        assert_eq!(net.node(2).retransmissions(), 7);
+        assert_eq!(net.node(2).unvouched_folds(), 0);
     }
 
     /// The vouching fold on its own: the store of a `b`-tolerant node whose

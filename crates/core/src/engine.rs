@@ -27,8 +27,9 @@
 //! carries it whole beside its sync protocol (the same trait names which),
 //! and a host's responses convert from [`Outcome`]. Which invocations reach
 //! [`Engine::on_invoke`], and when, is the host's business: a register
-//! admits one operation at a time behind a FIFO queue and a recovery gate,
-//! the store admits everything at once.
+//! admits one operation at a time behind a FIFO queue — its post-restart
+//! catch-up is one, a `Regular` read it invokes on itself — the store
+//! admits everything at once.
 //!
 //! ## Two value types
 //!
@@ -382,7 +383,7 @@ pub struct Engine<K, L, R, V, C = TagCensus<L, R>> {
     /// newer round.
     relays: BTreeMap<(ProcessId, u64), RelayRound>,
     /// Retry schedules of every armed phase — the engine's rounds and the
-    /// host's own (a catch-up, a sync walk), which draw their ids from
+    /// host's own (the store's sync walk), which draw their ids from
     /// [`Engine::fresh_uid`] and share this driver's jitter and counter.
     pub rtx: Retransmitter,
     counters: ReadPathCounters,
@@ -460,6 +461,11 @@ where
     /// Number of client rounds — one per operation — in flight.
     pub fn in_flight(&self) -> usize {
         self.rounds.len()
+    }
+
+    /// Whether operation `op` has a round in flight.
+    pub fn is_pending(&self, op: OpId) -> bool {
+        self.rounds.iter().any(|r| r.op == op)
     }
 
     /// The five read-path counters (the sync counters stay `0`).

@@ -9,21 +9,22 @@
 //! tiers and retransmission — lives in [`crate::engine`], shared with the
 //! key-value store. [`RegisterNode<L, V>`] is the engine over one
 //! [`Replica`] under the unit key, generic over the [`Label`] policy that
-//! captures exactly those two differences, plus the four things only a
+//! captures exactly those two differences, plus the three things only a
 //! register has: **one operation at a time** (a processor of the paper is a
 //! sequential client, so further invocations wait in a FIFO queue), the
-//! **`NotWriter` check**, the **recovery gate** and the **write-intent
-//! epilogue**. All of that is this file's state; none of it is in the
-//! engine.
+//! **`NotWriter` check** and the **write-intent epilogue**. All of that is
+//! this file's state; none of it is in the engine. The post-restart
+//! catch-up is not a fourth: it is a `Regular` read of the engine under an
+//! operation id no host issues, behind which invocations wait as behind any.
 //!
 //! The shell is generic over its store too. A [`Replica`] orders labels by
 //! `Ord` and folds a read quorum to its maximum; the Byzantine-tolerant
 //! register ([`crate::byzantine`]) and the bounded-label register
 //! ([`crate::bounded`]) are this same node over a store that folds by
-//! vouching, or orders through a window — queue, `NotWriter`, gate and
-//! retransmission are not written again. The catch-up folds its replies
-//! with the store's [`Fold`], as a read's query round does, which is what
-//! keeps a liar (or a lapped label) out of a rebooted replica.
+//! vouching, or orders through a window — queue, `NotWriter`, epilogue and
+//! retransmission are not written again. The catch-up, being a read,
+//! folds its replies with the store's [`Fold`], which is what keeps a liar
+//! (or a lapped label) out of a rebooted replica.
 //!
 //! * **Write(v)** — (multi-writer only: broadcast `Query`, wait for a
 //!   *read quorum* of labels, keep the largest;) take the next label, adopt
@@ -58,8 +59,8 @@
 //! majority at label 4, and a later read whose quorum intersects the write
 //! quorum only at `p` returns the old value — a new/old inversion.
 //! Persisting the pair (as a real deployment would, via an fsync before the
-//! ack) restores the quorum-intersection argument; the catch-up **query
-//! phase** the node runs before serving again is then purely a freshness
+//! ack) restores the quorum-intersection argument; the catch-up **read**
+//! the node runs before serving again is then purely a freshness
 //! optimization that lets it answer with recent labels immediately. A
 //! writer needs no separate counter: the single writer adopts every label
 //! it issues before broadcasting it, so its persisted replica label *is*
@@ -73,35 +74,32 @@
 //! checker must treat as "possibly took effect". With
 //! [`write_epilogue`](RegisterConfig::write_epilogue) enabled (single-writer
 //! only), the writer also persists its *write intent* `(op, label, value)`
-//! alongside the replica pair, and on restart — after the catch-up query
+//! alongside the replica pair, and on restart — after the catch-up read
 //! completes — rolls the interrupted write forward: it re-broadcasts
 //! `Update(label, value)` with a fresh phase uid and acknowledges the
 //! client once a write quorum holds the label. Roll-forward (rather than
 //! abort) is the only sound resolution: the writer's own replica adopted
 //! `(label, value)` *before* the broadcast, so the persisted pair already
-//! carries the label — the catch-up query can only confirm it, never exceed
+//! carries the label — the catch-up read can only confirm it, never exceed
 //! it, and re-propagating it is idempotent. The flag is off by default so
 //! the baseline abort semantics (and pinned simulation traces) are
 //! unchanged.
 
 // The shell's share of the declared phase graph (the thirteen edges of a
-// client operation are `crate::engine`'s), checked by abd-lint's
-// `phase-graph` rule against the graph extracted from the handler bodies
-// below. `Invoke -> Done` is the `NotWriter` rejection. `Restart ->
-// Recovery -> Idle` encodes "a restarted node re-enters the catch-up query
-// before serving". `Idle -> WriteUpdate` and `Restart -> WriteUpdate` are
-// the aborted-write epilogue: once catch-up completes (or is unnecessary
-// because the node alone forms a read quorum), a crash-interrupted write
-// resumes as a fresh WriteUpdate round of the engine.
-// abd-lint: phase-spec(register):
-//   Invoke -> Done,
-//   Restart -> Recovery, Recovery -> Idle,
-//   Idle -> WriteUpdate, Restart -> WriteUpdate
+// client operation — the catch-up read's among them — are
+// `crate::engine`'s), checked by abd-lint's `phase-graph` rule against the
+// graph extracted from the handler bodies below. `Invoke -> Done` is the
+// `NotWriter` rejection. `Restart -> WriteUpdate` is the aborted-write
+// epilogue: once the catch-up completes — at the restart itself when the
+// node alone forms a read quorum; on a reply otherwise, a delivery, which
+// the graph attributes to no phase — a crash-interrupted write resumes as a
+// fresh WriteUpdate round of the engine.
+// abd-lint: phase-spec(register): Invoke -> Done, Restart -> WriteUpdate
 
 use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
-use crate::engine::{Engine, Msg, Op, Outcome, Pending, Store};
+use crate::engine::{Engine, Op, Outcome, Pending, Store};
 use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
-use crate::phase::{Fold, PhaseTracker, TagCensus};
+use crate::phase::{Fold, TagCensus};
 use crate::quorum::{Majority, QuorumSystem};
 use crate::replica::Replica;
 use crate::retransmit::BackoffPolicy;
@@ -265,14 +263,10 @@ impl<V> From<Outcome<V>> for RegisterResp<V> {
     }
 }
 
-/// Post-restart catch-up: a query phase run before serving clients, so the
-/// rejoining replica adopts the latest completed write it missed — folded
-/// by the store's [`Fold`], exactly as a read's query round is.
-#[derive(Clone, Debug)]
-struct Recovery<C> {
-    ph: PhaseTracker,
-    census: C,
-}
+/// The operation id of the post-restart catch-up: a `Regular` read the node
+/// invokes on itself to adopt the latest completed write it missed, and
+/// whose answer nobody receives. Hosts count their ids up from zero.
+const CATCH_UP: OpId = OpId(u64::MAX);
 
 /// One processor of the emulation: replica role, reader role and — where
 /// [`RegisterConfig::writer`] allows — writer role. Use it through
@@ -290,9 +284,8 @@ pub struct RegisterNode<L, V, S = Replica<L, V>, C = TagCensus<L, V>> {
     store: S,
     /// The operation in flight, the replica role and the relay rounds.
     engine: Engine<(), L, V, V, C>,
-    /// Invocations waiting behind the operation in flight or the catch-up.
+    /// Invocations waiting behind the operation in flight.
     queue: VecDeque<(OpId, RegisterOp<V>)>,
-    recovering: Option<Recovery<C>>,
     /// The writer's persisted in-flight write `(op, label, value)` — stable
     /// storage, like the replica pair. With
     /// [`RegisterConfig::write_epilogue`] on it mirrors the engine's
@@ -300,6 +293,9 @@ pub struct RegisterNode<L, V, S = Replica<L, V>, C = TagCensus<L, V>> {
     /// write's `WriteOk` is issued; a crash in between leaves it for the
     /// post-recovery epilogue to roll forward.
     intent: Option<(OpId, L, V)>,
+    /// Catch-ups completed. Each was a `Regular` read to the engine's
+    /// counters, which [`ReadPathStats`] reports for *client* reads only.
+    catch_ups: u64,
 }
 
 impl<L: Label, V: Clone + Debug + Send + 'static> RegisterNode<L, V> {
@@ -335,8 +331,8 @@ where
             store,
             engine,
             queue: VecDeque::new(),
-            recovering: None,
             intent: None,
+            catch_ups: 0,
         }
     }
 
@@ -351,7 +347,7 @@ where
         &self.store
     }
 
-    /// Whether an operation is currently in flight on this node.
+    /// Whether an operation — a client's or the catch-up — is in flight.
     pub fn is_busy(&self) -> bool {
         self.engine.in_flight() > 0
     }
@@ -359,7 +355,7 @@ where
     /// Whether the node is catching up after a restart (invocations queue
     /// until the catch-up read completes).
     pub fn is_recovering(&self) -> bool {
-        self.recovering.is_some()
+        self.engine.is_pending(CATCH_UP)
     }
 
     /// Messages this node has retransmitted over its lifetime.
@@ -397,18 +393,15 @@ where
     /// Runs after every step of the engine: while it is idle (the step
     /// completed the operation in flight, or answered one in place), start
     /// the next queued invocation; then bring the persisted write intent in
-    /// line with the engine's `WriteUpdate` round. A catch-up suspends both
-    /// — nothing is admitted, and the intent it will roll forward stands.
+    /// line with the engine's `WriteUpdate` round — except during a
+    /// catch-up, whose completion rolls that intent forward: it stands.
     fn settle(&mut self, fx: &mut Fx<L, V>) {
-        if self.recovering.is_some() {
-            return;
-        }
         while !self.is_busy() && !self.queue.is_empty() {
             if let Some((op, input)) = self.queue.pop_front() {
                 self.begin(op, input, fx);
             }
         }
-        if self.cfg.write_epilogue {
+        if self.cfg.write_epilogue && !self.is_recovering() {
             self.intent = self.engine.write_in_flight();
         }
     }
@@ -427,34 +420,15 @@ where
         }
     }
 
-    /// One reply to the post-restart catch-up query. On a read quorum the
-    /// catch-up completes: adopt the pair the store's fold settles on, roll
-    /// a crash-interrupted write forward (the epilogue), then serve
-    /// anything that queued while recovering.
-    fn recovery_reply(&mut self, from: ProcessId, uid: u64, label: L, value: V, fx: &mut Fx<L, V>) {
-        let Some(rec) = self.recovering.as_mut() else {
-            return;
-        };
-        if !rec.ph.record(from, uid) {
-            return;
-        }
-        rec.census.observe(label, value);
-        if !self.cfg.quorum.is_read_quorum(rec.ph.responders()) {
-            return;
-        }
-        if let Some(rec) = self.recovering.take() {
-            self.engine.rtx.disarm(uid, fx);
-            // Redundant after `take`; abd-lint reads `Recovery -> Idle` off it.
-            self.recovering = None;
-            // The writer's own persisted replica is part of the quorum, so
-            // the fold already covers every label it issued before the
-            // crash.
-            let (label, value) = self.store.choose(rec.census);
-            self.store.adopt(&(), label, value);
-            // Nothing can be in flight here: invocations queue while
-            // recovering.
+    /// Runs where the catch-up can complete — at the restart and after a
+    /// delivery. Its answer is then the engine's latest response: take it
+    /// back before it leaves the node (the read adopted what it found, the
+    /// writer's own labels included: its replica is part of the quorum),
+    /// then roll a crash-interrupted write forward.
+    fn caught_up(&mut self, fx: &mut Fx<L, V>) {
+        if fx.responses.pop_if(|(op, _)| *op == CATCH_UP).is_some() {
+            self.catch_ups += 1;
             self.resume_write(fx);
-            self.settle(fx);
         }
     }
 }
@@ -475,7 +449,8 @@ where
     }
 
     fn on_invoke(&mut self, op: OpId, input: RegisterOp<V>, fx: &mut Fx<L, V>) {
-        if self.is_busy() || self.recovering.is_some() {
+        debug_assert!(op != CATCH_UP, "{op:?} is reserved for the catch-up");
+        if self.is_busy() {
             self.queue.push_back((op, input));
         } else {
             self.begin(op, input, fx);
@@ -484,28 +459,13 @@ where
     }
 
     fn on_message(&mut self, from: ProcessId, msg: RegisterMsg<L, V>, fx: &mut Fx<L, V>) {
-        if self.recovering.is_some() {
-            // While catching up nothing is in flight: every query reply is
-            // the catch-up's, or a straggler it ignores.
-            if let Msg::QueryReply { uid, label, value } = msg {
-                self.recovery_reply(from, uid, label, value, fx);
-                return;
-            }
-        }
         self.engine.on_message(from, msg, &mut self.store, fx);
+        self.caught_up(fx);
         self.settle(fx);
     }
 
     fn on_timer(&mut self, key: TimerKey, fx: &mut Fx<L, V>) {
-        match self.recovering.as_ref() {
-            Some(rec) if rec.ph.uid() == key.0 => {
-                let uid = key.0;
-                let query = Msg::Query { uid, key: () };
-                self.engine.rtx.fire(uid, &rec.ph.missing(), query, fx);
-            }
-            Some(_) => {}
-            None => self.engine.on_timer(key, &self.store, fx),
-        }
+        self.engine.on_timer(key, &self.store, fx);
     }
 
     fn on_restart(&mut self, fx: &mut Fx<L, V>) {
@@ -516,25 +476,19 @@ where
         // for why a fully amnesiac replica would break atomicity.
         self.queue.clear();
         self.engine.on_restart();
-        let uid = self.engine.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if self.cfg.quorum.is_read_quorum(ph.responders()) {
-            // Nothing to catch up from — but a crash-interrupted write
-            // (possible when this node is a read quorum yet not a write
-            // quorum, e.g. an R=1 threshold system) still rolls forward.
-            self.resume_write(fx);
-            return;
-        }
-        let census = self.store.fold(&());
-        self.recovering = Some(Recovery { ph, census });
-        fx.send_each(self.engine.peers(), Msg::Query { uid, key: () });
-        self.engine.rtx.arm(uid, fx);
+        let read = Op::Read((), Consistency::Regular);
+        self.engine.on_invoke(CATCH_UP, read, &mut self.store, fx);
+        // Alone a read quorum (an R=1 threshold system), the node has
+        // nothing to catch up from; its interrupted write still rolls forward.
+        self.caught_up(fx);
     }
 }
 
 impl<L: Copy + PartialOrd, V: Clone, S, C: Fold<L, V>> ReadPathStats for RegisterNode<L, V, S, C> {
     fn counters(&self) -> ReadPathCounters {
-        self.engine.counters()
+        let mut counters = self.engine.counters();
+        counters.regular_reads -= self.catch_ups;
+        counters
     }
 }
 
@@ -542,8 +496,11 @@ impl<L: Copy + PartialOrd, V: Clone, S, C: Fold<L, V>> ReadPathStats for Registe
 mod tests {
     use super::*;
     use crate::mwmr::MwmrConfig;
-    use crate::swmr::SwmrConfig;
-    use crate::testutil::instant_write_quorum_keeps_draining;
+    use crate::swmr::{SwmrConfig, SwmrNode};
+    use crate::testutil::{
+        instant_write_quorum_keeps_draining, lost_catch_up_is_retransmitted_to_the_missing_only,
+        MiniNet,
+    };
 
     /// The regression of [`instant_write_quorum_keeps_draining`] on a plain
     /// register, which also shows its queue and engine idle afterwards.
@@ -565,5 +522,45 @@ mod tests {
         // Queue mechanics only: W = 1 has no write/write intersection, so
         // this is not a sound multi-writer system.
         keeps_draining(|i| MwmrConfig::new(3, ProcessId(i)));
+    }
+
+    /// [`lost_catch_up_is_retransmitted_to_the_missing_only`] on a plain
+    /// register: three firings resent seven queries, through the engine.
+    fn lost_catch_up<L: Label>(cfg: impl Fn(usize) -> RegisterConfig<L>) {
+        let net = lost_catch_up_is_retransmitted_to_the_missing_only(|i| {
+            RegisterNode::<L, u32>::new(cfg(i).with_retransmit(1_000), 0)
+        });
+        assert!(!net.node(2).is_recovering() && !net.node(2).is_busy());
+        assert_eq!(net.node(2).retransmissions(), 7);
+    }
+
+    #[test]
+    fn lost_catch_up_is_retransmitted_to_the_missing_only_swmr() {
+        lost_catch_up(|i| SwmrConfig::new(5, ProcessId(i), ProcessId(0)));
+    }
+
+    #[test]
+    fn lost_catch_up_is_retransmitted_to_the_missing_only_mwmr() {
+        lost_catch_up(|i| MwmrConfig::new(5, ProcessId(i)));
+    }
+
+    /// The read-path counters count *client* reads: the catch-up is a
+    /// `Regular` read to the engine, and to nobody else.
+    #[test]
+    fn a_catch_up_is_not_counted_as_a_read() {
+        let nodes = (0..3)
+            .map(|i| SwmrNode::new(SwmrConfig::new(3, ProcessId(i), ProcessId(0)), 0u32))
+            .collect();
+        let mut net = MiniNet::new(nodes);
+        net.invoke(0, RegisterOp::Write(7));
+        net.crash(2);
+        net.run_to_quiescence();
+        net.restart(2);
+        assert!(net.node(2).is_recovering());
+        net.run_to_quiescence();
+        assert_eq!(net.node(2).replica_state(), (1, 7), "caught up");
+        for i in 0..3 {
+            assert_eq!(net.node(i).counters(), ReadPathCounters::default());
+        }
     }
 }

@@ -10,7 +10,7 @@
 use crate::context::{Effects, Protocol, TimerCmd, TimerKey};
 use crate::msg::{RegisterOp, RegisterResp};
 use crate::quorum::{QuorumSystem, Threshold};
-use crate::types::{OpId, ProcessId};
+use crate::types::{Consistency, OpId, ProcessId};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -204,6 +204,55 @@ where
             (OpId(1), RegisterResp::WriteOk),
             (OpId(2), RegisterResp::ReadOk(7)),
         ]
+    );
+    net
+}
+
+/// Node 2 of five built by `node(i)` — with retransmission on — sleeps
+/// through `Write(7)` and reboots into a network that loses its catch-up's
+/// whole first broadcast. The catch-up is a read of the engine's, so the
+/// engine's timer path resends its query to whoever has not answered — and
+/// only to them — until a read quorum has; the node then holds the write
+/// it missed and serves again, and the read it ran on itself answered
+/// nobody. Every instantiation of the register shell runs this.
+pub(crate) fn lost_catch_up_is_retransmitted_to_the_missing_only<P>(
+    node: impl Fn(usize) -> P,
+) -> MiniNet<P>
+where
+    P: Protocol<Op = RegisterOp<u32>, Resp = RegisterResp<u32>>,
+{
+    let mut net = MiniNet::new((0..5).map(node).collect());
+    net.crash(2);
+    net.invoke(0, RegisterOp::Write(7));
+    net.run_to_quiescence();
+    assert_eq!(net.take_responses(), vec![(OpId(0), RegisterResp::WriteOk)]);
+    // What `act` makes node 2 send, before the network gets to it.
+    fn sends<P: Protocol>(net: &mut MiniNet<P>, act: impl FnOnce(&mut MiniNet<P>)) -> u64 {
+        let before = net.messages_sent();
+        act(net);
+        let sent = net.messages_sent() - before;
+        net.run_to_quiescence();
+        sent
+    }
+    net.set_drop_filter(|_, _, _| true);
+    let lost = sends(&mut net, |net| net.restart(2));
+    assert_eq!(lost, 4, "one query per peer, none delivered");
+    // Resent to all four; only node 0 hears it and is heard.
+    net.set_drop_filter(|from, to, _| from != ProcessId(0) && to != ProcessId(0));
+    assert_eq!(sends(&mut net, |net| net.fire_timers(2)), 4);
+    net.clear_drop_filter();
+    let resent = sends(&mut net, |net| net.fire_timers(2));
+    assert_eq!(resent, 3, "node 0 has answered");
+    let idle = sends(&mut net, |net| net.fire_timers(2));
+    assert_eq!(idle, 0, "caught up: no timer is armed");
+    assert!(
+        net.take_responses().is_empty(),
+        "the catch-up answers nobody"
+    );
+    net.invoke(2, RegisterOp::ReadAt(Consistency::Sequential));
+    assert_eq!(
+        net.take_responses(),
+        vec![(OpId(1), RegisterResp::ReadOk(7))]
     );
     net
 }

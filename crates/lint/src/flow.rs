@@ -10,8 +10,8 @@
 //!   write paired with the text of the conditions enclosing it. Used by
 //!   `tag-monotonicity` (rule 7).
 //! * **The phase walk** ([`PhaseWalk`]) — a path-sensitive traversal that
-//!   turns `Pending::X` patterns/constructions, `recovering` reads and
-//!   writes, and `fx.respond` calls into a handler→phase transition graph,
+//!   turns `Pending::X` patterns/constructions and `fx.respond` calls into
+//!   a handler→phase transition graph,
 //!   expanding same-file helper calls (`self.begin(..)`, `self.finish(..)`)
 //!   inline. Calls under a condition that mentions the operation `queue`
 //!   are **not** expanded: draining the queue starts the *next* operation,
@@ -624,10 +624,7 @@ impl<'a> PhaseWalk<'a> {
     }
 
     /// Applies an `if`/`while` condition. Expression events apply to both
-    /// branches, **except** `recovering` consumes: an
-    /// `if let Some(..) = self.recovering.as_mut()` scrutinee only means
-    /// "in Recovery" when the pattern matched, so the consume applies to
-    /// the taken branch alone. `let`-pattern consumes are taken-only too.
+    /// branches; `let`-pattern consumes to the taken branch alone.
     fn apply_cond(
         &mut self,
         cond: Span,
@@ -657,7 +654,7 @@ impl<'a> PhaseWalk<'a> {
                     hi: cond.hi,
                 };
                 self.apply_span(expr, Ctx::Expr, taken, stack, cut);
-                self.apply_span(expr, Ctx::CondExpr, not_taken, stack, cut);
+                self.apply_span(expr, Ctx::Expr, not_taken, stack, cut);
                 let pat = Span {
                     lo: cond.lo + 1,
                     hi: eq,
@@ -667,7 +664,7 @@ impl<'a> PhaseWalk<'a> {
             }
         }
         self.apply_span(cond, Ctx::Expr, taken, stack, cut);
-        self.apply_span(cond, Ctx::CondExpr, not_taken, stack, cut);
+        self.apply_span(cond, Ctx::Expr, not_taken, stack, cut);
     }
 
     /// Scans one flat token span for phase events and applies them to
@@ -696,30 +693,6 @@ impl<'a> PhaseWalk<'a> {
                 }
                 *sources = Sources::from([phase]);
                 i += 3;
-                continue;
-            }
-            if t == "recovering" {
-                let off = self.tk.off(i);
-                if !pattern && self.tk.t(i + 1) == "=" {
-                    if self.tk.t(i + 2) == "None" {
-                        self.emit(sources, "Idle", off);
-                        *sources = Sources::from(["Idle".to_string()]);
-                    } else {
-                        self.emit(sources, "Recovery", off);
-                        *sources = Sources::from(["Recovery".to_string()]);
-                    }
-                    i += 2;
-                    continue;
-                }
-                if ctx != Ctx::CondExpr
-                    && self.tk.t(i + 1) == "."
-                    && matches!(self.tk.t(i + 2), "take" | "as_mut" | "as_ref")
-                {
-                    *sources = Sources::from(["Recovery".to_string()]);
-                    i += 3;
-                    continue;
-                }
-                i += 1;
                 continue;
             }
             if !pattern && self.tk.is_ident(i) && i + 1 < hi && self.tk.t(i + 1) == "(" {
@@ -756,9 +729,6 @@ impl<'a> PhaseWalk<'a> {
 enum Ctx {
     /// Ordinary expression position.
     Expr,
-    /// The scrutinee of a conditional, applied to the **not-taken**
-    /// branch: `recovering` consumes are pattern-conditional and skipped.
-    CondExpr,
     /// Pattern position: `Pending::X` consumes instead of establishing.
     Pattern,
 }
@@ -839,21 +809,6 @@ impl N {
     }
 
     #[test]
-    fn restart_and_recovery() {
-        let src = r#"
-impl N {
-    fn on_restart(&mut self) { self.recovering = Some(Recovery { ph }); }
-    fn on_message(&mut self) {
-        if let Some(rec) = self.recovering.take() {
-            self.recovering = None;
-            self.replica.adopt(1, 2);
-        }
-    }
-}"#;
-        assert_eq!(walk(src), vec!["Recovery->Idle", "Restart->Recovery"]);
-    }
-
-    #[test]
     fn early_return_branch_does_not_leak_sources() {
         // The instant-quorum branch responds and returns; the establish on
         // the fall-through path must still source from Invoke.
@@ -868,24 +823,6 @@ impl N {
     }
 }"#;
         assert_eq!(walk(src), vec!["Invoke->Done", "Invoke->Write"]);
-    }
-
-    #[test]
-    fn recovery_consume_in_if_let_does_not_leak_to_fallthrough() {
-        // The not-taken branch of `if let Some(rec) = recovering.as_mut()`
-        // is NOT in Recovery: the Done edge must come from Query alone.
-        let src = r#"
-impl N {
-    fn on_message(&mut self, fx: &mut F) {
-        if let Some(rec) = self.recovering.as_mut() {
-            return;
-        }
-        if let Some(Pending::Query { op, .. }) = self.pending.take() {
-            fx.respond(op, resp);
-        }
-    }
-}"#;
-        assert_eq!(walk(src), vec!["Query->Done"]);
     }
 
     #[test]

@@ -101,7 +101,8 @@ fn engine_and_register_phase_graph_extraction_matches_golden_edges() {
     // Each list must match the `phase-spec(..)` header in the file itself —
     // rule 8 diffs the two, so these goldens pin the extraction side. The
     // thirteen edges of a client operation are the engine's; the register
-    // shell keeps the `NotWriter` rejection, recovery and the epilogue.
+    // shell keeps the `NotWriter` rejection and the epilogue (its catch-up
+    // is a read of the engine's).
     let engine = extracted_edges("crates/core/src/engine.rs");
     assert_eq!(
         engine,
@@ -122,18 +123,5 @@ fn engine_and_register_phase_graph_extraction_matches_golden_edges() {
         ]
     );
     let register = extracted_edges("crates/core/src/register.rs");
-    assert_eq!(
-        register,
-        vec![
-            "Idle -> WriteUpdate",
-            "Invoke -> Done",
-            "Recovery -> Idle",
-            "Restart -> Recovery",
-            "Restart -> WriteUpdate",
-        ]
-    );
-    // Together: the seventeen edges the register file declared when it held
-    // the operation path itself.
-    let union: std::collections::BTreeSet<String> = engine.into_iter().chain(register).collect();
-    assert_eq!(union.len(), 17);
+    assert_eq!(register, vec!["Invoke -> Done", "Restart -> WriteUpdate",]);
 }

@@ -33,14 +33,19 @@ done
 echo "==> one operation path (the quorum-operation engine is the only copy)"
 # Every protocol in the workspace — the registers, the store, the Byzantine
 # and bounded-label variants, reconfiguration — runs the engine's rounds;
-# none may grow a `Pending` of its own back, and the register shell's
-# catch-up is the one `Recovery`.
+# none may grow a `Pending` of its own back, nor a catch-up round beside the
+# engine's (the register's is a read it invokes on itself).
 pending=$(grep -rl 'enum Pending' crates --include='*.rs' | grep -v '/fixtures/' | tr '\n' ' ' || true)
 [ "$pending" = "crates/core/src/engine.rs " ] \
   || { echo "enum Pending is declared in: $pending— crates/core/src/engine.rs holds the one copy"; exit 1; }
-recovery=$(grep -rl 'struct Recovery' crates/core --include='*.rs' | tr '\n' ' ' || true)
-[ "$recovery" = "crates/core/src/register.rs " ] \
-  || { echo "struct Recovery is declared in: $recovery— the register shell's catch-up is the one copy"; exit 1; }
+recovery=$(grep -rl 'struct Recovery' crates --include='*.rs' | grep -v '/fixtures/' | tr '\n' ' ' || true)
+[ -z "$recovery" ] \
+  || { echo "struct Recovery is declared in: $recovery— a catch-up is a read of the engine's, not a round of its own"; exit 1; }
+# The register shell owns no round: no tracker, no retry schedule of its own
+# (`retransmissions()` still reads the engine's counter).
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/register.rs | grep -nE 'PhaseTracker|rtx\.(arm|fire|disarm)'; then
+  echo "crates/core/src/register.rs runs a round of its own again; rounds are crates/core/src/engine.rs's"; exit 1
+fi
 defs=$(grep -rl 'fn relay_observe' crates --include='*.rs' | wc -l)
 [ "$defs" -eq 1 ] \
   || { echo "fn relay_observe is defined in $defs files under crates/; the engine's is the one copy"; exit 1; }
@@ -55,6 +60,13 @@ for f in crates/core/src/register.rs crates/kv/src/node.rs; do
   if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'fast_read_allowed\(|Msg::RelayFwd \{'; then
     echo "$f holds a piece of the operation path again; it belongs in crates/core/src/engine.rs"; exit 1
   fi
+done
+
+echo "==> vendor/ holds no stub without a caller"
+for dep in $(cd vendor && ls -d */ | tr -d /); do
+  grep -q "^$dep = { path = \"vendor/$dep\"" Cargo.toml \
+    && grep -qE "^$dep(\.workspace = true| = \{ workspace = true)" Cargo.toml crates/*/Cargo.toml \
+    || { echo "vendor/$dep is not a [workspace.dependencies] entry that some member uses; delete the stub with its last caller"; exit 1; }
 done
 
 echo "==> cargo test --workspace"
@@ -102,7 +114,7 @@ grep -q 'Invoke -> RelayRead -> Done' target/relay-explain.txt \
   || { echo "abd_repro explain lost the relay read-path line"; exit 1; }
 
 echo "==> throughput bench smoke (fast-path + batching + consistency-tier gates, regenerates BENCH_throughput.json)"
-cargo run -q --release -p abd-bench --bin fig_throughput -- --smoke
+cargo run -q --release -p abd-bench --bin fig_throughput
 git diff --exit-code -- BENCH_throughput.json \
   || { echo "BENCH_throughput.json drifted from the checked-in artifact"; exit 1; }
 

@@ -50,7 +50,8 @@ fn load(path: &Path) -> Result<Repro, String> {
 fn describe(r: &Repro) {
     println!("artifact:  {}", r.name);
     println!("protocol:  {:?}", r.protocol);
-    let g = r.protocol.phase_graph();
+    // Every spec runs the one quorum-operation engine, bare or wrapped.
+    let g = "engine";
     println!("phases:    {g} (lint phase graph; `abd-lint --dot-dir target/lint` renders {g}.dot)");
     if r.protocol.read_mode() == ReadMode::Relay {
         println!(

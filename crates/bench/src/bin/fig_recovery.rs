@@ -73,7 +73,7 @@ const PREVIOUS: [(u32, u64, u64, f64); 3] = [
 const PREVIOUS_FIRST_GET_US: [f64; 4] = [28.914, 150.023, 185.025, 174.743];
 
 /// Sync-meter deltas for one crash/restart recovery.
-struct Recovery {
+struct Measured {
     msgs: u64,
     bytes: u64,
     entries: u64,
@@ -145,7 +145,7 @@ fn first_get_us(threshold: usize, stale: u32) -> f64 {
 
 /// Reboot the stale node of [`cluster`] and read the sync meters once the
 /// cluster quiesces.
-fn recover(threshold: usize, stale: u32) -> Recovery {
+fn recover(threshold: usize, stale: u32) -> Measured {
     let mut sim = cluster(threshold, stale);
     sim.run_until(RESTART_AT);
     assert!(sim.node(N - 1).is_recovering(), "rebooted node catches up");
@@ -168,7 +168,7 @@ fn recover(threshold: usize, stale: u32) -> Recovery {
         );
     }
     let m = sim.read_path_metrics();
-    Recovery {
+    Measured {
         msgs: m.recovery_msgs,
         bytes: m.recovery_bytes,
         entries: m.sync_entries_sent,
@@ -183,7 +183,7 @@ fn main() {
 
     let bulk = recover(usize::MAX, 1);
     let stalenesses = PREVIOUS.map(|(stale, ..)| stale);
-    let walks: Vec<Recovery> = stalenesses.iter().map(|&k| recover(0, k)).collect();
+    let walks: Vec<Measured> = stalenesses.iter().map(|&k| recover(0, k)).collect();
     // Every row as `(mode, stale keys, measurements)`: bulk, then the walks.
     let rows = || {
         let merkle = stalenesses
@@ -206,7 +206,7 @@ fn main() {
             "first get us",
         ],
     );
-    let cells = |mode: &str, stale: u32, r: &Recovery| {
+    let cells = |mode: &str, stale: u32, r: &Measured| {
         vec![
             mode.to_string(),
             stale.to_string(),
@@ -319,7 +319,7 @@ fn main() {
         "  \"n\": {N}, \"keys\": {KEYS}, \"buckets\": {BUCKETS}, \"sim_seed\": {SIM_SEED},\n"
     ));
     json.push_str("  \"rows\": [\n");
-    let row = |mode: &str, stale: u32, r: &Recovery| {
+    let row = |mode: &str, stale: u32, r: &Measured| {
         format!(
             "    {{\"mode\": \"{mode}\", \"stale\": {stale}, \"sync_msgs\": {}, \
              \"sync_bytes\": {}, \"entries\": {}, \"rounds\": {}, \"caught_up_us\": {:.3}, \

@@ -45,7 +45,13 @@ const TRIALS: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
 /// The zoo: stable artifact name + protocol wiring per mutant.
 fn mutants() -> Vec<(&'static str, ProtocolSpec)> {
     vec![
-        ("dropped-write-back", ProtocolSpec::PlantedSwmr { every: 1 }),
+        (
+            "dropped-write-back",
+            ProtocolSpec::MutantSwmr {
+                mutant: MutantKind::DropWriteBack,
+                every: 1,
+            },
+        ),
         (
             "stale-tag-ack",
             ProtocolSpec::MutantSwmr {

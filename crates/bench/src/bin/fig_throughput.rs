@@ -39,8 +39,6 @@
 //!
 //! Everything written to `BENCH_throughput.json` comes from the virtual
 //! clock and message counters, so the file is byte-reproducible.
-//! `--smoke` skips only the wall-clock thread-runtime section (stdout
-//! only), leaving the JSON unchanged.
 
 use abd_bench::clusters::{mwmr_sim, swmr_sim, Variant};
 use abd_bench::Table;
@@ -49,7 +47,6 @@ use abd_core::context::{Protocol, ReadPathStats};
 use abd_core::msg::RegisterOp;
 use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
-use abd_runtime::cluster::{Cluster, Jitter};
 use abd_simnet::{LatencyModel, Metrics, Sim, SimConfig};
 
 const N: usize = 5;
@@ -271,59 +268,7 @@ fn contended_read_rounds(variant: Variant) -> f64 {
     total as f64 / offsets.len() as f64 / (2.0 * DELAY as f64)
 }
 
-/// Wall-clock sanity run on the thread runtime (stdout only — never part
-/// of the JSON, so `--smoke` can skip it without changing the artifact).
-fn wall_clock_section() {
-    use std::time::Instant;
-    let ops_per_client = 200usize;
-    for (name, fast) in [("baseline", false), ("fast", true)] {
-        let cluster: Cluster<KvNode<u64, u64>> = Cluster::spawn(
-            (0..3)
-                .map(|i| {
-                    let mode = if fast {
-                        ReadMode::FastUnanimous
-                    } else {
-                        ReadMode::TwoRound
-                    };
-                    KvNode::new(KvConfig::new(3, ProcessId(i)).with_read_mode(mode))
-                })
-                .collect(),
-            Jitter::None,
-        );
-        let start = Instant::now();
-        let handles: Vec<_> = (0..3)
-            .map(|i| {
-                let client = cluster.client(i);
-                std::thread::spawn(move || {
-                    let mut rng = (i as u64 + 1) * 77;
-                    for _ in 0..ops_per_client {
-                        match gen_op(&mut rng) {
-                            op @ (KvOp::Get(_) | KvOp::GetAt(..)) => {
-                                assert!(matches!(client.invoke(op), KvResp::GetOk(_)));
-                            }
-                            op @ KvOp::Put(..) => {
-                                assert_eq!(client.invoke(op), KvResp::PutOk);
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let secs = start.elapsed().as_secs_f64();
-        println!(
-            "  thread runtime (n=3, 3 clients x {ops_per_client} ops), {name}: \
-             {:.0} ops/s wall-clock",
-            (3 * ops_per_client) as f64 / secs
-        );
-    }
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
     assert_uncontended_fast_reads();
     println!(
         "micro-checks passed: uncontended fast read = 1 round / 2(n-1) msgs \
@@ -544,10 +489,4 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     std::fs::write(path, &json).expect("write BENCH_throughput.json");
     println!("wrote BENCH_throughput.json");
-
-    if smoke {
-        println!("--smoke: skipping wall-clock thread-runtime section");
-    } else {
-        wall_clock_section();
-    }
 }

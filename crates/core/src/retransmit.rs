@@ -90,18 +90,6 @@ impl BackoffPolicy {
         }
     }
 
-    /// Replaces the delay cap.
-    pub fn with_cap(mut self, cap: Nanos) -> Self {
-        self.cap = cap.max(self.base);
-        self
-    }
-
-    /// Replaces the per-attempt multiplier.
-    pub fn with_factor(mut self, factor: u32) -> Self {
-        self.factor = factor.max(1);
-        self
-    }
-
     /// Enables or disables jitter.
     pub fn with_jitter(mut self, yes: bool) -> Self {
         self.jitter = yes;

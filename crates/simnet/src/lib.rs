@@ -53,7 +53,7 @@ pub use config::{LatencyModel, SimConfig};
 pub use coverage::{Cell, CoverageCollector, CoverageMap, CoverageSample};
 pub use metrics::Metrics;
 pub use nemesis::{run_campaign, NemesisConfig, NemesisSchedule, PlannedFault};
-pub use planted::{AmnesiacKv, MutantKind, MutantSwmr, PlantedSwmr};
+pub use planted::{AmnesiacKv, MutantKind, MutantSwmr};
 pub use repro::{Failure, OracleSpec, ProtocolSpec, ReplayOutcome, Repro};
 pub use search::{blind_search, guided_search, MutationOp, SearchOutcome, SearchSpec};
 pub use shrink::{shrink, ShrinkOutcome};

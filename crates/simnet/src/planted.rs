@@ -8,11 +8,12 @@
 //! exercised end to end against a failure whose root cause is known by
 //! construction.
 //!
-//! [`PlantedSwmr`] wraps a [`SwmrNode`] and, on every `N`th read invoked at
-//! this node, *drops the read's write-back phase*: the outgoing `Update`
-//! broadcast is discarded and the wrapped node is fed synthetic
-//! acknowledgements instead, so the read returns its value without
-//! propagating the label to a write quorum. That is precisely the step the
+//! [`MutantSwmr`] wraps a [`SwmrNode`] with one defect of the
+//! [`MutantKind`] zoo. The first of them, [`MutantKind::DropWriteBack`],
+//! *drops the write-back phase* of every `N`th read invoked at this node:
+//! the outgoing `Update` broadcast is discarded and the wrapped node is fed
+//! synthetic acknowledgements instead, so the read returns its value
+//! without propagating the label to a write quorum. That is precisely the step the
 //! paper adds to upgrade regularity to atomicity — removing it
 //! intermittently yields a protocol whose histories exhibit **new/old
 //! inversions** once a fault schedule leaves replicas disagreeing (a write
@@ -22,9 +23,9 @@
 //!
 //! **Why `abd-lint`'s `phase-graph` rule does not catch this statically:**
 //! the mutant never changes the phase structure of the wrapped protocol —
-//! `SwmrNode` still walks `Query -> WriteBack -> Done`, and its extracted
-//! graph still matches its `phase-spec(swmr)` declaration. The sabotage
-//! happens one layer up, in the *effects space*: [`PlantedSwmr`] filters
+//! `SwmrNode` still walks `ReadQuery -> ReadWriteBack -> Done`, and its
+//! extracted graph still matches the `phase-spec(engine)` declaration. The
+//! sabotage happens one layer up, in the *effects space*: the mutant filters
 //! the already-emitted `Update` broadcast out of the effects buffer and
 //! substitutes synthetic acks, which is data flow through runtime values
 //! the phase extractor deliberately does not model. The structural analogue
@@ -33,7 +34,6 @@
 //! `crates/lint/fixtures/violations/crates/core/src/phase_drop.rs`, where
 //! rule 9 reports the undeclared `Query -> Done` edge and the two lost
 //! write-back edges.
-
 //!
 //! [`AmnesiacKv`] is the key-value store's counterpart: a [`KvNode`] whose
 //! store does not survive a reboot. It deletes the one assumption a
@@ -50,151 +50,20 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
 
-/// A [`SwmrNode`] whose every `N`th read skips its write-back phase.
-///
-/// Only reads invoked **on this node** count toward `N`; the replica and
-/// writer roles are untouched, so a cluster where only reader nodes wrap
-/// (or where the writer never reads) has exactly one planted defect. The
-/// wrapper is deterministic: sabotage depends only on the invocation
-/// sequence, so seeded campaigns replay bit-identically.
-///
-/// Use with the two-round [`read_mode`](abd_core::swmr::SwmrConfig::read_mode):
-/// an elided (or relayed-away) write-back has no broadcast to sabotage,
-/// which would silently shift the defect to a later read.
-#[derive(Clone, Debug)]
-pub struct PlantedSwmr<V> {
-    inner: SwmrNode<V>,
-    every: u64,
-    reads_invoked: u64,
-    sabotage_armed: bool,
-    dropped: u64,
-}
-
-impl<V: Clone + std::fmt::Debug + Send + 'static> PlantedSwmr<V> {
-    /// Wraps `inner`; every `every`th read invoked here loses its
-    /// write-back (`every = 0` disables the bug entirely).
-    pub fn new(inner: SwmrNode<V>, every: u64) -> Self {
-        PlantedSwmr {
-            inner,
-            every,
-            reads_invoked: 0,
-            sabotage_armed: false,
-            dropped: 0,
-        }
-    }
-
-    /// The wrapped node, for inspection.
-    pub fn inner(&self) -> &SwmrNode<V> {
-        &self.inner
-    }
-
-    /// Write-back phases dropped so far.
-    pub fn write_backs_dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Moves one inner callback's effects out, sabotaging the first
-    /// `Update` broadcast while armed: its sends are discarded and the
-    /// inner node is fed one synthetic `UpdateAck` per suppressed
-    /// destination, completing the phase without any propagation.
-    fn absorb(
-        &mut self,
-        inner_fx: Effects<SwmrMsg<V>, RegisterResp<V>>,
-        fx: &mut Effects<SwmrMsg<V>, RegisterResp<V>>,
-    ) {
-        fx.timers.extend(inner_fx.timers);
-        for (op, r) in inner_fx.responses {
-            fx.respond(op, r);
-        }
-        let victim_uid = if self.sabotage_armed {
-            inner_fx.sends.iter().find_map(|(_, m)| match m {
-                RegisterMsg::Update { uid, .. } => Some(*uid),
-                _ => None,
-            })
-        } else {
-            None
-        };
-        let Some(uid) = victim_uid else {
-            fx.sends.extend(inner_fx.sends);
-            return;
-        };
-        self.sabotage_armed = false;
-        self.dropped += 1;
-        let mut victims = Vec::new();
-        for (to, m) in inner_fx.sends {
-            if matches!(m, RegisterMsg::Update { uid: u, .. } if u == uid) {
-                victims.push(to);
-            } else {
-                fx.send(to, m);
-            }
-        }
-        for peer in victims {
-            let mut ack_fx = Effects::new();
-            self.inner
-                .on_message(peer, RegisterMsg::UpdateAck { uid }, &mut ack_fx);
-            self.absorb(ack_fx, fx);
-        }
-    }
-}
-
-impl<V: Clone + std::fmt::Debug + Send + 'static> Protocol for PlantedSwmr<V> {
-    type Msg = SwmrMsg<V>;
-    type Op = RegisterOp<V>;
-    type Resp = RegisterResp<V>;
-
-    fn id(&self) -> ProcessId {
-        self.inner.id()
-    }
-
-    fn on_start(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        let mut inner_fx = Effects::new();
-        self.inner.on_start(&mut inner_fx);
-        self.absorb(inner_fx, fx);
-    }
-
-    fn on_invoke(&mut self, op: OpId, input: Self::Op, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        if matches!(input, RegisterOp::Read) {
-            self.reads_invoked += 1;
-            if self.every > 0 && self.reads_invoked.is_multiple_of(self.every) {
-                self.sabotage_armed = true;
-            }
-        }
-        let mut inner_fx = Effects::new();
-        self.inner.on_invoke(op, input, &mut inner_fx);
-        self.absorb(inner_fx, fx);
-    }
-
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: Self::Msg,
-        fx: &mut Effects<Self::Msg, Self::Resp>,
-    ) {
-        let mut inner_fx = Effects::new();
-        self.inner.on_message(from, msg, &mut inner_fx);
-        self.absorb(inner_fx, fx);
-    }
-
-    fn on_timer(&mut self, key: TimerKey, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        let mut inner_fx = Effects::new();
-        self.inner.on_timer(key, &mut inner_fx);
-        self.absorb(inner_fx, fx);
-    }
-
-    fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        // The armed sabotage dies with the in-flight read it targeted.
-        self.sabotage_armed = false;
-        let mut inner_fx = Effects::new();
-        self.inner.on_restart(&mut inner_fx);
-        self.absorb(inner_fx, fx);
-    }
-}
-
 /// Which deliberate defect a [`MutantSwmr`] carries. Each mutant breaks one
 /// load-bearing step of the paper's argument; see the variant docs for the
 /// invariant it attacks.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum MutantKind {
+    /// Every `N`th read invoked **on this node** loses its write-back: the
+    /// `Update` broadcast is discarded and the node is fed the
+    /// acknowledgements instead, so the read returns a label no write
+    /// quorum holds. Only `RegisterOp::Read` counts, and an armed drop dies
+    /// with the read it targeted on restart. Attacks "a reader writes back
+    /// the label it returns" — the step that makes regularity atomicity.
+    /// Use with the two-round read mode: an elided (or relayed-away)
+    /// write-back has no broadcast to drop.
+    DropWriteBack,
     /// Every `N`th received `Update` is acknowledged **without adopting**
     /// the label: the ack outlives the state it vouches for, so a later
     /// phase can count this replica in a quorum whose intersection member
@@ -242,7 +111,8 @@ pub enum MutantKind {
 
 impl MutantKind {
     /// All mutants, in declaration order.
-    pub const ALL: [MutantKind; 6] = [
+    pub const ALL: [MutantKind; 7] = [
+        MutantKind::DropWriteBack,
         MutantKind::StaleTagAck,
         MutantKind::OffByOneQuorum,
         MutantKind::RecoverySkipsQuery,
@@ -254,6 +124,7 @@ impl MutantKind {
     /// Stable name used in `.ron` artifacts and bench reports.
     pub fn name(self) -> &'static str {
         match self {
+            MutantKind::DropWriteBack => "DropWriteBack",
             MutantKind::StaleTagAck => "StaleTagAck",
             MutantKind::OffByOneQuorum => "OffByOneQuorum",
             MutantKind::RecoverySkipsQuery => "RecoverySkipsQuery",
@@ -295,11 +166,10 @@ impl Forgeable for u64 {
 
 /// A [`SwmrNode`] carrying one planted defect from the [`MutantKind`] zoo.
 ///
-/// Like [`PlantedSwmr`], the sabotage lives in the *effects space* — the
-/// wrapped node's phase structure is untouched, so `abd-lint`'s phase-graph
-/// rule cannot see it — and is a deterministic function of the delivered
-/// event sequence, so seeded campaigns replay bit-identically. **Test
-/// configurations only.**
+/// The sabotage lives in the *effects space* — the wrapped node's phase
+/// structure is untouched, so `abd-lint`'s phase-graph rule cannot see it —
+/// and is a deterministic function of the delivered event sequence, so
+/// seeded campaigns replay bit-identically. **Test configurations only.**
 #[derive(Clone, Debug)]
 pub struct MutantSwmr<V> {
     inner: SwmrNode<V>,
@@ -307,6 +177,11 @@ pub struct MutantSwmr<V> {
     every: u64,
     /// The node's initial value — what an amnesiac replica "remembers".
     initial: V,
+    /// [`MutantKind::DropWriteBack`]: reads invoked here so far.
+    reads_invoked: u64,
+    /// [`MutantKind::DropWriteBack`]: the read in flight loses its
+    /// write-back.
+    drop_armed: bool,
     /// [`MutantKind::StaleTagAck`]: updates received so far.
     updates_seen: u64,
     /// [`MutantKind::OffByOneQuorum`]: propagation phases started so far.
@@ -330,9 +205,10 @@ pub struct MutantSwmr<V> {
 
 impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
     /// Wraps `inner` with defect `kind`. `every` tunes the trigger rate for
-    /// the counted mutants ([`MutantKind::StaleTagAck`],
-    /// [`MutantKind::OffByOneQuorum`]; `0` disables them); the remaining
-    /// mutants are state-triggered and ignore it.
+    /// the counted mutants ([`MutantKind::DropWriteBack`],
+    /// [`MutantKind::StaleTagAck`], [`MutantKind::OffByOneQuorum`] and the
+    /// two read-response ones; `0` disables them); the remaining mutants are
+    /// state-triggered and ignore it.
     pub fn new(inner: SwmrNode<V>, kind: MutantKind, every: u64) -> Self {
         let initial = inner.replica_state().1;
         MutantSwmr {
@@ -340,6 +216,8 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
             kind,
             every,
             initial,
+            reads_invoked: 0,
+            drop_armed: false,
             updates_seen: 0,
             phases_seen: 0,
             seen_uids: BTreeSet::new(),
@@ -401,13 +279,52 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
             let r = self.rewrite_resp(r);
             fx.respond(op, r);
         }
-        if self.kind == MutantKind::OffByOneQuorum {
-            self.absorb_phantom(inner_fx.sends, fx);
-        } else {
-            for (to, m) in inner_fx.sends {
-                let m = self.rewrite(m);
+        match self.kind {
+            MutantKind::DropWriteBack if self.drop_armed => {
+                self.absorb_dropped(inner_fx.sends, fx);
+            }
+            MutantKind::OffByOneQuorum => self.absorb_phantom(inner_fx.sends, fx),
+            _ => {
+                for (to, m) in inner_fx.sends {
+                    let m = self.rewrite(m);
+                    fx.send(to, m);
+                }
+            }
+        }
+    }
+
+    /// [`MutantKind::DropWriteBack`], armed: the first `Update` broadcast in
+    /// `sends` is the doomed read's write-back. Its sends are discarded and
+    /// the inner node is fed one `UpdateAck` per suppressed destination,
+    /// completing the phase without any propagation.
+    fn absorb_dropped(
+        &mut self,
+        sends: Vec<(ProcessId, SwmrMsg<V>)>,
+        fx: &mut Effects<SwmrMsg<V>, RegisterResp<V>>,
+    ) {
+        let victim = sends.iter().find_map(|(_, m)| match m {
+            RegisterMsg::Update { uid, .. } => Some(*uid),
+            _ => None,
+        });
+        let Some(uid) = victim else {
+            fx.sends.extend(sends);
+            return;
+        };
+        self.drop_armed = false;
+        self.sabotaged += 1;
+        let mut victims = Vec::new();
+        for (to, m) in sends {
+            if matches!(m, RegisterMsg::Update { uid: u, .. } if u == uid) {
+                victims.push(to);
+            } else {
                 fx.send(to, m);
             }
+        }
+        for peer in victims {
+            let mut ack_fx = Effects::new();
+            self.inner
+                .on_message(peer, RegisterMsg::UpdateAck { uid }, &mut ack_fx);
+            self.absorb(ack_fx, fx);
         }
     }
 
@@ -506,6 +423,12 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for Mutan
     }
 
     fn on_invoke(&mut self, op: OpId, input: Self::Op, fx: &mut Effects<Self::Msg, Self::Resp>) {
+        if self.kind == MutantKind::DropWriteBack && matches!(input, RegisterOp::Read) {
+            self.reads_invoked += 1;
+            if self.every > 0 && self.reads_invoked.is_multiple_of(self.every) {
+                self.drop_armed = true;
+            }
+        }
         let mut inner_fx = Effects::new();
         self.inner.on_invoke(op, input, &mut inner_fx);
         self.absorb(inner_fx, fx);
@@ -548,7 +471,10 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for Mutan
                     self.amnesia = false;
                 }
             }
-            MutantKind::OffByOneQuorum | MutantKind::ScStashRead | MutantKind::PhantomRead => {}
+            MutantKind::DropWriteBack
+            | MutantKind::OffByOneQuorum
+            | MutantKind::ScStashRead
+            | MutantKind::PhantomRead => {}
         }
         let mut inner_fx = Effects::new();
         self.inner.on_message(from, msg, &mut inner_fx);
@@ -562,6 +488,8 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for Mutan
     }
 
     fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
+        // An armed drop dies with the in-flight read it targeted.
+        self.drop_armed = false;
         let mut inner_fx = Effects::new();
         self.inner.on_restart(&mut inner_fx);
         if self.kind != MutantKind::RecoverySkipsQuery {
@@ -675,11 +603,8 @@ mod tests {
     use abd_core::engine::Msg;
     use abd_core::swmr::SwmrConfig;
 
-    fn node(i: usize, every: u64) -> PlantedSwmr<u64> {
-        PlantedSwmr::new(
-            SwmrNode::new(SwmrConfig::new(3, ProcessId(i), ProcessId(0)), 0),
-            every,
-        )
+    fn node(i: usize, every: u64) -> MutantSwmr<u64> {
+        mutant(i, MutantKind::DropWriteBack, every)
     }
 
     /// The phase id of a request these tests answer by hand.
@@ -692,7 +617,7 @@ mod tests {
 
     /// Drives one read on a wrapped reader by hand, replying to its query
     /// phase, and returns the sends its completion produced.
-    fn drive_read(n: &mut PlantedSwmr<u64>, op: u64) -> Vec<(ProcessId, SwmrMsg<u64>)> {
+    fn drive_read(n: &mut MutantSwmr<u64>, op: u64) -> Vec<(ProcessId, SwmrMsg<u64>)> {
         let mut fx = Effects::new();
         n.on_invoke(OpId(op), RegisterOp::Read, &mut fx);
         let uid = fx
@@ -755,7 +680,7 @@ mod tests {
             fx.sends
         );
         assert_eq!(fx.responses, vec![(OpId(1), RegisterResp::ReadOk(9))]);
-        assert_eq!(n.write_backs_dropped(), 1);
+        assert_eq!(n.sabotage_count(), 1);
     }
 
     #[test]
@@ -773,7 +698,7 @@ mod tests {
             let mut fx = Effects::new();
             n.on_message(ProcessId(0), RegisterMsg::UpdateAck { uid }, &mut fx);
         }
-        assert_eq!(n.write_backs_dropped(), 0);
+        assert_eq!(n.sabotage_count(), 0);
     }
 
     #[test]
@@ -847,7 +772,7 @@ mod tests {
                 .any(|(_, m)| matches!(m, RegisterMsg::Update { .. })),
             "post-restart read (4th, not a multiple of 3) keeps its write-back"
         );
-        assert_eq!(n.write_backs_dropped(), 0);
+        assert_eq!(n.sabotage_count(), 0);
     }
 
     fn mutant(i: usize, kind: MutantKind, every: u64) -> MutantSwmr<u64> {

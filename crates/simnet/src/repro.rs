@@ -22,7 +22,7 @@
 use crate::config::{LatencyModel, SimConfig};
 use crate::coverage::{Classify, ClassifyOp, CoverageCollector, CoverageSample};
 use crate::nemesis::{run_campaign, NemesisSchedule, PlannedFault};
-use crate::planted::{AmnesiacKv, MutantKind, MutantSwmr, PlantedSwmr};
+use crate::planted::{AmnesiacKv, MutantKind, MutantSwmr};
 use crate::sim::Sim;
 use crate::workload::history_from_sim;
 use abd_core::batch::Batched;
@@ -63,12 +63,6 @@ pub enum ProtocolSpec {
         /// Read path: two-round, fast-unanimous, or relay.
         read_mode: ReadMode,
     },
-    /// Single-writer nodes with the **planted** write-back-dropping bug
-    /// ([`PlantedSwmr`]) — test fixtures only.
-    PlantedSwmr {
-        /// Every `every`th read per node drops its write-back.
-        every: u64,
-    },
     /// Single-writer nodes carrying one planted defect from the
     /// [`MutantSwmr`] zoo — test fixtures only.
     MutantSwmr {
@@ -102,20 +96,6 @@ pub enum ProtocolSpec {
 }
 
 impl ProtocolSpec {
-    /// Name of the `abd-lint` phase graph governing this protocol's
-    /// operations — the `phase-spec(<name>)` declaration in the protocol
-    /// source, rendered by `abd-lint --dot-dir` as `<name>.dot`.
-    ///
-    /// Every spec runs the one quorum-operation engine
-    /// (`abd_core::engine`), as a register or per key of the store, bare or
-    /// wrapped: batching reorders effects and the planted mutants filter
-    /// them, but neither changes which phase structure the inner node walks.
-    /// (What a register adds around an operation — recovery, the write
-    /// epilogue — is `register.dot`.)
-    pub fn phase_graph(&self) -> &'static str {
-        "engine"
-    }
-
     /// The read path the campaign's clients walk, where the spec makes it
     /// configurable. The planted/mutant fixtures are pinned to `TwoRound`
     /// so their known-bad goldens never shift under read-mode changes.
@@ -125,9 +105,7 @@ impl ProtocolSpec {
             | ProtocolSpec::Mwmr { read_mode }
             | ProtocolSpec::BatchedSwmr { read_mode, .. }
             | ProtocolSpec::Kv { read_mode, .. } => read_mode,
-            ProtocolSpec::PlantedSwmr { .. } | ProtocolSpec::MutantSwmr { .. } => {
-                ReadMode::TwoRound
-            }
+            ProtocolSpec::MutantSwmr { .. } => ReadMode::TwoRound,
         }
     }
 }
@@ -411,17 +389,6 @@ impl Repro {
                     .collect(),
                 coverage,
             ),
-            ProtocolSpec::PlantedSwmr { every } => self.drive(
-                (0..self.n)
-                    .map(|i| {
-                        PlantedSwmr::new(
-                            SwmrNode::new(self.swmr_cfg(i, ReadMode::TwoRound), 0u64),
-                            every,
-                        )
-                    })
-                    .collect(),
-                coverage,
-            ),
             ProtocolSpec::MutantSwmr { mutant, every } => self.drive(
                 (0..self.n)
                     .map(|i| {
@@ -664,7 +631,6 @@ impl Repro {
             ProtocolSpec::BatchedSwmr { window, read_mode } => {
                 format!("BatchedSwmr(window: {window}, {})", mode_field(read_mode))
             }
-            ProtocolSpec::PlantedSwmr { every } => format!("PlantedSwmr(every: {every})"),
             ProtocolSpec::MutantSwmr { mutant, every } => {
                 format!("MutantSwmr(mutant: {mutant}, every: {every})")
             }
@@ -1149,9 +1115,6 @@ fn repro_from_val(v: &Val) -> Result<Repro, String> {
             "BatchedSwmr" => ProtocolSpec::BatchedSwmr {
                 window: p.field("window")?.as_u64()?,
                 read_mode: read_mode_from(p)?,
-            },
-            "PlantedSwmr" => ProtocolSpec::PlantedSwmr {
-                every: p.field("every")?.as_u64()?,
             },
             "MutantSwmr" => {
                 let (kind_name, _, _) = p.field("mutant")?.as_call(None)?;

@@ -925,7 +925,10 @@ mod tests {
 
     #[test]
     fn guided_search_finds_the_planted_write_back_drop() {
-        let s = spec(ProtocolSpec::PlantedSwmr { every: 1 });
+        let s = spec(ProtocolSpec::MutantSwmr {
+            mutant: MutantKind::DropWriteBack,
+            every: 1,
+        });
         let out = guided_search(&s, 7, 24);
         let detection = out.detection.expect("planted bug must be detected");
         assert!(out.failure.is_some());
@@ -994,7 +997,13 @@ mod tests {
     #[ignore = "manual tuning probe"]
     fn probe_seeds() {
         let zoo: [(&str, ProtocolSpec); 8] = [
-            ("planted-every1", ProtocolSpec::PlantedSwmr { every: 1 }),
+            (
+                "planted-every1",
+                ProtocolSpec::MutantSwmr {
+                    mutant: MutantKind::DropWriteBack,
+                    every: 1,
+                },
+            ),
             (
                 "stale-tag-6",
                 ProtocolSpec::MutantSwmr {

@@ -5,7 +5,7 @@
 //! full campaign and judged by *every* tier's oracle on the same
 //! execution:
 //!
-//! * the write-back-dropping [`PlantedSwmr`] produces a **cross-client**
+//! * [`MutantKind::DropWriteBack`] produces a **cross-client**
 //!   new/old inversion — an atomicity violation that sequential
 //!   consistency and regularity both tolerate (no real-time order between
 //!   clients, and the inverted value's write is still pending);
@@ -20,8 +20,6 @@
 //! lets a planted violation through, or an over-strict checker that
 //! convicts a legal weaker-tier history, fails here before any nemesis
 //! soak would notice.
-//!
-//! [`PlantedSwmr`]: abd_repro::simnet::PlantedSwmr
 
 use abd_core::msg::RegisterOp;
 use abd_core::retransmit::BackoffPolicy;
@@ -66,7 +64,7 @@ fn scripts(writes: u64, reads: u64) -> Vec<Vec<RegisterOp<u64>>> {
 }
 
 /// The cross-client inversion campaign: reads never write back
-/// ([`ProtocolSpec::PlantedSwmr`]), a partition strands a half-written
+/// ([`MutantKind::DropWriteBack`]), a partition strands a half-written
 /// label on the writer's partition-mate, and a writer crash aborts the
 /// write — after the heal, reads through the mate see the new value while
 /// quorums that miss it keep serving the old one.
@@ -91,7 +89,10 @@ fn inversion_repro(sim_seed: u64) -> Repro {
     let deadline = deadline_for(&sched);
     Repro {
         name: "tier-inversion".to_string(),
-        protocol: ProtocolSpec::PlantedSwmr { every: 1 },
+        protocol: ProtocolSpec::MutantSwmr {
+            mutant: MutantKind::DropWriteBack,
+            every: 1,
+        },
         n: N,
         backoff_base: Some(BACKOFF_BASE),
         sim: SimConfig::new(sim_seed),

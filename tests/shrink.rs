@@ -3,7 +3,7 @@
 //!
 //! The subsystem under test is the test fleet itself, so the acceptance
 //! bar uses a bug whose root cause is known by construction:
-//! [`PlantedSwmr`] drops the write-back phase of planted reads, the exact
+//! [`MutantKind::DropWriteBack`] drops the write-back phase of planted reads, the exact
 //! step that upgrades the paper's regular register to an atomic one. A
 //! 20-fault campaign buries the two faults that actually surface the
 //! resulting new/old inversion — a partition that strands a half-written
@@ -18,7 +18,7 @@ use abd_core::retransmit::BackoffPolicy;
 use abd_core::types::ProcessId;
 use abd_repro::simnet::nemesis::liveness_bound;
 use abd_repro::simnet::{
-    shrink, NemesisSchedule, OracleSpec, PlannedFault, ProtocolSpec, Repro, SimConfig,
+    shrink, MutantKind, NemesisSchedule, OracleSpec, PlannedFault, ProtocolSpec, Repro, SimConfig,
 };
 
 const N: usize = 5;
@@ -91,7 +91,10 @@ fn planted_repro(sim_seed: u64) -> Repro {
         + liveness_bound(&BackoffPolicy::new(BACKOFF_BASE), 20_000, 20);
     Repro {
         name: "planted-swmr".to_string(),
-        protocol: ProtocolSpec::PlantedSwmr { every: 1 },
+        protocol: ProtocolSpec::MutantSwmr {
+            mutant: MutantKind::DropWriteBack,
+            every: 1,
+        },
         n: N,
         backoff_base: Some(BACKOFF_BASE),
         sim: SimConfig::new(sim_seed),

@@ -1,10 +1,9 @@
 //! # abd-bench — the experiment harness
 //!
 //! One binary per table/figure of `EXPERIMENTS.md` (run with
-//! `cargo run --release -p abd-bench --bin <name>`), plus criterion
-//! wall-clock benches under `benches/`. This library holds the shared
-//! plumbing: cluster construction for each protocol variant, latency
-//! statistics, and fixed-width table rendering.
+//! `cargo run --release -p abd-bench --bin <name>`). This library holds
+//! the shared plumbing: cluster construction for each protocol variant,
+//! latency statistics, and fixed-width table rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

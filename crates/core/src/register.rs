@@ -496,10 +496,9 @@ impl<L: Copy + PartialOrd, V: Clone, S, C: Fold<L, V>> ReadPathStats for Registe
 mod tests {
     use super::*;
     use crate::mwmr::MwmrConfig;
-    use crate::swmr::{SwmrConfig, SwmrNode};
+    use crate::swmr::SwmrConfig;
     use crate::testutil::{
         instant_write_quorum_keeps_draining, lost_catch_up_is_retransmitted_to_the_missing_only,
-        MiniNet,
     };
 
     /// The regression of [`instant_write_quorum_keeps_draining`] on a plain
@@ -542,25 +541,5 @@ mod tests {
     #[test]
     fn lost_catch_up_is_retransmitted_to_the_missing_only_mwmr() {
         lost_catch_up(|i| MwmrConfig::new(5, ProcessId(i)));
-    }
-
-    /// The read-path counters count *client* reads: the catch-up is a
-    /// `Regular` read to the engine, and to nobody else.
-    #[test]
-    fn a_catch_up_is_not_counted_as_a_read() {
-        let nodes = (0..3)
-            .map(|i| SwmrNode::new(SwmrConfig::new(3, ProcessId(i), ProcessId(0)), 0u32))
-            .collect();
-        let mut net = MiniNet::new(nodes);
-        net.invoke(0, RegisterOp::Write(7));
-        net.crash(2);
-        net.run_to_quiescence();
-        net.restart(2);
-        assert!(net.node(2).is_recovering());
-        net.run_to_quiescence();
-        assert_eq!(net.node(2).replica_state(), (1, 7), "caught up");
-        for i in 0..3 {
-            assert_eq!(net.node(i).counters(), ReadPathCounters::default());
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! lives in the `abd-simnet` crate; this one exists so `abd-core`'s tests
 //! need no dependencies.
 
-use crate::context::{Effects, Protocol, TimerCmd, TimerKey};
+use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerCmd, TimerKey};
 use crate::msg::{RegisterOp, RegisterResp};
 use crate::quorum::{QuorumSystem, Threshold};
 use crate::types::{Consistency, OpId, ProcessId};
@@ -214,12 +214,13 @@ where
 /// engine's timer path resends its query to whoever has not answered — and
 /// only to them — until a read quorum has; the node then holds the write
 /// it missed and serves again, and the read it ran on itself answered
-/// nobody. Every instantiation of the register shell runs this.
+/// nobody and is no client's read to the read-path counters. Every
+/// instantiation of the register shell runs this.
 pub(crate) fn lost_catch_up_is_retransmitted_to_the_missing_only<P>(
     node: impl Fn(usize) -> P,
 ) -> MiniNet<P>
 where
-    P: Protocol<Op = RegisterOp<u32>, Resp = RegisterResp<u32>>,
+    P: Protocol<Op = RegisterOp<u32>, Resp = RegisterResp<u32>> + ReadPathStats,
 {
     let mut net = MiniNet::new((0..5).map(node).collect());
     net.crash(2);
@@ -245,10 +246,10 @@ where
     assert_eq!(resent, 3, "node 0 has answered");
     let idle = sends(&mut net, |net| net.fire_timers(2));
     assert_eq!(idle, 0, "caught up: no timer is armed");
-    assert!(
-        net.take_responses().is_empty(),
-        "the catch-up answers nobody"
-    );
+    let answers = net.take_responses();
+    assert!(answers.is_empty(), "the catch-up answers nobody");
+    let reads = net.node(2).counters();
+    assert_eq!(reads, ReadPathCounters::default(), "nor is it counted");
     net.invoke(2, RegisterOp::ReadAt(Consistency::Sequential));
     assert_eq!(
         net.take_responses(),

@@ -523,8 +523,7 @@ impl<'a> PhaseWalk<'a> {
             }
             Stmt::If(i) => {
                 let cond_cut = cut || self.mentions_queue(i.cond);
-                let mut then_sources = sources.clone();
-                self.apply_cond(i.cond, &mut then_sources, &mut sources, stack, cut);
+                let then_sources = self.apply_cond(i.cond, &mut sources, stack, cut);
                 let then_exit = self.walk_block(&i.then, then_sources, stack, cond_cut);
                 let mut ret = then_exit.ret;
                 let else_exit = match &i.else_ {
@@ -586,8 +585,7 @@ impl<'a> PhaseWalk<'a> {
             }
             Stmt::While { cond, body } => {
                 let body_cut = cut || self.mentions_queue(*cond);
-                let mut body_sources = sources.clone();
-                self.apply_cond(*cond, &mut body_sources, &mut sources, stack, cut);
+                let body_sources = self.apply_cond(*cond, &mut sources, stack, cut);
                 let exit = self.walk_block(body, body_sources, stack, body_cut);
                 let mut fall = sources;
                 if let Some(f) = exit.fall {
@@ -623,48 +621,42 @@ impl<'a> PhaseWalk<'a> {
             .any(|i| matches!(self.tk.t(i), "queue" | "pop_front"))
     }
 
-    /// Applies an `if`/`while` condition. Expression events apply to both
-    /// branches; `let`-pattern consumes to the taken branch alone.
+    /// Applies an `if`/`while` condition: expression events to `sources`,
+    /// which both branches continue from; `let`-pattern consumes to the
+    /// taken branch alone, whose sources it returns.
     fn apply_cond(
         &mut self,
         cond: Span,
-        taken: &mut Sources,
-        not_taken: &mut Sources,
+        sources: &mut Sources,
         stack: &mut Vec<String>,
         cut: bool,
-    ) {
+    ) -> Sources {
+        let (mut expr, mut pat) = (cond, None);
         if cond.lo < cond.hi && self.tk.t(cond.lo) == "let" {
             // `let PAT = EXPR`: split at the `=` at depth 0.
             let mut depth = 0usize;
-            let mut eq = None;
             for i in cond.lo..cond.hi {
                 match self.tk.t(i) {
                     "(" | "[" | "{" => depth += 1,
                     ")" | "]" | "}" => depth = depth.saturating_sub(1),
                     "=" if depth == 0 => {
-                        eq = Some(i);
+                        expr.lo = i + 1;
+                        pat = Some(Span {
+                            lo: cond.lo + 1,
+                            hi: i,
+                        });
                         break;
                     }
                     _ => {}
                 }
             }
-            if let Some(eq) = eq {
-                let expr = Span {
-                    lo: eq + 1,
-                    hi: cond.hi,
-                };
-                self.apply_span(expr, Ctx::Expr, taken, stack, cut);
-                self.apply_span(expr, Ctx::Expr, not_taken, stack, cut);
-                let pat = Span {
-                    lo: cond.lo + 1,
-                    hi: eq,
-                };
-                self.apply_span(pat, Ctx::Pattern, taken, stack, cut);
-                return;
-            }
         }
-        self.apply_span(cond, Ctx::Expr, taken, stack, cut);
-        self.apply_span(cond, Ctx::Expr, not_taken, stack, cut);
+        self.apply_span(expr, Ctx::Expr, sources, stack, cut);
+        let mut taken = sources.clone();
+        if let Some(pat) = pat {
+            self.apply_span(pat, Ctx::Pattern, &mut taken, stack, cut);
+        }
+        taken
     }
 
     /// Scans one flat token span for phase events and applies them to

@@ -6,7 +6,7 @@
 //! timeout only bounds the wait). The protocol state machines are
 //! the *same objects* the deterministic simulator drives — this crate is
 //! the demonstration that the sans-io core runs on a real concurrent
-//! transport, and it is what the wall-clock criterion benchmarks measure.
+//! transport, and it is what the wall-clock benchmark (`benchmark/`) measures.
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::delay::Delayer;

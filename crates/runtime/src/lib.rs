@@ -3,7 +3,7 @@
 //! `abd-simnet` proves the protocols correct under a deterministic
 //! adversary; this crate runs **the same sans-io state machines** on real
 //! OS threads over crossbeam channels, which is what the wall-clock
-//! criterion benchmarks measure and what the examples demo:
+//! benchmark (`benchmark/`) measures and what the examples demo:
 //!
 //! * [`cluster`] — thread-per-node hosting of any
 //!   [`Protocol`](abd_core::context::Protocol): channel fabric, timer

@@ -177,15 +177,15 @@ pub struct MutantSwmr<V> {
     every: u64,
     /// The node's initial value — what an amnesiac replica "remembers".
     initial: V,
-    /// [`MutantKind::DropWriteBack`]: reads invoked here so far.
-    reads_invoked: u64,
+    /// Occurrences so far of the event the counted mutants fire on every
+    /// `every`th of: reads invoked here ([`MutantKind::DropWriteBack`]),
+    /// updates received ([`MutantKind::StaleTagAck`]), propagation phases
+    /// started ([`MutantKind::OffByOneQuorum`]), read responses produced
+    /// ([`MutantKind::ScStashRead`] / [`MutantKind::PhantomRead`]).
+    events: u64,
     /// [`MutantKind::DropWriteBack`]: the read in flight loses its
     /// write-back.
     drop_armed: bool,
-    /// [`MutantKind::StaleTagAck`]: updates received so far.
-    updates_seen: u64,
-    /// [`MutantKind::OffByOneQuorum`]: propagation phases started so far.
-    phases_seen: u64,
     /// [`MutantKind::OffByOneQuorum`]: phase uids already counted, so
     /// retransmissions of the same phase are not double-counted.
     seen_uids: BTreeSet<u64>,
@@ -195,9 +195,6 @@ pub struct MutantSwmr<V> {
     shadow: Option<(SeqNo, V)>,
     /// [`MutantKind::RecoverySkipsQuery`]: replica answers from `initial`.
     amnesia: bool,
-    /// [`MutantKind::ScStashRead`] / [`MutantKind::PhantomRead`]: read
-    /// responses produced on this node so far.
-    reads_answered: u64,
     /// [`MutantKind::ScStashRead`]: the first read's genuine value.
     first_read: Option<V>,
     sabotaged: u64,
@@ -216,15 +213,12 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
             kind,
             every,
             initial,
-            reads_invoked: 0,
+            events: 0,
             drop_armed: false,
-            updates_seen: 0,
-            phases_seen: 0,
             seen_uids: BTreeSet::new(),
             max_seen: 0,
             shadow: None,
             amnesia: false,
-            reads_answered: 0,
             first_read: None,
             sabotaged: 0,
         }
@@ -233,6 +227,13 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
     /// The wrapped node, for inspection.
     pub fn inner(&self) -> &SwmrNode<V> {
         &self.inner
+    }
+
+    /// Counts one occurrence of this mutant's event; whether it is a
+    /// `every`th.
+    fn nth(&mut self) -> bool {
+        self.events += 1;
+        self.every > 0 && self.events.is_multiple_of(self.every)
     }
 
     /// Which defect this node carries.
@@ -311,10 +312,26 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
             return;
         };
         self.drop_armed = false;
+        self.swallow_updates(uid, None, sends, fx);
+    }
+
+    /// The sabotage the two propagation mutants share: the `Update`s of
+    /// phase `uid` in `sends` — the one to `only`, or all of them — are
+    /// discarded, and the inner node is fed an `UpdateAck` from each
+    /// suppressed destination instead.
+    fn swallow_updates(
+        &mut self,
+        uid: u64,
+        only: Option<ProcessId>,
+        sends: Vec<(ProcessId, SwmrMsg<V>)>,
+        fx: &mut Effects<SwmrMsg<V>, RegisterResp<V>>,
+    ) {
         self.sabotaged += 1;
         let mut victims = Vec::new();
         for (to, m) in sends {
-            if matches!(m, RegisterMsg::Update { uid: u, .. } if u == uid) {
+            if matches!(m, RegisterMsg::Update { uid: u, .. } if u == uid)
+                && only.is_none_or(|victim| victim == to)
+            {
                 victims.push(to);
             } else {
                 fx.send(to, m);
@@ -335,23 +352,18 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
         let RegisterResp::ReadOk(v) = r else { return r };
         match self.kind {
             MutantKind::ScStashRead => {
-                self.reads_answered += 1;
                 // The stash pins the node's *first* genuine read; triggered
                 // responses re-serve it — real history, just arbitrarily
                 // stale once the register moves on.
                 let stale = self.first_read.get_or_insert_with(|| v.clone()).clone();
-                if self.every > 0
-                    && self.reads_answered > 1
-                    && self.reads_answered.is_multiple_of(self.every)
-                {
+                if self.nth() && self.events > 1 {
                     self.sabotaged += 1;
                     return RegisterResp::ReadOk(stale);
                 }
                 RegisterResp::ReadOk(v)
             }
             MutantKind::PhantomRead => {
-                self.reads_answered += 1;
-                if self.every > 0 && self.reads_answered.is_multiple_of(self.every) {
+                if self.nth() {
                     self.sabotaged += 1;
                     return RegisterResp::ReadOk(V::forge(self.sabotaged));
                 }
@@ -378,8 +390,7 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
         let mut phantom: Option<(u64, ProcessId)> = None;
         if let Some(uid) = new_uid {
             self.seen_uids.insert(uid);
-            self.phases_seen += 1;
-            if self.every > 0 && self.phases_seen.is_multiple_of(self.every) {
+            if self.nth() {
                 phantom = sends
                     .iter()
                     .rev()
@@ -393,17 +404,8 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
             }
             return;
         };
-        self.sabotaged += 1;
-        for (to, m) in sends {
-            if to == victim && matches!(m, RegisterMsg::Update { uid: u, .. } if u == uid) {
-                continue; // the phantom voter never hears the update
-            }
-            fx.send(to, m);
-        }
-        let mut ack_fx = Effects::new();
-        self.inner
-            .on_message(victim, RegisterMsg::UpdateAck { uid }, &mut ack_fx);
-        self.absorb(ack_fx, fx);
+        // The phantom voter never hears the update.
+        self.swallow_updates(uid, Some(victim), sends, fx);
     }
 }
 
@@ -424,10 +426,7 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for Mutan
 
     fn on_invoke(&mut self, op: OpId, input: Self::Op, fx: &mut Effects<Self::Msg, Self::Resp>) {
         if self.kind == MutantKind::DropWriteBack && matches!(input, RegisterOp::Read) {
-            self.reads_invoked += 1;
-            if self.every > 0 && self.reads_invoked.is_multiple_of(self.every) {
-                self.drop_armed = true;
-            }
+            self.drop_armed |= self.nth();
         }
         let mut inner_fx = Effects::new();
         self.inner.on_invoke(op, input, &mut inner_fx);
@@ -443,8 +442,7 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for Mutan
         match self.kind {
             MutantKind::StaleTagAck => {
                 if let RegisterMsg::Update { uid, .. } = &msg {
-                    self.updates_seen += 1;
-                    if self.every > 0 && self.updates_seen.is_multiple_of(self.every) {
+                    if self.nth() {
                         self.sabotaged += 1;
                         // Vouch for a label this replica never stored.
                         fx.send(from, RegisterMsg::UpdateAck { uid: *uid });

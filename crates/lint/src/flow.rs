@@ -11,12 +11,11 @@
 //!   `tag-monotonicity` (rule 7).
 //! * **The phase walk** ([`PhaseWalk`]) — a path-sensitive traversal that
 //!   turns `Pending::X` patterns/constructions and `fx.respond` calls into
-//!   a handler→phase transition graph,
-//!   expanding same-file helper calls (`self.begin(..)`, `self.finish(..)`)
-//!   inline. Calls under a condition that mentions the operation `queue`
-//!   are **not** expanded: draining the queue starts the *next* operation,
-//!   so its phase entries are not transitions of the current one. Used by
-//!   `phase-graph` (rule 8).
+//!   a handler→phase transition graph, expanding same-file helper calls
+//!   (`self.begin(..)`, `self.finish(..)`) inline. Calls under a condition
+//!   that mentions the operation `queue` are **not** expanded: draining the
+//!   queue starts the *next* operation, so its phase entries are not
+//!   transitions of the current one. Used by `phase-graph` (rule 8).
 
 use crate::ast::{Arm, ArmBody, Ast, Block, FnDef, Span, Stmt};
 use crate::lex::{text, TokKind, Token};

@@ -13,8 +13,8 @@
 //! *drops the write-back phase* of every `N`th read invoked at this node:
 //! the outgoing `Update` broadcast is discarded and the wrapped node is fed
 //! synthetic acknowledgements instead, so the read returns its value
-//! without propagating the label to a write quorum. That is precisely the step the
-//! paper adds to upgrade regularity to atomicity — removing it
+//! without propagating the label to a write quorum. That is precisely the
+//! step the paper adds to upgrade regularity to atomicity — removing it
 //! intermittently yields a protocol whose histories exhibit **new/old
 //! inversions** once a fault schedule leaves replicas disagreeing (a write
 //! aborted mid-propagation by a writer crash is the canonical 1-fault

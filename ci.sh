@@ -62,6 +62,17 @@ for f in crates/core/src/register.rs crates/kv/src/node.rs; do
   fi
 done
 
+# The store adds one exchange to it, the sync walk's: a catch-up is walks, a
+# walk is `SyncDiffReq` / `SyncEntries`. No second transfer, no handshake,
+# no knob choosing between them.
+shapes=$(sed '/^#\[cfg(test)\]/,$d' crates/kv/src/node.rs | sed -n '/^pub enum KvMsg/,/^}/p' \
+  | grep -oE '^    [A-Z][A-Za-z]*' | tr -d ' ' | tr '\n' ' ')
+[ "$shapes" = "Op SyncDiffReq SyncEntries " ] \
+  || { echo "KvMsg declares the shapes: $shapes— expected Op, SyncDiffReq, SyncEntries"; exit 1; }
+if grep -rnE 'SyncPull|SyncState|SyncDigest|sync_threshold' crates src tests examples --include='*.rs'; then
+  echo "the bulk pull, the digest handshake or their knob is named again; the Merkle walk is the one state transfer"; exit 1
+fi
+
 echo "==> vendor/ holds no stub without a caller"
 for dep in $(cd vendor && ls -d */ | tr -d /); do
   grep -q "^$dep = { path = \"vendor/$dep\"" Cargo.toml \
@@ -84,8 +95,8 @@ cargo test -q --test nemesis tier_
 echo "==> oracle self-test gate (each tier's checker convicts its planted violation, weaker tiers acquit)"
 cargo test -q --test consistency_tiers oracle_selftest_
 
-echo "==> recovery nemesis smoke (bulk golden trace pinned + anti-entropy sweep races crash waves + pipelined wide-divergence walks under loss and duplication + restarted nodes serving during catch-up, and the amnesiac store that campaign must convict)"
-cargo test -q --test nemesis kv_bulk_recovery
+echo "==> recovery nemesis smoke (recovery golden trace pinned + anti-entropy sweep races crash waves + pipelined wide-divergence walks under loss and duplication + restarted nodes serving during catch-up, and the amnesiac store that campaign must convict)"
+cargo test -q --test nemesis kv_recovery_trace_digest_is_pinned
 cargo test -q --test nemesis anti_entropy
 cargo test -q --test nemesis merkle_recovery_pipelined_
 cargo test -q --test nemesis kv_serves_during_catch_up_

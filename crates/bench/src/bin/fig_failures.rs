@@ -9,7 +9,7 @@
 //!   delay. The second table contrasts quorum waiting with an emulated
 //!   wait-for-all configuration (`Threshold(n, n, n)`).
 
-use abd_bench::{us, Stats, Table};
+use abd_bench::{bulk_reference, us, Stats, Table};
 use abd_core::msg::RegisterOp;
 use abd_core::quorum::Threshold;
 use abd_core::retransmit::BackoffPolicy;
@@ -171,64 +171,54 @@ fn main() {
     }
     f2c.print();
 
-    // F2d — what a restarted *store* pays to catch up: the same 4-key-stale
-    // recovery, once over the bulk snapshot path and once over the Merkle
-    // walk. All five replicas hold 256 keys; the four survivors hold 4
-    // newer tags the rebooted node lacks. Bulk ships every peer's full
-    // snapshot; the walk ships digests until the divergent leaves isolate
-    // the 4 keys. (fig_recovery scales this shape to 100k keys and gates
-    // the ratio; here it is one table row per mode.)
+    // F2d — what a restarted *store* pays to catch up: a 4-key-stale
+    // recovery by Merkle walk, beside what pulling every peer's snapshot
+    // would cost (the closed form). All five replicas hold 256 keys; the
+    // four survivors hold 4 newer tags the rebooted node lacks. Bulk ships
+    // every peer's full snapshot; the walk ships digests until the
+    // divergent leaves isolate the 4 keys. (fig_recovery scales this shape
+    // to 100k keys and gates the ratio; here it is one table row per mode.)
     let mut f2d = Table::new(
         "F2d — recovery sync accounting: bulk snapshot vs Merkle walk \
          (n = 5, 256-key store, 4 stale keys)",
         &["sync mode", "sync-msgs", "sync-bytes", "entries shipped"],
     );
-    for (name, threshold) in [
-        ("bulk (SyncPull/SyncState)", usize::MAX),
-        ("merkle walk", 0),
-    ] {
-        let mut nodes: Vec<KvNode<u32, u64>> = (0..5)
-            .map(|i| {
-                KvNode::new(
-                    KvConfig::new(5, ProcessId(i))
-                        .with_sync_threshold(threshold)
-                        .with_sync_buckets(64),
-                )
-            })
-            .collect();
-        for node in &mut nodes {
-            for k in 0..256u32 {
-                node.preload(k, Tag::new(1, ProcessId(0)), u64::from(k));
-            }
+    let mut nodes: Vec<KvNode<u32, u64>> = (0..5)
+        .map(|i| KvNode::new(KvConfig::new(5, ProcessId(i)).with_sync_buckets(64)))
+        .collect();
+    for node in &mut nodes {
+        for k in 0..256u32 {
+            node.preload(k, Tag::new(1, ProcessId(0)), u64::from(k));
         }
-        // The rebooted node (4) misses four newer writes the peers hold.
-        for node in nodes.iter_mut().take(4) {
-            for k in 0..4u32 {
-                node.preload(k, Tag::new(2, ProcessId(1)), 1_000 + u64::from(k));
-            }
-        }
-        let mut sim = Sim::new(SimConfig::new(9), nodes);
-        sim.crash_at(1_000, ProcessId(4));
-        sim.restart_at(2_000, ProcessId(4));
-        assert!(
-            sim.run_until_quiet(60_000_000_000),
-            "recovery quiesces ({name})"
-        );
-        assert!(!sim.node(4).is_recovering(), "node 4 caught up ({name})");
+    }
+    // The rebooted node (4) misses four newer writes the peers hold.
+    for node in nodes.iter_mut().take(4) {
         for k in 0..4u32 {
-            assert_eq!(
-                sim.node(4).local_entry(&k).map(|(_, v)| *v),
-                Some(1_000 + u64::from(k)),
-                "stale key {k} repaired ({name})"
-            );
+            node.preload(k, Tag::new(2, ProcessId(1)), 1_000 + u64::from(k));
         }
-        let m = sim.read_path_metrics();
-        f2d.row(vec![
-            name.to_string(),
-            m.recovery_msgs.to_string(),
-            m.recovery_bytes.to_string(),
-            m.sync_entries_sent.to_string(),
-        ]);
+    }
+    let mut sim = Sim::new(SimConfig::new(9), nodes);
+    sim.crash_at(1_000, ProcessId(4));
+    sim.restart_at(2_000, ProcessId(4));
+    assert!(sim.run_until_quiet(60_000_000_000), "recovery quiesces");
+    assert!(!sim.node(4).is_recovering(), "node 4 caught up");
+    for k in 0..4u32 {
+        assert_eq!(
+            sim.node(4).local_entry(&k).map(|(_, v)| *v),
+            Some(1_000 + u64::from(k)),
+            "stale key {k} repaired"
+        );
+    }
+    let m = sim.read_path_metrics();
+    let entry_bytes = std::mem::size_of::<(u32, Tag, u64)>() as u64;
+    let walked = [m.recovery_msgs, m.recovery_bytes, m.sync_entries_sent];
+    for (name, meters) in [
+        ("bulk (closed form)", bulk_reference(5, 256, entry_bytes)),
+        ("merkle walk", walked),
+    ] {
+        let mut row = vec![name.to_string()];
+        row.extend(meters.map(|x| x.to_string()));
+        f2d.row(row);
     }
     f2d.print();
 

@@ -1,18 +1,18 @@
 //! **F8 — divergence-proportional recovery: bulk snapshot vs Merkle walk.**
 //!
-//! A rebooted replica must repair whatever it missed, but the bulk
-//! `SyncPull`/`SyncState` path pays for the whole store: every peer ships
-//! its full `(key, tag, value)` snapshot no matter how little actually
-//! diverged. The Merkle walk (`SyncDigest` → `SyncDiffReq` →
-//! `SyncEntries`) descends the per-shard digest tree instead, pruning
-//! every subtree whose digest already matches, so the transfer cost is
-//! proportional to the *divergence*, not the store.
+//! A rebooted replica must repair whatever it missed. Pulling a snapshot
+//! from every peer pays for the whole store no matter how little actually
+//! diverged; that transfer is deterministic, so its row here is the closed
+//! form ([`abd_bench::bulk_reference`]), not a run. The Merkle walk
+//! (`SyncDiffReq` → `SyncEntries`, repeated) descends the digest tree
+//! instead, pruning every subtree whose digest already matches, so the
+//! transfer cost is proportional to the *divergence*, not the store.
 //!
 //! The experiment: an `n = 5` cluster whose replicas each hold 100 000
 //! keys. The four survivors hold `k` newer tags the rebooted node lacks
-//! (`k ∈ {1, 1 000, 50 000}`); the node restarts and catches up. One run
-//! takes the bulk path at `k = 1` (the worst case for bulk: maximal store,
-//! minimal divergence); three runs take the walk at increasing staleness.
+//! (`k ∈ {1, 1 000, 50 000}`); the node restarts and catches up, once per
+//! staleness. The bulk reference stands beside `k = 1` (its worst case:
+//! maximal store, minimal divergence).
 //!
 //! Gates (the binary asserts them, ci.sh pins the JSON):
 //!
@@ -22,14 +22,15 @@
 //!   2 messages per peer but `O(store)` bytes;
 //! * walk messages, bytes and entries all grow monotonically with `k`:
 //!   the protocol spends in proportion to what actually diverged;
-//! * every walk finishes within `log₂(buckets) + 2` sequential round trips
+//! * every walk finishes within `log₂(buckets) + 1` sequential round trips
 //!   (`rounds`): a recovery walk issues a whole tree level at once, so
 //!   recovery *time* does not grow with divergence the way its traffic
 //!   does. `caught_up_us` is the virtual time from restart to the read-quorum
 //!   catch-up being complete (a read quorum of walks finished); the
 //!   `previous` block keeps the same two figures measured with the
 //!   stop-and-wait walker (one 32-node batch in flight per walk) this
-//!   replaced;
+//!   replaced — its rounds count the root-digest handshake every walk then
+//!   opened with;
 //! * the rebooted node **serves while it catches up**: a `Get` of the
 //!   newest stale key invoked on it at the restart instant returns the new
 //!   value within two round trips at the configured link latency
@@ -43,7 +44,7 @@
 //! identical computation (the full run is already cheap in release) and
 //! must leave the JSON unchanged.
 
-use abd_bench::Table;
+use abd_bench::{bulk_reference, Table};
 use abd_core::types::{ProcessId, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_simnet::{LatencyModel, Sim, SimConfig};
@@ -66,19 +67,20 @@ const PREVIOUS: [(u32, u64, u64, f64); 3] = [
     (50_000, 552, 69, 740.553),
 ];
 
-/// `first_get_us` of the four rows (bulk, then the Merkle rows) while
-/// invocations queued until the catch-up finished, measured at the parent
-/// of the commit that removed that gate (this binary, this seed): the
-/// row's `caught_up_us` of that run, then one `Get`.
-const PREVIOUS_FIRST_GET_US: [f64; 4] = [28.914, 150.023, 185.025, 174.743];
+/// `first_get_us` of the Merkle rows while invocations queued until the
+/// catch-up finished, measured at the parent of the commit that removed
+/// that gate (this binary, this seed): the row's `caught_up_us` of that
+/// run, then one `Get`.
+const PREVIOUS_FIRST_GET_US: [f64; 3] = [150.023, 185.025, 174.743];
 
 /// Sync-meter deltas for one crash/restart recovery.
 struct Measured {
+    /// Keys the rebooted node was behind on.
+    stale: u32,
     msgs: u64,
     bytes: u64,
     entries: u64,
-    /// Most sequential round trips any of the rebooted node's walks took
-    /// (0 on the bulk path, which runs no walk).
+    /// Most sequential round trips any of the rebooted node's walks took.
     rounds: u64,
     /// Virtual time from restart until the read-quorum catch-up is
     /// complete.
@@ -94,18 +96,10 @@ fn newer(k: u32) -> u64 {
 }
 
 /// An `N`-node cluster preloaded with `KEYS` keys, the last node `stale`
-/// keys behind its peers and scheduled to crash and reboot. `threshold`
-/// selects the recovery path: `usize::MAX` forces bulk, `0` forces the
-/// Merkle walk.
-fn cluster(threshold: usize, stale: u32) -> Sim<KvNode<u32, u64>> {
+/// keys behind its peers and scheduled to crash and reboot.
+fn cluster(stale: u32) -> Sim<KvNode<u32, u64>> {
     let mut nodes: Vec<KvNode<u32, u64>> = (0..N)
-        .map(|i| {
-            KvNode::new(
-                KvConfig::new(N, ProcessId(i))
-                    .with_sync_threshold(threshold)
-                    .with_sync_buckets(BUCKETS),
-            )
-        })
+        .map(|i| KvNode::new(KvConfig::new(N, ProcessId(i)).with_sync_buckets(BUCKETS)))
         .collect();
     for node in &mut nodes {
         for k in 0..KEYS {
@@ -126,27 +120,27 @@ fn cluster(threshold: usize, stale: u32) -> Sim<KvNode<u32, u64>> {
 
 /// Latency of a `Get` of the newest stale key invoked on the rebooted node
 /// the instant it restarts; the `Get` must return the survivors' value.
-fn first_get_us(threshold: usize, stale: u32) -> f64 {
-    let mut sim = cluster(threshold, stale);
+fn first_get_us(stale: u32) -> f64 {
+    let mut sim = cluster(stale);
     let key = stale - 1;
     sim.invoke_at(RESTART_AT, ProcessId(N - 1), KvOp::Get(key));
     assert!(
         sim.run_until_ops_complete(600_000_000_000),
-        "first get completes (threshold {threshold}, stale {stale})"
+        "first get completes (stale {stale})"
     );
     let get = &sim.completed()[0];
     assert_eq!(
         get.resp,
         KvResp::GetOk(Some(newer(key))),
-        "first get returns the newest value (threshold {threshold}, stale {stale})"
+        "first get returns the newest value (stale {stale})"
     );
     get.latency() as f64 / 1e3
 }
 
 /// Reboot the stale node of [`cluster`] and read the sync meters once the
 /// cluster quiesces.
-fn recover(threshold: usize, stale: u32) -> Measured {
-    let mut sim = cluster(threshold, stale);
+fn recover(stale: u32) -> Measured {
+    let mut sim = cluster(stale);
     sim.run_until(RESTART_AT);
     assert!(sim.node(N - 1).is_recovering(), "rebooted node catches up");
     let mut caught_up_at = None;
@@ -156,7 +150,7 @@ fn recover(threshold: usize, stale: u32) -> Measured {
         }
         assert!(
             sim.now() < 600_000_000_000,
-            "recovery quiesces (threshold {threshold}, stale {stale})"
+            "recovery quiesces (stale {stale})"
         );
     }
     let caught_up_at = caught_up_at.expect("rebooted node finished catch-up");
@@ -164,34 +158,28 @@ fn recover(threshold: usize, stale: u32) -> Measured {
         assert_eq!(
             sim.node(N - 1).local_entry(&k).map(|(_, v)| *v),
             Some(newer(k)),
-            "stale key {k} repaired (threshold {threshold})"
+            "stale key {k} repaired"
         );
     }
     let m = sim.read_path_metrics();
     Measured {
+        stale,
         msgs: m.recovery_msgs,
         bytes: m.recovery_bytes,
         entries: m.sync_entries_sent,
         rounds: sim.node(N - 1).max_walk_rounds(),
         caught_up_us: (caught_up_at - RESTART_AT) as f64 / 1e3,
-        first_get_us: first_get_us(threshold, stale),
+        first_get_us: first_get_us(stale),
     }
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
-    let bulk = recover(usize::MAX, 1);
-    let stalenesses = PREVIOUS.map(|(stale, ..)| stale);
-    let walks: Vec<Measured> = stalenesses.iter().map(|&k| recover(0, k)).collect();
-    // Every row as `(mode, stale keys, measurements)`: bulk, then the walks.
-    let rows = || {
-        let merkle = stalenesses
-            .iter()
-            .zip(&walks)
-            .map(|(&k, w)| ("merkle", k, w));
-        std::iter::once(("bulk", 1, &bulk)).chain(merkle)
-    };
+    let entry_bytes = std::mem::size_of::<(u32, Tag, u64)>() as u64;
+    let bulk @ [bulk_msgs, bulk_bytes, bulk_entries] =
+        bulk_reference(N, u64::from(KEYS), entry_bytes);
+    let walks = PREVIOUS.map(|(stale, ..)| recover(stale));
 
     let mut table = Table::new(
         "F8 — recovery cost vs divergence (n = 5, 100k-key store, 1024 buckets)",
@@ -206,20 +194,21 @@ fn main() {
             "first get us",
         ],
     );
-    let cells = |mode: &str, stale: u32, r: &Measured| {
-        vec![
-            mode.to_string(),
-            stale.to_string(),
+    let mut bulk_row = vec!["bulk (closed form)".to_string(), "1".to_string()];
+    bulk_row.extend(bulk.map(|x| x.to_string()));
+    bulk_row.extend(["-"; 3].map(String::from));
+    table.row(bulk_row);
+    for r in &walks {
+        table.row(vec![
+            "merkle".to_string(),
+            r.stale.to_string(),
             r.msgs.to_string(),
             r.bytes.to_string(),
             r.entries.to_string(),
             r.rounds.to_string(),
             format!("{:.3}", r.caught_up_us),
             format!("{:.3}", r.first_get_us),
-        ]
-    };
-    for (mode, k, r) in rows() {
-        table.row(cells(mode, k, r));
+        ]);
     }
     table.print();
 
@@ -250,12 +239,11 @@ fn main() {
 
     let mut gate = Table::new(
         "F8 — first get on the rebooted node: queued behind the catch-up (previous) vs served at once",
-        &["mode", "stale keys", "first get us before", "first get us now"],
+        &["stale keys", "first get us before", "first get us now"],
     );
-    for ((mode, k, r), before) in rows().zip(PREVIOUS_FIRST_GET_US) {
+    for (r, before) in walks.iter().zip(PREVIOUS_FIRST_GET_US) {
         gate.row(vec![
-            mode.to_string(),
-            k.to_string(),
+            r.stale.to_string(),
             format!("{before:.3}"),
             format!("{:.3}", r.first_get_us),
         ]);
@@ -263,14 +251,13 @@ fn main() {
     gate.print();
 
     // Gate 1: at one stale key the walk must move ≥ 99 % fewer bytes.
-    let reduction = 100.0 * (1.0 - walks[0].bytes as f64 / bulk.bytes as f64);
+    let reduction = 100.0 * (1.0 - walks[0].bytes as f64 / bulk_bytes as f64);
     assert!(
         reduction >= 99.0,
         "walk must cut sync bytes by ≥ 99 % at 1 stale key; got {reduction:.2} %"
     );
     // Gate 2: one stale key costs O(log store) messages — each peer's walk
-    // descends one root-to-leaf path, two messages per level plus the
-    // digest handshake.
+    // descends one root-to-leaf path, two messages per level.
     let log2_buckets = BUCKETS.trailing_zeros() as u64;
     let msg_bound = (N as u64 - 1) * 4 * log2_buckets;
     assert!(
@@ -287,29 +274,28 @@ fn main() {
             "walk cost must grow monotonically with staleness"
         );
     }
-    // Gate 4: a walk is the digest handshake plus one round trip per tree
-    // level (log2(buckets) + 1 levels), however wide the divergence.
-    let round_bound = log2_buckets + 2;
-    for (k, w) in stalenesses.iter().zip(&walks) {
-        assert!(
-            w.rounds <= round_bound,
-            "walk at {k} stale keys must finish within {round_bound} round trips; took {}",
-            w.rounds
-        );
-    }
-
-    // Gate 5: the rebooted node serves while it catches up — its first get
-    // costs a query round and a write-back, never the catch-up.
+    // Gate 4: a walk is one round trip per tree level (log2(buckets) + 1
+    // levels), however wide the divergence. Gate 5: the rebooted node
+    // serves while it catches up — its first get costs a query round and a
+    // write-back, never the catch-up.
+    let round_bound = log2_buckets + 1;
     let LatencyModel::Uniform { hi: hop_max, .. } = SimConfig::new(SIM_SEED).latency else {
         panic!("F8 runs on the default uniform links");
     };
     let first_get_bound = 4.0 * hop_max as f64 / 1e3;
-    for (_, k, r) in rows() {
+    for w in &walks {
         assert!(
-            r.first_get_us <= first_get_bound,
-            "first get at {k} stale keys must finish within two round trips \
+            w.rounds <= round_bound,
+            "walk at {} stale keys must finish within {round_bound} round trips; took {}",
+            w.stale,
+            w.rounds
+        );
+        assert!(
+            w.first_get_us <= first_get_bound,
+            "first get at {} stale keys must finish within two round trips \
              ({first_get_bound} us); took {} us",
-            r.first_get_us
+            w.stale,
+            w.first_get_us
         );
     }
 
@@ -319,18 +305,25 @@ fn main() {
         "  \"n\": {N}, \"keys\": {KEYS}, \"buckets\": {BUCKETS}, \"sim_seed\": {SIM_SEED},\n"
     ));
     json.push_str("  \"rows\": [\n");
-    let row = |mode: &str, stale: u32, r: &Measured| {
+    let mut measured = vec![format!(
+        "    {{\"mode\": \"bulk\", \"stale\": 1, \"sync_msgs\": {bulk_msgs}, \
+         \"sync_bytes\": {bulk_bytes}, \"entries\": {bulk_entries}, \
+         \"source\": \"closed form\"}}"
+    )];
+    measured.extend(walks.iter().map(|r| {
         format!(
-            "    {{\"mode\": \"{mode}\", \"stale\": {stale}, \"sync_msgs\": {}, \
+            "    {{\"mode\": \"merkle\", \"stale\": {}, \"sync_msgs\": {}, \
              \"sync_bytes\": {}, \"entries\": {}, \"rounds\": {}, \"caught_up_us\": {:.3}, \
              \"first_get_us\": {:.3}}}",
-            r.msgs, r.bytes, r.entries, r.rounds, r.caught_up_us, r.first_get_us
+            r.stale, r.msgs, r.bytes, r.entries, r.rounds, r.caught_up_us, r.first_get_us
         )
-    };
-    let measured: Vec<String> = rows().map(|(mode, k, r)| row(mode, k, r)).collect();
+    }));
     json.push_str(&measured.join(",\n"));
     json.push_str("\n  ],\n");
-    json.push_str("  \"previous\": {\"walker\": \"stop-and-wait\", \"rows\": [\n");
+    json.push_str(
+        "  \"previous\": {\"walker\": \"stop-and-wait, opened by a root-digest handshake\", \
+         \"rows\": [\n",
+    );
     let previous: Vec<String> = PREVIOUS
         .iter()
         .map(|(k, msgs, rounds, caught_up_us)| {

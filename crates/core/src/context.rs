@@ -213,7 +213,7 @@ pub struct ReadPathCounters {
     /// Reads that completed at `Consistency::Regular` — a query round with
     /// the write-back elided.
     pub regular_reads: u64,
-    /// Sync-protocol messages (bulk state transfer and Merkle walk) sent.
+    /// Sync-protocol messages (the Merkle walk's requests and replies) sent.
     pub recovery_msgs: u64,
     /// Estimated payload bytes of the sync messages sent.
     pub recovery_bytes: u64,

@@ -10,7 +10,7 @@
 //! ([`abd_core::engine`]), the same state machine the register protocols
 //! run, instantiated with [`Tag`] labels over a keyed store. What a *store*
 //! adds to it lives here: the keyed replica with its Merkle tree and bucket
-//! index, bulk and walk sync and the anti-entropy sweep, whose six messages
+//! index, the sync walk and the anti-entropy sweep, whose two messages
 //! travel in [`KvMsg`] beside the engine's own. Two things differ from a
 //! register, both carried by types rather than branches:
 //!
@@ -40,46 +40,42 @@
 //! fresh as the latest completed write — which keeps `Sequential` reads
 //! from lagging by the downtime and lets the replica carry quorums for
 //! others. Foreground operations race the transfer freely: both only ever
-//! `adopt`, a monotone max-merge. Two transfer mechanisms exist, selected
-//! by store size at restart ([`KvConfig::with_sync_threshold`]):
+//! `adopt`, a monotone max-merge.
 //!
-//! * **bulk** (small stores) — broadcast [`KvMsg::SyncPull`] and max-merge
-//!   the full [`KvMsg::SyncState`] snapshots of a read quorum. O(keyspace)
-//!   bytes, but a near-empty store diverges on essentially everything, so
-//!   below the threshold bulk *is* divergence-proportional — and one round
-//!   recovers all keys.
-//! * **Merkle walk** (large stores) — each node maintains an incremental
-//!   [`MerkleTree`] digest over its `(key → tag)` map (updated by the
-//!   store's single `digest_update` helper on every adoption; it persists
-//!   with the store). The recovering node runs one walk per peer:
-//!   [`KvMsg::SyncDigest`] fetches the peer's root; on mismatch,
-//!   [`KvMsg::SyncDiffReq`] descends the mismatching subtrees in batches
-//!   and [`KvMsg::SyncEntries`] ships only the entries of divergent leaf
-//!   buckets. Traffic is proportional to *drift*, not store size — a
-//!   1-key-stale replica of a 100k-key store exchanges O(log buckets)
-//!   messages. Time depends on neither: a recovery walk issues all
-//!   batches of a tree level at once, so catch-up takes at most
-//!   `log2(buckets) + 2` round trips however many keys diverged.
-//!   A walk that finds equal roots counts the peer toward the
-//!   catch-up read quorum immediately. Safety is the same max-merge
-//!   argument as bulk: digest equality over `(key, tag)` certifies entry
-//!   equality (see DESIGN.md §15 for the collision caveat), and everything
-//!   adopted goes through the store's usual monotone `adopt`.
+//! The transfer is a **Merkle walk**. Each node maintains an incremental
+//! [`MerkleTree`] digest over its `(key → tag)` map (updated by the store's
+//! single `digest_update` helper on every adoption; it persists with the
+//! store). The recovering node runs one walk per peer, and a walk is one
+//! exchange repeated: [`KvMsg::SyncDiffReq`] names a batch of tree nodes —
+//! the root alone, to open — and [`KvMsg::SyncEntries`] returns their
+//! children's digests, or their entries where they are leaf buckets; the
+//! walker prunes every child that matches its own tree and asks for the
+//! rest. Traffic is proportional to *drift*, not store size: against an
+//! identical store a walk is one request and two digests back, and a
+//! 1-key-stale replica of a 100k-key store exchanges O(log buckets)
+//! messages. Time depends on neither: a recovery walk issues all batches of
+//! a tree level at once, so catch-up takes at most `log2(buckets) + 1`
+//! round trips however many keys diverged, and each finished walk counts
+//! its peer toward the catch-up read quorum. Safety is max-merge: digest
+//! equality over `(key, tag)` certifies entry equality (DESIGN.md §15 has
+//! the collision caveat), and everything adopted goes through the store's
+//! monotone `adopt`. No shortcut ships a small store whole — keyed on store
+//! size, it would fire on every quiet sweep too.
 //!
 //! The same walk, detached from recovery, runs as a **background
 //! anti-entropy sweep** ([`KvConfig::with_anti_entropy`]): a timer picks
 //! peers round-robin and repairs drift continuously, so gray or
 //! partition-stranded replicas converge without waiting for a reboot (or a
-//! write-back) to touch them. Catch-ups and walks draw their ids from the
-//! engine's phase-id counter and their retry schedules from its
-//! `Retransmitter`, so they share timers with the operations they run
-//! beside.
+//! write-back) to touch them. Walks draw their ids from the engine's
+//! phase-id counter and their retry schedules from its `Retransmitter`, so
+//! they share timers with the operations they run beside.
 
 use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use abd_core::engine::{Engine, Msg, Op, Outcome, Store};
 use abd_core::fasthash::FastBuild;
 use abd_core::merkle::{key_hash, MerkleTree};
-use abd_core::phase::{PhaseTracker, TagCensus};
+use abd_core::phase::TagCensus;
+use abd_core::procset::ProcSet;
 use abd_core::quorum::{Majority, QuorumSystem};
 use abd_core::retransmit::BackoffPolicy;
 use abd_core::types::{Consistency, Nanos, OpId, ProcessId, ReadMode, Tag};
@@ -89,48 +85,20 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 /// Wire message of the key-value protocol: the operation path's seven
-/// shapes as the engine declares them, and the sync protocol's six.
+/// shapes as the engine declares them, and the sync walk's one exchange.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum KvMsg<K, V> {
     /// A message of the operation path ([`abd_core::engine::Msg`]): labels
     /// are [`Tag`]s, and a replica reports `None` for a key never written.
     Op(Msg<K, Tag, Option<V>, V>),
-    /// Post-restart catch-up: ask the receiver for its complete per-key
-    /// state.
-    SyncPull {
-        /// Phase id echoed by the reply.
-        uid: u64,
-    },
-    /// Reply to [`KvMsg::SyncPull`]: the sender's full `(key, tag, value)`
-    /// snapshot. Entry order is arbitrary — the receiver max-merges, which
-    /// is order-insensitive.
-    SyncState {
-        /// Phase id copied from the pull.
-        uid: u64,
-        /// Every key the sender stores, with its tag.
-        entries: Vec<(K, Tag, V)>,
-    },
-    /// Open a Merkle sync walk: ask the receiver for its tree's root
-    /// digest. Sent by a recovering node (one walk per peer) and by the
-    /// background anti-entropy sweep.
-    SyncDigest {
-        /// Walk id, echoed by every reply of this walk.
-        uid: u64,
-    },
-    /// Reply to [`KvMsg::SyncDigest`]: the receiver's root digest. Equal
-    /// roots end the walk with zero entries transferred.
-    SyncDigestAck {
-        /// Walk id copied from the request.
-        uid: u64,
-        /// The sender's Merkle root over its `(key → tag)` map.
-        root: u64,
-    },
-    /// Walk descent: ask for the children digests (internal nodes) or the
-    /// stored entries (leaf buckets) of a batch of tree nodes the walker
-    /// found mismatching. The walker drives; the receiver answers
-    /// statelessly from its current tree and store.
+    /// Sync walk request: ask for the children digests (internal nodes) or
+    /// the stored entries (leaf buckets) of a batch of tree nodes — the
+    /// root alone in a walk's opening step, nodes the walker found
+    /// mismatching afterwards. Sent by a recovering node (one walk per
+    /// peer) and by the background anti-entropy sweep. The walker drives;
+    /// the receiver answers statelessly from its current tree and store.
     SyncDiffReq {
-        /// Walk id copied from the opening request.
+        /// Walk id, echoed by every reply of this walk.
         uid: u64,
         /// Walk step counter; replies echo it, which makes duplicated or
         /// reordered replies no-ops (links are not FIFO).
@@ -141,7 +109,8 @@ pub enum KvMsg<K, V> {
     /// Reply to [`KvMsg::SyncDiffReq`]: children digests for the batch's
     /// internal nodes and full entries for its leaf buckets. The walker
     /// prunes every child whose digest matches its own tree and recurses
-    /// into the rest.
+    /// into the rest; a reply to the opening step whose two digests both
+    /// match ends the walk with zero entries transferred.
     SyncEntries {
         /// Walk id copied from the request.
         uid: u64,
@@ -205,15 +174,9 @@ pub struct KvConfig {
     /// Retransmission policy for unfinished phases (`None` = reliable
     /// links).
     pub retransmit: Option<BackoffPolicy>,
-    /// Store size (keys) below which post-restart recovery uses the bulk
-    /// `SyncPull`/`SyncState` transfer instead of the Merkle walk. A small
-    /// store diverges on essentially everything, so bulk *is*
-    /// divergence-proportional there and costs one round instead of a
-    /// digest exchange. `0` forces the walk always, `usize::MAX` forces
-    /// bulk always.
-    pub sync_threshold: usize,
-    /// Leaf buckets of the Merkle sync tree (power of two). All nodes of a
-    /// cluster must agree — tree node ids travel in sync messages.
+    /// Leaf buckets of the Merkle sync tree (a power of two, at least 2).
+    /// All nodes of a cluster must agree — tree node ids travel in sync
+    /// messages.
     pub sync_buckets: usize,
     /// Period of the background anti-entropy sweep (`None` = disabled).
     /// Each firing walks one peer, round-robin.
@@ -221,8 +184,8 @@ pub struct KvConfig {
 }
 
 impl KvConfig {
-    /// Majority quorums, no retransmission, bulk recovery below 64 keys,
-    /// 1024 sync buckets, no background sweep.
+    /// Majority quorums, no retransmission, 1024 sync buckets, no
+    /// background sweep.
     pub fn new(n: usize, me: ProcessId) -> Self {
         KvConfig {
             n,
@@ -230,7 +193,6 @@ impl KvConfig {
             quorum: Arc::new(Majority::new(n)),
             read_mode: ReadMode::TwoRound,
             retransmit: None,
-            sync_threshold: 64,
             sync_buckets: 1024,
             anti_entropy: None,
         }
@@ -242,15 +204,8 @@ impl KvConfig {
         self
     }
 
-    /// Sets the store size below which recovery falls back to bulk state
-    /// transfer (see [`KvConfig::sync_threshold`]).
-    pub fn with_sync_threshold(mut self, keys: usize) -> Self {
-        self.sync_threshold = keys;
-        self
-    }
-
-    /// Sets the Merkle tree's leaf bucket count (power of two; cluster-wide
-    /// agreement required — see [`KvConfig::sync_buckets`]).
+    /// Sets the Merkle tree's leaf bucket count (a power of two ≥ 2;
+    /// cluster-wide agreement required — see [`KvConfig::sync_buckets`]).
     pub fn with_sync_buckets(mut self, buckets: usize) -> Self {
         self.sync_buckets = buckets;
         self
@@ -296,8 +251,9 @@ const MAX_DIFF_NODES: usize = 32;
 const SWEEP_KEY: u64 = u64::MAX - 1;
 
 /// One walker-side Merkle sync walk against a single peer. The walker
-/// drives: it holds the frontier of mismatching tree nodes and issues it in
-/// [`KvMsg::SyncDiffReq`] batches of at most [`MAX_DIFF_NODES`] ids, each
+/// drives: it holds the frontier of mismatching tree nodes — the root to
+/// begin with, so the opening step *is* the root comparison — and issues it
+/// in [`KvMsg::SyncDiffReq`] batches of at most [`MAX_DIFF_NODES`] ids, each
 /// under its own step; the peer answers statelessly. A *recovery* walk
 /// issues every batch of its frontier at once and the next tree level when
 /// the level's replies are all in, so it costs one round trip per level
@@ -316,17 +272,15 @@ struct SyncWalk {
     /// completion counts `peer` toward the recovery read quorum); `false`
     /// for background anti-entropy sweeps.
     recovery: bool,
-    /// Step of the next batch; `0` until the peer's root digest arrives
-    /// (the walk is waiting for [`KvMsg::SyncDigestAck`]).
+    /// Step of the next batch.
     next_step: u64,
     /// Batches issued and not yet answered, by step. Ordered, so that a
     /// retransmission re-issues them in a deterministic order.
     in_flight: BTreeMap<u64, Vec<u32>>,
     /// Mismatching tree nodes not yet requested.
     frontier: VecDeque<u32>,
-    /// Request waves issued so far (the digest handshake, then one per
-    /// [`KvNode::advance_walk`] that sent anything): the walk's sequential
-    /// round trips.
+    /// Request waves issued so far (one per [`KvNode::advance_walk`] that
+    /// sent anything): the walk's sequential round trips.
     rounds: u64,
 }
 
@@ -446,10 +400,10 @@ pub struct KvNode<K, V> {
     store: KvStore<K, V>,
     /// Every operation in flight, the replica role and the relay rounds.
     engine: Engine<K, Tag, Option<V>, V>,
-    /// Post-restart catch-up still short of a read quorum (bulk replies or
-    /// finished walks). Serving does not wait for it; it only holds the
-    /// anti-entropy sweep off and times the bulk pull's retransmission.
-    recovering: Option<PhaseTracker>,
+    /// Post-restart catch-up still short of a read quorum: this node and
+    /// the peers whose recovery walks have finished. Serving does not wait
+    /// for it; it only holds the anti-entropy sweep off.
+    recovering: Option<ProcSet>,
     /// In-progress walker-side sync walks, keyed by walk uid.
     walks: HashMap<u64, SyncWalk, FastBuild>,
     /// Round-robin cursor of the anti-entropy sweep.
@@ -467,9 +421,12 @@ where
 {
     /// Creates an empty node.
     pub fn new(cfg: KvConfig) -> Self {
+        // At least two: a walk's opening step compares the root's two
+        // children before anything ships. A one-leaf tree would ship the
+        // whole store on every quiet sweep.
         assert!(
-            cfg.sync_buckets.is_power_of_two(),
-            "sync_buckets must be a power of two"
+            cfg.sync_buckets.is_power_of_two() && cfg.sync_buckets >= 2,
+            "sync_buckets must be a power of two, at least 2"
         );
         let store = KvStore {
             map: HashMap::default(),
@@ -503,10 +460,9 @@ where
         self.store.tree.root()
     }
 
-    /// The most sequential round trips (request waves: the digest
-    /// handshake, then one per tree level for a recovery walk or one per
-    /// batch for a background sweep) any finished sync walk on this node
-    /// has needed.
+    /// The most sequential round trips (request waves: one per tree level
+    /// for a recovery walk, one per batch for a background sweep) any
+    /// finished sync walk on this node has needed.
     pub fn max_walk_rounds(&self) -> u64 {
         self.max_walk_rounds
     }
@@ -577,35 +533,34 @@ where
     /// counters. A fixed-size header per message plus the in-memory size
     /// of each shipped entry and 12 bytes per `(node id, digest)` pair —
     /// an estimate (there is no real wire format in the simulator), but a
-    /// consistent one, which is all the bulk-vs-walk comparison needs.
+    /// consistent one, which is all a comparison between transfers needs.
     fn sync_msg_bytes(msg: &KvMsg<K, V>) -> u64 {
         const HDR: u64 = 16;
         let entry = std::mem::size_of::<(K, Tag, V)>() as u64;
         match msg {
-            KvMsg::SyncPull { .. } | KvMsg::SyncDigest { .. } => HDR,
-            KvMsg::SyncDigestAck { .. } => HDR + 8,
-            KvMsg::SyncState { entries, .. } => HDR + entries.len() as u64 * entry,
             KvMsg::SyncDiffReq { nodes, .. } => HDR + 8 + nodes.len() as u64 * 4,
             KvMsg::SyncEntries {
                 children, entries, ..
             } => HDR + 8 + children.len() as u64 * 12 + entries.len() as u64 * entry,
-            _ => 0,
+            KvMsg::Op(_) => 0,
         }
     }
 
-    /// The single send point of the sync protocol (both transfer modes,
-    /// both roles): counts the message, its estimated bytes, and any
-    /// entries it ships, then emits it.
+    /// The single send point of the sync protocol (both roles): counts the
+    /// message, its estimated bytes, and any entries it ships, then emits
+    /// it.
     fn send_sync(&mut self, to: ProcessId, msg: KvMsg<K, V>, fx: &mut Fx<K, V>) {
         self.recovery_msgs += 1;
         self.recovery_bytes += Self::sync_msg_bytes(&msg);
-        if let KvMsg::SyncState { entries, .. } | KvMsg::SyncEntries { entries, .. } = &msg {
+        if let KvMsg::SyncEntries { entries, .. } = &msg {
             self.sync_entries_sent += entries.len() as u64;
         }
         fx.send(to, msg);
     }
 
-    /// Opens a Merkle sync walk against `peer`.
+    /// Opens a Merkle sync walk against `peer`: the frontier is the root,
+    /// whose expansion returns the two digests that decide whether anything
+    /// below differs.
     fn start_walk(&mut self, peer: ProcessId, recovery: bool, fx: &mut Fx<K, V>) {
         let uid = self.engine.fresh_uid();
         self.walks.insert(
@@ -615,12 +570,11 @@ where
                 recovery,
                 next_step: 0,
                 in_flight: BTreeMap::new(),
-                frontier: VecDeque::new(),
-                rounds: 1,
+                frontier: VecDeque::from([0]),
+                rounds: 0,
             },
         );
-        self.send_sync(peer, KvMsg::SyncDigest { uid }, fx);
-        self.engine.rtx.arm(uid, fx);
+        self.advance_walk(uid, fx);
     }
 
     /// Drives walk `uid` once its outstanding batches are all answered:
@@ -666,13 +620,9 @@ where
         };
         self.engine.rtx.disarm(uid, fx);
         self.max_walk_rounds = self.max_walk_rounds.max(walk.rounds);
-        if !walk.recovery {
-            return;
-        }
-        if let Some(ph) = self.recovering.as_mut() {
-            let rid = ph.uid();
-            ph.record(walk.peer, rid);
-            if self.cfg.quorum.is_read_quorum(ph.responders()) {
+        if let Some(caught_up) = self.recovering.as_mut().filter(|_| walk.recovery) {
+            caught_up.insert(walk.peer);
+            if self.cfg.quorum.is_read_quorum(caught_up) {
                 self.recovering = None;
             }
         }
@@ -717,14 +667,14 @@ where
     /// Swaps the quorum system under everything in flight. The engine
     /// restarts the current *round* — not the operation — of each pending
     /// phase ([`Engine::requorum`]): a restarted `Put` is still one write.
-    /// Sync walks and the catch-up tracker counted responders of the old
-    /// system, carry no client's operation, and are dropped with their
-    /// timers; the periodic sweep goes on.
+    /// Sync walks and the catch-up tally counted responders of the old
+    /// system, carry no client's operation, and are dropped, the walks with
+    /// their timers; the periodic sweep goes on.
     pub fn requorum(&mut self, quorum: Arc<dyn QuorumSystem>, fx: &mut Fx<K, V>) {
-        let dropped = self.walks.drain().map(|(uid, _)| uid);
-        for uid in dropped.chain(self.recovering.take().map(|ph| ph.uid())) {
+        for (uid, _) in self.walks.drain() {
             self.engine.rtx.disarm(uid, fx);
         }
+        self.recovering = None;
         self.cfg.quorum = quorum.clone();
         self.engine.requorum(quorum, &mut self.store, fx);
     }
@@ -760,42 +710,17 @@ where
         // here. This match is all that separates the two.
         match msg {
             KvMsg::Op(msg) => self.engine.on_message(from, msg, &mut self.store, fx),
-            KvMsg::SyncPull { uid } => {
-                let entries = self.entries();
-                self.send_sync(from, KvMsg::SyncState { uid, entries }, fx);
-            }
-            KvMsg::SyncState { uid, entries } => {
-                let Some(ph) = self.recovering.as_mut() else {
-                    return;
-                };
-                if !ph.record(from, uid) {
-                    return;
-                }
-                let done = self.cfg.quorum.is_read_quorum(ph.responders());
-                self.merge(entries);
-                if done {
-                    self.recovering = None;
-                    self.engine.rtx.disarm(uid, fx);
-                }
-            }
             // ---- Merkle sync walk: peer role (stateless) ----
-            KvMsg::SyncDigest { uid } => {
-                let root = self.store.tree.root();
-                self.send_sync(from, KvMsg::SyncDigestAck { uid, root }, fx);
-            }
             KvMsg::SyncDiffReq { uid, step, nodes } => {
                 // Answer from the current tree/store; out-of-range node
-                // ids (a misconfigured bucket count, a corrupt message)
-                // are skipped, never a panic. An empty bucket contributes
-                // no entries — the walker learns that from the reply being
-                // entry-free for that leaf.
+                // ids (a misconfigured bucket count, a corrupt message) are
+                // neither internal nodes nor leaves and are skipped, never a
+                // panic. An empty bucket contributes no entries — the walker
+                // learns that from the reply being entry-free for that leaf.
                 let KvStore { map, tree, buckets } = &self.store;
                 let mut children = Vec::new();
                 let mut entries = Vec::new();
                 for id in nodes {
-                    if tree.digest(id).is_none() {
-                        continue;
-                    }
                     if let Some((l, r)) = tree.children(id) {
                         children.push((l, tree.digest(l).unwrap_or(0)));
                         children.push((r, tree.digest(r).unwrap_or(0)));
@@ -819,22 +744,6 @@ where
                 );
             }
             // ---- Merkle sync walk: walker role ----
-            KvMsg::SyncDigestAck { uid, root } => {
-                let Some(walk) = self.walks.get_mut(&uid) else {
-                    return;
-                };
-                // Only the opening request is answered by an ack; once the
-                // walk has descended, duplicates of the ack are stale.
-                if walk.peer != from || walk.next_step != 0 {
-                    return;
-                }
-                if root == self.store.tree.root() {
-                    self.finish_walk(uid, fx);
-                    return;
-                }
-                walk.frontier.push_back(0);
-                self.advance_walk(uid, fx);
-            }
             KvMsg::SyncEntries {
                 uid,
                 step,
@@ -844,25 +753,23 @@ where
                 // Consume the reply only if its batch is still outstanding:
                 // a duplicate, or the answer to a batch a retransmission
                 // already got answered, finds its step gone.
-                let outstanding = self
-                    .walks
-                    .get_mut(&uid)
-                    .is_some_and(|w| w.peer == from && w.in_flight.remove(&step).is_some());
-                if !outstanding {
+                let Some(walk) = self.walks.get_mut(&uid).filter(|w| w.peer == from) else {
+                    return;
+                };
+                if walk.in_flight.remove(&step).is_none() {
                     return;
                 }
                 // Adopt the divergent leaf entries first (monotone, so a
                 // stale entry is a no-op), then prune children that now
                 // match our tree and descend into the rest.
-                self.merge(entries);
-                let next: Vec<u32> = children
-                    .into_iter()
-                    .filter(|&(id, digest)| self.store.tree.digest(id) != Some(digest))
-                    .map(|(id, _)| id)
-                    .collect();
-                if let Some(walk) = self.walks.get_mut(&uid) {
-                    walk.frontier.extend(next);
+                for (k, t, v) in entries {
+                    self.store.adopt(&k, t, v);
                 }
+                let tree = &self.store.tree;
+                let differing = children
+                    .iter()
+                    .filter(|&&(id, d)| tree.digest(id) != Some(d));
+                walk.frontier.extend(differing.map(|&(id, _)| id));
                 self.advance_walk(uid, fx);
             }
         }
@@ -878,30 +785,18 @@ where
             // Re-issue every outstanding request, each batch under its own
             // step; the eventual duplicate replies find their step consumed.
             let peer = walk.peer;
-            let resend: Vec<KvMsg<K, V>> = if walk.next_step == 0 {
-                vec![KvMsg::SyncDigest { uid }]
-            } else {
-                walk.in_flight
-                    .iter()
-                    .map(|(&step, nodes)| KvMsg::SyncDiffReq {
-                        uid,
-                        step,
-                        nodes: nodes.clone(),
-                    })
-                    .collect()
-            };
+            let resend: Vec<KvMsg<K, V>> = walk
+                .in_flight
+                .iter()
+                .map(|(&step, nodes)| KvMsg::SyncDiffReq {
+                    uid,
+                    step,
+                    nodes: nodes.clone(),
+                })
+                .collect();
             let resent = resend.len() as u64;
             for msg in resend {
                 self.send_sync(peer, msg, fx);
-            }
-            self.engine.rtx.refire(uid, resent, fx);
-            return;
-        }
-        if let Some(ph) = self.recovering.as_ref().filter(|ph| ph.uid() == uid) {
-            let targets = ph.missing();
-            let resent = targets.len() as u64;
-            for p in targets {
-                self.send_sync(p, KvMsg::SyncPull { uid }, fx);
             }
             self.engine.rtx.refire(uid, resent, fx);
             return;
@@ -922,27 +817,16 @@ where
         self.engine.on_restart();
         self.walks.clear();
         self.arm_sweep(fx);
-        let uid = self.engine.fresh_uid();
-        let ph = PhaseTracker::new(uid, self.cfg.n, self.cfg.me);
-        if self.cfg.quorum.is_read_quorum(ph.responders()) {
+        let caught_up = ProcSet::from_iter_with_capacity(self.cfg.n, [self.cfg.me]);
+        if self.cfg.quorum.is_read_quorum(&caught_up) {
             return;
         }
-        self.recovering = Some(ph);
-        let peers = self.engine.peers();
-        if self.store.map.len() < self.cfg.sync_threshold {
-            // Bulk fallback: a store this small diverges on essentially
-            // everything, so the digest exchange would only add rounds.
-            for p in peers {
-                self.send_sync(p, KvMsg::SyncPull { uid }, fx);
-            }
-            self.engine.rtx.arm(uid, fx);
-        } else {
-            // Merkle walk, one per peer. Each finished walk records its
-            // peer in `recovering`; the catch-up ends at a read quorum, and
-            // the remaining walks keep running as plain anti-entropy.
-            for p in peers {
-                self.start_walk(p, true, fx);
-            }
+        self.recovering = Some(caught_up);
+        // One recovery walk per peer. Each finished walk records its peer in
+        // `recovering`; the catch-up ends at a read quorum, and the
+        // remaining walks keep running as plain anti-entropy.
+        for p in self.engine.peers() {
+            self.start_walk(p, true, fx);
         }
     }
 }
@@ -1361,38 +1245,6 @@ mod tests {
     }
 
     #[test]
-    fn restart_serves_at_once_and_catches_up_alongside() {
-        let mut net: Net<&str, u32> = Net::new(3);
-        net.invoke(0, KvOp::Put("a", 1));
-        net.run();
-        // Node 2 crashes and misses two puts.
-        net.alive[2] = false;
-        net.invoke(0, KvOp::Put("b", 2));
-        net.invoke(0, KvOp::Put("c", 3));
-        net.run();
-        net.take();
-        assert!(net.nodes[2].local_entry(&"b").is_none());
-        // On restart it pulls a read quorum's state...
-        net.restart(2);
-        assert!(net.nodes[2].is_recovering());
-        // ...but an invocation starts its query round at once, and the
-        // quorum answers it while the pull is still in flight.
-        net.invoke(2, KvOp::Get("b"));
-        assert_eq!(net.nodes[2].in_flight(), 1);
-        net.run_foreground();
-        assert_eq!(net.take(), vec![(OpId(3), KvResp::GetOk(Some(2)))]);
-        assert!(net.nodes[2].is_recovering());
-        assert!(
-            net.nodes[2].local_entry(&"c").is_none(),
-            "not caught up yet"
-        );
-        net.run();
-        assert!(!net.nodes[2].is_recovering());
-        assert_eq!(*net.nodes[2].local_entry(&"c").unwrap().1, 3);
-        assert!(net.take().is_empty(), "the get answered exactly once");
-    }
-
-    #[test]
     fn stale_replies_ignored() {
         let mut node: KvNode<&str, u32> = KvNode::new(KvConfig::new(3, ProcessId(0)));
         let mut fx = Effects::new();
@@ -1413,11 +1265,11 @@ mod tests {
     /// `on_message`'s match is the one place that tells the operation path
     /// from the sync protocol: an `Op` — a live one or a straggler of a
     /// finished round — is the engine's and never touches sync state, and
-    /// each of the six sync shapes reaches its own arm.
+    /// each of the two sync shapes reaches its own arm.
     #[test]
     fn op_messages_reach_the_engine_and_every_sync_shape_its_own_arm() {
         let cfg = KvConfig::new(3, ProcessId(0)).with_sync_buckets(2);
-        let mut node: KvNode<u32, u64> = KvNode::new(cfg.clone().with_sync_threshold(0));
+        let mut node: KvNode<u32, u64> = KvNode::new(cfg);
         let t = Tag::new(1, ProcessId(0));
 
         // A put, driven to completion by node 1's replies (uids 1 and 2).
@@ -1446,13 +1298,7 @@ mod tests {
         assert_eq!(deliver(&mut node, update), vec![ack]);
         assert_eq!((node.in_flight(), node.counters().recovery_msgs), (0, 0));
 
-        // Peer role: the three requests, each answered by its own reply.
-        let entries = vec![(7, t, 70)];
-        let state = KvMsg::SyncState { uid: 9, entries };
-        assert_eq!(deliver(&mut node, KvMsg::SyncPull { uid: 9 }), [state]);
-        let root = node.sync_root();
-        let ack = KvMsg::SyncDigestAck { uid: 9, root };
-        assert_eq!(deliver(&mut node, KvMsg::SyncDigest { uid: 9 }), [ack]);
+        // Peer role: the request, answered by its reply.
         let diff_req = |uid| KvMsg::SyncDiffReq {
             uid,
             step: 0,
@@ -1465,52 +1311,34 @@ mod tests {
             "{sent:?}"
         );
 
-        // Walker role: with no walk or catch-up open the three replies are
-        // stragglers and merge nothing …
-        let entries = vec![(8, t, 80)];
+        // Walker role: with no walk open the reply is a straggler and
+        // merges nothing …
         let walk_reply = |uid| KvMsg::SyncEntries {
             uid,
             step: 0,
             children: vec![],
-            entries: entries.clone(),
+            entries: vec![(8, t, 80)],
         };
-        let state = |uid| KvMsg::SyncState {
-            uid,
-            entries: entries.clone(),
-        };
-        let root_ack = |uid| KvMsg::SyncDigestAck { uid, root: 1 };
-        for msg in [state(9), walk_reply(9), root_ack(9)] {
-            assert!(deliver(&mut node, msg).is_empty());
-        }
+        assert!(deliver(&mut node, walk_reply(9)).is_empty());
         assert_eq!((node.local_len(), node.walks_in_flight()), (1, 0));
-        // … a walk in progress descends on a differing root and merges what
-        // its batch brings …
+        // … and a walk in progress merges what its batch brings and counts
+        // its peer.
         let mut fx = Effects::new();
         node.on_restart(&mut fx);
         let uid = match fx.sends[0] {
-            (ProcessId(1), KvMsg::SyncDigest { uid }) => uid,
-            ref other => panic!("expected SyncDigest to node 1, got {other:?}"),
+            (ProcessId(1), KvMsg::SyncDiffReq { uid, .. }) => uid,
+            ref other => panic!("expected SyncDiffReq to node 1, got {other:?}"),
         };
-        assert_eq!(deliver(&mut node, root_ack(uid)), [diff_req(uid)]);
+        assert_eq!(fx.sends[0].1, diff_req(uid));
         assert!(deliver(&mut node, walk_reply(uid)).is_empty());
         assert_eq!((node.local_len(), node.is_recovering()), (2, false));
-        // … and a bulk catch-up merges a snapshot and counts its sender.
-        let mut node: KvNode<u32, u64> = KvNode::new(cfg);
-        let mut fx = Effects::new();
-        node.on_restart(&mut fx);
-        let uid = match fx.sends[0] {
-            (_, KvMsg::SyncPull { uid }) => uid,
-            ref other => panic!("expected SyncPull, got {other:?}"),
-        };
-        assert!(deliver(&mut node, state(uid)).is_empty());
-        assert_eq!((node.local_len(), node.is_recovering()), (1, false));
     }
 
-    // ---- Merkle sync: recovery walk, sweep, and bulk edge cases ----
+    // ---- Merkle sync: recovery walk, sweep, and edge cases ----
 
-    /// Force the walk path regardless of store size.
+    /// A small tree, so a handful of keys fills every bucket.
     fn merkle_net(n: usize) -> Net<u32, u64> {
-        Net::with(n, |cfg| cfg.with_sync_threshold(0).with_sync_buckets(16))
+        Net::with(n, |cfg| cfg.with_sync_buckets(16))
     }
 
     #[test]
@@ -1580,7 +1408,7 @@ mod tests {
             .sum();
         // Each up-to-date peer ships the divergent bucket once. With 16
         // buckets and 64 keys a bucket holds ~4 keys — nowhere near the
-        // 128 entries bulk transfer would have moved.
+        // 128 entries two whole stores are.
         assert!(shipped >= 1, "the stale key must be shipped");
         assert!(
             shipped <= 16,
@@ -1590,27 +1418,86 @@ mod tests {
     }
 
     #[test]
-    fn merkle_walk_with_identical_stores_moves_no_entries() {
+    fn walk_against_an_identical_store_is_one_request_and_one_entry_free_reply() {
         let mut net = merkle_net(3);
         for k in 0..32u32 {
             net.invoke(0, KvOp::Put(k, 5));
         }
         net.run();
         net.take();
+        let before = net.sent;
         net.restart(2);
         assert!(net.nodes[2].is_recovering());
         net.run();
         assert!(!net.nodes[2].is_recovering());
+        // Per walk: the root's expansion out, its two digests back — and
+        // both match, so there is no second step.
+        assert_eq!(net.sent - before, 2 * 2);
+        assert_eq!(net.nodes[2].recovery_msgs(), 2);
+        assert_eq!(net.nodes[2].max_walk_rounds(), 1);
         let shipped: u64 = (0..3).map(|i| net.nodes[i].sync_entries_sent()).sum();
-        assert_eq!(shipped, 0, "equal roots prune the whole tree");
+        assert_eq!(shipped, 0, "equal digests prune the whole tree");
+    }
+
+    #[test]
+    fn opening_batch_lost_on_every_link_is_reissued_by_the_walk_timer() {
+        let mut net = net_with_node_2_behind(100, |cfg| cfg.with_retransmit(1_000_000));
+        net.restart(2);
+        let lost: Vec<_> = net.queue.drain(..).collect();
+        assert_eq!(lost.len(), 2);
+        net.run();
+        assert_eq!(net.nodes[2].walks_in_flight(), 2, "nothing to hear from");
+        // Each walk's own timer re-issues its opening request, step and all.
+        for (_, to, req) in lost {
+            let KvMsg::SyncDiffReq { uid, step: 0, .. } = req else {
+                panic!("expected an opening SyncDiffReq, got {req:?}");
+            };
+            let mut fx = Effects::new();
+            net.nodes[2].on_timer(TimerKey(uid), &mut fx);
+            assert_eq!(fx.sends, vec![(to, req)]);
+            net.absorb(ProcessId(2), fx);
+        }
+        net.run();
+        assert!(!net.nodes[2].is_recovering());
+        assert_eq!(net.nodes[2].walks_in_flight(), 0);
+        assert_eq!(net.nodes[2].retransmissions(), 2);
+        assert_eq!(net.nodes[2].sync_root(), net.nodes[0].sync_root());
+    }
+
+    #[test]
+    fn two_buckets_is_the_smallest_tree_and_still_compares_before_it_ships() {
+        let mut net: Net<u32, u64> = Net::with(2, |cfg| cfg.with_sync_buckets(2));
+        for node in &mut net.nodes {
+            for k in 0..8u32 {
+                node.preload(k, Tag::new(1, ProcessId(0)), 1);
+            }
+        }
+        // Equal stores: two digests travel, no entry.
+        net.restart(1);
+        net.run();
+        assert_eq!(net.sent, 2);
+        assert_eq!(net.nodes[1].max_walk_rounds(), 1);
+        // The reply: header, step, two `(node id, digest)` pairs.
+        assert_eq!(net.nodes[0].recovery_bytes(), 16 + 8 + 2 * 12);
+        assert_eq!(net.nodes[0].sync_entries_sent(), 0);
+        // One stale key: the root's expansion, then the one leaf that
+        // differs — its bucket ships, the other does not.
+        net.nodes[0].preload(3, Tag::new(2, ProcessId(0)), 2);
+        let b = net.nodes[0].store.tree.bucket_of(key_hash(&3u32));
+        let in_bucket = net.nodes[0].store.buckets[b].len() as u64;
+        assert!(in_bucket < 8, "the other bucket holds keys too");
+        net.restart(1);
+        net.run();
+        assert_eq!(net.sent, 2 + 4);
+        assert_eq!(net.nodes[1].max_walk_rounds(), 2);
+        assert_eq!(net.nodes[0].sync_entries_sent(), in_bucket);
+        assert_eq!(*net.nodes[1].local_entry(&3).unwrap().1, 2);
     }
 
     #[test]
     fn anti_entropy_sweep_repairs_drift_without_a_restart() {
         let mut net: Net<u32, u64> = Net::with(3, |cfg| {
-            cfg.with_sync_threshold(0)
-                .with_sync_buckets(16)
-                .with_anti_entropy(1_000_000)
+            cfg.with_sync_buckets(16).with_anti_entropy(1_000_000)
         });
         for k in 0..16u32 {
             net.invoke(0, KvOp::Put(k, 1));
@@ -1636,11 +1523,8 @@ mod tests {
 
     #[test]
     fn sweep_rearms_and_stays_quiet_while_recovering() {
-        let mut node: KvNode<u32, u64> = KvNode::new(
-            KvConfig::new(3, ProcessId(0))
-                .with_anti_entropy(500)
-                .with_sync_threshold(usize::MAX),
-        );
+        let mut node: KvNode<u32, u64> =
+            KvNode::new(KvConfig::new(3, ProcessId(0)).with_anti_entropy(500));
         let mut fx = Effects::new();
         node.on_start(&mut fx);
         assert_eq!(
@@ -1669,21 +1553,11 @@ mod tests {
         }
         let mut fx = Effects::new();
         // Open a walk by hand (background kind).
+        // The descent starts at the tree root.
         node.start_walk(ProcessId(1), false, &mut fx);
-        let uid = match fx.sends.pop() {
-            Some((_, KvMsg::SyncDigest { uid })) => uid,
-            other => panic!("expected SyncDigest, got {other:?}"),
-        };
-        // A mismatching root starts the descent at the tree root.
-        let mut fx = Effects::new();
-        node.on_message(ProcessId(1), KvMsg::SyncDigestAck { uid, root: 1 }, &mut fx);
-        let first_req = fx.sends.clone();
-        assert!(matches!(first_req[0].1, KvMsg::SyncDiffReq { step: 0, .. }));
-        // A duplicate of the ack must not restart or double-drive the walk.
-        let mut fx = Effects::new();
-        node.on_message(ProcessId(1), KvMsg::SyncDigestAck { uid, root: 1 }, &mut fx);
-        assert!(fx.sends.is_empty(), "duplicate ack ignored");
-        // A reply with a stale step is ignored too.
+        let (uid, first_req) = opening(fx.sends);
+        assert!(matches!(first_req[0], KvMsg::SyncDiffReq { step: 0, .. }));
+        // A reply with a step not in flight is ignored.
         let mut fx = Effects::new();
         node.on_message(
             ProcessId(1),
@@ -1709,6 +1583,19 @@ mod tests {
             &mut fx,
         );
         assert!(matches!(fx.sends[0].1, KvMsg::SyncDiffReq { step: 1, .. }));
+        // A duplicate of it must not restart or double-drive the walk.
+        let mut fx = Effects::new();
+        node.on_message(
+            ProcessId(1),
+            KvMsg::SyncEntries {
+                uid,
+                step: 0,
+                children: vec![(1, 123), (2, 456)],
+                entries: vec![],
+            },
+            &mut fx,
+        );
+        assert!(fx.sends.is_empty(), "duplicate reply ignored");
     }
 
     /// A walker (node 0) and a peer (node 1) of an `n = 2` cluster holding
@@ -1719,7 +1606,6 @@ mod tests {
         let node = |i: usize| {
             let mut node: KvNode<u32, u64> = KvNode::new(
                 KvConfig::new(2, ProcessId(i))
-                    .with_sync_threshold(0)
                     .with_sync_buckets(256)
                     .with_retransmit(1_000_000),
             );
@@ -1750,20 +1636,14 @@ mod tests {
         fx.sends.into_iter().map(|(_, m)| m).collect()
     }
 
-    /// Opens the walk by hand-feeding the digest handshake; returns the walk
-    /// uid and the first wave of requests.
-    fn open_walk(
-        walker: &mut KvNode<u32, u64>,
-        peer: &mut KvNode<u32, u64>,
-        opening: Vec<(ProcessId, KvMsg<u32, u64>)>,
-    ) -> (u64, Vec<KvMsg<u32, u64>>) {
-        assert_eq!(opening.len(), 1);
-        let uid = match opening[0].1 {
-            KvMsg::SyncDigest { uid } => uid,
-            ref other => panic!("expected SyncDigest, got {other:?}"),
-        };
-        let ack = answer(peer, &opening[0].1);
-        (uid, deliver(walker, ack))
+    /// The walk uid and first wave of a walk just opened against one peer:
+    /// a single request, for the root.
+    fn opening(sends: Vec<(ProcessId, KvMsg<u32, u64>)>) -> (u64, Vec<KvMsg<u32, u64>>) {
+        let wave: Vec<_> = sends.into_iter().map(|(_, m)| m).collect();
+        match wave[..] {
+            [KvMsg::SyncDiffReq { uid, ref nodes, .. }] if nodes[..] == [0] => (uid, wave),
+            ref other => panic!("expected one SyncDiffReq for the root, got {other:?}"),
+        }
     }
 
     /// Asserts `wave` is all `SyncDiffReq`s with fresh steps over tree nodes
@@ -1791,7 +1671,7 @@ mod tests {
         let mut fx = Effects::new();
         walker.on_restart(&mut fx);
         assert!(walker.is_recovering());
-        let (uid, mut wave) = open_walk(&mut walker, &mut peer, fx.sends);
+        let (uid, mut wave) = opening(fx.sends);
         let (mut steps, mut expanded) = Default::default();
         let mut wave_sizes = Vec::new();
         while !wave.is_empty() {
@@ -1825,7 +1705,7 @@ mod tests {
         assert_eq!(walker.walks_in_flight(), 0);
         assert!(!walker.is_recovering());
         assert_eq!(walker.sync_root(), peer.sync_root());
-        assert_eq!(walker.max_walk_rounds(), 1 + 9);
+        assert_eq!(walker.max_walk_rounds(), 9);
         assert_eq!(walker.retransmissions(), 9);
     }
 
@@ -1834,7 +1714,7 @@ mod tests {
         let (mut walker, mut peer) = wide_divergence_pair();
         let mut fx = Effects::new();
         walker.on_restart(&mut fx);
-        let (uid, mut wave) = open_walk(&mut walker, &mut peer, fx.sends);
+        let (uid, mut wave) = opening(fx.sends);
         // Answer level by level until eight batches are in flight.
         while wave.len() < 8 {
             let replies: Vec<_> = wave.iter().map(|req| answer(&mut peer, req)).collect();
@@ -1874,7 +1754,7 @@ mod tests {
         let (mut walker, mut peer) = wide_divergence_pair();
         let mut fx = Effects::new();
         walker.start_walk(ProcessId(1), false, &mut fx);
-        let (uid, mut wave) = open_walk(&mut walker, &mut peer, fx.sends);
+        let (uid, mut wave) = opening(fx.sends);
         let (mut steps, mut expanded) = Default::default();
         let mut batches = 0;
         while !wave.is_empty() {
@@ -1894,7 +1774,7 @@ mod tests {
         // 8, 16, 32), the other 448 in full batches of 32.
         assert_eq!(batches, 6 + 14);
         assert_eq!(expanded.len(), 2 * 256 - 1);
-        assert_eq!(walker.max_walk_rounds(), 1 + batches);
+        assert_eq!(walker.max_walk_rounds(), batches);
         assert_eq!(walker.sync_root(), peer.sync_root());
     }
 
@@ -1908,17 +1788,15 @@ mod tests {
         /// holds from a write it never finished (`ahead`), and in whatever
         /// order and multiplicity the replies of its in-flight batches
         /// arrive, the pipelined walk leaves the store the bulk snapshot
-        /// transfer leaves.
+        /// transfer left: its peers' whole stores, max-merged into its own.
         #[test]
         fn pipelined_walk_leaves_the_store_bulk_sync_leaves(
             missed in proptest::collection::hash_set(0u32..1_500, 0..1_200),
             ahead in proptest::collection::hash_set(0u32..1_500, 0..40),
             order in proptest::prelude::any::<u64>(),
         ) {
-            let recovered = |threshold: usize, chaotic: bool| {
-                let mut net: Net<u32, u64> = Net::with(3, |cfg| {
-                    cfg.with_sync_threshold(threshold).with_sync_buckets(256)
-                });
+            let cluster = || {
+                let mut net: Net<u32, u64> = Net::with(3, |cfg| cfg.with_sync_buckets(256));
                 for node in &mut net.nodes {
                     for k in 0..1_500u32 {
                         node.preload(k, Tag::new(1, ProcessId(0)), 1);
@@ -1932,32 +1810,25 @@ mod tests {
                 for &k in &ahead {
                     net.nodes[2].preload(k, Tag::new(3, ProcessId(2)), 3);
                 }
-                net.restart(2);
-                if chaotic {
-                    net.run_chaotic(order);
-                } else {
-                    net.run();
-                }
-                assert!(!net.nodes[2].is_recovering());
-                assert_eq!(net.nodes[2].walks_in_flight(), 0);
+                net
+            };
+            let store_of = |node: &KvNode<u32, u64>| {
                 (0..1_500u32)
-                    .map(|k| net.nodes[2].local_entry(&k).map(|(t, v)| (t, *v)))
+                    .map(|k| node.local_entry(&k).map(|(t, v)| (t, *v)))
                     .collect::<Vec<_>>()
             };
-            proptest::prop_assert_eq!(recovered(0, true), recovered(usize::MAX, false));
+            let mut walked = cluster();
+            walked.restart(2);
+            walked.run_chaotic(order);
+            assert!(!walked.nodes[2].is_recovering());
+            assert_eq!(walked.nodes[2].walks_in_flight(), 0);
+            let mut bulk = cluster();
+            for peer in 0..2 {
+                let snapshot = bulk.nodes[peer].entries();
+                bulk.nodes[2].merge(snapshot);
+            }
+            proptest::prop_assert_eq!(store_of(&walked.nodes[2]), store_of(&bulk.nodes[2]));
         }
-    }
-
-    #[test]
-    fn bulk_sync_with_empty_stores_on_both_sides_completes() {
-        let mut net: Net<u32, u64> = Net::new(3);
-        net.restart(2);
-        assert!(net.nodes[2].is_recovering());
-        net.invoke(2, KvOp::Get(1));
-        net.run();
-        assert!(!net.nodes[2].is_recovering());
-        assert_eq!(net.nodes[2].local_len(), 0);
-        assert_eq!(net.take(), vec![(OpId(0), KvResp::GetOk(None))]);
     }
 
     #[test]
@@ -1968,31 +1839,22 @@ mod tests {
         let root = node.sync_root();
         let mut fx = Effects::new();
         node.on_restart(&mut fx);
-        let uid = match fx.sends.first() {
-            Some((_, KvMsg::SyncPull { uid })) => *uid,
-            other => panic!("expected SyncPull, got {other:?}"),
-        };
         // A peer claims a *different* value at the same tag. Max-merge is
         // strictly-greater, so the local entry (and digest) must survive —
         // adopting a tag-tied different value would let two replicas
         // permanently disagree under an equal digest.
-        let mut fx = Effects::new();
-        node.on_message(
-            ProcessId(1),
-            KvMsg::SyncState {
+        for (to, msg) in fx.sends {
+            let KvMsg::SyncDiffReq { uid, step, .. } = msg else {
+                panic!("expected SyncDiffReq, got {msg:?}");
+            };
+            let reply = KvMsg::SyncEntries {
                 uid,
+                step,
+                children: vec![],
                 entries: vec![(1, t, 999)],
-            },
-            &mut fx,
-        );
-        node.on_message(
-            ProcessId(2),
-            KvMsg::SyncState {
-                uid,
-                entries: vec![(1, t, 999)],
-            },
-            &mut fx,
-        );
+            };
+            node.on_message(to, reply, &mut Effects::new());
+        }
         assert!(!node.is_recovering());
         assert_eq!(node.local_entry(&1), Some((t, &111)));
         assert_eq!(node.sync_root(), root);
@@ -2003,10 +1865,14 @@ mod tests {
         let mut node: KvNode<u32, u64> = KvNode::new(KvConfig::new(3, ProcessId(0)));
         let mut fx = Effects::new();
         node.on_restart(&mut fx);
-        let uid = match fx.sends.first() {
-            Some((_, KvMsg::SyncPull { uid })) => *uid,
-            other => panic!("expected SyncPull, got {other:?}"),
-        };
+        let walk_uids: Vec<u64> = fx
+            .sends
+            .iter()
+            .map(|(_, m)| match m {
+                KvMsg::SyncDiffReq { uid, step: 0, .. } => *uid,
+                other => panic!("expected an opening SyncDiffReq, got {other:?}"),
+            })
+            .collect();
         // The get broadcasts its query round straight away.
         let mut fx = Effects::new();
         node.on_invoke(OpId(1), KvOp::Get(5), &mut fx);
@@ -2018,11 +1884,19 @@ mod tests {
         // The catch-up completing under it, and a duplicated straggler
         // afterwards, adopt entries and nothing else.
         let mut fx = Effects::new();
-        let state = |from: usize, entries| (ProcessId(from), KvMsg::SyncState { uid, entries });
+        let entries_from = |from: usize, entries| {
+            let reply = KvMsg::SyncEntries {
+                uid: walk_uids[from - 1],
+                step: 0,
+                children: vec![],
+                entries,
+            };
+            (ProcessId(from), reply)
+        };
         for (from, msg) in [
-            state(1, vec![(5, Tag::new(1, ProcessId(1)), 42)]),
-            state(2, vec![]),
-            state(2, vec![]),
+            entries_from(1, vec![(5, Tag::new(1, ProcessId(1)), 42)]),
+            entries_from(2, vec![]),
+            entries_from(2, vec![]),
         ] {
             node.on_message(from, msg, &mut fx);
         }
@@ -2062,13 +1936,11 @@ mod tests {
         assert_eq!(fx.responses, vec![(OpId(1), KvResp::GetOk(Some(42)))]);
     }
 
-    /// `n = 3`, the Merkle walk forced: every node holds `keys` keys, and
+    /// `n = 3`: every node holds `keys` keys, and
     /// nodes 0 and 1 — a write quorum — hold a newer put on each of them
     /// that node 2 slept through.
     fn net_with_node_2_behind(keys: u32, cfg_fn: impl Fn(KvConfig) -> KvConfig) -> Net<u32, u64> {
-        let mut net: Net<u32, u64> = Net::with(3, |cfg| {
-            cfg_fn(cfg.with_sync_threshold(0).with_sync_buckets(64))
-        });
+        let mut net: Net<u32, u64> = Net::with(3, |cfg| cfg_fn(cfg.with_sync_buckets(64)));
         for (i, node) in net.nodes.iter_mut().enumerate() {
             for k in 0..keys {
                 node.preload(k, Tag::new(1, ProcessId(0)), 1);
@@ -2152,23 +2024,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_counters_account_bulk_traffic() {
-        let mut net: Net<u32, u64> = Net::new(3);
-        net.invoke(0, KvOp::Put(1, 10));
-        net.run();
-        net.take();
-        net.restart(2);
-        net.run();
-        // The recovering node sent 2 SyncPulls; each peer one SyncState.
-        assert_eq!(net.nodes[2].recovery_msgs(), 2);
-        assert_eq!(net.nodes[0].recovery_msgs(), 1);
-        assert_eq!(net.nodes[1].recovery_msgs(), 1);
-        let shipped: u64 = (0..3).map(|i| net.nodes[i].sync_entries_sent()).sum();
-        assert_eq!(shipped, 2, "each peer ships its single entry");
-        assert!(net.nodes[0].recovery_bytes() > net.nodes[2].recovery_bytes());
-    }
-
-    #[test]
     fn requorum_restarts_rounds_and_a_stamped_put_keeps_its_tag() {
         use abd_core::quorum::Weighted;
         let cfg = KvConfig::new(3, ProcessId(0)).with_retransmit(1_000);
@@ -2213,7 +2068,8 @@ mod tests {
         node.on_message(ProcessId(2), KvMsg::Op(Msg::UpdateAck { uid: 4 }), &mut fx);
         assert_eq!(fx.responses, vec![(OpId(0), KvResp::PutOk)]);
         assert_eq!(node.local_entry(&1).map(|(t, _)| t), Some(tag));
-        // A catch-up counted peers of the old system: dropped, timer and all.
+        // A catch-up counted peers of the old system: dropped, walks, timers
+        // and all.
         let mut fx = Effects::new();
         node.on_restart(&mut fx);
         assert!(node.is_recovering());
@@ -2221,6 +2077,11 @@ mod tests {
         node.requorum(Arc::new(Majority::new(3)), &mut fx);
         assert!(!node.is_recovering());
         assert!(fx.sends.is_empty(), "the restart dropped the get: {fx:?}");
-        assert_eq!(fx.timers.len(), 1, "the pull's timer is cancelled: {fx:?}");
+        assert_eq!(node.walks_in_flight(), 0);
+        assert_eq!(
+            fx.timers.len(),
+            2,
+            "both walks' timers are cancelled: {fx:?}"
+        );
     }
 }

@@ -279,8 +279,8 @@ enum Phase {
 fn is_reply<K, V>(msg: &KvMsg<K, V>) -> bool {
     match msg {
         KvMsg::Op(m) => m.is_reply(),
-        KvMsg::SyncState { .. } | KvMsg::SyncDigestAck { .. } | KvMsg::SyncEntries { .. } => true,
-        KvMsg::SyncPull { .. } | KvMsg::SyncDigest { .. } | KvMsg::SyncDiffReq { .. } => false,
+        KvMsg::SyncEntries { .. } => true,
+        KvMsg::SyncDiffReq { .. } => false,
     }
 }
 
@@ -1013,17 +1013,17 @@ mod tests {
         assert_eq!(node.in_flight(), 0);
         assert_eq!(node.current_config(), &cfg(0, &[0, 1, 2]));
         assert_eq!(node.local_entry(&"k").map(|(_, v)| *v), Some(9));
-        // The inner node's own restart ran: it pulls state from its peers.
-        let pull = |m: &RcMsg<_, _>| {
+        // The inner node's own restart ran: it opens a walk against each peer.
+        let walk = |m: &RcMsg<_, _>| {
             matches!(
                 m,
                 RcMsg::Op {
                     epoch: 0,
-                    msg: KvMsg::SyncPull { .. }
+                    msg: KvMsg::SyncDiffReq { .. }
                 }
             )
         };
-        assert_eq!(fx.sends.iter().filter(|(_, m)| pull(m)).count(), 2);
+        assert_eq!(fx.sends.iter().filter(|(_, m)| walk(m)).count(), 2);
         // Still sealed: an update of the closed epoch stays unanswered.
         assert!(deliver(&mut node, 0, update(0, 3, 11)).is_empty());
         // And the administrator may try again.

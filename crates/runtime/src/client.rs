@@ -244,13 +244,11 @@ mod tests {
     fn restarted_node_answers_its_first_get_while_its_walk_is_still_running() {
         use abd_core::types::Tag;
         // One millisecond per hop: a get is two round trips (~4.5 ms), the
-        // reboot's walk over 256 all-divergent buckets ten (>= 20 ms).
+        // reboot's walk over 256 all-divergent buckets nine (>= 18 ms).
         const HOP: u64 = 1_000_000;
         let nodes: Vec<KvNode<u32, u64>> = (0..3)
             .map(|i| {
-                let cfg = KvConfig::new(3, ProcessId(i))
-                    .with_sync_threshold(0)
-                    .with_sync_buckets(256);
+                let cfg = KvConfig::new(3, ProcessId(i)).with_sync_buckets(256);
                 let mut node = KvNode::new(cfg);
                 for k in 0..2_000u32 {
                     node.preload(k, Tag::new(1, ProcessId(0)), 1);

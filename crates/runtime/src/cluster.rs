@@ -188,7 +188,7 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// invoke on it again. What `on_restart` does is the protocol's: a
     /// `RegisterNode` catches the replica up from a read quorum before it
     /// serves (invocations queue meanwhile), while a `KvNode` serves at
-    /// once and runs its bulk pull or Merkle walks in the background.
+    /// once and runs its Merkle walks in the background.
     /// Restarting a live node is a no-op.
     pub fn restart(&self, i: usize) {
         let _ = self.cmd_txs[i].send(Cmd::Restart);

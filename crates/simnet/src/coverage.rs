@@ -30,10 +30,10 @@
 //! - **Retransmission-exhaustion** — log₂ bucket of the campaign's total
 //!   retransmissions: how hard the loss/partition plan starved phases.
 //! - **Sync-divergence** — log₂ bucket of the `(key, tag, value)` entries a
-//!   restarted node received through the sync protocol (bulk snapshot or
-//!   Merkle walk) before the campaign ended: how far the schedule let that
-//!   replica diverge before recovery repaired it. Bucket 0 — a reboot that
-//!   needed no entries at all — is itself a distinct feature.
+//!   restarted node received through its Merkle walks before the campaign
+//!   ended: how far the schedule let that replica diverge before recovery
+//!   repaired it. Bucket 0 — a reboot that needed no entries at all — is
+//!   itself a distinct feature.
 //! - **Served-during-catch-up** — log₂ bucket of the operations that
 //!   completed on a restarted node while sync replies for its catch-up
 //!   were still arriving: how much the schedule made a replica serve
@@ -77,17 +77,9 @@ pub enum MsgKind {
     RelayReply,
     /// A coalesced envelope carrying several inner messages.
     Batch,
-    /// A bulk catch-up request (full-snapshot sync).
-    SyncPull,
-    /// A bulk catch-up reply carrying a full `(key, tag, value)` snapshot.
-    SyncState,
-    /// A Merkle walk opener (root-digest request).
-    SyncDigest,
-    /// A Merkle walk root-digest reply.
-    SyncDigestAck,
-    /// A Merkle walk descent request (batch of tree nodes to expand).
+    /// A Merkle walk request (batch of tree nodes to expand).
     SyncDiffReq,
-    /// A Merkle walk descent reply (children digests + leaf entries).
+    /// A Merkle walk reply (children digests + leaf entries).
     SyncEntries,
 }
 
@@ -102,10 +94,6 @@ impl fmt::Display for MsgKind {
             MsgKind::RelayFwd => "RelayFwd",
             MsgKind::RelayReply => "RelayReply",
             MsgKind::Batch => "Batch",
-            MsgKind::SyncPull => "SyncPull",
-            MsgKind::SyncState => "SyncState",
-            MsgKind::SyncDigest => "SyncDigest",
-            MsgKind::SyncDigestAck => "SyncDigestAck",
             MsgKind::SyncDiffReq => "SyncDiffReq",
             MsgKind::SyncEntries => "SyncEntries",
         };
@@ -121,9 +109,9 @@ pub trait Classify {
     fn classify(&self) -> MsgKind;
 
     /// How many `(key, tag, value)` entries this message carries as sync
-    /// payload. Non-zero only for sync replies (`SyncState` snapshots and
-    /// Merkle `SyncEntries`); defaults to zero so protocols without a sync
-    /// layer never feed the divergence signal.
+    /// payload. Non-zero only for sync replies (Merkle `SyncEntries`);
+    /// defaults to zero so protocols without a sync layer never feed the
+    /// divergence signal.
     fn sync_entries(&self) -> u64 {
         0
     }
@@ -163,10 +151,6 @@ impl<K, V> Classify for KvMsg<K, V> {
     fn classify(&self) -> MsgKind {
         match self {
             KvMsg::Op(m) => m.classify(),
-            KvMsg::SyncPull { .. } => MsgKind::SyncPull,
-            KvMsg::SyncState { .. } => MsgKind::SyncState,
-            KvMsg::SyncDigest { .. } => MsgKind::SyncDigest,
-            KvMsg::SyncDigestAck { .. } => MsgKind::SyncDigestAck,
             KvMsg::SyncDiffReq { .. } => MsgKind::SyncDiffReq,
             KvMsg::SyncEntries { .. } => MsgKind::SyncEntries,
         }
@@ -174,9 +158,8 @@ impl<K, V> Classify for KvMsg<K, V> {
 
     fn sync_entries(&self) -> u64 {
         match self {
-            KvMsg::SyncState { entries, .. } => entries.len() as u64,
             KvMsg::SyncEntries { entries, .. } => entries.len() as u64,
-            _ => 0,
+            KvMsg::Op(_) | KvMsg::SyncDiffReq { .. } => 0,
         }
     }
 }
@@ -257,21 +240,20 @@ pub enum Cell {
     TierRead(Consistency),
     /// log₂ bucket of total retransmissions over the campaign.
     RetransmissionExhaustion(u8),
-    /// log₂ bucket of the sync entries (`SyncState` snapshot rows plus
-    /// Merkle `SyncEntries` rows) delivered to some restarted node —
-    /// how divergent a replica the schedule managed to produce before
-    /// recovery repaired it. Bucket 0 means a node rebooted and needed no
-    /// entries at all (digest-equal walk or empty snapshot); each higher
-    /// bucket is a reboot into a more divergent store, steering the search
-    /// toward partial-staleness schedules the Merkle walk must diff
-    /// precisely.
+    /// log₂ bucket of the sync entries (Merkle `SyncEntries` rows)
+    /// delivered to some restarted node — how divergent a replica the
+    /// schedule managed to produce before recovery repaired it. Bucket 0
+    /// means a node rebooted and needed no entries at all (digest-equal
+    /// walks); each higher bucket is a reboot into a more divergent store,
+    /// steering the search toward partial-staleness schedules the Merkle
+    /// walk must diff precisely.
     SyncDivergence(u8),
     /// log₂ bucket of the operations that completed on a restarted node
-    /// before a later sync reply (`SyncState`, `SyncDigestAck`,
-    /// `SyncEntries`) reached it in the same incarnation — the node served
-    /// them while its catch-up was still running. Absent when there were
-    /// none. (With the background anti-entropy sweep enabled its replies
-    /// count as well, so there the cell over-approximates.)
+    /// before a later sync reply (`SyncEntries`) reached it in the same
+    /// incarnation — the node served them while its catch-up was still
+    /// running. Absent when there were none. (With the background
+    /// anti-entropy sweep enabled its replies count as well, so there the
+    /// cell over-approximates.)
     ServedDuringCatchUp(u8),
     /// Trace digest modulo 64 — distinguishes executions whose feature
     /// cells coincide.
@@ -470,7 +452,7 @@ impl CoverageCollector {
                             MsgKind::QueryReply if self.recovering[t] > 0 => {
                                 self.recovering[t] -= 1;
                             }
-                            MsgKind::SyncState | MsgKind::SyncDigestAck | MsgKind::SyncEntries => {
+                            MsgKind::SyncEntries => {
                                 self.served_catching_up +=
                                     std::mem::take(&mut self.served_unconfirmed[t]);
                             }
@@ -865,28 +847,29 @@ mod tests {
         }
     }
 
+    /// A walk reply carrying `entries` keys and no children digests.
+    fn walk_reply(uid: u64, entries: u32) -> KvMsg<u32, u64> {
+        use abd_core::types::Tag;
+        KvMsg::SyncEntries {
+            uid,
+            step: 0,
+            children: vec![],
+            entries: (0..entries)
+                .map(|k| (k, Tag::new(uid, ProcessId(0)), 0))
+                .collect(),
+        }
+    }
+
     #[test]
     fn kv_sync_msgs_classify_onto_sync_kinds() {
         use abd_core::types::Tag;
-        let pull: KvMsg<u32, u64> = KvMsg::SyncPull { uid: 1 };
-        assert_eq!(pull.classify(), MsgKind::SyncPull);
-        assert_eq!(pull.sync_entries(), 0);
-        let state: KvMsg<u32, u64> = KvMsg::SyncState {
-            uid: 1,
-            entries: vec![(7, Tag::new(1, ProcessId(0)), 9)],
-        };
-        assert_eq!(state.classify(), MsgKind::SyncState);
-        assert_eq!(state.sync_entries(), 1);
-        let digest: KvMsg<u32, u64> = KvMsg::SyncDigest { uid: 2 };
-        assert_eq!(digest.classify(), MsgKind::SyncDigest);
-        let ack: KvMsg<u32, u64> = KvMsg::SyncDigestAck { uid: 2, root: 5 };
-        assert_eq!(ack.classify(), MsgKind::SyncDigestAck);
         let req: KvMsg<u32, u64> = KvMsg::SyncDiffReq {
             uid: 2,
             step: 0,
             nodes: vec![0],
         };
         assert_eq!(req.classify(), MsgKind::SyncDiffReq);
+        assert_eq!(req.sync_entries(), 0);
         let ent: KvMsg<u32, u64> = KvMsg::SyncEntries {
             uid: 2,
             step: 0,
@@ -914,23 +897,12 @@ mod tests {
 
     #[test]
     fn sync_divergence_buckets_entries_since_restart() {
-        use abd_core::types::Tag;
         let mut c = CoverageCollector::new(3, ProcessId(0));
         c.observe(&kv_restart(1_000, 2));
-        // 9 entries across one snapshot and one walk reply:
+        // 9 entries across the replies of two walks:
         // 2^3 < 9 <= 2^4 → bucket 4.
-        let state = KvMsg::SyncState {
-            uid: 1,
-            entries: (0..7).map(|k| (k, Tag::new(1, ProcessId(0)), 0)).collect(),
-        };
-        let ent = KvMsg::SyncEntries {
-            uid: 2,
-            step: 0,
-            children: vec![],
-            entries: (0..2).map(|k| (k, Tag::new(2, ProcessId(1)), 0)).collect(),
-        };
-        c.observe(&kv_deliver(2_000, 2, &state, None));
-        c.observe(&kv_deliver(3_000, 2, &ent, None));
+        c.observe(&kv_deliver(2_000, 2, &walk_reply(1, 7), None));
+        c.observe(&kv_deliver(3_000, 2, &walk_reply(2, 2), None));
         let s = c.finish(&Metrics::default(), 0);
         assert!(s.contains(&Cell::SyncDivergence(4)));
         // Only the restarted node reports; nodes that never rebooted are
@@ -956,12 +928,7 @@ mod tests {
         // nothing: its reboot never survived to the end of the campaign.
         let mut c = CoverageCollector::new(3, ProcessId(0));
         c.observe(&kv_restart(1_000, 1));
-        use abd_core::types::Tag;
-        let state = KvMsg::SyncState {
-            uid: 1,
-            entries: vec![(3, Tag::new(1, ProcessId(0)), 4)],
-        };
-        c.observe(&kv_deliver(2_000, 1, &state, None));
+        c.observe(&kv_deliver(2_000, 1, &walk_reply(1, 1), None));
         let crash: TapEvent<'_, KvMsg<u32, u64>, KvOp<u32, u64>> = TapEvent {
             at: 3_000,
             target: ProcessId(1),
@@ -978,11 +945,8 @@ mod tests {
         // Dropped deliveries never count toward divergence.
         let mut c = CoverageCollector::new(3, ProcessId(0));
         c.observe(&kv_restart(1_000, 1));
-        let state = KvMsg::SyncState {
-            uid: 1,
-            entries: vec![(3, Tag::new(1, ProcessId(0)), 4)],
-        };
-        c.observe(&kv_deliver(2_000, 1, &state, Some(DropReason::Crashed)));
+        let dropped = Some(DropReason::Crashed);
+        c.observe(&kv_deliver(2_000, 1, &walk_reply(1, 1), dropped));
         let s = c.finish(&Metrics::default(), 0);
         assert!(s.contains(&Cell::SyncDivergence(0)));
     }
@@ -1011,7 +975,7 @@ mod tests {
                 kind,
             }
         }
-        let reply = KvMsg::SyncDigestAck { uid: 3, root: 0 };
+        let reply = walk_reply(3, 0);
         let sync_reply = |at| {
             ev(
                 at,

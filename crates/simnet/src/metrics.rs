@@ -58,9 +58,9 @@ pub struct Metrics {
     /// Reads completed at `Consistency::Regular` (query round only). Same
     /// caveat as [`Metrics::fast_reads`].
     pub regular_reads: u64,
-    /// Sync-protocol messages sent (bulk `SyncPull`/`SyncState` and the
-    /// Merkle walk), across recovery and background anti-entropy. Same
-    /// caveat as [`Metrics::fast_reads`].
+    /// Sync-protocol messages sent (the Merkle walk's requests and
+    /// replies), across recovery and background anti-entropy. Same caveat
+    /// as [`Metrics::fast_reads`].
     pub recovery_msgs: u64,
     /// Estimated payload bytes of those sync messages. Same caveat as
     /// [`Metrics::fast_reads`].

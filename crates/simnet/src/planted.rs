@@ -1113,7 +1113,7 @@ mod tests {
         let mut fx = Effects::new();
         node.on_restart(&mut fx);
         assert!(
-            matches!(fx.sends[0].1, KvMsg::SyncPull { .. }),
+            matches!(fx.sends[0].1, KvMsg::SyncDiffReq { .. }),
             "restarts the way the real node does"
         );
         assert!(matches!(

@@ -77,9 +77,9 @@ pub enum ProtocolSpec {
     /// same tier — and the oracle judges every hot key's history on its
     /// own. Below the hot keys sit `preload` cold ones on which every node
     /// alone is ahead on its own `1/n`th (writes that reached one replica),
-    /// so each reboot's Merkle walks (always taken, over `buckets` leaf
-    /// buckets) find the whole tree divergent and run for their full depth
-    /// while the restarted node serves.
+    /// so each reboot's Merkle walks (over `buckets` leaf buckets) find the
+    /// whole tree divergent and run for their full depth while the
+    /// restarted node serves.
     Kv {
         /// Read path: two-round, fast-unanimous, or relay.
         read_mode: ReadMode,
@@ -87,7 +87,7 @@ pub enum ProtocolSpec {
         hot: u32,
         /// Cold, widely divergent keys preloaded on every node.
         preload: u32,
-        /// Leaf buckets of the Merkle sync tree (power of two).
+        /// Leaf buckets of the Merkle sync tree (a power of two ≥ 2).
         buckets: u32,
         /// Whether the nodes lose their store on reboot ([`AmnesiacKv`]) —
         /// test fixtures only.
@@ -411,7 +411,6 @@ impl Repro {
                 let nodes = (0..self.n).map(|i| {
                     let mut cfg = KvConfig::new(self.n, ProcessId(i))
                         .with_read_mode(read_mode)
-                        .with_sync_threshold(0)
                         .with_sync_buckets(buckets as usize);
                     if let Some(base) = self.backoff_base {
                         cfg = cfg.with_backoff(BackoffPolicy::new(base));
@@ -607,15 +606,7 @@ impl Repro {
         let mut s = String::new();
         s.push_str("Repro(\n");
         s.push_str(&format!("    name: \"{}\",\n", esc(&self.name)));
-        // The non-relay modes keep serializing through the legacy
-        // `fast_reads` bool so artifacts written before `ReadMode` existed
-        // keep their canonical form byte-for-byte; only `Relay` — which has
-        // no pre-existing encoding — uses the `read_mode` field.
-        let mode_field = |m: ReadMode| match m {
-            ReadMode::TwoRound => "fast_reads: false".to_string(),
-            ReadMode::FastUnanimous => "fast_reads: true".to_string(),
-            ReadMode::Relay => "read_mode: Relay".to_string(),
-        };
+        let mode_field = |m: ReadMode| format!("read_mode: {m:?}");
         let proto = match self.protocol {
             // `write_epilogue` serializes only when set, so artifacts
             // written before the flag existed keep their canonical form.
@@ -1076,21 +1067,14 @@ fn fault_from_val(v: &Val) -> Result<PlannedFault, String> {
     }
 }
 
-/// Reads a protocol's read mode: a `read_mode` ident field when present,
-/// else the legacy `fast_reads` bool (pre-`ReadMode` artifacts).
+/// Reads a protocol's read mode, the ident under its `read_mode` field.
 fn read_mode_from(p: &Val) -> Result<ReadMode, String> {
-    if let Ok(m) = p.field("read_mode") {
-        let (name, _, _) = m.as_call(None)?;
-        match name {
-            "TwoRound" => Ok(ReadMode::TwoRound),
-            "FastUnanimous" => Ok(ReadMode::FastUnanimous),
-            "Relay" => Ok(ReadMode::Relay),
-            other => Err(format!("unknown read mode `{other}`")),
-        }
-    } else if p.field("fast_reads")?.as_bool()? {
-        Ok(ReadMode::FastUnanimous)
-    } else {
-        Ok(ReadMode::TwoRound)
+    let (name, _, _) = p.field("read_mode")?.as_call(None)?;
+    match name {
+        "TwoRound" => Ok(ReadMode::TwoRound),
+        "FastUnanimous" => Ok(ReadMode::FastUnanimous),
+        "Relay" => Ok(ReadMode::Relay),
+        other => Err(format!("unknown read mode `{other}`")),
     }
 }
 
@@ -1124,13 +1108,25 @@ fn repro_from_val(v: &Val) -> Result<Repro, String> {
                     every: p.field("every")?.as_u64()?,
                 }
             }
-            "Kv" => ProtocolSpec::Kv {
-                read_mode: read_mode_from(p)?,
-                hot: p.field("hot")?.as_u64()? as u32,
-                preload: p.field("preload")?.as_u64()? as u32,
-                buckets: p.field("buckets")?.as_u64()? as u32,
-                amnesiac: p.field("amnesiac")?.as_bool()?,
-            },
+            "Kv" => {
+                let hot = p.field("hot")?.as_u64()? as u32;
+                let buckets = p.field("buckets")?.as_u64()? as u32;
+                // A script position addresses hot key `(c + j) % hot`, and
+                // `KvNode::new` asserts what it needs of `sync_buckets`.
+                if hot == 0 {
+                    return Err("Kv: hot must be at least 1".into());
+                }
+                if !buckets.is_power_of_two() || buckets < 2 {
+                    return Err(format!("Kv: buckets {buckets} is not a power of two >= 2"));
+                }
+                ProtocolSpec::Kv {
+                    read_mode: read_mode_from(p)?,
+                    hot,
+                    preload: p.field("preload")?.as_u64()? as u32,
+                    buckets,
+                    amnesiac: p.field("amnesiac")?.as_bool()?,
+                }
+            }
             other => Err(format!("unknown protocol `{other}`"))?,
         }
     };
@@ -1378,6 +1374,26 @@ mod tests {
         );
         let err = Repro::from_ron(&r.to_ron()).unwrap_err();
         assert!(err.contains("min_alive"), "{err}");
+        // So is a `Kv(..)` the run would panic on: no hot key to address,
+        // or a bucket count `KvNode::new` refuses.
+        let mut r = sample();
+        r.protocol = ProtocolSpec::Kv {
+            read_mode: ReadMode::TwoRound,
+            hot: 2,
+            preload: 0,
+            buckets: 16,
+            amnesiac: false,
+        };
+        let text = r.to_ron();
+        assert!(Repro::from_ron(&text).is_ok());
+        for (good, bad, why) in [
+            ("hot: 2", "hot: 0", "hot"),
+            ("buckets: 16", "buckets: 12", "power of two"),
+            ("buckets: 16", "buckets: 1", "power of two"),
+        ] {
+            let err = Repro::from_ron(&text.replace(good, bad)).unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -1432,8 +1448,8 @@ mod tests {
         let r = sample();
         assert!(r.to_ron().contains("BatchedSwmr"));
         let legacy = r.to_ron().replace(
-            "BatchedSwmr(window: 2000, fast_reads: true)",
-            "Swmr(fast_reads: true)",
+            "BatchedSwmr(window: 2000, read_mode: FastUnanimous)",
+            "Swmr(read_mode: FastUnanimous)",
         );
         let back = Repro::from_ron(&legacy).expect("legacy Swmr artifact parses");
         assert_eq!(
@@ -1443,17 +1459,19 @@ mod tests {
                 write_epilogue: false
             }
         );
-        // Non-relay modes keep the legacy `fast_reads` encoding, so old
-        // artifacts stay canonical; relay gets the new field.
+        // Every read mode is spelled one way, under `read_mode`.
         let mut r = sample();
-        r.protocol = ProtocolSpec::Mwmr {
-            read_mode: ReadMode::TwoRound,
-        };
-        assert!(r.to_ron().contains("Mwmr(fast_reads: false)"));
-        r.protocol = ProtocolSpec::Mwmr {
-            read_mode: ReadMode::Relay,
-        };
-        assert!(r.to_ron().contains("Mwmr(read_mode: Relay)"));
+        for (mode, field) in [
+            (ReadMode::TwoRound, "Mwmr(read_mode: TwoRound)"),
+            (ReadMode::FastUnanimous, "Mwmr(read_mode: FastUnanimous)"),
+            (ReadMode::Relay, "Mwmr(read_mode: Relay)"),
+        ] {
+            r.protocol = ProtocolSpec::Mwmr { read_mode: mode };
+            assert!(r.to_ron().contains(field), "{}", r.to_ron());
+            assert_eq!(Repro::from_ron(&r.to_ron()).unwrap().protocol, r.protocol);
+        }
+        let old = r.to_ron().replace("read_mode: Relay", "fast_reads: true");
+        assert!(Repro::from_ron(&old).is_err(), "one spelling per field");
     }
 
     #[test]

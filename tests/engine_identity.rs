@@ -18,6 +18,11 @@
 //! pipeline there, so the driver is open-loop — three invocations per node
 //! at a time — and, since nothing feeds a response back into the schedule,
 //! each row also pins a digest of every response and its completion time.
+//! Every row reboots nodes, and what a rebooted store sends in the
+//! background changed once since (the bulk pull and the walk's root-digest
+//! handshake went), so the five rows were re-pinned at that commit, each
+//! with its cause (CHANGES PR 23 has the old constants); the engine was not
+//! edited there, and the register and variant tables held.
 //!
 //! The third table (`variant_identity_table_is_pinned`) does it once more
 //! for `ByzNode` and `BoundedSwmrNode`, the last two hand-written copies of
@@ -290,7 +295,7 @@ fn check_kv(row: &str, pins: KvPins, m: &Metrics, want: KvPins) {
     assert!(m.ops_aborted > 0, "{row}: no crash caught an operation");
     assert_eq!(
         pins, want,
-        "{row}: (trace digest, sent, responses digest, read counters) drifted from the hand-written KvNode"
+        "{row}: (trace digest, sent, responses digest, read counters) drifted"
     );
 }
 
@@ -388,10 +393,12 @@ fn kv_identity_table_is_pinned() {
         pins,
         &m,
         (
-            0x6ee1d73be05754fd,
-            3327,
-            0xe33c06b81344e3ce,
-            [0, 40, 0, 48, 43],
+            // Re-pinned: under 64 keys, so each reboot was one bulk pull; it is
+            // a walk per peer now, whose sends shift every later latency draw.
+            0x193ff309804332a5,
+            3724,
+            0x070fa520690e5f7c,
+            [0, 41, 0, 48, 44],
         ),
     );
 
@@ -405,10 +412,11 @@ fn kv_identity_table_is_pinned() {
         pins,
         &m,
         (
-            0x7fd8a50ce06f1e2f,
-            3125,
-            0x99add174385cfbfd,
-            [37, 8, 0, 48, 43],
+            // Re-pinned: bulk pulls became walks, as in kv/two-round.
+            0x47aa801570b238a6,
+            3572,
+            0xb0477c113b8214d3,
+            [35, 9, 0, 48, 43],
         ),
     );
 
@@ -419,20 +427,17 @@ fn kv_identity_table_is_pinned() {
         pins,
         &m,
         (
-            0x010288ca9d299142,
-            3879,
-            0x45c84160fa0f8db4,
+            // Re-pinned: bulk pulls became walks, as in kv/two-round.
+            0x3e2cae3bf05944f0,
+            4256,
+            0x4551631e6238b22f,
             [0, 0, 44, 48, 44],
         ),
     );
 
     // Merkle walks on every reboot and a sweep every 150 µs: walks draw
     // their ids from the operations' counter and share their timers.
-    let walking = |c: KvConfig| {
-        c.with_sync_threshold(0)
-            .with_sync_buckets(8)
-            .with_anti_entropy(150_000)
-    };
+    let walking = |c: KvConfig| c.with_sync_buckets(8).with_anti_entropy(150_000);
     let (pins, m, sim) = kv_campaign(kv_nodes(walking), kv_op);
     assert!(m.write_backs > 0, "kv/walks+sweep: atomic read path idle");
     assert!(
@@ -444,9 +449,11 @@ fn kv_identity_table_is_pinned() {
         pins,
         &m,
         (
-            0x99fa67e364198295,
-            5152,
-            0x9d4a6b7379408580,
+            // Re-pinned: every walk, a reboot's or a sweep's, lost the two
+            // messages of its root-digest handshake (`sent` was 5152).
+            0x35d1cbb6aebed0ca,
+            5042,
+            0x1af4e24e9c7b9847,
             [0, 41, 0, 48, 43],
         ),
     );
@@ -492,10 +499,12 @@ fn kv_identity_table_is_pinned() {
         pins,
         &m,
         (
-            0x231ba043a05d1d6d,
-            3832,
-            0x1521e982b4ce395a,
-            [0, 23, 18, 43, 44],
+            // Re-pinned: bulk pulls became walks, as in kv/two-round, and a
+            // requorum drops a reboot's walks where it dropped its pull.
+            0xe3b62669b87a450b,
+            4048,
+            0xaee285536e760fea,
+            [0, 23, 18, 43, 43],
         ),
     );
 }

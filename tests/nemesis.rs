@@ -399,11 +399,14 @@ fn batched_fast_campaign_stays_atomic_and_replays() {
 
 #[test]
 fn batched_forwards_every_counter() {
-    // Four puts, then node 2 reboots and pulls the store from its peers:
-    // two `SyncPull`s out, two `SyncState`s of four entries back. The
-    // envelope layer changes how messages travel, not what a node counts,
-    // so the batched cluster must report the sync counters of the plain one.
-    // It reported `(0, 0, 0)`: the wrapper forwarded five of eight counters.
+    // Four puts, then node 2 reboots and walks its two peers' trees (the
+    // default config: 1024 buckets over four keys). It missed nothing, so
+    // each walk is its opening step alone: a `SyncDiffReq` for the root out
+    // (16 + 8 + 4 bytes), a `SyncEntries` of the root's two children
+    // digests and no entry back (16 + 8 + 2 · 12). The envelope layer
+    // changes how messages travel, not what a node counts, so the batched
+    // cluster must report the sync counters of the plain one. It reported
+    // `(0, 0, 0)`: the wrapper forwarded five of eight counters.
     fn sync_counters<P>(wrap: impl Fn(KvNode<u32, u64>) -> P) -> (u64, u64, u64)
     where
         P: abd_core::Protocol<Op = KvOp<u32, u64>, Resp = KvResp<u64>> + ReadPathStats,
@@ -423,17 +426,18 @@ fn batched_forwards_every_counter() {
         (m.recovery_msgs, m.recovery_bytes, m.sync_entries_sent)
     }
     let plain = sync_counters(|node| node);
-    assert_eq!(plain, (4, 320, 8));
+    // Was `(4, 320, 8)`: two bulk pulls, two snapshots of four entries.
+    assert_eq!(plain, (4, 2 * 28 + 2 * 48, 0));
     assert_eq!(
         sync_counters(|node| abd_core::batch::Batched::new(node, 0)),
         plain
     );
 }
 
-/// The bulk-recovery scenario shared by the behavior test and the pinned
-/// golden digest below: nodes 3 and 4 miss a batch of puts, restart, catch
-/// up via bulk state transfer, then carry a quorum on their own merits.
-fn kv_bulk_recovery_digest(sim_seed: u64) -> u64 {
+/// The recovery scenario shared by the behavior test and the pinned golden
+/// digest below: nodes 3 and 4 miss a batch of puts, restart, catch up by
+/// walking their peers' trees, then carry a quorum on their own merits.
+fn kv_recovery_digest(sim_seed: u64) -> u64 {
     let run = |sim_seed: u64| {
         let nodes: Vec<KvNode<u32, u64>> = (0..N)
             .map(|i| KvNode::new(KvConfig::new(N, ProcessId(i)).with_retransmit(BACKOFF_BASE)))
@@ -459,7 +463,7 @@ fn kv_bulk_recovery_digest(sim_seed: u64) -> u64 {
                 assert_eq!(
                     sim.node(i).local_entry(&k).map(|(_, v)| *v),
                     Some(100 + u64::from(k)),
-                    "node {i} key {k}: store caught up via bulk transfer"
+                    "node {i} key {k}: store caught up by its walks"
                 );
             }
         }
@@ -480,32 +484,34 @@ fn kv_bulk_recovery_digest(sim_seed: u64) -> u64 {
 
 #[test]
 fn kv_recovery_campaign_catches_up_and_replays() {
-    // The bulk state-transfer round must bring restarted stores up to date
-    // — proven by inspecting the stores directly inside
-    // `kv_bulk_recovery_digest`, not by a quorum read that a fresh node
-    // could answer for them.
+    // The catch-up must bring restarted stores up to date — proven by
+    // inspecting the stores directly inside `kv_recovery_digest`, not by a
+    // quorum read that a fresh node could answer for them.
     assert_eq!(
-        kv_bulk_recovery_digest(3),
-        kv_bulk_recovery_digest(3),
+        kv_recovery_digest(3),
+        kv_recovery_digest(3),
         "same seed must replay bit-identically"
     );
 }
 
 #[test]
-fn kv_bulk_recovery_trace_digest_is_pinned() {
-    // Default configs sit below `sync_threshold`, so recovery takes the
-    // bulk `SyncPull`/`SyncState` path — whose behavior must stay
-    // byte-identical to the golden trace. Regenerate only for a
-    // *deliberate* bulk-path change: run `kv_bulk_recovery_digest(3)` and
-    // update the constant. Moved once since the pre-Merkle golden
-    // (`0x0d93_5289_a11e_0ac6`): `KvNode` gave up its private retry counters
+fn kv_recovery_trace_digest_is_pinned() {
+    // A default-config reboot: four keys under the 1024-bucket tree, one
+    // walk per peer. Regenerate only for a *deliberate* change to what a
+    // rebooted store sends: run `kv_recovery_digest(3)` and update the
+    // constant. Moved twice since the pre-Merkle golden
+    // (`0x0d93_5289_a11e_0ac6`). `KvNode` gave up its private retry counters
     // for `abd_core::Retransmitter`, whose jitter salt is `mix64(me + 1) ^
     // uid` where the store's was `(me + 1) ^ uid` — the same messages, each
-    // retransmission at a differently jittered instant.
+    // retransmission at a differently jittered instant
+    // (`0x61af_698b_c11c_cea7`). Then the bulk pull this scenario took (as
+    // `kv_bulk_recovery_trace_digest_is_pinned`) left the store: the catch-up
+    // is up to eleven request/reply steps down to the leaves that differ,
+    // where it was one pull and one snapshot per peer.
     assert_eq!(
-        kv_bulk_recovery_digest(3),
-        0x61af_698b_c11c_cea7,
-        "bulk recovery diverged from the golden trace"
+        kv_recovery_digest(3),
+        0x5641_03f2_b2d2_f7ae,
+        "recovery diverged from the golden trace"
     );
 }
 
@@ -561,7 +567,7 @@ fn kv_contended_scripts(first_key: u32) -> Vec<Vec<KvOp<u32, u64>>> {
 }
 
 /// One anti-entropy-vs-crash-wave campaign: every node runs the Merkle
-/// sync path (`sync_threshold 0`) with a fast background sweep, while the
+/// walk over a small tree with a fast background sweep, while the
 /// nemesis planner's crash waves reboot every node and its partitions
 /// split the cluster. Returns the trace digest after asserting per-key
 /// linearizability and that Merkle sync traffic actually flowed.
@@ -571,7 +577,6 @@ fn kv_anti_entropy_campaign(sim_seed: u64, nemesis_seed: u64) -> u64 {
             KvNode::new(
                 KvConfig::new(N, ProcessId(i))
                     .with_retransmit(BACKOFF_BASE)
-                    .with_sync_threshold(0)
                     .with_sync_buckets(8)
                     .with_anti_entropy(2_000_000),
             )
@@ -624,7 +629,6 @@ fn kv_pipelined_recovery_campaign(sim_seed: u64, nemesis_seed: u64) -> u64 {
             let mut node = KvNode::new(
                 KvConfig::new(N, ProcessId(i))
                     .with_retransmit(BACKOFF_BASE)
-                    .with_sync_threshold(0)
                     .with_sync_buckets(BUCKETS),
             );
             for k in 0..KEYS {
@@ -644,7 +648,7 @@ fn kv_pipelined_recovery_campaign(sim_seed: u64, nemesis_seed: u64) -> u64 {
     sched.apply(&mut sim);
     // The clients work on fresh keys, past the preload.
     let scripts = kv_contended_scripts(KEYS);
-    // A reboot prepends a catch-up of up to ten round trips, not one phase.
+    // A reboot prepends a catch-up of up to nine round trips, not one phase.
     let deadline = sched.heal_at() + liveness_bound(&backoff(), THINK, 40);
     assert!(
         run_campaign(&mut sim, &sched, scripts, THINK, deadline),
@@ -655,7 +659,7 @@ fn kv_pipelined_recovery_campaign(sim_seed: u64, nemesis_seed: u64) -> u64 {
         "walks still running after the quorum was reached must finish too"
     );
     assert_kv_linearizable(&sim, "pipelined recovery");
-    let round_bound = u64::from(BUCKETS.trailing_zeros()) + 2;
+    let round_bound = u64::from(BUCKETS.trailing_zeros()) + 1;
     let mut widest = 0;
     for i in 0..N {
         let node = sim.node(i);
@@ -688,7 +692,7 @@ fn merkle_recovery_pipelined_campaign_survives_loss_duplication_and_crash_waves(
 
 /// One serve-during-catch-up campaign as a repro artifact. Every node holds
 /// 2 000 cold keys over 256 buckets and alone is ahead on its own fifth of
-/// them, so each reboot's four walks descend the whole tree — ten round
+/// them, so each reboot's four walks descend the whole tree — nine round
 /// trips and more over links that lose and duplicate 5 % of all messages —
 /// while the clients, at zero think time, invoke the victim again the
 /// moment it is back: its operations race its catch-up. The scripts spread

@@ -125,12 +125,7 @@ pub fn us(x: f64) -> String {
 /// `size_of::<(K, Tag, V)>()`) behind the sync protocol's 16-byte header.
 /// Deterministic, so F8 and F2d compare their walks against the closed form.
 pub fn bulk_reference(n: usize, keys: u64, entry_bytes: u64) -> [u64; 3] {
-    let peers = n as u64 - 1;
-    [
-        2 * peers,
-        peers * (2 * 16 + keys * entry_bytes),
-        peers * keys,
-    ]
+    [2, 2 * 16 + keys * entry_bytes, keys].map(|per_peer| (n as u64 - 1) * per_peer)
 }
 
 pub mod clusters {
@@ -329,26 +324,9 @@ mod tests {
     }
 
     #[test]
-    fn bulk_reference_counts_what_a_peer_holds() {
-        use abd_core::types::{ProcessId, Tag};
-        use abd_kv::{KvConfig, KvNode};
-        // `keys` is a peer's `entries().len()`: each snapshot shipped them all.
-        let mut peer: KvNode<u32, u64> = KvNode::new(KvConfig::new(5, ProcessId(0)));
-        for k in 0..300u32 {
-            peer.preload(k, Tag::new(1, ProcessId(0)), 7);
-        }
-        let keys = peer.entries().len() as u64;
-        let entry_bytes = std::mem::size_of::<(u32, Tag, u64)>() as u64;
-        assert_eq!((keys, entry_bytes), (300, 32));
-        assert_eq!(
-            bulk_reference(5, keys, entry_bytes),
-            [8, 4 * (32 + 300 * 32), 4 * 300]
-        );
-        // F8's committed bulk row.
-        assert_eq!(
-            bulk_reference(5, 100_000, entry_bytes),
-            [8, 12_800_128, 400_000]
-        );
+    fn bulk_reference_reproduces_the_committed_f8_row() {
+        // n = 5, 100 000 keys, the 32-byte entries of a `KvNode<u32, u64>`.
+        assert_eq!(bulk_reference(5, 100_000, 32), [8, 12_800_128, 400_000]);
     }
 
     #[test]

@@ -50,17 +50,15 @@
 //! the root alone, to open — and [`KvMsg::SyncEntries`] returns their
 //! children's digests, or their entries where they are leaf buckets; the
 //! walker prunes every child that matches its own tree and asks for the
-//! rest. Traffic is proportional to *drift*, not store size: against an
-//! identical store a walk is one request and two digests back, and a
-//! 1-key-stale replica of a 100k-key store exchanges O(log buckets)
-//! messages. Time depends on neither: a recovery walk issues all batches of
-//! a tree level at once, so catch-up takes at most `log2(buckets) + 1`
-//! round trips however many keys diverged, and each finished walk counts
-//! its peer toward the catch-up read quorum. Safety is max-merge: digest
-//! equality over `(key, tag)` certifies entry equality (DESIGN.md §15 has
-//! the collision caveat), and everything adopted goes through the store's
-//! monotone `adopt`. No shortcut ships a small store whole — keyed on store
-//! size, it would fire on every quiet sweep too.
+//! rest. Traffic is proportional to *drift*, not store size: two digests
+//! back against an identical store, O(log buckets) messages for a
+//! 1-key-stale replica of a 100k-key store. Time depends on neither: a
+//! recovery walk issues all batches of a tree level at once, so catch-up
+//! takes at most `log2(buckets) + 1` round trips however many keys
+//! diverged, and each finished walk counts its peer toward the catch-up
+//! read quorum. Safety is max-merge: digest equality over `(key, tag)`
+//! certifies entry equality (DESIGN.md §15 has the collision caveat), and
+//! everything adopted goes through the store's monotone `adopt`.
 //!
 //! The same walk, detached from recovery, runs as a **background
 //! anti-entropy sweep** ([`KvConfig::with_anti_entropy`]): a timer picks
@@ -94,9 +92,8 @@ pub enum KvMsg<K, V> {
     /// Sync walk request: ask for the children digests (internal nodes) or
     /// the stored entries (leaf buckets) of a batch of tree nodes — the
     /// root alone in a walk's opening step, nodes the walker found
-    /// mismatching afterwards. Sent by a recovering node (one walk per
-    /// peer) and by the background anti-entropy sweep. The walker drives;
-    /// the receiver answers statelessly from its current tree and store.
+    /// mismatching afterwards. The walker drives; the receiver answers
+    /// statelessly from its current tree and store.
     SyncDiffReq {
         /// Walk id, echoed by every reply of this walk.
         uid: u64,
@@ -421,9 +418,8 @@ where
 {
     /// Creates an empty node.
     pub fn new(cfg: KvConfig) -> Self {
-        // At least two: a walk's opening step compares the root's two
-        // children before anything ships. A one-leaf tree would ship the
-        // whole store on every quiet sweep.
+        // A walk's opening step compares the root's two children before
+        // anything ships: a one-leaf tree would ship the store every sweep.
         assert!(
             cfg.sync_buckets.is_power_of_two() && cfg.sync_buckets >= 2,
             "sync_buckets must be a power of two, at least 2"
@@ -620,7 +616,10 @@ where
         };
         self.engine.rtx.disarm(uid, fx);
         self.max_walk_rounds = self.max_walk_rounds.max(walk.rounds);
-        if let Some(caught_up) = self.recovering.as_mut().filter(|_| walk.recovery) {
+        if !walk.recovery {
+            return;
+        }
+        if let Some(caught_up) = self.recovering.as_mut() {
             caught_up.insert(walk.peer);
             if self.cfg.quorum.is_read_quorum(caught_up) {
                 self.recovering = None;
@@ -753,23 +752,25 @@ where
                 // Consume the reply only if its batch is still outstanding:
                 // a duplicate, or the answer to a batch a retransmission
                 // already got answered, finds its step gone.
-                let Some(walk) = self.walks.get_mut(&uid).filter(|w| w.peer == from) else {
-                    return;
-                };
-                if walk.in_flight.remove(&step).is_none() {
+                let outstanding = self
+                    .walks
+                    .get_mut(&uid)
+                    .is_some_and(|w| w.peer == from && w.in_flight.remove(&step).is_some());
+                if !outstanding {
                     return;
                 }
                 // Adopt the divergent leaf entries first (monotone, so a
                 // stale entry is a no-op), then prune children that now
                 // match our tree and descend into the rest.
-                for (k, t, v) in entries {
-                    self.store.adopt(&k, t, v);
+                self.merge(entries);
+                let next: Vec<u32> = children
+                    .into_iter()
+                    .filter(|&(id, digest)| self.store.tree.digest(id) != Some(digest))
+                    .map(|(id, _)| id)
+                    .collect();
+                if let Some(walk) = self.walks.get_mut(&uid) {
+                    walk.frontier.extend(next);
                 }
-                let tree = &self.store.tree;
-                let differing = children
-                    .iter()
-                    .filter(|&&(id, d)| tree.digest(id) != Some(d));
-                walk.frontier.extend(differing.map(|&(id, _)| id));
                 self.advance_walk(uid, fx);
             }
         }
@@ -1242,6 +1243,38 @@ mod tests {
         net.invoke(2, KvOp::Get("k"));
         net.run();
         assert_eq!(net.take().pop().unwrap().1, KvResp::GetOk(Some(9)));
+    }
+
+    #[test]
+    fn restart_serves_at_once_and_catches_up_alongside() {
+        let mut net: Net<&str, u32> = Net::new(3);
+        net.invoke(0, KvOp::Put("a", 1));
+        net.run();
+        // Node 2 crashes and misses two puts.
+        net.alive[2] = false;
+        net.invoke(0, KvOp::Put("b", 2));
+        net.invoke(0, KvOp::Put("c", 3));
+        net.run();
+        net.take();
+        assert!(net.nodes[2].local_entry(&"b").is_none());
+        // On restart it walks its peers...
+        net.restart(2);
+        assert!(net.nodes[2].is_recovering());
+        // ...but an invocation starts its query round at once, and the
+        // quorum answers it while the walks are still in flight.
+        net.invoke(2, KvOp::Get("b"));
+        assert_eq!(net.nodes[2].in_flight(), 1);
+        net.run_foreground();
+        assert_eq!(net.take(), vec![(OpId(3), KvResp::GetOk(Some(2)))]);
+        assert!(net.nodes[2].is_recovering());
+        assert!(
+            net.nodes[2].local_entry(&"c").is_none(),
+            "not caught up yet"
+        );
+        net.run();
+        assert!(!net.nodes[2].is_recovering());
+        assert_eq!(*net.nodes[2].local_entry(&"c").unwrap().1, 3);
+        assert!(net.take().is_empty(), "the get answered exactly once");
     }
 
     #[test]

@@ -6,13 +6,13 @@
 pub enum KvWire {
     Get { uid: u64 },
     Put { uid: u64 },
-    Scan { uid: u64 },
+    SyncPull { uid: u64 },
 }
 
 pub fn on_message(&mut self, from: ProcessId, msg: KvWire, fx: &mut Fx) {
     match msg {
         KvWire::Get { uid } => self.serve(from, uid, fx),
         KvWire::Put { uid } => self.store(from, uid, fx),
-        // KvWire::Scan is declared but unhandled: flagged
+        // KvWire::SyncPull is declared but unhandled: flagged
     }
 }

@@ -152,7 +152,7 @@ fn exhaustive_msg_handling_names_the_missing_variant() {
         .collect();
     assert_eq!(ex.len(), 1, "{ex:?}");
     assert_eq!(ex[0].file, "crates/kv/src/nonexhaustive.rs");
-    assert!(ex[0].message.contains("missing: Scan"), "{ex:?}");
+    assert!(ex[0].message.contains("missing: SyncPull"), "{ex:?}");
     assert!(ex[0].message.contains("2/3"), "{ex:?}");
 }
 

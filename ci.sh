@@ -75,6 +75,14 @@ if grep -rnE 'SyncPull|SyncState|SyncDigest|sync_threshold' crates src tests exa
   echo "the bulk pull, the digest handshake or their knob is named again; the Merkle walk is the one state transfer"; exit 1
 fi
 
+echo "==> link delay is held where the message lands (no delayer thread)"
+# A message between two nodes carries the time it is due; its receiver holds
+# it beside its timers. No thread of its own injects the delay.
+if grep -rnE 'Delayer|delayer_main|abd-delayer|mod delay' crates src tests examples --include='*.rs' \
+  | grep -v '^crates/lint/fixtures/'; then
+  echo "a delayer is named again; the receiving node holds a delayed message (crates/runtime/src/cluster.rs)"; exit 1
+fi
+
 echo "==> vendor/ holds no stub without a caller"
 for dep in $(cd vendor && ls -d */ | tr -d /); do
   grep -q "^$dep = { path = \"vendor/$dep\"" Cargo.toml \

@@ -90,7 +90,6 @@ pub const HANDLER_FNS: &[&str] = &[
     "on_restart",
     "node_main",
     "apply_effects",
-    "delayer_main",
 ];
 
 /// Stored tag/label fields whose assignments rule 7 audits.

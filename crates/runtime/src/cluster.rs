@@ -3,31 +3,36 @@
 //! Each protocol node runs on its own OS thread, receiving network messages
 //! and client commands over crossbeam channels and keeping its own timer
 //! wheel (due timers fire at the top of every loop iteration; the `select!`
-//! timeout only bounds the wait). The protocol state machines are
+//! timeout only bounds the wait). Link delay is held where the message
+//! lands, as `Sim` delivers a message at its time to its target: the sender
+//! stamps each message with the time it is due, and the receiving node keeps
+//! it beside its timers until then. The protocol state machines are
 //! the *same objects* the deterministic simulator drives — this crate is
 //! the demonstration that the sans-io core runs on a real concurrent
 //! transport, and it is what the wall-clock benchmark (`benchmark/`) measures.
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::delay::Delayer;
 use abd_core::context::{Effects, Protocol, TimerCmd, TimerKey};
 use abd_core::types::{Nanos, OpId, ProcessId};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Network latency injected by the runtime router.
+/// Network latency injected between nodes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Jitter {
     /// Deliver directly, as fast as the channels go.
     #[default]
     None,
-    /// Delay every message by a uniformly random duration in `[lo, hi]`
-    /// nanoseconds (routed through a dedicated delayer thread).
+    /// Delay every message between two nodes by a uniformly random duration
+    /// in `[lo, hi]` nanoseconds: the sender draws it, the receiver holds
+    /// the message until it has passed. Self-sends are not delayed.
     Uniform {
         /// Minimum injected delay.
         lo: Nanos,
@@ -35,6 +40,10 @@ pub enum Jitter {
         hi: Nanos,
     },
 }
+
+/// What travels between node threads: the sender, the clock time the
+/// message is due at its receiver (`0`: at once) and the message.
+type Mail<M> = (ProcessId, Nanos, M);
 
 /// Commands a node thread accepts besides network messages.
 enum Cmd<P: Protocol> {
@@ -78,61 +87,41 @@ pub struct Cluster<P: Protocol> {
     /// Crash flags shared with every [`Client`], so invocations on a downed
     /// node fail fast instead of waiting out their full timeout.
     crashed: Arc<Vec<AtomicBool>>,
-    _delayer: Option<Delayer<(ProcessId, ProcessId, P::Msg)>>,
 }
 
 impl<P: Protocol + Send + 'static> Cluster<P> {
-    /// Spawns one thread per node (node `i` must have id `i`). With a
-    /// [`Jitter`] other than `None`, messages are routed through a delayer
-    /// thread that injects random latency.
+    /// Spawns one thread per node; node `i` must have id `i`. With a
+    /// [`Jitter`] other than `None`, each message between two nodes waits
+    /// out its drawn delay at its receiver, beside that node's timers.
+    ///
+    /// # Panics
+    ///
+    /// Before any thread starts, if a node's id is not its index (its
+    /// self-sends would land in another node's mailbox) or if a
+    /// `Jitter::Uniform` range has `lo > hi`.
     pub fn spawn(nodes: Vec<P>, jitter: Jitter) -> Self {
+        if let Jitter::Uniform { lo, hi } = jitter {
+            assert!(lo <= hi, "Jitter::Uniform needs lo <= hi: [{lo}, {hi}]");
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            assert_eq!(node.id(), ProcessId(i), "node {i} has wrong id");
+        }
         let n = nodes.len();
-        let mut net_txs = Vec::with_capacity(n);
-        let mut net_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<(ProcessId, P::Msg)>();
-            net_txs.push(tx);
-            net_rxs.push(rx);
-        }
-        let mut cmd_txs = Vec::with_capacity(n);
-        let mut cmd_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<Cmd<P>>();
-            cmd_txs.push(tx);
-            cmd_rxs.push(rx);
-        }
-
-        // The fabric every node sends through: either direct channels or a
-        // delayer thread feeding them.
-        let delayer = match jitter {
-            Jitter::None => None,
-            Jitter::Uniform { lo, hi } => {
-                let txs = net_txs.clone();
-                Some(Delayer::spawn(
-                    lo,
-                    hi,
-                    move |(from, to, msg): (ProcessId, ProcessId, P::Msg)| {
-                        let _ = txs[to.index()].send((from, msg));
-                    },
-                ))
-            }
-        };
-
+        let (net_txs, net_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
+        let mut cmd_txs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        for (i, node) in nodes.into_iter().enumerate() {
-            debug_assert_eq!(node.id(), ProcessId(i), "node {i} has wrong id");
-            let net_rx = net_rxs.remove(0);
-            let cmd_rx = cmd_rxs.remove(0);
+        for ((i, node), net_rx) in nodes.into_iter().enumerate().zip(net_rxs) {
+            let (cmd_tx, cmd_rx) = unbounded();
             let net_txs = net_txs.clone();
-            let delay_tx = delayer.as_ref().map(Delayer::sender);
             let clock = Arc::clone(&clock);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("abd-node-{i}"))
-                    .spawn(move || node_main(node, net_rx, cmd_rx, net_txs, delay_tx, clock))
+                    .spawn(move || node_main(node, net_rx, cmd_rx, net_txs, jitter, clock))
                     .expect("spawn node thread"),
             );
+            cmd_txs.push(cmd_tx);
         }
         Cluster {
             cmd_txs,
@@ -140,7 +129,6 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
             next_op: Arc::new(AtomicU64::new(0)),
             clock,
             crashed: Arc::new((0..n).map(|_| AtomicBool::new(false)).collect()),
-            _delayer: delayer,
         }
     }
 
@@ -175,9 +163,8 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// Crashes node `i`: it stops processing until a [`restart`](Self::restart),
     /// if any. In-flight invocations on it are abandoned (their clients get
     /// `None`/a panic immediately, not after their full timeout), and new
-    /// invocations fail fast while the flag is up. The flag is advisory —
-    /// an invocation racing the crash can still wait out its timeout, which
-    /// is what [`Client::try_invoke_for`] is for.
+    /// invocations fail fast while the flag is up. One racing the crash
+    /// fails fast too: the crashed node drops its reply channel unanswered.
     pub fn crash(&self, i: usize) {
         self.crashed[i].store(true, Ordering::Release);
         let _ = self.cmd_txs[i].send(Cmd::Crash);
@@ -254,10 +241,10 @@ impl<P: Protocol> Client<P> {
     ///
     /// This is the escape hatch for operating around crashes: a crashed
     /// target fails fast with `None` (both for new invocations, via the
-    /// shared crash flag, and for in-flight ones, whose reply channels the
-    /// node drops when it crashes) instead of hanging until the timeout.
-    /// Only an invocation racing the crash itself can still wait out
-    /// `timeout` — never longer.
+    /// shared crash flag, and for in-flight ones and those racing the crash,
+    /// whose reply channels the node drops) instead of hanging until the
+    /// timeout. `timeout` bounds an operation the live node cannot finish,
+    /// e.g. for want of a quorum.
     pub fn try_invoke_for(&self, input: P::Op, timeout: Duration) -> Option<P::Resp> {
         if self.crashed[self.node.index()].load(Ordering::Acquire) {
             return None; // fail fast: the node cannot answer
@@ -285,13 +272,14 @@ impl<P: Protocol> Client<P> {
     }
 }
 
-/// The node thread: drives the protocol with messages, commands and timers.
+/// The node thread: drives the protocol with messages, commands and timers,
+/// and holds each delayed message until it is due.
 fn node_main<P: Protocol>(
     mut node: P,
-    net_rx: Receiver<(ProcessId, P::Msg)>,
+    net_rx: Receiver<Mail<P::Msg>>,
     cmd_rx: Receiver<Cmd<P>>,
-    net_txs: Vec<Sender<(ProcessId, P::Msg)>>,
-    delay_tx: Option<Sender<(ProcessId, ProcessId, P::Msg)>>,
+    net_txs: Vec<Sender<Mail<P::Msg>>>,
+    jitter: Jitter,
     clock: Arc<dyn Clock>,
 ) {
     let me = node.id();
@@ -299,6 +287,15 @@ fn node_main<P: Protocol>(
     // Timer wheel: key -> deadline in clock nanos. Small (a handful of
     // phases), so a map scan per iteration is fine.
     let mut timers: HashMap<TimerKey, Nanos> = HashMap::new();
+    // Delayed messages that have arrived, keyed by (due, arrival order).
+    let mut held: BTreeMap<(Nanos, u64), (ProcessId, P::Msg)> = BTreeMap::new();
+    let mut arrivals = 0u64;
+    // The delay range this node draws from for what it sends to others,
+    // with its own generator.
+    let mut delay = match jitter {
+        Jitter::None => None,
+        Jitter::Uniform { lo, hi } => Some((lo, hi, SmallRng::from_entropy())),
+    };
     let mut crashed = false;
 
     // The one effects buffer every callback fills and `apply_effects`
@@ -309,18 +306,36 @@ fn node_main<P: Protocol>(
         me,
         &mut fx,
         &net_txs,
-        &delay_tx,
+        &mut delay,
         &clock,
         &mut timers,
         &mut waiting,
     );
 
     loop {
-        // Fire due timers before looking at the channels: `select!` serves
-        // a ready receive arm ahead of `default`, so while messages keep
-        // arriving a due (retransmission) timer would never fire from there.
-        if !crashed && !timers.is_empty() {
+        // Deliver due messages and fire due timers before looking at the
+        // channels: `select!` serves a ready receive arm ahead of `default`,
+        // so while messages keep arriving nothing due would be served from
+        // there. Messages go first, so a reply due with its retransmission
+        // timer can cancel it. (A crash clears the timers.)
+        if !held.is_empty() || !timers.is_empty() {
             let now = clock.now();
+            while let Some(entry) = held.first_entry().filter(|e| e.key().0 <= now) {
+                let (from, m) = entry.remove();
+                // One that comes due while the node is down is lost with it.
+                if !crashed {
+                    node.on_message(from, m, &mut fx);
+                    apply_effects::<P>(
+                        me,
+                        &mut fx,
+                        &net_txs,
+                        &mut delay,
+                        &clock,
+                        &mut timers,
+                        &mut waiting,
+                    );
+                }
+            }
             let due: Vec<TimerKey> = timers
                 .iter()
                 .filter(|(_, &d)| d <= now)
@@ -333,7 +348,7 @@ fn node_main<P: Protocol>(
                     me,
                     &mut fx,
                     &net_txs,
-                    &delay_tx,
+                    &mut delay,
                     &clock,
                     &mut timers,
                     &mut waiting,
@@ -341,33 +356,40 @@ fn node_main<P: Protocol>(
             }
         }
 
-        // Next timer deadline, if any. Waits are capped so the loop re-reads
-        // the clock often enough even when it is a hand-advanced test clock.
-        let next_deadline = timers.values().min().copied();
-        let timeout = match next_deadline {
-            Some(d) if !crashed => {
-                Duration::from_nanos(d.saturating_sub(clock.now())).min(Duration::from_millis(50))
-            }
-            _ => Duration::from_millis(50),
+        // Wait until the next message or timer is due, if any. Waits are
+        // capped so the loop re-reads the clock often enough even when it
+        // is a hand-advanced test clock.
+        let cap = Duration::from_millis(50);
+        let next_due = held.keys().next().map(|&(due, _)| due);
+        let timeout = match timers.values().copied().chain(next_due).min() {
+            Some(d) => Duration::from_nanos(d.saturating_sub(clock.now())).min(cap),
+            None => cap,
         };
 
         crossbeam::channel::select! {
-            recv(net_rx) -> msg => match msg {
-                Ok((from, m)) if !crashed => {
+            recv(net_rx) -> mail => match mail {
+                Ok((from, 0, m)) if !crashed => {
                     node.on_message(from, m, &mut fx);
-                    apply_effects::<P>(me, &mut fx, &net_txs, &delay_tx, &clock, &mut timers, &mut waiting);
+                    apply_effects::<P>(me, &mut fx, &net_txs, &mut delay, &clock, &mut timers, &mut waiting);
                 }
-                Ok(_) => {} // crashed: drop silently
+                Ok((_, 0, _)) => {} // crashed: drop silently
+                // Held even if already due: the top of the loop delivers in
+                // (due, arrival) order, so a constant delay keeps each
+                // link's messages in the order they were sent.
+                Ok((from, due, m)) => {
+                    held.insert((due, arrivals), (from, m));
+                    arrivals += 1;
+                }
                 Err(_) => return,
             },
             recv(cmd_rx) -> cmd => match cmd {
                 Ok(Cmd::Invoke { op, input, reply }) => {
                     if crashed {
-                        continue; // client will time out
+                        continue; // drops `reply`: the client gets `None` at once
                     }
                     waiting.insert(op, reply);
                     node.on_invoke(op, input, &mut fx);
-                    apply_effects::<P>(me, &mut fx, &net_txs, &delay_tx, &clock, &mut timers, &mut waiting);
+                    apply_effects::<P>(me, &mut fx, &net_txs, &mut delay, &clock, &mut timers, &mut waiting);
                 }
                 Ok(Cmd::Crash) => {
                     crashed = true;
@@ -381,13 +403,17 @@ fn node_main<P: Protocol>(
                     if crashed {
                         crashed = false;
                         timers.clear();
+                        // What came due while the node was down is lost.
+                        let now = clock.now();
+                        held.retain(|&(due, _), _| due > now);
                         node.on_restart(&mut fx);
-                        apply_effects::<P>(me, &mut fx, &net_txs, &delay_tx, &clock, &mut timers, &mut waiting);
+                        apply_effects::<P>(me, &mut fx, &net_txs, &mut delay, &clock, &mut timers, &mut waiting);
                     }
                 }
                 Ok(Cmd::Shutdown) | Err(_) => return,
             },
-            // Woken for a timer (or the cap): the top of the loop fires it.
+            // Woken for a due message or timer (or the cap): the top of the
+            // loop serves it.
             default(timeout) => {}
         }
     }
@@ -399,26 +425,27 @@ fn node_main<P: Protocol>(
 fn apply_effects<P: Protocol>(
     me: ProcessId,
     fx: &mut Effects<P::Msg, P::Resp>,
-    net_txs: &[Sender<(ProcessId, P::Msg)>],
-    delay_tx: &Option<Sender<(ProcessId, ProcessId, P::Msg)>>,
+    net_txs: &[Sender<Mail<P::Msg>>],
+    delay: &mut Option<(Nanos, Nanos, SmallRng)>,
     clock: &Arc<dyn Clock>,
     timers: &mut HashMap<TimerKey, Nanos>,
     waiting: &mut HashMap<OpId, Sender<P::Resp>>,
 ) {
     for (to, msg) in fx.sends.drain(..) {
-        if to == me {
-            // Self-sends loop back through the node's own channel.
-            let _ = net_txs[me.index()].send((me, msg));
-            continue;
-        }
-        match delay_tx {
-            Some(d) => {
-                let _ = d.send((me, to, msg));
+        // A message to another node is stamped with the time its drawn
+        // delay ends; self-sends, and everything undelayed, are due at once.
+        let due = match delay {
+            Some((lo, hi, rng)) if to != me => {
+                let d = if lo == hi {
+                    *lo
+                } else {
+                    rng.gen_range(*lo..=*hi)
+                };
+                clock.now() + d
             }
-            None => {
-                let _ = net_txs[to.index()].send((me, msg));
-            }
-        }
+            _ => 0,
+        };
+        let _ = net_txs[to.index()].send((me, due, msg));
     }
     for cmd in fx.timers.drain(..) {
         match cmd {
@@ -695,12 +722,15 @@ mod tests {
     }
 
     /// A node that always has a message to itself in flight, on a clock
-    /// that moves 100 µs per handled message.
+    /// that moves 100 µs per handled self-send, until its timer has fired
+    /// and a message from node 1 has been handled.
     struct Flood {
         clock: Arc<crate::clock::ManualClock>,
         handled: u64,
-        /// Messages handled when the timer fired (`u64::MAX` = not yet).
-        fired_after: Arc<AtomicU64>,
+        /// Self-sends handled when the timer fired and when node 1's
+        /// message was handled (`u64::MAX` = not yet).
+        timer_after: Arc<AtomicU64>,
+        message_after: Arc<AtomicU64>,
     }
 
     const FLOOD_CAP: u64 = 10_000;
@@ -721,40 +751,249 @@ mod tests {
 
         fn on_invoke(&mut self, _: OpId, _: (), _: &mut Effects<(), ()>) {}
 
-        fn on_message(&mut self, _: ProcessId, _: (), fx: &mut Effects<(), ()>) {
+        fn on_message(&mut self, from: ProcessId, _: (), fx: &mut Effects<(), ()>) {
+            if from != ProcessId(0) {
+                self.message_after.store(self.handled, Ordering::SeqCst);
+                return;
+            }
             self.handled += 1;
             self.clock.advance(100_000);
-            let fired = self.fired_after.load(Ordering::SeqCst) != u64::MAX;
-            if !fired && self.handled < FLOOD_CAP {
+            let pending = [&self.timer_after, &self.message_after]
+                .iter()
+                .any(|after| after.load(Ordering::SeqCst) == u64::MAX);
+            if pending && self.handled < FLOOD_CAP {
                 fx.send(ProcessId(0), ());
             }
         }
 
         fn on_timer(&mut self, _: TimerKey, _: &mut Effects<(), ()>) {
-            self.fired_after.store(self.handled, Ordering::SeqCst);
+            self.timer_after.store(self.handled, Ordering::SeqCst);
         }
     }
 
     #[test]
-    fn due_timer_fires_while_the_mailbox_never_drains() {
+    fn due_timer_and_held_message_are_served_while_the_mailbox_never_drains() {
         let clock = Arc::new(crate::clock::ManualClock::new());
-        let fired_after = Arc::new(AtomicU64::new(u64::MAX));
+        let timer_after = Arc::new(AtomicU64::new(u64::MAX));
+        let message_after = Arc::new(AtomicU64::new(u64::MAX));
         let node = Flood {
             clock: Arc::clone(&clock),
             handled: 0,
-            fired_after: Arc::clone(&fired_after),
+            timer_after: Arc::clone(&timer_after),
+            message_after: Arc::clone(&message_after),
         };
         let (net_tx, net_rx) = unbounded();
         let (cmd_tx, cmd_rx) = unbounded();
+        // A message from node 1, due when the timer is.
+        net_tx.send((ProcessId(1), 1_000_000, ())).unwrap();
         // Served once the flood stops (the receive arms are polled in order).
         cmd_tx.send(Cmd::Shutdown).unwrap();
-        node_main(node, net_rx, cmd_rx, vec![net_tx], None, clock);
-        // The 1 ms timer is due after 10 messages of 100 µs each; the loop
-        // must notice on its next iteration, not when the mailbox is empty.
-        let fired_after = fired_after.load(Ordering::SeqCst);
+        node_main(node, net_rx, cmd_rx, vec![net_tx], Jitter::None, clock);
+        // Both are due after 10 messages of 100 µs each; the loop must
+        // notice on its next iteration, not when the mailbox is empty.
+        for (what, after) in [("timer", timer_after), ("held message", message_after)] {
+            let after = after.load(Ordering::SeqCst);
+            assert!(
+                after <= 11,
+                "1 ms {what} served after {after} handled messages"
+            );
+        }
+    }
+
+    /// A node that logs every message it handles. Invoked with `(to, k)`,
+    /// it sends `0..k` to `to` and answers with the time until the next
+    /// message it handles (at once when `k = 0`); with `echo`, it returns
+    /// every message to its sender.
+    struct Probe {
+        me: ProcessId,
+        echo: bool,
+        clock: MonotonicClock,
+        log: Arc<Mutex<Vec<u32>>>,
+        waiting: Option<(OpId, Nanos)>,
+    }
+
+    impl Probe {
+        fn new(me: usize, echo: bool) -> Self {
+            Probe {
+                me: ProcessId(me),
+                echo,
+                clock: MonotonicClock::new(),
+                log: Arc::default(),
+                waiting: None,
+            }
+        }
+    }
+
+    impl Protocol for Probe {
+        type Msg = u32;
+        type Op = (ProcessId, u32);
+        type Resp = Nanos;
+
+        fn id(&self) -> ProcessId {
+            self.me
+        }
+
+        fn on_invoke(&mut self, op: OpId, (to, k): (ProcessId, u32), fx: &mut Effects<u32, Nanos>) {
+            (0..k).for_each(|m| fx.send(to, m));
+            if k == 0 {
+                fx.respond(op, 0);
+            } else {
+                self.waiting = Some((op, self.clock.now()));
+            }
+        }
+
+        fn on_message(&mut self, from: ProcessId, m: u32, fx: &mut Effects<u32, Nanos>) {
+            self.log.lock().push(m);
+            if let Some((op, at)) = self.waiting.take() {
+                fx.respond(op, self.clock.now() - at);
+            }
+            if self.echo {
+                fx.send(from, m);
+            }
+        }
+
+        fn on_timer(&mut self, _: TimerKey, _: &mut Effects<u32, Nanos>) {}
+    }
+
+    /// Waits up to five seconds of real time for `done`.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let wall = MonotonicClock::new();
+        while !done() {
+            assert!(wall.now() < 5_000_000_000, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn held_message_waits_for_its_due_time() {
+        let clock = Arc::new(crate::clock::ManualClock::new());
+        clock.advance(2_000_000);
+        let node = Probe::new(0, false);
+        let log = Arc::clone(&node.log);
+        let (net_tx, net_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = unbounded();
+        net_tx.send((ProcessId(1), 1_000_000, 1)).unwrap();
+        net_tx.send((ProcessId(1), 2_000_001, 2)).unwrap();
+        cmd_tx.send(Cmd::Shutdown).unwrap();
+        node_main(node, net_rx, cmd_rx, vec![net_tx], Jitter::None, clock);
+        assert_eq!(*log.lock(), [1], "handled only what the clock has reached");
+    }
+
+    #[test]
+    fn one_links_messages_keep_send_order_under_constant_delay() {
+        let (n0, n1) = (Probe::new(0, false), Probe::new(1, true));
+        let (log0, log1) = (Arc::clone(&n0.log), Arc::clone(&n1.log));
+        let delay = Jitter::Uniform {
+            lo: 500_000,
+            hi: 500_000,
+        };
+        let cluster = Cluster::spawn(vec![n0, n1], delay);
+        cluster.client(0).invoke((ProcessId(1), 50));
+        wait_for("50 echoes", || log0.lock().len() == 50);
+        let sent: Vec<u32> = (0..50).collect();
+        assert_eq!(*log1.lock(), sent, "node 0 -> node 1");
+        assert_eq!(*log0.lock(), sent, "node 1 -> node 0");
+    }
+
+    #[test]
+    fn delayed_echo_is_never_early() {
+        const DELAY: Nanos = 1_000_000;
+        let cluster = Cluster::spawn(
+            vec![Probe::new(0, false), Probe::new(1, true)],
+            Jitter::Uniform {
+                lo: DELAY,
+                hi: DELAY,
+            },
+        );
+        for _ in 0..20 {
+            let rtt = cluster.client(0).invoke((ProcessId(1), 1));
+            assert!(rtt >= 2 * DELAY, "two 1 ms hops took {rtt} ns");
+        }
+    }
+
+    /// Runs `node` as node 0 on its own `node_main` thread over `clock`,
+    /// with a client whose crash flag never goes up: every invocation
+    /// reaches the node, as one racing a crash does.
+    fn start(
+        node: Probe,
+        net_tx: Sender<Mail<u32>>,
+        net_rx: Receiver<Mail<u32>>,
+        clock: Arc<dyn Clock>,
+    ) -> (Client<Probe>, JoinHandle<()>) {
+        let (cmd_tx, cmd_rx) = unbounded();
+        let handle = std::thread::spawn(move || {
+            node_main(node, net_rx, cmd_rx, vec![net_tx], Jitter::None, clock)
+        });
+        let client = Client {
+            node: ProcessId(0),
+            cmd_tx,
+            next_op: Arc::new(AtomicU64::new(0)),
+            clock: Arc::new(MonotonicClock::new()),
+            crashed: Arc::new(vec![AtomicBool::new(false)]),
+        };
+        (client, handle)
+    }
+
+    #[test]
+    fn held_message_due_while_crashed_is_dropped() {
+        let clock = Arc::new(crate::clock::ManualClock::new());
+        let node = Probe::new(0, false);
+        let log = Arc::clone(&node.log);
+        let (net_tx, net_rx) = unbounded();
+        let (client, handle) = start(node, net_tx.clone(), net_rx, Arc::clone(&clock) as _);
+        let ping = || client.try_invoke_for((ProcessId(0), 0), Duration::from_secs(5));
+        for (due, m) in [(1_000_000, 1), (50_000_000, 2), (100_000_000, 3)] {
+            net_tx.send((ProcessId(1), due, m)).unwrap();
+        }
+        client.cmd_tx.send(Cmd::Crash).unwrap();
+        assert_eq!(ping(), None, "turned away once the crash is processed");
+        // Message 1 comes due while the node is down and still looping.
+        clock.advance(2_000_000);
+        assert_eq!(ping(), None);
+        // Message 2 comes due while the node is down too, but the restart
+        // reaches the node before it wakes: the sleep lets it settle into
+        // waiting out the 48 ms to message 2's due time.
+        std::thread::sleep(Duration::from_millis(10));
+        clock.advance(58_000_000);
+        client.cmd_tx.send(Cmd::Restart).unwrap();
+        assert_eq!(ping(), Some(0), "answered once the restart is processed");
+        // Message 3 comes due after the restart.
+        clock.advance(50_000_000);
+        wait_for("message 3", || !log.lock().is_empty());
+        assert_eq!(*log.lock(), [3]);
+        client.cmd_tx.send(Cmd::Shutdown).unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn invoke_on_a_crashed_node_returns_none_at_once() {
+        let (net_tx, net_rx) = unbounded();
+        let clock = Arc::new(MonotonicClock::new());
+        let (client, handle) = start(Probe::new(0, false), net_tx, net_rx, clock);
+        client.cmd_tx.send(Cmd::Crash).unwrap();
+        let wall = MonotonicClock::new();
+        let r = client.try_invoke_for((ProcessId(0), 0), Duration::from_secs(60));
+        assert_eq!(r, None);
         assert!(
-            fired_after <= 11,
-            "1 ms timer fired after {fired_after} handled messages"
+            wall.now() < 5_000_000_000,
+            "the invocation waited for its timeout"
+        );
+        client.cmd_tx.send(Cmd::Shutdown).unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "lo <= hi")]
+    fn spawn_rejects_an_empty_delay_range() {
+        Cluster::spawn(vec![Probe::new(0, false)], Jitter::Uniform { lo: 2, hi: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 has wrong id")]
+    fn spawn_rejects_a_node_whose_id_is_not_its_index() {
+        Cluster::spawn(
+            vec![Probe::new(0, false), Probe::new(2, false)],
+            Jitter::None,
         );
     }
 

@@ -7,12 +7,11 @@
 //!
 //! * [`cluster`] — thread-per-node hosting of any
 //!   [`Protocol`](abd_core::context::Protocol): channel fabric, timer
-//!   wheels, blocking clients, crash injection, optional random latency
-//!   ([`cluster::Jitter`]);
+//!   wheels, blocking clients, crash injection, optional random link delay
+//!   ([`cluster::Jitter`]) that each receiving node holds until due;
 //! * [`client`] — typed clients for the replicated key-value store and
 //!   [`client::KvRegisterArray`], the adapter that lets every `abd-shmem`
 //!   algorithm run over the ABD emulation unchanged;
-//! * [`delay`] — the latency-injection thread;
 //! * [`clock`] — the wall-clock [`Clock`](abd_core::clock::Clock)
 //!   implementation, the single `Instant` site the `abd-lint` `wall-clock`
 //!   rule permits.
@@ -35,7 +34,6 @@
 pub mod client;
 pub mod clock;
 pub mod cluster;
-pub mod delay;
 
 pub use client::{spawn_kv_cluster, KvRegisterArray, KvStoreClient};
 pub use clock::MonotonicClock;

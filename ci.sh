@@ -83,6 +83,20 @@ if grep -rnE 'Delayer|delayer_main|abd-delayer|mod delay' crates src tests examp
   echo "a delayer is named again; the receiving node holds a delayed message (crates/runtime/src/cluster.rs)"; exit 1
 fi
 
+echo "==> one node host (crash, timers and restart are abd_core::host::NodeHost's; Sim and node_main drive it)"
+# Above their tests, the drivers call no protocol callback and apply no timer
+# command: the host does both. planted.rs is exempt: its mutants are
+# protocols wrapping a protocol, not drivers.
+for f in $(find crates/simnet/src crates/runtime/src -name '*.rs' | sort); do
+  [ "$f" = crates/simnet/src/planted.rs ] && continue
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\.on_(start|invoke|message|timer|restart)\(|TimerCmd::'; then
+    echo "$f drives a protocol or its timers itself; that is crates/core/src/host.rs's job"; exit 1
+  fi
+done
+if grep -rn 'struct NodeSlot' crates src tests examples benchmark/src --include='*.rs'; then
+  echo "struct NodeSlot is declared again; a node is a NodeHost (crates/core/src/host.rs)"; exit 1
+fi
+
 echo "==> vendor/ holds no stub without a caller"
 for dep in $(cd vendor && ls -d */ | tr -d /); do
   grep -q "^$dep = { path = \"vendor/$dep\"" Cargo.toml \

@@ -1,11 +1,13 @@
 //! The sans-io protocol interface.
 //!
 //! Protocol state machines in this crate perform no I/O and read no clocks.
-//! A *host* — the deterministic simulator (`abd-simnet`) or the thread
-//! runtime (`abd-runtime`) — delivers inputs by calling the [`Protocol`]
-//! callbacks and carries out the outputs the callback recorded in an
-//! [`Effects`] buffer: messages to send, timers to (re)arm or cancel, and
-//! operation responses to hand back to the invoking client.
+//! Their *host* is [`NodeHost`](crate::host::NodeHost), one per node under
+//! every driver — the deterministic simulator (`abd-simnet`) and the thread
+//! runtime (`abd-runtime`). It delivers inputs by calling the [`Protocol`]
+//! callbacks, applies the timers each callback recorded in its [`Effects`]
+//! buffer (arm, re-arm or cancel), and leaves the rest — messages to send
+//! and operation responses to hand back to the invoking client — for its
+//! driver to carry out.
 //!
 //! This is what lets one implementation of the ABD state machine run
 //! unmodified under an adversarial discrete-event scheduler *and* on real

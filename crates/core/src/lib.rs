@@ -20,7 +20,8 @@
 //!
 //! Protocols are **sans-io state machines** ([`context::Protocol`]): the
 //! deterministic simulator (`abd-simnet`) and the thread runtime
-//! (`abd-runtime`) both drive the exact same code.
+//! (`abd-runtime`) both drive the exact same code, each node through one
+//! [`host::NodeHost`] (whether it is up, its armed timers, restart).
 //!
 //! ## Quickstart
 //!
@@ -78,6 +79,7 @@ pub mod clock;
 pub mod context;
 pub mod engine;
 pub mod fasthash;
+pub mod host;
 pub mod merkle;
 pub mod msg;
 pub mod mwmr;
@@ -96,6 +98,7 @@ pub(crate) mod testutil;
 
 pub use batch::{Batched, Envelope};
 pub use context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerCmd, TimerKey};
+pub use host::NodeHost;
 pub use merkle::{key_hash, MerkleTree};
 pub use msg::{RegisterMsg, RegisterOp, RegisterResp};
 pub use mwmr::{MwmrConfig, MwmrNode};

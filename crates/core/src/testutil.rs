@@ -1,28 +1,27 @@
 //! A minimal deterministic executor for unit-testing protocol state
 //! machines inside this crate.
 //!
-//! `MiniNet` delivers messages in FIFO order, supports crash flags, a
-//! pluggable message-drop filter and manual timer firing. It deliberately
-//! has no notion of time or randomness — the full adversarial simulator
-//! lives in the `abd-simnet` crate; this one exists so `abd-core`'s tests
-//! need no dependencies.
+//! `MiniNet` drives one [`NodeHost`] per node: it delivers messages in FIFO
+//! order, supports crashes, a pluggable message-drop filter and manual
+//! timer firing. It deliberately has no notion of time or randomness — the
+//! full adversarial simulator lives in the `abd-simnet` crate; this one
+//! exists so `abd-core`'s tests need no dependencies.
 
-use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerCmd, TimerKey};
+use crate::context::{Protocol, ReadPathCounters, ReadPathStats};
+use crate::host::NodeHost;
 use crate::msg::{RegisterOp, RegisterResp};
 use crate::quorum::{QuorumSystem, Threshold};
-use crate::types::{Consistency, OpId, ProcessId};
-use std::collections::{BTreeSet, VecDeque};
+use crate::types::{Consistency, Nanos, OpId, ProcessId};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 type DropFilter<M> = Box<dyn FnMut(ProcessId, ProcessId, &M) -> bool>;
 
 /// Deterministic FIFO test network over a vector of protocol nodes.
 pub(crate) struct MiniNet<P: Protocol> {
-    nodes: Vec<P>,
-    alive: Vec<bool>,
+    hosts: Vec<NodeHost<P>>,
     queue: VecDeque<(ProcessId, ProcessId, P::Msg)>,
     responses: Vec<(OpId, P::Resp)>,
-    armed: Vec<BTreeSet<TimerKey>>,
     drop_filter: Option<DropFilter<P::Msg>>,
     next_op: u64,
     sent: u64,
@@ -33,50 +32,39 @@ impl<P: Protocol> MiniNet<P> {
     /// Creates a network over `nodes` (node `i` must have id `i`) and runs
     /// every node's `on_start`.
     pub fn new(nodes: Vec<P>) -> Self {
-        let n = nodes.len();
         let mut net = MiniNet {
-            nodes,
-            alive: vec![true; n],
+            hosts: NodeHost::cluster(nodes),
             queue: VecDeque::new(),
             responses: Vec::new(),
-            armed: vec![BTreeSet::new(); n],
             drop_filter: None,
             next_op: 0,
             sent: 0,
             dropped: 0,
         };
-        for i in 0..n {
-            debug_assert_eq!(net.nodes[i].id(), ProcessId(i));
-            let mut fx = Effects::new();
-            net.nodes[i].on_start(&mut fx);
-            net.absorb(ProcessId(i), fx);
+        for i in 0..net.hosts.len() {
+            net.hosts[i].start(0);
+            net.absorb(i);
         }
         net
     }
 
     /// Immutable access to node `i`.
     pub fn node(&self, i: usize) -> &P {
-        &self.nodes[i]
+        self.hosts[i].node()
     }
 
-    /// Marks node `i` as crashed: it stops receiving messages, timers and
+    /// Crashes node `i`: it stops receiving messages, timers and
     /// invocations.
     pub fn crash(&mut self, i: usize) {
-        self.alive[i] = false;
+        self.hosts[i].crash();
     }
 
-    /// Reboots a crashed node: discards its armed timers and runs
-    /// `on_restart`, absorbing any catch-up traffic it emits.
+    /// Reboots a crashed node: its armed timers stay dead and `on_restart`
+    /// runs, its catch-up traffic queued.
     #[allow(dead_code)]
     pub fn restart(&mut self, i: usize) {
-        if self.alive[i] {
-            return;
-        }
-        self.alive[i] = true;
-        self.armed[i].clear();
-        let mut fx = Effects::new();
-        self.nodes[i].on_restart(&mut fx);
-        self.absorb(ProcessId(i), fx);
+        self.hosts[i].restart(0);
+        self.absorb(i);
     }
 
     /// Installs a filter that drops a message when it returns `true`.
@@ -98,19 +86,15 @@ impl<P: Protocol> MiniNet<P> {
     pub fn invoke(&mut self, i: usize, op: P::Op) -> OpId {
         let id = OpId(self.next_op);
         self.next_op += 1;
-        if !self.alive[i] {
-            return id;
-        }
-        let mut fx = Effects::new();
-        self.nodes[i].on_invoke(id, op, &mut fx);
-        self.absorb(ProcessId(i), fx);
+        self.hosts[i].invoke(0, id, op);
+        self.absorb(i);
         id
     }
 
     /// Delivers queued messages in FIFO order until the network is quiet.
     pub fn run_to_quiescence(&mut self) {
         while let Some((from, to, msg)) = self.queue.pop_front() {
-            if !self.alive[to.index()] {
+            if !self.hosts[to.index()].is_up() {
                 self.dropped += 1;
                 continue;
             }
@@ -120,25 +104,17 @@ impl<P: Protocol> MiniNet<P> {
                     continue;
                 }
             }
-            let mut fx = Effects::new();
-            self.nodes[to.index()].on_message(from, msg, &mut fx);
-            self.absorb(to, fx);
+            self.hosts[to.index()].deliver(0, from, msg);
+            self.absorb(to.index());
         }
     }
 
-    /// Fires every armed timer of node `i` exactly once (in key order).
+    /// Fires every timer node `i` has armed, once each (in key order): with
+    /// no clock, each is due at the end of time. One a firing re-arms waits
+    /// for the next call.
     pub fn fire_timers(&mut self, i: usize) {
-        if !self.alive[i] {
-            return;
-        }
-        let keys: Vec<TimerKey> = self.armed[i].iter().copied().collect();
-        for key in keys {
-            // Firing consumes the arming; protocols re-arm if they want more.
-            self.armed[i].remove(&key);
-            let mut fx = Effects::new();
-            self.nodes[i].on_timer(key, &mut fx);
-            self.absorb(ProcessId(i), fx);
-        }
+        self.hosts[i].fire_due(Nanos::MAX);
+        self.absorb(i);
     }
 
     /// Takes the responses accumulated so far, in completion order.
@@ -158,22 +134,16 @@ impl<P: Protocol> MiniNet<P> {
         self.dropped
     }
 
-    fn absorb(&mut self, from: ProcessId, fx: Effects<P::Msg, P::Resp>) {
-        for (to, m) in fx.sends {
+    /// Queues node `i`'s sends and collects its responses; its timers stay
+    /// with its host.
+    fn absorb(&mut self, i: usize) {
+        let out = self.hosts[i].outbox();
+        for (to, m) in out.fx.sends.drain(..) {
             self.sent += 1;
-            self.queue.push_back((from, to, m));
+            self.queue.push_back((ProcessId(i), to, m));
         }
-        for t in fx.timers {
-            match t {
-                TimerCmd::Set { key, .. } => {
-                    self.armed[from.index()].insert(key);
-                }
-                TimerCmd::Cancel { key } => {
-                    self.armed[from.index()].remove(&key);
-                }
-            }
-        }
-        self.responses.extend(fx.responses);
+        self.responses.append(&mut out.fx.responses);
+        out.armed.clear();
     }
 }
 

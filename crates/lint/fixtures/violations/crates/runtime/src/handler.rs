@@ -17,6 +17,11 @@ pub fn on_timer(&mut self, key: TimerKey) {
     }
 }
 
+pub fn fire_due(&mut self, now: Nanos) {
+    // A host method that runs callbacks is on the message path too.
+    let due = self.timers.values().next().expect("a timer is armed");
+}
+
 pub fn node_main(rx: Receiver<Msg>) {
     // Outside a flagged call shape: unwrap_or / expect_err are fine.
     let _a = rx.try_recv().unwrap_or_default();

@@ -81,7 +81,10 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Handler functions whose bodies form the protocol message path.
+/// Handler functions whose bodies form the protocol message path: the
+/// protocol callbacks, the runtime's node thread, and the `NodeHost`
+/// methods that run callbacks under a name no other function in core,
+/// runtime or kv has (`invoke`, `fire` and `restart` share theirs).
 pub const HANDLER_FNS: &[&str] = &[
     "on_start",
     "on_invoke",
@@ -89,7 +92,10 @@ pub const HANDLER_FNS: &[&str] = &[
     "on_timer",
     "on_restart",
     "node_main",
-    "apply_effects",
+    "start",
+    "deliver",
+    "fire_due",
+    "call",
 ];
 
 /// Stored tag/label fields whose assignments rule 7 audits.

@@ -1,18 +1,19 @@
 //! Thread-per-node runtime for sans-io protocols.
 //!
 //! Each protocol node runs on its own OS thread, receiving network messages
-//! and client commands over crossbeam channels and keeping its own timer
-//! wheel (due timers fire at the top of every loop iteration; the `select!`
-//! timeout only bounds the wait). Link delay is held where the message
-//! lands, as `Sim` delivers a message at its time to its target: the sender
-//! stamps each message with the time it is due, and the receiving node keeps
-//! it beside its timers until then. The protocol state machines are
+//! and client commands over crossbeam channels and driving the node's
+//! [`NodeHost`] (its due timers fire at the top of every loop iteration; the
+//! `select!` timeout only bounds the wait). Link delay is held where the
+//! message lands, as `Sim` delivers a message at its time to its target: the
+//! sender stamps each message with the time it is due, and the receiving
+//! node keeps it beside its timers until then. The protocol state machines are
 //! the *same objects* the deterministic simulator drives — this crate is
 //! the demonstration that the sans-io core runs on a real concurrent
 //! transport, and it is what the wall-clock benchmark (`benchmark/`) measures.
 
 use crate::clock::{Clock, MonotonicClock};
-use abd_core::context::{Effects, Protocol, TimerCmd, TimerKey};
+use abd_core::context::Protocol;
+use abd_core::host::NodeHost;
 use abd_core::types::{Nanos, OpId, ProcessId};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -103,22 +104,20 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
         if let Jitter::Uniform { lo, hi } = jitter {
             assert!(lo <= hi, "Jitter::Uniform needs lo <= hi: [{lo}, {hi}]");
         }
-        for (i, node) in nodes.iter().enumerate() {
-            assert_eq!(node.id(), ProcessId(i), "node {i} has wrong id");
-        }
-        let n = nodes.len();
+        let hosts = NodeHost::cluster(nodes);
+        let n = hosts.len();
         let (net_txs, net_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
         let mut cmd_txs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        for ((i, node), net_rx) in nodes.into_iter().enumerate().zip(net_rxs) {
+        for ((i, host), net_rx) in hosts.into_iter().enumerate().zip(net_rxs) {
             let (cmd_tx, cmd_rx) = unbounded();
             let net_txs = net_txs.clone();
             let clock = Arc::clone(&clock);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("abd-node-{i}"))
-                    .spawn(move || node_main(node, net_rx, cmd_rx, net_txs, jitter, clock))
+                    .spawn(move || node_main(host, net_rx, cmd_rx, net_txs, jitter, clock))
                     .expect("spawn node thread"),
             );
             cmd_txs.push(cmd_tx);
@@ -272,21 +271,18 @@ impl<P: Protocol> Client<P> {
     }
 }
 
-/// The node thread: drives the protocol with messages, commands and timers,
-/// and holds each delayed message until it is due.
+/// The node thread: drives the node's host with messages, commands and due
+/// timers, and holds each delayed message until it is due.
 fn node_main<P: Protocol>(
-    mut node: P,
+    mut host: NodeHost<P>,
     net_rx: Receiver<Mail<P::Msg>>,
     cmd_rx: Receiver<Cmd<P>>,
     net_txs: Vec<Sender<Mail<P::Msg>>>,
     jitter: Jitter,
     clock: Arc<dyn Clock>,
 ) {
-    let me = node.id();
+    let me = host.node().id();
     let mut waiting: HashMap<OpId, Sender<P::Resp>> = HashMap::new();
-    // Timer wheel: key -> deadline in clock nanos. Small (a handful of
-    // phases), so a map scan per iteration is fine.
-    let mut timers: HashMap<TimerKey, Nanos> = HashMap::new();
     // Delayed messages that have arrived, keyed by (due, arrival order).
     let mut held: BTreeMap<(Nanos, u64), (ProcessId, P::Msg)> = BTreeMap::new();
     let mut arrivals = 0u64;
@@ -296,83 +292,86 @@ fn node_main<P: Protocol>(
         Jitter::None => None,
         Jitter::Uniform { lo, hi } => Some((lo, hi, SmallRng::from_entropy())),
     };
-    let mut crashed = false;
 
-    // The one effects buffer every callback fills and `apply_effects`
-    // drains; its capacity is reused from event to event.
-    let mut fx: Effects<P::Msg, P::Resp> = Effects::new();
-    node.on_start(&mut fx);
-    apply_effects::<P>(
-        me,
-        &mut fx,
-        &net_txs,
-        &mut delay,
-        &clock,
-        &mut timers,
-        &mut waiting,
-    );
-
+    host.start(clock.now());
     loop {
-        // Deliver due messages and fire due timers before looking at the
-        // channels: `select!` serves a ready receive arm ahead of `default`,
-        // so while messages keep arriving nothing due would be served from
-        // there. Messages go first, so a reply due with its retransmission
-        // timer can cancel it. (A crash clears the timers.)
-        if !held.is_empty() || !timers.is_empty() {
-            let now = clock.now();
-            while let Some(entry) = held.first_entry().filter(|e| e.key().0 <= now) {
-                let (from, m) = entry.remove();
-                // One that comes due while the node is down is lost with it.
-                if !crashed {
-                    node.on_message(from, m, &mut fx);
-                    apply_effects::<P>(
-                        me,
-                        &mut fx,
-                        &net_txs,
-                        &mut delay,
-                        &clock,
-                        &mut timers,
-                        &mut waiting,
-                    );
+        // Serve what is due before looking at the channels: `select!` serves
+        // a ready receive arm ahead of `default`, so while messages keep
+        // arriving nothing due would be served from there. Messages go
+        // first, so a reply due with its retransmission timer can cancel it.
+        let now = clock.now();
+        while let Some(entry) = held.first_entry().filter(|e| e.key().0 <= now) {
+            let (from, m) = entry.remove();
+            // One that comes due while the node is down is lost with it.
+            host.deliver(now, from, m);
+        }
+        host.fire_due(now);
+
+        // Route what the callbacks left: this pass's and the last arm's.
+        let out = host.outbox();
+        for (to, msg) in out.fx.sends.drain(..) {
+            // A message to another node is stamped with the time its drawn
+            // delay ends; self-sends, and everything undelayed, are due at once.
+            let due = match &mut delay {
+                Some((lo, hi, rng)) if to != me => {
+                    let d = if lo == hi {
+                        *lo
+                    } else {
+                        rng.gen_range(*lo..=*hi)
+                    };
+                    clock.now() + d
                 }
-            }
-            let due: Vec<TimerKey> = timers
-                .iter()
-                .filter(|(_, &d)| d <= now)
-                .map(|(&k, _)| k)
-                .collect();
-            for key in due {
-                timers.remove(&key);
-                node.on_timer(key, &mut fx);
-                apply_effects::<P>(
-                    me,
-                    &mut fx,
-                    &net_txs,
-                    &mut delay,
-                    &clock,
-                    &mut timers,
-                    &mut waiting,
-                );
+                _ => 0,
+            };
+            let _ = net_txs[to.index()].send((me, due, msg));
+        }
+        for (op, resp) in out.fx.responses.drain(..) {
+            if let Some(reply) = waiting.remove(&op) {
+                let _ = reply.send(resp);
             }
         }
+        out.armed.clear(); // the host fires them itself, by `fire_due`
 
         // Wait until the next message or timer is due, if any. Waits are
         // capped so the loop re-reads the clock often enough even when it
         // is a hand-advanced test clock.
         let cap = Duration::from_millis(50);
-        let next_due = held.keys().next().map(|&(due, _)| due);
-        let timeout = match timers.values().copied().chain(next_due).min() {
+        let next_held = held.keys().next().map(|&(due, _)| due);
+        let timeout = match host.next_due().into_iter().chain(next_held).min() {
             Some(d) => Duration::from_nanos(d.saturating_sub(clock.now())).min(cap),
             None => cap,
         };
 
+        // Commands before messages (the receive arms are polled in order):
+        // a crash queued beside a peer's message takes effect first, so the
+        // message reaches a down node and is lost with it.
         crossbeam::channel::select! {
-            recv(net_rx) -> mail => match mail {
-                Ok((from, 0, m)) if !crashed => {
-                    node.on_message(from, m, &mut fx);
-                    apply_effects::<P>(me, &mut fx, &net_txs, &mut delay, &clock, &mut timers, &mut waiting);
+            recv(cmd_rx) -> cmd => match cmd {
+                Ok(Cmd::Invoke { op, input, reply }) => {
+                    // On a down node the invocation is lost and `reply`
+                    // dropped: the client gets `None` at once.
+                    if host.invoke(clock.now(), op, input) {
+                        waiting.insert(op, reply);
+                    }
                 }
-                Ok((_, 0, _)) => {} // crashed: drop silently
+                Ok(Cmd::Crash) => {
+                    host.crash();
+                    // Dropping the reply senders wakes blocked clients with
+                    // a disconnect (-> fast `None`), instead of leaving
+                    // them to wait out their timeouts.
+                    waiting.clear();
+                }
+                Ok(Cmd::Restart) => {
+                    let now = clock.now();
+                    if host.restart(now) {
+                        // What came due while the node was down is lost.
+                        held.retain(|&(due, _), _| due > now);
+                    }
+                }
+                Ok(Cmd::Shutdown) | Err(_) => return,
+            },
+            recv(net_rx) -> mail => match mail {
+                Ok((from, 0, m)) => host.deliver(clock.now(), from, m),
                 // Held even if already due: the top of the loop delivers in
                 // (due, arrival) order, so a constant delay keeps each
                 // link's messages in the order they were sent.
@@ -382,84 +381,9 @@ fn node_main<P: Protocol>(
                 }
                 Err(_) => return,
             },
-            recv(cmd_rx) -> cmd => match cmd {
-                Ok(Cmd::Invoke { op, input, reply }) => {
-                    if crashed {
-                        continue; // drops `reply`: the client gets `None` at once
-                    }
-                    waiting.insert(op, reply);
-                    node.on_invoke(op, input, &mut fx);
-                    apply_effects::<P>(me, &mut fx, &net_txs, &mut delay, &clock, &mut timers, &mut waiting);
-                }
-                Ok(Cmd::Crash) => {
-                    crashed = true;
-                    timers.clear();
-                    // Dropping the reply senders wakes blocked clients with
-                    // a disconnect (-> fast `None`), instead of leaving
-                    // them to wait out their timeouts.
-                    waiting.clear();
-                }
-                Ok(Cmd::Restart) => {
-                    if crashed {
-                        crashed = false;
-                        timers.clear();
-                        // What came due while the node was down is lost.
-                        let now = clock.now();
-                        held.retain(|&(due, _), _| due > now);
-                        node.on_restart(&mut fx);
-                        apply_effects::<P>(me, &mut fx, &net_txs, &mut delay, &clock, &mut timers, &mut waiting);
-                    }
-                }
-                Ok(Cmd::Shutdown) | Err(_) => return,
-            },
             // Woken for a due message or timer (or the cap): the top of the
             // loop serves it.
             default(timeout) => {}
-        }
-    }
-}
-
-/// Carries out and empties `fx`, the effects one callback recorded.
-/// Protocols only emit effects from callbacks, so one pass is enough —
-/// sends never produce local follow-ups.
-fn apply_effects<P: Protocol>(
-    me: ProcessId,
-    fx: &mut Effects<P::Msg, P::Resp>,
-    net_txs: &[Sender<Mail<P::Msg>>],
-    delay: &mut Option<(Nanos, Nanos, SmallRng)>,
-    clock: &Arc<dyn Clock>,
-    timers: &mut HashMap<TimerKey, Nanos>,
-    waiting: &mut HashMap<OpId, Sender<P::Resp>>,
-) {
-    for (to, msg) in fx.sends.drain(..) {
-        // A message to another node is stamped with the time its drawn
-        // delay ends; self-sends, and everything undelayed, are due at once.
-        let due = match delay {
-            Some((lo, hi, rng)) if to != me => {
-                let d = if lo == hi {
-                    *lo
-                } else {
-                    rng.gen_range(*lo..=*hi)
-                };
-                clock.now() + d
-            }
-            _ => 0,
-        };
-        let _ = net_txs[to.index()].send((me, due, msg));
-    }
-    for cmd in fx.timers.drain(..) {
-        match cmd {
-            TimerCmd::Set { key, after } => {
-                timers.insert(key, clock.now() + after);
-            }
-            TimerCmd::Cancel { key } => {
-                timers.remove(&key);
-            }
-        }
-    }
-    for (op, resp) in fx.responses.drain(..) {
-        if let Some(reply) = waiting.remove(&op) {
-            let _ = reply.send(resp);
         }
     }
 }
@@ -497,6 +421,7 @@ impl<A> HistoryRecorder<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abd_core::context::{Effects, TimerKey};
     use abd_core::msg::{RegisterOp, RegisterResp};
     use abd_core::mwmr::{MwmrConfig, MwmrNode};
     use abd_core::swmr::{SwmrConfig, SwmrNode};
@@ -786,12 +711,27 @@ mod tests {
         let (cmd_tx, cmd_rx) = unbounded();
         // A message from node 1, due when the timer is.
         net_tx.send((ProcessId(1), 1_000_000, ())).unwrap();
-        // Served once the flood stops (the receive arms are polled in order).
+        let thread = std::thread::spawn(move || {
+            node_main(
+                host(node),
+                net_rx,
+                cmd_rx,
+                vec![net_tx],
+                Jitter::None,
+                clock,
+            )
+        });
+        let afters = [("timer", timer_after), ("held message", message_after)];
+        wait_for("the flood to stop", || {
+            afters
+                .iter()
+                .all(|(_, after)| after.load(Ordering::SeqCst) != u64::MAX)
+        });
         cmd_tx.send(Cmd::Shutdown).unwrap();
-        node_main(node, net_rx, cmd_rx, vec![net_tx], Jitter::None, clock);
+        thread.join().unwrap();
         // Both are due after 10 messages of 100 µs each; the loop must
         // notice on its next iteration, not when the mailbox is empty.
-        for (what, after) in [("timer", timer_after), ("held message", message_after)] {
+        for (what, after) in afters {
             let after = after.load(Ordering::SeqCst);
             assert!(
                 after <= 11,
@@ -871,12 +811,37 @@ mod tests {
         let node = Probe::new(0, false);
         let log = Arc::clone(&node.log);
         let (net_tx, net_rx) = unbounded();
-        let (cmd_tx, cmd_rx) = unbounded();
-        net_tx.send((ProcessId(1), 1_000_000, 1)).unwrap();
+        // The later one first: it is held by the time the other is handled.
         net_tx.send((ProcessId(1), 2_000_001, 2)).unwrap();
-        cmd_tx.send(Cmd::Shutdown).unwrap();
-        node_main(node, net_rx, cmd_rx, vec![net_tx], Jitter::None, clock);
+        net_tx.send((ProcessId(1), 1_000_000, 1)).unwrap();
+        let (client, handle) = start(node, net_tx, net_rx, clock);
+        wait_for("message 1", || !log.lock().is_empty());
+        client.cmd_tx.send(Cmd::Shutdown).unwrap();
+        handle.join().unwrap();
         assert_eq!(*log.lock(), [1], "handled only what the clock has reached");
+    }
+
+    #[test]
+    fn a_crash_queued_beside_a_peer_message_is_served_first() {
+        let node = Probe::new(0, false);
+        let log = Arc::clone(&node.log);
+        let (net_tx, net_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = unbounded();
+        // What a node thread that starts late can find: a peer's message and
+        // its own crash, queued together.
+        net_tx.send((ProcessId(1), 0, 7)).unwrap();
+        cmd_tx.send(Cmd::Crash).unwrap();
+        cmd_tx.send(Cmd::Shutdown).unwrap();
+        let clock = Arc::new(MonotonicClock::new());
+        node_main(
+            host(node),
+            net_rx,
+            cmd_rx,
+            vec![net_tx],
+            Jitter::None,
+            clock,
+        );
+        assert!(log.lock().is_empty(), "the crashed node handled a message");
     }
 
     #[test]
@@ -911,6 +876,11 @@ mod tests {
         }
     }
 
+    /// `node`'s host, as node 0 of a cluster of one.
+    fn host<P: Protocol>(node: P) -> NodeHost<P> {
+        NodeHost::cluster(vec![node]).remove(0)
+    }
+
     /// Runs `node` as node 0 on its own `node_main` thread over `clock`,
     /// with a client whose crash flag never goes up: every invocation
     /// reaches the node, as one racing a crash does.
@@ -922,7 +892,14 @@ mod tests {
     ) -> (Client<Probe>, JoinHandle<()>) {
         let (cmd_tx, cmd_rx) = unbounded();
         let handle = std::thread::spawn(move || {
-            node_main(node, net_rx, cmd_rx, vec![net_tx], Jitter::None, clock)
+            node_main(
+                host(node),
+                net_rx,
+                cmd_rx,
+                vec![net_tx],
+                Jitter::None,
+                clock,
+            )
         });
         let client = Client {
             node: ProcessId(0),

@@ -1,15 +1,16 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Sim`] owns a cluster of sans-io protocol nodes
-//! ([`abd_core::context::Protocol`]) and a priority queue of timestamped
-//! events. Every source of nondeterminism the paper's adversary controls —
-//! message delays and reorderings, losses, duplications, crash timing,
-//! partitions — is drawn from a single seeded RNG, so **a seed identifies an
-//! execution**: failures found by randomized tests replay exactly.
+//! [`Sim`] drives a cluster of sans-io protocol nodes, one [`NodeHost`]
+//! each, from a priority queue of timestamped events. Every source of
+//! nondeterminism the paper's adversary controls — message delays and
+//! reorderings, losses, duplications, crash timing, partitions — is drawn
+//! from a single seeded RNG, so **a seed identifies an execution**: failures
+//! found by randomized tests replay exactly.
 
 use crate::config::SimConfig;
 use crate::metrics::Metrics;
-use abd_core::context::{Effects, Protocol, ReadPathStats, TimerCmd, TimerKey};
+use abd_core::context::{Protocol, ReadPathStats, TimerKey};
+use abd_core::host::{Armed, NodeHost};
 use abd_core::types::{Nanos, OpId, ProcessId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -185,15 +186,6 @@ impl<P: Protocol> Ord for QueuedEvent<P> {
     }
 }
 
-struct NodeSlot<P: Protocol> {
-    proto: P,
-    alive: bool,
-    /// Current generation per armed timer key; stale generations are
-    /// cancelled timers.
-    timers: BTreeMap<TimerKey, u64>,
-    timer_gen: u64,
-}
-
 /// Record of one completed operation.
 #[derive(Clone, Debug)]
 pub struct OpRecord<Op, Resp> {
@@ -243,7 +235,7 @@ where
     P::Op: Clone,
 {
     cfg: SimConfig,
-    nodes: Vec<NodeSlot<P>>,
+    hosts: Vec<NodeHost<P>>,
     queue: BinaryHeap<QueuedEvent<P>>,
     now: Nanos,
     next_seq: u64,
@@ -273,31 +265,20 @@ where
     /// consulted for scheduling decisions, so installing one cannot perturb
     /// the execution or its digest.
     tap: Option<Tap<P::Msg, P::Op>>,
-    /// The one effects buffer every callback fills and [`Sim::absorb`]
-    /// drains; empty between events, its capacity reused across them.
-    fx: Effects<P::Msg, P::Resp>,
 }
 
 impl<P: Protocol> Sim<P>
 where
     P::Op: Clone,
 {
-    /// Creates a simulation over `nodes` (node `i` must have id `i`) and
-    /// runs every node's `on_start` at time 0.
+    /// Creates a simulation over `nodes` (node `i` must have id `i`, or it
+    /// panics) and runs every node's `on_start` at time 0.
     pub fn new(cfg: SimConfig, nodes: Vec<P>) -> Self {
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let n = nodes.len();
         let mut sim = Sim {
             cfg,
-            nodes: nodes
-                .into_iter()
-                .map(|proto| NodeSlot {
-                    proto,
-                    alive: true,
-                    timers: BTreeMap::new(),
-                    timer_gen: 0,
-                })
-                .collect(),
+            hosts: NodeHost::cluster(nodes),
             queue: BinaryHeap::new(),
             now: 0,
             next_seq: 0,
@@ -316,22 +297,17 @@ where
             trace_cap: 512,
             queued_invokes: 0,
             tap: None,
-            fx: Effects::new(),
         };
-        for i in 0..sim.nodes.len() {
-            debug_assert_eq!(
-                sim.nodes[i].proto.id(),
-                ProcessId(i),
-                "node {i} has wrong id"
-            );
-            sim.call(ProcessId(i), |node, fx| node.on_start(fx));
+        for i in 0..n {
+            sim.hosts[i].start(0);
+            sim.absorb(ProcessId(i));
         }
         sim
     }
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.nodes.len()
+        self.hosts.len()
     }
 
     /// Current virtual time.
@@ -341,12 +317,12 @@ where
 
     /// Immutable access to node `i`'s protocol state.
     pub fn node(&self, i: usize) -> &P {
-        &self.nodes[i].proto
+        self.hosts[i].node()
     }
 
     /// Whether node `i` is still alive.
     pub fn is_alive(&self, i: usize) -> bool {
-        self.nodes[i].alive
+        self.hosts[i].is_up()
     }
 
     /// Accumulated counters.
@@ -469,7 +445,7 @@ where
     /// Panics if `groups.len() != n`.
     pub fn partition_at(&mut self, at: Nanos, groups: Vec<u32>) {
         assert!(at >= self.now, "cannot schedule in the past");
-        assert_eq!(groups.len(), self.nodes.len(), "one group per node");
+        assert_eq!(groups.len(), self.hosts.len(), "one group per node");
         self.push(at, ProcessId(0), EventKind::SetPartition { groups });
     }
 
@@ -535,6 +511,19 @@ where
         }
     }
 
+    /// Shows the tap, if any, that `kind` happens on `target` now — before the
+    /// node handles it, which a wall-clock tap (the benchmark's) relies on.
+    fn observe(&mut self, target: ProcessId, kind: TapKind<'_, P::Msg, P::Op>) {
+        if let Some(tap) = self.tap.as_mut() {
+            tap(TapEvent {
+                at: self.now,
+                target,
+                partition_active: self.partition.is_some(),
+                kind,
+            });
+        }
+    }
+
     /// Processes the single earliest event. Returns `false` if the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
@@ -589,103 +578,61 @@ where
         }
         match ev.kind {
             EventKind::Deliver { from, msg } => {
-                let dropped = if !self.nodes[t].alive {
+                let dropped = if !self.hosts[t].is_up() {
                     Some(DropReason::Crashed)
                 } else if self.partitioned(from, ev.target) {
                     Some(DropReason::Partitioned)
                 } else {
                     None
                 };
-                if let Some(tap) = self.tap.as_mut() {
-                    tap(TapEvent {
-                        at: ev.at,
-                        target: ev.target,
-                        partition_active: self.partition.is_some(),
-                        kind: TapKind::Deliver {
-                            from,
-                            msg: &msg,
-                            dropped,
-                        },
-                    });
-                }
+                let kind = TapKind::Deliver {
+                    from,
+                    msg: &msg,
+                    dropped,
+                };
+                self.observe(ev.target, kind);
                 match dropped {
-                    Some(DropReason::Crashed) => {
-                        self.metrics.dropped_crash += 1;
-                        return true;
+                    Some(DropReason::Crashed) => self.metrics.dropped_crash += 1,
+                    Some(DropReason::Partitioned) => self.metrics.dropped_partition += 1,
+                    None => {
+                        self.metrics.delivered += 1;
+                        self.hosts[t].deliver(self.now, from, msg);
+                        self.absorb(ev.target);
                     }
-                    Some(DropReason::Partitioned) => {
-                        self.metrics.dropped_partition += 1;
-                        return true;
-                    }
-                    None => {}
                 }
-                self.metrics.delivered += 1;
-                self.call(ev.target, |node, fx| node.on_message(from, msg, fx));
             }
             EventKind::Timer { key, gen } => {
-                if !self.nodes[t].alive {
-                    return true;
+                if !self.hosts[t].is_armed(key, gen) {
+                    return true; // cancelled or superseded, or the node is down
                 }
-                if self.nodes[t].timers.get(&key) != Some(&gen) {
-                    return true; // cancelled or superseded
-                }
-                self.nodes[t].timers.remove(&key);
                 self.metrics.timer_fires += 1;
-                if let Some(tap) = self.tap.as_mut() {
-                    tap(TapEvent {
-                        at: ev.at,
-                        target: ev.target,
-                        partition_active: self.partition.is_some(),
-                        kind: TapKind::TimerFire,
-                    });
-                }
-                let mut resent = 0;
-                self.call(ev.target, |node, fx| {
-                    node.on_timer(key, fx);
-                    resent = fx.sends.len();
-                });
-                self.metrics.retransmissions += resent as u64;
+                self.observe(ev.target, TapKind::TimerFire);
+                self.hosts[t].fire(self.now, key, gen);
+                self.metrics.retransmissions += self.hosts[t].outbox().fx.sends.len() as u64;
+                self.absorb(ev.target);
             }
             EventKind::Invoke { op, input } => {
                 self.queued_invokes -= 1;
-                if !self.nodes[t].alive {
+                if !self.hosts[t].is_up() {
                     return true; // invocation on a crashed node is lost
                 }
                 self.metrics.ops_invoked += 1;
-                if let Some(tap) = self.tap.as_mut() {
-                    tap(TapEvent {
-                        at: ev.at,
-                        target: ev.target,
-                        partition_active: self.partition.is_some(),
-                        kind: TapKind::Invoke { op, input: &input },
-                    });
-                }
+                self.observe(ev.target, TapKind::Invoke { op, input: &input });
                 self.invoked
                     .insert(op, (ev.target, input.clone(), self.now));
-                self.call(ev.target, |node, fx| node.on_invoke(op, input, fx));
+                self.hosts[t].invoke(self.now, op, input);
+                self.absorb(ev.target);
             }
             EventKind::Crash => {
-                if let Some(tap) = self.tap.as_mut() {
-                    tap(TapEvent {
-                        at: ev.at,
-                        target: ev.target,
-                        partition_active: self.partition.is_some(),
-                        kind: TapKind::Crash,
-                    });
-                }
-                self.nodes[t].alive = false;
-                self.nodes[t].timers.clear();
+                self.observe(ev.target, TapKind::Crash);
+                self.hosts[t].crash();
                 // The crash takes this client's in-flight operations with
                 // it: no response will ever be produced, but the operation
                 // may already have taken effect, so keep it for histories.
-                let doomed: Vec<OpId> = self
+                let doomed = self
                     .invoked
-                    .iter()
-                    .filter(|(_, (client, _, _))| *client == ev.target)
-                    .map(|(&op, _)| op)
-                    .collect();
-                for op in doomed {
-                    let (client, input, at) = self.invoked.remove(&op).expect("collected above");
+                    .extract_if(.., |_, (client, _, _)| *client == ev.target);
+                for (op, (client, input, at)) in doomed {
                     self.metrics.ops_aborted += 1;
                     self.aborted.push((op, client, input, at));
                 }
@@ -697,19 +644,11 @@ where
                 self.partition = None;
             }
             EventKind::Restart => {
-                if !self.nodes[t].alive {
-                    if let Some(tap) = self.tap.as_mut() {
-                        tap(TapEvent {
-                            at: ev.at,
-                            target: ev.target,
-                            partition_active: self.partition.is_some(),
-                            kind: TapKind::Restart,
-                        });
-                    }
-                    self.nodes[t].alive = true;
-                    self.nodes[t].timers.clear();
+                if !self.hosts[t].is_up() {
+                    self.observe(ev.target, TapKind::Restart);
                     self.metrics.restarts += 1;
-                    self.call(ev.target, |node, fx| node.on_restart(fx));
+                    self.hosts[t].restart(self.now);
+                    self.absorb(ev.target);
                 }
             }
             EventKind::SetLoss { prob } => {
@@ -757,7 +696,7 @@ where
         debug_assert!(
             self.invoked
                 .values()
-                .all(|(client, _, _)| self.nodes[client.index()].alive),
+                .all(|(client, _, _)| self.hosts[client.index()].is_up()),
             "an operation of a crashed node is still recorded as in flight"
         );
         self.queued_invokes > 0 || !self.invoked.is_empty()
@@ -778,76 +717,36 @@ where
         true
     }
 
-    /// Runs one protocol callback on node `t` against the shared effects
-    /// buffer, then carries its effects out.
-    fn call(&mut self, t: ProcessId, f: impl FnOnce(&mut P, &mut Effects<P::Msg, P::Resp>)) {
-        let mut fx = std::mem::take(&mut self.fx);
-        f(&mut self.nodes[t.index()].proto, &mut fx);
-        self.absorb(t, &mut fx);
-        self.fx = fx;
-    }
-
-    /// Carries out and empties `fx`, the effects one callback on `from`
-    /// recorded.
-    fn absorb(&mut self, from: ProcessId, fx: &mut Effects<P::Msg, P::Resp>) {
-        for (to, msg) in fx.sends.drain(..) {
+    /// Carries out and empties node `from`'s outbox: routes its sends, then
+    /// queues an event for each timer it armed (a stale one too: `fire`
+    /// passes over it), then records its responses.
+    fn absorb(&mut self, from: ProcessId) {
+        let mut out = std::mem::take(self.hosts[from.index()].outbox());
+        for (to, msg) in out.fx.sends.drain(..) {
             self.route(from, to, msg);
         }
-        if fx.timers.is_empty() && fx.responses.is_empty() {
-            return; // most callbacks only send
-        }
-        for cmd in fx.timers.drain(..) {
-            let slot = &mut self.nodes[from.index()];
-            match cmd {
-                TimerCmd::Set { key, after } => {
-                    slot.timer_gen += 1;
-                    let gen = slot.timer_gen;
-                    slot.timers.insert(key, gen);
-                    let at = self.now + after;
-                    self.push(at, from, EventKind::Timer { key, gen });
-                }
-                TimerCmd::Cancel { key } => {
-                    slot.timers.remove(&key);
-                }
+        // Most callbacks only send.
+        if !out.armed.is_empty() || !out.fx.responses.is_empty() {
+            for Armed { key, gen, due } in out.armed.drain(..) {
+                self.push(due, from, EventKind::Timer { key, gen });
             }
-        }
-        for (op, resp) in fx.responses.drain(..) {
-            if let Some((client, input, invoked_at)) = self.invoked.remove(&op) {
+            for (op, resp) in out.fx.responses.drain(..) {
+                let (client, input, invoked_at) = if let Some(open) = self.invoked.remove(&op) {
+                    open
+                } else if let Some(i) = self.aborted.iter().position(|(o, _, _, _)| *o == op) {
+                    // A recovery epilogue resolved an operation its client's
+                    // crash had aborted: close the interval. The operation keeps
+                    // its original invocation time, so the history checkers see
+                    // one long completed operation instead of an open-ended one.
+                    self.metrics.ops_resolved += 1;
+                    let (_, client, input, invoked_at) = self.aborted.remove(i);
+                    (client, input, invoked_at)
+                } else {
+                    continue;
+                };
                 self.metrics.ops_completed += 1;
                 self.metrics.total_op_latency += self.now - invoked_at;
-                if let Some(tap) = self.tap.as_mut() {
-                    tap(TapEvent {
-                        at: self.now,
-                        target: client,
-                        partition_active: self.partition.is_some(),
-                        kind: TapKind::Complete { op },
-                    });
-                }
-                self.completed.push(OpRecord {
-                    op,
-                    client,
-                    input,
-                    resp,
-                    invoked_at,
-                    completed_at: self.now,
-                });
-            } else if let Some(i) = self.aborted.iter().position(|(o, _, _, _)| *o == op) {
-                // A recovery epilogue resolved an operation its client's
-                // crash had aborted: close the interval. The operation keeps
-                // its original invocation time, so the history checkers see
-                // one long completed operation instead of an open-ended one.
-                let (op, client, input, invoked_at) = self.aborted.remove(i);
-                self.metrics.ops_resolved += 1;
-                self.metrics.ops_completed += 1;
-                self.metrics.total_op_latency += self.now - invoked_at;
-                if let Some(tap) = self.tap.as_mut() {
-                    tap(TapEvent {
-                        at: self.now,
-                        target: client,
-                        partition_active: self.partition.is_some(),
-                        kind: TapKind::Complete { op },
-                    });
-                }
+                self.observe(client, TapKind::Complete { op });
                 self.completed.push(OpRecord {
                     op,
                     client,
@@ -858,6 +757,8 @@ where
                 });
             }
         }
+        // Handed back empty, so the buffers keep their capacity.
+        *self.hosts[from.index()].outbox() = out;
     }
 
     fn route(&mut self, from: ProcessId, to: ProcessId, msg: P::Msg) {
@@ -926,15 +827,16 @@ where
     /// [`write_backs`](Metrics::write_backs) fields hold the sums across
     /// all nodes.
     pub fn read_path_metrics(&self) -> Metrics {
+        let sum = |count: fn(&P) -> u64| self.hosts.iter().map(|h| count(h.node())).sum();
         let mut m = self.metrics.clone();
-        m.fast_reads = self.nodes.iter().map(|n| n.proto.fast_reads()).sum();
-        m.write_backs = self.nodes.iter().map(|n| n.proto.write_backs()).sum();
-        m.relay_reads = self.nodes.iter().map(|n| n.proto.relay_reads()).sum();
-        m.sc_reads = self.nodes.iter().map(|n| n.proto.sc_reads()).sum();
-        m.regular_reads = self.nodes.iter().map(|n| n.proto.regular_reads()).sum();
-        m.recovery_msgs = self.nodes.iter().map(|n| n.proto.recovery_msgs()).sum();
-        m.recovery_bytes = self.nodes.iter().map(|n| n.proto.recovery_bytes()).sum();
-        m.sync_entries_sent = self.nodes.iter().map(|n| n.proto.sync_entries_sent()).sum();
+        m.fast_reads = sum(P::fast_reads);
+        m.write_backs = sum(P::write_backs);
+        m.relay_reads = sum(P::relay_reads);
+        m.sc_reads = sum(P::sc_reads);
+        m.regular_reads = sum(P::regular_reads);
+        m.recovery_msgs = sum(P::recovery_msgs);
+        m.recovery_bytes = sum(P::recovery_bytes);
+        m.sync_entries_sent = sum(P::sync_entries_sent);
         m
     }
 }
@@ -945,7 +847,7 @@ where
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
-            .field("n", &self.nodes.len())
+            .field("n", &self.hosts.len())
             .field("now", &self.now)
             .field("queued", &self.queue.len())
             .field("completed", &self.completed.len())
@@ -1267,7 +1169,7 @@ mod tests {
             || sim
                 .invoked
                 .values()
-                .any(|(client, _, _)| sim.nodes[client.index()].alive)
+                .any(|(client, _, _)| sim.hosts[client.index()].is_up())
     }
 
     /// Steps `sim` to quiescence, checking the two predicates against each
@@ -1422,6 +1324,15 @@ mod tests {
         sim.set_gray_at(sim.now(), ProcessId(1), 1);
         sim.invoke(ProcessId(1), RegisterOp::Read);
         assert!(sim.run_until_ops_complete(sim.now() + 10_000_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 has wrong id")]
+    fn new_rejects_a_node_whose_id_is_not_its_index() {
+        let nodes = [0, 2]
+            .map(|i| SwmrNode::new(SwmrConfig::new(3, ProcessId(i), ProcessId(0)), 0u64))
+            .into();
+        Sim::new(SimConfig::new(1), nodes);
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! crash and a partition; and the six defects of the hand-written `RcNode`
 //! this one replaced stay closed.
 
-use abd_core::context::{Effects, Protocol, TimerCmd, TimerKey};
 use abd_core::engine;
-use abd_core::types::{OpId, ProcessId, ReadMode};
+use abd_core::host::NodeHost;
+use abd_core::types::{Nanos, OpId, ProcessId, ReadMode};
 use abd_kv::reconfig::{Config, RcMsg, RcNode, RcNodeConfig, RcOp, RcResp};
 use abd_kv::KvMsg;
 use abd_repro::lincheck::{check_linearizable_with_limit, CheckResult, History, RegAction};
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 type RcSim = Sim<RcNode<u32, u64>>;
 
@@ -395,11 +395,10 @@ fn is_announce(m: &Msg) -> bool {
 
 /// A cluster in which the test decides every delivery, loss, timer firing
 /// and restart. Time is a logical clock: one tick per invocation, delivery
-/// or timer firing.
+/// or pass of timer firings.
 struct Net {
-    nodes: Vec<RcNode<u32, u64>>,
+    hosts: Vec<NodeHost<RcNode<u32, u64>>>,
     wire: VecDeque<(usize, usize, Msg)>,
-    timers: Vec<BTreeSet<TimerKey>>,
     clock: u64,
     /// Indexed by operation id: `(node, input, invoked at)`.
     invoked: Vec<(usize, RcOp<u32, u64>, u64)>,
@@ -411,37 +410,31 @@ impl Net {
     fn new(n: usize, initial: &[usize]) -> Self {
         let node = |i| RcNode::new(node_config(n, i, initial, ReadMode::TwoRound));
         Net {
-            nodes: (0..n).map(node).collect(),
+            hosts: NodeHost::cluster((0..n).map(node).collect()),
             wire: VecDeque::new(),
-            timers: vec![BTreeSet::new(); n],
             clock: 0,
             invoked: Vec::new(),
             done: BTreeMap::new(),
         }
     }
 
-    fn absorb(&mut self, at: usize, fx: Effects<Msg, RcResp<u64>>) {
+    fn absorb(&mut self, at: usize) {
         self.clock += 1;
-        for (to, m) in fx.sends {
+        let out = self.hosts[at].outbox();
+        for (to, m) in out.fx.sends.drain(..) {
             self.wire.push_back((at, to.index(), m));
         }
-        for cmd in fx.timers {
-            match cmd {
-                TimerCmd::Set { key, .. } => self.timers[at].insert(key),
-                TimerCmd::Cancel { key } => self.timers[at].remove(&key),
-            };
-        }
-        for (op, resp) in fx.responses {
+        for (op, resp) in out.fx.responses.drain(..) {
             self.done.insert(op.0 as usize, (resp, self.clock));
         }
+        out.armed.clear();
     }
 
     fn invoke(&mut self, at: usize, op: RcOp<u32, u64>) -> usize {
         let id = self.invoked.len();
         self.invoked.push((at, op.clone(), self.clock + 1));
-        let mut fx = Effects::new();
-        self.nodes[at].on_invoke(OpId(id as u64), op, &mut fx);
-        self.absorb(at, fx);
+        self.hosts[at].invoke(0, OpId(id as u64), op);
+        self.absorb(at);
         id
     }
 
@@ -451,9 +444,8 @@ impl Net {
     fn deliver(&mut self, pick: impl Fn(usize, usize, &Msg) -> bool) {
         while let Some(i) = self.wire.iter().position(|(f, t, m)| pick(*f, *t, m)) {
             let (from, to, m) = self.wire.remove(i).expect("position is in range");
-            let mut fx = Effects::new();
-            self.nodes[to].on_message(ProcessId(from), m, &mut fx);
-            self.absorb(to, fx);
+            self.hosts[to].deliver(0, ProcessId(from), m);
+            self.absorb(to);
         }
     }
 
@@ -466,23 +458,20 @@ impl Net {
         self.wire.retain(|(f, t, m)| !pick(*f, *t, m));
     }
 
-    /// Fires every timer armed on `at`, once each.
+    /// Fires every timer armed on `at`, once each: with no clock, each is
+    /// due at the end of time.
     fn fire(&mut self, at: usize) {
-        for key in std::mem::take(&mut self.timers[at]) {
-            let mut fx = Effects::new();
-            self.nodes[at].on_timer(key, &mut fx);
-            self.absorb(at, fx);
-        }
+        self.hosts[at].fire_due(Nanos::MAX);
+        self.absorb(at);
     }
 
     /// Crash and reboot: what was on its way to `at` is lost, its timers
     /// are gone, its operations in flight never answer.
     fn restart(&mut self, at: usize) {
         self.wire.retain(|(_, to, _)| *to != at);
-        self.timers[at].clear();
-        let mut fx = Effects::new();
-        self.nodes[at].on_restart(&mut fx);
-        self.absorb(at, fx);
+        self.hosts[at].crash();
+        self.hosts[at].restart(0);
+        self.absorb(at);
     }
 
     fn resp(&self, op: usize) -> Option<&RcResp<u64>> {
@@ -644,7 +633,7 @@ fn a_straggler_learns_the_configuration_from_whoever_it_contacts() {
     net.deliver(|_, to, _| to != 3);
     net.lose(|_, _, _| true);
     assert_eq!(net.resp(rc), Some(&RcResp::ReconfigOk { epoch: 1 }));
-    assert_eq!(net.nodes[3].current_config().epoch, 0);
+    assert_eq!(net.hosts[3].node().current_config().epoch, 0);
     let get = net.invoke(3, RcOp::Get(4));
     let got = net.retry_until_done(3, get);
     assert_eq!(got, Some(&RcResp::GetOk(Some(40))));
@@ -661,7 +650,7 @@ fn a_sealed_straggler_completes_what_was_invoked_on_it() {
     net.deliver(|_, to, m| to != 2 || !(is_install(m) || is_announce(m)));
     net.lose(|_, _, _| true);
     assert_eq!(net.resp(rc), Some(&RcResp::ReconfigOk { epoch: 1 }));
-    assert_eq!(net.nodes[2].current_config().epoch, 0);
+    assert_eq!(net.hosts[2].node().current_config().epoch, 0);
     let get = net.invoke(2, RcOp::Get(4));
     let got = net.retry_until_done(2, get);
     assert_eq!(got, Some(&RcResp::GetOk(Some(40))));
@@ -697,8 +686,11 @@ fn a_member_to_be_serves_only_off_an_install() {
     }
     assert_eq!(net.resp(get), Some(&RcResp::GetOk(Some(30))));
     for i in [4, 5] {
-        assert_eq!(net.nodes[i].current_config().epoch, 1, "node {i}");
-        assert!(net.nodes[i].local_entry(&3).is_some(), "node {i} serves");
+        assert_eq!(net.hosts[i].node().current_config().epoch, 1, "node {i}");
+        assert!(
+            net.hosts[i].node().local_entry(&3).is_some(),
+            "node {i} serves"
+        );
     }
 }
 
@@ -716,7 +708,7 @@ fn a_late_administrator_cannot_give_a_closed_epoch_a_second_successor() {
     net.lose(|_, _, _| true);
     assert_eq!(net.resp(first), Some(&RcResp::ReconfigOk { epoch: 1 }));
     // Node 2 heard none of it, and reconfigures the epoch it still is in.
-    assert_eq!(net.nodes[2].current_config().epoch, 0);
+    assert_eq!(net.hosts[2].node().current_config().epoch, 0);
     let late = net.invoke(2, RcOp::Reconfig(members(&[2])));
     net.run();
     assert!(matches!(net.resp(late), Some(RcResp::Rejected(_))));
@@ -724,8 +716,8 @@ fn a_late_administrator_cannot_give_a_closed_epoch_a_second_successor() {
         epoch: 1,
         members: members(&[3, 4]),
     };
-    for (i, node) in net.nodes.iter().enumerate() {
-        assert_eq!(node.current_config(), &successor, "node {i}");
+    for (i, host) in net.hosts.iter().enumerate() {
+        assert_eq!(host.node().current_config(), &successor, "node {i}");
     }
     // It knows better now, and may try again.
     let again = net.invoke(2, RcOp::Reconfig(members(&[2])));

@@ -97,6 +97,14 @@ if grep -rn 'struct NodeSlot' crates src tests examples benchmark/src --include=
   echo "struct NodeSlot is declared again; a node is a NodeHost (crates/core/src/host.rs)"; exit 1
 fi
 
+echo "==> the crossbeam stub waits on a Condvar, never sleeps"
+# Its `select!` waits on its first arm's channel, so a command wakes a node at
+# once; a sleep between polls would quietly bring back the command hop's
+# ≈ 100 µs. Its tests may sleep.
+if sed '/^#\[cfg(test)\]/,$d' vendor/crossbeam/src/channel.rs | grep -nE 'thread::sleep|\bsleep\('; then
+  echo "vendor/crossbeam/src/channel.rs sleeps again; wait on the channel's Condvar (recv_timeout) instead"; exit 1
+fi
+
 echo "==> vendor/ holds no stub without a caller"
 for dep in $(cd vendor && ls -d */ | tr -d /); do
   grep -q "^$dep = { path = \"vendor/$dep\"" Cargo.toml \

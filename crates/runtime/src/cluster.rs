@@ -3,13 +3,17 @@
 //! Each protocol node runs on its own OS thread, receiving network messages
 //! and client commands over crossbeam channels and driving the node's
 //! [`NodeHost`] (its due timers fire at the top of every loop iteration; the
-//! `select!` timeout only bounds the wait). Link delay is held where the
-//! message lands, as `Sim` delivers a message at its time to its target: the
-//! sender stamps each message with the time it is due, and the receiving
-//! node keeps it beside its timers until then. The protocol state machines are
-//! the *same objects* the deterministic simulator drives — this crate is
-//! the demonstration that the sans-io core runs on a real concurrent
-//! transport, and it is what the wall-clock benchmark (`benchmark/`) measures.
+//! `select!` timeout only bounds the wait). A command wakes its node at once,
+//! while a peer's message is seen at the node's next poll of its network
+//! channel: the vendored `select!` waits on its first arm, the commands, in
+//! rounds of 50 µs and polls the second between them. Link delay is held
+//! where the message lands, as `Sim` delivers a message at its time to its
+//! target: the sender stamps each message with the time it is due, and the
+//! receiving node keeps it beside its timers until then. The protocol state
+//! machines are the *same objects* the deterministic simulator drives —
+//! this crate is the demonstration that the sans-io core runs on a real
+//! concurrent transport, and it is what the wall-clock benchmark
+//! (`benchmark/`) measures.
 
 use crate::clock::{Clock, MonotonicClock};
 use abd_core::context::Protocol;
@@ -243,7 +247,8 @@ impl<P: Protocol> Client<P> {
     /// shared crash flag, and for in-flight ones and those racing the crash,
     /// whose reply channels the node drops) instead of hanging until the
     /// timeout. `timeout` bounds an operation the live node cannot finish,
-    /// e.g. for want of a quorum.
+    /// e.g. for want of a quorum; one past the range of `Instant`
+    /// (`Duration::MAX`) sets no bound.
     pub fn try_invoke_for(&self, input: P::Op, timeout: Duration) -> Option<P::Resp> {
         if self.crashed[self.node.index()].load(Ordering::Acquire) {
             return None; // fail fast: the node cannot answer
@@ -342,9 +347,12 @@ fn node_main<P: Protocol>(
             None => cap,
         };
 
-        // Commands before messages (the receive arms are polled in order):
-        // a crash queued beside a peer's message takes effect first, so the
-        // message reaches a down node and is lost with it.
+        // Commands are arm 0: the stub's `select!` waits on that channel, so
+        // an invocation, crash, restart or shutdown wakes the node at once,
+        // while a peer's message waits for the next poll of arm 1. Arms are
+        // polled in order, so a crash queued beside a peer's message takes
+        // effect first, and the message reaches a down node and is lost
+        // with it.
         crossbeam::channel::select! {
             recv(cmd_rx) -> cmd => match cmd {
                 Ok(Cmd::Invoke { op, input, reply }) => {
@@ -442,6 +450,20 @@ mod tests {
         assert_eq!(c.invoke(RegisterOp::Write(5)), RegisterResp::WriteOk);
         let r = cluster.client(1);
         assert_eq!(r.invoke(RegisterOp::Read), RegisterResp::ReadOk(5));
+    }
+
+    #[test]
+    fn a_timeout_past_instant_range_waits_for_the_answer() {
+        let cluster = mwmr_cluster(3);
+        let c = cluster.client(0);
+        assert_eq!(
+            c.try_invoke_for(RegisterOp::Write(4), Duration::MAX),
+            Some(RegisterResp::WriteOk)
+        );
+        assert_eq!(
+            c.try_invoke_for(RegisterOp::Read, Duration::MAX),
+            Some(RegisterResp::ReadOk(4))
+        );
     }
 
     #[test]

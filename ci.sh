@@ -69,9 +69,7 @@ shapes=$(sed '/^#\[cfg(test)\]/,$d' crates/kv/src/node.rs | sed -n '/^pub enum K
   | grep -oE '^    [A-Z][A-Za-z]*' | tr -d ' ' | tr '\n' ' ')
 [ "$shapes" = "Op SyncDiffReq SyncEntries " ] \
   || { echo "KvMsg declares the shapes: $shapes— expected Op, SyncDiffReq, SyncEntries"; exit 1; }
-# (The lint's own fixture enum `KvWire` has a `SyncPull`; it is not this one.)
-if grep -rnE 'SyncPull|SyncState|SyncDigest|sync_threshold' crates src tests examples --include='*.rs' \
-  | grep -v -e '^crates/lint/fixtures/' -e '^crates/lint/tests/fixtures\.rs:'; then
+if grep -rnE 'SyncPull|SyncState|SyncDigest|sync_threshold' crates src tests examples --include='*.rs'; then
   echo "the bulk pull, the digest handshake or their knob is named again; the Merkle walk is the one state transfer"; exit 1
 fi
 

@@ -332,7 +332,6 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
             Msg::Update { uid, .. } if self.lie.is_some() => {
                 if self.lie != Some(LieStrategy::Silent) {
                     // Liars ack but do not faithfully store.
-                    // abd-lint: allow(persist-before-ack): this is the *fault model*, not the protocol — a Byzantine replica acknowledging state it never stored is exactly the behavior masking quorums are sized to tolerate.
                     fx.send(from, Msg::UpdateAck { uid });
                 }
             }

@@ -246,7 +246,9 @@ mod tests {
     }
 
     /// Takes what the callbacks recorded since the last call.
-    fn drain(host: &mut NodeHost<Probe>) -> (Vec<(ProcessId, u32)>, Vec<Armed>, Vec<OpId>) {
+    fn drain<P: Protocol<Msg = u32, Resp = ()>>(
+        host: &mut NodeHost<P>,
+    ) -> (Vec<(ProcessId, u32)>, Vec<Armed>, Vec<OpId>) {
         let out = host.outbox();
         let sends = out.fx.sends.drain(..).collect();
         let responses = out.fx.responses.drain(..).map(|(op, ())| op).collect();
@@ -392,5 +394,70 @@ mod tests {
         assert_eq!(host.node().seen[2..], [Seen::Timer(A), Seen::Timer(B)]);
         host.fire_due(0);
         assert_eq!(host.node().seen.len(), 6, "each fired once more");
+    }
+
+    /// Stores every message it is sent and acks it to the sender: the ack
+    /// first when `ack_first`, the store first otherwise.
+    #[derive(Debug)]
+    struct Acker {
+        ack_first: bool,
+        stored: Vec<u32>,
+    }
+
+    impl Protocol for Acker {
+        type Msg = u32;
+        type Op = ();
+        type Resp = ();
+
+        fn id(&self) -> ProcessId {
+            ProcessId(0)
+        }
+
+        fn on_invoke(&mut self, _: OpId, _: (), _: &mut Effects<u32, ()>) {}
+
+        fn on_message(&mut self, from: ProcessId, m: u32, fx: &mut Effects<u32, ()>) {
+            if self.ack_first {
+                fx.send(from, m);
+                self.stored.push(m);
+            } else {
+                self.stored.push(m);
+                fx.send(from, m);
+            }
+        }
+    }
+
+    /// A crash falls between callbacks, never inside one, and a send leaves
+    /// the node only when the outbox is drained after the callback:
+    /// whether a handler acks before or after the store the ack covers
+    /// cannot be observed. (An ack with no store at all can; that is the
+    /// planted `StaleTagAck` mutant.)
+    #[test]
+    fn acking_before_or_after_the_store_is_the_same_node_across_crashes() {
+        let mut hosts = [true, false].map(|ack_first| {
+            let node = Acker {
+                ack_first,
+                stored: Vec::new(),
+            };
+            let mut host = NodeHost::cluster(vec![node]).remove(0);
+            host.start(0);
+            host
+        });
+        let steps: [fn(&mut NodeHost<Acker>); 7] = [
+            |h| h.deliver(1, ProcessId(1), 10),
+            |h| h.crash(),
+            |h| h.deliver(2, ProcessId(1), 11),
+            |h| assert!(h.restart(3)),
+            |h| h.deliver(4, ProcessId(2), 12),
+            |h| h.crash(),
+            |h| assert!(h.restart(5)),
+        ];
+        let observe = |h: &mut NodeHost<Acker>| (drain(h), h.node().stored.clone(), h.is_up());
+        for (i, step) in steps.iter().enumerate() {
+            let [ack_first, store_first] = &mut hosts;
+            step(ack_first);
+            step(store_first);
+            assert_eq!(observe(ack_first), observe(store_first), "after step {i}");
+        }
+        assert_eq!(hosts[0].node().stored, [10, 12], "11 reached it down");
     }
 }

@@ -1864,6 +1864,41 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// Whatever `(key, tag, value)` adoptions the store sees, in whatever
+        /// order, each key holds the largest tag offered so far with the
+        /// value that came first at that tag, and the digest is that of a
+        /// fresh store which adopted only those maxima, in reverse order.
+        #[test]
+        fn kv_store_holds_each_keys_running_maximum(
+            adoptions in proptest::collection::vec(
+                (0u32..8, 0u64..4, 0usize..3, 0u64..1_000),
+                0..200,
+            ),
+        ) {
+            let fresh = || KvNode::<u32, u64>::new(KvConfig::new(3, ProcessId(0)));
+            let mut node = fresh();
+            let mut max: BTreeMap<u32, (Tag, u64)> = BTreeMap::new();
+            for (key, seq, writer, value) in adoptions {
+                let tag = Tag::new(seq, ProcessId(writer));
+                node.store.adopt(&key, tag, value);
+                if tag > max.get(&key).map_or(Tag::initial(), |e| e.0) {
+                    max.insert(key, (tag, value));
+                }
+                let held = node.local_entry(&key).map(|(t, v)| (t, *v));
+                proptest::prop_assert_eq!(held, max.get(&key).copied());
+            }
+            let held: BTreeMap<u32, (Tag, u64)> =
+                node.entries().into_iter().map(|(k, t, v)| (k, (t, v))).collect();
+            proptest::prop_assert_eq!(&held, &max);
+            let mut maxima = fresh();
+            for (key, (tag, value)) in max.iter().rev() {
+                maxima.store.adopt(key, *tag, *value);
+            }
+            proptest::prop_assert_eq!(node.sync_root(), maxima.sync_root());
+        }
+    }
+
     #[test]
     fn sync_state_tag_tie_with_differing_value_keeps_existing_entry() {
         let mut node: KvNode<u32, u64> = KvNode::new(KvConfig::new(3, ProcessId(0)));

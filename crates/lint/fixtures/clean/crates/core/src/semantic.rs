@@ -1,15 +1,8 @@
-//! Fixture: the semantic rules' happy paths (never compiled).
+//! Fixture: the `phase-graph` happy path (never compiled).
 //!
-//! Persists before acking, guards its tag overwrite, declares a phase
-//! spec the handlers actually implement, and covers every variant of its
-//! message enum.
+//! Declares a phase spec the handlers actually implement.
 
 // abd-lint: phase-spec(semantic-good): Invoke -> Write, Write -> Done
-
-pub enum WireMsg {
-    Update { uid: u64 },
-    UpdateAck { uid: u64 },
-}
 
 pub fn on_invoke(&mut self, op: OpId) {
     self.pending = Some(Pending::Write { op });
@@ -18,19 +11,13 @@ pub fn on_invoke(&mut self, op: OpId) {
 pub fn on_message(&mut self, from: ProcessId, msg: WireMsg, fx: &mut Fx) {
     match msg {
         WireMsg::Update { uid } => {
-            self.replica.adopt(uid, uid); // persist first…
-            fx.send(from, WireMsg::UpdateAck { uid }); // …then ack
+            self.replica.adopt(uid, uid);
+            fx.send(from, WireMsg::UpdateAck { uid });
         }
         WireMsg::UpdateAck { uid } => {
             if let Some(Pending::Write { op }) = self.pending.take() {
                 fx.respond(op, uid);
             }
         }
-    }
-}
-
-pub fn adopt(&mut self, label: u64) {
-    if label > self.label {
-        self.label = label;
     }
 }

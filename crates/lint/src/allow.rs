@@ -47,7 +47,7 @@ impl Allows {
         let mut directives = Vec::new();
         for (i, line) in file.raw.iter().enumerate() {
             if let Some(pos) = line.find("abd-lint:") {
-                // `phase-spec(...)` directives belong to rule 8 and are
+                // `phase-spec(...)` directives belong to `phase-graph` and are
                 // parsed by `crate::phasegraph`, not here.
                 if line[pos + "abd-lint:".len()..]
                     .trim_start()

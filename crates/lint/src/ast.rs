@@ -1,13 +1,13 @@
-//! A small, forgiving item/block parser for the semantic rules.
+//! A small, forgiving item/block parser for the rules.
 //!
 //! This is **not** a Rust parser. It recovers exactly the structure the
 //! rules in [`crate::rules`] need — functions and their bodies, `impl` and
-//! `mod` nesting, `enum` variant lists, and inside bodies the `if` /
-//! `match` / `let` skeleton with everything else left as flat token spans
-//! — and it does so with zero dependencies over the token stream of
-//! [`crate::lex`]. Anything it cannot shape (macro bodies, exotic items)
-//! degrades to an opaque expression span rather than an error: a linter
-//! must never refuse to look at a file.
+//! `mod` nesting, and inside bodies the `if` / `match` / `let` skeleton
+//! with everything else left as flat token spans — and it does so with
+//! zero dependencies over the token stream of [`crate::lex`]. Anything it
+//! cannot shape (macro bodies, exotic items) degrades to an opaque
+//! expression span rather than an error: a linter must never refuse to
+//! look at a file.
 //!
 //! Known approximations, acceptable for this workspace's style:
 //!
@@ -60,8 +60,6 @@ pub struct Ast {
 pub enum Item {
     /// A function with (optionally) a body.
     Fn(FnDef),
-    /// An `enum` with its variant names.
-    Enum(EnumDef),
     /// An `impl` or `trait` block: a named container of functions.
     Impl(ImplDef),
     /// A `mod name { ... }` with nested items.
@@ -79,17 +77,6 @@ pub struct FnDef {
     pub sig: Span,
     /// The body, absent for trait method declarations.
     pub body: Option<Block>,
-}
-
-/// An enum definition with variant names.
-#[derive(Debug)]
-pub struct EnumDef {
-    /// Enum name.
-    pub name: String,
-    /// Byte offset of the name token.
-    pub offset: usize,
-    /// Variant names with their byte offsets, in declaration order.
-    pub variants: Vec<(String, usize)>,
 }
 
 /// An `impl` (or `trait`) block.
@@ -234,13 +221,6 @@ impl Ast {
         collect_fns(&self.items, &mut out);
         out
     }
-
-    /// Every enum in the file, with nesting flattened.
-    pub fn all_enums(&self) -> Vec<&EnumDef> {
-        let mut out = Vec::new();
-        collect_enums(&self.items, &mut out);
-        out
-    }
 }
 
 fn collect_fns<'a>(items: &'a [Item], out: &mut Vec<&'a FnDef>) {
@@ -254,7 +234,6 @@ fn collect_fns<'a>(items: &'a [Item], out: &mut Vec<&'a FnDef>) {
             }
             Item::Impl(i) => collect_fns(&i.items, out),
             Item::Mod(m) => collect_fns(&m.items, out),
-            Item::Enum(_) => {}
         }
     }
 }
@@ -266,17 +245,6 @@ fn collect_block_fns<'a>(b: &'a Block, out: &mut Vec<&'a FnDef>) {
             if let Some(body) = &f.body {
                 collect_block_fns(body, out);
             }
-        }
-    }
-}
-
-fn collect_enums<'a>(items: &'a [Item], out: &mut Vec<&'a EnumDef>) {
-    for it in items {
-        match it {
-            Item::Enum(e) => out.push(e),
-            Item::Impl(i) => collect_enums(&i.items, out),
-            Item::Mod(m) => collect_enums(&m.items, out),
-            Item::Fn(_) => {}
         }
     }
 }
@@ -359,10 +327,6 @@ impl<'a> Parser<'a> {
                     let f = self.parse_fn();
                     items.push(Item::Fn(f));
                 }
-                "enum" => {
-                    let e = self.parse_enum();
-                    items.push(Item::Enum(e));
-                }
                 "impl" | "trait" => {
                     let i = self.parse_impl();
                     items.push(Item::Impl(i));
@@ -372,7 +336,7 @@ impl<'a> Parser<'a> {
                         items.push(Item::Mod(m));
                     }
                 }
-                "struct" | "union" => self.skip_struct(),
+                "struct" | "union" | "enum" => self.skip_struct(),
                 "use" | "type" | "static" => self.skip_to_semi(),
                 "const" => self.skip_to_semi(),
                 "macro_rules" => {
@@ -469,62 +433,6 @@ impl<'a> Parser<'a> {
             offset,
             sig: Span::empty(sig_lo),
             body: None,
-        }
-    }
-
-    fn parse_enum(&mut self) -> EnumDef {
-        self.cur += 1; // `enum`
-        let (name, offset) = (
-            self.txt_or(self.cur).to_string(),
-            self.toks.get(self.cur).map_or(0, |t| t.start),
-        );
-        self.cur += 1;
-        // Skip generics/where to the `{`.
-        while self.cur < self.toks.len() && !self.is(self.cur, "{") && !self.is(self.cur, ";") {
-            self.cur += 1;
-        }
-        let mut variants = Vec::new();
-        if self.is(self.cur, "{") {
-            self.cur += 1;
-            while self.cur < self.toks.len() && !self.is(self.cur, "}") {
-                if self.is(self.cur, "#") {
-                    self.cur += 1;
-                    if self.is(self.cur, "[") {
-                        self.skip_balanced();
-                    }
-                    continue;
-                }
-                if self.toks[self.cur].kind == TokKind::Ident {
-                    variants.push((self.txt(self.cur).to_string(), self.toks[self.cur].start));
-                    self.cur += 1;
-                    // Payload: tuple, struct, or discriminant.
-                    if self.is(self.cur, "(") || self.is(self.cur, "{") {
-                        self.skip_balanced();
-                    } else if self.is(self.cur, "=") {
-                        while self.cur < self.toks.len()
-                            && !self.is(self.cur, ",")
-                            && !self.is(self.cur, "}")
-                        {
-                            self.cur += 1;
-                        }
-                    }
-                }
-                if self.is(self.cur, ",") {
-                    self.cur += 1;
-                } else if !self.is(self.cur, "}") {
-                    self.cur += 1; // tolerate anything unexpected
-                }
-            }
-            if self.is(self.cur, "}") {
-                self.cur += 1;
-            }
-        } else if self.is(self.cur, ";") {
-            self.cur += 1;
-        }
-        EnumDef {
-            name,
-            offset,
-            variants,
         }
     }
 
@@ -1077,17 +985,6 @@ mod tests {
         assert_eq!(fns.len(), 2);
         assert!(fns[0].body.is_none());
         assert!(fns[1].body.is_some());
-    }
-
-    #[test]
-    fn enum_variants() {
-        let src = "pub enum Msg<V> { Query { uid: u64 }, QueryReply(u64, V), Ack, Last = 4 }\n";
-        let ast = parse(src);
-        let enums = ast.all_enums();
-        assert_eq!(enums.len(), 1);
-        assert_eq!(enums[0].name, "Msg");
-        let names: Vec<&str> = enums[0].variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["Query", "QueryReply", "Ack", "Last"]);
     }
 
     #[test]

@@ -1,23 +1,18 @@
-//! Flow facts over the AST: calls, assignments, phase events.
+//! Flow facts over the AST: calls and phase events.
 //!
-//! Three consumers, three kinds of fact:
+//! Two kinds of fact:
 //!
-//! * **Linear scans** ([`calls_in`], [`ack_events`]) — ordered call sites,
-//!   ack-payload sends and persistent-field writes inside one token range.
-//!   Used by `persist-before-ack` (rule 6) and the call-site rules
-//!   (`panic-in-handler`, `raw-quorum-arith`).
-//! * **Guarded assignments** ([`assignments_with_guards`]) — every field
-//!   write paired with the text of the conditions enclosing it. Used by
-//!   `tag-monotonicity` (rule 7).
+//! * **Call sites** ([`calls_in`]) — every call inside one token range.
+//!   Used by `panic-in-handler` and `raw-quorum-arith`.
 //! * **The phase walk** ([`PhaseWalk`]) — a path-sensitive traversal that
 //!   turns `Pending::X` patterns/constructions and `fx.respond` calls into
 //!   a handler→phase transition graph, expanding same-file helper calls
 //!   (`self.begin(..)`, `self.finish(..)`) inline. Calls under a condition
 //!   that mentions the operation `queue` are **not** expanded: draining the
 //!   queue starts the *next* operation, so its phase entries are not
-//!   transitions of the current one. Used by `phase-graph` (rule 8).
+//!   transitions of the current one. Used by `phase-graph`.
 
-use crate::ast::{Arm, ArmBody, Ast, Block, FnDef, Span, Stmt};
+use crate::ast::{ArmBody, Ast, Block, FnDef, Span, Stmt};
 use crate::lex::{text, TokKind, Token};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -102,8 +97,6 @@ pub struct CallSite<'a> {
     pub name: &'a str,
     /// Token index of the name.
     pub tok: usize,
-    /// Receiver chain (`self`, `fx`, ...), empty for free calls.
-    pub chain: Vec<&'a str>,
     /// Token index of the opening `(`.
     pub args_open: usize,
     /// Token index of the matching `)`.
@@ -127,7 +120,6 @@ pub fn calls_in<'a>(tk: &Toks<'a>, lo: usize, hi: usize) -> Vec<CallSite<'a>> {
         out.push(CallSite {
             name: tk.t(i),
             tok: i,
-            chain: tk.chain_before(i),
             args_open,
             args_close,
         });
@@ -135,260 +127,8 @@ pub fn calls_in<'a>(tk: &Toks<'a>, lo: usize, hi: usize) -> Vec<CallSite<'a>> {
     out
 }
 
-/// The token range `(lo, hi)` covered by a statement subtree.
-fn stmt_tok_range(s: &Stmt) -> Option<(usize, usize)> {
-    match s {
-        Stmt::Expr(sp) | Stmt::Return(sp) => Some((sp.lo, sp.hi)),
-        Stmt::If(i) => {
-            let end = i
-                .else_
-                .as_deref()
-                .and_then(stmt_tok_range)
-                .map(|(_, h)| h)
-                .unwrap_or(i.then.close + 1);
-            Some((i.cond.lo, end))
-        }
-        Stmt::Match(m) => {
-            let end = m.arms.last().and_then(arm_range).map(|(_, h)| h);
-            Some((m.scrutinee.lo, end.unwrap_or(m.scrutinee.hi)))
-        }
-        Stmt::While { cond, body } => Some((cond.lo, body.close + 1)),
-        Stmt::Loop { head, body } => Some((head.lo, body.close + 1)),
-        Stmt::Let(l) => {
-            let end = l
-                .else_
-                .as_ref()
-                .map(|b| b.close + 1)
-                .unwrap_or(l.init.hi.max(l.pat.hi));
-            Some((l.pat.lo, end))
-        }
-        Stmt::Block(b) => Some((b.open, b.close + 1)),
-        Stmt::ItemFn(_) => None,
-    }
-}
-
-fn arm_range(a: &Arm) -> Option<(usize, usize)> {
-    match &a.body {
-        ArmBody::Block(b) => Some((a.pat.lo, b.close + 1)),
-        ArmBody::Stmt(s) => stmt_tok_range(s).map(|(_, h)| (a.pat.lo, h)),
-        ArmBody::Expr(sp) => Some((a.pat.lo, sp.hi)),
-    }
-}
-
-/// Linear groups of a handler body for rule 7. Each **top-level arm** of a
-/// statement-level `match` is one group (nested matches stay inside their
-/// outer arm's group — a liar branch and its honest sibling belong to the
-/// same delivery). Runs of plain statements between matches form their own
-/// groups, so arms of unrelated deliveries never interleave.
-pub fn handler_groups(body: &Block) -> Vec<(usize, usize)> {
-    let mut groups = Vec::new();
-    let mut run: Option<(usize, usize)> = None;
-    for s in &body.stmts {
-        if let Stmt::Match(m) = s {
-            if let Some(r) = run.take() {
-                groups.push(r);
-            }
-            for a in &m.arms {
-                if let Some(r) = arm_range(a) {
-                    groups.push(r);
-                }
-            }
-        } else if let Some((lo, hi)) = stmt_tok_range(s) {
-            run = Some(match run {
-                Some((l, _)) => (l, hi),
-                None => (lo, hi),
-            });
-        }
-    }
-    if let Some(r) = run {
-        groups.push(r);
-    }
-    groups
-}
-
-/// Persistent-state fields: writing one of these (or calling `adopt(..)`,
-/// or `insert`ing into a `store`) is what "persist" means to rule 7.
-pub const PERSIST_FIELDS: &[&str] = &[
-    "replica",
-    "store",
-    "stored_label",
-    "stored_value",
-    "label",
-    "value",
-    "seq",
-    "fenced",
-    "config",
-];
-
-/// An ordered persist/ack event inside one handler group.
-#[derive(Debug, PartialEq)]
-pub enum AckEvent {
-    /// `send(.., ..Ack/..Reply ..)` — the name token's index.
-    AckSend(usize),
-    /// A persistent-field mutation or `adopt(..)` call — the token index.
-    Persist(usize),
-}
-
-/// Extracts rule 6's event stream from a token range, in token order.
-pub fn ack_events(tk: &Toks, lo: usize, hi: usize) -> Vec<AckEvent> {
-    let mut out = Vec::new();
-    let hi = hi.min(tk.toks.len());
-    for c in calls_in(tk, lo, hi) {
-        match c.name {
-            "send" => {
-                // Ack-shaped payload: any identifier in the argument list
-                // ending in `Ack` or `Reply` (message variant names).
-                let acky = (c.args_open..=c.args_close.min(hi.saturating_sub(1)))
-                    .filter(|&i| tk.is_ident(i))
-                    .any(|i| {
-                        let t = tk.t(i);
-                        t.ends_with("Ack") || t.ends_with("Reply")
-                    });
-                if acky {
-                    out.push(AckEvent::AckSend(c.tok));
-                }
-            }
-            "adopt" => out.push(AckEvent::Persist(c.tok)),
-            "insert" if c.chain.contains(&"store") => out.push(AckEvent::Persist(c.tok)),
-            _ => {}
-        }
-    }
-    // Field writes: a lone `=` whose left-hand side ends with a field
-    // access on a persistent field.
-    for i in lo..hi {
-        if tk.t(i) != "=" || i < 2 {
-            continue;
-        }
-        if tk.is_ident(i - 1) && tk.t(i - 2) == "." && PERSIST_FIELDS.contains(&tk.t(i - 1)) {
-            out.push(AckEvent::Persist(i - 1));
-        }
-    }
-    out.sort_by_key(|e| match e {
-        AckEvent::AckSend(i) | AckEvent::Persist(i) => *i,
-    });
-    out
-}
-
-/// One field assignment with its guard context, for rule 8.
-#[derive(Debug)]
-pub struct GuardedAssign {
-    /// Token index of the `=`.
-    pub eq_tok: usize,
-    /// Identifiers on the left-hand side, in order.
-    pub lhs_idents: Vec<String>,
-    /// Whether the LHS is a place expression (field access or deref).
-    pub is_place: bool,
-    /// Right-hand-side token range.
-    pub rhs: (usize, usize),
-    /// Text of every enclosing `if`/`while` condition, `match` scrutinee
-    /// and arm pattern, outermost first.
-    pub guards: Vec<String>,
-}
-
-/// Collects every plain `=` assignment in a function body together with
-/// its enclosing guard text. Compound assignments (`+=`, ...) lex as fused
-/// tokens and are never collected; `let` bindings introduce fresh names
-/// and are skipped too.
-pub fn assignments_with_guards(tk: &Toks, body: &Block) -> Vec<GuardedAssign> {
-    let mut out = Vec::new();
-    let mut guards = Vec::new();
-    walk_assigns(tk, body, &mut guards, &mut out);
-    out
-}
-
-fn span_text(tk: &Toks, sp: Span) -> String {
-    let mut s = String::new();
-    for i in sp.lo..sp.hi.min(tk.toks.len()) {
-        if !s.is_empty() {
-            s.push(' ');
-        }
-        s.push_str(tk.t(i));
-    }
-    s
-}
-
-fn walk_assigns(tk: &Toks, b: &Block, guards: &mut Vec<String>, out: &mut Vec<GuardedAssign>) {
-    for s in &b.stmts {
-        walk_assigns_stmt(tk, s, guards, out);
-    }
-}
-
-fn walk_assigns_stmt(tk: &Toks, s: &Stmt, guards: &mut Vec<String>, out: &mut Vec<GuardedAssign>) {
-    match s {
-        Stmt::Expr(sp) => assigns_in_span(tk, *sp, guards, out),
-        Stmt::Return(_) | Stmt::ItemFn(_) => {}
-        Stmt::Let(l) => {
-            if let Some(e) = &l.else_ {
-                walk_assigns(tk, e, guards, out);
-            }
-        }
-        Stmt::If(i) => {
-            guards.push(span_text(tk, i.cond));
-            walk_assigns(tk, &i.then, guards, out);
-            if let Some(e) = &i.else_ {
-                walk_assigns_stmt(tk, e, guards, out);
-            }
-            guards.pop();
-        }
-        Stmt::Match(m) => {
-            guards.push(span_text(tk, m.scrutinee));
-            for a in &m.arms {
-                guards.push(span_text(tk, a.pat));
-                match &a.body {
-                    ArmBody::Block(b) => walk_assigns(tk, b, guards, out),
-                    ArmBody::Stmt(s) => walk_assigns_stmt(tk, s, guards, out),
-                    ArmBody::Expr(sp) => assigns_in_span(tk, *sp, guards, out),
-                }
-                guards.pop();
-            }
-            guards.pop();
-        }
-        Stmt::While { cond, body } => {
-            guards.push(span_text(tk, *cond));
-            walk_assigns(tk, body, guards, out);
-            guards.pop();
-        }
-        Stmt::Loop { body, .. } => walk_assigns(tk, body, guards, out),
-        Stmt::Block(b) => walk_assigns(tk, b, guards, out),
-    }
-}
-
-fn assigns_in_span(tk: &Toks, sp: Span, guards: &[String], out: &mut Vec<GuardedAssign>) {
-    let hi = sp.hi.min(tk.toks.len());
-    let mut depth = 0usize;
-    for i in sp.lo..hi {
-        match tk.t(i) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth = depth.saturating_sub(1),
-            "=" if depth == 0 => {
-                let mut lhs_idents = Vec::new();
-                let mut is_place = false;
-                for j in sp.lo..i {
-                    if tk.is_ident(j) {
-                        lhs_idents.push(tk.t(j).to_string());
-                    }
-                    if tk.t(j) == "." {
-                        is_place = true;
-                    }
-                }
-                if tk.t(sp.lo) == "*" {
-                    is_place = true;
-                }
-                out.push(GuardedAssign {
-                    eq_tok: i,
-                    lhs_idents,
-                    is_place,
-                    rhs: (i + 1, hi),
-                    guards: guards.to_vec(),
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Phase-graph extraction (rule 8)
+// Phase-graph extraction
 // ---------------------------------------------------------------------------
 
 /// Sources the walk currently attributes control to.
@@ -820,57 +560,5 @@ impl N {
     fn establish_inside_some_call_args_is_seen() {
         let src = "impl N { fn on_invoke(&mut self) { self.pending = Some(Pending::Write { op: make(op) }); } }";
         assert_eq!(walk(src), vec!["Invoke->Write"]);
-    }
-
-    #[test]
-    fn ack_events_order_and_grouping() {
-        let src = r#"
-fn on_message(&mut self, fx: &mut F) {
-    match msg {
-        Msg::Query { uid } => {
-            fx.send(from, Msg::QueryReply { uid });
-        }
-        Msg::Update { uid, label, value } => {
-            self.replica.adopt(label, value);
-            fx.send(from, Msg::UpdateAck { uid });
-        }
-    }
-}"#;
-        let file = SourceFile::new("crates/core/src/t.rs".into(), src);
-        let ast = Ast::parse(&file);
-        let tk = Toks::new(&file.clean, &ast);
-        let f = &ast.all_fns()[0];
-        let groups = handler_groups(f.body.as_ref().unwrap());
-        // One group per top-level arm; the Query arm's reply must not see
-        // the Update arm's persist.
-        assert_eq!(groups.len(), 2);
-        let per_group: Vec<Vec<&str>> = groups
-            .iter()
-            .map(|&(lo, hi)| {
-                ack_events(&tk, lo, hi)
-                    .iter()
-                    .map(|e| match e {
-                        AckEvent::Persist(_) => "persist",
-                        AckEvent::AckSend(_) => "ack",
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_eq!(per_group, vec![vec!["ack"], vec!["persist", "ack"]]);
-    }
-
-    #[test]
-    fn guarded_assignment_records_guards() {
-        let src =
-            "fn adopt(&mut self, label: u64) { if label > self.label { self.label = label; } }";
-        let file = SourceFile::new("crates/core/src/t.rs".into(), src);
-        let ast = Ast::parse(&file);
-        let tk = Toks::new(&file.clean, &ast);
-        let f = &ast.all_fns()[0];
-        let assigns = assignments_with_guards(&tk, f.body.as_ref().unwrap());
-        assert_eq!(assigns.len(), 1);
-        assert!(assigns[0].is_place);
-        assert_eq!(assigns[0].lhs_idents, vec!["self", "label"]);
-        assert!(assigns[0].guards.iter().any(|g| g.contains('>')));
     }
 }

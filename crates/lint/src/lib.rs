@@ -2,15 +2,18 @@
 //!
 //! The protocol crates promise things the type system cannot state:
 //! executions are **deterministic** (same seed, same history), message
-//! handlers are **total** (no input takes a replica down), and the ABD
-//! invariants hold at the code level (labels only increase, replicas ack
-//! only persisted state, every operation walks its quorum phases in
-//! order). This crate enforces code-level proxies of those promises with
-//! ten rules — see [`rules::RULES`] — over a small structural analysis of
-//! every workspace `.rs` file: comment/string blanking ([`source`]), a
-//! tokenizer ([`lex`]), an item/block parser ([`ast`]), flow facts and
-//! phase-graph extraction ([`flow`]), and declared phase specs
-//! ([`phasegraph`]).
+//! handlers are **total** (no input takes a replica down), a new message
+//! kind fails to compile until handled, and every operation walks its
+//! quorum phases in order. This crate enforces code-level proxies of those
+//! promises with six rules — see [`rules::RULES`] — over a small
+//! structural analysis of every workspace `.rs` file: comment/string
+//! blanking ([`source`]), a tokenizer ([`lex`]), an item/block parser
+//! ([`ast`]), call sites and phase-graph extraction ([`flow`]), and
+//! declared phase specs ([`phasegraph`]). Two ABD invariants have no rule:
+//! a label only grows because each stored label is a private field whose
+//! one mutator compares first, and a send's order inside a callback cannot
+//! matter because the node host routes sends only after the callback
+//! returns; planted mutants convict both bugs (DESIGN.md §9).
 //!
 //! Run it as a binary from the workspace root:
 //!
@@ -24,7 +27,7 @@
 //! [`allow`]).
 //!
 //! The analyzer is deliberately dependency-free (no `syn`): the rules only
-//! need item structure, call sites, assignments and match arms — a small
+//! need item structure, call sites and match arms — a small
 //! recursive-descent parser covers that, and the linter must build in the
 //! same offline environment as the workspace.
 

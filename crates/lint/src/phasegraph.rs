@@ -11,7 +11,7 @@
 //!
 //! The spec is a comma-separated edge list `A -> B`; it may continue over
 //! following `//` comment lines as long as each continuation line contains
-//! an `->` edge. Rule 8 (`phase-graph`) extracts the *actual* graph from
+//! an `->` edge. The `phase-graph` rule extracts the *actual* graph from
 //! the file's handler bodies (see [`crate::flow::PhaseWalk`]) and reports
 //! the symmetric difference: an edge in the code but not the spec means an
 //! undeclared transition (a skipped or invented phase); an edge in the
@@ -30,12 +30,12 @@ pub struct PhaseSpec {
     pub line: usize,
     /// Declared edges.
     pub edges: BTreeSet<(String, String)>,
-    /// Parse problems (malformed edge text), reported under rule 9.
+    /// Parse problems (malformed edge text), reported under `phase-graph`.
     pub problems: Vec<(usize, String)>,
 }
 
 /// Protocol files that **must** declare a spec, and the name each must use.
-/// Rule 8 reports a missing or misnamed declaration in these files.
+/// `phase-graph` reports a missing or misnamed declaration in these files.
 pub const REQUIRED_SPECS: &[(&str, &str)] = &[
     ("crates/core/src/engine.rs", "engine"),
     ("crates/core/src/register.rs", "register"),

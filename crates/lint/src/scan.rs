@@ -1,14 +1,12 @@
 //! Directory walking and per-file orchestration.
 //!
-//! Scanning is two-pass: the first pass registers every enum in the
-//! workspace (so `exhaustive-msg-handling` can resolve message enums
-//! declared in sibling files), the second runs the rules. Extracted phase
-//! graphs ride along in [`ScanOutcome`] so the CLI can render them as DOT.
+//! Each file is linted on its own. Extracted phase graphs ride along in
+//! [`ScanOutcome`] so the CLI can render them as DOT.
 
 use crate::allow::Allows;
 use crate::flow::PhaseGraph;
 use crate::report::Finding;
-use crate::rules::{check_file, Workspace};
+use crate::rules::check_file;
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
 use std::fs;
@@ -35,13 +33,12 @@ pub fn scan_root(root: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(scan_workspace(root)?.findings)
 }
 
-/// Full two-pass scan: findings plus extracted phase graphs.
+/// Full scan: findings plus extracted phase graphs.
 pub fn scan_workspace(root: &Path) -> std::io::Result<ScanOutcome> {
     let mut paths = Vec::new();
     collect_rs(root, &mut paths)?;
     paths.sort();
-    let mut sources = Vec::new();
-    let mut ws = Workspace::default();
+    let mut out = ScanOutcome::default();
     for path in &paths {
         let rel = path
             .strip_prefix(root)
@@ -51,13 +48,7 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<ScanOutcome> {
             .collect::<Vec<_>>()
             .join("/");
         let text = fs::read_to_string(path)?;
-        let file = SourceFile::new(rel, &text);
-        ws.add_file(&file);
-        sources.push(file);
-    }
-    let mut out = ScanOutcome::default();
-    for file in &sources {
-        let (findings, graph) = lint_file(file, &ws);
+        let (findings, graph) = lint_file(&SourceFile::new(rel, &text));
         out.findings.extend(findings);
         if let Some((name, graph)) = graph {
             out.graphs.entry(name).or_insert(graph);
@@ -69,20 +60,15 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<ScanOutcome> {
 }
 
 /// Lints one file's text under its workspace-relative path. Exposed so
-/// tests can lint in-memory sources without touching the filesystem; the
-/// enum registry is built from the file itself, so file-local message
-/// enums still resolve.
+/// tests can lint in-memory sources without touching the filesystem.
 pub fn lint_source(rel: String, text: &str) -> Vec<Finding> {
-    let file = SourceFile::new(rel, text);
-    let mut ws = Workspace::default();
-    ws.add_file(&file);
-    lint_file(&file, &ws).0
+    lint_file(&SourceFile::new(rel, text)).0
 }
 
 /// Applies rules then allows to one parsed file.
-fn lint_file(file: &SourceFile, ws: &Workspace) -> (Vec<Finding>, Option<(String, PhaseGraph)>) {
+fn lint_file(file: &SourceFile) -> (Vec<Finding>, Option<(String, PhaseGraph)>) {
     let allows = Allows::collect(file);
-    let outcome = check_file(file, ws);
+    let outcome = check_file(file);
     let mut findings: Vec<Finding> = outcome
         .findings
         .into_iter()
@@ -144,7 +130,13 @@ mod tests {
 
     #[test]
     fn allow_suppresses_new_semantic_rules_too() {
-        let src = "fn adopt(&mut self, label: u64) {\n    // abd-lint: allow(tag-monotonicity): label is freshly minted by this writer.\n    self.label = label;\n}\n";
-        assert!(lint_source("crates/core/src/a.rs".into(), src).is_empty());
+        let head = "// abd-lint: phase-spec(t): Invoke -> Write\nfn on_invoke(&mut self) {\n    self.pending = Some(Pending::Write { op });\n";
+        let allow = "    // abd-lint: allow(phase-graph): answers at once, on purpose.\n";
+        let shortcut = "    fx.respond(op, ());\n}\n";
+        let flagged = lint_source("crates/core/src/a.rs".into(), &format!("{head}{shortcut}"));
+        let found: Vec<_> = flagged.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(found, [("phase-graph", 4)], "`Write -> Done`");
+        let allowed = format!("{head}{allow}{shortcut}");
+        assert!(lint_source("crates/core/src/a.rs".into(), &allowed).is_empty());
     }
 }

@@ -78,12 +78,11 @@ fn wildcard_msg_match_positive_ignores_nested() {
         .iter()
         .filter(|f| f.rule == "wildcard-msg-match")
         .collect();
-    assert_eq!(wm.len(), 1, "{wm:?}");
-    assert_eq!(wm[0].file, "crates/kv/src/wildcard.rs");
-    assert_eq!(
-        wm[0].line, 14,
-        "must flag the top-level arm, not the nested one"
-    );
+    assert!(wm.iter().all(|f| f.file == "crates/kv/src/wildcard.rs"));
+    // `_ =>`, the `_` of `Msg::Relay { .. } | _` and `other =>` — never the
+    // nested `_` on line 10, nor the guarded `Msg::Query { uid } if ..`.
+    let lines: Vec<usize> = wm.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [14, 24, 33], "{wm:?}");
 }
 
 #[test]
@@ -96,27 +95,6 @@ fn raw_quorum_arith_positive_and_negative() {
         .all(|f| f.file == "crates/core/src/quorum_arith.rs"));
     assert_eq!(qa[0].line, 4);
     assert_eq!(qa[1].line, 8);
-}
-
-#[test]
-fn persist_before_ack_flags_ack_first_arm_only() {
-    let f = scan("violations");
-    let pa: Vec<&Finding> = f
-        .iter()
-        .filter(|f| f.rule == "persist-before-ack")
-        .collect();
-    assert_eq!(pa.len(), 1, "{pa:?}");
-    assert_eq!(pa[0].file, "crates/core/src/persist_ack.rs");
-    assert_eq!(pa[0].line, 14, "the Query arm's reply-only path is fine");
-}
-
-#[test]
-fn tag_monotonicity_flags_unguarded_overwrite_only() {
-    let f = scan("violations");
-    let tm: Vec<&Finding> = f.iter().filter(|f| f.rule == "tag-monotonicity").collect();
-    assert_eq!(tm.len(), 1, "{tm:?}");
-    assert_eq!(tm[0].file, "crates/core/src/tag_overwrite.rs");
-    assert_eq!(tm[0].line, 7, "guarded and max-based adopts are fine");
 }
 
 #[test]
@@ -141,19 +119,6 @@ fn phase_graph_reports_both_diff_directions_and_missing_specs() {
     assert_eq!(missing.len(), 1, "{missing:?}");
     assert_eq!(missing[0].line, 1);
     assert!(missing[0].message.contains("phase-spec(register)"));
-}
-
-#[test]
-fn exhaustive_msg_handling_names_the_missing_variant() {
-    let f = scan("violations");
-    let ex: Vec<&Finding> = f
-        .iter()
-        .filter(|f| f.rule == "exhaustive-msg-handling")
-        .collect();
-    assert_eq!(ex.len(), 1, "{ex:?}");
-    assert_eq!(ex[0].file, "crates/kv/src/nonexhaustive.rs");
-    assert!(ex[0].message.contains("missing: SyncPull"), "{ex:?}");
-    assert!(ex[0].message.contains("2/3"), "{ex:?}");
 }
 
 #[test]

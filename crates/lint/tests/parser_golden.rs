@@ -2,9 +2,9 @@
 //! sources.
 //!
 //! The unit tests in `ast`/`flow` use synthetic snippets; these parse the
-//! actual `crates/core` files the semantic rules run over, so a parser
-//! regression that silently drops handler bodies or enum variants (and
-//! would therefore make the rules vacuously pass) fails loudly here.
+//! actual `crates/core` files the rules run over, so a parser regression
+//! that silently drops handler bodies (and would therefore make the rules
+//! vacuously pass) fails loudly here.
 
 use abd_lint::ast::Ast;
 use abd_lint::flow::PhaseWalk;
@@ -42,40 +42,6 @@ fn engine_and_register_handlers_parse_with_bodies() {
     }
 }
 
-#[test]
-fn msg_enum_variants_are_complete() {
-    // The seven shapes of the operation path are declared once, in the
-    // engine (`RegisterMsg` is an alias of that enum); the store's wire
-    // format nests them under `Op` beside the two sync shapes.
-    let op_path = [
-        "Query",
-        "QueryReply",
-        "Update",
-        "UpdateAck",
-        "RelayQuery",
-        "RelayFwd",
-        "RelayReply",
-    ];
-    let kv = ["Op", "SyncDiffReq", "SyncEntries"];
-    for (rel, name, expected) in [
-        ("crates/core/src/engine.rs", "Msg", &op_path[..]),
-        ("crates/kv/src/node.rs", "KvMsg", &kv[..]),
-    ] {
-        let file = load(rel);
-        let ast = Ast::parse(&file);
-        let wire = ast
-            .all_enums()
-            .into_iter()
-            .find(|e| e.name == name)
-            .unwrap_or_else(|| panic!("parser lost enum {name}"));
-        let variants: Vec<&str> = wire.variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(
-            variants, expected,
-            "{name}: rule 9's coverage check keys on this exact variant list"
-        );
-    }
-}
-
 /// The edges the walk extracts from `rel`, as `A -> B` strings in order.
 fn extracted_edges(rel: &str) -> Vec<String> {
     let file = load(rel);
@@ -91,7 +57,7 @@ fn extracted_edges(rel: &str) -> Vec<String> {
 #[test]
 fn engine_and_register_phase_graph_extraction_matches_golden_edges() {
     // Each list must match the `phase-spec(..)` header in the file itself —
-    // rule 8 diffs the two, so these goldens pin the extraction side. The
+    // `phase-graph` diffs the two, so these goldens pin the extraction side. The
     // thirteen edges of a client operation are the engine's; the register
     // shell keeps the `NotWriter` rejection and the epilogue (its catch-up
     // is a read of the engine's).

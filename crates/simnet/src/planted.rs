@@ -32,7 +32,7 @@
 //! the rule *does* catch — a handler whose code path responds straight out
 //! of the query phase — is committed as the lint fixture
 //! `crates/lint/fixtures/violations/crates/core/src/phase_drop.rs`, where
-//! rule 9 reports the undeclared `Query -> Done` edge and the two lost
+//! `phase-graph` reports the undeclared `Query -> Done` edge and the two lost
 //! write-back edges.
 //!
 //! [`AmnesiacKv`] is the key-value store's counterpart: a [`KvNode`] whose

@@ -61,6 +61,11 @@ for f in crates/core/src/register.rs crates/kv/src/node.rs; do
     echo "$f holds a piece of the operation path again; it belongs in crates/core/src/engine.rs"; exit 1
   fi
 done
+# One behaviour, no knob: every register rolls an interrupted write forward
+# and serves beside its catch-up, and the simulator's links reorder freely.
+if grep -rnE 'write_epilogue|with_fifo' crates src tests examples --include='*.rs'; then
+  echo "a deleted knob is named again: the roll-forward is always on, and links are never FIFO"; exit 1
+fi
 
 # The store adds one exchange to it, the sync walk's: a catch-up is walks, a
 # walk is `SyncDiffReq` / `SyncEntries`. No second transfer, no handshake,
@@ -125,11 +130,12 @@ cargo test -q --test nemesis tier_
 echo "==> oracle self-test gate (each tier's checker convicts its planted violation, weaker tiers acquit)"
 cargo test -q --test consistency_tiers oracle_selftest_
 
-echo "==> recovery nemesis smoke (recovery golden trace pinned + anti-entropy sweep races crash waves + pipelined wide-divergence walks under loss and duplication + restarted nodes serving during catch-up, and the amnesiac store that campaign must convict)"
+echo "==> recovery nemesis smoke (recovery golden trace pinned + anti-entropy sweep races crash waves + pipelined wide-divergence walks under loss and duplication + restarted stores and registers serving during catch-up, and the amnesiac store and replica those campaigns must convict)"
 cargo test -q --test nemesis kv_recovery_trace_digest_is_pinned
 cargo test -q --test nemesis anti_entropy
 cargo test -q --test nemesis merkle_recovery_pipelined_
 cargo test -q --test nemesis kv_serves_during_catch_up_
+cargo test -q --test nemesis register_serves_during_catch_up_
 
 echo "==> reconfiguration campaign smoke (100 seeds x three read modes: 5 % loss + 5 % duplication, a member's blink crash, a partition laid over the second of three reconfigurations; every operation completes, every key linearizable, double-run digests equal)"
 cargo test -q --test reconfiguration reconfig_campaign_ -- --nocapture

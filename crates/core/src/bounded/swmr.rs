@@ -235,8 +235,9 @@ mod tests {
     use crate::context::{Effects, Protocol};
     use crate::msg::RegisterOp;
     use crate::testutil::{
-        instant_write_quorum_keeps_draining, lost_catch_up_is_retransmitted_to_the_missing_only,
-        MiniNet,
+        instant_write_quorum_keeps_draining, interrupted_write_is_answered_before_a_later_one,
+        lost_catch_up_is_retransmitted_to_the_missing_only,
+        read_at_the_restart_instant_is_answered_before_the_catch_up, MiniNet,
     };
 
     fn cluster(n: usize, modulus: u32) -> MiniNet<BoundedSwmrNode<u32>> {
@@ -408,5 +409,21 @@ mod tests {
         assert!(!net.node(2).is_recovering());
         assert_eq!(net.node(2).retransmissions(), 7);
         assert_eq!(net.node(2).window_violations(), 0);
+    }
+
+    #[test]
+    fn read_at_the_restart_instant_is_answered_before_the_catch_up_in_every_tier() {
+        // Two rounds only: `BoundedSwmrConfig` has no read mode.
+        read_at_the_restart_instant_is_answered_before_the_catch_up(
+            |i| BoundedSwmrNode::new(BoundedSwmrConfig::new(5, ProcessId(i), ProcessId(0)), 0u32),
+            BoundedSwmrNode::is_recovering,
+        );
+    }
+
+    #[test]
+    fn interrupted_write_is_answered_before_a_later_one_here_too() {
+        interrupted_write_is_answered_before_a_later_one(|i| {
+            BoundedSwmrNode::new(BoundedSwmrConfig::new(5, ProcessId(i), ProcessId(0)), 0u32)
+        });
     }
 }

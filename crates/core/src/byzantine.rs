@@ -369,8 +369,9 @@ pub fn masking_parameters(b: usize) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::testutil::{
-        instant_write_quorum_keeps_draining, lost_catch_up_is_retransmitted_to_the_missing_only,
-        MiniNet,
+        instant_write_quorum_keeps_draining, interrupted_write_is_answered_before_a_later_one,
+        lost_catch_up_is_retransmitted_to_the_missing_only,
+        read_at_the_restart_instant_is_answered_before_the_catch_up, MiniNet,
     };
 
     fn cluster(b: usize, liars: &[(usize, LieStrategy)]) -> MiniNet<ByzNode<u64>> {
@@ -576,6 +577,22 @@ mod tests {
         assert!(!net.node(2).is_recovering());
         assert_eq!(net.node(2).retransmissions(), 7);
         assert_eq!(net.node(2).unvouched_folds(), 0);
+    }
+
+    #[test]
+    fn read_at_the_restart_instant_is_answered_before_the_catch_up_in_every_tier() {
+        // Two rounds only: `ByzConfig` has no read mode.
+        read_at_the_restart_instant_is_answered_before_the_catch_up(
+            |i| ByzNode::new(ByzConfig::new(5, ProcessId(i), ProcessId(0), 1), 0u32),
+            ByzNode::is_recovering,
+        );
+    }
+
+    #[test]
+    fn interrupted_write_is_answered_before_a_later_one_when_honest() {
+        interrupted_write_is_answered_before_a_later_one(|i| {
+            ByzNode::new(ByzConfig::new(5, ProcessId(i), ProcessId(0), 1), 0u32)
+        });
     }
 
     /// The vouching fold on its own: the store of a `b`-tolerant node whose

@@ -185,14 +185,15 @@ pub trait Protocol {
     /// Called in place of [`Protocol::on_start`] when a crashed node
     /// rejoins. By the time this runs the host has already discarded every
     /// armed timer; in-flight operations were lost with the crash (their
-    /// clients see them as aborted). Implementations must drop volatile
-    /// per-operation state and may emit messages to catch their replica up
-    /// (the register protocols run a query phase against a read quorum
-    /// before serving new invocations; the key-value store serves at once
-    /// and catches up alongside). State modelling stable
-    /// storage — the replica's `(label, value)` pair, the writer's sequence
-    /// number, the phase-uid counter — survives; see the crate docs for why
-    /// full amnesia would forfeit atomicity.
+    /// clients see them as aborted) unless the protocol persisted one to
+    /// resume (a register rolls a write caught in its update round
+    /// forward). Implementations must drop volatile per-operation state and
+    /// may emit messages to catch their replica up; the registers and the
+    /// key-value store alike serve at once and catch up alongside (a
+    /// register by reading a read quorum, the store by Merkle walks). State
+    /// modelling stable storage — the replica's `(label, value)` pair, the
+    /// writer's sequence number, the phase-uid counter — survives; see the
+    /// crate docs for why full amnesia would forfeit atomicity.
     fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
         let _ = fx;
     }

@@ -12,17 +12,18 @@
 //! captures exactly those two differences, plus the three things only a
 //! register has: **one operation at a time** (a processor of the paper is a
 //! sequential client, so further invocations wait in a FIFO queue), the
-//! **`NotWriter` check** and the **write-intent epilogue**. All of that is
-//! this file's state; none of it is in the engine. The post-restart
-//! catch-up is not a fourth: it is a `Regular` read of the engine under an
-//! operation id no host issues, behind which invocations wait as behind any.
+//! **`NotWriter` check** and the **roll-forward of an interrupted write**.
+//! All of that is this file's state; none of it is in the engine. The
+//! post-restart catch-up is not a fourth: it is a `Regular` read of the
+//! engine under an operation id no host issues, which runs beside the
+//! client operations and answers nobody.
 //!
 //! The shell is generic over its store too. A [`Replica`] orders labels by
 //! `Ord` and folds a read quorum to its maximum; the Byzantine-tolerant
 //! register ([`crate::byzantine`]) and the bounded-label register
 //! ([`crate::bounded`]) are this same node over a store that folds by
-//! vouching, or orders through a window — queue, `NotWriter`, epilogue and
-//! retransmission are not written again. The catch-up, being a read,
+//! vouching, or orders through a window — queue, `NotWriter`, roll-forward
+//! and retransmission are not written again. The catch-up, being a read,
 //! folds its replies with the store's [`Fold`], which is what keeps a liar
 //! (or a lapped label) out of a rebooted replica.
 //!
@@ -49,9 +50,10 @@
 //! ## Crash recovery
 //!
 //! A restarted node ([`Protocol::on_restart`]) loses its volatile state —
-//! the in-flight operation, queued invocations, retry schedule, relay
-//! rounds — but its replica pair `(label, value)` and the phase-uid counter
-//! model **stable storage** and survive. This is not an optimization but a
+//! an in-flight read, queued invocations, retry schedule, relay rounds —
+//! but its replica pair `(label, value)`, the update round of a write in
+//! flight and the phase-uid counter model **stable storage** and survive.
+//! This is not an optimization but a
 //! soundness requirement: if an acknowledgement could outlive the replica
 //! state it acknowledged, a write quorum would no longer guarantee that its
 //! labels persist. Concretely, with full amnesia: the writer collects `p`'s
@@ -59,41 +61,41 @@
 //! majority at label 4, and a later read whose quorum intersects the write
 //! quorum only at `p` returns the old value — a new/old inversion.
 //! Persisting the pair (as a real deployment would, via an fsync before the
-//! ack) restores the quorum-intersection argument; the catch-up **read**
-//! the node runs before serving again is then purely a freshness
-//! optimization that lets it answer with recent labels immediately. A
+//! ack) restores the quorum-intersection argument. A rebooted replica is
+//! then merely stale, like one that missed some messages, and no operation
+//! trusts the local replica to be fresh: reads and multi-writer writes take
+//! the largest label of a read quorum, and the single writer's own label is
+//! its persisted counter (below). So the node serves at once, and the
+//! catch-up **read** it runs beside its clients is purely a freshness
+//! optimization (a `Sequential` read, which serves the local replica, was
+//! never promised freshness). A
 //! writer needs no separate counter: the single writer adopts every label
 //! it issues before broadcasting it, so its persisted replica label *is*
 //! its sequence number, and a multi-writer write queries a read quorum for
 //! the labels in use anyway.
 //!
-//! ### The aborted-write epilogue
+//! ### Rolling an interrupted write forward
 //!
-//! A writer that crashes mid-write leaves its client's operation aborted:
-//! the update may sit at any subset of replicas, an open-ended interval a
-//! checker must treat as "possibly took effect". With
-//! [`write_epilogue`](RegisterConfig::write_epilogue) enabled (single-writer
-//! only), the writer also persists its *write intent* `(op, label, value)`
-//! alongside the replica pair, and on restart — after the catch-up read
-//! completes — rolls the interrupted write forward: it re-broadcasts
-//! `Update(label, value)` with a fresh phase uid and acknowledges the
-//! client once a write quorum holds the label. Roll-forward (rather than
-//! abort) is the only sound resolution: the writer's own replica adopted
-//! `(label, value)` *before* the broadcast, so the persisted pair already
-//! carries the label — the catch-up read can only confirm it, never exceed
-//! it, and re-propagating it is idempotent. The flag is off by default so
-//! the baseline abort semantics (and pinned simulation traces) are
-//! unchanged.
+//! A writer that crashes in a write's update round has a label out: the
+//! update may sit at any subset of replicas. The writer persists that round
+//! — `(op, label, value)` — as it persists its pair, and on restart
+//! re-issues it at once as the node's operation in flight: it
+//! re-broadcasts `Update(label, value)` with a fresh phase uid and
+//! acknowledges the client once a write quorum holds the label. Roll-forward
+//! (rather than abort) is the only sound resolution, for every label
+//! policy: the label was fixed, and adopted by the writer's own replica,
+//! *before* the broadcast, and re-propagating it is an idempotent max-merge
+//! at every replica — the same write, only slower. It needs nothing from
+//! the catch-up. A write that crashes in its query round has no label yet
+//! and stays aborted.
 
 // The shell's share of the declared phase graph (the thirteen edges of a
 // client operation — the catch-up read's among them — are
 // `crate::engine`'s), checked by abd-lint's `phase-graph` rule against the
 // graph extracted from the handler bodies below. `Invoke -> Done` is the
-// `NotWriter` rejection. `Restart -> WriteUpdate` is the aborted-write
-// epilogue: once the catch-up completes — at the restart itself when the
-// node alone forms a read quorum; on a reply otherwise, a delivery, which
-// the graph attributes to no phase — a crash-interrupted write resumes as a
-// fresh WriteUpdate round of the engine.
+// `NotWriter` rejection. `Restart -> WriteUpdate` is the roll-forward: a
+// crash-interrupted write resumes at the restart as a fresh WriteUpdate
+// round of the engine.
 // abd-lint: phase-spec(register): Invoke -> Done, Restart -> WriteUpdate
 
 use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
@@ -164,11 +166,6 @@ pub struct RegisterConfig<L> {
     /// Retransmission policy for unfinished phases; `None` disables
     /// retransmission (appropriate for reliable links).
     pub retransmit: Option<BackoffPolicy>,
-    /// Single-writer only: whether the writer persists its in-flight write
-    /// intent and, after a crash and recovery, rolls the interrupted write
-    /// forward instead of leaving it aborted (see the module docs). Off by
-    /// default: the baseline drops in-flight operations on restart.
-    pub write_epilogue: bool,
     label: PhantomData<L>,
 }
 
@@ -184,7 +181,6 @@ impl<L> RegisterConfig<L> {
             read_write_back: true,
             read_mode: ReadMode::TwoRound,
             retransmit: None,
-            write_epilogue: false,
             label: PhantomData,
         }
     }
@@ -264,8 +260,9 @@ impl<V> From<Outcome<V>> for RegisterResp<V> {
 }
 
 /// The operation id of the post-restart catch-up: a `Regular` read the node
-/// invokes on itself to adopt the latest completed write it missed, and
-/// whose answer nobody receives. Hosts count their ids up from zero.
+/// invokes on itself, beside its clients' operations, to adopt the latest
+/// completed write it missed, and whose answer nobody receives. Hosts count
+/// their ids up from zero.
 const CATCH_UP: OpId = OpId(u64::MAX);
 
 /// One processor of the emulation: replica role, reader role and — where
@@ -282,17 +279,13 @@ const CATCH_UP: OpId = OpId(u64::MAX);
 pub struct RegisterNode<L, V, S = Replica<L, V>, C = TagCensus<L, V>> {
     cfg: RegisterConfig<L>,
     store: S,
-    /// The operation in flight, the replica role and the relay rounds.
+    /// The client operation in flight, the catch-up, the replica role and
+    /// the relay rounds. A write's update round is stable storage, like the
+    /// store: it is what a crash leaves for [`Protocol::on_restart`] to roll
+    /// forward.
     engine: Engine<(), L, V, V, C>,
-    /// Invocations waiting behind the operation in flight.
+    /// Invocations waiting behind the client operation in flight.
     queue: VecDeque<(OpId, RegisterOp<V>)>,
-    /// The writer's persisted in-flight write `(op, label, value)` — stable
-    /// storage, like the replica pair. With
-    /// [`RegisterConfig::write_epilogue`] on it mirrors the engine's
-    /// `WriteUpdate` round: set when a write goes pending, cleared when that
-    /// write's `WriteOk` is issued; a crash in between leaves it for the
-    /// post-recovery epilogue to roll forward.
-    intent: Option<(OpId, L, V)>,
     /// Catch-ups completed. Each was a `Regular` read to the engine's
     /// counters, which [`ReadPathStats`] reports for *client* reads only.
     catch_ups: u64,
@@ -331,7 +324,6 @@ where
             store,
             engine,
             queue: VecDeque::new(),
-            intent: None,
             catch_ups: 0,
         }
     }
@@ -347,13 +339,15 @@ where
         &self.store
     }
 
-    /// Whether an operation — a client's or the catch-up — is in flight.
+    /// Whether a client operation is in flight, so that an invocation would
+    /// queue. The catch-up does not count: nothing waits for it.
     pub fn is_busy(&self) -> bool {
-        self.engine.in_flight() > 0
+        self.engine.in_flight() > usize::from(self.is_recovering())
     }
 
-    /// Whether the node is catching up after a restart (invocations queue
-    /// until the catch-up read completes).
+    /// Whether the node's post-restart catch-up read is still short of a
+    /// read quorum. The node serves meanwhile; the catch-up only refreshes
+    /// its replica.
     pub fn is_recovering(&self) -> bool {
         self.engine.is_pending(CATCH_UP)
     }
@@ -363,14 +357,9 @@ where
         self.engine.rtx.retransmissions()
     }
 
-    /// Number of invocations waiting behind the in-flight operation.
+    /// Number of invocations waiting behind the client operation in flight.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// The node's configuration.
-    pub fn config(&self) -> &RegisterConfig<L> {
-        &self.cfg
     }
 
     /// Hands one admitted invocation to the engine — unless it is a write
@@ -390,45 +379,23 @@ where
         self.engine.on_invoke(op, input, &mut self.store, fx);
     }
 
-    /// Runs after every step of the engine: while it is idle (the step
-    /// completed the operation in flight, or answered one in place), start
-    /// the next queued invocation; then bring the persisted write intent in
-    /// line with the engine's `WriteUpdate` round — except during a
-    /// catch-up, whose completion rolls that intent forward: it stands.
+    /// Runs after every step of the engine: while no client operation is in
+    /// flight (the step completed it, or answered one in place), start the
+    /// next queued invocation.
     fn settle(&mut self, fx: &mut Fx<L, V>) {
         while !self.is_busy() && !self.queue.is_empty() {
             if let Some((op, input)) = self.queue.pop_front() {
                 self.begin(op, input, fx);
             }
         }
-        if self.cfg.write_epilogue && !self.is_recovering() {
-            self.intent = self.engine.write_in_flight();
-        }
-    }
-
-    /// The aborted-write epilogue: re-issue the crash-interrupted write, if
-    /// there is one, as a fresh round. The persisted replica adopted
-    /// `(label, value)` before the original broadcast, so re-propagating
-    /// the pair is idempotent; the client's `WriteOk` is issued once a write
-    /// quorum holds it. The intent stays set until then — a second crash
-    /// rolls forward again.
-    fn resume_write(&mut self, fx: &mut Fx<L, V>) {
-        if let Some((op, label, value)) = self.intent.clone() {
-            let phase = Pending::WriteUpdate { label, value };
-            self.engine
-                .restart_round(op, (), phase, &mut self.store, fx);
-        }
     }
 
     /// Runs where the catch-up can complete — at the restart and after a
     /// delivery. Its answer is then the engine's latest response: take it
-    /// back before it leaves the node (the read adopted what it found, the
-    /// writer's own labels included: its replica is part of the quorum),
-    /// then roll a crash-interrupted write forward.
+    /// back before it leaves the node (the read adopted what it found).
     fn caught_up(&mut self, fx: &mut Fx<L, V>) {
         if fx.responses.pop_if(|(op, _)| *op == CATCH_UP).is_some() {
             self.catch_ups += 1;
-            self.resume_write(fx);
         }
     }
 }
@@ -469,17 +436,25 @@ where
     }
 
     fn on_restart(&mut self, fx: &mut Fx<L, V>) {
-        // Volatile state is gone: the in-flight operation (its client sees
-        // an aborted op), the invocation queue, the relay rounds and any
-        // retry schedule. The store, the write intent and the phase-uid
-        // counter model stable storage and survive — see the module docs
-        // for why a fully amnesiac replica would break atomicity.
+        // Volatile state is gone: an in-flight read or query round (its
+        // client sees an aborted op), the invocation queue, the relay rounds
+        // and any retry schedule. The store, a write's update round and the
+        // phase-uid counter model stable storage and survive — see the
+        // module docs for why a fully amnesiac replica would break
+        // atomicity. The interrupted write resumes first, as the operation
+        // in flight; the catch-up starts beside it.
+        let interrupted = self.engine.write_in_flight();
         self.queue.clear();
         self.engine.on_restart();
+        if let Some((op, label, value)) = interrupted {
+            let phase = Pending::WriteUpdate { label, value };
+            self.engine
+                .restart_round(op, (), phase, &mut self.store, fx);
+        }
         let read = Op::Read((), Consistency::Regular);
         self.engine.on_invoke(CATCH_UP, read, &mut self.store, fx);
         // Alone a read quorum (an R=1 threshold system), the node has
-        // nothing to catch up from; its interrupted write still rolls forward.
+        // nothing to catch up from.
         self.caught_up(fx);
     }
 }
@@ -495,10 +470,12 @@ impl<L: Copy + PartialOrd, V: Clone, S, C: Fold<L, V>> ReadPathStats for Registe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mwmr::MwmrConfig;
-    use crate::swmr::SwmrConfig;
+    use crate::mwmr::{MwmrConfig, MwmrNode};
+    use crate::swmr::{SwmrConfig, SwmrNode};
     use crate::testutil::{
-        instant_write_quorum_keeps_draining, lost_catch_up_is_retransmitted_to_the_missing_only,
+        instant_write_quorum_keeps_draining, interrupted_write_is_answered_before_a_later_one,
+        lost_catch_up_is_retransmitted_to_the_missing_only,
+        read_at_the_restart_instant_is_answered_before_the_catch_up,
     };
 
     /// The regression of [`instant_write_quorum_keeps_draining`] on a plain
@@ -541,5 +518,40 @@ mod tests {
     #[test]
     fn lost_catch_up_is_retransmitted_to_the_missing_only_mwmr() {
         lost_catch_up(|i| MwmrConfig::new(5, ProcessId(i)));
+    }
+
+    /// [`read_at_the_restart_instant_is_answered_before_the_catch_up`] on a
+    /// plain register, in each of its three read modes.
+    fn served_at_once<L: Label>(cfg: impl Fn(usize) -> RegisterConfig<L>) {
+        for mode in [ReadMode::TwoRound, ReadMode::FastUnanimous, ReadMode::Relay] {
+            read_at_the_restart_instant_is_answered_before_the_catch_up(
+                |i| RegisterNode::<L, u32>::new(cfg(i).with_read_mode(mode), 0),
+                RegisterNode::is_recovering,
+            );
+        }
+    }
+
+    #[test]
+    fn read_at_the_restart_instant_is_answered_before_the_catch_up_in_every_mode_and_tier_swmr() {
+        served_at_once(|i| SwmrConfig::new(5, ProcessId(i), ProcessId(0)));
+    }
+
+    #[test]
+    fn read_at_the_restart_instant_is_answered_before_the_catch_up_in_every_mode_and_tier_mwmr() {
+        served_at_once(|i| MwmrConfig::new(5, ProcessId(i)));
+    }
+
+    #[test]
+    fn interrupted_write_is_answered_before_a_later_one_swmr() {
+        interrupted_write_is_answered_before_a_later_one(|i| {
+            SwmrNode::new(SwmrConfig::new(5, ProcessId(i), ProcessId(0)), 0u32)
+        });
+    }
+
+    #[test]
+    fn interrupted_write_is_answered_before_a_later_one_mwmr() {
+        interrupted_write_is_answered_before_a_later_one(|i| {
+            MwmrNode::new(MwmrConfig::new(5, ProcessId(i)), 0u32)
+        });
     }
 }

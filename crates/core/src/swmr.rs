@@ -25,7 +25,7 @@
 //! machine of an operation — with the read modes, relay reads, tiers and
 //! retransmission — lives, once, in [`crate::engine`], shared with the
 //! key-value store; what a register adds around it (one operation at a
-//! time, crash recovery, the aborted-write epilogue) in
+//! time, crash recovery, the roll-forward of an interrupted write) in
 //! [`crate::register`].
 
 use crate::msg::RegisterMsg;
@@ -59,13 +59,6 @@ impl SwmrConfig {
     /// write.
     pub fn new(n: usize, me: ProcessId, writer: ProcessId) -> Self {
         Self::base(n, me, writer)
-    }
-
-    /// Enables or disables the aborted-write epilogue (roll a
-    /// crash-interrupted write forward after recovery).
-    pub fn with_write_epilogue(mut self, yes: bool) -> Self {
-        self.write_epilogue = yes;
-        self
     }
 }
 
@@ -476,24 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn invocations_queue_during_recovery_then_run() {
-        let mut net = cluster(3, true);
-        net.invoke(0, RegisterOp::Write(7));
-        net.run_to_quiescence();
-        net.take_responses();
-        net.crash(2);
-        net.restart(2);
-        assert!(net.node(2).is_recovering());
-        net.invoke(2, RegisterOp::Read);
-        assert_eq!(net.node(2).queue_len(), 1, "queued behind recovery");
-        net.run_to_quiescence();
-        assert_eq!(
-            net.take_responses(),
-            vec![(OpId(1), RegisterResp::ReadOk(7))]
-        );
-    }
-
-    #[test]
     fn writer_restart_does_not_reuse_labels() {
         let mut net = cluster(3, true);
         net.invoke(0, RegisterOp::Write(1));
@@ -505,23 +480,6 @@ mod tests {
         net.invoke(0, RegisterOp::Write(2));
         net.run_to_quiescence();
         assert_eq!(net.node(1).replica_state(), (2, 2), "labels keep growing");
-    }
-
-    #[test]
-    fn restart_wipes_inflight_op_and_queue() {
-        let mut net = cluster(5, true);
-        net.set_drop_filter(|_, _, _| true); // strand the write
-        net.invoke(0, RegisterOp::Write(9));
-        net.invoke(0, RegisterOp::Read);
-        assert!(net.node(0).is_busy());
-        assert_eq!(net.node(0).queue_len(), 1);
-        net.crash(0);
-        net.clear_drop_filter();
-        net.restart(0);
-        net.run_to_quiescence();
-        assert!(!net.node(0).is_busy(), "in-flight op wiped");
-        assert_eq!(net.node(0).queue_len(), 0, "queue wiped");
-        assert!(net.take_responses().is_empty(), "lost ops never respond");
     }
 
     fn fast_cluster(n: usize) -> MiniNet<SwmrNode<u32>> {
@@ -778,38 +736,9 @@ mod tests {
         );
     }
 
-    fn epilogue_cluster(n: usize) -> MiniNet<SwmrNode<u32>> {
-        let nodes = (0..n)
-            .map(|i| {
-                let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_write_epilogue(true);
-                SwmrNode::new(cfg, 0u32)
-            })
-            .collect();
-        MiniNet::new(nodes)
-    }
-
     #[test]
-    fn epilogue_resumes_crash_interrupted_write() {
-        let mut net = epilogue_cluster(5);
-        net.set_drop_filter(|_, _, _| true); // strand the write broadcast
-        net.invoke(0, RegisterOp::Write(9));
-        assert!(net.node(0).is_busy());
-        net.crash(0);
-        net.clear_drop_filter();
-        net.restart(0);
-        net.run_to_quiescence();
-        // The epilogue rolled the write forward: the client is acked and
-        // the value reached a write quorum.
-        assert_eq!(net.take_responses(), vec![(OpId(0), RegisterResp::WriteOk)]);
-        let fresh = (0..5)
-            .filter(|&i| net.node(i).replica_state() == (1, 9))
-            .count();
-        assert!(fresh >= 3, "write quorum holds the resumed write");
-    }
-
-    #[test]
-    fn epilogue_intent_clears_after_resolution() {
-        let mut net = epilogue_cluster(3);
+    fn a_rolled_forward_write_is_not_rolled_forward_again() {
+        let mut net = cluster(3, true);
         net.set_drop_filter(|_, _, _| true);
         net.invoke(0, RegisterOp::Write(4));
         net.crash(0);
@@ -818,7 +747,7 @@ mod tests {
         net.run_to_quiescence();
         assert_eq!(net.take_responses(), vec![(OpId(0), RegisterResp::WriteOk)]);
         // A second crash/restart must not replay the already-resolved
-        // write: the intent was cleared with the WriteOk.
+        // write: its update round ended with the WriteOk.
         net.crash(0);
         net.restart(0);
         net.run_to_quiescence();
@@ -826,14 +755,14 @@ mod tests {
     }
 
     #[test]
-    fn epilogue_survives_repeated_crashes() {
-        let mut net = epilogue_cluster(5);
+    fn an_interrupted_write_survives_repeated_crashes() {
+        let mut net = cluster(5, true);
         net.set_drop_filter(|_, _, _| true);
         net.invoke(0, RegisterOp::Write(6));
         net.crash(0);
         // First restart still can't reach anyone: the resumed write
-        // strands again, and a second crash re-persists nothing new —
-        // the intent simply survives.
+        // strands again, and a second crash finds it in its update round —
+        // it rolls forward once more.
         net.restart(0);
         net.run_to_quiescence();
         assert!(net.take_responses().is_empty(), "still partitioned");
@@ -842,21 +771,10 @@ mod tests {
         net.restart(0);
         net.run_to_quiescence();
         assert_eq!(net.take_responses(), vec![(OpId(0), RegisterResp::WriteOk)]);
-    }
-
-    #[test]
-    fn epilogue_off_keeps_abort_semantics() {
-        let mut net = cluster(5, true);
-        net.set_drop_filter(|_, _, _| true);
-        net.invoke(0, RegisterOp::Write(9));
-        net.crash(0);
-        net.clear_drop_filter();
-        net.restart(0);
-        net.run_to_quiescence();
-        assert!(
-            net.take_responses().is_empty(),
-            "flag off: op stays aborted"
-        );
+        let fresh = (0..5)
+            .filter(|&i| net.node(i).replica_state() == (1, 6))
+            .count();
+        assert!(fresh >= 3, "a write quorum holds the resumed write");
     }
 
     #[test]

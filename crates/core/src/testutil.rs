@@ -8,8 +8,9 @@
 //! exists so `abd-core`'s tests need no dependencies.
 
 use crate::context::{Protocol, ReadPathCounters, ReadPathStats};
+use crate::engine::Msg;
 use crate::host::NodeHost;
-use crate::msg::{RegisterOp, RegisterResp};
+use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
 use crate::quorum::{QuorumSystem, Threshold};
 use crate::types::{Consistency, Nanos, OpId, ProcessId};
 use std::collections::VecDeque;
@@ -61,7 +62,6 @@ impl<P: Protocol> MiniNet<P> {
 
     /// Reboots a crashed node: its armed timers stay dead and `on_restart`
     /// runs, its catch-up traffic queued.
-    #[allow(dead_code)]
     pub fn restart(&mut self, i: usize) {
         self.hosts[i].restart(0);
         self.absorb(i);
@@ -226,4 +226,72 @@ where
         vec![(OpId(1), RegisterResp::ReadOk(7))]
     );
     net
+}
+
+/// Node 2 of five built by `node(i)` sleeps through `Write(7)` and reboots
+/// into a network that loses its catch-up's whole broadcast; with no
+/// retransmission the catch-up stays open. A read invoked at the restart
+/// instant, at each tier, is answered all the same — while `recovering`
+/// still holds of the node: a sequential read with the replica as it stood
+/// at the crash, the quorum tiers with the write it missed. Every
+/// instantiation of the register shell runs this, in each read mode it has.
+pub(crate) fn read_at_the_restart_instant_is_answered_before_the_catch_up<P>(
+    node: impl Fn(usize) -> P,
+    recovering: impl Fn(&P) -> bool,
+) where
+    P: Protocol<Op = RegisterOp<u32>, Resp = RegisterResp<u32>>,
+{
+    for (read, want) in [
+        (RegisterOp::Read, 7),
+        (RegisterOp::ReadAt(Consistency::Regular), 7),
+        (RegisterOp::ReadAt(Consistency::Sequential), 0),
+    ] {
+        let mut net = MiniNet::new((0..5).map(&node).collect());
+        net.crash(2);
+        net.invoke(0, RegisterOp::Write(7));
+        net.run_to_quiescence();
+        assert_eq!(net.take_responses(), vec![(OpId(0), RegisterResp::WriteOk)]);
+        net.set_drop_filter(|_, _, _| true);
+        net.restart(2);
+        net.run_to_quiescence();
+        net.clear_drop_filter();
+        let op = net.invoke(2, read.clone());
+        net.run_to_quiescence();
+        let answer = vec![(op, RegisterResp::ReadOk(want))];
+        assert_eq!(net.take_responses(), answer, "{read:?}");
+        assert!(recovering(net.node(2)), "{read:?}: the catch-up is open");
+    }
+}
+
+/// The writer, node 0 of five built by `node(i)`, crashes in the update
+/// round of `Write(7)` — every update lost — with a read queued behind it,
+/// and reboots. The write rolls forward at once, as the operation in
+/// flight: its `WriteOk` comes before the answer to a `Write(8)` invoked at
+/// the restart instant, the queued read died with the crash, and a read
+/// elsewhere returns 8. Every instantiation of the register shell runs this.
+pub(crate) fn interrupted_write_is_answered_before_a_later_one<L, P>(node: impl Fn(usize) -> P)
+where
+    P: Protocol<Msg = RegisterMsg<L, u32>, Op = RegisterOp<u32>, Resp = RegisterResp<u32>>,
+{
+    let mut net = MiniNet::new((0..5).map(node).collect());
+    net.set_drop_filter(|_, _, m| matches!(m, Msg::Update { .. }));
+    let write = net.invoke(0, RegisterOp::Write(7));
+    net.invoke(0, RegisterOp::Read);
+    net.run_to_quiescence();
+    assert!(net.take_responses().is_empty(), "the write is stranded");
+    net.crash(0);
+    net.clear_drop_filter();
+    net.restart(0);
+    let later = net.invoke(0, RegisterOp::Write(8));
+    net.run_to_quiescence();
+    assert_eq!(
+        net.take_responses(),
+        vec![
+            (write, RegisterResp::WriteOk),
+            (later, RegisterResp::WriteOk)
+        ]
+    );
+    let read = net.invoke(3, RegisterOp::Read);
+    net.run_to_quiescence();
+    assert_eq!(net.take_responses(), vec![(read, RegisterResp::ReadOk(8))]);
 }

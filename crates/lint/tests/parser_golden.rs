@@ -59,8 +59,8 @@ fn engine_and_register_phase_graph_extraction_matches_golden_edges() {
     // Each list must match the `phase-spec(..)` header in the file itself —
     // `phase-graph` diffs the two, so these goldens pin the extraction side. The
     // thirteen edges of a client operation are the engine's; the register
-    // shell keeps the `NotWriter` rejection and the epilogue (its catch-up
-    // is a read of the engine's).
+    // shell keeps the `NotWriter` rejection and the roll-forward of an
+    // interrupted write (its catch-up is a read of the engine's).
     let engine = extracted_edges("crates/core/src/engine.rs");
     assert_eq!(
         engine,

@@ -176,10 +176,9 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// Reboots crashed node `i`: pending timers die with the old
     /// incarnation, the protocol's `on_restart` runs, and clients may
     /// invoke on it again. What `on_restart` does is the protocol's: a
-    /// `RegisterNode` catches the replica up from a read quorum before it
-    /// serves (invocations queue meanwhile), while a `KvNode` serves at
-    /// once and runs its Merkle walks in the background.
-    /// Restarting a live node is a no-op.
+    /// `RegisterNode` and a `KvNode` both serve at once, the first reading
+    /// a read quorum in the background to catch its replica up, the second
+    /// running its Merkle walks. Restarting a live node is a no-op.
     pub fn restart(&self, i: usize) {
         let _ = self.cmd_txs[i].send(Cmd::Restart);
         self.crashed[i].store(false, Ordering::Release);
@@ -592,8 +591,8 @@ mod tests {
         );
         cluster.restart(1);
         assert!(!cluster.is_crashed(1));
-        // The rejoined node catches up via its query phase (invocations
-        // queue behind recovery), then serves.
+        // The rejoined node serves at once: a read's quorum sees the write
+        // it missed, whether or not its catch-up has finished.
         assert_eq!(
             cluster.client(1).invoke(RegisterOp::Read),
             RegisterResp::ReadOk(6)

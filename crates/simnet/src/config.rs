@@ -79,15 +79,12 @@ pub struct SimConfig {
     /// Probability that a message is delivered twice (with independent
     /// delays).
     pub dup_prob: f64,
-    /// When `true`, deliveries on each directed link never overtake each
-    /// other (FIFO links). When `false`, the adversary may reorder freely —
-    /// the paper's model.
-    pub fifo: bool,
 }
 
 impl SimConfig {
-    /// A reliable, reorderable network with uniform delays in
-    /// `[1µs, 10µs]` — the defaults most experiments start from.
+    /// A reliable network with uniform delays in `[1µs, 10µs]` — the
+    /// defaults most experiments start from. Independent delays reorder
+    /// messages on a link freely, as the paper's model allows.
     pub fn new(seed: u64) -> Self {
         SimConfig {
             seed,
@@ -97,7 +94,6 @@ impl SimConfig {
             },
             loss_prob: 0.0,
             dup_prob: 0.0,
-            fifo: false,
         }
     }
 
@@ -129,12 +125,6 @@ impl SimConfig {
             "duplication probability must be in [0,1)"
         );
         self.dup_prob = p;
-        self
-    }
-
-    /// Enables FIFO links.
-    pub fn with_fifo(mut self, yes: bool) -> Self {
-        self.fifo = yes;
         self
     }
 }
@@ -204,10 +194,9 @@ mod tests {
         let c = SimConfig::new(7)
             .with_latency(LatencyModel::Constant(5))
             .with_loss(0.25)
-            .with_duplication(0.1)
-            .with_fifo(true);
+            .with_duplication(0.1);
         assert_eq!(c.seed, 7);
         assert_eq!(c.latency, LatencyModel::Constant(5));
-        assert!(c.fifo);
+        assert_eq!((c.loss_prob, c.dup_prob), (0.25, 0.1));
     }
 }

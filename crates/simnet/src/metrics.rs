@@ -32,9 +32,9 @@ pub struct Metrics {
     pub ops_completed: u64,
     /// Operations aborted because their client crashed mid-flight.
     pub ops_aborted: u64,
-    /// Aborted operations later resolved to a response by a recovery
-    /// epilogue (e.g. a restarted writer rolling its interrupted write
-    /// forward). Such operations also count in
+    /// Aborted operations later resolved to a response after a restart (a
+    /// restarted register rolling its interrupted write forward). Such
+    /// operations also count in
     /// [`ops_completed`](Metrics::ops_completed); the
     /// [`ops_aborted`](Metrics::ops_aborted) count is historical and is not
     /// decremented.

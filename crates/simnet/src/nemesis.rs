@@ -631,9 +631,11 @@ impl NemesisSchedule {
 ///
 /// One phase stalls at most one full backed-off retransmission interval
 /// ([`BackoffPolicy::max_delay`]) before re-probing, then needs a round
-/// trip (`2 × max_latency`). An operation is at most two phases, a rebooted
-/// node prepends one catch-up phase, and queued invocations serialize — so
-/// the bound scales with the deepest per-client backlog.
+/// trip (`2 × max_latency`). An operation is at most two phases, a write a
+/// rebooted register rolls forward is one more ahead of its client's next
+/// operation, and queued invocations serialize — so the bound scales with
+/// the deepest per-client backlog. (A catch-up runs beside the operations,
+/// not ahead of them.)
 pub fn liveness_bound(policy: &BackoffPolicy, max_latency: Nanos, max_backlog: u64) -> Nanos {
     let round = policy.max_delay() + 2 * max_latency;
     (2 * max_backlog.max(1) + 1) * round

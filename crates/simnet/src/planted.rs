@@ -35,14 +35,14 @@
 //! `phase-graph` reports the undeclared `Query -> Done` edge and the two lost
 //! write-back edges.
 //!
-//! [`AmnesiacKv`] is the key-value store's counterpart: a [`KvNode`] whose
-//! store does not survive a reboot. It deletes the one assumption a
-//! restarted node's serving-at-once rests on (persist-before-ack), so the
-//! campaign that exercises that path must convict it.
+//! [`AmnesiacKv`] is the key-value store's counterpart of
+//! [`MutantKind::Amnesiac`]: a [`KvNode`] whose store does not survive a
+//! reboot. Both delete the one assumption a restarted node's serving at
+//! once rests on (persist-before-ack), so the campaigns that exercise that
+//! path must convict them.
 
 use abd_core::context::{Effects, Protocol, TimerKey};
 use abd_core::msg::{RegisterMsg, RegisterOp, RegisterResp};
-use abd_core::quorum::majority_threshold;
 use abd_core::swmr::{SwmrMsg, SwmrNode};
 use abd_core::types::{OpId, ProcessId, SeqNo};
 use abd_kv::{KvMsg, KvNode, KvOp, KvResp};
@@ -75,14 +75,13 @@ pub enum MutantKind {
     /// genuine ack early, modelling an off-by-one quorum threshold /
     /// miscounted vote. Attacks `r + w > n` intersection directly.
     OffByOneQuorum,
-    /// Restart skips the catch-up query phase *and* the replica answers
-    /// queries from its initial state until a fresh `Update` arrives
-    /// (amnesia). With stable storage the pure skip is benign — the paper's
-    /// catch-up is a freshness optimization — so this mutant models the
-    /// skip **combined with** volatile replica state, the configuration the
-    /// paper's recovery argument actually forbids. `every` is ignored
-    /// (always on).
-    RecoverySkipsQuery,
+    /// After a restart the replica answers queries from its initial state
+    /// until a fresh `Update` arrives (amnesia): what it acknowledged
+    /// before the crash is gone, the assumption a rebooted register's
+    /// serving at once rests on (the register twin of [`AmnesiacKv`]). The
+    /// restart itself — roll-forward, catch-up, serving beside it — is the
+    /// correct node's. `every` is ignored (always on).
+    Amnesiac,
     /// When a genuinely reordered (stale) `Update` arrives, the replica
     /// serves *it* from then on instead of keeping its newer state:
     /// non-monotonic tag adoption. Fires only under real network
@@ -115,7 +114,7 @@ impl MutantKind {
         MutantKind::DropWriteBack,
         MutantKind::StaleTagAck,
         MutantKind::OffByOneQuorum,
-        MutantKind::RecoverySkipsQuery,
+        MutantKind::Amnesiac,
         MutantKind::NonMonotonicTag,
         MutantKind::ScStashRead,
         MutantKind::PhantomRead,
@@ -127,7 +126,7 @@ impl MutantKind {
             MutantKind::DropWriteBack => "DropWriteBack",
             MutantKind::StaleTagAck => "StaleTagAck",
             MutantKind::OffByOneQuorum => "OffByOneQuorum",
-            MutantKind::RecoverySkipsQuery => "RecoverySkipsQuery",
+            MutantKind::Amnesiac => "Amnesiac",
             MutantKind::NonMonotonicTag => "NonMonotonicTag",
             MutantKind::ScStashRead => "ScStashRead",
             MutantKind::PhantomRead => "PhantomRead",
@@ -193,7 +192,7 @@ pub struct MutantSwmr<V> {
     max_seen: SeqNo,
     /// [`MutantKind::NonMonotonicTag`]: the stale pair currently served.
     shadow: Option<(SeqNo, V)>,
-    /// [`MutantKind::RecoverySkipsQuery`]: replica answers from `initial`.
+    /// [`MutantKind::Amnesiac`]: replica answers from `initial`.
     amnesia: bool,
     /// [`MutantKind::ScStashRead`]: the first read's genuine value.
     first_read: Option<V>,
@@ -463,7 +462,7 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for Mutan
                     }
                 }
             }
-            MutantKind::RecoverySkipsQuery => {
+            MutantKind::Amnesiac => {
                 if matches!(msg, RegisterMsg::Update { .. }) {
                     // A fresh propagation re-syncs the amnesiac replica.
                     self.amnesia = false;
@@ -488,52 +487,13 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for Mutan
     fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
         // An armed drop dies with the in-flight read it targeted.
         self.drop_armed = false;
+        if self.kind == MutantKind::Amnesiac {
+            self.sabotaged += 1;
+            self.amnesia = true;
+        }
         let mut inner_fx = Effects::new();
         self.inner.on_restart(&mut inner_fx);
-        if self.kind != MutantKind::RecoverySkipsQuery {
-            self.absorb(inner_fx, fx);
-            return;
-        }
-        // Skip the catch-up query: discard the recovery broadcast and feed
-        // the inner node enough forged "nothing newer" replies to finish
-        // recovery instantly. Until a fresh Update arrives, this replica
-        // answers queries from its initial state (amnesia).
-        self.sabotaged += 1;
-        self.amnesia = true;
-        fx.timers.extend(inner_fx.timers);
-        for (op, r) in inner_fx.responses {
-            fx.respond(op, r);
-        }
-        let mut peers = Vec::new();
-        let mut query_uid = None;
-        for (to, m) in inner_fx.sends {
-            match m {
-                RegisterMsg::Query { uid, .. } => {
-                    query_uid = Some(uid);
-                    peers.push(to);
-                }
-                other => {
-                    let other = self.rewrite(other);
-                    fx.send(to, other);
-                }
-            }
-        }
-        if let Some(uid) = query_uid {
-            let needed = majority_threshold(self.inner.config().n).saturating_sub(1);
-            for peer in peers.into_iter().take(needed) {
-                let mut reply_fx = Effects::new();
-                self.inner.on_message(
-                    peer,
-                    RegisterMsg::QueryReply {
-                        uid,
-                        label: 0,
-                        value: self.initial.clone(),
-                    },
-                    &mut reply_fx,
-                );
-                self.absorb(reply_fx, fx);
-            }
-        }
+        self.absorb(inner_fx, fx);
     }
 }
 
@@ -858,8 +818,8 @@ mod tests {
     }
 
     #[test]
-    fn recovery_skip_forges_amnesiac_replies() {
-        let mut n = mutant(1, MutantKind::RecoverySkipsQuery, 0);
+    fn amnesiac_answers_from_its_initial_state_until_updated() {
+        let mut n = mutant(1, MutantKind::Amnesiac, 0);
         // The replica learns label 4 before crashing.
         let mut fx = Effects::new();
         n.on_message(
@@ -875,13 +835,13 @@ mod tests {
         let mut fx = Effects::new();
         n.on_restart(&mut fx);
         assert!(
-            !fx.sends
+            fx.sends
                 .iter()
                 .any(|(_, m)| matches!(m, RegisterMsg::Query { .. })),
-            "the catch-up query broadcast must be suppressed: {:?}",
+            "restarts the way the real node does: {:?}",
             fx.sends
         );
-        assert!(!n.inner().is_recovering(), "recovery finished instantly");
+        assert!(n.inner().is_recovering());
         // Until refreshed, the replica answers queries from its initial
         // state even though stable storage still holds label 4.
         let mut fx = Effects::new();

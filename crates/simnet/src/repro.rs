@@ -47,9 +47,6 @@ pub enum ProtocolSpec {
     Swmr {
         /// Read path: two-round, fast-unanimous, or relay.
         read_mode: ReadMode,
-        /// Whether a restarted writer rolls its crash-interrupted write
-        /// forward (see [`SwmrConfig::with_write_epilogue`]).
-        write_epilogue: bool,
     },
     /// Multi-writer nodes ([`MwmrNode`]).
     Mwmr {
@@ -101,7 +98,7 @@ impl ProtocolSpec {
     /// so their known-bad goldens never shift under read-mode changes.
     pub fn read_mode(&self) -> ReadMode {
         match *self {
-            ProtocolSpec::Swmr { read_mode, .. }
+            ProtocolSpec::Swmr { read_mode }
             | ProtocolSpec::Mwmr { read_mode }
             | ProtocolSpec::BatchedSwmr { read_mode, .. }
             | ProtocolSpec::Kv { read_mode, .. } => read_mode,
@@ -355,18 +352,9 @@ impl Repro {
         coverage: Option<&mut CoverageSample>,
     ) -> (u64, bool, Vec<History<u64>>) {
         match self.protocol {
-            ProtocolSpec::Swmr {
-                read_mode,
-                write_epilogue,
-            } => self.drive(
+            ProtocolSpec::Swmr { read_mode } => self.drive(
                 (0..self.n)
-                    .map(|i| {
-                        SwmrNode::new(
-                            self.swmr_cfg(i, read_mode)
-                                .with_write_epilogue(write_epilogue),
-                            0u64,
-                        )
-                    })
+                    .map(|i| SwmrNode::new(self.swmr_cfg(i, read_mode), 0u64))
                     .collect(),
                 coverage,
             ),
@@ -608,16 +596,7 @@ impl Repro {
         s.push_str(&format!("    name: \"{}\",\n", esc(&self.name)));
         let mode_field = |m: ReadMode| format!("read_mode: {m:?}");
         let proto = match self.protocol {
-            // `write_epilogue` serializes only when set, so artifacts
-            // written before the flag existed keep their canonical form.
-            ProtocolSpec::Swmr {
-                read_mode,
-                write_epilogue: false,
-            } => format!("Swmr({})", mode_field(read_mode)),
-            ProtocolSpec::Swmr {
-                read_mode,
-                write_epilogue: true,
-            } => format!("Swmr({}, write_epilogue: true)", mode_field(read_mode)),
+            ProtocolSpec::Swmr { read_mode } => format!("Swmr({})", mode_field(read_mode)),
             ProtocolSpec::Mwmr { read_mode } => format!("Mwmr({})", mode_field(read_mode)),
             ProtocolSpec::BatchedSwmr { window, read_mode } => {
                 format!("BatchedSwmr(window: {window}, {})", mode_field(read_mode))
@@ -656,7 +635,6 @@ impl Repro {
         s.push_str(&format!("        latency: {latency},\n"));
         s.push_str(&format!("        loss_prob: {:?},\n", self.sim.loss_prob));
         s.push_str(&format!("        dup_prob: {:?},\n", self.sim.dup_prob));
-        s.push_str(&format!("        fifo: {},\n", self.sim.fifo));
         s.push_str("    ),\n");
         s.push_str("    schedule: NemesisSchedule(\n");
         s.push_str(&format!(
@@ -1087,11 +1065,6 @@ fn repro_from_val(v: &Val) -> Result<Repro, String> {
         match name {
             "Swmr" => ProtocolSpec::Swmr {
                 read_mode: read_mode_from(p)?,
-                // Absent in artifacts written before the flag existed.
-                write_epilogue: match p.field("write_epilogue") {
-                    Ok(v) => v.as_bool()?,
-                    Err(_) => false,
-                },
             },
             "Mwmr" => ProtocolSpec::Mwmr {
                 read_mode: read_mode_from(p)?,
@@ -1172,7 +1145,6 @@ fn repro_from_val(v: &Val) -> Result<Repro, String> {
             latency,
             loss_prob: s.field("loss_prob")?.as_f64()?,
             dup_prob: s.field("dup_prob")?.as_f64()?,
-            fifo: s.field("fifo")?.as_bool()?,
         }
     };
 
@@ -1313,7 +1285,6 @@ mod tests {
                 },
                 loss_prob: 0.05,
                 dup_prob: 0.0,
-                fifo: false,
             },
             schedule: NemesisSchedule::from_faults(faults, 1_000_000, vec![0, 1, 2, 3, 4], 3),
             scripts: vec![
@@ -1400,12 +1371,7 @@ mod tests {
     fn new_protocol_variants_round_trip() {
         for proto in [
             ProtocolSpec::Swmr {
-                read_mode: ReadMode::TwoRound,
-                write_epilogue: true,
-            },
-            ProtocolSpec::Swmr {
                 read_mode: ReadMode::Relay,
-                write_epilogue: false,
             },
             ProtocolSpec::Mwmr {
                 read_mode: ReadMode::Relay,
@@ -1444,21 +1410,6 @@ mod tests {
             assert_eq!(back.protocol, proto);
             assert_eq!(back.to_ron(), text, "canonical form is stable");
         }
-        // A pre-flag artifact (no write_epilogue field) parses as false.
-        let r = sample();
-        assert!(r.to_ron().contains("BatchedSwmr"));
-        let legacy = r.to_ron().replace(
-            "BatchedSwmr(window: 2000, read_mode: FastUnanimous)",
-            "Swmr(read_mode: FastUnanimous)",
-        );
-        let back = Repro::from_ron(&legacy).expect("legacy Swmr artifact parses");
-        assert_eq!(
-            back.protocol,
-            ProtocolSpec::Swmr {
-                read_mode: ReadMode::FastUnanimous,
-                write_epilogue: false
-            }
-        );
         // Every read mode is spelled one way, under `read_mode`.
         let mut r = sample();
         for (mode, field) in [
@@ -1494,7 +1445,6 @@ mod tests {
             name: "coverage".to_string(),
             protocol: ProtocolSpec::Swmr {
                 read_mode: ReadMode::TwoRound,
-                write_epilogue: false,
             },
             n: 5,
             backoff_base: Some(20_000),
@@ -1605,7 +1555,6 @@ mod tests {
             name: "healthy".to_string(),
             protocol: ProtocolSpec::Swmr {
                 read_mode: ReadMode::TwoRound,
-                write_epilogue: false,
             },
             n: 5,
             backoff_base: Some(20_000),

@@ -272,7 +272,6 @@ mod tests {
             name: "healthy".to_string(),
             protocol: ProtocolSpec::Swmr {
                 read_mode: ReadMode::TwoRound,
-                write_epilogue: false,
             },
             n: 5,
             backoff_base: Some(20_000),

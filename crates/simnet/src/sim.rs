@@ -251,8 +251,6 @@ where
     /// Per-node gray-failure latency multiplier (1 = healthy).
     gray: Vec<u32>,
     drained: usize,
-    /// Per-directed-link lower bound on the next delivery time (FIFO mode).
-    fifo_floor: BTreeMap<(usize, usize), Nanos>,
     /// Running FNV-1a digest of every processed event — the determinism
     /// gate's fingerprint of the execution.
     digest: u64,
@@ -291,7 +289,6 @@ where
             aborted: Vec::new(),
             gray: vec![1; n],
             drained: 0,
-            fifo_floor: BTreeMap::new(),
             digest: FNV_OFFSET,
             trace: None,
             trace_cap: 512,
@@ -406,8 +403,9 @@ where
 
     /// Crashes node `node` at time `at`: it stops processing messages,
     /// timers and invocations until a [`restart_at`](Self::restart_at), if
-    /// any. Its in-flight operations are aborted (their clients never get a
-    /// response; see [`pending_details`](Self::pending_details)).
+    /// any. Its in-flight operations are aborted: their clients get no
+    /// response unless the rebooted node resolves one (a register rolls an
+    /// interrupted write forward); see [`pending_details`](Self::pending_details).
     pub fn crash_at(&mut self, at: Nanos, node: ProcessId) {
         assert!(at >= self.now, "cannot schedule in the past");
         self.push(at, node, EventKind::Crash);
@@ -734,8 +732,8 @@ where
                 let (client, input, invoked_at) = if let Some(open) = self.invoked.remove(&op) {
                     open
                 } else if let Some(i) = self.aborted.iter().position(|(o, _, _, _)| *o == op) {
-                    // A recovery epilogue resolved an operation its client's
-                    // crash had aborted: close the interval. The operation keeps
+                    // A rolled-forward write resolved an operation its
+                    // client's crash had aborted: close the interval. The operation keeps
                     // its original invocation time, so the history checkers see
                     // one long completed operation instead of an open-ended one.
                     self.metrics.ops_resolved += 1;
@@ -804,16 +802,7 @@ where
         if gray > 1 {
             delay = delay.saturating_mul(u64::from(gray));
         }
-        let mut at = self.now + delay;
-        if self.cfg.fifo {
-            let floor = self
-                .fifo_floor
-                .entry((from.index(), to.index()))
-                .or_insert(0);
-            at = at.max(*floor);
-            *floor = at;
-        }
-        at
+        self.now + delay
     }
 }
 
@@ -1117,29 +1106,6 @@ mod tests {
         assert!(sim.run_until_ops_complete(1_000_000_000));
         assert!(sim.metrics().duplicated > 0);
         assert_eq!(sim.metrics().ops_completed, 20);
-    }
-
-    #[test]
-    fn fifo_mode_preserves_link_order() {
-        // With wildly variable latency and FIFO on, per-link deliveries
-        // never reorder. We check indirectly: a long run completes and the
-        // fifo floors are monotone (enforced by construction), so just
-        // assert the run is deterministic and completes.
-        let cfg = SimConfig::new(13)
-            .with_latency(LatencyModel::Uniform {
-                lo: 10,
-                hi: 100_000,
-            })
-            .with_fifo(true);
-        let nodes = (0..3)
-            .map(|i| SwmrNode::new(SwmrConfig::new(3, ProcessId(i), ProcessId(0)), 0u64))
-            .collect();
-        let mut sim: Sim<SwmrNode<u64>> = Sim::new(cfg, nodes);
-        for k in 0..30u64 {
-            sim.invoke_at(k * 1_000, ProcessId(0), RegisterOp::Write(k));
-        }
-        assert!(sim.run_until_ops_complete(1_000_000_000));
-        assert_eq!(sim.metrics().ops_completed, 30);
     }
 
     #[test]

@@ -56,7 +56,6 @@ fn swmr_same_seed_same_digest_across_configs() {
             slow_prob: 0.2,
         }),
         SimConfig::new(14).with_loss(0.05).with_duplication(0.05),
-        SimConfig::new(15).with_fifo(true),
     ];
     for cfg in configs {
         let (d1, c1) = run_swmr(cfg.clone(), 7);
@@ -71,7 +70,7 @@ fn mwmr_same_seed_same_digest_across_configs() {
     let configs = [
         SimConfig::new(21),
         SimConfig::new(22).with_loss(0.1),
-        SimConfig::new(23).with_duplication(0.1).with_fifo(true),
+        SimConfig::new(23).with_duplication(0.1),
     ];
     for cfg in configs {
         let (d1, c1) = run_mwmr(cfg.clone(), 3);

@@ -6,9 +6,12 @@
 //! tiers, with `Sim::trace_digest` and `Metrics::sent` pinned for each row.
 //! The constants were computed on the two hand-written node types
 //! (`swmr.rs` / `mwmr.rs` at commit 4147333) **before** they were collapsed
-//! into `abd_core::register::RegisterNode`; the engine must reproduce every
-//! one. A row that moves means a handler reordered, added or dropped an
-//! effect — a finding, not a reason to re-pin.
+//! into `abd_core::register::RegisterNode`, and the engine reproduced every
+//! one. They were re-pinned once since, with the variant table below, when
+//! a rebooted register began to serve at once and to roll its interrupted
+//! write forward (CHANGES.md lists the old constants). A row that moves
+//! means a handler reordered, added or dropped an effect — a finding, not a
+//! reason to re-pin.
 //!
 //! The key-value half of the table (`kv_identity_table_is_pinned`) does the
 //! same for `abd_kv::KvNode`: its constants were computed on the
@@ -44,8 +47,8 @@ use std::sync::Arc;
 const N: usize = 5;
 const OPS: u64 = 9;
 const SIM_SEED: u64 = 1234;
-/// Probed: crashes the writer while a write is in flight, so the epilogue
-/// row's pinned digest differs from its flag-off twin's.
+/// Probed: crashes the writer while a write is in flight, so every SWMR row
+/// rolls that write forward.
 const NEMESIS_SEED: u64 = 71;
 
 fn backoff() -> BackoffPolicy {
@@ -115,12 +118,11 @@ where
     (sim.trace_digest(), sim.read_path_metrics())
 }
 
-fn swmr(read_mode: ReadMode, epilogue: bool) -> (u64, Metrics) {
+fn swmr(read_mode: ReadMode) -> (u64, Metrics) {
     let nodes: Vec<SwmrNode<u64>> = (0..N)
         .map(|i| {
             let cfg = SwmrConfig::new(N, ProcessId(i), ProcessId(0))
                 .with_read_mode(read_mode)
-                .with_write_epilogue(epilogue)
                 .with_backoff(backoff());
             SwmrNode::new(cfg, 0)
         })
@@ -155,40 +157,28 @@ fn check(row: &str, (digest, m): (u64, Metrics), want_digest: u64, want_sent: u6
         m.write_backs
     };
     assert!(atomic_path > 0, "{row}: atomic read path idle");
+    if row.starts_with("swmr") {
+        assert!(
+            m.ops_resolved > 0,
+            "{row}: no interrupted write rolled forward"
+        );
+    }
     assert_eq!(
         (digest, m.sent),
         (want_digest, want_sent),
-        "{row}: trace drifted from the pre-refactor golden"
+        "{row}: trace drifted from the golden"
     );
 }
 
 #[test]
 fn engine_identity_table_is_pinned() {
     use ReadMode::{FastUnanimous, Relay, TwoRound};
-    check(
-        "swmr/two-round",
-        swmr(TwoRound, false),
-        0x027417d8af063fd9,
-        443,
-    );
-    check(
-        "swmr/fast",
-        swmr(FastUnanimous, false),
-        0xe4dd067ca71a37b0,
-        319,
-    );
-    check("swmr/relay", swmr(Relay, false), 0x888931010ce1fedf, 575);
-    // Differs from the first row: the writer crashes mid-write, so the
-    // epilogue's resumed write alters the trace.
-    check(
-        "swmr/two-round+epilogue",
-        swmr(TwoRound, true),
-        0x3cacc31a0b7956ee,
-        461,
-    );
-    check("mwmr/two-round", mwmr(TwoRound), 0xc7d3a547331e2b2b, 653);
-    check("mwmr/fast", mwmr(FastUnanimous), 0x14b7d6ff07469b49, 669);
-    check("mwmr/relay", mwmr(Relay), 0x14790903addbfc6e, 795);
+    check("swmr/two-round", swmr(TwoRound), 0x8362184d6845d7a0, 447);
+    check("swmr/fast", swmr(FastUnanimous), 0xc78f26c99881ed65, 349);
+    check("swmr/relay", swmr(Relay), 0x31892a2a3871fa7c, 568);
+    check("mwmr/two-round", mwmr(TwoRound), 0x46b31e492c2ad1d6, 695);
+    check("mwmr/fast", mwmr(FastUnanimous), 0xd298e1675ccb90d8, 707);
+    check("mwmr/relay", mwmr(Relay), 0x2840593b5017c87b, 768);
 }
 
 // ---- the key-value half ----
@@ -515,7 +505,9 @@ fn kv_identity_table_is_pinned() {
 // single-writer machine (`byzantine.rs` / `bounded/swmr.rs` at commit
 // c95f798). The constants below were computed on those copies **before**
 // they became instantiations of the register shell over the engine (the
-// commit before the merge carries this table, passing on them). Plain
+// commit before the merge carries this table, passing on them), and
+// re-pinned with the register table when a rebooted register began to
+// serve at once and to roll its interrupted write forward. Plain
 // `Read` / `Write` scripts only: the hand-written nodes served every tier
 // atomically, so a tiered read means something else after the merge.
 
@@ -552,12 +544,15 @@ fn variant_scripts(n: usize, ops: u64, liars: &[usize]) -> Vec<Vec<RegisterOp<u6
         .collect()
 }
 
-/// What the tap saw of the catch-ups: the first `Query` a node sends after
-/// a reboot is its catch-up's (nothing else is admitted until that
-/// completes), so a reply to it from a liar is a liar answering a recovery.
+/// What the tap saw of the catch-ups. Until a rebooted node is invoked,
+/// every `Query` it sends is its catch-up's (a rolled-forward write sends
+/// `Update`s), so a reply to the uid of a `Query` seen from it before then
+/// is an answer to the catch-up — from a liar, a liar answering a recovery.
+/// A reboot whose node is invoked before that is not tracked: a client
+/// read's `Query` could then be the first one seen.
 struct CatchUps {
     /// Per node: `Some(None)` once rebooted, `Some(Some(uid))` once its
-    /// catch-up query was seen on the wire.
+    /// catch-up query was seen on the wire, `None` when untracked.
     open: Vec<Option<Option<u64>>>,
     liar_replies: u64,
 }
@@ -602,6 +597,9 @@ where
         let mut seen = tap.borrow_mut();
         match ev.kind {
             TapKind::Restart => seen.open[ev.target.index()] = Some(None),
+            TapKind::Invoke { .. } if seen.open[ev.target.index()] == Some(None) => {
+                seen.open[ev.target.index()] = None;
+            }
             TapKind::Deliver { from, msg, dropped } => match *msg {
                 RegisterMsg::Query { uid, .. } => {
                     if let Some(slot @ None) = seen.open[from.index()].as_mut() {
@@ -696,7 +694,7 @@ fn check_byz(row: &str, n: usize, b: usize, liars: &[(usize, LieStrategy)], want
     );
     assert_eq!(
         pins, want,
-        "{row}: (trace digest, sent, responses digest) drifted from the hand-written ByzNode"
+        "{row}: (trace digest, sent, responses digest) drifted from the golden"
     );
 }
 
@@ -728,7 +726,7 @@ fn check_bounded(row: &str, modulus: u32, load: (u64, u64), labels: u64, want: V
     );
     assert_eq!(
         pins, want,
-        "{row}: (trace digest, sent, responses digest) drifted from the hand-written BoundedSwmrNode"
+        "{row}: (trace digest, sent, responses digest) drifted from the golden"
     );
 }
 
@@ -740,14 +738,14 @@ fn variant_identity_table_is_pinned() {
         5,
         1,
         &[],
-        (0x9e1015e84f793454, 3353, 0x5e3db1d25bc5dd74),
+        (0xafe688032647a5a9, 3384, 0x9e1af55e4f32850a),
     );
     check_byz(
         "byz b=1 n=5/stale",
         5,
         1,
         &[(1, ReportStale)],
-        (0x7d89fcd4a3d8f9a8, 2598, 0x40e531af5317debd),
+        (0x490e03cba202876b, 2631, 0xc93d5307380df90c),
     );
     // Same pins as the stale row: the digests fold no message content, and
     // both lies are masked into the same schedule and the same answers.
@@ -756,21 +754,21 @@ fn variant_identity_table_is_pinned() {
         5,
         1,
         &[(1, ForgeLabel)],
-        (0x7d89fcd4a3d8f9a8, 2598, 0x40e531af5317debd),
+        (0x490e03cba202876b, 2631, 0xc93d5307380df90c),
     );
     check_byz(
         "byz b=1 n=5/silent",
         5,
         1,
         &[(1, Silent)],
-        (0xa65526c9d004a566, 2283, 0x4e58aaa0dc41b342),
+        (0x2397bb2b2fce5438, 2341, 0xcd1d00d7fdaf3a8f),
     );
     check_byz(
         "byz b=2 n=9/two forgers",
         9,
         2,
         &[(1, ForgeLabel), (2, ForgeLabel)],
-        (0x35cd73e915ef8a68, 9395, 0xcf19377517c2d964),
+        (0x98f53a3b1050fa59, 9535, 0x7b655975cdb00ee2),
     );
     // The contrast: the same forger against majority quorums and a vouching
     // threshold of one. The waves spare the writer here: the hand-written
@@ -782,7 +780,7 @@ fn variant_identity_table_is_pinned() {
         5,
         0,
         &[(1, ForgeLabel)],
-        (0x5f1ef526607dc927, 2664, 0x72d266d217e8d166),
+        (0xd79fa049766c7204, 2676, 0x17b39403fb98f794),
     );
     // 36 operations 200 µs apart: the labels lap the 16-cycle, and no
     // replica sleeps through more than a window (7) of writes.
@@ -791,13 +789,13 @@ fn variant_identity_table_is_pinned() {
         16,
         (36, 50_000),
         24,
-        (0xce30a6ed27adf5e5, 2956, 0x9a35b70703cc2175),
+        (0xa5db0b6c256f90dd, 2987, 0xe3cf6a6ba32b391c),
     );
     check_bounded(
         "bounded n=5/mod 64",
         64,
         VARIANT_LOAD,
         27,
-        (0xa48bafc9f476d63f, 3335, 0x657494c7ce129db9),
+        (0x93ed8e354c9bb5ee, 3401, 0xf7840bc634df0e54),
     );
 }

@@ -16,18 +16,18 @@
 
 use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
 use abd_core::byzantine::{ByzConfig, ByzNode};
-use abd_core::context::ReadPathStats;
-use abd_core::msg::RegisterOp;
+use abd_core::context::{Effects, Protocol, ReadPathStats, TimerKey};
+use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::retransmit::BackoffPolicy;
-use abd_core::swmr::{SwmrConfig, SwmrNode};
-use abd_core::types::{Consistency, ProcessId, ReadMode, Tag};
+use abd_core::swmr::{SwmrConfig, SwmrMsg, SwmrNode};
+use abd_core::types::{Consistency, OpId, ProcessId, ReadMode, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_repro::lincheck::{is_atomic_swmr, RegAction};
 use abd_repro::simnet::nemesis::liveness_bound;
 use abd_repro::simnet::workload::{history_from_sim, scripts_at_tier, scripts_mixed_tier};
 use abd_repro::simnet::{
-    run_campaign, shrink, Cell, Failure, NemesisConfig, NemesisSchedule, OracleSpec, PlannedFault,
-    ProtocolSpec, Repro, Sim, SimConfig,
+    run_campaign, shrink, Cell, Failure, MutantKind, NemesisConfig, NemesisSchedule, OracleSpec,
+    PlannedFault, ProtocolSpec, Repro, Sim, SimConfig,
 };
 use std::collections::BTreeSet;
 
@@ -116,10 +116,7 @@ fn swmr_campaign_cfg(sim_seed: u64, nemesis_seed: u64, read_mode: ReadMode) -> u
     };
     soak_repro(
         name,
-        ProtocolSpec::Swmr {
-            read_mode,
-            write_epilogue: false,
-        },
+        ProtocolSpec::Swmr { read_mode },
         OracleSpec::AtomicSwmr,
         sim_seed,
         sched,
@@ -330,42 +327,49 @@ fn fast_read_campaigns_stay_atomic_and_replay() {
 }
 
 #[test]
-fn write_epilogue_campaigns_stay_atomic_and_replay() {
-    // SWMR with the aborted-write epilogue on: the writer crashes mid-write
-    // (the planner's crash waves cover every node, writer included), and on
-    // restart re-probes its persisted intent and rolls the write forward.
-    // The histories must still certify atomic and replay bit-identically,
-    // and flipping the flag must actually change the execution.
-    let run = |sim_seed: u64, nemesis_seed: u64, epilogue: bool| {
-        let sched = NemesisConfig::new(nemesis_seed, N).plan();
+fn interrupted_write_campaigns_roll_forward_and_replay() {
+    // The writer crashes mid-write (nemesis seed 88 crashes it while a write
+    // is in flight) and, on restart, rolls the write forward at once. The
+    // history must certify atomic and replay bit-identically, and hold the
+    // rolled-forward write: one that completed across its own node's crash.
+    let sched = NemesisConfig::new(88, N).plan();
+    let writer_crashes: Vec<u64> = sched
+        .faults()
+        .iter()
+        .filter_map(|f| match *f {
+            PlannedFault::Crash {
+                at,
+                node: ProcessId(0),
+                ..
+            } => Some(at),
+            _ => None,
+        })
+        .collect();
+    let run = || {
         soak_repro(
-            "nemesis-swmr-epilogue",
+            "nemesis-swmr-roll-forward",
             ProtocolSpec::Swmr {
                 read_mode: ReadMode::TwoRound,
-                write_epilogue: epilogue,
             },
             OracleSpec::AtomicSwmr,
-            sim_seed,
-            sched,
+            1234,
+            sched.clone(),
             swmr_scripts(6),
         )
         .check_or_emit()
-        .unwrap_or_else(|e| panic!("epilogue seed ({sim_seed},{nemesis_seed}): {e}"))
-        .digest
+        .unwrap_or_else(|e| panic!("roll-forward seed (1234,88): {e}"))
     };
-    // Nemesis seed 88 crashes the writer while a write is in flight, so the
-    // epilogue actually fires (probed: flag-on and flag-off traces differ).
-    let d = run(1234, 88, true);
-    assert_eq!(
-        d,
-        run(1234, 88, true),
-        "epilogue runs replay bit-identically"
-    );
-    assert_ne!(
-        d,
-        run(1234, 88, false),
-        "the writer crashes mid-write, so the epilogue's resumed write \
-         must alter the trace"
+    let out = run();
+    assert_eq!(out.digest, run().digest, "replays bit-identically");
+    assert!(
+        out.histories[0].ops().iter().any(|op| {
+            matches!(op.action, RegAction::Write(_))
+                && writer_crashes
+                    .iter()
+                    .any(|&at| op.start < at && at < op.end)
+        }),
+        "no write survived the writer's crash:\n{}",
+        out.histories[0]
     );
 }
 
@@ -690,16 +694,54 @@ fn merkle_recovery_pipelined_campaign_survives_loss_duplication_and_crash_waves(
     }
 }
 
-/// One serve-during-catch-up campaign as a repro artifact. Every node holds
+/// The frame both serve-during-catch-up campaigns share, as a repro
+/// artifact: `crash_cycles` crash waves in the first 2 ms over links that
+/// lose and duplicate 5 % of all messages, and clients at zero think time,
+/// which invoke a rebooted node again the moment it is back: its operations
+/// race its catch-up. The deadline allows `liveness_bound(think, ops)`
+/// after the heal. Each client runs its script of 150 operations from
+/// `op(client, j)`.
+fn catch_up_repro(
+    (name, protocol, oracle): (String, ProtocolSpec, OracleSpec),
+    (sim_seed, nemesis_seed): (u64, u64),
+    crash_cycles: usize,
+    (think, ops): (u64, u64),
+    op: impl Fn(u64, u64) -> RegisterOp<u64>,
+) -> Repro {
+    let mut nemesis = NemesisConfig::new(nemesis_seed, N).with_window(0, 2_000_000);
+    nemesis.crash_cycles = crash_cycles;
+    nemesis.base_loss = 0.05;
+    let schedule = nemesis.plan();
+    assert!(schedule.respects_min_alive(N));
+    Repro {
+        name,
+        protocol,
+        n: N,
+        backoff_base: Some(BACKOFF_BASE),
+        sim: SimConfig::new(sim_seed)
+            .with_loss(0.05)
+            .with_duplication(0.05),
+        scripts: (0..N as u64)
+            .map(|c| (0..150).map(|j| op(c, j)).collect())
+            .collect(),
+        think: 0,
+        deadline: schedule.heal_at() + liveness_bound(&backoff(), think, ops),
+        schedule,
+        oracle,
+        expected_digest: 0,
+        reason: String::new(),
+    }
+}
+
+/// One serve-during-catch-up campaign over the store. Every node holds
 /// 2 000 cold keys over 256 buckets and alone is ahead on its own fifth of
 /// them, so each reboot's four walks descend the whole tree — nine round
-/// trips and more over links that lose and duplicate 5 % of all messages —
-/// while the clients, at zero think time, invoke the victim again the
-/// moment it is back: its operations race its catch-up. The scripts spread
-/// one put in three and two gets over `hot` contended keys; with `tiers`
-/// the gets rotate through the three consistency tiers and the oracle is
-/// per-key sequential consistency, otherwise every get is atomic and the
-/// oracle is per-key linearizability.
+/// trips and more under loss and duplication — while its clients race
+/// them. The scripts spread one put in three and two gets over `hot`
+/// contended keys; with `tiers` the gets rotate through the three
+/// consistency tiers and the oracle is per-key sequential consistency,
+/// otherwise every get is atomic and the oracle is per-key
+/// linearizability.
 fn kv_catch_up_repro(
     sim_seed: u64,
     nemesis_seed: u64,
@@ -707,67 +749,48 @@ fn kv_catch_up_repro(
     tiers: bool,
     amnesiac: bool,
 ) -> Repro {
-    const OPS: u64 = 150;
-    let mut nemesis = NemesisConfig::new(nemesis_seed, N).with_window(0, 2_000_000);
-    nemesis.crash_cycles = 8;
-    nemesis.base_loss = 0.05;
-    let sched = nemesis.plan();
-    assert!(sched.respects_min_alive(N));
-    let scripts = (0..N as u64)
-        .map(|c| {
-            (0..OPS)
-                .map(|j| match (j % 3, tiers) {
-                    (0, _) => RegisterOp::Write(c * 1_000_000 + j + 1),
-                    (1, true) => RegisterOp::ReadAt(Consistency::Sequential),
-                    (2, true) if j % 2 == 0 => RegisterOp::ReadAt(Consistency::Regular),
-                    _ => RegisterOp::Read,
-                })
-                .collect()
-        })
-        .collect();
+    let name = format!(
+        "nemesis-kv-catch-up{}{}",
+        if tiers { "-tiers" } else { "" },
+        if amnesiac { "-amnesiac" } else { "" }
+    );
+    let protocol = ProtocolSpec::Kv {
+        read_mode,
+        hot: if tiers { 16 } else { 8 },
+        preload: 2_000,
+        buckets: 256,
+        amnesiac,
+    };
+    let oracle = if tiers {
+        OracleSpec::Sequential
+    } else {
+        OracleSpec::Linearizable
+    };
     // A reboot's walks add up to ten retransmitted round trips to the tail.
-    let deadline = sched.heal_at() + liveness_bound(&backoff(), THINK, 40);
-    Repro {
-        name: format!(
-            "nemesis-kv-catch-up{}{}",
-            if tiers { "-tiers" } else { "" },
-            if amnesiac { "-amnesiac" } else { "" }
-        ),
-        protocol: ProtocolSpec::Kv {
-            read_mode,
-            hot: if tiers { 16 } else { 8 },
-            preload: 2_000,
-            buckets: 256,
-            amnesiac,
+    catch_up_repro(
+        (name, protocol, oracle),
+        (sim_seed, nemesis_seed),
+        8,
+        (THINK, 40),
+        |c, j| match (j % 3, tiers) {
+            (0, _) => RegisterOp::Write(c * 1_000_000 + j + 1),
+            (1, true) => RegisterOp::ReadAt(Consistency::Sequential),
+            (2, true) if j % 2 == 0 => RegisterOp::ReadAt(Consistency::Regular),
+            _ => RegisterOp::Read,
         },
-        n: N,
-        backoff_base: Some(BACKOFF_BASE),
-        sim: SimConfig::new(sim_seed)
-            .with_loss(0.05)
-            .with_duplication(0.05),
-        schedule: sched,
-        scripts,
-        think: 0,
-        deadline,
-        oracle: if tiers {
-            OracleSpec::Sequential
-        } else {
-            OracleSpec::Linearizable
-        },
-        expected_digest: 0,
-        reason: String::new(),
-    }
+    )
 }
 
-#[test]
-fn kv_serves_during_catch_up_campaign() {
-    // All three read modes, atomic-only and mixed-tier (no tiers on relay:
-    // a relay read returns a census minimum that may be older than the
-    // reader's own replica, which sequential reads do not compose with —
-    // DESIGN §14). Every campaign must pass its oracle on every key, replay
-    // bit-identically, and actually have served from nodes that were still
-    // catching up: the coverage tap counts the operations a restarted node
-    // completed before a later sync reply reached it.
+/// The serve-during-catch-up campaigns: three seed pairs × all three read
+/// modes, atomic-only and mixed-tier (no tiers on relay: a relay read
+/// returns a census minimum that may be older than the reader's own
+/// replica, which sequential reads do not compose with — DESIGN §14).
+/// `campaign(sim_seed, nemesis_seed, read_mode, tiers)` returns its repro,
+/// the trace digest of a second run of it, and how many operations that run
+/// completed on a node still catching up. Every campaign must pass its
+/// oracle and replay bit-identically, and together they must actually have
+/// served from nodes that were catching up.
+fn served_during_catch_up(campaign: impl Fn(u64, u64, ReadMode, bool) -> (Repro, u64, u64)) {
     let mut served_while_catching_up = 0u64;
     for (sim_seed, nemesis_seed) in [(31u64, 131u64), (32, 232), (33, 333)] {
         for (read_mode, tiers) in [
@@ -778,20 +801,12 @@ fn kv_serves_during_catch_up_campaign() {
             (ReadMode::Relay, false),
         ] {
             let under = format!("seeds ({sim_seed},{nemesis_seed}) {read_mode:?} tiers {tiers}");
-            let repro = kv_catch_up_repro(sim_seed, nemesis_seed, read_mode, tiers, false);
-            let (again, coverage) = repro.run_with_coverage();
+            let (repro, again, served) = campaign(sim_seed, nemesis_seed, read_mode, tiers);
             let out = repro
                 .check_or_emit()
                 .unwrap_or_else(|e| panic!("{under}: {e}"));
-            assert_eq!(out.digest, again.digest, "{under}: replays bit-identically");
-            // A cell of bucket b stands for at least 2^(b-1) operations.
-            served_while_catching_up += coverage
-                .cells()
-                .map(|cell| match cell {
-                    Cell::ServedDuringCatchUp(b) => 1 << (b - 1),
-                    _ => 0,
-                })
-                .sum::<u64>();
+            assert_eq!(out.digest, again, "{under}: replays bit-identically");
+            served_while_catching_up += served;
         }
     }
     assert!(
@@ -802,26 +817,38 @@ fn kv_serves_during_catch_up_campaign() {
 }
 
 #[test]
-fn kv_serves_during_catch_up_campaign_convicts_a_store_that_forgets() {
-    // The oracle for the assumption that carries safety: the same campaign
-    // over nodes whose store does not survive a reboot must produce a
-    // per-key linearizability violation within a fixed budget of seeds, and
-    // the conviction must survive the whole artifact pipeline.
-    const BUDGET: u64 = 24;
-    let convicted = (0..BUDGET)
-        .map(|seed| kv_catch_up_repro(seed, seed * 31 + 5, ReadMode::TwoRound, false, true))
+fn kv_serves_during_catch_up_campaign() {
+    // The coverage tap counts the operations a restarted node completed
+    // before a later sync reply reached it.
+    served_during_catch_up(|sim_seed, nemesis_seed, read_mode, tiers| {
+        let repro = kv_catch_up_repro(sim_seed, nemesis_seed, read_mode, tiers, false);
+        let (again, coverage) = repro.run_with_coverage();
+        // A cell of bucket b stands for at least 2^(b-1) operations.
+        let served = coverage
+            .cells()
+            .map(|cell| match cell {
+                Cell::ServedDuringCatchUp(b) => 1 << (b - 1),
+                _ => 0,
+            })
+            .sum();
+        (repro, again.digest, served)
+    });
+}
+
+/// The oracle for the assumption that carries safety: the first of
+/// `candidates` a violation convicts — a campaign over nodes that forget
+/// what they stored — and the conviction carried through the whole artifact
+/// pipeline: check_or_emit -> parse -> shrink -> replay. Amnesia needs a
+/// reboot to show, so the minimal schedule keeps a crash. Returns the
+/// failure message.
+fn convicted_through_the_pipeline(mut candidates: impl Iterator<Item = Repro>) -> String {
+    let convicted = candidates
         .find(|repro| matches!(repro.run().failure, Some(Failure::Violation(_))))
-        .unwrap_or_else(|| panic!("no seed in 0..{BUDGET} convicts the amnesiac store"));
-    let seed = convicted.sim.seed;
+        .expect("some seed within budget convicts the amnesiac nodes");
+    let path = Repro::default_dir().join(format!("{}-{}.ron", convicted.name, convicted.sim.seed));
     let message = convicted
         .check_or_emit()
         .expect_err("the conviction repeats");
-    assert!(
-        message.contains("not linearizable") && message.contains("key 20"),
-        "seed {seed} must fail on a hot key's linearizability: {message}"
-    );
-    // check_or_emit -> parse -> shrink -> replay.
-    let path = Repro::default_dir().join(format!("nemesis-kv-catch-up-amnesiac-{seed}.ron"));
     let emitted = Repro::from_ron(&std::fs::read_to_string(&path).expect("artifact was emitted"))
         .expect("artifact parses");
     assert!(message.contains(&emitted.reason));
@@ -841,6 +868,158 @@ fn kv_serves_during_catch_up_campaign_convicts_a_store_that_forgets() {
     let replay = minimal.run();
     assert_eq!(replay.digest, minimal.expected_digest);
     assert!(matches!(replay.failure, Some(Failure::Violation(_))));
+    message
+}
+
+#[test]
+fn kv_serves_during_catch_up_campaign_convicts_a_store_that_forgets() {
+    // The same campaign over nodes whose store does not survive a reboot
+    // must produce a per-key linearizability violation within 24 seeds.
+    let message = convicted_through_the_pipeline(
+        (0..24).map(|seed| kv_catch_up_repro(seed, seed * 31 + 5, ReadMode::TwoRound, false, true)),
+    );
+    assert!(
+        message.contains("not linearizable") && message.contains("key 20"),
+        "must fail on a hot key's linearizability: {message}"
+    );
+}
+
+/// The register twin of [`kv_catch_up_repro`], with three times the
+/// store's crash waves: a register replica that forgets is set right by the
+/// next `Update` it receives, about a round trip after its reboot under
+/// this load, so only about one campaign in thirty catches a read in that
+/// window at all. Client 0 writes one operation in three and reads
+/// otherwise; the others read. With `tiers` the reads rotate through the
+/// three consistency tiers and the oracle is sequential consistency,
+/// otherwise every read is atomic and so is the oracle.
+fn register_catch_up_repro(
+    sim_seed: u64,
+    nemesis_seed: u64,
+    protocol: ProtocolSpec,
+    tiers: bool,
+) -> Repro {
+    let name = format!(
+        "nemesis-register-catch-up{}",
+        if tiers { "-tiers" } else { "" }
+    );
+    let oracle = if tiers {
+        OracleSpec::Sequential
+    } else {
+        OracleSpec::AtomicSwmr
+    };
+    catch_up_repro(
+        (name, protocol, oracle),
+        (sim_seed, nemesis_seed),
+        24,
+        (20_000, 8),
+        |c, j| match (c, j % 3, tiers) {
+            (0, 0, _) => RegisterOp::Write(j + 1),
+            (_, 1, true) => RegisterOp::ReadAt(Consistency::Sequential),
+            (_, 2, true) => RegisterOp::ReadAt(Consistency::Regular),
+            _ => RegisterOp::Read,
+        },
+    )
+}
+
+/// A [`SwmrNode`] that counts the responses it gives while its catch-up is
+/// still open. It forwards every callback untouched, so a campaign over it
+/// replays the plain node's trace digest.
+struct Watched {
+    node: SwmrNode<u64>,
+    served_catching_up: u64,
+}
+
+type SwmrFx = Effects<SwmrMsg<u64>, RegisterResp<u64>>;
+
+impl Watched {
+    fn watch(&mut self, fx: &mut SwmrFx, call: impl FnOnce(&mut SwmrNode<u64>, &mut SwmrFx)) {
+        let before = fx.responses.len();
+        call(&mut self.node, fx);
+        if self.node.is_recovering() {
+            self.served_catching_up += (fx.responses.len() - before) as u64;
+        }
+    }
+}
+
+impl Protocol for Watched {
+    type Msg = SwmrMsg<u64>;
+    type Op = RegisterOp<u64>;
+    type Resp = RegisterResp<u64>;
+
+    fn id(&self) -> ProcessId {
+        self.node.id()
+    }
+
+    fn on_invoke(&mut self, op: OpId, input: Self::Op, fx: &mut SwmrFx) {
+        self.watch(fx, |node, fx| node.on_invoke(op, input, fx));
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, fx: &mut SwmrFx) {
+        self.watch(fx, |node, fx| node.on_message(from, msg, fx));
+    }
+
+    fn on_timer(&mut self, key: TimerKey, fx: &mut SwmrFx) {
+        self.node.on_timer(key, fx);
+    }
+
+    fn on_restart(&mut self, fx: &mut SwmrFx) {
+        self.watch(fx, |node, fx| node.on_restart(fx));
+    }
+}
+
+/// Replays `repro` (a [`ProtocolSpec::Swmr`] artifact) over [`Watched`]
+/// nodes: its trace digest, and the operations answered by nodes that were
+/// still catching up.
+fn watched_run(repro: &Repro) -> (u64, u64) {
+    let nodes = (0..N)
+        .map(|i| {
+            let cfg = SwmrConfig::new(N, ProcessId(i), ProcessId(0))
+                .with_read_mode(repro.protocol.read_mode())
+                .with_backoff(backoff());
+            Watched {
+                node: SwmrNode::new(cfg, 0),
+                served_catching_up: 0,
+            }
+        })
+        .collect();
+    let mut sim = Sim::new(repro.sim.clone(), nodes);
+    repro.schedule.apply(&mut sim);
+    run_campaign(
+        &mut sim,
+        &repro.schedule,
+        repro.scripts.clone(),
+        repro.think,
+        repro.deadline,
+    );
+    let served = (0..N).map(|i| sim.node(i).served_catching_up).sum();
+    (sim.trace_digest(), served)
+}
+
+#[test]
+fn register_serves_during_catch_up_campaign() {
+    served_during_catch_up(|sim_seed, nemesis_seed, read_mode, tiers| {
+        let swmr = ProtocolSpec::Swmr { read_mode };
+        let repro = register_catch_up_repro(sim_seed, nemesis_seed, swmr, tiers);
+        let (digest, served) = watched_run(&repro);
+        (repro, digest, served)
+    });
+}
+
+#[test]
+fn register_serves_during_catch_up_campaign_convicts_a_replica_that_forgets() {
+    // The same campaign over replicas that answer from their initial state
+    // after a reboot must produce an atomicity violation within 24 seeds.
+    let amnesiac = ProtocolSpec::MutantSwmr {
+        mutant: MutantKind::Amnesiac,
+        every: 0,
+    };
+    let message = convicted_through_the_pipeline(
+        (0..24).map(|seed| register_catch_up_repro(seed, seed * 31 + 5, amnesiac, false)),
+    );
+    assert!(
+        message.contains("not atomic"),
+        "must fail on atomicity: {message}"
+    );
 }
 
 #[test]
@@ -903,7 +1082,6 @@ fn tier_campaign(
         name,
         ProtocolSpec::Swmr {
             read_mode: ReadMode::TwoRound,
-            write_epilogue: false,
         },
         oracle,
         sim_seed,
@@ -1003,7 +1181,6 @@ fn relay_read_overlapping_writer_crash_pinned_campaign() {
             "relay-read-writer-crash",
             ProtocolSpec::Swmr {
                 read_mode: ReadMode::Relay,
-                write_epilogue: false,
             },
             OracleSpec::AtomicSwmr,
             sim_seed,
@@ -1058,43 +1235,16 @@ fn violating_the_majority_envelope_blocks_operations() {
 
 #[test]
 fn flag_off_campaign_trace_digest_is_pinned() {
-    // Golden trace digest of the flag-off (`ReadMode::TwoRound`, no write
-    // epilogue, no batching) fixed-seed SWMR campaign. The fast and relay
-    // read paths, batching, and the repro layers are all opt-in: with every
-    // one of them off, the protocol must execute the exact
-    // byte-for-byte event sequence it always has. If a refactor moves this
-    // digest, it changed flag-off behavior — that is a finding, not a
-    // reason to re-pin (re-derive only for deliberate protocol changes).
+    // Golden trace digest of the flag-off (`ReadMode::TwoRound`, no
+    // batching) fixed-seed SWMR campaign. The fast and relay read paths,
+    // batching, and the repro layers are all opt-in: with every one of them
+    // off, the protocol must execute the exact byte-for-byte event sequence
+    // it always has. If a refactor moves this digest, it changed flag-off
+    // behavior — that is a finding, not a reason to re-pin (re-derive only
+    // for deliberate protocol changes).
     assert_eq!(
         swmr_campaign_cfg(1234, 77, ReadMode::TwoRound),
-        0x17ee86c2e49634af,
+        0x01818fe17d26b1bf,
         "flag-off campaign trace drifted from the pinned golden digest"
     );
-}
-
-#[test]
-#[ignore = "manual tuning probe"]
-fn probe_epilogue_seeds() {
-    let run = |sim_seed: u64, nemesis_seed: u64, epilogue: bool| {
-        let sched = NemesisConfig::new(nemesis_seed, N).plan();
-        soak_repro(
-            "probe-epilogue",
-            ProtocolSpec::Swmr {
-                read_mode: ReadMode::TwoRound,
-                write_epilogue: epilogue,
-            },
-            OracleSpec::AtomicSwmr,
-            sim_seed,
-            sched,
-            swmr_scripts(6),
-        )
-        .check_or_emit()
-        .unwrap_or_else(|e| panic!("epilogue seed ({sim_seed},{nemesis_seed}): {e}"))
-        .digest
-    };
-    for s in 70..110u64 {
-        let on = run(1234, s, true);
-        let off = run(1234, s, false);
-        println!("nemesis seed {s}: differs {}", on != off);
-    }
 }

@@ -96,7 +96,6 @@ fn small_spec() -> SearchSpec {
         name: "search-determinism".to_string(),
         protocol: ProtocolSpec::Swmr {
             read_mode: ReadMode::TwoRound,
-            write_epilogue: false,
         },
         n: 3,
         backoff_base: Some(20_000),

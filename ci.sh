@@ -165,7 +165,7 @@ cargo run -q --release -p abd-bench --bin fig_throughput
 git diff --exit-code -- BENCH_throughput.json \
   || { echo "BENCH_throughput.json drifted from the checked-in artifact"; exit 1; }
 
-echo "==> search bench smoke (coverage-guided vs blind fitness gate, regenerates BENCH_search.json)"
+echo "==> search bench smoke (guided search detects every mutant and round-trips each to a minimal artifact; guided vs blind reported; regenerates BENCH_search.json)"
 cargo run -q --release -p abd-bench --bin fig_search -- --smoke
 git diff --exit-code -- BENCH_search.json \
   || { echo "BENCH_search.json drifted from the checked-in artifact"; exit 1; }

@@ -5,6 +5,8 @@
 //! in `Nanos` through an injected `Arc<dyn Clock>`, so tests can substitute
 //! [`ManualClock`](abd_core::clock::ManualClock) and the `abd-lint`
 //! `wall-clock` rule can pin nondeterministic time to one audited site.
+//! Beside it, `request_exact_timers` makes a node thread's waits for
+//! those deadlines end when they say.
 
 pub use abd_core::clock::{Clock, ManualClock, TickClock};
 
@@ -40,6 +42,26 @@ impl Clock for MonotonicClock {
     fn now(&self) -> Nanos {
         self.epoch.elapsed().as_nanos() as Nanos
     }
+}
+
+/// Asks the kernel to end the calling thread's timed waits on time: Linux
+/// lets a wait overshoot by the thread's timer slack, 50 µs by default, so
+/// a 50 µs wait would last ≈ 100 µs. This sets the slack to 1 ns (writing
+/// `0` would restore the default instead). `/proc/thread-self` has no
+/// `timerslack_ns` of its own, so the file is reached by the thread's id.
+///
+/// Best-effort: does nothing off Linux or where `/proc` refuses the write.
+pub(crate) fn request_exact_timers() {
+    if let Some(path) = timerslack_path() {
+        let _ = std::fs::write(path, "1");
+    }
+}
+
+/// `/proc/<tid>/timerslack_ns` of the calling thread, if `/proc` names it.
+pub(crate) fn timerslack_path() -> Option<String> {
+    let link = std::fs::read_link("/proc/thread-self").ok()?;
+    let tid = link.file_name()?.to_str()?;
+    Some(format!("/proc/{tid}/timerslack_ns"))
 }
 
 #[cfg(test)]

@@ -6,16 +6,19 @@
 //! `select!` timeout only bounds the wait). A command wakes its node at once,
 //! while a peer's message is seen at the node's next poll of its network
 //! channel: the vendored `select!` waits on its first arm, the commands, in
-//! rounds of 50 µs and polls the second between them. Link delay is held
-//! where the message lands, as `Sim` delivers a message at its time to its
-//! target: the sender stamps each message with the time it is due, and the
-//! receiving node keeps it beside its timers until then. The protocol state
-//! machines are the *same objects* the deterministic simulator drives —
-//! this crate is the demonstration that the sans-io core runs on a real
-//! concurrent transport, and it is what the wall-clock benchmark
-//! (`benchmark/`) measures.
+//! rounds of 50 µs and polls the second between them. A round lasts 50 µs
+//! only on a thread with exact timers, so each node thread first asks for
+//! them (`clock::request_exact_timers`); under Linux's default timer slack it
+//! would last ≈ 100 µs, and a held message or timer would be served up to
+//! 50 µs past its due time. Link delay is held where the message lands, as
+//! `Sim` delivers a message at its time to its target: the sender stamps
+//! each message with the time it is due, and the receiving node keeps it
+//! beside its timers until then. The protocol state machines are the *same
+//! objects* the deterministic simulator drives — this crate is the
+//! demonstration that the sans-io core runs on a real concurrent transport,
+//! and it is what the wall-clock benchmark (`benchmark/`) measures.
 
-use crate::clock::{Clock, MonotonicClock};
+use crate::clock::{request_exact_timers, Clock, MonotonicClock};
 use abd_core::context::Protocol;
 use abd_core::host::NodeHost;
 use abd_core::types::{Nanos, OpId, ProcessId};
@@ -285,6 +288,9 @@ fn node_main<P: Protocol>(
     jitter: Jitter,
     clock: Arc<dyn Clock>,
 ) {
+    // Every wait below ends at a deadline: a `select!` round, a held
+    // message's due time or a timer's.
+    request_exact_timers();
     let me = host.node().id();
     let mut waiting: HashMap<OpId, Sender<P::Resp>> = HashMap::new();
     // Delayed messages that have arrived, keyed by (due, arrival order).
@@ -428,6 +434,7 @@ impl<A> HistoryRecorder<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::timerslack_path;
     use abd_core::context::{Effects, TimerKey};
     use abd_core::msg::{RegisterOp, RegisterResp};
     use abd_core::mwmr::{MwmrConfig, MwmrNode};
@@ -978,6 +985,57 @@ mod tests {
         );
         client.cmd_tx.send(Cmd::Shutdown).unwrap();
         handle.join().unwrap();
+    }
+
+    /// A node that records, as it starts, its own thread's timer slack as
+    /// `/proc` reports it (`None`: unreadable).
+    struct SlackProbe {
+        me: ProcessId,
+        slack: Arc<Mutex<Vec<Option<String>>>>,
+    }
+
+    impl Protocol for SlackProbe {
+        type Msg = ();
+        type Op = ();
+        type Resp = ();
+
+        fn id(&self) -> ProcessId {
+            self.me
+        }
+
+        fn on_start(&mut self, _: &mut Effects<(), ()>) {
+            let slack = timerslack_path().and_then(|path| std::fs::read_to_string(path).ok());
+            self.slack.lock().push(slack);
+        }
+
+        fn on_invoke(&mut self, _: OpId, _: (), _: &mut Effects<(), ()>) {}
+
+        fn on_message(&mut self, _: ProcessId, _: (), _: &mut Effects<(), ()>) {}
+
+        fn on_timer(&mut self, _: TimerKey, _: &mut Effects<(), ()>) {}
+    }
+
+    #[test]
+    fn every_node_thread_runs_with_exact_timers() {
+        if !timerslack_path().is_some_and(|path| std::path::Path::new(&path).exists()) {
+            return; // no per-thread timer slack to check off Linux
+        }
+        let slack = Arc::new(Mutex::new(Vec::new()));
+        let nodes = (0..3)
+            .map(|i| SlackProbe {
+                me: ProcessId(i),
+                slack: Arc::clone(&slack),
+            })
+            .collect();
+        let _cluster = Cluster::spawn(nodes, Jitter::None);
+        wait_for("every node to start", || slack.lock().len() == 3);
+        for s in slack.lock().iter() {
+            assert_eq!(
+                s.as_deref(),
+                Some("1\n"),
+                "a node thread's timer slack (ns)"
+            );
+        }
     }
 
     #[test]

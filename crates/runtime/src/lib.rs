@@ -6,15 +6,17 @@
 //! benchmark (`benchmark/`) measures and what the examples demo:
 //!
 //! * [`cluster`] — thread-per-node hosting of any
-//!   [`Protocol`](abd_core::context::Protocol): channel fabric, timer
-//!   wheels, blocking clients, crash injection, optional random link delay
-//!   ([`cluster::Jitter`]) that each receiving node holds until due;
+//!   [`Protocol`](abd_core::context::Protocol): channel fabric, one thread
+//!   driving each node's [`NodeHost`](abd_core::host::NodeHost) (which owns
+//!   its timers), blocking clients, crash injection, optional random link
+//!   delay ([`cluster::Jitter`]) that each receiving node holds until due;
 //! * [`client`] — typed clients for the replicated key-value store and
 //!   [`client::KvRegisterArray`], the adapter that lets every `abd-shmem`
 //!   algorithm run over the ABD emulation unchanged;
 //! * [`clock`] — the wall-clock [`Clock`](abd_core::clock::Clock)
 //!   implementation, the single `Instant` site the `abd-lint` `wall-clock`
-//!   rule permits.
+//!   rule permits, and the request for exact timers every node thread
+//!   makes.
 //!
 //! ```
 //! use abd_runtime::client::{spawn_kv_cluster, KvStoreClient};

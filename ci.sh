@@ -148,6 +148,9 @@ cargo test -q --release -p abd-lincheck --test scale --no-run
 timeout 120 cargo test -q --release -p abd-lincheck --test scale \
   || { echo "lincheck smoke failed or timed out: the linearizability search is no longer near-linear"; exit 1; }
 
+echo "==> T5 atomicity gate (300 schedules per variant: ABD rows violation-free, each baseline shows its anomaly)"
+ABD_T5_SEEDS=300 cargo run -q --release -p abd-bench --bin table_atomicity
+
 echo "==> repro shrink gate (known-bad fixture must minimize to the committed golden)"
 cargo run -q --release -p abd-bench --bin abd_repro -- shrink \
   crates/bench/fixtures/planted-campaign.ron -o target/planted-campaign.min.ron

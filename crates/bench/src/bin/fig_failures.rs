@@ -154,7 +154,7 @@ fn main() {
         let done = run_campaign(&mut sim, &sched, scripts, 5_000, deadline);
         assert!(done, "campaign seed {seed} must complete after healing");
         sim.run_until(sched.heal_at() + 1); // execute any post-completion faults
-        let m = sim.read_path_metrics();
+        let (m, sync) = (sim.metrics(), sim.read_path_metrics());
         f2c.row(vec![
             seed.to_string(),
             m.ops_completed.to_string(),
@@ -164,9 +164,9 @@ fn main() {
             m.dropped_partition.to_string(),
             m.dropped_loss.to_string(),
             m.dropped_crash.to_string(),
-            m.recovery_msgs.to_string(),
-            m.recovery_bytes.to_string(),
-            m.sync_entries_sent.to_string(),
+            sync.recovery_msgs.to_string(),
+            sync.recovery_bytes.to_string(),
+            sync.sync_entries_sent.to_string(),
         ]);
     }
     f2c.print();

@@ -38,7 +38,9 @@ use abd_simnet::{
 const N: usize = 5;
 const BACKOFF_BASE: u64 = 20_000;
 const SIM_SEED: u64 = 4;
-const THINK: u64 = 2_500;
+/// Each client invokes its next operation 10 µs after its own previous one
+/// completed.
+const THINK: u64 = 10_000;
 const OPS: u64 = 150;
 const BUDGET: usize = 48;
 const TRIALS: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];

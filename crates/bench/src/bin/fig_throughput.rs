@@ -43,7 +43,7 @@
 use abd_bench::clusters::{mwmr_sim, swmr_sim, Variant};
 use abd_bench::Table;
 use abd_core::batch::Batched;
-use abd_core::context::{Protocol, ReadPathStats};
+use abd_core::context::{Protocol, ReadPathCounters, ReadPathStats};
 use abd_core::msg::RegisterOp;
 use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
@@ -111,6 +111,7 @@ fn kv_nodes(mode: ReadMode) -> Vec<KvNode<u64, u64>> {
 
 struct RunResult {
     metrics: Metrics,
+    reads: ReadPathCounters,
     makespan: Nanos,
 }
 
@@ -155,21 +156,23 @@ where
             *count += 1;
         }
     }
+    let mut seen = sim.completed().len();
     loop {
         assert!(sim.run_until_ops_complete(u64::MAX / 2), "workload stalled");
-        let done = sim.drain_new_completions();
-        if done.is_empty() {
+        let done = sim.completed().len();
+        if done == seen {
             break;
         }
-        for rec in done {
-            let i = rec.client.index();
+        for k in seen..done {
+            let i = sim.completed()[k].client.index();
             if issued[i] < per_node {
                 sim.invoke(ProcessId(i), gen(&mut rng));
                 issued[i] += 1;
             }
         }
+        seen = done;
     }
-    let metrics = sim.read_path_metrics();
+    let metrics = sim.metrics().clone();
     assert_eq!(
         metrics.ops_completed,
         (N * per_node) as u64,
@@ -177,6 +180,7 @@ where
     );
     RunResult {
         metrics,
+        reads: sim.read_path_metrics(),
         makespan: sim.now(),
     }
 }
@@ -230,11 +234,11 @@ fn variant_json(name: &str, r: &RunResult) -> String {
         r.metrics.sent,
         r.msgs_per_op(),
         r.rounds_per_op(),
-        r.metrics.fast_reads,
-        r.metrics.write_backs,
-        r.metrics.relay_reads,
-        r.metrics.sc_reads,
-        r.metrics.regular_reads,
+        r.reads.fast_reads,
+        r.reads.write_backs,
+        r.reads.relay_reads,
+        r.reads.sc_reads,
+        r.reads.regular_reads,
         r.makespan,
         r.kops_per_virtual_sec(),
     )
@@ -369,21 +373,18 @@ fn main() {
             name.to_string(),
             format!("{:.2}", r.msgs_per_op()),
             format!("{:.2}", r.rounds_per_op()),
-            r.metrics.fast_reads.to_string(),
-            r.metrics.relay_reads.to_string(),
-            r.metrics.write_backs.to_string(),
+            r.reads.fast_reads.to_string(),
+            r.reads.relay_reads.to_string(),
+            r.reads.write_backs.to_string(),
             format!("{:.1}", r.kops_per_virtual_sec()),
         ]);
     }
     table.print();
 
-    assert!(base.metrics.fast_reads == 0, "baseline never elides");
-    assert!(fast.metrics.fast_reads > 0, "fast path must fire");
-    assert!(relay.metrics.relay_reads > 0, "relay path must fire");
-    assert!(
-        relay.metrics.write_backs == 0,
-        "relay reads never write back"
-    );
+    assert!(base.reads.fast_reads == 0, "baseline never elides");
+    assert!(fast.reads.fast_reads > 0, "fast path must fire");
+    assert!(relay.reads.relay_reads > 0, "relay path must fire");
+    assert!(relay.reads.write_backs == 0, "relay reads never write back");
     let reduction = (1.0 - batched.msgs_per_op() / base.msgs_per_op()) * 100.0;
     println!(
         "\nfast+batched sends {reduction:.1}% fewer messages per operation than \
@@ -412,14 +413,14 @@ fn main() {
     // Tier gates: each demotion must pay off against the all-atomic
     // baseline, in messages AND rounds, and the demoted paths must
     // actually have carried the reads.
-    assert!(regular.metrics.regular_reads > 0, "regular tier must fire");
+    assert!(regular.reads.regular_reads > 0, "regular tier must fire");
     assert!(
-        regular.metrics.write_backs == 0,
+        regular.reads.write_backs == 0,
         "regular reads never write back"
     );
-    assert!(mixed.metrics.sc_reads > 0, "SC tier must fire");
+    assert!(mixed.reads.sc_reads > 0, "SC tier must fire");
     assert!(
-        mixed.metrics.write_backs > 0,
+        mixed.reads.write_backs > 0,
         "the 1% atomic reads must still pay their write-backs"
     );
     let regular_reduction = (1.0 - regular.msgs_per_op() / base.msgs_per_op()) * 100.0;

@@ -10,10 +10,11 @@
 //! * every nondeterministic choice drawn from one **seeded RNG** — a seed
 //!   *is* an execution, so any failure replays exactly;
 //! * **fault injection**: crash schedules, network partitions with healing,
-//!   per-message loss and duplication, FIFO or fully reorderable links
+//!   per-message loss and duplication over fully reorderable links
 //!   ([`SimConfig`]);
-//! * **workload harness** ([`harness`], [`workload`]): closed-loop clients
-//!   running generated read/write scripts, with completed executions
+//! * **workload harness** ([`harness`], [`workload`]): closed-loop clients,
+//!   each paced by its own completions, running generated read/write
+//!   scripts, with completed executions
 //!   exported as `abd-lincheck` histories for consistency checking.
 //!
 //! ## Example: a seeded adversarial run, checked for atomicity

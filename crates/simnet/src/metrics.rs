@@ -41,33 +41,6 @@ pub struct Metrics {
     pub ops_resolved: u64,
     /// Sum of completed-operation latencies (virtual nanoseconds).
     pub total_op_latency: Nanos,
-    /// Reads completed on the one-round fast path (write-back elided).
-    /// Stays zero in [`crate::Sim::metrics`] — the simulator cannot see
-    /// protocol-internal counters; use [`crate::Sim::read_path_metrics`]
-    /// to fold the per-node sums in.
-    pub fast_reads: u64,
-    /// Reads that actually ran the write-back phase. Same caveat as
-    /// [`Metrics::fast_reads`].
-    pub write_backs: u64,
-    /// Reads completed through the relay (one-and-a-half-round) path.
-    /// Same caveat as [`Metrics::fast_reads`].
-    pub relay_reads: u64,
-    /// Reads completed at `Consistency::Sequential` (served from the local
-    /// replica, zero rounds). Same caveat as [`Metrics::fast_reads`].
-    pub sc_reads: u64,
-    /// Reads completed at `Consistency::Regular` (query round only). Same
-    /// caveat as [`Metrics::fast_reads`].
-    pub regular_reads: u64,
-    /// Sync-protocol messages sent (the Merkle walk's requests and
-    /// replies), across recovery and background anti-entropy. Same caveat
-    /// as [`Metrics::fast_reads`].
-    pub recovery_msgs: u64,
-    /// Estimated payload bytes of those sync messages. Same caveat as
-    /// [`Metrics::fast_reads`].
-    pub recovery_bytes: u64,
-    /// `(key, tag, value)` entries shipped in sync replies. Same caveat as
-    /// [`Metrics::fast_reads`].
-    pub sync_entries_sent: u64,
 }
 
 impl Metrics {

@@ -13,9 +13,10 @@
 //! itself a property worth testing.
 //!
 //! Campaigns compose with the closed-loop workload driver
-//! ([`run_campaign`]): clients whose node crashes lose their in-flight
-//! operation (aborted, kept for histories) and resume their script when the
-//! node rejoins via its catch-up query phase. After [`heal_at`] every
+//! ([`run_campaign`]): each client runs from its own completions, a client
+//! whose node crashes loses its in-flight operation (aborted, kept for
+//! histories) and resumes its script `think` after the node rejoins,
+//! beside the node's catch-up. After [`heal_at`] every
 //! remaining operation must finish within [`liveness_bound`] — a bound
 //! derived from the retransmission backoff cap, not a guess.
 //!
@@ -25,10 +26,9 @@ use crate::sim::Sim;
 use abd_core::context::Protocol;
 use abd_core::quorum::majority_threshold;
 use abd_core::retransmit::BackoffPolicy;
-use abd_core::types::{Nanos, OpId, ProcessId};
+use abd_core::types::{Nanos, ProcessId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, VecDeque};
 
 /// Domain-separation salt so a nemesis seed never collides with the
 /// simulator's own RNG stream for the same integer.
@@ -641,11 +641,13 @@ pub fn liveness_bound(policy: &BackoffPolicy, max_latency: Nanos, max_backlog: u
     (2 * max_backlog.max(1) + 1) * round
 }
 
-/// Runs one script per client under a nemesis campaign, closed-loop and
-/// crash-aware: an operation lost to a client crash is abandoned (it stays
-/// visible to histories via [`Sim::pending_details`]) and the client resumes
-/// the rest of its script once its node rejoins. Returns `true` if every
-/// surviving operation completed by `deadline`.
+/// Runs one script per client under a nemesis campaign: the closed loop of
+/// [`crate::harness`], client `i` invoking its first operation at
+/// `now + schedule.invoker_skew(i)` and each later one `think` after its own
+/// previous operation completed. An operation lost to the client's crash is
+/// abandoned (it stays visible to histories via [`Sim::pending_details`])
+/// and the client resumes its script `think` after its node rejoins. Returns
+/// `true` if every surviving operation completed by `deadline`.
 ///
 /// The schedule must already be [`apply`](NemesisSchedule::apply)-ed; this
 /// only honors the per-client invoker skews and drives the scripts.
@@ -663,63 +665,9 @@ pub fn run_campaign<P>(
 where
     P: Protocol,
     P::Op: Clone,
-    P::Resp: Clone,
 {
-    assert!(scripts.len() <= sim.n(), "more scripts than nodes");
-    let mut queues: Vec<VecDeque<P::Op>> = scripts.into_iter().map(VecDeque::from).collect();
-    let mut outstanding: Vec<Option<OpId>> = vec![None; queues.len()];
-    let mut next_earliest: Vec<Nanos> = (0..queues.len())
-        .map(|i| sim.now() + schedule.invoker_skew(ProcessId(i)))
-        .collect();
-    let _ = sim.drain_new_completions();
-    let slice: Nanos = (think.max(1) * 4).max(10_000);
-    loop {
-        // Launch the next operation of every idle, live client.
-        for i in 0..queues.len() {
-            if outstanding[i].is_none()
-                && !queues[i].is_empty()
-                && sim.is_alive(i)
-                && sim.now() >= next_earliest[i]
-            {
-                let op = queues[i].pop_front().expect("checked non-empty");
-                outstanding[i] = Some(sim.invoke(ProcessId(i), op));
-            }
-        }
-        let drained = queues.iter().all(VecDeque::is_empty);
-        let idle = outstanding.iter().all(Option::is_none);
-        if drained && idle {
-            return true;
-        }
-        if sim.now() >= deadline {
-            return false;
-        }
-        let target = (sim.now() + slice).min(deadline);
-        sim.run_until(target);
-        // Reconcile: completions free their client; aborted or lost
-        // invocations (client crashed) free it too, without retry — the
-        // value may already have taken effect, so replaying it could forge
-        // a duplicate write.
-        for rec in sim.drain_new_completions() {
-            let c = rec.client.index();
-            if c < outstanding.len() && outstanding[c] == Some(rec.op) {
-                outstanding[c] = None;
-                next_earliest[c] = sim.now() + think;
-            }
-        }
-        let inflight: BTreeSet<OpId> = sim.pending_ops().into_iter().collect();
-        let aborted: BTreeSet<OpId> = sim
-            .aborted_details()
-            .iter()
-            .map(|(op, _, _, _)| *op)
-            .collect();
-        for (i, slot) in outstanding.iter_mut().enumerate() {
-            if let Some(op) = *slot {
-                if aborted.contains(&op) || (!sim.is_alive(i) && !inflight.contains(&op)) {
-                    *slot = None;
-                }
-            }
-        }
-    }
+    let skew = |i| schedule.invoker_skew(ProcessId(i));
+    crate::harness::drive(sim, scripts, skew, think, deadline)
 }
 
 #[cfg(test)]
@@ -729,6 +677,7 @@ mod tests {
     use crate::workload::history_from_sim;
     use abd_core::msg::RegisterOp;
     use abd_core::swmr::{SwmrConfig, SwmrNode};
+    use std::collections::BTreeSet;
 
     #[test]
     fn planning_is_deterministic() {
@@ -964,5 +913,41 @@ mod tests {
         );
         let history = history_from_sim(0, &sim);
         assert!(abd_lincheck::is_atomic_swmr(&history));
+    }
+
+    #[test]
+    fn campaign_clients_start_at_their_skew_and_think_exactly() {
+        const THINK: Nanos = 3_000;
+        let nodes: Vec<SwmrNode<u64>> = (0..3)
+            .map(|i| SwmrNode::new(SwmrConfig::new(3, ProcessId(i), ProcessId(0)), 0))
+            .collect();
+        let mut sim = Sim::new(SimConfig::new(8), nodes);
+        let skews = vec![0, 7_000, 13_000];
+        let sched = NemesisSchedule::from_faults(vec![], 0, skews.clone(), 2);
+        let scripts = (0..3)
+            .map(|c| {
+                (1..=4)
+                    .map(|k| match c {
+                        0 => RegisterOp::Write(k),
+                        _ => RegisterOp::Read,
+                    })
+                    .collect()
+            })
+            .collect();
+        assert!(run_campaign(
+            &mut sim,
+            &sched,
+            scripts,
+            THINK,
+            1_000_000_000
+        ));
+        for (c, skew) in skews.into_iter().enumerate() {
+            let mut next = skew;
+            for rec in sim.completed().iter().filter(|r| r.client.index() == c) {
+                assert_eq!(rec.invoked_at, next, "client {c}");
+                next = rec.completed_at + THINK;
+            }
+        }
+        assert_eq!(sim.completed().len(), 12);
     }
 }

@@ -761,7 +761,8 @@ mod tests {
         // update round and a second read to surface a new/old inversion.
         // The scripts are long enough that the clients stay busy across
         // the whole fault horizon — faults that fire after the workload
-        // drains can never provoke anything.
+        // drains can never provoke anything — at one operation per client
+        // every 10 µs.
         let scripts = (0..5)
             .map(|c| {
                 (0..64u64)
@@ -782,7 +783,7 @@ mod tests {
             backoff_base: Some(20_000),
             sim: SimConfig::new(4),
             scripts,
-            think: 1_500,
+            think: 10_000,
             oracle: OracleSpec::AtomicSwmr,
             deadline_slack: 200_000_000,
         }
@@ -1005,7 +1006,7 @@ mod tests {
             (NonMonotonicTag, 0),
         ];
         for (mutant, every) in zoo {
-            // F7's frame: 150 operations per client, 2.5 µs apart.
+            // F7's frame: 150 operations per client, 10 µs apart.
             let mut s = spec(ProtocolSpec::MutantSwmr { mutant, every });
             for (c, script) in s.scripts.iter_mut().enumerate() {
                 *script = (0..150u64)
@@ -1015,7 +1016,7 @@ mod tests {
                     })
                     .collect();
             }
-            s.think = 2_500;
+            s.think = 10_000;
             for seed in 0..8u64 {
                 let g = guided_search(&s, seed, 48);
                 let b = blind_search(&s, seed, 48);

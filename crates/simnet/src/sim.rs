@@ -9,7 +9,7 @@
 
 use crate::config::SimConfig;
 use crate::metrics::Metrics;
-use abd_core::context::{Protocol, ReadPathStats, TimerKey};
+use abd_core::context::{Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use abd_core::host::{Armed, NodeHost};
 use abd_core::types::{Nanos, OpId, ProcessId};
 use rand::rngs::SmallRng;
@@ -250,7 +250,6 @@ where
     aborted: Vec<(OpId, ProcessId, P::Op, Nanos)>,
     /// Per-node gray-failure latency multiplier (1 = healthy).
     gray: Vec<u32>,
-    drained: usize,
     /// Running FNV-1a digest of every processed event — the determinism
     /// gate's fingerprint of the execution.
     digest: u64,
@@ -288,7 +287,6 @@ where
             completed: Vec::new(),
             aborted: Vec::new(),
             gray: vec![1; n],
-            drained: 0,
             digest: FNV_OFFSET,
             trace: None,
             trace_cap: 512,
@@ -330,24 +328,6 @@ where
     /// All completed operations, in completion order.
     pub fn completed(&self) -> &[OpRecord<P::Op, P::Resp>] {
         &self.completed
-    }
-
-    /// Completions recorded since the previous call — the hook closed-loop
-    /// workloads use to issue follow-up operations.
-    pub fn drain_new_completions(&mut self) -> Vec<OpRecord<P::Op, P::Resp>>
-    where
-        P::Resp: Clone,
-    {
-        let new = self.completed[self.drained..].to_vec();
-        self.drained = self.completed.len();
-        new
-    }
-
-    /// Operations invoked but not yet completed.
-    pub fn pending_ops(&self) -> Vec<OpId> {
-        let mut v: Vec<OpId> = self.invoked.keys().copied().collect();
-        v.sort();
-        v
     }
 
     /// Details of every operation that may still take effect without ever
@@ -715,6 +695,36 @@ where
         true
     }
 
+    /// Runs until an event that frees or strands a client — a response is
+    /// recorded, a crash aborts operations, an invocation is lost on a down
+    /// node, a node restarts — and returns the node it happened on; `None`
+    /// once the queue is empty or its next event lies past `until`. The
+    /// closed-loop driver wakes on these alone.
+    pub(crate) fn run_until_client_event(&mut self, until: Nanos) -> Option<ProcessId> {
+        // A live invocation moves one count from `queued_invokes` to
+        // `ops_invoked`; a lost one leaves the sum one lower.
+        let mark = |s: &Self| {
+            (
+                s.completed.len(),
+                s.metrics.ops_aborted,
+                s.metrics.restarts,
+                s.queued_invokes + s.metrics.ops_invoked,
+            )
+        };
+        let before = mark(self);
+        while let Some(ev) = self.queue.peek() {
+            if ev.at > until {
+                return None;
+            }
+            let target = ev.target;
+            self.step();
+            if mark(self) != before {
+                return Some(target);
+            }
+        }
+        None
+    }
+
     /// Carries out and empties node `from`'s outbox: routes its sends, then
     /// queues an event for each timer it armed (a stale one too: `fire`
     /// passes over it), then records its responses.
@@ -810,23 +820,20 @@ impl<P: Protocol + ReadPathStats> Sim<P>
 where
     P::Op: Clone,
 {
-    /// Accumulated counters with the per-node read-path counters folded
-    /// in: a copy of [`Sim::metrics`] whose
-    /// [`fast_reads`](Metrics::fast_reads) /
-    /// [`write_backs`](Metrics::write_backs) fields hold the sums across
-    /// all nodes.
-    pub fn read_path_metrics(&self) -> Metrics {
+    /// The nodes' read-path and sync counters, summed across all nodes —
+    /// what the simulator itself cannot see.
+    pub fn read_path_metrics(&self) -> ReadPathCounters {
         let sum = |count: fn(&P) -> u64| self.hosts.iter().map(|h| count(h.node())).sum();
-        let mut m = self.metrics.clone();
-        m.fast_reads = sum(P::fast_reads);
-        m.write_backs = sum(P::write_backs);
-        m.relay_reads = sum(P::relay_reads);
-        m.sc_reads = sum(P::sc_reads);
-        m.regular_reads = sum(P::regular_reads);
-        m.recovery_msgs = sum(P::recovery_msgs);
-        m.recovery_bytes = sum(P::recovery_bytes);
-        m.sync_entries_sent = sum(P::sync_entries_sent);
-        m
+        ReadPathCounters {
+            fast_reads: sum(P::fast_reads),
+            write_backs: sum(P::write_backs),
+            relay_reads: sum(P::relay_reads),
+            sc_reads: sum(P::sc_reads),
+            regular_reads: sum(P::regular_reads),
+            recovery_msgs: sum(P::recovery_msgs),
+            recovery_bytes: sum(P::recovery_bytes),
+            sync_entries_sent: sum(P::sync_entries_sent),
+        }
     }
 }
 
@@ -948,7 +955,7 @@ mod tests {
     }
 
     #[test]
-    fn read_path_metrics_folds_node_counters_in() {
+    fn read_path_metrics_sums_node_counters() {
         let nodes = (0..5)
             .map(|i| {
                 SwmrNode::new(
@@ -963,13 +970,10 @@ mod tests {
         assert!(sim.run_until_ops_complete(1_000_000));
         sim.invoke(ProcessId(2), RegisterOp::Read);
         assert!(sim.run_until_ops_complete(2_000_000));
-        // Plain metrics() cannot see the elision; the folded copy can.
-        assert_eq!(sim.metrics().fast_reads, 0);
         let m = sim.read_path_metrics();
         assert_eq!(m.fast_reads, 1);
         assert_eq!(m.write_backs, 0);
         assert_eq!(m.relay_reads, 0);
-        assert_eq!(m.sent, sim.metrics().sent);
     }
 
     #[test]
@@ -1041,7 +1045,7 @@ mod tests {
         }
         sim.invoke_at(10, ProcessId(0), RegisterOp::Write(5));
         assert!(!sim.run_until_ops_complete(10_000_000));
-        assert_eq!(sim.pending_ops().len(), 1);
+        assert_eq!(sim.pending_details().len(), 1);
         assert_eq!(sim.metrics().ops_completed, 0);
     }
 
@@ -1165,18 +1169,6 @@ mod tests {
         assert!(!sim.has_waiting_ops(), "not once it is lost");
         assert_eq!(sim.metrics().ops_invoked, 0);
         assert!(sim.completed().is_empty());
-    }
-
-    #[test]
-    fn drain_new_completions_is_incremental() {
-        let mut sim = swmr_cluster(3, 2);
-        sim.invoke(ProcessId(0), RegisterOp::Write(1));
-        sim.run_until_quiet(1_000_000);
-        assert_eq!(sim.drain_new_completions().len(), 1);
-        assert_eq!(sim.drain_new_completions().len(), 0);
-        sim.invoke(ProcessId(1), RegisterOp::Read);
-        sim.run_until_quiet(10_000_000);
-        assert_eq!(sim.drain_new_completions().len(), 1);
     }
 
     #[test]

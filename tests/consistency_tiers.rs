@@ -72,12 +72,12 @@ fn inversion_repro(sim_seed: u64) -> Repro {
     let sched = NemesisSchedule::from_faults(
         vec![
             PlannedFault::Partition {
-                at: 50_003,
+                at: 40_003,
                 groups: vec![1, 1, 0, 0, 0],
-                heal_at: 350_003,
+                heal_at: 340_003,
             },
             PlannedFault::Crash {
-                at: 70_003,
+                at: 55_003,
                 node: ProcessId(0),
                 restart_at: 900_000,
             },
@@ -115,7 +115,7 @@ fn inversion_repro(sim_seed: u64) -> Repro {
 fn stash_repro(sim_seed: u64) -> Repro {
     let sched = NemesisSchedule::from_faults(
         vec![PlannedFault::Crash {
-            at: 55_000,
+            at: 20_000,
             node: ProcessId(0),
             restart_at: 900_000,
         }],

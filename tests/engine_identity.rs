@@ -7,9 +7,11 @@
 //! The constants were computed on the two hand-written node types
 //! (`swmr.rs` / `mwmr.rs` at commit 4147333) **before** they were collapsed
 //! into `abd_core::register::RegisterNode`, and the engine reproduced every
-//! one. They were re-pinned once since, with the variant table below, when
+//! one. They were re-pinned twice since, with the variant table below: when
 //! a rebooted register began to serve at once and to roll its interrupted
-//! write forward (CHANGES.md lists the old constants). A row that moves
+//! write forward, and when campaign clients began to run from their own
+//! completions instead of 10 µs slices (CHANGES.md lists the old constants
+//! both times). A row that moves
 //! means a handler reordered, added or dropped an effect — a finding, not a
 //! reason to re-pin.
 //!
@@ -41,14 +43,14 @@ use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::{Consistency, OpId, ProcessId, ReadMode};
 use abd_kv::{KvConfig, KvMsg, KvNode, KvOp, KvResp};
 use abd_repro::simnet::nemesis::liveness_bound;
-use abd_repro::simnet::{run_campaign, Metrics, NemesisConfig, PlannedFault, Sim, SimConfig};
+use abd_repro::simnet::{
+    run_campaign, Metrics, NemesisConfig, NemesisSchedule, PlannedFault, Sim, SimConfig,
+};
 use std::sync::Arc;
 
 const N: usize = 5;
 const OPS: u64 = 9;
 const SIM_SEED: u64 = 1234;
-/// Probed: crashes the writer while a write is in flight, so every SWMR row
-/// rolls that write forward.
 const NEMESIS_SEED: u64 = 71;
 
 fn backoff() -> BackoffPolicy {
@@ -100,25 +102,64 @@ fn mwmr_scripts() -> Vec<Vec<RegisterOp<u64>>> {
         .collect()
 }
 
-/// Runs the campaign to completion; returns the trace digest and the
-/// metrics with the per-node read-path counters summed in.
-fn campaign<P>(nodes: Vec<P>, scripts: Vec<Vec<RegisterOp<u64>>>) -> (u64, Metrics)
+/// What a register row's run reports: the trace digest, the simulator's
+/// metrics and the nodes' read-path counters summed.
+type Counted = (u64, Metrics, ReadPathCounters);
+
+/// The register rows' campaign: nemesis seed 71's plan with the writer's
+/// first crash (planned at 81.6 µs) moved onto its second write, in flight
+/// over 47.5–55.1 µs in every SWMR row, so every SWMR row rolls that write
+/// forward.
+fn register_schedule() -> NemesisSchedule {
+    let planned = NemesisConfig::new(NEMESIS_SEED, N).plan();
+    let mut faults = planned.faults().to_vec();
+    let first = faults
+        .iter()
+        .position(|f| {
+            matches!(
+                f,
+                PlannedFault::Crash {
+                    node: ProcessId(0),
+                    ..
+                }
+            )
+        })
+        .expect("seed 71 crashes the writer");
+    let PlannedFault::Crash { restart_at, .. } = faults[first] else {
+        unreachable!("matched a crash")
+    };
+    faults[first] = PlannedFault::Crash {
+        at: 50_000,
+        node: ProcessId(0),
+        restart_at,
+    };
+    NemesisSchedule::from_faults(
+        faults,
+        planned.heal_at(),
+        planned.skews().to_vec(),
+        planned.min_alive(),
+    )
+}
+
+/// Runs the campaign to completion.
+fn campaign<P>(nodes: Vec<P>, scripts: Vec<Vec<RegisterOp<u64>>>) -> Counted
 where
     P: Protocol<Op = RegisterOp<u64>, Resp = RegisterResp<u64>> + ReadPathStats,
 {
     let mut sim = Sim::new(SimConfig::new(SIM_SEED), nodes);
-    let sched = NemesisConfig::new(NEMESIS_SEED, N).plan();
-    assert!(sched.respects_min_alive(N));
+    let sched = register_schedule();
+    assert!(sched.validate(N).is_ok());
     sched.apply(&mut sim);
     let deadline = sched.heal_at() + liveness_bound(&backoff(), 20_000, 8);
     assert!(
         run_campaign(&mut sim, &sched, scripts, 5_000, deadline),
         "every surviving operation must complete after healing"
     );
-    (sim.trace_digest(), sim.read_path_metrics())
+    let m = sim.metrics().clone();
+    (sim.trace_digest(), m, sim.read_path_metrics())
 }
 
-fn swmr(read_mode: ReadMode) -> (u64, Metrics) {
+fn swmr(read_mode: ReadMode) -> Counted {
     let nodes: Vec<SwmrNode<u64>> = (0..N)
         .map(|i| {
             let cfg = SwmrConfig::new(N, ProcessId(i), ProcessId(0))
@@ -130,7 +171,7 @@ fn swmr(read_mode: ReadMode) -> (u64, Metrics) {
     campaign(nodes, swmr_scripts())
 }
 
-fn mwmr(read_mode: ReadMode) -> (u64, Metrics) {
+fn mwmr(read_mode: ReadMode) -> Counted {
     let nodes: Vec<MwmrNode<u64>> = (0..N)
         .map(|i| {
             let cfg = MwmrConfig::new(N, ProcessId(i))
@@ -145,16 +186,19 @@ fn mwmr(read_mode: ReadMode) -> (u64, Metrics) {
 /// One row of the table: the run must have walked the paths the row is
 /// named for — otherwise a pinned digest proves nothing about them — and
 /// must reproduce the pre-refactor trace digest and `Metrics::sent`.
-fn check(row: &str, (digest, m): (u64, Metrics), want_digest: u64, want_sent: u64) {
-    assert!(m.sc_reads > 0 && m.regular_reads > 0, "{row}: tiers idle");
+fn check(row: &str, (digest, m, reads): Counted, want_digest: u64, want_sent: u64) {
+    assert!(
+        reads.sc_reads > 0 && reads.regular_reads > 0,
+        "{row}: tiers idle"
+    );
     assert!(m.retransmissions > 0, "{row}: no retransmission fired");
     assert!(m.restarts > 0, "{row}: no node restarted");
     let atomic_path = if row.contains("relay") {
-        m.relay_reads
+        reads.relay_reads
     } else if row.contains("fast") {
-        m.fast_reads
+        reads.fast_reads
     } else {
-        m.write_backs
+        reads.write_backs
     };
     assert!(atomic_path > 0, "{row}: atomic read path idle");
     if row.starts_with("swmr") {
@@ -173,12 +217,12 @@ fn check(row: &str, (digest, m): (u64, Metrics), want_digest: u64, want_sent: u6
 #[test]
 fn engine_identity_table_is_pinned() {
     use ReadMode::{FastUnanimous, Relay, TwoRound};
-    check("swmr/two-round", swmr(TwoRound), 0x8362184d6845d7a0, 447);
-    check("swmr/fast", swmr(FastUnanimous), 0xc78f26c99881ed65, 349);
-    check("swmr/relay", swmr(Relay), 0x31892a2a3871fa7c, 568);
-    check("mwmr/two-round", mwmr(TwoRound), 0x46b31e492c2ad1d6, 695);
-    check("mwmr/fast", mwmr(FastUnanimous), 0xd298e1675ccb90d8, 707);
-    check("mwmr/relay", mwmr(Relay), 0x2840593b5017c87b, 768);
+    check("swmr/two-round", swmr(TwoRound), 0xbac566138292d424, 376);
+    check("swmr/fast", swmr(FastUnanimous), 0x150b2cd9e3e2c76a, 324);
+    check("swmr/relay", swmr(Relay), 0xc44d624956ee1038, 443);
+    check("mwmr/two-round", mwmr(TwoRound), 0x24a84bbba316c613, 537);
+    check("mwmr/fast", mwmr(FastUnanimous), 0x875f15a04372dab4, 526);
+    check("mwmr/relay", mwmr(Relay), 0xa4c8ed7d9d23f0c6, 550);
 }
 
 // ---- the key-value half ----
@@ -228,7 +272,10 @@ where
 /// partitions, loss bursts over 5 % background loss and 5 % duplication —
 /// to a fixed virtual instant, by which every surviving operation must be
 /// done. `op(c, i)` is node `c`'s `i`-th invocation.
-fn kv_campaign<P>(nodes: Vec<P>, op: impl Fn(usize, u64) -> P::Op) -> (KvPins, Metrics, Sim<P>)
+fn kv_campaign<P>(
+    nodes: Vec<P>,
+    op: impl Fn(usize, u64) -> P::Op,
+) -> (KvPins, Metrics, ReadPathCounters, Sim<P>)
 where
     P: Protocol<Resp = KvResp<u64>> + ReadPathStats,
     P::Op: Clone,
@@ -258,15 +305,15 @@ where
         KvResp::GetOk(None) => 0,
         KvResp::GetOk(Some(v)) => v,
     });
-    let m = sim.read_path_metrics();
+    let (m, r) = (sim.metrics().clone(), sim.read_path_metrics());
     let reads = [
-        m.fast_reads,
-        m.write_backs,
-        m.relay_reads,
-        m.sc_reads,
-        m.regular_reads,
+        r.fast_reads,
+        r.write_backs,
+        r.relay_reads,
+        r.sc_reads,
+        r.regular_reads,
     ];
-    ((sim.trace_digest(), m.sent, responses, reads), m, sim)
+    ((sim.trace_digest(), m.sent, responses, reads), m, r, sim)
 }
 
 fn kv_nodes(cfg: impl Fn(KvConfig) -> KvConfig) -> Vec<KvNode<u32, u64>> {
@@ -277,11 +324,11 @@ fn kv_nodes(cfg: impl Fn(KvConfig) -> KvConfig) -> Vec<KvNode<u32, u64>> {
 
 /// The checks every KV row shares: tiers, retransmission, restarts and the
 /// catch-up all ran, a crash caught operations in flight, and the pins hold.
-fn check_kv(row: &str, pins: KvPins, m: &Metrics, want: KvPins) {
-    assert!(m.sc_reads > 0 && m.regular_reads > 0, "{row}: tiers idle");
+fn check_kv(row: &str, pins: KvPins, m: &Metrics, r: &ReadPathCounters, want: KvPins) {
+    assert!(r.sc_reads > 0 && r.regular_reads > 0, "{row}: tiers idle");
     assert!(m.retransmissions > 0, "{row}: no retransmission fired");
     assert!(m.restarts > 0, "{row}: no node restarted");
-    assert!(m.recovery_msgs > 0, "{row}: no catch-up ran");
+    assert!(r.recovery_msgs > 0, "{row}: no catch-up ran");
     assert!(m.ops_aborted > 0, "{row}: no crash caught an operation");
     assert_eq!(
         pins, want,
@@ -376,12 +423,13 @@ impl ReadPathStats for Requorum {
 #[test]
 fn kv_identity_table_is_pinned() {
     use ReadMode::{FastUnanimous, Relay, TwoRound};
-    let (pins, m, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(TwoRound)), kv_op);
-    assert!(m.write_backs > 0, "kv/two-round: atomic read path idle");
+    let (pins, m, r, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(TwoRound)), kv_op);
+    assert!(r.write_backs > 0, "kv/two-round: atomic read path idle");
     check_kv(
         "kv/two-round",
         pins,
         &m,
+        &r,
         (
             // Re-pinned: under 64 keys, so each reboot was one bulk pull; it is
             // a walk per peer now, whose sends shift every later latency draw.
@@ -392,15 +440,16 @@ fn kv_identity_table_is_pinned() {
         ),
     );
 
-    let (pins, m, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(FastUnanimous)), kv_op);
+    let (pins, m, r, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(FastUnanimous)), kv_op);
     assert!(
-        m.fast_reads > 0 && m.write_backs > 0,
+        r.fast_reads > 0 && r.write_backs > 0,
         "kv/fast: a path idle"
     );
     check_kv(
         "kv/fast",
         pins,
         &m,
+        &r,
         (
             // Re-pinned: bulk pulls became walks, as in kv/two-round.
             0x47aa801570b238a6,
@@ -410,12 +459,13 @@ fn kv_identity_table_is_pinned() {
         ),
     );
 
-    let (pins, m, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(Relay)), kv_op);
-    assert!(m.relay_reads > 0, "kv/relay: atomic read path idle");
+    let (pins, m, r, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(Relay)), kv_op);
+    assert!(r.relay_reads > 0, "kv/relay: atomic read path idle");
     check_kv(
         "kv/relay",
         pins,
         &m,
+        &r,
         (
             // Re-pinned: bulk pulls became walks, as in kv/two-round.
             0x3e2cae3bf05944f0,
@@ -428,8 +478,8 @@ fn kv_identity_table_is_pinned() {
     // Merkle walks on every reboot and a sweep every 150 µs: walks draw
     // their ids from the operations' counter and share their timers.
     let walking = |c: KvConfig| c.with_sync_buckets(8).with_anti_entropy(150_000);
-    let (pins, m, sim) = kv_campaign(kv_nodes(walking), kv_op);
-    assert!(m.write_backs > 0, "kv/walks+sweep: atomic read path idle");
+    let (pins, m, r, sim) = kv_campaign(kv_nodes(walking), kv_op);
+    assert!(r.write_backs > 0, "kv/walks+sweep: atomic read path idle");
     assert!(
         (0..N).any(|i| sim.node(i).max_walk_rounds() > 1),
         "kv/walks+sweep: no walk descended"
@@ -438,6 +488,7 @@ fn kv_identity_table_is_pinned() {
         "kv/walks+sweep",
         pins,
         &m,
+        &r,
         (
             // Re-pinned: every walk, a reboot's or a sweep's, lost the two
             // messages of its root-digest handshake (`sent` was 5152).
@@ -463,7 +514,7 @@ fn kv_identity_table_is_pinned() {
             }
         })
         .collect();
-    let (pins, m, sim) = kv_campaign(mixed, |c, i| {
+    let (pins, m, r, sim) = kv_campaign(mixed, |c, i| {
         if i % (4 * LANES) == 4 * LANES - 1 {
             RqOp::Requorum((i / (4 * LANES)).is_multiple_of(2))
         } else {
@@ -481,13 +532,14 @@ fn kv_identity_table_is_pinned() {
         "kv/requorum: a kind of round was never in flight at a requorum: {caught:?} of {PHASES:?}"
     );
     assert!(
-        m.relay_reads > 0 && m.write_backs > 0,
+        r.relay_reads > 0 && r.write_backs > 0,
         "kv/requorum: a path idle"
     );
     check_kv(
         "kv/requorum",
         pins,
         &m,
+        &r,
         (
             // Re-pinned: bulk pulls became walks, as in kv/two-round, and a
             // requorum drops a reboot's walks where it dropped its pull.
@@ -506,8 +558,7 @@ fn kv_identity_table_is_pinned() {
 // c95f798). The constants below were computed on those copies **before**
 // they became instantiations of the register shell over the engine (the
 // commit before the merge carries this table, passing on them), and
-// re-pinned with the register table when a rebooted register began to
-// serve at once and to roll its interrupted write forward. Plain
+// re-pinned with the register table both times it moved. Plain
 // `Read` / `Write` scripts only: the hand-written nodes served every tier
 // atomically, so a tiered read means something else after the merge.
 
@@ -524,10 +575,10 @@ use std::rc::Rc;
 /// fold of every completed operation's id, completion time and response.
 type VariantPins = (u64, u64, u64);
 
-/// `(operations per client, think time)`. `run_campaign` launches in slices
-/// of four think times, so this is 40 operations 100 µs apart: every client
-/// stays busy past the last crash wave.
-const VARIANT_LOAD: (u64, u64) = (40, 25_000);
+/// `(operations per client, think time)`: 40 operations, each invoked
+/// 100 µs after the client's previous one completed, so every client stays
+/// busy past the last crash wave.
+const VARIANT_LOAD: (u64, u64) = (40, 100_000);
 
 /// Client 0 writes, reading every third operation; the liars issue
 /// nothing; everyone else reads.
@@ -618,7 +669,7 @@ where
             _ => {}
         }
     }));
-    let deadline = sched.heal_at() + liveness_bound(&backoff(), 20_000, ops) + 4 * ops * think;
+    let deadline = sched.heal_at() + liveness_bound(&backoff(), 20_000, ops) + ops * think;
     assert!(
         run_campaign(
             &mut sim,
@@ -659,8 +710,16 @@ fn byz_nodes(n: usize, b: usize, liars: &[(usize, LieStrategy)]) -> Vec<ByzNode<
 
 /// One Byzantine row: the run restarted nodes, retransmitted, finished
 /// every catch-up — with a liar answering at least one, where the row has
-/// a liar that answers — and reproduces the hand-written node's pins.
-fn check_byz(row: &str, n: usize, b: usize, liars: &[(usize, LieStrategy)], want: VariantPins) {
+/// a liar that answers — folded `unvouched` times back to an honest node's
+/// own pair (a read quorum straddling a write, DESIGN §13) and reproduces
+/// the row's pins.
+fn check_byz(
+    row: &str,
+    (n, b): (usize, usize),
+    liars: &[(usize, LieStrategy)],
+    unvouched: u64,
+    want: VariantPins,
+) {
     let ids: Vec<usize> = liars.iter().map(|(id, _)| *id).collect();
     let min_alive = abd_core::quorum::masking_threshold(n, b);
     let (pins, m, liar_replies, sim) = variant_campaign(
@@ -676,9 +735,13 @@ fn check_byz(row: &str, n: usize, b: usize, liars: &[(usize, LieStrategy)], want
         (0..n).all(|i| !sim.node(i).is_recovering()),
         "{row}: a catch-up never completed"
     );
-    assert!(
-        (0..n).all(|i| ids.contains(&i) || sim.node(i).unvouched_folds() == 0),
-        "{row}: an honest node's fold fell back to its own pair"
+    let honest_unvouched: u64 = (0..n)
+        .filter(|i| !ids.contains(i))
+        .map(|i| sim.node(i).unvouched_folds())
+        .sum();
+    assert_eq!(
+        honest_unvouched, unvouched,
+        "{row}: honest folds that fell back to their own pair"
     );
     // Masking quorums mask; the same forger poisons the plain majority.
     assert_eq!(
@@ -735,40 +798,40 @@ fn variant_identity_table_is_pinned() {
     use LieStrategy::{ForgeLabel, ReportStale, Silent};
     check_byz(
         "byz b=1 n=5/honest",
-        5,
-        1,
+        (5, 1),
         &[],
-        (0xafe688032647a5a9, 3384, 0x9e1af55e4f32850a),
+        0,
+        (0xdc4cc7bfb715dcd2, 3385, 0x3adb32e2e1f1c34d),
     );
     check_byz(
         "byz b=1 n=5/stale",
-        5,
-        1,
+        (5, 1),
         &[(1, ReportStale)],
-        (0x490e03cba202876b, 2631, 0xc93d5307380df90c),
+        2,
+        (0xa266c77d7fddcee0, 2648, 0x5823c683ae57f9ec),
     );
     // Same pins as the stale row: the digests fold no message content, and
     // both lies are masked into the same schedule and the same answers.
     check_byz(
         "byz b=1 n=5/forger",
-        5,
-        1,
+        (5, 1),
         &[(1, ForgeLabel)],
-        (0x490e03cba202876b, 2631, 0xc93d5307380df90c),
+        2,
+        (0xa266c77d7fddcee0, 2648, 0x5823c683ae57f9ec),
     );
     check_byz(
         "byz b=1 n=5/silent",
-        5,
-        1,
+        (5, 1),
         &[(1, Silent)],
-        (0x2397bb2b2fce5438, 2341, 0xcd1d00d7fdaf3a8f),
+        0,
+        (0xb20b3408f4ec00e2, 2327, 0x06d1db01aa72f0b8),
     );
     check_byz(
         "byz b=2 n=9/two forgers",
-        9,
-        2,
+        (9, 2),
         &[(1, ForgeLabel), (2, ForgeLabel)],
-        (0x98f53a3b1050fa59, 9535, 0x7b655975cdb00ee2),
+        0,
+        (0x230388b8e50ead72, 9568, 0xc84c61f836db0669),
     );
     // The contrast: the same forger against majority quorums and a vouching
     // threshold of one. The waves spare the writer here: the hand-written
@@ -777,25 +840,25 @@ fn variant_identity_table_is_pinned() {
     // overflowed two writes later — no pin can be computed on that.
     check_byz(
         "byz b=0 n=5/forger",
-        5,
-        0,
+        (5, 0),
         &[(1, ForgeLabel)],
-        (0xd79fa049766c7204, 2676, 0x17b39403fb98f794),
+        0,
+        (0xc7e9ca2b13b1ed78, 2709, 0x936f5df516553f19),
     );
     // 36 operations 200 µs apart: the labels lap the 16-cycle, and no
     // replica sleeps through more than a window (7) of writes.
     check_bounded(
         "bounded n=5/mod 16",
         16,
-        (36, 50_000),
-        24,
-        (0xa5db0b6c256f90dd, 2987, 0xe3cf6a6ba32b391c),
+        (36, 200_000),
+        23,
+        (0x3a430f2e19b4264e, 3026, 0x09986f95aa630c06),
     );
     check_bounded(
         "bounded n=5/mod 64",
         64,
         VARIANT_LOAD,
-        27,
-        (0x93ed8e354c9bb5ee, 3401, 0xf7840bc634df0e54),
+        26,
+        (0xdebfe3aaaea33de4, 3341, 0xe40e2d6abbf3a65c),
     );
 }

@@ -328,11 +328,41 @@ fn fast_read_campaigns_stay_atomic_and_replay() {
 
 #[test]
 fn interrupted_write_campaigns_roll_forward_and_replay() {
-    // The writer crashes mid-write (nemesis seed 88 crashes it while a write
-    // is in flight) and, on restart, rolls the write forward at once. The
-    // history must certify atomic and replay bit-identically, and hold the
-    // rolled-forward write: one that completed across its own node's crash.
-    let sched = NemesisConfig::new(88, N).plan();
+    // The writer crashes mid-write and, on restart, rolls the write forward
+    // at once. The history must certify atomic and replay bit-identically,
+    // and hold the rolled-forward write: one that completed across its own
+    // node's crash. The schedule is nemesis seed 88's with the writer's
+    // first crash moved onto its third write (52.4–62.2 µs in this frame;
+    // the planner put it at 242 µs, after the writer's last write).
+    let planned = NemesisConfig::new(88, N).plan();
+    let mut faults = planned.faults().to_vec();
+    let first = faults
+        .iter()
+        .position(|f| {
+            matches!(
+                f,
+                PlannedFault::Crash {
+                    node: ProcessId(0),
+                    ..
+                }
+            )
+        })
+        .expect("seed 88 crashes the writer");
+    let PlannedFault::Crash { restart_at, .. } = faults[first] else {
+        unreachable!("matched a crash")
+    };
+    faults[first] = PlannedFault::Crash {
+        at: 57_000,
+        node: ProcessId(0),
+        restart_at,
+    };
+    let sched = NemesisSchedule::from_faults(
+        faults,
+        planned.heal_at(),
+        planned.skews().to_vec(),
+        planned.min_alive(),
+    );
+    assert!(sched.validate(N).is_ok());
     let writer_crashes: Vec<u64> = sched
         .faults()
         .iter()
@@ -696,16 +726,17 @@ fn merkle_recovery_pipelined_campaign_survives_loss_duplication_and_crash_waves(
 
 /// The frame both serve-during-catch-up campaigns share, as a repro
 /// artifact: `crash_cycles` crash waves in the first 2 ms over links that
-/// lose and duplicate 5 % of all messages, and clients at zero think time,
-/// which invoke a rebooted node again the moment it is back: its operations
-/// race its catch-up. The deadline allows `liveness_bound(think, ops)`
-/// after the heal. Each client runs its script of 150 operations from
+/// lose and duplicate 5 % of all messages, and clients `think` apart that
+/// invoke a rebooted node again the moment it is back: its operations race
+/// its catch-up. The deadline allows `liveness_bound(latency, ops)` after
+/// the heal. Each client runs its script of 150 operations from
 /// `op(client, j)`.
 fn catch_up_repro(
     (name, protocol, oracle): (String, ProtocolSpec, OracleSpec),
     (sim_seed, nemesis_seed): (u64, u64),
     crash_cycles: usize,
-    (think, ops): (u64, u64),
+    think: u64,
+    (latency, ops): (u64, u64),
     op: impl Fn(u64, u64) -> RegisterOp<u64>,
 ) -> Repro {
     let mut nemesis = NemesisConfig::new(nemesis_seed, N).with_window(0, 2_000_000);
@@ -724,8 +755,8 @@ fn catch_up_repro(
         scripts: (0..N as u64)
             .map(|c| (0..150).map(|j| op(c, j)).collect())
             .collect(),
-        think: 0,
-        deadline: schedule.heal_at() + liveness_bound(&backoff(), think, ops),
+        think,
+        deadline: schedule.heal_at() + liveness_bound(&backoff(), latency, ops),
         schedule,
         oracle,
         expected_digest: 0,
@@ -771,6 +802,7 @@ fn kv_catch_up_repro(
         (name, protocol, oracle),
         (sim_seed, nemesis_seed),
         8,
+        0,
         (THINK, 40),
         |c, j| match (j % 3, tiers) {
             (0, _) => RegisterOp::Write(c * 1_000_000 + j + 1),
@@ -885,13 +917,13 @@ fn kv_serves_during_catch_up_campaign_convicts_a_store_that_forgets() {
 }
 
 /// The register twin of [`kv_catch_up_repro`], with three times the
-/// store's crash waves: a register replica that forgets is set right by the
-/// next `Update` it receives, about a round trip after its reboot under
-/// this load, so only about one campaign in thirty catches a read in that
-/// window at all. Client 0 writes one operation in three and reads
-/// otherwise; the others read. With `tiers` the reads rotate through the
-/// three consistency tiers and the oracle is sequential consistency,
-/// otherwise every read is atomic and so is the oracle.
+/// store's crash waves and clients 20 µs apart: a register replica that
+/// forgets is set right by the next `Update` it receives, about a round
+/// trip after its reboot under this load, so only about one campaign in
+/// ten catches a read in that window at all. Client 0 writes one operation
+/// in three and reads otherwise; the others read. With `tiers` the reads
+/// rotate through the three consistency tiers and the oracle is sequential
+/// consistency, otherwise every read is atomic and so is the oracle.
 fn register_catch_up_repro(
     sim_seed: u64,
     nemesis_seed: u64,
@@ -911,6 +943,7 @@ fn register_catch_up_repro(
         (name, protocol, oracle),
         (sim_seed, nemesis_seed),
         24,
+        20_000,
         (20_000, 8),
         |c, j| match (c, j % 3, tiers) {
             (0, 0, _) => RegisterOp::Write(j + 1),
@@ -1241,10 +1274,12 @@ fn flag_off_campaign_trace_digest_is_pinned() {
     // off, the protocol must execute the exact byte-for-byte event sequence
     // it always has. If a refactor moves this digest, it changed flag-off
     // behavior — that is a finding, not a reason to re-pin (re-derive only
-    // for deliberate protocol changes).
+    // for deliberate protocol changes). Re-pinned once when campaign
+    // clients began to run from their own completions instead of 10 µs
+    // slices (`0x0181_8fe1_7d26_b1bf`).
     assert_eq!(
         swmr_campaign_cfg(1234, 77, ReadMode::TwoRound),
-        0x01818fe17d26b1bf,
+        0x738a_82ed_b449_3511,
         "flag-off campaign trace drifted from the pinned golden digest"
     );
 }

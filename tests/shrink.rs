@@ -41,12 +41,12 @@ const BACKOFF_BASE: u64 = 20_000;
 fn planted_campaign() -> NemesisSchedule {
     let mut faults = vec![
         PlannedFault::Partition {
-            at: 50_003,
+            at: 40_003,
             groups: vec![1, 1, 0, 0, 0],
-            heal_at: 350_003,
+            heal_at: 340_003,
         },
         PlannedFault::Crash {
-            at: 70_003,
+            at: 55_003,
             node: ProcessId(0),
             restart_at: 900_000,
         },

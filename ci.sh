@@ -62,9 +62,12 @@ for f in crates/core/src/register.rs crates/kv/src/node.rs; do
   fi
 done
 # One behaviour, no knob: every register rolls an interrupted write forward
-# and serves beside its catch-up, and the simulator's links reorder freely.
-if grep -rnE 'write_epilogue|with_fifo' crates src tests examples --include='*.rs'; then
-  echo "a deleted knob is named again: the roll-forward is always on, and links are never FIFO"; exit 1
+# and serves beside its catch-up, the simulator's links reorder freely,
+# retransmission is set by its base interval alone, and the nemesis planner
+# keeps its fault mix and skews as constants.
+if grep -rnE 'write_epilogue|with_fifo|with_backoff|BackoffPolicy::fixed|with_jitter|cover_all_nodes|\.partitions\b|partitions: usize|loss_bursts|gray_failures|max_loss|max_gray|max_skew' \
+  crates src tests examples --include='*.rs'; then
+  echo "a deleted knob is named again: the roll-forward is always on, links are never FIFO, a backoff is BackoffPolicy::new(base), and the planner's fault mix is fixed"; exit 1
 fi
 
 # The store adds one exchange to it, the sync walk's: a catch-up is walks, a
@@ -163,7 +166,7 @@ cargo run -q --release -p abd-bench --bin abd_repro -- explain \
 grep -q 'Invoke -> RelayRead -> Done' target/relay-explain.txt \
   || { echo "abd_repro explain lost the relay read-path line"; exit 1; }
 
-echo "==> throughput bench smoke (fast-path + batching + consistency-tier gates, regenerates BENCH_throughput.json)"
+echo "==> throughput bench smoke (fast-path + batching + consistency-tier gates; fast, relay and regular out-run baseline in kops/virt-s, sc-mixed out-runs regular, fast pays write-backs; regenerates BENCH_throughput.json)"
 cargo run -q --release -p abd-bench --bin fig_throughput
 git diff --exit-code -- BENCH_throughput.json \
   || { echo "BENCH_throughput.json drifted from the checked-in artifact"; exit 1; }

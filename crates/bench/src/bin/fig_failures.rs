@@ -129,7 +129,7 @@ fn main() {
         let nodes: Vec<SwmrNode<u64>> = (0..5)
             .map(|i| {
                 SwmrNode::new(
-                    SwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_backoff(backoff),
+                    SwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_retransmit(backoff.base),
                     0,
                 )
             })

@@ -2,7 +2,10 @@
 //! per-operation cost.**
 //!
 //! A closed-loop multi-client, multi-key workload against the replicated
-//! key-value store, in six configurations on the deterministic simulator:
+//! key-value store, in six configurations on the deterministic simulator.
+//! Its twenty clients, four per node, run on the harness's one closed loop
+//! ([`run_scripts`]), each from its own completions, so a read path that
+//! saves rounds shows in the throughput column:
 //!
 //! * `baseline` — every `Get` runs both phases (query + write-back);
 //! * `fast` — `Get`s elide the write-back when the query quorum
@@ -24,6 +27,10 @@
 //! (served locally, zero rounds) with every 100th read kept atomic —
 //! the SC-ABD deployment shape. Both rows are gated on msgs/op and
 //! rounds/op reductions against the all-atomic baseline.
+//!
+//! Throughput is gated too: `fast`, `relay` and `regular` each complete
+//! more kops per virtual second than `baseline`, `sc-mixed` more than
+//! `regular`, and `fast` pays write-backs where a get overlaps a put.
 //!
 //! Before the workload, the binary asserts the micro-costs the fast path
 //! claims: an uncontended fast read is **1 round / `2(n−1)` messages** on
@@ -47,6 +54,7 @@ use abd_core::context::{Protocol, ReadPathCounters, ReadPathStats};
 use abd_core::msg::RegisterOp;
 use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
+use abd_simnet::harness::run_scripts;
 use abd_simnet::{LatencyModel, Metrics, Sim, SimConfig};
 
 const N: usize = 5;
@@ -129,53 +137,30 @@ impl RunResult {
     }
 }
 
-/// Drives `CLIENTS_PER_NODE` closed-loop clients per node, each issuing
-/// `OPS_PER_CLIENT` operations over `KEYS` keys: a completion immediately
-/// triggers the next invocation on the same node, so operations overlap
-/// and same-window sends can coalesce.
-fn run_closed_loop<P>(sim: &mut Sim<P>) -> RunResult
+/// Runs `CLIENTS_PER_NODE` closed-loop clients per node on the harness's
+/// one loop, each issuing `OPS_PER_CLIENT` operations over `KEYS` keys from
+/// `gen`: a completion at once invokes its client's next operation, so
+/// operations overlap and same-window sends can coalesce.
+fn run_closed_loop<P>(
+    sim: &mut Sim<P>,
+    mut gen: impl FnMut(&mut u64) -> KvOp<u64, u64>,
+) -> RunResult
 where
     P: Protocol<Op = KvOp<u64, u64>, Resp = KvResp<u64>> + ReadPathStats,
 {
-    run_closed_loop_with(sim, gen_op)
-}
-
-/// [`run_closed_loop`] with a caller-supplied op generator, so the tier
-/// rows can demote reads without duplicating the driver.
-fn run_closed_loop_with<P, F>(sim: &mut Sim<P>, mut gen: F) -> RunResult
-where
-    P: Protocol<Op = KvOp<u64, u64>, Resp = KvResp<u64>> + ReadPathStats,
-    F: FnMut(&mut u64) -> KvOp<u64, u64>,
-{
-    let per_node = CLIENTS_PER_NODE * OPS_PER_CLIENT;
-    let mut issued = [0usize; N];
+    let clients = N * CLIENTS_PER_NODE;
     let mut rng = 0x5eed_f00d_u64;
-    for (i, count) in issued.iter_mut().enumerate() {
-        for _ in 0..CLIENTS_PER_NODE {
-            sim.invoke(ProcessId(i), gen(&mut rng));
-            *count += 1;
-        }
-    }
-    let mut seen = sim.completed().len();
-    loop {
-        assert!(sim.run_until_ops_complete(u64::MAX / 2), "workload stalled");
-        let done = sim.completed().len();
-        if done == seen {
-            break;
-        }
-        for k in seen..done {
-            let i = sim.completed()[k].client.index();
-            if issued[i] < per_node {
-                sim.invoke(ProcessId(i), gen(&mut rng));
-                issued[i] += 1;
-            }
-        }
-        seen = done;
-    }
+    let scripts = (0..clients)
+        .map(|_| (0..OPS_PER_CLIENT).map(|_| gen(&mut rng)).collect())
+        .collect();
+    assert!(
+        run_scripts(sim, scripts, 0, 0, u64::MAX / 2),
+        "workload stalled"
+    );
     let metrics = sim.metrics().clone();
     assert_eq!(
         metrics.ops_completed,
-        (N * per_node) as u64,
+        (clients * OPS_PER_CLIENT) as u64,
         "every client op completed"
     );
     RunResult {
@@ -296,9 +281,9 @@ fn main() {
     );
 
     let mut base_sim = Sim::new(sim_cfg(1), kv_nodes(ReadMode::TwoRound));
-    let base = run_closed_loop(&mut base_sim);
+    let base = run_closed_loop(&mut base_sim, gen_op);
     let mut fast_sim = Sim::new(sim_cfg(1), kv_nodes(ReadMode::FastUnanimous));
-    let fast = run_closed_loop(&mut fast_sim);
+    let fast = run_closed_loop(&mut fast_sim, gen_op);
     let mut batched_sim = Sim::new(
         sim_cfg(1),
         kv_nodes(ReadMode::FastUnanimous)
@@ -306,7 +291,7 @@ fn main() {
             .map(|node| Batched::new(node, BATCH_WINDOW))
             .collect::<Vec<_>>(),
     );
-    let batched = run_closed_loop(&mut batched_sim);
+    let batched = run_closed_loop(&mut batched_sim, gen_op);
     let mut adaptive_sim = Sim::new(
         sim_cfg(1),
         kv_nodes(ReadMode::FastUnanimous)
@@ -314,9 +299,9 @@ fn main() {
             .map(|node| Batched::adaptive(node, BATCH_WINDOW))
             .collect::<Vec<_>>(),
     );
-    let adaptive = run_closed_loop(&mut adaptive_sim);
+    let adaptive = run_closed_loop(&mut adaptive_sim, gen_op);
     let mut relay_sim = Sim::new(sim_cfg(1), kv_nodes(ReadMode::Relay));
-    let relay = run_closed_loop(&mut relay_sim);
+    let relay = run_closed_loop(&mut relay_sim, gen_op);
     let mut relay_batched_sim = Sim::new(
         sim_cfg(1),
         kv_nodes(ReadMode::Relay)
@@ -324,18 +309,18 @@ fn main() {
             .map(|node| Batched::new(node, BATCH_WINDOW))
             .collect::<Vec<_>>(),
     );
-    let relay_batched = run_closed_loop(&mut relay_batched_sim);
+    let relay_batched = run_closed_loop(&mut relay_batched_sim, gen_op);
 
     // T-series: consistency tiers on the plain (unbatched, two-round
     // atomic) cluster, so the only variable is the read tier itself.
     let mut regular_sim = Sim::new(sim_cfg(1), kv_nodes(ReadMode::TwoRound));
     let mut regular_reads_issued = 0u64;
-    let regular = run_closed_loop_with(&mut regular_sim, |rng| {
+    let regular = run_closed_loop(&mut regular_sim, |rng| {
         gen_op_tiered(rng, &mut regular_reads_issued, Consistency::Regular, 0)
     });
     let mut mixed_sim = Sim::new(sim_cfg(1), kv_nodes(ReadMode::TwoRound));
     let mut mixed_reads_issued = 0u64;
-    let mixed = run_closed_loop_with(&mut mixed_sim, |rng| {
+    let mixed = run_closed_loop(&mut mixed_sim, |rng| {
         gen_op_tiered(
             rng,
             &mut mixed_reads_issued,
@@ -441,6 +426,34 @@ fn main() {
         mixed_rounds_ratio
     );
     assert!(mixed_rounds_ratio <= 0.5, "sc-mixed rounds/op gate failed");
+
+    // Throughput gates: each client runs from its own completions, so a
+    // read path that saves rounds shortens the makespan, and a get that
+    // overlaps a put on its key pays the write-back fast reads elide.
+    println!(
+        "kops/virt-s: fast {:.1}, relay {:.1}, regular {:.1} vs baseline {:.1}; \
+         sc-mixed(99/1) {:.1} vs regular (gates: each beats baseline, sc-mixed \
+         beats regular, fast pays write-backs)",
+        fast.kops_per_virtual_sec(),
+        relay.kops_per_virtual_sec(),
+        regular.kops_per_virtual_sec(),
+        base.kops_per_virtual_sec(),
+        mixed.kops_per_virtual_sec(),
+    );
+    for (name, r) in [("fast", &fast), ("relay", &relay), ("regular", &regular)] {
+        assert!(
+            r.kops_per_virtual_sec() > base.kops_per_virtual_sec(),
+            "{name} must out-run the two-round baseline"
+        );
+    }
+    assert!(
+        mixed.kops_per_virtual_sec() > regular.kops_per_virtual_sec(),
+        "sc-mixed must out-run regular"
+    );
+    assert!(
+        fast.reads.write_backs > 0,
+        "gets overlapping puts must pay their write-backs"
+    );
 
     let json = format!(
         concat!(

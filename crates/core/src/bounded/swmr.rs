@@ -95,12 +95,6 @@ impl BoundedSwmrConfig {
         self.retransmit = Some(BackoffPolicy::new(every));
         self
     }
-
-    /// Sets an explicit retransmission policy.
-    pub fn with_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.retransmit = Some(policy);
-        self
-    }
 }
 
 /// A `(label, value)` pair that moves only forward *through the window*: an

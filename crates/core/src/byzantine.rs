@@ -119,12 +119,6 @@ impl ByzConfig {
         self
     }
 
-    /// Sets an explicit retransmission policy.
-    pub fn with_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.retransmit = Some(policy);
-        self
-    }
-
     /// Quorum size `⌈(n + 2b + 1) / 2⌉`.
     pub fn quorum_size(&self) -> usize {
         masking_threshold(self.n, self.b)

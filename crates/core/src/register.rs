@@ -210,12 +210,6 @@ impl<L> RegisterConfig<L> {
         self.retransmit = Some(BackoffPolicy::new(every));
         self
     }
-
-    /// Sets an explicit retransmission policy.
-    pub fn with_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.retransmit = Some(policy);
-        self
-    }
 }
 
 /// A register's replica is the engine's store under the unit key, and a

@@ -8,9 +8,9 @@
 //!
 //! * **targeted**: retransmissions go only to the processors the phase is
 //!   still missing ([`crate::phase::PhaseTracker::missing`]);
-//! * **exponential backoff**: the retry delay doubles (by default) on every
-//!   attempt, up to a cap, so a blocked phase converges to a slow heartbeat
-//!   instead of a message storm;
+//! * **exponential backoff**: the retry delay doubles on every attempt, up
+//!   to a cap of sixteen base intervals, so a blocked phase converges to a
+//!   slow heartbeat instead of a message storm;
 //! * **deterministic jitter**: each delay is perturbed by ±1/8 of itself,
 //!   derived from a pure hash of `(node, phase-uid, attempt)` — no RNG
 //!   state, so the same execution replays bit-identically, yet distinct
@@ -31,12 +31,16 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Retransmission timing: exponential backoff with a cap and deterministic
-/// jitter.
+/// Growth of the retry delay per attempt.
+const FACTOR: u64 = 2;
+/// The pre-jitter delay stops growing at this many base intervals.
+const CAP_BASES: u64 = 16;
+
+/// Retransmission timing: exponential backoff from one base interval, with
+/// a cap and deterministic jitter.
 ///
-/// The delay before attempt `k` (0-based) is
-/// `min(base * factor^k, cap)`, jittered into `[7/8·d, 9/8·d]` when
-/// [`jitter`](BackoffPolicy::jitter) is on.
+/// The delay before attempt `k` (0-based) is `min(base * 2^k, 16 * base)`,
+/// jittered into `[7/8·d, 9/8·d]`.
 ///
 /// # Examples
 ///
@@ -45,7 +49,7 @@ fn mix64(mut z: u64) -> u64 {
 ///
 /// let p = BackoffPolicy::new(1_000);
 /// assert_eq!(p.base, 1_000);
-/// assert_eq!(p.cap, 16_000);
+/// assert_eq!(p.cap(), 16_000);
 /// // Delays grow but never exceed the jittered cap.
 /// for k in 0..10 {
 ///     assert!(p.delay(k, 7) <= p.max_delay());
@@ -57,64 +61,38 @@ fn mix64(mut z: u64) -> u64 {
 pub struct BackoffPolicy {
     /// Delay before the first retransmission.
     pub base: Nanos,
-    /// Upper bound on the (pre-jitter) delay.
-    pub cap: Nanos,
-    /// Multiplier applied per attempt (`1` = fixed interval).
-    pub factor: u32,
-    /// Whether to apply deterministic ±1/8 jitter.
-    pub jitter: bool,
 }
 
 impl BackoffPolicy {
     /// Doubling backoff starting at `base`, capped at `16 * base`, with
-    /// jitter — the default adaptive policy.
+    /// ±1/8 jitter.
     pub fn new(base: Nanos) -> Self {
-        let base = base.max(1);
-        BackoffPolicy {
-            base,
-            cap: base.saturating_mul(16),
-            factor: 2,
-            jitter: true,
-        }
+        BackoffPolicy { base: base.max(1) }
     }
 
-    /// A fixed-interval policy (no growth, no jitter) — the legacy
-    /// behaviour, still useful when tests need exact timer arithmetic.
-    pub fn fixed(every: Nanos) -> Self {
-        let every = every.max(1);
-        BackoffPolicy {
-            base: every,
-            cap: every,
-            factor: 1,
-            jitter: false,
-        }
-    }
-
-    /// Enables or disables jitter.
-    pub fn with_jitter(mut self, yes: bool) -> Self {
-        self.jitter = yes;
-        self
+    /// Upper bound on the pre-jitter delay, `16 * base`.
+    pub fn cap(&self) -> Nanos {
+        self.base.saturating_mul(CAP_BASES)
     }
 
     /// The delay before attempt `attempt` (0-based), jittered by a pure
     /// hash of `salt` and the attempt number.
     pub fn delay(&self, attempt: u32, salt: u64) -> Nanos {
+        let cap = self.cap();
         let mut d = self.base;
         for _ in 0..attempt {
-            if d >= self.cap {
+            if d >= cap {
                 break;
             }
-            d = d.saturating_mul(u64::from(self.factor));
+            d = d.saturating_mul(FACTOR);
         }
-        d = d.min(self.cap).max(1);
-        if self.jitter {
-            // d ± d/8, drawn from mix64(salt, attempt): spread = d/4 + 1
-            // possible values centered on d.
-            let spread = d / 4;
-            if spread > 0 {
-                let h = mix64(salt ^ (u64::from(attempt) << 32));
-                d = d - d / 8 + h % (spread + 1);
-            }
+        d = d.min(cap).max(1);
+        // d ± d/8, drawn from mix64(salt, attempt): spread = d/4 + 1
+        // possible values centered on d.
+        let spread = d / 4;
+        if spread > 0 {
+            let h = mix64(salt ^ (u64::from(attempt) << 32));
+            d = d - d / 8 + h % (spread + 1);
         }
         d
     }
@@ -122,11 +100,8 @@ impl BackoffPolicy {
     /// Upper bound on any delay this policy can produce — the quantity
     /// liveness bounds are derived from.
     pub fn max_delay(&self) -> Nanos {
-        if self.jitter {
-            self.cap.saturating_add(self.cap / 8)
-        } else {
-            self.cap
-        }
+        let cap = self.cap();
+        cap.saturating_add(cap / 8)
     }
 }
 
@@ -253,23 +228,23 @@ impl Retransmitter {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fixed_policy_never_grows() {
-        let p = BackoffPolicy::fixed(1_000);
-        for k in 0..20 {
-            assert_eq!(p.delay(k, 9), 1_000);
+    /// Asserts each delay lies within ±1/8 of its nominal value.
+    fn assert_in_band(delays: &[Nanos], nominal: &[Nanos]) {
+        assert_eq!(delays.len(), nominal.len(), "{delays:?} vs {nominal:?}");
+        for (&d, &at) in delays.iter().zip(nominal) {
+            assert!(
+                at - at / 8 <= d && d <= at + at / 8,
+                "{d} outside the band around {at}"
+            );
         }
-        assert_eq!(p.max_delay(), 1_000);
     }
 
     #[test]
     fn backoff_grows_then_caps() {
-        let p = BackoffPolicy::new(1_000).with_jitter(false);
-        assert_eq!(p.delay(0, 0), 1_000);
-        assert_eq!(p.delay(1, 0), 2_000);
-        assert_eq!(p.delay(2, 0), 4_000);
-        assert_eq!(p.delay(4, 0), 16_000);
-        assert_eq!(p.delay(10, 0), 16_000, "capped at 16x base");
+        let p = BackoffPolicy::new(1_000);
+        let delays: Vec<Nanos> = [0, 1, 2, 4, 10].map(|k| p.delay(k, 0)).to_vec();
+        assert_in_band(&delays, &[1_000, 2_000, 4_000, 16_000, 16_000]);
+        assert_eq!(p.max_delay(), 18_000, "capped at 16x base, plus jitter");
     }
 
     #[test]
@@ -278,9 +253,8 @@ mod tests {
         for attempt in 0..8 {
             for salt in 0..50u64 {
                 let d = p.delay(attempt, salt);
-                let nominal = p.with_jitter(false).delay(attempt, salt);
-                assert!(d >= nominal - nominal / 8, "{d} under band at {nominal}");
-                assert!(d <= nominal + nominal / 8, "{d} over band at {nominal}");
+                let nominal = (8_000 << attempt).min(128_000);
+                assert_in_band(&[d], &[nominal]);
                 assert_eq!(d, p.delay(attempt, salt), "pure function");
             }
         }
@@ -311,23 +285,12 @@ mod tests {
 
     #[test]
     fn delays_back_off_across_fires() {
-        let mut rtx = Retransmitter::new(
-            Some(BackoffPolicy::new(1_000).with_jitter(false)),
-            ProcessId(0),
-        );
+        let mut rtx = Retransmitter::new(Some(BackoffPolicy::new(1_000)), ProcessId(0));
         let mut fx: Effects<u8, ()> = Effects::new();
         rtx.arm(5, &mut fx);
         rtx.fire(5, &[ProcessId(1)], 0u8, &mut fx);
         rtx.fire(5, &[ProcessId(1)], 0u8, &mut fx);
-        let delays: Vec<Nanos> = fx
-            .timers
-            .iter()
-            .filter_map(|t| match t {
-                crate::context::TimerCmd::Set { after, .. } => Some(*after),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(delays, vec![1_000, 2_000, 4_000]);
+        assert_in_band(&delays_of(&fx, 5), &[1_000, 2_000, 4_000]);
     }
 
     /// The delay of every `Set` for phase `uid`, in order.
@@ -343,8 +306,7 @@ mod tests {
 
     #[test]
     fn two_armed_phases_back_off_on_independent_ladders() {
-        let policy = BackoffPolicy::new(1_000).with_jitter(false);
-        let mut rtx = Retransmitter::new(Some(policy), ProcessId(0));
+        let mut rtx = Retransmitter::new(Some(BackoffPolicy::new(1_000)), ProcessId(0));
         let mut fx: Effects<u8, ()> = Effects::new();
         rtx.arm(1, &mut fx);
         rtx.fire(1, &[ProcessId(1)], 0, &mut fx);
@@ -354,8 +316,8 @@ mod tests {
         rtx.arm(2, &mut fx);
         rtx.refire(2, 3, &mut fx);
         rtx.fire(1, &[ProcessId(1)], 0, &mut fx);
-        assert_eq!(delays_of(&fx, 1), vec![1_000, 2_000, 4_000, 8_000]);
-        assert_eq!(delays_of(&fx, 2), vec![1_000, 2_000]);
+        assert_in_band(&delays_of(&fx, 1), &[1_000, 2_000, 4_000, 8_000]);
+        assert_in_band(&delays_of(&fx, 2), &[1_000, 2_000]);
         assert_eq!(
             rtx.retransmissions(),
             3 + 3,
@@ -366,8 +328,8 @@ mod tests {
         rtx.disarm(1, &mut fx);
         rtx.refire(2, 0, &mut fx);
         rtx.arm(1, &mut fx);
-        assert_eq!(delays_of(&fx, 2).last(), Some(&4_000));
-        assert_eq!(delays_of(&fx, 1).last(), Some(&1_000));
+        assert_in_band(&delays_of(&fx, 2)[2..], &[4_000]);
+        assert_in_band(&delays_of(&fx, 1)[4..], &[1_000]);
     }
 
     #[test]
@@ -383,23 +345,13 @@ mod tests {
 
     #[test]
     fn reset_restarts_the_backoff_ladder() {
-        let mut rtx = Retransmitter::new(
-            Some(BackoffPolicy::new(1_000).with_jitter(false)),
-            ProcessId(0),
-        );
+        let mut rtx = Retransmitter::new(Some(BackoffPolicy::new(1_000)), ProcessId(0));
         let mut fx: Effects<u8, ()> = Effects::new();
         rtx.fire(1, &[ProcessId(1)], 0u8, &mut fx);
         rtx.fire(1, &[ProcessId(1)], 0u8, &mut fx);
         rtx.reset();
         rtx.arm(2, &mut fx);
-        let last = fx.timers.last().unwrap();
-        assert_eq!(
-            *last,
-            crate::context::TimerCmd::Set {
-                key: TimerKey(2),
-                after: 1_000
-            }
-        );
+        assert_in_band(&delays_of(&fx, 2), &[1_000]);
         assert_eq!(rtx.retransmissions(), 2, "counters survive reset");
     }
 }

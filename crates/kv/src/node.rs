@@ -226,12 +226,6 @@ impl KvConfig {
         self.retransmit = Some(BackoffPolicy::new(every));
         self
     }
-
-    /// Sets an explicit retransmission policy.
-    pub fn with_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.retransmit = Some(policy);
-        self
-    }
 }
 
 /// Upper bound on tree node ids per [`KvMsg::SyncDiffReq`] batch. A

@@ -32,25 +32,24 @@ impl<Op: Clone> Client<Op> {
     }
 }
 
-/// Runs one script per node, each client closed-loop on its own.
+/// Runs any number of scripts, each client closed-loop on its own.
 ///
-/// Client `i` invokes its first operation at `now + start(i)` and each
-/// later one `think` after its own previous operation completed. An
-/// operation lost to its node's crash — aborted in flight, or invoked while
-/// the node was down — is abandoned, never retried (it may have taken
-/// effect: a replay could forge a duplicate write), and the client goes on
-/// `think` after the node restarts. A late completion of an abandoned
-/// operation (a write the rebooted node rolled forward) frees nobody, and
-/// completions that predate the call count for nothing.
+/// Client `c` runs on node `c mod n` and invokes its first operation at
+/// `now + start(c)`, each later one `think` after its own previous
+/// operation completed; a completion frees the client of that node whose
+/// operation it answers. An operation lost to its node's crash — aborted in
+/// flight, or invoked while the node was down — is abandoned, never
+/// retried (it may have taken effect: a replay could forge a duplicate
+/// write), and the client goes on `think` after the node restarts. A crash,
+/// a lost invocation and a restart apply to every client of the node; an
+/// invocation still queued at a crash is not lost yet. A late completion of
+/// an abandoned operation (a write the rebooted node rolled forward) frees
+/// nobody, and completions that predate the call count for nothing.
 ///
 /// Returns `true` iff every operation not abandoned completed by
 /// `deadline`; `false` once the deadline passes or no event is left. The
 /// loop wakes on completions, aborts, lost invocations and restarts only,
 /// and allocates nothing once running.
-///
-/// # Panics
-///
-/// Panics if `scripts.len()` exceeds the cluster size.
 pub(crate) fn drive<P>(
     sim: &mut Sim<P>,
     scripts: Vec<Vec<P::Op>>,
@@ -62,8 +61,7 @@ where
     P: Protocol,
     P::Op: Clone,
 {
-    assert!(scripts.len() <= sim.n(), "more scripts than nodes");
-    let base = sim.now();
+    let (n, base) = (sim.n(), sim.now());
     let mut clients: Vec<Client<P::Op>> = scripts
         .into_iter()
         .map(|script| Client {
@@ -73,8 +71,8 @@ where
         .collect();
     // Clients with an operation left to wait for or to invoke.
     let mut busy = 0;
-    for (i, client) in clients.iter_mut().enumerate() {
-        busy += usize::from(client.invoke_next(sim, i, base + start(i)));
+    for (c, client) in clients.iter_mut().enumerate() {
+        busy += usize::from(client.invoke_next(sim, c % n, base + start(c)));
     }
     let mut seen = sim.completed().len();
     while busy > 0 {
@@ -83,37 +81,42 @@ where
         };
         while let Some(rec) = sim.completed().get(seen) {
             seen += 1;
-            let (op, c) = (rec.op, rec.client.index());
-            match clients.get_mut(c) {
-                Some(client) if client.waiting == Some(op) => {
-                    busy -= usize::from(!client.invoke_next(sim, c, sim.now() + think));
-                }
-                _ => {} // abandoned, or not this loop's
+            let (op, i) = (Some(rec.op), rec.client.index());
+            // None: abandoned, or not this loop's.
+            if let Some(client) = clients
+                .iter_mut()
+                .skip(i)
+                .step_by(n)
+                .find(|c| c.waiting == op)
+            {
+                busy -= usize::from(!client.invoke_next(sim, i, sim.now() + think));
             }
         }
         let i = node.index();
-        let Some(client) = clients.get_mut(i) else {
-            continue;
-        };
-        if !sim.is_alive(i) {
-            // A crash aborted the client's operation, or its invocation
-            // landed on the down node.
-            if client.waiting.take().is_some() && client.script.len() == 0 {
-                busy -= 1;
+        for client in clients.iter_mut().skip(i).step_by(n) {
+            if !sim.is_alive(i) {
+                // A crash aborted the client's operation, or its invocation
+                // landed on the down node.
+                let lost = client.waiting.is_some_and(|op| !sim.invocation_queued(op));
+                if lost {
+                    client.waiting = None;
+                    busy -= usize::from(client.script.len() == 0);
+                }
+            } else if client.waiting.is_none() {
+                // The node restarted under a client whose operation it lost.
+                client.invoke_next(sim, i, sim.now() + think);
             }
-        } else if client.waiting.is_none() {
-            // The node restarted under a client whose operation it lost.
-            client.invoke_next(sim, i, sim.now() + think);
         }
     }
     true
 }
 
-/// [`drive`] with client `i`'s first operation at `now + i * stagger`.
+/// [`drive`] with client `c`'s first operation at `now + c * stagger`.
 ///
-/// # Panics
-///
-/// Panics if `scripts.len()` exceeds the cluster size.
+/// Clients that share a node (more scripts than nodes) are told apart by
+/// this loop alone: an [`OpRecord`](crate::sim::OpRecord)'s `client` is the
+/// node, so a history built from the run treats each node as one sequential
+/// process. Judge histories of runs with at most one script per node.
 pub fn run_scripts<P>(
     sim: &mut Sim<P>,
     scripts: Vec<Vec<P::Op>>,
@@ -125,7 +128,7 @@ where
     P: Protocol,
     P::Op: Clone,
 {
-    drive(sim, scripts, |i| i as Nanos * stagger, think, deadline)
+    drive(sim, scripts, |c| c as Nanos * stagger, think, deadline)
 }
 
 #[cfg(test)]
@@ -227,6 +230,137 @@ mod tests {
             "the read due while node 2 was down is never retried"
         );
         assert_eq!(sim.metrics().ops_invoked, 4);
+    }
+
+    /// Client `c`'s script: `ops` writes of `c * 100 + k`, `k` from 1.
+    fn tagged_writes(clients: usize, ops: u64) -> Vec<Vec<RegisterOp<u64>>> {
+        (0..clients as u64)
+            .map(|c| (1..=ops).map(|k| RegisterOp::Write(c * 100 + k)).collect())
+            .collect()
+    }
+
+    /// Each tagged client's `(node, invoked_at, completed_at)` triples, in
+    /// script order.
+    fn tagged_intervals<P>(sim: &Sim<P>, clients: usize) -> Vec<Vec<(usize, Nanos, Nanos)>>
+    where
+        P: Protocol<Op = RegisterOp<u64>>,
+    {
+        let mut by_client = vec![Vec::new(); clients];
+        for rec in sim.completed() {
+            let RegisterOp::Write(v) = rec.input else {
+                continue;
+            };
+            let node = rec.client.index();
+            by_client[(v / 100) as usize].push((v % 100, node, rec.invoked_at, rec.completed_at));
+        }
+        by_client
+            .into_iter()
+            .map(|mut ops| {
+                ops.sort_unstable();
+                ops.into_iter()
+                    .map(|(_, i, at, done)| (i, at, done))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clients_beyond_the_cluster_size_share_nodes_round_robin() {
+        const N: usize = 3;
+        const OPS: u64 = 4;
+        const THINK: Nanos = 700;
+        let cfg = SimConfig::new(8).with_latency(LatencyModel::Constant(1_000));
+        let mut sim = mwmr_cluster(N, cfg);
+        assert!(run_scripts(
+            &mut sim,
+            tagged_writes(2 * N, OPS),
+            THINK,
+            0,
+            100_000_000
+        ));
+        assert_eq!(sim.metrics().ops_completed, 2 * N as u64 * OPS);
+        let by_client = tagged_intervals(&sim, 2 * N);
+        for (c, ops) in by_client.iter().enumerate() {
+            assert_eq!(ops.len(), OPS as usize, "client {c}");
+            assert!(ops.iter().all(|&(node, _, _)| node == c % N), "client {c}");
+            assert_eq!(ops[0].1, 0, "client {c} starts at once");
+            for k in 1..ops.len() {
+                assert_eq!(ops[k].1, ops[k - 1].2 + THINK, "client {c} operation {k}");
+            }
+        }
+        // Two clients of one node run side by side, not one after the other.
+        assert!(by_client[0][0].2 > by_client[N][0].1);
+    }
+
+    #[test]
+    fn a_crash_abandons_every_client_of_the_node_and_all_resume() {
+        const N: usize = 5;
+        const RESTART: Nanos = 50_000;
+        const THINK: Nanos = 5_000;
+        let cfg = SimConfig::new(3).with_latency(LatencyModel::Constant(1_000));
+        let mut sim = mwmr_cluster(N, cfg);
+        // Clients 1 and 6 share node 1; both first writes are in their query
+        // round when it crashes.
+        sim.crash_at(1_500, ProcessId(1));
+        sim.restart_at(RESTART, ProcessId(1));
+        assert!(run_scripts(
+            &mut sim,
+            tagged_writes(2 * N, 2),
+            THINK,
+            0,
+            100_000_000
+        ));
+        let lost: Vec<_> = sim
+            .aborted_details()
+            .iter()
+            .map(|(_, node, op, _)| (*node, op.clone()))
+            .collect();
+        assert_eq!(
+            lost,
+            vec![
+                (ProcessId(1), RegisterOp::Write(101)),
+                (ProcessId(1), RegisterOp::Write(601))
+            ]
+        );
+        let by_client = tagged_intervals(&sim, 2 * N);
+        let resumed = RESTART + THINK;
+        for c in [1, 6] {
+            let ops: Vec<_> = by_client[c].iter().map(|&(i, at, _)| (i, at)).collect();
+            assert_eq!(ops, vec![(1, resumed)], "client {c}");
+        }
+        assert_eq!(sim.metrics().ops_completed, 2 * (2 * N as u64) - 2);
+    }
+
+    #[test]
+    fn an_invocation_queued_across_a_crash_is_not_lost() {
+        const RESTART: Nanos = 50_000;
+        const THINK: Nanos = 1_000;
+        let cfg = SimConfig::new(4).with_latency(LatencyModel::Constant(1_000));
+        let mut sim = mwmr_cluster(3, cfg);
+        sim.crash_at(1_500, ProcessId(1));
+        sim.restart_at(RESTART, ProcessId(1));
+        // Client 4 shares node 1 with client 1, whose write the crash
+        // aborts; client 4's first write is still queued, due after the
+        // restart, so it runs as scheduled and nothing is invoked twice.
+        let start = |c| if c == 4 { 60_000 } else { 0 };
+        assert!(drive(
+            &mut sim,
+            tagged_writes(6, 2),
+            start,
+            THINK,
+            100_000_000
+        ));
+        let by_client = tagged_intervals(&sim, 6);
+        assert_eq!(
+            by_client[1],
+            vec![(1, RESTART + THINK, RESTART + THINK + 4_000)]
+        );
+        let four = &by_client[4];
+        assert_eq!(four.len(), 2);
+        assert_eq!(four[0].1, 60_000);
+        assert_eq!(four[1].1, four[0].2 + THINK);
+        assert_eq!(sim.metrics().ops_invoked, 12);
+        assert_eq!(sim.metrics().ops_completed, 12 - 1);
     }
 
     #[test]

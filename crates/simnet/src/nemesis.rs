@@ -34,6 +34,19 @@ use rand::{Rng, SeedableRng};
 /// simulator's own RNG stream for the same integer.
 const NEMESIS_SALT: u64 = 0x6e65_6d65_7369_7321; // "nemesis!"
 
+/// Rolling minority partitions per campaign.
+const PARTITIONS: u64 = 2;
+/// Loss bursts per campaign.
+const LOSS_BURSTS: u64 = 2;
+/// Gray-failure episodes per campaign.
+const GRAY_FAILURES: u64 = 1;
+/// Peak loss probability during a burst.
+const MAX_LOSS: f64 = 0.5;
+/// Peak gray latency multiplier.
+const MAX_GRAY: u32 = 20;
+/// Maximum per-node invocation skew (clock-skewed invokers).
+const MAX_SKEW: Nanos = 50_000;
+
 /// One planned fault. All instants are absolute virtual times, and every
 /// fault is cleared by its paired end event at or before the schedule's
 /// [`NemesisSchedule::heal_at`].
@@ -163,6 +176,11 @@ impl PlannedFault {
 
 /// Parameters of a fault campaign. Everything is derived deterministically
 /// from `seed`; two configs with equal fields plan identical schedules.
+///
+/// Crash waves rotate through the nodes with enough victims to crash each
+/// at least once where `min_alive` leaves room. Every campaign also holds
+/// two rolling partitions, two loss bursts (peak 0.5) and one gray failure
+/// (up to 20×), and skews each node's invoker by up to 50 µs.
 #[derive(Clone, Debug)]
 pub struct NemesisConfig {
     /// Seed for fault planning (independent of the simulator's seed).
@@ -180,24 +198,10 @@ pub struct NemesisConfig {
     /// Deliberately crash one node *more* than `min_alive` permits for one
     /// window, to observe blocked operations.
     pub violate_majority: bool,
-    /// Guarantee every node is crashed (and restarted) at least once.
-    pub cover_all_nodes: bool,
     /// Number of crash→restart waves.
     pub crash_cycles: usize,
-    /// Number of rolling minority partitions.
-    pub partitions: usize,
-    /// Number of loss bursts.
-    pub loss_bursts: usize,
-    /// Number of gray-failure episodes.
-    pub gray_failures: usize,
-    /// Peak loss probability during a burst.
-    pub max_loss: f64,
     /// Loss probability outside bursts (restored when a burst ends).
     pub base_loss: f64,
-    /// Peak gray latency multiplier.
-    pub max_gray: u32,
-    /// Maximum per-client invocation skew (clock-skewed invokers).
-    pub max_skew: Nanos,
 }
 
 impl NemesisConfig {
@@ -212,15 +216,8 @@ impl NemesisConfig {
             duration: 4_000_000, // 4ms of virtual mayhem
             min_alive: majority_threshold(n),
             violate_majority: false,
-            cover_all_nodes: true,
             crash_cycles: 4,
-            partitions: 2,
-            loss_bursts: 2,
-            gray_failures: 1,
-            max_loss: 0.5,
             base_loss: 0.0,
-            max_gray: 20,
-            max_skew: 50_000,
         }
     }
 
@@ -317,16 +314,12 @@ impl NemesisSchedule {
             } else if max_down == 0 {
                 0
             } else {
-                let k = rng.gen_range(1..=max_down);
-                if cfg.cover_all_nodes {
-                    // Enough victims per remaining wave to finish the rotation.
-                    let remaining_nodes = n.saturating_sub(cursor);
-                    let remaining_slots = (slots - s) as usize;
-                    k.max(remaining_nodes.div_ceil(remaining_slots))
-                        .min(max_down)
-                } else {
-                    k
-                }
+                // Enough victims per remaining wave to finish the rotation.
+                let remaining_nodes = n.saturating_sub(cursor);
+                let remaining_slots = (slots - s) as usize;
+                rng.gen_range(1..=max_down)
+                    .max(remaining_nodes.div_ceil(remaining_slots))
+                    .min(max_down)
             };
             for _ in 0..k {
                 let node = ProcessId(order[cursor % n]);
@@ -349,10 +342,10 @@ impl NemesisSchedule {
 
         // Rolling partitions: serialized (the simulator holds one partition
         // at a time), each isolating a different random minority.
-        if cfg.partitions > 0 && n >= 2 {
-            let span = cfg.duration / cfg.partitions as u64;
+        if n >= 2 {
+            let span = cfg.duration / PARTITIONS;
             let max_isolated = (n - majority_threshold(n)).max(1).min(n - 1);
-            for p in 0..cfg.partitions as u64 {
+            for p in 0..PARTITIONS {
                 let base = cfg.start + p * span;
                 let isolated = rng.gen_range(1..=max_isolated);
                 let mut groups = vec![0u32; n];
@@ -368,33 +361,29 @@ impl NemesisSchedule {
             }
         }
 
-        if cfg.loss_bursts > 0 {
-            let span = cfg.duration / cfg.loss_bursts as u64;
-            for p in 0..cfg.loss_bursts as u64 {
-                let base = cfg.start + p * span;
-                faults.push(PlannedFault::LossBurst {
-                    at: base + span / 8,
-                    prob: rng.gen_range(0.1..=cfg.max_loss),
-                    until: (base + 5 * span / 8).min(heal_at),
-                    restore: cfg.base_loss,
-                });
-            }
+        let span = cfg.duration / LOSS_BURSTS;
+        for p in 0..LOSS_BURSTS {
+            let base = cfg.start + p * span;
+            faults.push(PlannedFault::LossBurst {
+                at: base + span / 8,
+                prob: rng.gen_range(0.1..=MAX_LOSS),
+                until: (base + 5 * span / 8).min(heal_at),
+                restore: cfg.base_loss,
+            });
         }
 
-        if cfg.gray_failures > 0 && cfg.max_gray >= 2 {
-            let span = cfg.duration / cfg.gray_failures as u64;
-            for p in 0..cfg.gray_failures as u64 {
-                let base = cfg.start + p * span;
-                faults.push(PlannedFault::Gray {
-                    at: base + span / 6,
-                    node: ProcessId(rng.gen_range(0..n)),
-                    factor: rng.gen_range(2..=cfg.max_gray),
-                    until: (base + 2 * span / 3).min(heal_at),
-                });
-            }
+        let span = cfg.duration / GRAY_FAILURES;
+        for p in 0..GRAY_FAILURES {
+            let base = cfg.start + p * span;
+            faults.push(PlannedFault::Gray {
+                at: base + span / 6,
+                node: ProcessId(rng.gen_range(0..n)),
+                factor: rng.gen_range(2..=MAX_GRAY),
+                until: (base + 2 * span / 3).min(heal_at),
+            });
         }
 
-        let skews = (0..n).map(|_| rng.gen_range(0..=cfg.max_skew)).collect();
+        let skews = (0..n).map(|_| rng.gen_range(0..=MAX_SKEW)).collect();
         NemesisSchedule {
             faults,
             heal_at,
@@ -642,19 +631,16 @@ pub fn liveness_bound(policy: &BackoffPolicy, max_latency: Nanos, max_backlog: u
 }
 
 /// Runs one script per client under a nemesis campaign: the closed loop of
-/// [`crate::harness`], client `i` invoking its first operation at
-/// `now + schedule.invoker_skew(i)` and each later one `think` after its own
-/// previous operation completed. An operation lost to the client's crash is
-/// abandoned (it stays visible to histories via [`Sim::pending_details`])
-/// and the client resumes its script `think` after its node rejoins. Returns
-/// `true` if every surviving operation completed by `deadline`.
+/// [`crate::harness`], client `c` running on node `c mod n`, invoking its
+/// first operation at `now` plus its node's invoker skew and each later one
+/// `think` after its own previous operation completed. An operation lost to
+/// the node's crash is abandoned (it stays visible to histories via
+/// [`Sim::pending_details`]) and the client resumes its script `think` after
+/// its node rejoins. Returns `true` if every surviving operation completed
+/// by `deadline`.
 ///
 /// The schedule must already be [`apply`](NemesisSchedule::apply)-ed; this
-/// only honors the per-client invoker skews and drives the scripts.
-///
-/// # Panics
-///
-/// Panics if `scripts.len()` exceeds the cluster size.
+/// only honors the per-node invoker skews and drives the scripts.
 pub fn run_campaign<P>(
     sim: &mut Sim<P>,
     schedule: &NemesisSchedule,
@@ -666,7 +652,8 @@ where
     P: Protocol,
     P::Op: Clone,
 {
-    let skew = |i| schedule.invoker_skew(ProcessId(i));
+    let n = sim.n();
+    let skew = |c| schedule.invoker_skew(ProcessId(c % n));
     crate::harness::drive(sim, scripts, skew, think, deadline)
 }
 
@@ -885,7 +872,7 @@ mod tests {
         let nodes: Vec<SwmrNode<u64>> = (0..5)
             .map(|i| {
                 SwmrNode::new(
-                    SwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_backoff(backoff),
+                    SwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_retransmit(backoff.base),
                     0,
                 )
             })

@@ -24,16 +24,15 @@ use crate::coverage::{Classify, ClassifyOp, CoverageCollector, CoverageSample};
 use crate::nemesis::{run_campaign, NemesisSchedule, PlannedFault};
 use crate::planted::{AmnesiacKv, MutantKind, MutantSwmr};
 use crate::sim::Sim;
-use crate::workload::history_from_sim;
+use crate::workload::{history_from_sim, kv_histories};
 use abd_core::batch::Batched;
 use abd_core::context::Protocol;
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
-use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
-use abd_lincheck::history::{History, RegAction};
+use abd_lincheck::history::History;
 use abd_lincheck::oracle::{
     AtomicSwmrOracle, HistoryOracle, LinearizableOracle, RegularOracle, SequentialConsistencyOracle,
 };
@@ -334,7 +333,7 @@ impl Repro {
         let mut cfg = SwmrConfig::new(self.n, ProcessId(i), ProcessId(0));
         cfg = cfg.with_read_mode(read_mode);
         if let Some(base) = self.backoff_base {
-            cfg = cfg.with_backoff(BackoffPolicy::new(base));
+            cfg = cfg.with_retransmit(base);
         }
         cfg
     }
@@ -364,7 +363,7 @@ impl Repro {
                         let mut cfg =
                             MwmrConfig::new(self.n, ProcessId(i)).with_read_mode(read_mode);
                         if let Some(base) = self.backoff_base {
-                            cfg = cfg.with_backoff(BackoffPolicy::new(base));
+                            cfg = cfg.with_retransmit(base);
                         }
                         MwmrNode::new(cfg, 0u64)
                     })
@@ -401,7 +400,7 @@ impl Repro {
                         .with_read_mode(read_mode)
                         .with_sync_buckets(buckets as usize);
                     if let Some(base) = self.backoff_base {
-                        cfg = cfg.with_backoff(BackoffPolicy::new(base));
+                        cfg = cfg.with_retransmit(base);
                     }
                     let mut node = KvNode::new(cfg);
                     for k in 0..preload {
@@ -433,12 +432,12 @@ impl Repro {
                     .collect();
                 if amnesiac {
                     let nodes = nodes.map(AmnesiacKv::new).collect();
-                    self.drive_with(nodes, scripts, kv_histories(preload, hot), coverage)
+                    self.drive_with(nodes, scripts, hot_key_histories(preload, hot), coverage)
                 } else {
                     self.drive_with(
                         nodes.collect(),
                         scripts,
-                        kv_histories(preload, hot),
+                        hot_key_histories(preload, hot),
                         coverage,
                     )
                 }
@@ -498,37 +497,17 @@ impl Repro {
     }
 }
 
-/// Extracts the per-key register histories of a [`ProtocolSpec::Kv`] run, hot keys
-/// `preload..preload + hot` in order: completed operations plus the `Put`s
-/// that may still take effect (a `Get` of an unwritten key reads the
-/// initial value 0; no script writes 0).
-fn kv_histories<P>(preload: u32, hot: u32) -> impl Fn(&Sim<P>) -> Vec<History<u64>>
+/// The per-key histories of a [`ProtocolSpec::Kv`] run ([`kv_histories`]),
+/// hot keys `preload..preload + hot` in order.
+fn hot_key_histories<P>(preload: u32, hot: u32) -> impl Fn(&Sim<P>) -> Vec<History<u64>>
 where
     P: Protocol<Op = KvOp<u32, u64>, Resp = KvResp<u64>>,
 {
     move |sim| {
-        let mut histories = vec![History::new(0); hot as usize];
-        for rec in sim.completed() {
-            let (key, action) = match (&rec.input, &rec.resp) {
-                (KvOp::Put(k, v), KvResp::PutOk) => (*k, RegAction::Write(*v)),
-                (KvOp::Get(k) | KvOp::GetAt(k, _), KvResp::GetOk(v)) => {
-                    (*k, RegAction::Read(v.unwrap_or(0)))
-                }
-                _ => continue,
-            };
-            histories[(key - preload) as usize].push(
-                rec.client.index(),
-                action,
-                rec.invoked_at,
-                rec.completed_at,
-            );
-        }
-        for (_, client, input, at) in sim.pending_details() {
-            if let KvOp::Put(k, v) = input {
-                histories[(k - preload) as usize].push_pending_write(client.index(), v, at);
-            }
-        }
-        histories
+        let mut by_key = kv_histories(sim);
+        (preload..preload + hot)
+            .map(|k| by_key.remove(&k).unwrap_or_else(|| History::new(0)))
+            .collect()
     }
 }
 
@@ -1242,6 +1221,7 @@ fn repro_from_val(v: &Val) -> Result<Repro, String> {
 mod tests {
     use super::*;
     use crate::nemesis::NemesisConfig;
+    use abd_lincheck::history::RegAction;
 
     fn sample() -> Repro {
         let faults = vec![

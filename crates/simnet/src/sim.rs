@@ -725,6 +725,13 @@ where
         None
     }
 
+    /// Whether `op`'s invocation is scheduled but not yet processed.
+    pub(crate) fn invocation_queued(&self, op: OpId) -> bool {
+        self.queue
+            .iter()
+            .any(|ev| matches!(ev.kind, EventKind::Invoke { op: o, .. } if o == op))
+    }
+
     /// Carries out and empties node `from`'s outbox: routes its sends, then
     /// queues an event for each timer it armed (a stale one too: `fire`
     /// passes over it), then records its responses.

@@ -4,15 +4,18 @@
 //! executes a script of reads and writes, with **unique write values** so
 //! that the consistency checkers can identify which write each read
 //! observed. This module generates those scripts deterministically from a
-//! seed and converts finished simulations into [`abd_lincheck`] histories.
+//! seed and converts finished simulations into [`abd_lincheck`] histories:
+//! a register's one, or a key-value store's one per key.
 
 use crate::sim::{OpRecord, Sim};
 use abd_core::context::Protocol;
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::types::{Consistency, Nanos, OpId, ProcessId};
+use abd_kv::{KvOp, KvResp};
 use abd_lincheck::history::{History, RegAction};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// Who is allowed to write.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -208,6 +211,40 @@ where
     h
 }
 
+/// Per-key register histories of a key-value run: completed `Put`s and
+/// `Get`s, a `Get` of an unwritten key reading the initial value 0 (so no
+/// script may write 0), plus every `Put` that may still take effect — in
+/// flight, or aborted by its node's crash — as a pending write.
+pub fn kv_histories<K, P>(sim: &Sim<P>) -> BTreeMap<K, History<u64>>
+where
+    K: Ord + Copy,
+    P: Protocol<Op = KvOp<K, u64>, Resp = KvResp<u64>>,
+{
+    let mut histories = BTreeMap::new();
+    for rec in sim.completed() {
+        let (key, action) = match (&rec.input, &rec.resp) {
+            (KvOp::Put(k, v), KvResp::PutOk) => (*k, RegAction::Write(*v)),
+            (KvOp::Get(k) | KvOp::GetAt(k, _), KvResp::GetOk(v)) => {
+                (*k, RegAction::Read(v.unwrap_or(0)))
+            }
+            _ => continue,
+        };
+        histories
+            .entry(key)
+            .or_insert_with(|| History::new(0))
+            .push(rec.client.index(), action, rec.invoked_at, rec.completed_at);
+    }
+    for (_, client, input, at) in sim.pending_details() {
+        if let KvOp::Put(k, v) = input {
+            histories
+                .entry(k)
+                .or_insert_with(|| History::new(0))
+                .push_pending_write(client.index(), v, at);
+        }
+    }
+    histories
+}
+
 /// Convenience bundle: run a generated workload on a simulation and return
 /// the resulting history. Returns `None` if the deadline passed with
 /// operations still pending **and** `require_completion` is set.
@@ -367,6 +404,31 @@ mod tests {
         ];
         let h = history_from_records(0, &records);
         assert_eq!(h.len(), 2);
+    }
+
+    #[test]
+    fn a_get_that_observes_an_aborted_put_is_linearizable() {
+        use abd_kv::{KvConfig, KvNode};
+        let nodes: Vec<KvNode<u32, u64>> = (0..3)
+            .map(|i| KvNode::new(KvConfig::new(3, ProcessId(i))))
+            .collect();
+        let cfg = SimConfig::new(2).with_latency(crate::config::LatencyModel::Constant(1_000));
+        let mut sim = Sim::new(cfg, nodes);
+        // The put's update round reaches nodes 1 and 2 at 3 000; its node
+        // crashes before their acks return, and a later get reads it.
+        sim.invoke_at(0, ProcessId(0), KvOp::Put(1, 7));
+        sim.crash_at(3_500, ProcessId(0));
+        sim.invoke_at(10_000, ProcessId(1), KvOp::Get(1));
+        sim.run_until_quiet(1_000_000);
+        assert_eq!(sim.aborted_details().len(), 1);
+        assert_eq!(sim.completed()[0].resp, KvResp::GetOk(Some(7)));
+        let histories = kv_histories(&sim);
+        let h = &histories[&1u32];
+        assert_eq!(h.pending_writes(), &[(0, 7, 0)]);
+        assert_eq!(
+            abd_lincheck::check_linearizable(h),
+            abd_lincheck::CheckResult::Linearizable
+        );
     }
 
     #[test]

@@ -53,8 +53,10 @@ const OPS: u64 = 9;
 const SIM_SEED: u64 = 1234;
 const NEMESIS_SEED: u64 = 71;
 
+const BACKOFF_BASE: u64 = 20_000;
+
 fn backoff() -> BackoffPolicy {
-    BackoffPolicy::new(20_000)
+    BackoffPolicy::new(BACKOFF_BASE)
 }
 
 /// The `k`-th read of client `c`: plain atomic, regular and sequential in
@@ -164,7 +166,7 @@ fn swmr(read_mode: ReadMode) -> Counted {
         .map(|i| {
             let cfg = SwmrConfig::new(N, ProcessId(i), ProcessId(0))
                 .with_read_mode(read_mode)
-                .with_backoff(backoff());
+                .with_retransmit(BACKOFF_BASE);
             SwmrNode::new(cfg, 0)
         })
         .collect();
@@ -176,7 +178,7 @@ fn mwmr(read_mode: ReadMode) -> Counted {
         .map(|i| {
             let cfg = MwmrConfig::new(N, ProcessId(i))
                 .with_read_mode(read_mode)
-                .with_backoff(backoff());
+                .with_retransmit(BACKOFF_BASE);
             MwmrNode::new(cfg, 0)
         })
         .collect();
@@ -318,7 +320,11 @@ where
 
 fn kv_nodes(cfg: impl Fn(KvConfig) -> KvConfig) -> Vec<KvNode<u32, u64>> {
     (0..N)
-        .map(|i| KvNode::new(cfg(KvConfig::new(N, ProcessId(i)).with_backoff(backoff()))))
+        .map(|i| {
+            KvNode::new(cfg(
+                KvConfig::new(N, ProcessId(i)).with_retransmit(BACKOFF_BASE)
+            ))
+        })
         .collect()
 }
 
@@ -506,7 +512,7 @@ fn kv_identity_table_is_pinned() {
         .map(|i| {
             let mode = if i < 2 { Relay } else { TwoRound };
             let cfg = KvConfig::new(N, ProcessId(i))
-                .with_backoff(backoff())
+                .with_retransmit(BACKOFF_BASE)
                 .with_read_mode(mode);
             Requorum {
                 inner: KvNode::new(cfg),
@@ -699,7 +705,8 @@ where
 fn byz_nodes(n: usize, b: usize, liars: &[(usize, LieStrategy)]) -> Vec<ByzNode<u64>> {
     (0..n)
         .map(|i| {
-            let mut cfg = ByzConfig::new(n, ProcessId(i), ProcessId(0), b).with_backoff(backoff());
+            let mut cfg =
+                ByzConfig::new(n, ProcessId(i), ProcessId(0), b).with_retransmit(BACKOFF_BASE);
             if let Some((_, lie)) = liars.iter().find(|(id, _)| *id == i) {
                 cfg = cfg.with_lie(*lie);
             }
@@ -766,7 +773,7 @@ fn bounded_nodes(n: usize, modulus: u32) -> Vec<BoundedSwmrNode<u64>> {
         .map(|i| {
             let cfg = BoundedSwmrConfig::new(n, ProcessId(i), ProcessId(0))
                 .with_space(LabelSpace::new(modulus))
-                .with_backoff(backoff());
+                .with_retransmit(BACKOFF_BASE);
             BoundedSwmrNode::new(cfg, 0)
         })
         .collect()

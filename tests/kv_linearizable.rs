@@ -5,11 +5,11 @@
 
 use abd_core::types::{ProcessId, ReadMode};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
-use abd_repro::lincheck::{check_linearizable_with_limit, CheckResult, History, RegAction};
+use abd_repro::lincheck::{check_linearizable_with_limit, CheckResult};
+use abd_repro::simnet::workload::kv_histories;
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 type KvSim = Sim<KvNode<u32, u64>>;
 
@@ -35,26 +35,6 @@ fn cluster_cfg(n: usize, seed: u64, fast_reads: bool) -> KvSim {
             .with_duplication(0.05),
         nodes,
     )
-}
-
-/// Builds one history per key from the sim's completed operations.
-/// `Get -> None` is modelled as reading the initial value 0 (no real write
-/// ever writes 0).
-fn per_key_histories(sim: &KvSim) -> HashMap<u32, History<u64>> {
-    let mut histories: HashMap<u32, History<u64>> = HashMap::new();
-    for rec in sim.completed() {
-        let (key, action) = match (&rec.input, &rec.resp) {
-            (KvOp::Put(k, v), KvResp::PutOk) => (*k, RegAction::Write(*v)),
-            (KvOp::Get(k), KvResp::GetOk(Some(v))) => (*k, RegAction::Read(*v)),
-            (KvOp::Get(k), KvResp::GetOk(None)) => (*k, RegAction::Read(0)),
-            _ => continue,
-        };
-        histories
-            .entry(key)
-            .or_insert_with(|| History::new(0))
-            .push(rec.client.index(), action, rec.invoked_at, rec.completed_at);
-    }
-    histories
 }
 
 #[test]
@@ -86,7 +66,7 @@ fn per_key_histories_are_linearizable_across_seeds() {
             abd_repro::simnet::harness::run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000),
             "seed {seed}"
         );
-        for (key, h) in per_key_histories(&sim) {
+        for (key, h) in kv_histories(&sim) {
             assert_eq!(
                 check_linearizable_with_limit(&h, 2_000_000),
                 CheckResult::Linearizable,
@@ -126,7 +106,7 @@ fn fast_reads_keep_per_key_histories_linearizable() {
             abd_repro::simnet::harness::run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000),
             "seed {seed}"
         );
-        for (key, h) in per_key_histories(&sim) {
+        for (key, h) in kv_histories(&sim) {
             assert_eq!(
                 check_linearizable_with_limit(&h, 2_000_000),
                 CheckResult::Linearizable,
@@ -164,7 +144,7 @@ fn pipelined_invocations_stay_linearizable() {
             }
         }
         assert!(sim.run_until_ops_complete(600_000_000_000), "seed {seed}");
-        for (key, h) in per_key_histories(&sim) {
+        for (key, h) in kv_histories(&sim) {
             assert_ne!(
                 check_linearizable_with_limit(&h, 2_000_000),
                 CheckResult::NotLinearizable,

@@ -24,7 +24,9 @@ use abd_core::types::{Consistency, OpId, ProcessId, ReadMode, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_repro::lincheck::{is_atomic_swmr, RegAction};
 use abd_repro::simnet::nemesis::liveness_bound;
-use abd_repro::simnet::workload::{history_from_sim, scripts_at_tier, scripts_mixed_tier};
+use abd_repro::simnet::workload::{
+    history_from_sim, kv_histories, scripts_at_tier, scripts_mixed_tier,
+};
 use abd_repro::simnet::{
     run_campaign, shrink, Cell, Failure, MutantKind, NemesisConfig, NemesisSchedule, OracleSpec,
     PlannedFault, ProtocolSpec, Repro, Sim, SimConfig,
@@ -161,7 +163,7 @@ fn fixed_seed_campaign_counts_restarts_and_retransmissions() {
     let nodes: Vec<SwmrNode<u64>> = (0..N)
         .map(|i| {
             SwmrNode::new(
-                SwmrConfig::new(N, ProcessId(i), ProcessId(0)).with_backoff(backoff()),
+                SwmrConfig::new(N, ProcessId(i), ProcessId(0)).with_retransmit(BACKOFF_BASE),
                 0,
             )
         })
@@ -230,7 +232,7 @@ fn soak_bounded_and_byzantine_randomized_campaigns() {
                 .map(|i| {
                     let cfg = BoundedSwmrConfig::new(N, ProcessId(i), ProcessId(0))
                         .with_space(LabelSpace::new(64))
-                        .with_backoff(backoff());
+                        .with_retransmit(BACKOFF_BASE);
                     BoundedSwmrNode::new(cfg, 0)
                 })
                 .collect();
@@ -261,7 +263,8 @@ fn soak_bounded_and_byzantine_randomized_campaigns() {
             let nodes: Vec<ByzNode<u64>> = (0..N)
                 .map(|i| {
                     ByzNode::new(
-                        ByzConfig::new(N, ProcessId(i), ProcessId(0), 1).with_backoff(backoff()),
+                        ByzConfig::new(N, ProcessId(i), ProcessId(0), 1)
+                            .with_retransmit(BACKOFF_BASE),
                         0,
                     )
                 })
@@ -549,30 +552,9 @@ fn kv_recovery_trace_digest_is_pinned() {
     );
 }
 
-/// Per-key lincheck histories from a KV sim's completed operations
-/// (`Get -> None` reads the initial value 0; no script writes 0).
-fn kv_per_key_histories(
-    sim: &Sim<KvNode<u32, u64>>,
-) -> std::collections::HashMap<u32, abd_repro::lincheck::History<u64>> {
-    let mut histories = std::collections::HashMap::new();
-    for rec in sim.completed() {
-        let (key, action) = match (&rec.input, &rec.resp) {
-            (KvOp::Put(k, v), KvResp::PutOk) => (*k, RegAction::Write(*v)),
-            (KvOp::Get(k), KvResp::GetOk(Some(v))) => (*k, RegAction::Read(*v)),
-            (KvOp::Get(k), KvResp::GetOk(None)) => (*k, RegAction::Read(0)),
-            _ => continue,
-        };
-        histories
-            .entry(key)
-            .or_insert_with(|| abd_repro::lincheck::History::new(0))
-            .push(rec.client.index(), action, rec.invoked_at, rec.completed_at);
-    }
-    histories
-}
-
 /// Asserts every per-key history of `sim` linearizable.
 fn assert_kv_linearizable(sim: &Sim<KvNode<u32, u64>>, under: &str) {
-    for (key, h) in kv_per_key_histories(sim) {
+    for (key, h) in kv_histories(sim) {
         assert_ne!(
             abd_repro::lincheck::check_linearizable_with_limit(&h, 2_000_000),
             abd_repro::lincheck::CheckResult::NotLinearizable,
@@ -1008,7 +990,7 @@ fn watched_run(repro: &Repro) -> (u64, u64) {
         .map(|i| {
             let cfg = SwmrConfig::new(N, ProcessId(i), ProcessId(0))
                 .with_read_mode(repro.protocol.read_mode())
-                .with_backoff(backoff());
+                .with_retransmit(BACKOFF_BASE);
             Watched {
                 node: SwmrNode::new(cfg, 0),
                 served_catching_up: 0,
@@ -1243,7 +1225,7 @@ fn violating_the_majority_envelope_blocks_operations() {
     let nodes: Vec<SwmrNode<u64>> = (0..N)
         .map(|i| {
             SwmrNode::new(
-                SwmrConfig::new(N, ProcessId(i), ProcessId(0)).with_backoff(backoff()),
+                SwmrConfig::new(N, ProcessId(i), ProcessId(0)).with_retransmit(BACKOFF_BASE),
                 0,
             )
         })

@@ -81,6 +81,16 @@ if grep -rnE 'SyncPull|SyncState|SyncDigest|sync_threshold' crates src tests exa
   echo "the bulk pull, the digest handshake or their knob is named again; the Merkle walk is the one state transfer"; exit 1
 fi
 
+echo "==> the nemesis search keeps no coverage map (it admits every candidate it runs)"
+# Steering admission by protocol-state cells changed nothing the search finds
+# (EXPERIMENTS F7), so the cells, their collector and the message classifiers
+# that fed it are gone; the simulator's tap stays for its other users.
+if [ -e crates/simnet/src/coverage.rs ] \
+  || grep -rnE 'coverage\.rs|CoverageMap|CoverageCollector|CoverageSample|run_with_coverage|ClassifyOp' \
+    crates src tests examples benchmark/src --include='*.rs'; then
+  echo "the coverage map is back; guided_search admits every candidate it runs (crates/simnet/src/search.rs)"; exit 1
+fi
+
 echo "==> link delay is held where the message lands (no delayer thread)"
 # A message between two nodes carries the time it is due; its receiver holds
 # it beside its timers. No thread of its own injects the delay.
@@ -171,7 +181,7 @@ cargo run -q --release -p abd-bench --bin fig_throughput
 git diff --exit-code -- BENCH_throughput.json \
   || { echo "BENCH_throughput.json drifted from the checked-in artifact"; exit 1; }
 
-echo "==> search bench smoke (guided search detects every mutant and round-trips each to a minimal artifact; guided vs blind reported; regenerates BENCH_search.json)"
+echo "==> search bench smoke (guided search — candidates mutated from earlier schedules, every one it runs admitted to the corpus — detects every mutant and round-trips each to a minimal artifact; guided vs blind reported; regenerates BENCH_search.json)"
 cargo run -q --release -p abd-bench --bin fig_search -- --smoke
 git diff --exit-code -- BENCH_search.json \
   || { echo "BENCH_search.json drifted from the checked-in artifact"; exit 1; }

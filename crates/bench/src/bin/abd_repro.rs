@@ -14,11 +14,9 @@
 //! exits 1 when the run passes (the bug is gone — delete the artifact) or
 //! diverges from the recording. `shrink` exits 0 with a minimal artifact
 //! written next to the input (or to `-o`), and nonzero when the input no
-//! longer fails. `explain` prints the configuration and the fault
-//! timeline, then runs the campaign once under the observation-only
-//! coverage tap and lists the protocol-state coverage cells the execution
-//! lights — the same cells `abd_simnet::search` steers by, so an
-//! artifact's cells can be compared against a search corpus directly.
+//! longer fails. `explain` runs nothing: it prints the configuration, the
+//! read path and phase graph the protocol walks, the recorded digest and
+//! failure, and the fault timeline.
 
 use abd_core::types::ReadMode;
 use abd_simnet::repro::Repro;
@@ -35,8 +33,8 @@ fn usage() -> ExitCode {
          shrink  <artifact.ron> [-o OUT]  minimize the failing campaign (ddmin over\n\
          \u{20}                                faults, durations, and scripts); writes\n\
          \u{20}                                OUT (default: <artifact>.min.ron)\n\
-         explain <artifact.ron>           print the configuration, the fault timeline,\n\
-         \u{20}                                and the coverage cells the campaign hits"
+         explain <artifact.ron>           describe without running: the configuration,\n\
+         \u{20}                                the recorded failure, and the fault timeline"
     );
     ExitCode::from(2)
 }
@@ -132,16 +130,7 @@ fn cmd_shrink(path: &Path, out_path: Option<PathBuf>) -> Result<ExitCode, String
 }
 
 fn cmd_explain(path: &Path) -> Result<ExitCode, String> {
-    let r = load(path)?;
-    describe(&r);
-    // One tapped run (bit-identical to an untapped one) to show which
-    // protocol-state corners this campaign actually reaches — the same
-    // cells the coverage-guided search steers by.
-    let (_, cov) = r.run_with_coverage();
-    println!("coverage:  {} cells", cov.len());
-    for cell in cov.cells() {
-        println!("  {cell}");
-    }
+    describe(&load(path)?);
     Ok(ExitCode::SUCCESS)
 }
 

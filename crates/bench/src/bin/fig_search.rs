@@ -1,4 +1,4 @@
-//! **F7 — search fitness: coverage-guided vs. blind nemesis search over a
+//! **F7 — search fitness: mutational vs. blind nemesis search over a
 //! planted-mutant zoo.**
 //!
 //! Five deliberately broken SWMR variants — each attacking one load-bearing
@@ -6,7 +6,8 @@
 //! under the same campaign budget:
 //!
 //! * `guided` — [`guided_search`]: corpus + mutation operators over fault
-//!   schedules, steered by protocol-state coverage novelty;
+//!   schedules, each candidate derived from earlier ones and admitted once
+//!   it has run;
 //! * `blind` — [`blind_search`]: one fresh planner schedule per seed, a
 //!   plain seed sweep.
 //!

@@ -21,7 +21,11 @@
 //!   (each round gets its own phase id) instead of queueing, since
 //!   operations on independent keys do not interact; per-client ordering is
 //!   preserved by the clients themselves, which block on one operation at a
-//!   time.
+//!   time. Two puts on one key may therefore run at one node together, and
+//!   both query rounds may report the same largest tag: the store issues
+//!   above its own tag for the key as well, which holds the first put's.
+//!   A register needs no such care, since its FIFO queue runs one
+//!   operation per node at a time.
 //!
 //! The read modes ([`ReadMode::FastUnanimous`](abd_core::types::ReadMode),
 //! [`ReadMode::Relay`](abd_core::types::ReadMode)), the consistency tiers
@@ -347,8 +351,11 @@ impl<K: Clone + Eq + Hash, V: Clone> Store<K, Tag, Option<V>, V> for KvStore<K, 
         fold.into_best()
     }
 
-    fn issue(&mut self, _: &K, seen: Tag, me: ProcessId) -> Tag {
-        seen.next(me)
+    /// Above this replica's own tag too: a put whose query ran beside an
+    /// earlier put of this node's on the same key saw the same largest tag,
+    /// and only the store holds the tag that put issued.
+    fn issue(&mut self, key: &K, seen: Tag, me: ProcessId) -> Tag {
+        seen.max(self.snapshot(key).0).next(me)
     }
 }
 

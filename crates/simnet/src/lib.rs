@@ -15,7 +15,11 @@
 //! * **workload harness** ([`harness`], [`workload`]): closed-loop clients,
 //!   each paced by its own completions, running generated read/write
 //!   scripts, with completed executions
-//!   exported as `abd-lincheck` histories for consistency checking.
+//!   exported as `abd-lincheck` histories for consistency checking;
+//! * **bug hunting** ([`nemesis`], [`search`], [`repro`], [`shrink`]):
+//!   planned fault campaigns, a mutational search that derives new
+//!   schedules from earlier ones, and failures frozen into replayable
+//!   artifacts that the shrinker minimizes.
 //!
 //! ## Example: a seeded adversarial run, checked for atomicity
 //!
@@ -39,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod config;
-pub mod coverage;
 pub mod harness;
 pub mod metrics;
 pub mod nemesis;
@@ -51,7 +54,6 @@ pub mod sim;
 pub mod workload;
 
 pub use config::{LatencyModel, SimConfig};
-pub use coverage::{Cell, CoverageCollector, CoverageMap, CoverageSample};
 pub use metrics::Metrics;
 pub use nemesis::{run_campaign, NemesisConfig, NemesisSchedule, PlannedFault};
 pub use planted::{AmnesiacKv, MutantKind, MutantSwmr};

@@ -20,7 +20,6 @@
 //! accepted and used for digests.
 
 use crate::config::{LatencyModel, SimConfig};
-use crate::coverage::{Classify, ClassifyOp, CoverageCollector, CoverageSample};
 use crate::nemesis::{run_campaign, NemesisSchedule, PlannedFault};
 use crate::planted::{AmnesiacKv, MutantKind, MutantSwmr};
 use crate::sim::Sim;
@@ -228,24 +227,6 @@ impl Repro {
         }
     }
 
-    /// Like [`Repro::run`], but also extracts the campaign's
-    /// [`CoverageSample`] through the simulator's observation-only tap —
-    /// the replay stays bit-identical to an untapped one.
-    pub fn run_with_coverage(&self) -> (ReplayOutcome, CoverageSample) {
-        let mut cov = CoverageSample::default();
-        let (digest, completed, histories) = self.run_once_cov(Some(&mut cov));
-        let failure = self.judge(digest, completed, &histories);
-        (
-            ReplayOutcome {
-                digest,
-                completed,
-                failure,
-                histories,
-            },
-            cov,
-        )
-    }
-
     /// Applies this artifact's oracle to one finished run: a history
     /// oracle judges each register's history on its own, and the first
     /// violation is the failure (named by its key when there are several
@@ -341,21 +322,11 @@ impl Repro {
     /// One deterministic execution: build nodes, apply the schedule, drive
     /// the scripts, extract (digest, completed, history).
     fn run_once(&self) -> (u64, bool, Vec<History<u64>>) {
-        self.run_once_cov(None)
-    }
-
-    /// [`run_once`](Repro::run_once) with an optional coverage slot filled
-    /// through the simulator tap.
-    fn run_once_cov(
-        &self,
-        coverage: Option<&mut CoverageSample>,
-    ) -> (u64, bool, Vec<History<u64>>) {
         match self.protocol {
             ProtocolSpec::Swmr { read_mode } => self.drive(
                 (0..self.n)
                     .map(|i| SwmrNode::new(self.swmr_cfg(i, read_mode), 0u64))
                     .collect(),
-                coverage,
             ),
             ProtocolSpec::Mwmr { read_mode } => self.drive(
                 (0..self.n)
@@ -368,13 +339,11 @@ impl Repro {
                         MwmrNode::new(cfg, 0u64)
                     })
                     .collect(),
-                coverage,
             ),
             ProtocolSpec::BatchedSwmr { window, read_mode } => self.drive(
                 (0..self.n)
                     .map(|i| Batched::new(SwmrNode::new(self.swmr_cfg(i, read_mode), 0u64), window))
                     .collect(),
-                coverage,
             ),
             ProtocolSpec::MutantSwmr { mutant, every } => self.drive(
                 (0..self.n)
@@ -386,7 +355,6 @@ impl Repro {
                         )
                     })
                     .collect(),
-                coverage,
             ),
             ProtocolSpec::Kv {
                 read_mode,
@@ -432,14 +400,9 @@ impl Repro {
                     .collect();
                 if amnesiac {
                     let nodes = nodes.map(AmnesiacKv::new).collect();
-                    self.drive_with(nodes, scripts, hot_key_histories(preload, hot), coverage)
+                    self.drive_with(nodes, scripts, hot_key_histories(preload, hot))
                 } else {
-                    self.drive_with(
-                        nodes.collect(),
-                        scripts,
-                        hot_key_histories(preload, hot),
-                        coverage,
-                    )
+                    self.drive_with(nodes.collect(), scripts, hot_key_histories(preload, hot))
                 }
             }
         }
@@ -447,21 +410,13 @@ impl Repro {
 
     /// [`Repro::drive_with`] for the register protocols, whose scripts run
     /// as written and whose history is the one register's.
-    fn drive<P>(
-        &self,
-        nodes: Vec<P>,
-        coverage: Option<&mut CoverageSample>,
-    ) -> (u64, bool, Vec<History<u64>>)
+    fn drive<P>(&self, nodes: Vec<P>) -> (u64, bool, Vec<History<u64>>)
     where
         P: Protocol<Op = RegisterOp<u64>, Resp = RegisterResp<u64>>,
-        P::Msg: Classify,
     {
-        self.drive_with(
-            nodes,
-            self.scripts.clone(),
-            |sim| vec![history_from_sim(0, sim)],
-            coverage,
-        )
+        self.drive_with(nodes, self.scripts.clone(), |sim| {
+            vec![history_from_sim(0, sim)]
+        })
     }
 
     fn drive_with<P>(
@@ -469,30 +424,15 @@ impl Repro {
         nodes: Vec<P>,
         scripts: Vec<Vec<P::Op>>,
         histories: impl Fn(&Sim<P>) -> Vec<History<u64>>,
-        coverage: Option<&mut CoverageSample>,
     ) -> (u64, bool, Vec<History<u64>>)
     where
         P: Protocol,
-        P::Msg: Classify,
-        P::Op: ClassifyOp + Clone,
+        P::Op: Clone,
         P::Resp: Clone,
     {
         let mut sim = Sim::new(self.sim.clone(), nodes);
-        let collector = coverage.is_some().then(|| {
-            std::rc::Rc::new(std::cell::RefCell::new(CoverageCollector::new(
-                self.n,
-                ProcessId(0),
-            )))
-        });
-        if let Some(c) = &collector {
-            let c2 = std::rc::Rc::clone(c);
-            sim.set_tap(Box::new(move |ev| c2.borrow_mut().observe(&ev)));
-        }
         self.schedule.apply(&mut sim);
         let completed = run_campaign(&mut sim, &self.schedule, scripts, self.think, self.deadline);
-        if let (Some(slot), Some(c)) = (coverage, collector) {
-            *slot = c.borrow().clone().finish(sim.metrics(), sim.trace_digest());
-        }
         (sim.trace_digest(), completed, histories(&sim))
     }
 }
@@ -1403,53 +1343,6 @@ mod tests {
         }
         let old = r.to_ron().replace("read_mode: Relay", "fast_reads: true");
         assert!(Repro::from_ron(&old).is_err(), "one spelling per field");
-    }
-
-    #[test]
-    fn run_with_coverage_matches_untapped_digest() {
-        let sched = NemesisConfig::new(7, 5).plan();
-        let scripts: Vec<Vec<RegisterOp<u64>>> = (0..5)
-            .map(|c| {
-                (0..3u64)
-                    .map(|k| {
-                        if c == 0 {
-                            RegisterOp::Write(k + 1)
-                        } else {
-                            RegisterOp::Read
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let r = Repro {
-            name: "coverage".to_string(),
-            protocol: ProtocolSpec::Swmr {
-                read_mode: ReadMode::TwoRound,
-            },
-            n: 5,
-            backoff_base: Some(20_000),
-            sim: SimConfig::new(99),
-            deadline: sched.heal_at() + 200_000_000,
-            schedule: sched,
-            scripts,
-            think: 5_000,
-            oracle: OracleSpec::AtomicSwmr,
-            expected_digest: 0,
-            reason: String::new(),
-        };
-        let plain = r.run();
-        let (tapped, cov) = r.run_with_coverage();
-        assert_eq!(
-            plain.digest, tapped.digest,
-            "observation must not perturb the execution"
-        );
-        assert!(
-            !cov.is_empty(),
-            "a fault campaign must light some coverage cells"
-        );
-        // Deterministic extraction too.
-        let (_, cov2) = r.run_with_coverage();
-        assert_eq!(cov, cov2);
     }
 
     #[test]

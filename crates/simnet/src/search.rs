@@ -1,4 +1,4 @@
-//! Coverage-guided nemesis search: a seeded mutation engine over fault
+//! Mutational nemesis search: a seeded mutation engine over fault
 //! schedules that hunts protocol failures.
 //!
 //! The nemesis planner ([`crate::nemesis`]) draws one campaign per seed;
@@ -6,12 +6,12 @@
 //! is an independent sample, and a defect that only fires under a rare
 //! fault shape waits for the sweep to stumble onto it. The search here is
 //! the fuzzing alternative: keep a **corpus** of schedules, derive
-//! candidates by **mutating** corpus members ([`MutationOp`]), run each
-//! candidate, and admit it to the corpus only when its execution lights a
-//! protocol-state [`Cell`](crate::coverage::Cell) no earlier campaign
-//! reached. Novelty — not failure — is the steering signal, so the corpus
-//! accumulates schedules that drive the protocol into progressively
-//! stranger corners until one of them trips the oracle.
+//! candidates by **mutating** corpus members ([`MutationOp`]) and stacking
+//! a composite recovery ambush on most of them, run each candidate, and
+//! admit every one that passes to the corpus (the oldest leave first once
+//! it holds 64). "Guided" means derived from earlier schedules: a fault
+//! shape the planner draws rarely, once reached, is shifted, stretched,
+//! retargeted and spliced until one of its neighbours trips the oracle.
 //!
 //! Every candidate stays **legal** by construction: mutations rebuild
 //! schedules through [`NemesisSchedule::from_faults`] and re-validate with
@@ -22,15 +22,13 @@
 //! draws again; it never panics and never runs an invalid campaign.
 //!
 //! Everything is deterministic: the search RNG is seeded (domain-separated
-//! from the planner and simulator streams), candidate executions are
-//! seeded simulations, and coverage extraction rides the observation-only
-//! simulator tap — so `guided_search(spec, seed, budget)` twice yields the
-//! same corpus, the same coverage map and the same detection.
+//! from the planner and simulator streams) and candidate executions are
+//! seeded simulations — so `guided_search(spec, seed, budget)` twice yields
+//! the same corpus and the same detection.
 //! [`blind_search`] runs the planner-per-seed baseline under the identical
 //! budget accounting, which is what `fig_search` compares against.
 
 use crate::config::SimConfig;
-use crate::coverage::CoverageMap;
 use crate::nemesis::{NemesisConfig, NemesisSchedule, PlannedFault};
 use crate::repro::{Failure, OracleSpec, ProtocolSpec, Repro};
 use abd_core::msg::RegisterOp;
@@ -51,8 +49,8 @@ const AMBUSH_SALT: u64 = 0x616d_6275_7368_6121; // "ambush!!" variant
 /// overlay, as a probability.
 const AMBUSH_RATE: f64 = 0.65;
 
-/// Corpus size cap; oldest entries are evicted first. Novelty admission
-/// slows naturally as the map fills, so a small corpus suffices.
+/// Corpus size cap; oldest entries are evicted first, so the parents
+/// drawn stay close to the latest mutations.
 const CORPUS_CAP: usize = 64;
 
 /// Seed schedules drawn straight from the planner before mutation starts.
@@ -136,8 +134,8 @@ pub enum MutationOp {
     Compress,
     /// Insert a brand-new crash/restart pair on a random node. The only
     /// operator that *creates* a crash: a corpus whose planner draws held
-    /// no crashes could otherwise never reach recovery-path coverage, no
-    /// matter how much it shifts and splices.
+    /// no crashes could otherwise never reach the recovery path, no matter
+    /// how much it shifts and splices.
     InsertCrashRestart,
     /// Re-draw one crash's restart instant independently of its crash
     /// instant (and of the original outage length). Restart placement is
@@ -513,9 +511,6 @@ pub struct SearchOutcome {
     pub detection: Option<Repro>,
     /// Why the detected campaign failed.
     pub failure: Option<Failure>,
-    /// Coverage accumulated across all executed campaigns (empty for
-    /// [`blind_search`], which does not observe coverage).
-    pub coverage: CoverageMap,
     /// Corpus size at exit.
     pub corpus_len: usize,
     /// Order-sensitive digest of the corpus schedules — two runs of the
@@ -599,49 +594,43 @@ fn corpus_digest(corpus: &[NemesisSchedule]) -> u64 {
         .fold(FNV_OFFSET, |h, s| fnv(h, schedule_digest(s)))
 }
 
-/// Coverage-guided search: seed the corpus from the planner, then mutate,
-/// run, and admit novelty until a campaign fails its oracle or `budget`
-/// campaigns have executed. Deterministic in `(spec, seed, budget)`.
+/// Runs `sched` as the search's `campaigns`th campaign. A failure ends the
+/// search, and this is its outcome, with the corpus as it stood; a pass
+/// is `None`.
+fn detect(
+    spec: &SearchSpec,
+    sched: &NemesisSchedule,
+    campaigns: usize,
+    corpus: &[NemesisSchedule],
+) -> Option<SearchOutcome> {
+    let repro = spec.repro_for(sched);
+    let failure = repro.run().failure?;
+    Some(SearchOutcome {
+        campaigns,
+        detection: Some(repro),
+        failure: Some(failure),
+        corpus_len: corpus.len(),
+        corpus_digest: corpus_digest(corpus),
+    })
+}
+
+/// Mutational search: seed the corpus from the planner, then mutate, run,
+/// and admit every candidate that passes until a campaign fails its oracle
+/// or `budget` campaigns have executed. Deterministic in
+/// `(spec, seed, budget)`.
 pub fn guided_search(spec: &SearchSpec, seed: u64, budget: usize) -> SearchOutcome {
     let mut rng = SmallRng::seed_from_u64(seed ^ SEARCH_SALT);
     let mut ambush_rng = SmallRng::seed_from_u64(seed ^ AMBUSH_SALT);
-    let mut coverage = CoverageMap::default();
     let mut corpus: Vec<NemesisSchedule> = Vec::new();
     let mut campaigns = 0usize;
 
-    // Boxed Err: a detection is rare and terminal, so the fat (Repro,
-    // Failure) payload should not widen the per-campaign Ok path.
-    let run = |sched: &NemesisSchedule,
-               coverage: &mut CoverageMap,
-               campaigns: &mut usize|
-     -> Result<usize, Box<(Repro, Failure)>> {
-        *campaigns += 1;
-        let repro = spec.repro_for(sched);
-        let (out, cov) = repro.run_with_coverage();
-        let novel = coverage.absorb(&cov);
-        match out.failure {
-            Some(f) => Err(Box::new((repro, f))),
-            None => Ok(novel),
-        }
-    };
-
     for i in 0..SEED_CORPUS.min(budget.max(1)) {
         let sched = NemesisConfig::new(seed.wrapping_add(i as u64), spec.n).plan();
-        match run(&sched, &mut coverage, &mut campaigns) {
-            Ok(_) => corpus.push(sched),
-            Err(boxed) => {
-                let (repro, failure) = *boxed;
-                let corpus_digest = corpus_digest(&corpus);
-                return SearchOutcome {
-                    campaigns,
-                    detection: Some(repro),
-                    failure: Some(failure),
-                    coverage,
-                    corpus_len: corpus.len(),
-                    corpus_digest,
-                };
-            }
+        campaigns += 1;
+        if let Some(found) = detect(spec, &sched, campaigns, &corpus) {
+            return found;
         }
+        corpus.push(sched);
         if campaigns >= budget {
             break;
         }
@@ -679,67 +668,41 @@ pub fn guided_search(spec: &SearchSpec, seed: u64, budget: usize) -> SearchOutco
         if !changed {
             continue;
         }
-        match run(&cand, &mut coverage, &mut campaigns) {
-            Ok(novel) => {
-                if novel > 0 {
-                    corpus.push(cand);
-                    if corpus.len() > CORPUS_CAP {
-                        corpus.remove(0);
-                    }
-                }
-            }
-            Err(boxed) => {
-                let (repro, failure) = *boxed;
-                let corpus_digest = corpus_digest(&corpus);
-                return SearchOutcome {
-                    campaigns,
-                    detection: Some(repro),
-                    failure: Some(failure),
-                    coverage,
-                    corpus_len: corpus.len(),
-                    corpus_digest,
-                };
-            }
+        campaigns += 1;
+        if let Some(found) = detect(spec, &cand, campaigns, &corpus) {
+            return found;
+        }
+        corpus.push(cand);
+        if corpus.len() > CORPUS_CAP {
+            corpus.remove(0);
         }
     }
 
-    let digest = corpus_digest(&corpus);
     SearchOutcome {
         campaigns,
         detection: None,
         failure: None,
-        coverage,
         corpus_len: corpus.len(),
-        corpus_digest: digest,
+        corpus_digest: corpus_digest(&corpus),
     }
 }
 
 /// The baseline the guided search is judged against: one fresh
-/// planner-drawn campaign per seed, no mutation, no coverage steering —
-/// exactly what a seed sweep does, under the same budget accounting.
+/// planner-drawn campaign per seed, no corpus, no mutation — exactly what
+/// a seed sweep does, under the same budget accounting.
 pub fn blind_search(spec: &SearchSpec, seed: u64, budget: usize) -> SearchOutcome {
     for i in 0..budget {
         let sched = NemesisConfig::new(seed.wrapping_add(i as u64), spec.n).plan();
-        let repro = spec.repro_for(&sched);
-        let out = repro.run();
-        if let Some(failure) = out.failure {
-            return SearchOutcome {
-                campaigns: i + 1,
-                detection: Some(repro),
-                failure: Some(failure),
-                coverage: CoverageMap::default(),
-                corpus_len: 0,
-                corpus_digest: FNV_OFFSET,
-            };
+        if let Some(found) = detect(spec, &sched, i + 1, &[]) {
+            return found;
         }
     }
     SearchOutcome {
         campaigns: budget,
         detection: None,
         failure: None,
-        coverage: CoverageMap::default(),
         corpus_len: 0,
-        corpus_digest: FNV_OFFSET,
+        corpus_digest: corpus_digest(&[]),
     }
 }
 
@@ -919,7 +882,6 @@ mod tests {
         let b = guided_search(&s, 42, 6);
         assert_eq!(a.campaigns, b.campaigns);
         assert_eq!(a.corpus_digest, b.corpus_digest);
-        assert_eq!(a.coverage.len(), b.coverage.len());
         assert_eq!(a.detection.is_some(), b.detection.is_some());
     }
 
@@ -947,7 +909,6 @@ mod tests {
         assert!(out.detection.is_none(), "{:?}", out.failure);
         assert_eq!(out.campaigns, 5);
         assert!(out.corpus_len >= 1, "seed corpus admitted");
-        assert!(!out.coverage.is_empty());
     }
 
     #[test]
@@ -958,7 +919,7 @@ mod tests {
         let out = blind_search(&s, 7, 3);
         assert!(out.detection.is_none());
         assert_eq!(out.campaigns, 3);
-        assert!(out.coverage.is_empty(), "blind runs observe no coverage");
+        assert_eq!(out.corpus_len, 0, "blind runs keep no corpus");
     }
 
     #[test]

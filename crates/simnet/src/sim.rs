@@ -119,8 +119,8 @@ pub enum TapKind<'a, M, O> {
     Restart,
 }
 
-/// One observed simulator event: the [`TapKind`] plus ambient context a
-/// coverage signal needs (time, target, whether a partition is installed).
+/// One observed simulator event: the [`TapKind`] plus its ambient context
+/// (time, target, whether a partition is installed).
 #[derive(Debug)]
 pub struct TapEvent<'a, M, O> {
     /// Virtual time of the event.
@@ -258,9 +258,9 @@ where
     trace_cap: usize,
     /// Invoke events scheduled but not yet processed.
     queued_invokes: u64,
-    /// Optional observation-only event tap (coverage extraction). Never
-    /// consulted for scheduling decisions, so installing one cannot perturb
-    /// the execution or its digest.
+    /// Optional observation-only event tap. Never consulted for scheduling
+    /// decisions, so installing one cannot perturb the execution or its
+    /// digest.
     tap: Option<Tap<P::Msg, P::Op>>,
 }
 
@@ -454,7 +454,10 @@ where
     /// fire, invocation, completion, crash and restart. The tap cannot
     /// influence the simulation — scheduling, metrics and the trace digest
     /// are computed before and independently of it — so a tapped run is
-    /// bit-for-bit identical to an untapped one.
+    /// bit-for-bit identical to an untapped one. Its users only watch: the
+    /// wall-clock benchmark times operations and handlers through it, and
+    /// tests count what a run did (which messages a rebooted node sent,
+    /// say) without wrapping its nodes.
     pub fn set_tap(&mut self, tap: Tap<P::Msg, P::Op>) {
         self.tap = Some(tap);
     }

@@ -437,11 +437,12 @@ fn kv_identity_table_is_pinned() {
         &m,
         &r,
         (
-            // Re-pinned: under 64 keys, so each reboot was one bulk pull; it is
-            // a walk per peer now, whose sends shift every later latency draw.
+            // Re-pinned: two puts on one key at one node used to share a tag,
+            // so replicas could hold different values under it; the store now
+            // issues above its own tag. Only the responses moved.
             0x193ff309804332a5,
             3724,
-            0x070fa520690e5f7c,
+            0x737ad0958f43176a,
             [0, 41, 0, 48, 44],
         ),
     );
@@ -457,11 +458,13 @@ fn kv_identity_table_is_pinned() {
         &m,
         &r,
         (
-            // Re-pinned: bulk pulls became walks, as in kv/two-round.
-            0x47aa801570b238a6,
-            3572,
-            0xb0477c113b8214d3,
-            [35, 9, 0, 48, 43],
+            // Re-pinned: tags as in kv/two-round. A read that met one tag held
+            // with two values took the fast path; it now meets two tags and
+            // writes back (fast reads 35 -> 32, write-backs 9 -> 12).
+            0x01a3a4ee95983fd0,
+            3584,
+            0xc0042a114b1fa534,
+            [32, 12, 0, 48, 44],
         ),
     );
 
@@ -496,11 +499,10 @@ fn kv_identity_table_is_pinned() {
         &m,
         &r,
         (
-            // Re-pinned: every walk, a reboot's or a sweep's, lost the two
-            // messages of its root-digest handshake (`sent` was 5152).
+            // Re-pinned: tags as in kv/two-round; only the responses moved.
             0x35d1cbb6aebed0ca,
             5042,
-            0x1af4e24e9c7b9847,
+            0x390f9384321a6c05,
             [0, 41, 0, 48, 43],
         ),
     );
@@ -547,11 +549,10 @@ fn kv_identity_table_is_pinned() {
         &m,
         &r,
         (
-            // Re-pinned: bulk pulls became walks, as in kv/two-round, and a
-            // requorum drops a reboot's walks where it dropped its pull.
+            // Re-pinned: tags as in kv/two-round; only the responses moved.
             0xe3b62669b87a450b,
             4048,
-            0xaee285536e760fea,
+            0x87d26ddf4208cdbe,
             [0, 23, 18, 43, 43],
         ),
     );

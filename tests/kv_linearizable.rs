@@ -227,3 +227,47 @@ fn concurrent_puts_to_same_key_from_all_nodes_converge() {
     );
     assert!((100..100 + n as u64).contains(&entries[0].1));
 }
+
+/// Two puts on one key, invoked together at one node, must write under two
+/// tags. Their query rounds may run side by side and see the same largest
+/// tag, so only the node's own store knows the first has already issued
+/// the next one. With one tag issued twice, replicas kept different values
+/// under it, and no Merkle walk could repair that: the tree digests
+/// `(key → tag)`.
+#[test]
+fn two_puts_on_one_key_at_one_node_issue_two_tags() {
+    for seed in 0..300u64 {
+        let nodes = (0..3)
+            .map(|i| KvNode::new(KvConfig::new(3, ProcessId(i))))
+            .collect();
+        let uniform = LatencyModel::Uniform {
+            lo: 100,
+            hi: 40_000,
+        };
+        let mut sim: KvSim = Sim::new(SimConfig::new(seed).with_latency(uniform), nodes);
+        sim.invoke_at(0, ProcessId(0), KvOp::Put(7, 1));
+        sim.invoke_at(0, ProcessId(0), KvOp::Put(7, 2));
+        assert!(sim.run_until_ops_complete(10_000_000_000), "seed {seed}");
+        for i in 0..8 {
+            sim.invoke(ProcessId(i % 3), KvOp::Get(7));
+            assert!(sim.run_until_ops_complete(20_000_000_000), "seed {seed}");
+        }
+        assert!(sim.run_until_quiet(30_000_000_000), "seed {seed}");
+        let entries: Vec<_> = (0..3)
+            .map(|i| sim.node(i).local_entry(&7).map(|(t, v)| (t, *v)))
+            .collect();
+        assert!(
+            entries.iter().all(|e| *e == entries[0]),
+            "seed {seed}: replicas hold different entries: {entries:?}"
+        );
+        let (tag, _) = entries[0].expect("the key was written");
+        assert_eq!(tag.seq, 2, "seed {seed}: two puts, two tags");
+        for (key, h) in kv_histories(&sim) {
+            assert_eq!(
+                check_linearizable_with_limit(&h, 2_000_000),
+                CheckResult::Linearizable,
+                "seed {seed}, key {key}: non-linearizable history\n{h}"
+            );
+        }
+    }
+}

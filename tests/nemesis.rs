@@ -17,9 +17,9 @@
 use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
 use abd_core::byzantine::{ByzConfig, ByzNode};
 use abd_core::context::{Effects, Protocol, ReadPathStats, TimerKey};
-use abd_core::msg::{RegisterOp, RegisterResp};
+use abd_core::msg::RegisterOp;
 use abd_core::retransmit::BackoffPolicy;
-use abd_core::swmr::{SwmrConfig, SwmrMsg, SwmrNode};
+use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::{Consistency, OpId, ProcessId, ReadMode, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_repro::lincheck::{is_atomic_swmr, RegAction};
@@ -28,7 +28,7 @@ use abd_repro::simnet::workload::{
     history_from_sim, kv_histories, scripts_at_tier, scripts_mixed_tier,
 };
 use abd_repro::simnet::{
-    run_campaign, shrink, Cell, Failure, MutantKind, NemesisConfig, NemesisSchedule, OracleSpec,
+    run_campaign, shrink, Failure, MutantKind, NemesisConfig, NemesisSchedule, OracleSpec,
     PlannedFault, ProtocolSpec, Repro, Sim, SimConfig,
 };
 use std::collections::BTreeSet;
@@ -629,6 +629,21 @@ fn anti_entropy_campaign_races_crash_waves_and_stays_linearizable() {
     }
 }
 
+/// A store node holding `keys` cold keys at one tag, except its own `1/N`th
+/// of them, on which it alone holds a newer tag (writes that reached one
+/// replica): against its peers, nearly every bucket of its tree diverges.
+fn divergent_kv_node(cfg: KvConfig, keys: u32) -> KvNode<u32, u64> {
+    let i = cfg.me.index();
+    let mut node = KvNode::new(cfg);
+    for k in 0..keys {
+        node.preload(k, Tag::new(1, ProcessId(0)), 1);
+        if k as usize % N == i {
+            node.preload(k, Tag::new(2, ProcessId(i)), 2);
+        }
+    }
+    node
+}
+
 /// One wide-divergence recovery campaign: 2 000 preloaded keys over 256
 /// buckets, every node alone holding a newer tag on its own fifth of them
 /// (writes that reached one replica), so each reboot's walks find nearly
@@ -642,18 +657,10 @@ fn kv_pipelined_recovery_campaign(sim_seed: u64, nemesis_seed: u64) -> u64 {
     const BUCKETS: usize = 256;
     let nodes: Vec<KvNode<u32, u64>> = (0..N)
         .map(|i| {
-            let mut node = KvNode::new(
-                KvConfig::new(N, ProcessId(i))
-                    .with_retransmit(BACKOFF_BASE)
-                    .with_sync_buckets(BUCKETS),
-            );
-            for k in 0..KEYS {
-                node.preload(k, Tag::new(1, ProcessId(0)), 1);
-                if k as usize % N == i {
-                    node.preload(k, Tag::new(2, ProcessId(i)), 2);
-                }
-            }
-            node
+            let cfg = KvConfig::new(N, ProcessId(i))
+                .with_retransmit(BACKOFF_BASE)
+                .with_sync_buckets(BUCKETS);
+            divergent_kv_node(cfg, KEYS)
         })
         .collect();
     let cfg = SimConfig::new(sim_seed)
@@ -832,20 +839,47 @@ fn served_during_catch_up(campaign: impl Fn(u64, u64, ReadMode, bool) -> (Repro,
 
 #[test]
 fn kv_serves_during_catch_up_campaign() {
-    // The coverage tap counts the operations a restarted node completed
-    // before a later sync reply reached it.
     served_during_catch_up(|sim_seed, nemesis_seed, read_mode, tiers| {
         let repro = kv_catch_up_repro(sim_seed, nemesis_seed, read_mode, tiers, false);
-        let (again, coverage) = repro.run_with_coverage();
-        // A cell of bucket b stands for at least 2^(b-1) operations.
-        let served = coverage
-            .cells()
-            .map(|cell| match cell {
-                Cell::ServedDuringCatchUp(b) => 1 << (b - 1),
-                _ => 0,
+        let ProtocolSpec::Kv {
+            hot,
+            preload,
+            buckets,
+            ..
+        } = repro.protocol
+        else {
+            unreachable!("a store campaign")
+        };
+        let nodes = (0..N)
+            .map(|i| {
+                let cfg = KvConfig::new(N, ProcessId(i))
+                    .with_read_mode(read_mode)
+                    .with_sync_buckets(buckets as usize)
+                    .with_retransmit(BACKOFF_BASE);
+                divergent_kv_node(cfg, preload)
             })
-            .sum();
-        (repro, again.digest, served)
+            .collect();
+        // Script position j of client c addresses hot key
+        // `preload + (c + j) % hot`, as the repro's own replay does.
+        let scripts = repro
+            .scripts
+            .iter()
+            .enumerate()
+            .map(|(c, script)| {
+                let key = |j: usize| preload + (c + j) as u32 % hot;
+                script
+                    .iter()
+                    .enumerate()
+                    .map(|(j, op)| match *op {
+                        RegisterOp::Write(v) => KvOp::Put(key(j), v),
+                        RegisterOp::Read => KvOp::Get(key(j)),
+                        RegisterOp::ReadAt(tier) => KvOp::GetAt(key(j), tier),
+                    })
+                    .collect()
+            })
+            .collect();
+        let (digest, served) = watched_run(&repro, nodes, scripts);
+        (repro, digest, served)
     });
 }
 
@@ -936,18 +970,35 @@ fn register_catch_up_repro(
     )
 }
 
-/// A [`SwmrNode`] that counts the responses it gives while its catch-up is
-/// still open. It forwards every callback untouched, so a campaign over it
+/// A node whose post-restart catch-up can still be open.
+trait CatchesUp: Protocol {
+    fn is_recovering(&self) -> bool;
+}
+
+impl CatchesUp for SwmrNode<u64> {
+    fn is_recovering(&self) -> bool {
+        SwmrNode::is_recovering(self)
+    }
+}
+
+impl CatchesUp for KvNode<u32, u64> {
+    fn is_recovering(&self) -> bool {
+        KvNode::is_recovering(self)
+    }
+}
+
+/// A node that counts the responses it gives while its catch-up is still
+/// open. It forwards every callback untouched, so a campaign over it
 /// replays the plain node's trace digest.
-struct Watched {
-    node: SwmrNode<u64>,
+struct Watched<P> {
+    node: P,
     served_catching_up: u64,
 }
 
-type SwmrFx = Effects<SwmrMsg<u64>, RegisterResp<u64>>;
+type Fx<P> = Effects<<P as Protocol>::Msg, <P as Protocol>::Resp>;
 
-impl Watched {
-    fn watch(&mut self, fx: &mut SwmrFx, call: impl FnOnce(&mut SwmrNode<u64>, &mut SwmrFx)) {
+impl<P: CatchesUp> Watched<P> {
+    fn watch(&mut self, fx: &mut Fx<P>, call: impl FnOnce(&mut P, &mut Fx<P>)) {
         let before = fx.responses.len();
         call(&mut self.node, fx);
         if self.node.is_recovering() {
@@ -956,45 +1007,51 @@ impl Watched {
     }
 }
 
-impl Protocol for Watched {
-    type Msg = SwmrMsg<u64>;
-    type Op = RegisterOp<u64>;
-    type Resp = RegisterResp<u64>;
+impl<P: CatchesUp> Protocol for Watched<P> {
+    type Msg = P::Msg;
+    type Op = P::Op;
+    type Resp = P::Resp;
 
     fn id(&self) -> ProcessId {
         self.node.id()
     }
 
-    fn on_invoke(&mut self, op: OpId, input: Self::Op, fx: &mut SwmrFx) {
+    fn on_start(&mut self, fx: &mut Fx<P>) {
+        self.node.on_start(fx);
+    }
+
+    fn on_invoke(&mut self, op: OpId, input: Self::Op, fx: &mut Fx<P>) {
         self.watch(fx, |node, fx| node.on_invoke(op, input, fx));
     }
 
-    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, fx: &mut SwmrFx) {
+    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, fx: &mut Fx<P>) {
         self.watch(fx, |node, fx| node.on_message(from, msg, fx));
     }
 
-    fn on_timer(&mut self, key: TimerKey, fx: &mut SwmrFx) {
+    fn on_timer(&mut self, key: TimerKey, fx: &mut Fx<P>) {
         self.node.on_timer(key, fx);
     }
 
-    fn on_restart(&mut self, fx: &mut SwmrFx) {
+    fn on_restart(&mut self, fx: &mut Fx<P>) {
         self.watch(fx, |node, fx| node.on_restart(fx));
     }
 }
 
-/// Replays `repro` (a [`ProtocolSpec::Swmr`] artifact) over [`Watched`]
-/// nodes: its trace digest, and the operations answered by nodes that were
-/// still catching up.
-fn watched_run(repro: &Repro) -> (u64, u64) {
-    let nodes = (0..N)
-        .map(|i| {
-            let cfg = SwmrConfig::new(N, ProcessId(i), ProcessId(0))
-                .with_read_mode(repro.protocol.read_mode())
-                .with_retransmit(BACKOFF_BASE);
-            Watched {
-                node: SwmrNode::new(cfg, 0),
-                served_catching_up: 0,
-            }
+/// Replays `repro`'s schedule over `nodes`, each [`Watched`], running
+/// `scripts` — the repro's own, translated to the nodes' operations: its
+/// trace digest, and the operations answered by nodes that were still
+/// catching up. The digest equals the repro's when `nodes` are the ones
+/// its replay builds.
+fn watched_run<P>(repro: &Repro, nodes: Vec<P>, scripts: Vec<Vec<P::Op>>) -> (u64, u64)
+where
+    P: CatchesUp,
+    P::Op: Clone,
+{
+    let nodes = nodes
+        .into_iter()
+        .map(|node| Watched {
+            node,
+            served_catching_up: 0,
         })
         .collect();
     let mut sim = Sim::new(repro.sim.clone(), nodes);
@@ -1002,7 +1059,7 @@ fn watched_run(repro: &Repro) -> (u64, u64) {
     run_campaign(
         &mut sim,
         &repro.schedule,
-        repro.scripts.clone(),
+        scripts,
         repro.think,
         repro.deadline,
     );
@@ -1015,7 +1072,15 @@ fn register_serves_during_catch_up_campaign() {
     served_during_catch_up(|sim_seed, nemesis_seed, read_mode, tiers| {
         let swmr = ProtocolSpec::Swmr { read_mode };
         let repro = register_catch_up_repro(sim_seed, nemesis_seed, swmr, tiers);
-        let (digest, served) = watched_run(&repro);
+        let nodes = (0..N)
+            .map(|i| {
+                let cfg = SwmrConfig::new(N, ProcessId(i), ProcessId(0))
+                    .with_read_mode(read_mode)
+                    .with_retransmit(BACKOFF_BASE);
+                SwmrNode::new(cfg, 0)
+            })
+            .collect();
+        let (digest, served) = watched_run(&repro, nodes, repro.scripts.clone());
         (repro, digest, served)
     });
 }

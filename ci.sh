@@ -64,10 +64,13 @@ done
 # One behaviour, no knob: every register rolls an interrupted write forward
 # and serves beside its catch-up, the simulator's links reorder freely,
 # retransmission is set by its base interval alone, and the nemesis planner
-# keeps its fault mix and skews as constants.
-if grep -rnE 'write_epilogue|with_fifo|with_backoff|BackoffPolicy::fixed|with_jitter|cover_all_nodes|\.partitions\b|partitions: usize|loss_bursts|gray_failures|max_loss|max_gray|max_skew' \
-  crates src tests examples --include='*.rs'; then
-  echo "a deleted knob is named again: the roll-forward is always on, links are never FIFO, a backoff is BackoffPolicy::new(base), and the planner's fault mix is fixed"; exit 1
+# keeps its fault mix and skews as constants. One path per behaviour around
+# the node: `Batched` flushes on its fixed window, a crashed runtime node
+# refuses invocations itself (no client-side crash flag), a node's counters
+# are read through `counters()` alone, and the tap reports what its users read.
+if grep -rnE 'write_epilogue|with_fifo|with_backoff|BackoffPolicy::fixed|with_jitter|cover_all_nodes|\.partitions\b|partitions: usize|loss_bursts|gray_failures|max_loss|max_gray|max_skew|Batched::adaptive|adapt_cap|GROW_LOAD|SHRINK_LOAD|is_crashed|partition_active|TapKind::TimerFire|TapKind::Crash|fn fast_reads\(' \
+  crates src tests examples benchmark/src --include='*.rs'; then
+  echo "a deleted knob is named again: the roll-forward is always on, links are never FIFO, a backoff is BackoffPolicy::new(base), the planner's fault mix is fixed, Batched's window is fixed, a down runtime node refuses its own invocations, counters are read through ReadPathStats::counters(), and the tap has no timer-fire or crash event"; exit 1
 fi
 
 # The store adds one exchange to it, the sync walk's: a catch-up is walks, a

@@ -2,7 +2,7 @@
 //! per-operation cost.**
 //!
 //! A closed-loop multi-client, multi-key workload against the replicated
-//! key-value store, in six configurations on the deterministic simulator.
+//! key-value store, in five configurations on the deterministic simulator.
 //! Its twenty clients, four per node, run on the harness's one closed loop
 //! ([`run_scripts`]), each from its own completions, so a read path that
 //! saves rounds shows in the throughput column:
@@ -12,9 +12,6 @@
 //!   unanimously reports the maximum tag (and forms a write quorum);
 //! * `fast+batched` — fast reads plus [`Batched`] transport wrapping:
 //!   same-window messages to the same peer coalesce into one envelope;
-//! * `fast+adaptive-batch` — fast reads plus the load-adaptive window
-//!   ([`Batched::adaptive`]): same-tick flushing while idle, windows
-//!   growing under pipelined fan-out;
 //! * `relay` — `Get`s run the one-and-a-half-round relay read (servers
 //!   forward tags to each other and reply to the reader directly);
 //! * `relay+batched` — relay reads plus windowed [`Batched`] transport,
@@ -292,14 +289,6 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     let batched = run_closed_loop(&mut batched_sim, gen_op);
-    let mut adaptive_sim = Sim::new(
-        sim_cfg(1),
-        kv_nodes(ReadMode::FastUnanimous)
-            .into_iter()
-            .map(|node| Batched::adaptive(node, BATCH_WINDOW))
-            .collect::<Vec<_>>(),
-    );
-    let adaptive = run_closed_loop(&mut adaptive_sim, gen_op);
     let mut relay_sim = Sim::new(sim_cfg(1), kv_nodes(ReadMode::Relay));
     let relay = run_closed_loop(&mut relay_sim, gen_op);
     let mut relay_batched_sim = Sim::new(
@@ -348,7 +337,6 @@ fn main() {
         ("baseline", &base),
         ("fast", &fast),
         ("fast+batched", &batched),
-        ("fast+adaptive-batch", &adaptive),
         ("relay", &relay),
         ("relay+batched", &relay_batched),
         ("regular", &regular),
@@ -376,15 +364,6 @@ fn main() {
          baseline (gate: >= 20%)"
     );
     assert!(reduction >= 20.0, "msgs/op reduction gate failed");
-    let adaptive_reduction = (1.0 - adaptive.msgs_per_op() / base.msgs_per_op()) * 100.0;
-    println!(
-        "fast+adaptive-batch sends {adaptive_reduction:.1}% fewer messages per \
-         operation than baseline (gate: >= 20%)"
-    );
-    assert!(
-        adaptive_reduction >= 20.0,
-        "adaptive msgs/op reduction gate failed"
-    );
     let relay_absorbed = (1.0 - relay_batched.msgs_per_op() / relay.msgs_per_op()) * 100.0;
     println!(
         "relay+batched absorbs {relay_absorbed:.1}% of the relay fan-out's \
@@ -465,9 +444,8 @@ fn main() {
             "  \"uncontended_fast_read\": {{\"rounds\": 1, \"messages\": \"2(n-1)\"}},\n",
             "  \"contended_writer\": {{\"fast_unanimous_rounds_per_read\": {:.3}, ",
             "\"relay_rounds_per_read\": {:.3}}},\n",
-            "  \"variants\": [\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{}\n  ],\n",
+            "  \"variants\": [\n{},\n{},\n{},\n{},\n{},\n{},\n{}\n  ],\n",
             "  \"msgs_per_op_reduction_pct\": {:.1},\n",
-            "  \"adaptive_msgs_per_op_reduction_pct\": {:.1},\n",
             "  \"relay_batched_absorption_pct\": {:.1},\n",
             "  \"tiers\": {{\"atomic_every\": {}, ",
             "\"regular_msgs_per_op_reduction_pct\": {:.1}, ",
@@ -487,13 +465,11 @@ fn main() {
         variant_json("baseline", &base),
         variant_json("fast", &fast),
         variant_json("fast+batched", &batched),
-        variant_json("fast+adaptive-batch", &adaptive),
         variant_json("relay", &relay),
         variant_json("relay+batched", &relay_batched),
         variant_json("regular", &regular),
         variant_json("sc-mixed(99/1)", &mixed),
         reduction,
-        adaptive_reduction,
         relay_absorbed,
         ATOMIC_EVERY,
         regular_reduction,

@@ -12,7 +12,7 @@
 //! in emission order, so the wrapped protocol is byte-for-byte oblivious to
 //! batching: same transitions, same responses, fewer network events.
 //!
-//! Two flushing policies, chosen by the `window` parameter:
+//! One flush window, fixed at construction (`window`, nanoseconds):
 //!
 //! * `window == 0` — **same-tick coalescing** (the default): the outbox is
 //!   flushed at the end of every callback. Messages the inner protocol
@@ -25,16 +25,6 @@
 //!   bigger batches under pipelined load. The flush timer is
 //!   [`FLUSH_KEY`]; inner protocols allocate phase uids counting up from
 //!   zero and never reach it.
-//!
-//! A third, adaptive policy ([`Batched::adaptive`]) sizes the window from
-//! observed load instead of a fixed constant: every flush inspects how many
-//! messages it shipped, doubles the window (up to a cap) when the batch was
-//! large, and halves it (down to zero) when the batch was small. Idle
-//! traffic therefore pays no added latency — the window decays to the
-//! `window == 0` same-tick policy — while pipelined bursts grow windows big
-//! enough to absorb broadcast fan-out. The adaptation input is the flushed
-//! message count, a pure function of the inner protocol's emission
-//! sequence, so seeded runs still replay bit-identically.
 //!
 //! Determinism: the per-peer regrouping iterates a `BTreeMap`, so batch
 //! composition and emission order are pure functions of the inner
@@ -108,20 +98,7 @@ pub struct Batched<P: Protocol> {
     armed: bool,
     batches: u64,
     coalesced: u64,
-    /// `Some(cap)` switches on load-adaptive window sizing (see
-    /// [`Batched::adaptive`]); `None` keeps the window fixed.
-    adapt_cap: Option<Nanos>,
 }
-
-/// A flush shipping at least this many inner messages doubles an adaptive
-/// window — one quorum broadcast's worth: a flush carrying a whole phase
-/// fan-out (or more) means the protocol is in its pipelined regime, where
-/// windowing converts per-peer singletons into envelopes.
-const GROW_LOAD: usize = 4;
-
-/// A flush shipping at most this many inner messages halves an adaptive
-/// window (idle: windowing only adds latency).
-const SHRINK_LOAD: usize = 1;
 
 impl<P: Protocol> Batched<P> {
     /// Wraps `inner`, flushing with the given `window` (0 = end of every
@@ -134,45 +111,6 @@ impl<P: Protocol> Batched<P> {
             armed: false,
             batches: 0,
             coalesced: 0,
-            adapt_cap: None,
-        }
-    }
-
-    /// Wraps `inner` with a load-adaptive flush window bounded by `cap`.
-    ///
-    /// The window starts at zero (same-tick coalescing) and is resized at
-    /// every flush from the number of messages that flush shipped: a batch
-    /// of [`GROW_LOAD`] or more doubles the window (starting from
-    /// `cap / 8`, never past `cap`); a batch of [`SHRINK_LOAD`] or fewer
-    /// halves it, collapsing back to zero below the `cap / 8` floor. Load
-    /// counts are derived purely from the inner protocol's emissions, so
-    /// the schedule of window sizes — and thus the wire trace — is
-    /// deterministic for a seeded run.
-    pub fn adaptive(inner: P, cap: Nanos) -> Self {
-        assert!(cap > 0, "adaptive window needs a positive cap");
-        let mut b = Batched::new(inner, 0);
-        b.adapt_cap = Some(cap);
-        b
-    }
-
-    /// The current flush window (nanoseconds; 0 = flush every callback).
-    /// Fixed for [`Batched::new`], load-driven for [`Batched::adaptive`].
-    pub fn current_window(&self) -> Nanos {
-        self.window
-    }
-
-    /// Resizes an adaptive window from the message count of the flush that
-    /// just shipped. No-op for fixed-window instances.
-    fn adapt(&mut self, load: usize) {
-        let Some(cap) = self.adapt_cap else { return };
-        let grain = (cap / 8).max(1);
-        if load >= GROW_LOAD {
-            self.window = (self.window * 2).clamp(grain, cap);
-        } else if load <= SHRINK_LOAD {
-            // abd-lint: allow(raw-quorum-arith): halving a flush window in
-            // nanoseconds — time arithmetic, not a quorum threshold.
-            let halved = self.window / 2;
-            self.window = if halved < grain { 0 } else { halved };
         }
     }
 
@@ -195,7 +133,6 @@ impl<P: Protocol> Batched<P> {
 
     /// Regroups the outbox per destination and ships one envelope per peer.
     fn flush(&mut self, fx: &mut Effects<Envelope<P::Msg>, P::Resp>) {
-        let load = self.outbox.len();
         let mut by_peer: BTreeMap<ProcessId, Vec<P::Msg>> = BTreeMap::new();
         for (to, m) in self.outbox.drain(..) {
             by_peer.entry(to).or_default().push(m);
@@ -211,7 +148,6 @@ impl<P: Protocol> Batched<P> {
                 fx.send(to, Envelope::Batch(msgs));
             }
         }
-        self.adapt(load);
     }
 
     /// Moves one inner callback's effects into the host-facing buffer:
@@ -297,13 +233,9 @@ impl<P: Protocol> Protocol for Batched<P> {
 
     fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
         // The outbox and flush timer are volatile; the host already
-        // discarded armed timers with the crash. An adaptive window's
-        // learned size is equally volatile — restart from same-tick.
+        // discarded armed timers with the crash.
         self.outbox.clear();
         self.armed = false;
-        if self.adapt_cap.is_some() {
-            self.window = 0;
-        }
         let mut inner_fx = Effects::new();
         self.inner.on_restart(&mut inner_fx);
         self.absorb(inner_fx, fx);
@@ -516,124 +448,6 @@ mod tests {
         node.on_timer(FLUSH_KEY, &mut flush_fx);
         assert_eq!(flush_fx.sends.len(), 2, "only post-restart sends flush");
         assert!(matches!(flush_fx.sends[0].1, Envelope::One(0)));
-    }
-
-    #[test]
-    fn adaptive_window_grows_under_queue_pressure() {
-        let mut node = Batched::adaptive(Chatty { me: ProcessId(0) }, 800);
-        assert_eq!(node.current_window(), 0, "adaptive starts at same-tick");
-
-        // A heavy callback (8 messages >= GROW_LOAD) flushes inline and
-        // opens a window at the cap/8 grain.
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(0), 4, &mut fx);
-        assert_eq!(fx.sends.len(), 2, "window was 0: flushed this tick");
-        assert_eq!(node.current_window(), 100);
-
-        // Pressure sustained across flush cycles keeps doubling to the cap.
-        for op in 1..5u64 {
-            let mut fx = Effects::new();
-            node.on_invoke(OpId(op), 4, &mut fx);
-            assert!(fx.sends.is_empty(), "window open: sends held");
-            let mut flush_fx = Effects::new();
-            node.on_timer(FLUSH_KEY, &mut flush_fx);
-            assert!(!flush_fx.sends.is_empty());
-        }
-        assert_eq!(node.current_window(), 800, "clamped at the cap");
-    }
-
-    #[test]
-    fn adaptive_window_shrinks_back_to_same_tick_when_idle() {
-        let mut node = Batched::adaptive(Chatty { me: ProcessId(0) }, 800);
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(0), 4, &mut fx);
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(1), 4, &mut fx);
-        node.on_timer(FLUSH_KEY, &mut Effects::new());
-        assert_eq!(node.current_window(), 200);
-
-        // A light flush (two buffered messages, between the thresholds)
-        // leaves the window alone.
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(2), 1, &mut fx);
-        node.on_timer(FLUSH_KEY, &mut Effects::new());
-        assert_eq!(node.current_window(), 200, "load 2 is between thresholds");
-
-        // Single-message flushes halve it; below the grain it collapses to
-        // zero — back to the same-tick policy, no timers armed.
-        node.adapt(1);
-        assert_eq!(node.current_window(), 100);
-        node.adapt(0);
-        assert_eq!(node.current_window(), 0, "below the grain -> same-tick");
-
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(3), 1, &mut fx);
-        assert_eq!(fx.sends.len(), 2, "collapsed window flushes this tick");
-        assert_eq!(node.current_window(), 0, "stays collapsed while idle");
-    }
-
-    #[test]
-    fn adaptive_window_resets_on_restart() {
-        let mut node = Batched::adaptive(Chatty { me: ProcessId(0) }, 800);
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(0), 4, &mut fx);
-        assert_eq!(node.current_window(), 100);
-        node.on_restart(&mut Effects::new());
-        assert_eq!(node.current_window(), 0, "learned window is volatile");
-    }
-
-    #[test]
-    fn adaptive_restart_wipes_outbox_and_relearns_from_same_tick() {
-        // The full crash/restart path for an adaptive instance: a grown
-        // window with traffic buffered behind an armed flush timer loses
-        // everything volatile at once — outbox, arming flag, learned
-        // window — and the reborn node behaves exactly like a fresh
-        // `adaptive` wrapper until load re-teaches it.
-        let mut node = Batched::adaptive(Chatty { me: ProcessId(0) }, 800);
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(0), 4, &mut fx);
-        assert_eq!(node.current_window(), 100, "heavy flush opened a window");
-        let shipped_before = node.batches_sent();
-
-        // Buffer traffic inside the open window (armed, held back).
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(1), 4, &mut fx);
-        assert!(fx.sends.is_empty(), "window open: sends held");
-
-        let mut restart_fx = Effects::new();
-        node.on_restart(&mut restart_fx);
-        assert!(restart_fx.sends.is_empty(), "outbox died with the crash");
-        assert_eq!(node.current_window(), 0, "window relearns from idle");
-
-        // A straggler flush timer the host failed to discard must find an
-        // empty outbox and must not disturb the collapsed window.
-        let mut stale_fx = Effects::new();
-        node.on_timer(FLUSH_KEY, &mut stale_fx);
-        assert!(stale_fx.sends.is_empty(), "nothing survived to flush");
-        assert_eq!(node.current_window(), 0);
-        assert_eq!(node.batches_sent(), shipped_before, "no phantom envelopes");
-
-        // Post-restart traffic ships same-tick — no latency tax from a
-        // window learned in a previous life.
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(2), 1, &mut fx);
-        assert_eq!(fx.sends.len(), 2, "same-tick policy after restart");
-        assert!(matches!(fx.sends[0].1, Envelope::One(0)));
-
-        // And sustained pressure re-teaches the window from scratch.
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(3), 4, &mut fx);
-        assert_eq!(fx.sends.len(), 2, "window was 0: flushed this tick");
-        assert_eq!(node.current_window(), 100, "relearned the grain window");
-    }
-
-    #[test]
-    fn fixed_window_never_adapts() {
-        let mut node = Batched::new(Chatty { me: ProcessId(0) }, 500);
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(0), 8, &mut fx);
-        node.on_timer(FLUSH_KEY, &mut Effects::new());
-        assert_eq!(node.current_window(), 500, "Batched::new keeps its window");
     }
 
     #[test]

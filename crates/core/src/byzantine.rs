@@ -247,11 +247,6 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
         self.inner.replica_state()
     }
 
-    /// Whether this node is configured to lie.
-    pub fn is_byzantine(&self) -> bool {
-        self.lie.is_some()
-    }
-
     /// Whether the node is catching up after a restart.
     pub fn is_recovering(&self) -> bool {
         self.inner.is_recovering()

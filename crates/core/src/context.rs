@@ -224,47 +224,30 @@ pub struct ReadPathCounters {
     pub sync_entries_sent: u64,
 }
 
+impl std::iter::Sum for ReadPathCounters {
+    /// Field-wise sum, e.g. of every node's counters.
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| ReadPathCounters {
+            fast_reads: a.fast_reads + b.fast_reads,
+            write_backs: a.write_backs + b.write_backs,
+            relay_reads: a.relay_reads + b.relay_reads,
+            sc_reads: a.sc_reads + b.sc_reads,
+            regular_reads: a.regular_reads + b.regular_reads,
+            recovery_msgs: a.recovery_msgs + b.recovery_msgs,
+            recovery_bytes: a.recovery_bytes + b.recovery_bytes,
+            sync_entries_sent: a.sync_entries_sent + b.sync_entries_sent,
+        })
+    }
+}
+
 /// Read-path counters exposed by protocols that support fast-path reads.
 ///
 /// Implementors hand out one [`ReadPathCounters`] value; a wrapper forwards
-/// it whole, so it cannot forget a field. The accessors read single
-/// counters off it. Hosts can sum these across nodes — see `abd-simnet`'s
-/// `Sim::read_path_metrics`.
+/// it whole, so it cannot forget a field. Hosts can sum these across nodes —
+/// see `abd-simnet`'s `Sim::read_path_metrics`.
 pub trait ReadPathStats {
     /// This node's counters.
     fn counters(&self) -> ReadPathCounters;
-    /// See [`ReadPathCounters::fast_reads`].
-    fn fast_reads(&self) -> u64 {
-        self.counters().fast_reads
-    }
-    /// See [`ReadPathCounters::write_backs`].
-    fn write_backs(&self) -> u64 {
-        self.counters().write_backs
-    }
-    /// See [`ReadPathCounters::relay_reads`].
-    fn relay_reads(&self) -> u64 {
-        self.counters().relay_reads
-    }
-    /// See [`ReadPathCounters::sc_reads`].
-    fn sc_reads(&self) -> u64 {
-        self.counters().sc_reads
-    }
-    /// See [`ReadPathCounters::regular_reads`].
-    fn regular_reads(&self) -> u64 {
-        self.counters().regular_reads
-    }
-    /// See [`ReadPathCounters::recovery_msgs`].
-    fn recovery_msgs(&self) -> u64 {
-        self.counters().recovery_msgs
-    }
-    /// See [`ReadPathCounters::recovery_bytes`].
-    fn recovery_bytes(&self) -> u64 {
-        self.counters().recovery_bytes
-    }
-    /// See [`ReadPathCounters::sync_entries_sent`].
-    fn sync_entries_sent(&self) -> u64 {
-        self.counters().sync_entries_sent
-    }
 }
 
 #[cfg(test)]

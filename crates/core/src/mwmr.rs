@@ -160,8 +160,8 @@ mod tests {
         net.run_to_quiescence();
         assert_eq!(net.messages_sent() - before, 0, "SC read sends nothing");
         assert_eq!(net.take_responses()[0].1, RegisterResp::ReadOk(7));
-        assert_eq!(net.node(3).sc_reads(), 1);
-        assert_eq!(net.node(3).write_backs(), 0);
+        assert_eq!(net.node(3).counters().sc_reads, 1);
+        assert_eq!(net.node(3).counters().write_backs, 0);
     }
 
     #[test]
@@ -176,8 +176,8 @@ mod tests {
         // Query + replies only = 2(n-1); no write-back round.
         assert_eq!(net.messages_sent() - before, 2 * (5 - 1));
         assert_eq!(net.take_responses()[0].1, RegisterResp::ReadOk(4));
-        assert_eq!(net.node(3).regular_reads(), 1);
-        assert_eq!(net.node(3).write_backs(), 0);
+        assert_eq!(net.node(3).counters().regular_reads, 1);
+        assert_eq!(net.node(3).counters().write_backs, 0);
     }
 
     #[test]
@@ -284,8 +284,8 @@ mod tests {
         // Unanimous quorum: query + replies only = 2(n-1).
         assert_eq!(net.messages_sent() - before, 2 * (5 - 1));
         assert_eq!(net.take_responses()[0].1, RegisterResp::ReadOk(8));
-        assert_eq!(net.node(3).fast_reads(), 1);
-        assert_eq!(net.node(3).write_backs(), 0);
+        assert_eq!(net.node(3).counters().fast_reads, 1);
+        assert_eq!(net.node(3).counters().write_backs, 0);
         // Writes keep their two phases even with the flag on.
         let before = net.messages_sent();
         net.invoke(2, RegisterOp::Write(9));
@@ -308,8 +308,12 @@ mod tests {
         net.invoke(0, RegisterOp::Read);
         net.run_to_quiescence();
         assert_eq!(net.take_responses()[0].1, RegisterResp::ReadOk(5));
-        assert_eq!(net.node(0).fast_reads(), 0, "disagreement must not elide");
-        assert_eq!(net.node(0).write_backs(), 1);
+        assert_eq!(
+            net.node(0).counters().fast_reads,
+            0,
+            "disagreement must not elide"
+        );
+        assert_eq!(net.node(0).counters().write_backs, 1);
     }
 
     fn relay_cluster(n: usize) -> MiniNet<MwmrNode<u32>> {
@@ -338,8 +342,8 @@ mod tests {
             net.take_responses(),
             vec![(OpId(2), RegisterResp::ReadOk(20))]
         );
-        assert_eq!(net.node(4).relay_reads(), 1);
-        assert_eq!(net.node(4).write_backs(), 0);
+        assert_eq!(net.node(4).counters().relay_reads, 1);
+        assert_eq!(net.node(4).counters().write_backs, 0);
     }
 
     #[test]

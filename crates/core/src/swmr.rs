@@ -287,8 +287,8 @@ mod tests {
             net.take_responses(),
             vec![(OpId(1), RegisterResp::ReadOk(7))]
         );
-        assert_eq!(net.node(2).sc_reads(), 1);
-        assert_eq!(net.node(2).write_backs(), 0);
+        assert_eq!(net.node(2).counters().sc_reads, 1);
+        assert_eq!(net.node(2).counters().write_backs, 0);
     }
 
     #[test]
@@ -331,8 +331,8 @@ mod tests {
             net.take_responses(),
             vec![(OpId(1), RegisterResp::ReadOk(4))]
         );
-        assert_eq!(net.node(1).regular_reads(), 1);
-        assert_eq!(net.node(1).write_backs(), 0);
+        assert_eq!(net.node(1).counters().regular_reads, 1);
+        assert_eq!(net.node(1).counters().write_backs, 0);
     }
 
     #[test]
@@ -364,9 +364,9 @@ mod tests {
         net.run_to_quiescence();
         assert_eq!(net.messages_sent() - before, 4 * (3 - 1));
         assert_eq!(net.take_responses()[0].1, RegisterResp::ReadOk(9));
-        assert_eq!(net.node(1).write_backs(), 1);
-        assert_eq!(net.node(1).sc_reads(), 0);
-        assert_eq!(net.node(1).regular_reads(), 0);
+        assert_eq!(net.node(1).counters().write_backs, 1);
+        assert_eq!(net.node(1).counters().sc_reads, 0);
+        assert_eq!(net.node(1).counters().regular_reads, 0);
     }
 
     #[test]
@@ -509,8 +509,8 @@ mod tests {
             net.take_responses(),
             vec![(OpId(1), RegisterResp::ReadOk(3))]
         );
-        assert_eq!(net.node(2).fast_reads(), 1);
-        assert_eq!(net.node(2).write_backs(), 0);
+        assert_eq!(net.node(2).counters().fast_reads, 1);
+        assert_eq!(net.node(2).counters().write_backs, 0);
     }
 
     #[test]
@@ -529,8 +529,16 @@ mod tests {
             net.take_responses(),
             vec![(OpId(1), RegisterResp::ReadOk(1))]
         );
-        assert_eq!(net.node(3).fast_reads(), 0, "disagreement must not elide");
-        assert_eq!(net.node(3).write_backs(), 1, "slow path ran instead");
+        assert_eq!(
+            net.node(3).counters().fast_reads,
+            0,
+            "disagreement must not elide"
+        );
+        assert_eq!(
+            net.node(3).counters().write_backs,
+            1,
+            "slow path ran instead"
+        );
         // And the write-back did its job: the value spread.
         let fresh = (0..5)
             .filter(|&i| net.node(i).replica_state().0 == 1)
@@ -554,8 +562,12 @@ mod tests {
         let mut net = MiniNet::new(nodes);
         net.invoke(2, RegisterOp::Read);
         net.run_to_quiescence();
-        assert_eq!(net.node(2).fast_reads(), 0);
-        assert_eq!(net.node(2).write_backs(), 1, "write-back still required");
+        assert_eq!(net.node(2).counters().fast_reads, 0);
+        assert_eq!(
+            net.node(2).counters().write_backs,
+            1,
+            "write-back still required"
+        );
         assert_eq!(
             net.take_responses(),
             vec![(OpId(0), RegisterResp::ReadOk(0))]
@@ -568,8 +580,8 @@ mod tests {
         net.invoke(3, RegisterOp::Read);
         net.run_to_quiescence();
         assert_eq!(net.messages_sent(), 4 * (5 - 1), "flag off: 2 rounds");
-        assert_eq!(net.node(3).fast_reads(), 0);
-        assert_eq!(net.node(3).write_backs(), 1);
+        assert_eq!(net.node(3).counters().fast_reads, 0);
+        assert_eq!(net.node(3).counters().write_backs, 1);
     }
 
     fn relay_cluster(n: usize) -> MiniNet<SwmrNode<u32>> {
@@ -595,9 +607,13 @@ mod tests {
             net.take_responses(),
             vec![(OpId(1), RegisterResp::ReadOk(8))]
         );
-        assert_eq!(net.node(2).relay_reads(), 1);
-        assert_eq!(net.node(2).write_backs(), 0, "relay never writes back");
-        assert_eq!(net.node(2).fast_reads(), 0);
+        assert_eq!(net.node(2).counters().relay_reads, 1);
+        assert_eq!(
+            net.node(2).counters().write_backs,
+            0,
+            "relay never writes back"
+        );
+        assert_eq!(net.node(2).counters().fast_reads, 0);
     }
 
     #[test]
@@ -628,7 +644,7 @@ mod tests {
                 (OpId(1), RegisterResp::ReadOk(5)),
             ]
         );
-        assert_eq!(net.node(0).relay_reads(), 1);
+        assert_eq!(net.node(0).counters().relay_reads, 1);
     }
 
     #[test]
@@ -648,7 +664,7 @@ mod tests {
             net.take_responses(),
             vec![(OpId(1), RegisterResp::ReadOk(1))]
         );
-        assert_eq!(net.node(3).relay_reads(), 1);
+        assert_eq!(net.node(3).counters().relay_reads, 1);
     }
 
     #[test]

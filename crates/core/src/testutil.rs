@@ -26,7 +26,6 @@ pub(crate) struct MiniNet<P: Protocol> {
     drop_filter: Option<DropFilter<P::Msg>>,
     next_op: u64,
     sent: u64,
-    dropped: u64,
 }
 
 impl<P: Protocol> MiniNet<P> {
@@ -40,7 +39,6 @@ impl<P: Protocol> MiniNet<P> {
             drop_filter: None,
             next_op: 0,
             sent: 0,
-            dropped: 0,
         };
         for i in 0..net.hosts.len() {
             net.hosts[i].start(0);
@@ -95,12 +93,10 @@ impl<P: Protocol> MiniNet<P> {
     pub fn run_to_quiescence(&mut self) {
         while let Some((from, to, msg)) = self.queue.pop_front() {
             if !self.hosts[to.index()].is_up() {
-                self.dropped += 1;
                 continue;
             }
             if let Some(f) = self.drop_filter.as_mut() {
                 if f(from, to, &msg) {
-                    self.dropped += 1;
                     continue;
                 }
             }
@@ -126,12 +122,6 @@ impl<P: Protocol> MiniNet<P> {
     /// ones).
     pub fn messages_sent(&self) -> u64 {
         self.sent
-    }
-
-    /// Messages dropped by crash flags or the drop filter.
-    #[allow(dead_code)]
-    pub fn messages_dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Queues node `i`'s sends and collects its responses; its timers stay

@@ -1095,8 +1095,8 @@ mod tests {
         assert_eq!(net.take().pop().unwrap().1, KvResp::GetOk(Some(7)));
         // Query round only: 2(n-1) messages, no write-back round.
         assert_eq!(net.sent - before, 4);
-        assert_eq!(net.nodes[2].fast_reads(), 1);
-        assert_eq!(net.nodes[2].write_backs(), 0);
+        assert_eq!(net.nodes[2].counters().fast_reads, 1);
+        assert_eq!(net.nodes[2].counters().write_backs, 0);
     }
 
     #[test]
@@ -1114,8 +1114,8 @@ mod tests {
         net.invoke(1, KvOp::Get("k"));
         net.run();
         assert_eq!(net.take().pop().unwrap().1, KvResp::GetOk(Some(7)));
-        assert_eq!(net.nodes[1].fast_reads(), 0);
-        assert_eq!(net.nodes[1].write_backs(), 1);
+        assert_eq!(net.nodes[1].counters().fast_reads, 0);
+        assert_eq!(net.nodes[1].counters().write_backs, 1);
         // The write-back repaired the stale replica.
         assert_eq!(*net.nodes[2].local_entry(&"k").unwrap().1, 7);
     }
@@ -1131,8 +1131,8 @@ mod tests {
         let r = net.take();
         assert_eq!(r.last().unwrap().1, KvResp::GetOk(Some(7)));
         assert_eq!(net.sent - before, 0, "SC gets send nothing");
-        assert_eq!(net.nodes[1].sc_reads(), 1);
-        assert_eq!(net.nodes[1].write_backs(), 0);
+        assert_eq!(net.nodes[1].counters().sc_reads, 1);
+        assert_eq!(net.nodes[1].counters().write_backs, 0);
     }
 
     #[test]
@@ -1166,8 +1166,8 @@ mod tests {
         assert_eq!(net.take()[0].1, KvResp::GetOk(Some(7)));
         // Query round only: 2(n-1) messages, no write-back broadcast.
         assert_eq!(net.sent - before, 4);
-        assert_eq!(net.nodes[2].regular_reads(), 1);
-        assert_eq!(net.nodes[2].write_backs(), 0);
+        assert_eq!(net.nodes[2].counters().regular_reads, 1);
+        assert_eq!(net.nodes[2].counters().write_backs, 0);
         // The census maximum was adopted locally (monotone replica) even
         // though it was not propagated to a quorum.
         assert_eq!(*net.nodes[2].local_entry(&"k").unwrap().1, 7);
@@ -1190,7 +1190,7 @@ mod tests {
         let r = net.take();
         assert_eq!(r[0].1, KvResp::GetOk(Some(7)));
         assert_eq!(r[1].1, KvResp::GetOk(Some(7)));
-        assert_eq!(net.nodes[1].write_backs(), 2);
+        assert_eq!(net.nodes[1].counters().write_backs, 2);
     }
 
     #[test]
@@ -1204,8 +1204,8 @@ mod tests {
         assert_eq!(net.take().pop().unwrap().1, KvResp::GetOk(Some(7)));
         // query (n-1) + forwards (n-1)² + replies (n-1) = n² - 1.
         assert_eq!(net.sent - before, 5 * 5 - 1);
-        assert_eq!(net.nodes[3].relay_reads(), 1);
-        assert_eq!(net.nodes[3].write_backs(), 0);
+        assert_eq!(net.nodes[3].counters().relay_reads, 1);
+        assert_eq!(net.nodes[3].counters().write_backs, 0);
     }
 
     #[test]
@@ -1231,7 +1231,7 @@ mod tests {
         let r = net.take();
         assert_eq!(r[0].1, KvResp::GetOk(Some(1)));
         assert_eq!(r[1].1, KvResp::GetOk(Some(2)));
-        assert_eq!(net.nodes[2].relay_reads(), 2);
+        assert_eq!(net.nodes[2].counters().relay_reads, 2);
     }
 
     #[test]
@@ -1417,7 +1417,9 @@ mod tests {
         assert!(!net.nodes[2].is_recovering());
         assert_eq!(net.nodes[2].walks_in_flight(), 0);
         assert_eq!(net.nodes[2].sync_root(), net.nodes[0].sync_root());
-        let shipped: u64 = (0..3).map(|i| net.nodes[i].sync_entries_sent()).sum();
+        let shipped: u64 = (0..3)
+            .map(|i| net.nodes[i].counters().sync_entries_sent)
+            .sum();
         assert_eq!(shipped, 0);
         assert!(net.take().is_empty(), "the get answered exactly once");
     }
@@ -1436,7 +1438,7 @@ mod tests {
         net.restart(2);
         net.run();
         let shipped: u64 = (0..3)
-            .map(|i| net.nodes[i].sync_entries_sent())
+            .map(|i| net.nodes[i].counters().sync_entries_sent)
             .collect::<Vec<_>>()
             .iter()
             .sum();
@@ -1467,9 +1469,11 @@ mod tests {
         // Per walk: the root's expansion out, its two digests back — and
         // both match, so there is no second step.
         assert_eq!(net.sent - before, 2 * 2);
-        assert_eq!(net.nodes[2].recovery_msgs(), 2);
+        assert_eq!(net.nodes[2].counters().recovery_msgs, 2);
         assert_eq!(net.nodes[2].max_walk_rounds(), 1);
-        let shipped: u64 = (0..3).map(|i| net.nodes[i].sync_entries_sent()).sum();
+        let shipped: u64 = (0..3)
+            .map(|i| net.nodes[i].counters().sync_entries_sent)
+            .sum();
         assert_eq!(shipped, 0, "equal digests prune the whole tree");
     }
 
@@ -1512,8 +1516,8 @@ mod tests {
         assert_eq!(net.sent, 2);
         assert_eq!(net.nodes[1].max_walk_rounds(), 1);
         // The reply: header, step, two `(node id, digest)` pairs.
-        assert_eq!(net.nodes[0].recovery_bytes(), 16 + 8 + 2 * 12);
-        assert_eq!(net.nodes[0].sync_entries_sent(), 0);
+        assert_eq!(net.nodes[0].counters().recovery_bytes, 16 + 8 + 2 * 12);
+        assert_eq!(net.nodes[0].counters().sync_entries_sent, 0);
         // One stale key: the root's expansion, then the one leaf that
         // differs — its bucket ships, the other does not.
         net.nodes[0].preload(3, Tag::new(2, ProcessId(0)), 2);
@@ -1524,7 +1528,7 @@ mod tests {
         net.run();
         assert_eq!(net.sent, 2 + 4);
         assert_eq!(net.nodes[1].max_walk_rounds(), 2);
-        assert_eq!(net.nodes[0].sync_entries_sent(), in_bucket);
+        assert_eq!(net.nodes[0].counters().sync_entries_sent, in_bucket);
         assert_eq!(*net.nodes[1].local_entry(&3).unwrap().1, 2);
     }
 

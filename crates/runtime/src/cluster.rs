@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -92,9 +92,6 @@ pub struct Cluster<P: Protocol> {
     handles: Vec<JoinHandle<()>>,
     next_op: Arc<AtomicU64>,
     clock: Arc<dyn Clock>,
-    /// Crash flags shared with every [`Client`], so invocations on a downed
-    /// node fail fast instead of waiting out their full timeout.
-    crashed: Arc<Vec<AtomicBool>>,
 }
 
 impl<P: Protocol + Send + 'static> Cluster<P> {
@@ -134,7 +131,6 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
             handles,
             next_op: Arc::new(AtomicU64::new(0)),
             clock,
-            crashed: Arc::new((0..n).map(|_| AtomicBool::new(false)).collect()),
         }
     }
 
@@ -157,22 +153,16 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
             cmd_tx: self.cmd_txs[i].clone(),
             next_op: Arc::clone(&self.next_op),
             clock: Arc::clone(&self.clock),
-            crashed: Arc::clone(&self.crashed),
         }
-    }
-
-    /// Whether node `i` is currently crashed.
-    pub fn is_crashed(&self, i: usize) -> bool {
-        self.crashed[i].load(Ordering::Acquire)
     }
 
     /// Crashes node `i`: it stops processing until a [`restart`](Self::restart),
     /// if any. In-flight invocations on it are abandoned (their clients get
-    /// `None`/a panic immediately, not after their full timeout), and new
-    /// invocations fail fast while the flag is up. One racing the crash
-    /// fails fast too: the crashed node drops its reply channel unanswered.
+    /// `None`/a panic immediately, not after their full timeout). So is
+    /// every invocation that reaches it while it is down: the command
+    /// channel queues a later invocation behind the crash, and the down
+    /// node drops its reply channel unanswered.
     pub fn crash(&self, i: usize) {
-        self.crashed[i].store(true, Ordering::Release);
         let _ = self.cmd_txs[i].send(Cmd::Crash);
     }
 
@@ -184,7 +174,6 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// running its Merkle walks. Restarting a live node is a no-op.
     pub fn restart(&self, i: usize) {
         let _ = self.cmd_txs[i].send(Cmd::Restart);
-        self.crashed[i].store(false, Ordering::Release);
     }
 }
 
@@ -206,7 +195,6 @@ pub struct Client<P: Protocol> {
     cmd_tx: Sender<Cmd<P>>,
     next_op: Arc<AtomicU64>,
     clock: Arc<dyn Clock>,
-    crashed: Arc<Vec<AtomicBool>>,
 }
 
 impl<P: Protocol> Clone for Client<P> {
@@ -216,7 +204,6 @@ impl<P: Protocol> Clone for Client<P> {
             cmd_tx: self.cmd_tx.clone(),
             next_op: Arc::clone(&self.next_op),
             clock: Arc::clone(&self.clock),
-            crashed: Arc::clone(&self.crashed),
         }
     }
 }
@@ -245,16 +232,12 @@ impl<P: Protocol> Client<P> {
     /// cancelled), exactly like a real client timing out on a real store.
     ///
     /// This is the escape hatch for operating around crashes: a crashed
-    /// target fails fast with `None` (both for new invocations, via the
-    /// shared crash flag, and for in-flight ones and those racing the crash,
-    /// whose reply channels the node drops) instead of hanging until the
-    /// timeout. `timeout` bounds an operation the live node cannot finish,
+    /// target fails fast with `None` instead of hanging until the timeout,
+    /// since the down node drops the reply channel of every invocation it
+    /// refuses and of every one in flight at the crash. `timeout` bounds an operation the live node cannot finish,
     /// e.g. for want of a quorum; one past the range of `Instant`
     /// (`Duration::MAX`) sets no bound.
     pub fn try_invoke_for(&self, input: P::Op, timeout: Duration) -> Option<P::Resp> {
-        if self.crashed[self.node.index()].load(Ordering::Acquire) {
-            return None; // fail fast: the node cannot answer
-        }
         let op = OpId(self.next_op.fetch_add(1, Ordering::Relaxed));
         let (reply_tx, reply_rx) = bounded(1);
         self.cmd_tx
@@ -539,11 +522,11 @@ mod tests {
         let c0 = cluster.client(0);
         assert_eq!(c0.invoke(RegisterOp::Write(7)), RegisterResp::WriteOk);
         cluster.crash(1);
-        assert!(cluster.is_crashed(1));
         let clock = Arc::clone(cluster.clock());
         let t0 = clock.now();
-        // A generous timeout that must NOT be consumed: the crash flag
-        // short-circuits the invocation.
+        // A generous timeout that must NOT be consumed: the invocation
+        // queues behind the crash, and the down node drops its reply
+        // channel unanswered.
         let r = cluster
             .client(1)
             .try_invoke_for(RegisterOp::Read, Duration::from_secs(60));
@@ -597,7 +580,6 @@ mod tests {
             RegisterResp::WriteOk
         );
         cluster.restart(1);
-        assert!(!cluster.is_crashed(1));
         // The rejoined node serves at once: a read's quorum sees the write
         // it missed, whether or not its catch-up has finished.
         assert_eq!(
@@ -910,8 +892,7 @@ mod tests {
     }
 
     /// Runs `node` as node 0 on its own `node_main` thread over `clock`,
-    /// with a client whose crash flag never goes up: every invocation
-    /// reaches the node, as one racing a crash does.
+    /// with a client bound to it.
     fn start(
         node: Probe,
         net_tx: Sender<Mail<u32>>,
@@ -934,7 +915,6 @@ mod tests {
             cmd_tx,
             next_op: Arc::new(AtomicU64::new(0)),
             clock: Arc::new(MonotonicClock::new()),
-            crashed: Arc::new(vec![AtomicBool::new(false)]),
         };
         (client, handle)
     }

@@ -98,9 +98,6 @@ pub enum TapKind<'a, M, O> {
         /// it was discarded.
         dropped: Option<DropReason>,
     },
-    /// A live timer fired on `target` (cancelled/superseded timers are not
-    /// reported).
-    TimerFire,
     /// A client operation was invoked on `target`.
     Invoke {
         /// Operation id.
@@ -113,22 +110,15 @@ pub enum TapKind<'a, M, O> {
         /// Operation id.
         op: OpId,
     },
-    /// `target` crashed.
-    Crash,
     /// `target` rebooted via `Protocol::on_restart`.
     Restart,
 }
 
-/// One observed simulator event: the [`TapKind`] plus its ambient context
-/// (time, target, whether a partition is installed).
+/// One observed simulator event: the [`TapKind`] and the node it applies to.
 #[derive(Debug)]
 pub struct TapEvent<'a, M, O> {
-    /// Virtual time of the event.
-    pub at: Nanos,
     /// The node the event applies to.
     pub target: ProcessId,
-    /// Whether a partition is installed at this instant.
-    pub partition_active: bool,
     /// What happened.
     pub kind: TapKind<'a, M, O>,
 }
@@ -450,8 +440,8 @@ where
     }
 
     /// Installs an observation-only event tap: the callback sees every
-    /// processed delivery (including drops, with the [`DropReason`]), timer
-    /// fire, invocation, completion, crash and restart. The tap cannot
+    /// processed delivery (including drops, with the [`DropReason`]),
+    /// invocation, completion and restart. The tap cannot
     /// influence the simulation — scheduling, metrics and the trace digest
     /// are computed before and independently of it — so a tapped run is
     /// bit-for-bit identical to an untapped one. Its users only watch: the
@@ -496,12 +486,7 @@ where
     /// node handles it, which a wall-clock tap (the benchmark's) relies on.
     fn observe(&mut self, target: ProcessId, kind: TapKind<'_, P::Msg, P::Op>) {
         if let Some(tap) = self.tap.as_mut() {
-            tap(TapEvent {
-                at: self.now,
-                target,
-                partition_active: self.partition.is_some(),
-                kind,
-            });
+            tap(TapEvent { target, kind });
         }
     }
 
@@ -587,7 +572,6 @@ where
                     return true; // cancelled or superseded, or the node is down
                 }
                 self.metrics.timer_fires += 1;
-                self.observe(ev.target, TapKind::TimerFire);
                 self.hosts[t].fire(self.now, key, gen);
                 self.metrics.retransmissions += self.hosts[t].outbox().fx.sends.len() as u64;
                 self.absorb(ev.target);
@@ -605,7 +589,6 @@ where
                 self.absorb(ev.target);
             }
             EventKind::Crash => {
-                self.observe(ev.target, TapKind::Crash);
                 self.hosts[t].crash();
                 // The crash takes this client's in-flight operations with
                 // it: no response will ever be produced, but the operation
@@ -833,17 +816,7 @@ where
     /// The nodes' read-path and sync counters, summed across all nodes —
     /// what the simulator itself cannot see.
     pub fn read_path_metrics(&self) -> ReadPathCounters {
-        let sum = |count: fn(&P) -> u64| self.hosts.iter().map(|h| count(h.node())).sum();
-        ReadPathCounters {
-            fast_reads: sum(P::fast_reads),
-            write_backs: sum(P::write_backs),
-            relay_reads: sum(P::relay_reads),
-            sc_reads: sum(P::sc_reads),
-            regular_reads: sum(P::regular_reads),
-            recovery_msgs: sum(P::recovery_msgs),
-            recovery_bytes: sum(P::recovery_bytes),
-            sync_entries_sent: sum(P::sync_entries_sent),
-        }
+        self.hosts.iter().map(|h| h.node().counters()).sum()
     }
 }
 

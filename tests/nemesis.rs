@@ -608,7 +608,7 @@ fn kv_anti_entropy_campaign(sim_seed: u64, nemesis_seed: u64) -> u64 {
         "anti-entropy campaign: operations must complete"
     );
     assert_kv_linearizable(&sim, "anti-entropy");
-    let sync_msgs: u64 = (0..N).map(|i| sim.node(i).recovery_msgs()).sum();
+    let sync_msgs: u64 = (0..N).map(|i| sim.node(i).counters().recovery_msgs).sum();
     assert!(sync_msgs > 0, "Merkle sync must actually run");
     sim.trace_digest()
 }

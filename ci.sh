@@ -116,6 +116,11 @@ if grep -rn 'struct NodeSlot' crates src tests examples benchmark/src --include=
   echo "struct NodeSlot is declared again; a node is a NodeHost (crates/core/src/host.rs)"; exit 1
 fi
 
+echo "==> one event queue (Sim's key heap over a payload slab; a BinaryHeap lives only in its tests, as the reference)"
+if sed '/^#\[cfg(test)\]/,$d' crates/simnet/src/sim.rs | grep -n 'BinaryHeap'; then
+  echo "crates/simnet/src/sim.rs names BinaryHeap above its tests; Sim's events are EventQueue's"; exit 1
+fi
+
 echo "==> the crossbeam stub waits on a Condvar, never sleeps"
 # Its `select!` waits on its first arm's channel, so a command wakes a node at
 # once; a sleep between polls would quietly bring back the command hop's

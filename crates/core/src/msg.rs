@@ -37,9 +37,10 @@ use crate::types::{Consistency, RegisterError};
 pub type RegisterMsg<L, V> = Msg<(), L, V, V>;
 
 // A queued event of a simulated run and a channel payload of the thread
-// runtime hold one message by value, so this size is what the event heap
-// copies per sift and what a backlog weighs (`KvMsg`'s pin is the one
-// `sim-campaign` `peak_rss_mb` rests on).
+// runtime hold one message by value, so this size is what each slot of the
+// simulator's event slab weighs and what a backlog weighs (`KvMsg`'s pin is
+// the one `sim-campaign` `peak_rss_mb` rests on). The event heap itself
+// orders small keys and never moves a message.
 const _: () = assert!(std::mem::size_of::<RegisterMsg<u64, u64>>() <= 40);
 
 /// A client operation on the emulated register.

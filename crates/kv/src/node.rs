@@ -128,8 +128,8 @@ pub enum KvMsg<K, V> {
 
 // A queued event of a simulated run and a channel payload of the thread
 // runtime hold one message by value: a larger `KvMsg` is a larger
-// `sim-campaign` `peak_rss_mb` and more bytes copied per sift of the event
-// heap. Nesting the engine's enum under `Op` costs nothing: `SyncEntries`
+// `sim-campaign` `peak_rss_mb`, a larger slot in the simulator's event slab
+// and more bytes moved per push and pop. Nesting the engine's enum under `Op` costs nothing: `SyncEntries`
 // is the widest variant either way.
 const _: () = assert!(std::mem::size_of::<KvMsg<u64, u64>>() <= 72);
 

@@ -20,9 +20,11 @@ pub struct Metrics {
     pub duplicated: u64,
     /// Timer events that actually fired (not superseded or cancelled).
     pub timer_fires: u64,
-    /// Messages emitted from timer callbacks — i.e. retransmissions (every
-    /// protocol in this workspace sends from a timer only to re-send a
-    /// phase message to laggards).
+    /// Messages emitted from timer callbacks. Most are retransmissions — a
+    /// phase message or a walk's request re-sent to laggards — but not all:
+    /// a `KvNode`'s anti-entropy sweep opens each walk from its timer, and a
+    /// windowed `Batched` sends every flushed envelope from one. A node's
+    /// own `retransmissions()` counts re-sends alone.
     pub retransmissions: u64,
     /// Crashed nodes rebooted via [`crate::Sim::restart_at`].
     pub restarts: u64,

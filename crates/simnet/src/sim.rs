@@ -14,8 +14,7 @@ use abd_core::host::{Armed, NodeHost};
 use abd_core::types::{Nanos, OpId, ProcessId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -151,28 +150,123 @@ enum EventKind<P: Protocol> {
     SetGray { factor: u32 },
 }
 
-struct QueuedEvent<P: Protocol> {
-    at: Nanos,
-    seq: u64,
-    target: ProcessId,
-    kind: EventKind<P>,
+/// An event as the queue holds it: the node it applies to, and what happens.
+type Event<P> = (ProcessId, EventKind<P>);
+
+/// The pending events, popped in `(at, seq)` order. The heap orders small
+/// keys — `at << 64 | seq` and the slot of the payload — while the payloads
+/// stay put in a slab, so a sift moves 32 bytes, not a whole message. `seq`
+/// numbers the pushes, so no two keys are equal and the slot a payload lands
+/// in never decides which event pops first.
+struct EventQueue<T> {
+    /// A 4-ary min-heap on the key: entry `i`'s children are `4i + 1..=4i + 4`.
+    heap: Vec<(u128, u32)>,
+    /// Payloads by slot; `None` in a free slot.
+    slab: Vec<Option<T>>,
+    /// Free slots, the most recently freed last.
+    free: Vec<u32>,
+    next_seq: u64,
 }
 
-impl<P: Protocol> PartialEq for QueuedEvent<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<T> EventQueue<T> {
+    fn new() -> Self {
+        EventQueue {
+            heap: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+        }
     }
-}
-impl<P: Protocol> Eq for QueuedEvent<P> {}
-impl<P: Protocol> PartialOrd for QueuedEvent<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+    fn len(&self) -> usize {
+        self.heap.len()
     }
-}
-impl<P: Protocol> Ord for QueuedEvent<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest (then lowest seq) pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+
+    /// Queues `payload` at time `at`, behind every event queued before it at `at`.
+    fn push(&mut self, at: Nanos, payload: T) {
+        let key = (u128::from(at) << 64) | u128::from(self.next_seq);
+        self.next_seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(payload);
+                slot
+            }
+            None => {
+                self.slab.push(Some(payload));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 queued events")
+            }
+        };
+        let heap = &mut self.heap;
+        let mut i = heap.len();
+        heap.push((key, slot));
+        while i > 0 {
+            let parent = (i - 1) / 4;
+            if heap[parent].0 < key {
+                break;
+            }
+            heap[i] = heap[parent];
+            i = parent;
+        }
+        heap[i] = (key, slot);
+    }
+
+    /// The earliest event's time.
+    fn peek(&self) -> Option<Nanos> {
+        self.heap.first().map(|&(key, _)| (key >> 64) as Nanos)
+    }
+
+    /// Removes the earliest event: its time, its queue sequence number and its payload.
+    fn pop(&mut self) -> Option<(Nanos, u64, T)> {
+        let last = self.heap.pop()?;
+        let (key, slot) = match self.heap.first() {
+            None => last,
+            Some(&top) => {
+                // Sift `last` down from the root into the hole `top` leaves.
+                let heap = &mut self.heap[..];
+                let mut i = 0;
+                loop {
+                    let first = 4 * i + 1;
+                    let least = match heap.get(first..first + 4) {
+                        // A full family, the common case: a fixed bracket
+                        // of three comparisons, the first two independent.
+                        Some(c) => {
+                            let a = usize::from(c[1].0 < c[0].0);
+                            let b = 2 + usize::from(c[3].0 < c[2].0);
+                            first + if c[b].0 < c[a].0 { b } else { a }
+                        }
+                        None if first < heap.len() => {
+                            let mut least = first;
+                            for c in first + 1..heap.len() {
+                                if heap[c].0 < heap[least].0 {
+                                    least = c;
+                                }
+                            }
+                            least
+                        }
+                        None => break,
+                    };
+                    if last.0 < heap[least].0 {
+                        break;
+                    }
+                    heap[i] = heap[least];
+                    i = least;
+                }
+                heap[i] = last;
+                top
+            }
+        };
+        let payload = self.slab[slot as usize].take();
+        self.free.push(slot);
+        Some((
+            (key >> 64) as Nanos,
+            key as u64,
+            payload.expect("a queued slot holds its payload"),
+        ))
+    }
+
+    /// Every queued payload, in no particular order.
+    fn payloads(&self) -> impl Iterator<Item = &T> {
+        self.slab.iter().flatten()
     }
 }
 
@@ -224,22 +318,17 @@ pub struct Sim<P: Protocol>
 where
     P::Op: Clone,
 {
-    cfg: SimConfig,
     hosts: Vec<NodeHost<P>>,
-    queue: BinaryHeap<QueuedEvent<P>>,
+    queue: EventQueue<Event<P>>,
+    links: Links,
     now: Nanos,
-    next_seq: u64,
     next_op: u64,
-    rng: SmallRng,
-    partition: Option<Vec<u32>>,
     metrics: Metrics,
     invoked: BTreeMap<OpId, (ProcessId, P::Op, Nanos)>,
     completed: Vec<OpRecord<P::Op, P::Resp>>,
     /// Operations whose client crashed mid-flight: they can never complete,
     /// but histories must still treat them as possibly-effective.
     aborted: Vec<(OpId, ProcessId, P::Op, Nanos)>,
-    /// Per-node gray-failure latency multiplier (1 = healthy).
-    gray: Vec<u32>,
     /// Running FNV-1a digest of every processed event — the determinism
     /// gate's fingerprint of the execution.
     digest: u64,
@@ -261,22 +350,22 @@ where
     /// Creates a simulation over `nodes` (node `i` must have id `i`, or it
     /// panics) and runs every node's `on_start` at time 0.
     pub fn new(cfg: SimConfig, nodes: Vec<P>) -> Self {
-        let rng = SmallRng::seed_from_u64(cfg.seed);
         let n = nodes.len();
         let mut sim = Sim {
-            cfg,
             hosts: NodeHost::cluster(nodes),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
+            links: Links {
+                rng: SmallRng::seed_from_u64(cfg.seed),
+                cfg,
+                partition: None,
+                gray: vec![1; n],
+            },
             now: 0,
-            next_seq: 0,
             next_op: 0,
-            rng,
-            partition: None,
             metrics: Metrics::default(),
             invoked: BTreeMap::new(),
             completed: Vec::new(),
             aborted: Vec::new(),
-            gray: vec![1; n],
             digest: FNV_OFFSET,
             trace: None,
             trace_cap: 512,
@@ -341,14 +430,7 @@ where
     }
 
     fn push(&mut self, at: Nanos, target: ProcessId, kind: EventKind<P>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(QueuedEvent {
-            at,
-            seq,
-            target,
-            kind,
-        });
+        self.queue.push(at, (target, kind));
     }
 
     /// Schedules `input` on node `node` at time `at` (must not be in the
@@ -423,13 +505,6 @@ where
         self.push(at, ProcessId(0), EventKind::Heal);
     }
 
-    fn partitioned(&self, a: ProcessId, b: ProcessId) -> bool {
-        match &self.partition {
-            Some(groups) => groups[a.index()] != groups[b.index()],
-            None => false,
-        }
-    }
-
     /// Enables (or disables) the bounded event trace. The trace records a
     /// one-line description of every processed event, keeping the most
     /// recent `cap` lines — invaluable when a seeded failure needs
@@ -466,9 +541,11 @@ where
     }
 
     /// FNV-1a digest of every event processed so far (time, queue order,
-    /// target, kind, sender). Always on — it costs a few arithmetic ops per
-    /// event — so any two same-seed runs can be compared for byte-identical
-    /// schedules: `assert_eq!(a.trace_digest(), b.trace_digest())`.
+    /// target, kind, sender). Always on, so any two same-seed runs can be
+    /// compared for byte-identical schedules:
+    /// `assert_eq!(a.trace_digest(), b.trace_digest())`. Not free: five
+    /// words per event, time and queue order byte by byte through dependent
+    /// multiplies, about 7.5 % of a simulated KV campaign's time.
     pub fn trace_digest(&self) -> u64 {
         self.digest
     }
@@ -493,17 +570,20 @@ where
     /// Processes the single earliest event. Returns `false` if the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
-        let t = ev.target.index();
+        self.step_at().is_some()
+    }
+
+    /// [`step`](Self::step), returning the node the event applied to.
+    fn step_at(&mut self) -> Option<ProcessId> {
+        let (at, seq, (target, kind)) = self.queue.pop()?;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        let t = target.index();
         // Fold the event's identity into the execution digest: time, queue
         // order, target and kind (plus sender for deliveries). Two runs of
         // the same seed must process byte-identical event sequences, so
         // equal digests certify a deterministic replay.
-        let (tag, extra) = match &ev.kind {
+        let (tag, extra) = match &kind {
             EventKind::Deliver { from, .. } => (0u8, from.index() as u64),
             EventKind::Timer { key, gen } => (1, key.0.wrapping_add(*gen << 16)),
             EventKind::Invoke { op, .. } => (2, op.0),
@@ -519,34 +599,34 @@ where
             EventKind::SetLoss { prob } => (7, prob.to_bits()),
             EventKind::SetGray { factor } => (8, u64::from(*factor)),
         };
-        self.digest = fold_event(self.digest, ev.at, ev.seq, t as u64, tag, extra);
+        self.digest = fold_event(self.digest, at, seq, t as u64, tag, extra);
         if self.trace.is_some() {
-            let desc = match &ev.kind {
+            let desc = match &kind {
                 EventKind::Deliver { from, msg } => {
-                    format!("{:>12} deliver {from} -> {}: {msg:?}", ev.at, ev.target)
+                    format!("{at:>12} deliver {from} -> {target}: {msg:?}")
                 }
                 EventKind::Timer { key, .. } => {
-                    format!("{:>12} timer {:?} @ {}", ev.at, key, ev.target)
+                    format!("{at:>12} timer {key:?} @ {target}")
                 }
                 EventKind::Invoke { op, input } => {
-                    format!("{:>12} invoke {op} {input:?} @ {}", ev.at, ev.target)
+                    format!("{at:>12} invoke {op} {input:?} @ {target}")
                 }
-                EventKind::Crash => format!("{:>12} CRASH {}", ev.at, ev.target),
-                EventKind::SetPartition { groups } => format!("{:>12} PARTITION {groups:?}", ev.at),
-                EventKind::Heal => format!("{:>12} HEAL", ev.at),
-                EventKind::Restart => format!("{:>12} RESTART {}", ev.at, ev.target),
-                EventKind::SetLoss { prob } => format!("{:>12} LOSS {prob}", ev.at),
+                EventKind::Crash => format!("{at:>12} CRASH {target}"),
+                EventKind::SetPartition { groups } => format!("{at:>12} PARTITION {groups:?}"),
+                EventKind::Heal => format!("{at:>12} HEAL"),
+                EventKind::Restart => format!("{at:>12} RESTART {target}"),
+                EventKind::SetLoss { prob } => format!("{at:>12} LOSS {prob}"),
                 EventKind::SetGray { factor } => {
-                    format!("{:>12} GRAY {} x{factor}", ev.at, ev.target)
+                    format!("{at:>12} GRAY {target} x{factor}")
                 }
             };
             self.record_trace(desc);
         }
-        match ev.kind {
+        match kind {
             EventKind::Deliver { from, msg } => {
                 let dropped = if !self.hosts[t].is_up() {
                     Some(DropReason::Crashed)
-                } else if self.partitioned(from, ev.target) {
+                } else if self.links.partitioned(from, target) {
                     Some(DropReason::Partitioned)
                 } else {
                     None
@@ -556,37 +636,36 @@ where
                     msg: &msg,
                     dropped,
                 };
-                self.observe(ev.target, kind);
+                self.observe(target, kind);
                 match dropped {
                     Some(DropReason::Crashed) => self.metrics.dropped_crash += 1,
                     Some(DropReason::Partitioned) => self.metrics.dropped_partition += 1,
                     None => {
                         self.metrics.delivered += 1;
                         self.hosts[t].deliver(self.now, from, msg);
-                        self.absorb(ev.target);
+                        self.absorb(target);
                     }
                 }
             }
             EventKind::Timer { key, gen } => {
                 if !self.hosts[t].is_armed(key, gen) {
-                    return true; // cancelled or superseded, or the node is down
+                    return Some(target); // cancelled or superseded, or the node is down
                 }
                 self.metrics.timer_fires += 1;
                 self.hosts[t].fire(self.now, key, gen);
                 self.metrics.retransmissions += self.hosts[t].outbox().fx.sends.len() as u64;
-                self.absorb(ev.target);
+                self.absorb(target);
             }
             EventKind::Invoke { op, input } => {
                 self.queued_invokes -= 1;
                 if !self.hosts[t].is_up() {
-                    return true; // invocation on a crashed node is lost
+                    return Some(target); // invocation on a crashed node is lost
                 }
                 self.metrics.ops_invoked += 1;
-                self.observe(ev.target, TapKind::Invoke { op, input: &input });
-                self.invoked
-                    .insert(op, (ev.target, input.clone(), self.now));
+                self.observe(target, TapKind::Invoke { op, input: &input });
+                self.invoked.insert(op, (target, input.clone(), self.now));
                 self.hosts[t].invoke(self.now, op, input);
-                self.absorb(ev.target);
+                self.absorb(target);
             }
             EventKind::Crash => {
                 self.hosts[t].crash();
@@ -595,40 +674,40 @@ where
                 // may already have taken effect, so keep it for histories.
                 let doomed = self
                     .invoked
-                    .extract_if(.., |_, (client, _, _)| *client == ev.target);
+                    .extract_if(.., |_, (client, _, _)| *client == target);
                 for (op, (client, input, at)) in doomed {
                     self.metrics.ops_aborted += 1;
                     self.aborted.push((op, client, input, at));
                 }
             }
             EventKind::SetPartition { groups } => {
-                self.partition = Some(groups);
+                self.links.partition = Some(groups);
             }
             EventKind::Heal => {
-                self.partition = None;
+                self.links.partition = None;
             }
             EventKind::Restart => {
                 if !self.hosts[t].is_up() {
-                    self.observe(ev.target, TapKind::Restart);
+                    self.observe(target, TapKind::Restart);
                     self.metrics.restarts += 1;
                     self.hosts[t].restart(self.now);
-                    self.absorb(ev.target);
+                    self.absorb(target);
                 }
             }
             EventKind::SetLoss { prob } => {
-                self.cfg.loss_prob = prob;
+                self.links.cfg.loss_prob = prob;
             }
             EventKind::SetGray { factor } => {
-                self.gray[t] = factor;
+                self.links.gray[t] = factor;
             }
         }
-        true
+        Some(target)
     }
 
     /// Runs until virtual time exceeds `deadline` or the queue empties.
     pub fn run_until(&mut self, deadline: Nanos) {
-        while let Some(ev) = self.queue.peek() {
-            if ev.at > deadline {
+        while let Some(at) = self.queue.peek() {
+            if at > deadline {
                 break;
             }
             self.step();
@@ -641,8 +720,8 @@ where
     /// the deadline also bounds stalled executions. Returns `true` if the
     /// queue emptied.
     pub fn run_until_quiet(&mut self, deadline: Nanos) -> bool {
-        while let Some(ev) = self.queue.peek() {
-            if ev.at > deadline {
+        while let Some(at) = self.queue.peek() {
+            if at > deadline {
                 return false;
             }
             self.step();
@@ -672,7 +751,7 @@ where
     pub fn run_until_ops_complete(&mut self, deadline: Nanos) -> bool {
         while self.has_waiting_ops() {
             match self.queue.peek() {
-                Some(ev) if ev.at <= deadline => {
+                Some(at) if at <= deadline => {
                     self.step();
                 }
                 _ => return false,
@@ -698,12 +777,8 @@ where
             )
         };
         let before = mark(self);
-        while let Some(ev) = self.queue.peek() {
-            if ev.at > until {
-                return None;
-            }
-            let target = ev.target;
-            self.step();
+        while self.queue.peek()? <= until {
+            let target = self.step_at()?;
             if mark(self) != before {
                 return Some(target);
             }
@@ -714,90 +789,113 @@ where
     /// Whether `op`'s invocation is scheduled but not yet processed.
     pub(crate) fn invocation_queued(&self, op: OpId) -> bool {
         self.queue
-            .iter()
-            .any(|ev| matches!(ev.kind, EventKind::Invoke { op: o, .. } if o == op))
+            .payloads()
+            .any(|(_, kind)| matches!(kind, EventKind::Invoke { op: o, .. } if *o == op))
     }
 
     /// Carries out and empties node `from`'s outbox: routes its sends, then
     /// queues an event for each timer it armed (a stale one too: `fire`
     /// passes over it), then records its responses.
     fn absorb(&mut self, from: ProcessId) {
-        let mut out = std::mem::take(self.hosts[from.index()].outbox());
+        let out = self.hosts[from.index()].outbox();
         for (to, msg) in out.fx.sends.drain(..) {
-            self.route(from, to, msg);
+            self.links
+                .route(&mut self.queue, &mut self.metrics, self.now, from, to, msg);
         }
         // Most callbacks only send.
-        if !out.armed.is_empty() || !out.fx.responses.is_empty() {
-            for Armed { key, gen, due } in out.armed.drain(..) {
-                self.push(due, from, EventKind::Timer { key, gen });
-            }
-            for (op, resp) in out.fx.responses.drain(..) {
-                let (client, input, invoked_at) = if let Some(open) = self.invoked.remove(&op) {
-                    open
-                } else if let Some(i) = self.aborted.iter().position(|(o, _, _, _)| *o == op) {
-                    // A rolled-forward write resolved an operation its
-                    // client's crash had aborted: close the interval. The operation keeps
-                    // its original invocation time, so the history checkers see
-                    // one long completed operation instead of an open-ended one.
-                    self.metrics.ops_resolved += 1;
-                    let (_, client, input, invoked_at) = self.aborted.remove(i);
-                    (client, input, invoked_at)
-                } else {
-                    continue;
-                };
-                self.metrics.ops_completed += 1;
-                self.metrics.total_op_latency += self.now - invoked_at;
-                self.observe(client, TapKind::Complete { op });
-                self.completed.push(OpRecord {
-                    op,
-                    client,
-                    input,
-                    resp,
-                    invoked_at,
-                    completed_at: self.now,
-                });
-            }
+        if out.armed.is_empty() && out.fx.responses.is_empty() {
+            return;
+        }
+        let mut out = std::mem::take(out);
+        for Armed { key, gen, due } in out.armed.drain(..) {
+            self.push(due, from, EventKind::Timer { key, gen });
+        }
+        for (op, resp) in out.fx.responses.drain(..) {
+            let (client, input, invoked_at) = if let Some(open) = self.invoked.remove(&op) {
+                open
+            } else if let Some(i) = self.aborted.iter().position(|(o, _, _, _)| *o == op) {
+                // A rolled-forward write resolved an operation its
+                // client's crash had aborted: close the interval. The operation keeps
+                // its original invocation time, so the history checkers see
+                // one long completed operation instead of an open-ended one.
+                self.metrics.ops_resolved += 1;
+                let (_, client, input, invoked_at) = self.aborted.remove(i);
+                (client, input, invoked_at)
+            } else {
+                continue;
+            };
+            self.metrics.ops_completed += 1;
+            self.metrics.total_op_latency += self.now - invoked_at;
+            self.observe(client, TapKind::Complete { op });
+            self.completed.push(OpRecord {
+                op,
+                client,
+                input,
+                resp,
+                invoked_at,
+                completed_at: self.now,
+            });
         }
         // Handed back empty, so the buffers keep their capacity.
         *self.hosts[from.index()].outbox() = out;
     }
+}
 
-    fn route(&mut self, from: ProcessId, to: ProcessId, msg: P::Msg) {
-        self.metrics.sent += 1;
+/// The network between the nodes: what becomes of a message from its send
+/// to its delivery, drawn from the simulation's one RNG.
+struct Links {
+    cfg: SimConfig,
+    rng: SmallRng,
+    partition: Option<Vec<u32>>,
+    /// Per-node gray-failure latency multiplier (1 = healthy).
+    gray: Vec<u32>,
+}
+
+impl Links {
+    fn partitioned(&self, a: ProcessId, b: ProcessId) -> bool {
+        match &self.partition {
+            Some(groups) => groups[a.index()] != groups[b.index()],
+            None => false,
+        }
+    }
+
+    /// Queues the delivery of `msg` — none if it is partitioned away or
+    /// lost, two if it is duplicated. The draws keep one order: loss, then
+    /// duplication, then the copy's delay before the original's.
+    fn route<P: Protocol>(
+        &mut self,
+        queue: &mut EventQueue<Event<P>>,
+        metrics: &mut Metrics,
+        now: Nanos,
+        from: ProcessId,
+        to: ProcessId,
+        msg: P::Msg,
+    ) {
+        metrics.sent += 1;
         if self.partitioned(from, to) {
-            self.metrics.dropped_partition += 1;
+            metrics.dropped_partition += 1;
             return;
         }
         if self.cfg.loss_prob > 0.0 && self.rng.gen_bool(self.cfg.loss_prob) {
-            self.metrics.dropped_loss += 1;
+            metrics.dropped_loss += 1;
             return;
         }
-        let copies = if self.cfg.dup_prob > 0.0 && self.rng.gen_bool(self.cfg.dup_prob) {
-            self.metrics.duplicated += 1;
-            2
-        } else {
-            1
-        };
-        // Only a duplicate needs its own copy: the last (usually only)
-        // delivery takes the message itself — sync replies carry whole
-        // entry vectors.
-        for _ in 1..copies {
-            let at = self.delivery_time(from, to);
-            self.push(
-                at,
-                to,
-                EventKind::Deliver {
-                    from,
-                    msg: msg.clone(),
-                },
-            );
+        // Only a duplicate needs its own copy: the original delivery takes
+        // the message itself — sync replies carry whole entry vectors.
+        if self.cfg.dup_prob > 0.0 && self.rng.gen_bool(self.cfg.dup_prob) {
+            metrics.duplicated += 1;
+            let copy = EventKind::Deliver {
+                from,
+                msg: msg.clone(),
+            };
+            queue.push(self.delivery_time(now, from, to), (to, copy));
         }
-        let at = self.delivery_time(from, to);
-        self.push(at, to, EventKind::Deliver { from, msg });
+        let at = self.delivery_time(now, from, to);
+        queue.push(at, (to, EventKind::Deliver { from, msg }));
     }
 
     /// Draws one delivery's latency and returns its arrival time.
-    fn delivery_time(&mut self, from: ProcessId, to: ProcessId) -> Nanos {
+    fn delivery_time(&mut self, now: Nanos, from: ProcessId, to: ProcessId) -> Nanos {
         let mut delay = self.cfg.latency.sample(&mut self.rng);
         // Gray failure: a sick endpoint slows the link in both
         // directions (the worse endpoint dominates).
@@ -805,7 +903,7 @@ where
         if gray > 1 {
             delay = delay.saturating_mul(u64::from(gray));
         }
-        self.now + delay
+        now + delay
     }
 }
 
@@ -915,6 +1013,80 @@ mod tests {
             narrow > 5_000 && wide > 5_000,
             "{narrow} narrow, {wide} wide"
         );
+    }
+
+    /// Pushes, peeks and pops the same seeded mix on an [`EventQueue`] and on
+    /// a `BinaryHeap` of `(at, seq)`: every peek and pop must agree, and each
+    /// payload must come out with the key it went in with.
+    #[test]
+    fn event_queue_pops_in_binary_heap_order() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut rng = SmallRng::seed_from_u64(0x9e4e);
+        let mut queue = EventQueue::new();
+        let mut reference = BinaryHeap::new();
+        let (mut seq, mut now, mut popped, mut peak) = (0u64, 0u64, 0usize, 0usize);
+        for round in 0..=400 {
+            // Grow towards a target size, then drain to it: some rounds empty
+            // the queue (the last one too), a few fill it to ~10 000.
+            let target = match round % 40 {
+                0 | 10 | 20 | 30 => 0,
+                39 => rng.gen_range(5_000..10_500),
+                _ => rng.gen_range(0..200),
+            };
+            while queue.len() != target {
+                if queue.len() < target && (queue.len() == 0 || rng.gen_bool(0.7)) {
+                    let at = now
+                        + match rng.gen_range(0..4u32) {
+                            // Many events at one instant: the sequence number decides.
+                            0 => 0,
+                            1 => rng.gen_range(0..4),
+                            2 => rng.gen_range(0..50_000),
+                            // Timer-like keys far in the future.
+                            _ => rng.gen_range(1u64 << 40..1 << 50),
+                        };
+                    queue.push(at, (at, seq));
+                    reference.push(Reverse((at, seq)));
+                    seq += 1;
+                } else {
+                    let want = reference.pop().map(|Reverse(k)| k);
+                    let got = queue.pop().map(|(at, seq, payload)| {
+                        assert_eq!(payload, (at, seq), "a payload left with another key");
+                        (at, seq)
+                    });
+                    assert_eq!(got, want, "pop {popped}");
+                    now = got.expect("the queue was not empty").0;
+                    popped += 1;
+                }
+                let want = reference.peek().map(|Reverse(k)| k.0);
+                assert_eq!(queue.peek(), want, "peek after pop {popped}");
+                assert_eq!(queue.len(), reference.len());
+                peak = peak.max(queue.len());
+            }
+            assert_eq!(queue.payloads().count(), target, "round {round}");
+        }
+        assert!(queue.pop().is_none());
+        assert!(
+            popped > 50_000 && peak > 9_000,
+            "{popped} pops, peak {peak}"
+        );
+    }
+
+    #[test]
+    fn invocation_queued_sees_an_invoke_until_it_pops() {
+        let mut sim = swmr_cluster(3, 5);
+        let first = sim.invoke_at(10, ProcessId(0), RegisterOp::Write(1));
+        let later = sim.invoke_at(20, ProcessId(1), RegisterOp::Read);
+        assert!(sim.invocation_queued(first) && sim.invocation_queued(later));
+        assert!(!sim.invocation_queued(OpId(later.0 + 1)), "never invoked");
+        while sim.queue.peek().is_some_and(|at| at <= 10) {
+            sim.step();
+        }
+        assert!(!sim.invocation_queued(first), "popped at 10");
+        assert!(sim.invocation_queued(later));
+        sim.run_until_quiet(1_000_000);
+        assert!(!sim.invocation_queued(later));
+        assert_eq!(sim.completed().len(), 2);
     }
 
     fn swmr_cluster(n: usize, seed: u64) -> Sim<SwmrNode<u64>> {

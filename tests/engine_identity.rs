@@ -277,7 +277,7 @@ where
 fn kv_campaign<P>(
     nodes: Vec<P>,
     op: impl Fn(usize, u64) -> P::Op,
-) -> (KvPins, Metrics, ReadPathCounters, Sim<P>)
+) -> (KvPins, ReadPathCounters, Sim<P>)
 where
     P: Protocol<Resp = KvResp<u64>> + ReadPathStats,
     P::Op: Clone,
@@ -307,7 +307,7 @@ where
         KvResp::GetOk(None) => 0,
         KvResp::GetOk(Some(v)) => v,
     });
-    let (m, r) = (sim.metrics().clone(), sim.read_path_metrics());
+    let r = sim.read_path_metrics();
     let reads = [
         r.fast_reads,
         r.write_backs,
@@ -315,7 +315,8 @@ where
         r.sc_reads,
         r.regular_reads,
     ];
-    ((sim.trace_digest(), m.sent, responses, reads), m, r, sim)
+    let sent = sim.metrics().sent;
+    ((sim.trace_digest(), sent, responses, reads), r, sim)
 }
 
 fn kv_nodes(cfg: impl Fn(KvConfig) -> KvConfig) -> Vec<KvNode<u32, u64>> {
@@ -330,9 +331,19 @@ fn kv_nodes(cfg: impl Fn(KvConfig) -> KvConfig) -> Vec<KvNode<u32, u64>> {
 
 /// The checks every KV row shares: tiers, retransmission, restarts and the
 /// catch-up all ran, a crash caught operations in flight, and the pins hold.
-fn check_kv(row: &str, pins: KvPins, m: &Metrics, r: &ReadPathCounters, want: KvPins) {
+/// `Metrics::retransmissions` counts every send from a timer, a sweep's
+/// opening requests too, so the nodes' own count (`resent`) must be
+/// positive as well.
+fn check_kv<P>(row: &str, pins: KvPins, sim: &Sim<P>, resent: impl Fn(&P) -> u64, want: KvPins)
+where
+    P: Protocol + ReadPathStats,
+    P::Op: Clone,
+{
+    let (m, r) = (sim.metrics(), sim.read_path_metrics());
     assert!(r.sc_reads > 0 && r.regular_reads > 0, "{row}: tiers idle");
     assert!(m.retransmissions > 0, "{row}: no retransmission fired");
+    let node_resends: u64 = (0..N).map(|i| resent(sim.node(i))).sum();
+    assert!(node_resends > 0, "{row}: no node re-sent a phase message");
     assert!(m.restarts > 0, "{row}: no node restarted");
     assert!(r.recovery_msgs > 0, "{row}: no catch-up ran");
     assert!(m.ops_aborted > 0, "{row}: no crash caught an operation");
@@ -429,13 +440,13 @@ impl ReadPathStats for Requorum {
 #[test]
 fn kv_identity_table_is_pinned() {
     use ReadMode::{FastUnanimous, Relay, TwoRound};
-    let (pins, m, r, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(TwoRound)), kv_op);
+    let (pins, r, sim) = kv_campaign(kv_nodes(|c| c.with_read_mode(TwoRound)), kv_op);
     assert!(r.write_backs > 0, "kv/two-round: atomic read path idle");
     check_kv(
         "kv/two-round",
         pins,
-        &m,
-        &r,
+        &sim,
+        KvNode::retransmissions,
         (
             // Re-pinned: two puts on one key at one node used to share a tag,
             // so replicas could hold different values under it; the store now
@@ -447,7 +458,7 @@ fn kv_identity_table_is_pinned() {
         ),
     );
 
-    let (pins, m, r, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(FastUnanimous)), kv_op);
+    let (pins, r, sim) = kv_campaign(kv_nodes(|c| c.with_read_mode(FastUnanimous)), kv_op);
     assert!(
         r.fast_reads > 0 && r.write_backs > 0,
         "kv/fast: a path idle"
@@ -455,8 +466,8 @@ fn kv_identity_table_is_pinned() {
     check_kv(
         "kv/fast",
         pins,
-        &m,
-        &r,
+        &sim,
+        KvNode::retransmissions,
         (
             // Re-pinned: tags as in kv/two-round. A read that met one tag held
             // with two values took the fast path; it now meets two tags and
@@ -468,13 +479,13 @@ fn kv_identity_table_is_pinned() {
         ),
     );
 
-    let (pins, m, r, _) = kv_campaign(kv_nodes(|c| c.with_read_mode(Relay)), kv_op);
+    let (pins, r, sim) = kv_campaign(kv_nodes(|c| c.with_read_mode(Relay)), kv_op);
     assert!(r.relay_reads > 0, "kv/relay: atomic read path idle");
     check_kv(
         "kv/relay",
         pins,
-        &m,
-        &r,
+        &sim,
+        KvNode::retransmissions,
         (
             // Re-pinned: bulk pulls became walks, as in kv/two-round.
             0x3e2cae3bf05944f0,
@@ -487,7 +498,7 @@ fn kv_identity_table_is_pinned() {
     // Merkle walks on every reboot and a sweep every 150 µs: walks draw
     // their ids from the operations' counter and share their timers.
     let walking = |c: KvConfig| c.with_sync_buckets(8).with_anti_entropy(150_000);
-    let (pins, m, r, sim) = kv_campaign(kv_nodes(walking), kv_op);
+    let (pins, r, sim) = kv_campaign(kv_nodes(walking), kv_op);
     assert!(r.write_backs > 0, "kv/walks+sweep: atomic read path idle");
     assert!(
         (0..N).any(|i| sim.node(i).max_walk_rounds() > 1),
@@ -496,8 +507,8 @@ fn kv_identity_table_is_pinned() {
     check_kv(
         "kv/walks+sweep",
         pins,
-        &m,
-        &r,
+        &sim,
+        KvNode::retransmissions,
         (
             // Re-pinned: tags as in kv/two-round; only the responses moved.
             0x35d1cbb6aebed0ca,
@@ -522,7 +533,7 @@ fn kv_identity_table_is_pinned() {
             }
         })
         .collect();
-    let (pins, m, r, sim) = kv_campaign(mixed, |c, i| {
+    let (pins, r, sim) = kv_campaign(mixed, |c, i| {
         if i % (4 * LANES) == 4 * LANES - 1 {
             RqOp::Requorum((i / (4 * LANES)).is_multiple_of(2))
         } else {
@@ -546,8 +557,8 @@ fn kv_identity_table_is_pinned() {
     check_kv(
         "kv/requorum",
         pins,
-        &m,
-        &r,
+        &sim,
+        |node| node.inner.retransmissions(),
         (
             // Re-pinned: tags as in kv/two-round; only the responses moved.
             0xe3b62669b87a450b,

@@ -6,9 +6,11 @@
 //! its own. What is left, and what the budget of 64 allocations per 20 000
 //! operations covers, is amortised growth: `Sim`'s `completed` vector
 //! doubling as the records accumulate (five times from 1 000 to 21 000),
-//! the event heap should a burst outgrow its warm capacity, and the one
-//! vector of script queues `run_scripts` builds per call. A regression that
-//! allocates per phase or per round costs thousands, not dozens.
+//! the event queue's key heap, payload slab and free list should a burst
+//! outgrow their warm capacity, and the one vector of script queues
+//! `run_scripts` builds per call: 6 allocations per test at the last count.
+//! A regression that allocates per phase or per round costs thousands, not
+//! dozens.
 //!
 //! The counter is a `#[global_allocator]` wrapped around `System`, which
 //! needs `unsafe`; it lives in this integration-test crate so that every

@@ -18,6 +18,8 @@
 //! read path and phase graph the protocol walks, the recorded digest and
 //! failure, and the fault timeline.
 
+use abd_core::engine::PHASE_GRAPH;
+use abd_core::phase::PhaseEdges;
 use abd_core::types::ReadMode;
 use abd_simnet::repro::Repro;
 use abd_simnet::shrink::shrink;
@@ -49,11 +51,10 @@ fn describe(r: &Repro) {
     println!("artifact:  {}", r.name);
     println!("protocol:  {:?}", r.protocol);
     // Every spec runs the one quorum-operation engine, bare or wrapped.
-    let g = "engine";
-    println!("phases:    {g} (lint phase graph; `abd-lint --dot-dir target/lint` renders {g}.dot)");
+    println!("phases:    engine: {}", PhaseEdges::of(PHASE_GRAPH));
     if r.protocol.read_mode() == ReadMode::Relay {
         println!(
-            "read path: relay — reads walk `Invoke -> RelayRead -> Done` in {g}.dot \
+            "read path: relay — reads walk `Invoke -> RelayRead -> Done` \
              (server-to-server forwarding; atomicity argument in DESIGN.md §13)"
         );
     }

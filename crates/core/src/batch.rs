@@ -37,6 +37,7 @@
 //! for windowed-batching runs.
 
 use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerCmd, TimerKey};
+use crate::phase::NodeEdges;
 use crate::types::{Nanos, OpId, ProcessId};
 use std::collections::BTreeMap;
 
@@ -181,6 +182,16 @@ impl<P: Protocol> Batched<P> {
     }
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl<P: Protocol> Protocol for Batched<P> {
     type Msg = Envelope<P::Msg>;
     type Op = P::Op;
@@ -245,6 +256,10 @@ impl<P: Protocol> Protocol for Batched<P> {
 impl<P: Protocol + ReadPathStats> ReadPathStats for Batched<P> {
     fn counters(&self) -> ReadPathCounters {
         self.inner.counters()
+    }
+
+    fn phase_edges(&self) -> NodeEdges {
+        self.inner.phase_edges()
     }
 }
 

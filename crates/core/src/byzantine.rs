@@ -47,7 +47,7 @@
 use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use crate::engine::{Msg, Store};
 use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
-use crate::phase::Fold;
+use crate::phase::{Fold, NodeEdges};
 use crate::quorum::{masking_threshold, QuorumSystem, Threshold};
 use crate::register::{RegisterConfig, RegisterNode};
 use crate::replica::Replica;
@@ -285,6 +285,16 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
 /// The lie filter: a lying node answers `Query` and `Update` itself, from
 /// its strategy; every other event — and every event of an honest node —
 /// is the inner node's.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
     type Msg = ByzMsg<V>;
     type Op = RegisterOp<V>;
@@ -345,6 +355,10 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> Protocol for ByzNode<V> {
 impl<V: Clone + Eq> ReadPathStats for ByzNode<V> {
     fn counters(&self) -> ReadPathCounters {
         self.inner.counters()
+    }
+
+    fn phase_edges(&self) -> NodeEdges {
+        self.inner.phase_edges()
     }
 }
 

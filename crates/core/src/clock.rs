@@ -5,14 +5,16 @@
 //! whatever drives them. The *drivers*, however, need a notion of "now":
 //! the simulator has its virtual clock, and the thread runtime used to call
 //! `Instant::now()` wherever it pleased, which made its timing untestable
-//! and scattered wall-clock reads across the codebase (flagged by
-//! `abd-lint` rule `wall-clock`).
+//! and scattered wall-clock reads across the codebase (now refused by the
+//! `disallowed-methods` and `disallowed-types` of each driver crate's
+//! `clippy.toml`).
 //!
 //! This module is the choke point: drivers take a [`Clock`] and every
 //! deadline computation goes through it. The deterministic implementations
 //! live here; the one wall-clock implementation
 //! (`abd_runtime::clock::MonotonicClock`) lives in the runtime crate and is
-//! the single allow-listed `Instant` site in the workspace.
+//! the single `Instant` site in the workspace, each of its lines under an
+//! `#[expect]`.
 
 use crate::types::Nanos;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -14,6 +14,7 @@
 //! threads, which is the modularity claim the paper itself makes for the
 //! emulation.
 
+use crate::phase::NodeEdges;
 use crate::types::{Nanos, OpId, ProcessId};
 
 /// Key naming a timer owned by a protocol instance.
@@ -240,14 +241,19 @@ impl std::iter::Sum for ReadPathCounters {
     }
 }
 
-/// Read-path counters exposed by protocols that support fast-path reads.
+/// Read-path counters exposed by protocols that support fast-path reads,
+/// and the phase transitions their operations took.
 ///
-/// Implementors hand out one [`ReadPathCounters`] value; a wrapper forwards
-/// it whole, so it cannot forget a field. Hosts can sum these across nodes —
-/// see `abd-simnet`'s `Sim::read_path_metrics`.
+/// Implementors hand out one [`ReadPathCounters`] value and one
+/// [`NodeEdges`]; a wrapper forwards each whole, so it cannot forget a
+/// field. Hosts can sum the counters across nodes — see `abd-simnet`'s
+/// `Sim::read_path_metrics`.
 pub trait ReadPathStats {
     /// This node's counters.
     fn counters(&self) -> ReadPathCounters;
+
+    /// The phase transitions this node's operations took.
+    fn phase_edges(&self) -> NodeEdges;
 }
 
 #[cfg(test)]

@@ -89,32 +89,45 @@
 //! relay round is volatile — a post-restart reply still carries the
 //! *persisted* store, which is all the argument above needs.
 
-// The declared phase graph of a client operation, checked by abd-lint's
-// `phase-graph` rule against the graph extracted from the handler bodies
-// below. Both reads and writes query first — `WriteQuery -> WriteUpdate`
-// and `ReadQuery -> ReadWriteBack`, never the reverse, and the two kinds
-// never cross — except that a write under a label policy without a query
-// round enters `WriteUpdate` straight from `Invoke`. The other `Invoke -> *`
-// edges are the instant-quorum short-circuits (single-node clusters
-// complete in place). `Invoke -> RelayRead -> Done` is the relay read mode:
-// the reader parks in a single RelayRead phase and completes on a write
-// quorum of direct server replies.
-// abd-lint: phase-spec(engine):
-//   Invoke -> WriteQuery, Invoke -> ReadQuery, Invoke -> WriteUpdate,
-//   Invoke -> ReadWriteBack, Invoke -> Done,
-//   Invoke -> RelayRead, RelayRead -> Done,
-//   WriteQuery -> WriteUpdate, WriteQuery -> Done,
-//   ReadQuery -> ReadWriteBack, ReadQuery -> Done,
-//   WriteUpdate -> Done, ReadWriteBack -> Done
-
 use crate::context::{Effects, ReadPathCounters, TimerKey};
-use crate::phase::{Fold, PhaseTracker, RelayCensus, TagCensus};
+use crate::phase::{Fold, Phase, PhaseEdges, PhaseTracker, RelayCensus, TagCensus};
 use crate::procset::ProcSet;
 use crate::quorum::{fast_read_allowed, QuorumSystem};
 use crate::retransmit::{BackoffPolicy, Retransmitter};
 use crate::types::{Consistency, OpId, ProcessId, ReadMode};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// The phase graph of a client operation: every transition the engine
+/// takes, and — `tests/engine_identity.rs` checks it against what runs
+/// record — only those. Both reads and writes query first — `WriteQuery ->
+/// WriteUpdate` and `ReadQuery -> ReadWriteBack`, never the reverse, and the
+/// two kinds never cross — except that a write under a label policy without
+/// a query round enters `WriteUpdate` straight from `Invoke`. `ReadQuery ->
+/// Done` is a fast or regular read. The other `Invoke -> *` edges skip a
+/// round whose quorum this node forms alone (a single-node cluster, a heavy
+/// weighted vote), and `Invoke -> Done` also answers a sequential read in
+/// place. `Invoke -> RelayRead -> Done` is the relay read mode: the reader
+/// parks in a single `RelayRead` round and completes on a write quorum of
+/// direct server replies.
+pub const PHASE_GRAPH: &[(Phase, Phase)] = {
+    use Phase::*;
+    &[
+        (Invoke, WriteQuery),
+        (Invoke, ReadQuery),
+        (Invoke, WriteUpdate),
+        (Invoke, ReadWriteBack),
+        (Invoke, Done),
+        (Invoke, RelayRead),
+        (RelayRead, Done),
+        (WriteQuery, WriteUpdate),
+        (WriteQuery, Done),
+        (ReadQuery, ReadWriteBack),
+        (ReadQuery, Done),
+        (WriteUpdate, Done),
+        (ReadWriteBack, Done),
+    ]
+};
 
 /// The replica state an [`Engine`] works on, and the wire format its host
 /// speaks. `R` is what a replica reports for a key (it may be "never
@@ -307,6 +320,19 @@ pub enum Pending<L, R, V, C = TagCensus<L, R>> {
     },
 }
 
+impl<L, R, V, C> Pending<L, R, V, C> {
+    /// The round's node in [`PHASE_GRAPH`].
+    fn phase(&self) -> Phase {
+        match self {
+            Pending::WriteQuery { .. } => Phase::WriteQuery,
+            Pending::WriteUpdate { .. } => Phase::WriteUpdate,
+            Pending::ReadQuery { .. } => Phase::ReadQuery,
+            Pending::ReadWriteBack { .. } => Phase::ReadWriteBack,
+            Pending::RelayRead { .. } => Phase::RelayRead,
+        }
+    }
+}
+
 /// One round in flight: whose operation, on which key, who has responded.
 /// A relay read's tracker starts empty — even this node's own reply only
 /// counts once its server-side round completes.
@@ -387,6 +413,9 @@ pub struct Engine<K, L, R, V, C = TagCensus<L, R>> {
     /// [`Engine::fresh_uid`] and share this driver's jitter and counter.
     pub rtx: Retransmitter,
     counters: ReadPathCounters,
+    /// The [`PHASE_GRAPH`] edges this node's operations took. Kept across
+    /// restarts: it records runs, not state.
+    walked: PhaseEdges,
 }
 
 /// Adopts a snapshot-shaped pair, in which the sender may never have
@@ -423,6 +452,16 @@ fn relay_fwd<K: Clone, L, R, V, S: Store<K, L, R, V>>(
     fx.send_each(targets, fwd.into());
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl<K, L, R, V, C> Engine<K, L, R, V, C>
 where
     K: Clone,
@@ -455,6 +494,7 @@ where
             relays: BTreeMap::new(),
             rtx: Retransmitter::new(retransmit, me),
             counters: ReadPathCounters::default(),
+            walked: PhaseEdges::default(),
         }
     }
 
@@ -471,6 +511,11 @@ where
     /// The five read-path counters (the sync counters stay `0`).
     pub fn counters(&self) -> ReadPathCounters {
         self.counters
+    }
+
+    /// The [`PHASE_GRAPH`] edges this node's operations took.
+    pub fn phase_edges(&self) -> PhaseEdges {
+        self.walked
     }
 
     /// Every processor but this one, in id order.
@@ -490,7 +535,10 @@ where
     pub fn write_in_flight(&self) -> Option<(OpId, L, V)> {
         self.rounds.iter().find_map(|r| match &r.phase {
             Pending::WriteUpdate { label, value } => Some((r.op, *label, value.clone())),
-            _ => None,
+            Pending::WriteQuery { .. }
+            | Pending::ReadQuery { .. }
+            | Pending::ReadWriteBack { .. }
+            | Pending::RelayRead { .. } => None,
         })
     }
 
@@ -526,14 +574,16 @@ where
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
     ) {
-        match input {
+        let to = match input {
             Op::Read(key, cons) => self.begin_read(op, key, cons, store, fx),
             Op::Write(key, value) => self.begin_write(op, key, value, store, fx),
-        }
+        };
+        self.walked.record(Phase::Invoke, to);
     }
 
     /// Phase 1 of a write: learn the largest label a read quorum holds —
     /// skipped when the label policy makes this node's own the largest.
+    /// Returns the phase the write is in now.
     fn begin_write<S: Store<K, L, R, V>>(
         &mut self,
         op: OpId,
@@ -541,23 +591,24 @@ where
         value: V,
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
-    ) {
+    ) -> Phase {
         let best = store.snapshot(&key).0;
         if S::WRITE_QUERIES {
             let ph = self.fresh_phase();
             if !self.quorum.is_read_quorum(ph.responders()) {
                 let phase = Pending::WriteQuery { best, value };
                 self.enter(Round { op, key, ph, phase }, store, fx);
-                return;
+                return Phase::WriteQuery;
             }
         }
         let label = store.issue(&key, best, self.me);
-        self.write_update(op, key, label, value, store, fx);
+        self.write_update(op, key, label, value, store, fx)
     }
 
     /// Phase 2 of a write, stamped `label` — strictly above every label in
     /// use, and chosen once per operation, so the write is one write
-    /// however often this round is restarted: adopt and propagate.
+    /// however often this round is restarted: adopt and propagate. Returns
+    /// the phase the write is in now.
     fn write_update<S: Store<K, L, R, V>>(
         &mut self,
         op: OpId,
@@ -566,15 +617,16 @@ where
         value: V,
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
-    ) {
+    ) -> Phase {
         store.adopt(&key, label, value.clone());
         let ph = self.fresh_phase();
         if self.quorum.is_write_quorum(ph.responders()) {
             fx.respond(op, Outcome::Written.into());
-            return;
+            return Phase::Done;
         }
         let phase = Pending::WriteUpdate { label, value };
         self.enter(Round { op, key, ph, phase }, store, fx);
+        Phase::WriteUpdate
     }
 
     /// Starts one read at tier `cons`. Sequential reads answer from the
@@ -583,7 +635,8 @@ where
     /// prefix of the write order (DESIGN.md, consistency tiers). The other
     /// tiers run the query round, with only atomic reads eligible for the
     /// relay path — a weaker tier has no write-back for it to replace, and
-    /// the fast path is an atomic-tier optimization too.
+    /// the fast path is an atomic-tier optimization too. Returns the phase
+    /// the read is in now.
     fn begin_read<S: Store<K, L, R, V, Fold = C>>(
         &mut self,
         op: OpId,
@@ -591,24 +644,23 @@ where
         cons: Consistency,
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
-    ) {
+    ) -> Phase {
         if cons == Consistency::Sequential {
             self.counters.sc_reads += 1;
             fx.respond(op, Outcome::Read(store.snapshot(&key).1).into());
-            return;
+            return Phase::Done;
         }
         if cons == Consistency::Atomic && self.read_mode == ReadMode::Relay {
-            self.begin_relay_read(op, key, store, fx);
-            return;
+            return self.begin_relay_read(op, key, store, fx);
         }
         let ph = self.fresh_phase();
         let census = store.fold(&key);
         if self.quorum.is_read_quorum(ph.responders()) {
-            self.complete_read_query(op, key, ph.responders(), census, cons, store, fx);
-            return;
+            return self.complete_read_query(op, key, ph.responders(), census, cons, store, fx);
         }
         let phase = Pending::ReadQuery { census, cons };
         self.enter(Round { op, key, ph, phase }, store, fx);
+        Phase::ReadQuery
     }
 
     /// The read's query phase holds a read quorum. A `Regular`-tier read
@@ -616,8 +668,12 @@ where
     /// elided by definition); an atomic read either takes the one-round fast path
     /// (unanimous responders that form a write quorum — the max label is
     /// already durable, so the write-back is redundant) or writes back what
-    /// it is about to return — unless nothing was ever written.
-    #[allow(clippy::too_many_arguments)]
+    /// it is about to return — unless nothing was ever written. Returns the
+    /// phase the read is in now.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a query round's parts, taken apart where it completes"
+    )]
     fn complete_read_query<S: Store<K, L, R, V, Fold = C>>(
         &mut self,
         op: OpId,
@@ -627,7 +683,7 @@ where
         cons: Consistency,
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
-    ) {
+    ) -> Phase {
         let fast = self.read_mode == ReadMode::FastUnanimous
             && self.read_write_back
             && fast_read_allowed(self.quorum.as_ref(), responders, census.unanimous());
@@ -646,15 +702,15 @@ where
                 // Counted here, where the write-back is decided, not in the
                 // round: `requorum` may run that twice.
                 self.counters.write_backs += 1;
-                self.write_back(op, key, label, written, store, fx);
-                return;
+                return self.write_back(op, key, label, written, store, fx);
             }
         }
         fx.respond(op, Outcome::Read(value).into());
+        Phase::Done
     }
 
     /// Phase 2 of a read: propagate the chosen pair to a write quorum
-    /// before returning its value.
+    /// before returning its value. Returns the phase the read is in now.
     fn write_back<S: Store<K, L, R, V>>(
         &mut self,
         op: OpId,
@@ -663,28 +719,30 @@ where
         value: V,
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
-    ) {
+    ) -> Phase {
         store.adopt(&key, label, value.clone());
         let ph = self.fresh_phase();
         if self.quorum.is_write_quorum(ph.responders()) {
             fx.respond(op, Outcome::Read(value.into()).into());
-            return;
+            return Phase::Done;
         }
         let phase = Pending::ReadWriteBack { label, value };
         self.enter(Round { op, key, ph, phase }, store, fx);
+        Phase::ReadWriteBack
     }
 
     /// Opens a relay read: broadcast our snapshot as the round's query (it
     /// doubles as our server-role forward) and join our own server round.
     /// With a single-node cluster both the round and the read complete in
-    /// place, without messages.
+    /// place, without messages — by way of the `RelayRead` phase, which is
+    /// the one returned.
     fn begin_relay_read<S: Store<K, L, R, V>>(
         &mut self,
         op: OpId,
         key: K,
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
-    ) {
+    ) -> Phase {
         let uid = self.fresh_uid();
         let ph = PhaseTracker::new_empty(uid, self.n);
         let census = RelayCensus::new();
@@ -697,6 +755,7 @@ where
         };
         self.enter(round, store, fx);
         self.relay_observe((self.me, uid), &key, self.me, store, fx);
+        Phase::RelayRead
     }
 
     /// Records `from`'s forward (the reader's query doubles as its forward)
@@ -784,6 +843,7 @@ where
             let (label, value) = census.into_min().unwrap_or_else(|| store.snapshot(&key));
             adopt_read(store, &key, label, value.clone());
             fx.respond(op, Outcome::Read(value).into());
+            self.walked.record(Phase::RelayRead, Phase::Done);
         }
     }
 
@@ -842,23 +902,29 @@ where
                         }
                         census.observe(label, value);
                     }
-                    _ => return,
+                    Pending::WriteUpdate { .. }
+                    | Pending::ReadWriteBack { .. }
+                    | Pending::RelayRead { .. } => return,
                 }
                 if !self.quorum.is_read_quorum(round.ph.responders()) {
                     return;
                 }
                 let Round { op, key, ph, phase } = self.rounds.swap_remove(i);
                 self.rtx.disarm(uid, fx);
-                match phase {
+                let from = phase.phase();
+                let to = match phase {
                     Pending::WriteQuery { best, value } => {
                         let label = store.issue(&key, best, self.me);
-                        self.write_update(op, key, label, value, store, fx);
+                        self.write_update(op, key, label, value, store, fx)
                     }
                     Pending::ReadQuery { census, cons } => {
-                        self.complete_read_query(op, key, ph.responders(), census, cons, store, fx);
+                        self.complete_read_query(op, key, ph.responders(), census, cons, store, fx)
                     }
-                    _ => {}
-                }
+                    Pending::WriteUpdate { .. }
+                    | Pending::ReadWriteBack { .. }
+                    | Pending::RelayRead { .. } => return,
+                };
+                self.walked.record(from, to);
             }
             Msg::UpdateAck { uid } => {
                 let Some(i) = self.find(uid) else {
@@ -867,7 +933,9 @@ where
                 let round = &mut self.rounds[i];
                 match round.phase {
                     Pending::WriteUpdate { .. } | Pending::ReadWriteBack { .. } => {}
-                    _ => return,
+                    Pending::WriteQuery { .. }
+                    | Pending::ReadQuery { .. }
+                    | Pending::RelayRead { .. } => return,
                 }
                 if !round.ph.record(from, uid)
                     || !self.quorum.is_write_quorum(round.ph.responders())
@@ -876,14 +944,18 @@ where
                 }
                 let Round { op, phase, .. } = self.rounds.swap_remove(i);
                 self.rtx.disarm(uid, fx);
+                let from = phase.phase();
                 match phase {
                     Pending::WriteUpdate { .. } => fx.respond(op, Outcome::Written.into()),
                     // The value this round propagated — see the module docs.
                     Pending::ReadWriteBack { value, .. } => {
                         fx.respond(op, Outcome::Read(value.into()).into());
                     }
-                    _ => {}
+                    Pending::WriteQuery { .. }
+                    | Pending::ReadQuery { .. }
+                    | Pending::RelayRead { .. } => return,
                 }
+                self.walked.record(from, Phase::Done);
             }
             // ---- relay read: server and reader roles ----
             Msg::RelayQuery {
@@ -991,7 +1063,8 @@ where
     /// responders back to `me`, request re-broadcast. A query round starts
     /// from this replica's snapshot (it has chosen nothing yet); an update
     /// or write-back round keeps the label it already chose, so a restarted
-    /// write is still one write.
+    /// write is still one write. Re-entering its own phase is no transition
+    /// of [`PHASE_GRAPH`]; completing in place is.
     pub fn restart_round<S: Store<K, L, R, V, Fold = C>>(
         &mut self,
         op: OpId,
@@ -1000,17 +1073,19 @@ where
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
     ) {
-        match phase {
+        let from = phase.phase();
+        let to = match phase {
             Pending::WriteQuery { value, .. } => self.begin_write(op, key, value, store, fx),
             Pending::WriteUpdate { label, value } => {
-                self.write_update(op, key, label, value, store, fx);
+                self.write_update(op, key, label, value, store, fx)
             }
             Pending::ReadQuery { cons, .. } => self.begin_read(op, key, cons, store, fx),
             Pending::ReadWriteBack { label, value } => {
-                self.write_back(op, key, label, value, store, fx);
+                self.write_back(op, key, label, value, store, fx)
             }
             Pending::RelayRead { .. } => self.begin_relay_read(op, key, store, fx),
-        }
+        };
+        self.walked.record(from, to);
     }
 
     /// Swaps the quorum system under everything in flight and restarts the

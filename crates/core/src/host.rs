@@ -48,6 +48,16 @@ pub struct NodeHost<P: Protocol> {
     out: Outbox<P::Msg, P::Resp>,
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl<P: Protocol> NodeHost<P> {
     /// One host per node, node `i` at index `i`: the way every driver
     /// builds its cluster. Panics if a node's id is not its index (its

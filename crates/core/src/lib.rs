@@ -69,6 +69,7 @@
 //! | Byzantine replicas (masking quorums) | [`byzantine`] (the register over a vouching store, behind a lie filter) |
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 

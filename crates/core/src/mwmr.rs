@@ -395,7 +395,7 @@ mod tests {
         let mut net = MiniNet::new(nodes);
         // Lose each (from, to, is_update) combination once.
         net.set_drop_filter({
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             move |from, to, m: &MwmrMsg<u32>| {
                 matches!(m, RegisterMsg::Update { .. }) && seen.insert((from, to))
             }

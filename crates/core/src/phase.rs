@@ -62,6 +62,120 @@ impl PhaseTracker {
     }
 }
 
+/// Where a client operation stands in its phase graph: how it reached the
+/// node (invoked, or resumed at a restart), the five kinds of round
+/// ([`Pending`](crate::engine::Pending)) and its completion.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Phase {
+    /// A client invoked the operation.
+    Invoke,
+    /// A restart resumed the operation.
+    Restart,
+    /// A write's query round.
+    WriteQuery,
+    /// A write's update round.
+    WriteUpdate,
+    /// A read's query round.
+    ReadQuery,
+    /// A read's write-back round.
+    ReadWriteBack,
+    /// A relay read's round.
+    RelayRead,
+    /// The operation was answered.
+    Done,
+}
+
+impl Phase {
+    /// Every phase, in declaration order.
+    const ALL: [Phase; 8] = [
+        Phase::Invoke,
+        Phase::Restart,
+        Phase::WriteQuery,
+        Phase::WriteUpdate,
+        Phase::ReadQuery,
+        Phase::ReadWriteBack,
+        Phase::RelayRead,
+        Phase::Done,
+    ];
+}
+
+/// A set of `(from, to)` transitions between [`Phase`]s: one bit per edge
+/// of the 8 × 8, so recording one is an OR and allocates nothing. The
+/// engine and the register shell each keep one of the edges they took,
+/// which tests compare with the graphs they declare
+/// ([`engine::PHASE_GRAPH`](crate::engine::PHASE_GRAPH),
+/// [`register::PHASE_GRAPH`](crate::register::PHASE_GRAPH)).
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct PhaseEdges(u64);
+
+impl PhaseEdges {
+    fn bit(from: Phase, to: Phase) -> u64 {
+        1 << (from as u32 * 8 + to as u32)
+    }
+
+    /// The set of exactly `edges`.
+    pub fn of(edges: &[(Phase, Phase)]) -> Self {
+        PhaseEdges(
+            edges
+                .iter()
+                .fold(0, |set, &(from, to)| set | Self::bit(from, to)),
+        )
+    }
+
+    /// Records the transition `from -> to`. A round started over re-enters
+    /// its own phase, which is no transition.
+    #[inline]
+    pub fn record(&mut self, from: Phase, to: Phase) {
+        if from != to {
+            self.0 |= Self::bit(from, to);
+        }
+    }
+
+    /// The edges in the set, ordered by `(from, to)`.
+    pub fn iter(self) -> impl Iterator<Item = (Phase, Phase)> {
+        Phase::ALL
+            .into_iter()
+            .flat_map(|from| Phase::ALL.map(|to| (from, to)))
+            .filter(move |&(from, to)| self.0 & Self::bit(from, to) != 0)
+    }
+}
+
+impl std::ops::BitOrAssign for PhaseEdges {
+    fn bitor_assign(&mut self, other: Self) {
+        self.0 |= other.0;
+    }
+}
+
+/// `A -> B, C -> D`, in [`PhaseEdges::iter`] order.
+impl std::fmt::Display for PhaseEdges {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (from, to)) in self.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{from:?} -> {to:?}")?;
+        }
+        Ok(())
+    }
+}
+
+/// The transitions one node's operations took: its engine's, and its
+/// shell's around the engine (a register's `NotWriter` answer and
+/// roll-forward; the store has none).
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct NodeEdges {
+    /// Checked against [`engine::PHASE_GRAPH`](crate::engine::PHASE_GRAPH).
+    pub engine: PhaseEdges,
+    /// Checked against
+    /// [`register::PHASE_GRAPH`](crate::register::PHASE_GRAPH).
+    pub shell: PhaseEdges,
+}
+
+impl std::ops::BitOrAssign for NodeEdges {
+    fn bitor_assign(&mut self, other: Self) {
+        self.engine |= other.engine;
+        self.shell |= other.shell;
+    }
+}
+
 /// How a read quorum's replies fold to one pair: the policy a store chooses
 /// ([`Store::Fold`](crate::engine::Store::Fold)) for the engine's reads and
 /// for its host's catch-up round alike. The store starts a fold from its own
@@ -186,6 +300,27 @@ impl<L: PartialOrd, V> Default for RelayCensus<L, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn phase_edges_record_transitions_but_no_restarted_round() {
+        let mut walked = PhaseEdges::default();
+        walked.record(Phase::ReadQuery, Phase::Done);
+        walked.record(Phase::Invoke, Phase::ReadQuery);
+        walked.record(Phase::WriteUpdate, Phase::WriteUpdate);
+        let declared = [
+            (Phase::Invoke, Phase::ReadQuery),
+            (Phase::ReadQuery, Phase::Done),
+        ];
+        assert_eq!(walked, PhaseEdges::of(&declared));
+        assert_eq!(walked.iter().collect::<Vec<_>>(), declared);
+        assert_eq!(walked.to_string(), "Invoke -> ReadQuery, ReadQuery -> Done");
+        let all = PhaseEdges::of(&[(Phase::Done, Phase::Done), (Phase::Done, Phase::Invoke)]);
+        assert_eq!(
+            all.iter().count(),
+            2,
+            "`of` stores self-loops, and the 64th bit"
+        );
+    }
 
     #[test]
     fn counts_self_and_filters_stale_uids() {

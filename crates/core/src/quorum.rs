@@ -26,9 +26,9 @@ use std::fmt;
 /// This function is the **one place** in the workspace where the paper's
 /// majority arithmetic lives — every protocol and configuration that needs
 /// a crash-tolerant quorum size must call it (or go through [`Majority`])
-/// rather than re-deriving `n / 2 + 1` locally, so the `abd-lint`
-/// `raw-quorum-arith` rule can keep ad-hoc (and historically off-by-one)
-/// variants out of the codebase.
+/// rather than re-deriving `n / 2 + 1` locally, so `ci.sh`'s quorum
+/// arithmetic grep can keep ad-hoc (and historically off-by-one) variants
+/// out of the codebase.
 ///
 /// # Panics
 ///

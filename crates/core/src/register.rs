@@ -89,19 +89,10 @@
 //! the catch-up. A write that crashes in its query round has no label yet
 //! and stays aborted.
 
-// The shell's share of the declared phase graph (the thirteen edges of a
-// client operation — the catch-up read's among them — are
-// `crate::engine`'s), checked by abd-lint's `phase-graph` rule against the
-// graph extracted from the handler bodies below. `Invoke -> Done` is the
-// `NotWriter` rejection. `Restart -> WriteUpdate` is the roll-forward: a
-// crash-interrupted write resumes at the restart as a fresh WriteUpdate
-// round of the engine.
-// abd-lint: phase-spec(register): Invoke -> Done, Restart -> WriteUpdate
-
 use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use crate::engine::{Engine, Op, Outcome, Pending, Store};
 use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
-use crate::phase::{Fold, TagCensus};
+use crate::phase::{Fold, NodeEdges, Phase, PhaseEdges, TagCensus};
 use crate::quorum::{Majority, QuorumSystem};
 use crate::replica::Replica;
 use crate::retransmit::BackoffPolicy;
@@ -110,6 +101,17 @@ use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::marker::PhantomData;
 use std::sync::Arc;
+
+/// The shell's share of the phase graph, as [`crate::engine::PHASE_GRAPH`]
+/// is the engine's (the thirteen edges of a client operation — the
+/// catch-up read's among them — are the engine's). `Invoke -> Done` is the
+/// `NotWriter` rejection. `Restart -> WriteUpdate` is the roll-forward: a
+/// crash-interrupted write resumes at the restart as a fresh `WriteUpdate`
+/// round of the engine.
+pub const PHASE_GRAPH: &[(Phase, Phase)] = &[
+    (Phase::Invoke, Phase::Done),
+    (Phase::Restart, Phase::WriteUpdate),
+];
 
 /// How labels are issued where they are totally ordered and need no context
 /// — what distinguishes one writer from many.
@@ -283,6 +285,8 @@ pub struct RegisterNode<L, V, S = Replica<L, V>, C = TagCensus<L, V>> {
     /// Catch-ups completed. Each was a `Regular` read to the engine's
     /// counters, which [`ReadPathStats`] reports for *client* reads only.
     catch_ups: u64,
+    /// The [`PHASE_GRAPH`] edges this node took.
+    walked: PhaseEdges,
 }
 
 impl<L: Label, V: Clone + Debug + Send + 'static> RegisterNode<L, V> {
@@ -319,6 +323,7 @@ where
             engine,
             queue: VecDeque::new(),
             catch_ups: 0,
+            walked: PhaseEdges::default(),
         }
     }
 
@@ -363,6 +368,7 @@ where
             RegisterOp::Write(_) if self.cfg.me != self.cfg.writer => {
                 let (invoked_on, writer) = (self.cfg.me, self.cfg.writer);
                 let err = RegisterError::NotWriter { invoked_on, writer };
+                self.walked.record(Phase::Invoke, Phase::Done);
                 fx.respond(op, RegisterResp::Err(err));
                 return;
             }
@@ -394,6 +400,16 @@ where
     }
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl<L, V, S, C> Protocol for RegisterNode<L, V, S, C>
 where
     L: Copy + PartialOrd + Debug + Send + 'static,
@@ -441,6 +457,7 @@ where
         self.queue.clear();
         self.engine.on_restart();
         if let Some((op, label, value)) = interrupted {
+            self.walked.record(Phase::Restart, Phase::WriteUpdate);
             let phase = Pending::WriteUpdate { label, value };
             self.engine
                 .restart_round(op, (), phase, &mut self.store, fx);
@@ -458,6 +475,13 @@ impl<L: Copy + PartialOrd, V: Clone, S, C: Fold<L, V>> ReadPathStats for Registe
         let mut counters = self.engine.counters();
         counters.regular_reads -= self.catch_ups;
         counters
+    }
+
+    fn phase_edges(&self) -> NodeEdges {
+        NodeEdges {
+            engine: self.engine.phase_edges(),
+            shell: self.walked,
+        }
     }
 }
 

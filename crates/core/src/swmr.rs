@@ -409,7 +409,7 @@ mod tests {
         let mut net = MiniNet::new(nodes);
         // Lose every message once; retransmission must recover.
         net.set_drop_filter({
-            let mut dropped = std::collections::HashSet::new();
+            let mut dropped = std::collections::BTreeSet::new();
             move |from, to, _| dropped.insert((from, to))
         });
         net.invoke(0, RegisterOp::Write(3));
@@ -697,7 +697,7 @@ mod tests {
         // Lose the first copy of every (from, to) pair; reader-driven
         // retransmission plus forward echoes must heal every round.
         net.set_drop_filter({
-            let mut dropped = std::collections::HashSet::new();
+            let mut dropped = std::collections::BTreeSet::new();
             move |from, to, _| dropped.insert((from, to))
         });
         net.invoke(1, RegisterOp::Read);

@@ -38,6 +38,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -76,7 +76,7 @@ use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, Time
 use abd_core::engine::{Engine, Msg, Op, Outcome, Store};
 use abd_core::fasthash::FastBuild;
 use abd_core::merkle::{key_hash, MerkleTree};
-use abd_core::phase::TagCensus;
+use abd_core::phase::{NodeEdges, PhaseEdges, TagCensus};
 use abd_core::procset::ProcSet;
 use abd_core::quorum::{Majority, QuorumSystem};
 use abd_core::retransmit::BackoffPolicy;
@@ -680,6 +680,16 @@ where
     }
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl<K, V> Protocol for KvNode<K, V>
 where
     K: Clone + Eq + Hash + Debug + Send + 'static,
@@ -840,6 +850,13 @@ impl<K: Clone, V: Clone> ReadPathStats for KvNode<K, V> {
             recovery_bytes: self.recovery_bytes,
             sync_entries_sent: self.sync_entries_sent,
             ..self.engine.counters()
+        }
+    }
+
+    fn phase_edges(&self) -> NodeEdges {
+        NodeEdges {
+            engine: self.engine.phase_edges(),
+            shell: PhaseEdges::default(),
         }
     }
 }

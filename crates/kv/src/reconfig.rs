@@ -596,6 +596,16 @@ where
     }
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl<K, V> Protocol for RcNode<K, V>
 where
     K: Clone + Eq + Hash + Debug + Send + 'static,

@@ -3,30 +3,40 @@
 //! This file is the **only** place in the workspace allowed to touch
 //! `std::time::Instant`: everything else in the runtime computes deadlines
 //! in `Nanos` through an injected `Arc<dyn Clock>`, so tests can substitute
-//! [`ManualClock`](abd_core::clock::ManualClock) and the `abd-lint`
-//! `wall-clock` rule can pin nondeterministic time to one audited site.
+//! [`ManualClock`](abd_core::clock::ManualClock), and the crate's
+//! `clippy.toml` pins nondeterministic time to the sites below, each under
+//! an `expect` that fails once its cause is gone.
 //! Beside it, `request_exact_timers` makes a node thread's waits for
 //! those deadlines end when they say.
 
 pub use abd_core::clock::{Clock, ManualClock, TickClock};
 
 use abd_core::types::Nanos;
-// abd-lint: allow(wall-clock): MonotonicClock is the one sanctioned bridge
-// from OS time to the Clock abstraction; all other runtime code takes a
-// Clock and stays testable with ManualClock.
+#[expect(
+    clippy::disallowed_types,
+    reason = "MonotonicClock is the one bridge from OS time to the Clock abstraction; \
+              all other runtime code takes a Clock and stays testable with ManualClock"
+)]
 use std::time::Instant;
 
 /// Real monotone time, anchored at the moment the clock was created.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "its epoch is the OS time it bridges from"
+)]
 pub struct MonotonicClock {
-    epoch: Instant, // abd-lint: allow(wall-clock): see module header
+    epoch: Instant,
 }
 
 impl MonotonicClock {
     /// A wall clock whose epoch is "now".
     pub fn new() -> Self {
-        // abd-lint: allow(wall-clock): the single Instant::now() read that
-        // anchors the runtime's timebase.
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::disallowed_types,
+            reason = "the single Instant::now() read that anchors the runtime's timebase"
+        )]
         let epoch = Instant::now();
         MonotonicClock { epoch }
     }

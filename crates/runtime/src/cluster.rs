@@ -263,6 +263,23 @@ impl<P: Protocol> Client<P> {
 
 /// The node thread: drives the node's host with messages, commands and due
 /// timers, and holds each delayed message until it is due.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the vendored crossbeam stub's `select!` turns `default(timeout)` into an \
+              `Instant::now()` deadline; ROADMAP direction 1(B)'s parked wait on a merged \
+              mailbox replaces that wait and removes this"
+)]
 fn node_main<P: Protocol>(
     mut host: NodeHost<P>,
     net_rx: Receiver<Mail<P::Msg>>,

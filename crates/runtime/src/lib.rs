@@ -14,9 +14,9 @@
 //!   [`client::KvRegisterArray`], the adapter that lets every `abd-shmem`
 //!   algorithm run over the ABD emulation unchanged;
 //! * [`clock`] — the wall-clock [`Clock`](abd_core::clock::Clock)
-//!   implementation, the single `Instant` site the `abd-lint` `wall-clock`
-//!   rule permits, and the request for exact timers every node thread
-//!   makes.
+//!   implementation, the one `Instant` site the crate's `clippy.toml`
+//!   permits (under an `expect`), and the request for exact timers every
+//!   node thread makes.
 //!
 //! ```
 //! use abd_runtime::client::{spawn_kv_cluster, KvStoreClient};
@@ -30,6 +30,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

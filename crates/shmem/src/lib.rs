@@ -36,6 +36,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -21,19 +21,18 @@
 //! cause). The shrinker's acceptance test plants this bug under a 20+-fault
 //! campaign and must recover a ≤2-fault schedule.
 //!
-//! **Why `abd-lint`'s `phase-graph` rule does not catch this statically:**
-//! the mutant never changes the phase structure of the wrapped protocol —
-//! `SwmrNode` still walks `ReadQuery -> ReadWriteBack -> Done`, and its
-//! extracted graph still matches the `phase-spec(engine)` declaration. The
-//! sabotage happens one layer up, in the *effects space*: the mutant filters
-//! the already-emitted `Update` broadcast out of the effects buffer and
-//! substitutes synthetic acks, which is data flow through runtime values
-//! the phase extractor deliberately does not model. The structural analogue
-//! the rule *does* catch — a handler whose code path responds straight out
-//! of the query phase — is committed as the lint fixture
-//! `crates/lint/fixtures/violations/crates/core/src/phase_drop.rs`, where
-//! `phase-graph` reports the undeclared `Query -> Done` edge and the two lost
-//! write-back edges.
+//! **Why the recorded phase graph does not catch this:** the mutant never
+//! changes the phase structure of the wrapped protocol — `SwmrNode` still
+//! walks `ReadQuery -> ReadWriteBack -> Done`, and the edges it records are
+//! the ones [`abd_core::engine::PHASE_GRAPH`] declares. The sabotage happens
+//! one layer up, in the *effects space*: the mutant filters the
+//! already-emitted `Update` broadcast out of the effects buffer and
+//! substitutes synthetic acks. Nor would the graph catch the structural
+//! analogue, an engine that answers *some* atomic reads straight out of
+//! their query round: `ReadQuery -> Done` is a declared edge, which fast and
+//! regular reads take. Both show in histories instead: the mutant in the
+//! campaigns that convict it (search, shrink), the engine change in
+//! experiment T5's gate and the atomicity sweeps.
 //!
 //! [`AmnesiacKv`] is the key-value store's counterpart of
 //! [`MutantKind::Amnesiac`]: a [`KvNode`] whose store does not survive a
@@ -166,7 +165,7 @@ impl Forgeable for u64 {
 /// A [`SwmrNode`] carrying one planted defect from the [`MutantKind`] zoo.
 ///
 /// The sabotage lives in the *effects space* — the wrapped node's phase
-/// structure is untouched, so `abd-lint`'s phase-graph rule cannot see it —
+/// structure is untouched, so its recorded phase graph does not show it —
 /// and is a deterministic function of the delivered event sequence, so
 /// seeded campaigns replay bit-identically. **Test configurations only.**
 #[derive(Clone, Debug)]
@@ -408,6 +407,10 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
     }
 }
 
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for MutantSwmr<V> {
     type Msg = SwmrMsg<V>;
     type Op = RegisterOp<V>;
@@ -515,6 +518,10 @@ impl<K, V> AmnesiacKv<K, V> {
     }
 }
 
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 impl<K, V> Protocol for AmnesiacKv<K, V>
 where
     K: Clone + Eq + Hash + fmt::Debug + Send + 'static,

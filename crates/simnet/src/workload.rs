@@ -278,7 +278,7 @@ mod tests {
         let a = cfg.generate(4);
         let b = cfg.generate(4);
         assert_eq!(a, b);
-        let mut values = std::collections::HashSet::new();
+        let mut values = std::collections::BTreeSet::new();
         for script in &a {
             for op in script {
                 if let RegisterOp::Write(v) = op {

@@ -37,6 +37,7 @@
 use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
+use abd_core::phase::NodeEdges;
 use abd_core::quorum::{Majority, QuorumSystem, Threshold};
 use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
@@ -105,8 +106,22 @@ fn mwmr_scripts() -> Vec<Vec<RegisterOp<u64>>> {
 }
 
 /// What a register row's run reports: the trace digest, the simulator's
-/// metrics and the nodes' read-path counters summed.
-type Counted = (u64, Metrics, ReadPathCounters);
+/// metrics, the nodes' read-path counters summed and the phase edges they
+/// took.
+type Counted = (u64, Metrics, ReadPathCounters, NodeEdges);
+
+/// The union of the phase edges every node of `sim` took.
+fn walked<P>(sim: &Sim<P>) -> NodeEdges
+where
+    P: Protocol + ReadPathStats,
+    P::Op: Clone,
+{
+    let mut edges = NodeEdges::default();
+    for i in 0..sim.n() {
+        edges |= sim.node(i).phase_edges();
+    }
+    edges
+}
 
 /// The register rows' campaign: nemesis seed 71's plan with the writer's
 /// first crash (planned at 81.6 µs) moved onto its second write, in flight
@@ -158,7 +173,7 @@ where
         "every surviving operation must complete after healing"
     );
     let m = sim.metrics().clone();
-    (sim.trace_digest(), m, sim.read_path_metrics())
+    (sim.trace_digest(), m, sim.read_path_metrics(), walked(&sim))
 }
 
 fn swmr(read_mode: ReadMode) -> Counted {
@@ -188,7 +203,8 @@ fn mwmr(read_mode: ReadMode) -> Counted {
 /// One row of the table: the run must have walked the paths the row is
 /// named for — otherwise a pinned digest proves nothing about them — and
 /// must reproduce the pre-refactor trace digest and `Metrics::sent`.
-fn check(row: &str, (digest, m, reads): Counted, want_digest: u64, want_sent: u64) {
+fn check(row: &str, run: Counted, want_digest: u64, want_sent: u64) -> NodeEdges {
+    let (digest, m, reads, edges) = run;
     assert!(
         reads.sc_reads > 0 && reads.regular_reads > 0,
         "{row}: tiers idle"
@@ -214,17 +230,24 @@ fn check(row: &str, (digest, m, reads): Counted, want_digest: u64, want_sent: u6
         (want_digest, want_sent),
         "{row}: trace drifted from the golden"
     );
+    edges
+}
+
+/// The register table; returns the phase edges its rows took.
+fn register_rows() -> NodeEdges {
+    use ReadMode::{FastUnanimous, Relay, TwoRound};
+    let mut edges = check("swmr/two-round", swmr(TwoRound), 0xbac566138292d424, 376);
+    edges |= check("swmr/fast", swmr(FastUnanimous), 0x150b2cd9e3e2c76a, 324);
+    edges |= check("swmr/relay", swmr(Relay), 0xc44d624956ee1038, 443);
+    edges |= check("mwmr/two-round", mwmr(TwoRound), 0x24a84bbba316c613, 537);
+    edges |= check("mwmr/fast", mwmr(FastUnanimous), 0x875f15a04372dab4, 526);
+    edges |= check("mwmr/relay", mwmr(Relay), 0xa4c8ed7d9d23f0c6, 550);
+    edges
 }
 
 #[test]
 fn engine_identity_table_is_pinned() {
-    use ReadMode::{FastUnanimous, Relay, TwoRound};
-    check("swmr/two-round", swmr(TwoRound), 0xbac566138292d424, 376);
-    check("swmr/fast", swmr(FastUnanimous), 0x150b2cd9e3e2c76a, 324);
-    check("swmr/relay", swmr(Relay), 0xc44d624956ee1038, 443);
-    check("mwmr/two-round", mwmr(TwoRound), 0x24a84bbba316c613, 537);
-    check("mwmr/fast", mwmr(FastUnanimous), 0x875f15a04372dab4, 526);
-    check("mwmr/relay", mwmr(Relay), 0xa4c8ed7d9d23f0c6, 550);
+    register_rows();
 }
 
 // ---- the key-value half ----
@@ -360,8 +383,7 @@ where
 struct Requorum {
     inner: KvNode<u32, u64>,
     /// Rounds of each kind in flight over all `requorum` calls, read off
-    /// the node's `Debug` output by the phase names `abd-lint`'s phase-spec
-    /// declares.
+    /// the node's `Debug` output by the names of the `Pending` variants.
     caught: [usize; 5],
 }
 
@@ -435,12 +457,17 @@ impl ReadPathStats for Requorum {
     fn counters(&self) -> ReadPathCounters {
         self.inner.counters()
     }
+
+    fn phase_edges(&self) -> NodeEdges {
+        self.inner.phase_edges()
+    }
 }
 
-#[test]
-fn kv_identity_table_is_pinned() {
+/// The key-value table; returns the phase edges its rows took.
+fn kv_rows() -> NodeEdges {
     use ReadMode::{FastUnanimous, Relay, TwoRound};
     let (pins, r, sim) = kv_campaign(kv_nodes(|c| c.with_read_mode(TwoRound)), kv_op);
+    let mut edges = walked(&sim);
     assert!(r.write_backs > 0, "kv/two-round: atomic read path idle");
     check_kv(
         "kv/two-round",
@@ -463,6 +490,7 @@ fn kv_identity_table_is_pinned() {
         r.fast_reads > 0 && r.write_backs > 0,
         "kv/fast: a path idle"
     );
+    edges |= walked(&sim);
     check_kv(
         "kv/fast",
         pins,
@@ -481,6 +509,7 @@ fn kv_identity_table_is_pinned() {
 
     let (pins, r, sim) = kv_campaign(kv_nodes(|c| c.with_read_mode(Relay)), kv_op);
     assert!(r.relay_reads > 0, "kv/relay: atomic read path idle");
+    edges |= walked(&sim);
     check_kv(
         "kv/relay",
         pins,
@@ -504,6 +533,7 @@ fn kv_identity_table_is_pinned() {
         (0..N).any(|i| sim.node(i).max_walk_rounds() > 1),
         "kv/walks+sweep: no walk descended"
     );
+    edges |= walked(&sim);
     check_kv(
         "kv/walks+sweep",
         pins,
@@ -554,6 +584,7 @@ fn kv_identity_table_is_pinned() {
         r.relay_reads > 0 && r.write_backs > 0,
         "kv/requorum: a path idle"
     );
+    edges |= walked(&sim);
     check_kv(
         "kv/requorum",
         pins,
@@ -567,6 +598,12 @@ fn kv_identity_table_is_pinned() {
             [0, 23, 18, 43, 43],
         ),
     );
+    edges
+}
+
+#[test]
+fn kv_identity_table_is_pinned() {
+    kv_rows();
 }
 
 // ---- the Byzantine and bounded-label half ----
@@ -731,14 +768,14 @@ fn byz_nodes(n: usize, b: usize, liars: &[(usize, LieStrategy)]) -> Vec<ByzNode<
 /// every catch-up — with a liar answering at least one, where the row has
 /// a liar that answers — folded `unvouched` times back to an honest node's
 /// own pair (a read quorum straddling a write, DESIGN §13) and reproduces
-/// the row's pins.
+/// the row's pins. Returns the phase edges the row took.
 fn check_byz(
     row: &str,
     (n, b): (usize, usize),
     liars: &[(usize, LieStrategy)],
     unvouched: u64,
     want: VariantPins,
-) {
+) -> NodeEdges {
     let ids: Vec<usize> = liars.iter().map(|(id, _)| *id).collect();
     let min_alive = abd_core::quorum::masking_threshold(n, b);
     let (pins, m, liar_replies, sim) = variant_campaign(
@@ -778,6 +815,7 @@ fn check_byz(
         pins, want,
         "{row}: (trace digest, sent, responses digest) drifted from the golden"
     );
+    walked(&sim)
 }
 
 fn bounded_nodes(n: usize, modulus: u32) -> Vec<BoundedSwmrNode<u64>> {
@@ -793,7 +831,13 @@ fn bounded_nodes(n: usize, modulus: u32) -> Vec<BoundedSwmrNode<u64>> {
 
 /// One bounded-label row: as above, plus no comparison left the window and
 /// the writer issued exactly `labels` labels.
-fn check_bounded(row: &str, modulus: u32, load: (u64, u64), labels: u64, want: VariantPins) {
+fn check_bounded(
+    row: &str,
+    modulus: u32,
+    load: (u64, u64),
+    labels: u64,
+    want: VariantPins,
+) -> NodeEdges {
     let (pins, m, _, sim) = variant_campaign(bounded_nodes(N, modulus), &[], 3, false, load);
     assert!(m.restarts > 0, "{row}: no node restarted");
     assert!(m.retransmissions > 0, "{row}: no retransmission fired");
@@ -810,19 +854,21 @@ fn check_bounded(row: &str, modulus: u32, load: (u64, u64), labels: u64, want: V
         pins, want,
         "{row}: (trace digest, sent, responses digest) drifted from the golden"
     );
+    walked(&sim)
 }
 
-#[test]
-fn variant_identity_table_is_pinned() {
+/// The Byzantine and bounded-label table; returns the phase edges its rows
+/// took.
+fn variant_rows() -> NodeEdges {
     use LieStrategy::{ForgeLabel, ReportStale, Silent};
-    check_byz(
+    let mut edges = check_byz(
         "byz b=1 n=5/honest",
         (5, 1),
         &[],
         0,
         (0xdc4cc7bfb715dcd2, 3385, 0x3adb32e2e1f1c34d),
     );
-    check_byz(
+    edges |= check_byz(
         "byz b=1 n=5/stale",
         (5, 1),
         &[(1, ReportStale)],
@@ -831,21 +877,21 @@ fn variant_identity_table_is_pinned() {
     );
     // Same pins as the stale row: the digests fold no message content, and
     // both lies are masked into the same schedule and the same answers.
-    check_byz(
+    edges |= check_byz(
         "byz b=1 n=5/forger",
         (5, 1),
         &[(1, ForgeLabel)],
         2,
         (0xa266c77d7fddcee0, 2648, 0x5823c683ae57f9ec),
     );
-    check_byz(
+    edges |= check_byz(
         "byz b=1 n=5/silent",
         (5, 1),
         &[(1, Silent)],
         0,
         (0xb20b3408f4ec00e2, 2327, 0x06d1db01aa72f0b8),
     );
-    check_byz(
+    edges |= check_byz(
         "byz b=2 n=9/two forgers",
         (9, 2),
         &[(1, ForgeLabel), (2, ForgeLabel)],
@@ -857,7 +903,7 @@ fn variant_identity_table_is_pinned() {
     // writer re-anchored its counter on whatever its catch-up believed, so
     // after a reboot under this forger it sat at `u64::MAX - 1` and
     // overflowed two writes later — no pin can be computed on that.
-    check_byz(
+    edges |= check_byz(
         "byz b=0 n=5/forger",
         (5, 0),
         &[(1, ForgeLabel)],
@@ -866,18 +912,140 @@ fn variant_identity_table_is_pinned() {
     );
     // 36 operations 200 µs apart: the labels lap the 16-cycle, and no
     // replica sleeps through more than a window (7) of writes.
-    check_bounded(
+    edges |= check_bounded(
         "bounded n=5/mod 16",
         16,
         (36, 200_000),
         23,
         (0x3a430f2e19b4264e, 3026, 0x09986f95aa630c06),
     );
-    check_bounded(
+    edges |= check_bounded(
         "bounded n=5/mod 64",
         64,
         VARIANT_LOAD,
         26,
         (0xdebfe3aaaea33de4, 3341, 0xe40e2d6abbf3a65c),
     );
+    edges
+}
+
+#[test]
+fn variant_identity_table_is_pinned() {
+    variant_rows();
+}
+
+// ---- the phase graph ----
+//
+// The engine and the register shell declare the transitions a client
+// operation may take (`engine::PHASE_GRAPH`, `register::PHASE_GRAPH`) and
+// record each one they take. The rows above, and the clusters below in which
+// a node forms a quorum alone, must take exactly the declared edges: an edge
+// no run takes is dead spec, an edge no graph declares is a path nobody
+// meant.
+
+use abd_core::engine;
+use abd_core::phase::PhaseEdges;
+use abd_core::quorum::{check_by_enumeration, Weighted};
+use abd_core::register;
+use abd_repro::simnet::harness::run_scripts;
+
+/// Runs one script per node to completion on reliable links and returns
+/// the phase edges the nodes took.
+fn run_small<P>(nodes: Vec<P>, script: impl Fn(usize) -> Vec<P::Op>) -> NodeEdges
+where
+    P: Protocol + ReadPathStats,
+    P::Op: Clone,
+{
+    let scripts = (0..nodes.len()).map(script).collect();
+    let mut sim = Sim::new(SimConfig::new(SIM_SEED), nodes);
+    assert!(run_scripts(&mut sim, scripts, 1_000, 1_000, 1_000_000_000));
+    walked(&sim)
+}
+
+/// A write, then a read at each tier.
+fn register_script(c: usize) -> Vec<RegisterOp<u64>> {
+    vec![
+        RegisterOp::Write(c as u64 + 1),
+        RegisterOp::Read,
+        RegisterOp::ReadAt(Consistency::Regular),
+        RegisterOp::ReadAt(Consistency::Sequential),
+    ]
+}
+
+/// Clusters in which a node forms a quorum alone: the single-node register
+/// and store in every read mode, and a three-node multi-writer register
+/// whose node 0 weighs 3 — a read quorum but no write quorum (`R = 3,
+/// W = 4`: its reads write back, its writes update, with no query round
+/// before), or the reverse (`R = 4, W = 3`: its writes complete when their
+/// query round does). The three-node single-writer register answers its
+/// non-writers' writes with `NotWriter`.
+///
+/// The weighted register runs no relay reads: on reliable links a relay
+/// read under `R = 3, W = 4` never completes. Node 0's server round is a
+/// read quorum at first contact, so it replies without forwarding, and
+/// nodes 1 and 2 never reach a read quorum of forwards without its (only a
+/// retransmitted query draws one out). ROADMAP lists it.
+fn alone_in_a_quorum() -> NodeEdges {
+    let mut edges = NodeEdges::default();
+    for mode in [ReadMode::TwoRound, ReadMode::FastUnanimous, ReadMode::Relay] {
+        for n in [1, 3] {
+            let nodes = (0..n)
+                .map(|i| {
+                    let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_read_mode(mode);
+                    SwmrNode::new(cfg, 0)
+                })
+                .collect();
+            edges |= run_small(nodes, register_script);
+        }
+        let quorums: [Arc<dyn QuorumSystem>; 3] = [
+            Arc::new(Majority::new(1)),
+            Arc::new(Weighted::new(vec![3, 1, 1], 3, 4)),
+            Arc::new(Weighted::new(vec![3, 1, 1], 4, 3)),
+        ];
+        for q in quorums {
+            if mode == ReadMode::Relay && q.n() > 1 {
+                continue;
+            }
+            assert!(check_by_enumeration(q.as_ref(), true).is_ok());
+            let n = q.n();
+            let nodes = (0..n)
+                .map(|i| {
+                    let cfg = MwmrConfig::new(n, ProcessId(i))
+                        .with_quorum(Arc::clone(&q))
+                        .with_read_mode(mode);
+                    MwmrNode::new(cfg, 0)
+                })
+                .collect();
+            edges |= run_small(nodes, register_script);
+        }
+        let store: KvNode<u32, u64> =
+            KvNode::new(KvConfig::new(1, ProcessId(0)).with_read_mode(mode));
+        edges |= run_small(vec![store], |_| {
+            vec![
+                KvOp::Put(0, 1),
+                KvOp::Get(0),
+                KvOp::GetAt(0, Consistency::Regular),
+                KvOp::GetAt(0, Consistency::Sequential),
+            ]
+        });
+    }
+    edges
+}
+
+#[test]
+fn runs_take_exactly_the_declared_phase_graphs() {
+    let mut took = register_rows();
+    took |= kv_rows();
+    took |= variant_rows();
+    took |= alone_in_a_quorum();
+    for (graph, took, declared) in [
+        ("engine", took.engine, engine::PHASE_GRAPH),
+        ("register", took.shell, register::PHASE_GRAPH),
+    ] {
+        let declared = PhaseEdges::of(declared);
+        assert_eq!(
+            took, declared,
+            "{graph}: runs took [{took}], the graph declares [{declared}]"
+        );
+    }
 }

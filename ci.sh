@@ -84,14 +84,15 @@ if grep -rnE 'SyncPull|SyncState|SyncDigest|sync_threshold' crates src tests exa
   echo "the bulk pull, the digest handshake or their knob is named again; the Merkle walk is the one state transfer"; exit 1
 fi
 
-echo "==> the nemesis search keeps no coverage map (it admits every candidate it runs)"
-# Steering admission by protocol-state cells changed nothing the search finds
-# (EXPERIMENTS F7), so the cells, their collector and the message classifiers
-# that fed it are gone; the simulator's tap stays for its other users.
+echo "==> the nemesis search is blind sampling (no coverage map, no corpus, no mutation)"
+# Independent blind trials detect the mutant zoo as often as the mutational
+# search did, at every simulator seed (EXPERIMENTS F7), so the mutation
+# operators, the recovery ambush, the corpus and the coverage cells that once
+# steered it are gone; the simulator's tap stays for its other users.
 if [ -e crates/simnet/src/coverage.rs ] \
-  || grep -rnE 'coverage\.rs|CoverageMap|CoverageCollector|CoverageSample|run_with_coverage|ClassifyOp' \
+  || grep -rnE 'coverage\.rs|CoverageMap|CoverageCollector|CoverageSample|run_with_coverage|ClassifyOp|guided_search|MutationOp|ambush_recovery|corpus_digest|schedule_digest' \
     crates src tests examples benchmark/src --include='*.rs'; then
-  echo "the coverage map is back; guided_search admits every candidate it runs (crates/simnet/src/search.rs)"; exit 1
+  echo "the mutational search or its coverage map is back; a search is blind_search's independent windows of planner seeds (crates/simnet/src/search.rs)"; exit 1
 fi
 
 echo "==> link delay is held where the message lands (no delayer thread)"
@@ -188,7 +189,7 @@ cargo run -q --release -p abd-bench --bin fig_throughput
 git diff --exit-code -- BENCH_throughput.json \
   || { echo "BENCH_throughput.json drifted from the checked-in artifact"; exit 1; }
 
-echo "==> search bench smoke (guided search — candidates mutated from earlier schedules, every one it runs admitted to the corpus — detects every mutant and round-trips each to a minimal artifact; guided vs blind reported; regenerates BENCH_search.json)"
+echo "==> search bench smoke (blind search — eight independent trials, each its own window of 48 planner seeds — detects every mutant and round-trips each first detection to a minimal artifact; regenerates BENCH_search.json)"
 cargo run -q --release -p abd-bench --bin fig_search -- --smoke
 git diff --exit-code -- BENCH_search.json \
   || { echo "BENCH_search.json drifted from the checked-in artifact"; exit 1; }

@@ -1,28 +1,20 @@
-//! **F7 — search fitness: mutational vs. blind nemesis search over a
-//! planted-mutant zoo.**
+//! **F7 — search fitness: blind nemesis search over a planted-mutant zoo.**
 //!
 //! Five deliberately broken SWMR variants — each attacking one load-bearing
-//! step of the paper's correctness argument — are hunted by two adversaries
-//! under the same campaign budget:
-//!
-//! * `guided` — [`guided_search`]: corpus + mutation operators over fault
-//!   schedules, each candidate derived from earlier ones and admitted once
-//!   it has run;
-//! * `blind` — [`blind_search`]: one fresh planner schedule per seed, a
-//!   plain seed sweep.
+//! step of the paper's correctness argument — are hunted by
+//! [`blind_search`]: one fresh planner schedule per planner seed, eight
+//! independent trials, each with its own window of `BUDGET` planner seeds.
 //!
 //! The fitness metric is **mean schedules-to-detect** (campaigns run until
 //! the oracle first trips), censored at the budget when a trial never
-//! detects. Which adversary wins a mutant is printed and recorded, not
-//! gated: it moves with the simulator seed (EXPERIMENTS F7). The gate is
-//! what holds at every seed: guided search detects every mutant within
-//! budget, and each mutant's first guided detection round-trips through
-//! the full failure-artifact pipeline — `check_or_emit` emits a `.ron`
-//! under `target/search-repro/`, the emitted file is re-parsed, shrunk
-//! twice, and the minimized artifact must be byte-identical across both
-//! shrinks with a stable replay digest. Detections are *replayable
-//! evidence*, not just counters. The JSON is written before the gate is
-//! checked, so a failing run still records what it measured.
+//! detects. The gate is that blind search detects every mutant within
+//! budget, and each mutant's first detection round-trips through the full
+//! failure-artifact pipeline — `check_or_emit` emits a `.ron` under
+//! `target/search-repro/`, the emitted file is re-parsed, shrunk twice,
+//! and the minimized artifact must be byte-identical across both shrinks
+//! with a stable replay digest. Detections are *replayable evidence*, not
+//! just counters. The JSON is written before the gate is checked, so a
+//! failing run still records what it measured.
 //!
 //! Everything comes from the virtual clock and seeded RNGs, so
 //! `BENCH_search.json` is byte-reproducible; `--smoke` runs the identical
@@ -32,9 +24,7 @@
 use abd_core::msg::RegisterOp;
 use abd_simnet::repro::Repro;
 use abd_simnet::shrink::shrink;
-use abd_simnet::{
-    blind_search, guided_search, MutantKind, OracleSpec, ProtocolSpec, SearchSpec, SimConfig,
-};
+use abd_simnet::{blind_search, MutantKind, OracleSpec, ProtocolSpec, SearchSpec, SimConfig};
 
 const N: usize = 5;
 const BACKOFF_BASE: u64 = 20_000;
@@ -119,19 +109,11 @@ fn spec(name: &str, protocol: ProtocolSpec) -> SearchSpec {
 
 struct MutantResult {
     name: &'static str,
-    guided_mean: f64,
     blind_mean: f64,
-    guided_detections: usize,
     blind_detections: usize,
-    /// First guided detection, round-tripped: (faults before, faults after
+    /// First detection, round-tripped: (faults before, faults after
     /// shrinking, minimal artifact's replay digest).
     artifact: Option<(usize, usize, u64)>,
-}
-
-impl MutantResult {
-    fn guided_wins(&self) -> bool {
-        self.guided_mean < self.blind_mean
-    }
 }
 
 /// `check_or_emit` → re-parse the emitted file → shrink twice → replay the
@@ -169,31 +151,22 @@ fn round_trip_artifact(detection: Repro) -> (usize, usize, u64) {
 
 fn hunt(name: &'static str, protocol: ProtocolSpec) -> MutantResult {
     let s = spec(name, protocol);
-    let mut guided_total = 0usize;
     let mut blind_total = 0usize;
-    let mut guided_detections = 0usize;
     let mut blind_detections = 0usize;
     let mut artifact = None;
     for seed in TRIALS {
-        let g = guided_search(&s, seed, BUDGET);
-        guided_total += g.campaigns;
-        if let Some(det) = g.detection {
-            guided_detections += 1;
+        let b = blind_search(&s, seed, BUDGET);
+        blind_total += b.campaigns;
+        if let Some(det) = b.detection {
+            blind_detections += 1;
             if artifact.is_none() {
                 artifact = Some(round_trip_artifact(det));
             }
         }
-        let b = blind_search(&s, seed, BUDGET);
-        blind_total += b.campaigns;
-        if b.detection.is_some() {
-            blind_detections += 1;
-        }
     }
     MutantResult {
         name,
-        guided_mean: guided_total as f64 / TRIALS.len() as f64,
         blind_mean: blind_total as f64 / TRIALS.len() as f64,
-        guided_detections,
         blind_detections,
         artifact,
     }
@@ -209,17 +182,10 @@ fn mutant_json(r: &MutantResult) -> String {
     };
     format!(
         concat!(
-            "    {{\"name\": \"{}\", \"guided_mean\": {:.2}, \"blind_mean\": {:.2}, ",
-            "\"guided_detections\": {}, \"blind_detections\": {}, ",
-            "\"guided_wins\": {}, \"artifact\": {}}}"
+            "    {{\"name\": \"{}\", \"blind_mean\": {:.2}, ",
+            "\"blind_detections\": {}, \"artifact\": {}}}"
         ),
-        r.name,
-        r.guided_mean,
-        r.blind_mean,
-        r.guided_detections,
-        r.blind_detections,
-        r.guided_wins(),
-        artifact,
+        r.name, r.blind_mean, r.blind_detections, artifact,
     )
 }
 
@@ -235,30 +201,22 @@ fn main() {
         .collect();
 
     println!(
-        "F7 — schedules-to-detect, guided vs blind (n={N}, budget {BUDGET}, \
-         {} trials, censored at budget)",
+        "F7 — schedules-to-detect, blind search (n={N}, budget {BUDGET}, \
+         {} independent trials, censored at budget)",
         TRIALS.len()
     );
     println!(
-        "  {:<22} {:>12} {:>12} {:>10} {:>9}",
-        "mutant", "guided mean", "blind mean", "det (g/b)", "winner"
+        "  {:<22} {:>12} {:>10}",
+        "mutant", "blind mean", "detections"
     );
     for r in &results {
         println!(
-            "  {:<22} {:>12.2} {:>12.2} {:>10} {:>9}",
+            "  {:<22} {:>12.2} {:>10}",
             r.name,
-            r.guided_mean,
             r.blind_mean,
-            format!("{}/{}", r.guided_detections, r.blind_detections),
-            if r.guided_wins() { "guided" } else { "blind" },
+            format!("{}/{}", r.blind_detections, TRIALS.len()),
         );
     }
-
-    let wins = results.iter().filter(|r| r.guided_wins()).count();
-    println!(
-        "\nguided beats blind on {wins}/{} mutants (reported, not gated)",
-        results.len()
-    );
 
     let json = format!(
         concat!(
@@ -266,8 +224,7 @@ fn main() {
             "  \"experiment\": \"F7_search\",\n",
             "  \"n\": {}, \"budget\": {}, \"trials\": {}, \"sim_seed\": {}, ",
             "\"ops_per_client\": {}, \"think_ns\": {},\n",
-            "  \"mutants\": [\n{}\n  ],\n",
-            "  \"guided_wins\": {}\n",
+            "  \"mutants\": [\n{}\n  ]\n",
             "}}\n"
         ),
         N,
@@ -281,7 +238,6 @@ fn main() {
             .map(mutant_json)
             .collect::<Vec<_>>()
             .join(",\n"),
-        wins,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_search.json");
     std::fs::write(path, &json).expect("write BENCH_search.json");
@@ -291,7 +247,7 @@ fn main() {
         // A detection always has an artifact: `hunt` round-trips the first.
         assert!(
             r.artifact.is_some(),
-            "guided search must detect {} within budget and round-trip it to a minimal artifact",
+            "blind search must detect {} within budget and round-trip it to a minimal artifact",
             r.name
         );
     }

@@ -17,9 +17,9 @@
 //!   scripts, with completed executions
 //!   exported as `abd-lincheck` histories for consistency checking;
 //! * **bug hunting** ([`nemesis`], [`search`], [`repro`], [`shrink`]):
-//!   planned fault campaigns, a mutational search that derives new
-//!   schedules from earlier ones, and failures frozen into replayable
-//!   artifacts that the shrinker minimizes.
+//!   planned fault campaigns, a blind search that runs independent
+//!   windows of planner seeds until a campaign fails, and failures frozen
+//!   into replayable artifacts that the shrinker minimizes.
 //!
 //! ## Example: a seeded adversarial run, checked for atomicity
 //!
@@ -59,6 +59,6 @@ pub use metrics::Metrics;
 pub use nemesis::{run_campaign, NemesisConfig, NemesisSchedule, PlannedFault};
 pub use planted::{AmnesiacKv, MutantKind, MutantSwmr};
 pub use repro::{Failure, OracleSpec, ProtocolSpec, ReplayOutcome, Repro};
-pub use search::{blind_search, guided_search, MutationOp, SearchOutcome, SearchSpec};
+pub use search::{blind_search, SearchOutcome, SearchSpec};
 pub use shrink::{shrink, ShrinkOutcome};
 pub use sim::{OpRecord, Sim, TapEvent, TapKind};

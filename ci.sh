@@ -19,6 +19,14 @@ if grep -rnE 'abd-lint|abd_lint|phase-spec|crates/lint' crates src tests example
   echo "the hand-written linter is named again; its rules live in clippy.toml, #[deny] attributes, ci.sh and tests (DESIGN §9)"; exit 1
 fi
 
+echo "==> a repro artifact is one field per line (no lexer, token stream or parser of a general grammar)"
+# Repro's Display and FromStr read and write `key value` lines; the RON
+# subset, its hand-written lexer and recursive parser, and the oracle no
+# artifact used are gone.
+if grep -rnE 'enum Tok|fn lex\b|struct Parser|to_ron|from_ron|DigestDivergence' crates src tests examples; then
+  echo "a deleted name of the old artifact reader is back; an artifact is read by Repro's FromStr (crates/simnet/src/repro.rs)"; exit 1
+fi
+
 echo "==> quorum sizes come from crates/core/src/quorum.rs (no open-coded majority arithmetic)"
 # A majority open-coded as `n / 2 + 1` or `div_ceil(2)` is a threshold
 # nobody checks; quorum.rs's constructors check theirs once. Non-test,
@@ -174,13 +182,13 @@ ABD_T5_SEEDS=300 cargo run -q --release -p abd-bench --bin table_atomicity
 
 echo "==> repro shrink gate (known-bad fixture must minimize to the committed golden)"
 cargo run -q --release -p abd-bench --bin abd_repro -- shrink \
-  crates/bench/fixtures/planted-campaign.ron -o target/planted-campaign.min.ron
-diff -u crates/bench/fixtures/planted-campaign.min.ron target/planted-campaign.min.ron \
+  crates/bench/fixtures/planted-campaign.repro -o target/planted-campaign.min.repro
+diff -u crates/bench/fixtures/planted-campaign.min.repro target/planted-campaign.min.repro \
   || { echo "shrinker output drifted from the committed golden minimal artifact"; exit 1; }
 
 echo "==> repro explain gate (relay artifacts must name the relay read path)"
 cargo run -q --release -p abd-bench --bin abd_repro -- explain \
-  crates/bench/fixtures/relay-campaign.ron > target/relay-explain.txt
+  crates/bench/fixtures/relay-campaign.repro > target/relay-explain.txt
 grep -q 'Invoke -> RelayRead -> Done' target/relay-explain.txt \
   || { echo "abd_repro explain lost the relay read-path line"; exit 1; }
 

@@ -1,12 +1,12 @@
 //! `abd_repro` — replay, shrink and explain failure-repro artifacts.
 //!
-//! Nemesis soaks emit `.ron` artifacts under `target/repro/` when a
+//! Nemesis soaks emit `.repro` artifacts under `target/repro/` when a
 //! campaign fails (see `abd_simnet::repro`). This CLI closes the loop:
 //!
 //! ```text
-//! abd_repro replay  <artifact.ron>             # reproduce bit-for-bit
-//! abd_repro shrink  <artifact.ron> [-o OUT]    # minimize the campaign
-//! abd_repro explain <artifact.ron>             # describe without running
+//! abd_repro replay  <artifact.repro>           # reproduce bit-for-bit
+//! abd_repro shrink  <artifact.repro> [-o OUT]  # minimize the campaign
+//! abd_repro explain <artifact.repro>           # describe without running
 //! ```
 //!
 //! `replay` exits 0 when the artifact's failure reproduces **and** the
@@ -28,15 +28,15 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: abd_repro <replay|shrink|explain> <artifact.ron> [options]\n\
+        "usage: abd_repro <replay|shrink|explain> <artifact.repro> [options]\n\
          \n\
-         replay  <artifact.ron>           replay the campaign; verify the failure and\n\
-         \u{20}                                the recorded trace digest reproduce\n\
-         shrink  <artifact.ron> [-o OUT]  minimize the failing campaign (ddmin over\n\
-         \u{20}                                faults, durations, and scripts); writes\n\
-         \u{20}                                OUT (default: <artifact>.min.ron)\n\
-         explain <artifact.ron>           describe without running: the configuration,\n\
-         \u{20}                                the recorded failure, and the fault timeline"
+         replay  <artifact.repro>           replay the campaign; verify the failure and\n\
+         \u{20}                                  the recorded trace digest reproduce\n\
+         shrink  <artifact.repro> [-o OUT]  minimize the failing campaign (ddmin over\n\
+         \u{20}                                  faults, durations, and scripts); writes\n\
+         \u{20}                                  OUT (default: <artifact>.min.repro)\n\
+         explain <artifact.repro>           describe without running: the configuration,\n\
+         \u{20}                                  the recorded failure, and the fault timeline"
     );
     ExitCode::from(2)
 }
@@ -44,7 +44,8 @@ fn usage() -> ExitCode {
 fn load(path: &Path) -> Result<Repro, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Repro::from_ron(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
+    text.parse::<Repro>()
+        .map_err(|e| format!("cannot parse {}: {e}", path.display()))
 }
 
 fn describe(r: &Repro) {
@@ -122,9 +123,9 @@ fn cmd_shrink(path: &Path, out_path: Option<PathBuf>) -> Result<ExitCode, String
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("artifact");
-        path.with_file_name(format!("{stem}.min.ron"))
+        path.with_file_name(format!("{stem}.min.repro"))
     });
-    std::fs::write(&out_path, outcome.minimal.to_ron())
+    std::fs::write(&out_path, outcome.minimal.to_string())
         .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
     println!("minimal artifact written to {}", out_path.display());
     Ok(ExitCode::SUCCESS)

@@ -9,7 +9,7 @@
 //! the oracle first trips), censored at the budget when a trial never
 //! detects. The gate is that blind search detects every mutant within
 //! budget, and each mutant's first detection round-trips through the full
-//! failure-artifact pipeline — `check_or_emit` emits a `.ron` under
+//! failure-artifact pipeline — `check_or_emit` emits a `.repro` under
 //! `target/search-repro/`, the emitted file is re-parsed, shrunk twice,
 //! and the minimized artifact must be byte-identical across both shrinks
 //! with a stable replay digest. Detections are *replayable evidence*, not
@@ -130,13 +130,13 @@ fn round_trip_artifact(detection: Repro) -> (usize, usize, u64) {
         .and_then(|s| s.split(" —").next())
         .expect("check_or_emit names the emitted artifact");
     let text = std::fs::read_to_string(path).expect("emitted artifact is readable");
-    let parsed = Repro::from_ron(&text).expect("emitted artifact parses");
+    let parsed: Repro = text.parse().expect("emitted artifact parses");
 
     let first = shrink(&parsed).expect("emitted artifact shrinks");
     let second = shrink(&parsed).expect("emitted artifact shrinks again");
     assert_eq!(
-        first.minimal.to_ron(),
-        second.minimal.to_ron(),
+        first.minimal.to_string(),
+        second.minimal.to_string(),
         "shrinking must be deterministic: two runs, one minimal artifact"
     );
     let d1 = first.minimal.run().digest;

@@ -787,18 +787,21 @@ where
             return;
         };
         round.ph.record(from, uid);
-        if round.done || !self.quorum.is_read_quorum(round.ph.responders()) {
-            if created && reader != self.me {
-                // First contact: forward our snapshot to every other server
-                // (the reader included — its own round needs ours too). The
-                // reader's snapshot already travelled in its query.
-                relay_fwd(self.peers(), id, key, false, store, fx);
-            }
-            return;
-        }
+        let completes = !round.done && self.quorum.is_read_quorum(round.ph.responders());
         // The round stays behind, marked done, so stragglers are told apart
         // from duplicates.
-        round.done = true;
+        round.done |= completes;
+        if created && reader != self.me {
+            // First contact: forward our snapshot to every other server (the
+            // reader included — its own round needs ours too), even when our
+            // round completes at once: a server whose own weight makes a read
+            // quorum is still one of the others' forwarders. The reader's
+            // snapshot already travelled in its query.
+            relay_fwd(self.peers(), id, key, false, store, fx);
+        }
+        if !completes {
+            return;
+        }
         let (label, value) = store.snapshot(key);
         if reader == self.me {
             self.relay_reply_in(reader, uid, label, value, store, fx);

@@ -119,7 +119,7 @@ impl MutantKind {
         MutantKind::PhantomRead,
     ];
 
-    /// Stable name used in `.ron` artifacts and bench reports.
+    /// Stable name used in `.repro` artifacts and bench reports.
     pub fn name(self) -> &'static str {
         match self {
             MutantKind::DropWriteBack => "DropWriteBack",

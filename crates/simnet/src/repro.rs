@@ -7,17 +7,12 @@
 //! needs — protocol choice, [`SimConfig`], the **resolved**
 //! [`NemesisSchedule`] (explicit faults, not a planner seed), the workload
 //! scripts, the failure oracle, and the expected trace digest — into one
-//! value that serializes to a RON-subset text file under `target/repro/`.
+//! value that serializes to a text file under `target/repro/`, one field
+//! per line (see [`Repro`]'s `Display`).
 //! The `abd_repro` CLI (`crates/bench/src/bin/abd_repro.rs`) replays,
 //! shrinks ([`crate::shrink`]) and explains these artifacts; any of them
 //! reproduces the original execution bit-for-bit because the simulator is
 //! deterministic in (config, schedule, scripts).
-//!
-//! The serializer and parser are hand-rolled (the repo takes no external
-//! dependencies): the format is the subset of RON covering named structs,
-//! enum variants with named or positional fields, lists, `u64`/`f64`/bool
-//! literals, `Some`/`None`, and escaped strings. `0x`-prefixed integers are
-//! accepted and used for digests.
 
 use crate::config::{LatencyModel, SimConfig};
 use crate::nemesis::{run_campaign, NemesisSchedule, PlannedFault};
@@ -37,6 +32,7 @@ use abd_lincheck::oracle::{
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Which register construction the campaign ran against.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -118,9 +114,16 @@ pub enum OracleSpec {
     /// Single-writer regularity ([`RegularOracle`]) — the tier promised by
     /// `Consistency::Regular` reads.
     RegularSwmr,
-    /// Run the campaign twice from the same seed and compare trace
-    /// digests — a divergence means the execution is nondeterministic.
-    DigestDivergence,
+}
+
+impl OracleSpec {
+    /// Every oracle, in declaration order.
+    pub(crate) const ALL: [OracleSpec; 4] = [
+        OracleSpec::AtomicSwmr,
+        OracleSpec::Linearizable,
+        OracleSpec::Sequential,
+        OracleSpec::RegularSwmr,
+    ];
 }
 
 /// Why a replay failed. [`Failure::kind`] tags the failure class; the
@@ -133,22 +136,14 @@ pub enum Failure {
     Liveness,
     /// The history oracle found a consistency violation.
     Violation(String),
-    /// Two same-seed runs produced different trace digests.
-    Divergence {
-        /// Digest of the first run.
-        first: u64,
-        /// Digest of the second run.
-        second: u64,
-    },
 }
 
 impl Failure {
-    /// Stable failure-class tag (`liveness` / `violation` / `divergence`).
+    /// Stable failure-class tag (`liveness` / `violation`).
     pub fn kind(&self) -> &'static str {
         match self {
             Failure::Liveness => "liveness",
             Failure::Violation(_) => "violation",
-            Failure::Divergence { .. } => "divergence",
         }
     }
 }
@@ -158,10 +153,6 @@ impl fmt::Display for Failure {
         match self {
             Failure::Liveness => write!(f, "surviving operations missed the liveness deadline"),
             Failure::Violation(r) => write!(f, "{r}"),
-            Failure::Divergence { first, second } => write!(
-                f,
-                "same-seed replays diverge: {first:#018x} vs {second:#018x}"
-            ),
         }
     }
 }
@@ -169,7 +160,7 @@ impl fmt::Display for Failure {
 /// The result of replaying a [`Repro`].
 #[derive(Clone, Debug)]
 pub struct ReplayOutcome {
-    /// Trace digest of the (first) run.
+    /// Trace digest of the run.
     pub digest: u64,
     /// Whether every surviving operation completed by the deadline.
     pub completed: bool,
@@ -214,11 +205,10 @@ pub struct Repro {
 }
 
 impl Repro {
-    /// Replays the artifact once (twice for [`OracleSpec::DigestDivergence`])
-    /// and applies its oracle.
+    /// Replays the artifact once and applies its oracle.
     pub fn run(&self) -> ReplayOutcome {
         let (digest, completed, histories) = self.run_once();
-        let failure = self.judge(digest, completed, &histories);
+        let failure = self.judge(completed, &histories);
         ReplayOutcome {
             digest,
             completed,
@@ -231,7 +221,7 @@ impl Repro {
     /// oracle judges each register's history on its own, and the first
     /// violation is the failure (named by its key when there are several
     /// registers).
-    fn judge(&self, digest: u64, completed: bool, histories: &[History<u64>]) -> Option<Failure> {
+    fn judge(&self, completed: bool, histories: &[History<u64>]) -> Option<Failure> {
         if !completed {
             return Some(Failure::Liveness);
         }
@@ -240,13 +230,6 @@ impl Repro {
             OracleSpec::Linearizable => &LinearizableOracle::default(),
             OracleSpec::Sequential => &SequentialConsistencyOracle::default(),
             OracleSpec::RegularSwmr => &RegularOracle,
-            OracleSpec::DigestDivergence => {
-                let (second, _, _) = self.run_once();
-                return (second != digest).then_some(Failure::Divergence {
-                    first: digest,
-                    second,
-                });
-            }
         };
         histories.iter().enumerate().find_map(|(i, h)| {
             let reason = oracle.violation(h)?;
@@ -298,15 +281,15 @@ impl Repro {
             .unwrap_or_else(|| PathBuf::from("target/repro"))
     }
 
-    /// Writes the artifact as `<dir>/<name>-<sim seed>.ron`.
+    /// Writes the artifact as `<dir>/<name>-<sim seed>.repro`.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation and write failures.
     pub fn save_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}-{}.ron", self.name, self.sim.seed));
-        std::fs::write(&path, self.to_ron())?;
+        let path = dir.join(format!("{}-{}.repro", self.name, self.sim.seed));
+        std::fs::write(&path, self.to_string())?;
         Ok(path)
     }
 
@@ -452,76 +435,41 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Serialization (RON subset, hand-rolled)
+// The artifact format: one field per line
 // ---------------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
+/// The read modes, in the order a `read_mode=` value is looked up.
+const READ_MODES: [ReadMode; 3] = [ReadMode::TwoRound, ReadMode::FastUnanimous, ReadMode::Relay];
+
+/// `key` and its free text (`name`, `reason`) escaped onto one line: `\`
+/// as `\\`, a newline as `\n`. An empty text is the bare key.
+fn text_line(f: &mut fmt::Formatter<'_>, key: &str, text: &str) -> fmt::Result {
+    let text = text.replace('\\', "\\\\").replace('\n', "\\n");
+    let space = if text.is_empty() { "" } else { " " };
+    writeln!(f, "{key}{space}{text}")
 }
 
-fn fault_ron(f: &PlannedFault) -> String {
-    match f {
-        PlannedFault::Crash {
-            at,
-            node,
-            restart_at,
-        } => format!(
-            "Crash(at: {at}, node: {}, restart_at: {restart_at})",
-            node.0
-        ),
-        PlannedFault::Partition {
-            at,
-            groups,
-            heal_at,
-        } => {
-            let gs: Vec<String> = groups.iter().map(u32::to_string).collect();
-            format!(
-                "Partition(at: {at}, groups: [{}], heal_at: {heal_at})",
-                gs.join(", ")
-            )
-        }
-        PlannedFault::LossBurst {
-            at,
-            prob,
-            until,
-            restore,
-        } => format!("LossBurst(at: {at}, prob: {prob:?}, until: {until}, restore: {restore:?})"),
-        PlannedFault::Gray {
-            at,
-            node,
-            factor,
-            until,
-        } => format!(
-            "Gray(at: {at}, node: {}, factor: {factor}, until: {until})",
-            node.0
-        ),
-    }
-}
-
-impl Repro {
-    /// Serializes the artifact to the RON subset [`Repro::from_ron`] reads.
-    pub fn to_ron(&self) -> String {
-        let mut s = String::new();
-        s.push_str("Repro(\n");
-        s.push_str(&format!("    name: \"{}\",\n", esc(&self.name)));
-        let mode_field = |m: ReadMode| format!("read_mode: {m:?}");
-        let proto = match self.protocol {
-            ProtocolSpec::Swmr { read_mode } => format!("Swmr({})", mode_field(read_mode)),
-            ProtocolSpec::Mwmr { read_mode } => format!("Mwmr({})", mode_field(read_mode)),
-            ProtocolSpec::BatchedSwmr { window, read_mode } => {
-                format!("BatchedSwmr(window: {window}, {})", mode_field(read_mode))
+/// The artifact as the text [`Repro::from_str`] reads: one `key value` line
+/// per scalar field, one `fault <Kind> k=v …` line per fault in schedule
+/// order, one `script <op> …` line per client. Enum values are spelled as
+/// their variant names. The sample pinned in this module's tests shows
+/// every shape of line.
+impl fmt::Display for Repro {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        text_line(f, "name", &self.name)?;
+        match self.protocol {
+            ProtocolSpec::Swmr { read_mode } => {
+                writeln!(f, "protocol Swmr read_mode={read_mode:?}")
             }
+            ProtocolSpec::Mwmr { read_mode } => {
+                writeln!(f, "protocol Mwmr read_mode={read_mode:?}")
+            }
+            ProtocolSpec::BatchedSwmr { window, read_mode } => writeln!(
+                f,
+                "protocol BatchedSwmr window={window} read_mode={read_mode:?}"
+            ),
             ProtocolSpec::MutantSwmr { mutant, every } => {
-                format!("MutantSwmr(mutant: {mutant}, every: {every})")
+                writeln!(f, "protocol MutantSwmr mutant={mutant:?} every={every}")
             }
             ProtocolSpec::Kv {
                 read_mode,
@@ -529,632 +477,416 @@ impl Repro {
                 preload,
                 buckets,
                 amnesiac,
-            } => format!(
-                "Kv({}, hot: {hot}, preload: {preload}, buckets: {buckets}, amnesiac: {amnesiac})",
-                mode_field(read_mode)
+            } => writeln!(
+                f,
+                "protocol Kv read_mode={read_mode:?} hot={hot} preload={preload} \
+                 buckets={buckets} amnesiac={amnesiac}"
             ),
-        };
-        s.push_str(&format!("    protocol: {proto},\n"));
-        s.push_str(&format!("    n: {},\n", self.n));
+        }?;
+        writeln!(f, "n {}", self.n)?;
         match self.backoff_base {
-            Some(b) => s.push_str(&format!("    backoff_base: Some({b}),\n")),
-            None => s.push_str("    backoff_base: None,\n"),
-        }
-        let latency = match self.sim.latency {
-            LatencyModel::Constant(d) => format!("Constant({d})"),
-            LatencyModel::Uniform { lo, hi } => format!("Uniform(lo: {lo}, hi: {hi})"),
+            Some(base) => writeln!(f, "backoff_base {base}"),
+            None => writeln!(f, "backoff_base none"),
+        }?;
+        writeln!(f, "seed {}", self.sim.seed)?;
+        match self.sim.latency {
+            LatencyModel::Constant(delay) => writeln!(f, "latency Constant delay={delay}"),
+            LatencyModel::Uniform { lo, hi } => writeln!(f, "latency Uniform lo={lo} hi={hi}"),
             LatencyModel::Bimodal {
                 fast,
                 slow,
                 slow_prob,
-            } => format!("Bimodal(fast: {fast}, slow: {slow}, slow_prob: {slow_prob:?})"),
-        };
-        s.push_str("    sim: SimConfig(\n");
-        s.push_str(&format!("        seed: {},\n", self.sim.seed));
-        s.push_str(&format!("        latency: {latency},\n"));
-        s.push_str(&format!("        loss_prob: {:?},\n", self.sim.loss_prob));
-        s.push_str(&format!("        dup_prob: {:?},\n", self.sim.dup_prob));
-        s.push_str("    ),\n");
-        s.push_str("    schedule: NemesisSchedule(\n");
-        s.push_str(&format!(
-            "        min_alive: {},\n",
-            self.schedule.min_alive()
-        ));
-        s.push_str(&format!("        heal_at: {},\n", self.schedule.heal_at()));
-        let skews: Vec<String> = self.schedule.skews().iter().map(u64::to_string).collect();
-        s.push_str(&format!("        skews: [{}],\n", skews.join(", ")));
-        s.push_str("        faults: [\n");
-        for f in self.schedule.faults() {
-            s.push_str(&format!("            {},\n", fault_ron(f)));
+            } => writeln!(
+                f,
+                "latency Bimodal fast={fast} slow={slow} slow_prob={slow_prob:?}"
+            ),
+        }?;
+        writeln!(f, "loss_prob {:?}", self.sim.loss_prob)?;
+        writeln!(f, "dup_prob {:?}", self.sim.dup_prob)?;
+        writeln!(f, "min_alive {}", self.schedule.min_alive())?;
+        writeln!(f, "heal_at {}", self.schedule.heal_at())?;
+        f.write_str("skews")?;
+        for skew in self.schedule.skews() {
+            write!(f, " {skew}")?;
         }
-        s.push_str("        ],\n");
-        s.push_str("    ),\n");
-        s.push_str("    scripts: [\n");
+        writeln!(f)?;
+        for fault in self.schedule.faults() {
+            match fault {
+                PlannedFault::Crash {
+                    at,
+                    node,
+                    restart_at,
+                } => writeln!(
+                    f,
+                    "fault Crash at={at} node={} restart_at={restart_at}",
+                    node.0
+                ),
+                PlannedFault::Partition {
+                    at,
+                    groups,
+                    heal_at,
+                } => {
+                    let groups: Vec<String> = groups.iter().map(u32::to_string).collect();
+                    writeln!(
+                        f,
+                        "fault Partition at={at} groups={} heal_at={heal_at}",
+                        groups.join(",")
+                    )
+                }
+                PlannedFault::LossBurst {
+                    at,
+                    prob,
+                    until,
+                    restore,
+                } => writeln!(
+                    f,
+                    "fault LossBurst at={at} prob={prob:?} until={until} restore={restore:?}"
+                ),
+                PlannedFault::Gray {
+                    at,
+                    node,
+                    factor,
+                    until,
+                } => writeln!(
+                    f,
+                    "fault Gray at={at} node={} factor={factor} until={until}",
+                    node.0
+                ),
+            }?;
+        }
         for script in &self.scripts {
-            let ops: Vec<String> = script
-                .iter()
-                .map(|op| match op {
-                    RegisterOp::Read => "Read".to_string(),
-                    // Tiered reads get their own idents; plain `Read` keeps
-                    // its pre-tier canonical form byte-for-byte.
-                    RegisterOp::ReadAt(Consistency::Atomic) => "ReadAtomic".to_string(),
-                    RegisterOp::ReadAt(Consistency::Sequential) => "ReadSC".to_string(),
-                    RegisterOp::ReadAt(Consistency::Regular) => "ReadRegular".to_string(),
-                    RegisterOp::Write(v) => format!("Write({v})"),
-                })
-                .collect();
-            s.push_str(&format!("        [{}],\n", ops.join(", ")));
+            f.write_str("script")?;
+            for op in script {
+                match op {
+                    RegisterOp::Read => f.write_str(" Read"),
+                    RegisterOp::ReadAt(Consistency::Atomic) => f.write_str(" ReadAtomic"),
+                    RegisterOp::ReadAt(Consistency::Sequential) => f.write_str(" ReadSC"),
+                    RegisterOp::ReadAt(Consistency::Regular) => f.write_str(" ReadRegular"),
+                    RegisterOp::Write(v) => write!(f, " Write({v})"),
+                }?;
+            }
+            writeln!(f)?;
         }
-        s.push_str("    ],\n");
-        s.push_str(&format!("    think: {},\n", self.think));
-        s.push_str(&format!("    deadline: {},\n", self.deadline));
-        let oracle = match self.oracle {
-            OracleSpec::AtomicSwmr => "AtomicSwmr",
-            OracleSpec::Linearizable => "Linearizable",
-            OracleSpec::Sequential => "Sequential",
-            OracleSpec::RegularSwmr => "RegularSwmr",
-            OracleSpec::DigestDivergence => "DigestDivergence",
+        writeln!(f, "think {}", self.think)?;
+        writeln!(f, "deadline {}", self.deadline)?;
+        writeln!(f, "oracle {:?}", self.oracle)?;
+        writeln!(f, "expected_digest {:#018x}", self.expected_digest)?;
+        text_line(f, "reason", &self.reason)
+    }
+}
+
+impl FromStr for Repro {
+    type Err = String;
+
+    /// Parses [`Repro`]'s `Display` text. Blank lines and lines starting
+    /// with `#` are skipped; every other key appears exactly once. A value
+    /// a replay would panic on (a probability out of range, `lo > hi`, a
+    /// number too wide for its field, a schedule breaking its own floor) is
+    /// an error here.
+    fn from_str(text: &str) -> Result<Repro, String> {
+        let mut fields = Fields::new("artifact");
+        let mut faults = Vec::new();
+        let mut scripts = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            if line.trim().is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
+            match key {
+                "fault" => fault_from(rest).map(|fault| faults.push(fault)),
+                "script" => rest
+                    .split_whitespace()
+                    .map(op_from)
+                    .collect::<Result<_, _>>()
+                    .map(|script| scripts.push(script)),
+                _ => fields.insert(key, rest),
+            }
+            .map_err(|e| format!("line {}: {e}", i + 1))?;
+        }
+
+        let backoff_base = match fields.raw("backoff_base")? {
+            "none" => None,
+            base => Some(parse("backoff_base", base)?),
         };
-        s.push_str(&format!("    oracle: {oracle},\n"));
-        s.push_str(&format!(
-            "    expected_digest: {:#018x},\n",
-            self.expected_digest
-        ));
-        s.push_str(&format!("    reason: \"{}\",\n", esc(&self.reason)));
-        s.push_str(")\n");
-        s
-    }
-
-    /// Parses an artifact from [`Repro::to_ron`]'s format.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first syntax or schema problem.
-    pub fn from_ron(text: &str) -> Result<Repro, String> {
-        let tokens = lex(text)?;
-        let mut p = Parser { tokens, pos: 0 };
-        let val = p.value()?;
-        if p.pos != p.tokens.len() {
-            return Err(format!("trailing tokens after artifact: {:?}", p.peek()));
-        }
-        repro_from_val(&val)
-    }
-}
-
-// --- lexer ---
-
-#[derive(Clone, PartialEq, Debug)]
-enum Tok {
-    Ident(String),
-    U64(u64),
-    F64(f64),
-    Str(String),
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    Colon,
-    Comma,
-}
-
-fn lex(text: &str) -> Result<Vec<Tok>, String> {
-    let mut toks = Vec::new();
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            '(' => {
-                toks.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                toks.push(Tok::RParen);
-                i += 1;
-            }
-            '[' => {
-                toks.push(Tok::LBracket);
-                i += 1;
-            }
-            ']' => {
-                toks.push(Tok::RBracket);
-                i += 1;
-            }
-            ':' => {
-                toks.push(Tok::Colon);
-                i += 1;
-            }
-            ',' => {
-                toks.push(Tok::Comma);
-                i += 1;
-            }
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '"' => {
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    match chars.get(i) {
-                        None => return Err("unterminated string literal".to_string()),
-                        Some('"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some('\\') => {
-                            match chars.get(i + 1) {
-                                Some('\\') => s.push('\\'),
-                                Some('"') => s.push('"'),
-                                Some('n') => s.push('\n'),
-                                other => return Err(format!("bad string escape: {other:?}")),
-                            }
-                            i += 2;
-                        }
-                        Some(&c) => {
-                            s.push(c);
-                            i += 1;
-                        }
-                    }
-                }
-                toks.push(Tok::Str(s));
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len()
-                    && (chars[i].is_ascii_alphanumeric()
-                        || chars[i] == '.'
-                        || chars[i] == '_'
-                        || ((chars[i] == '+' || chars[i] == '-')
-                            && matches!(chars.get(i - 1), Some('e') | Some('E'))))
-                {
-                    i += 1;
-                }
-                let raw: String = chars[start..i].iter().filter(|&&c| c != '_').collect();
-                let tok = if let Some(hex) = raw.strip_prefix("0x").or(raw.strip_prefix("0X")) {
-                    Tok::U64(
-                        u64::from_str_radix(hex, 16)
-                            .map_err(|e| format!("bad hex literal {raw:?}: {e}"))?,
-                    )
-                } else if raw.contains('.') || raw.contains('e') || raw.contains('E') {
-                    Tok::F64(
-                        raw.parse::<f64>()
-                            .map_err(|e| format!("bad float literal {raw:?}: {e}"))?,
-                    )
-                } else {
-                    Tok::U64(
-                        raw.parse::<u64>()
-                            .map_err(|e| format!("bad integer literal {raw:?}: {e}"))?,
-                    )
-                };
-                toks.push(tok);
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                toks.push(Tok::Ident(chars[start..i].iter().collect()));
-            }
-            c => return Err(format!("unexpected character {c:?}")),
-        }
-    }
-    Ok(toks)
-}
-
-// --- parser ---
-
-/// A [`Val::Call`] destructured: `(name, named fields, positional args)`.
-type CallParts<'a> = (&'a str, &'a [(String, Val)], &'a [Val]);
-
-/// A parsed RON value. `Call` covers both named-field structs/variants and
-/// positional tuples (`Write(1)`); a bare ident (`Read`, `None`) is an
-/// argument-less `Call`.
-#[derive(Clone, PartialEq, Debug)]
-enum Val {
-    U64(u64),
-    F64(f64),
-    Bool(bool),
-    Str(String),
-    List(Vec<Val>),
-    Call {
-        name: String,
-        named: Vec<(String, Val)>,
-        pos: Vec<Val>,
-    },
-}
-
-struct Parser {
-    tokens: Vec<Tok>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos)
-    }
-
-    fn next(&mut self) -> Result<Tok, String> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or_else(|| "unexpected end of input".to_string())?;
-        self.pos += 1;
-        Ok(t)
-    }
-
-    fn expect(&mut self, want: &Tok) -> Result<(), String> {
-        let got = self.next()?;
-        if &got == want {
-            Ok(())
-        } else {
-            Err(format!("expected {want:?}, found {got:?}"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Val, String> {
-        match self.next()? {
-            Tok::U64(u) => Ok(Val::U64(u)),
-            Tok::F64(f) => Ok(Val::F64(f)),
-            Tok::Str(s) => Ok(Val::Str(s)),
-            Tok::LBracket => {
-                let mut items = Vec::new();
-                loop {
-                    if self.peek() == Some(&Tok::RBracket) {
-                        self.pos += 1;
-                        break;
-                    }
-                    items.push(self.value()?);
-                    if self.peek() == Some(&Tok::Comma) {
-                        self.pos += 1;
-                    }
-                }
-                Ok(Val::List(items))
-            }
-            Tok::Ident(name) => match name.as_str() {
-                "true" => Ok(Val::Bool(true)),
-                "false" => Ok(Val::Bool(false)),
-                _ => {
-                    if self.peek() != Some(&Tok::LParen) {
-                        return Ok(Val::Call {
-                            name,
-                            named: Vec::new(),
-                            pos: Vec::new(),
-                        });
-                    }
-                    self.pos += 1;
-                    let mut named = Vec::new();
-                    let mut positional = Vec::new();
-                    loop {
-                        if self.peek() == Some(&Tok::RParen) {
-                            self.pos += 1;
-                            break;
-                        }
-                        // Two-token lookahead distinguishes `field: v`
-                        // from a positional value that starts with an
-                        // ident (e.g. `Some(Read)`).
-                        let is_field = matches!(self.peek(), Some(Tok::Ident(_)))
-                            && self.tokens.get(self.pos + 1) == Some(&Tok::Colon);
-                        if is_field {
-                            let Tok::Ident(field) = self.next()? else {
-                                unreachable!("peeked ident");
-                            };
-                            self.expect(&Tok::Colon)?;
-                            named.push((field, self.value()?));
-                        } else {
-                            positional.push(self.value()?);
-                        }
-                        if self.peek() == Some(&Tok::Comma) {
-                            self.pos += 1;
-                        }
-                    }
-                    Ok(Val::Call {
-                        name,
-                        named,
-                        pos: positional,
-                    })
-                }
-            },
-            t => Err(format!("unexpected token {t:?}")),
-        }
-    }
-}
-
-// --- schema ---
-
-impl Val {
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Val::U64(u) => Ok(*u),
-            v => Err(format!("expected an integer, found {v:?}")),
-        }
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Val::F64(f) => Ok(*f),
-            Val::U64(u) => Ok(*u as f64),
-            v => Err(format!("expected a float, found {v:?}")),
-        }
-    }
-
-    fn as_bool(&self) -> Result<bool, String> {
-        match self {
-            Val::Bool(b) => Ok(*b),
-            v => Err(format!("expected a bool, found {v:?}")),
-        }
-    }
-
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            Val::Str(s) => Ok(s),
-            v => Err(format!("expected a string, found {v:?}")),
-        }
-    }
-
-    fn as_list(&self) -> Result<&[Val], String> {
-        match self {
-            Val::List(items) => Ok(items),
-            v => Err(format!("expected a list, found {v:?}")),
-        }
-    }
-
-    fn as_call(&self, want: Option<&str>) -> Result<CallParts<'_>, String> {
-        match self {
-            Val::Call { name, named, pos } => {
-                if let Some(w) = want {
-                    if name != w {
-                        return Err(format!("expected {w}(...), found {name}(...)"));
-                    }
-                }
-                Ok((name, named, pos))
-            }
-            v => Err(format!("expected a struct/variant, found {v:?}")),
-        }
-    }
-
-    fn field<'a>(&'a self, name: &str) -> Result<&'a Val, String> {
-        let (owner, named, _) = self.as_call(None)?;
-        named
-            .iter()
-            .find(|(f, _)| f == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("{owner}(...) is missing field `{name}`"))
-    }
-}
-
-fn node_from(v: &Val) -> Result<ProcessId, String> {
-    Ok(ProcessId(v.as_u64()? as usize))
-}
-
-fn fault_from_val(v: &Val) -> Result<PlannedFault, String> {
-    let (name, _, _) = v.as_call(None)?;
-    match name {
-        "Crash" => Ok(PlannedFault::Crash {
-            at: v.field("at")?.as_u64()?,
-            node: node_from(v.field("node")?)?,
-            restart_at: v.field("restart_at")?.as_u64()?,
-        }),
-        "Partition" => Ok(PlannedFault::Partition {
-            at: v.field("at")?.as_u64()?,
-            groups: v
-                .field("groups")?
-                .as_list()?
-                .iter()
-                .map(|g| g.as_u64().map(|u| u as u32))
-                .collect::<Result<_, _>>()?,
-            heal_at: v.field("heal_at")?.as_u64()?,
-        }),
-        "LossBurst" => Ok(PlannedFault::LossBurst {
-            at: v.field("at")?.as_u64()?,
-            prob: v.field("prob")?.as_f64()?,
-            until: v.field("until")?.as_u64()?,
-            restore: v.field("restore")?.as_f64()?,
-        }),
-        "Gray" => Ok(PlannedFault::Gray {
-            at: v.field("at")?.as_u64()?,
-            node: node_from(v.field("node")?)?,
-            factor: v.field("factor")?.as_u64()? as u32,
-            until: v.field("until")?.as_u64()?,
-        }),
-        other => Err(format!("unknown fault kind `{other}`")),
-    }
-}
-
-/// Reads a protocol's read mode, the ident under its `read_mode` field.
-fn read_mode_from(p: &Val) -> Result<ReadMode, String> {
-    let (name, _, _) = p.field("read_mode")?.as_call(None)?;
-    match name {
-        "TwoRound" => Ok(ReadMode::TwoRound),
-        "FastUnanimous" => Ok(ReadMode::FastUnanimous),
-        "Relay" => Ok(ReadMode::Relay),
-        other => Err(format!("unknown read mode `{other}`")),
-    }
-}
-
-fn repro_from_val(v: &Val) -> Result<Repro, String> {
-    v.as_call(Some("Repro"))?;
-
-    let protocol = {
-        let p = v.field("protocol")?;
-        let (name, _, _) = p.as_call(None)?;
-        match name {
-            "Swmr" => ProtocolSpec::Swmr {
-                read_mode: read_mode_from(p)?,
-            },
-            "Mwmr" => ProtocolSpec::Mwmr {
-                read_mode: read_mode_from(p)?,
-            },
-            "BatchedSwmr" => ProtocolSpec::BatchedSwmr {
-                window: p.field("window")?.as_u64()?,
-                read_mode: read_mode_from(p)?,
-            },
-            "MutantSwmr" => {
-                let (kind_name, _, _) = p.field("mutant")?.as_call(None)?;
-                ProtocolSpec::MutantSwmr {
-                    mutant: MutantKind::from_name(kind_name)
-                        .ok_or_else(|| format!("unknown mutant `{kind_name}`"))?,
-                    every: p.field("every")?.as_u64()?,
-                }
-            }
-            "Kv" => {
-                let hot = p.field("hot")?.as_u64()? as u32;
-                let buckets = p.field("buckets")?.as_u64()? as u32;
-                // A script position addresses hot key `(c + j) % hot`, and
-                // `KvNode::new` asserts what it needs of `sync_buckets`.
-                if hot == 0 {
-                    return Err("Kv: hot must be at least 1".into());
-                }
-                if !buckets.is_power_of_two() || buckets < 2 {
-                    return Err(format!("Kv: buckets {buckets} is not a power of two >= 2"));
-                }
-                ProtocolSpec::Kv {
-                    read_mode: read_mode_from(p)?,
-                    hot,
-                    preload: p.field("preload")?.as_u64()? as u32,
-                    buckets,
-                    amnesiac: p.field("amnesiac")?.as_bool()?,
-                }
-            }
-            other => Err(format!("unknown protocol `{other}`"))?,
-        }
-    };
-
-    let backoff_base = {
-        let b = v.field("backoff_base")?;
-        let (name, _, pos) = b.as_call(None)?;
-        match name {
-            "None" => None,
-            "Some" => Some(
-                pos.first()
-                    .ok_or_else(|| "Some(...) needs a value".to_string())?
-                    .as_u64()?,
-            ),
-            other => Err(format!("expected Some/None, found `{other}`"))?,
-        }
-    };
-
-    let sim = {
-        let s = v.field("sim")?;
-        s.as_call(Some("SimConfig"))?;
-        let l = s.field("latency")?;
-        let (lname, _, lpos) = l.as_call(None)?;
-        let latency = match lname {
-            "Constant" => LatencyModel::Constant(
-                lpos.first()
-                    .ok_or_else(|| "Constant(...) needs a delay".to_string())?
-                    .as_u64()?,
-            ),
-            "Uniform" => LatencyModel::Uniform {
-                lo: l.field("lo")?.as_u64()?,
-                hi: l.field("hi")?.as_u64()?,
-            },
-            "Bimodal" => LatencyModel::Bimodal {
-                fast: l.field("fast")?.as_u64()?,
-                slow: l.field("slow")?.as_u64()?,
-                slow_prob: l.field("slow_prob")?.as_f64()?,
-            },
-            other => Err(format!("unknown latency model `{other}`"))?,
+        let sim = SimConfig {
+            seed: fields.take("seed")?,
+            latency: latency_from(fields.raw("latency")?)?,
+            loss_prob: fields.probability("loss_prob")?,
+            dup_prob: fields.probability("dup_prob")?,
         };
-        SimConfig {
-            seed: s.field("seed")?.as_u64()?,
-            latency,
-            loss_prob: s.field("loss_prob")?.as_f64()?,
-            dup_prob: s.field("dup_prob")?.as_f64()?,
-        }
-    };
-
-    let schedule = {
-        let s = v.field("schedule")?;
-        s.as_call(Some("NemesisSchedule"))?;
-        let faults = s
-            .field("faults")?
-            .as_list()?
-            .iter()
-            .map(fault_from_val)
-            .collect::<Result<Vec<_>, _>>()?;
-        let skews = s
-            .field("skews")?
-            .as_list()?
-            .iter()
-            .map(Val::as_u64)
-            .collect::<Result<Vec<_>, _>>()?;
-        NemesisSchedule::from_faults(
+        let skews = fields
+            .raw("skews")?
+            .split_whitespace()
+            .map(|skew| parse("skews", skew))
+            .collect::<Result<_, _>>()?;
+        let schedule = NemesisSchedule::from_faults(
             faults,
-            s.field("heal_at")?.as_u64()?,
+            fields.take("heal_at")?,
             skews,
-            s.field("min_alive")?.as_u64()? as usize,
-        )
-    };
-
-    let scripts = v
-        .field("scripts")?
-        .as_list()?
-        .iter()
-        .map(|script| {
-            script
-                .as_list()?
-                .iter()
-                .map(|op| {
-                    let (name, _, pos) = op.as_call(None)?;
-                    match name {
-                        "Read" => Ok(RegisterOp::Read),
-                        "ReadAtomic" => Ok(RegisterOp::ReadAt(Consistency::Atomic)),
-                        "ReadSC" => Ok(RegisterOp::ReadAt(Consistency::Sequential)),
-                        "ReadRegular" => Ok(RegisterOp::ReadAt(Consistency::Regular)),
-                        "Write" => Ok(RegisterOp::Write(
-                            pos.first()
-                                .ok_or_else(|| "Write(...) needs a value".to_string())?
-                                .as_u64()?,
-                        )),
-                        other => Err(format!("unknown op `{other}`")),
-                    }
-                })
-                .collect::<Result<Vec<_>, String>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let oracle = {
-        let (name, _, _) = v.field("oracle")?.as_call(None)?;
-        match name {
-            "AtomicSwmr" => OracleSpec::AtomicSwmr,
-            "Linearizable" => OracleSpec::Linearizable,
-            "Sequential" => OracleSpec::Sequential,
-            "RegularSwmr" => OracleSpec::RegularSwmr,
-            "DigestDivergence" => OracleSpec::DigestDivergence,
-            other => Err(format!("unknown oracle `{other}`"))?,
+            fields.take("min_alive")?,
+        );
+        let digest = fields.raw("expected_digest")?;
+        let repro = Repro {
+            name: unescape(fields.raw("name")?)?,
+            protocol: protocol_from(fields.raw("protocol")?)?,
+            n: fields.take("n")?,
+            backoff_base,
+            sim,
+            schedule,
+            scripts,
+            think: fields.take("think")?,
+            deadline: fields.take("deadline")?,
+            oracle: fields.one_of("oracle", &OracleSpec::ALL)?,
+            expected_digest: digest
+                .strip_prefix("0x")
+                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                .ok_or_else(|| format!("`expected_digest` {digest:?} is not 0x-prefixed hex"))?,
+            reason: unescape(fields.raw("reason")?)?,
+        };
+        fields.finish()?;
+        repro
+            .schedule
+            .validate(repro.n)
+            .map_err(|e| format!("schedule invalid: {e}"))?;
+        if repro.scripts.len() > repro.n {
+            return Err(format!(
+                "{} scripts for {} nodes",
+                repro.scripts.len(),
+                repro.n
+            ));
         }
-    };
-
-    let repro = Repro {
-        name: v.field("name")?.as_str()?.to_string(),
-        protocol,
-        n: v.field("n")?.as_u64()? as usize,
-        backoff_base,
-        sim,
-        schedule,
-        scripts,
-        think: v.field("think")?.as_u64()?,
-        deadline: v.field("deadline")?.as_u64()?,
-        oracle,
-        expected_digest: v.field("expected_digest")?.as_u64()?,
-        reason: v.field("reason")?.as_str()?.to_string(),
-    };
-    repro
-        .schedule
-        .validate(repro.n)
-        .map_err(|e| format!("schedule invalid: {e}"))?;
-    if repro.scripts.len() > repro.n {
-        return Err(format!(
-            "{} scripts for {} nodes",
-            repro.scripts.len(),
-            repro.n
-        ));
+        Ok(repro)
     }
-    Ok(repro)
+}
+
+/// The `key value` lines of an artifact, or the `key=value` words of one
+/// variant line: each key given once and taken once, none left over.
+struct Fields<'a> {
+    /// What the pairs belong to, for error messages.
+    owner: &'a str,
+    pairs: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(owner: &'a str) -> Self {
+        Fields {
+            owner,
+            pairs: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, key: &'a str, value: &'a str) -> Result<(), String> {
+        if self.pairs.iter().any(|&(k, _)| k == key) {
+            return Err(format!("{}: `{key}` given twice", self.owner));
+        }
+        self.pairs.push((key, value));
+        Ok(())
+    }
+
+    /// Removes `key` and returns its unparsed value.
+    fn raw(&mut self, key: &str) -> Result<&'a str, String> {
+        let i = self
+            .pairs
+            .iter()
+            .position(|&(k, _)| k == key)
+            .ok_or_else(|| format!("{}: missing `{key}`", self.owner))?;
+        Ok(self.pairs.swap_remove(i).1)
+    }
+
+    fn take<T: FromStr>(&mut self, key: &str) -> Result<T, String>
+    where
+        T::Err: fmt::Display,
+    {
+        parse(key, self.raw(key)?)
+    }
+
+    /// A probability in `[0, 1)`, the range `SimConfig::with_loss` and
+    /// `with_duplication` enforce.
+    fn probability(&mut self, key: &str) -> Result<f64, String> {
+        let p: f64 = self.take(key)?;
+        if !(0.0..1.0).contains(&p) {
+            return Err(format!("`{key}` {p} is not in [0, 1)"));
+        }
+        Ok(p)
+    }
+
+    /// The one of `all` whose variant name is `key`'s value.
+    fn one_of<T: Copy + fmt::Debug>(&mut self, key: &str, all: &[T]) -> Result<T, String> {
+        let name = self.raw(key)?;
+        all.iter()
+            .copied()
+            .find(|v| format!("{v:?}") == name)
+            .ok_or_else(|| format!("unknown {key} `{name}`"))
+    }
+
+    fn finish(self) -> Result<(), String> {
+        match self.pairs.first() {
+            None => Ok(()),
+            Some((key, _)) => Err(format!("{}: unknown key `{key}`", self.owner)),
+        }
+    }
+}
+
+/// Parses one value of `what`: a number too wide for its field is an error,
+/// not a truncation.
+fn parse<T: FromStr>(what: &str, value: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("bad `{what}` {value:?}: {e}"))
+}
+
+/// Splits a `<Kind> k=v …` line into its kind and its fields.
+fn variant_line(line: &str) -> Result<(&str, Fields<'_>), String> {
+    let mut words = line.split_whitespace();
+    let kind = words.next().ok_or("missing a kind")?;
+    let mut fields = Fields::new(kind);
+    for word in words {
+        let (key, value) = word
+            .split_once('=')
+            .ok_or_else(|| format!("{kind}: `{word}` is not key=value"))?;
+        fields.insert(key, value)?;
+    }
+    Ok((kind, fields))
+}
+
+fn unescape(text: &str) -> Result<String, String> {
+    let mut out = String::with_capacity(text.len());
+    let mut chars = text.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('\\') => out.push('\\'),
+            Some('n') => out.push('\n'),
+            other => return Err(format!("bad escape after `\\`: {other:?}")),
+        }
+    }
+    Ok(out)
+}
+
+fn protocol_from(line: &str) -> Result<ProtocolSpec, String> {
+    let (kind, mut f) = variant_line(line)?;
+    let spec = match kind {
+        "Swmr" => ProtocolSpec::Swmr {
+            read_mode: f.one_of("read_mode", &READ_MODES)?,
+        },
+        "Mwmr" => ProtocolSpec::Mwmr {
+            read_mode: f.one_of("read_mode", &READ_MODES)?,
+        },
+        "BatchedSwmr" => ProtocolSpec::BatchedSwmr {
+            window: f.take("window")?,
+            read_mode: f.one_of("read_mode", &READ_MODES)?,
+        },
+        "MutantSwmr" => ProtocolSpec::MutantSwmr {
+            mutant: f.one_of("mutant", &MutantKind::ALL)?,
+            every: f.take("every")?,
+        },
+        "Kv" => {
+            let (hot, buckets): (u32, u32) = (f.take("hot")?, f.take("buckets")?);
+            // A script position addresses hot key `(c + j) % hot`, and
+            // `KvNode::new` asserts what it needs of `sync_buckets`.
+            if hot == 0 {
+                return Err("Kv: hot must be at least 1".into());
+            }
+            if !buckets.is_power_of_two() || buckets < 2 {
+                return Err(format!("Kv: buckets {buckets} is not a power of two >= 2"));
+            }
+            ProtocolSpec::Kv {
+                read_mode: f.one_of("read_mode", &READ_MODES)?,
+                hot,
+                preload: f.take("preload")?,
+                buckets,
+                amnesiac: f.take("amnesiac")?,
+            }
+        }
+        other => return Err(format!("unknown protocol `{other}`")),
+    };
+    f.finish()?;
+    Ok(spec)
+}
+
+fn latency_from(line: &str) -> Result<LatencyModel, String> {
+    let (kind, mut f) = variant_line(line)?;
+    let model = match kind {
+        "Constant" => LatencyModel::Constant(f.take("delay")?),
+        "Uniform" => {
+            let (lo, hi) = (f.take("lo")?, f.take("hi")?);
+            if lo > hi {
+                return Err(format!("Uniform: lo {lo} > hi {hi}"));
+            }
+            LatencyModel::Uniform { lo, hi }
+        }
+        "Bimodal" => {
+            let (fast, slow, slow_prob) = (f.take("fast")?, f.take("slow")?, f.take("slow_prob")?);
+            if !(0.0..=1.0).contains(&slow_prob) {
+                return Err(format!("Bimodal: slow_prob {slow_prob} is not in [0, 1]"));
+            }
+            LatencyModel::Bimodal {
+                fast,
+                slow,
+                slow_prob,
+            }
+        }
+        other => return Err(format!("unknown latency `{other}`")),
+    };
+    f.finish()?;
+    Ok(model)
+}
+
+fn fault_from(line: &str) -> Result<PlannedFault, String> {
+    let (kind, mut f) = variant_line(line)?;
+    let fault = match kind {
+        "Crash" => PlannedFault::Crash {
+            at: f.take("at")?,
+            node: ProcessId(f.take("node")?),
+            restart_at: f.take("restart_at")?,
+        },
+        "Partition" => PlannedFault::Partition {
+            at: f.take("at")?,
+            groups: f
+                .raw("groups")?
+                .split(',')
+                .map(|group| parse("groups", group))
+                .collect::<Result<_, _>>()?,
+            heal_at: f.take("heal_at")?,
+        },
+        "LossBurst" => PlannedFault::LossBurst {
+            at: f.take("at")?,
+            prob: f.take("prob")?,
+            until: f.take("until")?,
+            restore: f.take("restore")?,
+        },
+        "Gray" => PlannedFault::Gray {
+            at: f.take("at")?,
+            node: ProcessId(f.take("node")?),
+            factor: f.take("factor")?,
+            until: f.take("until")?,
+        },
+        other => return Err(format!("unknown fault `{other}`")),
+    };
+    f.finish()?;
+    Ok(fault)
+}
+
+fn op_from(word: &str) -> Result<RegisterOp<u64>, String> {
+    Ok(match word {
+        "Read" => RegisterOp::Read,
+        "ReadAtomic" => RegisterOp::ReadAt(Consistency::Atomic),
+        "ReadSC" => RegisterOp::ReadAt(Consistency::Sequential),
+        "ReadRegular" => RegisterOp::ReadAt(Consistency::Regular),
+        _ => match word
+            .strip_prefix("Write(")
+            .and_then(|v| v.strip_suffix(')'))
+        {
+            Some(v) => RegisterOp::Write(parse("Write", v)?),
+            None => return Err(format!("unknown op `{word}`")),
+        },
+    })
 }
 
 #[cfg(test)]
@@ -1189,7 +921,7 @@ mod tests {
             },
         ];
         Repro {
-            name: "sample \"quoted\"".to_string(),
+            name: "sample \\ \"quoted\"".to_string(),
             protocol: ProtocolSpec::BatchedSwmr {
                 window: 2_000,
                 read_mode: ReadMode::FastUnanimous,
@@ -1209,140 +941,204 @@ mod tests {
             schedule: NemesisSchedule::from_faults(faults, 1_000_000, vec![0, 1, 2, 3, 4], 3),
             scripts: vec![
                 vec![RegisterOp::Write(1), RegisterOp::Write(2)],
-                vec![RegisterOp::Read, RegisterOp::Read],
+                vec![
+                    RegisterOp::Read,
+                    RegisterOp::ReadAt(Consistency::Atomic),
+                    RegisterOp::ReadAt(Consistency::Sequential),
+                    RegisterOp::ReadAt(Consistency::Regular),
+                ],
             ],
             think: 5_000,
             deadline: 9_000_000,
             oracle: OracleSpec::AtomicSwmr,
             expected_digest: 0xdead_beef_0123_4567,
-            reason: "line one\nline two".to_string(),
+            reason: "line one\nline two \\n".to_string(),
         }
     }
 
+    /// The sample's text, pinned: the format a reader of a committed
+    /// artifact sees.
+    const SAMPLE_TEXT: &str = r#"name sample \\ "quoted"
+protocol BatchedSwmr window=2000 read_mode=FastUnanimous
+n 5
+backoff_base 20000
+seed 42
+latency Bimodal fast=1000 slow=50000 slow_prob=0.01
+loss_prob 0.05
+dup_prob 0.0
+min_alive 3
+heal_at 1000000
+skews 0 1 2 3 4
+fault Crash at=100000 node=2 restart_at=400000
+fault Partition at=50000 groups=0,1,1,0,0 heal_at=900000
+fault LossBurst at=10000 prob=0.35 until=90000 restore=0.0
+fault Gray at=5000 node=4 factor=3 until=60000
+script Write(1) Write(2)
+script Read ReadAtomic ReadSC ReadRegular
+think 5000
+deadline 9000000
+oracle AtomicSwmr
+expected_digest 0xdeadbeef01234567
+reason line one\nline two \\n
+"#;
+
     #[test]
-    fn ron_roundtrip_preserves_every_field() {
-        let r = sample();
-        let text = r.to_ron();
-        let back = Repro::from_ron(&text).expect("roundtrip parses");
-        assert_eq!(back, r);
-        // And the reserialization is stable (canonical form).
-        assert_eq!(back.to_ron(), text);
+    fn the_sample_writes_its_pinned_text_and_reads_back() {
+        assert_eq!(sample().to_string(), SAMPLE_TEXT);
+        assert_eq!(SAMPLE_TEXT.parse::<Repro>(), Ok(sample()));
+        let commented = format!("# an emitted artifact\n\n{SAMPLE_TEXT}# end\n");
+        assert_eq!(commented.parse::<Repro>(), Ok(sample()));
+    }
+
+    /// Every variant of every enum the format writes — ops (in the
+    /// sample), fault kinds (in the sample), protocols, mutants, read
+    /// modes, latency models and oracles — reads back to the value it was
+    /// written from, and rewriting that value gives the same text.
+    #[test]
+    fn every_variant_round_trips_canonically() {
+        let mut cases = Vec::new();
+        let protocols = READ_MODES
+            .into_iter()
+            .flat_map(|read_mode| {
+                [
+                    ProtocolSpec::Swmr { read_mode },
+                    ProtocolSpec::Mwmr { read_mode },
+                    ProtocolSpec::BatchedSwmr {
+                        window: 1_500,
+                        read_mode,
+                    },
+                    ProtocolSpec::Kv {
+                        read_mode,
+                        hot: 8,
+                        preload: 2_000,
+                        buckets: 256,
+                        amnesiac: read_mode == ReadMode::Relay,
+                    },
+                ]
+            })
+            .chain(
+                MutantKind::ALL
+                    .into_iter()
+                    .map(|mutant| ProtocolSpec::MutantSwmr { mutant, every: 2 }),
+            );
+        for protocol in protocols {
+            cases.push(Repro {
+                protocol,
+                ..sample()
+            });
+        }
+        for latency in [
+            LatencyModel::Constant(7_000),
+            LatencyModel::Uniform {
+                lo: 1_000,
+                hi: 10_000,
+            },
+        ] {
+            let mut r = sample();
+            r.sim.latency = latency;
+            cases.push(r);
+        }
+        for oracle in OracleSpec::ALL {
+            cases.push(Repro { oracle, ..sample() });
+        }
+        cases.push(Repro {
+            name: String::new(),
+            backoff_base: None,
+            scripts: vec![Vec::new(), vec![RegisterOp::Read]],
+            reason: String::new(),
+            ..sample()
+        });
+        for r in cases {
+            let text = r.to_string();
+            let back: Repro = text.parse().unwrap_or_else(|e| panic!("{e}:\n{text}"));
+            assert_eq!(back, r);
+            assert_eq!(back.to_string(), text, "canonical form is stable");
+        }
     }
 
     #[test]
     fn parser_rejects_malformed_artifacts() {
-        for (text, why) in [
-            ("Repro(", "unexpected end"),
-            ("Nope(name: \"x\")", "wrong head"),
-            ("Repro(name: 3)", "missing fields"),
-            ("Repro(name: \"x\" @)", "bad char"),
-        ] {
-            assert!(Repro::from_ron(text).is_err(), "{why}: {text:?}");
-        }
-        // A schedule violating its own floor is rejected at parse time.
-        let mut r = sample();
-        r.schedule = NemesisSchedule::from_faults(
-            vec![
-                PlannedFault::Crash {
-                    at: 10,
-                    node: ProcessId(0),
-                    restart_at: 100,
-                },
-                PlannedFault::Crash {
-                    at: 11,
-                    node: ProcessId(1),
-                    restart_at: 100,
-                },
-                PlannedFault::Crash {
-                    at: 12,
-                    node: ProcessId(2),
-                    restart_at: 100,
-                },
-            ],
-            1_000,
-            vec![0; 5],
-            3,
+        let s = SAMPLE_TEXT;
+        let protocol = "protocol BatchedSwmr window=2000 read_mode=FastUnanimous";
+        let kv: &str = &s.replace(
+            protocol,
+            "protocol Kv read_mode=TwoRound hot=2 preload=0 buckets=16 amnesiac=false",
         );
-        let err = Repro::from_ron(&r.to_ron()).unwrap_err();
-        assert!(err.contains("min_alive"), "{err}");
-        // So is a `Kv(..)` the run would panic on: no hot key to address,
-        // or a bucket count `KvNode::new` refuses.
-        let mut r = sample();
-        r.protocol = ProtocolSpec::Kv {
-            read_mode: ReadMode::TwoRound,
-            hot: 2,
-            preload: 0,
-            buckets: 16,
-            amnesiac: false,
-        };
-        let text = r.to_ron();
-        assert!(Repro::from_ron(&text).is_ok());
-        for (good, bad, why) in [
-            ("hot: 2", "hot: 0", "hot"),
-            ("buckets: 16", "buckets: 12", "power of two"),
-            ("buckets: 16", "buckets: 1", "power of two"),
+        let mutant: &str = &s.replace(protocol, "protocol MutantSwmr mutant=DropWriteBack every=1");
+        assert!(kv.parse::<Repro>().is_ok() && mutant.parse::<Repro>().is_ok());
+        // Nodes 0, 1 and 2 down together leave two of five, under the floor.
+        let crash = "fault Crash at=100000 node=2 restart_at=400000\n";
+        let crashes: &str = &[0, 1, 2]
+            .map(|i| crash.replace("=2", &format!("={i}")))
+            .concat();
+        let six_scripts = "script\nscript\nscript\nscript\nthink";
+        for (text, good, bad, why) in [
+            (s, s, "", "missing `backoff_base`"),
+            (s, "think 5000\n", "", "missing `think`"),
+            (s, "n 5", "n five", "bad `n`"),
+            (s, "loss_prob 0.05", "loss_prob 5%", "bad `loss_prob`"),
+            (s, "node=2", "node=two", "bad `node`"),
+            (s, "node=2", "node 2", "not key=value"),
+            (s, "0xdeadbeef", "deadbeef", "hex"),
+            (s, "name sample", "name \\sample", "bad escape"),
+            (kv, "protocol Kv", "protocol KV", "unknown protocol `KV`"),
+            (s, "fault Gray", "fault Grey", "unknown fault `Grey`"),
+            (s, "ReadSC", "ReadSeq", "unknown op `ReadSeq`"),
+            (s, "Write(2)", "Write(2", "unknown op `Write(2`"),
+            (s, "oracle AtomicSwmr", "oracle Atomic", "unknown oracle"),
+            (kv, "=TwoRound", "=ThreeRound", "unknown read_mode"),
+            (mutant, "=DropWriteBack", "=DropAll", "unknown mutant"),
+            (s, "latency Bimodal", "latency Normal", "unknown latency"),
+            // One spelling per field: the retired `fast_reads` flag is no
+            // read mode.
+            (
+                kv,
+                "read_mode=TwoRound",
+                "fast_reads=true",
+                "missing `read_mode`",
+            ),
+            (
+                kv,
+                "amnesiac=false",
+                "amnesiac=false fast_reads=1",
+                "unknown key",
+            ),
+            (s, crash, crashes, "min_alive"),
+            (s, "think", six_scripts, "6 scripts for 5 nodes"),
+            (kv, "hot=2", "hot=0", "hot must be at least 1"),
+            (kv, "buckets=16", "buckets=12", "power of two"),
+            (kv, "buckets=16", "buckets=1", "power of two"),
+            (
+                s,
+                "think 5000\n",
+                "think 5000\nthink 6000\n",
+                "`think` given twice",
+            ),
+            (s, "factor=3", "factor=3 factor=4", "`factor` given twice"),
+            (s, "think", "thinking 6000\nthink", "unknown key `thinking`"),
+            // What a replay would panic on or silently truncate.
+            (s, "loss_prob 0.05", "loss_prob 1.5", "not in [0, 1)"),
+            (s, "loss_prob 0.05", "loss_prob NaN", "not in [0, 1)"),
+            (s, "dup_prob 0.0", "dup_prob 1.5", "not in [0, 1)"),
+            (s, "slow_prob=0.01", "slow_prob=NaN", "not in [0, 1]"),
+            (
+                s,
+                "Bimodal fast=1000 slow=50000 slow_prob=0.01",
+                "Uniform lo=10000 hi=1000",
+                "lo 10000 > hi 1000",
+            ),
+            (s, "factor=3", "factor=4294967304", "bad `factor`"),
+            (s, "groups=0,1,1", "groups=0,1,4294967297", "bad `groups`"),
+            (kv, "hot=2", "hot=4294967298", "bad `hot`"),
+            (kv, "preload=0", "preload=4294967296", "bad `preload`"),
+            (kv, "buckets=16", "buckets=4294967312", "bad `buckets`"),
         ] {
-            let err = Repro::from_ron(&text.replace(good, bad)).unwrap_err();
-            assert!(err.contains(why), "{bad}: {err}");
+            assert!(text.contains(good), "{good:?} not in:\n{text}");
+            match text.replacen(good, bad, 1).parse::<Repro>() {
+                Ok(_) => panic!("{bad:?} in place of {good:?} parses"),
+                Err(e) => assert!(e.contains(why), "{bad:?}: {e}"),
+            }
         }
-    }
-
-    #[test]
-    fn new_protocol_variants_round_trip() {
-        for proto in [
-            ProtocolSpec::Swmr {
-                read_mode: ReadMode::Relay,
-            },
-            ProtocolSpec::Mwmr {
-                read_mode: ReadMode::Relay,
-            },
-            ProtocolSpec::BatchedSwmr {
-                window: 1_500,
-                read_mode: ReadMode::Relay,
-            },
-            ProtocolSpec::MutantSwmr {
-                mutant: MutantKind::StaleTagAck,
-                every: 2,
-            },
-            ProtocolSpec::MutantSwmr {
-                mutant: MutantKind::NonMonotonicTag,
-                every: 0,
-            },
-            ProtocolSpec::Kv {
-                read_mode: ReadMode::Relay,
-                hot: 8,
-                preload: 2_000,
-                buckets: 256,
-                amnesiac: false,
-            },
-            ProtocolSpec::Kv {
-                read_mode: ReadMode::FastUnanimous,
-                hot: 1,
-                preload: 0,
-                buckets: 16,
-                amnesiac: true,
-            },
-        ] {
-            let mut r = sample();
-            r.protocol = proto;
-            let text = r.to_ron();
-            let back = Repro::from_ron(&text).expect("roundtrip parses");
-            assert_eq!(back.protocol, proto);
-            assert_eq!(back.to_ron(), text, "canonical form is stable");
-        }
-        // Every read mode is spelled one way, under `read_mode`.
-        let mut r = sample();
-        for (mode, field) in [
-            (ReadMode::TwoRound, "Mwmr(read_mode: TwoRound)"),
-            (ReadMode::FastUnanimous, "Mwmr(read_mode: FastUnanimous)"),
-            (ReadMode::Relay, "Mwmr(read_mode: Relay)"),
-        ] {
-            r.protocol = ProtocolSpec::Mwmr { read_mode: mode };
-            assert!(r.to_ron().contains(field), "{}", r.to_ron());
-            assert_eq!(Repro::from_ron(&r.to_ron()).unwrap().protocol, r.protocol);
-        }
-        let old = r.to_ron().replace("read_mode: Relay", "fast_reads: true");
-        assert!(Repro::from_ron(&old).is_err(), "one spelling per field");
     }
 
     #[test]
@@ -1394,16 +1190,6 @@ mod tests {
         assert_eq!(writes(&out.histories[0]), vec![10]);
         assert_eq!(writes(&out.histories[1]), vec![11, 20]);
         assert_eq!(out.histories[0].ops().len(), 3, "one put, two gets");
-    }
-
-    #[test]
-    fn hex_and_comments_parse() {
-        let r = sample();
-        let text = format!("// an emitted artifact\n{}", r.to_ron());
-        assert_eq!(
-            Repro::from_ron(&text).unwrap().expected_digest,
-            r.expected_digest
-        );
     }
 
     /// A small healthy campaign: replay is deterministic and passes its

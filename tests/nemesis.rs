@@ -893,11 +893,14 @@ fn convicted_through_the_pipeline(mut candidates: impl Iterator<Item = Repro>) -
     let convicted = candidates
         .find(|repro| matches!(repro.run().failure, Some(Failure::Violation(_))))
         .expect("some seed within budget convicts the amnesiac nodes");
-    let path = Repro::default_dir().join(format!("{}-{}.ron", convicted.name, convicted.sim.seed));
+    let path =
+        Repro::default_dir().join(format!("{}-{}.repro", convicted.name, convicted.sim.seed));
     let message = convicted
         .check_or_emit()
         .expect_err("the conviction repeats");
-    let emitted = Repro::from_ron(&std::fs::read_to_string(&path).expect("artifact was emitted"))
+    let emitted: Repro = std::fs::read_to_string(&path)
+        .expect("artifact was emitted")
+        .parse()
         .expect("artifact parses");
     assert!(message.contains(&emitted.reason));
     let shrunk = shrink(&emitted).expect("failing artifact must shrink");
@@ -912,7 +915,11 @@ fn convicted_through_the_pipeline(mut candidates: impl Iterator<Item = Repro>) -
         "amnesia needs a reboot to show:\n{}",
         shrunk.report()
     );
-    let minimal = Repro::from_ron(&shrunk.minimal.to_ron()).expect("minimal artifact parses");
+    let minimal: Repro = shrunk
+        .minimal
+        .to_string()
+        .parse()
+        .expect("minimal artifact parses");
     let replay = minimal.run();
     assert_eq!(replay.digest, minimal.expected_digest);
     assert!(matches!(replay.failure, Some(Failure::Violation(_))));

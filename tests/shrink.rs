@@ -160,7 +160,7 @@ fn planted_bug_campaign_shrinks_deterministically_to_two_faults_or_fewer() {
         a.minimal, b.minimal,
         "same artifact must shrink to the same minimal schedule"
     );
-    assert_eq!(a.minimal.to_ron(), b.minimal.to_ron());
+    assert_eq!(a.minimal.to_string(), b.minimal.to_string());
 
     // The minimal artifact is itself a faithful repro: replaying it
     // reproduces its recorded digest and failure kind.
@@ -169,12 +169,12 @@ fn planted_bug_campaign_shrinks_deterministically_to_two_faults_or_fewer() {
     assert_eq!(replay.failure.map(|f| f.kind()), Some("violation"));
 }
 
-/// Regenerates the committed CI fixture pair under
-/// `crates/bench/fixtures/` (the known-bad campaign; CI shrinks it and
-/// diffs the result against the committed golden). Run with
-/// `cargo test --test shrink -- --ignored` after changing the campaign,
-/// the artifact format, or the simulator's execution order, then re-run
-/// `abd_repro shrink` to refresh the golden.
+/// Regenerates `crates/bench/fixtures/planted-campaign.repro`, the
+/// known-bad campaign CI shrinks and diffs against the committed golden.
+/// Run with `cargo test --test shrink -- --ignored` after changing the
+/// campaign, the artifact format, or the simulator's execution order, then
+/// refresh the golden with `abd_repro shrink` on it (which writes
+/// `planted-campaign.min.repro` beside it).
 #[test]
 #[ignore = "fixture regeneration — run explicitly, then refresh the golden"]
 fn regenerate_planted_fixture() {
@@ -184,8 +184,8 @@ fn regenerate_planted_fixture() {
     r.reason = out.failure.expect("fixture must fail").to_string();
     let dir = std::path::Path::new("crates/bench/fixtures");
     std::fs::create_dir_all(dir).expect("fixture dir");
-    let path = dir.join("planted-campaign.ron");
-    std::fs::write(&path, r.to_ron()).expect("fixture writes");
+    let path = dir.join("planted-campaign.repro");
+    std::fs::write(&path, r.to_string()).expect("fixture writes");
     eprintln!("fixture regenerated at {}", path.display());
 }
 
@@ -200,7 +200,7 @@ fn emitted_artifact_replays_bit_for_bit_after_roundtrip() {
     let dir = std::path::Path::new("target/test-repro");
     let path = r.save_to(dir).expect("artifact writes");
     let text = std::fs::read_to_string(&path).expect("artifact reads back");
-    let parsed = Repro::from_ron(&text).expect("artifact parses");
+    let parsed: Repro = text.parse().expect("artifact parses");
     assert_eq!(parsed, r, "serialization must preserve the artifact");
 
     let replay = parsed.run();

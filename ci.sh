@@ -27,6 +27,14 @@ if grep -rnE 'enum Tok|fn lex\b|struct Parser|to_ron|from_ron|DigestDivergence' 
   echo "a deleted name of the old artifact reader is back; an artifact is read by Repro's FromStr (crates/simnet/src/repro.rs)"; exit 1
 fi
 
+echo "==> an experiment's artifact is the tables it prints (no hand-written JSON, no smoke size, no copied constants)"
+# Every deterministic binary writes BENCH_<name>.json through
+# abd_bench::write_artifact and runs at its one size in the experiments loop
+# below.
+if grep -rnE -e '--smoke|ABD_T5_SEEDS|variant_json|mutant_json|PREVIOUS_FIRST_GET_US' crates src tests examples; then
+  echo "a deleted name of the old experiment output is back; a binary hands the Tables it printed to abd_bench::write_artifact"; exit 1
+fi
+
 echo "==> quorum sizes come from crates/core/src/quorum.rs (no open-coded majority arithmetic)"
 # A majority open-coded as `n / 2 + 1` or `div_ceil(2)` is a threshold
 # nobody checks; quorum.rs's constructors check theirs once. Non-test,
@@ -177,9 +185,6 @@ cargo test -q --release -p abd-lincheck --test scale --no-run
 timeout 120 cargo test -q --release -p abd-lincheck --test scale \
   || { echo "lincheck smoke failed or timed out: the linearizability search is no longer near-linear"; exit 1; }
 
-echo "==> T5 atomicity gate (300 schedules per variant: ABD rows violation-free, each baseline shows its anomaly)"
-ABD_T5_SEEDS=300 cargo run -q --release -p abd-bench --bin table_atomicity
-
 echo "==> repro shrink gate (known-bad fixture must minimize to the committed golden)"
 cargo run -q --release -p abd-bench --bin abd_repro -- shrink \
   crates/bench/fixtures/planted-campaign.repro -o target/planted-campaign.min.repro
@@ -192,20 +197,19 @@ cargo run -q --release -p abd-bench --bin abd_repro -- explain \
 grep -q 'Invoke -> RelayRead -> Done' target/relay-explain.txt \
   || { echo "abd_repro explain lost the relay read-path line"; exit 1; }
 
-echo "==> throughput bench smoke (fast-path + batching + consistency-tier gates; fast, relay and regular out-run baseline in kops/virt-s, sc-mixed out-runs regular, fast pays write-backs; regenerates BENCH_throughput.json)"
-cargo run -q --release -p abd-bench --bin fig_throughput
-git diff --exit-code -- BENCH_throughput.json \
-  || { echo "BENCH_throughput.json drifted from the checked-in artifact"; exit 1; }
-
-echo "==> search bench smoke (blind search — eight independent trials, each its own window of 48 planner seeds — detects every mutant and round-trips each first detection to a minimal artifact; regenerates BENCH_search.json)"
-cargo run -q --release -p abd-bench --bin fig_search -- --smoke
-git diff --exit-code -- BENCH_search.json \
-  || { echo "BENCH_search.json drifted from the checked-in artifact"; exit 1; }
-
-echo "==> recovery bench smoke (Merkle-vs-bulk byte/message gates + one round trip per tree level + first get within two round trips of the reboot, regenerates BENCH_recovery.json)"
-cargo run -q --release -p abd-bench --bin fig_recovery -- --smoke
-git diff --exit-code -- BENCH_recovery.json \
-  || { echo "BENCH_recovery.json drifted from the checked-in artifact"; exit 1; }
+echo "==> experiments (every table/figure binary runs its asserts; each deterministic one rewrites its BENCH_<name>.json, which must equal the committed file)"
+# The twelve deterministic binaries write the tables they print through
+# abd_bench::write_artifact; fig_shmem (F5) prints wall-clock columns, so it
+# runs for its assertion and writes nothing. A changed artifact and a new
+# untracked one both fail.
+for src in crates/bench/src/bin/table_*.rs crates/bench/src/bin/fig_*.rs; do
+  bin=$(basename "$src" .rs)
+  echo "--> $bin"
+  cargo run -q --release -p abd-bench --bin "$bin"
+done
+drift=$(git status --porcelain -- 'BENCH_*.json')
+[ -z "$drift" ] \
+  || { echo "$drift"; git diff -- 'BENCH_*.json'; echo "a BENCH_*.json artifact differs from the committed tree or is not tracked; if the change is meant, commit the regenerated file"; exit 1; }
 
 echo "==> benchmark self-test (benchmark/check.sh: two --quick passes, metric names/units vs BENCHMARK.json, exact counts repeat)"
 benchmark/check.sh

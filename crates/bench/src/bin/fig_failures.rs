@@ -9,7 +9,7 @@
 //!   delay. The second table contrasts quorum waiting with an emulated
 //!   wait-for-all configuration (`Threshold(n, n, n)`).
 
-use abd_bench::{bulk_reference, us, Stats, Table};
+use abd_bench::{bulk_reference, us, write_artifact, Stats, Table};
 use abd_core::msg::RegisterOp;
 use abd_core::quorum::Threshold;
 use abd_core::retransmit::BackoffPolicy;
@@ -225,4 +225,5 @@ fn main() {
     println!(
         "\nShape checks: F2a rows are flat — up to the paper's bound, crashes do not slow\nthe emulation. F2b shows why 'wait for a majority' (not all) is load-bearing:\nthe wait-for-all scheme inherits the straggler's tail, the quorum scheme does not.\nF2c: campaigns crash every node, partition minorities and burn messages, yet all\nsurviving ops complete — retransmissions and restart catch-ups pay the bill.\nF2d: the bulk row ships every peer's whole snapshot (entries ~ store size x\npeers); the Merkle row ships digests plus exactly the divergent keys."
     );
+    write_artifact(env!("CARGO_BIN_NAME"), &[&f2a, &f2b, &f2c, &f2d]);
 }

@@ -10,7 +10,7 @@
 //! * latency vs the delay scale at fixed `n` (linear in the delay).
 
 use abd_bench::clusters::{swmr_sim, Variant};
-use abd_bench::{us, Stats, Table};
+use abd_bench::{us, write_artifact, Stats, Table};
 use abd_core::msg::RegisterOp;
 use abd_core::types::ProcessId;
 use abd_simnet::{LatencyModel, SimConfig};
@@ -97,4 +97,5 @@ fn main() {
     println!(
         "\nShape checks: the F1a columns are nearly flat in n (quorum waiting needs no\nstragglers), reads cost ~2x writes (two round trips vs one), and F1b scales\nlinearly with the delay — latency is a property of the network, not the cluster."
     );
+    write_artifact(env!("CARGO_BIN_NAME"), &[&f1a, &f1b]);
 }

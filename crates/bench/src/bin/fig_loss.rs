@@ -7,7 +7,7 @@
 //! the retransmission overhead (messages per operation vs the loss-free
 //! `3(n−1)` average for a 50/50 read/write mix).
 
-use abd_bench::{us, Stats, Table};
+use abd_bench::{us, write_artifact, Stats, Table};
 use abd_core::msg::RegisterOp;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::ProcessId;
@@ -77,4 +77,5 @@ fn main() {
         "\nShape checks: completion stays {}/{} at every loss rate (fair-lossy liveness),\nwhile messages/op and tail latency grow with the loss rate — the price of\nretransmission, not a correctness cliff.",
         ops, ops
     );
+    write_artifact(env!("CARGO_BIN_NAME"), &[&t]);
 }

@@ -14,7 +14,7 @@
 //!   follows the quorum's order statistic, and resilience drops (a full
 //!   column must survive).
 
-use abd_bench::{us, Stats, Table};
+use abd_bench::{us, write_artifact, Stats, Table};
 use abd_core::msg::RegisterOp;
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
 use abd_core::quorum::{Grid, Majority, QuorumSystem, Threshold};
@@ -122,4 +122,5 @@ fn main() {
     println!(
         "\nShape checks: the majority row attains the paper's optimal resilience\n(f = ceil(n/2)-1 = 7 for n = 16); threshold systems trade read latency against\nwrite latency and resilience; the grid needs a surviving full column, so its\nobserved resilience is lower — smaller quorums are not free."
     );
+    write_artifact(env!("CARGO_BIN_NAME"), &[&t]);
 }

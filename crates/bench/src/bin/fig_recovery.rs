@@ -14,7 +14,7 @@
 //! staleness. The bulk reference stands beside `k = 1` (its worst case:
 //! maximal store, minimal divergence).
 //!
-//! Gates (the binary asserts them, ci.sh pins the JSON):
+//! Gates (the binary asserts them, ci.sh pins the artifact):
 //!
 //! * at `k = 1` the walk moves **≥ 99 %** fewer sync bytes than bulk;
 //! * at `k = 1` the walk's message count is logarithmic in the store —
@@ -26,25 +26,19 @@
 //!   (`rounds`): a recovery walk issues a whole tree level at once, so
 //!   recovery *time* does not grow with divergence the way its traffic
 //!   does. `caught_up_us` is the virtual time from restart to the read-quorum
-//!   catch-up being complete (a read quorum of walks finished); the
-//!   `previous` block keeps the same two figures measured with the
-//!   stop-and-wait walker (one 32-node batch in flight per walk) this
-//!   replaced — its rounds count the root-digest handshake every walk then
-//!   opened with;
+//!   catch-up being complete (a read quorum of walks finished);
 //! * the rebooted node **serves while it catches up**: a `Get` of the
 //!   newest stale key invoked on it at the restart instant returns the new
 //!   value within two round trips at the configured link latency
 //!   (`first_get_us`, measured in a second run of the same scenario so the
-//!   catch-up rows stay event-for-event what they were), on every row. The
-//!   `previous` block keeps what that `Get` cost while invocations queued
-//!   behind the catch-up.
+//!   catch-up rows stay event-for-event what they were), on every row.
 //!
 //! Everything runs on the virtual clock with seeded RNGs, so
-//! `BENCH_recovery.json` is byte-reproducible; `--smoke` runs the
-//! identical computation (the full run is already cheap in release) and
-//! must leave the JSON unchanged.
+//! `BENCH_recovery.json`, which holds the table and its gates, is
+//! byte-reproducible. It is written before the gates are checked, so a
+//! failing run still records what it measured.
 
-use abd_bench::{bulk_reference, Table};
+use abd_bench::{bulk_reference, write_artifact, Table};
 use abd_core::types::{ProcessId, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_simnet::{LatencyModel, Sim, SimConfig};
@@ -57,21 +51,8 @@ const SIM_SEED: u64 = 9;
 const CRASH_AT: u64 = 1_000;
 const RESTART_AT: u64 = 2_000;
 
-/// `(stale, sync_msgs, rounds, caught_up_us)` of the Merkle rows with the
-/// stop-and-wait walker, measured at the parent of the commit that
-/// pipelined the walk (this binary, this seed, the same round counter
-/// added to that commit's walker).
-const PREVIOUS: [(u32, u64, u64, f64); 3] = [
-    (1, 92, 12, 130.840),
-    (1_000, 504, 63, 666.211),
-    (50_000, 552, 69, 740.553),
-];
-
-/// `first_get_us` of the Merkle rows while invocations queued until the
-/// catch-up finished, measured at the parent of the commit that removed
-/// that gate (this binary, this seed): the row's `caught_up_us` of that
-/// run, then one `Get`.
-const PREVIOUS_FIRST_GET_US: [f64; 3] = [150.023, 185.025, 174.743];
+/// How far behind its peers the rebooted node is, one row each.
+const STALE: [u32; 3] = [1, 1_000, 50_000];
 
 /// Sync-meter deltas for one crash/restart recovery.
 struct Measured {
@@ -174,15 +155,15 @@ fn recover(stale: u32) -> Measured {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
     let entry_bytes = std::mem::size_of::<(u32, Tag, u64)>() as u64;
-    let bulk @ [bulk_msgs, bulk_bytes, bulk_entries] =
-        bulk_reference(N, u64::from(KEYS), entry_bytes);
-    let walks = PREVIOUS.map(|(stale, ..)| recover(stale));
+    let bulk = bulk_reference(N, u64::from(KEYS), entry_bytes);
+    let walks = STALE.map(recover);
 
     let mut table = Table::new(
-        "F8 — recovery cost vs divergence (n = 5, 100k-key store, 1024 buckets)",
+        &format!(
+            "F8 — recovery cost vs divergence (n = {N}, {KEYS} keys, {BUCKETS} buckets, \
+             sim seed {SIM_SEED})"
+        ),
         &[
             "mode",
             "stale keys",
@@ -212,68 +193,18 @@ fn main() {
     }
     table.print();
 
-    let mut before = Table::new(
-        "F8 — the same walks, stop-and-wait (previous) vs one round trip per level",
-        &[
-            "stale keys",
-            "msgs before",
-            "msgs now",
-            "rounds before",
-            "rounds now",
-            "caught up us before",
-            "caught up us now",
-        ],
-    );
-    for ((k, msgs, rounds, caught_up_us), w) in PREVIOUS.iter().zip(&walks) {
-        before.row(vec![
-            k.to_string(),
-            msgs.to_string(),
-            w.msgs.to_string(),
-            rounds.to_string(),
-            w.rounds.to_string(),
-            format!("{caught_up_us:.3}"),
-            format!("{:.3}", w.caught_up_us),
-        ]);
-    }
-    before.print();
-
-    let mut gate = Table::new(
-        "F8 — first get on the rebooted node: queued behind the catch-up (previous) vs served at once",
-        &["stale keys", "first get us before", "first get us now"],
-    );
-    for (r, before) in walks.iter().zip(PREVIOUS_FIRST_GET_US) {
-        gate.row(vec![
-            r.stale.to_string(),
-            format!("{before:.3}"),
-            format!("{:.3}", r.first_get_us),
-        ]);
-    }
-    gate.print();
-
     // Gate 1: at one stale key the walk must move ≥ 99 % fewer bytes.
-    let reduction = 100.0 * (1.0 - walks[0].bytes as f64 / bulk_bytes as f64);
-    assert!(
-        reduction >= 99.0,
-        "walk must cut sync bytes by ≥ 99 % at 1 stale key; got {reduction:.2} %"
-    );
+    let reduction = 100.0 * (1.0 - walks[0].bytes as f64 / bulk[1] as f64);
     // Gate 2: one stale key costs O(log store) messages — each peer's walk
     // descends one root-to-leaf path, two messages per level.
     let log2_buckets = BUCKETS.trailing_zeros() as u64;
     let msg_bound = (N as u64 - 1) * 4 * log2_buckets;
-    assert!(
-        walks[0].msgs <= msg_bound,
-        "1-stale walk must stay within {msg_bound} messages; got {}",
-        walks[0].msgs
-    );
     // Gate 3: the walk's spend grows with divergence, on every meter.
-    for pair in walks.windows(2) {
-        assert!(
-            pair[0].msgs < pair[1].msgs
-                && pair[0].bytes < pair[1].bytes
-                && pair[0].entries < pair[1].entries,
-            "walk cost must grow monotonically with staleness"
-        );
-    }
+    let monotone = walks.windows(2).all(|pair| {
+        pair[0].msgs < pair[1].msgs
+            && pair[0].bytes < pair[1].bytes
+            && pair[0].entries < pair[1].entries
+    });
     // Gate 4: a walk is one round trip per tree level (log2(buckets) + 1
     // levels), however wide the divergence. Gate 5: the rebooted node
     // serves while it catches up — its first get costs a query round and a
@@ -283,77 +214,48 @@ fn main() {
         panic!("F8 runs on the default uniform links");
     };
     let first_get_bound = 4.0 * hop_max as f64 / 1e3;
-    for w in &walks {
-        assert!(
-            w.rounds <= round_bound,
-            "walk at {} stale keys must finish within {round_bound} round trips; took {}",
-            w.stale,
-            w.rounds
-        );
-        assert!(
-            w.first_get_us <= first_get_bound,
-            "first get at {} stale keys must finish within two round trips \
-             ({first_get_bound} us); took {} us",
-            w.stale,
-            w.first_get_us
-        );
+    let rounds = walks.iter().map(|w| w.rounds).max().expect("three walks");
+    let first_get = walks.iter().map(|w| w.first_get_us).fold(0.0, f64::max);
+    let checks = [
+        (
+            "sync bytes below bulk at 1 stale key, %",
+            format!("{reduction:.2}"),
+            ">= 99".to_string(),
+            reduction >= 99.0,
+        ),
+        (
+            "sync msgs at 1 stale key",
+            walks[0].msgs.to_string(),
+            format!("<= {msg_bound}"),
+            walks[0].msgs <= msg_bound,
+        ),
+        (
+            "sync msgs, bytes and entries grow with stale keys",
+            monotone.to_string(),
+            "true".to_string(),
+            monotone,
+        ),
+        (
+            "most rounds of any walk",
+            rounds.to_string(),
+            format!("<= {round_bound}"),
+            rounds <= round_bound,
+        ),
+        (
+            "slowest first get, us",
+            format!("{first_get:.3}"),
+            format!("<= {first_get_bound:.3}"),
+            first_get <= first_get_bound,
+        ),
+    ];
+    let mut gates = Table::new("F8 — gates", &["gate", "measured", "bound"]);
+    for (what, measured, bound, _) in &checks {
+        gates.row(vec![what.to_string(), measured.clone(), bound.clone()]);
     }
+    gates.print();
+    write_artifact(env!("CARGO_BIN_NAME"), &[&table, &gates]);
 
-    let mut json = String::new();
-    json.push_str("{\n  \"experiment\": \"F8_recovery\",\n");
-    json.push_str(&format!(
-        "  \"n\": {N}, \"keys\": {KEYS}, \"buckets\": {BUCKETS}, \"sim_seed\": {SIM_SEED},\n"
-    ));
-    json.push_str("  \"rows\": [\n");
-    let mut measured = vec![format!(
-        "    {{\"mode\": \"bulk\", \"stale\": 1, \"sync_msgs\": {bulk_msgs}, \
-         \"sync_bytes\": {bulk_bytes}, \"entries\": {bulk_entries}, \
-         \"source\": \"closed form\"}}"
-    )];
-    measured.extend(walks.iter().map(|r| {
-        format!(
-            "    {{\"mode\": \"merkle\", \"stale\": {}, \"sync_msgs\": {}, \
-             \"sync_bytes\": {}, \"entries\": {}, \"rounds\": {}, \"caught_up_us\": {:.3}, \
-             \"first_get_us\": {:.3}}}",
-            r.stale, r.msgs, r.bytes, r.entries, r.rounds, r.caught_up_us, r.first_get_us
-        )
-    }));
-    json.push_str(&measured.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str(
-        "  \"previous\": {\"walker\": \"stop-and-wait, opened by a root-digest handshake\", \
-         \"rows\": [\n",
-    );
-    let previous: Vec<String> = PREVIOUS
-        .iter()
-        .map(|(k, msgs, rounds, caught_up_us)| {
-            format!(
-                "    {{\"mode\": \"merkle\", \"stale\": {k}, \"sync_msgs\": {msgs}, \
-                 \"rounds\": {rounds}, \"caught_up_us\": {caught_up_us:.3}}}"
-            )
-        })
-        .collect();
-    json.push_str(&previous.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str("  \"invocations\": \"queued until caught up\", \"first_get_us\": [");
-    let gated: Vec<String> = PREVIOUS_FIRST_GET_US
-        .iter()
-        .map(|us| format!("{us:.3}"))
-        .collect();
-    json.push_str(&gated.join(", "));
-    json.push_str("]},\n");
-    json.push_str(&format!(
-        "  \"byte_reduction_pct_at_1_stale\": {reduction:.2},\n"
-    ));
-    json.push_str(&format!(
-        "  \"msg_bound_at_1_stale\": {msg_bound}, \"round_bound\": {round_bound}, \
-         \"first_get_bound_us\": {first_get_bound:.3}, \"monotone_in_staleness\": true\n}}\n"
-    ));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-    std::fs::write(path, &json).expect("write BENCH_recovery.json");
-    println!("wrote BENCH_recovery.json");
-    println!("byte reduction at 1 stale key: {reduction:.2} % (gate: >= 99 %)");
-    if smoke {
-        println!("--smoke: full computation ran (it is the smoke test)");
+    for (what, measured, bound, ok) in &checks {
+        assert!(ok, "F8 gate failed: {what} is {measured}, needs {bound}");
     }
 }

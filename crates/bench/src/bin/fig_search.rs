@@ -13,14 +13,13 @@
 //! `target/search-repro/`, the emitted file is re-parsed, shrunk twice,
 //! and the minimized artifact must be byte-identical across both shrinks
 //! with a stable replay digest. Detections are *replayable evidence*, not
-//! just counters. The JSON is written before the gate is checked, so a
-//! failing run still records what it measured.
+//! just counters. The artifact is written before the gate is checked, so
+//! a failing run still records what it measured.
 //!
 //! Everything comes from the virtual clock and seeded RNGs, so
-//! `BENCH_search.json` is byte-reproducible; `--smoke` runs the identical
-//! computation (the full run is already cheap) and must leave the JSON
-//! unchanged.
+//! `BENCH_search.json` is byte-reproducible.
 
+use abd_bench::{write_artifact, Table};
 use abd_core::msg::RegisterOp;
 use abd_simnet::repro::Repro;
 use abd_simnet::shrink::shrink;
@@ -172,25 +171,7 @@ fn hunt(name: &'static str, protocol: ProtocolSpec) -> MutantResult {
     }
 }
 
-fn mutant_json(r: &MutantResult) -> String {
-    let artifact = match r.artifact {
-        Some((before, after, digest)) => format!(
-            "{{\"faults_before\": {before}, \"faults_after\": {after}, \
-             \"min_digest\": \"{digest:#018x}\"}}"
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        concat!(
-            "    {{\"name\": \"{}\", \"blind_mean\": {:.2}, ",
-            "\"blind_detections\": {}, \"artifact\": {}}}"
-        ),
-        r.name, r.blind_mean, r.blind_detections, artifact,
-    )
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     // Search detections are evidence, not CI litter: keep them out of the
     // soak artifacts' directory.
     std::env::set_var("ABD_REPRO_DIR", "target/search-repro");
@@ -200,48 +181,40 @@ fn main() {
         .map(|(name, protocol)| hunt(name, protocol))
         .collect();
 
-    println!(
-        "F7 — schedules-to-detect, blind search (n={N}, budget {BUDGET}, \
-         {} independent trials, censored at budget)",
-        TRIALS.len()
-    );
-    println!(
-        "  {:<22} {:>12} {:>10}",
-        "mutant", "blind mean", "detections"
+    let mut t = Table::new(
+        &format!(
+            "F7 — schedules-to-detect, blind search (n={N}, budget {BUDGET}, {} independent \
+             trials, censored at budget; sim seed {SIM_SEED}, {OPS} ops/client, think \
+             {THINK}ns); each first detection shrunk to a minimal artifact",
+            TRIALS.len()
+        ),
+        &[
+            "mutant",
+            "blind mean",
+            "detections",
+            "faults before",
+            "faults after",
+            "minimal digest",
+        ],
     );
     for r in &results {
-        println!(
-            "  {:<22} {:>12.2} {:>10}",
-            r.name,
-            r.blind_mean,
+        let mut row = vec![
+            r.name.to_string(),
+            format!("{:.2}", r.blind_mean),
             format!("{}/{}", r.blind_detections, TRIALS.len()),
-        );
+        ];
+        row.extend(match r.artifact {
+            Some((before, after, digest)) => [
+                before.to_string(),
+                after.to_string(),
+                format!("{digest:#018x}"),
+            ],
+            None => ["-"; 3].map(String::from),
+        });
+        t.row(row);
     }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"F7_search\",\n",
-            "  \"n\": {}, \"budget\": {}, \"trials\": {}, \"sim_seed\": {}, ",
-            "\"ops_per_client\": {}, \"think_ns\": {},\n",
-            "  \"mutants\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        N,
-        BUDGET,
-        TRIALS.len(),
-        SIM_SEED,
-        OPS,
-        THINK,
-        results
-            .iter()
-            .map(mutant_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_search.json");
-    std::fs::write(path, &json).expect("write BENCH_search.json");
-    println!("wrote BENCH_search.json");
+    t.print();
+    write_artifact(env!("CARGO_BIN_NAME"), &[&t]);
 
     for r in &results {
         // A detection always has an artifact: `hunt` round-trips the first.
@@ -250,9 +223,5 @@ fn main() {
             "blind search must detect {} within budget and round-trip it to a minimal artifact",
             r.name
         );
-    }
-
-    if smoke {
-        println!("--smoke: full computation ran (it is the smoke test)");
     }
 }

@@ -38,14 +38,16 @@
 //! differ: reads staged to overlap an in-flight write. `FastUnanimous`
 //! loses its unanimity precondition there and degrades to the full
 //! two-round read, while `Relay` completes in 1.5 rounds regardless —
-//! the table and JSON carry rounds-per-read for both, gated at
+//! the gates table carries rounds-per-read for both, gated at
 //! `relay <= 1.6` and `fast >= 1.9`.
 //!
-//! Everything written to `BENCH_throughput.json` comes from the virtual
-//! clock and message counters, so the file is byte-reproducible.
+//! Every table comes from the virtual clock and message counters, so
+//! `BENCH_throughput.json`, which holds them, is byte-reproducible. It is
+//! written before the gates are checked, so a failing run still records
+//! what it measured.
 
 use abd_bench::clusters::{mwmr_sim, swmr_sim, Variant};
-use abd_bench::Table;
+use abd_bench::{write_artifact, Table};
 use abd_core::batch::Batched;
 use abd_core::context::{Protocol, ReadPathCounters, ReadPathStats};
 use abd_core::msg::RegisterOp;
@@ -170,17 +172,14 @@ where
 /// The micro-costs the fast path claims, as exact assertions: after a
 /// completed write has settled, a fast read is one round trip of
 /// `2(n−1)` messages on every protocol that supports the flag.
-fn assert_uncontended_fast_reads() {
-    let peers = 2 * (N as u64 - 1);
-
+fn uncontended_fast_reads() -> Table {
     let mut sim = swmr_sim(Variant::FastSwmr, N, sim_cfg(2), None);
     sim.invoke(ProcessId(0), RegisterOp::Write(1));
     assert!(sim.run_until_quiet(u64::MAX / 2));
     let before = sim.metrics().sent;
     sim.invoke(ProcessId(3), RegisterOp::Read);
     assert!(sim.run_until_quiet(u64::MAX / 2));
-    assert_eq!(sim.metrics().sent - before, peers, "SWMR fast read msgs");
-    assert_eq!(sim.completed()[1].latency(), 2 * DELAY, "SWMR: 1 round");
+    let swmr = (sim.metrics().sent - before, sim.completed()[1].latency());
 
     let mut sim = mwmr_sim(Variant::FastMwmr, N, sim_cfg(3), None);
     sim.invoke(ProcessId(1), RegisterOp::Write(1));
@@ -188,8 +187,7 @@ fn assert_uncontended_fast_reads() {
     let before = sim.metrics().sent;
     sim.invoke(ProcessId(2), RegisterOp::Read);
     assert!(sim.run_until_quiet(u64::MAX / 2));
-    assert_eq!(sim.metrics().sent - before, peers, "MWMR fast read msgs");
-    assert_eq!(sim.completed()[1].latency(), 2 * DELAY, "MWMR: 1 round");
+    let mwmr = (sim.metrics().sent - before, sim.completed()[1].latency());
 
     let mut sim = Sim::new(sim_cfg(4), kv_nodes(ReadMode::FastUnanimous));
     sim.invoke(ProcessId(0), KvOp::Put(1, 9));
@@ -197,33 +195,25 @@ fn assert_uncontended_fast_reads() {
     let before = sim.metrics().sent;
     sim.invoke(ProcessId(3), KvOp::Get(1));
     assert!(sim.run_until_quiet(u64::MAX / 2));
-    assert_eq!(sim.metrics().sent - before, peers, "KV fast get msgs");
-    assert_eq!(sim.completed()[1].latency(), 2 * DELAY, "KV get: 1 round");
     assert_eq!(sim.read_path_metrics().fast_reads, 1);
-}
+    let kv = (sim.metrics().sent - before, sim.completed()[1].latency());
 
-fn variant_json(name: &str, r: &RunResult) -> String {
-    format!(
-        concat!(
-            "    {{\"name\": \"{}\", \"ops\": {}, \"sent\": {}, ",
-            "\"msgs_per_op\": {:.3}, \"rounds_per_op\": {:.3}, ",
-            "\"fast_reads\": {}, \"write_backs\": {}, \"relay_reads\": {}, ",
-            "\"sc_reads\": {}, \"regular_reads\": {}, ",
-            "\"makespan_ns\": {}, \"kops_per_virtual_sec\": {:.2}}}"
-        ),
-        name,
-        r.metrics.ops_completed,
-        r.metrics.sent,
-        r.msgs_per_op(),
-        r.rounds_per_op(),
-        r.reads.fast_reads,
-        r.reads.write_backs,
-        r.reads.relay_reads,
-        r.reads.sc_reads,
-        r.reads.regular_reads,
-        r.makespan,
-        r.kops_per_virtual_sec(),
-    )
+    let peers = 2 * (N as u64 - 1);
+    let mut t = Table::new(
+        &format!("F6 — uncontended fast read after a settled write (n={N}, delay {DELAY}ns)"),
+        &["protocol", "read msgs", "2(n-1)", "read rounds"],
+    );
+    for (protocol, (msgs, latency)) in [("SWMR", swmr), ("MWMR", mwmr), ("KV", kv)] {
+        assert_eq!(msgs, peers, "{protocol} fast read msgs");
+        assert_eq!(latency, 2 * DELAY, "{protocol} fast read: 1 round");
+        t.row(vec![
+            protocol.to_string(),
+            msgs.to_string(),
+            peers.to_string(),
+            (latency / (2 * DELAY)).to_string(),
+        ]);
+    }
+    t
 }
 
 /// Mean rounds per read when every read overlaps an in-flight write.
@@ -255,27 +245,11 @@ fn contended_read_rounds(variant: Variant) -> f64 {
 }
 
 fn main() {
-    assert_uncontended_fast_reads();
-    println!(
-        "micro-checks passed: uncontended fast read = 1 round / 2(n-1) msgs \
-         on SWMR, MWMR, KV (n={N})"
-    );
+    let micro = uncontended_fast_reads();
+    micro.print();
 
     let fast_contended = contended_read_rounds(Variant::FastSwmr);
     let relay_contended = contended_read_rounds(Variant::RelaySwmr);
-    println!(
-        "contended-writer reads (SWMR, n={N}): FastUnanimous {fast_contended:.2} \
-         rounds/read, Relay {relay_contended:.2} rounds/read \
-         (gates: fast >= 1.9, relay <= 1.6)"
-    );
-    assert!(
-        fast_contended >= 1.9,
-        "FastUnanimous must degrade to ~2 rounds under a contended writer"
-    );
-    assert!(
-        relay_contended <= 1.6,
-        "Relay must hold ~1.5 rounds under a contended writer"
-    );
 
     let mut base_sim = Sim::new(sim_cfg(1), kv_nodes(ReadMode::TwoRound));
     let base = run_closed_loop(&mut base_sim, gen_op);
@@ -321,15 +295,21 @@ fn main() {
     let mut table = Table::new(
         &format!(
             "F6 — closed-loop KV workload (n={N}, {CLIENTS_PER_NODE} clients/node x \
-             {OPS_PER_CLIENT} ops, {KEYS} keys, {WRITE_PCT}% puts, delay {DELAY}ns)"
+             {OPS_PER_CLIENT} ops, {KEYS} keys, {WRITE_PCT}% puts, delay {DELAY}ns, \
+             batch window {BATCH_WINDOW}ns; sc-mixed keeps every {ATOMIC_EVERY}th read atomic)"
         ),
         &[
             "variant",
+            "ops",
+            "sent",
             "msgs/op",
             "rounds/op",
             "fast reads",
             "relay reads",
             "write-backs",
+            "sc reads",
+            "regular reads",
+            "makespan ns",
             "kops/virt-s",
         ],
     );
@@ -344,39 +324,95 @@ fn main() {
     ] {
         table.row(vec![
             name.to_string(),
-            format!("{:.2}", r.msgs_per_op()),
-            format!("{:.2}", r.rounds_per_op()),
+            r.metrics.ops_completed.to_string(),
+            r.metrics.sent.to_string(),
+            format!("{:.3}", r.msgs_per_op()),
+            format!("{:.3}", r.rounds_per_op()),
             r.reads.fast_reads.to_string(),
             r.reads.relay_reads.to_string(),
             r.reads.write_backs.to_string(),
-            format!("{:.1}", r.kops_per_virtual_sec()),
+            r.reads.sc_reads.to_string(),
+            r.reads.regular_reads.to_string(),
+            r.makespan.to_string(),
+            format!("{:.2}", r.kops_per_virtual_sec()),
         ]);
     }
     table.print();
 
+    // Each demotion must pay off against the all-atomic baseline, in
+    // messages AND rounds; batching must absorb what it claims to.
+    let below = |r: &RunResult, of: &RunResult| (1.0 - r.msgs_per_op() / of.msgs_per_op()) * 100.0;
+    let (reduction, relay_absorbed) = (below(&batched, &base), below(&relay_batched, &relay));
+    let (regular_reduction, mixed_reduction) = (below(&regular, &base), below(&mixed, &base));
+    let mixed_rounds_ratio = mixed.rounds_per_op() / base.rounds_per_op();
+    let at_least =
+        |what, x: f64, prec, bound: f64| (what, format!("{x:.prec$}"), ">=", bound, x >= bound);
+    let at_most =
+        |what, x: f64, prec, bound: f64| (what, format!("{x:.prec$}"), "<=", bound, x <= bound);
+    let checks = [
+        at_least(
+            "FastUnanimous rounds/read, contended writer",
+            fast_contended,
+            3,
+            1.9,
+        ),
+        at_most(
+            "Relay rounds/read, contended writer",
+            relay_contended,
+            3,
+            1.6,
+        ),
+        at_least("fast+batched msgs/op below baseline, %", reduction, 1, 20.0),
+        at_least(
+            "relay+batched msgs/op below relay, %",
+            relay_absorbed,
+            1,
+            20.0,
+        ),
+        at_least(
+            "regular msgs/op below baseline, %",
+            regular_reduction,
+            1,
+            25.0,
+        ),
+        at_least(
+            "sc-mixed(99/1) msgs/op below baseline, %",
+            mixed_reduction,
+            1,
+            50.0,
+        ),
+        at_most(
+            "sc-mixed(99/1) rounds/op over baseline's",
+            mixed_rounds_ratio,
+            3,
+            0.5,
+        ),
+    ];
+    let mut gates = Table::new(
+        &format!("F6 — gates (SWMR n={N} for the contended reads)"),
+        &["gate", "measured", "bound"],
+    );
+    for (what, measured, op, bound, _) in &checks {
+        gates.row(vec![
+            what.to_string(),
+            measured.clone(),
+            format!("{op} {bound}"),
+        ]);
+    }
+    gates.print();
+    write_artifact(env!("CARGO_BIN_NAME"), &[&micro, &table, &gates]);
+
+    for (what, measured, op, bound, ok) in &checks {
+        assert!(
+            ok,
+            "F6 gate failed: {what} is {measured}, needs {op} {bound}"
+        );
+    }
     assert!(base.reads.fast_reads == 0, "baseline never elides");
     assert!(fast.reads.fast_reads > 0, "fast path must fire");
     assert!(relay.reads.relay_reads > 0, "relay path must fire");
     assert!(relay.reads.write_backs == 0, "relay reads never write back");
-    let reduction = (1.0 - batched.msgs_per_op() / base.msgs_per_op()) * 100.0;
-    println!(
-        "\nfast+batched sends {reduction:.1}% fewer messages per operation than \
-         baseline (gate: >= 20%)"
-    );
-    assert!(reduction >= 20.0, "msgs/op reduction gate failed");
-    let relay_absorbed = (1.0 - relay_batched.msgs_per_op() / relay.msgs_per_op()) * 100.0;
-    println!(
-        "relay+batched absorbs {relay_absorbed:.1}% of the relay fan-out's \
-         messages (gate: >= 20%)"
-    );
-    assert!(
-        relay_absorbed >= 20.0,
-        "batching must absorb the relay fan-out"
-    );
-
-    // Tier gates: each demotion must pay off against the all-atomic
-    // baseline, in messages AND rounds, and the demoted paths must
-    // actually have carried the reads.
+    // The demoted paths must actually have carried the reads.
     assert!(regular.reads.regular_reads > 0, "regular tier must fire");
     assert!(
         regular.reads.write_backs == 0,
@@ -387,38 +423,9 @@ fn main() {
         mixed.reads.write_backs > 0,
         "the 1% atomic reads must still pay their write-backs"
     );
-    let regular_reduction = (1.0 - regular.msgs_per_op() / base.msgs_per_op()) * 100.0;
-    println!(
-        "regular-tier reads send {regular_reduction:.1}% fewer messages per \
-         operation than all-atomic baseline (gate: >= 25%)"
-    );
-    assert!(regular_reduction >= 25.0, "regular msgs/op gate failed");
-    let mixed_reduction = (1.0 - mixed.msgs_per_op() / base.msgs_per_op()) * 100.0;
-    println!(
-        "sc-mixed(99/1) sends {mixed_reduction:.1}% fewer messages per \
-         operation than all-atomic baseline (gate: >= 50%)"
-    );
-    assert!(mixed_reduction >= 50.0, "sc-mixed msgs/op gate failed");
-    let mixed_rounds_ratio = mixed.rounds_per_op() / base.rounds_per_op();
-    println!(
-        "sc-mixed(99/1) rounds/op is {:.2}x baseline (gate: <= 0.5)",
-        mixed_rounds_ratio
-    );
-    assert!(mixed_rounds_ratio <= 0.5, "sc-mixed rounds/op gate failed");
-
-    // Throughput gates: each client runs from its own completions, so a
-    // read path that saves rounds shortens the makespan, and a get that
+    // Throughput: each client runs from its own completions, so a read
+    // path that saves rounds shortens the makespan, and a get that
     // overlaps a put on its key pays the write-back fast reads elide.
-    println!(
-        "kops/virt-s: fast {:.1}, relay {:.1}, regular {:.1} vs baseline {:.1}; \
-         sc-mixed(99/1) {:.1} vs regular (gates: each beats baseline, sc-mixed \
-         beats regular, fast pays write-backs)",
-        fast.kops_per_virtual_sec(),
-        relay.kops_per_virtual_sec(),
-        regular.kops_per_virtual_sec(),
-        base.kops_per_virtual_sec(),
-        mixed.kops_per_virtual_sec(),
-    );
     for (name, r) in [("fast", &fast), ("relay", &relay), ("regular", &regular)] {
         assert!(
             r.kops_per_virtual_sec() > base.kops_per_virtual_sec(),
@@ -433,50 +440,4 @@ fn main() {
         fast.reads.write_backs > 0,
         "gets overlapping puts must pay their write-backs"
     );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"F6_throughput\",\n",
-            "  \"n\": {}, \"delay_ns\": {}, \"clients_per_node\": {}, ",
-            "\"ops_per_client\": {}, \"keys\": {}, \"write_pct\": {}, ",
-            "\"batch_window_ns\": {},\n",
-            "  \"uncontended_fast_read\": {{\"rounds\": 1, \"messages\": \"2(n-1)\"}},\n",
-            "  \"contended_writer\": {{\"fast_unanimous_rounds_per_read\": {:.3}, ",
-            "\"relay_rounds_per_read\": {:.3}}},\n",
-            "  \"variants\": [\n{},\n{},\n{},\n{},\n{},\n{},\n{}\n  ],\n",
-            "  \"msgs_per_op_reduction_pct\": {:.1},\n",
-            "  \"relay_batched_absorption_pct\": {:.1},\n",
-            "  \"tiers\": {{\"atomic_every\": {}, ",
-            "\"regular_msgs_per_op_reduction_pct\": {:.1}, ",
-            "\"mixed_msgs_per_op_reduction_pct\": {:.1}, ",
-            "\"mixed_rounds_per_op_ratio\": {:.3}}}\n",
-            "}}\n"
-        ),
-        N,
-        DELAY,
-        CLIENTS_PER_NODE,
-        OPS_PER_CLIENT,
-        KEYS,
-        WRITE_PCT,
-        BATCH_WINDOW,
-        fast_contended,
-        relay_contended,
-        variant_json("baseline", &base),
-        variant_json("fast", &fast),
-        variant_json("fast+batched", &batched),
-        variant_json("relay", &relay),
-        variant_json("relay+batched", &relay_batched),
-        variant_json("regular", &regular),
-        variant_json("sc-mixed(99/1)", &mixed),
-        reduction,
-        relay_absorbed,
-        ATOMIC_EVERY,
-        regular_reduction,
-        mixed_reduction,
-        mixed_rounds_ratio,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    std::fs::write(path, &json).expect("write BENCH_throughput.json");
-    println!("wrote BENCH_throughput.json");
 }

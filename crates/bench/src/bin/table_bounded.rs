@@ -12,7 +12,7 @@
 //!   violations (the simulator's delays respect the bounded-staleness
 //!   assumption; see `abd_core::bounded` for the substitution notes).
 
-use abd_bench::Table;
+use abd_bench::{write_artifact, Table};
 use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
 use abd_core::msg::RegisterOp;
 use abd_core::swmr::SwmrNode;
@@ -104,4 +104,5 @@ fn main() {
     println!(
         "\nThe unbounded column grows with the execution; the bounded column is constant\n(6 bits for a 64-label cycle) no matter how many writes run — the property the\npaper's bounded construction establishes."
     );
+    write_artifact(env!("CARGO_BIN_NAME"), &[&t]);
 }

@@ -12,7 +12,7 @@
 //!   pair only with `b + 1` identical vouchers) returns correct values on
 //!   every schedule, asserted.
 
-use abd_bench::Table;
+use abd_bench::{write_artifact, Table};
 use abd_core::byzantine::{ByzConfig, ByzNode, LieStrategy};
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::types::ProcessId;
@@ -94,4 +94,5 @@ fn main() {
     println!(
         "\nShape checks: the ForgeLabel row poisons the plain protocol (wrong > 0) while\nevery masking row is asserted wrong = 0. Crash-tolerance (ABD) and\nByzantine-tolerance (Malkhi–Reiter) genuinely need different quorum systems."
     );
+    write_artifact(env!("CARGO_BIN_NAME"), &[&t]);
 }

@@ -12,7 +12,7 @@
 //! out + back).
 
 use abd_bench::clusters::{measure_op_messages, mwmr_sim, swmr_sim, Variant};
-use abd_bench::Table;
+use abd_bench::{write_artifact, Table};
 use abd_core::msg::RegisterOp;
 use abd_core::types::ProcessId;
 use abd_simnet::{LatencyModel, SimConfig};
@@ -145,4 +145,5 @@ fn main() {
     println!(
         "\nNote: the regular baseline's read costs only 2(n-1) messages / 1 round —\nwhat the write-back buys is measured in T5 (atomicity) at this price.\nThe fast path (T2b) hits the same 1-round cost without giving up atomicity,\nbut only on quorums that unanimously report the maximum tag."
     );
+    write_artifact(env!("CARGO_BIN_NAME"), &[&t1, &t2, &t2b]);
 }

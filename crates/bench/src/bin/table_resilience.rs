@@ -11,7 +11,7 @@
 //!   operations complete.
 
 use abd_bench::clusters::{mwmr_sim, swmr_sim, Variant};
-use abd_bench::Table;
+use abd_bench::{write_artifact, Table};
 use abd_core::msg::RegisterOp;
 use abd_core::types::ProcessId;
 use abd_simnet::SimConfig;
@@ -116,4 +116,5 @@ fn main() {
     println!(
         "\nAll rows asserted against the paper's predictions — a disagreement aborts the binary."
     );
+    write_artifact(env!("CARGO_BIN_NAME"), &[&t3, &t4]);
 }

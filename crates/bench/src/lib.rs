@@ -3,7 +3,12 @@
 //! One binary per table/figure of `EXPERIMENTS.md` (run with
 //! `cargo run --release -p abd-bench --bin <name>`). This library holds
 //! the shared plumbing: cluster construction for each protocol variant,
-//! latency statistics, and fixed-width table rendering.
+//! latency statistics, fixed-width table rendering, and the one artifact
+//! writer. Every deterministic binary hands the [`Table`]s it printed to
+//! [`write_artifact`], which writes them to `BENCH_<name>.json` at the
+//! workspace root; `ci.sh` runs every binary and fails if an artifact
+//! differs from the committed one. `fig_shmem` (F5) prints wall-clock
+//! columns, so it writes none.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -111,6 +116,70 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
+
+    /// The table as a JSON object of its title, header and rows — the
+    /// cells exactly as [`render`](Self::render) prints them, one row per
+    /// line.
+    fn to_json(&self) -> String {
+        let list = |cells: &[String]| {
+            let cells: Vec<String> = cells.iter().map(|c| json_str(c)).collect();
+            format!("[{}]", cells.join(", "))
+        };
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| format!("\n      {}", list(row)))
+            .collect();
+        format!(
+            "  {{\n    \"title\": {},\n    \"header\": {},\n    \"rows\": [{}\n    ]\n  }}",
+            json_str(&self.title),
+            list(&self.header),
+            rows.join(","),
+        )
+    }
+}
+
+/// `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The artifact binary `bin` writes: `BENCH_<name>.json`, where `<name>`
+/// is `bin` without its `fig_` or `table_` prefix.
+fn artifact_name(bin: &str) -> String {
+    let name = ["fig_", "table_"]
+        .iter()
+        .find_map(|prefix| bin.strip_prefix(prefix))
+        .unwrap_or(bin);
+    format!("BENCH_{name}.json")
+}
+
+/// Writes `tables` — the ones binary `bin` printed, in order — to
+/// `BENCH_<name>.json` at the workspace root, `<name>` being `bin` without
+/// its `fig_` or `table_` prefix, as a JSON list with one table row per
+/// line. Call it as `write_artifact(env!("CARGO_BIN_NAME"), &[..])`.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_artifact(bin: &str, tables: &[&Table]) {
+    let tables: Vec<String> = tables.iter().map(|t| t.to_json()).collect();
+    let name = artifact_name(bin);
+    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(path, format!("[\n{}\n]\n", tables.join(",\n")))
+        .unwrap_or_else(|e| panic!("write {name}: {e}"));
+    println!("wrote {name}");
 }
 
 /// Formats nanoseconds as microseconds with two decimals.
@@ -316,6 +385,45 @@ mod tests {
     fn table_rejects_wrong_arity() {
         let mut t = Table::new("demo", &["a"]);
         t.row(vec!["1".into(), "2".into()]);
+    }
+
+    #[test]
+    fn artifact_writes_one_row_per_line() {
+        let mut t = Table::new("demo", &["a", "b"]);
+        t.row(vec!["1".into(), "2".into()]);
+        t.row(vec!["3".into(), "4".into()]);
+        assert_eq!(
+            t.to_json(),
+            concat!(
+                "  {\n",
+                "    \"title\": \"demo\",\n",
+                "    \"header\": [\"a\", \"b\"],\n",
+                "    \"rows\": [\n",
+                "      [\"1\", \"2\"],\n",
+                "      [\"3\", \"4\"]\n",
+                "    ]\n",
+                "  }"
+            )
+        );
+    }
+
+    #[test]
+    fn artifact_escapes_quotes_backslashes_and_newlines() {
+        let mut t = Table::new("say \"hi\"\nto C:\\", &["h"]);
+        t.row(vec!["a\\b \"c\"\nd\te".into()]);
+        let json = t.to_json();
+        assert!(
+            json.contains(r#""title": "say \"hi\"\nto C:\\","#),
+            "{json}"
+        );
+        assert!(json.contains(r#"["a\\b \"c\"\nd\u0009e"]"#), "{json}");
+        assert_eq!(json.lines().count(), 7, "an escaped newline splits no line");
+    }
+
+    #[test]
+    fn artifact_name_drops_the_binary_prefix() {
+        assert_eq!(artifact_name("fig_throughput"), "BENCH_throughput.json");
+        assert_eq!(artifact_name("table_atomicity"), "BENCH_atomicity.json");
     }
 
     #[test]

@@ -1,17 +1,14 @@
 //! Failure oracles: pluggable pass/fail predicates over histories.
 //!
-//! The nemesis test fleet decides "did this run fail?" in more than one
-//! way — single-writer atomicity (linear-time checker), general
-//! linearizability (Wing–Gong search), or execution-digest divergence
-//! between two same-seed runs. The campaign **shrinker**
+//! The nemesis test fleet decides "did this run fail?" in four ways, one
+//! oracle each: single-writer atomicity ([`AtomicSwmrOracle`], linear-time
+//! checker), general linearizability ([`LinearizableOracle`], Wing–Gong
+//! search), sequential consistency ([`SequentialConsistencyOracle`]) and
+//! single-writer regularity ([`RegularOracle`]). The campaign **shrinker**
 //! (`abd-simnet::shrink`) needs that decision as a value it can re-apply to
 //! every shrunk candidate, so this module reifies it: a [`HistoryOracle`]
 //! inspects a replayed history and returns `None` (property holds) or
 //! `Some(reason)` (property violated, with a human-readable explanation).
-//!
-//! Digest divergence is not a history property — it is decided by the
-//! replay harness comparing two runs — so it has no oracle here; the
-//! harness layers it on top (see `abd-simnet::repro::OracleSpec`).
 
 use crate::history::History;
 use crate::regularity::{check_regular_swmr, find_new_old_inversions, is_atomic_swmr};

@@ -13,6 +13,9 @@
 //!   the broadcast, but only the grid quorum must answer, so latency
 //!   follows the quorum's order statistic, and resilience drops (a full
 //!   column must survive).
+//!
+//! The binary asserts that the majority row's observed max `f` is the
+//! paper's bound `⌈n/2⌉ − 1`.
 
 use abd_bench::{us, write_artifact, Stats, Table};
 use abd_core::msg::RegisterOp;
@@ -97,7 +100,8 @@ fn main() {
             "paper bound f",
         ],
     );
-    let n = 16;
+    let n: usize = 16;
+    let paper_bound = n.div_ceil(2) - 1;
     let families: Vec<Arc<dyn QuorumSystem>> = vec![
         Arc::new(Majority::new(n)),
         Arc::new(Threshold::new(n, 5, 12)),
@@ -108,6 +112,12 @@ fn main() {
         let valid = q.validate(true).is_ok();
         let (msgs, s) = measure(n, Arc::clone(&q));
         let f = observed_resilience(n, &q);
+        if q.describe().starts_with("majority") {
+            assert_eq!(
+                f, paper_bound,
+                "F4: the majority row's observed max f must be the paper bound ceil(n/2) - 1"
+            );
+        }
         t.row(vec![
             q.describe(),
             if valid { "yes" } else { "NO" }.to_string(),
@@ -115,7 +125,7 @@ fn main() {
             us(s.mean),
             us(s.p99),
             f.to_string(),
-            (n.div_ceil(2) - 1).to_string(),
+            paper_bound.to_string(),
         ]);
     }
     t.print();

@@ -146,7 +146,8 @@ impl fmt::Display for SerialLabel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn successor_wraps_around() {
@@ -218,16 +219,19 @@ mod tests {
         assert_eq!(l.raw(), 1);
     }
 
-    proptest! {
-        /// Walking k successor steps from the origin and comparing through
-        /// the window agrees with the unbounded step indices whenever the
-        /// two indices are within one window of each other.
-        #[test]
-        fn windowed_order_matches_unbounded_order(
-            modulus in 8u32..200,
-            base in 0u32..1_000,
-            deltas in proptest::collection::vec(0u32..64, 2..10)
-        ) {
+    /// Walking k successor steps from the origin and comparing through the
+    /// window agrees with the unbounded step indices whenever the two
+    /// indices are within one window of each other. 256 cases, case `c`
+    /// drawn from `SmallRng::seed_from_u64(c)`.
+    #[test]
+    fn windowed_order_matches_unbounded_order() {
+        for case in 0..256 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let modulus = rng.gen_range(8u32..200);
+            let base = rng.gen_range(0u32..1_000);
+            let len = rng.gen_range(2..10);
+            let deltas: Vec<u32> = (0..len).map(|_| rng.gen_range(0..64)).collect();
+            let inputs = format!("case {case}: modulus {modulus}, base {base}, deltas {deltas:?}");
             let s = LabelSpace::new(modulus);
             let walk = |steps: u32| {
                 let mut l = s.origin();
@@ -241,11 +245,16 @@ mod tests {
             let labels: Vec<SerialLabel> = idxs.iter().map(|&i| walk(i)).collect();
             for (&ia, la) in idxs.iter().zip(&labels) {
                 for (&ib, lb) in idxs.iter().zip(&labels) {
-                    prop_assert!(s.comparable(*la, *lb),
-                        "indices {} and {} within a window must be comparable", ia, ib);
-                    prop_assert_eq!(s.newer(*la, *lb), ia > ib,
-                        "indices {} vs {} (modulus {}, window {})",
-                        ia, ib, s.modulus(), s.window());
+                    assert!(
+                        s.comparable(*la, *lb),
+                        "{inputs}: indices {ia} and {ib} within a window must be comparable"
+                    );
+                    assert_eq!(
+                        s.newer(*la, *lb),
+                        ia > ib,
+                        "{inputs}: indices {ia} vs {ib} (window {})",
+                        s.window()
+                    );
                 }
             }
         }

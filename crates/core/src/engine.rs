@@ -5,8 +5,8 @@
 //! register and every key of the replicated store. [`Engine`] is its state
 //! machine, written once: the five phases of a client operation
 //! ([`Pending`]), the replica role that answers them, the server-side
-//! rounds of relay reads, `requorum`'s "restart the round, not the
-//! operation", phase ids, the read-path counters and the
+//! rounds of relay reads, the restart of a round a crash interrupted
+//! ([`Engine::restart_round`]), phase ids, the read-path counters and the
 //! [`Retransmitter`] that keeps unfinished rounds alive over lossy links.
 //! Any number of rounds may be in flight, each found by its phase id.
 //!
@@ -247,16 +247,6 @@ pub enum Msg<K, L, R, V> {
         /// The replying server's value for the key at reply time.
         value: R,
     },
-}
-
-impl<K, L, R, V> Msg<K, L, R, V> {
-    /// Whether this is a reply (consumes no replica state at the receiver).
-    pub fn is_reply(&self) -> bool {
-        matches!(
-            self,
-            Msg::QueryReply { .. } | Msg::UpdateAck { .. } | Msg::RelayReply { .. }
-        )
-    }
 }
 
 /// A client operation, as the engine sees it.
@@ -699,8 +689,6 @@ where
             self.counters.fast_reads += 1;
         } else if self.read_write_back {
             if let Some(written) = value.clone().into() {
-                // Counted here, where the write-back is decided, not in the
-                // round: `requorum` may run that twice.
                 self.counters.write_backs += 1;
                 return self.write_back(op, key, label, written, store, fx);
             }
@@ -1090,33 +1078,6 @@ where
         };
         self.walked.record(from, to);
     }
-
-    /// Swaps the quorum system under everything in flight and restarts the
-    /// current *round* — not the operation — of each pending phase
-    /// ([`Engine::restart_round`]), in phase-id order. Replies to the old
-    /// phase ids find no round and are ignored. Server-side relay rounds
-    /// counted responders of the old system, carry no client's operation,
-    /// and are dropped.
-    pub fn requorum<S: Store<K, L, R, V, Fold = C>>(
-        &mut self,
-        quorum: Arc<dyn QuorumSystem>,
-        store: &mut S,
-        fx: &mut Fx<S, K, L, R, V>,
-    ) {
-        assert_eq!(
-            quorum.n(),
-            self.n,
-            "quorum system sized for a different cluster"
-        );
-        self.quorum = quorum;
-        self.relays.clear();
-        let mut rounds = std::mem::take(&mut self.rounds);
-        rounds.sort_unstable_by_key(|r| r.ph.uid());
-        for Round { op, key, ph, phase } in rounds {
-            self.rtx.disarm(ph.uid(), fx);
-            self.restart_round(op, key, phase, store, fx);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1155,49 +1116,6 @@ mod tests {
                 *self = Cell(label, value);
             }
         }
-    }
-
-    #[test]
-    fn reply_classification() {
-        let q: Msg<(), u64, u8, u8> = Msg::Query { uid: 0, key: () };
-        let qr: Msg<(), u64, u8, u8> = Msg::QueryReply {
-            uid: 0,
-            label: 0,
-            value: 0,
-        };
-        let u: Msg<(), u64, u8, u8> = Msg::Update {
-            uid: 0,
-            key: (),
-            label: 0,
-            value: 0,
-        };
-        let ua: Msg<(), u64, u8, u8> = Msg::UpdateAck { uid: 0 };
-        assert!(!q.is_reply());
-        assert!(qr.is_reply());
-        assert!(!u.is_reply());
-        assert!(ua.is_reply());
-        let rq: Msg<(), u64, u8, u8> = Msg::RelayQuery {
-            uid: 0,
-            key: (),
-            label: 0,
-            value: 0,
-        };
-        let rf: Msg<(), u64, u8, u8> = Msg::RelayFwd {
-            uid: 0,
-            reader: ProcessId(0),
-            key: (),
-            label: 0,
-            value: 0,
-            echo: false,
-        };
-        let rr: Msg<(), u64, u8, u8> = Msg::RelayReply {
-            uid: 0,
-            label: 0,
-            value: 0,
-        };
-        assert!(!rq.is_reply());
-        assert!(!rf.is_reply());
-        assert!(rr.is_reply());
     }
 
     /// What one delivery to the server made it send: `(forwards, echoes,

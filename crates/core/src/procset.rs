@@ -233,7 +233,8 @@ impl Extend<ProcessId> for ProcSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn insert_contains_remove() {
@@ -352,27 +353,36 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn matches_btreeset_semantics(ops in proptest::collection::vec((0usize..130, any::<bool>()), 0..200)) {
+    /// Any run of inserts and removes, at every capacity, answers as a
+    /// `BTreeSet` does. 256 cases, case `c` drawn from
+    /// `SmallRng::seed_from_u64(c)`.
+    #[test]
+    fn matches_btreeset_semantics() {
+        for case in 0..256 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let len = rng.gen_range(0..200);
+            let ops: Vec<(usize, bool)> = (0..len)
+                .map(|_| (rng.gen_range(0..130), rng.gen()))
+                .collect();
             for cap in CAPACITIES {
+                let inputs = format!("case {case}, capacity {cap}: ops {ops:?}");
                 let mut s = ProcSet::new(cap);
                 let mut model = std::collections::BTreeSet::new();
                 for &(i, ins) in &ops {
                     let p = ProcessId(i % cap);
                     if ins {
-                        prop_assert_eq!(s.insert(p), model.insert(p));
+                        assert_eq!(s.insert(p), model.insert(p), "{inputs}");
                     } else {
-                        prop_assert_eq!(s.remove(p), model.remove(&p));
+                        assert_eq!(s.remove(p), model.remove(&p), "{inputs}");
                     }
-                    prop_assert_eq!(s.len(), model.len());
-                    prop_assert_eq!(s.contains(p), model.contains(&p));
-                    prop_assert_eq!(s.is_empty(), model.is_empty());
+                    assert_eq!(s.len(), model.len(), "{inputs}");
+                    assert_eq!(s.contains(p), model.contains(&p), "{inputs}");
+                    assert_eq!(s.is_empty(), model.is_empty(), "{inputs}");
                 }
                 let got: Vec<_> = s.iter().collect();
                 let want: Vec<_> = model.iter().copied().collect();
-                prop_assert_eq!(got, want);
-                prop_assert!(!s.contains(ProcessId(cap)), "capacity {}", cap);
+                assert_eq!(got, want, "{inputs}");
+                assert!(!s.contains(ProcessId(cap)), "{inputs}");
             }
         }
     }

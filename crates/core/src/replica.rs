@@ -81,7 +81,8 @@ impl<L: Ord + Clone, V: Clone> Replica<L, V> {
 mod tests {
     use super::*;
     use crate::types::{ProcessId, Tag};
-    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn adopts_only_strictly_newer() {
@@ -104,20 +105,26 @@ mod tests {
         assert_eq!(*r.value(), 11);
     }
 
-    proptest! {
-        /// The stored label is always the max of the initial label and all
-        /// adopted labels, and the value always matches the max's payload.
-        #[test]
-        fn replica_stores_running_maximum(updates in proptest::collection::vec((0u64..50, any::<u16>()), 1..100)) {
+    /// The stored label is always the max of the initial label and all
+    /// adopted labels, and the value always matches the max's payload. 256
+    /// cases, case `c` drawn from `SmallRng::seed_from_u64(c)`.
+    #[test]
+    fn replica_stores_running_maximum() {
+        for case in 0..256 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let len = rng.gen_range(1..100);
+            let updates: Vec<(u64, u16)> = (0..len)
+                .map(|_| (rng.gen_range(0..50), rng.gen()))
+                .collect();
             let mut r = Replica::new(0u64, 0u16);
             let mut max = (0u64, 0u16);
-            for (l, v) in updates {
+            for &(l, v) in &updates {
                 r.adopt(l, v);
                 if l > max.0 {
                     max = (l, v);
                 }
             }
-            prop_assert_eq!(r.snapshot(), max);
+            assert_eq!(r.snapshot(), max, "case {case}: updates {updates:?}");
         }
     }
 }

@@ -453,7 +453,8 @@ where
     }
 
     /// The node's current Merkle root over its `(key → tag)` map.
-    pub fn sync_root(&self) -> u64 {
+    #[cfg(test)]
+    fn sync_root(&self) -> u64 {
         self.store.tree.root()
     }
 
@@ -481,12 +482,14 @@ where
     }
 
     /// Number of keys stored locally.
-    pub fn local_len(&self) -> usize {
+    #[cfg(test)]
+    fn local_len(&self) -> usize {
         self.store.map.len()
     }
 
     /// Number of operations currently in flight on this node.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         self.engine.in_flight()
     }
 
@@ -503,13 +506,10 @@ where
         self.store.adopt(&key, tag, value);
     }
 
-    /// Every `(key, tag, value)` this replica stores. Entries come in the
-    /// map's iteration order, which under the unseeded `FastBuild` is a
-    /// function of this store's insertion history (the same in every run of
-    /// a seed), and which nothing depends on anyway: [`KvNode::merge`] is
-    /// commutative, and the trace digest hashes event metadata, not
-    /// payloads.
-    pub fn entries(&self) -> Vec<(K, Tag, V)> {
+    /// Every `(key, tag, value)` this replica stores, in the map's
+    /// iteration order.
+    #[cfg(test)]
+    fn entries(&self) -> Vec<(K, Tag, V)> {
         self.store
             .map
             .iter()
@@ -520,7 +520,7 @@ where
     /// Max-merges `entries` into the replica: per key the larger tag wins.
     /// Safe on any node at any time as long as every entry is a pair some
     /// writer really stamped — the store only ever moves up.
-    pub fn merge(&mut self, entries: Vec<(K, Tag, V)>) {
+    fn merge(&mut self, entries: Vec<(K, Tag, V)>) {
         for (k, t, v) in entries {
             self.store.adopt(&k, t, v);
         }
@@ -662,21 +662,6 @@ where
             self.engine.rtx.disarm(u, fx);
         }
         self.start_walk(peer, false, fx);
-    }
-
-    /// Swaps the quorum system under everything in flight. The engine
-    /// restarts the current *round* — not the operation — of each pending
-    /// phase ([`Engine::requorum`]): a restarted `Put` is still one write.
-    /// Sync walks and the catch-up tally counted responders of the old
-    /// system, carry no client's operation, and are dropped, the walks with
-    /// their timers; the periodic sweep goes on.
-    pub fn requorum(&mut self, quorum: Arc<dyn QuorumSystem>, fx: &mut Fx<K, V>) {
-        for (uid, _) in self.walks.drain() {
-            self.engine.rtx.disarm(uid, fx);
-        }
-        self.recovering = None;
-        self.cfg.quorum = quorum.clone();
-        self.engine.requorum(quorum, &mut self.store, fx);
     }
 }
 
@@ -864,6 +849,10 @@ impl<K: Clone, V: Clone> ReadPathStats for KvNode<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+    use std::ops::Range;
 
     /// Minimal FIFO executor local to this crate's tests.
     struct Net<K, V> {
@@ -1833,23 +1822,29 @@ mod tests {
         assert_eq!(walker.sync_root(), peer.sync_root());
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 24,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
+    /// A set of `len` distinct keys below `keys`, `len` drawn from `size`.
+    fn key_set(rng: &mut SmallRng, keys: u32, size: Range<usize>) -> BTreeSet<u32> {
+        let len = rng.gen_range(size);
+        let mut set = BTreeSet::new();
+        while set.len() < len {
+            set.insert(rng.gen_range(0..keys));
+        }
+        set
+    }
 
-        /// Whatever the rebooted node missed (`missed`), whatever it alone
-        /// holds from a write it never finished (`ahead`), and in whatever
-        /// order and multiplicity the replies of its in-flight batches
-        /// arrive, the pipelined walk leaves the store the bulk snapshot
-        /// transfer left: its peers' whole stores, max-merged into its own.
-        #[test]
-        fn pipelined_walk_leaves_the_store_bulk_sync_leaves(
-            missed in proptest::collection::hash_set(0u32..1_500, 0..1_200),
-            ahead in proptest::collection::hash_set(0u32..1_500, 0..40),
-            order in proptest::prelude::any::<u64>(),
-        ) {
+    /// Whatever the rebooted node missed (`missed`), whatever it alone
+    /// holds from a write it never finished (`ahead`), and in whatever
+    /// order and multiplicity the replies of its in-flight batches arrive
+    /// (`order`), the pipelined walk leaves the store the bulk snapshot
+    /// transfer left: its peers' whole stores, max-merged into its own.
+    /// 24 cases, case `c` drawn from `SmallRng::seed_from_u64(c)`.
+    #[test]
+    fn pipelined_walk_leaves_the_store_bulk_sync_leaves() {
+        for case in 0..24 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let missed = key_set(&mut rng, 1_500, 0..1_200);
+            let ahead = key_set(&mut rng, 1_500, 0..40);
+            let order: u64 = rng.gen();
             let cluster = || {
                 let mut net: Net<u32, u64> = Net::with(3, |cfg| cfg.with_sync_buckets(256));
                 for node in &mut net.nodes {
@@ -1872,52 +1867,69 @@ mod tests {
                     .map(|k| node.local_entry(&k).map(|(t, v)| (t, *v)))
                     .collect::<Vec<_>>()
             };
+            let inputs = format!("case {case}: missed {missed:?}, ahead {ahead:?}, order {order}");
             let mut walked = cluster();
             walked.restart(2);
             walked.run_chaotic(order);
-            assert!(!walked.nodes[2].is_recovering());
-            assert_eq!(walked.nodes[2].walks_in_flight(), 0);
+            assert!(!walked.nodes[2].is_recovering(), "{inputs}");
+            assert_eq!(walked.nodes[2].walks_in_flight(), 0, "{inputs}");
             let mut bulk = cluster();
             for peer in 0..2 {
                 let snapshot = bulk.nodes[peer].entries();
                 bulk.nodes[2].merge(snapshot);
             }
-            proptest::prop_assert_eq!(store_of(&walked.nodes[2]), store_of(&bulk.nodes[2]));
+            assert_eq!(
+                store_of(&walked.nodes[2]),
+                store_of(&bulk.nodes[2]),
+                "{inputs}"
+            );
         }
     }
 
-    proptest::proptest! {
-        /// Whatever `(key, tag, value)` adoptions the store sees, in whatever
-        /// order, each key holds the largest tag offered so far with the
-        /// value that came first at that tag, and the digest is that of a
-        /// fresh store which adopted only those maxima, in reverse order.
-        #[test]
-        fn kv_store_holds_each_keys_running_maximum(
-            adoptions in proptest::collection::vec(
-                (0u32..8, 0u64..4, 0usize..3, 0u64..1_000),
-                0..200,
-            ),
-        ) {
+    /// Whatever `(key, tag, value)` adoptions the store sees, in whatever
+    /// order, each key holds the largest tag offered so far with the value
+    /// that came first at that tag, and the digest is that of a fresh store
+    /// which adopted only those maxima, in reverse order. 256 cases, case
+    /// `c` drawn from `SmallRng::seed_from_u64(c)`.
+    #[test]
+    fn kv_store_holds_each_keys_running_maximum() {
+        for case in 0..256 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let len = rng.gen_range(0..200);
+            let adoptions: Vec<(u32, u64, usize, u64)> = (0..len)
+                .map(|_| {
+                    (
+                        rng.gen_range(0..8),
+                        rng.gen_range(0..4),
+                        rng.gen_range(0..3),
+                        rng.gen_range(0..1_000),
+                    )
+                })
+                .collect();
+            let inputs = format!("case {case}: adoptions {adoptions:?}");
             let fresh = || KvNode::<u32, u64>::new(KvConfig::new(3, ProcessId(0)));
             let mut node = fresh();
             let mut max: BTreeMap<u32, (Tag, u64)> = BTreeMap::new();
-            for (key, seq, writer, value) in adoptions {
+            for &(key, seq, writer, value) in &adoptions {
                 let tag = Tag::new(seq, ProcessId(writer));
                 node.store.adopt(&key, tag, value);
                 if tag > max.get(&key).map_or(Tag::initial(), |e| e.0) {
                     max.insert(key, (tag, value));
                 }
                 let held = node.local_entry(&key).map(|(t, v)| (t, *v));
-                proptest::prop_assert_eq!(held, max.get(&key).copied());
+                assert_eq!(held, max.get(&key).copied(), "{inputs}");
             }
-            let held: BTreeMap<u32, (Tag, u64)> =
-                node.entries().into_iter().map(|(k, t, v)| (k, (t, v))).collect();
-            proptest::prop_assert_eq!(&held, &max);
+            let held: BTreeMap<u32, (Tag, u64)> = node
+                .entries()
+                .into_iter()
+                .map(|(k, t, v)| (k, (t, v)))
+                .collect();
+            assert_eq!(held, max, "{inputs}");
             let mut maxima = fresh();
             for (key, (tag, value)) in max.iter().rev() {
                 maxima.store.adopt(key, *tag, *value);
             }
-            proptest::prop_assert_eq!(node.sync_root(), maxima.sync_root());
+            assert_eq!(node.sync_root(), maxima.sync_root(), "{inputs}");
         }
     }
 
@@ -2111,67 +2123,5 @@ mod tests {
         assert_eq!(net.take(), vec![(op, KvResp::PutOk)]);
         assert!(net.nodes[2].is_recovering());
         assert_eq!(net.nodes[2].retransmissions(), 2);
-    }
-
-    #[test]
-    fn requorum_restarts_rounds_and_a_stamped_put_keeps_its_tag() {
-        use abd_core::quorum::Weighted;
-        let cfg = KvConfig::new(3, ProcessId(0)).with_retransmit(1_000);
-        let mut node: KvNode<u32, u64> = KvNode::new(cfg);
-        // A put driven into its update round (phase 2), a get still in its
-        // query round (phase 3).
-        let mut fx = Effects::new();
-        node.on_invoke(OpId(0), KvOp::Put(1, 10), &mut fx);
-        let reply = KvMsg::Op(Msg::QueryReply {
-            uid: 1,
-            label: Tag::initial(),
-            value: None,
-        });
-        node.on_message(ProcessId(1), reply, &mut fx);
-        node.on_invoke(OpId(1), KvOp::Get(1), &mut fx);
-        let tag = node.local_entry(&1).expect("stamped and adopted").0;
-        // Node 1 loses its vote. Both rounds go out again, in uid order,
-        // under fresh ids: the update with the tag it had, the query anew.
-        let mut fx = Effects::new();
-        node.requorum(Arc::new(Weighted::new(vec![1, 0, 1], 2, 2)), &mut fx);
-        let to_1 = |fx: &Effects<KvMsg<u32, u64>, KvResp<u64>>| -> Vec<_> {
-            let to_1 = fx.sends.iter().filter(|(to, _)| *to == ProcessId(1));
-            to_1.map(|(_, m)| m.clone()).collect()
-        };
-        let update = KvMsg::Op(Msg::Update {
-            uid: 4,
-            key: 1,
-            label: tag,
-            value: 10,
-        });
-        assert_eq!(
-            to_1(&fx),
-            vec![update, KvMsg::Op(Msg::Query { uid: 5, key: 1 })]
-        );
-        assert_eq!(node.in_flight(), 2);
-        // An ack to the old phase id finds no phase; node 1's counts for
-        // nothing; node 2's completes the put — still one write.
-        let mut fx = Effects::new();
-        node.on_message(ProcessId(2), KvMsg::Op(Msg::UpdateAck { uid: 2 }), &mut fx);
-        node.on_message(ProcessId(1), KvMsg::Op(Msg::UpdateAck { uid: 4 }), &mut fx);
-        assert!(fx.responses.is_empty());
-        node.on_message(ProcessId(2), KvMsg::Op(Msg::UpdateAck { uid: 4 }), &mut fx);
-        assert_eq!(fx.responses, vec![(OpId(0), KvResp::PutOk)]);
-        assert_eq!(node.local_entry(&1).map(|(t, _)| t), Some(tag));
-        // A catch-up counted peers of the old system: dropped, walks, timers
-        // and all.
-        let mut fx = Effects::new();
-        node.on_restart(&mut fx);
-        assert!(node.is_recovering());
-        let mut fx = Effects::new();
-        node.requorum(Arc::new(Majority::new(3)), &mut fx);
-        assert!(!node.is_recovering());
-        assert!(fx.sends.is_empty(), "the restart dropped the get: {fx:?}");
-        assert_eq!(node.walks_in_flight(), 0);
-        assert_eq!(
-            fx.timers.len(),
-            2,
-            "both walks' timers are cancelled: {fx:?}"
-        );
     }
 }

@@ -25,7 +25,7 @@
 //! each row also pins a digest of every response and its completion time.
 //! Every row reboots nodes, and what a rebooted store sends in the
 //! background changed once since (the bulk pull and the walk's root-digest
-//! handshake went), so the five rows were re-pinned at that commit, each
+//! handshake went), so the rows were re-pinned at that commit, each
 //! with its cause (CHANGES PR 23 has the old constants); the engine was not
 //! edited there, and the register and variant tables held.
 //!
@@ -34,15 +34,15 @@
 //! the single-writer machine: trace digest, `sent` and a response digest,
 //! computed at commit c95f798.
 
-use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
+use abd_core::context::{Protocol, ReadPathCounters, ReadPathStats};
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
 use abd_core::phase::NodeEdges;
-use abd_core::quorum::{Majority, QuorumSystem, Threshold};
+use abd_core::quorum::{Majority, QuorumSystem};
 use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
-use abd_core::types::{Consistency, OpId, ProcessId, ReadMode};
-use abd_kv::{KvConfig, KvMsg, KvNode, KvOp, KvResp};
+use abd_core::types::{Consistency, ProcessId, ReadMode};
+use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_repro::simnet::nemesis::liveness_bound;
 use abd_repro::simnet::{
     run_campaign, Metrics, NemesisConfig, NemesisSchedule, PlannedFault, Sim, SimConfig,
@@ -376,93 +376,6 @@ where
     );
 }
 
-/// A [`KvNode`] with one more operation, for the last row: swap the quorum
-/// system under everything in flight ([`KvNode::requorum`]), as `RcNode`
-/// does when its epoch moves — here without the fence, so the row pins the
-/// restart of the rounds and nothing about safety.
-struct Requorum {
-    inner: KvNode<u32, u64>,
-    /// Rounds of each kind in flight over all `requorum` calls, read off
-    /// the node's `Debug` output by the names of the `Pending` variants.
-    caught: [usize; 5],
-}
-
-const PHASES: [&str; 5] = [
-    "WriteQuery",
-    "WriteUpdate",
-    "ReadQuery",
-    "ReadWriteBack",
-    "RelayRead",
-];
-
-#[derive(Clone, Debug)]
-enum RqOp {
-    Kv(KvOp<u32, u64>),
-    /// Requorum to the skewed `R = 2, W = 4` system (`true`) or back to
-    /// majorities.
-    Requorum(bool),
-}
-
-impl Protocol for Requorum {
-    type Msg = KvMsg<u32, u64>;
-    type Op = RqOp;
-    type Resp = KvResp<u64>;
-
-    fn id(&self) -> ProcessId {
-        self.inner.id()
-    }
-
-    fn on_start(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        self.inner.on_start(fx);
-    }
-
-    fn on_invoke(&mut self, op: OpId, input: RqOp, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        match input {
-            RqOp::Kv(input) => self.inner.on_invoke(op, input, fx),
-            RqOp::Requorum(skewed) => {
-                let state = format!("{:?}", self.inner);
-                for (seen, phase) in self.caught.iter_mut().zip(PHASES) {
-                    *seen += state.matches(phase).count();
-                }
-                let quorum: Arc<dyn QuorumSystem> = if skewed {
-                    Arc::new(Threshold::new(N, 2, 4))
-                } else {
-                    Arc::new(Majority::new(N))
-                };
-                self.inner.requorum(quorum, fx);
-                fx.respond(op, KvResp::PutOk);
-            }
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: Self::Msg,
-        fx: &mut Effects<Self::Msg, Self::Resp>,
-    ) {
-        self.inner.on_message(from, msg, fx);
-    }
-
-    fn on_timer(&mut self, key: TimerKey, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        self.inner.on_timer(key, fx);
-    }
-
-    fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
-        self.inner.on_restart(fx);
-    }
-}
-
-impl ReadPathStats for Requorum {
-    fn counters(&self) -> ReadPathCounters {
-        self.inner.counters()
-    }
-
-    fn phase_edges(&self) -> NodeEdges {
-        self.inner.phase_edges()
-    }
-}
-
 /// The key-value table; returns the phase edges its rows took.
 fn kv_rows() -> NodeEdges {
     use ReadMode::{FastUnanimous, Relay, TwoRound};
@@ -548,57 +461,6 @@ fn kv_rows() -> NodeEdges {
         ),
     );
 
-    // Nodes 0 and 1 read by relay, the rest in two rounds, so that all
-    // five kinds of round exist; every node swaps the quorum system every
-    // fourth burst, alternating the skewed system and majorities.
-    let mixed = (0..N)
-        .map(|i| {
-            let mode = if i < 2 { Relay } else { TwoRound };
-            let cfg = KvConfig::new(N, ProcessId(i))
-                .with_retransmit(BACKOFF_BASE)
-                .with_read_mode(mode);
-            Requorum {
-                inner: KvNode::new(cfg),
-                caught: [0; 5],
-            }
-        })
-        .collect();
-    let (pins, r, sim) = kv_campaign(mixed, |c, i| {
-        if i % (4 * LANES) == 4 * LANES - 1 {
-            RqOp::Requorum((i / (4 * LANES)).is_multiple_of(2))
-        } else {
-            RqOp::Kv(kv_op(c, i))
-        }
-    });
-    let caught = (0..N).fold([0; 5], |mut sum, i| {
-        for (s, c) in sum.iter_mut().zip(sim.node(i).caught) {
-            *s += c;
-        }
-        sum
-    });
-    assert!(
-        caught.iter().all(|&c| c > 0),
-        "kv/requorum: a kind of round was never in flight at a requorum: {caught:?} of {PHASES:?}"
-    );
-    assert!(
-        r.relay_reads > 0 && r.write_backs > 0,
-        "kv/requorum: a path idle"
-    );
-    edges |= walked(&sim);
-    check_kv(
-        "kv/requorum",
-        pins,
-        &sim,
-        |node| node.inner.retransmissions(),
-        (
-            // Re-pinned: a relay server round complete at first contact
-            // forwards all the same; the read counters hold.
-            0x14416975bffe0ed0,
-            4163,
-            0xbc6d214ce2860c95,
-            [0, 23, 18, 43, 43],
-        ),
-    );
     edges
 }
 

@@ -108,6 +108,12 @@ shapes=$(sed '/^#\[cfg(test)\]/,$d' crates/kv/src/node.rs | sed -n '/^pub enum K
 if grep -rnE 'SyncPull|SyncState|SyncDigest|sync_threshold' crates src tests examples --include='*.rs'; then
   echo "the bulk pull, the digest handshake or their knob is named again; the Merkle walk is the one state transfer"; exit 1
 fi
+# And one sync policy: a walk runs when a node reboots and ends when its peer
+# is walked. No timer-driven background sweep, no knob and no timer key of
+# its own.
+if grep -rnE 'anti_entropy|SWEEP_KEY|on_sweep|arm_sweep|sweep_next' crates src tests examples; then
+  echo "the background anti-entropy sweep is named again; a KvNode walks its peers when it reboots, and only then (DESIGN §15)"; exit 1
+fi
 
 echo "==> the nemesis search is blind sampling (no coverage map, no corpus, no mutation)"
 # Independent blind trials detect the mutant zoo as often as the mutational
@@ -176,9 +182,8 @@ cargo test -q --test nemesis tier_
 echo "==> oracle self-test gate (each tier's checker convicts its planted violation, weaker tiers acquit)"
 cargo test -q --test consistency_tiers oracle_selftest_
 
-echo "==> recovery nemesis smoke (recovery golden trace pinned + anti-entropy sweep races crash waves + pipelined wide-divergence walks under loss and duplication + restarted stores and registers serving during catch-up, and the amnesiac store and replica those campaigns must convict)"
+echo "==> recovery nemesis smoke (recovery golden trace pinned + pipelined wide-divergence walks under loss, duplication, crash waves and partitions + restarted stores and registers serving during catch-up, and the amnesiac store and replica those campaigns must convict)"
 cargo test -q --test nemesis kv_recovery_trace_digest_is_pinned
-cargo test -q --test nemesis anti_entropy
 cargo test -q --test nemesis merkle_recovery_pipelined_
 cargo test -q --test nemesis kv_serves_during_catch_up_
 cargo test -q --test nemesis register_serves_during_catch_up_

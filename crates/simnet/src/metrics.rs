@@ -22,8 +22,7 @@ pub struct Metrics {
     pub timer_fires: u64,
     /// Messages emitted from timer callbacks. Most are retransmissions — a
     /// phase message or a walk's request re-sent to laggards — but not all:
-    /// a `KvNode`'s anti-entropy sweep opens each walk from its timer, and a
-    /// windowed `Batched` sends every flushed envelope from one. A node's
+    /// a windowed `Batched` sends every flushed envelope from one. A node's
     /// own `retransmissions()` counts re-sends alone.
     pub retransmissions: u64,
     /// Crashed nodes rebooted via [`crate::Sim::restart_at`].

@@ -354,9 +354,8 @@ fn kv_nodes(cfg: impl Fn(KvConfig) -> KvConfig) -> Vec<KvNode<u32, u64>> {
 
 /// The checks every KV row shares: tiers, retransmission, restarts and the
 /// catch-up all ran, a crash caught operations in flight, and the pins hold.
-/// `Metrics::retransmissions` counts every send from a timer, a sweep's
-/// opening requests too, so the nodes' own count (`resent`) must be
-/// positive as well.
+/// `Metrics::retransmissions` counts every send from a timer callback, so
+/// the nodes' own count of re-sends (`resent`) must be positive as well.
 fn check_kv<P>(row: &str, pins: KvPins, sim: &Sim<P>, resent: impl Fn(&P) -> u64, want: KvPins)
 where
     P: Protocol + ReadPathStats,
@@ -437,27 +436,31 @@ fn kv_rows() -> NodeEdges {
         ),
     );
 
-    // Merkle walks on every reboot and a sweep every 150 µs: walks draw
-    // their ids from the operations' counter and share their timers.
-    let walking = |c: KvConfig| c.with_sync_buckets(8).with_anti_entropy(150_000);
+    // Merkle walks on every reboot over a small tree: walks draw their ids
+    // from the operations' counter and share their timers.
+    let walking = |c: KvConfig| c.with_sync_buckets(8);
     let (pins, r, sim) = kv_campaign(kv_nodes(walking), kv_op);
-    assert!(r.write_backs > 0, "kv/walks+sweep: atomic read path idle");
+    assert!(r.write_backs > 0, "kv/walks: atomic read path idle");
     assert!(
         (0..N).any(|i| sim.node(i).max_walk_rounds() > 1),
-        "kv/walks+sweep: no walk descended"
+        "kv/walks: no walk descended"
     );
     edges |= walked(&sim);
     check_kv(
-        "kv/walks+sweep",
+        "kv/walks",
         pins,
         &sim,
         KvNode::retransmissions,
         (
-            // Re-pinned: tags as in kv/two-round; only the responses moved.
-            0x35d1cbb6aebed0ca,
-            5042,
-            0x390f9384321a6c05,
-            [0, 41, 0, 48, 43],
+            // Re-pinned: the background sweep is gone, so every walk is a
+            // reboot's catch-up (sent 5042 -> 3659). The seeded loss and
+            // duplication draws fall on other messages, and one more
+            // regular read finishes its query round before a crash can
+            // catch it (43 -> 44, as in kv/two-round).
+            0xc7d7bd7cd46abb03,
+            3659,
+            0xdbc34ca0eb41ccda,
+            [0, 41, 0, 48, 44],
         ),
     );
 

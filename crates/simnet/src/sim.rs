@@ -16,61 +16,30 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// The execution digest before any event.
+const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// `FNV_PRIME_POW[k]` = `FNV_PRIME^k` (wrapping).
-const FNV_PRIME_POW: [u64; 9] = {
-    let mut pow = [1u64; 9];
-    let mut k = 1;
-    while k < 9 {
-        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
-        k += 1;
-    }
-    pow
-};
+/// 2^64 / φ, odd, so each fold step is a bijection of the digest.
+const DIGEST_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Folds one 64-bit word into an FNV-1a digest: the same value as folding
-/// its eight little-endian bytes one at a time. XOR with a zero byte is the
-/// identity, so the word's zero high bytes (most of every word folded here:
-/// times, queue sequence numbers, operation ids) collapse into one multiply
-/// by a power of the prime.
+/// Folds one 64-bit word into the execution digest, whole: a rotate, an
+/// xor and one multiply. For a fixed running digest the step is injective
+/// in the word, and for a fixed word a bijection of the digest, so
+/// changing any one folded word always changes the final digest; the
+/// rotate feeds each step's high bits back into the low ones, so the fold
+/// depends on the order of its words too.
 #[inline]
-fn fnv_fold(mut h: u64, word: u64) -> u64 {
-    let low = 8 - word.leading_zeros() as usize / 8;
-    for b in &word.to_le_bytes()[..low] {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h.wrapping_mul(FNV_PRIME_POW[8 - low])
+fn fold_word(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(DIGEST_MUL)
 }
 
-/// [`fnv_fold`] of a word below 256, without its loop: a zero word is the
-/// zero-run multiply `h * P^8` alone, and a word `1..=255` is one loop
-/// iteration `(h ^ b) * P` followed by the zero-run multiply `* P^7` — both
-/// are `(h ^ b) * P^8`. Node ids, kind tags and senders are such words, and
-/// in the loop their data-dependent trip count mispredicts.
-#[inline]
-fn fnv_fold_byte(h: u64, byte: u8) -> u64 {
-    (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME_POW[8])
-}
-
-/// Folds one event's identity into the execution digest: the same value as
-/// [`fnv_fold`] over `at`, `seq`, `target`, `tag`, `extra` in that order.
-/// Time and queue order are wide and take the general fold; the kind tag is
-/// a byte by type; the target and (for a delivery, where it is the sender)
-/// `extra` are bytes in every cluster below 256 nodes, checked per word.
+/// Folds one event's identity into the execution digest: `at`, `seq`,
+/// `target`, `tag`, `extra`, one [`fold_word`] each, in that order.
 #[inline]
 fn fold_event(h: u64, at: Nanos, seq: u64, target: u64, tag: u8, extra: u64) -> u64 {
-    let narrow = |h, word: u64| match u8::try_from(word) {
-        Ok(byte) => fnv_fold_byte(h, byte),
-        Err(_) => fnv_fold(h, word),
-    };
-    let h = fnv_fold(h, at);
-    let h = fnv_fold(h, seq);
-    let h = narrow(h, target);
-    let h = fnv_fold_byte(h, tag);
-    narrow(h, extra)
+    [at, seq, target, u64::from(tag), extra]
+        .into_iter()
+        .fold(h, fold_word)
 }
 
 /// Why a delivery was discarded instead of handed to the target protocol.
@@ -329,8 +298,8 @@ where
     /// Operations whose client crashed mid-flight: they can never complete,
     /// but histories must still treat them as possibly-effective.
     aborted: Vec<(OpId, ProcessId, P::Op, Nanos)>,
-    /// Running FNV-1a digest of every processed event — the determinism
-    /// gate's fingerprint of the execution.
+    /// Running digest of every processed event — the determinism gate's
+    /// fingerprint of the execution.
     digest: u64,
     /// Optional bounded event trace (newest last) for debugging.
     trace: Option<VecDeque<String>>,
@@ -366,7 +335,7 @@ where
             invoked: BTreeMap::new(),
             completed: Vec::new(),
             aborted: Vec::new(),
-            digest: FNV_OFFSET,
+            digest: DIGEST_SEED,
             trace: None,
             trace_cap: 512,
             queued_invokes: 0,
@@ -540,12 +509,11 @@ where
             .unwrap_or_default()
     }
 
-    /// FNV-1a digest of every event processed so far (time, queue order,
-    /// target, kind, sender). Always on, so any two same-seed runs can be
-    /// compared for byte-identical schedules:
-    /// `assert_eq!(a.trace_digest(), b.trace_digest())`. Not free: five
-    /// words per event, time and queue order byte by byte through dependent
-    /// multiplies, about 7.5 % of a simulated KV campaign's time.
+    /// Digest of every event processed so far (time, queue order, target,
+    /// kind, sender). Always on, so any two same-seed runs can be compared
+    /// for byte-identical schedules:
+    /// `assert_eq!(a.trace_digest(), b.trace_digest())`. Five words per
+    /// event, one multiply each.
     pub fn trace_digest(&self) -> u64 {
         self.digest
     }
@@ -592,7 +560,7 @@ where
                 4,
                 groups
                     .iter()
-                    .fold(FNV_OFFSET, |h, &g| fnv_fold(h, u64::from(g))),
+                    .fold(DIGEST_SEED, |h, &g| fold_word(h, u64::from(g))),
             ),
             EventKind::Heal => (5, 0),
             EventKind::Restart => (6, 0),
@@ -940,79 +908,59 @@ mod tests {
     use abd_core::msg::{RegisterOp, RegisterResp};
     use abd_core::swmr::{SwmrConfig, SwmrNode};
 
-    /// The reference every fold here must equal: FNV-1a over the word's
-    /// eight little-endian bytes, one at a time.
-    fn bytewise(mut h: u64, word: u64) -> u64 {
-        for b in word.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
-
     #[test]
-    fn fnv_fold_equals_the_byte_by_byte_fold() {
-        // Every count of zero high bytes, and zero bytes below a set one.
-        let mut words = vec![0, u64::MAX, 0x0100_0000_0000_0000, 0x00ff_0000_0000_0100];
-        words.extend((0..64).map(|s| 1u64 << s));
-        words.extend((0..64).map(|s| 0x9e37_79b9_7f4a_7c15u64 >> s));
-        for (i, &w) in words.iter().enumerate() {
-            let h = FNV_OFFSET.wrapping_add(i as u64);
-            assert_eq!(fnv_fold(h, w), bytewise(h, w), "word {w:#x}");
-        }
-        // The one-byte path: every byte against 1 000 running digests.
-        let mut rng = SmallRng::seed_from_u64(0xf01d);
-        for _ in 0..1_000 {
-            let h: u64 = rng.gen();
-            for b in 0..=u8::MAX {
-                assert_eq!(
-                    fnv_fold_byte(h, b),
-                    bytewise(h, u64::from(b)),
-                    "byte {b:#x} into {h:#x}"
+    fn changing_one_word_or_swapping_two_events_changes_the_digest() {
+        let mut rng = SmallRng::seed_from_u64(0xd16e57);
+        let word = |rng: &mut SmallRng| -> u64 {
+            let bits: u64 = rng.gen();
+            bits >> rng.gen_range(0..64u32)
+        };
+        let digest = |events: &[[u64; 5]]| {
+            events.iter().fold(DIGEST_SEED, |h, e| {
+                fold_event(h, e[0], e[1], e[2], e[3] as u8, e[4])
+            })
+        };
+        for case in 0..2_000 {
+            let mut events: Vec<[u64; 5]> = (0..rng.gen_range(2..12))
+                .map(|_| {
+                    let tag = rng.gen_range(0..=8u64);
+                    [
+                        word(&mut rng),
+                        word(&mut rng),
+                        word(&mut rng),
+                        tag,
+                        word(&mut rng),
+                    ]
+                })
+                .collect();
+            let base = digest(&events);
+            // One word of one event, by one flipped bit or a fresh value.
+            let (e, w) = (rng.gen_range(0..events.len()), rng.gen_range(0..5));
+            let old = events[e][w];
+            // The kind tag is a byte.
+            let bits = if w == 3 { 8 } else { 64 };
+            let flip = 1 << rng.gen_range(0..bits);
+            for new in [old ^ flip, word(&mut rng) & (u64::MAX >> (64 - bits))] {
+                if new != old {
+                    events[e][w] = new;
+                    assert_ne!(digest(&events), base, "case {case}: event {e} word {w}");
+                }
+            }
+            events[e][w] = old;
+            // Two distinct events swapped.
+            let (a, b) = (
+                rng.gen_range(0..events.len()),
+                rng.gen_range(0..events.len()),
+            );
+            if events[a] != events[b] {
+                events.swap(a, b);
+                assert_ne!(
+                    digest(&events),
+                    base,
+                    "case {case}: events {a} and {b} swapped"
                 );
             }
         }
-    }
-
-    #[test]
-    fn fold_event_equals_five_byte_by_byte_folds() {
-        let mut rng = SmallRng::seed_from_u64(0xe7e27);
-        // Each word narrow and wide, so each side of every `< 256` test and
-        // the general loop at every length are taken: a small cluster's
-        // target and sender, a target past 255, an `Invoke` with `op >= 256`,
-        // a `Timer`'s `key + (gen << 16)`, a `SetPartition`'s group digest.
-        let word = |rng: &mut SmallRng| -> u64 {
-            let bits: u64 = rng.gen();
-            match rng.gen_range(0..4u32) {
-                0 => bits % 256,
-                1 => 256 + bits % 256,
-                2 => bits >> rng.gen_range(0..64u32),
-                _ => [0, 255, 256, u64::MAX][(bits % 4) as usize],
-            }
-        };
-        let (mut narrow, mut wide) = (0, 0);
-        for _ in 0..20_000 {
-            let h: u64 = rng.gen();
-            let (at, seq) = (word(&mut rng), word(&mut rng));
-            let (target, extra) = (word(&mut rng), word(&mut rng));
-            let tag = rng.gen_range(0..=8u8);
-            let want = [at, seq, target, u64::from(tag), extra]
-                .into_iter()
-                .fold(h, bytewise);
-            assert_eq!(
-                fold_event(h, at, seq, target, tag, extra),
-                want,
-                "at {at:#x} seq {seq:#x} target {target:#x} tag {tag} extra {extra:#x}"
-            );
-            if extra < 256 {
-                narrow += 1;
-            } else {
-                wide += 1;
-            }
-        }
-        assert!(
-            narrow > 5_000 && wide > 5_000,
-            "{narrow} narrow, {wide} wide"
-        );
     }
 
     /// Pushes, peeks and pops the same seeded mix on an [`EventQueue`] and on

@@ -236,12 +236,12 @@ fn check(row: &str, run: Counted, want_digest: u64, want_sent: u64) -> NodeEdges
 /// The register table; returns the phase edges its rows took.
 fn register_rows() -> NodeEdges {
     use ReadMode::{FastUnanimous, Relay, TwoRound};
-    let mut edges = check("swmr/two-round", swmr(TwoRound), 0xbac566138292d424, 376);
-    edges |= check("swmr/fast", swmr(FastUnanimous), 0x150b2cd9e3e2c76a, 324);
-    edges |= check("swmr/relay", swmr(Relay), 0xc44d624956ee1038, 443);
-    edges |= check("mwmr/two-round", mwmr(TwoRound), 0x24a84bbba316c613, 537);
-    edges |= check("mwmr/fast", mwmr(FastUnanimous), 0x875f15a04372dab4, 526);
-    edges |= check("mwmr/relay", mwmr(Relay), 0xa4c8ed7d9d23f0c6, 550);
+    let mut edges = check("swmr/two-round", swmr(TwoRound), 0x5e4086c3a2ac620b, 376);
+    edges |= check("swmr/fast", swmr(FastUnanimous), 0xe03f8eeaded75d1f, 324);
+    edges |= check("swmr/relay", swmr(Relay), 0x1b7218e930cdfe14, 443);
+    edges |= check("mwmr/two-round", mwmr(TwoRound), 0x4872853a669c0b84, 537);
+    edges |= check("mwmr/fast", mwmr(FastUnanimous), 0x8c4359744836e743, 526);
+    edges |= check("mwmr/relay", mwmr(Relay), 0x7c4ac2f3871f620e, 550);
     edges
 }
 
@@ -390,7 +390,7 @@ fn kv_rows() -> NodeEdges {
             // Re-pinned: two puts on one key at one node used to share a tag,
             // so replicas could hold different values under it; the store now
             // issues above its own tag. Only the responses moved.
-            0x193ff309804332a5,
+            0x5de2efc2729fd37d,
             3724,
             0x737ad0958f43176a,
             [0, 41, 0, 48, 44],
@@ -412,7 +412,7 @@ fn kv_rows() -> NodeEdges {
             // Re-pinned: tags as in kv/two-round. A read that met one tag held
             // with two values took the fast path; it now meets two tags and
             // writes back (fast reads 35 -> 32, write-backs 9 -> 12).
-            0x01a3a4ee95983fd0,
+            0x55a1f530bf5d38af,
             3584,
             0xc0042a114b1fa534,
             [32, 12, 0, 48, 44],
@@ -429,7 +429,7 @@ fn kv_rows() -> NodeEdges {
         KvNode::retransmissions,
         (
             // Re-pinned: bulk pulls became walks, as in kv/two-round.
-            0x3e2cae3bf05944f0,
+            0x4b192e7cfba411da,
             4256,
             0x4551631e6238b22f,
             [0, 0, 44, 48, 44],
@@ -457,7 +457,7 @@ fn kv_rows() -> NodeEdges {
             // duplication draws fall on other messages, and one more
             // regular read finishes its query round before a crash can
             // catch it (43 -> 44, as in kv/two-round).
-            0xc7d7bd7cd46abb03,
+            0x70f7087408c5c0f1,
             3659,
             0xdbc34ca0eb41ccda,
             [0, 41, 0, 48, 44],
@@ -732,14 +732,14 @@ fn variant_rows() -> NodeEdges {
         (5, 1),
         &[],
         0,
-        (0xdc4cc7bfb715dcd2, 3385, 0x3adb32e2e1f1c34d),
+        (0xf5258886137e2346, 3385, 0x3adb32e2e1f1c34d),
     );
     edges |= check_byz(
         "byz b=1 n=5/stale",
         (5, 1),
         &[(1, ReportStale)],
         2,
-        (0xa266c77d7fddcee0, 2648, 0x5823c683ae57f9ec),
+        (0x884486b395d8f1ed, 2648, 0x5823c683ae57f9ec),
     );
     // Same pins as the stale row: the digests fold no message content, and
     // both lies are masked into the same schedule and the same answers.
@@ -748,21 +748,21 @@ fn variant_rows() -> NodeEdges {
         (5, 1),
         &[(1, ForgeLabel)],
         2,
-        (0xa266c77d7fddcee0, 2648, 0x5823c683ae57f9ec),
+        (0x884486b395d8f1ed, 2648, 0x5823c683ae57f9ec),
     );
     edges |= check_byz(
         "byz b=1 n=5/silent",
         (5, 1),
         &[(1, Silent)],
         0,
-        (0xb20b3408f4ec00e2, 2327, 0x06d1db01aa72f0b8),
+        (0x66f1740cdcfaa6e0, 2327, 0x06d1db01aa72f0b8),
     );
     edges |= check_byz(
         "byz b=2 n=9/two forgers",
         (9, 2),
         &[(1, ForgeLabel), (2, ForgeLabel)],
         0,
-        (0x230388b8e50ead72, 9568, 0xc84c61f836db0669),
+        (0x49456ac0317df702, 9568, 0xc84c61f836db0669),
     );
     // The contrast: the same forger against majority quorums and a vouching
     // threshold of one. The waves spare the writer here: the hand-written
@@ -774,7 +774,7 @@ fn variant_rows() -> NodeEdges {
         (5, 0),
         &[(1, ForgeLabel)],
         0,
-        (0xc7e9ca2b13b1ed78, 2709, 0x936f5df516553f19),
+        (0xe2fe59d7582ba7da, 2709, 0x936f5df516553f19),
     );
     // 36 operations 200 µs apart: the labels lap the 16-cycle, and no
     // replica sleeps through more than a window (7) of writes.
@@ -783,14 +783,14 @@ fn variant_rows() -> NodeEdges {
         16,
         (36, 200_000),
         23,
-        (0x3a430f2e19b4264e, 3026, 0x09986f95aa630c06),
+        (0xe516614e17e7e13e, 3026, 0x09986f95aa630c06),
     );
     edges |= check_bounded(
         "bounded n=5/mod 64",
         64,
         VARIANT_LOAD,
         26,
-        (0xdebfe3aaaea33de4, 3341, 0xe40e2d6abbf3a65c),
+        (0xb2e8016bb5bac813, 3341, 0xe40e2d6abbf3a65c),
     );
     edges
 }

@@ -536,7 +536,7 @@ fn kv_recovery_trace_digest_is_pinned() {
     // A default-config reboot: four keys under the 1024-bucket tree, one
     // walk per peer. Regenerate only for a *deliberate* change to what a
     // rebooted store sends: run `kv_recovery_digest(3)` and update the
-    // constant. Moved twice since the pre-Merkle golden
+    // constant. Moved three times since the pre-Merkle golden
     // (`0x0d93_5289_a11e_0ac6`). `KvNode` gave up its private retry counters
     // for `abd_core::Retransmitter`, whose jitter salt is `mix64(me + 1) ^
     // uid` where the store's was `(me + 1) ^ uid` — the same messages, each
@@ -544,10 +544,13 @@ fn kv_recovery_trace_digest_is_pinned() {
     // (`0x61af_698b_c11c_cea7`). Then the bulk pull this scenario took (as
     // `kv_bulk_recovery_trace_digest_is_pinned`) left the store: the catch-up
     // is up to eleven request/reply steps down to the leaves that differ,
-    // where it was one pull and one snapshot per peer.
+    // where it was one pull and one snapshot per peer
+    // (`0x5641_03f2_b2d2_f7ae`). Then the trace digest stopped being FNV-1a
+    // and folds each word of an event whole: the same events, another
+    // fingerprint.
     assert_eq!(
         kv_recovery_digest(3),
-        0x5641_03f2_b2d2_f7ae,
+        0x957b_ac0f_719d_1644,
         "recovery diverged from the golden trace"
     );
 }
@@ -1283,10 +1286,12 @@ fn flag_off_campaign_trace_digest_is_pinned() {
     // behavior — that is a finding, not a reason to re-pin (re-derive only
     // for deliberate protocol changes). Re-pinned once when campaign
     // clients began to run from their own completions instead of 10 µs
-    // slices (`0x0181_8fe1_7d26_b1bf`).
+    // slices (`0x0181_8fe1_7d26_b1bf`), and again when the trace digest
+    // began to fold each word of an event whole instead of byte by byte
+    // (`0x738a_82ed_b449_3511`): the same events, another fingerprint.
     assert_eq!(
         swmr_campaign_cfg(1234, 77, ReadMode::TwoRound),
-        0x738a_82ed_b449_3511,
+        0xa207_6874_5167_18f2,
         "flag-off campaign trace drifted from the pinned golden digest"
     );
 }

@@ -6,7 +6,7 @@
 //! machine, written once: the five phases of a client operation
 //! ([`Pending`]), the replica role that answers them, the server-side
 //! rounds of relay reads, the restart of a round a crash interrupted
-//! ([`Engine::restart_round`]), phase ids, the read-path counters and the
+//! (`Engine::restart_round`), phase ids, the read-path counters and the
 //! [`Retransmitter`] that keeps unfinished rounds alive over lossy links.
 //! Any number of rounds may be in flight, each found by its phase id.
 //!
@@ -1056,7 +1056,7 @@ where
     /// or write-back round keeps the label it already chose, so a restarted
     /// write is still one write. Re-entering its own phase is no transition
     /// of [`PHASE_GRAPH`]; completing in place is.
-    pub fn restart_round<S: Store<K, L, R, V, Fold = C>>(
+    pub(crate) fn restart_round<S: Store<K, L, R, V, Fold = C>>(
         &mut self,
         op: OpId,
         key: K,

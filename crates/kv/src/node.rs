@@ -11,8 +11,8 @@
 //! run, instantiated with [`Tag`] labels over a keyed store. What a *store*
 //! adds to it lives here: the keyed replica with its Merkle tree and bucket
 //! index, and the sync walk a restarted node catches up by, whose two
-//! messages travel in [`KvMsg`] beside the engine's own. Two things differ from a
-//! register, both carried by types rather than branches:
+//! messages travel in [`KvMsg`] beside the engine's own. Two things differ
+//! from a register, both carried by types rather than branches:
 //!
 //! * **keyed state** — the replica holds a map `key → (tag, value)`;
 //!   unknown keys report the initial tag and no value, and a `Get` that
@@ -57,10 +57,9 @@
 //! rest. Traffic is proportional to *drift*, not store size: two digests
 //! back against an identical store, O(log buckets) messages for a
 //! 1-key-stale replica of a 100k-key store. Time depends on neither: a
-//! walk issues all batches of a tree level at once, so catch-up
-//! takes at most `log2(buckets) + 1` round trips however many keys
-//! diverged, and each finished walk counts its peer toward the catch-up
-//! read quorum. Safety is max-merge: digest equality over `(key, tag)`
+//! walk issues all batches of a tree level at once, so catch-up takes at
+//! most `log2(buckets) + 1` round trips however many keys diverged, and
+//! each finished walk counts its peer toward the catch-up read quorum. Safety is max-merge: digest equality over `(key, tag)`
 //! certifies entry equality (DESIGN.md §15 has the collision caveat), and
 //! everything adopted goes through the store's monotone `adopt`. Walks
 //! draw their ids from the engine's phase-id counter and their retry
@@ -229,10 +228,10 @@ const MAX_DIFF_NODES: usize = 32;
 /// under its own step; the peer answers statelessly. The walk issues every
 /// batch of its frontier at once and the next tree level when the level's
 /// replies are all in, so it costs one round trip per level however wide
-/// the divergence. A reply is consumed only if its step is still in flight, and a
-/// step is never reused, so under duplicated, reordered and retransmitted
-/// deliveries every internal node is expanded exactly once and the
-/// frontier never double-enqueues a child. Replies may arrive in any
+/// the divergence. A reply is consumed only if its step is still in
+/// flight, and a step is never reused, so under duplicated, reordered and
+/// retransmitted deliveries every internal node is expanded exactly once
+/// and the frontier never double-enqueues a child. Replies may arrive in any
 /// order: all they do is `adopt` (a monotone max-merge) and grow the
 /// frontier.
 #[derive(Clone, Debug)]

@@ -10,6 +10,15 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace prints no warning"
+# A broken, private or ambiguous intra-doc link is rustdoc's warning; an
+# output filename collision is cargo's own, which RUSTDOCFLAGS cannot deny,
+# so the gate reads the command's output.
+doc_out=$(cargo doc --no-deps --workspace 2>&1)
+if grep -E '^warning' <<<"$doc_out"; then
+  echo "$doc_out"; echo "cargo doc warns; mend the link or the doc target it names"; exit 1
+fi
+
 echo "==> the retired linter stays retired (its rules are clippy.toml, #[deny] and the gates below)"
 # Determinism and clock discipline are each crate's clippy.toml, the message
 # path's totality is #[deny] on the handlers, and the phase graphs are
@@ -33,6 +42,14 @@ echo "==> an experiment's artifact is the tables it prints (no hand-written JSON
 # below.
 if grep -rnE -e '--smoke|ABD_T5_SEEDS|variant_json|mutant_json|PREVIOUS_FIRST_GET_US' crates src tests examples; then
   echo "a deleted name of the old experiment output is back; a binary hands the Tables it printed to abd_bench::write_artifact"; exit 1
+fi
+
+echo "==> a register cluster is built from its config alone (no preset aliases, no variant enum)"
+# A protocol variant is the RegisterConfig builder chain it is
+# (SwmrConfig::new(..).with_read_mode(..) and the like), written at its call
+# site; a shared helper takes a config or a closure returning one.
+if grep -rnE 'presets::|mod presets|enum Variant' crates src tests examples; then
+  echo "a preset alias or a variant enum is back; build the cluster from RegisterConfig's builders (DESIGN §6)"; exit 1
 fi
 
 echo "==> membership is static and a property test is a seeded loop (no reconfiguration, no proptest stub)"
@@ -208,11 +225,12 @@ cargo run -q --release -p abd-bench --bin abd_repro -- explain \
 grep -q 'Invoke -> RelayRead -> Done' target/relay-explain.txt \
   || { echo "abd_repro explain lost the relay read-path line"; exit 1; }
 
-echo "==> experiments (every table/figure binary runs its asserts; each deterministic one rewrites its BENCH_<name>.json, which must equal the committed file)"
+echo "==> experiments (every table/figure binary runs its asserts; each deterministic one rewrites its BENCH_<name>.json, which must equal the committed file, and EXPERIMENTS.md must quote its tables)"
 # The twelve deterministic binaries write the tables they print through
-# abd_bench::write_artifact; fig_shmem (F5) prints wall-clock columns, so it
-# runs for its assertion and writes nothing. A changed artifact and a new
-# untracked one both fail.
+# abd_bench::write_artifact, which panics when EXPERIMENTS.md does not quote
+# one of them line for line (trailing whitespace aside); fig_shmem (F5)
+# prints wall-clock columns, so it runs for its assertion and writes
+# nothing. A changed artifact and a new untracked one both fail.
 for src in crates/bench/src/bin/table_*.rs crates/bench/src/bin/fig_*.rs; do
   bin=$(basename "$src" .rs)
   echo "--> $bin"

@@ -14,10 +14,11 @@
 //! [`WRITE_SPREAD`] times the smallest; in F1b the write mean per unit of
 //! `d` lies in [`WRITE_PER_D`].
 
-use abd_bench::clusters::{swmr_sim, Variant};
+use abd_bench::clusters::register_sim;
 use abd_bench::{us, write_artifact, Stats, Table};
 use abd_core::msg::RegisterOp;
 use abd_core::types::ProcessId;
+use abd_core::SwmrConfig;
 use abd_simnet::{LatencyModel, SimConfig};
 use std::ops::RangeInclusive;
 
@@ -31,12 +32,9 @@ const WRITE_SPREAD: f64 = 1.25;
 const WRITE_PER_D: RangeInclusive<f64> = 3.5..=4.2;
 
 fn series(n: usize, lat: LatencyModel, seed: u64) -> (Stats, Stats) {
-    let mut sim = swmr_sim(
-        Variant::AtomicSwmr,
-        n,
-        SimConfig::new(seed).with_latency(lat),
-        None,
-    );
+    let mut sim = register_sim(n, SimConfig::new(seed).with_latency(lat), |i| {
+        SwmrConfig::new(n, ProcessId(i), ProcessId(0))
+    });
     let mut writes = Vec::new();
     let mut reads = Vec::new();
     for k in 0..200u64 {

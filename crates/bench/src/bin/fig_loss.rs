@@ -9,6 +9,7 @@
 
 use abd_bench::{us, write_artifact, Stats, Table};
 use abd_core::msg::RegisterOp;
+use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::ProcessId;
 use abd_simnet::{LatencyModel, Sim, SimConfig};
@@ -16,9 +17,15 @@ use abd_simnet::{LatencyModel, Sim, SimConfig};
 fn main() {
     let n = 5;
     let ops = 200u64;
-    let retransmit_every = 30_000; // 30µs, ~2x the max delay
+    // A phase's first retry waits 30µs (~2x the max delay); each later one
+    // doubles the wait up to sixteen times that, jittered by ±1/8.
+    let backoff = BackoffPolicy::new(30_000);
     let mut t = Table::new(
-        "F3 — message-loss sweep (n = 5, retransmit every 30µs); 200 ops each",
+        &format!(
+            "F3 — message-loss sweep (n = 5, retransmit after {}µs doubling to {}µs, ±1/8 jitter); 200 ops each",
+            backoff.base / 1_000,
+            backoff.cap() / 1_000
+        ),
         &[
             "loss p",
             "completed",
@@ -33,8 +40,7 @@ fn main() {
         let nodes: Vec<SwmrNode<u64>> = (0..n)
             .map(|i| {
                 SwmrNode::new(
-                    SwmrConfig::new(n, ProcessId(i), ProcessId(0))
-                        .with_retransmit(retransmit_every),
+                    SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_retransmit(backoff.base),
                     0,
                 )
             })

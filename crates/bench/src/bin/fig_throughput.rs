@@ -46,12 +46,13 @@
 //! written before the gates are checked, so a failing run still records
 //! what it measured.
 
-use abd_bench::clusters::{mwmr_sim, swmr_sim, Variant};
+use abd_bench::clusters::register_sim;
 use abd_bench::{write_artifact, Table};
 use abd_core::batch::Batched;
 use abd_core::context::{Protocol, ReadPathCounters, ReadPathStats};
 use abd_core::msg::RegisterOp;
 use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode};
+use abd_core::{MwmrConfig, SwmrConfig};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_simnet::harness::run_scripts;
 use abd_simnet::{LatencyModel, Metrics, Sim, SimConfig};
@@ -173,7 +174,9 @@ where
 /// completed write has settled, a fast read is one round trip of
 /// `2(n−1)` messages on every protocol that supports the flag.
 fn uncontended_fast_reads() -> Table {
-    let mut sim = swmr_sim(Variant::FastSwmr, N, sim_cfg(2), None);
+    let mut sim = register_sim(N, sim_cfg(2), |i| {
+        SwmrConfig::new(N, ProcessId(i), ProcessId(0)).with_read_mode(ReadMode::FastUnanimous)
+    });
     sim.invoke(ProcessId(0), RegisterOp::Write(1));
     assert!(sim.run_until_quiet(u64::MAX / 2));
     let before = sim.metrics().sent;
@@ -181,7 +184,9 @@ fn uncontended_fast_reads() -> Table {
     assert!(sim.run_until_quiet(u64::MAX / 2));
     let swmr = (sim.metrics().sent - before, sim.completed()[1].latency());
 
-    let mut sim = mwmr_sim(Variant::FastMwmr, N, sim_cfg(3), None);
+    let mut sim = register_sim(N, sim_cfg(3), |i| {
+        MwmrConfig::new(N, ProcessId(i)).with_read_mode(ReadMode::FastUnanimous)
+    });
     sim.invoke(ProcessId(1), RegisterOp::Write(1));
     assert!(sim.run_until_quiet(u64::MAX / 2));
     let before = sim.metrics().sent;
@@ -225,11 +230,13 @@ fn uncontended_fast_reads() -> Table {
 /// that disagreement window — the writer answers with `W2`'s tag, every
 /// other server with `W1`'s. `FastUnanimous` thereby loses its unanimity
 /// precondition and pays the write-back round; `Relay` never needed it.
-fn contended_read_rounds(variant: Variant) -> f64 {
+fn contended_read_rounds(read_mode: ReadMode) -> f64 {
     let offsets = [1_200, 1_400, 1_600, 1_800];
     let mut total: Nanos = 0;
-    for (i, off) in offsets.into_iter().enumerate() {
-        let mut sim = swmr_sim(variant, N, sim_cfg(10 + i as u64), None);
+    for (seed, off) in (10..).zip(offsets) {
+        let mut sim = register_sim(N, sim_cfg(seed), |i| {
+            SwmrConfig::new(N, ProcessId(i), ProcessId(0)).with_read_mode(read_mode)
+        });
         sim.invoke(ProcessId(0), RegisterOp::Write(1));
         sim.invoke_at(2 * DELAY, ProcessId(0), RegisterOp::Write(2));
         let read = sim.invoke_at(off, ProcessId(3), RegisterOp::Read);
@@ -248,8 +255,8 @@ fn main() {
     let micro = uncontended_fast_reads();
     micro.print();
 
-    let fast_contended = contended_read_rounds(Variant::FastSwmr);
-    let relay_contended = contended_read_rounds(Variant::RelaySwmr);
+    let fast_contended = contended_read_rounds(ReadMode::FastUnanimous);
+    let relay_contended = contended_read_rounds(ReadMode::Relay);
 
     let mut base_sim = Sim::new(sim_cfg(1), kv_nodes(ReadMode::TwoRound));
     let base = run_closed_loop(&mut base_sim, gen_op);

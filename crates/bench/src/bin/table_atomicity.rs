@@ -19,14 +19,19 @@
 //! variant run in under a second in release, so CI runs the full table and
 //! gates its artifact, `BENCH_atomicity.json`.
 
-use abd_bench::clusters::{mwmr_sim, swmr_sim, Variant};
+use abd_bench::clusters::register_sim;
 use abd_bench::{write_artifact, Table};
+use abd_core::quorum::{Majority, Threshold};
+use abd_core::register::{Label, RegisterConfig};
+use abd_core::types::ProcessId;
+use abd_core::{MwmrConfig, SwmrConfig};
 use abd_lincheck::{
     check_linearizable_counting_states, check_regular_swmr, find_new_old_inversions, Anomaly,
     CheckResult,
 };
 use abd_simnet::workload::{run_workload, WorkloadConfig, WriterMode};
 use abd_simnet::{LatencyModel, SimConfig};
+use std::sync::Arc;
 
 /// Adversarial schedules per variant.
 const SEEDS: u64 = 1_000;
@@ -48,7 +53,12 @@ struct Tally {
     hardest: (usize, usize),
 }
 
-fn sweep(variant: Variant, n: usize) -> Tally {
+fn sweep<L: Label>(
+    n: usize,
+    writers: WriterMode,
+    cfg: impl Fn(usize) -> RegisterConfig<L>,
+) -> Tally {
+    let single_writer = matches!(writers, WriterMode::Single(_));
     let mut tally = Tally::default();
     for seed in 0..SEEDS {
         // Bimodal delays make writes straggle across many fast reads —
@@ -61,20 +71,10 @@ fn sweep(variant: Variant, n: usize) -> Tally {
                 slow_prob: 0.25,
             })
             .with_duplication(0.05);
-        let wl_writers = if variant.is_single_writer() {
-            WriterMode::Single(abd_core::types::ProcessId(0))
-        } else {
-            WriterMode::All
-        };
-        let wl = WorkloadConfig::new(seed ^ 0xabd, 10, wl_writers).with_write_ratio(0.4);
+        let wl = WorkloadConfig::new(seed ^ 0xabd, 10, writers).with_write_ratio(0.4);
         let think = 3_000; // spreads zero-duration local reads over the run
-        let history = if variant.is_single_writer() {
-            let mut sim = swmr_sim(variant, n, sim_cfg, None);
-            run_workload(&mut sim, &wl, think, 10_000_000_000, true)
-        } else {
-            let mut sim = mwmr_sim(variant, n, sim_cfg, None);
-            run_workload(&mut sim, &wl, think, 10_000_000_000, true)
-        };
+        let mut sim = register_sim(n, sim_cfg, &cfg);
+        let history = run_workload(&mut sim, &wl, think, 10_000_000_000, true);
         let Some(history) = history else { continue };
         tally.schedules += 1;
         let (verdict, states) = check_linearizable_counting_states(&history, STATE_LIMIT);
@@ -86,7 +86,7 @@ fn sweep(variant: Variant, n: usize) -> Tally {
             CheckResult::NotLinearizable => tally.not_linearizable += 1,
             CheckResult::Unknown => tally.unknown += 1,
         }
-        if variant.is_single_writer() {
+        if single_writer {
             tally.stale_reads += check_regular_swmr(&history)
                 .iter()
                 .filter(|a| matches!(a, Anomaly::StaleRead { .. } | Anomaly::FutureRead { .. }))
@@ -95,6 +95,40 @@ fn sweep(variant: Variant, n: usize) -> Tally {
         }
     }
     tally
+}
+
+/// Checks one row's tally and appends it to `t`. `anomalies` counts, on a
+/// baseline, the anomaly it is there to show, which must be nonzero;
+/// `None` marks the paper's protocol, which must show no violation at all.
+fn row(t: &mut Table, name: &str, tally: Tally, anomalies: Option<fn(&Tally) -> u64>) {
+    match anomalies {
+        None => {
+            assert_eq!(
+                tally.not_linearizable, 0,
+                "{name}: the paper's protocol produced a non-linearizable history!"
+            );
+            assert_eq!(tally.stale_reads, 0);
+            assert_eq!(tally.inversions, 0);
+        }
+        Some(anomalies) => assert!(anomalies(&tally) > 0, "{name}: no anomaly showed"),
+    }
+    t.row(vec![
+        name.to_string(),
+        tally.schedules.to_string(),
+        tally.linearizable.to_string(),
+        format!(
+            "{}{}",
+            tally.not_linearizable,
+            if tally.unknown > 0 {
+                format!(" (+{} unknown)", tally.unknown)
+            } else {
+                String::new()
+            }
+        ),
+        tally.stale_reads.to_string(),
+        tally.inversions.to_string(),
+        format!("{} states / {} ops", tally.hardest.1, tally.hardest.0),
+    ]);
 }
 
 fn main() {
@@ -111,49 +145,41 @@ fn main() {
             "hardest check",
         ],
     );
-    for variant in [
-        Variant::AtomicSwmr,
-        Variant::RegularSwmr,
-        Variant::ReadOneSwmr,
-        Variant::AtomicMwmr,
-        Variant::RegularMwmr,
-    ] {
-        let tally = sweep(variant, n);
-        if matches!(variant, Variant::AtomicSwmr | Variant::AtomicMwmr) {
-            assert_eq!(
-                tally.not_linearizable,
-                0,
-                "{}: the paper's protocol produced a non-linearizable history!",
-                variant.name()
-            );
-            assert_eq!(tally.stale_reads, 0);
-            assert_eq!(tally.inversions, 0);
-        }
-        let anomalies = match variant {
-            Variant::RegularSwmr => tally.not_linearizable.min(tally.inversions),
-            Variant::RegularMwmr => tally.not_linearizable,
-            Variant::ReadOneSwmr => tally.stale_reads,
-            _ => 1,
-        };
-        assert!(anomalies > 0, "{}: no anomaly showed", variant.name());
-        t.row(vec![
-            variant.name().to_string(),
-            tally.schedules.to_string(),
-            tally.linearizable.to_string(),
-            format!(
-                "{}{}",
-                tally.not_linearizable,
-                if tally.unknown > 0 {
-                    format!(" (+{} unknown)", tally.unknown)
-                } else {
-                    String::new()
-                }
-            ),
-            tally.stale_reads.to_string(),
-            tally.inversions.to_string(),
-            format!("{} states / {} ops", tally.hardest.1, tally.hardest.0),
-        ]);
-    }
+    let single = WriterMode::Single(ProcessId(0));
+    let swmr = |i| SwmrConfig::new(n, ProcessId(i), ProcessId(0));
+    let mwmr = |i| MwmrConfig::new(n, ProcessId(i));
+    // Read-one/write-majority: reads answer from one replica (R = 1),
+    // writes still reach a majority, and no quorum pair need intersect.
+    let read_one = Arc::new(Threshold::new(n, 1, Majority::new(n).quorum_size()));
+    row(&mut t, "ABD atomic (SWMR)", sweep(n, single, swmr), None);
+    row(
+        &mut t,
+        "regular, no write-back (SWMR)",
+        sweep(n, single, |i| swmr(i).with_read_write_back(false)),
+        Some(|t| t.not_linearizable.min(t.inversions)),
+    );
+    row(
+        &mut t,
+        "read-one/write-majority (SWMR)",
+        sweep(n, single, |i| {
+            swmr(i)
+                .with_quorum(read_one.clone())
+                .with_read_write_back(false)
+        }),
+        Some(|t| t.stale_reads),
+    );
+    row(
+        &mut t,
+        "ABD atomic (MWMR)",
+        sweep(n, WriterMode::All, mwmr),
+        None,
+    );
+    row(
+        &mut t,
+        "regular, no write-back (MWMR)",
+        sweep(n, WriterMode::All, |i| mwmr(i).with_read_write_back(false)),
+        Some(|t| t.not_linearizable),
+    );
     t.print();
     println!(
         "\nABD rows are asserted violation-free and the baselines' anomalies nonzero: they are\nwhat the write-back (and proper quorum intersection) exist to prevent.\n\

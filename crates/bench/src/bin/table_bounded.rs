@@ -15,7 +15,7 @@
 use abd_bench::{write_artifact, Table};
 use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
 use abd_core::msg::RegisterOp;
-use abd_core::swmr::SwmrNode;
+use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::ProcessId;
 use abd_simnet::{LatencyModel, Sim, SimConfig};
 
@@ -37,12 +37,7 @@ fn main() {
     for k in [100u64, 1_000, 10_000, 100_000] {
         // Unbounded protocol.
         let nodes: Vec<SwmrNode<u64>> = (0..n)
-            .map(|i| {
-                SwmrNode::new(
-                    abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0)),
-                    0,
-                )
-            })
+            .map(|i| SwmrNode::new(SwmrConfig::new(n, ProcessId(i), ProcessId(0)), 0))
             .collect();
         let mut sim = Sim::new(
             SimConfig::new(k).with_latency(LatencyModel::Constant(500)),

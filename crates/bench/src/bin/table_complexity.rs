@@ -11,10 +11,11 @@
 //! and dividing the observed operation latency by `2d` (one round trip =
 //! out + back).
 
-use abd_bench::clusters::{measure_op_messages, mwmr_sim, swmr_sim, Variant};
+use abd_bench::clusters::{measure_op_messages, register_sim};
 use abd_bench::{write_artifact, Table};
 use abd_core::msg::RegisterOp;
-use abd_core::types::ProcessId;
+use abd_core::types::{ProcessId, ReadMode};
+use abd_core::{MwmrConfig, SwmrConfig};
 use abd_simnet::{LatencyModel, SimConfig};
 
 const DELAY: u64 = 1_000; // constant 1µs per message
@@ -38,9 +39,10 @@ fn main() {
         &["n", "write msgs", "expect", "read msgs", "expect", "write rounds", "read rounds"],
     );
     for n in [3usize, 5, 7, 9, 15, 21, 31] {
-        let mut sim = swmr_sim(Variant::AtomicSwmr, n, cfg(), None);
+        let swmr = |i| SwmrConfig::new(n, ProcessId(i), ProcessId(0));
+        let mut sim = register_sim(n, cfg(), swmr);
         let (w, r) = measure_op_messages(&mut sim, 40, 0, 1 % n);
-        let mut sim2 = swmr_sim(Variant::AtomicSwmr, n, cfg(), None);
+        let mut sim2 = register_sim(n, cfg(), swmr);
         let wr = rounds_of(&mut sim2, RegisterOp::Write(1), 0);
         let rr = rounds_of(&mut sim2, RegisterOp::Read, 1);
         assert_eq!(w, (2 * (n - 1)) as f64, "SWMR write: 2(n-1) msgs");
@@ -72,9 +74,10 @@ fn main() {
         ],
     );
     for n in [3usize, 5, 7, 9, 15, 21, 31] {
-        let mut sim = mwmr_sim(Variant::AtomicMwmr, n, cfg(), None);
+        let mwmr = |i| MwmrConfig::new(n, ProcessId(i));
+        let mut sim = register_sim(n, cfg(), mwmr);
         let (w, r) = measure_op_messages(&mut sim, 40, 2 % n, 1 % n);
-        let mut sim2 = mwmr_sim(Variant::AtomicMwmr, n, cfg(), None);
+        let mut sim2 = register_sim(n, cfg(), mwmr);
         let wr = rounds_of(&mut sim2, RegisterOp::Write(1), 2 % n);
         let rr = rounds_of(&mut sim2, RegisterOp::Read, 1 % n);
         assert_eq!(w, (4 * (n - 1)) as f64, "MWMR write: 4(n-1) msgs");
@@ -98,9 +101,14 @@ fn main() {
         &["n", "variant", "read msgs", "expect", "read rounds", "write msgs"],
     );
     for n in [3usize, 5, 7, 9, 15, 21, 31] {
-        let mut sim = swmr_sim(Variant::FastSwmr, n, cfg(), None);
+        let fast_swmr = |i| {
+            SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_read_mode(ReadMode::FastUnanimous)
+        };
+        let fast_mwmr =
+            |i| MwmrConfig::new(n, ProcessId(i)).with_read_mode(ReadMode::FastUnanimous);
+        let mut sim = register_sim(n, cfg(), fast_swmr);
         let (w, r) = measure_op_messages(&mut sim, 40, 0, 1 % n);
-        let mut sim2 = swmr_sim(Variant::FastSwmr, n, cfg(), None);
+        let mut sim2 = register_sim(n, cfg(), fast_swmr);
         let _ = rounds_of(&mut sim2, RegisterOp::Write(1), 0);
         let rr = rounds_of(&mut sim2, RegisterOp::Read, 1);
         assert_eq!(w, (2 * (n - 1)) as f64, "fast flag leaves writes alone");
@@ -119,9 +127,9 @@ fn main() {
             format!("{w:.0}"),
         ]);
 
-        let mut sim = mwmr_sim(Variant::FastMwmr, n, cfg(), None);
+        let mut sim = register_sim(n, cfg(), fast_mwmr);
         let (w, r) = measure_op_messages(&mut sim, 40, 2 % n, 1 % n);
-        let mut sim2 = mwmr_sim(Variant::FastMwmr, n, cfg(), None);
+        let mut sim2 = register_sim(n, cfg(), fast_mwmr);
         let _ = rounds_of(&mut sim2, RegisterOp::Write(1), 2 % n);
         let rr = rounds_of(&mut sim2, RegisterOp::Read, 1 % n);
         assert_eq!(w, (4 * (n - 1)) as f64, "MWMR write keeps both phases");

@@ -10,10 +10,11 @@
 //!   every processor is alive; heal the partition and the stalled
 //!   operations complete.
 
-use abd_bench::clusters::{mwmr_sim, swmr_sim, Variant};
+use abd_bench::clusters::register_sim;
 use abd_bench::{write_artifact, Table};
 use abd_core::msg::RegisterOp;
 use abd_core::types::ProcessId;
+use abd_core::{MwmrConfig, SwmrConfig};
 use abd_simnet::SimConfig;
 
 fn main() {
@@ -33,7 +34,9 @@ fn main() {
         for f in 0..n {
             let live = f <= f_max;
             // Crash the last f nodes; run a write on p0 and a read on p1.
-            let mut sw = swmr_sim(Variant::AtomicSwmr, n, SimConfig::new(1), None);
+            let mut sw = register_sim(n, SimConfig::new(1), |i| {
+                SwmrConfig::new(n, ProcessId(i), ProcessId(0))
+            });
             for i in n - f..n {
                 sw.crash_at(0, ProcessId(i));
             }
@@ -42,7 +45,7 @@ fn main() {
             sw.invoke(ProcessId(1 % (n - f)), RegisterOp::Read);
             let r_ok = sw.run_until_ops_complete(20_000_000_000);
 
-            let mut mw = mwmr_sim(Variant::AtomicMwmr, n, SimConfig::new(1), None);
+            let mut mw = register_sim(n, SimConfig::new(1), |i| MwmrConfig::new(n, ProcessId(i)));
             for i in n - f..n {
                 mw.crash_at(0, ProcessId(i));
             }
@@ -82,8 +85,7 @@ fn main() {
         // Writer p0 with retransmission so the stalled op survives healing.
         let nodes: Vec<_> = (0..n)
             .map(|i| {
-                let cfg = abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0))
-                    .with_retransmit(50_000);
+                let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_retransmit(50_000);
                 abd_core::swmr::SwmrNode::new(cfg, 0u64)
             })
             .collect();

@@ -2,13 +2,14 @@
 //!
 //! One binary per table/figure of `EXPERIMENTS.md` (run with
 //! `cargo run --release -p abd-bench --bin <name>`). This library holds
-//! the shared plumbing: cluster construction for each protocol variant,
+//! the shared plumbing: a register cluster built from a config per node,
 //! latency statistics, fixed-width table rendering, and the one artifact
 //! writer. Every deterministic binary hands the [`Table`]s it printed to
 //! [`write_artifact`], which writes them to `BENCH_<name>.json` at the
-//! workspace root; `ci.sh` runs every binary and fails if an artifact
-//! differs from the committed one. `fig_shmem` (F5) prints wall-clock
-//! columns, so it writes none.
+//! workspace root and checks that `EXPERIMENTS.md` quotes them as printed;
+//! `ci.sh` runs every binary and fails if an artifact differs from the
+//! committed one. `fig_shmem` (F5) prints wall-clock columns, so it writes
+//! none.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -165,21 +166,46 @@ fn artifact_name(bin: &str) -> String {
     format!("BENCH_{name}.json")
 }
 
+/// The title of the first of `tables` that `doc` does not hold as it
+/// renders: its lines one after another, trailing whitespace ignored.
+fn missing_table<'a>(doc: &str, tables: &[&'a Table]) -> Option<&'a str> {
+    let doc: Vec<&str> = doc.lines().map(str::trim_end).collect();
+    tables.iter().find_map(|t| {
+        let rendered = t.render();
+        let block: Vec<&str> = rendered
+            .trim_start_matches('\n')
+            .lines()
+            .map(str::trim_end)
+            .collect();
+        (!doc.windows(block.len()).any(|w| w == block)).then_some(t.title.as_str())
+    })
+}
+
 /// Writes `tables` — the ones binary `bin` printed, in order — to
 /// `BENCH_<name>.json` at the workspace root, `<name>` being `bin` without
 /// its `fig_` or `table_` prefix, as a JSON list with one table row per
-/// line. Call it as `write_artifact(env!("CARGO_BIN_NAME"), &[..])`.
+/// line, then checks that `EXPERIMENTS.md` quotes each table as printed.
+/// Call it as `write_artifact(env!("CARGO_BIN_NAME"), &[..])`.
 ///
 /// # Panics
 ///
-/// Panics if the file cannot be written.
+/// Panics if the file cannot be written, if `EXPERIMENTS.md` cannot be
+/// read, or if it lacks one of `tables` (naming the table).
 pub fn write_artifact(bin: &str, tables: &[&Table]) {
-    let tables: Vec<String> = tables.iter().map(|t| t.to_json()).collect();
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let json: Vec<String> = tables.iter().map(|t| t.to_json()).collect();
     let name = artifact_name(bin);
-    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::write(path, format!("[\n{}\n]\n", tables.join(",\n")))
-        .unwrap_or_else(|e| panic!("write {name}: {e}"));
+    std::fs::write(
+        format!("{root}/{name}"),
+        format!("[\n{}\n]\n", json.join(",\n")),
+    )
+    .unwrap_or_else(|e| panic!("write {name}: {e}"));
     println!("wrote {name}");
+    let doc = std::fs::read_to_string(format!("{root}/EXPERIMENTS.md"))
+        .unwrap_or_else(|e| panic!("read EXPERIMENTS.md: {e}"));
+    if let Some(title) = missing_table(&doc, tables) {
+        panic!("EXPERIMENTS.md does not quote the table \"{title}\" as {bin} printed it");
+    }
 }
 
 /// Formats nanoseconds as microseconds with two decimals.
@@ -198,126 +224,26 @@ pub fn bulk_reference(n: usize, keys: u64, entry_bytes: u64) -> [u64; 3] {
 }
 
 pub mod clusters {
-    //! Ready-made cluster builders for each protocol variant.
+    //! Cluster builders and drivers shared by the experiments.
 
     use abd_core::msg::{RegisterOp, RegisterResp};
-    use abd_core::mwmr::MwmrNode;
-    use abd_core::swmr::SwmrNode;
-    use abd_core::types::{Nanos, ProcessId};
+    use abd_core::register::{Label, RegisterConfig, RegisterNode};
+    use abd_core::types::ProcessId;
     use abd_simnet::{Sim, SimConfig};
 
-    /// The protocol variants the experiments sweep.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub enum Variant {
-        /// Atomic single-writer ABD (majority quorums + read write-back).
-        AtomicSwmr,
-        /// Atomic single-writer ABD with the one-round read fast path
-        /// (write-back elided on unanimous query quorums).
-        FastSwmr,
-        /// Atomic single-writer ABD with relay (1.5-round) reads.
-        RelaySwmr,
-        /// Regular single-writer baseline (no write-back).
-        RegularSwmr,
-        /// Read-one/write-majority single-writer baseline (not even regular).
-        ReadOneSwmr,
-        /// Atomic multi-writer ABD.
-        AtomicMwmr,
-        /// Atomic multi-writer ABD with the one-round read fast path.
-        FastMwmr,
-        /// Regular multi-writer baseline (no write-back).
-        RegularMwmr,
-    }
-
-    impl Variant {
-        /// Human-readable name used in table rows.
-        pub fn name(&self) -> &'static str {
-            match self {
-                Variant::AtomicSwmr => "ABD atomic (SWMR)",
-                Variant::FastSwmr => "ABD atomic, fast reads (SWMR)",
-                Variant::RelaySwmr => "ABD atomic, relay reads (SWMR)",
-                Variant::RegularSwmr => "regular, no write-back (SWMR)",
-                Variant::ReadOneSwmr => "read-one/write-majority (SWMR)",
-                Variant::AtomicMwmr => "ABD atomic (MWMR)",
-                Variant::FastMwmr => "ABD atomic, fast reads (MWMR)",
-                Variant::RegularMwmr => "regular, no write-back (MWMR)",
-            }
-        }
-
-        /// Whether this is a single-writer variant.
-        pub fn is_single_writer(&self) -> bool {
-            matches!(
-                self,
-                Variant::AtomicSwmr
-                    | Variant::FastSwmr
-                    | Variant::RelaySwmr
-                    | Variant::RegularSwmr
-                    | Variant::ReadOneSwmr
-            )
-        }
-    }
-
-    /// Builds an n-node single-writer simulation (writer = p0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variant` is not a SWMR variant.
-    pub fn swmr_sim(
-        variant: Variant,
+    /// Builds an `n`-node register simulation in which node `i` runs
+    /// `cfg(i)` from the initial value `0`.
+    pub fn register_sim<L: Label>(
         n: usize,
         sim_cfg: SimConfig,
-        retransmit: Option<Nanos>,
-    ) -> Sim<SwmrNode<u64>> {
-        let nodes = (0..n)
-            .map(|i| {
-                let mut cfg = match variant {
-                    Variant::AtomicSwmr => {
-                        abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0))
-                    }
-                    Variant::FastSwmr => {
-                        abd_core::presets::fast_swmr(n, ProcessId(i), ProcessId(0))
-                    }
-                    Variant::RelaySwmr => {
-                        abd_core::presets::relay_swmr(n, ProcessId(i), ProcessId(0))
-                    }
-                    Variant::RegularSwmr => {
-                        abd_core::presets::regular_swmr(n, ProcessId(i), ProcessId(0))
-                    }
-                    Variant::ReadOneSwmr => {
-                        abd_core::presets::read_one_swmr(n, ProcessId(i), ProcessId(0))
-                    }
-                    _ => panic!("{variant:?} is not a SWMR variant"),
-                };
-                cfg.retransmit = retransmit.map(abd_core::retransmit::BackoffPolicy::new);
-                SwmrNode::new(cfg, 0u64)
-            })
-            .collect();
-        Sim::new(sim_cfg, nodes)
-    }
-
-    /// Builds an n-node multi-writer simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variant` is not a MWMR variant.
-    pub fn mwmr_sim(
-        variant: Variant,
-        n: usize,
-        sim_cfg: SimConfig,
-        retransmit: Option<Nanos>,
-    ) -> Sim<MwmrNode<u64>> {
-        let nodes = (0..n)
-            .map(|i| {
-                let mut cfg = match variant {
-                    Variant::AtomicMwmr => abd_core::presets::atomic_mwmr(n, ProcessId(i)),
-                    Variant::FastMwmr => abd_core::presets::fast_mwmr(n, ProcessId(i)),
-                    Variant::RegularMwmr => abd_core::presets::regular_mwmr(n, ProcessId(i)),
-                    _ => panic!("{variant:?} is not a MWMR variant"),
-                };
-                cfg.retransmit = retransmit.map(abd_core::retransmit::BackoffPolicy::new);
-                MwmrNode::new(cfg, 0u64)
-            })
-            .collect();
-        Sim::new(sim_cfg, nodes)
+        cfg: impl Fn(usize) -> RegisterConfig<L>,
+    ) -> Sim<RegisterNode<L, u64>> {
+        Sim::new(
+            sim_cfg,
+            (0..n)
+                .map(|i| RegisterNode::<L, u64>::new(cfg(i), 0))
+                .collect(),
+        )
     }
 
     /// Drives `ops` operations (alternating write on `writer` / read on
@@ -427,6 +353,24 @@ mod tests {
     }
 
     #[test]
+    fn experiments_must_quote_each_table_as_printed() {
+        let mut t = Table::new("T0 — demo", &["variant", "msgs"]);
+        t.row(vec!["ABD".into(), "8".into()]);
+        t.row(vec!["a longer name".into(), "16".into()]);
+        let printed = t.render();
+        assert!(printed.lines().any(|l| l.ends_with(' ')), "{printed}");
+        let trimmed: String = printed
+            .lines()
+            .map(|l| l.trim_end().to_string() + "\n")
+            .collect();
+        let doc = format!("## T0\n\n```text{trimmed}```\n");
+        assert_eq!(missing_table(&doc, &[&t]), None, "{doc}");
+        let edited = doc.replacen("| 16", "| 17", 1);
+        assert_ne!(edited, doc);
+        assert_eq!(missing_table(&edited, &[&t]), Some("T0 — demo"));
+    }
+
+    #[test]
     fn us_formats_microseconds() {
         assert_eq!(us(1_500.0), "1.50");
     }
@@ -440,7 +384,11 @@ mod tests {
     #[test]
     fn message_measurement_matches_theory() {
         use super::clusters::*;
-        let mut sim = swmr_sim(Variant::AtomicSwmr, 5, abd_simnet::SimConfig::new(1), None);
+        use abd_core::types::ProcessId;
+        use abd_core::SwmrConfig;
+        let mut sim = register_sim(5, abd_simnet::SimConfig::new(1), |i| {
+            SwmrConfig::new(5, ProcessId(i), ProcessId(0))
+        });
         let (w, r) = measure_op_messages(&mut sim, 10, 0, 2);
         assert_eq!(w, 8.0, "write: 2(n-1)");
         assert_eq!(r, 16.0, "read: 4(n-1)");
@@ -449,11 +397,17 @@ mod tests {
     #[test]
     fn fast_variant_reads_cost_one_round_uncontended() {
         use super::clusters::*;
-        let mut sim = swmr_sim(Variant::FastSwmr, 5, abd_simnet::SimConfig::new(1), None);
+        use abd_core::types::{ProcessId, ReadMode};
+        use abd_core::{MwmrConfig, SwmrConfig};
+        let mut sim = register_sim(5, abd_simnet::SimConfig::new(1), |i| {
+            SwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_read_mode(ReadMode::FastUnanimous)
+        });
         let (w, r) = measure_op_messages(&mut sim, 10, 0, 2);
         assert_eq!(w, 8.0, "write unchanged: 2(n-1)");
         assert_eq!(r, 8.0, "uncontended fast read: 2(n-1)");
-        let mut sim = mwmr_sim(Variant::FastMwmr, 5, abd_simnet::SimConfig::new(1), None);
+        let mut sim = register_sim(5, abd_simnet::SimConfig::new(1), |i| {
+            MwmrConfig::new(5, ProcessId(i)).with_read_mode(ReadMode::FastUnanimous)
+        });
         let (w, r) = measure_op_messages(&mut sim, 10, 0, 2);
         assert_eq!(w, 16.0, "MWMR write keeps both phases: 4(n-1)");
         assert_eq!(r, 8.0, "uncontended fast read: 2(n-1)");

@@ -15,8 +15,13 @@
 //!   node over a store with its own label order and read fold;
 //! * explicit **quorum systems** ([`quorum`]) generalizing the paper's
 //!   majorities (thresholds, weighted voting, grids);
-//! * the **regular / read-one baselines** ([`presets`]) whose anomalies the
-//!   experiments exhibit.
+//! * one configuration, [`register::RegisterConfig`], whose builders give
+//!   every variant the experiments compare: the read modes
+//!   ([`with_read_mode`](register::RegisterConfig::with_read_mode)), and the
+//!   **regular / read-one baselines** whose anomalies they exhibit
+//!   ([`with_read_write_back`](register::RegisterConfig::with_read_write_back)`(false)`,
+//!   with a read quorum of one through
+//!   [`with_quorum`](register::RegisterConfig::with_quorum) for read-one).
 //!
 //! Protocols are **sans-io state machines** ([`context::Protocol`]): the
 //! deterministic simulator (`abd-simnet`) and the thread runtime
@@ -85,7 +90,6 @@ pub mod merkle;
 pub mod msg;
 pub mod mwmr;
 pub mod phase;
-pub mod presets;
 pub mod procset;
 pub mod quorum;
 pub mod register;

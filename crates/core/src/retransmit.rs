@@ -16,7 +16,7 @@
 //!   state, so the same execution replays bit-identically, yet distinct
 //!   nodes and phases desynchronize instead of thundering in lockstep.
 //!
-//! All timing flows through [`Effects`](crate::context::Effects) timers;
+//! All timing flows through [`Effects`] timers;
 //! this module never reads a clock.
 
 use crate::context::{Effects, TimerKey};

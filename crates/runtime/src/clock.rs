@@ -3,7 +3,7 @@
 //! This file is the **only** place in the workspace allowed to touch
 //! `std::time::Instant`: everything else in the runtime computes deadlines
 //! in `Nanos` through an injected `Arc<dyn Clock>`, so tests can substitute
-//! [`ManualClock`](abd_core::clock::ManualClock), and the crate's
+//! [`ManualClock`], and the crate's
 //! `clippy.toml` pins nondeterministic time to the sites below, each under
 //! an `expect` that fails once its cause is gone.
 //! Beside it, `request_exact_timers` makes a node thread's waits for

@@ -3,7 +3,7 @@
 //! Experiments issue operations *closed-loop*: each client (processor)
 //! executes a script of operations sequentially, never invoking one before
 //! its previous one completed — the sequential processes of the paper's
-//! model. One loop, [`drive`], runs every client from its *own*
+//! model. One loop, `drive`, runs every client from its *own*
 //! completions, so one client's operation may begin in the middle of
 //! another's and a slow client paces nobody but itself. [`run_scripts`]
 //! staggers the clients' first invocations, [`crate::nemesis::run_campaign`]
@@ -111,7 +111,8 @@ where
     true
 }
 
-/// [`drive`] with client `c`'s first operation at `now + c * stagger`.
+/// The harness's closed loop, `drive`, with client `c`'s first operation
+/// at `now + c * stagger`.
 ///
 /// Clients that share a node (more scripts than nodes) are told apart by
 /// this loop alone: an [`OpRecord`](crate::sim::OpRecord)'s `client` is the

@@ -16,7 +16,7 @@
 //!   each paced by its own completions, running generated read/write
 //!   scripts, with completed executions
 //!   exported as `abd-lincheck` histories for consistency checking;
-//! * **bug hunting** ([`nemesis`], [`search`], [`repro`], [`shrink`]):
+//! * **bug hunting** ([`nemesis`], [`search`], [`repro`], [`shrink`](mod@shrink)):
 //!   planned fault campaigns, a blind search that runs independent
 //!   windows of planner seeds until a campaign fails, and failures frozen
 //!   into replayable artifacts that the shrinker minimizes.

@@ -10,7 +10,7 @@
 //! value that serializes to a text file under `target/repro/`, one field
 //! per line (see [`Repro`]'s `Display`).
 //! The `abd_repro` CLI (`crates/bench/src/bin/abd_repro.rs`) replays,
-//! shrinks ([`crate::shrink`]) and explains these artifacts; any of them
+//! shrinks ([`crate::shrink`](mod@crate::shrink)) and explains these artifacts; any of them
 //! reproduces the original execution bit-for-bit because the simulator is
 //! deterministic in (config, schedule, scripts).
 
@@ -23,6 +23,7 @@ use abd_core::batch::Batched;
 use abd_core::context::Protocol;
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
+use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
@@ -293,50 +294,39 @@ impl Repro {
         Ok(path)
     }
 
-    fn swmr_cfg(&self, i: usize, read_mode: ReadMode) -> SwmrConfig {
-        let mut cfg = SwmrConfig::new(self.n, ProcessId(i), ProcessId(0));
-        cfg = cfg.with_read_mode(read_mode);
-        if let Some(base) = self.backoff_base {
-            cfg = cfg.with_retransmit(base);
-        }
-        cfg
-    }
-
     /// One deterministic execution: build nodes, apply the schedule, drive
     /// the scripts, extract (digest, completed, history).
     fn run_once(&self) -> (u64, bool, Vec<History<u64>>) {
+        // Every protocol retransmits on the artifact's one backoff.
+        let retransmit = self.backoff_base.map(BackoffPolicy::new);
+        let swmr = |i, read_mode| {
+            let mut cfg =
+                SwmrConfig::new(self.n, ProcessId(i), ProcessId(0)).with_read_mode(read_mode);
+            cfg.retransmit = retransmit;
+            SwmrNode::new(cfg, 0u64)
+        };
         match self.protocol {
-            ProtocolSpec::Swmr { read_mode } => self.drive(
-                (0..self.n)
-                    .map(|i| SwmrNode::new(self.swmr_cfg(i, read_mode), 0u64))
-                    .collect(),
-            ),
+            ProtocolSpec::Swmr { read_mode } => {
+                self.drive((0..self.n).map(|i| swmr(i, read_mode)).collect())
+            }
             ProtocolSpec::Mwmr { read_mode } => self.drive(
                 (0..self.n)
                     .map(|i| {
                         let mut cfg =
                             MwmrConfig::new(self.n, ProcessId(i)).with_read_mode(read_mode);
-                        if let Some(base) = self.backoff_base {
-                            cfg = cfg.with_retransmit(base);
-                        }
+                        cfg.retransmit = retransmit;
                         MwmrNode::new(cfg, 0u64)
                     })
                     .collect(),
             ),
             ProtocolSpec::BatchedSwmr { window, read_mode } => self.drive(
                 (0..self.n)
-                    .map(|i| Batched::new(SwmrNode::new(self.swmr_cfg(i, read_mode), 0u64), window))
+                    .map(|i| Batched::new(swmr(i, read_mode), window))
                     .collect(),
             ),
             ProtocolSpec::MutantSwmr { mutant, every } => self.drive(
                 (0..self.n)
-                    .map(|i| {
-                        MutantSwmr::new(
-                            SwmrNode::new(self.swmr_cfg(i, ReadMode::TwoRound), 0u64),
-                            mutant,
-                            every,
-                        )
-                    })
+                    .map(|i| MutantSwmr::new(swmr(i, ReadMode::TwoRound), mutant, every))
                     .collect(),
             ),
             ProtocolSpec::Kv {
@@ -350,9 +340,7 @@ impl Repro {
                     let mut cfg = KvConfig::new(self.n, ProcessId(i))
                         .with_read_mode(read_mode)
                         .with_sync_buckets(buckets as usize);
-                    if let Some(base) = self.backoff_base {
-                        cfg = cfg.with_retransmit(base);
-                    }
+                    cfg.retransmit = retransmit;
                     let mut node = KvNode::new(cfg);
                     for k in 0..preload {
                         node.preload(k, Tag::new(1, ProcessId(0)), 1);

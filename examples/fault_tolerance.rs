@@ -7,6 +7,7 @@
 
 use abd_core::swmr::SwmrNode;
 use abd_core::types::ProcessId;
+use abd_core::SwmrConfig;
 use abd_repro::lincheck;
 use abd_repro::simnet::workload::{history_from_sim, WorkloadConfig, WriterMode};
 use abd_repro::simnet::{harness, LatencyModel, Sim, SimConfig};
@@ -14,7 +15,7 @@ use abd_repro::simnet::{harness, LatencyModel, Sim, SimConfig};
 fn build(n: usize, cfg: SimConfig, retransmit: Option<u64>) -> Sim<SwmrNode<u64>> {
     let nodes = (0..n)
         .map(|i| {
-            let mut c = abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0));
+            let mut c = SwmrConfig::new(n, ProcessId(i), ProcessId(0));
             c.retransmit = retransmit.map(abd_core::retransmit::BackoffPolicy::new);
             SwmrNode::new(c, 0)
         })

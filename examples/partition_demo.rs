@@ -11,6 +11,7 @@
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::swmr::SwmrNode;
 use abd_core::types::ProcessId;
+use abd_core::SwmrConfig;
 use abd_repro::simnet::{Sim, SimConfig};
 
 fn main() {
@@ -20,8 +21,7 @@ fn main() {
     let n = 4;
     let nodes: Vec<SwmrNode<u64>> = (0..n)
         .map(|i| {
-            let cfg = abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0))
-                .with_retransmit(100_000);
+            let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_retransmit(100_000);
             SwmrNode::new(cfg, 0)
         })
         .collect();

@@ -3,12 +3,15 @@
 //! linearizable history, while the baselines demonstrably leak anomalies
 //! somewhere in the same sweep.
 
-use abd_core::types::ProcessId;
+use abd_core::quorum::{Majority, Threshold};
+use abd_core::types::{ProcessId, ReadMode};
+use abd_core::{MwmrConfig, SwmrConfig};
 use abd_repro::lincheck::{
     check_linearizable_with_limit, check_regular_swmr, find_new_old_inversions, CheckResult,
 };
 use abd_repro::simnet::workload::{run_workload, WorkloadConfig, WriterMode};
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
+use std::sync::Arc;
 
 const SEEDS: u64 = 120;
 
@@ -40,10 +43,7 @@ fn atomic_swmr_is_linearizable_on_every_seed() {
     for seed in 0..SEEDS {
         let nodes = (0..5)
             .map(|i| {
-                abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::atomic_swmr(5, ProcessId(i), ProcessId(0)),
-                    0u64,
-                )
+                abd_core::swmr::SwmrNode::new(SwmrConfig::new(5, ProcessId(i), ProcessId(0)), 0u64)
             })
             .collect();
         let mut sim = Sim::new(adversarial(seed), nodes);
@@ -64,9 +64,7 @@ fn atomic_swmr_is_linearizable_on_every_seed() {
 fn atomic_mwmr_is_linearizable_on_every_seed() {
     for seed in 0..SEEDS {
         let nodes = (0..5)
-            .map(|i| {
-                abd_core::mwmr::MwmrNode::new(abd_core::presets::atomic_mwmr(5, ProcessId(i)), 0u64)
-            })
+            .map(|i| abd_core::mwmr::MwmrNode::new(MwmrConfig::new(5, ProcessId(i)), 0u64))
             .collect();
         let mut sim = Sim::new(adversarial(seed), nodes);
         let wl = WorkloadConfig::new(seed ^ 0x5555, 8, WriterMode::All).with_write_ratio(0.4);
@@ -90,7 +88,7 @@ fn relay_swmr_is_linearizable_under_a_contended_writer() {
         let nodes = (0..5)
             .map(|i| {
                 abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::relay_swmr(5, ProcessId(i), ProcessId(0)),
+                    SwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_read_mode(ReadMode::Relay),
                     0u64,
                 )
             })
@@ -118,7 +116,10 @@ fn relay_mwmr_is_linearizable_under_contending_writers() {
     for seed in 0..40u64 {
         let nodes = (0..5)
             .map(|i| {
-                abd_core::mwmr::MwmrNode::new(abd_core::presets::relay_mwmr(5, ProcessId(i)), 0u64)
+                abd_core::mwmr::MwmrNode::new(
+                    MwmrConfig::new(5, ProcessId(i)).with_read_mode(ReadMode::Relay),
+                    0u64,
+                )
             })
             .collect();
         let mut sim = Sim::new(adversarial(seed), nodes);
@@ -141,7 +142,7 @@ fn regular_baseline_exhibits_inversions_somewhere_in_the_sweep() {
         let nodes = (0..5)
             .map(|i| {
                 abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::regular_swmr(5, ProcessId(i), ProcessId(0)),
+                    SwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_read_write_back(false),
                     0u64,
                 )
             })
@@ -170,12 +171,16 @@ fn regular_baseline_exhibits_inversions_somewhere_in_the_sweep() {
 
 #[test]
 fn read_one_baseline_violates_regularity_somewhere_in_the_sweep() {
+    // Reads answer from one replica (R = 1); writes still reach a majority.
+    let read_one = Arc::new(Threshold::new(5, 1, Majority::new(5).quorum_size()));
     let mut stale = 0u64;
     for seed in 0..SEEDS {
         let nodes = (0..5)
             .map(|i| {
                 abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::read_one_swmr(5, ProcessId(i), ProcessId(0)),
+                    SwmrConfig::new(5, ProcessId(i), ProcessId(0))
+                        .with_quorum(read_one.clone())
+                        .with_read_write_back(false),
                     0u64,
                 )
             })

@@ -3,7 +3,8 @@
 //! latency), across cluster sizes and protocol variants.
 
 use abd_core::msg::RegisterOp;
-use abd_core::types::ProcessId;
+use abd_core::types::{ProcessId, ReadMode};
+use abd_core::{MwmrConfig, SwmrConfig};
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
 
 const D: u64 = 1_000; // constant per-message delay
@@ -17,10 +18,7 @@ fn swmr_write_is_one_round_trip_2n_minus_2_messages() {
     for n in [3usize, 5, 9, 15] {
         let nodes = (0..n)
             .map(|i| {
-                abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0)),
-                    0u64,
-                )
+                abd_core::swmr::SwmrNode::new(SwmrConfig::new(n, ProcessId(i), ProcessId(0)), 0u64)
             })
             .collect();
         let mut sim = Sim::new(constant_delay(1), nodes);
@@ -36,10 +34,7 @@ fn swmr_read_is_two_round_trips_4n_minus_4_messages() {
     for n in [3usize, 5, 9, 15] {
         let nodes = (0..n)
             .map(|i| {
-                abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0)),
-                    0u64,
-                )
+                abd_core::swmr::SwmrNode::new(SwmrConfig::new(n, ProcessId(i), ProcessId(0)), 0u64)
             })
             .collect();
         let mut sim = Sim::new(constant_delay(2), nodes);
@@ -60,7 +55,7 @@ fn regular_read_saves_one_round_trip() {
     let nodes = (0..n)
         .map(|i| {
             abd_core::swmr::SwmrNode::new(
-                abd_core::presets::regular_swmr(n, ProcessId(i), ProcessId(0)),
+                SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_read_write_back(false),
                 0u64,
             )
         })
@@ -76,9 +71,7 @@ fn regular_read_saves_one_round_trip() {
 fn mwmr_ops_are_two_round_trips_each() {
     for n in [3usize, 5, 9] {
         let nodes = (0..n)
-            .map(|i| {
-                abd_core::mwmr::MwmrNode::new(abd_core::presets::atomic_mwmr(n, ProcessId(i)), 0u64)
-            })
+            .map(|i| abd_core::mwmr::MwmrNode::new(MwmrConfig::new(n, ProcessId(i)), 0u64))
             .collect();
         let mut sim = Sim::new(constant_delay(4), nodes);
         sim.invoke(ProcessId(1), RegisterOp::Write(1));
@@ -107,7 +100,8 @@ fn fast_read_is_one_round_trip_2n_minus_2_messages_uncontended() {
         let nodes = (0..n)
             .map(|i| {
                 abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::fast_swmr(n, ProcessId(i), ProcessId(0)),
+                    SwmrConfig::new(n, ProcessId(i), ProcessId(0))
+                        .with_read_mode(ReadMode::FastUnanimous),
                     0u64,
                 )
             })
@@ -129,7 +123,10 @@ fn fast_mwmr_read_is_one_round_trip_uncontended() {
     for n in [3usize, 5, 9] {
         let nodes = (0..n)
             .map(|i| {
-                abd_core::mwmr::MwmrNode::new(abd_core::presets::fast_mwmr(n, ProcessId(i)), 0u64)
+                abd_core::mwmr::MwmrNode::new(
+                    MwmrConfig::new(n, ProcessId(i)).with_read_mode(ReadMode::FastUnanimous),
+                    0u64,
+                )
             })
             .collect();
         let mut sim = Sim::new(constant_delay(8), nodes);
@@ -151,10 +148,7 @@ fn batched_transport_preserves_op_complexity_for_a_lone_client() {
     let nodes = (0..n)
         .map(|i| {
             abd_core::batch::Batched::new(
-                abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0)),
-                    0u64,
-                ),
+                abd_core::swmr::SwmrNode::new(SwmrConfig::new(n, ProcessId(i), ProcessId(0)), 0u64),
                 0,
             )
         })
@@ -178,10 +172,7 @@ fn latency_is_independent_of_n_under_constant_delay() {
     for n in [3usize, 11, 31, 51] {
         let nodes = (0..n)
             .map(|i| {
-                abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0)),
-                    0u64,
-                )
+                abd_core::swmr::SwmrNode::new(SwmrConfig::new(n, ProcessId(i), ProcessId(0)), 0u64)
             })
             .collect();
         let mut sim = Sim::new(constant_delay(5), nodes);
@@ -200,8 +191,7 @@ fn retransmission_adds_no_messages_on_reliable_links() {
     let n = 5;
     let nodes = (0..n)
         .map(|i| {
-            let cfg = abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0))
-                .with_retransmit(1_000_000); // longer than any op
+            let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_retransmit(1_000_000); // longer than any op
             abd_core::swmr::SwmrNode::new(cfg, 0u64)
         })
         .collect();
@@ -232,7 +222,7 @@ fn relay_read_is_one_and_a_half_rounds_n_squared_minus_one_messages() {
         let nodes = (0..n)
             .map(|i| {
                 abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::relay_swmr(n, ProcessId(i), ProcessId(0)),
+                    SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_read_mode(ReadMode::Relay),
                     0u64,
                 )
             })
@@ -263,9 +253,14 @@ fn relay_read_is_one_and_a_half_rounds_n_squared_minus_one_messages() {
 #[test]
 fn fast_unanimous_costs_two_rounds_under_a_contended_writer_while_relay_holds() {
     let n = 5;
-    let run = |preset: fn(usize, ProcessId, ProcessId) -> abd_core::swmr::SwmrConfig| {
+    let run = |read_mode: ReadMode| {
         let nodes = (0..n)
-            .map(|i| abd_core::swmr::SwmrNode::new(preset(n, ProcessId(i), ProcessId(0)), 0u64))
+            .map(|i| {
+                abd_core::swmr::SwmrNode::new(
+                    SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_read_mode(read_mode),
+                    0u64,
+                )
+            })
             .collect();
         let mut sim = Sim::new(constant_delay(12), nodes);
         // W1 settles by t=2D; the writer adopts W2's tag locally at t=2D,
@@ -285,12 +280,12 @@ fn fast_unanimous_costs_two_rounds_under_a_contended_writer_while_relay_holds() 
         (rec, sim.read_path_metrics())
     };
 
-    let (fast_latency, fast_metrics) = run(abd_core::presets::fast_swmr);
+    let (fast_latency, fast_metrics) = run(ReadMode::FastUnanimous);
     assert_eq!(fast_latency, 4 * D, "FastUnanimous degrades to 2 rounds");
     assert_eq!(fast_metrics.fast_reads, 0, "unanimity precondition lost");
     assert_eq!(fast_metrics.write_backs, 1, "write-back round paid");
 
-    let (relay_latency, relay_metrics) = run(abd_core::presets::relay_swmr);
+    let (relay_latency, relay_metrics) = run(ReadMode::Relay);
     assert_eq!(relay_latency, 3 * D, "Relay holds 1.5 rounds");
     assert_eq!(relay_metrics.relay_reads, 1);
     assert_eq!(relay_metrics.write_backs, 0, "no write-back in relay mode");

@@ -3,6 +3,7 @@
 //! linearizable histories and respect the resilience bound.
 
 use abd_core::types::ProcessId;
+use abd_core::{MwmrConfig, SwmrConfig};
 use abd_repro::lincheck::{check_linearizable_with_limit, is_atomic_swmr, CheckResult};
 use abd_repro::simnet::workload::{run_workload, WorkloadConfig, WriterMode};
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
@@ -29,10 +30,7 @@ fn swmr_always_atomic() {
         );
         let nodes = (0..n)
             .map(|i| {
-                abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0)),
-                    0u64,
-                )
+                abd_core::swmr::SwmrNode::new(SwmrConfig::new(n, ProcessId(i), ProcessId(0)), 0u64)
             })
             .collect();
         let cfg = SimConfig::new(seed)
@@ -65,9 +63,7 @@ fn mwmr_always_atomic() {
         let hi_delay = rng.gen_range(1_000u64..60_000);
         let inputs = format!("case {case}: seed {seed}, n {n}, hi_delay {hi_delay}");
         let nodes = (0..n)
-            .map(|i| {
-                abd_core::mwmr::MwmrNode::new(abd_core::presets::atomic_mwmr(n, ProcessId(i)), 0u64)
-            })
+            .map(|i| abd_core::mwmr::MwmrNode::new(MwmrConfig::new(n, ProcessId(i)), 0u64))
             .collect();
         let cfg = SimConfig::new(seed).with_latency(LatencyModel::Uniform {
             lo: 100,
@@ -106,10 +102,7 @@ fn minority_crashes_preserve_atomicity_and_liveness() {
             .collect();
         let nodes = (0..n)
             .map(|i| {
-                abd_core::swmr::SwmrNode::new(
-                    abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0)),
-                    0u64,
-                )
+                abd_core::swmr::SwmrNode::new(SwmrConfig::new(n, ProcessId(i), ProcessId(0)), 0u64)
             })
             .collect();
         let mut sim = Sim::new(
@@ -154,8 +147,7 @@ fn lossy_links_with_retransmission_stay_atomic() {
         let n = 5;
         let nodes = (0..n)
             .map(|i| {
-                let cfg = abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0))
-                    .with_retransmit(30_000);
+                let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_retransmit(30_000);
                 abd_core::swmr::SwmrNode::new(cfg, 0u64)
             })
             .collect();

@@ -3,6 +3,7 @@
 
 use abd_core::msg::RegisterOp;
 use abd_core::types::ProcessId;
+use abd_core::{MwmrConfig, SwmrConfig};
 use abd_repro::simnet::{Sim, SimConfig};
 
 #[test]
@@ -13,7 +14,7 @@ fn crash_boundary_is_exact_for_swmr() {
             let nodes = (0..n)
                 .map(|i| {
                     abd_core::swmr::SwmrNode::new(
-                        abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0)),
+                        SwmrConfig::new(n, ProcessId(i), ProcessId(0)),
                         0u64,
                     )
                 })
@@ -39,12 +40,7 @@ fn crash_boundary_is_exact_for_mwmr() {
         let f_max = n.div_ceil(2) - 1;
         for f in 0..n {
             let nodes = (0..n)
-                .map(|i| {
-                    abd_core::mwmr::MwmrNode::new(
-                        abd_core::presets::atomic_mwmr(n, ProcessId(i)),
-                        0u64,
-                    )
-                })
+                .map(|i| abd_core::mwmr::MwmrNode::new(MwmrConfig::new(n, ProcessId(i)), 0u64))
                 .collect();
             let mut sim = Sim::new(SimConfig::new(2), nodes);
             for i in n - f..n {
@@ -66,9 +62,7 @@ fn crashes_during_an_operation_are_tolerated() {
     // but (virtually certainly) before it completes.
     let n = 5;
     let nodes = (0..n)
-        .map(|i| {
-            abd_core::mwmr::MwmrNode::new(abd_core::presets::atomic_mwmr(n, ProcessId(i)), 0u64)
-        })
+        .map(|i| abd_core::mwmr::MwmrNode::new(MwmrConfig::new(n, ProcessId(i)), 0u64))
         .collect();
     let mut sim = Sim::new(
         SimConfig::new(9).with_latency(abd_repro::simnet::LatencyModel::Uniform {
@@ -96,8 +90,7 @@ fn even_split_blocks_and_heal_releases() {
     for n in [4usize, 6] {
         let nodes = (0..n)
             .map(|i| {
-                let cfg = abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0))
-                    .with_retransmit(100_000);
+                let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_retransmit(100_000);
                 abd_core::swmr::SwmrNode::new(cfg, 0u64)
             })
             .collect();
@@ -121,9 +114,7 @@ fn even_split_blocks_and_heal_releases() {
 fn majority_side_of_an_uneven_partition_stays_live() {
     let n = 5;
     let nodes = (0..n)
-        .map(|i| {
-            abd_core::mwmr::MwmrNode::new(abd_core::presets::atomic_mwmr(n, ProcessId(i)), 0u64)
-        })
+        .map(|i| abd_core::mwmr::MwmrNode::new(MwmrConfig::new(n, ProcessId(i)), 0u64))
         .collect();
     let mut sim = Sim::new(SimConfig::new(4), nodes);
     // {p0,p1,p2} | {p3,p4}: the left side holds a majority.
@@ -146,10 +137,7 @@ fn reader_crash_does_not_disturb_others() {
     let n = 3;
     let nodes = (0..n)
         .map(|i| {
-            abd_core::swmr::SwmrNode::new(
-                abd_core::presets::atomic_swmr(n, ProcessId(i), ProcessId(0)),
-                0u64,
-            )
+            abd_core::swmr::SwmrNode::new(SwmrConfig::new(n, ProcessId(i), ProcessId(0)), 0u64)
         })
         .collect();
     let mut sim = Sim::new(SimConfig::new(5), nodes);

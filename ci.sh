@@ -19,6 +19,25 @@ if grep -E '^warning' <<<"$doc_out"; then
   echo "$doc_out"; echo "cargo doc warns; mend the link or the doc target it names"; exit 1
 fi
 
+echo "==> DESIGN §5's module map names every source file"
+# Each .rs file under crates/*/src, tests/ and examples/ (lib.rs, main.rs and
+# mod.rs aside) is named in its own block of the map: a crate's file by its
+# path below src/, a test or an example by its file name. A block runs from
+# its unindented header line (`crates/<name>`, `tests/`, `examples/`) to the
+# next unindented line.
+map=$(sed -n '/^## 5\. /,/^## 6\. /p' DESIGN.md)
+unnamed=""
+for f in $(find crates/*/src tests examples -name '*.rs' ! -name lib.rs ! -name main.rs ! -name mod.rs | sort); do
+  case "$f" in
+    crates/*) block=$(cut -d/ -f1-2 <<<"$f"); rel=${f#*/src/} ;;
+    *) block=${f%%/*}/; rel=${f#*/} ;;
+  esac
+  rows=$(awk -v b="$block" '/^[^ ]/ { on = index($0, b) == 1 } on' <<<"$map")
+  grep -qE "(^|[[:space:](])(src/)?${rel//./\\.}([^[:alnum:]_]|$)" <<<"$rows" || unnamed+="$f "
+done
+[ -z "$unnamed" ] \
+  || { echo "DESIGN §5's module map does not name: $unnamed— give each file a row in its block"; exit 1; }
+
 echo "==> the retired linter stays retired (its rules are clippy.toml, #[deny] and the gates below)"
 # Determinism and clock discipline are each crate's clippy.toml, the message
 # path's totality is #[deny] on the handlers, and the phase graphs are
@@ -130,6 +149,14 @@ fi
 # its own.
 if grep -rnE 'anti_entropy|SWEEP_KEY|on_sweep|arm_sweep|sweep_next' crates src tests examples; then
   echo "the background anti-entropy sweep is named again; a KvNode walks its peers when it reboots, and only then (DESIGN §15)"; exit 1
+fi
+
+echo "==> one deterministic hasher (FastHasher) and a one-word ProcSet"
+# The Merkle tree hashes keys and digests entries with FastHasher, like every
+# hot map; the byte-wise FNV-1a hasher it had of its own is gone. A ProcSet is
+# one word: every cluster here has n <= 64, and ProcSet::new panics above.
+if grep -rnE 'FnvHasher|FNV_PRIME|Words::Heap' crates src tests examples; then
+  echo "a second hasher or the multi-word ProcSet is named again; hash with abd_core::fasthash::FastHasher, and a ProcSet is one u64"; exit 1
 fi
 
 echo "==> the nemesis search is blind sampling (no coverage map, no corpus, no mutation)"

@@ -2,16 +2,17 @@
 //!
 //! Quorum membership tests are the hottest path of the emulation: every
 //! incoming acknowledgement asks "does the set of responders form a quorum
-//! yet?". [`ProcSet`] is a fixed-capacity bit set sized at construction for
-//! the cluster's `n`, so insertions and membership tests are O(1) and quorum
-//! cardinality checks are a handful of `popcount`s. Every phase of every
-//! operation starts one, so a set of at most 64 ids — every cluster this
-//! repository runs — keeps its single word inline and never touches the heap.
+//! yet?". [`ProcSet`] is one 64-bit word, so insertions and membership tests
+//! are O(1), a quorum cardinality check is one `popcount`, and the set every
+//! phase of every operation starts never touches the heap. That bounds a
+//! cluster at 64 processes — every cluster this repository runs has n ≤ 51 —
+//! and [`ProcSet::new`] panics above it.
 
 use crate::types::ProcessId;
 use std::fmt;
 
-const WORD_BITS: usize = 64;
+/// The most ids a set can hold: the bits of its one word.
+const MAX_CAPACITY: usize = u64::BITS as usize;
 
 /// A set of processor ids drawn from `0..capacity`.
 ///
@@ -31,44 +32,23 @@ const WORD_BITS: usize = 64;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ProcSet {
-    words: Words,
+    /// Bit `i` is set when id `i` is a member.
+    bits: u64,
     capacity: usize,
-}
-
-/// The bits of a [`ProcSet`], word `i` holding ids `64 i ..= 64 i + 63`.
-/// The variant is a function of the capacity alone, so two sets of equal
-/// capacity compare and hash word for word, as they did over one `Vec`.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum Words {
-    /// `capacity <= 64`: the one word, in place.
-    Inline([u64; 1]),
-    /// `capacity > 64`: `capacity.div_ceil(64)` words.
-    Heap(Vec<u64>),
 }
 
 impl ProcSet {
     /// Creates an empty set able to hold ids `0..capacity`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity > 64`: a set is one word.
     pub fn new(capacity: usize) -> Self {
-        let words = if capacity <= WORD_BITS {
-            Words::Inline([0])
-        } else {
-            Words::Heap(vec![0; capacity.div_ceil(WORD_BITS)])
-        };
-        ProcSet { words, capacity }
-    }
-
-    fn words(&self) -> &[u64] {
-        match &self.words {
-            Words::Inline(w) => w,
-            Words::Heap(v) => v,
-        }
-    }
-
-    fn words_mut(&mut self) -> &mut [u64] {
-        match &mut self.words {
-            Words::Inline(w) => w,
-            Words::Heap(v) => v,
-        }
+        assert!(
+            capacity <= MAX_CAPACITY,
+            "a ProcSet holds at most {MAX_CAPACITY} ids (one word), not {capacity}"
+        );
+        ProcSet { bits: 0, capacity }
     }
 
     /// Creates a set containing every id in `0..capacity`.
@@ -112,10 +92,9 @@ impl ProcSet {
             "{p} out of range for capacity {}",
             self.capacity
         );
-        let (w, b) = (p.index() / WORD_BITS, p.index() % WORD_BITS);
-        let word = &mut self.words_mut()[w];
-        let newly = *word & (1 << b) == 0;
-        *word |= 1 << b;
+        let bit = 1 << p.index();
+        let newly = self.bits & bit == 0;
+        self.bits |= bit;
         newly
     }
 
@@ -124,51 +103,40 @@ impl ProcSet {
         if p.index() >= self.capacity {
             return false;
         }
-        let (w, b) = (p.index() / WORD_BITS, p.index() % WORD_BITS);
-        let word = &mut self.words_mut()[w];
-        let present = *word & (1 << b) != 0;
-        *word &= !(1 << b);
+        let bit = 1 << p.index();
+        let present = self.bits & bit != 0;
+        self.bits &= !bit;
         present
     }
 
     /// Tests membership of `p`.
     pub fn contains(&self, p: ProcessId) -> bool {
-        if p.index() >= self.capacity {
-            return false;
-        }
-        let (w, b) = (p.index() / WORD_BITS, p.index() % WORD_BITS);
-        self.words()[w] & (1 << b) != 0
+        p.index() < self.capacity && self.bits & (1 << p.index()) != 0
     }
 
     /// Number of ids in the set.
     pub fn len(&self) -> usize {
-        self.words().iter().map(|w| w.count_ones() as usize).sum()
+        self.bits.count_ones() as usize
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words().iter().all(|&w| w == 0)
+        self.bits == 0
     }
 
     /// Removes all ids.
     pub fn clear(&mut self) {
-        self.words_mut().iter_mut().for_each(|w| *w = 0);
+        self.bits = 0;
     }
 
     /// Whether every element of `other` is in `self`.
     pub fn is_superset(&self, other: &ProcSet) -> bool {
-        other.words().iter().enumerate().all(|(i, &w)| {
-            let mine = self.words().get(i).copied().unwrap_or(0);
-            w & !mine == 0
-        })
+        other.bits & !self.bits == 0
     }
 
     /// Whether the two sets share at least one id.
     pub fn intersects(&self, other: &ProcSet) -> bool {
-        self.words()
-            .iter()
-            .zip(other.words())
-            .any(|(&a, &b)| a & b != 0)
+        self.bits & other.bits != 0
     }
 
     /// Iterates over the ids in ascending order.
@@ -238,16 +206,16 @@ mod tests {
 
     #[test]
     fn insert_contains_remove() {
-        let mut s = ProcSet::new(70);
+        let mut s = ProcSet::new(64);
         assert!(s.is_empty());
         assert!(s.insert(ProcessId(0)));
-        assert!(s.insert(ProcessId(69)));
-        assert!(!s.insert(ProcessId(69)), "double insert reports false");
+        assert!(s.insert(ProcessId(63)));
+        assert!(!s.insert(ProcessId(63)), "double insert reports false");
         assert_eq!(s.len(), 2);
-        assert!(s.contains(ProcessId(69)));
-        assert!(s.remove(ProcessId(69)));
-        assert!(!s.remove(ProcessId(69)));
-        assert!(!s.contains(ProcessId(69)));
+        assert!(s.contains(ProcessId(63)));
+        assert!(s.remove(ProcessId(63)));
+        assert!(!s.remove(ProcessId(63)));
+        assert!(!s.contains(ProcessId(63)));
         assert_eq!(s.len(), 1);
     }
 
@@ -255,6 +223,12 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn insert_out_of_range_panics() {
         ProcSet::new(4).insert(ProcessId(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ids")]
+    fn capacity_above_one_word_panics() {
+        let _ = ProcSet::new(65);
     }
 
     #[test]
@@ -284,10 +258,9 @@ mod tests {
 
     #[test]
     fn iter_ascending() {
-        let s =
-            ProcSet::from_iter_with_capacity(130, [ProcessId(128), ProcessId(0), ProcessId(64)]);
+        let s = ProcSet::from_iter_with_capacity(64, [ProcessId(63), ProcessId(0), ProcessId(32)]);
         let v: Vec<_> = s.iter().map(ProcessId::index).collect();
-        assert_eq!(v, vec![0, 64, 128]);
+        assert_eq!(v, vec![0, 32, 63]);
     }
 
     #[test]
@@ -305,17 +278,17 @@ mod tests {
         assert_eq!(s.len(), 0);
     }
 
-    /// Capacities on both sides of the inline/heap boundary at 64.
-    const CAPACITIES: [usize; 6] = [1, 5, 63, 64, 65, 130];
+    /// Capacities up to the one word's 64.
+    const CAPACITIES: [usize; 4] = [1, 5, 63, 64];
 
     #[test]
-    fn no_larger_than_a_vec_and_a_capacity() {
+    fn one_word_and_a_capacity() {
         use std::mem::size_of;
-        assert!(size_of::<ProcSet>() <= size_of::<Vec<u64>>() + size_of::<usize>());
+        assert_eq!(size_of::<ProcSet>(), size_of::<u64>() + size_of::<usize>());
     }
 
     #[test]
-    fn insertion_order_is_invisible_on_both_sides_of_the_inline_boundary() {
+    fn insertion_order_is_invisible() {
         use std::hash::{Hash, Hasher};
         let hash = |s: &ProcSet| {
             let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -346,10 +319,12 @@ mod tests {
                 assert_ne!(up, more, "capacity {cap}");
                 assert!(more.is_superset(&up) && !up.is_superset(&more));
             }
-            // Same members, different capacity: different sets, as before.
-            let wider = ProcSet::from_iter_with_capacity(cap + 1, ids.iter().copied());
-            assert_ne!(up, wider, "capacity {cap} vs {}", cap + 1);
-            assert!(wider.is_superset(&up) && up.is_superset(&wider));
+            // Same members, different capacity: different sets.
+            if cap < MAX_CAPACITY {
+                let wider = ProcSet::from_iter_with_capacity(cap + 1, ids.iter().copied());
+                assert_ne!(up, wider, "capacity {cap} vs {}", cap + 1);
+                assert!(wider.is_superset(&up) && up.is_superset(&wider));
+            }
         }
     }
 

@@ -11,10 +11,9 @@
 //! hashes each key and digests each `(key, tag)` entry with it, and
 //! replicas compare those digests with each other. So its output is fixed
 //! to the bit, on every platform: multi-byte words are read little-endian
-//! (`std` routes `u8` and every signed width through the methods below),
-//! and `merkle.rs` pins `key_hash` and an entry digest for fixed keys. A
-//! change made here for map speed moves every sync digest; that test says
-//! so.
+//! (`std` routes `u8` and every signed width through the methods below).
+//! `merkle.rs` pins `key_hash` and an entry digest for fixed keys, so a
+//! change made here for map speed that moves a sync digest fails a test.
 //!
 //! The checker crate (`abd-lincheck`, which depends on nothing) compiles
 //! this same file through a `#[path]` module, so it names only `std`.

@@ -1,10 +1,10 @@
 //! Deterministic Merkle digests over a replica's `(key → tag)` map.
 //!
 //! ABD crash recovery needs to answer one question cheaply: *where do two
-//! replicas disagree?* A replica's store is a map
-//! from keys to [`Tag`]s (the values ride along but the tags decide
-//! freshness — adoption is monotone in the tag, see the `abd-kv` module
-//! docs). This module maintains a compact digest tree over that map:
+//! replicas disagree?* A replica's store is a map from keys to [`Tag`]s
+//! (the values ride along but the tags decide freshness — adoption is
+//! monotone in the tag, see the `abd-kv` module docs). This module
+//! maintains a compact digest tree over that map:
 //!
 //! * keys hash (via [`key_hash`]) into one of `B` **buckets** (`B` a power
 //!   of two). Key hashes and entry digests are [`FastHasher`]'s, the

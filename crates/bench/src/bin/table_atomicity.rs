@@ -23,7 +23,7 @@ use abd_bench::clusters::register_sim;
 use abd_bench::{write_artifact, Table};
 use abd_core::quorum::{Majority, Threshold};
 use abd_core::register::{Label, RegisterConfig};
-use abd_core::types::ProcessId;
+use abd_core::types::{ProcessId, ReadMode};
 use abd_core::{MwmrConfig, SwmrConfig};
 use abd_lincheck::{
     check_linearizable_counting_states, check_regular_swmr, find_new_old_inversions, Anomaly,
@@ -155,7 +155,7 @@ fn main() {
     row(
         &mut t,
         "regular, no write-back (SWMR)",
-        sweep(n, single, |i| swmr(i).with_read_write_back(false)),
+        sweep(n, single, |i| swmr(i).with_read_mode(ReadMode::NoWriteBack)),
         Some(|t| t.not_linearizable.min(t.inversions)),
     );
     row(
@@ -164,7 +164,7 @@ fn main() {
         sweep(n, single, |i| {
             swmr(i)
                 .with_quorum(read_one.clone())
-                .with_read_write_back(false)
+                .with_read_mode(ReadMode::NoWriteBack)
         }),
         Some(|t| t.stale_reads),
     );
@@ -177,7 +177,9 @@ fn main() {
     row(
         &mut t,
         "regular, no write-back (MWMR)",
-        sweep(n, WriterMode::All, |i| mwmr(i).with_read_write_back(false)),
+        sweep(n, WriterMode::All, |i| {
+            mwmr(i).with_read_mode(ReadMode::NoWriteBack)
+        }),
         Some(|t| t.not_linearizable),
     );
     t.print();

@@ -60,6 +60,12 @@
 //! Writes always keep their phases: the multi-writer query round is what
 //! orders concurrent writers.
 //!
+//! With [`ReadMode::NoWriteBack`] an atomic-tier read is the query round
+//! alone: it returns the pair its quorum folds to, and neither writes it
+//! back nor adopts it. That is the paper's regular register — the baseline
+//! of experiment **T5** — and not the `Regular` tier, whose read adopts the
+//! pair locally.
+//!
 //! With [`ReadMode::Relay`] the read path changes shape entirely (after
 //! "Oh-RAM! One and a Half Round Atomic Memory",
 //! Hadjistasi–Nicolaou–Schwarzmann): the reader broadcasts `RelayQuery`
@@ -384,10 +390,6 @@ pub struct Engine<K, L, R, V, C = TagCensus<L, R>> {
     me: ProcessId,
     quorum: Arc<dyn QuorumSystem>,
     read_mode: ReadMode,
-    /// `false` only for the regular-register baseline of experiment **T5**:
-    /// an atomic read then returns its query's maximum without propagating
-    /// (or adopting) it.
-    read_write_back: bool,
     /// Source of phase ids. Models stable storage: it survives a restart,
     /// so a reply to a pre-crash phase never matches a post-crash one.
     next_uid: u64,
@@ -460,15 +462,13 @@ where
     V: Clone,
     C: Fold<L, R>,
 {
-    /// An idle engine for node `me` of `n`. `read_write_back` is `true`
-    /// everywhere but in the regular-register baseline; `retransmit`
-    /// `None` means reliable links.
+    /// An idle engine for node `me` of `n`. `retransmit` `None` means
+    /// reliable links.
     pub fn new(
         n: usize,
         me: ProcessId,
         quorum: Arc<dyn QuorumSystem>,
         read_mode: ReadMode,
-        read_write_back: bool,
         retransmit: Option<BackoffPolicy>,
     ) -> Self {
         assert!(me.index() < n, "node id out of range");
@@ -478,7 +478,6 @@ where
             me,
             quorum,
             read_mode,
-            read_write_back,
             next_uid: 0,
             rounds: Vec::new(),
             relays: BTreeMap::new(),
@@ -658,8 +657,9 @@ where
     /// elided by definition); an atomic read either takes the one-round fast path
     /// (unanimous responders that form a write quorum — the max label is
     /// already durable, so the write-back is redundant) or writes back what
-    /// it is about to return — unless nothing was ever written. Returns the
-    /// phase the read is in now.
+    /// it is about to return — unless nothing was ever written, or the mode
+    /// is [`ReadMode::NoWriteBack`], which returns the pair as it is, not
+    /// even adopting it. Returns the phase the read is in now.
     #[expect(
         clippy::too_many_arguments,
         reason = "a query round's parts, taken apart where it completes"
@@ -675,7 +675,6 @@ where
         fx: &mut Fx<S, K, L, R, V>,
     ) -> Phase {
         let fast = self.read_mode == ReadMode::FastUnanimous
-            && self.read_write_back
             && fast_read_allowed(self.quorum.as_ref(), responders, census.unanimous());
         let (label, value) = store.choose(census);
         if cons == Consistency::Regular {
@@ -687,7 +686,7 @@ where
             adopt_read(store, &key, label, value.clone());
         } else if fast {
             self.counters.fast_reads += 1;
-        } else if self.read_write_back {
+        } else if self.read_mode != ReadMode::NoWriteBack {
             if let Some(written) = value.clone().into() {
                 self.counters.write_backs += 1;
                 return self.write_back(op, key, label, written, store, fx);
@@ -1143,7 +1142,7 @@ mod tests {
     fn duplicate_relay_query_replays_a_kept_round_and_reopens_a_retired_one() {
         const N: usize = 5;
         let quorum = Arc::new(Majority::new(N));
-        let mut server = Engine::new(N, ProcessId(1), quorum, ReadMode::Relay, true, None);
+        let mut server = Engine::new(N, ProcessId(1), quorum, ReadMode::Relay, None);
         let query = |uid| Msg::RelayQuery {
             uid,
             key: (),

@@ -19,8 +19,7 @@
 //!   every variant the experiments compare: the read modes
 //!   ([`with_read_mode`](register::RegisterConfig::with_read_mode)), and the
 //!   **regular / read-one baselines** whose anomalies they exhibit
-//!   ([`with_read_write_back`](register::RegisterConfig::with_read_write_back)`(false)`,
-//!   with a read quorum of one through
+//!   ([`ReadMode::NoWriteBack`], with a read quorum of one through
 //!   [`with_quorum`](register::RegisterConfig::with_quorum) for read-one).
 //!
 //! Protocols are **sans-io state machines** ([`context::Protocol`]): the

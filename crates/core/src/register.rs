@@ -35,10 +35,9 @@
 //!   `(label, value)` replies (counting the local replica), select the pair
 //!   with the **largest label**, then **write it back**: propagate the pair
 //!   with `Update` and wait for a write quorum of acknowledgements *before*
-//!   returning the value. Setting
-//!   [`read_write_back`](RegisterConfig::read_write_back) to `false` yields
-//!   exactly the regular-register baseline whose violations experiment
-//!   **T5** exhibits.
+//!   returning the value. [`ReadMode::NoWriteBack`] drops that second
+//!   round and yields exactly the regular-register baseline whose
+//!   violations experiment **T5** exhibits.
 //!
 //! The state machine is sans-io (see [`crate::context`]): hosts deliver
 //! messages and timer ticks, and carry out the recorded effects. With a
@@ -154,16 +153,10 @@ pub struct RegisterConfig<L> {
     /// must satisfy write/write intersection too
     /// ([`QuorumSystem::validate`] with `multi_writer = true`).
     pub quorum: Arc<dyn QuorumSystem>,
-    /// Whether reads perform the write-back phase (`true` = atomic ABD,
-    /// `false` = regular-register baseline).
-    pub read_write_back: bool,
-    /// How reads complete: the two-round baseline, the unanimity fast path
-    /// or server-to-server relay (see [`crate::engine`]). `TwoRound` by
-    /// default: the baseline protocol always pays `2` rounds per read.
-    /// `FastUnanimous` is only meaningful with
-    /// [`read_write_back`](RegisterConfig::read_write_back) on — the
-    /// regular baseline has no write-back to elide; `Relay` replaces the
-    /// write-back entirely and ignores that flag.
+    /// How reads complete: the two-round baseline, the unanimity fast path,
+    /// server-to-server relay, or the query round alone of the regular
+    /// register (see [`crate::engine`]). `TwoRound` by default: the
+    /// baseline protocol always pays `2` rounds per read.
     pub read_mode: ReadMode,
     /// Retransmission policy for unfinished phases; `None` disables
     /// retransmission (appropriate for reliable links).
@@ -180,7 +173,6 @@ impl<L> RegisterConfig<L> {
             me,
             writer,
             quorum: Arc::new(Majority::new(n)),
-            read_write_back: true,
             read_mode: ReadMode::TwoRound,
             retransmit: None,
             label: PhantomData,
@@ -190,12 +182,6 @@ impl<L> RegisterConfig<L> {
     /// Replaces the quorum system.
     pub fn with_quorum(mut self, q: Arc<dyn QuorumSystem>) -> Self {
         self.quorum = q;
-        self
-    }
-
-    /// Enables or disables the read write-back phase.
-    pub fn with_read_write_back(mut self, yes: bool) -> Self {
-        self.read_write_back = yes;
         self
     }
 
@@ -314,7 +300,6 @@ where
             cfg.me,
             cfg.quorum.clone(),
             cfg.read_mode,
-            cfg.read_write_back,
             cfg.retransmit,
         );
         RegisterNode {

@@ -97,11 +97,10 @@ mod tests {
     use crate::types::{Consistency, OpId, ReadMode, RegisterError};
     use std::sync::Arc;
 
-    fn cluster(n: usize, write_back: bool) -> MiniNet<SwmrNode<u32>> {
+    fn cluster(n: usize, mode: ReadMode) -> MiniNet<SwmrNode<u32>> {
         let nodes = (0..n)
             .map(|i| {
-                let cfg =
-                    SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_read_write_back(write_back);
+                let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_read_mode(mode);
                 SwmrNode::new(cfg, 0u32)
             })
             .collect();
@@ -110,7 +109,7 @@ mod tests {
 
     #[test]
     fn write_then_read_returns_written_value() {
-        let mut net = cluster(3, true);
+        let mut net = cluster(3, ReadMode::TwoRound);
         net.invoke(0, RegisterOp::Write(42));
         net.run_to_quiescence();
         assert_eq!(net.take_responses(), vec![(OpId(0), RegisterResp::WriteOk)]);
@@ -125,7 +124,7 @@ mod tests {
 
     #[test]
     fn initial_value_is_readable() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         net.invoke(4, RegisterOp::Read);
         net.run_to_quiescence();
         assert_eq!(
@@ -136,7 +135,7 @@ mod tests {
 
     #[test]
     fn non_writer_write_is_rejected() {
-        let mut net = cluster(3, true);
+        let mut net = cluster(3, ReadMode::TwoRound);
         net.invoke(1, RegisterOp::Write(7));
         net.run_to_quiescence();
         match &net.take_responses()[..] {
@@ -150,7 +149,7 @@ mod tests {
 
     #[test]
     fn sequential_writes_are_ordered() {
-        let mut net = cluster(3, true);
+        let mut net = cluster(3, ReadMode::TwoRound);
         for v in [1u32, 2, 3, 4, 5] {
             net.invoke(0, RegisterOp::Write(v));
             net.run_to_quiescence();
@@ -169,7 +168,7 @@ mod tests {
 
     #[test]
     fn queued_invocations_run_in_fifo_order() {
-        let mut net = cluster(3, true);
+        let mut net = cluster(3, ReadMode::TwoRound);
         // Invoke three ops on the writer before delivering any message.
         net.invoke(0, RegisterOp::Write(1));
         net.invoke(0, RegisterOp::Read);
@@ -190,7 +189,7 @@ mod tests {
 
     #[test]
     fn write_completes_with_minority_crashed() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         net.crash(3);
         net.crash(4);
         net.invoke(0, RegisterOp::Write(9));
@@ -206,7 +205,7 @@ mod tests {
 
     #[test]
     fn write_blocks_with_majority_crashed() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         for i in 2..5 {
             net.crash(i);
         }
@@ -220,11 +219,11 @@ mod tests {
     }
 
     #[test]
-    fn read_write_back_helps_lagging_majority() {
+    fn a_write_back_spreads_the_value_to_a_lagging_majority() {
         // Classic scenario: the writer's update reached only the quorum
         // {0,1,2}; replicas 3 and 4 are stale. A read that observes the new
         // value propagates it before returning.
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         // Drop updates to 3 and 4 during the write.
         net.set_drop_filter(|_, to, _| to.index() >= 3);
         net.invoke(0, RegisterOp::Write(1));
@@ -251,7 +250,7 @@ mod tests {
 
     #[test]
     fn regular_baseline_skips_write_back_phase() {
-        let mut net = cluster(3, false);
+        let mut net = cluster(3, ReadMode::NoWriteBack);
         net.invoke(0, RegisterOp::Write(5));
         net.run_to_quiescence();
         net.take_responses();
@@ -266,7 +265,7 @@ mod tests {
 
     #[test]
     fn atomic_read_costs_4n_minus_4_messages() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         net.invoke(3, RegisterOp::Read);
         net.run_to_quiescence();
         // query + replies + write-back updates + acks = 4(n-1).
@@ -275,7 +274,7 @@ mod tests {
 
     #[test]
     fn sequential_read_is_local_and_free() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         net.invoke(0, RegisterOp::Write(7));
         net.run_to_quiescence();
         net.take_responses();
@@ -293,7 +292,7 @@ mod tests {
 
     #[test]
     fn sequential_read_can_lag_but_never_regresses_locally() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         // The write reaches only {0,1,2}; node 3's local replica is stale.
         net.set_drop_filter(|_, to, _| to.index() >= 3);
         net.invoke(0, RegisterOp::Write(1));
@@ -318,7 +317,7 @@ mod tests {
 
     #[test]
     fn regular_tier_read_skips_write_back_and_counts() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         net.invoke(0, RegisterOp::Write(4));
         net.run_to_quiescence();
         net.take_responses();
@@ -337,7 +336,7 @@ mod tests {
 
     #[test]
     fn regular_tier_read_adopts_census_max_locally() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         net.set_drop_filter(|_, to, _| to.index() >= 3);
         net.invoke(0, RegisterOp::Write(6));
         net.run_to_quiescence();
@@ -355,7 +354,7 @@ mod tests {
 
     #[test]
     fn read_at_atomic_matches_plain_read() {
-        let mut net = cluster(3, true);
+        let mut net = cluster(3, ReadMode::TwoRound);
         net.invoke(0, RegisterOp::Write(9));
         net.run_to_quiescence();
         net.take_responses();
@@ -371,7 +370,7 @@ mod tests {
 
     #[test]
     fn write_costs_2n_minus_2_messages() {
-        let mut net = cluster(7, true);
+        let mut net = cluster(7, ReadMode::TwoRound);
         net.invoke(0, RegisterOp::Write(1));
         net.run_to_quiescence();
         assert_eq!(net.messages_sent(), 2 * (7 - 1));
@@ -435,7 +434,7 @@ mod tests {
             .map(|i| {
                 let cfg = SwmrConfig::new(3, ProcessId(i), ProcessId(0))
                     .with_quorum(Arc::new(Threshold::new(3, 1, 3)))
-                    .with_read_write_back(false);
+                    .with_read_mode(ReadMode::NoWriteBack);
                 SwmrNode::new(cfg, 0)
             })
             .collect();
@@ -451,7 +450,7 @@ mod tests {
 
     #[test]
     fn restart_catches_up_via_query_phase() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         net.invoke(0, RegisterOp::Write(1));
         net.run_to_quiescence();
         net.take_responses();
@@ -470,7 +469,7 @@ mod tests {
 
     #[test]
     fn writer_restart_does_not_reuse_labels() {
-        let mut net = cluster(3, true);
+        let mut net = cluster(3, ReadMode::TwoRound);
         net.invoke(0, RegisterOp::Write(1));
         net.run_to_quiescence();
         net.take_responses();
@@ -482,20 +481,9 @@ mod tests {
         assert_eq!(net.node(1).replica_state(), (2, 2), "labels keep growing");
     }
 
-    fn fast_cluster(n: usize) -> MiniNet<SwmrNode<u32>> {
-        let nodes = (0..n)
-            .map(|i| {
-                let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0))
-                    .with_read_mode(ReadMode::FastUnanimous);
-                SwmrNode::new(cfg, 0u32)
-            })
-            .collect();
-        MiniNet::new(nodes)
-    }
-
     #[test]
     fn uncontended_fast_read_elides_write_back() {
-        let mut net = fast_cluster(5);
+        let mut net = cluster(5, ReadMode::FastUnanimous);
         net.invoke(0, RegisterOp::Write(3));
         net.run_to_quiescence();
         net.take_responses();
@@ -517,7 +505,7 @@ mod tests {
     fn stale_quorum_disagreement_forces_slow_path() {
         // The write reaches only {0,1,2}; stale reader 3's query quorum then
         // mixes fresh and stale labels — no unanimity, no elision.
-        let mut net = fast_cluster(5);
+        let mut net = cluster(5, ReadMode::FastUnanimous);
         net.set_drop_filter(|_, to, _| to.index() >= 3);
         net.invoke(0, RegisterOp::Write(1));
         net.run_to_quiescence();
@@ -576,7 +564,7 @@ mod tests {
 
     #[test]
     fn fast_reads_off_keeps_two_phase_reads() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         net.invoke(3, RegisterOp::Read);
         net.run_to_quiescence();
         assert_eq!(net.messages_sent(), 4 * (5 - 1), "flag off: 2 rounds");
@@ -584,20 +572,9 @@ mod tests {
         assert_eq!(net.node(3).counters().write_backs, 1);
     }
 
-    fn relay_cluster(n: usize) -> MiniNet<SwmrNode<u32>> {
-        let nodes = (0..n)
-            .map(|i| {
-                let cfg =
-                    SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_read_mode(ReadMode::Relay);
-                SwmrNode::new(cfg, 0u32)
-            })
-            .collect();
-        MiniNet::new(nodes)
-    }
-
     #[test]
     fn relay_read_returns_written_value() {
-        let mut net = relay_cluster(5);
+        let mut net = cluster(5, ReadMode::Relay);
         net.invoke(0, RegisterOp::Write(8));
         net.run_to_quiescence();
         net.take_responses();
@@ -618,7 +595,7 @@ mod tests {
 
     #[test]
     fn relay_read_costs_n_squared_minus_one_messages() {
-        let mut net = relay_cluster(5);
+        let mut net = cluster(5, ReadMode::Relay);
         net.invoke(3, RegisterOp::Read);
         net.run_to_quiescence();
         // query (n−1) + forwards (n−1)² + replies (n−1) = n² − 1; the
@@ -633,7 +610,7 @@ mod tests {
 
     #[test]
     fn relay_single_node_read_completes_without_messages() {
-        let mut net = relay_cluster(1);
+        let mut net = cluster(1, ReadMode::Relay);
         net.invoke(0, RegisterOp::Write(5));
         net.invoke(0, RegisterOp::Read);
         assert_eq!(net.messages_sent(), 0);
@@ -652,7 +629,7 @@ mod tests {
         // The write reached only {0,1,2}; a relay read from stale p3 must
         // still return it: every reply quorum's forwards intersect the
         // write quorum, so every reply label is ≥ the completed write's.
-        let mut net = relay_cluster(5);
+        let mut net = cluster(5, ReadMode::Relay);
         net.set_drop_filter(|_, to, _| to.index() >= 3);
         net.invoke(0, RegisterOp::Write(1));
         net.run_to_quiescence();
@@ -669,7 +646,7 @@ mod tests {
 
     #[test]
     fn relay_read_completes_with_minority_crashed() {
-        let mut net = relay_cluster(5);
+        let mut net = cluster(5, ReadMode::Relay);
         net.invoke(0, RegisterOp::Write(4));
         net.run_to_quiescence();
         net.take_responses();
@@ -714,7 +691,7 @@ mod tests {
 
     #[test]
     fn relay_restart_clears_round_state_and_read_still_completes() {
-        let mut net = relay_cluster(5);
+        let mut net = cluster(5, ReadMode::Relay);
         net.invoke(0, RegisterOp::Write(6));
         net.run_to_quiescence();
         net.take_responses();
@@ -733,7 +710,7 @@ mod tests {
 
     #[test]
     fn relay_reader_restart_aborts_the_read() {
-        let mut net = relay_cluster(5);
+        let mut net = cluster(5, ReadMode::Relay);
         net.set_drop_filter(|_, _, _| true); // strand the relay round
         net.invoke(2, RegisterOp::Read);
         assert!(net.node(2).is_busy());
@@ -754,7 +731,7 @@ mod tests {
 
     #[test]
     fn a_rolled_forward_write_is_not_rolled_forward_again() {
-        let mut net = cluster(3, true);
+        let mut net = cluster(3, ReadMode::TwoRound);
         net.set_drop_filter(|_, _, _| true);
         net.invoke(0, RegisterOp::Write(4));
         net.crash(0);
@@ -772,7 +749,7 @@ mod tests {
 
     #[test]
     fn an_interrupted_write_survives_repeated_crashes() {
-        let mut net = cluster(5, true);
+        let mut net = cluster(5, ReadMode::TwoRound);
         net.set_drop_filter(|_, _, _| true);
         net.invoke(0, RegisterOp::Write(6));
         net.crash(0);

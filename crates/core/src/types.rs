@@ -132,7 +132,8 @@ impl fmt::Display for Tag {
 /// How a reader completes, chosen per node via `with_read_mode` on the
 /// protocol configs.
 ///
-/// The three modes trade message count against latency under contention:
+/// The first three modes are atomic and trade message count against latency
+/// under contention; the fourth gives up atomicity:
 ///
 /// * [`TwoRound`](ReadMode::TwoRound) — the paper's protocol: query a read
 ///   quorum, then write the chosen pair back to a write quorum. Always two
@@ -147,6 +148,12 @@ impl fmt::Display for Tag {
 ///   cover a read quorum ("Oh-RAM!", Hadjistasi–Nicolaou–Schwarzmann).
 ///   Every read — contended or not — completes in one and a half message
 ///   delays, at the cost of `O(n²)` server messages.
+/// * [`NoWriteBack`](ReadMode::NoWriteBack) — the query round alone: return
+///   the read quorum's maximum without writing it back or adopting it. This
+///   is the paper's *regular* register, the baseline whose new/old
+///   inversions experiment **T5** exhibits; it is a mode rather than a
+///   [`Consistency`] tier because it adopts nothing locally, where a
+///   `Regular` read does.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum ReadMode {
     /// Query + write-back: the paper's always-atomic baseline.
@@ -156,6 +163,8 @@ pub enum ReadMode {
     FastUnanimous,
     /// Server-to-server relay: 1.5 message delays for every read.
     Relay,
+    /// The query round alone: a regular, not an atomic, register.
+    NoWriteBack,
 }
 
 /// Per-operation consistency level for *read* operations.

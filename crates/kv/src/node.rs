@@ -162,8 +162,8 @@ pub struct KvConfig {
     /// Quorum system (must satisfy multi-writer intersection).
     pub quorum: Arc<dyn QuorumSystem>,
     /// How `Get`s complete: the two-round baseline, the unanimity fast path
-    /// (see [`fast_read_allowed`](abd_core::quorum::fast_read_allowed)), or
-    /// server-to-server relay.
+    /// (see [`fast_read_allowed`](abd_core::quorum::fast_read_allowed)),
+    /// server-to-server relay, or the query round alone.
     /// [`ReadMode::TwoRound`] by default.
     pub read_mode: ReadMode,
     /// Retransmission policy for unfinished phases (`None` = reliable
@@ -399,9 +399,8 @@ where
             tree: MerkleTree::new(cfg.sync_buckets),
             buckets: vec![Vec::new(); cfg.sync_buckets],
         };
-        // A store always writes back what an atomic read returns.
         let quorum = cfg.quorum.clone();
-        let engine = Engine::new(cfg.n, cfg.me, quorum, cfg.read_mode, true, cfg.retransmit);
+        let engine = Engine::new(cfg.n, cfg.me, quorum, cfg.read_mode, cfg.retransmit);
         KvNode {
             cfg,
             store,

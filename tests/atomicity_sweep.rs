@@ -142,7 +142,8 @@ fn regular_baseline_exhibits_inversions_somewhere_in_the_sweep() {
         let nodes = (0..5)
             .map(|i| {
                 abd_core::swmr::SwmrNode::new(
-                    SwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_read_write_back(false),
+                    SwmrConfig::new(5, ProcessId(i), ProcessId(0))
+                        .with_read_mode(ReadMode::NoWriteBack),
                     0u64,
                 )
             })
@@ -180,7 +181,7 @@ fn read_one_baseline_violates_regularity_somewhere_in_the_sweep() {
                 abd_core::swmr::SwmrNode::new(
                     SwmrConfig::new(5, ProcessId(i), ProcessId(0))
                         .with_quorum(read_one.clone())
-                        .with_read_write_back(false),
+                        .with_read_mode(ReadMode::NoWriteBack),
                     0u64,
                 )
             })

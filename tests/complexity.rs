@@ -55,7 +55,8 @@ fn regular_read_saves_one_round_trip() {
     let nodes = (0..n)
         .map(|i| {
             abd_core::swmr::SwmrNode::new(
-                SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_read_write_back(false),
+                SwmrConfig::new(n, ProcessId(i), ProcessId(0))
+                    .with_read_mode(ReadMode::NoWriteBack),
                 0u64,
             )
         })

@@ -115,6 +115,7 @@ fn swmr_campaign_cfg(sim_seed: u64, nemesis_seed: u64, read_mode: ReadMode) -> u
         ReadMode::TwoRound => "nemesis-swmr",
         ReadMode::FastUnanimous => "nemesis-swmr-fast",
         ReadMode::Relay => "nemesis-swmr-relay",
+        ReadMode::NoWriteBack => "nemesis-swmr-no-write-back",
     };
     soak_repro(
         name,

@@ -80,7 +80,7 @@ impl Table {
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {

@@ -121,14 +121,16 @@ impl<P: Protocol> Batched<P> {
     }
 
     /// Envelopes shipped so far (one per `(flush, peer)` with traffic).
-    pub fn batches_sent(&self) -> u64 {
+    #[cfg(test)]
+    fn batches_sent(&self) -> u64 {
         self.batches
     }
 
     /// Inner messages carried by those envelopes. The difference to
     /// [`batches_sent`](Batched::batches_sent) is the number of network
     /// events batching saved.
-    pub fn messages_coalesced(&self) -> u64 {
+    #[cfg(test)]
+    fn messages_coalesced(&self) -> u64 {
         self.coalesced
     }
 

@@ -82,7 +82,7 @@ impl LabelSpace {
     }
 
     /// Forward distance from `from` to `to` along the cycle, in `0..modulus`.
-    pub fn forward_distance(&self, from: SerialLabel, to: SerialLabel) -> u32 {
+    fn forward_distance(&self, from: SerialLabel, to: SerialLabel) -> u32 {
         (to.raw + self.modulus - from.raw) % self.modulus
     }
 

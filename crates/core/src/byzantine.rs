@@ -362,12 +362,6 @@ impl<V: Clone + Eq> ReadPathStats for ByzNode<V> {
     }
 }
 
-/// Quick sanity map from `b` to the minimum cluster and quorum sizes.
-pub fn masking_parameters(b: usize) -> (usize, usize) {
-    let n = 4 * b + 1;
-    (n, masking_threshold(n, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,13 +383,6 @@ mod tests {
             })
             .collect();
         MiniNet::new(nodes)
-    }
-
-    #[test]
-    fn parameters() {
-        assert_eq!(masking_parameters(0), (1, 1));
-        assert_eq!(masking_parameters(1), (5, 4));
-        assert_eq!(masking_parameters(2), (9, 7));
     }
 
     #[test]

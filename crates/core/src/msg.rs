@@ -57,23 +57,6 @@ pub enum RegisterOp<V> {
     Write(V),
 }
 
-impl<V> RegisterOp<V> {
-    /// The consistency tier of this operation: the requested tier for reads,
-    /// `None` for writes (writes always run the full protocol).
-    pub fn consistency(&self) -> Option<Consistency> {
-        match self {
-            RegisterOp::Read => Some(Consistency::Atomic),
-            RegisterOp::ReadAt(c) => Some(*c),
-            RegisterOp::Write(_) => None,
-        }
-    }
-
-    /// Whether this operation is a read (at any consistency tier).
-    pub fn is_read(&self) -> bool {
-        !matches!(self, RegisterOp::Write(_))
-    }
-}
-
 /// Response to a completed [`RegisterOp`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RegisterResp<V> {
@@ -86,21 +69,6 @@ pub enum RegisterResp<V> {
 }
 
 impl<V> RegisterResp<V> {
-    /// Unwraps a read response.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not [`RegisterResp::ReadOk`].
-    pub fn into_read_value(self) -> V
-    where
-        V: std::fmt::Debug,
-    {
-        match self {
-            RegisterResp::ReadOk(v) => v,
-            other => panic!("expected ReadOk, got {other:?}"),
-        }
-    }
-
     /// Whether the operation succeeded.
     pub fn is_ok(&self) -> bool {
         !matches!(self, RegisterResp::Err(_))
@@ -113,10 +81,9 @@ mod tests {
     use crate::types::{ProcessId, RegisterError};
 
     #[test]
-    fn response_accessors() {
+    fn only_an_error_response_is_not_ok() {
         let r: RegisterResp<u8> = RegisterResp::ReadOk(5);
         assert!(r.is_ok());
-        assert_eq!(r.into_read_value(), 5);
         let w: RegisterResp<u8> = RegisterResp::WriteOk;
         assert!(w.is_ok());
         let e: RegisterResp<u8> = RegisterResp::Err(RegisterError::NotWriter {
@@ -124,26 +91,5 @@ mod tests {
             writer: ProcessId(0),
         });
         assert!(!e.is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "expected ReadOk")]
-    fn into_read_value_panics_on_write_ok() {
-        let w: RegisterResp<u8> = RegisterResp::WriteOk;
-        w.into_read_value();
-    }
-
-    #[test]
-    fn op_consistency_accessor() {
-        use crate::types::Consistency;
-        let r: RegisterOp<u8> = RegisterOp::Read;
-        assert_eq!(r.consistency(), Some(Consistency::Atomic));
-        assert!(r.is_read());
-        let sc: RegisterOp<u8> = RegisterOp::ReadAt(Consistency::Sequential);
-        assert_eq!(sc.consistency(), Some(Consistency::Sequential));
-        assert!(sc.is_read());
-        let w: RegisterOp<u8> = RegisterOp::Write(1);
-        assert_eq!(w.consistency(), None);
-        assert!(!w.is_read());
     }
 }

@@ -223,7 +223,8 @@ impl<L: Ord, V> TagCensus<L, V> {
     }
 
     /// The maximum label observed so far.
-    pub fn max_label(&self) -> &L {
+    #[cfg(test)]
+    fn max_label(&self) -> &L {
         &self.max_label
     }
 

@@ -129,11 +129,6 @@ impl ProcSet {
         self.bits = 0;
     }
 
-    /// Whether every element of `other` is in `self`.
-    pub fn is_superset(&self, other: &ProcSet) -> bool {
-        other.bits & !self.bits == 0
-    }
-
     /// Whether the two sets share at least one id.
     pub fn intersects(&self, other: &ProcSet) -> bool {
         self.bits & other.bits != 0
@@ -245,15 +240,16 @@ mod tests {
     }
 
     #[test]
-    fn superset_and_intersects() {
+    fn intersects() {
         let a = ProcSet::from_iter_with_capacity(10, [ProcessId(1), ProcessId(2), ProcessId(3)]);
         let b = ProcSet::from_iter_with_capacity(10, [ProcessId(2), ProcessId(3)]);
         let c = ProcSet::from_iter_with_capacity(10, [ProcessId(7)]);
-        assert!(a.is_superset(&b));
-        assert!(!b.is_superset(&a));
         assert!(a.intersects(&b));
         assert!(!a.intersects(&c));
-        assert!(a.is_superset(&ProcSet::new(10)), "superset of empty");
+        assert!(
+            !a.intersects(&ProcSet::new(10)),
+            "nothing meets the empty set"
+        );
     }
 
     #[test]
@@ -310,20 +306,18 @@ mod tests {
             assert_eq!(hash(&up), hash(&down), "capacity {cap}");
             assert_eq!(up.complement(), down.complement(), "capacity {cap}");
             assert_eq!(up.len() + up.complement().len(), cap);
-            assert!(up.is_superset(&down) && down.is_superset(&up));
             assert_eq!(format!("{up:?}"), format!("{down:?}"));
 
             let mut more = down.clone();
             if let Some(&absent) = up.complement().first() {
                 more.insert(absent);
                 assert_ne!(up, more, "capacity {cap}");
-                assert!(more.is_superset(&up) && !up.is_superset(&more));
             }
             // Same members, different capacity: different sets.
             if cap < MAX_CAPACITY {
                 let wider = ProcSet::from_iter_with_capacity(cap + 1, ids.iter().copied());
                 assert_ne!(up, wider, "capacity {cap} vs {}", cap + 1);
-                assert!(wider.is_superset(&up) && up.is_superset(&wider));
+                assert!(wider.iter().eq(up.iter()), "capacity {cap}: same members");
             }
         }
     }

@@ -231,11 +231,6 @@ impl Majority {
     pub fn quorum_size(&self) -> usize {
         majority_threshold(self.n)
     }
-
-    /// Maximum number of crash failures tolerated, `⌈n/2⌉ − 1`.
-    pub fn max_failures(&self) -> usize {
-        self.n - self.quorum_size()
-    }
 }
 
 impl QuorumSystem for Majority {
@@ -371,7 +366,7 @@ impl Weighted {
     }
 
     /// Total vote weight in the system.
-    pub fn total_weight(&self) -> u64 {
+    fn total_weight(&self) -> u64 {
         self.weights.iter().sum()
     }
 }
@@ -443,35 +438,6 @@ impl Grid {
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
         Grid { rows, cols }
-    }
-
-    /// Squarest grid for `n` processors, if `n` is expressible as `r × c`
-    /// with `r, c ≥ 1`. Perfect squares give `√n × √n`.
-    pub fn squarest(n: usize) -> Option<Grid> {
-        if n == 0 {
-            return None;
-        }
-        let mut best = None;
-        for r in 1..=n {
-            if n.is_multiple_of(r) {
-                let c = n / r;
-                let d = r.abs_diff(c);
-                if best.is_none_or(|(bd, _, _)| d < bd) {
-                    best = Some((d, r, c));
-                }
-            }
-        }
-        best.map(|(_, r, c)| Grid::new(r, c))
-    }
-
-    /// Grid rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Grid columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     fn covers_every_column(&self, s: &ProcSet) -> bool {
@@ -562,17 +528,8 @@ mod tests {
 
     #[test]
     fn majority_sizes() {
-        for (n, q, f) in [
-            (1, 1, 0),
-            (2, 2, 0),
-            (3, 2, 1),
-            (4, 3, 1),
-            (5, 3, 2),
-            (7, 4, 3),
-        ] {
-            let m = Majority::new(n);
-            assert_eq!(m.quorum_size(), q, "n={n}");
-            assert_eq!(m.max_failures(), f, "n={n}");
+        for (n, q) in [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3), (7, 4)] {
+            assert_eq!(Majority::new(n).quorum_size(), q, "n={n}");
         }
     }
 
@@ -704,20 +661,6 @@ mod tests {
         for (r, c) in [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)] {
             check_by_enumeration(&Grid::new(r, c), true).unwrap();
         }
-    }
-
-    #[test]
-    fn grid_squarest() {
-        assert_eq!(Grid::squarest(9), Some(Grid::new(3, 3)));
-        assert_eq!(
-            Grid::squarest(12).map(|g| (g.rows(), g.cols())),
-            Some((3, 4))
-        );
-        assert_eq!(
-            Grid::squarest(7).map(|g| (g.rows(), g.cols())),
-            Some((1, 7))
-        );
-        assert_eq!(Grid::squarest(0), None);
     }
 
     #[test]

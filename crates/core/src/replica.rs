@@ -17,14 +17,12 @@
 /// let mut r = Replica::new(0u64, "initial");
 /// assert!(r.adopt(3, "newer"));
 /// assert!(!r.adopt(2, "stale"), "lower labels are ignored");
-/// assert_eq!(r.label(), 3);
-/// assert_eq!(*r.value(), "newer");
+/// assert_eq!(r.snapshot(), (3, "newer"));
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Replica<L, V> {
     label: L,
     value: V,
-    adoptions: u64,
 }
 
 impl<L: Ord + Clone, V: Clone> Replica<L, V> {
@@ -34,7 +32,6 @@ impl<L: Ord + Clone, V: Clone> Replica<L, V> {
         Replica {
             label: initial_label,
             value: initial_value,
-            adoptions: 0,
         }
     }
 
@@ -48,32 +45,16 @@ impl<L: Ord + Clone, V: Clone> Replica<L, V> {
         if label > self.label {
             self.label = label;
             self.value = value;
-            self.adoptions += 1;
             true
         } else {
             false
         }
     }
 
-    /// The stored label.
-    pub fn label(&self) -> L {
-        self.label.clone()
-    }
-
-    /// The stored value.
-    pub fn value(&self) -> &V {
-        &self.value
-    }
-
     /// The stored `(label, value)` pair, cloned — what a `QueryReply`
     /// carries.
     pub fn snapshot(&self) -> (L, V) {
         (self.label.clone(), self.value.clone())
-    }
-
-    /// How many times the replica adopted a newer pair (metrics only).
-    pub fn adoptions(&self) -> u64 {
-        self.adoptions
     }
 }
 
@@ -92,7 +73,6 @@ mod tests {
         assert!(r.adopt(5, 'c'));
         assert!(!r.adopt(3, 'd'));
         assert_eq!(r.snapshot(), (5, 'c'));
-        assert_eq!(r.adoptions(), 2);
     }
 
     #[test]
@@ -102,7 +82,7 @@ mod tests {
         // Same seq, higher writer id: strictly larger tag.
         assert!(r.adopt(Tag::new(1, ProcessId(3)), 11));
         assert!(!r.adopt(Tag::new(1, ProcessId(1)), 12));
-        assert_eq!(*r.value(), 11);
+        assert_eq!(r.snapshot().1, 11);
     }
 
     /// The stored label is always the max of the initial label and all

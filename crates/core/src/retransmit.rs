@@ -156,16 +156,6 @@ impl Retransmitter {
         }
     }
 
-    /// Whether retransmission is enabled.
-    pub fn enabled(&self) -> bool {
-        self.policy.is_some()
-    }
-
-    /// The configured policy, if any.
-    pub fn policy(&self) -> Option<&BackoffPolicy> {
-        self.policy.as_ref()
-    }
-
     /// Total messages this node has retransmitted.
     pub fn retransmissions(&self) -> u64 {
         self.sent
@@ -340,7 +330,6 @@ mod tests {
         rtx.disarm(1, &mut fx);
         rtx.fire(1, &[ProcessId(1)], 0u8, &mut fx);
         assert!(fx.is_empty());
-        assert!(!rtx.enabled());
     }
 
     #[test]

@@ -8,7 +8,6 @@ use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_shmem::array::RegisterArray;
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::time::Duration;
 
 /// Spawns an `n`-node replicated key-value cluster on OS threads.
 ///
@@ -83,25 +82,6 @@ where
             KvResp::PutOk => {}
             other => unreachable!("put returned {other:?}"),
         }
-    }
-
-    /// `get` with a timeout; `None` result on timeout is indistinguishable
-    /// from an absent key, so this is for liveness probes, not reads.
-    pub fn try_get_for(&self, key: K, timeout: Duration) -> Option<Option<V>> {
-        match self.inner.try_invoke_for(KvOp::Get(key), timeout) {
-            Some(KvResp::GetOk(v)) => Some(v),
-            Some(other) => unreachable!("get returned {other:?}"),
-            None => None,
-        }
-    }
-
-    /// `put` with a timeout. Returns `false` on timeout (the put may still
-    /// take effect later).
-    pub fn try_put_for(&self, key: K, value: V, timeout: Duration) -> bool {
-        matches!(
-            self.inner.try_invoke_for(KvOp::Put(key, value), timeout),
-            Some(KvResp::PutOk)
-        )
     }
 
     /// The underlying untyped client.
@@ -270,17 +250,6 @@ mod tests {
             end - start < 15 * HOP,
             "the get waited for the catch-up: {} us",
             (end - start) / 1_000
-        );
-    }
-
-    #[test]
-    fn timeout_probe_on_healthy_cluster() {
-        let cluster = spawn_kv_cluster::<String, u64>(3, Jitter::None);
-        let kv = KvStoreClient::new(cluster.client(0));
-        assert!(kv.try_put_for("k".into(), 1, Duration::from_secs(5)));
-        assert_eq!(
-            kv.try_get_for("k".into(), Duration::from_secs(5)),
-            Some(Some(1))
         );
     }
 }

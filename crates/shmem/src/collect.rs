@@ -14,21 +14,6 @@ pub fn collect<V: Clone, R: RegisterArray<V>>(regs: &mut R) -> Vec<V> {
     (0..regs.len()).map(|i| regs.read(i)).collect()
 }
 
-/// Repeatedly collects until two successive collects are equal (a "clean
-/// double collect"), returning that stable vector. With concurrent writers
-/// this may retry; unlike [`crate::snapshot`] it has no helping, so it is
-/// only *obstruction-free* — use it where writers quiesce.
-pub fn collect_stable<V: Clone + PartialEq, R: RegisterArray<V>>(regs: &mut R) -> Vec<V> {
-    let mut prev = collect(regs);
-    loop {
-        let cur = collect(regs);
-        if prev == cur {
-            return cur;
-        }
-        prev = cur;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -40,12 +25,6 @@ mod tests {
         a.write(0, 10);
         a.write(2, 30);
         assert_eq!(collect(&mut a), vec![10, 0, 30]);
-    }
-
-    #[test]
-    fn collect_stable_on_quiescent_array() {
-        let mut a = LocalAtomicArray::new(2, 7u32);
-        assert_eq!(collect_stable(&mut a), vec![7, 7]);
     }
 
     #[test]

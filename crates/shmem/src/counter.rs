@@ -63,11 +63,6 @@ impl<R: RegisterArray<u64>> Counter<R> {
     pub fn value(&mut self) -> u64 {
         collect(&mut self.regs).into_iter().sum()
     }
-
-    /// This process's own contribution.
-    pub fn my_contribution(&mut self) -> u64 {
-        self.regs.read(self.me)
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +80,6 @@ mod tests {
             }
         }
         assert_eq!(handles[0].value(), 1 + 2 + 3);
-        assert_eq!(handles[2].my_contribution(), 3);
     }
 
     #[test]

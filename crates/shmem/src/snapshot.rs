@@ -139,11 +139,6 @@ where
             },
         );
     }
-
-    /// This process's current segment value (a single register read).
-    pub fn my_value(&mut self) -> V {
-        self.regs.read(self.me).value
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +167,6 @@ mod tests {
         p1.update(6);
         p0.update(7);
         assert_eq!(p1.scan(), vec![7, 6, 0]);
-        assert_eq!(p0.my_value(), 7);
     }
 
     #[test]

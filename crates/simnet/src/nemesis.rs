@@ -542,7 +542,7 @@ impl NemesisSchedule {
 
     /// Largest number of nodes simultaneously crashed anywhere in the
     /// schedule (sweep over crash/restart endpoints).
-    pub fn max_simultaneous_down(&self) -> usize {
+    fn max_simultaneous_down(&self) -> usize {
         let mut edges: Vec<(Nanos, i64)> = Vec::new();
         for f in &self.faults {
             if let PlannedFault::Crash { at, restart_at, .. } = f {

@@ -52,7 +52,7 @@ impl SearchSpec {
     /// Freezes one candidate schedule into a self-contained [`Repro`] —
     /// the same artifact type failing soaks emit, so a detection flows
     /// directly into `check_or_emit` and the shrinker.
-    pub fn repro_for(&self, schedule: &NemesisSchedule) -> Repro {
+    fn repro_for(&self, schedule: &NemesisSchedule) -> Repro {
         Repro {
             name: self.name.clone(),
             protocol: self.protocol,

@@ -163,7 +163,7 @@ pub fn scripts_mixed_tier(
 /// Converts completed operation records into a checker history. Errors
 /// (`RegisterResp::Err`) are skipped: a rejected operation never took
 /// effect.
-pub fn history_from_records(
+fn history_from_records(
     initial: u64,
     records: &[OpRecord<RegisterOp<u64>, RegisterResp<u64>>],
 ) -> History<u64> {

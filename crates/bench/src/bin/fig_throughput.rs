@@ -47,7 +47,7 @@
 //! what it measured.
 
 use abd_bench::clusters::register_sim;
-use abd_bench::{write_artifact, Table};
+use abd_bench::{write_artifact, Stats, Table};
 use abd_core::batch::Batched;
 use abd_core::context::{Protocol, ReadPathCounters, ReadPathStats};
 use abd_core::msg::RegisterOp;
@@ -119,6 +119,8 @@ fn kv_nodes(mode: ReadMode) -> Vec<KvNode<u64, u64>> {
 
 struct RunResult {
     metrics: Metrics,
+    /// Mean latency of the completed operations, virtual nanoseconds.
+    mean_latency: f64,
     reads: ReadPathCounters,
     makespan: Nanos,
 }
@@ -129,7 +131,7 @@ impl RunResult {
     }
 
     fn rounds_per_op(&self) -> f64 {
-        self.metrics.mean_op_latency().expect("ops completed") / (2.0 * DELAY as f64)
+        self.mean_latency / (2.0 * DELAY as f64)
     }
 
     fn kops_per_virtual_sec(&self) -> f64 {
@@ -163,8 +165,10 @@ where
         (clients * OPS_PER_CLIENT) as u64,
         "every client op completed"
     );
+    let latencies = sim.completed().iter().map(|r| r.latency()).collect();
     RunResult {
         metrics,
+        mean_latency: Stats::from_samples(latencies).expect("ops completed").mean,
         reads: sim.read_path_metrics(),
         makespan: sim.now(),
     }

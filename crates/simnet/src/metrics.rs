@@ -1,7 +1,5 @@
 //! Counters the experiments read off a finished simulation.
 
-use abd_core::types::Nanos;
-
 /// Network- and operation-level counters, updated as the simulation runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
@@ -40,8 +38,6 @@ pub struct Metrics {
     /// [`ops_aborted`](Metrics::ops_aborted) count is historical and is not
     /// decremented.
     pub ops_resolved: u64,
-    /// Sum of completed-operation latencies (virtual nanoseconds).
-    pub total_op_latency: Nanos,
 }
 
 impl Metrics {
@@ -49,11 +45,6 @@ impl Metrics {
     /// operation completes.
     pub fn msgs_per_op(&self) -> Option<f64> {
         (self.ops_completed > 0).then(|| self.sent as f64 / self.ops_completed as f64)
-    }
-
-    /// Mean completed-operation latency in virtual nanoseconds.
-    pub fn mean_op_latency(&self) -> Option<f64> {
-        (self.ops_completed > 0).then(|| self.total_op_latency as f64 / self.ops_completed as f64)
     }
 }
 
@@ -65,11 +56,8 @@ mod tests {
     fn ratios_need_completed_ops() {
         let mut m = Metrics::default();
         assert_eq!(m.msgs_per_op(), None);
-        assert_eq!(m.mean_op_latency(), None);
         m.sent = 12;
         m.ops_completed = 3;
-        m.total_op_latency = 300;
         assert_eq!(m.msgs_per_op(), Some(4.0));
-        assert_eq!(m.mean_op_latency(), Some(100.0));
     }
 }

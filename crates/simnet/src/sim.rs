@@ -793,7 +793,6 @@ where
                 continue;
             };
             self.metrics.ops_completed += 1;
-            self.metrics.total_op_latency += self.now - invoked_at;
             self.observe(client, TapKind::Complete { op });
             self.completed.push(OpRecord {
                 op,

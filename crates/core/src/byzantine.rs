@@ -40,9 +40,11 @@
 //! [`ByzConfig`] has no read mode: reads take two rounds. A unanimous
 //! quorum that may hold `b` liars is not the unanimity the fast path means,
 //! and a relay read adopts forwards unvouched — a node here drops the relay
-//! shapes on arrival. The weaker tiers are sound as they stand: a `Regular`
-//! read adopts the *vouched* pair, a `Sequential` read returns a replica
-//! only updates and vouched reads ever moved (DESIGN.md §13).
+//! shapes on arrival. A `Regular` read adopts the *vouched* pair, which
+//! makes it regular between writes only: a read quorum straddling a write
+//! in progress may vouch for no pair, and the fold then falls back to the
+//! reader's own, possibly older, pair. A `Sequential` read returns a
+//! replica only updates and vouched reads ever moved (DESIGN.md §13).
 
 use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use crate::engine::{Msg, Store};

@@ -137,7 +137,10 @@ pub enum KvOp<K, V> {
     /// sequential `Get`s serve the local replica in zero rounds, regular
     /// `Get`s run the query round but skip the write-back. Writes are
     /// always full-strength, which is what makes the weaker read tiers
-    /// safe to mix with atomic ones (see DESIGN.md).
+    /// safe to mix with atomic ones (see DESIGN.md). The store's
+    /// sequential tier is sequentially consistent *per key*: sequential
+    /// `Get`s of two keys may see one client's puts out of order, which
+    /// only atomic `Get`s rule out.
     GetAt(K, Consistency),
     /// Write `value` under `key`.
     Put(K, V),
@@ -1070,6 +1073,26 @@ mod tests {
         // Its sequential get legitimately serves the stale local value.
         net.invoke(2, KvOp::GetAt("k", Consistency::Sequential));
         assert_eq!(net.take()[0].1, KvResp::GetOk(Some(1)));
+    }
+
+    #[test]
+    fn sequential_gets_are_sequential_per_key_only() {
+        // A conviction: ROADMAP 21's counterexample, fault-free. Node 0
+        // puts x before y, yet node 1 sees y's put and then not x's, which
+        // no total order of the store explains. Each key alone is SC. If
+        // direction 21 builds a store-wide SC tier, this test inverts.
+        let mut net: Net<&str, u32> = Net::new(3);
+        net.alive[1] = false;
+        net.invoke(0, KvOp::Put("x", 1));
+        net.run();
+        net.alive[1] = true;
+        net.invoke(0, KvOp::Put("y", 1));
+        net.run();
+        assert_eq!(net.take().len(), 2, "both puts complete");
+        net.invoke(1, KvOp::GetAt("y", Consistency::Sequential));
+        net.invoke(1, KvOp::GetAt("x", Consistency::Sequential));
+        let gets: Vec<_> = net.take().into_iter().map(|(_, r)| r).collect();
+        assert_eq!(gets, [KvResp::GetOk(Some(1)), KvResp::GetOk(None)]);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use abd_core::context::Protocol;
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::types::{Consistency, ProcessId};
 use abd_repro::lincheck::{
-    check_linearizable_with_limit, check_regular_swmr, check_sequential, is_atomic_swmr,
-    CheckResult, History, RegAction, ScCheckResult,
+    check_linearizable, check_linearizable_with_limit, check_regular_swmr, check_sequential,
+    is_atomic_swmr, Anomaly, CheckResult, History, RegAction, ScCheckResult,
 };
 use abd_repro::simnet::harness::run_scripts;
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
@@ -290,6 +290,53 @@ fn the_masking_sweeps_reach_the_straddled_quorum_fallback() {
     // dissemination is what should bring this back to zero.
     let folds = masked_sweep() + b2_sweep() + regular_under_a_forger();
     assert!(folds > 0, "no fold fell back to its own pair");
+}
+
+#[test]
+fn a_regular_read_straddling_a_write_is_not_regular() {
+    // A conviction: ROADMAP 4(e)'s schedule, which only delays messages.
+    // Node 4 misses write 1, which completes; write 2 reaches node 2 only
+    // and stays pending; node 4's `Regular` read quorum is then itself, the
+    // forger, node 2 (label 2) and node 3 (label 1), four pairs with one
+    // voucher each. The fold falls back to node 4's own pair, and the read
+    // returns the initial value after write 1 completed: the masking
+    // argument holds between writes only. 4(e)'s fix inverts this test.
+    let latency = LatencyModel::Constant(1_000);
+    let nodes = byz_nodes(1, &[(1, LieStrategy::ForgeLabel)]);
+    let mut sim = Sim::new(SimConfig::new(1).with_latency(latency), nodes);
+    let steps = [
+        ([0, 0, 0, 0, 1], ProcessId(0), RegisterOp::Write(1)),
+        ([0, 1, 0, 1, 1], ProcessId(0), RegisterOp::Write(2)),
+        (
+            [0, 1, 1, 1, 1],
+            ProcessId(4),
+            RegisterOp::ReadAt(Consistency::Regular),
+        ),
+    ];
+    for (groups, node, op) in steps {
+        sim.partition_at(sim.now(), groups.to_vec());
+        sim.invoke(node, op);
+        assert!(sim.run_until_quiet(1_000_000_000));
+    }
+    let done: Vec<_> = sim.completed().iter().map(|r| r.resp.clone()).collect();
+    assert_eq!(
+        done,
+        [RegisterResp::WriteOk, RegisterResp::ReadOk(0)],
+        "write 2 is still out"
+    );
+    assert_eq!(unvouched_folds(&sim, &[1]), 1);
+    let h = honest_history(&sim, &[1]);
+    assert!(
+        matches!(
+            check_regular_swmr(&h)[..],
+            [Anomaly::StaleRead {
+                returned_write: None,
+                ..
+            }]
+        ),
+        "{h}"
+    );
+    assert_eq!(check_linearizable(&h), CheckResult::NotLinearizable, "{h}");
 }
 
 #[test]

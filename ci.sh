@@ -151,12 +151,15 @@ if grep -rnE 'anti_entropy|SWEEP_KEY|on_sweep|arm_sweep|sweep_next' crates src t
   echo "the background anti-entropy sweep is named again; a KvNode walks its peers when it reboots, and only then (DESIGN §15)"; exit 1
 fi
 
-echo "==> one deterministic hasher (FastHasher) and a one-word ProcSet"
+echo "==> one deterministic hasher (FastHasher), a one-word ProcSet, one read knob and one record of latency"
 # The Merkle tree hashes keys and digests entries with FastHasher, like every
 # hot map; the byte-wise FNV-1a hasher it had of its own is gone. A ProcSet is
-# one word: every cluster here has n <= 64, and ProcSet::new panics above.
-if grep -rnE 'FnvHasher|FNV_PRIME|Words::Heap' crates src tests examples; then
-  echo "a second hasher or the multi-word ProcSet is named again; hash with abd_core::fasthash::FastHasher, and a ProcSet is one u64"; exit 1
+# one word: every cluster here has n <= 64, and ProcSet::new panics above. A
+# read without its write-back is ReadMode::NoWriteBack, not a bool beside the
+# mode, and an operation's latency is read off its record (Sim::completed),
+# not summed into Metrics.
+if grep -rnE 'FnvHasher|FNV_PRIME|Words::Heap|read_write_back|total_op_latency|mean_op_latency' crates src tests examples; then
+  echo "a deleted name is back: hash with abd_core::fasthash::FastHasher, a ProcSet is one u64, a read without write-back is ReadMode::NoWriteBack, and a latency is an OpRecord's"; exit 1
 fi
 
 echo "==> the nemesis search is blind sampling (no coverage map, no corpus, no mutation)"
@@ -210,6 +213,19 @@ for dep in $(cd vendor && ls -d */ | tr -d /); do
     && grep -qE "^$dep(\.workspace = true| = \{ workspace = true)" Cargo.toml crates/*/Cargo.toml \
     || { echo "vendor/$dep is not a [workspace.dependencies] entry that some member uses; delete the stub with its last caller"; exit 1; }
 done
+
+echo "==> every pub fn under crates/*/src is named in another file (by name only: a name common enough to appear elsewhere passes unseen)"
+# A public function no other file calls is surface without a user: delete it,
+# make it private, or gate it with #[cfg(test)] beside the tests that read it.
+uncalled=""
+for f in $(find crates/*/src -name '*.rs' | sort); do
+  for fn in $(grep -oP '^\s*pub fn \K\w+' "$f" | sort -u); do
+    others=$(grep -rlw --include='*.rs' "$fn" crates src tests examples benchmark/src | grep -vxF "$f" || true)
+    [ -n "$others" ] || uncalled+="$f:$fn "
+  done
+done
+[ -z "$uncalled" ] \
+  || { echo "no other file names these public functions: $uncalled— delete each, make it private, or gate it with #[cfg(test)]"; exit 1; }
 
 echo "==> cargo test --workspace"
 cargo test -q --workspace

@@ -251,16 +251,21 @@ mod tests {
     #[test]
     fn regular_baseline_skips_write_back_phase() {
         let mut net = cluster(3, ReadMode::NoWriteBack);
+        // The write misses node 2.
+        net.set_drop_filter(|_, to, _| to.index() == 2);
         net.invoke(0, RegisterOp::Write(5));
         net.run_to_quiescence();
         net.take_responses();
+        net.clear_drop_filter();
         let sent_before = net.messages_sent();
-        net.invoke(1, RegisterOp::Read);
+        net.invoke(2, RegisterOp::Read);
         net.run_to_quiescence();
         let read_msgs = net.messages_sent() - sent_before;
         // Regular read: query + replies only = 2(n-1) = 4 messages.
         assert_eq!(read_msgs, 4);
         assert_eq!(net.take_responses()[0].1, RegisterResp::ReadOk(5));
+        // Nor does it adopt what it returns, as a `Regular`-tier read does.
+        assert_eq!(net.node(2).replica_state(), (0, 0));
     }
 
     #[test]

@@ -427,7 +427,12 @@ where
 // ---------------------------------------------------------------------------
 
 /// The read modes, in the order a `read_mode=` value is looked up.
-const READ_MODES: [ReadMode; 3] = [ReadMode::TwoRound, ReadMode::FastUnanimous, ReadMode::Relay];
+const READ_MODES: [ReadMode; 4] = [
+    ReadMode::TwoRound,
+    ReadMode::FastUnanimous,
+    ReadMode::Relay,
+    ReadMode::NoWriteBack,
+];
 
 /// `key` and its free text (`name`, `reason`) escaped onto one line: `\`
 /// as `\\`, a newline as `\n`. An empty text is the bare key.

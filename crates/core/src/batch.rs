@@ -116,7 +116,8 @@ impl<P: Protocol> Batched<P> {
     }
 
     /// The wrapped protocol, for inspection.
-    pub fn inner(&self) -> &P {
+    #[cfg(test)]
+    fn inner(&self) -> &P {
         &self.inner
     }
 

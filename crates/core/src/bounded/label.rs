@@ -113,8 +113,9 @@ pub struct SerialLabel {
 }
 
 impl SerialLabel {
-    /// The raw cycle position (for diagnostics and tests).
-    pub fn raw(&self) -> u32 {
+    /// The raw cycle position.
+    #[cfg(test)]
+    pub(crate) fn raw(&self) -> u32 {
         self.raw
     }
 }

@@ -31,8 +31,8 @@ pub trait Clock: Send + Sync + std::fmt::Debug {
 /// A clock that only moves when told to — for tests that want to step
 /// time-dependent code deterministically.
 ///
-/// Shared freely across threads; [`advance`](ManualClock::advance) and
-/// [`set`](ManualClock::set) are atomic.
+/// Shared freely across threads; [`advance`](ManualClock::advance) is
+/// atomic.
 #[derive(Debug, Default)]
 pub struct ManualClock {
     now: AtomicU64,
@@ -55,7 +55,8 @@ impl ManualClock {
     ///
     /// Panics if `at` is earlier than the current time — a [`Clock`] must
     /// stay monotone.
-    pub fn set(&self, at: Nanos) {
+    #[cfg(test)]
+    fn set(&self, at: Nanos) {
         let prev = self.now.swap(at, Ordering::SeqCst);
         assert!(
             prev <= at,

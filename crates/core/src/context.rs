@@ -118,7 +118,8 @@ impl<M, R> Effects<M, R> {
     }
 
     /// Moves all effects out of `self`, leaving it empty.
-    pub fn take(&mut self) -> Effects<M, R> {
+    #[cfg(test)]
+    fn take(&mut self) -> Effects<M, R> {
         Effects {
             sends: std::mem::take(&mut self.sends),
             timers: std::mem::take(&mut self.timers),

@@ -282,16 +282,6 @@ impl Threshold {
         );
         Threshold { n, r, w }
     }
-
-    /// Read threshold.
-    pub fn r(&self) -> usize {
-        self.r
-    }
-
-    /// Write threshold.
-    pub fn w(&self) -> usize {
-        self.w
-    }
 }
 
 impl QuorumSystem for Threshold {

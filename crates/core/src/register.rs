@@ -342,7 +342,8 @@ where
     }
 
     /// Number of invocations waiting behind the client operation in flight.
-    pub fn queue_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
 

@@ -115,7 +115,8 @@ impl<V> History<V> {
     }
 
     /// Iterates over completed operations.
-    pub fn iter(&self) -> std::slice::Iter<'_, CompletedOp<V>> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, CompletedOp<V>> {
         self.ops.iter()
     }
 

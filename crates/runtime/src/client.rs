@@ -83,11 +83,6 @@ where
             other => unreachable!("put returned {other:?}"),
         }
     }
-
-    /// The underlying untyped client.
-    pub fn raw(&self) -> &Client<KvNode<K, V>> {
-        &self.inner
-    }
 }
 
 /// The bridge that makes the paper's thesis executable: an

@@ -141,7 +141,8 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
 
     /// The clock all client timing measurements are read from; its epoch is
     /// the moment the cluster was spawned.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
+    #[cfg(test)]
+    fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
     }
 

@@ -115,7 +115,8 @@ impl<R: RegisterArray<Segment<RenamingSlot>>> Renaming<R> {
     }
 
     /// The decided name, if [`acquire`](Self::acquire) has completed.
-    pub fn name(&self) -> Option<usize> {
+    #[cfg(test)]
+    fn name(&self) -> Option<usize> {
         self.decided
     }
 }

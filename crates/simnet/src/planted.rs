@@ -218,7 +218,8 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
     }
 
     /// The wrapped node, for inspection.
-    pub fn inner(&self) -> &SwmrNode<V> {
+    #[cfg(test)]
+    fn inner(&self) -> &SwmrNode<V> {
         &self.inner
     }
 

@@ -52,7 +52,8 @@ impl ProcSet {
     }
 
     /// Creates a set containing every id in `0..capacity`.
-    pub fn full(capacity: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn full(capacity: usize) -> Self {
         let mut s = ProcSet::new(capacity);
         for i in 0..capacity {
             s.insert(ProcessId(i));
@@ -76,11 +77,6 @@ impl ProcSet {
         s
     }
 
-    /// The number of ids this set can hold (`n` of the cluster).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Adds `p` to the set. Returns `true` if it was newly inserted.
     ///
     /// # Panics
@@ -99,7 +95,8 @@ impl ProcSet {
     }
 
     /// Removes `p` from the set. Returns `true` if it was present.
-    pub fn remove(&mut self, p: ProcessId) -> bool {
+    #[cfg(test)]
+    fn remove(&mut self, p: ProcessId) -> bool {
         if p.index() >= self.capacity {
             return false;
         }
@@ -125,7 +122,8 @@ impl ProcSet {
     }
 
     /// Removes all ids.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    fn clear(&mut self) {
         self.bits = 0;
     }
 

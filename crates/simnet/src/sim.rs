@@ -502,7 +502,8 @@ where
     }
 
     /// The recorded trace lines (oldest first). Empty when tracing is off.
-    pub fn trace(&self) -> Vec<String> {
+    #[cfg(test)]
+    fn trace(&self) -> Vec<String> {
         self.trace
             .as_ref()
             .map(|t| t.iter().cloned().collect())

@@ -151,15 +151,17 @@ if grep -rnE 'anti_entropy|SWEEP_KEY|on_sweep|arm_sweep|sweep_next' crates src t
   echo "the background anti-entropy sweep is named again; a KvNode walks its peers when it reboots, and only then (DESIGN §15)"; exit 1
 fi
 
-echo "==> one deterministic hasher (FastHasher), a one-word ProcSet, one read knob and one record of latency"
+echo "==> one deterministic hasher (FastHasher), a one-word ProcSet, one read knob, one record of latency and one verdict site"
 # The Merkle tree hashes keys and digests entries with FastHasher, like every
 # hot map; the byte-wise FNV-1a hasher it had of its own is gone. A ProcSet is
 # one word: every cluster here has n <= 64, and ProcSet::new panics above. A
 # read without its write-back is ReadMode::NoWriteBack, not a bool beside the
 # mode, and an operation's latency is read off its record (Sim::completed),
-# not summed into Metrics.
-if grep -rnE 'FnvHasher|FNV_PRIME|Words::Heap|read_write_back|total_op_latency|mean_op_latency' crates src tests examples; then
-  echo "a deleted name is back: hash with abd_core::fasthash::FastHasher, a ProcSet is one u64, a read without write-back is ReadMode::NoWriteBack, and a latency is an OpRecord's"; exit 1
+# not summed into Metrics. A campaign's verdict is OracleSpec::violation's:
+# abd-lincheck holds checkers only (no oracle trait or types), and atomicity
+# is one spec that picks its checker from the history.
+if grep -rnE 'FnvHasher|FNV_PRIME|Words::Heap|read_write_back|total_op_latency|mean_op_latency|HistoryOracle|AtomicSwmrOracle|LinearizableOracle|SequentialConsistencyOracle|RegularOracle|OracleSpec::AtomicSwmr' crates src tests examples; then
+  echo "a deleted name is back: hash with abd_core::fasthash::FastHasher, a ProcSet is one u64, a read without write-back is ReadMode::NoWriteBack, a latency is an OpRecord's, and a campaign's verdict is OracleSpec::violation's (crates/simnet/src/repro.rs), with OracleSpec::Linearizable for atomicity"; exit 1
 fi
 
 echo "==> the nemesis search is blind sampling (no coverage map, no corpus, no mutation)"

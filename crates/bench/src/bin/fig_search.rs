@@ -101,7 +101,7 @@ fn spec(name: &str, protocol: ProtocolSpec) -> SearchSpec {
         sim: SimConfig::new(SIM_SEED),
         scripts,
         think: THINK,
-        oracle: OracleSpec::AtomicSwmr,
+        oracle: OracleSpec::Linearizable,
         deadline_slack: 200_000_000,
     }
 }

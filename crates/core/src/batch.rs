@@ -97,8 +97,6 @@ pub struct Batched<P: Protocol> {
     window: Nanos,
     outbox: Vec<(ProcessId, P::Msg)>,
     armed: bool,
-    batches: u64,
-    coalesced: u64,
 }
 
 impl<P: Protocol> Batched<P> {
@@ -110,8 +108,6 @@ impl<P: Protocol> Batched<P> {
             window,
             outbox: Vec::new(),
             armed: false,
-            batches: 0,
-            coalesced: 0,
         }
     }
 
@@ -121,20 +117,6 @@ impl<P: Protocol> Batched<P> {
         &self.inner
     }
 
-    /// Envelopes shipped so far (one per `(flush, peer)` with traffic).
-    #[cfg(test)]
-    fn batches_sent(&self) -> u64 {
-        self.batches
-    }
-
-    /// Inner messages carried by those envelopes. The difference to
-    /// [`batches_sent`](Batched::batches_sent) is the number of network
-    /// events batching saved.
-    #[cfg(test)]
-    fn messages_coalesced(&self) -> u64 {
-        self.coalesced
-    }
-
     /// Regroups the outbox per destination and ships one envelope per peer.
     fn flush(&mut self, fx: &mut Effects<Envelope<P::Msg>, P::Resp>) {
         let mut by_peer: BTreeMap<ProcessId, Vec<P::Msg>> = BTreeMap::new();
@@ -142,8 +124,6 @@ impl<P: Protocol> Batched<P> {
             by_peer.entry(to).or_default().push(m);
         }
         for (to, mut msgs) in by_peer {
-            self.batches += 1;
-            self.coalesced += msgs.len() as u64;
             if msgs.len() == 1 {
                 if let Some(m) = msgs.pop() {
                     fx.send(to, Envelope::One(m));
@@ -310,8 +290,6 @@ mod tests {
         assert_eq!(fx.sends[1].0, ProcessId(2));
         assert_eq!(fx.sends[1].1, Envelope::Batch(vec![0, 1, 2]));
         assert_eq!(fx.responses.len(), 1, "responses pass through");
-        assert_eq!(node.batches_sent(), 2);
-        assert_eq!(node.messages_coalesced(), 6);
     }
 
     #[test]
@@ -362,8 +340,6 @@ mod tests {
         assert_eq!(flush_fx.sends[0].1, Envelope::Batch(vec![0, 1, 0, 1, 2]));
         assert_eq!(flush_fx.sends[1].0, ProcessId(2));
         assert_eq!(flush_fx.sends[1].1, Envelope::Batch(vec![0, 1, 0, 1, 2]));
-        assert_eq!(node.batches_sent(), 2);
-        assert_eq!(node.messages_coalesced(), 10);
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //!   SC-ABD reads promise;
 //! * [`regularity`] — linear-time detectors for single-writer unique-value
 //!   histories: regularity/safeness violations and the *new/old inversion*
-//!   anomaly that separates regular from atomic registers;
-//! * [`oracle`] — those checkers reified as pluggable pass/fail predicates
-//!   ([`HistoryOracle`]) so harnesses like the `abd-simnet` campaign
-//!   shrinker can re-apply one failure definition to many replays. One
-//!   oracle per consistency tier: atomic, sequential, regular.
+//!   anomaly that separates regular from atomic registers.
+//!
+//! The crate holds checkers only. Which one judges a campaign is
+//! `abd-simnet`'s `OracleSpec`, the one place a replay's verdict is chosen.
 //!
 //! ## Example
 //!
@@ -40,15 +39,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod history;
-pub mod oracle;
 pub mod regularity;
 pub mod sc;
 pub mod wg;
 
 pub use history::{CompletedOp, History, RegAction};
-pub use oracle::{
-    AtomicSwmrOracle, HistoryOracle, LinearizableOracle, RegularOracle, SequentialConsistencyOracle,
-};
 pub use regularity::{check_regular_swmr, find_new_old_inversions, is_atomic_swmr, Anomaly};
 pub use sc::{check_sequential, check_sequential_with_limit, ScCheckResult};
 pub use wg::{

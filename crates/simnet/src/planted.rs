@@ -97,9 +97,8 @@ pub enum MutantKind {
     /// still pending (writer crashed mid-propagation), the stale value is
     /// merely older than an incomplete write, so the history stays
     /// **regular**: this is the mutant only the
-    /// [`SequentialConsistencyOracle`] tier (and above) can see.
-    ///
-    /// [`SequentialConsistencyOracle`]: abd_lincheck::SequentialConsistencyOracle
+    /// [`OracleSpec::Sequential`](crate::OracleSpec::Sequential) tier (and
+    /// above) can see.
     ScStashRead,
     /// Every `N`th read response is replaced with a [forged](Forgeable)
     /// value the register never held — a *phantom* read. Violates even

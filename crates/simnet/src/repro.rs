@@ -27,10 +27,11 @@ use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
-use abd_lincheck::history::History;
-use abd_lincheck::oracle::{
-    AtomicSwmrOracle, HistoryOracle, LinearizableOracle, RegularOracle, SequentialConsistencyOracle,
-};
+use abd_lincheck::history::{History, RegAction};
+use abd_lincheck::sc::{check_sequential_with_limit, ScCheckResult, DEFAULT_SC_STATE_LIMIT};
+use abd_lincheck::wg::{check_linearizable_with_limit, CheckResult};
+use abd_lincheck::{check_regular_swmr, find_new_old_inversions, is_atomic_swmr};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -40,19 +41,19 @@ use std::str::FromStr;
 pub enum ProtocolSpec {
     /// Single-writer nodes ([`SwmrNode`]); writer is node 0.
     Swmr {
-        /// Read path: two-round, fast-unanimous, or relay.
+        /// Read path: two-round, fast-unanimous, relay, or no write-back.
         read_mode: ReadMode,
     },
     /// Multi-writer nodes ([`MwmrNode`]).
     Mwmr {
-        /// Read path: two-round, fast-unanimous, or relay.
+        /// Read path: two-round, fast-unanimous, relay, or no write-back.
         read_mode: ReadMode,
     },
     /// Single-writer nodes under a [`Batched`] coalescing wrapper.
     BatchedSwmr {
         /// Nagle-style flush window in nanoseconds (0 = flush immediately).
         window: Nanos,
-        /// Read path: two-round, fast-unanimous, or relay.
+        /// Read path: two-round, fast-unanimous, relay, or no write-back.
         read_mode: ReadMode,
     },
     /// Single-writer nodes carrying one planted defect from the
@@ -73,7 +74,7 @@ pub enum ProtocolSpec {
     /// whole tree divergent and run for their full depth while the
     /// restarted node serves.
     Kv {
-        /// Read path: two-round, fast-unanimous, or relay.
+        /// Read path: two-round, fast-unanimous, relay, or no write-back.
         read_mode: ReadMode,
         /// Contended keys the scripts address.
         hot: u32,
@@ -102,29 +103,97 @@ impl ProtocolSpec {
     }
 }
 
-/// How the replay decides "did this run fail?".
+/// How the replay decides "did this run fail?": the property each
+/// register's history must have.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum OracleSpec {
-    /// Linear-time single-writer atomicity ([`AtomicSwmrOracle`]).
-    AtomicSwmr,
-    /// Wing–Gong linearizability search ([`LinearizableOracle`]).
+    /// Atomicity. A history whose writes are one client's, each of a value
+    /// no other write and not the initial value holds, is judged by the
+    /// linear-time single-writer check ([`is_atomic_swmr`]); any other by
+    /// the Wing–Gong search.
     Linearizable,
-    /// Sequential-consistency search ([`SequentialConsistencyOracle`]) —
-    /// the tier promised by `Consistency::Sequential` reads.
+    /// Sequential consistency, by exact search — the tier promised by
+    /// `Consistency::Sequential` reads.
     Sequential,
-    /// Single-writer regularity ([`RegularOracle`]) — the tier promised by
-    /// `Consistency::Regular` reads.
+    /// Single-writer regularity ([`check_regular_swmr`]) — the tier
+    /// promised by `Consistency::Regular` reads.
     RegularSwmr,
 }
 
+/// Memoized states the Wing–Gong search may explore before it gives up.
+const WG_STATE_LIMIT: usize = 1_000_000;
+
 impl OracleSpec {
     /// Every oracle, in declaration order.
-    pub(crate) const ALL: [OracleSpec; 4] = [
-        OracleSpec::AtomicSwmr,
+    pub(crate) const ALL: [OracleSpec; 3] = [
         OracleSpec::Linearizable,
         OracleSpec::Sequential,
         OracleSpec::RegularSwmr,
     ];
+
+    /// `Some(reason)` if `h` lacks the property. A search that runs out of
+    /// its state budget proves nothing, and reads as no violation.
+    fn violation(&self, h: &History<u64>) -> Option<String> {
+        match self {
+            OracleSpec::Linearizable if single_writer_unique_values(h) => {
+                if is_atomic_swmr(h) {
+                    return None;
+                }
+                let detail = find_new_old_inversions(h)
+                    .into_iter()
+                    .next()
+                    .map(|a| format!(": {a:?}"))
+                    .unwrap_or_default();
+                Some(format!("history is not atomic (SWMR checker){detail}"))
+            }
+            OracleSpec::Linearizable => {
+                wg_verdict(check_linearizable_with_limit(h, WG_STATE_LIMIT))
+            }
+            OracleSpec::Sequential => {
+                sc_verdict(check_sequential_with_limit(h, DEFAULT_SC_STATE_LIMIT))
+            }
+            OracleSpec::RegularSwmr => check_regular_swmr(h)
+                .into_iter()
+                .next()
+                .map(|a| format!("history is not regular (SWMR checker): {a:?}")),
+        }
+    }
+}
+
+/// Whether every write in `h`, completed or pending, is by one client and
+/// of a value distinct from every other write's and from the initial
+/// value: the histories on which the single-writer check decides
+/// atomicity.
+fn single_writer_unique_values(h: &History<u64>) -> bool {
+    let completed = h.ops().iter().filter_map(|op| match op.action {
+        RegAction::Write(v) => Some((op.client, v)),
+        RegAction::Read(_) => None,
+    });
+    let pending = h.pending_writes().iter().map(|&(client, v, _)| (client, v));
+    let mut writer = None;
+    let mut values = BTreeSet::from([*h.initial()]);
+    completed
+        .chain(pending)
+        .all(|(client, v)| *writer.get_or_insert(client) == client && values.insert(v))
+}
+
+fn wg_verdict(result: CheckResult) -> Option<String> {
+    match result {
+        CheckResult::NotLinearizable => {
+            Some("history is not linearizable (Wing-Gong search)".to_string())
+        }
+        CheckResult::Linearizable | CheckResult::Unknown => None,
+    }
+}
+
+fn sc_verdict(result: ScCheckResult) -> Option<String> {
+    match result {
+        ScCheckResult::NotSequential => Some(
+            "history is not sequentially consistent (no total order respects program order)"
+                .to_string(),
+        ),
+        ScCheckResult::Sequential | ScCheckResult::Unknown => None,
+    }
 }
 
 /// Why a replay failed. [`Failure::kind`] tags the failure class; the
@@ -218,22 +287,15 @@ impl Repro {
         }
     }
 
-    /// Applies this artifact's oracle to one finished run: a history
-    /// oracle judges each register's history on its own, and the first
-    /// violation is the failure (named by its key when there are several
-    /// registers).
+    /// Applies this artifact's oracle to one finished run: the oracle
+    /// judges each register's history on its own, and the first violation
+    /// is the failure (named by its key when there are several registers).
     fn judge(&self, completed: bool, histories: &[History<u64>]) -> Option<Failure> {
         if !completed {
             return Some(Failure::Liveness);
         }
-        let oracle: &dyn HistoryOracle<u64> = match self.oracle {
-            OracleSpec::AtomicSwmr => &AtomicSwmrOracle,
-            OracleSpec::Linearizable => &LinearizableOracle::default(),
-            OracleSpec::Sequential => &SequentialConsistencyOracle::default(),
-            OracleSpec::RegularSwmr => &RegularOracle,
-        };
         histories.iter().enumerate().find_map(|(i, h)| {
-            let reason = oracle.violation(h)?;
+            let reason = self.oracle.violation(h)?;
             Some(Failure::Violation(match self.protocol {
                 ProtocolSpec::Kv { preload, .. } => {
                     format!("key {}: {reason}", preload as usize + i)
@@ -886,7 +948,84 @@ fn op_from(word: &str) -> Result<RegisterOp<u64>, String> {
 mod tests {
     use super::*;
     use crate::nemesis::NemesisConfig;
-    use abd_lincheck::history::RegAction;
+
+    /// Six writers of distinct values over one interval: a budget of one
+    /// state cannot decide it.
+    fn wide_history() -> History<u64> {
+        let mut h = History::new(0);
+        for c in 0..6 {
+            h.push(c, RegAction::Write(c as u64 + 1), 0, 100);
+        }
+        h
+    }
+
+    #[test]
+    fn linearizable_picks_its_checker_from_the_history() {
+        let judge = |h: &History<u64>| OracleSpec::Linearizable.violation(h);
+        let mut clean = History::new(0);
+        clean.push(0, RegAction::Write(1), 0, 10);
+        clean.push(1, RegAction::Read(1), 20, 30);
+        assert_eq!(judge(&clean), None);
+
+        // Two concurrent writers; a reader sees the second value, then the
+        // first. W(2) then W(1) linearizes it, but the single-writer check,
+        // which orders writes by their start, would convict it.
+        let mut two_writers = History::new(0);
+        two_writers.push(0, RegAction::Write(1), 0, 100);
+        two_writers.push(1, RegAction::Write(2), 0, 100);
+        two_writers.push(2, RegAction::Read(2), 10, 20);
+        two_writers.push(2, RegAction::Read(1), 30, 40);
+        assert!(!is_atomic_swmr(&two_writers));
+        assert_eq!(judge(&two_writers), None);
+
+        // One writer, then a stale read after a fresh one.
+        let mut stale = clean.clone();
+        stale.push(2, RegAction::Read(0), 40, 50);
+        let reason = judge(&stale).expect("a stale read is not atomic");
+        assert!(
+            reason.starts_with("history is not atomic (SWMR checker)"),
+            "{reason}"
+        );
+
+        // The same stale read with the fresh value written by a second
+        // client.
+        let mut stale_two_writers = History::new(0);
+        stale_two_writers.push(0, RegAction::Write(1), 0, 10);
+        stale_two_writers.push(1, RegAction::Write(2), 20, 30);
+        stale_two_writers.push(2, RegAction::Read(1), 40, 50);
+        assert_eq!(
+            judge(&stale_two_writers).as_deref(),
+            Some("history is not linearizable (Wing-Gong search)")
+        );
+    }
+
+    #[test]
+    fn regular_reason_names_the_anomaly() {
+        let mut h = History::new(0);
+        h.push(0, RegAction::Write(1), 0, 10);
+        h.push(1, RegAction::Read(7), 20, 30);
+        let reason = OracleSpec::RegularSwmr
+            .violation(&h)
+            .expect("a phantom read");
+        assert!(
+            reason.contains("not regular") && reason.contains("PhantomValue"),
+            "{reason}"
+        );
+    }
+
+    #[test]
+    fn exhausted_search_budget_is_not_a_violation() {
+        let result = check_linearizable_with_limit(&wide_history(), 1);
+        assert_eq!(result, CheckResult::Unknown);
+        assert_eq!(wg_verdict(result), None);
+    }
+
+    #[test]
+    fn sc_oracle_exhausted_budget_is_not_a_violation() {
+        let result = check_sequential_with_limit(&wide_history(), 1);
+        assert_eq!(result, ScCheckResult::Unknown);
+        assert_eq!(sc_verdict(result), None);
+    }
 
     fn sample() -> Repro {
         let faults = vec![
@@ -943,7 +1082,7 @@ mod tests {
             ],
             think: 5_000,
             deadline: 9_000_000,
-            oracle: OracleSpec::AtomicSwmr,
+            oracle: OracleSpec::Linearizable,
             expected_digest: 0xdead_beef_0123_4567,
             reason: "line one\nline two \\n".to_string(),
         }
@@ -970,7 +1109,7 @@ script Write(1) Write(2)
 script Read ReadAtomic ReadSC ReadRegular
 think 5000
 deadline 9000000
-oracle AtomicSwmr
+oracle Linearizable
 expected_digest 0xdeadbeef01234567
 reason line one\nline two \\n
 "#;
@@ -1078,7 +1217,12 @@ reason line one\nline two \\n
             (s, "fault Gray", "fault Grey", "unknown fault `Grey`"),
             (s, "ReadSC", "ReadSeq", "unknown op `ReadSeq`"),
             (s, "Write(2)", "Write(2", "unknown op `Write(2`"),
-            (s, "oracle AtomicSwmr", "oracle Atomic", "unknown oracle"),
+            (
+                s,
+                "oracle Linearizable",
+                "oracle AtomicSwmr",
+                "unknown oracle",
+            ),
             (kv, "=TwoRound", "=ThreeRound", "unknown read_mode"),
             (mutant, "=DropWriteBack", "=DropAll", "unknown mutant"),
             (s, "latency Bimodal", "latency Normal", "unknown latency"),
@@ -1215,7 +1359,7 @@ reason line one\nline two \\n
             schedule: sched,
             scripts,
             think: 5_000,
-            oracle: OracleSpec::AtomicSwmr,
+            oracle: OracleSpec::Linearizable,
             expected_digest: 0,
             reason: String::new(),
         };

@@ -148,7 +148,7 @@ mod tests {
             sim: SimConfig::new(4),
             scripts,
             think: 10_000,
-            oracle: OracleSpec::AtomicSwmr,
+            oracle: OracleSpec::Linearizable,
             deadline_slack: 200_000_000,
         }
     }

@@ -292,7 +292,7 @@ mod tests {
                 })
                 .collect(),
             think: 5_000,
-            oracle: OracleSpec::AtomicSwmr,
+            oracle: OracleSpec::Linearizable,
             expected_digest: 0,
             reason: String::new(),
         }

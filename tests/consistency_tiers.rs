@@ -100,7 +100,7 @@ fn inversion_repro(sim_seed: u64) -> Repro {
         scripts: scripts(20, 20),
         think: 2_500,
         deadline,
-        oracle: OracleSpec::AtomicSwmr,
+        oracle: OracleSpec::Linearizable,
         expected_digest: 0,
         reason: String::new(),
     }
@@ -194,7 +194,7 @@ fn oracle_selftest_atomic_convicts_cross_client_inversion_weaker_tiers_acquit() 
     );
     // Re-assert the full row explicitly so a failure names the oracle.
     assert!(
-        is_violation(&judge(&r, OracleSpec::AtomicSwmr)),
+        is_violation(&judge(&r, OracleSpec::Linearizable)),
         "atomic oracle must convict the planted cross-client inversion"
     );
     assert_eq!(
@@ -224,7 +224,7 @@ fn oracle_selftest_sequential_convicts_stash_read_regular_acquits() {
     // Hierarchy sanity: what breaks sequential consistency breaks
     // atomicity too.
     assert!(
-        is_violation(&judge(&r, OracleSpec::AtomicSwmr)),
+        is_violation(&judge(&r, OracleSpec::Linearizable)),
         "atomic oracle must also convict the same-client inversion"
     );
 }
@@ -238,7 +238,7 @@ fn oracle_selftest_every_tier_convicts_phantom_reads() {
     for oracle in [
         OracleSpec::RegularSwmr,
         OracleSpec::Sequential,
-        OracleSpec::AtomicSwmr,
+        OracleSpec::Linearizable,
     ] {
         assert!(
             is_violation(&judge(&r, oracle)),

@@ -120,7 +120,7 @@ fn swmr_campaign_cfg(sim_seed: u64, nemesis_seed: u64, read_mode: ReadMode) -> u
     soak_repro(
         name,
         ProtocolSpec::Swmr { read_mode },
-        OracleSpec::AtomicSwmr,
+        OracleSpec::Linearizable,
         sim_seed,
         sched,
         swmr_scripts(6),
@@ -385,7 +385,7 @@ fn interrupted_write_campaigns_roll_forward_and_replay() {
             ProtocolSpec::Swmr {
                 read_mode: ReadMode::TwoRound,
             },
-            OracleSpec::AtomicSwmr,
+            OracleSpec::Linearizable,
             1234,
             sched.clone(),
             swmr_scripts(6),
@@ -422,7 +422,7 @@ fn batched_fast_campaign_stays_atomic_and_replays() {
                 window: 2_000,
                 read_mode: ReadMode::FastUnanimous,
             },
-            OracleSpec::AtomicSwmr,
+            OracleSpec::Linearizable,
             sim_seed,
             sched,
             swmr_scripts(5),
@@ -917,7 +917,7 @@ fn register_catch_up_repro(
     let oracle = if tiers {
         OracleSpec::Sequential
     } else {
-        OracleSpec::AtomicSwmr
+        OracleSpec::Linearizable
     };
     catch_up_repro(
         (name, protocol, oracle),
@@ -1226,7 +1226,7 @@ fn relay_read_overlapping_writer_crash_pinned_campaign() {
             ProtocolSpec::Swmr {
                 read_mode: ReadMode::Relay,
             },
-            OracleSpec::AtomicSwmr,
+            OracleSpec::Linearizable,
             sim_seed,
             sched,
             swmr_scripts(4),

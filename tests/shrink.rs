@@ -114,7 +114,7 @@ fn planted_repro(sim_seed: u64) -> Repro {
             .collect(),
         think: 2_500,
         deadline,
-        oracle: OracleSpec::AtomicSwmr,
+        oracle: OracleSpec::Linearizable,
         expected_digest: 0,
         reason: String::new(),
     }

@@ -28,9 +28,9 @@ use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_lincheck::history::{History, RegAction};
+use abd_lincheck::regularity::{check_regular_swmr, find_new_old_inversions, is_atomic_swmr};
 use abd_lincheck::sc::{check_sequential_with_limit, ScCheckResult, DEFAULT_SC_STATE_LIMIT};
 use abd_lincheck::wg::{check_linearizable_with_limit, CheckResult};
-use abd_lincheck::{check_regular_swmr, find_new_old_inversions, is_atomic_swmr};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -160,7 +160,7 @@ fn main() {
             m.ops_completed.to_string(),
             m.ops_aborted.to_string(),
             m.restarts.to_string(),
-            m.retransmissions.to_string(),
+            sync.retransmissions.to_string(),
             m.dropped_partition.to_string(),
             m.dropped_loss.to_string(),
             m.dropped_crash.to_string(),

@@ -30,11 +30,6 @@
 //! composition and emission order are pure functions of the inner
 //! protocol's emission sequence — seeded simulator runs replay
 //! bit-identically with batching on.
-//!
-//! Metrics caveat: the simulator attributes every send made from a timer
-//! callback to its `retransmissions` counter; with `window > 0` flushed
-//! envelopes are such sends, so retransmission counts are not meaningful
-//! for windowed-batching runs.
 
 use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerCmd, TimerKey};
 use crate::phase::NodeEdges;

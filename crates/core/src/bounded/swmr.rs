@@ -401,7 +401,6 @@ mod tests {
             BoundedSwmrNode::new(cfg, 0u32)
         });
         assert!(!net.node(2).is_recovering());
-        assert_eq!(net.node(2).retransmissions(), 7);
         assert_eq!(net.node(2).window_violations(), 0);
     }
 

@@ -254,11 +254,6 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
         self.inner.is_recovering()
     }
 
-    /// Messages this node has retransmitted over its lifetime.
-    pub fn retransmissions(&self) -> u64 {
-        self.inner.retransmissions()
-    }
-
     /// How many of this node's folds — reads and catch-ups — found no pair
     /// with `b + 1` vouchers and fell back to its own. With a correct
     /// writer, at most `b` liars and no write in progress this stays `0`.
@@ -567,7 +562,6 @@ mod tests {
             ByzNode::new(cfg, 0u32)
         });
         assert!(!net.node(2).is_recovering());
-        assert_eq!(net.node(2).retransmissions(), 7);
         assert_eq!(net.node(2).unvouched_folds(), 0);
     }
 

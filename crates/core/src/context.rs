@@ -202,8 +202,8 @@ pub trait Protocol {
 }
 
 /// The per-node counters behind [`ReadPathStats`]: how the reads *this node
-/// issued* completed, and what its recovery sync path sent. A counter a
-/// protocol has no path for stays `0`.
+/// issued* completed, what its retry schedules re-sent and what its
+/// recovery sync path sent. A counter a protocol has no path for stays `0`.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct ReadPathCounters {
     /// Reads that skipped the write-back phase on the one-round fast path.
@@ -218,6 +218,11 @@ pub struct ReadPathCounters {
     /// Reads that completed at `Consistency::Regular` — a query round with
     /// the write-back elided.
     pub regular_reads: u64,
+    /// Messages re-sent by the node's retry schedules — a round's request
+    /// to the processors still missing, a sync walk's outstanding requests
+    /// — over its lifetime, restarts included. Nothing else a timer sends
+    /// (a `Batched` flush) counts.
+    pub retransmissions: u64,
     /// Sync-protocol messages (the Merkle walk's requests and replies) sent.
     pub recovery_msgs: u64,
     /// Estimated payload bytes of the sync messages sent.
@@ -235,6 +240,7 @@ impl std::iter::Sum for ReadPathCounters {
             relay_reads: a.relay_reads + b.relay_reads,
             sc_reads: a.sc_reads + b.sc_reads,
             regular_reads: a.regular_reads + b.regular_reads,
+            retransmissions: a.retransmissions + b.retransmissions,
             recovery_msgs: a.recovery_msgs + b.recovery_msgs,
             recovery_bytes: a.recovery_bytes + b.recovery_bytes,
             sync_entries_sent: a.sync_entries_sent + b.sync_entries_sent,

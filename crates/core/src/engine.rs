@@ -5,9 +5,10 @@
 //! register and every key of the replicated store. [`Engine`] is its state
 //! machine, written once: the five phases of a client operation
 //! ([`Pending`]), the replica role that answers them, the server-side
-//! rounds of relay reads, the restart of a round a crash interrupted
-//! (`Engine::restart_round`), phase ids, the read-path counters and the
-//! [`Retransmitter`] that keeps unfinished rounds alive over lossy links.
+//! rounds of relay reads, what a crash leaves of them — a write's update
+//! round, which [`Engine::on_restart`] hands back and `Engine::resume_write`
+//! re-enters — phase ids, the read-path counters and the [`Retransmitter`]
+//! that keeps unfinished rounds alive over lossy links.
 //! Any number of rounds may be in flight, each found by its phase id.
 //!
 //! What the engine does **not** own is the replica state, the label policy
@@ -497,9 +498,13 @@ where
         self.rounds.iter().any(|r| r.op == op)
     }
 
-    /// The five read-path counters (the sync counters stay `0`).
+    /// The five read-path counters and the messages the retry schedules
+    /// re-sent (the sync counters stay `0`).
     pub fn counters(&self) -> ReadPathCounters {
-        self.counters
+        ReadPathCounters {
+            retransmissions: self.rtx.retransmissions(),
+            ..self.counters
+        }
     }
 
     /// The [`PHASE_GRAPH`] edges this node's operations took.
@@ -517,18 +522,6 @@ where
     pub fn fresh_uid(&mut self) -> u64 {
         self.next_uid += 1;
         self.next_uid
-    }
-
-    /// The update round of a write in flight, as `(op, label, value)` —
-    /// what a writer that persists its intent has to record.
-    pub fn write_in_flight(&self) -> Option<(OpId, L, V)> {
-        self.rounds.iter().find_map(|r| match &r.phase {
-            Pending::WriteUpdate { label, value } => Some((r.op, *label, value.clone())),
-            Pending::WriteQuery { .. }
-            | Pending::ReadQuery { .. }
-            | Pending::ReadWriteBack { .. }
-            | Pending::RelayRead { .. } => None,
-        })
     }
 
     /// A fresh phase in which only this node has responded so far.
@@ -1042,40 +1035,38 @@ where
 
     /// The node rebooted: rounds in flight (their clients see aborted
     /// operations), relay rounds and retry schedules are volatile and gone;
-    /// the phase-id counter, like the store, is stable storage.
-    pub fn on_restart(&mut self) {
-        self.rounds.clear();
+    /// the phase-id counter, like the store, is stable storage. So is a
+    /// write's update round, which is handed back as `(op, label, value)`
+    /// for the host to resume ([`Engine::resume_write`]) or abandon — the
+    /// first such round, and a register has at most one.
+    pub fn on_restart(&mut self) -> Option<(OpId, L, V)> {
         self.relays.clear();
         self.rtx.reset();
+        self.rounds.drain(..).find_map(|r| match r.phase {
+            Pending::WriteUpdate { label, value } => Some((r.op, label, value)),
+            Pending::WriteQuery { .. }
+            | Pending::ReadQuery { .. }
+            | Pending::ReadWriteBack { .. }
+            | Pending::RelayRead { .. } => None,
+        })
     }
 
-    /// Starts the round `phase` of operation `op` over: fresh phase id,
-    /// responders back to `me`, request re-broadcast. A query round starts
-    /// from this replica's snapshot (it has chosen nothing yet); an update
-    /// or write-back round keeps the label it already chose, so a restarted
-    /// write is still one write. Re-entering its own phase is no transition
-    /// of [`PHASE_GRAPH`]; completing in place is.
-    pub(crate) fn restart_round<S: Store<K, L, R, V, Fold = C>>(
+    /// Starts the update round of write `op` over — the one
+    /// [`Engine::on_restart`] handed back: fresh phase id, responders back
+    /// to `me`, update re-broadcast. It keeps the label it already chose,
+    /// so a resumed write is still one write. Re-entering its own phase is
+    /// no transition of [`PHASE_GRAPH`]; completing in place is.
+    pub(crate) fn resume_write<S: Store<K, L, R, V>>(
         &mut self,
         op: OpId,
         key: K,
-        phase: Pending<L, R, V, C>,
+        label: L,
+        value: V,
         store: &mut S,
         fx: &mut Fx<S, K, L, R, V>,
     ) {
-        let from = phase.phase();
-        let to = match phase {
-            Pending::WriteQuery { value, .. } => self.begin_write(op, key, value, store, fx),
-            Pending::WriteUpdate { label, value } => {
-                self.write_update(op, key, label, value, store, fx)
-            }
-            Pending::ReadQuery { cons, .. } => self.begin_read(op, key, cons, store, fx),
-            Pending::ReadWriteBack { label, value } => {
-                self.write_back(op, key, label, value, store, fx)
-            }
-            Pending::RelayRead { .. } => self.begin_relay_read(op, key, store, fx),
-        };
-        self.walked.record(from, to);
+        let to = self.write_update(op, key, label, value, store, fx);
+        self.walked.record(Phase::WriteUpdate, to);
     }
 }
 

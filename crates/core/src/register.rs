@@ -89,7 +89,7 @@
 //! and stays aborted.
 
 use crate::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
-use crate::engine::{Engine, Op, Outcome, Pending, Store};
+use crate::engine::{Engine, Op, Outcome, Store};
 use crate::msg::{RegisterMsg, RegisterOp, RegisterResp};
 use crate::phase::{Fold, NodeEdges, Phase, PhaseEdges, TagCensus};
 use crate::quorum::{Majority, QuorumSystem};
@@ -336,11 +336,6 @@ where
         self.engine.is_pending(CATCH_UP)
     }
 
-    /// Messages this node has retransmitted over its lifetime.
-    pub fn retransmissions(&self) -> u64 {
-        self.engine.rtx.retransmissions()
-    }
-
     /// Number of invocations waiting behind the client operation in flight.
     #[cfg(test)]
     pub(crate) fn queue_len(&self) -> usize {
@@ -439,14 +434,11 @@ where
         // module docs for why a fully amnesiac replica would break
         // atomicity. The interrupted write resumes first, as the operation
         // in flight; the catch-up starts beside it.
-        let interrupted = self.engine.write_in_flight();
         self.queue.clear();
-        self.engine.on_restart();
-        if let Some((op, label, value)) = interrupted {
+        if let Some((op, label, value)) = self.engine.on_restart() {
             self.walked.record(Phase::Restart, Phase::WriteUpdate);
-            let phase = Pending::WriteUpdate { label, value };
             self.engine
-                .restart_round(op, (), phase, &mut self.store, fx);
+                .resume_write(op, (), label, value, &mut self.store, fx);
         }
         let read = Op::Read((), Consistency::Regular);
         self.engine.on_invoke(CATCH_UP, read, &mut self.store, fx);
@@ -511,7 +503,6 @@ mod tests {
             RegisterNode::<L, u32>::new(cfg(i).with_retransmit(1_000), 0)
         });
         assert!(!net.node(2).is_recovering() && !net.node(2).is_busy());
-        assert_eq!(net.node(2).retransmissions(), 7);
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl Retransmitter {
         }
     }
 
-    /// Total messages this node has retransmitted.
+    /// Total messages this node has retransmitted, restarts included.
     pub fn retransmissions(&self) -> u64 {
         self.sent
     }
@@ -207,8 +207,10 @@ impl Retransmitter {
         fx.set_timer(TimerKey(uid), p.delay(*attempt, self.salt ^ uid));
     }
 
-    /// Forgets in-flight retry state (crash recovery wipes volatile state;
-    /// lifetime counters survive for metrics).
+    /// Forgets in-flight retry state (crash recovery wipes volatile state).
+    /// The lifetime count survives: it is the node's
+    /// `ReadPathCounters::retransmissions`, read through
+    /// [`Engine::counters`](crate::engine::Engine::counters).
     pub fn reset(&mut self) {
         self.attempts.clear();
     }

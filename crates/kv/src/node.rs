@@ -162,8 +162,6 @@ pub struct KvConfig {
     pub n: usize,
     /// This node's id.
     pub me: ProcessId,
-    /// Quorum system (must satisfy multi-writer intersection).
-    pub quorum: Arc<dyn QuorumSystem>,
     /// How `Get`s complete: the two-round baseline, the unanimity fast path
     /// (see [`fast_read_allowed`](abd_core::quorum::fast_read_allowed)),
     /// server-to-server relay, or the query round alone.
@@ -179,22 +177,16 @@ pub struct KvConfig {
 }
 
 impl KvConfig {
-    /// Majority quorums, no retransmission, 1024 sync buckets.
+    /// Two-round reads, no retransmission, 1024 sync buckets. A store's
+    /// quorums are always majorities of `n`.
     pub fn new(n: usize, me: ProcessId) -> Self {
         KvConfig {
             n,
             me,
-            quorum: Arc::new(Majority::new(n)),
             read_mode: ReadMode::TwoRound,
             retransmit: None,
             sync_buckets: 1024,
         }
-    }
-
-    /// Replaces the quorum system.
-    pub fn with_quorum(mut self, q: Arc<dyn QuorumSystem>) -> Self {
-        self.quorum = q;
-        self
     }
 
     /// Sets the Merkle tree's leaf bucket count (a power of two ≥ 2;
@@ -369,6 +361,8 @@ impl<V> From<Outcome<Option<V>>> for KvResp<V> {
 #[derive(Clone, Debug)]
 pub struct KvNode<K, V> {
     cfg: KvConfig,
+    /// Majorities of `cfg.n`, the engine's quorums too.
+    quorum: Majority,
     store: KvStore<K, V>,
     /// Every operation in flight, the replica role and the relay rounds.
     engine: Engine<K, Tag, Option<V>, V>,
@@ -402,10 +396,17 @@ where
             tree: MerkleTree::new(cfg.sync_buckets),
             buckets: vec![Vec::new(); cfg.sync_buckets],
         };
-        let quorum = cfg.quorum.clone();
-        let engine = Engine::new(cfg.n, cfg.me, quorum, cfg.read_mode, cfg.retransmit);
+        let quorum = Majority::new(cfg.n);
+        let engine = Engine::new(
+            cfg.n,
+            cfg.me,
+            Arc::new(quorum),
+            cfg.read_mode,
+            cfg.retransmit,
+        );
         KvNode {
             cfg,
+            quorum,
             store,
             engine,
             recovering: None,
@@ -415,11 +416,6 @@ where
             recovery_bytes: 0,
             sync_entries_sent: 0,
         }
-    }
-
-    /// Messages this node has retransmitted over its lifetime.
-    pub fn retransmissions(&self) -> u64 {
-        self.engine.rtx.retransmissions()
     }
 
     /// The node's current Merkle root over its `(key → tag)` map.
@@ -585,7 +581,7 @@ where
         self.max_walk_rounds = self.max_walk_rounds.max(walk.rounds);
         if let Some(caught_up) = self.recovering.as_mut() {
             caught_up.insert(walk.peer);
-            if self.cfg.quorum.is_read_quorum(caught_up) {
+            if self.quorum.is_read_quorum(caught_up) {
                 self.recovering = None;
             }
         }
@@ -729,11 +725,14 @@ where
         // rounds and the walks (plain request/reply state); the store is
         // stable storage and survives, but may be stale. Start catching up
         // from a read quorum; serving resumes right away. The digest tree
-        // and bucket index persist with the store they summarize.
-        self.engine.on_restart();
+        // and bucket index persist with the store they summarize. A put
+        // caught in its update round is abandoned like any pending write:
+        // its client saw it aborted, and its pair stays wherever the update
+        // reached.
+        let _abandoned = self.engine.on_restart();
         self.walks.clear();
         let caught_up = ProcSet::from_iter_with_capacity(self.cfg.n, [self.cfg.me]);
-        if self.cfg.quorum.is_read_quorum(&caught_up) {
+        if self.quorum.is_read_quorum(&caught_up) {
             return;
         }
         self.recovering = Some(caught_up);
@@ -1223,6 +1222,31 @@ mod tests {
     }
 
     #[test]
+    fn a_put_caught_in_its_update_round_is_abandoned_at_the_restart() {
+        // A register resumes such a write at its restart; the store drops
+        // it, like every other put the crash caught.
+        let mut net: Net<&str, u32> = Net::new(3);
+        let put = net.invoke(0, KvOp::Put("k", 7));
+        let is_update = |m: &KvMsg<&str, u32>| matches!(m, KvMsg::Op(Msg::Update { .. }));
+        while !net.queue.iter().any(|(_, _, m)| is_update(m)) {
+            let (from, to, m) = net.queue.pop_front().expect("the query round runs");
+            let mut fx = Effects::new();
+            net.nodes[to.index()].on_message(from, m, &mut fx);
+            net.absorb(to, fx);
+        }
+        // Node 0 crashes in the update round, with every update lost.
+        net.queue.clear();
+        net.restart(0);
+        assert_eq!(net.nodes[0].in_flight(), 0);
+        assert!(!net.queue.iter().any(|(_, _, m)| is_update(m)), "resent");
+        net.run();
+        assert!(net.take().is_empty(), "{put:?} answered after the crash");
+        // Abandoned, not undone: the writer's replica kept the pair.
+        assert_eq!(*net.nodes[0].local_entry(&"k").unwrap().1, 7);
+        assert!(net.nodes[1].local_entry(&"k").is_none());
+    }
+
+    #[test]
     fn stale_replies_ignored() {
         let mut node: KvNode<&str, u32> = KvNode::new(KvConfig::new(3, ProcessId(0)));
         let mut fx = Effects::new();
@@ -1442,7 +1466,7 @@ mod tests {
         net.run();
         assert!(!net.nodes[2].is_recovering());
         assert_eq!(net.nodes[2].walks_in_flight(), 0);
-        assert_eq!(net.nodes[2].retransmissions(), 2);
+        assert_eq!(net.nodes[2].counters().retransmissions, 2);
         assert_eq!(net.nodes[2].sync_root(), net.nodes[0].sync_root());
     }
 
@@ -1637,7 +1661,7 @@ mod tests {
         assert!(!walker.is_recovering());
         assert_eq!(walker.sync_root(), peer.sync_root());
         assert_eq!(walker.max_walk_rounds(), 9);
-        assert_eq!(walker.retransmissions(), 9);
+        assert_eq!(walker.counters().retransmissions, 9);
     }
 
     #[test]
@@ -1980,6 +2004,6 @@ mod tests {
         net.run_foreground();
         assert_eq!(net.take(), vec![(op, KvResp::PutOk)]);
         assert!(net.nodes[2].is_recovering());
-        assert_eq!(net.nodes[2].retransmissions(), 2);
+        assert_eq!(net.nodes[2].counters().retransmissions, 2);
     }
 }

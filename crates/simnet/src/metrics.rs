@@ -1,6 +1,9 @@
 //! Counters the experiments read off a finished simulation.
 
 /// Network- and operation-level counters, updated as the simulation runs.
+/// What a node re-sends is its own count, not the simulator's:
+/// `ReadPathCounters::retransmissions`, summed by
+/// [`Sim::read_path_metrics`](crate::Sim::read_path_metrics).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Messages handed to the network by protocol nodes.
@@ -18,11 +21,6 @@ pub struct Metrics {
     pub duplicated: u64,
     /// Timer events that actually fired (not superseded or cancelled).
     pub timer_fires: u64,
-    /// Messages emitted from timer callbacks. Most are retransmissions — a
-    /// phase message or a walk's request re-sent to laggards — but not all:
-    /// a windowed `Batched` sends every flushed envelope from one. A node's
-    /// own `retransmissions()` counts re-sends alone.
-    pub retransmissions: u64,
     /// Crashed nodes rebooted via [`crate::Sim::restart_at`].
     pub restarts: u64,
     /// Operations invoked.

@@ -622,7 +622,6 @@ where
                 }
                 self.metrics.timer_fires += 1;
                 self.hosts[t].fire(self.now, key, gen);
-                self.metrics.retransmissions += self.hosts[t].outbox().fx.sends.len() as u64;
                 self.absorb(target);
             }
             EventKind::Invoke { op, input } => {
@@ -879,8 +878,8 @@ impl<P: Protocol + ReadPathStats> Sim<P>
 where
     P::Op: Clone,
 {
-    /// The nodes' read-path and sync counters, summed across all nodes —
-    /// what the simulator itself cannot see.
+    /// The nodes' read-path, retransmission and sync counters, summed
+    /// across all nodes — what the simulator itself cannot see.
     pub fn read_path_metrics(&self) -> ReadPathCounters {
         self.hosts.iter().map(|h| h.node().counters()).sum()
     }
@@ -1363,7 +1362,7 @@ mod tests {
         assert!(sim.run_until_ops_complete(100_000_000));
         assert!(sim.metrics().dropped_loss > 0, "burst must drop messages");
         assert!(
-            sim.metrics().retransmissions > 0,
+            sim.read_path_metrics().retransmissions > 0,
             "recovery needs retransmits"
         );
     }

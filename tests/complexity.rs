@@ -190,13 +190,11 @@ fn latency_is_independent_of_n_under_constant_delay() {
 #[test]
 fn retransmission_adds_no_messages_on_reliable_links() {
     let n = 5;
-    let nodes = (0..n)
-        .map(|i| {
-            let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_retransmit(1_000_000); // longer than any op
-            abd_core::swmr::SwmrNode::new(cfg, 0u64)
-        })
-        .collect();
-    let mut sim = Sim::new(constant_delay(6), nodes);
+    let node = |i| {
+        let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_retransmit(1_000_000); // longer than any op
+        abd_core::swmr::SwmrNode::new(cfg, 0u64)
+    };
+    let mut sim = Sim::new(constant_delay(6), (0..n).map(node).collect());
     sim.invoke(ProcessId(0), RegisterOp::Write(1));
     assert!(sim.run_until_ops_complete(u64::MAX / 2));
     assert_eq!(
@@ -208,6 +206,25 @@ fn retransmission_adds_no_messages_on_reliable_links() {
         sim.metrics().timer_fires,
         0,
         "timer cancelled on completion"
+    );
+    assert_eq!(sim.read_path_metrics().retransmissions, 0);
+
+    // A windowed `Batched` ships every envelope from its flush timer, and a
+    // flush re-sends nothing.
+    let batched = (0..n)
+        .map(|i| abd_core::batch::Batched::new(node(i), 500))
+        .collect();
+    let mut sim = Sim::new(constant_delay(6), batched);
+    sim.invoke(ProcessId(0), RegisterOp::Write(1));
+    assert!(sim.run_until_ops_complete(u64::MAX / 2));
+    sim.invoke(ProcessId(3), RegisterOp::Read);
+    assert!(sim.run_until_ops_complete(u64::MAX / 2));
+    assert_eq!(sim.metrics().sent, 6 * (n as u64 - 1), "a lone client");
+    assert!(sim.metrics().timer_fires > 0, "no flush timer fired");
+    assert_eq!(
+        sim.read_path_metrics().retransmissions,
+        0,
+        "a flush counted"
     );
 }
 

@@ -210,7 +210,7 @@ fn check(row: &str, run: Counted, want_digest: u64, want_sent: u64) -> NodeEdges
         reads.sc_reads > 0 && reads.regular_reads > 0,
         "{row}: tiers idle"
     );
-    assert!(m.retransmissions > 0, "{row}: no retransmission fired");
+    assert!(reads.retransmissions > 0, "{row}: no retransmission fired");
     assert!(m.restarts > 0, "{row}: no node restarted");
     let atomic_path = if row.contains("relay") {
         reads.relay_reads
@@ -355,18 +355,14 @@ fn kv_nodes(cfg: impl Fn(KvConfig) -> KvConfig) -> Vec<KvNode<u32, u64>> {
 
 /// The checks every KV row shares: tiers, retransmission, restarts and the
 /// catch-up all ran, a crash caught operations in flight, and the pins hold.
-/// `Metrics::retransmissions` counts every send from a timer callback, so
-/// the nodes' own count of re-sends (`resent`) must be positive as well.
-fn check_kv<P>(row: &str, pins: KvPins, sim: &Sim<P>, resent: impl Fn(&P) -> u64, want: KvPins)
+fn check_kv<P>(row: &str, pins: KvPins, sim: &Sim<P>, want: KvPins)
 where
     P: Protocol + ReadPathStats,
     P::Op: Clone,
 {
     let (m, r) = (sim.metrics(), sim.read_path_metrics());
     assert!(r.sc_reads > 0 && r.regular_reads > 0, "{row}: tiers idle");
-    assert!(m.retransmissions > 0, "{row}: no retransmission fired");
-    let node_resends: u64 = (0..N).map(|i| resent(sim.node(i))).sum();
-    assert!(node_resends > 0, "{row}: no node re-sent a phase message");
+    assert!(r.retransmissions > 0, "{row}: no retransmission fired");
     assert!(m.restarts > 0, "{row}: no node restarted");
     assert!(r.recovery_msgs > 0, "{row}: no catch-up ran");
     assert!(m.ops_aborted > 0, "{row}: no crash caught an operation");
@@ -386,7 +382,6 @@ fn kv_rows() -> NodeEdges {
         "kv/two-round",
         pins,
         &sim,
-        KvNode::retransmissions,
         (
             // Re-pinned when keys began to hash with FastHasher: a key's
             // Merkle bucket moved, so a reboot's walks ship other buckets,
@@ -410,7 +405,6 @@ fn kv_rows() -> NodeEdges {
         "kv/fast",
         pins,
         &sim,
-        KvNode::retransmissions,
         (
             // Re-pinned as kv/two-round (sent 3584 -> 3650).
             0xc57eede8acdcd35b,
@@ -427,7 +421,6 @@ fn kv_rows() -> NodeEdges {
         "kv/relay",
         pins,
         &sim,
-        KvNode::retransmissions,
         (
             // Re-pinned as kv/two-round (sent 4256 -> 4359).
             0xf941cd7ac3dba8b1,
@@ -451,7 +444,6 @@ fn kv_rows() -> NodeEdges {
         "kv/walks",
         pins,
         &sim,
-        KvNode::retransmissions,
         (
             // Re-pinned as kv/two-round (sent 3659 -> 3609).
             0x498c5e3c3ae4dfca,
@@ -649,7 +641,8 @@ fn check_byz(
         VARIANT_LOAD,
     );
     assert!(m.restarts > 0, "{row}: no node restarted");
-    assert!(m.retransmissions > 0, "{row}: no retransmission fired");
+    let resent = sim.read_path_metrics().retransmissions;
+    assert!(resent > 0, "{row}: no retransmission fired");
     assert!(
         (0..n).all(|i| !sim.node(i).is_recovering()),
         "{row}: a catch-up never completed"
@@ -703,7 +696,8 @@ fn check_bounded(
 ) -> NodeEdges {
     let (pins, m, _, sim) = variant_campaign(bounded_nodes(N, modulus), &[], 3, false, load);
     assert!(m.restarts > 0, "{row}: no node restarted");
-    assert!(m.retransmissions > 0, "{row}: no retransmission fired");
+    let resent = sim.read_path_metrics().retransmissions;
+    assert!(resent > 0, "{row}: no retransmission fired");
     for i in 0..N {
         assert!(!sim.node(i).is_recovering(), "{row}: catch-up open on {i}");
         assert_eq!(sim.node(i).window_violations(), 0, "{row}: node {i}");

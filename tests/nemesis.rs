@@ -189,10 +189,13 @@ fn fixed_seed_campaign_counts_restarts_and_retransmissions() {
     // the last planned faults fire — drive the sim through the whole
     // schedule so every crash/restart is actually executed.
     sim.run_until(sched.heal_at() + 1);
-    let m = sim.metrics();
-    assert_eq!(m.restarts, planned_crashes, "every crash wave reboots");
+    assert_eq!(
+        sim.metrics().restarts,
+        planned_crashes,
+        "every crash wave reboots"
+    );
     assert!(
-        m.retransmissions > 0,
+        sim.read_path_metrics().retransmissions > 0,
         "loss bursts and crashes must force retransmissions"
     );
 }

@@ -50,22 +50,6 @@ pub enum Envelope<M> {
     Batch(Vec<M>),
 }
 
-impl<M> Envelope<M> {
-    /// Number of inner messages carried.
-    pub fn len(&self) -> usize {
-        match self {
-            Envelope::One(_) => 1,
-            Envelope::Batch(ms) => ms.len(),
-        }
-    }
-
-    /// Whether the envelope carries no messages (never produced by
-    /// [`Batched`], which only ships non-empty groups).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Wraps a [`Protocol`], coalescing its same-tick sends per peer into
 /// [`Envelope`]s. See the module docs for the flushing policies.
 ///
@@ -437,12 +421,5 @@ mod tests {
         node.on_timer(FLUSH_KEY, &mut flush_fx);
         assert_eq!(flush_fx.sends.len(), 2, "only post-restart sends flush");
         assert!(matches!(flush_fx.sends[0].1, Envelope::One(0)));
-    }
-
-    #[test]
-    fn envelope_len_counts_inner_messages() {
-        assert_eq!(Envelope::One(1u8).len(), 1);
-        assert!(!Envelope::One(1u8).is_empty());
-        assert_eq!(Envelope::Batch(vec![1u8, 2, 3]).len(), 3);
     }
 }

@@ -58,7 +58,8 @@ impl LabelSpace {
 
     /// Maximum issue-distance between two labels that can still be compared
     /// correctly.
-    pub fn window(&self) -> u32 {
+    #[cfg(test)]
+    fn window(&self) -> u32 {
         self.window
     }
 

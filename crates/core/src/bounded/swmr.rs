@@ -54,8 +54,6 @@ pub struct BoundedSwmrConfig {
     pub me: ProcessId,
     /// The designated writer.
     pub writer: ProcessId,
-    /// Quorum system for both phases.
-    pub quorum: Arc<dyn QuorumSystem>,
     /// The finite label cycle.
     pub space: LabelSpace,
     /// Retransmission policy (`None` = reliable links).
@@ -63,15 +61,14 @@ pub struct BoundedSwmrConfig {
 }
 
 impl BoundedSwmrConfig {
-    /// Majority quorums and a label cycle of `max(64, 16 * n)` values —
-    /// comfortably larger than the staleness any quorum-synchronized run
-    /// exhibits, while staying a few bits wide.
+    /// A label cycle of `max(64, 16 * n)` values — comfortably larger than
+    /// the staleness any quorum-synchronized run exhibits, while staying a
+    /// few bits wide. Both phases use majorities of `n`.
     pub fn new(n: usize, me: ProcessId, writer: ProcessId) -> Self {
         BoundedSwmrConfig {
             n,
             me,
             writer,
-            quorum: Arc::new(Majority::new(n)),
             space: LabelSpace::new((16 * n as u32).max(64)),
             retransmit: None,
         }
@@ -80,12 +77,6 @@ impl BoundedSwmrConfig {
     /// Replaces the label space (e.g. to stress small moduli in tests).
     pub fn with_space(mut self, space: LabelSpace) -> Self {
         self.space = space;
-        self
-    }
-
-    /// Replaces the quorum system.
-    pub fn with_quorum(mut self, q: Arc<dyn QuorumSystem>) -> Self {
-        self.quorum = q;
         self
     }
 
@@ -189,7 +180,13 @@ pub type BoundedSwmrNode<V> = RegisterNode<SerialLabel, V, BoundedReplica<V>, Wi
 impl<V: Clone + std::fmt::Debug + Send + 'static> BoundedSwmrNode<V> {
     /// Creates a node holding `initial` under the origin label.
     pub fn new(cfg: BoundedSwmrConfig, initial: V) -> Self {
-        let mut base = RegisterConfig::base(cfg.n, cfg.me, cfg.writer).with_quorum(cfg.quorum);
+        let majority = Arc::new(Majority::new(cfg.n));
+        Self::with_quorum(cfg, majority, initial)
+    }
+
+    /// [`BoundedSwmrNode::new`] over another quorum system.
+    fn with_quorum(cfg: BoundedSwmrConfig, quorum: Arc<dyn QuorumSystem>, initial: V) -> Self {
+        let mut base = RegisterConfig::base(cfg.n, cfg.me, cfg.writer).with_quorum(quorum);
         base.retransmit = cfg.retransmit;
         let pair = Windowed {
             space: cfg.space,
@@ -387,8 +384,8 @@ mod tests {
     #[test]
     fn instant_write_quorum_keeps_draining_the_queue() {
         let net = instant_write_quorum_keeps_draining(|i, quorum| {
-            let cfg = BoundedSwmrConfig::new(3, ProcessId(i), ProcessId(0)).with_quorum(quorum);
-            BoundedSwmrNode::new(cfg, 0u32)
+            let cfg = BoundedSwmrConfig::new(3, ProcessId(i), ProcessId(0));
+            BoundedSwmrNode::with_quorum(cfg, quorum, 0u32)
         });
         assert!(!net.node(0).is_busy());
         assert_eq!(net.node(0).labels_issued(), 1);

@@ -120,11 +120,6 @@ impl ByzConfig {
         self.retransmit = Some(BackoffPolicy::new(every));
         self
     }
-
-    /// Quorum size `⌈(n + 2b + 1) / 2⌉`.
-    pub fn quorum_size(&self) -> usize {
-        masking_threshold(self.n, self.b)
-    }
 }
 
 /// The vouching [`Fold`]: identical `(label, value)` pairs with how many
@@ -224,7 +219,8 @@ pub struct ByzNode<V> {
 impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
     /// Creates a node holding `initial` under label 0.
     pub fn new(cfg: ByzConfig, initial: V) -> Self {
-        let masking = Threshold::new(cfg.n, cfg.quorum_size(), cfg.quorum_size());
+        let q = masking_threshold(cfg.n, cfg.b);
+        let masking = Threshold::new(cfg.n, q, q);
         Self::with_quorum(cfg, Arc::new(masking), initial)
     }
 
@@ -242,11 +238,6 @@ impl<V: Clone + std::fmt::Debug + Eq + Send + 'static> ByzNode<V> {
             lie: cfg.lie,
             forged: 0,
         }
-    }
-
-    /// Replica state (honest view).
-    pub fn replica_state(&self) -> (SeqNo, V) {
-        self.inner.replica_state()
     }
 
     /// Whether the node is catching up after a restart.
@@ -515,7 +506,7 @@ mod tests {
         net.restart(2);
         net.run_to_quiescence();
         assert!(!net.node(2).is_recovering());
-        assert_eq!(net.node(2).replica_state(), (2, 43));
+        assert_eq!(net.node(2).inner.replica_state(), (2, 43));
         net.invoke(2, RegisterOp::Read);
         net.run_to_quiescence();
         assert_eq!(
@@ -535,7 +526,7 @@ mod tests {
         net.invoke(0, RegisterOp::Write(6));
         net.run_to_quiescence();
         // Label 1 was consumed pre-crash; the new write must use label 2.
-        assert_eq!(net.node(3).replica_state(), (2, 6));
+        assert_eq!(net.node(3).inner.replica_state(), (2, 6));
         net.invoke(2, RegisterOp::Read);
         net.run_to_quiescence();
         assert_eq!(
@@ -669,7 +660,10 @@ mod tests {
         net.crash(0);
         net.restart(0);
         net.run_to_quiescence();
-        assert!(net.node(0).replica_state().0 > u64::MAX / 2, "poisoned");
+        assert!(
+            net.node(0).inner.replica_state().0 > u64::MAX / 2,
+            "poisoned"
+        );
         for v in 2..=4 {
             net.invoke(0, RegisterOp::Write(v));
             net.run_to_quiescence();

@@ -325,7 +325,7 @@ where
 
     /// Whether a client operation is in flight, so that an invocation would
     /// queue. The catch-up does not count: nothing waits for it.
-    pub fn is_busy(&self) -> bool {
+    pub(crate) fn is_busy(&self) -> bool {
         self.engine.in_flight() > usize::from(self.is_recovering())
     }
 

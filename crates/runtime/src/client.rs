@@ -55,11 +55,6 @@ where
         KvStoreClient { inner }
     }
 
-    /// The node this client talks to.
-    pub fn node(&self) -> ProcessId {
-        self.inner.node()
-    }
-
     /// Linearizable read of `key`.
     ///
     /// # Panics

@@ -91,11 +91,6 @@ where
         }
     }
 
-    /// Number of segments.
-    pub fn n(&self) -> usize {
-        self.regs.len()
-    }
-
     fn collect(&mut self) -> Vec<Segment<V>> {
         (0..self.regs.len()).map(|i| self.regs.read(i)).collect()
     }

@@ -55,15 +55,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// An upper bound on a single sample, when one exists.
-    pub fn max_delay(&self) -> Nanos {
-        match *self {
-            LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform { hi, .. } => hi,
-            LatencyModel::Bimodal { fast, slow, .. } => fast.max(slow),
-        }
-    }
 }
 
 /// Full simulator configuration.
@@ -142,7 +133,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), 500);
         }
-        assert_eq!(m.max_delay(), 500);
     }
 
     #[test]
@@ -153,7 +143,6 @@ mod tests {
             let d = m.sample(&mut rng);
             assert!((10..=20).contains(&d));
         }
-        assert_eq!(m.max_delay(), 20);
     }
 
     #[test]
@@ -167,7 +156,6 @@ mod tests {
         let samples: Vec<Nanos> = (0..200).map(|_| m.sample(&mut rng)).collect();
         assert!(samples.contains(&1));
         assert!(samples.contains(&100));
-        assert_eq!(m.max_delay(), 100);
     }
 
     #[test]

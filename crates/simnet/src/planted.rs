@@ -229,11 +229,6 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
         self.every > 0 && self.events.is_multiple_of(self.every)
     }
 
-    /// Which defect this node carries.
-    pub fn kind(&self) -> MutantKind {
-        self.kind
-    }
-
     /// How many times the defect has fired.
     #[cfg(test)]
     fn sabotage_count(&self) -> u64 {

@@ -164,6 +164,17 @@ if grep -rnE 'FnvHasher|FNV_PRIME|Words::Heap|read_write_back|total_op_latency|m
   echo "a deleted name is back: hash with abd_core::fasthash::FastHasher, a ProcSet is one u64, a read without write-back is ReadMode::NoWriteBack, a latency is an OpRecord's, and a campaign's verdict is OracleSpec::violation's (crates/simnet/src/repro.rs), with OracleSpec::Linearizable for atomicity"; exit 1
 fi
 
+echo "==> one checker budget (outside crates/lincheck and benchmark/, a caller takes the checker's default)"
+# A caller with no reason to pick a Wing–Gong or SC state cap calls
+# check_linearizable / check_sequential, which search up to the checker's own
+# default; T5 counts states under wg::DEFAULT_STATE_LIMIT. The exemptions are
+# repro.rs' two exhaustion tests, which need a one-state budget to run out.
+budgets=$(for f in $(grep -rlE 'check_(linearizable|sequential)_(with_limit|counting_states)' crates src tests examples --include='*.rs' | grep -v '^crates/lincheck/' | sort); do
+  perl -0777 -ne 'my $a = qr/(?:[^,()]|\([^()]*\))+/; while (/check_(?:linearizable|sequential)_(?:with_limit|counting_states)\s*\(\s*$a,\s*($a?)\s*,?\s*\)/g) { my $b = $1; (my $m = $&) =~ s/\s+/ /g; print "$ARGV: $m\n" unless $b eq "DEFAULT_STATE_LIMIT" }' "$f"
+done | grep -vxE 'crates/simnet/src/repro\.rs: check_(linearizable|sequential)_with_limit\(&wide_history\(\), 1\)' || true)
+[ -z "$budgets" ] \
+  || { echo "$budgets"; echo "a checker budget is chosen at a call site; call check_linearizable / check_sequential (or pass wg::DEFAULT_STATE_LIMIT to check_linearizable_counting_states)"; exit 1; }
+
 echo "==> the nemesis search is blind sampling (no coverage map, no corpus, no mutation)"
 # Independent blind trials detect the mutant zoo as often as the mutational
 # search did, at every simulator seed (EXPERIMENTS F7), so the mutation

@@ -25,6 +25,7 @@ use abd_core::quorum::{Majority, Threshold};
 use abd_core::register::{Label, RegisterConfig};
 use abd_core::types::{ProcessId, ReadMode};
 use abd_core::{MwmrConfig, SwmrConfig};
+use abd_lincheck::wg::DEFAULT_STATE_LIMIT;
 use abd_lincheck::{
     check_linearizable_counting_states, check_regular_swmr, find_new_old_inversions, Anomaly,
     CheckResult,
@@ -36,10 +37,6 @@ use std::sync::Arc;
 /// Adversarial schedules per variant.
 const SEEDS: u64 = 1_000;
 
-/// Search states the checker may memoize per history before answering
-/// `Unknown`.
-const STATE_LIMIT: usize = 500_000;
-
 #[derive(Default)]
 struct Tally {
     schedules: u64,
@@ -49,7 +46,7 @@ struct Tally {
     stale_reads: u64,
     inversions: u64,
     /// Completed operations and memoized states of the history whose check
-    /// came closest to [`STATE_LIMIT`].
+    /// came closest to [`DEFAULT_STATE_LIMIT`].
     hardest: (usize, usize),
 }
 
@@ -77,7 +74,7 @@ fn sweep<L: Label>(
         let history = run_workload(&mut sim, &wl, think, 10_000_000_000, true);
         let Some(history) = history else { continue };
         tally.schedules += 1;
-        let (verdict, states) = check_linearizable_counting_states(&history, STATE_LIMIT);
+        let (verdict, states) = check_linearizable_counting_states(&history, DEFAULT_STATE_LIMIT);
         if states > tally.hardest.1 {
             tally.hardest = (history.len(), states);
         }
@@ -186,7 +183,7 @@ fn main() {
     println!(
         "\nABD rows are asserted violation-free and the baselines' anomalies nonzero: they are\nwhat the write-back (and proper quorum intersection) exist to prevent.\n\
          \"hardest check\" is the history that took the linearizability search the most memoized\n\
-         states (cap: {STATE_LIMIT} per history, past which a verdict is \"unknown\")."
+         states (cap: {DEFAULT_STATE_LIMIT} per history, past which a verdict is \"unknown\")."
     );
     write_artifact(env!("CARGO_BIN_NAME"), &[&t]);
 }

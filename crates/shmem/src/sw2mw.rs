@@ -180,7 +180,7 @@ mod tests {
         }
         assert!(h.validate_sequential_clients().is_ok());
         assert_eq!(
-            abd_lincheck::check_linearizable_with_limit(&h, 5_000_000),
+            abd_lincheck::check_linearizable(&h),
             abd_lincheck::CheckResult::Linearizable
         );
     }

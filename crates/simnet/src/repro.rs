@@ -29,8 +29,8 @@ use abd_core::types::{Consistency, Nanos, ProcessId, ReadMode, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
 use abd_lincheck::history::{History, RegAction};
 use abd_lincheck::regularity::{check_regular_swmr, find_new_old_inversions, is_atomic_swmr};
-use abd_lincheck::sc::{check_sequential_with_limit, ScCheckResult, DEFAULT_SC_STATE_LIMIT};
-use abd_lincheck::wg::{check_linearizable_with_limit, CheckResult};
+use abd_lincheck::sc::{check_sequential, ScCheckResult};
+use abd_lincheck::wg::{check_linearizable, CheckResult};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -120,9 +120,6 @@ pub enum OracleSpec {
     RegularSwmr,
 }
 
-/// Memoized states the Wing–Gong search may explore before it gives up.
-const WG_STATE_LIMIT: usize = 1_000_000;
-
 impl OracleSpec {
     /// Every oracle, in declaration order.
     pub(crate) const ALL: [OracleSpec; 3] = [
@@ -146,12 +143,8 @@ impl OracleSpec {
                     .unwrap_or_default();
                 Some(format!("history is not atomic (SWMR checker){detail}"))
             }
-            OracleSpec::Linearizable => {
-                wg_verdict(check_linearizable_with_limit(h, WG_STATE_LIMIT))
-            }
-            OracleSpec::Sequential => {
-                sc_verdict(check_sequential_with_limit(h, DEFAULT_SC_STATE_LIMIT))
-            }
+            OracleSpec::Linearizable => wg_verdict(check_linearizable(h)),
+            OracleSpec::Sequential => sc_verdict(check_sequential(h)),
             OracleSpec::RegularSwmr => check_regular_swmr(h)
                 .into_iter()
                 .next()
@@ -948,6 +941,8 @@ fn op_from(word: &str) -> Result<RegisterOp<u64>, String> {
 mod tests {
     use super::*;
     use crate::nemesis::NemesisConfig;
+    use abd_lincheck::sc::check_sequential_with_limit;
+    use abd_lincheck::wg::check_linearizable_with_limit;
 
     /// Six writers of distinct values over one interval: a budget of one
     /// state cannot decide it.
@@ -1015,6 +1010,7 @@ mod tests {
 
     #[test]
     fn exhausted_search_budget_is_not_a_violation() {
+        // One state: a search over six concurrent writes runs out of it at once.
         let result = check_linearizable_with_limit(&wide_history(), 1);
         assert_eq!(result, CheckResult::Unknown);
         assert_eq!(wg_verdict(result), None);
@@ -1022,6 +1018,7 @@ mod tests {
 
     #[test]
     fn sc_oracle_exhausted_budget_is_not_a_violation() {
+        // One state: a search over six concurrent writes runs out of it at once.
         let result = check_sequential_with_limit(&wide_history(), 1);
         assert_eq!(result, ScCheckResult::Unknown);
         assert_eq!(sc_verdict(result), None);

@@ -7,7 +7,7 @@ use abd_core::quorum::{Majority, Threshold};
 use abd_core::types::{ProcessId, ReadMode};
 use abd_core::{MwmrConfig, SwmrConfig};
 use abd_repro::lincheck::{
-    check_linearizable_with_limit, check_regular_swmr, find_new_old_inversions, CheckResult,
+    check_linearizable, check_regular_swmr, find_new_old_inversions, CheckResult,
 };
 use abd_repro::simnet::workload::{run_workload, WorkloadConfig, WriterMode};
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
@@ -51,7 +51,7 @@ fn atomic_swmr_is_linearizable_on_every_seed() {
         let h = run_workload(&mut sim, &wl, 0, 10_000_000_000, true)
             .unwrap_or_else(|| panic!("seed {seed}: workload did not complete"));
         assert_eq!(
-            check_linearizable_with_limit(&h, 1_000_000),
+            check_linearizable(&h),
             CheckResult::Linearizable,
             "seed {seed} produced a non-linearizable history:\n{h}"
         );
@@ -71,7 +71,7 @@ fn atomic_mwmr_is_linearizable_on_every_seed() {
         let h = run_workload(&mut sim, &wl, 0, 10_000_000_000, true)
             .unwrap_or_else(|| panic!("seed {seed}: workload did not complete"));
         assert_eq!(
-            check_linearizable_with_limit(&h, 1_000_000),
+            check_linearizable(&h),
             CheckResult::Linearizable,
             "seed {seed} produced a non-linearizable history:\n{h}"
         );
@@ -99,7 +99,7 @@ fn relay_swmr_is_linearizable_under_a_contended_writer() {
         let h = run_workload(&mut sim, &wl, 0, 10_000_000_000, true)
             .unwrap_or_else(|| panic!("seed {seed}: relay workload did not complete"));
         assert_eq!(
-            check_linearizable_with_limit(&h, 1_000_000),
+            check_linearizable(&h),
             CheckResult::Linearizable,
             "seed {seed} produced a non-linearizable relay history:\n{h}"
         );
@@ -127,7 +127,7 @@ fn relay_mwmr_is_linearizable_under_contending_writers() {
         let h = run_workload(&mut sim, &wl, 0, 10_000_000_000, true)
             .unwrap_or_else(|| panic!("seed {seed}: relay workload did not complete"));
         assert_eq!(
-            check_linearizable_with_limit(&h, 1_000_000),
+            check_linearizable(&h),
             CheckResult::Linearizable,
             "seed {seed} produced a non-linearizable relay history:\n{h}"
         );

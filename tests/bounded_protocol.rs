@@ -7,8 +7,8 @@ use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::types::{Consistency, ProcessId};
 use abd_repro::lincheck::{
-    check_linearizable_with_limit, check_regular_swmr, check_sequential, CheckResult, History,
-    RegAction, ScCheckResult,
+    check_linearizable, check_regular_swmr, check_sequential, CheckResult, History, RegAction,
+    ScCheckResult,
 };
 use abd_repro::simnet::harness::run_scripts;
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
@@ -78,7 +78,7 @@ fn bounded_histories_are_linearizable_across_seeds() {
         assert_eq!(violations, 0, "seed {seed}: window violated — run invalid");
         let h = history_of(&sim);
         assert_eq!(
-            check_linearizable_with_limit(&h, 2_000_000),
+            check_linearizable(&h),
             CheckResult::Linearizable,
             "seed {seed}:\n{h}"
         );

@@ -8,8 +8,8 @@ use abd_core::context::Protocol;
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::types::{Consistency, ProcessId};
 use abd_repro::lincheck::{
-    check_linearizable, check_linearizable_with_limit, check_regular_swmr, check_sequential,
-    is_atomic_swmr, Anomaly, CheckResult, History, RegAction, ScCheckResult,
+    check_linearizable, check_regular_swmr, check_sequential, is_atomic_swmr, Anomaly, CheckResult,
+    History, RegAction, ScCheckResult,
 };
 use abd_repro::simnet::harness::run_scripts;
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
@@ -115,7 +115,7 @@ fn masked_sweep() -> u64 {
             let h = honest_history(&sim, &[1]);
             assert!(is_atomic_swmr(&h), "lie {lie:?} seed {seed}:\n{h}");
             assert_ne!(
-                check_linearizable_with_limit(&h, 1_000_000),
+                check_linearizable(&h),
                 CheckResult::NotLinearizable,
                 "lie {lie:?} seed {seed}:\n{h}"
             );
@@ -153,7 +153,7 @@ fn b2_sweep() -> u64 {
         let h = honest_history(&sim, &[1, 2]);
         assert!(is_atomic_swmr(&h), "seed {seed}:\n{h}");
         assert_ne!(
-            check_linearizable_with_limit(&h, 1_000_000),
+            check_linearizable(&h),
             CheckResult::NotLinearizable,
             "seed {seed}:\n{h}"
         );

@@ -5,7 +5,7 @@
 
 use abd_core::types::{ProcessId, ReadMode};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
-use abd_repro::lincheck::{check_linearizable_with_limit, CheckResult};
+use abd_repro::lincheck::{check_linearizable, CheckResult};
 use abd_repro::simnet::workload::kv_histories;
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
 use rand::rngs::SmallRng;
@@ -68,7 +68,7 @@ fn per_key_histories_are_linearizable_across_seeds() {
         );
         for (key, h) in kv_histories(&sim) {
             assert_eq!(
-                check_linearizable_with_limit(&h, 2_000_000),
+                check_linearizable(&h),
                 CheckResult::Linearizable,
                 "seed {seed}, key {key}: non-linearizable history\n{h}"
             );
@@ -108,7 +108,7 @@ fn fast_reads_keep_per_key_histories_linearizable() {
         );
         for (key, h) in kv_histories(&sim) {
             assert_eq!(
-                check_linearizable_with_limit(&h, 2_000_000),
+                check_linearizable(&h),
                 CheckResult::Linearizable,
                 "seed {seed}, key {key}: non-linearizable fast-read history\n{h}"
             );
@@ -146,7 +146,7 @@ fn pipelined_invocations_stay_linearizable() {
         assert!(sim.run_until_ops_complete(600_000_000_000), "seed {seed}");
         for (key, h) in kv_histories(&sim) {
             assert_ne!(
-                check_linearizable_with_limit(&h, 2_000_000),
+                check_linearizable(&h),
                 CheckResult::NotLinearizable,
                 "seed {seed}, key {key}: non-linearizable pipelined history\n{h}"
             );
@@ -264,7 +264,7 @@ fn two_puts_on_one_key_at_one_node_issue_two_tags() {
         assert_eq!(tag.seq, 2, "seed {seed}: two puts, two tags");
         for (key, h) in kv_histories(&sim) {
             assert_eq!(
-                check_linearizable_with_limit(&h, 2_000_000),
+                check_linearizable(&h),
                 CheckResult::Linearizable,
                 "seed {seed}, key {key}: non-linearizable history\n{h}"
             );

@@ -563,7 +563,7 @@ fn kv_recovery_trace_digest_is_pinned() {
 fn assert_kv_linearizable(sim: &Sim<KvNode<u32, u64>>, under: &str) {
     for (key, h) in kv_histories(sim) {
         assert_ne!(
-            abd_repro::lincheck::check_linearizable_with_limit(&h, 2_000_000),
+            abd_repro::lincheck::check_linearizable(&h),
             abd_repro::lincheck::CheckResult::NotLinearizable,
             "key {key}: non-linearizable history under {under}\n{h}"
         );

@@ -4,7 +4,7 @@
 
 use abd_core::types::ProcessId;
 use abd_core::{MwmrConfig, SwmrConfig};
-use abd_repro::lincheck::{check_linearizable_with_limit, is_atomic_swmr, CheckResult};
+use abd_repro::lincheck::{check_linearizable, is_atomic_swmr, CheckResult};
 use abd_repro::simnet::workload::{run_workload, WorkloadConfig, WriterMode};
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
 use rand::rngs::SmallRng;
@@ -46,7 +46,7 @@ fn swmr_always_atomic() {
             .unwrap_or_else(|| panic!("{inputs}: failure-free run must complete"));
         assert!(is_atomic_swmr(&h), "{inputs}: non-atomic history:\n{h}");
         assert_eq!(
-            check_linearizable_with_limit(&h, 1_000_000),
+            check_linearizable(&h),
             CheckResult::Linearizable,
             "{inputs}"
         );
@@ -74,7 +74,7 @@ fn mwmr_always_atomic() {
         let h = run_workload(&mut sim, &wl, 0, 60_000_000_000, true)
             .unwrap_or_else(|| panic!("{inputs}: failure-free run must complete"));
         assert_eq!(
-            check_linearizable_with_limit(&h, 1_000_000),
+            check_linearizable(&h),
             CheckResult::Linearizable,
             "{inputs}: non-linearizable history:\n{h}"
         );
@@ -128,7 +128,7 @@ fn minority_crashes_preserve_atomicity_and_liveness() {
         );
         let h = abd_repro::simnet::workload::history_from_sim(0, &sim);
         assert_eq!(
-            check_linearizable_with_limit(&h, 1_000_000),
+            check_linearizable(&h),
             CheckResult::Linearizable,
             "{inputs}: history: {h}"
         );

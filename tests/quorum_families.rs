@@ -6,7 +6,7 @@
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
 use abd_core::quorum::{Grid, QuorumSystem, Threshold, Weighted};
 use abd_core::types::ProcessId;
-use abd_repro::lincheck::{check_linearizable_with_limit, CheckResult};
+use abd_repro::lincheck::{check_linearizable, CheckResult};
 use abd_repro::simnet::workload::{run_workload, WorkloadConfig, WriterMode};
 use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
 use std::sync::Arc;
@@ -40,7 +40,7 @@ fn check_atomic_sweep(n: usize, q: Arc<dyn QuorumSystem>, seeds: u64, label: &st
         let h = run_workload(&mut sim, &wl, 500, 60_000_000_000, true)
             .unwrap_or_else(|| panic!("{label} seed {seed}: workload did not complete"));
         assert_eq!(
-            check_linearizable_with_limit(&h, 1_000_000),
+            check_linearizable(&h),
             CheckResult::Linearizable,
             "{label} seed {seed}:\n{h}"
         );
@@ -101,7 +101,7 @@ fn non_intersecting_thresholds_break_atomicity_somewhere() {
         let Some(h) = run_workload(&mut sim, &wl, 1_000, 60_000_000_000, true) else {
             continue;
         };
-        if check_linearizable_with_limit(&h, 500_000) == CheckResult::NotLinearizable {
+        if check_linearizable(&h) == CheckResult::NotLinearizable {
             violations += 1;
         }
     }

@@ -5,7 +5,7 @@
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
 use abd_core::types::ProcessId;
-use abd_repro::lincheck::{check_linearizable_with_limit, CheckResult, History, RegAction};
+use abd_repro::lincheck::{check_linearizable, CheckResult, History, RegAction};
 use abd_repro::runtime::client::{spawn_kv_cluster, KvRegisterArray, KvStoreClient};
 use abd_repro::runtime::cluster::{Cluster, HistoryRecorder, Jitter};
 use abd_repro::shmem::counter::Counter;
@@ -61,7 +61,7 @@ fn threaded_history_is_linearizable() {
     h.validate_sequential_clients()
         .expect("per-client sequentiality");
     assert_eq!(
-        check_linearizable_with_limit(&h, 5_000_000),
+        check_linearizable(&h),
         CheckResult::Linearizable,
         "real-thread history must be linearizable"
     );

@@ -103,7 +103,7 @@ recovery=$(grep -rl 'struct Recovery' crates --include='*.rs' | tr '\n' ' ' || t
 [ -z "$recovery" ] \
   || { echo "struct Recovery is declared in: $recovery— a catch-up is a read of the engine's, not a round of its own"; exit 1; }
 # The register shell owns no round: no tracker, no retry schedule of its own
-# (`retransmissions()` still reads the engine's counter).
+# (its `counters()` carry the engine's re-send count).
 if sed '/^#\[cfg(test)\]/,$d' crates/core/src/register.rs | grep -nE 'PhaseTracker|rtx\.(arm|fire|disarm)'; then
   echo "crates/core/src/register.rs runs a round of its own again; rounds are crates/core/src/engine.rs's"; exit 1
 fi
@@ -162,6 +162,18 @@ echo "==> one deterministic hasher (FastHasher), a one-word ProcSet, one read kn
 # is one spec that picks its checker from the history.
 if grep -rnE 'FnvHasher|FNV_PRIME|Words::Heap|read_write_back|total_op_latency|mean_op_latency|HistoryOracle|AtomicSwmrOracle|LinearizableOracle|SequentialConsistencyOracle|RegularOracle|OracleSpec::AtomicSwmr' crates src tests examples; then
   echo "a deleted name is back: hash with abd_core::fasthash::FastHasher, a ProcSet is one u64, a read without write-back is ReadMode::NoWriteBack, a latency is an OpRecord's, and a campaign's verdict is OracleSpec::violation's (crates/simnet/src/repro.rs), with OracleSpec::Linearizable for atomicity"; exit 1
+fi
+
+echo "==> one owner for crash and retry bookkeeping (Engine::on_restart hands back the interrupted write; a node counts its own re-sends)"
+# The engine says what a crash leaves: on_restart returns the write caught in
+# its update round, which the register resumes (Engine::resume_write) and the
+# store drops. A node's re-sends are ReadPathCounters::retransmissions, filled
+# from its Retransmitter and read through counters(): the simulator keeps no
+# count of its own, and no node type has an accessor beside counters().
+if grep -rnE 'write_in_flight|restart_round' crates src tests examples benchmark/src --include='*.rs' \
+  || grep -nE '^\s*(pub\s+)?retransmissions\s*:' crates/simnet/src/metrics.rs \
+  || grep -rnE 'fn retransmissions\b' crates src tests examples benchmark/src --include='*.rs' | grep -v '^crates/core/src/retransmit\.rs:'; then
+  echo "a deleted name of the crash or retry bookkeeping is back: Engine::on_restart returns the interrupted write, and a node's re-sends are ReadPathCounters::retransmissions (Retransmitter::retransmissions is the one accessor)"; exit 1
 fi
 
 echo "==> one checker budget (outside crates/lincheck and benchmark/, a caller takes the checker's default)"

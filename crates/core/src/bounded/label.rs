@@ -88,7 +88,7 @@ impl LabelSpace {
     }
 
     /// Whether `a` is strictly newer than `b`, assuming both were issued
-    /// within [`window`](Self::window) steps of each other.
+    /// within the comparison window ([`LabelSpace::new`]) of each other.
     pub fn newer(&self, a: SerialLabel, b: SerialLabel) -> bool {
         let d = self.forward_distance(b, a);
         d != 0 && d <= self.window

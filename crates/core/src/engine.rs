@@ -1037,7 +1037,7 @@ where
     /// operations), relay rounds and retry schedules are volatile and gone;
     /// the phase-id counter, like the store, is stable storage. So is a
     /// write's update round, which is handed back as `(op, label, value)`
-    /// for the host to resume ([`Engine::resume_write`]) or abandon — the
+    /// for the host to resume (`Engine::resume_write`) or abandon — the
     /// first such round, and a register has at most one.
     pub fn on_restart(&mut self) -> Option<(OpId, L, V)> {
         self.relays.clear();

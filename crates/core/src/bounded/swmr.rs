@@ -19,9 +19,9 @@
 //! failures in [`window_violations`](BoundedSwmrNode::window_violations) — a
 //! nonzero count means the network violated the bounded-staleness assumption
 //! (a message survived more than `window` subsequent writes) and the run
-//! must be discarded. The deterministic simulator's bounded-delay mode keeps the
-//! assumption true by construction; experiments report the counter alongside
-//! their results. See [`crate::bounded`] for how this relates to the
+//! must be discarded. The deterministic simulator's bounded-delay mode keeps
+//! the assumption true by construction; experiments report the counter
+//! alongside their results. See [`crate::bounded`] for how this relates to the
 //! paper's fully-asynchronous handshake construction.
 //!
 //! [`BoundedSwmrConfig`] has no read mode: reads take two rounds. The
@@ -90,8 +90,8 @@ impl BoundedSwmrConfig {
 
 /// A `(label, value)` pair that moves only forward *through the window*: an
 /// offered pair replaces it when its label is newer within the comparison
-/// window ([`LabelSpace::new`]), and an offer whose label is not comparable with
-/// the held one is counted, not guessed at. The replica's stored pair is
+/// window ([`LabelSpace::new`]), and an offer whose label is not comparable
+/// with the held one is counted, not guessed at. The replica's stored pair is
 /// one, and so is the [`Fold`] of a read quorum's replies.
 #[derive(Clone, Debug)]
 pub struct Windowed<V> {

@@ -189,11 +189,8 @@ fn fixed_seed_campaign_counts_restarts_and_retransmissions() {
     // the last planned faults fire — drive the sim through the whole
     // schedule so every crash/restart is actually executed.
     sim.run_until(sched.heal_at() + 1);
-    assert_eq!(
-        sim.metrics().restarts,
-        planned_crashes,
-        "every crash wave reboots"
-    );
+    let m = sim.metrics();
+    assert_eq!(m.restarts, planned_crashes, "every crash wave reboots");
     assert!(
         sim.read_path_metrics().retransmissions > 0,
         "loss bursts and crashes must force retransmissions"

@@ -151,6 +151,19 @@ if grep -rnE 'anti_entropy|SWEEP_KEY|on_sweep|arm_sweep|sweep_next' crates src t
   echo "the background anti-entropy sweep is named again; a KvNode walks its peers when it reboots, and only then (DESIGN §15)"; exit 1
 fi
 
+echo "==> one table per KV replica (entries live in their Merkle buckets; no hash map or key index beside them)"
+# KvStore is the digest tree and its leaf buckets of (key, tag, value):
+# adopt updates an entry in place or pushes it onto its bucket, then applies
+# the digest delta itself. The hash map that once held the entries a second
+# time, and the helper that kept the two in step, are gone.
+if grep -rnE '\bdigest_update\b' crates src tests examples benchmark/src --include='*.rs' \
+  || grep -nE 'HashMap<K, \(Tag, V\)' crates/kv/src/node.rs; then
+  echo "a second copy of the KV replica's entries is back; an entry lives in its Merkle bucket (KvStore::buckets) and adopt applies its digest delta"; exit 1
+fi
+deltas=$(sed '/^#\[cfg(test)\]/,$d' crates/kv/src/node.rs | grep -c 'apply_delta(' || true)
+[ "$deltas" -eq 1 ] \
+  || { echo "crates/kv/src/node.rs calls apply_delta $deltas times above its tests; the store's adopt is the one caller"; exit 1; }
+
 echo "==> one deterministic hasher (FastHasher), a one-word ProcSet, one read knob, one record of latency and one verdict site"
 # The Merkle tree hashes keys and digests entries with FastHasher, like every
 # hot map; the byte-wise FNV-1a hasher it had of its own is gone. A ProcSet is
@@ -239,18 +252,32 @@ for dep in $(cd vendor && ls -d */ | tr -d /); do
     || { echo "vendor/$dep is not a [workspace.dependencies] entry that some member uses; delete the stub with its last caller"; exit 1; }
 done
 
-echo "==> every pub fn under crates/*/src is named in another file (by name only: a name common enough to appear elsewhere passes unseen)"
-# A public function no other file calls is surface without a user: delete it,
-# make it private, or gate it with #[cfg(test)] beside the tests that read it.
+echo "==> every pub fn under crates/*/src is named outside its crate's library or in a doc example (by name only: a name as common as \`new\` passes unseen)"
+# A public function that only its own crate calls is surface without a user:
+# make it pub(crate), gate it with #[cfg(test)] beside the tests that read
+# it, or delete it. A name counts as used when a file outside the crate's
+# library names it (another crate, the root package's src/, tests/ or
+# examples/, benchmark/src, or the crate's own src/bin/ and tests/), or when
+# a ``` example in a /// or //! comment of its own file does. The match is by
+# name only, so a name common enough to appear elsewhere — `new`, `len`,
+# `iter` — passes unseen; the compiler's privacy errors are the exact test.
 uncalled=""
 for f in $(find crates/*/src -name '*.rs' | sort); do
+  # The files that do not count as users: the crate's library, or, for a
+  # binary under src/bin/, the binary itself.
+  case "$f" in
+    */src/bin/*) own="^\Q$f\E$" ;;
+    *) own="^${f%%/src/*}/src/(?!bin/)" ;;
+  esac
+  examples=$(awk '/^[ \t]*\/\/[\/!]/ { if (index($0, "```")) { on = !on; next } if (on) print; next } { on = 0 }' "$f")
   for fn in $(grep -oP '^\s*pub fn \K\w+' "$f" | sort -u); do
-    others=$(grep -rlw --include='*.rs' "$fn" crates src tests examples benchmark/src | grep -vxF "$f" || true)
-    [ -n "$others" ] || uncalled+="$f:$fn "
+    grep -qw "$fn" <<<"$examples" && continue
+    users=$(grep -rlw --include='*.rs' "$fn" crates src tests examples benchmark/src | grep -vP "$own" || true)
+    [ -n "$users" ] || uncalled+="$f:$fn "
   done
 done
 [ -z "$uncalled" ] \
-  || { echo "no other file names these public functions: $uncalled— delete each, make it private, or gate it with #[cfg(test)]"; exit 1; }
+  || { echo "nothing outside their crate's library (a binary's: outside the binary) names these public functions: $uncalled— make each pub(crate), gate it with #[cfg(test)], or delete it"; exit 1; }
 
 echo "==> cargo test --workspace"
 cargo test -q --workspace

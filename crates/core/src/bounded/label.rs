@@ -98,7 +98,7 @@ impl LabelSpace {
     /// meaningful: their distance (in either direction) is within the
     /// window. Outside this range the comparison would be ambiguous and the
     /// protocol reports a window violation instead of guessing.
-    pub fn comparable(&self, a: SerialLabel, b: SerialLabel) -> bool {
+    pub(crate) fn comparable(&self, a: SerialLabel, b: SerialLabel) -> bool {
         let d = self.forward_distance(b, a);
         d == 0 || d <= self.window || d >= self.modulus - self.window
     }

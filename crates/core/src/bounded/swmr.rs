@@ -15,7 +15,7 @@
 //!
 //! Serial labels compare correctly only when the two labels were issued
 //! within the comparison window ([`LabelSpace::new`]) of each other. Every
-//! comparison therefore *checks* [`LabelSpace::comparable`] first and counts
+//! comparison therefore *checks* `LabelSpace::comparable` first and counts
 //! failures in [`window_violations`](BoundedSwmrNode::window_violations) — a
 //! nonzero count means the network violated the bounded-staleness assumption
 //! (a message survived more than `window` subsequent writes) and the run

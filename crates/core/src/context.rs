@@ -82,7 +82,7 @@ impl<M, R> Effects<M, R> {
 
     /// Queues the same message for every processor in `to`: a clone for
     /// each but the last, which takes `m` itself.
-    pub fn send_each<I: IntoIterator<Item = ProcessId>>(&mut self, to: I, m: M)
+    pub(crate) fn send_each<I: IntoIterator<Item = ProcessId>>(&mut self, to: I, m: M)
     where
         M: Clone,
     {
@@ -103,7 +103,7 @@ impl<M, R> Effects<M, R> {
     }
 
     /// Cancels timer `key`.
-    pub fn cancel_timer(&mut self, key: TimerKey) {
+    pub(crate) fn cancel_timer(&mut self, key: TimerKey) {
         self.timers.push(TimerCmd::Cancel { key });
     }
 

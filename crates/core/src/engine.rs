@@ -494,7 +494,7 @@ where
     }
 
     /// Whether operation `op` has a round in flight.
-    pub fn is_pending(&self, op: OpId) -> bool {
+    pub(crate) fn is_pending(&self, op: OpId) -> bool {
         self.rounds.iter().any(|r| r.op == op)
     }
 

@@ -26,9 +26,9 @@
 //! the collision caveat).
 //!
 //! The tree has exactly **one** mutating operation,
-//! [`MerkleTree::apply_delta`]. Callers outside this module must route
-//! every call through their single `digest_update` helper so the digest
-//! can never silently diverge from the store it summarizes.
+//! [`MerkleTree::apply_delta`]. A store calls it from its one mutation
+//! (`abd-kv`'s is `adopt`, which also files the entry in its leaf bucket),
+//! so the digest can never silently diverge from the store it summarizes.
 
 use crate::fasthash::FastHasher;
 use crate::types::Tag;
@@ -150,9 +150,9 @@ impl MerkleTree {
     /// removed). XORs the entry-digest delta into the key's bucket and
     /// every ancestor up to the root — O(log₂ buckets), no rescans.
     ///
-    /// Callers outside `merkle.rs` must wrap this in their one
-    /// `digest_update` helper: the tree is an index over the store, and an
-    /// unpaired mutation silently corrupts every digest above the bucket.
+    /// Callers outside `merkle.rs` must call this from their store's one
+    /// mutation: the tree summarizes the store, and an unpaired mutation
+    /// silently corrupts every digest above the bucket.
     pub fn apply_delta(&mut self, kh: u64, old: Option<Tag>, new: Option<Tag>) {
         let mut delta = 0u64;
         if let Some(t) = old {

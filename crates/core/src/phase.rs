@@ -22,7 +22,7 @@ impl PhaseTracker {
     /// Starts a phase with id `uid` for a cluster of `n` processors,
     /// counting the issuing processor `me` as having already responded
     /// (a processor never messages itself).
-    pub fn new(uid: u64, n: usize, me: ProcessId) -> Self {
+    pub(crate) fn new(uid: u64, n: usize, me: ProcessId) -> Self {
         let mut responders = ProcSet::new(n);
         responders.insert(me);
         PhaseTracker { uid, responders }
@@ -32,7 +32,7 @@ impl PhaseTracker {
     /// this for the reply-collection phase: the issuer's own reply only
     /// counts once its own server-side relay round has completed, so even
     /// `me` must be recorded explicitly.
-    pub fn new_empty(uid: u64, n: usize) -> Self {
+    pub(crate) fn new_empty(uid: u64, n: usize) -> Self {
         PhaseTracker {
             uid,
             responders: ProcSet::new(n),
@@ -40,24 +40,24 @@ impl PhaseTracker {
     }
 
     /// The phase id replies must carry.
-    pub fn uid(&self) -> u64 {
+    pub(crate) fn uid(&self) -> u64 {
         self.uid
     }
 
     /// Records a response from `from` if `uid` matches this phase.
     /// Returns `true` if the response was accepted (right phase, first time).
-    pub fn record(&mut self, from: ProcessId, uid: u64) -> bool {
+    pub(crate) fn record(&mut self, from: ProcessId, uid: u64) -> bool {
         uid == self.uid && self.responders.insert(from)
     }
 
     /// The set of processors that have responded (including the issuer).
-    pub fn responders(&self) -> &ProcSet {
+    pub(crate) fn responders(&self) -> &ProcSet {
         &self.responders
     }
 
     /// Processors that have **not** responded yet — the retransmission
     /// targets when the phase timer fires.
-    pub fn missing(&self) -> Vec<ProcessId> {
+    pub(crate) fn missing(&self) -> Vec<ProcessId> {
         self.responders.complement()
     }
 }
@@ -125,14 +125,14 @@ impl PhaseEdges {
     /// Records the transition `from -> to`. A round started over re-enters
     /// its own phase, which is no transition.
     #[inline]
-    pub fn record(&mut self, from: Phase, to: Phase) {
+    pub(crate) fn record(&mut self, from: Phase, to: Phase) {
         if from != to {
             self.0 |= Self::bit(from, to);
         }
     }
 
     /// The edges in the set, ordered by `(from, to)`.
-    pub fn iter(self) -> impl Iterator<Item = (Phase, Phase)> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = (Phase, Phase)> {
         Phase::ALL
             .into_iter()
             .flat_map(|from| Phase::ALL.map(|to| (from, to)))
@@ -146,7 +146,7 @@ impl std::ops::BitOrAssign for PhaseEdges {
     }
 }
 
-/// `A -> B, C -> D`, in [`PhaseEdges::iter`] order.
+/// `A -> B, C -> D`, in `PhaseEdges::iter` order.
 impl std::fmt::Display for PhaseEdges {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for (i, (from, to)) in self.iter().enumerate() {
@@ -273,12 +273,12 @@ pub struct RelayCensus<L, V> {
 impl<L: PartialOrd, V> RelayCensus<L, V> {
     /// Starts an empty census (the issuer's replica does not count until
     /// its own relay round completes).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RelayCensus { min: None }
     }
 
     /// Folds in one reply, keeping the smaller label (first seen wins ties).
-    pub fn observe(&mut self, label: L, value: V) {
+    pub(crate) fn observe(&mut self, label: L, value: V) {
         match &self.min {
             Some((cur, _)) if *cur <= label => {}
             _ => self.min = Some((label, value)),
@@ -287,7 +287,7 @@ impl<L: PartialOrd, V> RelayCensus<L, V> {
 
     /// Consumes the census, yielding the minimum `(label, value)` pair, or
     /// `None` if nothing was observed.
-    pub fn into_min(self) -> Option<(L, V)> {
+    pub(crate) fn into_min(self) -> Option<(L, V)> {
         self.min
     }
 }

@@ -128,7 +128,7 @@ impl ProcSet {
     }
 
     /// Whether the two sets share at least one id.
-    pub fn intersects(&self, other: &ProcSet) -> bool {
+    pub(crate) fn intersects(&self, other: &ProcSet) -> bool {
         self.bits & other.bits != 0
     }
 
@@ -138,7 +138,7 @@ impl ProcSet {
     }
 
     /// The ids of `0..capacity` *not* in the set, ascending.
-    pub fn complement(&self) -> Vec<ProcessId> {
+    pub(crate) fn complement(&self) -> Vec<ProcessId> {
         (0..self.capacity)
             .map(ProcessId)
             .filter(|&p| !self.contains(p))

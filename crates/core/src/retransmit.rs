@@ -7,7 +7,7 @@
 //! (cf. the message-efficiency line of work following the paper):
 //!
 //! * **targeted**: retransmissions go only to the processors the phase is
-//!   still missing ([`crate::phase::PhaseTracker::missing`]);
+//!   still missing (`PhaseTracker::missing`);
 //! * **exponential backoff**: the retry delay doubles on every attempt, up
 //!   to a cap of sixteen base intervals, so a blocked phase converges to a
 //!   slow heartbeat instead of a message storm;
@@ -211,7 +211,7 @@ impl Retransmitter {
     /// The lifetime count survives: it is the node's
     /// `ReadPathCounters::retransmissions`, read through
     /// [`Engine::counters`](crate::engine::Engine::counters).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.attempts.clear();
     }
 }

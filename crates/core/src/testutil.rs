@@ -31,7 +31,7 @@ pub(crate) struct MiniNet<P: Protocol> {
 impl<P: Protocol> MiniNet<P> {
     /// Creates a network over `nodes` (node `i` must have id `i`) and runs
     /// every node's `on_start`.
-    pub fn new(nodes: Vec<P>) -> Self {
+    pub(crate) fn new(nodes: Vec<P>) -> Self {
         let mut net = MiniNet {
             hosts: NodeHost::cluster(nodes),
             queue: VecDeque::new(),
@@ -48,25 +48,25 @@ impl<P: Protocol> MiniNet<P> {
     }
 
     /// Immutable access to node `i`.
-    pub fn node(&self, i: usize) -> &P {
+    pub(crate) fn node(&self, i: usize) -> &P {
         self.hosts[i].node()
     }
 
     /// Crashes node `i`: it stops receiving messages, timers and
     /// invocations.
-    pub fn crash(&mut self, i: usize) {
+    pub(crate) fn crash(&mut self, i: usize) {
         self.hosts[i].crash();
     }
 
     /// Reboots a crashed node: its armed timers stay dead and `on_restart`
     /// runs, its catch-up traffic queued.
-    pub fn restart(&mut self, i: usize) {
+    pub(crate) fn restart(&mut self, i: usize) {
         self.hosts[i].restart(0);
         self.absorb(i);
     }
 
     /// Installs a filter that drops a message when it returns `true`.
-    pub fn set_drop_filter<F>(&mut self, f: F)
+    pub(crate) fn set_drop_filter<F>(&mut self, f: F)
     where
         F: FnMut(ProcessId, ProcessId, &P::Msg) -> bool + 'static,
     {
@@ -74,14 +74,14 @@ impl<P: Protocol> MiniNet<P> {
     }
 
     /// Removes the drop filter.
-    pub fn clear_drop_filter(&mut self) {
+    pub(crate) fn clear_drop_filter(&mut self) {
         self.drop_filter = None;
     }
 
     /// Invokes `op` on node `i`, assigning the next sequential [`OpId`],
     /// and immediately processes the invocation's direct effects (but does
     /// not deliver messages — call [`run_to_quiescence`](Self::run_to_quiescence)).
-    pub fn invoke(&mut self, i: usize, op: P::Op) -> OpId {
+    pub(crate) fn invoke(&mut self, i: usize, op: P::Op) -> OpId {
         let id = OpId(self.next_op);
         self.next_op += 1;
         self.hosts[i].invoke(0, id, op);
@@ -90,7 +90,7 @@ impl<P: Protocol> MiniNet<P> {
     }
 
     /// Delivers queued messages in FIFO order until the network is quiet.
-    pub fn run_to_quiescence(&mut self) {
+    pub(crate) fn run_to_quiescence(&mut self) {
         while let Some((from, to, msg)) = self.queue.pop_front() {
             if !self.hosts[to.index()].is_up() {
                 continue;
@@ -108,19 +108,19 @@ impl<P: Protocol> MiniNet<P> {
     /// Fires every timer node `i` has armed, once each (in key order): with
     /// no clock, each is due at the end of time. One a firing re-arms waits
     /// for the next call.
-    pub fn fire_timers(&mut self, i: usize) {
+    pub(crate) fn fire_timers(&mut self, i: usize) {
         self.hosts[i].fire_due(Nanos::MAX);
         self.absorb(i);
     }
 
     /// Takes the responses accumulated so far, in completion order.
-    pub fn take_responses(&mut self) -> Vec<(OpId, P::Resp)> {
+    pub(crate) fn take_responses(&mut self) -> Vec<(OpId, P::Resp)> {
         std::mem::take(&mut self.responses)
     }
 
     /// Total messages handed to the network so far (including later-dropped
     /// ones).
-    pub fn messages_sent(&self) -> u64 {
+    pub(crate) fn messages_sent(&self) -> u64 {
         self.sent
     }
 

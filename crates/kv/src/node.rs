@@ -9,14 +9,16 @@
 //! The operation path is `abd-core`'s quorum-operation engine
 //! ([`abd_core::engine`]), the same state machine the register protocols
 //! run, instantiated with [`Tag`] labels over a keyed store. What a *store*
-//! adds to it lives here: the keyed replica with its Merkle tree and bucket
-//! index, and the sync walk a restarted node catches up by, whose two
-//! messages travel in [`KvMsg`] beside the engine's own. Two things differ
-//! from a register, both carried by types rather than branches:
+//! adds to it lives here: the keyed replica, whose entries sit in the leaf
+//! buckets of its Merkle tree, and the sync walk a restarted node catches
+//! up by, whose two messages travel in [`KvMsg`] beside the engine's own.
+//! Two things differ from a register, both carried by types rather than
+//! branches:
 //!
-//! * **keyed state** — the replica holds a map `key → (tag, value)`;
-//!   unknown keys report the initial tag and no value, and a `Get` that
-//!   finds the key unwritten has nothing to write back;
+//! * **keyed state** — the replica holds a `(tag, value)` per key, filed
+//!   in the Merkle bucket its key hashes to; unknown keys report the
+//!   initial tag and no value, and a `Get` that finds the key unwritten has
+//!   nothing to write back;
 //! * **pipelining** — every invocation is handed to the engine at once
 //!   (each round gets its own phase id) instead of queueing, since
 //!   operations on independent keys do not interact; per-client ordering is
@@ -47,24 +49,25 @@
 //! `adopt`, a monotone max-merge.
 //!
 //! The transfer is a **Merkle walk**. Each node maintains an incremental
-//! [`MerkleTree`] digest over its `(key → tag)` map (updated by the store's
-//! single `digest_update` helper on every adoption; it persists with the
-//! store). The recovering node runs one walk per peer, and a walk is one
-//! exchange repeated: [`KvMsg::SyncDiffReq`] names a batch of tree nodes —
-//! the root alone, to open — and [`KvMsg::SyncEntries`] returns their
-//! children's digests, or their entries where they are leaf buckets; the
-//! walker prunes every child that matches its own tree and asks for the
-//! rest. Traffic is proportional to *drift*, not store size: two digests
-//! back against an identical store, O(log buckets) messages for a
-//! 1-key-stale replica of a 100k-key store. Time depends on neither: a
-//! walk issues all batches of a tree level at once, so catch-up takes at
-//! most `log2(buckets) + 1` round trips however many keys diverged, and
-//! each finished walk counts its peer toward the catch-up read quorum. Safety is max-merge: digest equality over `(key, tag)`
-//! certifies entry equality (DESIGN.md §15 has the collision caveat), and
-//! everything adopted goes through the store's monotone `adopt`. Walks
-//! draw their ids from the engine's phase-id counter and their retry
-//! schedules from its `Retransmitter`, so they share timers with the
-//! operations they run beside.
+//! [`MerkleTree`] digest over its `(key → tag)` pairs (updated by the
+//! store's one mutation, `adopt`, which files every entry in its leaf
+//! bucket; it persists with the store). The recovering node runs one walk
+//! per peer, and a walk is one exchange repeated: [`KvMsg::SyncDiffReq`]
+//! names a batch of tree nodes — the root alone, to open — and
+//! [`KvMsg::SyncEntries`] returns their children's digests, or their entries
+//! where they are leaf buckets; the walker prunes every child that matches
+//! its own tree and asks for the rest. Traffic is proportional to *drift*,
+//! not store size: two digests back against an identical store, O(log
+//! buckets) messages for a 1-key-stale replica of a 100k-key store. Time
+//! depends on neither: a walk issues all batches of a tree level at once, so
+//! catch-up takes at most `log2(buckets) + 1` round trips however many keys
+//! diverged, and each finished walk counts its peer toward the catch-up read
+//! quorum. Safety is max-merge: digest equality over `(key, tag)` certifies
+//! entry equality (DESIGN.md §15 has the collision caveat), and everything
+//! adopted goes through the store's monotone `adopt`. Walks draw their ids
+//! from the engine's phase-id counter and their retry schedules from its
+//! `Retransmitter`, so they share timers with the operations they run
+//! beside.
 
 use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use abd_core::engine::{Engine, Msg, Op, Outcome, Store};
@@ -248,37 +251,27 @@ struct SyncWalk {
 /// Effects of a key-value node.
 type Fx<K, V> = Effects<KvMsg<K, V>, KvResp<V>>;
 
-/// The keyed replica: the engine's store, plus the digests sync prunes by.
-/// Stable storage, all three fields.
+/// The keyed replica: every `(key, tag, value)` entry sits in the leaf
+/// bucket of the Merkle tree its key hashes to, so one table serves both
+/// the operations and the sync walk. Stable storage, both fields.
 #[derive(Clone, Debug)]
 struct KvStore<K, V> {
-    /// Hashed, like every map here, by the unseeded [`FastBuild`]: the keys
-    /// are the workload's own. A deployment whose clients may craft keys
-    /// to collide wants `std`'s seeded default back on this one map.
-    map: HashMap<K, (Tag, V), FastBuild>,
-    /// Incremental Merkle digest over `map`'s `(key → tag)` pairs; mutated
-    /// only by [`KvStore::digest_update`].
+    /// Incremental Merkle digest over the entries' `(key → tag)` pairs;
+    /// mutated only by [`Store::adopt`].
     tree: MerkleTree,
-    /// Bucket → keys index (insertion order; keys are never removed), so a
-    /// leaf-bucket sync request needn't scan the whole store.
-    buckets: Vec<Vec<K>>,
+    /// Leaf bucket → its entries, in insertion order (keys are never
+    /// removed). A lookup scans its key's one bucket, and a leaf sync
+    /// request ships one whole. [`key_hash`] is unseeded because replicas
+    /// must agree on it, so clients that craft keys to collide can crowd
+    /// one bucket: that costs lookups what it already costs sync.
+    buckets: Vec<Vec<(K, Tag, V)>>,
 }
 
-impl<K: Clone + Eq + Hash, V> KvStore<K, V> {
-    /// The single Merkle-maintenance point: the entry for `key` just moved
-    /// from tag `old` (`None` = fresh insert) to `new`. Updates the bucket
-    /// index and folds the delta into the digest tree. Every
-    /// [`MerkleTree::apply_delta`] call in this crate lives here, reached
-    /// from the store's one mutation ([`Store::adopt`]): a store mutation
-    /// that skipped this helper would silently desynchronize the digests
-    /// every sync walk prunes by.
-    fn digest_update(&mut self, key: &K, old: Option<Tag>, new: Tag) {
-        let kh = key_hash(key);
-        if old.is_none() {
-            let b = self.tree.bucket_of(kh);
-            self.buckets[b].push(key.clone());
-        }
-        self.tree.apply_delta(kh, old, Some(new));
+impl<K: Eq + Hash, V> KvStore<K, V> {
+    /// The entry for `key`, if the replica holds one.
+    fn entry(&self, key: &K) -> Option<&(K, Tag, V)> {
+        let b = self.tree.bucket_of(key_hash(key));
+        self.buckets[b].iter().find(|(k, ..)| k == key)
     }
 }
 
@@ -290,22 +283,29 @@ impl<K: Clone + Eq + Hash, V: Clone> Store<K, Tag, Option<V>, V> for KvStore<K, 
     const WRITE_QUERIES: bool = true;
 
     fn snapshot(&self, key: &K) -> (Tag, Option<V>) {
-        match self.map.get(key) {
-            Some((t, v)) => (*t, Some(v.clone())),
+        match self.entry(key) {
+            Some((_, t, v)) => (*t, Some(v.clone())),
             None => (Tag::initial(), None),
         }
     }
 
+    /// The one mutation, and this crate's one [`MerkleTree::apply_delta`]
+    /// call: an entry moved without its delta leaves every digest lying.
     fn adopt(&mut self, key: &K, tag: Tag, value: V) {
-        let old = match self.map.get_mut(key) {
-            Some(entry) if tag > entry.0 => Some(std::mem::replace(entry, (tag, value)).0),
+        let kh = key_hash(key);
+        let bucket = &mut self.buckets[self.tree.bucket_of(kh)];
+        let old = match bucket.iter_mut().find(|(k, ..)| k == key) {
+            Some(entry) if tag > entry.1 => {
+                entry.2 = value;
+                Some(std::mem::replace(&mut entry.1, tag))
+            }
             None if tag > Tag::initial() => {
-                self.map.insert(key.clone(), (tag, value));
+                bucket.push((key.clone(), tag, value));
                 None
             }
             _ => return,
         };
-        self.digest_update(key, old, tag);
+        self.tree.apply_delta(kh, old, Some(tag));
     }
 
     fn fold(&self, key: &K) -> Self::Fold {
@@ -392,7 +392,6 @@ where
             "sync_buckets must be a power of two, at least 2"
         );
         let store = KvStore {
-            map: HashMap::default(),
             tree: MerkleTree::new(cfg.sync_buckets),
             buckets: vec![Vec::new(); cfg.sync_buckets],
         };
@@ -418,7 +417,7 @@ where
         }
     }
 
-    /// The node's current Merkle root over its `(key → tag)` map.
+    /// The node's current Merkle root over its `(key → tag)` pairs.
     #[cfg(test)]
     fn sync_root(&self) -> u64 {
         self.store.tree.root()
@@ -443,13 +442,13 @@ where
 
     /// The node's local `(tag, value)` for `key`, if present.
     pub fn local_entry(&self, key: &K) -> Option<(Tag, &V)> {
-        self.store.map.get(key).map(|(t, v)| (*t, v))
+        self.store.entry(key).map(|(_, t, v)| (*t, v))
     }
 
     /// Number of keys stored locally.
     #[cfg(test)]
     fn local_len(&self) -> usize {
-        self.store.map.len()
+        self.store.buckets.iter().map(Vec::len).sum()
     }
 
     /// Number of operations currently in flight on this node.
@@ -471,15 +470,10 @@ where
         self.store.adopt(&key, tag, value);
     }
 
-    /// Every `(key, tag, value)` this replica stores, in the map's
-    /// iteration order.
+    /// Every `(key, tag, value)` this replica stores, bucket by bucket.
     #[cfg(test)]
     fn entries(&self) -> Vec<(K, Tag, V)> {
-        self.store
-            .map
-            .iter()
-            .map(|(k, (t, v))| (k.clone(), *t, v.clone()))
-            .collect()
+        self.store.buckets.concat()
     }
 
     /// Max-merges `entries` into the replica: per key the larger tag wins.
@@ -635,7 +629,7 @@ where
                 // neither internal nodes nor leaves and are skipped, never a
                 // panic. An empty bucket contributes no entries — the walker
                 // learns that from the reply being entry-free for that leaf.
-                let KvStore { map, tree, buckets } = &self.store;
+                let KvStore { tree, buckets } = &self.store;
                 let mut children = Vec::new();
                 let mut entries = Vec::new();
                 for id in nodes {
@@ -643,11 +637,7 @@ where
                         children.push((l, tree.digest(l).unwrap_or(0)));
                         children.push((r, tree.digest(r).unwrap_or(0)));
                     } else if let Some(b) = tree.bucket_of_leaf(id) {
-                        for k in &buckets[b] {
-                            if let Some((t, v)) = map.get(k) {
-                                entries.push((k.clone(), *t, v.clone()));
-                            }
-                        }
+                        entries.extend(buckets[b].iter().cloned());
                     }
                 }
                 self.send_sync(
@@ -725,7 +715,7 @@ where
         // rounds and the walks (plain request/reply state); the store is
         // stable storage and survives, but may be stale. Start catching up
         // from a read quorum; serving resumes right away. The digest tree
-        // and bucket index persist with the store they summarize. A put
+        // persists with the bucketed entries it summarizes. A put
         // caught in its update round is abandoned like any pending write:
         // its client saw it aborted, and its pair stays wherever the update
         // reached.
@@ -1407,8 +1397,6 @@ mod tests {
         net.run();
         let shipped: u64 = (0..3)
             .map(|i| net.nodes[i].counters().sync_entries_sent)
-            .collect::<Vec<_>>()
-            .iter()
             .sum();
         // Each up-to-date peer ships the divergent bucket once. With 16
         // buckets and 64 keys a bucket holds ~4 keys — nowhere near the
@@ -1512,45 +1500,19 @@ mod tests {
         node.start_walk(ProcessId(1), &mut fx);
         let (uid, first_req) = opening(fx.sends);
         assert!(matches!(first_req[0], KvMsg::SyncDiffReq { step: 0, .. }));
+        let reply = |step| KvMsg::SyncEntries {
+            uid,
+            step,
+            children: vec![(1, 123), (2, 456)],
+            entries: vec![],
+        };
         // A reply with a step not in flight is ignored.
-        let mut fx = Effects::new();
-        node.on_message(
-            ProcessId(1),
-            KvMsg::SyncEntries {
-                uid,
-                step: 9,
-                children: vec![(1, 123), (2, 456)],
-                entries: vec![],
-            },
-            &mut fx,
-        );
-        assert!(fx.sends.is_empty(), "stale-step reply ignored");
+        assert!(deliver(&mut node, reply(9)).is_empty(), "stale step");
         // The matching-step reply advances the walk.
-        let mut fx = Effects::new();
-        node.on_message(
-            ProcessId(1),
-            KvMsg::SyncEntries {
-                uid,
-                step: 0,
-                children: vec![(1, 123), (2, 456)],
-                entries: vec![],
-            },
-            &mut fx,
-        );
-        assert!(matches!(fx.sends[0].1, KvMsg::SyncDiffReq { step: 1, .. }));
+        let sent = deliver(&mut node, reply(0));
+        assert!(matches!(sent[0], KvMsg::SyncDiffReq { step: 1, .. }));
         // A duplicate of it must not restart or double-drive the walk.
-        let mut fx = Effects::new();
-        node.on_message(
-            ProcessId(1),
-            KvMsg::SyncEntries {
-                uid,
-                step: 0,
-                children: vec![(1, 123), (2, 456)],
-                entries: vec![],
-            },
-            &mut fx,
-        );
-        assert!(fx.sends.is_empty(), "duplicate reply ignored");
+        assert!(deliver(&mut node, reply(0)).is_empty(), "duplicate reply");
     }
 
     /// A walker (node 0) and a peer (node 1) of an `n = 2` cluster holding
@@ -1768,33 +1730,43 @@ mod tests {
         }
     }
 
-    /// Whatever `(key, tag, value)` adoptions the store sees, in whatever
+    /// Whatever `(key, tag, value)` adoptions the store sees — preloads,
+    /// adoptions above and below the held tag, walk merges — in whatever
     /// order, each key holds the largest tag offered so far with the value
     /// that came first at that tag, and the digest is that of a fresh store
-    /// which adopted only those maxima, in reverse order. 256 cases, case
-    /// `c` drawn from `SmallRng::seed_from_u64(c)`.
+    /// which adopted only those maxima, in reverse order. And the layout
+    /// holds: every entry sits once in the bucket its key hashes to, and
+    /// the tree is the one a [`MerkleTree`] rebuilt from the buckets has.
+    /// 256 cases over 16 buckets, case `c` drawn from
+    /// `SmallRng::seed_from_u64(c)`.
     #[test]
     fn kv_store_holds_each_keys_running_maximum() {
         for case in 0..256 {
             let mut rng = SmallRng::seed_from_u64(case);
             let len = rng.gen_range(0..200);
-            let adoptions: Vec<(u32, u64, usize, u64)> = (0..len)
+            let adoptions: Vec<(u32, u64, usize, u64, u8)> = (0..len)
                 .map(|_| {
                     (
-                        rng.gen_range(0..8),
+                        rng.gen_range(0..48),
                         rng.gen_range(0..4),
                         rng.gen_range(0..3),
                         rng.gen_range(0..1_000),
+                        rng.gen_range(0..3),
                     )
                 })
                 .collect();
             let inputs = format!("case {case}: adoptions {adoptions:?}");
-            let fresh = || KvNode::<u32, u64>::new(KvConfig::new(3, ProcessId(0)));
+            let fresh =
+                || KvNode::<u32, u64>::new(KvConfig::new(3, ProcessId(0)).with_sync_buckets(16));
             let mut node = fresh();
             let mut max: BTreeMap<u32, (Tag, u64)> = BTreeMap::new();
-            for &(key, seq, writer, value) in &adoptions {
+            for &(key, seq, writer, value, door) in &adoptions {
                 let tag = Tag::new(seq, ProcessId(writer));
-                node.store.adopt(&key, tag, value);
+                match door {
+                    0 => node.preload(key, tag, value),
+                    1 => node.store.adopt(&key, tag, value),
+                    _ => node.merge(vec![(key, tag, value)]),
+                }
                 if tag > max.get(&key).map_or(Tag::initial(), |e| e.0) {
                     max.insert(key, (tag, value));
                 }
@@ -1812,6 +1784,20 @@ mod tests {
                 maxima.store.adopt(key, *tag, *value);
             }
             assert_eq!(node.sync_root(), maxima.sync_root(), "{inputs}");
+            let mut rebuilt = MerkleTree::new(16);
+            let mut seen = BTreeSet::new();
+            for (b, bucket) in node.store.buckets.iter().enumerate() {
+                for (key, tag, _) in bucket {
+                    assert_eq!(
+                        node.store.tree.bucket_of(key_hash(key)),
+                        b,
+                        "{key} {inputs}"
+                    );
+                    assert!(seen.insert(*key), "{key} held twice, {inputs}");
+                    rebuilt.apply_delta(key_hash(key), None, Some(*tag));
+                }
+            }
+            assert_eq!(node.store.tree, rebuilt, "{inputs}");
         }
     }
 

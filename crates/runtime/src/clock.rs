@@ -31,7 +31,7 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// A wall clock whose epoch is "now".
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         #[expect(
             clippy::disallowed_methods,
             clippy::disallowed_types,

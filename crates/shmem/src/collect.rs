@@ -10,7 +10,7 @@
 use crate::array::RegisterArray;
 
 /// Reads every register once, in index order.
-pub fn collect<V: Clone, R: RegisterArray<V>>(regs: &mut R) -> Vec<V> {
+pub(crate) fn collect<V: Clone, R: RegisterArray<V>>(regs: &mut R) -> Vec<V> {
     (0..regs.len()).map(|i| regs.read(i)).collect()
 }
 

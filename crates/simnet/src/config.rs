@@ -35,7 +35,7 @@ pub enum LatencyModel {
 
 impl LatencyModel {
     /// Draws one delay.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> Nanos {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> Nanos {
         match *self {
             LatencyModel::Constant(d) => d,
             LatencyModel::Uniform { lo, hi } => {

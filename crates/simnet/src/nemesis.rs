@@ -100,7 +100,7 @@ pub enum PlannedFault {
 
 impl PlannedFault {
     /// The instant the fault is injected.
-    pub fn start(&self) -> Nanos {
+    pub(crate) fn start(&self) -> Nanos {
         match self {
             PlannedFault::Crash { at, .. }
             | PlannedFault::Partition { at, .. }
@@ -110,7 +110,7 @@ impl PlannedFault {
     }
 
     /// The instant the fault has cleared (restart, heal, restore, recover).
-    pub fn end(&self) -> Nanos {
+    pub(crate) fn end(&self) -> Nanos {
         match self {
             PlannedFault::Crash { restart_at, .. } => *restart_at,
             PlannedFault::Partition { heal_at, .. } => *heal_at,
@@ -122,7 +122,7 @@ impl PlannedFault {
     /// A copy with its end instant moved to `end` (clamped to start at
     /// least one nanosecond after the fault begins, so the injection and
     /// its clearing stay distinct events).
-    pub fn with_end(&self, end: Nanos) -> PlannedFault {
+    pub(crate) fn with_end(&self, end: Nanos) -> PlannedFault {
         let mut f = self.clone();
         let end = end.max(self.start() + 1);
         match &mut f {
@@ -135,7 +135,7 @@ impl PlannedFault {
     }
 
     /// One human-readable line for fault timelines.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             PlannedFault::Crash {
                 at,
@@ -249,7 +249,7 @@ impl NemesisConfig {
         self
     }
 
-    /// Plans the campaign. See [`NemesisSchedule::plan`].
+    /// Plans the campaign. See `NemesisSchedule::plan`.
     pub fn plan(&self) -> NemesisSchedule {
         NemesisSchedule::plan(self)
     }
@@ -278,7 +278,7 @@ impl NemesisSchedule {
     /// without [`violate_majority`](NemesisConfig::violate_majority) — a
     /// sub-majority floor silently steps outside the paper's resilience
     /// envelope, which must be an explicit choice.
-    pub fn plan(cfg: &NemesisConfig) -> NemesisSchedule {
+    pub(crate) fn plan(cfg: &NemesisConfig) -> NemesisSchedule {
         assert!(cfg.min_alive <= cfg.n, "min_alive > n");
         assert!(
             cfg.violate_majority || cfg.min_alive >= majority_threshold(cfg.n),

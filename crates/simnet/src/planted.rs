@@ -119,7 +119,7 @@ impl MutantKind {
     ];
 
     /// Stable name used in `.repro` artifacts and bench reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MutantKind::DropWriteBack => "DropWriteBack",
             MutantKind::StaleTagAck => "StaleTagAck",
@@ -198,7 +198,7 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> MutantSwmr<V> {
     /// [`MutantKind::StaleTagAck`], [`MutantKind::OffByOneQuorum`] and the
     /// two read-response ones; `0` disables them); the remaining mutants are
     /// state-triggered and ignore it.
-    pub fn new(inner: SwmrNode<V>, kind: MutantKind, every: u64) -> Self {
+    pub(crate) fn new(inner: SwmrNode<V>, kind: MutantKind, every: u64) -> Self {
         let initial = inner.replica_state().1;
         MutantSwmr {
             inner,
@@ -504,7 +504,7 @@ pub struct AmnesiacKv<K, V>(KvNode<K, V>);
 
 impl<K, V> AmnesiacKv<K, V> {
     /// Wraps `inner`; its current store is kept until the first reboot.
-    pub fn new(inner: KvNode<K, V>) -> Self {
+    pub(crate) fn new(inner: KvNode<K, V>) -> Self {
         AmnesiacKv(inner)
     }
 }

@@ -61,7 +61,7 @@ pub enum ProtocolSpec {
     MutantSwmr {
         /// Which defect every node carries.
         mutant: MutantKind,
-        /// Trigger rate for the counted mutants (see [`MutantSwmr::new`]).
+        /// Trigger rate for the counted mutants (see `MutantSwmr::new`).
         every: u64,
     },
     /// Key-value nodes ([`KvNode`]), one register per key. Script position

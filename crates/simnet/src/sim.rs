@@ -364,7 +364,7 @@ where
     }
 
     /// Whether node `i` is still alive.
-    pub fn is_alive(&self, i: usize) -> bool {
+    pub(crate) fn is_alive(&self, i: usize) -> bool {
         self.hosts[i].is_up()
     }
 
@@ -442,7 +442,7 @@ where
 
     /// Changes the network-wide message-loss probability at time `at`
     /// (e.g. a loss burst and its later repair).
-    pub fn set_loss_at(&mut self, at: Nanos, prob: f64) {
+    pub(crate) fn set_loss_at(&mut self, at: Nanos, prob: f64) {
         assert!(at >= self.now, "cannot schedule in the past");
         assert!((0.0..=1.0).contains(&prob), "probability out of range");
         self.push(at, ProcessId(0), EventKind::SetLoss { prob });
@@ -450,7 +450,7 @@ where
 
     /// Gray-fails node `node` at time `at`: every delivery to or from it
     /// takes `factor`× the sampled latency. `factor = 1` heals it.
-    pub fn set_gray_at(&mut self, at: Nanos, node: ProcessId, factor: u32) {
+    pub(crate) fn set_gray_at(&mut self, at: Nanos, node: ProcessId, factor: u32) {
         assert!(at >= self.now, "cannot schedule in the past");
         assert!(factor >= 1, "gray factor must be >= 1");
         self.push(at, node, EventKind::SetGray { factor });

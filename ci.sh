@@ -38,47 +38,89 @@ done
 [ -z "$unnamed" ] \
   || { echo "DESIGN §5's module map does not name: $unnamed— give each file a row in its block"; exit 1; }
 
-echo "==> the retired linter stays retired (its rules are clippy.toml, #[deny] and the gates below)"
-# Determinism and clock discipline are each crate's clippy.toml, the message
-# path's totality is #[deny] on the handlers, and the phase graphs are
-# consts checked against the transitions runs take
-# (tests/engine_identity.rs); DESIGN §9 maps each former rule.
-if grep -rnE 'abd-lint|abd_lint|phase-spec|crates/lint' crates src tests examples; then
-  echo "the hand-written linter is named again; its rules live in clippy.toml, #[deny] attributes, ci.sh and tests (DESIGN §9)"; exit 1
-fi
-
-echo "==> a repro artifact is one field per line (no lexer, token stream or parser of a general grammar)"
-# Repro's Display and FromStr read and write `key value` lines; the RON
-# subset, its hand-written lexer and recursive parser, and the oracle no
-# artifact used are gone.
-if grep -rnE 'enum Tok|fn lex\b|struct Parser|to_ron|from_ron|DigestDivergence' crates src tests examples; then
-  echo "a deleted name of the old artifact reader is back; an artifact is read by Repro's FromStr (crates/simnet/src/repro.rs)"; exit 1
-fi
-
-echo "==> an experiment's artifact is the tables it prints (no hand-written JSON, no smoke size, no copied constants)"
-# Every deterministic binary writes BENCH_<name>.json through
-# abd_bench::write_artifact and runs at its one size in the experiments loop
-# below.
-if grep -rnE -e '--smoke|ABD_T5_SEEDS|variant_json|mutant_json|PREVIOUS_FIRST_GET_US' crates src tests examples; then
-  echo "a deleted name of the old experiment output is back; a binary hands the Tables it printed to abd_bench::write_artifact"; exit 1
-fi
-
-echo "==> a register cluster is built from its config alone (no preset aliases, no variant enum)"
-# A protocol variant is the RegisterConfig builder chain it is
-# (SwmrConfig::new(..).with_read_mode(..) and the like), written at its call
-# site; a shared helper takes a config or a closure returning one.
-if grep -rnE 'presets::|mod presets|enum Variant' crates src tests examples; then
-  echo "a preset alias or a variant enum is back; build the cluster from RegisterConfig's builders (DESIGN §6)"; exit 1
-fi
-
-echo "==> membership is static and a property test is a seeded loop (no reconfiguration, no proptest stub)"
-# Dynamic membership is out of scope (DESIGN §16): the epoch fence around the
-# store and the quorum swap under rounds in flight are gone. A property test
-# draws case `c` from `SmallRng::seed_from_u64(c)` and names the case and its
-# inputs in its assert message; the stub that never shrank is gone.
-if grep -rnE 'RcNode|requorum|RcMsg|mod reconfig|proptest!|prop_assert' crates src tests examples; then
-  echo "a deleted name of reconfiguration or of the proptest stub is back; membership is static (DESIGN §16) and a property test is a seeded loop over SmallRng"; exit 1
-fi
+echo "==> deleted names stay deleted (one row per tombstone: pattern, paths, why)"
+# Each row is a `grep -rnE` pattern, the paths it searches and the message a
+# match fails with, after a comment saying what replaced the name. A deletion
+# that must stay deleted is one more row; the gates further down check shapes
+# and counts, which a pattern cannot.
+tombstones=(
+  # The retired linter: determinism and clock discipline are each crate's
+  # clippy.toml, the handlers' totality #[deny], and the phase graphs consts
+  # checked against the transitions runs take (tests/engine_identity.rs).
+  'abd-lint|abd_lint|phase-spec|crates/lint'
+  'crates src tests examples'
+  "the hand-written linter is named again; its rules live in clippy.toml, #[deny] attributes, ci.sh and tests (DESIGN §9)"
+  # A repro artifact is one `key value` field per line (Repro's Display and
+  # FromStr): no RON subset, lexer or recursive parser, and no oracle no
+  # artifact used.
+  'enum Tok|fn lex\b|struct Parser|to_ron|from_ron|DigestDivergence'
+  'crates src tests examples'
+  "a deleted name of the old artifact reader is back; an artifact is read by Repro's FromStr (crates/simnet/src/repro.rs)"
+  # An experiment's artifact is the tables it prints: every deterministic
+  # binary writes BENCH_<name>.json through abd_bench::write_artifact, at its
+  # one size.
+  '--smoke|ABD_T5_SEEDS|variant_json|mutant_json|PREVIOUS_FIRST_GET_US'
+  'crates src tests examples'
+  "a deleted name of the old experiment output is back; a binary hands the Tables it printed to abd_bench::write_artifact"
+  # A register cluster is built from its config alone: a variant is the
+  # RegisterConfig builder chain it is, written at its call site.
+  'presets::|mod presets|enum Variant'
+  'crates src tests examples'
+  "a preset alias or a variant enum is back; build the cluster from RegisterConfig's builders (DESIGN §6)"
+  # Membership is static (DESIGN §16), and a property test draws case `c` from
+  # `SmallRng::seed_from_u64(c)`, naming the case and its inputs.
+  'RcNode|requorum|RcMsg|mod reconfig|proptest!|prop_assert'
+  'crates src tests examples'
+  "a deleted name of reconfiguration or of the proptest stub is back; membership is static (DESIGN §16) and a property test is a seeded loop over SmallRng"
+  # One behaviour, no knob: the roll-forward, free reordering, a backoff set
+  # by its base alone, the planner's fixed fault mix and skews, Batched's
+  # fixed window, a down runtime node refusing its own invocations, counters
+  # read through counters() alone, and a tap reporting what its users read.
+  'write_epilogue|with_fifo|with_backoff|BackoffPolicy::fixed|with_jitter|cover_all_nodes|\.partitions\b|partitions: usize|loss_bursts|gray_failures|max_loss|max_gray|max_skew|Batched::adaptive|adapt_cap|GROW_LOAD|SHRINK_LOAD|is_crashed|partition_active|TapKind::TimerFire|TapKind::Crash|fn fast_reads\('
+  'crates src tests examples benchmark/src --include=*.rs'
+  "a deleted knob is named again: the roll-forward is always on, links are never FIFO, a backoff is BackoffPolicy::new(base), the planner's fault mix is fixed, Batched's window is fixed, a down runtime node refuses its own invocations, counters are read through ReadPathStats::counters(), and the tap has no timer-fire or crash event"
+  # The Merkle walk is the store's one state transfer: no bulk pull, digest
+  # handshake or knob between them.
+  'SyncPull|SyncState|SyncDigest|sync_threshold'
+  'crates src tests examples --include=*.rs'
+  "the bulk pull, the digest handshake or their knob is named again; the Merkle walk is the one state transfer"
+  # One sync policy: a walk runs when a node reboots. No background sweep, no
+  # knob and no timer key of its own.
+  'anti_entropy|SWEEP_KEY|on_sweep|arm_sweep|sweep_next'
+  'crates src tests examples'
+  "the background anti-entropy sweep is named again; a KvNode walks its peers when it reboots, and only then (DESIGN §15)"
+  # FastHasher hashes the Merkle tree too, a ProcSet is one word, a read
+  # without write-back is ReadMode::NoWriteBack, a latency is an OpRecord's,
+  # and a verdict is OracleSpec::violation's (no oracle types in lincheck).
+  'FnvHasher|FNV_PRIME|Words::Heap|read_write_back|total_op_latency|mean_op_latency|HistoryOracle|AtomicSwmrOracle|LinearizableOracle|SequentialConsistencyOracle|RegularOracle|OracleSpec::AtomicSwmr'
+  'crates src tests examples'
+  "a deleted name is back: hash with abd_core::fasthash::FastHasher, a ProcSet is one u64, a read without write-back is ReadMode::NoWriteBack, a latency is an OpRecord's, and a campaign's verdict is OracleSpec::violation's (crates/simnet/src/repro.rs), with OracleSpec::Linearizable for atomicity"
+  # Link delay is held where the message lands, beside its receiver's timers:
+  # no thread of its own injects it.
+  'Delayer|delayer_main|abd-delayer|mod delay'
+  'crates src tests examples --include=*.rs'
+  "a delayer is named again; the receiving node holds a delayed message (crates/runtime/src/cluster.rs)"
+  # A node is a NodeHost, which Sim and node_main drive.
+  'struct NodeSlot'
+  'crates src tests examples benchmark/src --include=*.rs'
+  "struct NodeSlot is declared again; a node is a NodeHost (crates/core/src/host.rs)"
+  # A judged simulated run is a Repro (Repro::staggered for a sweep,
+  # ProtocolSpec::Byzantine / Bounded for those registers): the sweeps that
+  # moved onto it keep no cluster builder or history copy of their own.
+  # (engine_identity.rs' pinned variant rows build their own nodes.)
+  '\b(bounded_cluster|history_of|byz_nodes|sim_over|byz_cluster|honest_history|cluster_cfg)\b|fn cluster\('
+  'tests/atomicity_sweep.rs tests/bounded_protocol.rs tests/byzantine.rs tests/kv_linearizable.rs tests/proptest_histories.rs tests/nemesis.rs examples'
+  "a per-file sweep driver is back; a judged run is a Repro (crates/simnet/src/repro.rs), and only the loops DESIGN §10 lists keep a Sim of their own"
+)
+# A path word like --include=*.rs is grep's glob, not the shell's.
+set -f
+for ((i = 0; i < ${#tombstones[@]}; i += 3)); do
+  # The paths are words: unquoted on purpose.
+  if grep -rnE -e "${tombstones[i]}" ${tombstones[i + 1]}; then
+    echo "${tombstones[i + 2]}"; exit 1
+  fi
+done
+set +f
 
 echo "==> quorum sizes come from crates/core/src/quorum.rs (no open-coded majority arithmetic)"
 # A majority open-coded as `n / 2 + 1` or `div_ceil(2)` is a threshold
@@ -122,18 +164,6 @@ for f in crates/core/src/register.rs crates/kv/src/node.rs; do
     echo "$f holds a piece of the operation path again; it belongs in crates/core/src/engine.rs"; exit 1
   fi
 done
-# One behaviour, no knob: every register rolls an interrupted write forward
-# and serves beside its catch-up, the simulator's links reorder freely,
-# retransmission is set by its base interval alone, and the nemesis planner
-# keeps its fault mix and skews as constants. One path per behaviour around
-# the node: `Batched` flushes on its fixed window, a crashed runtime node
-# refuses invocations itself (no client-side crash flag), a node's counters
-# are read through `counters()` alone, and the tap reports what its users read.
-if grep -rnE 'write_epilogue|with_fifo|with_backoff|BackoffPolicy::fixed|with_jitter|cover_all_nodes|\.partitions\b|partitions: usize|loss_bursts|gray_failures|max_loss|max_gray|max_skew|Batched::adaptive|adapt_cap|GROW_LOAD|SHRINK_LOAD|is_crashed|partition_active|TapKind::TimerFire|TapKind::Crash|fn fast_reads\(' \
-  crates src tests examples benchmark/src --include='*.rs'; then
-  echo "a deleted knob is named again: the roll-forward is always on, links are never FIFO, a backoff is BackoffPolicy::new(base), the planner's fault mix is fixed, Batched's window is fixed, a down runtime node refuses its own invocations, counters are read through ReadPathStats::counters(), and the tap has no timer-fire or crash event"; exit 1
-fi
-
 # The store adds one exchange to it, the sync walk's: a catch-up is walks, a
 # walk is `SyncDiffReq` / `SyncEntries`. No second transfer, no handshake,
 # no knob choosing between them.
@@ -141,15 +171,6 @@ shapes=$(sed '/^#\[cfg(test)\]/,$d' crates/kv/src/node.rs | sed -n '/^pub enum K
   | grep -oE '^    [A-Z][A-Za-z]*' | tr -d ' ' | tr '\n' ' ')
 [ "$shapes" = "Op SyncDiffReq SyncEntries " ] \
   || { echo "KvMsg declares the shapes: $shapes— expected Op, SyncDiffReq, SyncEntries"; exit 1; }
-if grep -rnE 'SyncPull|SyncState|SyncDigest|sync_threshold' crates src tests examples --include='*.rs'; then
-  echo "the bulk pull, the digest handshake or their knob is named again; the Merkle walk is the one state transfer"; exit 1
-fi
-# And one sync policy: a walk runs when a node reboots and ends when its peer
-# is walked. No timer-driven background sweep, no knob and no timer key of
-# its own.
-if grep -rnE 'anti_entropy|SWEEP_KEY|on_sweep|arm_sweep|sweep_next' crates src tests examples; then
-  echo "the background anti-entropy sweep is named again; a KvNode walks its peers when it reboots, and only then (DESIGN §15)"; exit 1
-fi
 
 echo "==> one table per KV replica (entries live in their Merkle buckets; no hash map or key index beside them)"
 # KvStore is the digest tree and its leaf buckets of (key, tag, value):
@@ -163,19 +184,6 @@ fi
 deltas=$(sed '/^#\[cfg(test)\]/,$d' crates/kv/src/node.rs | grep -c 'apply_delta(' || true)
 [ "$deltas" -eq 1 ] \
   || { echo "crates/kv/src/node.rs calls apply_delta $deltas times above its tests; the store's adopt is the one caller"; exit 1; }
-
-echo "==> one deterministic hasher (FastHasher), a one-word ProcSet, one read knob, one record of latency and one verdict site"
-# The Merkle tree hashes keys and digests entries with FastHasher, like every
-# hot map; the byte-wise FNV-1a hasher it had of its own is gone. A ProcSet is
-# one word: every cluster here has n <= 64, and ProcSet::new panics above. A
-# read without its write-back is ReadMode::NoWriteBack, not a bool beside the
-# mode, and an operation's latency is read off its record (Sim::completed),
-# not summed into Metrics. A campaign's verdict is OracleSpec::violation's:
-# abd-lincheck holds checkers only (no oracle trait or types), and atomicity
-# is one spec that picks its checker from the history.
-if grep -rnE 'FnvHasher|FNV_PRIME|Words::Heap|read_write_back|total_op_latency|mean_op_latency|HistoryOracle|AtomicSwmrOracle|LinearizableOracle|SequentialConsistencyOracle|RegularOracle|OracleSpec::AtomicSwmr' crates src tests examples; then
-  echo "a deleted name is back: hash with abd_core::fasthash::FastHasher, a ProcSet is one u64, a read without write-back is ReadMode::NoWriteBack, a latency is an OpRecord's, and a campaign's verdict is OracleSpec::violation's (crates/simnet/src/repro.rs), with OracleSpec::Linearizable for atomicity"; exit 1
-fi
 
 echo "==> one owner for crash and retry bookkeeping (Engine::on_restart hands back the interrupted write; a node counts its own re-sends)"
 # The engine says what a crash leaves: on_restart returns the write caught in
@@ -211,13 +219,6 @@ if [ -e crates/simnet/src/coverage.rs ] \
   echo "the mutational search or its coverage map is back; a search is blind_search's independent windows of planner seeds (crates/simnet/src/search.rs)"; exit 1
 fi
 
-echo "==> link delay is held where the message lands (no delayer thread)"
-# A message between two nodes carries the time it is due; its receiver holds
-# it beside its timers. No thread of its own injects the delay.
-if grep -rnE 'Delayer|delayer_main|abd-delayer|mod delay' crates src tests examples --include='*.rs'; then
-  echo "a delayer is named again; the receiving node holds a delayed message (crates/runtime/src/cluster.rs)"; exit 1
-fi
-
 echo "==> one node host (crash, timers and restart are abd_core::host::NodeHost's; Sim and node_main drive it)"
 # Above their tests, the drivers call no protocol callback and apply no timer
 # command: the host does both. planted.rs is exempt: its mutants are
@@ -228,9 +229,6 @@ for f in $(find crates/simnet/src crates/runtime/src -name '*.rs' | sort); do
     echo "$f drives a protocol or its timers itself; that is crates/core/src/host.rs's job"; exit 1
   fi
 done
-if grep -rn 'struct NodeSlot' crates src tests examples benchmark/src --include='*.rs'; then
-  echo "struct NodeSlot is declared again; a node is a NodeHost (crates/core/src/host.rs)"; exit 1
-fi
 
 echo "==> one event queue (Sim's key heap over a payload slab; a BinaryHeap lives only in its tests, as the reference)"
 if sed '/^#\[cfg(test)\]/,$d' crates/simnet/src/sim.rs | grep -n 'BinaryHeap'; then
@@ -303,6 +301,15 @@ cargo test -q --test nemesis register_serves_during_catch_up_
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> examples (each release binary runs to exit 0)"
+cargo build -q --release --examples
+for src in examples/*.rs; do
+  ex=$(basename "$src" .rs)
+  echo "--> $ex"
+  "target/release/examples/$ex" > /dev/null \
+    || { echo "example $ex exited non-zero"; exit 1; }
+done
+
 echo "==> lincheck smoke (release: a 40 000-op history decided in one call, convicted with a stale read planted, 64 dangling pending writes; a search gone super-linear again times out)"
 cargo test -q --release -p abd-lincheck --test scale --no-run
 timeout 120 cargo test -q --release -p abd-lincheck --test scale \
@@ -319,6 +326,17 @@ cargo run -q --release -p abd-bench --bin abd_repro -- explain \
   crates/bench/fixtures/relay-campaign.repro > target/relay-explain.txt
 grep -q 'Invoke -> RelayRead -> Done' target/relay-explain.txt \
   || { echo "abd_repro explain lost the relay read-path line"; exit 1; }
+
+echo "==> Byzantine and bounded repro gates (each committed conviction replays to its digest, shrinks to an artifact that does too, and explains)"
+for fixture in byzantine-forger bounded-held; do
+  for step in "replay crates/bench/fixtures/$fixture.repro" \
+    "shrink crates/bench/fixtures/$fixture.repro -o target/$fixture.min.repro" \
+    "replay target/$fixture.min.repro" "explain crates/bench/fixtures/$fixture.repro"; do
+    # A step is words: unquoted on purpose.
+    cargo run -q --release -p abd-bench --bin abd_repro -- $step > /dev/null \
+      || { echo "abd_repro $step failed"; exit 1; }
+  done
+done
 
 echo "==> experiments (every table/figure binary runs its asserts; each deterministic one rewrites its BENCH_<name>.json, which must equal the committed file, and EXPERIMENTS.md must quote its tables)"
 # The twelve deterministic binaries write the tables they print through

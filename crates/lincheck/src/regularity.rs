@@ -434,19 +434,24 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(12345);
-        let mut agreements = 0;
+        // [atomic, not atomic] verdicts, without and with a pending write.
+        let mut verdicts = [[0; 2]; 2];
         for _ in 0..300 {
             // Random single-writer history: writer writes 1..=w sequentially,
-            // readers read random versions at random intervals.
+            // the last one left pending (its writer crashed) in a third of
+            // the cases; readers read random versions at random intervals.
             let mut hist: History<u32> = History::new(0);
             let writes = rng.gen_range(1..4u32);
+            let last_pending = rng.gen_range(0..3) == 0;
             let mut t = 0u64;
-            let mut write_spans = Vec::new();
             for v in 1..=writes {
                 let s = t + rng.gen_range(0..5);
                 let e = s + rng.gen_range(1..20);
-                hist.push(0, Write(v), s, e);
-                write_spans.push((s, e));
+                if v == writes && last_pending {
+                    hist.push_pending_write(0, v, s);
+                } else {
+                    hist.push(0, Write(v), s, e);
+                }
                 t = e + rng.gen_range(0..5);
             }
             for client in 1..=2usize {
@@ -460,10 +465,17 @@ mod tests {
                 }
             }
             let fast = is_atomic_swmr(&hist);
-            let slow = matches!(check_linearizable(&hist), CheckResult::Linearizable);
+            let slow = match check_linearizable(&hist) {
+                CheckResult::Linearizable => true,
+                CheckResult::NotLinearizable => false,
+                CheckResult::Unknown => panic!("a budget ran out on:\n{hist:?}"),
+            };
             assert_eq!(fast, slow, "disagreement on:\n{hist:?}");
-            agreements += 1;
+            verdicts[usize::from(last_pending)][usize::from(!fast)] += 1;
         }
-        assert_eq!(agreements, 300);
+        assert!(
+            verdicts.iter().flatten().all(|&count| count > 0),
+            "[atomic, not] without / with a pending write: {verdicts:?}"
+        );
     }
 }

@@ -19,8 +19,9 @@
 //! and it is what the wall-clock benchmark (`benchmark/`) measures.
 
 use crate::clock::{request_exact_timers, Clock, MonotonicClock};
-use abd_core::context::Protocol;
+use abd_core::context::{Protocol, ReadPathCounters, ReadPathStats};
 use abd_core::host::NodeHost;
+use abd_core::phase::NodeEdges;
 use abd_core::types::{Nanos, OpId, ProcessId};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -62,6 +63,8 @@ enum Cmd<P: Protocol> {
     },
     Crash,
     Restart,
+    /// Runs on the node thread between two events, up or down.
+    Read(Box<dyn FnOnce(&P) + Send>),
     Shutdown,
 }
 
@@ -175,6 +178,24 @@ impl<P: Protocol + Send + 'static> Cluster<P> {
     /// running its Merkle walks. Restarting a live node is a no-op.
     pub fn restart(&self, i: usize) {
         let _ = self.cmd_txs[i].send(Cmd::Restart);
+    }
+}
+
+impl<P: Protocol + ReadPathStats + Send + 'static> Cluster<P> {
+    /// Node `i`'s read-path counters and phase edges, read on its own
+    /// thread between two of its events — what `Sim::read_path_metrics`
+    /// sums on the simulator.
+    ///
+    /// # Panics
+    ///
+    /// If node `i`'s thread is gone.
+    pub fn stats(&self, i: usize) -> (ReadPathCounters, NodeEdges) {
+        let (tx, rx) = bounded(1);
+        let read = move |node: &P| {
+            let _ = tx.send((node.counters(), node.phase_edges()));
+        };
+        let _ = self.cmd_txs[i].send(Cmd::Read(Box::new(read)));
+        rx.recv().expect("node thread is running")
     }
 }
 
@@ -382,6 +403,7 @@ fn node_main<P: Protocol>(
                         held.retain(|&(due, _), _| due > now);
                     }
                 }
+                Ok(Cmd::Read(read)) => read(host.node()),
                 Ok(Cmd::Shutdown) | Err(_) => return,
             },
             recv(net_rx) -> mail => match mail {

@@ -24,18 +24,17 @@
 //! ## Example: a seeded adversarial run, checked for atomicity
 //!
 //! ```
-//! use abd_core::swmr::{SwmrConfig, SwmrNode};
-//! use abd_core::types::ProcessId;
-//! use abd_simnet::workload::{run_workload, WorkloadConfig, WriterMode};
-//! use abd_simnet::{Sim, SimConfig};
+//! use abd_core::types::{ProcessId, ReadMode};
+//! use abd_simnet::workload::{WorkloadConfig, WriterMode};
+//! use abd_simnet::{ProtocolSpec, Repro, SimConfig};
 //!
-//! let nodes: Vec<SwmrNode<u64>> = (0..5)
-//!     .map(|i| SwmrNode::new(SwmrConfig::new(5, ProcessId(i), ProcessId(0)), 0))
-//!     .collect();
-//! let mut sim = Sim::new(SimConfig::new(2024).with_duplication(0.1), nodes);
-//! let wl = WorkloadConfig::new(7, 10, WriterMode::Single(ProcessId(0)));
-//! let history = run_workload(&mut sim, &wl, 100, 1_000_000_000, true).unwrap();
-//! assert!(abd_lincheck::is_atomic_swmr(&history));
+//! let scripts = WorkloadConfig::new(7, 10, WriterMode::Single(ProcessId(0))).generate(5);
+//! let swmr = ProtocolSpec::Swmr { read_mode: ReadMode::TwoRound };
+//! let sim = SimConfig::new(2024).with_duplication(0.1);
+//! let run = Repro::staggered("doc", swmr, sim, scripts, 100, 1_000_000_000);
+//! // On a failure, `check_or_emit` writes a replayable artifact and names it.
+//! let out = Repro { think: 100, ..run }.check_or_emit().unwrap();
+//! assert!(out.completed && out.failure.is_none());
 //! ```
 
 #![forbid(unsafe_code)]

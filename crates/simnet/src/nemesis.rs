@@ -661,7 +661,6 @@ where
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::workload::history_from_sim;
     use abd_core::msg::RegisterOp;
     use abd_core::swmr::{SwmrConfig, SwmrNode};
     use std::collections::BTreeSet;
@@ -864,42 +863,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn campaign_completes_and_stays_atomic() {
-        let backoff = BackoffPolicy::new(20_000);
-        let nodes: Vec<SwmrNode<u64>> = (0..5)
-            .map(|i| {
-                SwmrNode::new(
-                    SwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_retransmit(backoff.base),
-                    0,
-                )
-            })
-            .collect();
-        let mut sim = Sim::new(SimConfig::new(1234), nodes);
-        let sched = NemesisConfig::new(77, 5).plan();
-        sched.apply(&mut sim);
-        let scripts: Vec<Vec<RegisterOp<u64>>> = (0..5)
-            .map(|c| {
-                (0..6u64)
-                    .map(|k| {
-                        if c == 0 {
-                            RegisterOp::Write(6 * c as u64 + k + 1)
-                        } else {
-                            RegisterOp::Read
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let deadline = sched.heal_at() + liveness_bound(&backoff, 20_000, 8);
-        assert!(
-            run_campaign(&mut sim, &sched, scripts, 5_000, deadline),
-            "surviving ops must finish within the liveness bound"
-        );
-        let history = history_from_sim(0, &sim);
-        assert!(abd_lincheck::is_atomic_swmr(&history));
     }
 
     #[test]

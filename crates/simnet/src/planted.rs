@@ -40,8 +40,9 @@
 //! once rests on (persist-before-ack), so the campaigns that exercise that
 //! path must convict them.
 
-use abd_core::context::{Effects, Protocol, TimerKey};
+use abd_core::context::{Effects, Protocol, ReadPathCounters, ReadPathStats, TimerKey};
 use abd_core::msg::{RegisterMsg, RegisterOp, RegisterResp};
+use abd_core::phase::NodeEdges;
 use abd_core::swmr::{SwmrMsg, SwmrNode};
 use abd_core::types::{OpId, ProcessId, SeqNo};
 use abd_kv::{KvMsg, KvNode, KvOp, KvResp};
@@ -491,6 +492,16 @@ impl<V: Clone + std::fmt::Debug + Send + Forgeable + 'static> Protocol for Mutan
     }
 }
 
+impl<V: Clone> ReadPathStats for MutantSwmr<V> {
+    fn counters(&self) -> ReadPathCounters {
+        self.inner.counters()
+    }
+
+    fn phase_edges(&self) -> NodeEdges {
+        self.inner.phase_edges()
+    }
+}
+
 /// A [`KvNode`] without stable storage: every reboot comes back with an
 /// empty store (a fresh node under the same configuration), then restarts
 /// the way the real node does — serving at once, catching up alongside.
@@ -550,6 +561,16 @@ where
     fn on_restart(&mut self, fx: &mut Effects<Self::Msg, Self::Resp>) {
         self.0 = KvNode::new(self.0.config().clone());
         self.0.on_restart(fx);
+    }
+}
+
+impl<K: Clone, V: Clone> ReadPathStats for AmnesiacKv<K, V> {
+    fn counters(&self) -> ReadPathCounters {
+        self.0.counters()
+    }
+
+    fn phase_edges(&self) -> NodeEdges {
+        self.0.phase_edges()
     }
 }
 

@@ -1,7 +1,8 @@
-//! Failure-repro artifacts: self-contained, replayable records of a
-//! failing campaign.
+//! Failure-repro artifacts: self-contained, replayable descriptions of a
+//! simulated run — every run a test judges, sweep seeds and nemesis
+//! campaigns alike, is one ([`Repro::staggered`], [`Repro::new`]).
 //!
-//! When a seeded nemesis soak fails, the seed alone is a poor artifact: it
+//! When a seeded run fails, the seed alone is a poor artifact: it
 //! only reproduces the failure through the exact test binary that planned
 //! the campaign from it. A [`Repro`] instead freezes everything the replay
 //! needs — protocol choice, [`SimConfig`], the **resolved**
@@ -15,12 +16,15 @@
 //! deterministic in (config, schedule, scripts).
 
 use crate::config::{LatencyModel, SimConfig};
+use crate::metrics::Metrics;
 use crate::nemesis::{run_campaign, NemesisSchedule, PlannedFault};
 use crate::planted::{AmnesiacKv, MutantKind, MutantSwmr};
 use crate::sim::Sim;
-use crate::workload::{history_from_sim, kv_histories};
+use crate::workload::{history_of_clients, kv_histories};
 use abd_core::batch::Batched;
-use abd_core::context::Protocol;
+use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
+use abd_core::byzantine::{ByzConfig, ByzNode, LieStrategy};
+use abd_core::context::{Protocol, ReadPathCounters, ReadPathStats};
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
 use abd_core::retransmit::BackoffPolicy;
@@ -37,7 +41,7 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 /// Which register construction the campaign ran against.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum ProtocolSpec {
     /// Single-writer nodes ([`SwmrNode`]); writer is node 0.
     Swmr {
@@ -86,6 +90,22 @@ pub enum ProtocolSpec {
         /// test fixtures only.
         amnesiac: bool,
     },
+    /// Byzantine-tolerant single-writer nodes ([`ByzNode`]) over masking
+    /// quorums for `b` liars; writer is node 0. The oracle judges the
+    /// honest clients' history only, so a liar's script should be empty.
+    Byzantine {
+        /// Liars the quorums mask (`n` must exceed `4b`).
+        b: usize,
+        /// `(node, strategy)` for each node that lies in its replica role.
+        liars: Vec<(usize, LieStrategy)>,
+    },
+    /// Bounded-label single-writer nodes ([`BoundedSwmrNode`]); writer is
+    /// node 0. A label comparison outside the cycle's window fails the run
+    /// before its history is judged: the bounded-staleness assumption broke.
+    Bounded {
+        /// Labels on the cycle ([`LabelSpace::new`]; at least 8).
+        modulus: u32,
+    },
 }
 
 impl ProtocolSpec {
@@ -98,7 +118,9 @@ impl ProtocolSpec {
             | ProtocolSpec::Mwmr { read_mode }
             | ProtocolSpec::BatchedSwmr { read_mode, .. }
             | ProtocolSpec::Kv { read_mode, .. } => read_mode,
-            ProtocolSpec::MutantSwmr { .. } => ReadMode::TwoRound,
+            ProtocolSpec::MutantSwmr { .. }
+            | ProtocolSpec::Byzantine { .. }
+            | ProtocolSpec::Bounded { .. } => ReadMode::TwoRound,
         }
     }
 }
@@ -199,14 +221,18 @@ pub enum Failure {
     Liveness,
     /// The history oracle found a consistency violation.
     Violation(String),
+    /// This many bounded-label comparisons fell outside the window: the
+    /// bounded-staleness assumption broke, so the history proves nothing.
+    Window(u64),
 }
 
 impl Failure {
-    /// Stable failure-class tag (`liveness` / `violation`).
+    /// Stable failure-class tag (`liveness` / `violation` / `window`).
     pub fn kind(&self) -> &'static str {
         match self {
             Failure::Liveness => "liveness",
             Failure::Violation(_) => "violation",
+            Failure::Window(_) => "window",
         }
     }
 }
@@ -216,6 +242,10 @@ impl fmt::Display for Failure {
         match self {
             Failure::Liveness => write!(f, "surviving operations missed the liveness deadline"),
             Failure::Violation(r) => write!(f, "{r}"),
+            Failure::Window(escapes) => write!(
+                f,
+                "{escapes} label comparisons fell outside the window: the run is invalid"
+            ),
         }
     }
 }
@@ -233,6 +263,14 @@ pub struct ReplayOutcome {
     /// per register: a single one for the register protocols, one per hot
     /// key in key order for [`ProtocolSpec::Kv`].
     pub histories: Vec<History<u64>>,
+    /// The simulator's network and operation counters.
+    pub metrics: Metrics,
+    /// Every node's read-path counters, summed.
+    pub read_path: ReadPathCounters,
+    /// [`ByzNode::unvouched_folds`], summed over the honest nodes.
+    pub unvouched_folds: u64,
+    /// [`BoundedSwmrNode::window_violations`], summed over the nodes.
+    pub window_violations: u64,
 }
 
 /// A self-contained, replayable record of one campaign execution.
@@ -268,26 +306,92 @@ pub struct Repro {
 }
 
 impl Repro {
-    /// Replays the artifact once and applies its oracle.
-    pub fn run(&self) -> ReplayOutcome {
-        let (digest, completed, histories) = self.run_once();
-        let failure = self.judge(completed, &histories);
-        ReplayOutcome {
-            digest,
-            completed,
-            failure,
-            histories,
+    /// A run of `scripts` under `schedule` on one node per invoker skew,
+    /// over reliable links (no retransmission) with no think time, judged
+    /// atomic; its other fields are set by struct update.
+    pub fn new(
+        name: impl Into<String>,
+        protocol: ProtocolSpec,
+        sim: SimConfig,
+        scripts: Vec<Vec<RegisterOp<u64>>>,
+        schedule: NemesisSchedule,
+        deadline: Nanos,
+    ) -> Repro {
+        Repro {
+            name: name.into(),
+            protocol,
+            n: schedule.skews().len(),
+            backoff_base: None,
+            sim,
+            schedule,
+            scripts,
+            think: 0,
+            deadline,
+            oracle: OracleSpec::Linearizable,
+            expected_digest: 0,
+            reason: String::new(),
         }
     }
 
-    /// Applies this artifact's oracle to one finished run: the oracle
-    /// judges each register's history on its own, and the first violation
-    /// is the failure (named by its key when there are several registers).
-    fn judge(&self, completed: bool, histories: &[History<u64>]) -> Option<Failure> {
-        if !completed {
+    /// A fault-free [`Repro::new`] of one script per node: client `c`
+    /// invokes its first operation at `c × stagger` — the invoker skews of
+    /// an empty schedule, so the run is the one
+    /// [`run_scripts`](crate::harness::run_scripts) makes with that stagger.
+    /// A sweep is a loop of these over seeds, each judged by
+    /// [`Repro::check_or_emit`].
+    pub fn staggered(
+        name: impl Into<String>,
+        protocol: ProtocolSpec,
+        sim: SimConfig,
+        scripts: Vec<Vec<RegisterOp<u64>>>,
+        stagger: Nanos,
+        deadline: Nanos,
+    ) -> Repro {
+        let n = scripts.len();
+        let skews = (0..n as Nanos).map(|c| c * stagger).collect();
+        let schedule = NemesisSchedule::from_faults(Vec::new(), 0, skews, n);
+        Repro::new(name, protocol, sim, scripts, schedule, deadline)
+    }
+
+    /// This run with each `(node, at)` of `crashes` crash-stopping: the node
+    /// goes down at `at` and comes back only at the deadline, after the
+    /// run. The liveness floor drops by one per crash.
+    pub fn with_crashes(mut self, crashes: &[(usize, Nanos)]) -> Repro {
+        let mut faults = self.schedule.faults().to_vec();
+        faults.extend(crashes.iter().map(|&(node, at)| PlannedFault::Crash {
+            at,
+            node: ProcessId(node),
+            restart_at: self.deadline,
+        }));
+        self.schedule = NemesisSchedule::from_faults(
+            faults,
+            self.schedule.heal_at(),
+            self.schedule.skews().to_vec(),
+            self.schedule.min_alive().saturating_sub(crashes.len()),
+        );
+        self
+    }
+
+    /// Replays the artifact once and applies its oracle.
+    pub fn run(&self) -> ReplayOutcome {
+        let mut out = self.run_once();
+        out.failure = self.judge(&out);
+        out
+    }
+
+    /// Applies this artifact's oracle to one finished run: a run that did
+    /// not complete fails on liveness, one whose bounded labels left their
+    /// window is invalid, and otherwise the oracle judges each register's
+    /// history on its own, the first violation being the failure (named by
+    /// its key when there are several registers).
+    fn judge(&self, out: &ReplayOutcome) -> Option<Failure> {
+        if !out.completed {
             return Some(Failure::Liveness);
         }
-        histories.iter().enumerate().find_map(|(i, h)| {
+        if out.window_violations > 0 {
+            return Some(Failure::Window(out.window_violations));
+        }
+        out.histories.iter().enumerate().find_map(|(i, h)| {
             let reason = self.oracle.violation(h)?;
             Some(Failure::Violation(match self.protocol {
                 ProtocolSpec::Kv { preload, .. } => {
@@ -350,8 +454,8 @@ impl Repro {
     }
 
     /// One deterministic execution: build nodes, apply the schedule, drive
-    /// the scripts, extract (digest, completed, history).
-    fn run_once(&self) -> (u64, bool, Vec<History<u64>>) {
+    /// the scripts, and read the run off the simulator (no verdict yet).
+    fn run_once(&self) -> ReplayOutcome {
         // Every protocol retransmits on the artifact's one backoff.
         let retransmit = self.backoff_base.map(BackoffPolicy::new);
         let swmr = |i, read_mode| {
@@ -384,73 +488,119 @@ impl Repro {
                     .map(|i| MutantSwmr::new(swmr(i, ReadMode::TwoRound), mutant, every))
                     .collect(),
             ),
-            ProtocolSpec::Kv {
-                read_mode,
-                hot,
-                preload,
-                buckets,
-                amnesiac,
-            } => {
-                let nodes = (0..self.n).map(|i| {
-                    let mut cfg = KvConfig::new(self.n, ProcessId(i))
-                        .with_read_mode(read_mode)
-                        .with_sync_buckets(buckets as usize);
-                    cfg.retransmit = retransmit;
-                    let mut node = KvNode::new(cfg);
-                    for k in 0..preload {
-                        node.preload(k, Tag::new(1, ProcessId(0)), 1);
-                        if k as usize % self.n == i {
-                            node.preload(k, Tag::new(2, ProcessId(i)), 2);
-                        }
-                    }
-                    node
-                });
-                let scripts = self
-                    .scripts
-                    .iter()
-                    .enumerate()
-                    .map(|(c, script)| {
-                        script
-                            .iter()
-                            .enumerate()
-                            .map(|(j, op)| {
-                                let key = preload + (c + j) as u32 % hot;
-                                match *op {
-                                    RegisterOp::Write(v) => KvOp::Put(key, v),
-                                    RegisterOp::Read => KvOp::Get(key),
-                                    RegisterOp::ReadAt(tier) => KvOp::GetAt(key, tier),
-                                }
-                            })
-                            .collect()
+            ProtocolSpec::Byzantine { b, ref liars } => {
+                let lie = |i| liars.iter().find(|&&(node, _)| node == i).map(|&(_, l)| l);
+                let honest = |i| lie(i).is_none();
+                let nodes = (0..self.n)
+                    .map(|i| {
+                        let mut cfg = ByzConfig::new(self.n, ProcessId(i), ProcessId(0), b);
+                        cfg.retransmit = retransmit;
+                        cfg.lie = lie(i);
+                        ByzNode::new(cfg, 0u64)
                     })
                     .collect();
+                let (sim, done) = self.drive_with(nodes, self.scripts.clone());
+                let history = history_of_clients(0, &sim, honest);
+                let folds = (0..self.n).filter(|&i| honest(i));
+                ReplayOutcome {
+                    unvouched_folds: folds.map(|i| sim.node(i).unvouched_folds()).sum(),
+                    ..outcome(&sim, done, vec![history])
+                }
+            }
+            ProtocolSpec::Bounded { modulus } => {
+                let nodes = (0..self.n)
+                    .map(|i| {
+                        let mut cfg = BoundedSwmrConfig::new(self.n, ProcessId(i), ProcessId(0))
+                            .with_space(LabelSpace::new(modulus));
+                        cfg.retransmit = retransmit;
+                        BoundedSwmrNode::new(cfg, 0u64)
+                    })
+                    .collect();
+                let (sim, done) = self.drive_with(nodes, self.scripts.clone());
+                let history = history_of_clients(0, &sim, |_| true);
+                ReplayOutcome {
+                    window_violations: (0..self.n).map(|i| sim.node(i).window_violations()).sum(),
+                    ..outcome(&sim, done, vec![history])
+                }
+            }
+            ProtocolSpec::Kv {
+                hot,
+                preload,
+                amnesiac,
+                ..
+            } => {
+                let (nodes, scripts) = self.kv_parts();
                 if amnesiac {
-                    let nodes = nodes.map(AmnesiacKv::new).collect();
-                    self.drive_with(nodes, scripts, hot_key_histories(preload, hot))
+                    let nodes = nodes.into_iter().map(AmnesiacKv::new).collect();
+                    let (sim, done) = self.drive_with(nodes, scripts);
+                    outcome(&sim, done, hot_key_histories(&sim, preload, hot))
                 } else {
-                    self.drive_with(nodes.collect(), scripts, hot_key_histories(preload, hot))
+                    let (sim, done) = self.drive_with(nodes, scripts);
+                    outcome(&sim, done, hot_key_histories(&sim, preload, hot))
                 }
             }
         }
     }
 
-    /// [`Repro::drive_with`] for the register protocols, whose scripts run
-    /// as written and whose history is the one register's.
-    fn drive<P>(&self, nodes: Vec<P>) -> (u64, bool, Vec<History<u64>>)
-    where
-        P: Protocol<Op = RegisterOp<u64>, Resp = RegisterResp<u64>>,
-    {
-        self.drive_with(nodes, self.scripts.clone(), |sim| {
-            vec![history_from_sim(0, sim)]
-        })
+    /// A [`ProtocolSpec::Kv`] run's nodes, each preloaded, and its scripts
+    /// as the store's operations — what [`Repro::run`] drives, for a
+    /// caller that wraps the nodes.
+    ///
+    /// # Panics
+    ///
+    /// Unless the spec is [`ProtocolSpec::Kv`].
+    pub fn kv_parts(&self) -> (Vec<KvNode<u32, u64>>, Vec<KvScript>) {
+        let ProtocolSpec::Kv {
+            read_mode,
+            hot,
+            preload,
+            buckets,
+            ..
+        } = self.protocol
+        else {
+            panic!("{:?} is no store", self.protocol)
+        };
+        let nodes = (0..self.n)
+            .map(|i| {
+                let mut cfg = KvConfig::new(self.n, ProcessId(i))
+                    .with_read_mode(read_mode)
+                    .with_sync_buckets(buckets as usize);
+                cfg.retransmit = self.backoff_base.map(BackoffPolicy::new);
+                let mut node = KvNode::new(cfg);
+                for k in 0..preload {
+                    node.preload(k, Tag::new(1, ProcessId(0)), 1);
+                    if k as usize % self.n == i {
+                        node.preload(k, Tag::new(2, ProcessId(i)), 2);
+                    }
+                }
+                node
+            })
+            .collect();
+        let scripts = self.scripts.iter().enumerate().map(|(c, script)| {
+            let key = |j: usize| preload + (c + j) as u32 % hot;
+            let op = |(j, op): (usize, &RegisterOp<u64>)| match *op {
+                RegisterOp::Write(v) => KvOp::Put(key(j), v),
+                RegisterOp::Read => KvOp::Get(key(j)),
+                RegisterOp::ReadAt(tier) => KvOp::GetAt(key(j), tier),
+            };
+            script.iter().enumerate().map(op).collect()
+        });
+        (nodes, scripts.collect())
     }
 
-    fn drive_with<P>(
-        &self,
-        nodes: Vec<P>,
-        scripts: Vec<Vec<P::Op>>,
-        histories: impl Fn(&Sim<P>) -> Vec<History<u64>>,
-    ) -> (u64, bool, Vec<History<u64>>)
+    /// [`Repro::drive_with`] for the crash-tolerant registers, whose
+    /// scripts run as written and whose history is the one register's.
+    fn drive<P>(&self, nodes: Vec<P>) -> ReplayOutcome
+    where
+        P: Protocol<Op = RegisterOp<u64>, Resp = RegisterResp<u64>> + ReadPathStats,
+    {
+        let (sim, done) = self.drive_with(nodes, self.scripts.clone());
+        outcome(&sim, done, vec![history_of_clients(0, &sim, |_| true)])
+    }
+
+    /// Runs the campaign: the finished simulator, and whether every
+    /// surviving operation completed by the deadline.
+    fn drive_with<P>(&self, nodes: Vec<P>, scripts: Vec<Vec<P::Op>>) -> (Sim<P>, bool)
     where
         P: Protocol,
         P::Op: Clone,
@@ -459,22 +609,42 @@ impl Repro {
         let mut sim = Sim::new(self.sim.clone(), nodes);
         self.schedule.apply(&mut sim);
         let completed = run_campaign(&mut sim, &self.schedule, scripts, self.think, self.deadline);
-        (sim.trace_digest(), completed, histories(&sim))
+        (sim, completed)
+    }
+}
+
+/// One store client's operations.
+type KvScript = Vec<KvOp<u32, u64>>;
+
+/// A finished run read off its simulator, before the oracle: its digest,
+/// whether it `completed`, its `histories` and its summed counters.
+fn outcome<P>(sim: &Sim<P>, completed: bool, histories: Vec<History<u64>>) -> ReplayOutcome
+where
+    P: Protocol + ReadPathStats,
+    P::Op: Clone,
+{
+    ReplayOutcome {
+        digest: sim.trace_digest(),
+        completed,
+        failure: None,
+        histories,
+        metrics: sim.metrics().clone(),
+        read_path: sim.read_path_metrics(),
+        unvouched_folds: 0,
+        window_violations: 0,
     }
 }
 
 /// The per-key histories of a [`ProtocolSpec::Kv`] run ([`kv_histories`]),
 /// hot keys `preload..preload + hot` in order.
-fn hot_key_histories<P>(preload: u32, hot: u32) -> impl Fn(&Sim<P>) -> Vec<History<u64>>
+fn hot_key_histories<P>(sim: &Sim<P>, preload: u32, hot: u32) -> Vec<History<u64>>
 where
     P: Protocol<Op = KvOp<u32, u64>, Resp = KvResp<u64>>,
 {
-    move |sim| {
-        let mut by_key = kv_histories(sim);
-        (preload..preload + hot)
-            .map(|k| by_key.remove(&k).unwrap_or_else(|| History::new(0)))
-            .collect()
-    }
+    let mut by_key = kv_histories(sim);
+    (preload..preload + hot)
+        .map(|k| by_key.remove(&k).unwrap_or_else(|| History::new(0)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -487,6 +657,13 @@ const READ_MODES: [ReadMode; 4] = [
     ReadMode::FastUnanimous,
     ReadMode::Relay,
     ReadMode::NoWriteBack,
+];
+
+/// The lie strategies, in the order a liar's strategy is looked up.
+const LIES: [LieStrategy; 3] = [
+    LieStrategy::ReportStale,
+    LieStrategy::ForgeLabel,
+    LieStrategy::Silent,
 ];
 
 /// `key` and its free text (`name`, `reason`) escaped onto one line: `\`
@@ -530,6 +707,14 @@ impl fmt::Display for Repro {
                 "protocol Kv read_mode={read_mode:?} hot={hot} preload={preload} \
                  buckets={buckets} amnesiac={amnesiac}"
             ),
+            ProtocolSpec::Byzantine { b, ref liars } => {
+                let liars: Vec<String> = liars
+                    .iter()
+                    .map(|(node, lie)| format!("{node}:{lie:?}"))
+                    .collect();
+                writeln!(f, "protocol Byzantine b={b} liars={}", liars.join(","))
+            }
+            ProtocolSpec::Bounded { modulus } => writeln!(f, "protocol Bounded modulus={modulus}"),
         }?;
         writeln!(f, "n {}", self.n)?;
         match self.backoff_base {
@@ -692,6 +877,17 @@ impl FromStr for Repro {
             reason: unescape(fields.raw("reason")?)?,
         };
         fields.finish()?;
+        if let ProtocolSpec::Byzantine { b, liars } = &repro.protocol {
+            if repro.n <= 4 * b {
+                return Err(format!("Byzantine: n = {} does not exceed 4b", repro.n));
+            }
+            let nodes: BTreeSet<usize> = liars.iter().map(|&(node, _)| node).collect();
+            if nodes.len() < liars.len() || nodes.last().is_some_and(|&last| last >= repro.n) {
+                return Err(format!(
+                    "Byzantine: liars out of range or repeated: {liars:?}"
+                ));
+            }
+        }
         repro
             .schedule
             .validate(repro.n)
@@ -852,6 +1048,31 @@ fn protocol_from(line: &str) -> Result<ProtocolSpec, String> {
                 amnesiac: f.take("amnesiac")?,
             }
         }
+        "Byzantine" => ProtocolSpec::Byzantine {
+            b: f.take("b")?,
+            liars: f
+                .raw("liars")?
+                .split(',')
+                .filter(|liar| !liar.is_empty())
+                .map(|liar| {
+                    let (node, lie) = liar
+                        .split_once(':')
+                        .ok_or_else(|| format!("liar `{liar}` is not node:strategy"))?;
+                    let lie = LIES
+                        .into_iter()
+                        .find(|l| format!("{l:?}") == lie)
+                        .ok_or_else(|| format!("unknown lie `{lie}`"))?;
+                    Ok((parse("liars", node)?, lie))
+                })
+                .collect::<Result<_, String>>()?,
+        },
+        "Bounded" => {
+            let modulus = f.take("modulus")?;
+            if modulus < 8 {
+                return Err(format!("Bounded: modulus {modulus} is below 8"));
+            }
+            ProtocolSpec::Bounded { modulus }
+        }
         other => return Err(format!("unknown protocol `{other}`")),
     };
     f.finish()?;
@@ -938,7 +1159,7 @@ fn op_from(word: &str) -> Result<RegisterOp<u64>, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::nemesis::NemesisConfig;
     use abd_lincheck::sc::check_sequential_with_limit;
@@ -1149,7 +1370,12 @@ reason line one\nline two \\n
                 MutantKind::ALL
                     .into_iter()
                     .map(|mutant| ProtocolSpec::MutantSwmr { mutant, every: 2 }),
-            );
+            )
+            .chain((0..2).map(|b| ProtocolSpec::Byzantine {
+                b,
+                liars: LIES.into_iter().enumerate().take(3 * b).collect(),
+            }))
+            .chain([ProtocolSpec::Bounded { modulus: 16 }]);
         for protocol in protocols {
             cases.push(Repro {
                 protocol,
@@ -1194,6 +1420,12 @@ reason line one\nline two \\n
             "protocol Kv read_mode=TwoRound hot=2 preload=0 buckets=16 amnesiac=false",
         );
         let mutant: &str = &s.replace(protocol, "protocol MutantSwmr mutant=DropWriteBack every=1");
+        let byz: &str = &s.replace(
+            protocol,
+            "protocol Byzantine b=1 liars=1:ForgeLabel,3:Silent",
+        );
+        let bounded: &str = &s.replace(protocol, "protocol Bounded modulus=16");
+        assert!(byz.parse::<Repro>().is_ok() && bounded.parse::<Repro>().is_ok());
         assert!(kv.parse::<Repro>().is_ok() && mutant.parse::<Repro>().is_ok());
         // Nodes 0, 1 and 2 down together leave two of five, under the floor.
         let crash = "fault Crash at=100000 node=2 restart_at=400000\n";
@@ -1266,6 +1498,13 @@ reason line one\nline two \\n
             (kv, "hot=2", "hot=4294967298", "bad `hot`"),
             (kv, "preload=0", "preload=4294967296", "bad `preload`"),
             (kv, "buckets=16", "buckets=4294967312", "bad `buckets`"),
+            (byz, ":ForgeLabel", ":Forge", "unknown lie `Forge`"),
+            (byz, "1:ForgeLabel", "1-ForgeLabel", "not node:strategy"),
+            (byz, "liars=1", "liars=x", "bad `liars`"),
+            (byz, "b=1", "b=2", "does not exceed 4b"),
+            (byz, "3:Silent", "5:Silent", "out of range"),
+            (byz, "3:Silent", "1:Silent", "repeated"),
+            (bounded, "modulus=16", "modulus=7", "below 8"),
         ] {
             assert!(text.contains(good), "{good:?} not in:\n{text}");
             match text.replacen(good, bad, 1).parse::<Repro>() {
@@ -1279,33 +1518,22 @@ reason line one\nline two \\n
     fn kv_scripts_spread_over_the_hot_keys_and_are_judged_per_key() {
         // No faults, three clients, two hot keys above a 64-key preload:
         // position j of client c lands on key 64 + (c + j) % 2.
-        let r = Repro {
-            name: "kv-keys".to_string(),
-            protocol: ProtocolSpec::Kv {
-                read_mode: ReadMode::TwoRound,
-                hot: 2,
-                preload: 64,
-                buckets: 16,
-                amnesiac: false,
-            },
-            n: 3,
-            backoff_base: None,
-            sim: SimConfig::new(5),
-            schedule: NemesisSchedule::from_faults(Vec::new(), 0, vec![0; 3], 2),
-            scripts: vec![
-                vec![RegisterOp::Write(10), RegisterOp::Write(11)],
-                vec![
-                    RegisterOp::Write(20),
-                    RegisterOp::ReadAt(Consistency::Sequential),
-                ],
-                vec![RegisterOp::Read],
-            ],
-            think: 0,
-            deadline: 1_000_000_000,
-            oracle: OracleSpec::Linearizable,
-            expected_digest: 0,
-            reason: String::new(),
+        let kv = ProtocolSpec::Kv {
+            read_mode: ReadMode::TwoRound,
+            hot: 2,
+            preload: 64,
+            buckets: 16,
+            amnesiac: false,
         };
+        let scripts = vec![
+            vec![RegisterOp::Write(10), RegisterOp::Write(11)],
+            vec![
+                RegisterOp::Write(20),
+                RegisterOp::ReadAt(Consistency::Sequential),
+            ],
+            vec![RegisterOp::Read],
+        ];
+        let r = Repro::staggered("kv-keys", kv, SimConfig::new(5), scripts, 0, 1_000_000_000);
         let out = r.run();
         assert!(out.completed && out.failure.is_none(), "{:?}", out.failure);
         let writes = |h: &History<u64>| -> Vec<u64> {
@@ -1326,40 +1554,77 @@ reason line one\nline two \\n
         assert_eq!(out.histories[0].ops().len(), 3, "one put, two gets");
     }
 
-    /// A small healthy campaign: replay is deterministic and passes its
+    /// A staggered run is the one `run_scripts` makes with that stagger:
+    /// the same events, so the same digest and history.
+    #[test]
+    fn a_staggered_repro_is_the_run_run_scripts_makes() {
+        let scripts = crate::workload::WorkloadConfig::new(3, 6, crate::workload::WriterMode::All)
+            .generate(3);
+        let mwmr = ProtocolSpec::Mwmr {
+            read_mode: ReadMode::TwoRound,
+        };
+        let sim = SimConfig::new(8).with_duplication(0.1);
+        let r = Repro {
+            think: 700,
+            ..Repro::staggered(
+                "stagger",
+                mwmr,
+                sim.clone(),
+                scripts.clone(),
+                40,
+                1_000_000_000,
+            )
+        };
+        let nodes = (0..3)
+            .map(|i| MwmrNode::new(MwmrConfig::new(3, ProcessId(i)), 0u64))
+            .collect();
+        let mut direct = Sim::new(sim, nodes);
+        assert!(crate::harness::run_scripts(
+            &mut direct,
+            scripts,
+            700,
+            40,
+            1_000_000_000
+        ));
+        let out = r.run();
+        assert_eq!(out.digest, direct.trace_digest());
+        assert_eq!(
+            out.histories,
+            vec![history_of_clients(0, &direct, |_| true)]
+        );
+    }
+
+    /// A small healthy campaign: nemesis seed 7's faults on five nodes,
+    /// client 0 writing three values and the others reading three times.
+    pub(crate) fn healthy() -> Repro {
+        let sched = NemesisConfig::new(7, 5).plan();
+        let writes: Vec<_> = (1..=3).map(RegisterOp::Write).collect();
+        let mut scripts = vec![writes];
+        scripts.resize(5, vec![RegisterOp::Read; 3]);
+        let swmr = ProtocolSpec::Swmr {
+            read_mode: ReadMode::TwoRound,
+        };
+        let deadline = sched.heal_at() + 200_000_000;
+        let run = Repro::new(
+            "healthy",
+            swmr,
+            SimConfig::new(99),
+            scripts,
+            sched,
+            deadline,
+        );
+        Repro {
+            backoff_base: Some(20_000),
+            think: 5_000,
+            ..run
+        }
+    }
+
+    /// Replay of the healthy campaign is deterministic and passes its
     /// oracle, so `check_or_emit` writes nothing.
     #[test]
     fn healthy_campaign_replays_deterministically_and_emits_nothing() {
-        let sched = NemesisConfig::new(7, 5).plan();
-        let scripts: Vec<Vec<RegisterOp<u64>>> = (0..5)
-            .map(|c| {
-                (0..3u64)
-                    .map(|k| {
-                        if c == 0 {
-                            RegisterOp::Write(k + 1)
-                        } else {
-                            RegisterOp::Read
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let r = Repro {
-            name: "healthy".to_string(),
-            protocol: ProtocolSpec::Swmr {
-                read_mode: ReadMode::TwoRound,
-            },
-            n: 5,
-            backoff_base: Some(20_000),
-            sim: SimConfig::new(99),
-            deadline: sched.heal_at() + 200_000_000,
-            schedule: sched,
-            scripts,
-            think: 5_000,
-            oracle: OracleSpec::Linearizable,
-            expected_digest: 0,
-            reason: String::new(),
-        };
+        let r = healthy();
         let a = r.run();
         let b = r.run();
         assert!(a.completed && a.failure.is_none(), "{:?}", a.failure);

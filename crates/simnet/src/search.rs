@@ -55,7 +55,7 @@ impl SearchSpec {
     fn repro_for(&self, schedule: &NemesisSchedule) -> Repro {
         Repro {
             name: self.name.clone(),
-            protocol: self.protocol,
+            protocol: self.protocol.clone(),
             n: self.n,
             backoff_base: self.backoff_base,
             sim: self.sim.clone(),

@@ -262,41 +262,8 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::nemesis::NemesisConfig;
-    use crate::repro::{OracleSpec, ProtocolSpec};
+    use crate::repro::tests::healthy;
     use abd_core::msg::RegisterOp;
-    use abd_core::types::ReadMode;
-
-    fn healthy() -> Repro {
-        let sched = NemesisConfig::new(7, 5).plan();
-        Repro {
-            name: "healthy".to_string(),
-            protocol: ProtocolSpec::Swmr {
-                read_mode: ReadMode::TwoRound,
-            },
-            n: 5,
-            backoff_base: Some(20_000),
-            sim: SimConfig::new(99),
-            deadline: sched.heal_at() + 200_000_000,
-            schedule: sched,
-            scripts: (0..5)
-                .map(|c| {
-                    (0..3u64)
-                        .map(|k| {
-                            if c == 0 {
-                                RegisterOp::Write(k + 1)
-                            } else {
-                                RegisterOp::Read
-                            }
-                        })
-                        .collect()
-                })
-                .collect(),
-            think: 5_000,
-            oracle: OracleSpec::Linearizable,
-            expected_digest: 0,
-            reason: String::new(),
-        }
-    }
 
     #[test]
     fn shrink_rejects_a_passing_artifact() {
@@ -316,19 +283,8 @@ mod tests {
         r.deadline = sched.heal_at() - 1;
         r.schedule = sched;
         r.think = 300_000;
-        r.scripts = (0..5)
-            .map(|c| {
-                (0..12u64)
-                    .map(|k| {
-                        if c == 0 {
-                            RegisterOp::Write(k + 1)
-                        } else {
-                            RegisterOp::Read
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        r.scripts = vec![(1..=12).map(RegisterOp::Write).collect()];
+        r.scripts.resize(5, vec![RegisterOp::Read; 12]);
         let before = r.schedule.faults().len();
         let out = shrink(&r).expect("blocked campaign must shrink");
         assert_eq!(out.failure.kind(), "liveness");

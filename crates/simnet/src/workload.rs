@@ -10,7 +10,7 @@
 use crate::sim::{OpRecord, Sim};
 use abd_core::context::Protocol;
 use abd_core::msg::{RegisterOp, RegisterResp};
-use abd_core::types::{Consistency, Nanos, OpId, ProcessId};
+use abd_core::types::{Consistency, Nanos, ProcessId};
 use abd_kv::{KvOp, KvResp};
 use abd_lincheck::history::{History, RegAction};
 use rand::rngs::SmallRng;
@@ -160,15 +160,16 @@ pub fn scripts_mixed_tier(
         .collect()
 }
 
-/// Converts completed operation records into a checker history. Errors
-/// (`RegisterResp::Err`) are skipped: a rejected operation never took
-/// effect.
+/// Converts the completed operation records of the clients `keep` accepts
+/// into a checker history. Errors (`RegisterResp::Err`) are skipped: a
+/// rejected operation never took effect.
 fn history_from_records(
     initial: u64,
     records: &[OpRecord<RegisterOp<u64>, RegisterResp<u64>>],
+    keep: impl Fn(usize) -> bool,
 ) -> History<u64> {
     let mut h = History::new(initial);
-    for r in records {
+    for r in records.iter().filter(|r| keep(r.client.index())) {
         match (&r.input, &r.resp) {
             (RegisterOp::Write(v), RegisterResp::WriteOk) => {
                 h.push(
@@ -201,10 +202,22 @@ pub fn history_from_sim<P>(initial: u64, sim: &Sim<P>) -> History<u64>
 where
     P: Protocol<Op = RegisterOp<u64>, Resp = RegisterResp<u64>>,
 {
-    let mut h = history_from_records(initial, sim.completed());
-    for (op, client, input, at) in sim.pending_details() {
-        let _: OpId = op;
-        if let RegisterOp::Write(v) = input {
+    history_of_clients(initial, sim, |_| true)
+}
+
+/// [`history_from_sim`] over the clients `keep` accepts only: a Byzantine
+/// run's honest clients.
+pub(crate) fn history_of_clients<P>(
+    initial: u64,
+    sim: &Sim<P>,
+    keep: impl Fn(usize) -> bool,
+) -> History<u64>
+where
+    P: Protocol<Op = RegisterOp<u64>, Resp = RegisterResp<u64>>,
+{
+    let mut h = history_from_records(initial, sim.completed(), &keep);
+    for (_, client, input, at) in sim.pending_details() {
+        if let (RegisterOp::Write(v), true) = (input, keep(client.index())) {
             h.push_pending_write(client.index(), v, at);
         }
     }
@@ -384,6 +397,7 @@ mod tests {
     #[test]
     fn tiered_reads_land_in_the_history() {
         use crate::sim::OpRecord;
+        use abd_core::types::OpId;
         let records = vec![
             OpRecord {
                 op: OpId(0),
@@ -402,7 +416,7 @@ mod tests {
                 completed_at: 30,
             },
         ];
-        let h = history_from_records(0, &records);
+        let h = history_from_records(0, &records, |_| true);
         assert_eq!(h.len(), 2);
     }
 

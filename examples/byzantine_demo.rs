@@ -1,59 +1,55 @@
 //! Beyond crash failures: what happens when a replica *lies* — and how the
 //! masking-quorum generalization of ABD (Malkhi–Reiter) handles it.
 //!
-//! Runs the same lying replica against two protocols in the deterministic
-//! simulator:
+//! Runs the same lying replica against two quorum disciplines in the
+//! deterministic simulator, each run a `Repro` of the Byzantine register:
 //!
-//! 1. the plain crash-tolerant majority protocol — a single forged label
+//! 1. the plain crash-tolerant majority (`b = 0`) — a single forged label
 //!    poisons reads;
-//! 2. the masking-quorum protocol (`n = 4b+1`, accept only pairs vouched by
-//!    `b+1` replicas) — the same liar is shrugged off.
+//! 2. masking quorums (`n = 4b+1`, accept only pairs vouched by `b+1`
+//!    replicas) — the same liar is shrugged off.
 //!
 //! Run with: `cargo run --release --example byzantine_demo`
 
-use abd_core::byzantine::{ByzConfig, ByzNode, LieStrategy};
-use abd_core::msg::{RegisterOp, RegisterResp};
-use abd_core::types::ProcessId;
-use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
+use abd_core::byzantine::LieStrategy;
+use abd_core::msg::RegisterOp;
+use abd_repro::lincheck::RegAction;
+use abd_repro::simnet::{LatencyModel, ProtocolSpec, Repro, SimConfig};
 
-fn run(b: usize, label: &str) -> (u64, u64) {
-    let n = 5;
-    let nodes = (0..n)
-        .map(|i| {
-            let mut cfg = ByzConfig::new(n, ProcessId(i), ProcessId(0), b);
-            if i == 1 {
-                // Replica 1 fabricates a sky-high label with a bogus value.
-                cfg = cfg.with_lie(LieStrategy::ForgeLabel);
-            }
-            ByzNode::new(cfg, 0u64)
-        })
-        .collect();
-    let mut sim: Sim<ByzNode<u64>> = Sim::new(
-        SimConfig::new(7).with_latency(LatencyModel::Uniform {
-            lo: 1_000,
-            hi: 20_000,
-        }),
-        nodes,
-    );
-    let mut reads = 0;
-    let mut wrong = 0;
-    for round in 1..=10u64 {
-        sim.invoke(ProcessId(0), RegisterOp::Write(round));
-        assert!(sim.run_until_ops_complete(60_000_000_000));
-        for reader in [2usize, 3, 4] {
-            sim.invoke(ProcessId(reader), RegisterOp::Read);
-        }
-        assert!(sim.run_until_ops_complete(120_000_000_000));
-    }
-    for r in sim.completed() {
-        if let (RegisterOp::Read, RegisterResp::ReadOk(v)) = (&r.input, &r.resp) {
-            reads += 1;
-            if !(1..=10).contains(v) {
-                wrong += 1;
-            }
-        }
-    }
-    println!("{label:<42} reads: {reads:>3}   wrong: {wrong:>3}");
+/// Writer 0 writes 1..=10 while nodes 2–4, starting once the first write is
+/// done, each read ten times, and replica 1 pairs a fabricated sky-high
+/// label with its stale value: the reads, and those that returned no value
+/// of 1..=10.
+fn run(b: usize, label: &str) -> (usize, usize) {
+    let mut scripts = vec![(1..=10).map(RegisterOp::Write).collect(), vec![]];
+    scripts.resize(5, vec![RegisterOp::Read; 10]);
+    let liars = vec![(1, LieStrategy::ForgeLabel)];
+    let latency = LatencyModel::Uniform {
+        lo: 1_000,
+        hi: 20_000,
+    };
+    let sim = SimConfig::new(7).with_latency(latency);
+    let spec = ProtocolSpec::Byzantine { b, liars };
+    let out = Repro::staggered(
+        "byzantine-demo",
+        spec,
+        sim,
+        scripts,
+        25_000,
+        600_000_000_000,
+    )
+    .run();
+    assert!(out.completed, "{label}: every operation completes");
+    let ops = out.histories[0].ops();
+    let reads = ops.iter().filter_map(|op| match op.action {
+        RegAction::Read(v) => Some(v),
+        RegAction::Write(_) => None,
+    });
+    let (reads, wrong) = reads.fold((0, 0), |(n, bad), v| {
+        (n + 1, bad + usize::from(!(1..=10).contains(&v)))
+    });
+    let atomic = out.failure.is_none();
+    println!("{label:<42} reads: {reads:>3}   wrong: {wrong:>3}   atomic: {atomic}");
     (reads, wrong)
 }
 

@@ -2,15 +2,17 @@
 //! adversary — every seeded schedule of the ABD protocols yields a
 //! linearizable history, while the baselines demonstrably leak anomalies
 //! somewhere in the same sweep.
+//!
+//! Each run is a [`Repro`] judged by its oracle, so a failing seed leaves an
+//! artifact under `target/repro/` that `abd_repro` replays and shrinks. The
+//! read-one baseline keeps its own loop: a `Repro` names no quorum system.
 
 use abd_core::quorum::{Majority, Threshold};
 use abd_core::types::{ProcessId, ReadMode};
-use abd_core::{MwmrConfig, SwmrConfig};
-use abd_repro::lincheck::{
-    check_linearizable, check_regular_swmr, find_new_old_inversions, CheckResult,
-};
+use abd_core::SwmrConfig;
+use abd_repro::lincheck::{check_regular_swmr, find_new_old_inversions, History};
 use abd_repro::simnet::workload::{run_workload, WorkloadConfig, WriterMode};
-use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
+use abd_repro::simnet::{LatencyModel, OracleSpec, ProtocolSpec, Repro, Sim, SimConfig};
 use std::sync::Arc;
 
 const SEEDS: u64 = 120;
@@ -38,23 +40,30 @@ fn straggly(seed: u64) -> SimConfig {
         .with_duplication(0.05)
 }
 
+/// `wl` on five nodes of `protocol` over `adversarial(seed)` links, clients
+/// 1 ns apart as `run_workload` starts them, judged atomic: the history.
+fn atomic_on(name: &str, protocol: &ProtocolSpec, seed: u64, wl: WorkloadConfig) -> History<u64> {
+    let scripts = wl.generate(5);
+    let run = Repro::staggered(
+        name,
+        protocol.clone(),
+        adversarial(seed),
+        scripts,
+        1,
+        10_000_000_000,
+    );
+    let out = run.check_or_emit().unwrap_or_else(|e| panic!("{e}"));
+    out.histories[0].clone()
+}
+
 #[test]
 fn atomic_swmr_is_linearizable_on_every_seed() {
+    let swmr = ProtocolSpec::Swmr {
+        read_mode: ReadMode::TwoRound,
+    };
     for seed in 0..SEEDS {
-        let nodes = (0..5)
-            .map(|i| {
-                abd_core::swmr::SwmrNode::new(SwmrConfig::new(5, ProcessId(i), ProcessId(0)), 0u64)
-            })
-            .collect();
-        let mut sim = Sim::new(adversarial(seed), nodes);
         let wl = WorkloadConfig::new(seed, 10, WriterMode::Single(ProcessId(0)));
-        let h = run_workload(&mut sim, &wl, 0, 10_000_000_000, true)
-            .unwrap_or_else(|| panic!("seed {seed}: workload did not complete"));
-        assert_eq!(
-            check_linearizable(&h),
-            CheckResult::Linearizable,
-            "seed {seed} produced a non-linearizable history:\n{h}"
-        );
+        let h = atomic_on("sweep-swmr", &swmr, seed, wl);
         assert!(check_regular_swmr(&h).is_empty(), "seed {seed}");
         assert!(find_new_old_inversions(&h).is_empty(), "seed {seed}");
     }
@@ -62,19 +71,12 @@ fn atomic_swmr_is_linearizable_on_every_seed() {
 
 #[test]
 fn atomic_mwmr_is_linearizable_on_every_seed() {
+    let mwmr = ProtocolSpec::Mwmr {
+        read_mode: ReadMode::TwoRound,
+    };
     for seed in 0..SEEDS {
-        let nodes = (0..5)
-            .map(|i| abd_core::mwmr::MwmrNode::new(MwmrConfig::new(5, ProcessId(i)), 0u64))
-            .collect();
-        let mut sim = Sim::new(adversarial(seed), nodes);
         let wl = WorkloadConfig::new(seed ^ 0x5555, 8, WriterMode::All).with_write_ratio(0.4);
-        let h = run_workload(&mut sim, &wl, 0, 10_000_000_000, true)
-            .unwrap_or_else(|| panic!("seed {seed}: workload did not complete"));
-        assert_eq!(
-            check_linearizable(&h),
-            CheckResult::Linearizable,
-            "seed {seed} produced a non-linearizable history:\n{h}"
-        );
+        atomic_on("sweep-mwmr", &mwmr, seed, wl);
     }
 }
 
@@ -84,25 +86,13 @@ fn atomic_mwmr_is_linearizable_on_every_seed() {
 /// inversions — the relay minimum stands in for the two-round write-back.
 #[test]
 fn relay_swmr_is_linearizable_under_a_contended_writer() {
+    let relay = ProtocolSpec::Swmr {
+        read_mode: ReadMode::Relay,
+    };
     for seed in 0..40u64 {
-        let nodes = (0..5)
-            .map(|i| {
-                abd_core::swmr::SwmrNode::new(
-                    SwmrConfig::new(5, ProcessId(i), ProcessId(0)).with_read_mode(ReadMode::Relay),
-                    0u64,
-                )
-            })
-            .collect();
-        let mut sim = Sim::new(adversarial(seed), nodes);
         let wl = WorkloadConfig::new(seed ^ 0x7e1a, 12, WriterMode::Single(ProcessId(0)))
             .with_write_ratio(0.5);
-        let h = run_workload(&mut sim, &wl, 0, 10_000_000_000, true)
-            .unwrap_or_else(|| panic!("seed {seed}: relay workload did not complete"));
-        assert_eq!(
-            check_linearizable(&h),
-            CheckResult::Linearizable,
-            "seed {seed} produced a non-linearizable relay history:\n{h}"
-        );
+        let h = atomic_on("sweep-swmr-relay", &relay, seed, wl);
         assert!(check_regular_swmr(&h).is_empty(), "seed {seed}");
         assert!(find_new_old_inversions(&h).is_empty(), "seed {seed}");
     }
@@ -113,56 +103,46 @@ fn relay_swmr_is_linearizable_under_a_contended_writer() {
 /// precondition and relay must still linearize.
 #[test]
 fn relay_mwmr_is_linearizable_under_contending_writers() {
+    let relay = ProtocolSpec::Mwmr {
+        read_mode: ReadMode::Relay,
+    };
     for seed in 0..40u64 {
-        let nodes = (0..5)
-            .map(|i| {
-                abd_core::mwmr::MwmrNode::new(
-                    MwmrConfig::new(5, ProcessId(i)).with_read_mode(ReadMode::Relay),
-                    0u64,
-                )
-            })
-            .collect();
-        let mut sim = Sim::new(adversarial(seed), nodes);
         let wl = WorkloadConfig::new(seed ^ 0x2e1a, 8, WriterMode::All).with_write_ratio(0.5);
-        let h = run_workload(&mut sim, &wl, 0, 10_000_000_000, true)
-            .unwrap_or_else(|| panic!("seed {seed}: relay workload did not complete"));
-        assert_eq!(
-            check_linearizable(&h),
-            CheckResult::Linearizable,
-            "seed {seed} produced a non-linearizable relay history:\n{h}"
-        );
+        atomic_on("sweep-mwmr-relay", &relay, seed, wl);
     }
 }
 
 #[test]
 fn regular_baseline_exhibits_inversions_somewhere_in_the_sweep() {
+    // The regular protocol must still be *regular* — its oracle — and only
+    // inversions (the regular-vs-atomic gap) may appear. Clients start
+    // 1 µs apart and think 1 µs, as `run_workload` runs them.
+    let no_write_back = ProtocolSpec::Swmr {
+        read_mode: ReadMode::NoWriteBack,
+    };
     let mut total_inversions = 0u64;
-    let mut total_stale = 0u64;
     for seed in 0..SEEDS {
-        let nodes = (0..5)
-            .map(|i| {
-                abd_core::swmr::SwmrNode::new(
-                    SwmrConfig::new(5, ProcessId(i), ProcessId(0))
-                        .with_read_mode(ReadMode::NoWriteBack),
-                    0u64,
-                )
-            })
-            .collect();
-        let mut sim = Sim::new(straggly(seed), nodes);
         let wl = WorkloadConfig::new(seed ^ 0xabd, 14, WriterMode::Single(ProcessId(0)))
             .with_write_ratio(0.5);
-        let Some(h) = run_workload(&mut sim, &wl, 1_000, 60_000_000_000, true) else {
-            continue;
-        };
-        // The regular protocol must still be *regular* — only inversions
-        // (the regular-vs-atomic gap) may appear.
-        total_stale += check_regular_swmr(&h).len() as u64;
-        total_inversions += find_new_old_inversions(&h).len() as u64;
+        let (spec, scripts) = (no_write_back.clone(), wl.generate(5));
+        let run = Repro::staggered(
+            "sweep-no-write-back",
+            spec,
+            straggly(seed),
+            scripts,
+            1_000,
+            60_000_000_000,
+        );
+        let oracle = OracleSpec::RegularSwmr;
+        let out = Repro {
+            think: 1_000,
+            oracle,
+            ..run
+        }
+        .check_or_emit()
+        .unwrap_or_else(|e| panic!("{e}"));
+        total_inversions += find_new_old_inversions(&out.histories[0]).len() as u64;
     }
-    assert_eq!(
-        total_stale, 0,
-        "the no-write-back baseline must still be regular"
-    );
     assert!(
         total_inversions > 0,
         "across {SEEDS} adversarial schedules the regular baseline should exhibit \

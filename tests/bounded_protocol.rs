@@ -2,118 +2,103 @@
 //! unbounded one — linearizable histories, same message complexity, same
 //! resilience — while its labels stay a constant handful of bits across
 //! executions long enough to lap the label cycle many times.
+//!
+//! Every judged run is a [`Repro`] of [`ProtocolSpec::Bounded`]: a failing
+//! seed, or one whose labels left their window, leaves an artifact under
+//! `target/repro/`. The message count keeps its own `Sim`.
 
 use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
-use abd_core::msg::{RegisterOp, RegisterResp};
+use abd_core::msg::RegisterOp;
 use abd_core::types::{Consistency, ProcessId};
-use abd_repro::lincheck::{
-    check_linearizable, check_regular_swmr, check_sequential, CheckResult, History, RegAction,
-    ScCheckResult,
+use abd_repro::lincheck::RegAction;
+use abd_repro::simnet::{
+    shrink, Failure, LatencyModel, NemesisSchedule, OracleSpec, PlannedFault, ProtocolSpec,
+    ReplayOutcome, Repro, Sim, SimConfig,
 };
-use abd_repro::simnet::harness::run_scripts;
-use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
 
-fn bounded_cluster(n: usize, modulus: u32, seed: u64) -> Sim<BoundedSwmrNode<u64>> {
-    let nodes = (0..n)
-        .map(|i| {
-            BoundedSwmrNode::new(
-                BoundedSwmrConfig::new(n, ProcessId(i), ProcessId(0))
-                    .with_space(LabelSpace::new(modulus)),
-                0u64,
-            )
-        })
-        .collect();
-    Sim::new(
-        SimConfig::new(seed).with_latency(LatencyModel::Uniform {
-            lo: 100,
-            hi: 10_000,
-        }),
-        nodes,
-    )
+fn uniform(seed: u64) -> SimConfig {
+    SimConfig::new(seed).with_latency(LatencyModel::Uniform {
+        lo: 100,
+        hi: 10_000,
+    })
 }
 
-fn history_of(sim: &Sim<BoundedSwmrNode<u64>>) -> History<u64> {
-    let mut h = History::new(0);
-    for r in sim.completed() {
-        match (&r.input, &r.resp) {
-            (RegisterOp::Write(v), RegisterResp::WriteOk) => {
-                h.push(
-                    r.client.index(),
-                    RegAction::Write(*v),
-                    r.invoked_at,
-                    r.completed_at,
-                );
-            }
-            (RegisterOp::Read | RegisterOp::ReadAt(_), RegisterResp::ReadOk(v)) => {
-                h.push(
-                    r.client.index(),
-                    RegAction::Read(*v),
-                    r.invoked_at,
-                    r.completed_at,
-                );
-            }
-            _ => {}
-        }
+/// `scripts` on `n = scripts.len()` nodes over a cycle of `modulus` labels:
+/// clients 1 ns apart, 500 ns think, judged by `oracle` — and invalid if a
+/// label comparison leaves the window.
+fn bounded_run(
+    name: String,
+    modulus: u32,
+    seed: u64,
+    scripts: Vec<Vec<RegisterOp<u64>>>,
+    oracle: OracleSpec,
+) -> ReplayOutcome {
+    let spec = ProtocolSpec::Bounded { modulus };
+    let run = Repro::staggered(name, spec, uniform(seed), scripts, 1, 120_000_000_000);
+    Repro {
+        think: 500,
+        oracle,
+        ..run
     }
-    h
+    .check_or_emit()
+    .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The values `out`'s register history read, in completion order.
+fn reads(out: &ReplayOutcome) -> Vec<u64> {
+    let ops = out.histories[0].ops();
+    ops.iter()
+        .filter_map(|op| match op.action {
+            RegAction::Read(v) => Some(v),
+            RegAction::Write(_) => None,
+        })
+        .collect()
 }
 
 #[test]
 fn bounded_histories_are_linearizable_across_seeds() {
+    // Closed-loop scripts: per-client sequential operations, so the
+    // recorded intervals reflect real concurrency.
+    let mut scripts = vec![(1..=12u64).map(RegisterOp::Write).collect()];
+    scripts.resize(5, vec![RegisterOp::Read; 10]);
     for seed in 0..60u64 {
-        let n = 5;
-        let mut sim = bounded_cluster(n, 64, seed);
-        // Closed-loop scripts: per-client sequential operations, so the
-        // recorded intervals reflect real concurrency.
-        let mut scripts: Vec<Vec<RegisterOp<u64>>> =
-            vec![(1..=12u64).map(RegisterOp::Write).collect()];
-        for _ in 1..n {
-            scripts.push(vec![RegisterOp::Read; 10]);
-        }
-        assert!(
-            run_scripts(&mut sim, scripts, 500, 1, 120_000_000_000),
-            "seed {seed}"
-        );
-        let violations: u64 = (0..n).map(|i| sim.node(i).window_violations()).sum();
-        assert_eq!(violations, 0, "seed {seed}: window violated — run invalid");
-        let h = history_of(&sim);
-        assert_eq!(
-            check_linearizable(&h),
-            CheckResult::Linearizable,
-            "seed {seed}:\n{h}"
-        );
+        let name = "bounded-64".to_string();
+        bounded_run(name, 64, seed, scripts.clone(), OracleSpec::Linearizable);
     }
 }
 
 #[test]
 fn labels_lap_the_cycle_many_times_without_growing() {
-    let n = 3;
-    let modulus = 16;
-    let mut sim = bounded_cluster(n, modulus, 7);
-    let writes = 500u64; // 31 laps of a 16-label cycle
-    for v in 1..=writes {
-        sim.invoke(ProcessId(0), RegisterOp::Write(v));
-        assert!(sim.run_until_ops_complete(u64::MAX / 2));
-    }
-    sim.invoke(ProcessId(2), RegisterOp::Read);
-    assert!(sim.run_until_ops_complete(u64::MAX / 2));
-    let last = sim.completed().last().unwrap();
-    assert!(matches!(last.resp, RegisterResp::ReadOk(v) if v == writes));
-    assert_eq!(sim.node(0).labels_issued(), writes);
-    assert_eq!(
-        sim.node(0).label_bits(),
-        4,
-        "4 bits forever, regardless of {writes} writes"
+    // 500 writes lap a 16-label cycle 31 times, each label 4 bits
+    // (`LabelSpace::label_bits`; the writer's count of issued labels is
+    // pinned by the store's own unit test), and a read after the last one
+    // returns it.
+    let writes = 500u64;
+    let mut script: Vec<_> = (1..=writes).map(RegisterOp::Write).collect();
+    script.push(RegisterOp::Read);
+    let scripts = vec![script, vec![], vec![]];
+    let out = bounded_run(
+        "bounded-lap".into(),
+        16,
+        7,
+        scripts,
+        OracleSpec::Linearizable,
     );
-    for i in 0..n {
-        assert_eq!(sim.node(i).window_violations(), 0);
-    }
+    assert_eq!(reads(&out), [writes]);
+    assert_eq!(LabelSpace::new(16).label_bits(), 4);
 }
 
 #[test]
 fn bounded_message_complexity_matches_unbounded() {
     let n = 7;
-    let mut sim = bounded_cluster(n, 64, 1);
+    let nodes = (0..n)
+        .map(|i| {
+            let cfg = BoundedSwmrConfig::new(n, ProcessId(i), ProcessId(0))
+                .with_space(LabelSpace::new(64));
+            BoundedSwmrNode::new(cfg, 0u64)
+        })
+        .collect();
+    let mut sim: Sim<BoundedSwmrNode<u64>> = Sim::new(uniform(1), nodes);
     sim.invoke(ProcessId(0), RegisterOp::Write(1));
     // Drain fully so straggler acknowledgements are counted too.
     assert!(sim.run_until_quiet(u64::MAX / 2));
@@ -129,20 +114,24 @@ fn bounded_message_complexity_matches_unbounded() {
 
 #[test]
 fn bounded_protocol_tolerates_minority_crashes() {
-    let n = 5;
-    let mut sim = bounded_cluster(n, 64, 3);
-    sim.crash_at(0, ProcessId(3));
-    sim.crash_at(0, ProcessId(4));
-    for v in 1..=50u64 {
-        sim.invoke(ProcessId(0), RegisterOp::Write(v));
-        assert!(sim.run_until_ops_complete(u64::MAX / 2));
-    }
-    sim.invoke(ProcessId(1), RegisterOp::Read);
-    assert!(sim.run_until_ops_complete(u64::MAX / 2));
-    assert!(matches!(
-        sim.completed().last().unwrap().resp,
-        RegisterResp::ReadOk(50)
-    ));
+    let mut script: Vec<_> = (1..=50u64).map(RegisterOp::Write).collect();
+    script.push(RegisterOp::Read);
+    let mut scripts = vec![script];
+    scripts.resize(5, vec![]);
+    let spec = ProtocolSpec::Bounded { modulus: 64 };
+    let run = Repro::staggered(
+        "bounded-crashes",
+        spec,
+        uniform(3),
+        scripts,
+        1,
+        u64::MAX / 2,
+    );
+    let out = run
+        .with_crashes(&[(3, 0), (4, 0)])
+        .check_or_emit()
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(reads(&out), [50]);
 }
 
 #[test]
@@ -198,41 +187,75 @@ fn zombie_beyond_window_is_detected_by_the_protocol() {
 /// The tiers the hand-written node served atomically now take the engine's
 /// paths — `Regular` adopts the windowed maximum locally, `Sequential`
 /// answers from the replica — while 40 writes lap the 16-label cycle twice
-/// and a half. Each judged by its own checker; no comparison may leave the
+/// and a half. Each judged by its own oracle; no comparison may leave the
 /// window.
-fn tier_across_a_label_wrap(cons: Consistency, judge: impl Fn(&History<u64>, &str)) {
+fn tier_across_a_label_wrap(cons: Consistency, oracle: OracleSpec) {
+    let mut scripts = vec![(1..=40u64).map(RegisterOp::Write).collect()];
+    scripts.resize(5, vec![RegisterOp::ReadAt(cons); 30]);
     for seed in 0..20u64 {
-        let n = 5;
-        let mut sim = bounded_cluster(n, 16, seed);
-        let mut scripts: Vec<Vec<RegisterOp<u64>>> =
-            vec![(1..=40u64).map(RegisterOp::Write).collect()];
-        scripts.resize(n, vec![RegisterOp::ReadAt(cons); 30]);
-        assert!(run_scripts(&mut sim, scripts, 500, 1, 120_000_000_000));
-        assert_eq!(sim.node(0).labels_issued(), 40);
-        for i in 0..n {
-            assert_eq!(sim.node(i).window_violations(), 0, "{cons:?} seed {seed}");
-        }
-        let m = sim.read_path_metrics();
+        let name = format!("bounded-{cons:?}");
+        let out = bounded_run(name, 16, seed, scripts.clone(), oracle);
+        assert_eq!(out.histories[0].ops().len(), 160, "{cons:?} seed {seed}");
+        let m = out.read_path;
         assert_eq!(m.sc_reads + m.regular_reads, 120, "{cons:?} seed {seed}");
         assert_eq!(m.write_backs, 0, "{cons:?} seed {seed}: no read is atomic");
-        judge(&history_of(&sim), &format!("{cons:?} seed {seed}"));
     }
 }
 
 #[test]
 fn regular_reads_stay_regular_across_a_label_wrap() {
-    tier_across_a_label_wrap(Consistency::Regular, |h, ctx| {
-        assert_eq!(check_regular_swmr(h), vec![], "{ctx}:\n{h}");
-    });
+    tier_across_a_label_wrap(Consistency::Regular, OracleSpec::RegularSwmr);
 }
 
 #[test]
 fn sequential_reads_stay_sequentially_consistent_across_a_label_wrap() {
-    tier_across_a_label_wrap(Consistency::Sequential, |h, ctx| {
-        assert_eq!(
-            check_sequential(h),
-            ScCheckResult::Sequential,
-            "{ctx}:\n{h}"
-        );
-    });
+    tier_across_a_label_wrap(Consistency::Sequential, OracleSpec::Sequential);
+}
+
+/// Four clients on an 8-label cycle (window 3), the writer's twelve writes
+/// lapping it one and a half times, while a partition holds node 4 — which
+/// issues nothing — away from the rest until `heal_at`.
+fn held_replica(heal_at: u64) -> Repro {
+    let mut scripts = vec![(1..=12u64).map(RegisterOp::Write).collect()];
+    scripts.resize(4, vec![RegisterOp::Read; 4]);
+    scripts.push(vec![]);
+    let groups = vec![0, 0, 0, 0, 1];
+    let cut = PlannedFault::Partition {
+        at: 0,
+        groups,
+        heal_at,
+    };
+    let schedule = NemesisSchedule::from_faults(vec![cut], 0, (0..5).collect(), 5);
+    let spec = ProtocolSpec::Bounded { modulus: 8 };
+    let run = Repro::new(
+        "bounded-held",
+        spec,
+        uniform(1),
+        scripts,
+        schedule,
+        120_000_000_000,
+    );
+    Repro { think: 500, ..run }
+}
+
+#[test]
+fn a_replica_held_past_the_window_is_convicted() {
+    // Healed mid-lap, node 4's label is not comparable with the next one it
+    // hears: the window counts the escape and the run is invalid.
+    let mid_lap = held_replica(40_000).run().failure;
+    assert!(matches!(mid_lap, Some(Failure::Window(_))), "{mid_lap:?}");
+    // Healed a whole lap later, its stale label is the writer's current one
+    // again: nothing escapes the window, and a read quorum holding both
+    // returns an old value after a new one. The artifact is written, and
+    // the shrinker keeps the partition and the failure's class.
+    let run = held_replica(60_000);
+    assert_eq!(run.run().window_violations, 0);
+    let err = run.clone().check_or_emit().expect_err("a held replica");
+    assert!(
+        err.contains("not atomic") && err.contains("bounded-held-1.repro"),
+        "{err}"
+    );
+    let minimal = shrink(&run).expect("the run fails");
+    assert_eq!(minimal.failure.kind(), "violation");
+    assert_eq!(minimal.minimal.schedule.faults(), run.schedule.faults());
 }

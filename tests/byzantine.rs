@@ -1,226 +1,52 @@
 //! Integration: Byzantine-tolerant reads via masking quorums under the
 //! simulator's adversary, and the contrast case showing why the
 //! crash-tolerant protocol is not enough once replicas can lie.
+//!
+//! The sweeps are [`Repro`]s of [`ProtocolSpec::Byzantine`], judged on the
+//! honest clients' history: a failing seed leaves an artifact under
+//! `target/repro/`. Two runs keep their own `Sim`: the straddled-read
+//! conviction, whose second write stays pending by design, and the count of
+//! a `Batched` Byzantine register, which no spec names.
 
 use abd_core::batch::Batched;
 use abd_core::byzantine::{ByzConfig, ByzNode, LieStrategy};
-use abd_core::context::Protocol;
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::types::{Consistency, ProcessId};
 use abd_repro::lincheck::{
-    check_linearizable, check_regular_swmr, check_sequential, is_atomic_swmr, Anomaly, CheckResult,
-    History, RegAction, ScCheckResult,
+    check_linearizable, check_regular_swmr, is_atomic_swmr, Anomaly, CheckResult, RegAction,
 };
 use abd_repro::simnet::harness::run_scripts;
-use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
+use abd_repro::simnet::workload::history_from_sim;
+use abd_repro::simnet::{
+    shrink, LatencyModel, OracleSpec, ProtocolSpec, ReplayOutcome, Repro, Sim, SimConfig,
+};
 
-fn byz_nodes(b: usize, liars: &[(usize, LieStrategy)]) -> Vec<ByzNode<u64>> {
-    let n = 4 * b + 1;
-    (0..n)
-        .map(|i| {
-            let mut cfg = ByzConfig::new(n, ProcessId(i), ProcessId(0), b);
-            if let Some((_, lie)) = liars.iter().find(|(id, _)| *id == i) {
-                cfg = cfg.with_lie(*lie);
-            }
-            ByzNode::new(cfg, 0u64)
-        })
-        .collect()
-}
-
-fn sim_over<P: Protocol>(nodes: Vec<P>, seed: u64) -> Sim<P>
-where
-    P::Op: Clone,
-{
-    let latency = LatencyModel::Uniform {
+fn uniform(seed: u64) -> SimConfig {
+    SimConfig::new(seed).with_latency(LatencyModel::Uniform {
         lo: 100,
         hi: 30_000,
-    };
-    Sim::new(SimConfig::new(seed).with_latency(latency), nodes)
+    })
 }
 
-fn byz_cluster(b: usize, liars: &[(usize, LieStrategy)], seed: u64) -> Sim<ByzNode<u64>> {
-    sim_over(byz_nodes(b, liars), seed)
-}
-
-/// Folds of the honest nodes that found no pair with `b + 1` vouchers and
-/// fell back to the node's own pair: a read quorum straddling a write in
-/// progress (DESIGN §13). The sweeps below reach it and stay atomic.
-fn unvouched_folds(sim: &Sim<ByzNode<u64>>, liars: &[usize]) -> u64 {
-    (0..sim.n())
-        .filter(|i| !liars.contains(i))
-        .map(|i| sim.node(i).unvouched_folds())
-        .sum()
-}
-
-fn honest_history<P>(sim: &Sim<P>, liars: &[usize]) -> History<u64>
-where
-    P: Protocol<Op = RegisterOp<u64>, Resp = RegisterResp<u64>>,
-{
-    let mut h = History::new(0);
-    for r in sim.completed() {
-        if liars.contains(&r.client.index()) {
-            continue;
-        }
-        match (&r.input, &r.resp) {
-            (RegisterOp::Write(v), RegisterResp::WriteOk) => {
-                h.push(
-                    r.client.index(),
-                    RegAction::Write(*v),
-                    r.invoked_at,
-                    r.completed_at,
-                );
-            }
-            (RegisterOp::Read | RegisterOp::ReadAt(_), RegisterResp::ReadOk(v)) => {
-                h.push(
-                    r.client.index(),
-                    RegAction::Read(*v),
-                    r.invoked_at,
-                    r.completed_at,
-                );
-            }
-            _ => {}
-        }
+/// `scripts` on `n = scripts.len()` nodes masking `b` liars: clients 1 ns
+/// apart, 500 ns think, judged by `oracle` on the honest clients' history.
+fn byz_run(
+    name: String,
+    (b, liars): (usize, &[(usize, LieStrategy)]),
+    seed: u64,
+    scripts: Vec<Vec<RegisterOp<u64>>>,
+    oracle: OracleSpec,
+) -> ReplayOutcome {
+    let liars = liars.to_vec();
+    let spec = ProtocolSpec::Byzantine { b, liars };
+    let run = Repro::staggered(name, spec, uniform(seed), scripts, 1, 600_000_000_000);
+    Repro {
+        think: 500,
+        oracle,
+        ..run
     }
-    h
-}
-
-/// Every lie strategy at b = 1, 40 seeds each; returns the unvouched folds.
-fn masked_sweep() -> u64 {
-    let mut folds = 0;
-    for (li, lie) in [
-        LieStrategy::ReportStale,
-        LieStrategy::ForgeLabel,
-        LieStrategy::Silent,
-    ]
-    .iter()
-    .enumerate()
-    {
-        for seed in 0..40u64 {
-            // Liar at node 1 (adjacent to the writer, always in quorums).
-            let mut sim = byz_cluster(1, &[(1, *lie)], seed * 13 + li as u64);
-            // Closed-loop scripts keep per-client intervals honest (the
-            // liar issues nothing).
-            let scripts: Vec<Vec<RegisterOp<u64>>> = vec![
-                (1..=8u64).map(RegisterOp::Write).collect(),
-                vec![],
-                vec![RegisterOp::Read; 6],
-                vec![RegisterOp::Read; 6],
-                vec![RegisterOp::Read; 6],
-            ];
-            assert!(
-                run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000),
-                "lie {lie:?} seed {seed}: liveness must hold (q = n - b)"
-            );
-            folds += unvouched_folds(&sim, &[1]);
-            let h = honest_history(&sim, &[1]);
-            assert!(is_atomic_swmr(&h), "lie {lie:?} seed {seed}:\n{h}");
-            assert_ne!(
-                check_linearizable(&h),
-                CheckResult::NotLinearizable,
-                "lie {lie:?} seed {seed}:\n{h}"
-            );
-        }
-    }
-    folds
-}
-
-#[test]
-fn masked_reads_stay_linearizable_under_every_lie_strategy() {
-    masked_sweep();
-}
-
-/// Two coordinated liars at b = 2, 20 seeds; returns the unvouched folds.
-fn b2_sweep() -> u64 {
-    let mut folds = 0;
-    for seed in 0..20u64 {
-        let mut sim = byz_cluster(
-            2,
-            &[(1, LieStrategy::ForgeLabel), (2, LieStrategy::ReportStale)],
-            seed,
-        );
-        let mut scripts: Vec<Vec<RegisterOp<u64>>> =
-            vec![(1..=6u64).map(RegisterOp::Write).collect()];
-        scripts.push(vec![]); // liar
-        scripts.push(vec![]); // liar
-        for _ in 3..9 {
-            scripts.push(vec![RegisterOp::Read; 4]);
-        }
-        assert!(
-            run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000),
-            "seed {seed}"
-        );
-        folds += unvouched_folds(&sim, &[1, 2]);
-        let h = honest_history(&sim, &[1, 2]);
-        assert!(is_atomic_swmr(&h), "seed {seed}:\n{h}");
-        assert_ne!(
-            check_linearizable(&h),
-            CheckResult::NotLinearizable,
-            "seed {seed}:\n{h}"
-        );
-    }
-    folds
-}
-
-#[test]
-fn b2_masks_two_coordinated_liars() {
-    b2_sweep();
-}
-
-#[test]
-fn plain_majority_protocol_is_poisoned_by_a_forger() {
-    // The same liar against b = 0 parameters (majority quorum, no masking):
-    // some seed produces a read of a fabricated value. This is the
-    // *motivation* row for masking quorums.
-    let mut poisoned = 0u64;
-    for seed in 0..40u64 {
-        let n = 5;
-        let nodes = (0..n)
-            .map(|i| {
-                let mut cfg = ByzConfig::new(n, ProcessId(i), ProcessId(0), 0);
-                if i == 1 {
-                    cfg = cfg.with_lie(LieStrategy::ForgeLabel);
-                }
-                ByzNode::new(cfg, 0u64)
-            })
-            .collect();
-        let mut sim: Sim<ByzNode<u64>> = Sim::new(
-            SimConfig::new(seed).with_latency(LatencyModel::Uniform {
-                lo: 100,
-                hi: 30_000,
-            }),
-            nodes,
-        );
-        sim.invoke_at(0, ProcessId(0), RegisterOp::Write(7));
-        assert!(sim.run_until_ops_complete(60_000_000_000));
-        for reader in [2usize, 3, 4] {
-            sim.invoke(ProcessId(reader), RegisterOp::Read);
-        }
-        assert!(sim.run_until_ops_complete(120_000_000_000));
-        for r in sim.completed() {
-            if let (RegisterOp::Read, RegisterResp::ReadOk(v)) = (&r.input, &r.resp) {
-                if *v != 7 {
-                    poisoned += 1;
-                }
-            }
-        }
-    }
-    assert!(
-        poisoned > 0,
-        "without masking quorums the forged label should poison some read across seeds"
-    );
-}
-
-#[test]
-fn silent_liar_cannot_stall_liveness_even_with_delays() {
-    let mut sim = byz_cluster(1, &[(2, LieStrategy::Silent)], 9);
-    for k in 0..20u64 {
-        sim.invoke(ProcessId(0), RegisterOp::Write(k + 1));
-        assert!(sim.run_until_ops_complete(60_000_000_000), "write {k}");
-        sim.invoke(ProcessId(3), RegisterOp::Read);
-        assert!(sim.run_until_ops_complete(120_000_000_000), "read {k}");
-    }
-    let last = sim.completed().last().unwrap();
-    assert!(matches!(last.resp, RegisterResp::ReadOk(20)));
+    .check_or_emit()
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Writer 0 writes eight values, the liar at node 1 issues nothing, nodes
@@ -236,33 +62,159 @@ fn one_liar_scripts(read: RegisterOp<u64>) -> Vec<Vec<RegisterOp<u64>>> {
     ]
 }
 
+/// Every lie strategy at b = 1, 40 seeds each, atomic and live (q = n - b);
+/// returns the unvouched folds. The liar sits at node 1, adjacent to the
+/// writer and always in quorums.
+fn masked_sweep() -> u64 {
+    let mut folds = 0;
+    let lies = [
+        LieStrategy::ReportStale,
+        LieStrategy::ForgeLabel,
+        LieStrategy::Silent,
+    ];
+    for (li, lie) in lies.into_iter().enumerate() {
+        for seed in 0..40u64 {
+            let scripts = one_liar_scripts(RegisterOp::Read);
+            let name = format!("byzantine-{lie:?}");
+            let liars = (1, &[(1, lie)][..]);
+            folds += byz_run(
+                name,
+                liars,
+                seed * 13 + li as u64,
+                scripts,
+                OracleSpec::Linearizable,
+            )
+            .unvouched_folds;
+        }
+    }
+    folds
+}
+
+#[test]
+fn masked_reads_stay_linearizable_under_every_lie_strategy() {
+    masked_sweep();
+}
+
+/// Two coordinated liars at b = 2, 20 seeds; returns the unvouched folds.
+fn b2_sweep() -> u64 {
+    let liars = [(1, LieStrategy::ForgeLabel), (2, LieStrategy::ReportStale)];
+    let mut scripts = vec![(1..=6u64).map(RegisterOp::Write).collect(), vec![], vec![]];
+    scripts.resize(9, vec![RegisterOp::Read; 4]);
+    (0..20u64)
+        .map(|seed| {
+            let name = "byzantine-b2".to_string();
+            byz_run(
+                name,
+                (2, &liars),
+                seed,
+                scripts.clone(),
+                OracleSpec::Linearizable,
+            )
+            .unvouched_folds
+        })
+        .sum()
+}
+
+#[test]
+fn b2_masks_two_coordinated_liars() {
+    b2_sweep();
+}
+
+/// The b = 0 run a forger poisons: writer 0 writes 7, node 1 forges, and
+/// nodes 2–4 read once each, 40 µs apart, after the write completed.
+fn forger_at_b0(seed: u64) -> Repro {
+    let spec = ProtocolSpec::Byzantine {
+        b: 0,
+        liars: vec![(1, LieStrategy::ForgeLabel)],
+    };
+    let mut scripts = vec![vec![RegisterOp::Write(7)], vec![]];
+    scripts.resize(5, vec![RegisterOp::Read]);
+    Repro::staggered(
+        "byzantine-b0-forger",
+        spec,
+        uniform(seed),
+        scripts,
+        40_000,
+        120_000_000_000,
+    )
+}
+
+#[test]
+fn plain_majority_protocol_is_poisoned_by_a_forger() {
+    // The same liar against b = 0 parameters (majority quorum, no masking):
+    // the forged label wins some seed's read, which returns the liar's value
+    // instead of 7, and the oracle convicts it with an artifact that replays
+    // and shrinks. This is the *motivation* row for masking quorums.
+    let poisoned = |out: &ReplayOutcome| {
+        let ops = out.histories[0].ops();
+        ops.iter()
+            .filter(|op| matches!(op.action, RegAction::Read(v) if v != 7))
+            .count()
+    };
+    let convicted: Vec<u64> = (0..40u64)
+        .filter(|&seed| {
+            let out = forger_at_b0(seed).run();
+            assert_eq!(out.failure.is_some(), poisoned(&out) > 0, "seed {seed}");
+            poisoned(&out) > 0
+        })
+        .collect();
+    let &seed = convicted
+        .first()
+        .expect("without masking quorums the forged label should poison some read across seeds");
+    let err = forger_at_b0(seed)
+        .check_or_emit()
+        .expect_err("a poisoned read");
+    let path = Repro::default_dir().join(format!("byzantine-b0-forger-{seed}.repro"));
+    assert!(err.contains(&path.display().to_string()), "{err}");
+    let artifact: Repro = std::fs::read_to_string(&path)
+        .expect("the artifact was written")
+        .parse()
+        .expect("the artifact parses");
+    assert_eq!(artifact.run().digest, artifact.expected_digest);
+    let minimal = shrink(&artifact).expect("the artifact fails");
+    assert_eq!(minimal.failure.kind(), "violation");
+}
+
+#[test]
+fn silent_liar_cannot_stall_liveness_even_with_delays() {
+    // The writer reads back each of its 20 writes; node 2 never answers.
+    let script = (1..=20u64)
+        .flat_map(|k| [RegisterOp::Write(k), RegisterOp::Read])
+        .collect();
+    let scripts = vec![script, vec![], vec![], vec![], vec![]];
+    let liars = (1, &[(2, LieStrategy::Silent)][..]);
+    let out = byz_run(
+        "byzantine-silent".into(),
+        liars,
+        9,
+        scripts,
+        OracleSpec::Linearizable,
+    );
+    let last = out.histories[0].ops().last().map(|op| op.action.clone());
+    assert_eq!(last, Some(RegAction::Read(20)));
+}
+
 /// The tiers the hand-written node served atomically now take the engine's
 /// paths: one round and a local adoption of the *vouched* pair for
 /// `Regular`, the local replica — which only updates and vouched reads ever
-/// moved — for `Sequential`. Each judged by its own checker, under a forger.
+/// moved — for `Sequential`. Each judged by its own oracle, under a forger.
 /// Returns the unvouched folds.
-fn tier_under_a_forger(cons: Consistency, judge: impl Fn(&History<u64>, &str)) -> u64 {
+fn tier_under_a_forger(cons: Consistency, oracle: OracleSpec) -> u64 {
     let mut folds = 0;
     for seed in 0..30u64 {
-        let mut sim = byz_cluster(1, &[(1, LieStrategy::ForgeLabel)], seed);
         let scripts = one_liar_scripts(RegisterOp::ReadAt(cons));
-        assert!(run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000));
-        folds += unvouched_folds(&sim, &[1]);
-        let m = sim.read_path_metrics();
+        let liars = (1, &[(1, LieStrategy::ForgeLabel)][..]);
+        let out = byz_run(format!("byzantine-{cons:?}"), liars, seed, scripts, oracle);
+        folds += out.unvouched_folds;
+        let m = out.read_path;
         assert_eq!(m.sc_reads + m.regular_reads, 18, "{cons:?} seed {seed}");
         assert_eq!(m.write_backs, 0, "{cons:?} seed {seed}: no read is atomic");
-        judge(
-            &honest_history(&sim, &[1]),
-            &format!("{cons:?} seed {seed}"),
-        );
     }
     folds
 }
 
 fn regular_under_a_forger() -> u64 {
-    tier_under_a_forger(Consistency::Regular, |h, ctx| {
-        assert_eq!(check_regular_swmr(h), vec![], "{ctx}:\n{h}");
-    })
+    tier_under_a_forger(Consistency::Regular, OracleSpec::RegularSwmr)
 }
 
 #[test]
@@ -272,13 +224,7 @@ fn regular_reads_stay_regular_under_a_forger() {
 
 #[test]
 fn sequential_reads_stay_sequentially_consistent_under_a_forger() {
-    tier_under_a_forger(Consistency::Sequential, |h, ctx| {
-        assert_eq!(
-            check_sequential(h),
-            ScCheckResult::Sequential,
-            "{ctx}:\n{h}"
-        );
-    });
+    tier_under_a_forger(Consistency::Sequential, OracleSpec::Sequential);
 }
 
 #[test]
@@ -292,6 +238,17 @@ fn the_masking_sweeps_reach_the_straddled_quorum_fallback() {
     assert!(folds > 0, "no fold fell back to its own pair");
 }
 
+/// Five nodes masking one liar, node 1, which lies by `lie`.
+fn one_liar_nodes(lie: LieStrategy) -> Vec<ByzNode<u64>> {
+    (0..5)
+        .map(|i| {
+            let mut cfg = ByzConfig::new(5, ProcessId(i), ProcessId(0), 1);
+            cfg.lie = Some(lie).filter(|_| i == 1);
+            ByzNode::new(cfg, 0u64)
+        })
+        .collect()
+}
+
 #[test]
 fn a_regular_read_straddling_a_write_is_not_regular() {
     // A conviction: ROADMAP 4(e)'s schedule, which only delays messages.
@@ -302,7 +259,7 @@ fn a_regular_read_straddling_a_write_is_not_regular() {
     // returns the initial value after write 1 completed: the masking
     // argument holds between writes only. 4(e)'s fix inverts this test.
     let latency = LatencyModel::Constant(1_000);
-    let nodes = byz_nodes(1, &[(1, LieStrategy::ForgeLabel)]);
+    let nodes = one_liar_nodes(LieStrategy::ForgeLabel);
     let mut sim = Sim::new(SimConfig::new(1).with_latency(latency), nodes);
     let steps = [
         ([0, 0, 0, 0, 1], ProcessId(0), RegisterOp::Write(1)),
@@ -324,8 +281,9 @@ fn a_regular_read_straddling_a_write_is_not_regular() {
         [RegisterResp::WriteOk, RegisterResp::ReadOk(0)],
         "write 2 is still out"
     );
-    assert_eq!(unvouched_folds(&sim, &[1]), 1);
-    let h = honest_history(&sim, &[1]);
+    let folds: Vec<u64> = (0..5).map(|i| sim.node(i).unvouched_folds()).collect();
+    assert_eq!(folds, [0, 0, 0, 0, 1]);
+    let h = history_from_sim(0, &sim);
     assert!(
         matches!(
             check_regular_swmr(&h)[..],
@@ -343,23 +301,22 @@ fn a_regular_read_straddling_a_write_is_not_regular() {
 fn every_atomic_read_is_counted_on_the_write_back_path() {
     // What `ReadPathStats` gives the variant: the simulator can sum its
     // counters, and `Batched` accepts it as an inner protocol.
-    let liars = [(1, LieStrategy::ReportStale)];
-    let mut plain = byz_cluster(1, &liars, 5);
-    let batched = byz_nodes(1, &liars)
+    let liars = (1, &[(1, LieStrategy::ReportStale)][..]);
+    let scripts = one_liar_scripts(RegisterOp::Read);
+    let plain = byz_run(
+        "byzantine-counted".into(),
+        liars,
+        5,
+        scripts.clone(),
+        OracleSpec::Linearizable,
+    );
+    let batched = one_liar_nodes(LieStrategy::ReportStale)
         .into_iter()
         .map(|node| Batched::new(node, 2_000))
         .collect();
-    let mut batched = sim_over(batched, 5);
-    let scripts = one_liar_scripts(RegisterOp::Read);
-    assert!(run_scripts(
-        &mut plain,
-        scripts.clone(),
-        500,
-        1,
-        600_000_000_000
-    ));
+    let mut batched = Sim::new(uniform(5), batched);
     assert!(run_scripts(&mut batched, scripts, 500, 1, 600_000_000_000));
-    for m in [plain.read_path_metrics(), batched.read_path_metrics()] {
+    for m in [plain.read_path, batched.read_path_metrics()] {
         assert_eq!(
             m.write_backs, 18,
             "one write-back per completed atomic read"
@@ -367,5 +324,5 @@ fn every_atomic_read_is_counted_on_the_write_back_path() {
         assert_eq!((m.fast_reads, m.relay_reads), (0, 0));
         assert_eq!((m.sc_reads, m.regular_reads), (0, 0));
     }
-    assert!(is_atomic_swmr(&honest_history(&batched, &[1])));
+    assert!(is_atomic_swmr(&history_from_sim(0, &batched)));
 }

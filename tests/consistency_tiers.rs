@@ -52,15 +52,9 @@ fn deadline_for(sched: &NemesisSchedule) -> u64 {
 /// Single-writer scripts: client 0 writes `writes` unique values, every
 /// other client reads `reads` times.
 fn scripts(writes: u64, reads: u64) -> Vec<Vec<RegisterOp<u64>>> {
-    (0..N)
-        .map(|c| {
-            if c == 0 {
-                (1..=writes).map(RegisterOp::Write).collect()
-            } else {
-                (0..reads).map(|_| RegisterOp::Read).collect()
-            }
-        })
-        .collect()
+    let mut scripts = vec![(1..=writes).map(RegisterOp::Write).collect()];
+    scripts.resize(N, vec![RegisterOp::Read; reads as usize]);
+    scripts
 }
 
 /// The cross-client inversion campaign: reads never write back

@@ -2,119 +2,79 @@
 //! adversary — per-key histories are linearizable, keys are independent,
 //! and the store tolerates the same failure bound as the registers it is
 //! made of.
+//!
+//! The judged sweeps are [`Repro`]s of [`ProtocolSpec::Kv`], so a failing
+//! seed leaves an artifact under `target/repro/`. Pipelined invocations (two
+//! operations in flight at one node) are no script of a `Repro` and keep
+//! their own `Sim`, as do the runs that count messages or read a replica.
 
+use abd_core::msg::RegisterOp;
 use abd_core::types::{ProcessId, ReadMode};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
-use abd_repro::lincheck::{check_linearizable, CheckResult};
-use abd_repro::simnet::workload::kv_histories;
-use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use abd_repro::lincheck::{check_linearizable, CheckResult, RegAction};
+use abd_repro::simnet::workload::{kv_histories, WorkloadConfig, WriterMode};
+use abd_repro::simnet::{LatencyModel, ProtocolSpec, ReplayOutcome, Repro, Sim, SimConfig};
 
 type KvSim = Sim<KvNode<u32, u64>>;
 
-fn cluster(n: usize, seed: u64) -> KvSim {
-    cluster_cfg(n, seed, false)
+/// Uniform 0.1–40 µs links that duplicate 5 % of messages.
+fn links(seed: u64) -> SimConfig {
+    SimConfig::new(seed)
+        .with_latency(LatencyModel::Uniform {
+            lo: 100,
+            hi: 40_000,
+        })
+        .with_duplication(0.05)
 }
 
-fn cluster_cfg(n: usize, seed: u64, fast_reads: bool) -> KvSim {
-    let mode = if fast_reads {
-        ReadMode::FastUnanimous
-    } else {
-        ReadMode::TwoRound
+fn nodes(n: usize) -> Vec<KvNode<u32, u64>> {
+    (0..n)
+        .map(|i| KvNode::new(KvConfig::new(n, ProcessId(i))))
+        .collect()
+}
+
+/// Five clients of 15 gets and puts (values unique across the store) over
+/// four contended keys — operation `j` of client `c` on key `(c + j) % 4` —
+/// each running from its own completions, 500 ns think, clients 1 ns apart.
+/// Every key's history is judged linearizable.
+fn contended(name: &str, read_mode: ReadMode, seed: u64, workload_seed: u64) -> ReplayOutcome {
+    let spec = ProtocolSpec::Kv {
+        read_mode,
+        hot: 4,
+        preload: 0,
+        buckets: 1024,
+        amnesiac: false,
     };
-    let nodes = (0..n)
-        .map(|i| KvNode::new(KvConfig::new(n, ProcessId(i)).with_read_mode(mode)))
-        .collect();
-    Sim::new(
-        SimConfig::new(seed)
-            .with_latency(LatencyModel::Uniform {
-                lo: 100,
-                hi: 40_000,
-            })
-            .with_duplication(0.05),
-        nodes,
-    )
+    let scripts = WorkloadConfig::new(workload_seed, 15, WriterMode::All).generate(5);
+    let run = Repro::staggered(name, spec, links(seed), scripts, 1, 600_000_000_000);
+    Repro { think: 500, ..run }
+        .check_or_emit()
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]
 fn per_key_histories_are_linearizable_across_seeds() {
     for seed in 0..60u64 {
-        let n = 5;
-        let mut sim = cluster(n, seed);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xfeed);
-        let mut value = 0u64;
-        // Closed-loop random workload: each node runs 15 sequential
-        // gets/puts over 4 contended keys (concurrency comes from the five
-        // clients racing, with honest per-client intervals).
-        let scripts: Vec<Vec<KvOp<u32, u64>>> = (0..n)
-            .map(|_| {
-                (0..15)
-                    .map(|_| {
-                        let key = rng.gen_range(0..4u32);
-                        if rng.gen_bool(0.5) {
-                            value += 1;
-                            KvOp::Put(key, value)
-                        } else {
-                            KvOp::Get(key)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        assert!(
-            abd_repro::simnet::harness::run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000),
-            "seed {seed}"
-        );
-        for (key, h) in kv_histories(&sim) {
-            assert_eq!(
-                check_linearizable(&h),
-                CheckResult::Linearizable,
-                "seed {seed}, key {key}: non-linearizable history\n{h}"
-            );
-        }
+        contended("kv-sweep", ReadMode::TwoRound, seed, seed ^ 0xfeed);
     }
 }
 
 /// The write-back elision must be invisible to the checker: the same
-/// contended workload as above, with `fast_reads` on, stays linearizable
+/// contended workload as above, with fast reads on, stays linearizable
 /// per key — and the fast path actually fires somewhere in the sweep.
 #[test]
 fn fast_reads_keep_per_key_histories_linearizable() {
-    let mut total_fast = 0u64;
-    for seed in 0..40u64 {
-        let n = 5;
-        let mut sim = cluster_cfg(n, seed, true);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xfa57);
-        let mut value = 0u64;
-        let scripts: Vec<Vec<KvOp<u32, u64>>> = (0..n)
-            .map(|_| {
-                (0..15)
-                    .map(|_| {
-                        let key = rng.gen_range(0..4u32);
-                        if rng.gen_bool(0.5) {
-                            value += 1;
-                            KvOp::Put(key, value)
-                        } else {
-                            KvOp::Get(key)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        assert!(
-            abd_repro::simnet::harness::run_scripts(&mut sim, scripts, 500, 1, 600_000_000_000),
-            "seed {seed}"
-        );
-        for (key, h) in kv_histories(&sim) {
-            assert_eq!(
-                check_linearizable(&h),
-                CheckResult::Linearizable,
-                "seed {seed}, key {key}: non-linearizable fast-read history\n{h}"
+    let total_fast: u64 = (0..40u64)
+        .map(|seed| {
+            let out = contended(
+                "kv-sweep-fast",
+                ReadMode::FastUnanimous,
+                seed,
+                seed ^ 0xfa57,
             );
-        }
-        total_fast += sim.read_path_metrics().fast_reads;
-    }
+            out.read_path.fast_reads
+        })
+        .sum();
     assert!(total_fast > 0, "the fast path must fire during the sweep");
 }
 
@@ -125,7 +85,7 @@ fn fast_reads_keep_per_key_histories_linearizable() {
 fn pipelined_invocations_stay_linearizable() {
     for seed in 0..30u64 {
         let n = 3;
-        let mut sim = cluster(n, seed ^ 0x99);
+        let mut sim: KvSim = Sim::new(links(seed ^ 0x99), nodes(n));
         let mut value = 0u64;
         for round in 0..5u64 {
             for node in 0..n {
@@ -156,22 +116,41 @@ fn pipelined_invocations_stay_linearizable() {
 
 #[test]
 fn store_survives_minority_crash_mid_workload() {
-    let n = 5;
-    let mut sim = cluster(n, 77);
-    sim.invoke_at(0, ProcessId(0), KvOp::Put(1, 100));
-    sim.crash_at(500, ProcessId(3));
-    sim.crash_at(700, ProcessId(4));
-    assert!(sim.run_until_ops_complete(30_000_000_000));
-    sim.invoke(ProcessId(1), KvOp::Get(1));
-    assert!(sim.run_until_ops_complete(60_000_000_000));
-    let last = sim.completed().last().unwrap();
-    assert_eq!(last.resp, KvResp::GetOk(Some(100)));
+    // Node 0 puts 100 while nodes 3 and 4 crash under it; node 1 gets the
+    // key once the put is surely done.
+    let spec = ProtocolSpec::Kv {
+        read_mode: ReadMode::TwoRound,
+        hot: 1,
+        preload: 0,
+        buckets: 1024,
+        amnesiac: false,
+    };
+    let mut scripts = vec![vec![RegisterOp::Write(100)], vec![RegisterOp::Read]];
+    scripts.resize(5, vec![]);
+    let run = Repro::staggered(
+        "kv-minority-crash",
+        spec,
+        links(77),
+        scripts,
+        1_000_000,
+        60_000_000_000,
+    );
+    let out = run
+        .with_crashes(&[(3, 500), (4, 700)])
+        .check_or_emit()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let actions: Vec<_> = out.histories[0]
+        .ops()
+        .iter()
+        .map(|op| op.action.clone())
+        .collect();
+    assert_eq!(actions, [RegAction::Write(100), RegAction::Read(100)]);
 }
 
 #[test]
 fn keys_do_not_interfere() {
     let n = 3;
-    let mut sim = cluster(n, 5);
+    let mut sim: KvSim = Sim::new(links(5), nodes(n));
     for k in 0..20u32 {
         sim.invoke(
             ProcessId((k % 3) as usize),
@@ -199,7 +178,7 @@ fn keys_do_not_interfere() {
 
 #[test]
 fn get_of_unwritten_key_completes_in_one_round() {
-    let mut sim = cluster(3, 1);
+    let mut sim: KvSim = Sim::new(links(1), nodes(3));
     sim.invoke(ProcessId(0), KvOp::Get(99));
     // Drain fully so straggler replies are counted too.
     assert!(sim.run_until_quiet(10_000_000_000));
@@ -211,7 +190,7 @@ fn get_of_unwritten_key_completes_in_one_round() {
 #[test]
 fn concurrent_puts_to_same_key_from_all_nodes_converge() {
     let n = 5;
-    let mut sim = cluster(n, 13);
+    let mut sim: KvSim = Sim::new(links(13), nodes(n));
     for node in 0..n {
         sim.invoke_at(0, ProcessId(node), KvOp::Put(7, 100 + node as u64));
     }
@@ -237,14 +216,11 @@ fn concurrent_puts_to_same_key_from_all_nodes_converge() {
 #[test]
 fn two_puts_on_one_key_at_one_node_issue_two_tags() {
     for seed in 0..300u64 {
-        let nodes = (0..3)
-            .map(|i| KvNode::new(KvConfig::new(3, ProcessId(i))))
-            .collect();
         let uniform = LatencyModel::Uniform {
             lo: 100,
             hi: 40_000,
         };
-        let mut sim: KvSim = Sim::new(SimConfig::new(seed).with_latency(uniform), nodes);
+        let mut sim: KvSim = Sim::new(SimConfig::new(seed).with_latency(uniform), nodes(3));
         sim.invoke_at(0, ProcessId(0), KvOp::Put(7, 1));
         sim.invoke_at(0, ProcessId(0), KvOp::Put(7, 2));
         assert!(sim.run_until_ops_complete(10_000_000_000), "seed {seed}");

@@ -14,19 +14,15 @@
 //! fails, a self-contained artifact lands under `target/repro/` and the
 //! panic message names the `abd_repro` commands that replay and shrink it.
 
-use abd_core::bounded::{BoundedSwmrConfig, BoundedSwmrNode, LabelSpace};
-use abd_core::byzantine::{ByzConfig, ByzNode};
 use abd_core::context::{Effects, Protocol, ReadPathStats, TimerKey};
 use abd_core::msg::RegisterOp;
 use abd_core::retransmit::BackoffPolicy;
 use abd_core::swmr::{SwmrConfig, SwmrNode};
 use abd_core::types::{Consistency, OpId, ProcessId, ReadMode, Tag};
 use abd_kv::{KvConfig, KvNode, KvOp, KvResp};
-use abd_repro::lincheck::{is_atomic_swmr, RegAction};
+use abd_repro::lincheck::RegAction;
 use abd_repro::simnet::nemesis::liveness_bound;
-use abd_repro::simnet::workload::{
-    history_from_sim, kv_histories, scripts_at_tier, scripts_mixed_tier,
-};
+use abd_repro::simnet::workload::{kv_histories, scripts_at_tier, scripts_mixed_tier};
 use abd_repro::simnet::{
     run_campaign, shrink, Failure, MutantKind, NemesisConfig, NemesisSchedule, OracleSpec,
     PlannedFault, ProtocolSpec, Repro, Sim, SimConfig,
@@ -43,19 +39,9 @@ fn backoff() -> BackoffPolicy {
 
 /// Single-writer scripts: client 0 writes unique values, the rest read.
 fn swmr_scripts(ops: u64) -> Vec<Vec<RegisterOp<u64>>> {
-    (0..N)
-        .map(|c| {
-            (0..ops)
-                .map(|k| {
-                    if c == 0 {
-                        RegisterOp::Write(k + 1)
-                    } else {
-                        RegisterOp::Read
-                    }
-                })
-                .collect()
-        })
-        .collect()
+    let mut scripts = vec![(1..=ops).map(RegisterOp::Write).collect()];
+    scripts.resize(N, vec![RegisterOp::Read; ops as usize]);
+    scripts
 }
 
 /// Multi-writer scripts: every client alternates unique writes and reads.
@@ -86,19 +72,19 @@ fn soak_repro(
     scripts: Vec<Vec<RegisterOp<u64>>>,
 ) -> Repro {
     let deadline = sched.heal_at() + liveness_bound(&backoff(), 20_000, 8);
-    Repro {
-        name: name.to_string(),
+    let run = Repro::new(
+        name,
         protocol,
-        n: N,
-        backoff_base: Some(BACKOFF_BASE),
-        sim: SimConfig::new(sim_seed),
-        schedule: sched,
+        SimConfig::new(sim_seed),
         scripts,
-        think: THINK,
+        sched,
         deadline,
+    );
+    Repro {
+        backoff_base: Some(BACKOFF_BASE),
+        think: THINK,
         oracle,
-        expected_digest: 0,
-        reason: String::new(),
+        ..run
     }
 }
 
@@ -227,70 +213,51 @@ fn soak_swmr_and_mwmr_randomized_campaigns() {
 fn soak_bounded_and_byzantine_randomized_campaigns() {
     for seed in [11u64, 12] {
         // Bounded labels: a modulus comfortably above the write count, so
-        // the campaign exercises wraparound-safe adoption, not overflow.
+        // the campaign exercises wraparound-safe adoption, not overflow. A
+        // comparison outside the window would fail the run.
         let run_bounded = |sim_seed: u64| {
-            let nodes: Vec<BoundedSwmrNode<u64>> = (0..N)
-                .map(|i| {
-                    let cfg = BoundedSwmrConfig::new(N, ProcessId(i), ProcessId(0))
-                        .with_space(LabelSpace::new(64))
-                        .with_retransmit(BACKOFF_BASE);
-                    BoundedSwmrNode::new(cfg, 0)
-                })
-                .collect();
-            let mut sim = Sim::new(SimConfig::new(sim_seed), nodes);
             let sched = NemesisConfig::new(sim_seed * 37 + 3, N).plan();
-            sched.apply(&mut sim);
-            let deadline = sched.heal_at() + liveness_bound(&backoff(), 20_000, 8);
-            assert!(
-                run_campaign(&mut sim, &sched, swmr_scripts(5), THINK, deadline),
-                "bounded seed {sim_seed}: ops must finish after healing"
-            );
-            let h = history_from_sim(0, &sim);
-            assert!(is_atomic_swmr(&h), "bounded seed {sim_seed}");
-            for i in 0..N {
-                assert_eq!(
-                    sim.node(i).window_violations(),
-                    0,
-                    "bounded seed {sim_seed}"
-                );
-            }
-            sim.trace_digest()
+            let bounded = ProtocolSpec::Bounded { modulus: 64 };
+            soak_repro(
+                "nemesis-bounded",
+                bounded,
+                OracleSpec::Linearizable,
+                sim_seed,
+                sched,
+                swmr_scripts(5),
+            )
+            .check_or_emit()
+            .unwrap_or_else(|e| panic!("bounded seed {sim_seed}: {e}"))
+            .digest
         };
         assert_eq!(run_bounded(seed), run_bounded(seed));
 
         // Byzantine masking quorums need q = 4 of n = 5 live (b = 1), so the
         // campaign's liveness floor rises to 4 and waves go one at a time.
         let run_byz = |sim_seed: u64| {
-            let nodes: Vec<ByzNode<u64>> = (0..N)
-                .map(|i| {
-                    ByzNode::new(
-                        ByzConfig::new(N, ProcessId(i), ProcessId(0), 1)
-                            .with_retransmit(BACKOFF_BASE),
-                        0,
-                    )
-                })
-                .collect();
-            let mut sim = Sim::new(SimConfig::new(sim_seed), nodes);
             let mut cfg = NemesisConfig::new(sim_seed * 41 + 4, N).with_min_alive(4);
             cfg.crash_cycles = 5; // one victim per wave still covers all five
             let sched = cfg.plan();
             assert!(sched.respects_min_alive(N));
-            sched.apply(&mut sim);
-            let deadline = sched.heal_at() + liveness_bound(&backoff(), 20_000, 8);
-            assert!(
-                run_campaign(&mut sim, &sched, swmr_scripts(4), THINK, deadline),
-                "byzantine seed {sim_seed}: ops must finish after healing"
+            let byz = ProtocolSpec::Byzantine {
+                b: 1,
+                liars: vec![],
+            };
+            let out = soak_repro(
+                "nemesis-byzantine",
+                byz,
+                OracleSpec::Linearizable,
+                sim_seed,
+                sched,
+                swmr_scripts(4),
+            )
+            .check_or_emit()
+            .unwrap_or_else(|e| panic!("byzantine seed {sim_seed}: {e}"));
+            assert_eq!(
+                out.unvouched_folds, 0,
+                "byzantine seed {sim_seed}: a node fell back to its own pair"
             );
-            let h = history_from_sim(0, &sim);
-            assert!(is_atomic_swmr(&h), "byzantine seed {sim_seed}");
-            for i in 0..N {
-                assert_eq!(
-                    sim.node(i).unvouched_folds(),
-                    0,
-                    "byzantine seed {sim_seed}: node {i} fell back to its own pair"
-                );
-            }
-            sim.trace_digest()
+            out.digest
         };
         assert_eq!(run_byz(seed), run_byz(seed));
     }
@@ -690,23 +657,19 @@ fn catch_up_repro(
     nemesis.base_loss = 0.05;
     let schedule = nemesis.plan();
     assert!(schedule.respects_min_alive(N));
+    let sim = SimConfig::new(sim_seed)
+        .with_loss(0.05)
+        .with_duplication(0.05);
+    let scripts = (0..N as u64)
+        .map(|c| (0..150).map(|j| op(c, j)).collect())
+        .collect();
+    let deadline = schedule.heal_at() + liveness_bound(&backoff(), latency, ops);
+    let run = Repro::new(name, protocol, sim, scripts, schedule, deadline);
     Repro {
-        name,
-        protocol,
-        n: N,
         backoff_base: Some(BACKOFF_BASE),
-        sim: SimConfig::new(sim_seed)
-            .with_loss(0.05)
-            .with_duplication(0.05),
-        scripts: (0..N as u64)
-            .map(|c| (0..150).map(|j| op(c, j)).collect())
-            .collect(),
         think,
-        deadline: schedule.heal_at() + liveness_bound(&backoff(), latency, ops),
-        schedule,
         oracle,
-        expected_digest: 0,
-        reason: String::new(),
+        ..run
     }
 }
 
@@ -798,43 +761,7 @@ fn served_during_catch_up(campaign: impl Fn(u64, u64, ReadMode, bool) -> (Repro,
 fn kv_serves_during_catch_up_campaign() {
     served_during_catch_up(|sim_seed, nemesis_seed, read_mode, tiers| {
         let repro = kv_catch_up_repro(sim_seed, nemesis_seed, read_mode, tiers, false);
-        let ProtocolSpec::Kv {
-            hot,
-            preload,
-            buckets,
-            ..
-        } = repro.protocol
-        else {
-            unreachable!("a store campaign")
-        };
-        let nodes = (0..N)
-            .map(|i| {
-                let cfg = KvConfig::new(N, ProcessId(i))
-                    .with_read_mode(read_mode)
-                    .with_sync_buckets(buckets as usize)
-                    .with_retransmit(BACKOFF_BASE);
-                divergent_kv_node(cfg, preload)
-            })
-            .collect();
-        // Script position j of client c addresses hot key
-        // `preload + (c + j) % hot`, as the repro's own replay does.
-        let scripts = repro
-            .scripts
-            .iter()
-            .enumerate()
-            .map(|(c, script)| {
-                let key = |j: usize| preload + (c + j) as u32 % hot;
-                script
-                    .iter()
-                    .enumerate()
-                    .map(|(j, op)| match *op {
-                        RegisterOp::Write(v) => KvOp::Put(key(j), v),
-                        RegisterOp::Read => KvOp::Get(key(j)),
-                        RegisterOp::ReadAt(tier) => KvOp::GetAt(key(j), tier),
-                    })
-                    .collect()
-            })
-            .collect();
+        let (nodes, scripts) = repro.kv_parts();
         let (digest, served) = watched_run(&repro, nodes, scripts);
         (repro, digest, served)
     });
@@ -1058,7 +985,7 @@ fn register_serves_during_catch_up_campaign_convicts_a_replica_that_forgets() {
         every: 0,
     };
     let message = convicted_through_the_pipeline(
-        (0..24).map(|seed| register_catch_up_repro(seed, seed * 31 + 5, amnesiac, false)),
+        (0..24).map(|seed| register_catch_up_repro(seed, seed * 31 + 5, amnesiac.clone(), false)),
     );
     assert!(
         message.contains("not atomic"),

@@ -1,18 +1,36 @@
 //! Property-based integration tests: arbitrary workload shapes, network
 //! pathologies and failure patterns — the ABD protocols always produce
 //! linearizable histories and respect the resilience bound.
+//!
+//! Each case is a [`Repro`] judged atomic, so a failing case leaves an
+//! artifact under `target/repro/` beside the inputs its message names.
 
-use abd_core::types::ProcessId;
-use abd_core::{MwmrConfig, SwmrConfig};
-use abd_repro::lincheck::{check_linearizable, is_atomic_swmr, CheckResult};
-use abd_repro::simnet::workload::{run_workload, WorkloadConfig, WriterMode};
-use abd_repro::simnet::{LatencyModel, Sim, SimConfig};
+use abd_core::types::{Nanos, ProcessId, ReadMode};
+use abd_repro::simnet::workload::{WorkloadConfig, WriterMode};
+use abd_repro::simnet::{LatencyModel, ProtocolSpec, Repro, SimConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Cases per property; case `c` draws its inputs from
 /// `SmallRng::seed_from_u64(c)`.
 const CASES: u64 = 48;
+
+const SWMR: ProtocolSpec = ProtocolSpec::Swmr {
+    read_mode: ReadMode::TwoRound,
+};
+
+/// Uniform links of `lo`–`hi` ns.
+fn uniform(seed: u64, lo: Nanos, hi: Nanos) -> SimConfig {
+    SimConfig::new(seed).with_latency(LatencyModel::Uniform { lo, hi })
+}
+
+/// Panics with `inputs` and the artifact's path unless every operation of
+/// `run` completed and its history is atomic.
+fn assert_atomic(run: Repro, inputs: &str) {
+    if let Err(e) = run.check_or_emit() {
+        panic!("{inputs}: {e}");
+    }
+}
 
 /// SWMR ABD stays atomic for arbitrary seeds, cluster sizes, delay ranges,
 /// duplication rates and write ratios.
@@ -28,28 +46,12 @@ fn swmr_always_atomic() {
         let inputs = format!(
             "case {case}: seed {seed}, n {n}, hi_delay {hi_delay}, dup {dup}, write_ratio {write_ratio}"
         );
-        let nodes = (0..n)
-            .map(|i| {
-                abd_core::swmr::SwmrNode::new(SwmrConfig::new(n, ProcessId(i), ProcessId(0)), 0u64)
-            })
-            .collect();
-        let cfg = SimConfig::new(seed)
-            .with_latency(LatencyModel::Uniform {
-                lo: 100,
-                hi: hi_delay,
-            })
-            .with_duplication(dup);
-        let mut sim = Sim::new(cfg, nodes);
-        let wl = WorkloadConfig::new(seed ^ 1, 8, WriterMode::Single(ProcessId(0)))
-            .with_write_ratio(write_ratio);
-        let h = run_workload(&mut sim, &wl, 0, 60_000_000_000, true)
-            .unwrap_or_else(|| panic!("{inputs}: failure-free run must complete"));
-        assert!(is_atomic_swmr(&h), "{inputs}: non-atomic history:\n{h}");
-        assert_eq!(
-            check_linearizable(&h),
-            CheckResult::Linearizable,
-            "{inputs}"
-        );
+        let sim = uniform(seed, 100, hi_delay).with_duplication(dup);
+        let scripts = WorkloadConfig::new(seed ^ 1, 8, WriterMode::Single(ProcessId(0)))
+            .with_write_ratio(write_ratio)
+            .generate(n);
+        let run = Repro::staggered("prop-swmr", SWMR, sim, scripts, 1, 60_000_000_000);
+        assert_atomic(run, &inputs);
     }
 }
 
@@ -62,22 +64,15 @@ fn mwmr_always_atomic() {
         let n = rng.gen_range(3usize..7);
         let hi_delay = rng.gen_range(1_000u64..60_000);
         let inputs = format!("case {case}: seed {seed}, n {n}, hi_delay {hi_delay}");
-        let nodes = (0..n)
-            .map(|i| abd_core::mwmr::MwmrNode::new(MwmrConfig::new(n, ProcessId(i)), 0u64))
-            .collect();
-        let cfg = SimConfig::new(seed).with_latency(LatencyModel::Uniform {
-            lo: 100,
-            hi: hi_delay,
-        });
-        let mut sim = Sim::new(cfg, nodes);
-        let wl = WorkloadConfig::new(seed ^ 2, 6, WriterMode::All).with_write_ratio(0.5);
-        let h = run_workload(&mut sim, &wl, 0, 60_000_000_000, true)
-            .unwrap_or_else(|| panic!("{inputs}: failure-free run must complete"));
-        assert_eq!(
-            check_linearizable(&h),
-            CheckResult::Linearizable,
-            "{inputs}: non-linearizable history:\n{h}"
-        );
+        let scripts = WorkloadConfig::new(seed ^ 2, 6, WriterMode::All)
+            .with_write_ratio(0.5)
+            .generate(n);
+        let mwmr = ProtocolSpec::Mwmr {
+            read_mode: ReadMode::TwoRound,
+        };
+        let sim = uniform(seed, 100, hi_delay);
+        let run = Repro::staggered("prop-mwmr", mwmr, sim, scripts, 1, 60_000_000_000);
+        assert_atomic(run, &inputs);
     }
 }
 
@@ -100,38 +95,15 @@ fn minority_crashes_preserve_atomicity_and_liveness() {
             .enumerate()
             .map(|(k, &t)| (n - 1 - k, t))
             .collect();
-        let nodes = (0..n)
-            .map(|i| {
-                abd_core::swmr::SwmrNode::new(SwmrConfig::new(n, ProcessId(i), ProcessId(0)), 0u64)
-            })
-            .collect();
-        let mut sim = Sim::new(
-            SimConfig::new(seed).with_latency(LatencyModel::Uniform {
-                lo: 100,
-                hi: 20_000,
-            }),
-            nodes,
-        );
-        for &(node, t) in &crashes {
-            sim.crash_at(t, ProcessId(node));
-        }
         // Survivors run scripts; crashed nodes may have ops cut short.
         let wl = WorkloadConfig::new(seed ^ 3, 6, WriterMode::Single(ProcessId(0)));
         let mut scripts = wl.generate(n);
         for &(i, _) in &crashes {
             scripts[i].clear();
         }
-        let ok = abd_repro::simnet::harness::run_scripts(&mut sim, scripts, 0, 1, 120_000_000_000);
-        assert!(
-            ok,
-            "{inputs}: survivor operations must complete under a minority crash"
-        );
-        let h = abd_repro::simnet::workload::history_from_sim(0, &sim);
-        assert_eq!(
-            check_linearizable(&h),
-            CheckResult::Linearizable,
-            "{inputs}: history: {h}"
-        );
+        let sim = uniform(seed, 100, 20_000);
+        let run = Repro::staggered("prop-crashes", SWMR, sim, scripts, 1, 120_000_000_000);
+        assert_atomic(run.with_crashes(&crashes), &inputs);
     }
 }
 
@@ -144,23 +116,14 @@ fn lossy_links_with_retransmission_stay_atomic() {
         let seed: u64 = rng.gen();
         let loss = rng.gen_range(0.01..0.4);
         let inputs = format!("case {case}: seed {seed}, loss {loss}");
-        let n = 5;
-        let nodes = (0..n)
-            .map(|i| {
-                let cfg = SwmrConfig::new(n, ProcessId(i), ProcessId(0)).with_retransmit(30_000);
-                abd_core::swmr::SwmrNode::new(cfg, 0u64)
-            })
-            .collect();
-        let cfg = SimConfig::new(seed)
-            .with_latency(LatencyModel::Uniform {
-                lo: 1_000,
-                hi: 10_000,
-            })
-            .with_loss(loss);
-        let mut sim = Sim::new(cfg, nodes);
-        let wl = WorkloadConfig::new(seed ^ 4, 6, WriterMode::Single(ProcessId(0)));
-        let h = run_workload(&mut sim, &wl, 0, 600_000_000_000, true)
-            .unwrap_or_else(|| panic!("{inputs}: retransmission must push operations through"));
-        assert!(is_atomic_swmr(&h), "{inputs}");
+        let scripts =
+            WorkloadConfig::new(seed ^ 4, 6, WriterMode::Single(ProcessId(0))).generate(5);
+        let sim = uniform(seed, 1_000, 10_000).with_loss(loss);
+        let run = Repro::staggered("prop-lossy", SWMR, sim, scripts, 1, 600_000_000_000);
+        let run = Repro {
+            backoff_base: Some(30_000),
+            ..run
+        };
+        assert_atomic(run, &inputs);
     }
 }

@@ -2,14 +2,17 @@
 //! clients, wall-clock histories checked for linearizability, crash
 //! tolerance, and the shared-memory algorithms running over the emulation.
 
+use abd_core::context::ReadPathCounters;
 use abd_core::msg::{RegisterOp, RegisterResp};
 use abd_core::mwmr::{MwmrConfig, MwmrNode};
+use abd_core::phase::{NodeEdges, PhaseEdges};
 use abd_core::types::ProcessId;
 use abd_repro::lincheck::{check_linearizable, CheckResult, History, RegAction};
 use abd_repro::runtime::client::{spawn_kv_cluster, KvRegisterArray, KvStoreClient};
 use abd_repro::runtime::cluster::{Cluster, HistoryRecorder, Jitter};
 use abd_repro::shmem::counter::Counter;
 use abd_repro::shmem::snapshot::{Segment, SnapshotObject};
+use abd_repro::simnet::{Sim, SimConfig};
 use std::sync::Arc;
 
 fn mwmr_cluster(n: usize, jitter: Jitter) -> Cluster<MwmrNode<u64>> {
@@ -65,6 +68,36 @@ fn threaded_history_is_linearizable() {
         CheckResult::Linearizable,
         "real-thread history must be linearizable"
     );
+}
+
+#[test]
+fn runtime_counts_a_script_as_the_simulator_does() {
+    // A fault-free two-round MWMR script, one operation at a time: each
+    // node's counters, read on its own thread, sum to the simulator's.
+    let script = [
+        (0, RegisterOp::Write(1)),
+        (1, RegisterOp::Read),
+        (2, RegisterOp::Write(2)),
+        (0, RegisterOp::Read),
+        (2, RegisterOp::Read),
+    ];
+    let cluster = mwmr_cluster(3, Jitter::None);
+    let nodes = (0..3)
+        .map(|i| MwmrNode::new(MwmrConfig::new(3, ProcessId(i)), 0u64))
+        .collect();
+    let mut sim = Sim::new(SimConfig::new(1), nodes);
+    for (node, op) in script {
+        let on_threads = cluster.client(node).invoke(op.clone());
+        sim.invoke(ProcessId(node), op);
+        assert!(sim.run_until_quiet(1_000_000_000));
+        assert_eq!(Some(&on_threads), sim.completed().last().map(|r| &r.resp));
+    }
+    let (counters, edges): (Vec<ReadPathCounters>, Vec<NodeEdges>) =
+        (0..3).map(|i| cluster.stats(i)).unzip();
+    let counted = sim.read_path_metrics();
+    assert_eq!(counters.into_iter().sum::<ReadPathCounters>(), counted);
+    assert_eq!(counted.write_backs, 3, "every read wrote back");
+    assert!(edges.iter().all(|e| e.engine != PhaseEdges::default()));
 }
 
 #[test]

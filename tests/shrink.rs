@@ -18,7 +18,7 @@ use abd_core::retransmit::BackoffPolicy;
 use abd_core::types::ProcessId;
 use abd_repro::simnet::nemesis::liveness_bound;
 use abd_repro::simnet::{
-    shrink, MutantKind, NemesisSchedule, OracleSpec, PlannedFault, ProtocolSpec, Repro, SimConfig,
+    shrink, MutantKind, NemesisSchedule, PlannedFault, ProtocolSpec, Repro, SimConfig,
 };
 
 const N: usize = 5;
@@ -89,34 +89,24 @@ fn planted_repro(sim_seed: u64) -> Repro {
     let deadline = sched.heal_at()
         + 20 * 8 * 2_500
         + liveness_bound(&BackoffPolicy::new(BACKOFF_BASE), 20_000, 20);
-    Repro {
-        name: "planted-swmr".to_string(),
-        protocol: ProtocolSpec::MutantSwmr {
-            mutant: MutantKind::DropWriteBack,
-            every: 1,
-        },
-        n: N,
-        backoff_base: Some(BACKOFF_BASE),
-        sim: SimConfig::new(sim_seed),
-        schedule: sched,
-        scripts: (0..N)
-            .map(|c| {
-                (0..20u64)
-                    .map(|k| {
-                        if c == 0 {
-                            RegisterOp::Write(k + 1)
-                        } else {
-                            RegisterOp::Read
-                        }
-                    })
-                    .collect()
-            })
-            .collect(),
-        think: 2_500,
+    let mutant = ProtocolSpec::MutantSwmr {
+        mutant: MutantKind::DropWriteBack,
+        every: 1,
+    };
+    let mut scripts = vec![(1..=20).map(RegisterOp::Write).collect()];
+    scripts.resize(N, vec![RegisterOp::Read; 20]);
+    let run = Repro::new(
+        "planted-swmr",
+        mutant,
+        SimConfig::new(sim_seed),
+        scripts,
+        sched,
         deadline,
-        oracle: OracleSpec::Linearizable,
-        expected_digest: 0,
-        reason: String::new(),
+    );
+    Repro {
+        backoff_base: Some(BACKOFF_BASE),
+        think: 2_500,
+        ..run
     }
 }
 
